@@ -1,11 +1,12 @@
 """The asyncio HTTP/JSON query server.
 
 One event loop owns connections and deadlines; plan optimization and
-execution run on a thread pool, streaming rows back through the loop.
-``/query`` is admission-controlled (see :mod:`repro.server.admission`);
-the observability routes (``/metrics``, ``/traces``, ``/slo``,
-``/planspace``, ``/healthz``) are served from the same socket but are
-never shed — you can always observe a saturated server.
+execution run on a thread pool, handing rows back to the loop in
+batches.  ``/query`` is admission-controlled (see
+:mod:`repro.server.admission`); the observability routes
+(``/metrics``, ``/traces``, ``/slo``, ``/planspace``, ``/healthz``)
+are served from the same socket but are never shed — you can always
+observe a saturated server.
 
 Request surface (``GET`` with query-string parameters or ``POST``
 with a JSON object; body keys win)::
@@ -20,12 +21,35 @@ with a JSON object; body keys win)::
     timeout_ms  config default per-request deadline
     tenant      "anonymous"    admission bucket (or ``X-Tenant``)
 
+Row hand-off, streamed and buffered, single-node and sharded alike: a
+producer thread pulls rows from ``stream_execute``, hands the first
+one over alone (time-to-first-result never waits for a batch), then
+batches that double up to ``BATCH_ROWS``.  One hand-off is one
+cross-thread wake-up; for a streamed response it is also one encode
+(in the producer thread) and one chunk, write and drain on the loop,
+for a buffered one an ``extend``.  At most ``HANDOFF_DEPTH``
+hand-offs are outstanding: a producer that far ahead of its client
+blocks, so a slow client costs one worker thread and one admission
+slot — until its deadline — and a bounded number of rows in memory.
+
+A streamed response is NDJSON in chunks, and a chunk is *not* a row:
+the schema line alone in the first chunk, the first row in the
+second, then batches of ``{"b": [...]}`` lines, the summary line
+alone in the last chunk (so an empty result is exactly two chunks).
+
 ``X-Trace-Id`` forces a traced execution joined to the caller's trace
-id — the stitched tree lands in ``/traces`` under that id.  Deadline
-expiry cancels the executor mid-stream: the cancel predicate is
-checked before every row, the operators are closed, the 504 (or the
-terminal NDJSON line with ``"cancelled": true``) reports how far the
-query got, and the error-budget burn shows up in ``/slo``.
+id — the stitched tree lands in ``/traces`` under that id.  At the
+deadline the response ends with what has been delivered: the consumer
+stops taking hand-offs and hangs up, which wakes a blocked producer
+and makes the executor's cancel predicate (checked before every row)
+true, so the operators are closed.  Rows the engine had produced but
+the loop had not yet written (or collected) are *dropped*, not
+flushed, and ``rows`` in the 504 body — or in the terminal NDJSON
+line with ``"cancelled": true`` — counts rows delivered, which for a
+stream is exactly the row lines on the wire.  A client that is not
+taking what it was sent when the deadline fires gets no terminal line
+(it could not be delivered either): its connection is dropped.  The
+error-budget burn shows up in ``/slo`` either way.
 
 Shutdown is one path for every entry point (``repro serve``,
 ``stats --listen``, tests): stop accepting, finish in-flight requests
@@ -42,16 +66,18 @@ import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import IO
+from dataclasses import dataclass, field
+from typing import IO, Callable
 
 from repro.errors import (OptimizerError, PatternError, PlanError,
                           QueryCancelled, ReproError, XPathSyntaxError)
-from repro.engine.executor import validate_engine
+from repro.engine.executor import (StreamingExecution,
+                                   validate_engine)
 from repro.obs.spans import TraceContext
 from repro.server.admission import AdmissionController, Rejection
 from repro.server.http import (ChunkedWriter, HttpRequest,
-                               ProtocolError, json_response,
+                               ProtocolError, json_line,
+                               json_response, ndjson_rows,
                                read_request, render_response)
 
 __all__ = ["ServerConfig", "QueryServer"]
@@ -61,6 +87,28 @@ BAD_REQUEST_ERRORS = (XPathSyntaxError, PatternError, PlanError,
                       OptimizerError)
 
 _TRUTHY = ("1", "true", "yes", "on")
+
+#: Most rows in one hand-off from a producer thread to the event loop
+#: (and so in one NDJSON chunk); batches double from one row up to
+#: this.  Measured, not guessed: a closed loop of two keep-alive
+#: connections streaming ``//employee//name`` over Pers 20000 (4771
+#: rows) from a server pinned to one CPU, five interleaved 2 s rounds
+#: per setting, medians -- cap 16: 28 req/s, 64: 37.5, 256: 44,
+#: 1024: 41.5, 4096: 42.5.  The curve is flat from 256 on, and a
+#: smaller batch is a tighter bound on memory and on cancel latency.
+BATCH_ROWS = 256
+
+#: Hand-offs a producer may be ahead of what its client has taken
+#: before it blocks; with ``BATCH_ROWS``, the most rows a stalled
+#: client holds in server memory (the transport's own buffer aside).
+#: Same measurement at cap 256 -- depth 2: 39.5 req/s, 4: 44, 8: 42,
+#: 16: 42, and wire TTFR 1.4 / 1.4 / 2.5 / 5.5 ms: a producer that
+#: may run far ahead keeps the interpreter lock while the loop waits
+#: to write the first row.
+HANDOFF_DEPTH = 4
+
+_HEAD = "head"  # hand-off item: the stream is open, its schema known
+_END = "end"  # hand-off item: the producer is done (or has failed)
 
 
 @dataclass
@@ -95,6 +143,77 @@ class _QueryParams:
     deadline: float
     tenant: str
     trace_id: str
+
+
+class _Handoff:
+    """The bounded channel from one producer thread to the event loop.
+
+    The producer :meth:`put`\\ s items and blocks while
+    ``HANDOFF_DEPTH`` of them are outstanding; the consumer coroutine
+    :meth:`get`\\ s one, deals with it — for a streamed response that
+    includes waiting for the client — and only then calls
+    :meth:`taken`, so a client slower than the engine throttles the
+    engine.  :meth:`hang_up` is the consumer saying it will take no
+    more: it wakes a blocked producer, turns every later ``put`` into
+    a no-op and makes :meth:`cancelled` — the executor's cancel
+    predicate — true, so the producer's next pull raises
+    ``QueryCancelled``.
+    """
+
+    def __init__(self, loop: asyncio.AbstractEventLoop,
+                 on_wait: Callable[[], None]) -> None:
+        self._loop = loop
+        self._items: "asyncio.Queue[object]" = asyncio.Queue()
+        self._room = threading.Condition()
+        self._outstanding = 0
+        self._hung_up = False
+        self._on_wait = on_wait
+
+    def cancelled(self) -> bool:
+        return self._hung_up
+
+    def put(self, item: object) -> None:
+        """Producer thread: hand *item* over, waiting for room."""
+        with self._room:
+            if self._outstanding >= HANDOFF_DEPTH and not self._hung_up:
+                self._on_wait()
+                self._room.wait_for(
+                    lambda: (self._outstanding < HANDOFF_DEPTH
+                             or self._hung_up))
+            if self._hung_up:
+                return
+            self._outstanding += 1
+        try:
+            self._loop.call_soon_threadsafe(self._items.put_nowait,
+                                            item)
+        except RuntimeError:
+            pass  # loop closed mid-drain; nobody left to hand to
+
+    async def get(self) -> object:
+        return await self._items.get()
+
+    def taken(self) -> None:
+        """Event loop: the item last got has been dealt with."""
+        with self._room:
+            self._outstanding -= 1
+            self._room.notify()
+
+    def hang_up(self) -> None:
+        with self._room:
+            self._hung_up = True
+            self._room.notify()
+
+
+@dataclass
+class _Delivery:
+    """How far one ``/query`` response has got, as the loop sees it."""
+
+    chunked: "ChunkedWriter | None"  # None: a buffered response
+    stream: "StreamingExecution | None" = None  # set before _HEAD
+    bindings: "list[list[int]]" = field(default_factory=list)
+    rows: int = 0  # delivered: written to the client, or collected
+    ttfr: "float | None" = None
+    client_gone: bool = False
 
 
 class QueryServer:
@@ -143,6 +262,18 @@ class QueryServer:
         self._http_cancelled = registry.counter(
             "repro_http_cancelled_total",
             "Requests cancelled by their deadline")
+        self._http_rows = registry.counter(
+            "repro_http_rows_total",
+            "Result rows delivered: streamed to a client or collected "
+            "into a buffered body")
+        self._http_batches = registry.counter(
+            "repro_http_row_batches_total",
+            "Row batches handed from producer threads to the event "
+            "loop (rows / batches is the live batch size)")
+        self._http_backpressure = registry.counter(
+            "repro_http_backpressure_waits_total",
+            "Times a producer thread blocked on a full hand-off: the "
+            "loop and its client were behind the engine")
         registry.register_collector(self._collect_gauges)
 
     def _collect_gauges(self) -> None:
@@ -322,6 +453,11 @@ class QueryServer:
                 pass
         except (ConnectionError, OSError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # past the drain budget: closing politely would wait for
+            # a client that is not reading what it was sent
+            writer.transport.abort()
+            raise
         finally:
             self._connections.discard(task)
             writer.close()
@@ -505,145 +641,141 @@ class QueryServer:
                              params: _QueryParams, keep: bool,
                              started: float) -> bool:
         loop = asyncio.get_running_loop()
-        queue: "asyncio.Queue[tuple[str, object]]" = asyncio.Queue()
-        cancel = threading.Event()
+        handoff = _Handoff(loop, self._http_backpressure.inc)
+        delivery = _Delivery(
+            ChunkedWriter(writer) if params.stream else None)
         trace_context = (TraceContext(trace_id=params.trace_id)
                          if params.trace_id else None)
 
-        def emit(kind: str, payload: object) -> None:
-            try:
-                loop.call_soon_threadsafe(queue.put_nowait,
-                                          (kind, payload))
-            except RuntimeError:
-                pass  # loop closed mid-drain; nothing left to notify
+        def flush(batch: "list[list[int]]") -> None:
+            # a streamed batch is encoded here, in the producer
+            # thread: the loop only frames and writes it
+            handoff.put((len(batch), ndjson_rows(batch)
+                         if params.stream else batch))
 
         def produce() -> None:
-            stream = None
             try:
-                if cancel.is_set():
-                    raise QueryCancelled(
-                        "deadline expired before execution started")
+                if handoff.cancelled():
+                    return  # the deadline beat the pool to a thread
                 pattern = self.database.compile(params.xpath)
                 optimization = self.service.optimize_cached(
                     pattern, params.algorithm)
                 stream = self.database.stream_execute(
                     optimization.plan, pattern, engine=params.engine,
-                    cancel=cancel.is_set,
+                    cancel=handoff.cancelled,
                     trace_context=trace_context)
-                emit("meta", stream)
+                delivery.stream = stream
+                handoff.put(_HEAD)
+                batch: "list[list[int]]" = []
+                size = 1  # the first row travels alone: TTFR
                 for row in stream:
-                    emit("row", [region.start for region in row])
-                    if params.limit and stream.produced >= params.limit:
-                        stream.close()
-                        break
-                emit("done", stream)
+                    batch.append([region.start for region in row])
+                    last = (params.limit
+                            and stream.produced >= params.limit)
+                    if last or len(batch) >= size:
+                        flush(batch)
+                        batch = []
+                        size = min(size * 2, BATCH_ROWS)
+                        if last:
+                            stream.close()
+                            break
+                if batch:
+                    flush(batch)
             except QueryCancelled:
-                emit("cancelled", stream)
-            except BaseException as exc:
-                emit("error", exc)
+                pass  # the consumer hung up, and knows why
+            finally:
+                handoff.put(_END)
 
         assert self._executor is not None
-        timer = loop.call_later(params.deadline, cancel.set)
         future = loop.run_in_executor(self._executor, produce)
-        chunked = ChunkedWriter(writer) if params.stream else None
-        collected: "list[list[int]]" = []
-        stream = None
-        outcome = ""
-        error: BaseException | None = None
-        ttfr: "float | None" = None
-        truncated = False
-        client_gone = False
+        timed_out = False
+        error: "Exception | None" = None
+        try:
+            # the one per-request watchdog: whatever the consumer is
+            # waiting for at the deadline -- a pool thread, the
+            # producer, the client -- it stops waiting
+            await asyncio.wait_for(
+                self._deliver(handoff, delivery, params, keep, started),
+                params.deadline)
+        except asyncio.TimeoutError:
+            timed_out = True
+            if delivery.chunked is not None and delivery.chunked.stalled:
+                # the deadline found the client not taking what it had
+                # been sent: a terminal line could not reach it either
+                delivery.client_gone = True
+        finally:
+            # deadline, disconnect, server drain or a normal end: the
+            # producer never outlives its request
+            handoff.hang_up()
+        try:
+            await asyncio.shield(future)
+        except Exception as exc:
+            error = exc
+        if delivery.client_gone:
+            # nothing more can reach this client; drop what the
+            # transport still buffers for it instead of waiting
+            writer.transport.abort()
+        outcome = ("error" if error is not None
+                   else "cancelled" if timed_out or delivery.client_gone
+                   else "done")
+        return await self._finish_query(
+            writer, delivery, params, keep, outcome, error,
+            time.perf_counter() - started)
+
+    async def _deliver(self, handoff: "_Handoff", delivery: "_Delivery",
+                       params: _QueryParams, keep: bool,
+                       started: float) -> None:
+        """Write (or collect) what the producer hands off, one batch
+        per iteration, until end-of-stream or the client is gone."""
+        chunked = delivery.chunked
         try:
             while True:
-                try:
-                    kind, payload = await asyncio.wait_for(
-                        queue.get(), params.deadline + 10.0)
-                except asyncio.TimeoutError:
-                    # the producer never started (saturated pool) and
-                    # the deadline timer has long fired; give up on
-                    # this request but let produce() bail on its own
-                    outcome = "cancelled"
-                    break
-                if kind == "meta":
-                    stream = payload
-                    if chunked is not None and not client_gone:
-                        try:
-                            await self._start_stream(chunked, stream,
-                                                     params, keep)
-                        except (ConnectionError, OSError):
-                            client_gone = True
-                            cancel.set()
-                    continue
-                if kind == "row":
-                    if ttfr is None:
-                        ttfr = time.perf_counter() - started
-                    if chunked is not None and not client_gone:
-                        try:
-                            await chunked.send_json_line(
-                                {"b": payload})
-                        except (ConnectionError, OSError):
-                            client_gone = True
-                            cancel.set()
-                    else:
-                        collected.append(payload)
-                    continue
-                if kind == "done":
-                    stream = payload
-                    truncated = bool(params.limit
-                                     and stream.produced
-                                     >= params.limit)
-                    outcome = "done"
-                elif kind == "cancelled":
-                    stream = payload if payload is not None else stream
-                    outcome = "cancelled"
+                item = await handoff.get()
+                if item is _END:
+                    return
+                if item is _HEAD:
+                    if chunked is not None:
+                        await self._start_stream(chunked, delivery,
+                                                 params, keep)
                 else:
-                    error = payload  # kind == "error"
-                    outcome = "error"
-                break
-        finally:
-            timer.cancel()
-            cancel.set()  # a consumer-side exit also stops the producer
-        await asyncio.shield(self._await_producer(future))
-        elapsed = time.perf_counter() - started
-        keep = keep and not client_gone
-        return await self._finish_query(writer, chunked, params, keep,
-                                        outcome, error, stream,
-                                        collected, elapsed, ttfr,
-                                        truncated, client_gone)
+                    count, rows = item
+                    if delivery.ttfr is None:
+                        delivery.ttfr = time.perf_counter() - started
+                    if chunked is not None:
+                        await chunked.send(rows)
+                    else:
+                        delivery.bindings += rows
+                    delivery.rows += count
+                    self._http_rows.inc(count)
+                    self._http_batches.inc()
+                handoff.taken()
+        except (ConnectionError, OSError):
+            delivery.client_gone = True
 
-    @staticmethod
-    async def _await_producer(future: "asyncio.Future[None]") -> None:
-        try:
-            await future
-        except Exception:
-            pass  # producer exceptions were shipped through the queue
-
-    async def _start_stream(self, chunked: ChunkedWriter, stream,
+    async def _start_stream(self, chunked: ChunkedWriter,
+                            delivery: "_Delivery",
                             params: _QueryParams, keep: bool) -> None:
         headers = {}
         if params.trace_id:
             headers["X-Trace-Id"] = params.trace_id
-        await chunked.start(200, extra_headers=headers,
-                            keep_alive=keep)
-        await chunked.send_json_line({
-            "schema": list(stream.schema.node_ids),
+        chunked.start(200, extra_headers=headers, keep_alive=keep)
+        await chunked.send(json_line({
+            "schema": list(delivery.stream.schema.node_ids),
             "query": params.xpath,
             "algorithm": params.algorithm,
             "trace_id": params.trace_id,
-        })
+        }))
 
     async def _finish_query(self, writer: asyncio.StreamWriter,
-                            chunked: "ChunkedWriter | None",
+                            delivery: _Delivery,
                             params: _QueryParams, keep: bool,
                             outcome: str,
-                            error: "BaseException | None", stream,
-                            collected: "list[list[int]]",
-                            elapsed: float, ttfr: "float | None",
-                            truncated: bool,
-                            client_gone: bool) -> bool:
+                            error: "Exception | None",
+                            elapsed: float) -> bool:
         """Send the terminal response/line and observe the request."""
         cancelled = outcome == "cancelled"
-        produced = stream.produced if stream is not None else 0
+        chunked, stream = delivery.chunked, delivery.stream
+        rows, ttfr = delivery.rows, delivery.ttfr
         trace_id = params.trace_id
         if (stream is not None and getattr(stream, "span", None)
                 is not None):
@@ -657,12 +789,14 @@ class QueryServer:
             self.service.observe_served_query(
                 elapsed, time_to_first=ttfr, error=True,
                 trace_id=trace_id)
+            if delivery.client_gone:
+                return False
             if chunked is not None and chunked.started:
                 # the stream is already under way: report in-band,
                 # the chunked encoding stays well-formed
                 await self._terminal_line(chunked, {
                     "done": True, "error": str(error),
-                    "rows": produced, "seconds": round(elapsed, 6)})
+                    "rows": rows, "seconds": round(elapsed, 6)})
                 self._count_request("/query", status)
                 return keep
             return await self._respond(
@@ -675,14 +809,17 @@ class QueryServer:
             metrics=(stream.metrics
                      if outcome == "done" and stream is not None
                      else None),
-            rows=produced, query=params.xpath,
+            rows=rows, query=params.xpath,
             algorithm=params.algorithm,
             engine=params.engine or "")
+        if delivery.client_gone:
+            return False
         summary = {
             "done": True,
             "cancelled": cancelled,
-            "rows": produced,
-            "truncated": truncated,
+            "rows": rows,
+            "truncated": bool(not cancelled and params.limit
+                              and rows >= params.limit),
             "seconds": round(elapsed, 6),
             "time_to_first_seconds": (round(ttfr, 6)
                                       if ttfr is not None else None),
@@ -691,31 +828,31 @@ class QueryServer:
         if cancelled:
             summary["error"] = "deadline exceeded"
         status = 504 if cancelled else 200
-        if chunked is not None:
-            if client_gone:
-                return False
-            if not chunked.started:
-                # cancelled (or empty-and-cancelled) before the first
-                # row: a clean status response is still possible
-                return await self._respond(writer, "/query", status,
-                                           summary, keep)
+        if chunked is not None and chunked.started:
             await self._terminal_line(chunked, summary)
             self._count_request("/query", status)
             return keep
-        if not cancelled:
-            summary["query"] = params.xpath
-            summary["algorithm"] = params.algorithm
-            summary["schema"] = (list(stream.schema.node_ids)
-                                 if stream is not None else [])
-            summary["bindings"] = collected
         headers = {"X-Trace-Id": trace_id} if trace_id else None
-        return await self._respond(writer, "/query", status, summary,
-                                   keep, extra_headers=headers)
+        if cancelled:
+            # buffered, or streamed and cancelled before the head
+            # went out: a clean status response is still possible
+            return await self._respond(writer, "/query", status,
+                                       summary, keep,
+                                       extra_headers=headers)
+        summary["query"] = params.xpath
+        summary["algorithm"] = params.algorithm
+        summary["schema"] = list(stream.schema.node_ids)
+        summary["bindings"] = delivery.bindings
+        writer.write(render_response(200, json_line(summary),
+                                     extra_headers=headers,
+                                     keep_alive=keep))
+        await writer.drain()
+        self._count_request("/query", 200)
+        return keep
 
     async def _terminal_line(self, chunked: ChunkedWriter,
                              payload: dict) -> None:
         try:
-            await chunked.send_json_line(payload)
-            await chunked.finish()
+            await chunked.finish(json_line(payload))
         except (ConnectionError, OSError):
             pass

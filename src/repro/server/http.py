@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote, urlsplit
 
 __all__ = ["HttpRequest", "ProtocolError", "read_request",
-           "render_response", "json_response", "ChunkedWriter",
-           "REASONS"]
+           "render_response", "json_response", "json_line",
+           "ndjson_rows", "ChunkedWriter", "REASONS"]
 
 REASONS = {
     200: "OK",
@@ -153,30 +153,62 @@ def render_response(status: int, body: bytes,
 def json_response(status: int, payload: object,
                   extra_headers: dict[str, str] | None = None,
                   keep_alive: bool = True) -> bytes:
+    """A pretty-printed body, for the responses people read: errors,
+    rejections, observability.  (``indent`` takes :mod:`json` off its
+    C encoder; query results go through :func:`json_line`.)"""
     body = (json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return render_response(status, body.encode("utf-8"),
                            extra_headers=extra_headers,
                            keep_alive=keep_alive)
 
 
+def json_line(payload: object) -> bytes:
+    """One JSON object on one line: an NDJSON schema or summary line,
+    or a buffered query result body."""
+    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+
+
+def ndjson_rows(rows: "list[list[int]]") -> bytes:
+    """The NDJSON lines of a batch of rows, one ``{"b": [...]}`` each.
+
+    One encoder call for the whole batch instead of one per row: the
+    batch is dumped as a single array of arrays and the separators
+    between its elements are rewritten into line breaks.  That is only
+    sound because a row is a flat list of integers, so ``], [`` can
+    occur nowhere but between two rows; the bytes are exactly those of
+    ``json.dumps({"b": row}) + "\\n"`` per row (tests pin that).
+    """
+    if not rows:
+        return b""
+    body = json.dumps(rows)[1:-1].replace("], [", ']}\n{"b": [')
+    return ('{"b": ' + body + "}\n").encode("ascii")
+
+
 class ChunkedWriter:
     """A chunked-transfer response; one per streamed request.
 
-    ``start`` writes the header block, ``send`` one chunk per call,
-    ``finish`` the terminating zero chunk.  The server checks
-    :attr:`started` to decide whether an error can still become a
-    clean status response or must abort mid-stream.
+    ``start`` queues the header block, ``send`` writes one chunk per
+    call — however many NDJSON lines the caller put in it — and waits
+    until the client has taken enough for the transport to want more,
+    ``finish`` writes a last chunk together with the terminating zero
+    chunk.  The server checks :attr:`started` to decide whether an
+    error can still become a clean status response or must be
+    reported in-band, and :attr:`stalled` — true while, and after, a
+    wait for the client that did not complete — to decide whether
+    anything further can reach the client at all.
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
         self.started = False
         self.finished = False
+        self.stalled = False
 
-    async def start(self, status: int = 200,
-                    content_type: str = "application/x-ndjson",
-                    extra_headers: dict[str, str] | None = None,
-                    keep_alive: bool = True) -> None:
+    def start(self, status: int = 200,
+              content_type: str = "application/x-ndjson",
+              extra_headers: dict[str, str] | None = None,
+              keep_alive: bool = True) -> None:
+        """Queue the header block; the first ``send`` flushes it."""
         reason = REASONS.get(status, "Unknown")
         lines = [f"HTTP/1.1 {status} {reason}",
                  f"Content-Type: {content_type}",
@@ -187,22 +219,24 @@ class ChunkedWriter:
             lines.append(f"{name}: {value}")
         head = "\r\n".join(lines) + "\r\n\r\n"
         self._writer.write(head.encode("latin-1"))
-        await self._writer.drain()
         self.started = True
 
     async def send(self, data: bytes) -> None:
         if not data:
             return
-        self._writer.write(b"%x\r\n" % len(data) + data + b"\r\n")
-        await self._writer.drain()
+        self._writer.write(b"%x\r\n%b\r\n" % (len(data), data))
+        await self._drain()
 
-    async def send_json_line(self, payload: object) -> None:
-        await self.send((json.dumps(payload, sort_keys=True) + "\n")
-                        .encode("utf-8"))
-
-    async def finish(self) -> None:
+    async def finish(self, data: bytes = b"") -> None:
+        """The last chunk (if any) and the terminator, in one write."""
         if self.finished:
             return
         self.finished = True
-        self._writer.write(b"0\r\n\r\n")
-        await self._writer.drain()
+        last = b"%x\r\n%b\r\n" % (len(data), data) if data else b""
+        self._writer.write(last + b"0\r\n\r\n")
+        await self._drain()
+
+    async def _drain(self) -> None:
+        self.stalled = True
+        await self._writer.drain()  # raises if cancelled or reset
+        self.stalled = False

@@ -1,11 +1,13 @@
-"""Tests for the asyncio HTTP query server (PR 10).
+"""Tests for the asyncio HTTP query server (PR 10, hand-off PR 13).
 
 Covers the admission arithmetic with an injected clock, the streamed
 first-result path over real sockets, tenant throttling with honest
 ``Retry-After``, queue-depth backpressure, deadline cancellation
 releasing its worker slot, the consolidated observability routes,
-trace-id propagation, and the shared shutdown path (SIGTERM drain in
-a subprocess).
+trace-id propagation, the shared shutdown path (SIGTERM drain in a
+subprocess) — and the batched row hand-off: the NDJSON wire contract
+chunk by chunk, streamed / buffered / in-process parity on one node
+and two shards, and a stalled client throttling its producer.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import io
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -23,8 +26,9 @@ import pytest
 
 from repro.api import Database
 from repro.server import (AdmissionController, QueryServer,
-                          ServerConfig, TokenBucket, fetch)
+                          ServerConfig, TokenBucket, app, fetch)
 from repro.server.client import HttpClient
+from repro.server.http import ndjson_rows
 from repro.workloads import personnel_document
 
 
@@ -138,6 +142,29 @@ def run(coroutine):
     return asyncio.run(coroutine)
 
 
+def stream_chunks(host, port, path):
+    """One streamed request: the head and the body chunk by chunk."""
+    async def drive():
+        client = HttpClient(host, port)
+        try:
+            head, body = await client.stream("GET", path)
+            return head, [chunk async for chunk in body]
+        finally:
+            await client.close()
+
+    return run(drive())
+
+
+def chunk_lines(chunk):
+    """The NDJSON objects of one chunk; every line must be complete."""
+    assert chunk.endswith(b"\n"), "a chunk ends on a line boundary"
+    return [json.loads(line) for line in chunk.splitlines()]
+
+
+def all_lines(chunks):
+    return [line for chunk in chunks for line in chunk_lines(chunk)]
+
+
 class TestQueryEndpoint:
     def test_plain_query_returns_bindings(self, server):
         _, host, port = server
@@ -166,24 +193,11 @@ class TestQueryEndpoint:
         """The tentpole acceptance: over HTTP, the first FP row is on
         the wire before the query finishes."""
         _, host, port = server
-
-        async def drive():
-            client = HttpClient(host, port)
-            try:
-                head, body = await client.stream(
-                    "GET", "/query?xpath=//employee//name&stream=1")
-                assert head.status == 200
-                assert "chunked" in head.headers["transfer-encoding"]
-                buffer = b""
-                async for chunk in body:
-                    buffer += chunk
-                return buffer
-            finally:
-                await client.close()
-
-        buffer = run(drive())
-        lines = [json.loads(line)
-                 for line in buffer.decode().splitlines() if line]
+        head, chunks = stream_chunks(
+            host, port, "/query?xpath=//employee//name&stream=1")
+        assert head.status == 200
+        assert "chunked" in head.headers["transfer-encoding"]
+        lines = all_lines(chunks)
         assert lines[0]["schema"], "header line first"
         assert all("b" in line for line in lines[1:-1])
         summary = lines[-1]
@@ -394,28 +408,442 @@ class TestDeadlines:
             tenant_rate=0.0), out=io.StringIO())
         host, port = instance.start()
         try:
-            async def drive():
-                client = HttpClient(host, port)
-                try:
-                    head, body = await client.stream(
-                        "GET", "/query?xpath=//employee//name"
-                               "&stream=1&timeout_ms=0.01")
-                    buffer = b""
-                    async for chunk in body:
-                        buffer += chunk
-                    return head, buffer
-                finally:
-                    await client.close()
-
-            head, buffer = run(drive())
-            lines = [json.loads(line) for line
-                     in buffer.decode().splitlines() if line]
-            summary = lines[-1]
-            assert summary["cancelled"] is True or head.status == 504
+            head, chunks = stream_chunks(
+                host, port, "/query?xpath=//employee//name"
+                            "&stream=1&timeout_ms=0.01")
+            if head.status == 504:
+                # the deadline beat the head: a clean status response
+                summary, delivered = json.loads(b"".join(chunks)), 0
+            else:
+                lines = all_lines(chunks)
+                summary, delivered = lines[-1], len(lines) - 2
+            assert summary["cancelled"] is True
+            # rows counts what was delivered, not what was produced
+            assert summary["rows"] == delivered
             health = run(fetch(host, port, "GET", "/healthz")).json()
             assert health["inflight"] == 0
         finally:
             instance.stop()
+
+
+def capture_streams(monkeypatch, database):
+    """Every ``StreamingExecution`` the server opens from here on."""
+    captured = []
+    original = database.stream_execute
+
+    def recording(*args, **kwargs):
+        stream = original(*args, **kwargs)
+        captured.append(stream)
+        return stream
+
+    monkeypatch.setattr(database, "stream_execute", recording)
+    return captured
+
+
+def wait_until(condition, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.02)
+
+
+def wait_until_stalled(stream, quiet=0.4):
+    """Block until ``stream.produced`` has not moved for *quiet*
+    seconds; returns where it stopped."""
+    produced, since = stream.produced, time.monotonic()
+    deadline = since + 10.0
+    while time.monotonic() - since < quiet:
+        assert time.monotonic() < deadline, "producer never stalled"
+        time.sleep(0.02)
+        if stream.produced != produced:
+            produced, since = stream.produced, time.monotonic()
+    return produced
+
+
+class TestRowBatches:
+    def test_batch_encoder_matches_the_per_row_reference(self):
+        for rows in ([], [[7]], [[1, 2], [30, 40]],
+                     [[i, i * 7, i * 11] for i in range(300)], [[]]):
+            reference = "".join(json.dumps({"b": row}) + "\n"
+                                for row in rows).encode()
+            assert ndjson_rows(rows) == reference
+
+    def test_wire_contract_chunk_by_chunk(self, server, monkeypatch):
+        """Schema alone in the first chunk, the first row alone in
+        the second, batches doubling up to the cap, the summary alone
+        in the last — over a result many caps long."""
+        _, host, port = server
+        monkeypatch.setattr(app, "BATCH_ROWS", 16)
+        head, chunks = stream_chunks(
+            host, port, "/query?xpath=//employee//name&stream=1")
+        assert head.status == 200
+        parsed = [chunk_lines(chunk) for chunk in chunks]
+        assert len(parsed[0]) == 1 and parsed[0][0]["schema"]
+        assert len(parsed[-1]) == 1 and parsed[-1][0]["done"] is True
+        row_chunks = parsed[1:-1]
+        assert all(set(line) == {"b"}
+                   for lines in row_chunks for line in lines)
+        sizes = [len(lines) for lines in row_chunks]
+        total = sum(sizes)
+        assert total > 10 * 16, "result must dwarf the cap"
+        assert sizes[:5] == [1, 2, 4, 8, 16]
+        assert set(sizes[5:-1]) == {16}
+        assert 1 <= sizes[-1] <= 16
+        assert parsed[-1][0]["rows"] == total
+        assert parsed[-1][0]["truncated"] is False
+
+    def test_empty_result_is_exactly_two_chunks(self, server):
+        _, host, port = server
+        head, chunks = stream_chunks(
+            host, port, "/query?xpath=//employee//os&stream=1")
+        assert head.status == 200
+        assert len(chunks) == 2
+        assert chunk_lines(chunks[0])[0]["schema"]
+        summary = chunk_lines(chunks[1])[0]
+        assert summary["rows"] == 0
+        assert summary["time_to_first_seconds"] is None
+
+    @pytest.mark.parametrize("limit", [1, 16, 17, 100])
+    def test_limit_is_exact_off_a_batch_boundary(self, server,
+                                                 monkeypatch, limit):
+        """cap 16: limit 1 ends inside the first hand-off, 17 is
+        cap + 1, 100 ends mid-batch."""
+        _, host, port = server
+        monkeypatch.setattr(app, "BATCH_ROWS", 16)
+        _, chunks = stream_chunks(
+            host, port,
+            f"/query?xpath=//employee//name&stream=1&limit={limit}")
+        lines = all_lines(chunks)
+        assert len(lines) - 2 == limit
+        assert lines[-1]["rows"] == limit
+        assert lines[-1]["truncated"] is True
+        buffered = run(fetch(
+            host, port, "GET",
+            f"/query?xpath=//employee//name&limit={limit}")).json()
+        assert buffered["rows"] == limit == len(buffered["bindings"])
+        assert buffered["truncated"] is True
+        assert buffered["bindings"] == [line["b"]
+                                        for line in lines[1:-1]]
+
+    def test_buffered_result_body_is_one_compact_line(self, server):
+        _, host, port = server
+        response = run(fetch(host, port, "GET",
+                             "/query?xpath=//employee//name"))
+        assert response.text().count("\n") == 1
+        # the bodies people read stay pretty-printed
+        assert run(fetch(host, port, "GET",
+                         "/query?xpath=///((")).text().count("\n") > 1
+        assert run(fetch(host, port, "GET",
+                         "/healthz")).text().count("\n") > 1
+
+    def test_rows_and_batches_are_counted(self, server):
+        instance, host, port = server
+
+        def counters():
+            return (instance._http_rows.value(),
+                    instance._http_batches.value())
+
+        rows_before, batches_before = counters()
+        payload = run(fetch(host, port, "GET",
+                            "/query?xpath=//employee//name")).json()
+        rows_after, batches_after = counters()
+        assert rows_after - rows_before == payload["rows"]
+        # 1, 2, 4 ... doubling: far fewer hand-offs than rows
+        assert 1 < batches_after - batches_before <= 12
+        metrics = run(fetch(host, port, "GET", "/metrics")).text()
+        for family in ("repro_http_rows_total",
+                       "repro_http_row_batches_total",
+                       "repro_http_backpressure_waits_total"):
+            assert f"# TYPE {family} counter" in metrics
+
+
+    def test_concurrent_streams_lose_no_rows(self, server,
+                                             monkeypatch):
+        """More producers than cores, tiny batches, a 10 us switch
+        interval: every hand-off races the loop, and every reply must
+        still be the whole result, in order."""
+        _, host, port = server
+        monkeypatch.setattr(app, "BATCH_ROWS", 4)
+        path = "/query?xpath=//employee//name&stream=1"
+        expected = run(fetch(host, port, "GET", path)).body
+
+        async def drive():
+            return await asyncio.gather(*[
+                fetch(host, port, "GET", path) for _ in range(4)])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            replies = [reply for _ in range(5) for reply in run(drive())]
+        finally:
+            sys.setswitchinterval(interval)
+
+        def rows(body):
+            return body.splitlines()[1:-1]
+
+        assert len(rows(expected)) > 100
+        assert all(reply.status == 200 for reply in replies)
+        assert all(rows(reply.body) == rows(expected)
+                   for reply in replies)
+
+
+def served_rows(host, port, xpath, limit=0):
+    """(streamed rows, buffered bindings, schema) of one query."""
+    suffix = f"&limit={limit}" if limit else ""
+    _, chunks = stream_chunks(
+        host, port, f"/query?xpath={xpath}&stream=1{suffix}")
+    lines = all_lines(chunks)
+    buffered = run(fetch(host, port, "GET",
+                         f"/query?xpath={xpath}{suffix}")).json()
+    assert lines[0]["schema"] == buffered["schema"]
+    assert lines[-1]["rows"] == buffered["rows"] == len(lines) - 2
+    return ([line["b"] for line in lines[1:-1]],
+            buffered["bindings"], buffered["schema"])
+
+
+def in_process_rows(database, xpath, schema):
+    """Start labels of ``Database.query``, columns in *schema* order."""
+    execution = database.query(xpath).execution
+    order = [execution.schema.node_ids.index(node) for node in schema]
+    return sorted([row[index].start for index in order]
+                  for row in execution.tuples)
+
+
+class TestHandoffParity:
+    """Streamed rows == buffered bindings == in-process execution."""
+
+    QUERIES = ("//employee//name",
+               "//manager[./employee/name][./department/name]")
+
+    @pytest.mark.parametrize("xpath", QUERIES)
+    def test_single_node(self, server, xpath):
+        instance, host, port = server
+        streamed, buffered, schema = served_rows(host, port, xpath)
+        assert streamed == buffered
+        assert sorted(streamed) == in_process_rows(
+            instance.database, xpath, schema)
+        page, buffered_page, _ = served_rows(host, port, xpath,
+                                             limit=37)
+        assert page == buffered_page == streamed[:37]
+
+    def test_two_shards(self):
+        from repro.shard.sharded import ShardedDatabase
+
+        document = personnel_document(target_nodes=1500, seed=42)
+        single = Database.from_document(document)
+        with ShardedDatabase(document, shards=2) as database:
+            instance = QueryServer(database, ServerConfig(
+                port=0, tenant_rate=0.0), out=io.StringIO())
+            host, port = instance.start()
+            try:
+                for xpath in self.QUERIES:
+                    streamed, buffered, schema = served_rows(
+                        host, port, xpath)
+                    assert streamed == buffered
+                    assert sorted(streamed) == in_process_rows(
+                        single, xpath, schema)
+                    page, buffered_page, _ = served_rows(
+                        host, port, xpath, limit=37)
+                    assert page == buffered_page == streamed[:37]
+            finally:
+                instance.stop()
+
+
+class StallingClient:
+    """A blocking raw-socket client with a small receive buffer that
+    reads only when told to — the slow client of the drills."""
+
+    def __init__(self, host, port):
+        self.sock = socket.socket()
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self.sock.settimeout(15.0)
+        self.sock.connect((host, port))
+        self.received = b""
+
+    def request(self, path):
+        self.sock.sendall(f"GET {path} HTTP/1.1\r\n"
+                          f"Host: test\r\n\r\n".encode())
+
+    def read_until(self, marker):
+        """Read up to *marker*; False if the server hung up first."""
+        while marker not in self.received:
+            try:
+                data = self.sock.recv(65536)
+            except ConnectionError:
+                return False
+            if not data:
+                return False
+            self.received += data
+        return True
+
+    def body_lines(self):
+        """The NDJSON objects of the complete chunked body."""
+        _, _, body = self.received.partition(b"\r\n\r\n")
+        payload = b""
+        while True:
+            size, _, body = body.partition(b"\r\n")
+            if int(size, 16) == 0:
+                break
+            payload += body[:int(size, 16)]
+            body = body[int(size, 16) + 2:]
+        return [json.loads(line) for line in payload.splitlines()]
+
+    def close(self):
+        self.sock.close()
+
+
+def start_big_server(**config):
+    """A result far larger than every buffer between the producer
+    and a stalled client: ~19.7k rows, ~430 kB of NDJSON."""
+    database = Database.from_document(
+        personnel_document(target_nodes=20000, seed=42))
+    instance = QueryServer(database, ServerConfig(
+        port=0, tenant_rate=0.0, **config), out=io.StringIO())
+    host, port = instance.start()
+    # accepted sockets inherit the listener's (small) send buffer, so
+    # the kernel cannot hide the stall from the transport for long
+    for listener in instance._server.sockets:
+        listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    return instance, host, port
+
+
+@pytest.fixture(scope="class")
+def big_server():
+    instance, host, port = start_big_server(workers=2, queue_depth=2)
+    yield instance, host, port
+    instance.stop()
+
+
+class TestBackPressure:
+    XPATH = "//manager//name"
+    #: what the transport (64 KiB high-water mark) and the two kernel
+    #: socket buffers can hold beyond the hand-off, in rows of >= 15 B
+    BUFFERED_ROWS = (64 * 1024 + 2 * 64 * 1024) // 15
+
+    def total_rows(self, host, port):
+        return run(fetch(host, port, "GET",
+                         f"/query?xpath={self.XPATH}")).json()["rows"]
+
+    def test_first_row_is_on_the_wire_before_the_producer_is_done(
+            self, big_server, monkeypatch):
+        instance, host, port = big_server
+        total = self.total_rows(host, port)
+        streams = capture_streams(monkeypatch, instance.database)
+        client = StallingClient(host, port)
+        try:
+            client.request(f"/query?xpath={self.XPATH}&stream=1")
+            assert client.read_until(b'{"b": ')
+            stream = streams[0]
+            assert not stream.finished
+            assert stream.produced < total
+            assert client.read_until(b"\r\n0\r\n\r\n")
+            assert client.body_lines()[-1]["rows"] == total
+        finally:
+            client.close()
+
+    def test_stalled_client_throttles_the_producer(self, big_server,
+                                                   monkeypatch):
+        instance, host, port = big_server
+        total = self.total_rows(host, port)
+        bound = ((app.HANDOFF_DEPTH + 1) * app.BATCH_ROWS
+                 + self.BUFFERED_ROWS)
+        assert total > 1.2 * bound, "result must not fit the buffers"
+        streams = capture_streams(monkeypatch, instance.database)
+        waits = instance._http_backpressure.value()
+        client = StallingClient(host, port)
+        try:
+            client.request(f"/query?xpath={self.XPATH}&stream=1")
+            assert client.read_until(b'{"b": ')  # the head, then stall
+            stream = streams[0]
+            produced = wait_until_stalled(stream)
+            assert produced <= bound
+            assert not stream.finished
+            assert instance._http_backpressure.value() > waits
+            # a stalled request is observable, and holds one slot
+            health = run(fetch(host, port, "GET", "/healthz")).json()
+            assert health["inflight"] == 1
+            # the client reads again: the exact result, nothing lost
+            assert client.read_until(b"\r\n0\r\n\r\n")
+            lines = client.body_lines()
+            assert len(lines) - 2 == total
+            assert lines[-1]["rows"] == total
+            assert lines[-1]["cancelled"] is False
+            assert stream.produced == total
+        finally:
+            client.close()
+
+    def test_deadline_mid_stream_counts_rows_delivered(self,
+                                                       big_server):
+        """A deadline landing mid-batch: the terminal line's ``rows``
+        is the number of row lines on the wire, not what the engine
+        had produced by then."""
+        _, host, port = big_server
+        path = f"/query?xpath={self.XPATH}&stream=1"
+        _, chunks = stream_chunks(host, port, path)
+        full = chunk_lines(chunks[-1])[0]
+        timeout_ms = full["seconds"] * 1e3 / 3.0
+        head, chunks = stream_chunks(
+            host, port, f"{path}&timeout_ms={timeout_ms:g}")
+        assert head.status == 200, "the stream had started"
+        lines = all_lines(chunks)
+        summary = lines[-1]
+        assert summary["cancelled"] is True
+        assert summary["truncated"] is False
+        assert summary["rows"] == len(lines) - 2
+        assert 0 < summary["rows"] < full["rows"]
+
+    def test_server_drain_wakes_a_blocked_producer(self, monkeypatch):
+        instance, host, port = start_big_server(drain_seconds=0.5)
+        streams = capture_streams(monkeypatch, instance.database)
+        client = StallingClient(host, port)
+        try:
+            client.request(f"/query?xpath={self.XPATH}&stream=1")
+            assert client.read_until(b'{"b": ')
+            wait_until_stalled(streams[0])
+            assert not streams[0].finished
+            began = time.monotonic()
+            instance.stop()  # joins the loop and the worker threads
+            assert time.monotonic() - began < 5.0
+            assert not instance._thread.is_alive()
+            assert streams[0].finished and streams[0].cancelled
+            assert instance.admission.snapshot()["inflight"] == 0
+        finally:
+            client.close()
+            instance.stop()
+
+    def test_deadline_frees_a_blocked_producer_and_its_slot(
+            self, big_server, monkeypatch):
+        instance, host, port = big_server
+        streams = capture_streams(monkeypatch, instance.database)
+        cancelled = instance._http_cancelled.value()
+        client = StallingClient(host, port)
+        try:
+            client.request(f"/query?xpath={self.XPATH}&stream=1"
+                           f"&timeout_ms=1500")
+            assert client.read_until(b'{"b": ')
+            stream = streams[0]
+            wait_until_stalled(stream)
+            assert not stream.finished
+            assert instance.admission.snapshot()["inflight"] == 1
+            # the deadline fires with the producer blocked on the
+            # hand-off and the consumer blocked on the client
+            wait_until(lambda: instance.admission.snapshot()
+                       ["inflight"] == 0)
+            assert instance._http_cancelled.value() == cancelled + 1
+            wait_until(lambda: stream.finished)
+            assert stream.cancelled
+            metrics = run(fetch(host, port, "GET", "/metrics")).text()
+            assert "repro_http_inflight 0" in metrics
+            # the next request is served
+            response = run(fetch(host, port, "GET",
+                                 "/query?xpath=//employee&limit=5"))
+            assert response.status == 200
+            assert response.json()["rows"] == 5
+            # the slow client finds its connection dropped, without
+            # a terminal line claiming rows it was never sent
+            assert not client.read_until(b"\r\n0\r\n\r\n")
+        finally:
+            client.close()
 
 
 class TestShardedServing:
