@@ -202,12 +202,17 @@ def measure_shard_workload(spec: ShardWorkload,
             # node; the modeled wall substitutes each shard's CPU time
             # for its contention-inflated wall — what a host with a
             # core per shard would measure (coordinator overhead, the
-            # non-parallel part, stays as measured)
+            # non-parallel part, stays as measured).  Packing the
+            # reply is the worker's work too, clocked apart from the
+            # execution, so it counts on the parallel side of both.
             shard_walls = sum(entry["wall_seconds"]
+                              + entry["pack_seconds"]
                               for entry in profile)
             overhead = max(0.0, seconds - shard_walls)
             modeled = overhead + max(entry["cpu_seconds"]
+                                     + entry["pack_seconds"]
                                      for entry in profile)
+            shipped_rows = sum(entry["rows"] for entry in profile)
             breakdown = trace_breakdown(sharded, sharded_plan, pattern)
             points.append({
                 "shards": shards,
@@ -217,6 +222,13 @@ def measure_shard_workload(spec: ShardWorkload,
                                                           1e-12),
                 "worker_cpu_seconds": [entry["cpu_seconds"]
                                        for entry in profile],
+                "worker_pack_seconds": [entry["pack_seconds"]
+                                        for entry in profile],
+                # bytes on the pipe per row the workers shipped (root-
+                # only duplicates included, they cross the pipe too)
+                "reply_bytes_per_row": (
+                    sum(entry["reply_bytes"] for entry in profile)
+                    / max(shipped_rows, 1)),
                 "coordinator_overhead_seconds": overhead,
                 "modeled_parallel_seconds": modeled,
                 "modeled_speedup_vs_single": single_seconds / max(
@@ -308,7 +320,8 @@ def render_shard_report(report: dict[str, object]) -> str:
         + " ".join(f"{f'{count}sh ms':>9s}"
                    for count in report["shard_counts"])
         + f" {'speedup@' + str(top_shards):>10s}"
-        + f" {'modeled@' + str(top_shards):>10s}",
+        + f" {'modeled@' + str(top_shards):>10s}"
+        + f" {'B/row@' + str(top_shards):>8s}",
     ]
     for cell in report["workloads"]:
         by_count = {point["shards"]: point for point in cell["points"]}
@@ -320,7 +333,8 @@ def render_shard_report(report: dict[str, object]) -> str:
             + " ".join(f"{by_count[count]['seconds'] * 1e3:>9.2f}"
                        for count in report["shard_counts"])
             + f" {top['speedup_vs_single']:>9.2f}x"
-            + f" {top['modeled_speedup_vs_single']:>9.2f}x")
+            + f" {top['modeled_speedup_vs_single']:>9.2f}x"
+            + f" {top['reply_bytes_per_row']:>8.0f}")
     summary = report["summary"]
     lines.append(
         f"geomean speedup at {summary['top_shards']} shards "

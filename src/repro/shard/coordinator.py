@@ -23,37 +23,67 @@ import heapq
 import multiprocessing as mp
 import threading
 import time
+from array import array
+from itertools import chain, groupby
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from repro import errors
 from repro.errors import ReproError, ShardError
 from repro.shard.worker import worker_main
 
-__all__ = ["ShardWorkerPool", "merge_sorted_runs"]
+__all__ = ["ShardWorkerPool", "merge_packed_runs", "merge_sorted_runs"]
 
 #: seconds a gather waits for one shard reply before declaring the
 #: worker unresponsive (generous: workers answer in milliseconds).
 DEFAULT_TIMEOUT = 60.0
 
 
-def merge_sorted_runs(
-        runs: list[list[tuple[int, ...]]]) -> list[tuple[int, ...]]:
+def merge_sorted_runs(runs: Iterable[Iterable[tuple[int, ...]]]
+                      ) -> Iterator[tuple[int, ...]]:
     """Document-order-preserving k-way merge of shard result streams.
 
-    Each run is a sorted list of merge keys (start-label tuples, see
-    :func:`~repro.shard.worker.merge_key`); the merged stream is
-    globally sorted.  Adjacent equal rows are collapsed: the only
-    duplicates shards can produce are bindings touching *only* the
-    replicated document root (every other binding involves a node
-    owned by exactly one shard), and identical rows have identical
-    keys, so they emerge adjacent.
+    Each run yields merge keys (start-label tuples, see
+    :func:`~repro.shard.worker.merge_key`) in sorted order; the merged
+    stream is globally sorted and lazy — a key leaves as soon as the
+    heads of the runs have been compared.  Adjacent equal rows are
+    collapsed: the only duplicates shards can produce are bindings
+    touching *only* the replicated document root (every other binding
+    involves a node owned by exactly one shard), and identical rows
+    have identical keys, so they emerge adjacent.
     """
-    merged: list[tuple[int, ...]] = []
-    previous: tuple[int, ...] | None = None
-    for row in heapq.merge(*runs):
-        if row != previous:
-            merged.append(row)
-            previous = row
-    return merged
+    return map(itemgetter(0), groupby(heapq.merge(*runs)))
+
+
+def merge_packed_runs(runs: list[array], width: int) -> Iterator[int]:
+    """The shards' packed runs as one row-major stream of start labels.
+
+    *runs* are the workers' replies (see :mod:`repro.shard.worker`):
+    sorted, row-major, *width* labels per row, in shard order.  The
+    result has the contract of :func:`merge_sorted_runs` — global
+    document order, root-only duplicates collapsed — flattened.
+
+    When every non-empty run's last key is strictly below the next
+    run's first key, the concatenation of the runs *is* that merge:
+    each run is sorted and free of duplicates (a shard's bindings are
+    distinct), so strictly ordered boundaries leave nothing to
+    interleave and nothing to collapse.  The check is two *width*-long
+    array slices compared lexicographically per boundary, and it is
+    sound whatever the partitioning; label-range partitioning is why
+    it almost always holds — shard *i* owns a closed label range below
+    shard *i + 1*'s, and a row binds, besides the replicated root,
+    only nodes its shard owns.  Keys that tie or cross a boundary
+    (root-only rows, which every shard emits; a pattern node bound to
+    the root in one shard's rows and to an owned node in an earlier
+    shard's) go through :func:`merge_sorted_runs`, the one general
+    path.
+    """
+    runs = [run for run in runs if run]
+    if all(earlier[-width:] < later[:width]
+           for earlier, later in zip(runs, runs[1:])):
+        return chain.from_iterable(runs)
+    return chain.from_iterable(merge_sorted_runs(
+        zip(*[iter(run)] * width) for run in runs))
 
 
 class ShardWorkerPool:
@@ -67,9 +97,6 @@ class ShardWorkerPool:
         self.timeout = timeout
         self._mutex = threading.Lock()
         self._closed = False
-        #: scatter/gather wall seconds of the most recent
-        #: :meth:`scatter_gather` call (coordinator-side span timing)
-        self.last_phase_seconds: dict[str, float] = {}
         context = mp.get_context(start_method)
         self._processes: list = []
         self._connections: list = []
@@ -161,7 +188,7 @@ class ShardWorkerPool:
     def scatter_gather(self, plan, pattern, engine: str,
                        want_span: bool = False,
                        trace_context: "dict | None" = None
-                       ) -> list[dict]:
+                       ) -> tuple[list[dict], dict[str, float]]:
         """Fan one plan out to every shard; one payload per shard back.
 
         Serialized by the pool mutex: the pipe protocol is strictly
@@ -169,10 +196,10 @@ class ShardWorkerPool:
         service threads queue here instead of interleaving messages.
         *trace_context* (a :class:`~repro.obs.spans.TraceContext`
         dict) rides with the plan so sampled workers trace under the
-        coordinator's trace id.  Scatter and gather wall times of the
-        call are left on :attr:`last_phase_seconds` for the
-        coordinator's stitched trace (read under the same serialized
-        call, so the profile always belongs to the payloads returned).
+        coordinator's trace id.  The call's own ``scatter`` and
+        ``gather`` wall seconds come back beside its payloads, so a
+        stitched trace can only ever carry the timings of the query it
+        belongs to, however many threads share the pool.
         """
         with self._mutex:
             if self._closed:
@@ -186,7 +213,7 @@ class ShardWorkerPool:
                 gather_started = time.perf_counter()
                 replies = [self._recv(shard_id)
                            for shard_id in range(self.shards)]
-                self.last_phase_seconds = {
+                phases = {
                     "scatter": gather_started - scatter_started,
                     "gather": time.perf_counter() - gather_started,
                 }
@@ -202,7 +229,7 @@ class ShardWorkerPool:
                 failure = (shard_id, reply[1], reply[2])
         if failure is not None:
             self._raise_worker_error(*failure)
-        return payloads
+        return payloads, phases
 
     def ping(self) -> list[int]:
         """Round-trip every worker; shard ids echoed back."""

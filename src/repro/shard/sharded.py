@@ -20,13 +20,12 @@ diagnostics here, not an engine-parity surface).
 
 from __future__ import annotations
 
-import heapq
 import shutil
 import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.errors import ShardError
 from repro.api import Database, QueryResult
@@ -41,7 +40,7 @@ from repro.engine.executor import (ExecutionResult, FirstResultTiming,
                                    measure_time_to_first,
                                    validate_engine)
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.tuples import Schema
+from repro.engine.tuples import MatchTuple, Schema
 from repro.estimation.estimator import (CardinalityEstimator,
                                         ExactEstimator,
                                         PositionalEstimator)
@@ -51,7 +50,7 @@ from repro.obs.spans import (Span, TraceContext, Tracer,
                              assign_span_ids)
 from repro.service.service import QueryService
 from repro.shard.coordinator import (DEFAULT_TIMEOUT, ShardWorkerPool,
-                                     merge_sorted_runs)
+                                     merge_packed_runs)
 from repro.shard.partition import ShardPartition, partition_document
 from repro.storage.disk import FileDisk
 from repro.xpath.parser import compile_xpath
@@ -130,7 +129,7 @@ class ShardedDatabase:
             paths.append(str(pages_path))
         self.partition = partition
         self.document = document
-        self._region_map: "dict[int, Region] | None" = None
+        self._region_table: "list[Region | None] | None" = None
         self._estimator = PositionalEstimator(
             partition.merged_statistics(grid=self.histogram_grid))
         self._exact_estimator = None
@@ -143,17 +142,41 @@ class ShardedDatabase:
     def _generation_dir(self, generation: int) -> Path:
         return self._base_dir / f"gen{generation:03d}"
 
-    def _regions_by_start(self) -> "dict[int, Region]":
+    def _regions_by_start(self) -> "list[Region | None]":
         """Start label → region, over the whole corpus (lazy, cached).
 
-        Workers ship result rows as start-label tuples; this map turns
-        them back into region rows without any per-row object traffic
-        on the pipes.
+        A list indexed by start label (``None`` at the label gaps the
+        write path leaves): workers ship result rows as start labels,
+        and a list's ``__getitem__`` is the cheapest lookup ``map`` can
+        drive (21.1 → 17.0 ms against a dict over the 360 k labels of
+        ``Q.Pers.3.d``).
         """
-        if self._region_map is None:
-            self._region_map = {node.region.start: node.region
-                                for node in self.document}
-        return self._region_map
+        if self._region_table is None:
+            table: "list[Region | None]" = (
+                [None] * (self.document.root.end + 1))
+            for node in self.document:
+                table[node.region.start] = node.region
+            self._region_table = table
+        return self._region_table
+
+    def _merged_rows(self, payloads: list[dict]
+                     ) -> Iterator[MatchTuple]:
+        """The shards' packed runs as region rows in document order.
+
+        The one gather→merge→rebuild path of :meth:`execute` and
+        :meth:`stream_execute`.  Lazy end to end and free of per-row
+        Python code: ``map`` looks each merged start label up in the
+        region table and ``zip`` over *width* references to that one
+        iterator cuts the stream into rows, so the first row costs
+        *width* lookups and a consumer that stops early pays for
+        nothing it did not read.
+        """
+        width = payloads[0]["width"]  # one schema, checked in _gather
+        regions = map(self._regions_by_start().__getitem__,
+                      merge_packed_runs(
+                          [payload["rows"] for payload in payloads],
+                          width))
+        return zip(*[regions] * width)
 
     def reload(self, document: XmlDocument) -> None:
         """Replace the corpus: re-partition, re-persist, restart workers.
@@ -268,21 +291,16 @@ class ShardedDatabase:
         if spans:
             trace = trace_context or TraceContext.new()
         started = time.perf_counter()
-        payloads, node_ids, metrics = self._gather(plan, pattern,
-                                                   engine, trace)
-        # workers ship merge keys (start-label tuples); rebuild region
-        # rows from the coordinator's own copy of the document
+        payloads, phases, node_ids, metrics = self._gather(
+            plan, pattern, engine, trace)
         merge_started = time.perf_counter()
-        regions = self._regions_by_start()
-        tuples = [tuple(regions[start] for start in key)
-                  for key in merge_sorted_runs(
-                      [payload["rows"] for payload in payloads])]
+        tuples = list(self._merged_rows(payloads))
         merge_seconds = time.perf_counter() - merge_started
         metrics.wall_seconds = time.perf_counter() - started
         span: Span | None = None
         if spans:
             assert trace is not None
-            span = self._stitch_trace(trace, payloads, metrics,
+            span = self._stitch_trace(trace, payloads, phases, metrics,
                                       len(tuples), merge_seconds)
             self.tracer.record(span)
         return ExecutionResult(tuples=tuples, schema=Schema(node_ids),
@@ -290,15 +308,18 @@ class ShardedDatabase:
 
     def _gather(self, plan: PhysicalPlan, pattern: QueryPattern,
                 engine: str, trace: TraceContext | None
-                ) -> "tuple[list[dict], list[int], ExecutionMetrics]":
+                ) -> tuple[list[dict], dict[str, float], list[int],
+                           ExecutionMetrics]:
         """Scatter *plan*, gather payloads, sum counters, book totals.
 
-        Shared by :meth:`execute` and :meth:`stream_execute`; the
-        returned metrics carry the summed per-shard counters but no
-        ``wall_seconds`` — the caller owns end-to-end timing (the
-        streamed path keeps the clock running through the merge).
+        Shared by :meth:`execute` and :meth:`stream_execute`; returns
+        the payloads, this call's scatter/gather phase seconds, the
+        agreed schema and the metrics.  The metrics carry the summed
+        per-shard counters but no ``wall_seconds`` — the caller owns
+        end-to-end timing (the streamed path keeps the clock running
+        through the merge).
         """
-        payloads = self.workers.scatter_gather(
+        payloads, phases = self.workers.scatter_gather(
             plan, pattern, engine, want_span=trace is not None,
             trace_context=trace.to_dict() if trace is not None
             else None)
@@ -319,17 +340,20 @@ class ShardedDatabase:
             for payload in payloads:
                 totals = self._shard_totals[payload["shard_id"]]
                 totals["queries"] += 1
-                totals["rows"] += len(payload["rows"])
+                totals["rows"] += payload["row_count"]
                 totals["seconds"] += payload["wall_seconds"]
             # per-shard profile of this execution (bench/diagnostics):
-            # wall inflates under core contention, CPU time does not
+            # wall inflates under core contention, CPU time does not;
+            # execution and reply packing are clocked apart
             self.last_shard_profile = [
                 {"shard_id": payload["shard_id"],
                  "wall_seconds": payload["wall_seconds"],
-                 "cpu_seconds": payload.get("cpu_seconds", 0.0),
-                 "rows": len(payload["rows"])}
+                 "cpu_seconds": payload["cpu_seconds"],
+                 "pack_seconds": payload["pack_seconds"],
+                 "reply_bytes": payload["reply_bytes"],
+                 "rows": payload["row_count"]}
                 for payload in payloads]
-        return payloads, node_ids, metrics
+        return payloads, phases, node_ids, metrics
 
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                        engine: str | None = None,
@@ -337,17 +361,19 @@ class ShardedDatabase:
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
                        ) -> StreamingExecution:
-        """Scatter-gather, then stream rows out of the k-way merge.
+        """Scatter-gather, then stream rows out of the merge.
 
         Shards execute their plans to completion before shipping rows
         (the pipe protocol is one payload per shard), so what streams
-        is the coordinator-side merge: the first row leaves as soon as
-        every shard has answered and the heads of the sorted runs have
-        been compared — not after the whole merge has materialized.
-        That is exactly the latency :meth:`time_to_first` reports as
-        "honest" TTFR under scatter-gather.  *cancel* is checked per
-        merged row; traced streams stitch and record their distributed
-        trace when the stream finishes.
+        is the coordinator-side merge and region rebuild
+        (:meth:`_merged_rows`, lazy): the first row leaves as soon as
+        every shard has answered and the run boundaries (or, on the
+        general path, the run heads) have been compared — not after
+        the whole result has been rebuilt.  That is exactly the
+        latency :meth:`time_to_first` reports as "honest" TTFR under
+        scatter-gather.  *cancel* is checked per merged row; traced
+        streams stitch and record their distributed trace when the
+        stream finishes.
         """
         self._require_open()
         engine = validate_engine(engine or self.engine)
@@ -355,35 +381,22 @@ class ShardedDatabase:
         if spans or trace_context is not None:
             trace = trace_context or TraceContext.new()
         started = time.perf_counter()
-        payloads, node_ids, metrics = self._gather(plan, pattern,
-                                                   engine, trace)
+        payloads, phases, node_ids, metrics = self._gather(
+            plan, pattern, engine, trace)
         merge_started = time.perf_counter()
-
-        def merged_rows():
-            # the lazy twin of merge_sorted_runs: same adjacent-dedup
-            # contract, but rows leave as the heads compare instead of
-            # after the whole merge materializes
-            regions = self._regions_by_start()
-            previous = None
-            for key in heapq.merge(
-                    *[payload["rows"] for payload in payloads]):
-                if key == previous:
-                    continue
-                previous = key
-                yield tuple(regions[start] for start in key)
 
         def finish(stream: StreamingExecution) -> None:
             metrics.wall_seconds = stream.total_seconds
             if trace is not None:
                 span = self._stitch_trace(
-                    trace, payloads, metrics, stream.produced,
+                    trace, payloads, phases, metrics, stream.produced,
                     time.perf_counter() - merge_started)
                 stream.span = span
                 self.tracer.record(span)
 
-        return StreamingExecution(Schema(node_ids), metrics,
-                                  merged_rows(), cancel=cancel,
-                                  started=started, on_finish=finish)
+        return StreamingExecution(
+            Schema(node_ids), metrics, self._merged_rows(payloads),
+            cancel=cancel, started=started, on_finish=finish)
 
     def time_to_first(self, query: "str | QueryPattern",
                       algorithm: str = "FP", results: int = 1,
@@ -404,6 +417,7 @@ class ShardedDatabase:
         return measure_time_to_first(stream, results=results)
 
     def _stitch_trace(self, trace: TraceContext, payloads: list[dict],
+                      phases: dict[str, float],
                       metrics: ExecutionMetrics, merged_rows: int,
                       merge_seconds: float) -> Span:
         """Assemble one distributed trace from the shard payloads.
@@ -418,25 +432,32 @@ class ShardedDatabase:
         ever re-stamping worker spans.  Coordinator spans carry no
         metrics, so the trace's counter shares are exactly the worker
         shares, which sum to the merged totals by construction.
+        *phases* are the scatter/gather seconds :meth:`_gather`
+        returned with these very payloads.  A ``Shard`` wrapper's
+        seconds are its worker's execution alone; the reply's
+        sort-and-pack time and size, which the worker clocks
+        separately, ride in the wrapper's detail.
         """
-        phases = dict(getattr(self.workers, "last_phase_seconds", {}))
         root = Span("ShardScatterGather",
                     detail=f"scatter-gather[{self.shards} shards]")
         root.seconds = metrics.wall_seconds
         root.output_rows = merged_rows
         scatter = Span("ShardScatter", detail="scatter")
-        scatter.seconds = phases.get("scatter", 0.0)
+        scatter.seconds = phases["scatter"]
         gather = Span("ShardGather", detail="gather")
-        gather.seconds = phases.get("gather", 0.0)
+        gather.seconds = phases["gather"]
         merge = Span("ShardMerge", detail="merge")
         merge.seconds = merge_seconds
         merge.output_rows = merged_rows
         subtrees: list[tuple[Span, Span]] = []
         for payload in payloads:
-            wrapper = Span("Shard",
-                           detail=f"shard[{payload['shard_id']}]")
+            wrapper = Span(
+                "Shard",
+                detail=f"shard[{payload['shard_id']}] "
+                       f"pack {payload['pack_seconds'] * 1e3:.2f} ms "
+                       f"{payload['reply_bytes']} B")
             wrapper.seconds = payload["wall_seconds"]
-            wrapper.output_rows = len(payload["rows"])
+            wrapper.output_rows = payload["row_count"]
             gather.children.append(wrapper)
             if payload["span"] is not None:
                 subtrees.append((wrapper,

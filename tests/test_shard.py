@@ -12,15 +12,25 @@ time, and these tests are tier-1.
 
 from __future__ import annotations
 
+import threading
+import time
+from array import array
+from itertools import chain
+
 import pytest
 
 from repro.api import Database
 from repro.core.plans import IndexScanPlan
-from repro.errors import PlanError, ShardError
+from repro.document.parser import parse_xml
+from repro.errors import PlanError, QueryCancelled, ShardError
 from repro.estimation.estimator import build_tag_statistics
-from repro.shard import (ShardedDatabase, partition_document)
+from repro.shard import (ShardedDatabase, coordinator,
+                         partition_document)
+from repro.shard.coordinator import (merge_packed_runs,
+                                     merge_sorted_runs)
 from repro.shard.partition import structural_pairs_local
-from repro.shard.worker import merge_key
+from repro.shard.worker import merge_key, pack_sorted_run
+from repro.workloads import PAPER_QUERIES
 from repro.workloads.personnel import personnel_document
 
 from tests.conftest import canonical_bindings, random_document
@@ -171,6 +181,255 @@ def test_sharded_root_only_bindings_deduplicate(sharded):
     # them to exactly one
     result = sharded.query("//company")
     assert len(result.execution) == 1
+
+
+# -- the columnar reply: pack, concatenate-or-merge, rebuild -------------
+
+#: the four queries of the ``shard_gather`` benchmark workload
+GATHER_QUERIES = ("Q.Pers.1.a", "Q.Pers.2.c", "Q.Pers.3.d", "Q.Pers.4.d")
+
+
+def _flat(keys) -> array:
+    return array("q", chain.from_iterable(keys))
+
+
+@pytest.fixture
+def general_merges(monkeypatch):
+    """Counts the calls that reach the general ``heapq.merge`` path."""
+    calls = []
+
+    def counting(runs):
+        calls.append(1)
+        return merge_sorted_runs(runs)
+
+    monkeypatch.setattr(coordinator, "merge_sorted_runs", counting)
+    return calls
+
+
+def test_columnar_path_equals_the_per_row_formula(
+        sharded, corpus_document, general_merges):
+    """The packed reply, concatenated and rebuilt at C speed, must be
+    exactly what the per-row path it replaced computed: sort each
+    shard's rows by merge key, k-way merge, one region lookup per
+    label."""
+    regions = {node.region.start: node.region
+               for node in corpus_document}
+    shard_databases = [
+        Database.from_document(sharded.partition.shard_document(shard))
+        for shard in range(sharded.shards)]
+    for name in GATHER_QUERIES:
+        pattern = PAPER_QUERIES[name].pattern
+        plan = sharded.optimize(pattern, algorithm="DPP").plan
+        shard_rows = [database.execute(plan, pattern).tuples
+                      for database in shard_databases]
+        key_runs = [sorted(merge_key(row) for row in rows)
+                    for rows in shard_rows]
+        expected = [tuple(regions[s] for s in key)
+                    for key in merge_sorted_runs(key_runs)]
+        assert expected, name
+        width = len(pattern.nodes)
+        for rows, keys in zip(shard_rows, key_runs):
+            assert pack_sorted_run(rows, width) == _flat(keys), name
+        assert sharded.execute(plan, pattern).tuples == expected, name
+        assert list(sharded.stream_execute(plan, pattern)) == expected
+    # label-range partitioning keeps these runs range-disjoint: every
+    # merge above was a concatenation
+    assert not general_merges
+
+
+def test_merge_packed_runs_concatenates_or_merges():
+    def merged(runs, width):
+        return list(merge_packed_runs([_flat(run) for run in runs],
+                                      width))
+
+    # strictly ordered boundaries, an empty run in the middle
+    assert merged([[(1, 2), (1, 3)], [], [(4, 5)]], 2) == [
+        1, 2, 1, 3, 4, 5]
+    # the first column ties across the boundary (a root-bound column);
+    # the second decides, still strictly
+    assert merged([[(0, 2), (0, 3)], [(0, 7)]], 2) == [0, 2, 0, 3, 0, 7]
+    # equal boundary keys: root-only rows collapse to one
+    assert merged([[(0,)], [(0,)], [(0,)]], 1) == [0]
+    # a later shard's run starts below an earlier one's end
+    assert merged([[(0, 2), (1, 2)], [(0, 4)]], 2) == [0, 2, 0, 4, 1, 2]
+    # width 1, nothing at all, one run only
+    assert merged([[(3,), (5,)], [(8,)]], 1) == [3, 5, 8]
+    assert merged([[], []], 3) == []
+    assert merged([[], [(6, 7, 8)]], 3) == [6, 7, 8]
+
+
+@pytest.fixture(scope="module")
+def nested_root_tag():
+    """Two subtrees under a root whose tag recurs below it, on more
+    shards than subtrees: shards 2 and 3 own nothing."""
+    document = parse_xml(
+        "<a><a><b/><b/></a><c><b/></c></a>", name="nested-root-tag")
+    with ShardedDatabase(document, shards=4) as database:
+        yield database
+
+
+def test_concatenation_when_runs_are_range_disjoint(
+        sharded, nested_root_tag, general_merges):
+    assert len(sharded.query("//manager//employee").execution) > 0
+    # width-1 schema, rows from two shards, empty runs from two more
+    result = nested_root_tag.query("//b").execution
+    assert [merge_key(row) for row in result.tuples] == [(2,), (3,),
+                                                         (5,)]
+    assert [entry["rows"] for entry
+            in nested_root_tag.last_shard_profile] == [2, 1, 0, 0]
+    assert not general_merges
+
+
+def test_general_merge_is_taken_for_root_bound_rows(
+        sharded, nested_root_tag, general_merges):
+    # every shard answers a root-only pattern with the same one row
+    assert len(sharded.query("//company").execution) == 1
+    assert len(general_merges) == 1
+    # ``//a//b``: shard 0 binds ``a`` to the root and to the node it
+    # owns, shard 1 only to the root — whose label sorts below
+    # shard 0's last key, so the runs interleave
+    pattern = nested_root_tag.compile("//a//b")
+    plan = nested_root_tag.optimize(pattern).plan
+    result = nested_root_tag.execute(plan, pattern)
+    assert [merge_key(row) for row in result.tuples] == [
+        (0, 2), (0, 3), (0, 5), (1, 2), (1, 3)]
+    assert len(general_merges) == 2
+    single = Database.from_document(nested_root_tag.document)
+    assert (result.canonical()
+            == single.execute(plan, pattern).canonical())
+    assert list(nested_root_tag.stream_execute(plan, pattern)) == (
+        result.tuples)
+
+
+def test_empty_result_from_every_shard(nested_root_tag):
+    pattern = nested_root_tag.compile("//c//a")
+    plan = nested_root_tag.optimize(pattern).plan
+    result = nested_root_tag.execute(plan, pattern, spans=True)
+    assert result.tuples == []
+    assert result.span.output_rows == 0
+    assert nested_root_tag.stream_execute(plan, pattern).drain() == 0
+
+
+def test_reply_accounting_reads_row_count_not_array_length(sharded):
+    pattern = PAPER_QUERIES["Q.Pers.1.a"].pattern
+    width = len(pattern.nodes)
+    plan = sharded.optimize(pattern).plan
+    before = [entry["rows"] for entry
+              in sharded.stats()["shards"]["totals"]]
+    result = sharded.execute(plan, pattern, spans=True)
+    profile = sharded.last_shard_profile
+    assert sum(entry["rows"] for entry in profile) == len(result)
+    for entry in profile:
+        assert entry["reply_bytes"] == entry["rows"] * width * 8
+        assert entry["pack_seconds"] > 0.0
+    after = [entry["rows"] for entry
+             in sharded.stats()["shards"]["totals"]]
+    assert [b - a for a, b in zip(before, after)] == [
+        entry["rows"] for entry in profile]
+    wrappers = ShardedDatabase._shard_wrappers(result.span)
+    assert [wrapper.output_rows for wrapper in wrappers] == [
+        entry["rows"] for entry in profile]
+    for wrapper, entry in zip(wrappers, profile):
+        # coordinator spans carry the pack clock as text, never as
+        # counters: counter shares must keep summing exactly
+        assert wrapper.metrics is None
+        assert f"{entry['reply_bytes']} B" in wrapper.detail
+        assert "pack " in wrapper.detail
+
+
+def test_stream_closed_after_one_row_still_stitches(sharded,
+                                                    chain_pattern):
+    plan = sharded.optimize(chain_pattern).plan
+    recorded = sharded.tracer.recorded
+    stream = sharded.stream_execute(plan, chain_pattern, spans=True)
+    first = next(iter(stream))
+    assert first == sharded.execute(plan, chain_pattern).tuples[0]
+    stream.close()
+    assert stream.finished and not stream.cancelled
+    assert stream.produced == 1
+    assert stream.span is not None
+    assert stream.span.output_rows == 1
+    assert sharded.tracer.recorded == recorded + 1
+    assert sharded.tracer.traces()[-1] is stream.span
+
+
+def test_stream_cancelled_mid_stream_still_stitches(sharded,
+                                                    chain_pattern):
+    plan = sharded.optimize(chain_pattern).plan
+    total = len(sharded.execute(plan, chain_pattern))
+    stream = None
+
+    def cancel() -> bool:
+        return stream.produced >= 5
+
+    recorded = sharded.tracer.recorded
+    stream = sharded.stream_execute(plan, chain_pattern,
+                                    cancel=cancel, spans=True)
+    delivered = []
+    with pytest.raises(QueryCancelled):
+        for row in stream:
+            delivered.append(row)
+    assert len(delivered) == stream.produced == 5 < total
+    assert stream.finished and stream.cancelled
+    assert stream.span is not None and stream.span.output_rows == 5
+    assert sharded.tracer.recorded == recorded + 1
+
+
+def test_concurrent_traced_queries_keep_their_own_phase_timings(
+        sharded, chain_pattern):
+    """Two threads trace through one fleet.  The fast query's stitch
+    is held back until the slow query's scatter-gather has finished —
+    the window in which a pool-level "last phase timings" attribute
+    would already describe the other query."""
+    plan = sharded.optimize(chain_pattern).plan
+    pool = sharded.workers
+    slow_gather = 0.15  # seconds the slow query's every reply is late
+    local = threading.local()
+    slow_done = threading.Event()
+    fast_gathered = threading.Event()
+    original_recv = pool._recv
+    original_scatter_gather = pool.scatter_gather
+
+    def delayed_recv(shard_id):
+        time.sleep(local.delay)
+        return original_recv(shard_id)
+
+    def ordered_scatter_gather(*args, **kwargs):
+        if local.delay:
+            assert fast_gathered.wait(timeout=10)
+        gathered = original_scatter_gather(*args, **kwargs)
+        if local.delay:
+            slow_done.set()
+        else:
+            fast_gathered.set()
+            assert slow_done.wait(timeout=10)
+        return gathered
+
+    spans = {}
+
+    def run(name, delay):
+        local.delay = delay
+        spans[name] = sharded.execute(plan, chain_pattern,
+                                      spans=True).span
+
+    pool._recv = delayed_recv
+    pool.scatter_gather = ordered_scatter_gather
+    try:
+        threads = [threading.Thread(target=run, args=("fast", 0.0)),
+                   threading.Thread(target=run,
+                                    args=("slow", slow_gather))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        del pool._recv, pool.scatter_gather
+    gather = {name: next(child.seconds for child in span.children
+                         if child.name == "ShardGather")
+              for name, span in spans.items()}
+    assert gather["slow"] >= slow_gather * sharded.shards
+    assert gather["fast"] < slow_gather
 
 
 def test_worker_query_error_keeps_fleet_alive(sharded, chain_pattern):
