@@ -26,14 +26,12 @@ Example::
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import ReproError
-from repro.core.cost import CostFactors, CostModel
-from repro.core.optimizer import OptimizationResult, get_optimizer
+from repro.core.cost import CostFactors
 from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.core.random_plans import worst_random_plan
@@ -41,23 +39,24 @@ from repro.document.document import XmlDocument
 from repro.document.parser import parse_xml
 from repro.engine.context import EngineContext
 from repro.engine.executor import (ExecutionResult, Executor,
-                                   StreamingExecution, validate_engine)
+                                   StreamingExecution)
 from repro.estimation.estimator import (CardinalityEstimator,
-                                        ExactEstimator,
                                         PositionalEstimator)
-from repro.obs.explain import ExplainReport, build_analysis
+from repro.obs.explain import (ExplainReport, OperatorAnalysis,
+                               build_analysis)
 from repro.obs.querylog import QueryLog, build_record
-from repro.obs.spans import (Span, TraceContext, Tracer,
-                             assign_span_ids)
-from repro.service.service import QueryService
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, InMemoryDisk
 from repro.storage.store import ElementStore
 from repro.storage.tagindex import TagIndex
-from repro.xpath.parser import compile_xpath
+from repro.target import QueryResult, QueryTarget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.mutate import Transaction, TransactionManager
+
+__all__ = ["Database", "QueryResult", "Snapshot"]
 
 
 @dataclass(frozen=True)
@@ -79,33 +78,13 @@ class Snapshot:
     statistics_epoch: int
 
 
-@dataclass
-class QueryResult:
-    """Bundle returned by :meth:`Database.query`."""
+class Database(QueryTarget):
+    """A single-document native XML database instance.
 
-    optimization: OptimizationResult
-    execution: ExecutionResult
-
-    def __len__(self) -> int:
-        return len(self.execution)
-
-    @property
-    def plan(self) -> PhysicalPlan:
-        return self.optimization.plan
-
-    def explain(self) -> str:
-        return self.optimization.explain()
-
-
-class Database:
-    """A single-document native XML database instance."""
-
-    #: plain executions stamp trace ids but do **not** record into
-    #: :attr:`tracer` (only ``explain(analyze=True)`` does — asserted
-    #: by the tracer-count tests); layers that sample traces per query
-    #: (the service) check this flag and record the span themselves.
-    #: :class:`~repro.shard.sharded.ShardedDatabase` overrides it.
-    records_traces_in_execute = False
+    The planning and serving surface is :class:`~repro.target.
+    QueryTarget`'s; this class adds storage, snapshots, transactions
+    and single-node execution.
+    """
 
     def __init__(self, name: str = "db",
                  disk: DiskManager | None = None,
@@ -115,10 +94,8 @@ class Database:
                  engine: str = "block",
                  query_log: QueryLog | None = None,
                  service_options: dict | None = None) -> None:
-        #: default execution mode: "block" (columnar, cached posting
-        #: decode + skip-ahead joins) or "tuple" (Volcano iterators).
-        #: Both produce identical results and cost-model counters.
-        self.engine = validate_engine(engine)
+        super().__init__(engine, cost_factors, histogram_grid,
+                         service_options)
         self.name = name
         self.disk = disk or InMemoryDisk()
         self.pool = BufferPool(self.disk, capacity=buffer_capacity)
@@ -130,25 +107,10 @@ class Database:
             reserve_catalog_page(self.pool)
         self.store = ElementStore(self.pool)
         self.index = TagIndex(self.pool)
-        self.cost_factors = cost_factors or CostFactors()
-        self.cost_model = CostModel(self.cost_factors)
-        self.histogram_grid = histogram_grid
         self.document: XmlDocument | None = None
         self._estimator: PositionalEstimator | None = None
-        self._exact_estimator: ExactEstimator | None = None
-        #: bumped whenever the document (and thus the statistics the
-        #: optimizer plans with) changes; part of every plan-cache key.
         self.statistics_epoch = 0
-        self._service: "QueryService | None" = None
-        #: keyword arguments for the lazily built :class:`QueryService`
-        #: (worker count, slow-query threshold/log bound, …).
-        self.service_options = dict(service_options or {})
-        #: optional persistent query log; every :meth:`execute` appends
-        #: one record (see :meth:`attach_query_log`).
         self.query_log = query_log
-        #: bounded ring of query span trees recorded by
-        #: :meth:`explain` with ``analyze=True``.
-        self.tracer = Tracer()
         #: guards the atomic swap of store/index/document/estimator at
         #: commit publication; readers take it only for the instant of
         #: :meth:`read_snapshot`.
@@ -210,11 +172,6 @@ class Database:
         self.load(document)
         if self._txn_manager is not None:
             self._txn_manager.reset_statistics()
-
-    def _require_document(self) -> XmlDocument:
-        if self.document is None:
-            raise ReproError("no document loaded")
-        return self.document
 
     # -- persistence -----------------------------------------------------------
 
@@ -351,54 +308,15 @@ class Database:
         assert self._estimator is not None
         return self._estimator
 
-    @property
-    def exact_estimator(self) -> ExactEstimator:
-        """Ground-truth estimator (built lazily; used for calibration)."""
-        document = self._require_document()
-        if self._exact_estimator is None:
-            self._exact_estimator = ExactEstimator(document)
-        return self._exact_estimator
+    # -- execution -------------------------------------------------------------
 
-    # -- optimization & execution -----------------------------------------------
-
-    def compile(self, query: str | QueryPattern) -> QueryPattern:
-        """Accept an XPath string or an already-built pattern."""
-        if isinstance(query, QueryPattern):
-            return query
-        return compile_xpath(query)
-
-    def warm_statistics(self, query: str | QueryPattern) -> None:
-        """Precompute the statistics a pattern's optimization needs.
-
-        Pairwise histogram estimates are memoized inside the estimator;
-        benchmark harnesses call this before timing optimizers so that
-        whichever algorithm runs first is not charged the one-time
-        statistics derivation.
-        """
-        pattern = self.compile(query)
-        estimator = self.estimator
-        for node in pattern.nodes:
-            estimator.node_cardinality(node)
-        for edge in pattern.edges:
-            estimator.edge_cardinality(pattern, edge.parent, edge.child)
-
-    def optimize(self, query: str | QueryPattern,
-                 algorithm: str = "DPP",
-                 exact: bool = False,
-                 **options: object) -> OptimizationResult:
-        """Choose a plan with one of the five paper algorithms.
-
-        *algorithm* is a paper name: ``DP``, ``DPP``, ``DPP'``,
-        ``DPAP-EB``, ``DPAP-LD`` or ``FP``.  Extra options are passed
-        to the optimizer (e.g. ``expansion_bound`` for DPAP-EB).
-        With ``exact=True`` the optimizer sees ground-truth pairwise
-        cardinalities instead of histogram estimates.
-        """
-        pattern = self.compile(query)
-        optimizer = get_optimizer(algorithm, cost_model=self.cost_model,
-                                  **options)
-        estimator = self.exact_estimator if exact else self.estimator
-        return optimizer.optimize(pattern, estimator)
+    def _engine_context(self) -> tuple[Snapshot, EngineContext]:
+        """Pin a snapshot and build the engine context one run reads
+        through (every execution path starts here)."""
+        snapshot = self.read_snapshot()
+        return snapshot, EngineContext(snapshot.index, snapshot.store,
+                                       snapshot.document,
+                                       factors=self.cost_factors)
 
     def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                 engine: str | None = None,
@@ -410,11 +328,10 @@ class Database:
 
         *engine* overrides the database default for this run
         (``"block"`` or ``"tuple"``; see :data:`Database.engine`).
-        With ``spans=True`` the run records a per-operator span tree
-        (returned on :attr:`ExecutionResult.span`).  *trace_context*
-        names the trace a span tree should join (a caller-propagated
-        id, e.g. from an ``X-Trace-Id`` request header) and forces
-        spans on; without it traced runs mint a fresh id.
+        A traced run (:meth:`~repro.target.QueryTarget._trace_for`)
+        records a per-operator span tree, returned on
+        :attr:`ExecutionResult.span`; it is stamped but not retained
+        in :attr:`tracer`.
 
         When a query log is attached every execution appends one
         record; the log's trace sampling may force spans on so the
@@ -422,22 +339,18 @@ class Database:
         *algorithm* only annotates that record (``Database.query`` and
         the query service pass it through).
         """
-        snapshot = self.read_snapshot()
+        snapshot, context = self._engine_context()
         log = self.query_log
-        trace = (spans or trace_context is not None
-                 or (log is not None and log.want_span()))
+        trace = self._trace_for(spans, trace_context)
+        if trace is None and log is not None and log.want_span():
+            trace = TraceContext.new()
         engine = engine or self.engine
-        context = EngineContext(snapshot.index, snapshot.store,
-                                snapshot.document,
-                                factors=self.cost_factors)
         result = Executor(context, pattern, engine=engine).execute(
-            plan, spans=trace)
-        if result.span is not None and not result.span.trace_id:
+            plan, spans=trace is not None)
+        if result.span is not None:
             # stamp trace identity once per traced run, so log records
             # and any retained span tree share a joinable trace id
-            assign_span_ids(result.span,
-                            trace_context.trace_id if trace_context
-                            else TraceContext.new().trace_id)
+            assign_span_ids(result.span, trace.trace_id)
         if log is not None:
             log.record(build_record(
                 pattern, plan, result, algorithm=algorithm,
@@ -451,109 +364,50 @@ class Database:
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
-                       ) -> "StreamingExecution":
+                       ) -> StreamingExecution:
         """Run a plan incrementally, yielding rows as produced.
 
         The network front-end's serving path: first results of a
         pipelined (FP) plan reach the caller before the plan drains —
         the paper's Sec. 3.4 online-querying property — and *cancel*
         is checked before every row so deadlines stop the operators
-        mid-stream.  Always runs the tuple engine (*engine* is
-        accepted for facade parity with :class:`ShardedDatabase` and
-        ignored: block execution materializes whole results, which is
-        exactly what streaming avoids).  Traced streams (``spans=True``
-        or a *trace_context*) record their span tree on
-        :attr:`tracer` when the stream finishes; streamed runs are not
-        appended to the query log, which records only complete
-        executions.
+        mid-stream.  Always runs the tuple engine (*engine* is part of
+        the :class:`~repro.target.QueryTarget` signature and ignored
+        here: block execution materializes whole results, which is
+        exactly what streaming avoids).  Traced streams record their
+        span tree on :attr:`tracer` when the stream finishes; streamed
+        runs are not appended to the query log, which records only
+        complete executions.
         """
-        del engine  # facade parity; streaming always pipelines tuples
-        snapshot = self.read_snapshot()
-        context = EngineContext(snapshot.index, snapshot.store,
-                                snapshot.document,
-                                factors=self.cost_factors)
+        del engine  # streaming always pipelines tuples
+        _, context = self._engine_context()
         executor = Executor(context, pattern, engine="tuple")
-        trace = spans or trace_context is not None
+        trace = self._trace_for(spans, trace_context)
+        if trace is None:
+            return executor.stream(plan, cancel=cancel)
 
-        def record_trace(stream: "StreamingExecution") -> None:
-            span = stream.span
-            if span is None:
-                return
-            if not span.trace_id:
-                assign_span_ids(span,
-                                trace_context.trace_id if trace_context
-                                else TraceContext.new().trace_id)
-            self.tracer.record(span)
+        def record_trace(stream: StreamingExecution) -> None:
+            assign_span_ids(stream.span, trace.trace_id)
+            self.tracer.record(stream.span)
 
-        return executor.stream(plan, cancel=cancel, spans=trace,
-                               on_finish=record_trace if trace else None)
+        return executor.stream(plan, cancel=cancel, spans=True,
+                               on_finish=record_trace)
 
-    def query(self, query: str | QueryPattern,
-              algorithm: str = "DPP", engine: str | None = None,
-              **options: object) -> QueryResult:
-        """Optimize then execute in one call."""
-        pattern = self.compile(query)
-        optimization = self.optimize(pattern, algorithm=algorithm,
-                                     **options)
-        execution = self.execute(optimization.plan, pattern,
-                                 engine=engine, algorithm=algorithm)
-        return QueryResult(optimization=optimization, execution=execution)
-
-    def explain(self, query: str | QueryPattern,
-                algorithm: str = "DPP", analyze: bool = False,
-                engine: str | None = None,
-                plan_space: bool = False, top_k: int = 3,
-                **options: object) -> ExplainReport:
-        """EXPLAIN (ANALYZE): the chosen plan, optionally annotated
-        with measured per-operator cardinality, cost and wall time.
-
-        With ``analyze=True`` the plan is executed under tracing and
-        the report carries, for each operator, estimated vs. actual
-        output cardinality and cost with their Q-errors, plus the
-        operator's exact share of every cost-model counter (the shares
-        sum exactly to the run's :class:`ExecutionMetrics`).  The
-        query-level span tree (parse / optimize / execute stages) is
-        recorded on :attr:`Database.tracer`.
-
-        With ``plan_space=True`` the optimization records its search
-        space and the report carries a
-        :class:`~repro.obs.planspace.PlanSpaceReport`: the *top_k*
-        cheapest alternative plans with cost deltas, the pruning
-        taxonomy, memo size, and why the winner won.
-        """
-        engine = validate_engine(engine or self.engine)
-        started = time.perf_counter()
-        pattern = self.compile(query)
-        parse_seconds = time.perf_counter() - started
-        label = query if isinstance(query, str) else repr(pattern)
-        recorder = None
-        if plan_space:
-            from repro.core.planspace import PlanSpaceRecorder
-
-            recorder = PlanSpaceRecorder()
-            options = dict(options)
-            options["planspace"] = recorder
-        optimization = self.optimize(pattern, algorithm=algorithm,
-                                     **options)
-        report = ExplainReport(query=label, algorithm=algorithm,
-                               engine=engine, optimization=optimization,
-                               parse_seconds=parse_seconds)
-        if not analyze:
-            self._attach_plan_space(report, recorder, label, top_k)
-            return report
-        execution = self.execute(optimization.plan, pattern,
-                                 engine=engine, spans=True)
-        assert execution.span is not None
-        report.analyze = True
-        report.execution = execution
-        report.root = build_analysis(optimization.plan, execution.span,
-                                     pattern)
-        query_span = Span("query", detail=label)
+    def _explain_analysis(self, report: ExplainReport,
+                          pattern: QueryPattern
+                          ) -> tuple[OperatorAnalysis, Span]:
+        """Per-operator analysis of the executed plan, under a query
+        span with parse / optimize / execute stages that is recorded
+        on :attr:`tracer`."""
+        execution, optimization = report.execution, report.optimization
+        query_span = Span("query", detail=report.query)
         parse_span = Span("parse")
-        parse_span.seconds = parse_seconds
-        optimize_span = Span("optimize", detail=f"optimize[{algorithm}]")
+        parse_span.seconds = report.parse_seconds
+        optimize_span = Span("optimize",
+                             detail=f"optimize[{report.algorithm}]")
         optimize_span.seconds = optimization.report.optimization_seconds
-        execute_span = Span("execute", detail=f"execute[{engine}]")
+        execute_span = Span("execute",
+                            detail=f"execute[{report.engine}]")
         execute_span.seconds = execution.metrics.wall_seconds
         execute_span.output_rows = len(execution)
         execute_span.children.append(execution.span)
@@ -564,47 +418,10 @@ class Database:
         # keep the trace id execute() stamped (the query-log record
         # already carries it); re-stamping the whole tree under it is
         # idempotent and gives the wrapper stages proper span ids
-        assign_span_ids(query_span,
-                        execution.span.trace_id
-                        or TraceContext.new().trace_id)
-        report.span = query_span
+        assign_span_ids(query_span, execution.span.trace_id)
         self.tracer.record(query_span)
-        self._attach_plan_space(report, recorder, label, top_k)
-        return report
-
-    @staticmethod
-    def _attach_plan_space(report: ExplainReport, recorder,
-                           label: str, top_k: int) -> None:
-        """Render a filled recorder onto *report* (no-op without one)."""
-        if recorder is None:
-            return
-        from repro.obs.planspace import build_plan_space_report
-
-        report.plan_space = build_plan_space_report(
-            recorder, query=label, top_k=top_k,
-            trace_id=report.trace_id)
-
-    def whatif(self, query: str | QueryPattern,
-               algorithm: str = "DPP",
-               factors: "CostFactors | None" = None,
-               tag_scale: "dict[str, float] | None" = None,
-               exact: bool = False,
-               force_plan: str | None = None):
-        """Re-optimize *query* under hypothetical conditions.
-
-        Compares the current winner with the plan chosen under any
-        combination of replacement cost *factors*, per-tag cardinality
-        scaling (``tag_scale={"item": 10.0}``), ground-truth
-        statistics (``exact=True``), or a *force_plan* canonical
-        digest priced as-if chosen.  Nothing is mutated: the plan
-        cache, statistics epoch, and live cost factors are untouched.
-        Returns a :class:`~repro.obs.planspace.WhatIfResult`.
-        """
-        from repro.obs.planspace import run_whatif
-
-        return run_whatif(self, query, algorithm=algorithm,
-                          factors=factors, tag_scale=tag_scale,
-                          exact=exact, force_plan=force_plan)
+        return (build_analysis(optimization.plan, execution.span,
+                               pattern), query_span)
 
     # -- cost-model control ------------------------------------------------
 
@@ -628,60 +445,13 @@ class Database:
         if self._service is not None:
             self._service.on_cost_factors_changed(factors)
 
-    # -- query logging -----------------------------------------------------
-
-    def attach_query_log(self, log: QueryLog | None) -> None:
-        """Attach (or with ``None`` detach) a persistent query log.
-
-        From the next :meth:`execute` on, every run appends one record
-        (asynchronously in file mode); the log's ``trace_sample``
-        controls how often runs are traced for per-operator detail.
-        """
-        self.query_log = log
-
-    # -- serving -----------------------------------------------------------
-
-    @property
-    def service(self) -> QueryService:
-        """The (lazily created) plan-caching query service.
-
-        Construction keywords — worker count, slow-query threshold and
-        slow-log bound, registry — come from
-        :attr:`Database.service_options`.
-        """
-        if self._service is None:
-            self._service = QueryService(self, **self.service_options)
-        return self._service
-
-    def query_many(self, queries: Sequence[str | QueryPattern],
-                   algorithm: str = "DPP",
-                   workers: int | None = None,
-                   engine: str | None = None,
-                   **options: object) -> list[QueryResult]:
-        """Execute a batch of queries concurrently, in input order.
-
-        Optimization is amortized through the service's plan cache:
-        repeated (isomorphic) patterns are optimized once per
-        statistics epoch, including across threads — cache misses are
-        single-flight.  ``workers=None`` uses the service default;
-        ``engine`` overrides the database's execution mode.
-        """
-        return self.service.query_many(queries, algorithm=algorithm,
-                                       workers=workers, engine=engine,
-                                       **options)
+    # -- observability -------------------------------------------------------
 
     def stats(self) -> dict[str, object]:
-        """Service-level metrics snapshot plus storage statistics.
-
-        Keys: ``queries``, ``errors``, ``latency`` (p50/p95/p99 …),
-        ``plan_cache`` (hit rate, size, evictions), ``engine``
-        (aggregate cost-model counters), ``statistics_epoch`` (the
-        epoch every plan-cache key embeds — diff it across a reload to
-        confirm cached plans were invalidated), ``buffer_pool`` and,
-        when a document is loaded, ``storage``.
-        """
-        snapshot = self.service.snapshot()
-        snapshot["statistics_epoch"] = self.statistics_epoch
+        """The service snapshot plus ``buffer_pool`` and, when a
+        document is loaded, ``storage``; ``write_path`` once a
+        transaction manager exists."""
+        snapshot = super().stats()
         snapshot["buffer_pool"] = {
             "hits": self.pool.stats.hits,
             "misses": self.pool.stats.misses,
@@ -698,25 +468,15 @@ class Database:
             snapshot["write_path"] = write_path
         return snapshot
 
-    def time_to_first(self, query: str | QueryPattern,
-                      algorithm: str = "FP", results: int = 1,
-                      **options: object):
-        """Optimize, then measure latency to the first *results* tuples.
-
-        Fully-pipelined plans (``algorithm="FP"``) deliver initial
-        results without waiting for any sort to complete — the online-
-        querying scenario of Sec. 3.4.  Returns a
-        :class:`~repro.engine.executor.FirstResultTiming`.
-        """
-        pattern = self.compile(query)
-        optimization = self.optimize(pattern, algorithm=algorithm,
-                                     **options)
-        snapshot = self.read_snapshot()
-        context = EngineContext(snapshot.index, snapshot.store,
-                                snapshot.document,
-                                factors=self.cost_factors)
-        return Executor(context, pattern).time_to_first(
-            optimization.plan, results=results)
+    def collect_gauges(self, registry: MetricsRegistry) -> None:
+        """Buffer-pool, posting-storage, write-path and query-log-drop
+        series, each set by the component that owns the numbers."""
+        self.pool.collect_gauges(registry)
+        self.index.collect_gauges(registry)
+        if self._txn_manager is not None:
+            self._txn_manager.collect_gauges(registry)
+        if self.query_log is not None:
+            self.query_log.collect_gauges(registry)
 
     def holistic_query(self,
                        query: str | QueryPattern) -> ExecutionResult:
@@ -729,10 +489,7 @@ class Database:
         from repro.engine.twigstack import holistic_matches
 
         pattern = self.compile(query)
-        snapshot = self.read_snapshot()
-        context = EngineContext(snapshot.index, snapshot.store,
-                                snapshot.document,
-                                factors=self.cost_factors)
+        _, context = self._engine_context()
         return holistic_matches(pattern, context)
 
     def value_join(self, left_query: str | QueryPattern,

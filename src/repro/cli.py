@@ -64,7 +64,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import IO, Sequence
+from contextlib import contextmanager
+from typing import IO, Iterator, Sequence
 
 from repro.api import Database
 from repro.bench.experiments import (figure7, figure8, table1, table2,
@@ -72,6 +73,7 @@ from repro.bench.experiments import (figure7, figure8, table1, table2,
 from repro.bench.harness import ExperimentSetup
 from repro.document.serialize import write_xml
 from repro.errors import ReproError
+from repro.target import QueryTarget
 from repro.workloads.queries import dataset_document
 
 ALGORITHMS = ("DP", "DPP", "DPP'", "DPAP-EB", "DPAP-LD", "FP")
@@ -284,46 +286,12 @@ def build_parser() -> argparse.ArgumentParser:
                           help="output path ('-' for stdout)")
 
     bench = commands.add_parser(
-        "bench", help="regenerate a paper table or figure, run the "
-                      "engine speed benchmark ('engines'), or the "
-                      "live ingest plan-crossover bench ('ingest')")
-    bench.add_argument("artifact",
-                       choices=sorted(BENCH_DRIVERS) + ["engines",
-                                                        "ingest",
-                                                        "serve"])
+        "bench", help="regenerate a paper table or figure (speed "
+                      "measurements live in perf/, see perf/README.md)")
+    bench.add_argument("artifact", choices=sorted(BENCH_DRIVERS))
     bench.add_argument("--pers-nodes", type=int, default=2000)
     bench.add_argument("--seed", type=int, default=42,
                        help="data-set generation seed (default 42)")
-    bench.add_argument("--repeats", type=int, default=3,
-                       help="timed runs per engine ('engines' only)")
-    bench.add_argument("--json", metavar="FILE", default=None,
-                       help="also write the report as JSON "
-                            "('engines' only; e.g. BENCH_PR7.json)")
-    bench.add_argument("--shards", action="store_true",
-                       help="with 'engines': measure the sharded "
-                            "scatter-gather scaling curve (shard "
-                            "counts 1/2/4) instead of the engine "
-                            "speed comparison; every point carries a "
-                            "stitched-trace per-shard span breakdown; "
-                            "JSON goes to e.g. BENCH_PR8.json")
-    bench.add_argument("--duration", type=float, default=1.5,
-                       metavar="S",
-                       help="seconds per load point ('serve' only; "
-                            "default 1.5)")
-    bench.add_argument("--rates", default=None, metavar="R1,R2,..",
-                       help="offered Poisson arrival rates in qps for "
-                            "the 'serve' saturation sweep (default "
-                            "8,16,32,64)")
-    bench.add_argument("--tenants", type=int, default=4,
-                       help="tenants driving load ('serve' only; "
-                            "default 4)")
-    bench.add_argument("--target", default=None, metavar="HOST:PORT",
-                       help="'serve' only: drive an already-running "
-                            "server instead of starting one (single "
-                            "load point, rate from --rate)")
-    bench.add_argument("--rate", type=float, default=20.0,
-                       help="offered rate for --target mode "
-                            "(default 20 qps)")
 
     log_cmd = commands.add_parser(
         "log", help="run the paper workload with a persistent query "
@@ -502,8 +470,10 @@ def _source_document(arguments: argparse.Namespace):
     return dataset_document(arguments.dataset, **kwargs)
 
 
-def _open_database(arguments: argparse.Namespace) -> Database:
-    options = _service_options(arguments)
+def _open_database(arguments: argparse.Namespace,
+                   service_options: dict | None = None) -> Database:
+    options = (_service_options(arguments) if service_options is None
+               else service_options)
     if getattr(arguments, "db", None):
         from repro.txn.db import open_database
 
@@ -520,7 +490,43 @@ def _open_database(arguments: argparse.Namespace) -> Database:
                                   service_options=options)
 
 
-def _write_service_stats(database: Database, out: IO[str]) -> None:
+@contextmanager
+def _open_target(arguments: argparse.Namespace,
+                 service_options: dict | None = None
+                 ) -> Iterator[QueryTarget]:
+    """The query target the source flags name.
+
+    A single-node :class:`Database`, or with ``--shards N`` a shard
+    fleet over the same corpus, stopped again on exit.  The fleet
+    persists its own per-shard page files, so of a ``--db`` source it
+    needs only the document: the source's pages file and write-ahead
+    log are closed as soon as that is extracted.
+    """
+    if arguments.shards < 0:
+        raise ReproError("--shards must be >= 0")
+    if service_options is None:
+        service_options = _service_options(arguments)
+    if not arguments.shards:
+        yield _open_database(arguments, service_options)
+        return
+    from repro.shard.sharded import ShardedDatabase
+
+    if arguments.db:
+        from repro.txn.db import open_database
+
+        source = open_database(arguments.db)
+        document = source.document
+        source.transactions.wal.close()
+        source.disk.close()
+    else:
+        document = _source_document(arguments)
+    with ShardedDatabase(document, shards=arguments.shards,
+                         engine=getattr(arguments, "engine", "block"),
+                         service_options=service_options) as fleet:
+        yield fleet
+
+
+def _write_service_stats(database: QueryTarget, out: IO[str]) -> None:
     snapshot = database.stats()
     latency = snapshot["latency"]
     cache = snapshot["plan_cache"]
@@ -530,20 +536,6 @@ def _write_service_stats(database: Database, out: IO[str]) -> None:
     out.write(f"plan cache: hit rate {cache['hit_rate']:.2%} "
               f"({cache['hits']} hits / {cache['misses']} misses, "
               f"{cache['size']}/{cache['capacity']} entries)\n")
-
-
-def _shard_corpus_document(arguments: argparse.Namespace):
-    """The corpus for ``--shards N`` (a document, not a database —
-    the shard fleet persists its own per-shard page files)."""
-    if getattr(arguments, "db", None):
-        from repro.txn.db import open_database
-
-        return open_database(arguments.db).document
-    if not (arguments.xml or arguments.dataset):
-        raise ReproError(
-            "a data source is required: pass --xml FILE, "
-            "--dataset NAME, or --db DIR")
-    return _source_document(arguments)
 
 
 def _dump_bindings(execution, target: str, out: IO[str]) -> None:
@@ -561,27 +553,16 @@ def _dump_bindings(execution, target: str, out: IO[str]) -> None:
 def _command_query(arguments: argparse.Namespace, out: IO[str]) -> int:
     if arguments.repeat < 1:
         raise ReproError("--repeat must be at least 1")
-    if arguments.shards < 0:
-        raise ReproError("--shards must be >= 0")
-    if arguments.shards:
-        if arguments.holistic:
-            raise ReproError("--holistic evaluates single-node only; "
-                             "drop --shards")
-        from repro.shard.sharded import ShardedDatabase
-
-        with ShardedDatabase(
-                _shard_corpus_document(arguments),
-                shards=arguments.shards,
-                engine=arguments.engine,
-                service_options=_service_options(arguments),
-        ) as database:
-            return _run_query(database, arguments, out,
-                              suffix=f", {arguments.shards} shards")
-    return _run_query(_open_database(arguments), arguments, out)
+    if arguments.shards and arguments.holistic:
+        raise ReproError("--holistic evaluates single-node only; "
+                         "drop --shards")
+    with _open_target(arguments) as database:
+        return _run_query(database, arguments, out)
 
 
-def _run_query(database, arguments: argparse.Namespace, out: IO[str],
-               suffix: str = "") -> int:
+def _run_query(database: QueryTarget, arguments: argparse.Namespace,
+               out: IO[str]) -> int:
+    suffix = f", {arguments.shards} shards" if arguments.shards else ""
     pattern = database.compile(arguments.xpath)
     if arguments.holistic:
         execution = database.holistic_query(pattern)
@@ -627,39 +608,21 @@ def _run_query(database, arguments: argparse.Namespace, out: IO[str],
 
 
 def _command_explain(arguments: argparse.Namespace, out: IO[str]) -> int:
-    if arguments.shards < 0:
-        raise ReproError("--shards must be >= 0")
     if arguments.top_k < 0:
         raise ReproError("--top-k must be >= 0")
-    if arguments.shards:
-        if arguments.trace:
-            raise ReproError("--trace inspects the single-node "
-                             "optimizer; drop --shards")
-        from repro.shard.sharded import ShardedDatabase
+    if arguments.shards and arguments.trace:
+        raise ReproError("--trace inspects the single-node "
+                         "optimizer; drop --shards")
+    with _open_target(arguments) as database:
+        return _run_explain(database, arguments, out)
 
-        with ShardedDatabase(_shard_corpus_document(arguments),
-                             shards=arguments.shards,
-                             engine=arguments.engine) as database:
-            report = database.explain(arguments.xpath,
-                                      algorithm=arguments.algorithm,
-                                      analyze=arguments.analyze,
-                                      engine=arguments.engine,
-                                      plan_space=arguments.plan_space,
-                                      top_k=arguments.top_k)
-            out.write(report.render() + "\n")
-            if arguments.json:
-                payload = json.dumps(report.to_dict(), indent=2,
-                                     sort_keys=True) + "\n"
-                if arguments.json == "-":
-                    out.write(payload)
-                else:
-                    with open(arguments.json, "w",
-                              encoding="utf-8") as handle:
-                        handle.write(payload)
-                    out.write(f"wrote {arguments.json}\n")
-        return 0
-    database = _open_database(arguments)
+
+def _run_explain(database: QueryTarget, arguments: argparse.Namespace,
+                 out: IO[str]) -> int:
     pattern = database.compile(arguments.xpath)
+    # a fleet is only worth starting for a report, so --shards implies one
+    want_report = bool(arguments.analyze or arguments.json
+                       or arguments.plan_space or arguments.shards)
     if arguments.trace:
         from repro.core.trace import SearchTrace
 
@@ -678,10 +641,9 @@ def _command_explain(arguments: argparse.Namespace, out: IO[str]) -> int:
         out.write(f"chosen plan (estimated "
                   f"{result.estimated_cost:,.0f}):\n")
         out.write(result.explain() + "\n")
-        if not (arguments.analyze or arguments.json
-                or arguments.plan_space):
+        if not want_report:
             return 0
-    if arguments.analyze or arguments.json or arguments.plan_space:
+    if want_report:
         report = database.explain(arguments.xpath,
                                   algorithm=arguments.algorithm,
                                   analyze=arguments.analyze,
@@ -690,15 +652,7 @@ def _command_explain(arguments: argparse.Namespace, out: IO[str]) -> int:
                                   top_k=arguments.top_k)
         out.write(report.render() + "\n")
         if arguments.json:
-            payload = json.dumps(report.to_dict(), indent=2,
-                                 sort_keys=True) + "\n"
-            if arguments.json == "-":
-                out.write(payload)
-            else:
-                with open(arguments.json, "w",
-                          encoding="utf-8") as handle:
-                    handle.write(payload)
-                out.write(f"wrote {arguments.json}\n")
+            _write_json_payload(report.to_dict(), arguments.json, out)
         return 0
     out.write("Pattern:\n" + pattern.describe() + "\n")
     for algorithm in ALGORITHMS:
@@ -756,9 +710,9 @@ def _run_metrics_server(database: Database, port: int,
     return server.run()
 
 
-def _command_stats(arguments: argparse.Namespace, out: IO[str]) -> int:
-    if arguments.shards < 0:
-        raise ReproError("--shards must be >= 0")
+def _sampling_service_options(arguments: argparse.Namespace) -> dict:
+    """Service options of the serving commands: the common flags plus
+    ``--trace-sample`` / ``--planspace-sample``."""
     if arguments.trace_sample < 0:
         raise ReproError("--trace-sample must be >= 0")
     if arguments.planspace_sample < 0:
@@ -768,19 +722,16 @@ def _command_stats(arguments: argparse.Namespace, out: IO[str]) -> int:
         options["trace_sample"] = arguments.trace_sample
     if arguments.planspace_sample:
         options["planspace_sample"] = arguments.planspace_sample
-    if arguments.shards:
-        from repro.shard.sharded import ShardedDatabase
-
-        with ShardedDatabase(_shard_corpus_document(arguments),
-                             shards=arguments.shards,
-                             service_options=options) as database:
-            return _run_stats(database, arguments, out)
-    database = _open_database(arguments)
-    database.service_options.update(options)
-    return _run_stats(database, arguments, out)
+    return options
 
 
-def _run_stats(database, arguments: argparse.Namespace,
+def _command_stats(arguments: argparse.Namespace, out: IO[str]) -> int:
+    with _open_target(arguments,
+                      _sampling_service_options(arguments)) as database:
+        return _run_stats(database, arguments, out)
+
+
+def _run_stats(database: QueryTarget, arguments: argparse.Namespace,
                out: IO[str]) -> int:
     if arguments.serve:
         _serve_paper_workload(database, arguments.dataset,
@@ -790,10 +741,8 @@ def _run_stats(database, arguments: argparse.Namespace,
     if arguments.format != "table":
         out.write(database.service.export_metrics(arguments.format))
         return 0
-    statistics = getattr(database, "statistics", None)
-    if statistics is not None:
-        for key, value in statistics().items():
-            out.write(f"{key:16s} {value}\n")
+    for key, value in database.stats().get("storage", {}).items():
+        out.write(f"{key:16s} {value}\n")
     if arguments.serve:
         _write_service_stats(database, out)
     histogram = database.document.tag_histogram()
@@ -804,25 +753,14 @@ def _run_stats(database, arguments: argparse.Namespace,
 
 
 def _command_serve(arguments: argparse.Namespace, out: IO[str]) -> int:
-    from repro.server import ServerConfig
+    from repro.server import QueryServer, ServerConfig
 
-    if arguments.shards < 0:
-        raise ReproError("--shards must be >= 0")
     if arguments.workers < 1:
         raise ReproError("--workers must be at least 1")
     if arguments.queue_depth < 0:
         raise ReproError("--queue-depth must be >= 0")
     if arguments.timeout_ms <= 0:
         raise ReproError("--timeout-ms must be > 0")
-    if arguments.trace_sample < 0:
-        raise ReproError("--trace-sample must be >= 0")
-    if arguments.planspace_sample < 0:
-        raise ReproError("--planspace-sample must be >= 0")
-    options = _service_options(arguments)
-    if arguments.trace_sample:
-        options["trace_sample"] = arguments.trace_sample
-    if arguments.planspace_sample:
-        options["planspace_sample"] = arguments.planspace_sample
     config = ServerConfig(
         host=arguments.host,
         port=arguments.port,
@@ -834,35 +772,18 @@ def _command_serve(arguments: argparse.Namespace, out: IO[str]) -> int:
         drain_seconds=arguments.drain_seconds,
         algorithm=arguments.algorithm,
     )
-    if arguments.shards:
-        from repro.shard.sharded import ShardedDatabase
-
-        with ShardedDatabase(_shard_corpus_document(arguments),
-                             shards=arguments.shards,
-                             service_options=options) as database:
-            return _run_server(database, config, arguments, out)
-    database = _open_database(arguments)
-    database.service_options.update(options)
-    return _run_server(database, config, arguments, out)
-
-
-def _run_server(database, config, arguments: argparse.Namespace,
-                out: IO[str]) -> int:
-    from repro.server import QueryServer
-
-    if getattr(arguments, "query_log", None):
+    with _open_target(arguments,
+                      _sampling_service_options(arguments)) as database:
+        if not arguments.query_log:
+            return QueryServer(database, config, out=out).run()
         from repro.obs.querylog import QueryLog
 
-        if not hasattr(database, "attach_query_log"):
-            raise ReproError("--query-log is single-node only; "
-                             "drop --shards")
         with QueryLog(arguments.query_log) as log:
             database.attach_query_log(log)
             try:
                 return QueryServer(database, config, out=out).run()
             finally:
                 database.attach_query_log(None)
-    return QueryServer(database, config, out=out).run()
 
 
 def _command_generate(arguments: argparse.Namespace,
@@ -886,59 +807,6 @@ def _command_generate(arguments: argparse.Namespace,
 def _command_bench(arguments: argparse.Namespace, out: IO[str]) -> int:
     setup = ExperimentSetup(pers_nodes=arguments.pers_nodes,
                             seed=arguments.seed)
-    if arguments.artifact == "serve":
-        from repro.bench.serve import (render_serving_report,
-                                       serving_report,
-                                       target_report)
-
-        rates = [float(rate) for rate in
-                 (arguments.rates or "8,16,32,64").split(",")]
-        if arguments.target:
-            host, _, port = arguments.target.rpartition(":")
-            if not host or not port.isdigit():
-                raise ReproError("--target must be HOST:PORT")
-            report = target_report(host, int(port),
-                                   rate=arguments.rate,
-                                   duration=arguments.duration,
-                                   tenants=arguments.tenants,
-                                   seed=arguments.seed)
-        else:
-            report = serving_report(setup, rates=rates,
-                                    duration=arguments.duration,
-                                    tenants=arguments.tenants)
-        out.write(render_serving_report(report) + "\n")
-        if arguments.json:
-            _write_json_payload(report, arguments.json, out)
-        return 0
-    if arguments.artifact == "engines" and arguments.shards:
-        from repro.bench.shard import (render_shard_report,
-                                       shard_scaling_report,
-                                       write_shard_report)
-
-        report = shard_scaling_report(setup, repeats=arguments.repeats)
-        out.write(render_shard_report(report) + "\n")
-        if arguments.json:
-            write_shard_report(report, arguments.json)
-            out.write(f"wrote {arguments.json}\n")
-        return 0
-    if arguments.artifact == "engines":
-        from repro.bench.speed import (engine_speed_report, render_report,
-                                       write_report)
-
-        report = engine_speed_report(setup, repeats=arguments.repeats)
-        out.write(render_report(report) + "\n")
-        if arguments.json:
-            write_report(report, arguments.json)
-            out.write(f"wrote {arguments.json}\n")
-        return 0
-    if arguments.artifact == "ingest":
-        from repro.bench.ingest import ingest_crossover_report
-
-        output = ingest_crossover_report(setup)
-        out.write(output.text + "\n")
-        if arguments.json:
-            _write_json_payload(output.rows, arguments.json, out)
-        return 0
     output = BENCH_DRIVERS[arguments.artifact](setup)
     out.write(output.text + "\n")
     return 0

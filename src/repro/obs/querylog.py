@@ -165,6 +165,7 @@ class QueryLog:
         self._executions = 0
         self._recorded = 0
         self._dropped = 0
+        self._drops_exported = 0
         self._written = 0
         self._closed = False
         self._memory: "deque[dict[str, object]] | None" = None
@@ -216,7 +217,7 @@ class QueryLog:
         Drops stay non-fatal and non-blocking (the whole point of the
         async writer), but they must not be *silent*: the first one
         raises a ``RuntimeWarning`` and the running total is exported
-        as ``repro_querylog_dropped_total`` by the service collector.
+        as ``repro_querylog_dropped_total`` by :meth:`collect_gauges`.
         """
         with self._mutex:
             self._dropped += 1
@@ -227,6 +228,16 @@ class QueryLog:
                 f"drops are counted on QueryLog.dropped and the "
                 f"repro_querylog_dropped_total metric without "
                 f"warning again", RuntimeWarning, stacklevel=3)
+
+    def collect_gauges(self, registry) -> None:
+        """Add the drops not yet exported to the registry's
+        ``repro_querylog_dropped_total`` counter — a delta mirror, so
+        repeated exports never double-count."""
+        with self._mutex:
+            delta = self._dropped - self._drops_exported
+            self._drops_exported = self._dropped
+        if delta > 0:
+            registry.counter("repro_querylog_dropped_total").inc(delta)
 
     # -- writer thread ---------------------------------------------------
 

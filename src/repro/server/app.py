@@ -417,7 +417,7 @@ class QueryServer:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
         flushed = ""
-        log = getattr(self.database, "query_log", None)
+        log = self.database.query_log
         if log is not None:
             log.flush()
             flushed = ", query log flushed"
@@ -777,8 +777,7 @@ class QueryServer:
         chunked, stream = delivery.chunked, delivery.stream
         rows, ttfr = delivery.rows, delivery.ttfr
         trace_id = params.trace_id
-        if (stream is not None and getattr(stream, "span", None)
-                is not None):
+        if stream is not None and stream.span is not None:
             trace_id = stream.span.trace_id or trace_id
         if cancelled:
             self._http_cancelled.inc()

@@ -1,4 +1,4 @@
-"""Concurrent query service over one :class:`~repro.api.Database`.
+"""Concurrent query service over one :class:`~repro.target.QueryTarget`.
 
 The service is the repository's first step from "reproduction" to
 "system that serves traffic": it runs batches of queries on a thread
@@ -28,9 +28,9 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.obs.registry import MetricsRegistry, SampleReservoir
 from repro.obs.slo import DEFAULT_OBJECTIVES, SLObjective, SLOTracker
 from repro.service.cache import PlanCache, cache_key
+from repro.target import QueryResult, QueryTarget
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.api import Database, QueryResult
     from repro.obs.explain import ExplainReport
 
 #: Capacity of the latency reservoir backing percentile estimation.
@@ -61,9 +61,10 @@ def percentile(samples: Sequence[float], fraction: float) -> float:
 
 
 class QueryService:
-    """Plan-caching, thread-pooled query execution for one database."""
+    """Plan-caching, thread-pooled query execution for one query
+    target (a :class:`~repro.api.Database` or a shard fleet)."""
 
-    def __init__(self, database: "Database",
+    def __init__(self, database: QueryTarget,
                  cache_capacity: int = 256,
                  workers: int = 4,
                  registry: MetricsRegistry | None = None,
@@ -107,7 +108,6 @@ class QueryService:
         self._trace_clock = 0
         self._planspace_clock = 0
         self._planspace_ring: deque[dict[str, object]] = deque(maxlen=16)
-        self._querylog_drops_seen = 0
         self._slow_queries: deque[dict[str, object]] = deque(
             maxlen=slow_log_capacity)
         #: per-service registry by default so concurrent databases in
@@ -132,9 +132,15 @@ class QueryService:
         self._optimize_hist = self.registry.histogram(
             "repro_optimize_seconds",
             "Optimizer time per plan-cache miss, labelled by algorithm")
-        self._querylog_dropped = self.registry.counter(
+        # the families below are only fed by single-node back ends (in
+        # ``database.collect_gauges``) but registered for every target,
+        # so their # TYPE lines appear in every scrape
+        self.registry.counter(
             "repro_querylog_dropped_total",
             "Query-log records lost to a full queue or write errors")
+        from repro.txn.mutate import write_path_histograms
+
+        write_path_histograms(self.registry)
         # optimizer search-work counters, fed from each plan-cache
         # miss's OptimizerReport and labelled by algorithm — cache hits
         # did no search work and contribute nothing
@@ -154,24 +160,6 @@ class QueryService:
         self._opt_memo_hits = self.registry.counter(
             "repro_optimizer_memo_hits_total",
             "Re-derivations of an already-memoized status, per algorithm")
-        # write-path histogram families are registered eagerly (their
-        # # TYPE lines appear in every scrape) and mirrored from the
-        # storage-side BucketRecorders by the collector when a
-        # transaction manager exists
-        from repro.txn.mutate import COMMIT_BYTE_BUCKETS
-        from repro.txn.wal import FSYNC_BUCKETS
-
-        self._fsync_hist = self.registry.histogram(
-            "repro_wal_fsync_seconds",
-            "WAL fsync latency (the commit durability point)",
-            buckets=FSYNC_BUCKETS)
-        self._commit_hist = self.registry.histogram(
-            "repro_txn_commit_seconds",
-            "End-to-end commit latency")
-        self._commit_bytes_hist = self.registry.histogram(
-            "repro_txn_commit_wal_bytes",
-            "WAL bytes appended per commit",
-            buckets=COMMIT_BYTE_BUCKETS)
         self.registry.register_collector(self._collect)
 
     # -- serving ----------------------------------------------------------
@@ -190,8 +178,6 @@ class QueryService:
         batch path so queue wait — submission to execution start — is
         observable separately from execution time.
         """
-        from repro.api import QueryResult
-
         started = time.perf_counter()
         if submitted_at is not None:
             self._queue_wait_hist.observe(max(0.0,
@@ -214,12 +200,11 @@ class QueryService:
             raise
         elapsed = time.perf_counter() - started
         span = execution.span
-        # a sharded database records its stitched trace inside
-        # execute(); a single-node database only stamps trace ids, so
-        # the sampled span is retained here
+        # a shard fleet records its stitched trace inside execute(); a
+        # single node only stamps trace ids, so the sampled span is
+        # retained here
         if (traced and span is not None
-                and not getattr(self.database,
-                                "records_traces_in_execute", False)):
+                and not self.database.records_traces_in_execute):
             self.database.tracer.record(span)
         trace_id = span.trace_id if span is not None else ""
         self.slo.observe_query(elapsed, trace_id=trace_id)
@@ -527,17 +512,16 @@ class QueryService:
         """
         if limit < 1:
             raise ValueError("limit must be at least 1")
-        tracer = getattr(self.database, "tracer", None)
-        if tracer is None:
-            return []
-        return [span.to_dict() for span in tracer.traces()[-limit:]]
+        return [span.to_dict()
+                for span in self.database.tracer.traces()[-limit:]]
 
     def _collect(self) -> None:
         """Registry collector: gauges from live pull-style sources.
 
         Runs before every export, so scrape output always reflects the
-        current plan cache, buffer pool and engine totals without any
-        instrumentation on their hot paths.
+        current plan cache, engine totals and the database's own
+        gauges (:meth:`~repro.target.QueryTarget.collect_gauges`)
+        without any instrumentation on their hot paths.
         """
         registry = self.registry
         cache_stats = self.cache.stats
@@ -551,82 +535,6 @@ class QueryService:
                        "Plan cache evictions").set(cache_stats.evictions)
         registry.gauge("repro_plan_cache_hit_rate",
                        "Plan cache hit rate").set(cache_stats.hit_rate)
-        # the database duck-type also admits facades without local
-        # storage (ShardedDatabase) — skip the gauges they can't back
-        pool = getattr(self.database, "pool", None)
-        if pool is not None:
-            registry.gauge("repro_buffer_pool_hits",
-                           "Buffer pool hits").set(pool.stats.hits)
-            registry.gauge("repro_buffer_pool_misses",
-                           "Buffer pool misses").set(pool.stats.misses)
-            registry.gauge("repro_buffer_pool_hit_rate",
-                           "Buffer pool hit rate"
-                           ).set(pool.stats.hit_rate)
-            registry.gauge("repro_buffer_pool_resident_pages",
-                           "Pages resident in the buffer pool"
-                           ).set(len(pool))
-            registry.gauge("repro_buffer_pool_view_misses",
-                           "Pool misses served as zero-copy disk views"
-                           ).set(pool.stats.view_misses)
-        index = getattr(self.database, "index", None)
-        if index is not None and hasattr(index, "storage_stats"):
-            storage = index.storage_stats()
-            compressed_gauge = registry.gauge(
-                "repro_index_compressed_bytes",
-                "Compressed posting-frame bytes on disk, per tag")
-            decoded_gauge = registry.gauge(
-                "repro_index_decoded_bytes",
-                "Decoded posting-block resident bytes, per tag")
-            for tag, entry in storage["per_tag"].items():
-                compressed_gauge.set(entry["compressed_bytes"], tag=tag)
-                decoded_gauge.set(entry["decoded_bytes"], tag=tag)
-            registry.gauge(
-                "repro_index_compressed_bytes_total",
-                "Compressed posting-frame bytes on disk"
-            ).set(storage["compressed_bytes"])
-            registry.gauge(
-                "repro_index_decoded_bytes_total",
-                "Decoded posting-block resident bytes"
-            ).set(storage["decoded_bytes"])
-        manager = getattr(self.database, "_txn_manager", None)
-        if manager is not None:
-            txn_gauge = registry.gauge(
-                "repro_txn_counter_total",
-                "Write-path counters (commits, WAL bytes, relabels, ...)")
-            for name, value in manager.metrics.snapshot().items():
-                txn_gauge.set(value, counter=name)
-            registry.gauge(
-                "repro_wal_size_bytes",
-                "Current write-ahead log size").set(manager.wal.size)
-            # mirror the storage-side bucket recorders into the
-            # eagerly-registered histogram families (copied verbatim,
-            # never re-observed — the recorders are the truth)
-            manager.wal.stats.fsync_latency.mirror_into(self._fsync_hist)
-            manager.commit_latency.mirror_into(self._commit_hist)
-            manager.commit_bytes.mirror_into(self._commit_bytes_hist)
-            recovery = getattr(manager, "last_recovery", None)
-            if recovery is not None:
-                registry.gauge(
-                    "repro_recovery_replayed_pages",
-                    "Page images written back by the last WAL redo pass"
-                ).set(recovery.replayed_pages)
-                registry.gauge(
-                    "repro_recovery_seconds",
-                    "Wall time of the last WAL redo pass"
-                ).set(recovery.seconds)
-                registry.gauge(
-                    "repro_recovery_clean",
-                    "1 when the last recovery found an intact log with "
-                    "no dangling transaction"
-                ).set(1.0 if recovery.clean else 0.0)
-        log = getattr(self.database, "query_log", None)
-        if log is not None:
-            dropped = log.dropped
-            with self._mutex:
-                delta = dropped - self._querylog_drops_seen
-                self._querylog_drops_seen = dropped
-            if delta > 0:
-                self._querylog_dropped.inc(delta)
         engine_gauge = registry.gauge(
             "repro_engine_counter_total",
             "Aggregate cost-model counters over all queries served")
@@ -637,9 +545,7 @@ class QueryService:
                 "repro_engine_simulated_cost_total",
                 "Aggregate simulated cost over all queries served"
             ).set(self._engine_totals.simulated_cost())
-        collect_extra = getattr(self.database, "collect_gauges", None)
-        if collect_extra is not None:
-            collect_extra(registry)
+        self.database.collect_gauges(registry)
         self.slo.collect(registry)
 
     def export_metrics(self, fmt: str = "prometheus") -> str:

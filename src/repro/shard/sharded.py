@@ -1,10 +1,10 @@
-"""The sharded database facade.
+"""The sharded query target.
 
-:class:`ShardedDatabase` exposes the same query surface as
-:class:`~repro.api.Database` — ``compile`` / ``optimize`` / ``execute``
-/ ``query`` / ``query_many`` / ``explain`` / ``stats`` — so the query
-service, the CLI and the observability stack work unchanged on top of
-a shard fleet.  Construction partitions the corpus
+:class:`ShardedDatabase` is the :class:`~repro.target.QueryTarget`
+whose back end is a shard fleet: planning, explain, what-if and the
+query service are the base class's, so the CLI, the HTTP front-end and
+the observability stack run on it exactly as on a
+:class:`~repro.api.Database`.  Construction partitions the corpus
 (:mod:`repro.shard.partition`), persists each shard as a durable
 single-shard database under its own directory, builds the merged
 statistics the coordinator plans against, and starts one worker
@@ -28,40 +28,36 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.errors import ShardError
-from repro.api import Database, QueryResult
-from repro.core.cost import CostFactors, CostModel
-from repro.core.optimizer import OptimizationResult, get_optimizer
+from repro.api import Database
+from repro.core.cost import CostFactors
 from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.document.document import XmlDocument
 from repro.document.node import Region
-from repro.engine.executor import (ExecutionResult, FirstResultTiming,
-                                   StreamingExecution,
-                                   measure_time_to_first,
+from repro.engine.executor import (ExecutionResult, StreamingExecution,
                                    validate_engine)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.tuples import MatchTuple, Schema
 from repro.estimation.estimator import (CardinalityEstimator,
-                                        ExactEstimator,
                                         PositionalEstimator)
 from repro.obs.explain import (ExplainReport, OperatorAnalysis,
                                build_analysis)
-from repro.obs.spans import (Span, TraceContext, Tracer,
-                             assign_span_ids)
-from repro.service.service import QueryService
+from repro.obs.querylog import QueryLog
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.shard.coordinator import (DEFAULT_TIMEOUT, ShardWorkerPool,
                                      merge_packed_runs)
 from repro.shard.partition import ShardPartition, partition_document
 from repro.storage.disk import FileDisk
-from repro.xpath.parser import compile_xpath
+from repro.target import QueryTarget
 
 __all__ = ["ShardedDatabase"]
 
 
-class ShardedDatabase:
-    """N durable shards behind one ``Database``-shaped facade."""
+class ShardedDatabase(QueryTarget):
+    """N durable shards behind the one query-target surface."""
 
-    #: every ``spans=True`` execution records its stitched trace into
+    #: every traced execution records its stitched trace into
     #: :attr:`tracer` directly (the stitch happens here, nowhere else);
     #: layers above (service trace sampling) must not record again.
     records_traces_in_execute = True
@@ -76,14 +72,10 @@ class ShardedDatabase:
                  service_options: dict | None = None) -> None:
         if shards < 1:
             raise ShardError(f"shard count must be >= 1, got {shards}")
-        self.engine = validate_engine(engine)
+        super().__init__(engine, cost_factors, histogram_grid,
+                         service_options)
         self.shards = shards
         self.name = f"{document.name}-shards{shards}"
-        self.cost_factors = cost_factors or CostFactors()
-        self.cost_model = CostModel(self.cost_factors)
-        self.histogram_grid = histogram_grid
-        self.service_options = dict(service_options or {})
-        self.tracer = Tracer()
         self._start_method = start_method
         self._timeout = timeout
         self._owns_dir = base_dir is None
@@ -100,8 +92,6 @@ class ShardedDatabase:
         self._totals_mutex = threading.Lock()
         self._closed = False
         self.last_shard_profile: list[dict] = []
-        self._service: QueryService | None = None
-        self._exact_estimator: ExactEstimator | None = None
         self.document = document
         self.partition: ShardPartition
         self.workers: ShardWorkerPool
@@ -228,43 +218,7 @@ class ShardedDatabase:
         """The merged-statistics estimator the coordinator plans with."""
         return self._estimator
 
-    @property
-    def exact_estimator(self) -> ExactEstimator:
-        if self._exact_estimator is None:
-            self._exact_estimator = ExactEstimator(self.document)
-        return self._exact_estimator
-
-    def warm_statistics(self, query: "str | QueryPattern") -> None:
-        """Precompute the merged-statistics estimates a pattern needs."""
-        pattern = self.compile(query)
-        for node in pattern.nodes:
-            self._estimator.node_cardinality(node)
-        for edge in pattern.edges:
-            self._estimator.edge_cardinality(pattern, edge.parent,
-                                             edge.child)
-
-    # -- optimization & execution -----------------------------------------
-
-    def compile(self, query: "str | QueryPattern") -> QueryPattern:
-        if isinstance(query, QueryPattern):
-            return query
-        return compile_xpath(query)
-
-    def optimize(self, query: "str | QueryPattern",
-                 algorithm: str = "DPP", exact: bool = False,
-                 **options: object) -> OptimizationResult:
-        """Plan **once**, against the merged statistics.
-
-        The chosen plan is fanned out verbatim to every shard: shards
-        share the global label space, so one plan is valid everywhere
-        and per-shard optimization would only diverge the fleet.
-        """
-        pattern = self.compile(query)
-        optimizer = get_optimizer(algorithm, cost_model=self.cost_model,
-                                  **options)
-        estimator = (self.exact_estimator if exact
-                     else self._estimator)
-        return optimizer.optimize(pattern, estimator)
+    # -- execution --------------------------------------------------------
 
     def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                 engine: str | None = None, spans: bool = False,
@@ -273,10 +227,13 @@ class ShardedDatabase:
                 ) -> ExecutionResult:
         """Scatter *plan* to every shard, gather, k-way merge.
 
-        Returns the merged result in global document order (see the
-        module docstring for the two contract differences from a
-        single node).  With ``spans=True`` the execution runs as one
-        distributed trace: a :class:`TraceContext` (fresh, or the
+        The plan — chosen once against the merged statistics — is
+        fanned out verbatim: shards share the global label space, so
+        it is valid everywhere and per-shard optimization would only
+        diverge the fleet.  Returns the merged result in global
+        document order (see the module docstring for the two contract
+        differences from a single node).  A traced execution runs as
+        one distributed trace: a :class:`TraceContext` (fresh, or the
         caller's *trace_context*) rides with the plan to every worker,
         each worker ships its span subtree back serialized, and the
         subtrees are stitched under coordinator-side
@@ -287,9 +244,7 @@ class ShardedDatabase:
         """
         self._require_open()
         engine = validate_engine(engine or self.engine)
-        trace: TraceContext | None = None
-        if spans:
-            trace = trace_context or TraceContext.new()
+        trace = self._trace_for(spans, trace_context)
         started = time.perf_counter()
         payloads, phases, node_ids, metrics = self._gather(
             plan, pattern, engine, trace)
@@ -298,8 +253,7 @@ class ShardedDatabase:
         merge_seconds = time.perf_counter() - merge_started
         metrics.wall_seconds = time.perf_counter() - started
         span: Span | None = None
-        if spans:
-            assert trace is not None
+        if trace is not None:
             span = self._stitch_trace(trace, payloads, phases, metrics,
                                       len(tuples), merge_seconds)
             self.tracer.record(span)
@@ -369,17 +323,14 @@ class ShardedDatabase:
         (:meth:`_merged_rows`, lazy): the first row leaves as soon as
         every shard has answered and the run boundaries (or, on the
         general path, the run heads) have been compared — not after
-        the whole result has been rebuilt.  That is exactly the
-        latency :meth:`time_to_first` reports as "honest" TTFR under
-        scatter-gather.  *cancel* is checked per merged row; traced
+        the whole result has been rebuilt, which is the latency
+        :meth:`time_to_first` reports.  *cancel* is checked per merged row; traced
         streams stitch and record their distributed trace when the
         stream finishes.
         """
         self._require_open()
         engine = validate_engine(engine or self.engine)
-        trace: TraceContext | None = None
-        if spans or trace_context is not None:
-            trace = trace_context or TraceContext.new()
+        trace = self._trace_for(spans, trace_context)
         started = time.perf_counter()
         payloads, phases, node_ids, metrics = self._gather(
             plan, pattern, engine, trace)
@@ -397,24 +348,6 @@ class ShardedDatabase:
         return StreamingExecution(
             Schema(node_ids), metrics, self._merged_rows(payloads),
             cancel=cancel, started=started, on_finish=finish)
-
-    def time_to_first(self, query: "str | QueryPattern",
-                      algorithm: str = "FP", results: int = 1,
-                      **options: object) -> FirstResultTiming:
-        """Optimize, then measure latency to the first *results* rows.
-
-        Matches :meth:`repro.api.Database.time_to_first` but stays
-        honest under scatter-gather: the clock starts before the
-        scatter, and ``first_seconds`` is when the *results*-th row
-        left the k-way merge — shard execution and gather are on the
-        bill, and a fast first shard cannot mask a straggler because
-        the merge needs every run's head before it can emit.
-        """
-        pattern = self.compile(query)
-        optimization = self.optimize(pattern, algorithm=algorithm,
-                                     **options)
-        stream = self.stream_execute(optimization.plan, pattern)
-        return measure_time_to_first(stream, results=results)
 
     def _stitch_trace(self, trace: TraceContext, payloads: list[dict],
                       phases: dict[str, float],
@@ -470,71 +403,12 @@ class ShardedDatabase:
             wrapper.children = [subtree]
         return root
 
-    def query(self, query: "str | QueryPattern",
-              algorithm: str = "DPP", engine: str | None = None,
-              **options: object) -> QueryResult:
-        """Optimize once, then scatter-gather execute."""
-        pattern = self.compile(query)
-        optimization = self.optimize(pattern, algorithm=algorithm,
-                                     **options)
-        execution = self.execute(optimization.plan, pattern,
-                                 engine=engine, algorithm=algorithm)
-        return QueryResult(optimization=optimization,
-                           execution=execution)
-
-    def query_many(self, queries, algorithm: str = "DPP",
-                   workers: int | None = None,
-                   engine: str | None = None,
-                   **options: object) -> list[QueryResult]:
-        return self.service.query_many(queries, algorithm=algorithm,
-                                       workers=workers, engine=engine,
-                                       **options)
-
-    def whatif(self, query: "str | QueryPattern",
-               algorithm: str = "DPP", factors=None,
-               tag_scale: "dict[str, float] | None" = None,
-               exact: bool = False, force_plan: str | None = None):
-        """What-if analysis against the merged statistics (plan-once
-        semantics); see :meth:`repro.api.Database.whatif`."""
-        from repro.obs.planspace import run_whatif
-
-        return run_whatif(self, query, algorithm=algorithm,
-                          factors=factors, tag_scale=tag_scale,
-                          exact=exact, force_plan=force_plan)
-
-    def explain(self, query: "str | QueryPattern",
-                algorithm: str = "DPP", analyze: bool = False,
-                engine: str | None = None,
-                plan_space: bool = False, top_k: int = 3,
-                **options: object) -> ExplainReport:
-        """EXPLAIN (ANALYZE) with a scatter-gather root.
-
-        The analyzed tree has a synthetic ``ShardScatterGather`` root
-        whose children are one fully annotated per-shard plan analysis
-        each — estimate-vs-actual drift is visible *per shard*, which
-        is exactly where partition skew shows up.  The report also
-        carries the merged statistics' *provenance* — which shard
-        contributed which share of each pattern tag's histogram mass —
-        so a skewed estimate can be traced to the shard that supplied
-        the mass behind it.
-        """
-        engine = validate_engine(engine or self.engine)
-        started = time.perf_counter()
-        pattern = self.compile(query)
-        parse_seconds = time.perf_counter() - started
-        label = query if isinstance(query, str) else repr(pattern)
-        recorder = None
-        if plan_space:
-            from repro.core.planspace import PlanSpaceRecorder
-
-            recorder = PlanSpaceRecorder()
-            options = dict(options)
-            options["planspace"] = recorder
-        optimization = self.optimize(pattern, algorithm=algorithm,
-                                     **options)
-        report = ExplainReport(query=label, algorithm=algorithm,
-                               engine=engine, optimization=optimization,
-                               parse_seconds=parse_seconds)
+    def _explain_extras(self, report: ExplainReport,
+                        pattern: QueryPattern) -> None:
+        """Every report carries the merged statistics' *provenance* —
+        which shard contributed which share of each pattern tag's
+        histogram mass — so a skewed estimate can be traced to the
+        shard that supplied the mass behind it."""
         report.shards = {
             "count": self.shards,
             "statistics_provenance": self.partition.
@@ -542,13 +416,17 @@ class ShardedDatabase:
                 tags=[node.tag for node in pattern.nodes],
                 grid=self.histogram_grid),
         }
-        if not analyze:
-            Database._attach_plan_space(report, recorder, label, top_k)
-            return report
-        execution = self.execute(optimization.plan, pattern,
-                                 engine=engine, spans=True)
-        assert execution.span is not None
-        plan = optimization.plan
+
+    def _explain_analysis(self, report: ExplainReport,
+                          pattern: QueryPattern
+                          ) -> tuple[OperatorAnalysis, Span]:
+        """A synthetic ``ShardScatterGather`` root whose children are
+        one fully annotated per-shard plan analysis each —
+        estimate-vs-actual drift is visible *per shard*, which is
+        exactly where partition skew shows up.  The span is the
+        stitched trace :meth:`execute` already recorded."""
+        execution = report.execution
+        plan = report.optimization.plan
         shard_analyses: list[OperatorAnalysis] = []
         for wrapper in self._shard_wrappers(execution.span):
             children = [build_analysis(plan, child, pattern)
@@ -563,9 +441,7 @@ class ShardedDatabase:
                 seconds=wrapper.seconds,
                 self_seconds=0.0, simulated_cost=0.0, counters={},
                 children=children))
-        report.analyze = True
-        report.execution = execution
-        report.root = OperatorAnalysis(
+        root = OperatorAnalysis(
             label=f"ShardScatterGather[{self.shards}]",
             estimated_rows=plan.estimated_cardinality,
             actual_rows=len(execution),
@@ -576,9 +452,7 @@ class ShardedDatabase:
             self_seconds=execution.span.exclusive_seconds(),
             simulated_cost=0.0, counters={},
             children=shard_analyses)
-        report.span = execution.span
-        Database._attach_plan_space(report, recorder, label, top_k)
-        return report
+        return root, execution.span
 
     @staticmethod
     def _shard_wrappers(span: Span) -> list[Span]:
@@ -591,17 +465,11 @@ class ShardedDatabase:
 
     # -- serving & observability ------------------------------------------
 
-    @property
-    def service(self) -> QueryService:
-        """A plan-caching query service over the shard fleet.
-
-        The facade satisfies the service's database contract, so plan
-        caching (keyed on the aggregate statistics epoch), latency
-        percentiles and aggregate engine counters come for free.
-        """
-        if self._service is None:
-            self._service = QueryService(self, **self.service_options)
-        return self._service
+    def attach_query_log(self, log: QueryLog | None) -> None:
+        """Not supported: log records are written by the process that
+        executes, and a fleet executes in its workers."""
+        raise ShardError("--query-log is single-node only; "
+                         "drop --shards")
 
     def stats(self) -> dict[str, object]:
         """Service snapshot plus the shard fleet's own statistics.
@@ -611,8 +479,7 @@ class ShardedDatabase:
         shard reload the aggregate moves, which is what keeps cached
         plans from outliving the statistics they were costed with.
         """
-        snapshot = self.service.snapshot()
-        snapshot["statistics_epoch"] = self.statistics_epoch
+        snapshot = super().stats()
         with self._totals_mutex:
             totals = [dict(entry) for entry in self._shard_totals]
         snapshot["shards"] = {
@@ -629,7 +496,7 @@ class ShardedDatabase:
         }
         return snapshot
 
-    def collect_gauges(self, registry) -> None:
+    def collect_gauges(self, registry: MetricsRegistry) -> None:
         """Per-shard gauges for the service's metrics registry.
 
         Called by :meth:`QueryService._collect` before every export,

@@ -190,6 +190,24 @@ class BufferPool:
             self._frames.pop(victim_id)
             self.stats.evictions += 1
 
+    def collect_gauges(self, registry) -> None:
+        """Set the pool's hit/miss/residency gauges on a metrics
+        registry (pulled before every export, nothing on the fetch
+        path)."""
+        stats = self.stats
+        registry.gauge("repro_buffer_pool_hits",
+                       "Buffer pool hits").set(stats.hits)
+        registry.gauge("repro_buffer_pool_misses",
+                       "Buffer pool misses").set(stats.misses)
+        registry.gauge("repro_buffer_pool_hit_rate",
+                       "Buffer pool hit rate").set(stats.hit_rate)
+        registry.gauge("repro_buffer_pool_resident_pages",
+                       "Pages resident in the buffer pool"
+                       ).set(len(self))
+        registry.gauge("repro_buffer_pool_view_misses",
+                       "Pool misses served as zero-copy disk views"
+                       ).set(stats.view_misses)
+
     def pinned_pages(self) -> list[int]:
         """Ids of currently pinned pages (diagnostics / tests)."""
         with self._mutex:

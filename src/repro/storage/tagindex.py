@@ -464,3 +464,25 @@ class TagIndex:
             "decoded_tags": len(self._blocks),
             "decode_epoch": self.decode_epoch,
         }
+
+    def collect_gauges(self, registry) -> None:
+        """Set the compressed/decoded posting-byte gauges (per tag and
+        in total) on a metrics registry."""
+        storage = self.storage_stats()
+        compressed_gauge = registry.gauge(
+            "repro_index_compressed_bytes",
+            "Compressed posting-frame bytes on disk, per tag")
+        decoded_gauge = registry.gauge(
+            "repro_index_decoded_bytes",
+            "Decoded posting-block resident bytes, per tag")
+        for tag, entry in storage["per_tag"].items():
+            compressed_gauge.set(entry["compressed_bytes"], tag=tag)
+            decoded_gauge.set(entry["decoded_bytes"], tag=tag)
+        registry.gauge(
+            "repro_index_compressed_bytes_total",
+            "Compressed posting-frame bytes on disk"
+        ).set(storage["compressed_bytes"])
+        registry.gauge(
+            "repro_index_decoded_bytes_total",
+            "Decoded posting-block resident bytes"
+        ).set(storage["decoded_bytes"])

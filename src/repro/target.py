@@ -1,0 +1,387 @@
+"""The query target: one planning and serving surface, two back ends.
+
+The paper's contribution is plan *choice* — one optimizer run against
+one set of statistics — and nothing about choosing a plan depends on
+where the plan then runs.  :class:`QueryTarget` therefore owns every
+operation that is planning or serving, and a back end supplies only
+what genuinely differs: the statistics, how a plan is executed and
+streamed, what an explain report says about that execution, and its
+own gauges (the abstract members below).
+:class:`~repro.api.Database` (one node) and
+:class:`~repro.shard.sharded.ShardedDatabase` (a worker fleet) are the
+two back ends; the query service, the HTTP front-end and the CLI call
+this surface and never ask which one they hold.
+"""
+
+from __future__ import annotations
+
+import abc
+import time
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Sequence
+
+from repro.errors import ReproError
+from repro.core.cost import CostFactors, CostModel
+from repro.core.optimizer import OptimizationResult, get_optimizer
+from repro.core.pattern import QueryPattern
+from repro.core.plans import PhysicalPlan
+from repro.document.document import XmlDocument
+from repro.engine.executor import (ExecutionResult, FirstResultTiming,
+                                   StreamingExecution,
+                                   measure_time_to_first,
+                                   validate_engine)
+from repro.estimation.estimator import (CardinalityEstimator,
+                                        ExactEstimator)
+from repro.obs.explain import ExplainReport, OperatorAnalysis
+from repro.obs.querylog import QueryLog
+from repro.obs.registry import MetricsRegistry
+from repro.obs.spans import Span, TraceContext, Tracer
+from repro.xpath.parser import compile_xpath
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.planspace import WhatIfResult
+    from repro.service.service import QueryService
+
+
+@dataclass
+class QueryResult:
+    """Bundle returned by :meth:`QueryTarget.query`."""
+
+    optimization: OptimizationResult
+    execution: ExecutionResult
+
+    def __len__(self) -> int:
+        return len(self.execution)
+
+    @property
+    def plan(self) -> PhysicalPlan:
+        return self.optimization.plan
+
+    def explain(self) -> str:
+        return self.optimization.explain()
+
+
+class QueryTarget(abc.ABC):
+    """Everything above the execution back end, written once."""
+
+    #: whether a traced :meth:`execute` retains its span tree in
+    #: :attr:`tracer` itself.  Where it does not, a layer that samples
+    #: traces per query (the service) records the span it got back.
+    records_traces_in_execute = False
+
+    document: XmlDocument | None
+    #: bumped whenever the statistics the optimizer plans with change;
+    #: part of every plan-cache key.
+    statistics_epoch: int
+
+    def __init__(self, engine: str, cost_factors: CostFactors | None,
+                 histogram_grid: int,
+                 service_options: dict | None) -> None:
+        #: default execution mode: "block" (columnar, cached posting
+        #: decode + skip-ahead joins) or "tuple" (Volcano iterators).
+        #: Both produce identical results and cost-model counters.
+        self.engine = validate_engine(engine)
+        self.cost_factors = cost_factors or CostFactors()
+        self.cost_model = CostModel(self.cost_factors)
+        self.histogram_grid = histogram_grid
+        #: keyword arguments for the lazily built :class:`QueryService`
+        #: (worker count, slow-query threshold/log bound, …).
+        self.service_options = dict(service_options or {})
+        #: optional persistent query log (see :meth:`attach_query_log`).
+        self.query_log: QueryLog | None = None
+        #: bounded ring of retained query span trees.
+        self.tracer = Tracer()
+        self._service: "QueryService | None" = None
+        self._exact_estimator: ExactEstimator | None = None
+
+    def _require_document(self) -> XmlDocument:
+        if self.document is None:
+            raise ReproError("no document loaded")
+        return self.document
+
+    # -- what a back end supplies ------------------------------------------
+
+    @property
+    @abc.abstractmethod
+    def estimator(self) -> CardinalityEstimator:
+        """The statistics :meth:`optimize` costs plans against."""
+
+    @abc.abstractmethod
+    def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
+                engine: str | None = None,
+                spans: bool = False,
+                algorithm: str = "",
+                trace_context: TraceContext | None = None
+                ) -> ExecutionResult:
+        """Run *plan* to completion; *engine* overrides the default.
+
+        A traced run (see :meth:`_trace_for`) returns its span tree on
+        :attr:`ExecutionResult.span`.  *algorithm* only annotates
+        query-log records.
+        """
+
+    @abc.abstractmethod
+    def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
+                       engine: str | None = None,
+                       cancel: "Callable[[], bool] | None" = None,
+                       spans: bool = False,
+                       trace_context: TraceContext | None = None,
+                       ) -> StreamingExecution:
+        """Run *plan* incrementally — the serving path.
+
+        *cancel* is checked before every row, so deadlines stop the
+        run mid-stream.  A traced stream exposes its span tree as
+        ``stream.span`` and records it on :attr:`tracer` on finish.
+        """
+
+    def _explain_extras(self, report: ExplainReport,
+                        pattern: QueryPattern) -> None:
+        """Back-end additions to every explain report (default none)."""
+
+    @abc.abstractmethod
+    def _explain_analysis(self, report: ExplainReport,
+                          pattern: QueryPattern
+                          ) -> tuple[OperatorAnalysis, Span]:
+        """The analysed operator tree and the query-level span of an
+        ``explain(analyze=True)`` whose traced execution is already on
+        ``report.execution``."""
+
+    @abc.abstractmethod
+    def collect_gauges(self, registry: MetricsRegistry) -> None:
+        """Set this back end's gauges on *registry* (the query service
+        calls it before every metrics export)."""
+
+    # -- tracing ----------------------------------------------------------------
+
+    @staticmethod
+    def _trace_for(spans: bool, trace_context: TraceContext | None
+                   ) -> TraceContext | None:
+        """The context a run is traced under, or ``None`` for untraced.
+
+        The one tracing rule of ``execute`` and ``stream_execute`` on
+        every back end: ``spans=True`` asks for a span tree, and a
+        caller-propagated *trace_context* (an ``X-Trace-Id`` request
+        header, say) forces one — its trace id names the tree;
+        otherwise a traced run mints a fresh id.
+        """
+        if spans or trace_context is not None:
+            return trace_context or TraceContext.new()
+        return None
+
+    # -- statistics -------------------------------------------------------------
+
+    @property
+    def exact_estimator(self) -> ExactEstimator:
+        """Ground-truth estimator (built lazily; used for calibration)."""
+        if self._exact_estimator is None:
+            self._exact_estimator = ExactEstimator(
+                self._require_document())
+        return self._exact_estimator
+
+    def warm_statistics(self, query: str | QueryPattern) -> None:
+        """Precompute the statistics a pattern's optimization needs.
+
+        Pairwise histogram estimates are memoized inside the estimator;
+        benchmark harnesses call this before timing optimizers so that
+        whichever algorithm runs first is not charged the one-time
+        statistics derivation.
+        """
+        pattern = self.compile(query)
+        estimator = self.estimator
+        for node in pattern.nodes:
+            estimator.node_cardinality(node)
+        for edge in pattern.edges:
+            estimator.edge_cardinality(pattern, edge.parent, edge.child)
+
+    # -- optimization & execution -----------------------------------------------
+
+    def compile(self, query: str | QueryPattern) -> QueryPattern:
+        """Accept an XPath string or an already-built pattern."""
+        if isinstance(query, QueryPattern):
+            return query
+        return compile_xpath(query)
+
+    def optimize(self, query: str | QueryPattern,
+                 algorithm: str = "DPP",
+                 exact: bool = False,
+                 **options: object) -> OptimizationResult:
+        """Choose a plan with one of the five paper algorithms.
+
+        *algorithm* is a paper name: ``DP``, ``DPP``, ``DPP'``,
+        ``DPAP-EB``, ``DPAP-LD`` or ``FP``.  Extra options are passed
+        to the optimizer (e.g. ``expansion_bound`` for DPAP-EB).
+        With ``exact=True`` the optimizer sees ground-truth pairwise
+        cardinalities instead of histogram estimates.
+
+        A query is planned **once**, against :attr:`estimator` —
+        merged statistics on a shard fleet, whose shards share the
+        global label space, so the one plan is valid on every shard.
+        """
+        pattern = self.compile(query)
+        optimizer = get_optimizer(algorithm, cost_model=self.cost_model,
+                                  **options)
+        estimator = self.exact_estimator if exact else self.estimator
+        return optimizer.optimize(pattern, estimator)
+
+    def query(self, query: str | QueryPattern,
+              algorithm: str = "DPP", engine: str | None = None,
+              **options: object) -> QueryResult:
+        """Optimize then execute in one call (uncached; the service's
+        :meth:`query_many` path goes through the plan cache)."""
+        pattern = self.compile(query)
+        optimization = self.optimize(pattern, algorithm=algorithm,
+                                     **options)
+        execution = self.execute(optimization.plan, pattern,
+                                 engine=engine, algorithm=algorithm)
+        return QueryResult(optimization=optimization, execution=execution)
+
+    def time_to_first(self, query: str | QueryPattern,
+                      algorithm: str = "FP", results: int = 1,
+                      **options: object) -> FirstResultTiming:
+        """Optimize, then measure latency to the first *results* rows
+        of :meth:`stream_execute`.
+
+        Fully-pipelined plans (``algorithm="FP"``) deliver initial
+        results without waiting for any sort to complete — the online-
+        querying scenario of Sec. 3.4.  On a shard fleet the clock
+        starts before the scatter and the first row leaves the merge
+        only after every shard has answered, so a fast first shard
+        cannot mask a straggler.
+        """
+        pattern = self.compile(query)
+        optimization = self.optimize(pattern, algorithm=algorithm,
+                                     **options)
+        return measure_time_to_first(
+            self.stream_execute(optimization.plan, pattern),
+            results=results)
+
+    def explain(self, query: str | QueryPattern,
+                algorithm: str = "DPP", analyze: bool = False,
+                engine: str | None = None,
+                plan_space: bool = False, top_k: int = 3,
+                **options: object) -> ExplainReport:
+        """EXPLAIN (ANALYZE): the chosen plan, optionally annotated
+        with measured per-operator cardinality, cost and wall time.
+
+        With ``analyze=True`` the plan is executed under tracing and
+        the report carries, for each operator, estimated vs. actual
+        output cardinality and cost with their Q-errors, plus the
+        operator's exact share of every cost-model counter (the shares
+        sum exactly to the run's :class:`ExecutionMetrics`).  The
+        query-level span tree is recorded on :attr:`tracer`.
+
+        With ``plan_space=True`` the optimization records its search
+        space and the report carries a
+        :class:`~repro.obs.planspace.PlanSpaceReport`: the *top_k*
+        cheapest alternative plans with cost deltas, the pruning
+        taxonomy, memo size, and why the winner won.
+        """
+        engine = validate_engine(engine or self.engine)
+        started = time.perf_counter()
+        pattern = self.compile(query)
+        parse_seconds = time.perf_counter() - started
+        label = query if isinstance(query, str) else repr(pattern)
+        recorder = None
+        if plan_space:
+            from repro.core.planspace import PlanSpaceRecorder
+
+            recorder = PlanSpaceRecorder()
+            options = dict(options)
+            options["planspace"] = recorder
+        optimization = self.optimize(pattern, algorithm=algorithm,
+                                     **options)
+        report = ExplainReport(query=label, algorithm=algorithm,
+                               engine=engine, optimization=optimization,
+                               parse_seconds=parse_seconds)
+        self._explain_extras(report, pattern)
+        if analyze:
+            report.execution = self.execute(optimization.plan, pattern,
+                                            engine=engine, spans=True)
+            report.analyze = True
+            report.root, report.span = self._explain_analysis(report,
+                                                              pattern)
+        if recorder is not None:
+            from repro.obs.planspace import build_plan_space_report
+
+            report.plan_space = build_plan_space_report(
+                recorder, query=label, top_k=top_k,
+                trace_id=report.trace_id)
+        return report
+
+    def whatif(self, query: str | QueryPattern,
+               algorithm: str = "DPP",
+               factors: "CostFactors | None" = None,
+               tag_scale: "dict[str, float] | None" = None,
+               exact: bool = False,
+               force_plan: str | None = None) -> "WhatIfResult":
+        """Re-optimize *query* under hypothetical conditions.
+
+        Compares the current winner with the plan chosen under any
+        combination of replacement cost *factors*, per-tag cardinality
+        scaling (``tag_scale={"item": 10.0}``), ground-truth
+        statistics (``exact=True``), or a *force_plan* canonical
+        digest priced as-if chosen.  Nothing is mutated: the plan
+        cache, statistics epoch, and live cost factors are untouched.
+        """
+        from repro.obs.planspace import run_whatif
+
+        return run_whatif(self, query, algorithm=algorithm,
+                          factors=factors, tag_scale=tag_scale,
+                          exact=exact, force_plan=force_plan)
+
+    # -- serving & observability ------------------------------------------------
+
+    @property
+    def service(self) -> "QueryService":
+        """The (lazily created) plan-caching query service.
+
+        Construction keywords — worker count, slow-query threshold and
+        slow-log bound, registry — come from :attr:`service_options`.
+        Plans are cached under :attr:`statistics_epoch`, so any change
+        to the statistics makes every cached plan unreachable.
+        """
+        if self._service is None:
+            from repro.service.service import QueryService
+
+            self._service = QueryService(self, **self.service_options)
+        return self._service
+
+    def query_many(self, queries: Sequence[str | QueryPattern],
+                   algorithm: str = "DPP",
+                   workers: int | None = None,
+                   engine: str | None = None,
+                   **options: object) -> list[QueryResult]:
+        """Execute a batch of queries concurrently, in input order.
+
+        Optimization is amortized through the service's plan cache:
+        repeated (isomorphic) patterns are optimized once per
+        statistics epoch, including across threads — cache misses are
+        single-flight.  ``workers=None`` uses the service default;
+        ``engine`` overrides the target's execution mode.
+        """
+        return self.service.query_many(queries, algorithm=algorithm,
+                                       workers=workers, engine=engine,
+                                       **options)
+
+    def stats(self) -> dict[str, object]:
+        """Service-level metrics snapshot; back ends add their own keys.
+
+        Keys: ``queries``, ``errors``, ``latency`` (p50/p95/p99 …),
+        ``plan_cache`` (hit rate, size, evictions), ``engine``
+        (aggregate cost-model counters), ``slow_queries``, ``slo`` and
+        ``statistics_epoch`` (the epoch every plan-cache key embeds —
+        diff it across a reload to confirm cached plans were
+        invalidated).
+        """
+        snapshot = self.service.snapshot()
+        snapshot["statistics_epoch"] = self.statistics_epoch
+        return snapshot
+
+    def attach_query_log(self, log: QueryLog | None) -> None:
+        """Attach (or with ``None`` detach) a persistent query log.
+
+        From the next :meth:`execute` on, every run appends one record
+        (asynchronously in file mode); the log's ``trace_sample``
+        controls how often runs are traced for per-operator detail.
+        """
+        self.query_log = log

@@ -43,7 +43,7 @@ from repro.obs.registry import BucketRecorder
 from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.txn.labels import DEFAULT_GAP, pick_gap, relabel
 from repro.txn.stats import IncrementalStatistics
-from repro.txn.wal import WriteAheadLog
+from repro.txn.wal import FSYNC_BUCKETS, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api import Database
@@ -52,6 +52,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: multi-megabyte bulk loads.
 COMMIT_BYTE_BUCKETS = (512.0, 4096.0, 16384.0, 65536.0, 262144.0,
                        1048576.0, 4194304.0, 16777216.0)
+
+
+def write_path_histograms(registry) -> tuple:
+    """The write path's (fsync, commit, commit-bytes) histogram
+    families on *registry*, created on first use.
+
+    The query service calls this at construction so the families' ``#
+    TYPE`` lines appear in every scrape;
+    :meth:`TransactionManager.collect_gauges` mirrors the storage-side
+    recorders into them.
+    """
+    return (
+        registry.histogram(
+            "repro_wal_fsync_seconds",
+            "WAL fsync latency (the commit durability point)",
+            buckets=FSYNC_BUCKETS),
+        registry.histogram("repro_txn_commit_seconds",
+                           "End-to-end commit latency"),
+        registry.histogram("repro_txn_commit_wal_bytes",
+                           "WAL bytes appended per commit",
+                           buckets=COMMIT_BYTE_BUCKETS))
 
 
 @dataclass
@@ -371,7 +392,7 @@ class TransactionManager:
         self.wal = wal if wal is not None else WriteAheadLog(None)
         self.metrics = TxnMetrics()
         #: per-commit distributions, mirrored into registry histograms
-        #: by the service collector (guarded by the writer mutex, like
+        #: by :meth:`collect_gauges` (guarded by the writer mutex, like
         #: everything else commit-side)
         self.commit_latency = BucketRecorder()
         self.commit_bytes = BucketRecorder(COMMIT_BYTE_BUCKETS)
@@ -393,6 +414,38 @@ class TransactionManager:
         if document is not None:
             self.stats = IncrementalStatistics(document,
                                                grid=self.db.histogram_grid)
+
+    def collect_gauges(self, registry) -> None:
+        """Set the write-path counters, WAL size, commit/fsync
+        histograms and last-recovery gauges on a metrics registry."""
+        txn_gauge = registry.gauge(
+            "repro_txn_counter_total",
+            "Write-path counters (commits, WAL bytes, relabels, ...)")
+        for name, value in self.metrics.snapshot().items():
+            txn_gauge.set(value, counter=name)
+        registry.gauge("repro_wal_size_bytes",
+                       "Current write-ahead log size").set(self.wal.size)
+        # copied verbatim, never re-observed — the recorders are the
+        # truth
+        fsync, commit, commit_bytes = write_path_histograms(registry)
+        self.wal.stats.fsync_latency.mirror_into(fsync)
+        self.commit_latency.mirror_into(commit)
+        self.commit_bytes.mirror_into(commit_bytes)
+        recovery = self.last_recovery
+        if recovery is not None:
+            registry.gauge(
+                "repro_recovery_replayed_pages",
+                "Page images written back by the last WAL redo pass"
+            ).set(recovery.replayed_pages)
+            registry.gauge(
+                "repro_recovery_seconds",
+                "Wall time of the last WAL redo pass"
+            ).set(recovery.seconds)
+            registry.gauge(
+                "repro_recovery_clean",
+                "1 when the last recovery found an intact log with "
+                "no dangling transaction"
+            ).set(1.0 if recovery.clean else 0.0)
 
     # -- lifecycle ------------------------------------------------------------
 

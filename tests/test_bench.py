@@ -143,28 +143,3 @@ class TestFigure8:
         opt = {row["series"]: row["opt_ms"] for row in output.rows}
         assert opt["FP"] <= opt["DPP"]
         assert opt["FP"] <= opt["DP"]
-
-
-class TestIngestCrossover:
-    @pytest.fixture(scope="class")
-    def output(self):
-        from repro.bench.ingest import ingest_crossover_report
-
-        return ingest_crossover_report(
-            ExperimentSetup(pers_nodes=300), foldings=(1, 3))
-
-    def test_rows_well_formed(self, output):
-        assert [row["folding"] for row in output.rows] == [1, 3]
-        assert output.rows[1]["nodes"] > output.rows[0]["nodes"]
-        assert output.rows[1]["commits"] >= 1
-        assert "Folding" in output.text
-
-    def test_baseline_audit_is_clean(self, output):
-        # the x1 audit replays the log it just wrote: zero flips
-        assert output.rows[0]["flips"] == 0
-
-    def test_growth_happened_without_reload(self, output):
-        # every growth step bumped the statistics epoch via a commit
-        assert (output.rows[1]["epoch"] - output.rows[0]["epoch"]
-                == output.rows[1]["commits"])
-        assert output.rows[1]["wal_kib"] > 0

@@ -13,7 +13,7 @@ import io
 import pytest
 
 from repro.api import Database
-from repro.bench.speed import PARITY_COUNTERS
+from repro.engine.metrics import COST_COUNTERS
 from repro.cli import main
 from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
@@ -30,7 +30,7 @@ from tests.test_executor import blocking_plan, fully_pipelined_plan
 
 def counters(execution):
     return {name: getattr(execution.metrics, name)
-            for name in PARITY_COUNTERS}
+            for name in COST_COUNTERS}
 
 
 def assert_engines_agree(database, plan, pattern):

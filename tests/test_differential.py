@@ -172,7 +172,7 @@ def _check_engines(database, pattern) -> list[str]:
     identical cost-model counters as the iterator engine, for any
     plan — see the invariants in :mod:`repro.engine.blocks`.
     """
-    from repro.bench.speed import PARITY_COUNTERS
+    from repro.engine.metrics import COST_COUNTERS
 
     problems: list[str] = []
     plans = [("nested-loop", nested_loop_plan(pattern))]
@@ -191,7 +191,7 @@ def _check_engines(database, pattern) -> list[str]:
                 f"{name}: block engine emitted {len(block_run)} "
                 f"tuples, tuple engine {len(tuple_run)} (or ordering "
                 f"differs)")
-        for counter in PARITY_COUNTERS:
+        for counter in COST_COUNTERS:
             expected = getattr(tuple_run.metrics, counter)
             actual = getattr(block_run.metrics, counter)
             if expected != actual:

@@ -588,29 +588,6 @@ class TestCli:
         assert "nodes" in output and "tags:" in output
 
 
-# -- bench operator breakdown --------------------------------------------
-
-
-class TestBenchBreakdown:
-    def test_measure_workload_carries_operators(self):
-        from repro.bench.harness import ExperimentSetup
-        from repro.bench.speed import SpeedWorkload, measure_workload
-
-        spec = SpeedWorkload("pers-x1/Q.Pers.1.a", "pers",
-                             "Q.Pers.1.a", 1)
-        cell = measure_workload(spec, ExperimentSetup(pers_nodes=400),
-                                repeats=1)
-        assert cell["counters_match"]
-        operators = cell["operators"]
-        assert len(operators) >= 3
-        assert all("operator" in op and "counters" in op
-                   for op in operators)
-        # breakdown shares sum to the (block-engine) run counters
-        for counter, total in cell["counters"].items():
-            share = sum(op["counters"][counter] for op in operators)
-            assert share == total
-
-
 def test_build_analysis_rejects_shape_mismatch(database):
     from repro.errors import PlanError
 
