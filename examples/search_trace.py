@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Watch DPP optimize — the paper's Example 3.6 / Fig. 4, live.
 
-Attaches a SearchTrace to the DPP optimizer and prints the
+Attaches a PlanSpaceRecorder to the DPP optimizer and prints the
 optimization process for a 4-node pattern: which statuses get
 generated (numbered in generation order, as in Fig. 4), which are
 expanded by the Cost+ubCost priority, which deadends the Lookahead
@@ -11,7 +11,7 @@ Run:  python examples/search_trace.py
 """
 
 from repro import Database, DPPOptimizer, QueryPattern
-from repro.core.trace import SearchTrace
+from repro.core.planspace import PlanSpaceRecorder
 from repro.estimation.estimator import ExactEstimator
 from repro.workloads import personnel_document
 
@@ -28,8 +28,8 @@ def main() -> None:
     print("Pattern:")
     print(pattern.describe())
 
-    trace = SearchTrace()
-    optimizer = DPPOptimizer(trace=trace)
+    trace = PlanSpaceRecorder()
+    optimizer = DPPOptimizer(planspace=trace)
     result = optimizer.optimize(pattern, ExactEstimator(document))
 
     print(f"\nSearch process ({trace.status_count()} statuses, "

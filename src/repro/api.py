@@ -38,8 +38,8 @@ from repro.core.random_plans import worst_random_plan
 from repro.document.document import XmlDocument
 from repro.document.parser import parse_xml
 from repro.engine.context import EngineContext
-from repro.engine.executor import (ExecutionResult, Executor,
-                                   StreamingExecution)
+from repro.engine.executor import (STREAM_ENGINE, ExecutionResult,
+                                   Executor, StreamingExecution)
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PositionalEstimator)
 from repro.obs.explain import (ExplainReport, OperatorAnalysis,
@@ -367,31 +367,29 @@ class Database(QueryTarget):
                        ) -> StreamingExecution:
         """Run a plan incrementally, yielding rows as produced.
 
-        The network front-end's serving path: first results of a
-        pipelined (FP) plan reach the caller before the plan drains —
-        the paper's Sec. 3.4 online-querying property — and *cancel*
-        is checked before every row so deadlines stop the operators
-        mid-stream.  Always runs the tuple engine (*engine* is part of
-        the :class:`~repro.target.QueryTarget` signature and ignored
-        here: block execution materializes whole results, which is
-        exactly what streaming avoids).  Traced streams record their
-        span tree on :attr:`tracer` when the stream finishes; streamed
-        runs are not appended to the query log, which records only
-        complete executions.
+        The network front-end's serving path.  *engine* defaults to
+        :data:`~repro.engine.executor.STREAM_ENGINE` (the tuple
+        engine): first results of a pipelined (FP) plan reach the
+        caller before the plan drains — the paper's Sec. 3.4
+        online-querying property — and *cancel*, consulted after each
+        row is pulled, lets a deadline stop the operators mid-stream.
+        With ``engine="block"`` the whole block is produced before the
+        first row (and before the first look at *cancel*).  Traced
+        streams record their span tree on :attr:`tracer` when the
+        stream finishes; streamed runs are not appended to the query
+        log, which records only complete executions.
         """
-        del engine  # streaming always pipelines tuples
         _, context = self._engine_context()
-        executor = Executor(context, pattern, engine="tuple")
         trace = self._trace_for(spans, trace_context)
-        if trace is None:
-            return executor.stream(plan, cancel=cancel)
 
         def record_trace(stream: StreamingExecution) -> None:
             assign_span_ids(stream.span, trace.trace_id)
             self.tracer.record(stream.span)
 
-        return executor.stream(plan, cancel=cancel, spans=True,
-                               on_finish=record_trace)
+        return Executor(context, pattern).stream(
+            plan, engine=engine or STREAM_ENGINE, cancel=cancel,
+            spans=trace is not None,
+            on_finish=record_trace if trace is not None else None)
 
     def _explain_analysis(self, report: ExplainReport,
                           pattern: QueryPattern

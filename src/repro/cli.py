@@ -617,6 +617,32 @@ def _command_explain(arguments: argparse.Namespace, out: IO[str]) -> int:
         return _run_explain(database, arguments, out)
 
 
+def _write_search_trace(database: QueryTarget, pattern, algorithm: str,
+                        out: IO[str], heading: str, limit: int = 60,
+                        dot: bool = False) -> None:
+    """Optimize *pattern* with the search walk recorded and print it
+    (``explain --trace`` and ``repro trace``): *heading*, the narrative
+    and the chosen plan — or only the status graph as Graphviz dot."""
+    from repro.core.planspace import PlanSpaceRecorder
+
+    recorder = PlanSpaceRecorder()
+    result = database.optimize(pattern, algorithm=algorithm,
+                               planspace=recorder)
+    if not recorder.events:
+        raise ReproError(
+            f"--trace needs a DPP-family algorithm "
+            f"(DPP, DPP', DPAP-EB, DPAP-LD) and a pattern with a join; "
+            f"{algorithm} recorded no search walk here")
+    if dot:
+        from repro.core.viz import trace_to_dot
+
+        out.write(trace_to_dot(recorder) + "\n")
+        return
+    out.write(f"{heading}\n{recorder.narrative(limit=limit)}\n\n")
+    out.write(f"chosen plan (estimated {result.estimated_cost:,.0f}):\n")
+    out.write(result.explain() + "\n")
+
+
 def _run_explain(database: QueryTarget, arguments: argparse.Namespace,
                  out: IO[str]) -> int:
     pattern = database.compile(arguments.xpath)
@@ -624,23 +650,8 @@ def _run_explain(database: QueryTarget, arguments: argparse.Namespace,
     want_report = bool(arguments.analyze or arguments.json
                        or arguments.plan_space or arguments.shards)
     if arguments.trace:
-        from repro.core.trace import SearchTrace
-
-        recorder = SearchTrace()
-        try:
-            result = database.optimize(pattern,
-                                       algorithm=arguments.algorithm,
-                                       trace=recorder)
-        except TypeError:
-            raise ReproError(
-                f"--trace needs a DPP-family algorithm "
-                f"(DPP, DPP', DPAP-EB, DPAP-LD); "
-                f"{arguments.algorithm} does not record a search trace")
-        out.write(f"=== {arguments.algorithm} search trace\n")
-        out.write(recorder.narrative(limit=60) + "\n\n")
-        out.write(f"chosen plan (estimated "
-                  f"{result.estimated_cost:,.0f}):\n")
-        out.write(result.explain() + "\n")
+        _write_search_trace(database, pattern, arguments.algorithm, out,
+                            f"=== {arguments.algorithm} search trace")
         if not want_report:
             return 0
     if want_report:
@@ -1000,23 +1011,11 @@ def _command_whatif(arguments: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _command_trace(arguments: argparse.Namespace, out: IO[str]) -> int:
-    from repro.core.dpp import DPPOptimizer
-    from repro.core.trace import SearchTrace
-    from repro.core.viz import trace_to_dot
-
     database = _open_database(arguments)
     pattern = database.compile(arguments.xpath)
-    recorder = SearchTrace()
-    optimizer = DPPOptimizer(cost_model=database.cost_model,
-                             trace=recorder)
-    result = optimizer.optimize(pattern, database.estimator)
-    if arguments.dot:
-        out.write(trace_to_dot(recorder) + "\n")
-        return 0
-    out.write(pattern.describe() + "\n\n")
-    out.write(recorder.narrative(limit=arguments.limit) + "\n\n")
-    out.write(f"chosen plan (estimated {result.estimated_cost:,.0f}):\n")
-    out.write(result.explain() + "\n")
+    _write_search_trace(database, pattern, "DPP", out,
+                        pattern.describe() + "\n",
+                        limit=arguments.limit, dot=arguments.dot)
     return 0
 
 

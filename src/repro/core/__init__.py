@@ -26,7 +26,7 @@ from repro.core.dpp import DPPOptimizer
 from repro.core.dpap import DPAPEBOptimizer, DPAPLDOptimizer
 from repro.core.fp import FPOptimizer
 from repro.core.random_plans import RandomPlanGenerator, worst_random_plan
-from repro.core.trace import SearchTrace, TraceEvent
+from repro.core.planspace import PlanSpaceRecorder, SearchEvent
 from repro.core.viz import plan_to_dot, trace_to_dot
 
 __all__ = [

@@ -37,8 +37,8 @@ class DPAPEBOptimizer(DPPOptimizer):
     name = "DPAP-EB"
 
     def __init__(self, cost_model=None, expansion_bound: int | None = None,
-                 lookahead: bool = True, trace=None, planspace=None) -> None:
-        super().__init__(cost_model, lookahead=lookahead, trace=trace,
+                 lookahead: bool = True, planspace=None) -> None:
+        super().__init__(cost_model, lookahead=lookahead,
                          planspace=planspace)
         self.expansion_bound = expansion_bound
         self._limit = 0

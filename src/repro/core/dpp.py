@@ -41,11 +41,9 @@ class DPPOptimizer(Optimizer):
     name = "DPP"
 
     def __init__(self, cost_model=None, lookahead: bool = True,
-                 trace=None, planspace=None) -> None:
+                 planspace=None) -> None:
         super().__init__(cost_model, planspace=planspace)
         self.lookahead = lookahead
-        #: optional :class:`repro.core.trace.SearchTrace` recorder
-        self.trace = trace
 
     # -- hooks for the DPAP subclasses ------------------------------------
 
@@ -83,15 +81,15 @@ class DPPOptimizer(Optimizer):
         best: dict[Status, _Entry] = {
             start: _Entry(start_cost, None, None)}
         report.statuses_generated += 1
-        if self.trace is not None:
-            self.trace.record("generate", start, start_cost, "start")
+        recorder = self.planspace
+        if recorder is not None:
+            recorder.record_event("generate", start, start_cost, "start")
         tie_breaker = itertools.count()
         start_bound = start_cost + upper_bound_completion(start, context)
         heap: list[tuple[float, int, float, Status]] = []
         heapq.heappush(heap, (start_bound, next(tie_breaker), start_cost,
                               start))
 
-        recorder = self.planspace
         min_final_cost = float("inf")
         # Tightest known achievable full-plan cost: every live status'
         # Cost + ubCost is the cost of a real completion, so it bounds
@@ -108,10 +106,7 @@ class DPPOptimizer(Optimizer):
                 report.statuses_pruned += 1
                 if recorder is not None:
                     recorder.record_prune(status, PRUNE_COST_BOUND,
-                                          entry.cost)
-                if self.trace is not None:
-                    self.trace.record("prune", status, entry.cost,
-                                      "cost exceeds best known plan")
+                                          entry.cost, generated=True)
                 continue  # Pruning Rule: dead
             if status.is_final():
                 continue  # finals are never expanded
@@ -123,8 +118,8 @@ class DPPOptimizer(Optimizer):
                 continue
             self._note_expansion(status, level)
             report.statuses_expanded += 1
-            if self.trace is not None:
-                self.trace.record("expand", status, entry.cost)
+            if recorder is not None:
+                recorder.record_event("expand", status, entry.cost)
 
             for move in self._moves(status, context):
                 report.plans_considered += 1
@@ -152,9 +147,10 @@ class DPPOptimizer(Optimizer):
                     if new_cost < min_final_cost:
                         min_final_cost = new_cost
                         best_final = new_status
-                        if self.trace is not None:
-                            self.trace.record("final", new_status,
-                                              new_cost, move.describe())
+                        if recorder is not None:
+                            recorder.record_event("final", new_status,
+                                                  new_cost,
+                                                  move.describe())
                     continue
                 if new_cost > min(min_final_cost, best_bound):
                     report.statuses_pruned += 1
@@ -167,9 +163,6 @@ class DPPOptimizer(Optimizer):
                     if recorder is not None:
                         recorder.record_prune(new_status, PRUNE_INFEASIBLE,
                                               new_cost)
-                    if self.trace is not None:
-                        self.trace.record("deadend", new_status,
-                                          new_cost, "not generated")
                     continue
                 existing = best.get(new_status)
                 if existing is not None:
@@ -181,11 +174,13 @@ class DPPOptimizer(Optimizer):
                         continue
                 if existing is None:
                     report.statuses_generated += 1
-                    if self.trace is not None:
-                        self.trace.record("generate", new_status,
-                                          new_cost, move.describe())
-                elif self.trace is not None:
-                    self.trace.record("improve", new_status, new_cost)
+                if recorder is not None:
+                    if existing is None:
+                        recorder.record_event("generate", new_status,
+                                              new_cost, move.describe())
+                    else:
+                        recorder.record_event("improve", new_status,
+                                              new_cost)
                 best[new_status] = _Entry(new_cost, status, move)
                 bound = new_cost + upper_bound_completion(new_status,
                                                           context)

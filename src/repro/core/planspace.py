@@ -3,12 +3,15 @@
 A :class:`PlanSpaceRecorder` captures what an optimizer *saw* while
 choosing a plan: every costed candidate (with its estimated cost split
 across the four Sec. 2.2.2 counter families), every memo-table entry
-retained, every pruning with its reason, and the alternative final
-plans the search reached.  Recording follows the same is-None-slot
-pattern as the executor's operator spans: optimizers hoist
-``recorder = self.planspace`` to a local and guard every call with
-``if recorder is not None``, so the off path costs one predictable
-branch per candidate.
+retained, every pruning with its reason, the alternative final plans
+the search reached and, for the DPP family, the Fig. 3 / Fig. 4 walk
+itself — statuses numbered in generation order, each generation,
+expansion, pruning, avoided deadend, cost improvement and final-status
+discovery an event (Examples 3.3 and 3.6).  Recording follows the
+same is-None-slot pattern as the executor's operator spans: optimizers
+hoist ``recorder = self.planspace`` to a local and guard every call
+with ``if recorder is not None``, so the off path costs one
+predictable branch per candidate.
 
 The recorder itself is deliberately dependency-light (statuses, plans,
 cost model only); rendering — digests, top-k ranking, "why the winner
@@ -17,6 +20,7 @@ won" — lives in :mod:`repro.obs.planspace`.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
@@ -44,6 +48,29 @@ PRUNE_REASONS = (PRUNE_DOMINATED, PRUNE_COST_BOUND, PRUNE_INFEASIBLE,
 
 #: Cost-family keys, matching :data:`repro.core.cost.COST_FACTOR_NAMES`.
 FAMILIES = ("f_index", "f_sort", "f_io", "f_stack")
+
+#: Recording caps: costed candidates (search events share the bound),
+#: memo-table entries, and detailed pruning samples kept per recorder.
+MAX_CANDIDATES = 20000
+MAX_MEMO_ENTRIES = 50000
+MAX_PRUNE_SAMPLES = 50
+
+
+@dataclass(frozen=True, slots=True)
+class SearchEvent:
+    """One step of a DPP-family search: ``generate``, ``improve``,
+    ``expand``, ``prune``, ``deadend`` or ``final``."""
+
+    kind: str
+    status_id: int
+    cost: float
+    detail: str = ""
+    status: "Status | None" = None
+
+    def __str__(self) -> str:
+        note = f"  ({self.detail})" if self.detail else ""
+        return f"{self.kind:8s} status{self.status_id} " \
+               f"cost={self.cost:.1f}{note}"
 
 
 def move_breakdown(status: "Status", move: "Move",
@@ -126,12 +153,7 @@ class PlanSpaceRecorder:
     A recorder is single-use per optimize call: ``begin`` resets it.
     """
 
-    def __init__(self, max_candidates: int = 20000,
-                 max_memo_entries: int = 50000,
-                 max_prune_samples: int = 50) -> None:
-        self.max_candidates = max_candidates
-        self.max_memo_entries = max_memo_entries
-        self.max_prune_samples = max_prune_samples
+    def __init__(self) -> None:
         self._reset()
 
     def _reset(self) -> None:
@@ -152,6 +174,10 @@ class PlanSpaceRecorder:
         self.winner: PhysicalPlan | None = None
         self.winner_cost = 0.0
         self.report: "OptimizerReport | None" = None
+        #: the search walk (DPP family only; capped like candidates)
+        self.events: list[SearchEvent] = []
+        self.events_dropped = 0
+        self._status_ids: dict["Status", int] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -175,7 +201,7 @@ class PlanSpaceRecorder:
                          context: "EnumerationContext") -> None:
         """One costed move out of *status*; ``path_cost`` is the
         cumulative cost of the path ending in this move."""
-        if len(self.candidates) >= self.max_candidates:
+        if len(self.candidates) >= MAX_CANDIDATES:
             self.candidates_dropped += 1
             return
         self.candidates.append({
@@ -192,7 +218,7 @@ class PlanSpaceRecorder:
     def record_permutation(self, node_id: int, exclude: int | None,
                            order: tuple[int, ...], cost: float) -> None:
         """One costed FP join permutation under root *node_id*."""
-        if len(self.candidates) >= self.max_candidates:
+        if len(self.candidates) >= MAX_CANDIDATES:
             self.candidates_dropped += 1
             return
         self.candidates.append({
@@ -209,19 +235,35 @@ class PlanSpaceRecorder:
     def record_memo_entry(self, status: object, cost: float,
                           level: int) -> None:
         """A retained memo-table entry (DP level / DPP best / FP memo)."""
-        if len(self.memo_entries) >= self.max_memo_entries:
+        if len(self.memo_entries) >= MAX_MEMO_ENTRIES:
             self.memo_dropped += 1
             return
         self.memo_entries.append({
             "status": str(status), "cost": cost, "level": level})
 
     def record_prune(self, subject: object, reason: str,
-                     cost: float) -> None:
-        """A candidate/status discarded for *reason* (see taxonomy)."""
+                     cost: float, generated: bool = False) -> None:
+        """A candidate/status discarded for *reason* (see taxonomy).
+        Two prunings are also steps of the search walk: a deadend never
+        generated, and a *generated* status killed off the queue."""
         self.prunings[reason] = self.prunings.get(reason, 0) + 1
-        if len(self.prune_samples) < self.max_prune_samples:
+        if len(self.prune_samples) < MAX_PRUNE_SAMPLES:
             self.prune_samples.append({
                 "subject": str(subject), "reason": reason, "cost": cost})
+        if reason == PRUNE_INFEASIBLE:
+            self.record_event("deadend", subject, cost, "not generated")
+        elif generated and reason == PRUNE_COST_BOUND:
+            self.record_event("prune", subject, cost,
+                              "cost exceeds best known plan")
+
+    def record_event(self, kind: str, status: "Status", cost: float,
+                     detail: str = "") -> None:
+        """One step of the search walk (see :class:`SearchEvent`)."""
+        if len(self.events) >= MAX_CANDIDATES:
+            self.events_dropped += 1
+            return
+        self.events.append(SearchEvent(kind, self.status_id(status),
+                                       cost, detail, status))
 
     def record_final_plan(self, plan: PhysicalPlan, cost: float,
                           note: str = "") -> None:
@@ -241,3 +283,29 @@ class PlanSpaceRecorder:
     @property
     def pruned_total(self) -> int:
         return sum(self.prunings.values())
+
+    # -- the search walk ---------------------------------------------------
+
+    def status_id(self, status: "Status") -> int:
+        """Fig. 4-style numbering: statuses in generation order."""
+        return self._status_ids.setdefault(status, len(self._status_ids))
+
+    def status_count(self) -> int:
+        return len(self._status_ids)
+
+    def events_of_kind(self, kind: str) -> list[SearchEvent]:
+        return [event for event in self.events if event.kind == kind]
+
+    def narrative(self, limit: int | None = None) -> str:
+        """Multi-line rendering of the search, Example 3.6 style."""
+        lines = []
+        events = self.events if limit is None else self.events[:limit]
+        for event in events:
+            note = f" -- {event.detail}" if event.detail else ""
+            lines.append(f"{event.kind:8s} status{event.status_id:<3d} "
+                         f"{event.status}  "
+                         f"cost={event.cost:.1f}{note}")
+        more = len(self.events) + self.events_dropped - len(events)
+        if more:
+            lines.append(f"... {more} more events")
+        return "\n".join(lines)

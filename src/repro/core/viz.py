@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.core.pattern import QueryPattern
 from repro.core.plans import (IndexScanPlan, PhysicalPlan, SortPlan,
                               StructuralJoinPlan)
-from repro.core.trace import SearchTrace
+from repro.core.planspace import PlanSpaceRecorder
 
 
 def _escape(text: str) -> str:
@@ -69,7 +69,7 @@ def plan_to_dot(plan: PhysicalPlan,
     return "\n".join(lines)
 
 
-def trace_to_dot(trace: SearchTrace, title: str = "search") -> str:
+def trace_to_dot(trace: PlanSpaceRecorder, title: str = "search") -> str:
     """Render a recorded DPP search as a dot digraph.
 
     Statuses become nodes (doubled border when expanded, grey when
@@ -95,9 +95,7 @@ def trace_to_dot(trace: SearchTrace, title: str = "search") -> str:
             attributes.append('fillcolor="#eeeeee", style=filled')
         if event.status_id in expanded:
             attributes.append("peripheries=2")
-        label = _escape(
-            f"status{event.status_id}\\n"
-            f"{trace.describe_status(event.status_id)}")
+        label = _escape(f"status{event.status_id}\\n{event.status}")
         extra = (", " + ", ".join(attributes)) if attributes else ""
         lines.append(f'  s{event.status_id} [label="{label}"{extra}];')
 

@@ -12,16 +12,15 @@ factors the optimizer plans with.
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.tuples import MatchTuple, Schema
 from repro.engine.blocks import BlockOperator, ColumnGroups, TupleBlock
-from repro.engine.executor import (ENGINE_NAMES, ExecutionResult,
-                                   Executor, EngineContext,
-                                   validate_engine)
+from repro.engine.executor import (ENGINE_NAMES, EngineContext,
+                                   ExecutionResult, Executor,
+                                   FirstResultTiming, StreamingExecution,
+                                   measure_time_to_first, validate_engine)
 from repro.engine.nestedloop import (naive_pattern_matches,
                                      navigational_matches)
 from repro.engine.twigstack import TwigStackMatcher, holistic_matches
 from repro.engine.valuejoin import (ValueJoin, ValueJoinResult,
                                     group_counts, group_matches)
-from repro.engine.executor import (FirstResultTiming, StreamingExecution,
-                                   measure_time_to_first)
 
 __all__ = [
     "StreamingExecution",

@@ -45,7 +45,7 @@ import time
 from bisect import bisect_left, bisect_right
 from itertools import repeat
 from operator import add
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.core.pattern import Axis, PatternNode
@@ -218,6 +218,18 @@ class BlockOperator:
         span.seconds += time.perf_counter() - started
         span.output_rows = len(block)
         return block
+
+    def fetchall(self) -> list[MatchTuple]:
+        """Produce the output block; its rows as a list the caller owns."""
+        block = self.block()
+        # shared row lists belong to the decode cache — hand out a
+        # copy so callers can never corrupt cached postings
+        return list(block.rows) if block.shared else block.rows
+
+    def __iter__(self) -> Iterator[MatchTuple]:
+        """The operator as a row source: the whole block is produced
+        when iteration starts."""
+        return iter(self.block().rows)
 
     def describe(self) -> str:
         """One-line label for spans and traces (subclasses refine)."""

@@ -54,13 +54,3 @@ class EngineContext:
         return EngineContext(self.tag_index, self.element_store,
                              self.document, factors=self.factors,
                              tracing=self.tracing)
-
-    def fresh_metrics(self) -> ExecutionMetrics:
-        """Reset and return the metrics object for a new run.
-
-        Retained for callers that drive operators by hand; the
-        executor itself uses :meth:`for_run` so the shared context is
-        never mutated by an execution.
-        """
-        self.metrics = ExecutionMetrics(factors=self.factors)
-        return self.metrics

@@ -2,16 +2,17 @@
 
 The :class:`Executor` walks a :class:`~repro.core.plans.PhysicalPlan`,
 instantiates the matching operators against an
-:class:`~repro.engine.context.EngineContext`, runs the root to
-completion, and returns an :class:`ExecutionResult` bundling the match
-tuples, the output schema, the work counters, and wall-clock time.
+:class:`~repro.engine.context.EngineContext` and hands back a
+:class:`StreamingExecution`; drained at once it is an
+:class:`ExecutionResult` bundling the match tuples, the output schema,
+the work counters, and wall-clock time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.errors import PlanError, QueryCancelled
 from repro.core.pattern import QueryPattern
@@ -32,8 +33,26 @@ from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
 from repro.engine.tuples import MatchTuple, Schema
 from repro.obs.spans import Span
 
-#: the two execution modes; block is the default everywhere.
+#: the two execution modes; block is the default for a buffered run.
 ENGINE_NAMES = ("block", "tuple")
+
+#: the engine a stream runs when its caller names none.  First-row
+#: latency is why: the tuple engine's pipeline yields its first row
+#: before the plan drains (Sec. 3.4), the block engine produces its
+#: whole block first.
+STREAM_ENGINE = "tuple"
+
+#: per engine: the scan, the sort and the join operator per algorithm.
+_OPERATORS = {
+    "block": (BlockIndexScan, BlockSort, {
+        JoinAlgorithm.STACK_TREE_ANC: BlockStackTreeAncJoin,
+        JoinAlgorithm.STACK_TREE_DESC: BlockStackTreeDescJoin,
+        JoinAlgorithm.NESTED_LOOP: BlockNestedLoopJoin}),
+    "tuple": (IndexScan, SortOperator, {
+        JoinAlgorithm.STACK_TREE_ANC: StackTreeAncJoin,
+        JoinAlgorithm.STACK_TREE_DESC: StackTreeDescJoin,
+        JoinAlgorithm.NESTED_LOOP: NestedLoopJoin}),
+}
 
 
 def validate_engine(engine: str) -> str:
@@ -79,10 +98,6 @@ class ExecutionResult:
         """Order-independent identity set (for result comparison)."""
         return {self.schema.canonical_key(match) for match in self.tuples}
 
-    @property
-    def simulated_cost(self) -> float:
-        return self.metrics.simulated_cost()
-
 
 @dataclass
 class FirstResultTiming:
@@ -102,22 +117,24 @@ class FirstResultTiming:
 
 
 class StreamingExecution:
-    """One incrementally-consumed plan execution.
+    """One plan execution, read incrementally or drained at once.
 
-    Iterating the handle pulls match tuples out of the (tuple-engine)
-    pipeline as they are produced — the property FP plans buy by being
-    sort-free.  The handle records :attr:`first_seconds` (time to the
-    first row), :attr:`total_seconds`, and :attr:`produced`, and checks
-    the optional *cancel* predicate before every pull so a deadline or
-    disconnect stops the operators mid-stream rather than after the
-    fact; cancellation surfaces as :class:`QueryCancelled` and closes
-    the pipeline.  Abandoning the iteration early (or calling
+    Iterating the handle pulls match tuples out of the row source as
+    they are produced — one by one from the tuple engine's pipeline
+    (the property FP plans buy by being sort-free), all at once from
+    the block engine, whose block is produced before the first row.
+    The handle records :attr:`total_seconds` and :attr:`produced`, and
+    consults the optional *cancel* predicate after each row is pulled
+    (so after the whole block on the block engine): a deadline or
+    disconnect stops the tuple operators mid-stream rather than after
+    the fact; cancellation surfaces as :class:`QueryCancelled` and
+    closes the pipeline.  Abandoning the iteration early (or calling
     :meth:`close`) also closes the pipeline and finalizes the metrics,
     so partial reads never leak open operator state.
     """
 
     def __init__(self, schema: Schema, metrics: ExecutionMetrics,
-                 source: Iterator[MatchTuple], *,
+                 source: Iterable[MatchTuple], *,
                  cancel: Callable[[], bool] | None = None,
                  span: Span | None = None,
                  started: float | None = None,
@@ -127,7 +144,6 @@ class StreamingExecution:
         self.metrics = metrics
         self.span = span
         self.produced = 0
-        self.first_seconds: float | None = None
         self.total_seconds = 0.0
         self.cancelled = False
         self.finished = False
@@ -160,8 +176,6 @@ class StreamingExecution:
                     raise QueryCancelled(
                         f"query cancelled after {self.produced} rows")
                 self.produced += 1
-                if self.first_seconds is None:
-                    self.first_seconds = time.perf_counter() - self._started
                 yield match
             if self._cancel is not None and self._cancel():
                 # cancel raced the final row; report it so callers see
@@ -172,12 +186,32 @@ class StreamingExecution:
         finally:
             self._finish()
 
+    def fetchall(self) -> list[MatchTuple]:
+        """Every row not yet read, as one list (``[]`` once drained).
+
+        The buffered execute: an unread stream nobody can cancel is
+        handed over whole — the block engine's own row list, or one
+        ``list()`` of an iterator source — with no per-row Python work.
+        """
+        if self._iterator is not None or self._cancel is not None:
+            return list(self)
+        if self._started is None:
+            self._started = time.perf_counter()
+        try:
+            whole = getattr(self._source, "fetchall", None)
+            rows = whole() if whole is not None else list(self._source)
+            self.produced += len(rows)
+        finally:
+            self._finish()
+        return rows
+
     def close(self) -> None:
         """Stop early: close the pipeline and finalize the metrics."""
         if self._iterator is not None:
             self._iterator.close()
-        else:
-            self._finish()
+        # a generator closed before its first pull never ran its
+        # ``finally``, so finishing cannot be left to it
+        self._finish()
 
     def drain(self) -> int:
         """Consume all remaining rows; returns the final row count."""
@@ -194,6 +228,7 @@ class StreamingExecution:
         close = getattr(self._source, "close", None)
         if close is not None:
             close()
+        self._source = ()  # a finished stream has no rows left
         if self._on_finish is not None:
             self._on_finish(self)
 
@@ -231,59 +266,27 @@ class Executor:
         self.engine = validate_engine(engine)
 
     def build(self, plan: PhysicalPlan,
-              context: EngineContext | None = None) -> Operator:
-        """Translate a plan subtree into an operator subtree.
+              context: EngineContext | None = None,
+              engine: str | None = None) -> Operator | BlockOperator:
+        """Translate a plan subtree into *engine*'s operator subtree.
 
         Operators capture *context*'s metrics object; executions pass a
         run-scoped context (:meth:`EngineContext.for_run`) so that
         concurrent runs never share counters.
         """
         context = context or self.context
+        engine = engine or self.engine
+        scan, sort, joins = _OPERATORS[engine]
         if isinstance(plan, IndexScanPlan):
-            return IndexScan(self.pattern.node(plan.node_id), context)
+            return scan(self.pattern.node(plan.node_id), context)
         if isinstance(plan, SortPlan):
-            return SortOperator(self.build(plan.child, context),
-                                plan.by_node)
+            return sort(self.build(plan.child, context, engine),
+                        plan.by_node)
         if isinstance(plan, StructuralJoinPlan):
-            ancestor = self.build(plan.ancestor_plan, context)
-            descendant = self.build(plan.descendant_plan, context)
-            if plan.algorithm is JoinAlgorithm.STACK_TREE_ANC:
-                return StackTreeAncJoin(ancestor, descendant,
-                                        plan.ancestor_node,
-                                        plan.descendant_node, plan.axis)
-            if plan.algorithm is JoinAlgorithm.STACK_TREE_DESC:
-                return StackTreeDescJoin(ancestor, descendant,
-                                         plan.ancestor_node,
-                                         plan.descendant_node, plan.axis)
-            return NestedLoopJoin(ancestor, descendant, plan.ancestor_node,
-                                  plan.descendant_node, plan.axis)
-        raise PlanError(f"unknown plan node type {type(plan).__name__}")
-
-    def build_block(self, plan: PhysicalPlan,
-                    context: EngineContext | None = None) -> BlockOperator:
-        """Translate a plan subtree into a block-operator subtree."""
-        context = context or self.context
-        if isinstance(plan, IndexScanPlan):
-            return BlockIndexScan(self.pattern.node(plan.node_id), context)
-        if isinstance(plan, SortPlan):
-            return BlockSort(self.build_block(plan.child, context),
-                             plan.by_node)
-        if isinstance(plan, StructuralJoinPlan):
-            ancestor = self.build_block(plan.ancestor_plan, context)
-            descendant = self.build_block(plan.descendant_plan, context)
-            if plan.algorithm is JoinAlgorithm.STACK_TREE_ANC:
-                return BlockStackTreeAncJoin(ancestor, descendant,
-                                             plan.ancestor_node,
-                                             plan.descendant_node,
-                                             plan.axis)
-            if plan.algorithm is JoinAlgorithm.STACK_TREE_DESC:
-                return BlockStackTreeDescJoin(ancestor, descendant,
-                                              plan.ancestor_node,
-                                              plan.descendant_node,
-                                              plan.axis)
-            return BlockNestedLoopJoin(ancestor, descendant,
-                                       plan.ancestor_node,
-                                       plan.descendant_node, plan.axis)
+            return joins[plan.algorithm](
+                self.build(plan.ancestor_plan, context, engine),
+                self.build(plan.descendant_plan, context, engine),
+                plan.ancestor_node, plan.descendant_node, plan.axis)
         raise PlanError(f"unknown plan node type {type(plan).__name__}")
 
     def instrument(self, root, plan: PhysicalPlan,
@@ -295,8 +298,8 @@ class Executor:
         counter increment is attributed to exactly one operator; the
         caller merges the span metrics back into the run totals after
         the run, which keeps per-operator shares summing exactly to
-        the run's counters.  Must be called after ``build`` /
-        ``build_block`` and before the run.
+        the run's counters.  Must be called after ``build`` and before
+        the run.
         """
         factors = factors or self.context.factors
         metrics = ExecutionMetrics(factors=factors)
@@ -306,21 +309,37 @@ class Executor:
                     estimated_cost=plan.estimated_cost,
                     metrics=metrics)
         root._span = span
-        children = _operator_children(root)
-        plans = plan.children()
-        if len(children) != len(plans):
-            raise PlanError(
-                f"operator tree does not mirror the plan: "
-                f"{type(root).__name__} has {len(children)} inputs, "
-                f"plan node has {len(plans)}")
+        # one ``build`` made the tree from the plan, so it mirrors it
         span.children = [self.instrument(child, child_plan, factors)
-                         for child, child_plan in zip(children, plans)]
+                         for child, child_plan in zip(
+                             _operator_children(root), plan.children(),
+                             strict=True)]
         return span
 
     def execute(self, plan: PhysicalPlan,
                 engine: str | None = None,
                 spans: bool | None = None) -> ExecutionResult:
-        """Run *plan* to completion with run-private metrics.
+        """Run *plan* to completion: :meth:`stream`, drained at once.
+
+        *spans* enables per-operator tracing for this run (defaults to
+        the context's ``tracing`` flag); the resulting span tree is
+        returned on :attr:`ExecutionResult.span` and its per-operator
+        counter shares sum exactly to the result's metrics.
+        """
+        if spans is None:
+            spans = self.context.tracing
+        stream = self.stream(plan, engine=engine, spans=spans)
+        return ExecutionResult(tuples=stream.fetchall(),
+                               schema=stream.schema,
+                               metrics=stream.metrics, span=stream.span)
+
+    def stream(self, plan: PhysicalPlan, *,
+               engine: str | None = None,
+               cancel: Callable[[], bool] | None = None,
+               spans: bool = False,
+               on_finish: Callable[[StreamingExecution], None]
+               | None = None) -> StreamingExecution:
+        """Run *plan* with run-private metrics — the one run path.
 
         The shared context is never mutated: each execution builds its
         operator tree against a run-scoped context, so concurrent
@@ -329,87 +348,32 @@ class Executor:
         concurrency they attribute I/O approximately (aggregate totals
         stay exact); the simulated-cost counters are always private.
 
-        *spans* enables per-operator tracing for this run (defaults to
-        the context's ``tracing`` flag); the resulting span tree is
-        returned on :attr:`ExecutionResult.span` and its per-operator
-        counter shares sum exactly to the result's metrics.
-        """
-        engine = (self.engine if engine is None
-                  else validate_engine(engine))
-        if spans is None:
-            spans = self.context.tracing
-        run = self.context.for_run()
-        metrics = run.metrics
-        pool = run.tag_index.pool
-        io_before = pool.disk.stats.snapshot()
-        hits_before = pool.stats.hits
-        misses_before = pool.stats.misses
-        span_root: Span | None = None
-        if engine == "block":
-            block_root = self.build_block(plan, run)
-            if spans:
-                span_root = self.instrument(block_root, plan,
-                                            run.factors)
-            started = time.perf_counter()
-            block = block_root.block()
-            metrics.wall_seconds = time.perf_counter() - started
-            # shared row lists belong to the decode cache — hand out
-            # a copy so callers can never corrupt cached postings
-            tuples = list(block.rows) if block.shared else block.rows
-            schema = block.schema
-        else:
-            root = self.build(plan, run)
-            if spans:
-                span_root = self.instrument(root, plan, run.factors)
-            started = time.perf_counter()
-            tuples = list(root.run())
-            metrics.wall_seconds = time.perf_counter() - started
-            schema = root.schema
-        if span_root is not None:
-            # traced operators wrote to private counters; fold them
-            # into the run totals so traced and untraced executions
-            # report identical ExecutionMetrics
-            for span in span_root.walk():
-                metrics.merge(span.metrics)
-        metrics.page_reads = pool.disk.stats.reads - io_before.reads
-        metrics.page_writes = pool.disk.stats.writes - io_before.writes
-        metrics.buffer_hits = pool.stats.hits - hits_before
-        metrics.buffer_misses = pool.stats.misses - misses_before
-        return ExecutionResult(tuples=tuples, schema=schema,
-                               metrics=metrics, span=span_root)
-
-    def stream(self, plan: PhysicalPlan, *,
-               cancel: Callable[[], bool] | None = None,
-               spans: bool = False,
-               on_finish: Callable[[StreamingExecution], None]
-               | None = None) -> StreamingExecution:
-        """Run *plan* incrementally with run-private metrics.
-
-        Always runs the tuple engine — streaming delivery is exactly
-        the property block-at-a-time execution trades away.  The
-        returned handle yields rows as the pipeline produces them;
-        *cancel* is checked before every pull (see
-        :class:`StreamingExecution`).  Page/buffer I/O deltas and span
-        finalization happen when the stream finishes (drained,
+        *engine* (default: this executor's) picks the row source: the
+        tuple engine's pipeline yields rows as it produces them, the
+        block engine produces its whole block when the first row is
+        asked for.  *cancel* is consulted after each row is pulled
+        (see :class:`StreamingExecution`).  Page/buffer I/O deltas and
+        span finalization happen when the stream finishes (drained,
         cancelled, or closed early), after which *on_finish* runs.
         """
+        engine = validate_engine(engine or self.engine)
         run = self.context.for_run()
         metrics = run.metrics
         pool = run.tag_index.pool
         io_before = pool.disk.stats.snapshot()
         hits_before = pool.stats.hits
         misses_before = pool.stats.misses
-        root = self.build(plan, run)
-        span_root: Span | None = None
-        if spans:
-            span_root = self.instrument(root, plan, run.factors)
+        root = self.build(plan, run, engine)
+        span_root = (self.instrument(root, plan, run.factors)
+                     if spans else None)
 
         def finalize(stream: StreamingExecution) -> None:
             metrics.wall_seconds = stream.total_seconds
             if span_root is not None:
-                # operators wrap their iterators, so span seconds and
-                # output_rows were measured live; only the counters
-                # need folding into the run totals
+                # traced operators wrote to private counters (their
+                # seconds and output_rows were measured live); fold
+                # them into the run totals so traced and untraced
+                # executions report identical ExecutionMetrics
                 for span in span_root.walk():
                     metrics.merge(span.metrics)
             metrics.page_reads = pool.disk.stats.reads - io_before.reads
@@ -420,16 +384,17 @@ class Executor:
             if on_finish is not None:
                 on_finish(stream)
 
-        return StreamingExecution(root.schema, metrics, root.run(),
+        # a block operator is its own row source (block made on first read)
+        source = root if engine == "block" else root.run()
+        return StreamingExecution(root.schema, metrics, source,
                                   cancel=cancel, span=span_root,
                                   on_finish=finalize)
 
     def time_to_first(self, plan: PhysicalPlan,
                       results: int = 1) -> FirstResultTiming:
         """Measure result latency: blocking operators delay the first
-        tuple, pipelined plans deliver it almost immediately.
-
-        Always runs the tuple engine — streaming latency is exactly
-        the property block-at-a-time execution trades away.
+        tuple, pipelined plans deliver it almost immediately.  Runs
+        :data:`STREAM_ENGINE`, whatever this executor's own engine.
         """
-        return measure_time_to_first(self.stream(plan), results=results)
+        return measure_time_to_first(
+            self.stream(plan, engine=STREAM_ENGINE), results=results)

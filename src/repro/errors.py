@@ -95,14 +95,10 @@ class ShardError(ReproError):
     unresponsive shard worker, or use of a closed coordinator."""
 
 
-class RecoveryError(ReproError):
-    """Raised when crash recovery finds an unrecoverable log or store."""
-
-
 class QueryCancelled(ReproError):
     """A streaming execution was cancelled before it drained.
 
-    Raised out of :meth:`repro.engine.executor.StreamingExecution.rows`
+    Raised out of a :class:`repro.engine.executor.StreamingExecution`
     when the caller-supplied cancel predicate turns true (deadline
     expiry, client disconnect, shutdown drain).  The partial counters
     accumulated so far remain valid on the stream handle."""

@@ -47,7 +47,7 @@ import warnings
 from collections import deque
 from dataclasses import dataclass, field
 from hashlib import sha1
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 
@@ -399,16 +399,3 @@ def read_query_log(path: "str | os.PathLike[str]",
                     continue
                 scan.records.append(record)
     return scan
-
-
-def iter_operator_entries(
-        records: Iterable[dict[str, object]]
-) -> Iterable[dict[str, object]]:
-    """Every per-operator entry across *records* (traced runs only)."""
-    for record in records:
-        operators = record.get("operators")
-        if not isinstance(operators, list):
-            continue
-        for entry in operators:
-            if isinstance(entry, dict):
-                yield entry

@@ -13,9 +13,10 @@ with a JSON object; body keys win)::
 
     xpath       required       the query
     algorithm   DPP            one of the paper's optimizers
-    engine      server default execution mode (sharded workers only;
-                               the streamed coordinator path always
-                               pipelines tuples)
+    engine      tuple / fleet  execution mode: "tuple" pipelines rows,
+                               "block" produces the whole block before
+                               the first row (a fleet's workers run
+                               its default engine unless told)
     stream      0              1/true: chunked NDJSON, rows as produced
     limit       0              stop after N rows (0 = all)
     timeout_ms  config default per-request deadline
@@ -41,8 +42,8 @@ alone in the last chunk (so an empty result is exactly two chunks).
 id — the stitched tree lands in ``/traces`` under that id.  At the
 deadline the response ends with what has been delivered: the consumer
 stops taking hand-offs and hangs up, which wakes a blocked producer
-and makes the executor's cancel predicate (checked before every row)
-true, so the operators are closed.  Rows the engine had produced but
+and makes the executor's cancel predicate (consulted after each row
+is pulled) true, so the operators are closed.  Rows the engine had produced but
 the loop had not yet written (or collected) are *dropped*, not
 flushed, and ``rows`` in the 504 body — or in the terminal NDJSON
 line with ``"cancelled": true`` — counts rows delivered, which for a
@@ -70,7 +71,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable
 
 from repro.errors import (OptimizerError, PatternError, PlanError,
-                          QueryCancelled, ReproError, XPathSyntaxError)
+                          QueryCancelled, XPathSyntaxError)
 from repro.engine.executor import (StreamingExecution,
                                    validate_engine)
 from repro.obs.spans import TraceContext

@@ -105,8 +105,7 @@ class QueryService:
             factors=database.cost_factors)
         self._queries = 0
         self._errors = 0
-        self._trace_clock = 0
-        self._planspace_clock = 0
+        self._sample_clocks = {"trace": 0, "planspace": 0}
         self._planspace_ring: deque[dict[str, object]] = deque(maxlen=16)
         self._slow_queries: deque[dict[str, object]] = deque(
             maxlen=slow_log_capacity)
@@ -182,7 +181,7 @@ class QueryService:
         if submitted_at is not None:
             self._queue_wait_hist.observe(max(0.0,
                                               started - submitted_at))
-        traced = self._want_trace()
+        traced = self._sampled("trace", self.trace_sample)
         try:
             pattern = self.database.compile(query)
             optimization = self.optimize_cached(pattern, algorithm,
@@ -192,11 +191,8 @@ class QueryService:
                                               spans=traced,
                                               algorithm=algorithm)
         except BaseException:
-            elapsed = time.perf_counter() - started
-            with self._mutex:
-                self._errors += 1
-            self._errors_total.inc()
-            self.slo.observe_query(elapsed, error=True)
+            self.observe_served_query(time.perf_counter() - started,
+                                      error=True)
             raise
         elapsed = time.perf_counter() - started
         span = execution.span
@@ -206,27 +202,11 @@ class QueryService:
         if (traced and span is not None
                 and not self.database.records_traces_in_execute):
             self.database.tracer.record(span)
-        trace_id = span.trace_id if span is not None else ""
-        self.slo.observe_query(elapsed, trace_id=trace_id)
-        self._queries_total.inc()
-        self._latency_hist.observe(elapsed)
-        slow = elapsed >= self.slow_query_seconds
-        if slow:
-            self._slow_total.inc()
-        with self._mutex:
-            self._queries += 1
-            self._latencies.add(elapsed)
-            self._engine_totals.merge(execution.metrics)
-            if slow:
-                self._slow_queries.append({
-                    "query": (query if isinstance(query, str)
-                              else repr(query)),
-                    "algorithm": algorithm,
-                    "engine": engine or self.database.engine,
-                    "seconds": elapsed,
-                    "rows": len(execution),
-                    "trace_id": trace_id,
-                })
+        self.observe_served_query(
+            elapsed, trace_id=span.trace_id if span is not None else "",
+            metrics=execution.metrics, rows=len(execution),
+            query=query if isinstance(query, str) else repr(query),
+            algorithm=algorithm, engine=engine or "")
         return QueryResult(optimization=optimization,
                            execution=execution)
 
@@ -239,13 +219,14 @@ class QueryService:
                              query: str = "",
                              algorithm: str = "",
                              engine: str = "") -> None:
-        """Fold one externally-executed query into the service totals.
+        """Fold one finished query into the service totals.
 
-        The network front-end streams executions itself —
-        :meth:`query` cannot, it materializes a ``QueryResult`` — and
-        reports each finished request here so ``/metrics`` and
-        ``/slo`` stay one coherent surface regardless of how the query
-        entered the process.  *time_to_first* feeds both the
+        The one observation path: :meth:`query` reports its own runs
+        here, and so does the network front-end, which streams
+        executions itself (:meth:`query` materializes a
+        ``QueryResult``) — so ``/metrics`` and ``/slo`` stay one
+        coherent surface regardless of how the query entered the
+        process.  *time_to_first* feeds both the
         ``repro_time_to_first_seconds`` histogram and the TTFR SLO;
         *error* covers failures **and deadline cancellations** (a
         cancelled request burned its latency budget without an
@@ -254,15 +235,13 @@ class QueryService:
         """
         if time_to_first is not None:
             self._ttfr_hist.observe(time_to_first)
+        self.slo.observe_query(seconds, time_to_first=time_to_first,
+                               error=error, trace_id=trace_id)
         if error:
             with self._mutex:
                 self._errors += 1
             self._errors_total.inc()
-            self.slo.observe_query(seconds, time_to_first=time_to_first,
-                                   error=True, trace_id=trace_id)
             return
-        self.slo.observe_query(seconds, time_to_first=time_to_first,
-                               trace_id=trace_id)
         self._queries_total.inc()
         self._latency_hist.observe(seconds)
         slow = seconds >= self.slow_query_seconds
@@ -283,13 +262,14 @@ class QueryService:
                     "trace_id": trace_id,
                 })
 
-    def _want_trace(self) -> bool:
-        """True when this query is the n-th of a 1-in-n trace sample."""
-        if not self.trace_sample:
+    def _sampled(self, what: str, every: int) -> bool:
+        """True when this call is the n-th of a 1-in-*every* sample of
+        *what* (a trace per query, a plan space per cache miss)."""
+        if not every:
             return False
         with self._mutex:
-            self._trace_clock += 1
-            return self._trace_clock % self.trace_sample == 0
+            self._sample_clocks[what] += 1
+            return self._sample_clocks[what] % every == 0
 
     def query_many(self, queries: Sequence["str | QueryPattern"],
                    algorithm: str = "DPP",
@@ -338,7 +318,7 @@ class QueryService:
         def compute():
             recorder = None
             run_options = options
-            if self._want_planspace():
+            if self._sampled("planspace", self.planspace_sample):
                 from repro.core.planspace import PlanSpaceRecorder
 
                 recorder = PlanSpaceRecorder()
@@ -349,34 +329,20 @@ class QueryService:
             report = result.report
             self._optimize_hist.observe(
                 report.optimization_seconds, algorithm=algorithm)
-            if report.plans_considered:
-                self._opt_plans_considered.inc(report.plans_considered,
-                                               algorithm=algorithm)
-            if report.statuses_generated:
-                self._opt_statuses_generated.inc(report.statuses_generated,
-                                                 algorithm=algorithm)
-            if report.statuses_pruned:
-                self._opt_statuses_pruned.inc(report.statuses_pruned,
-                                              algorithm=algorithm)
-            if report.deadends_avoided:
-                self._opt_deadends_avoided.inc(report.deadends_avoided,
-                                               algorithm=algorithm)
-            if report.memo_hits:
-                self._opt_memo_hits.inc(report.memo_hits,
-                                        algorithm=algorithm)
+            for counter, work in (
+                    (self._opt_plans_considered, report.plans_considered),
+                    (self._opt_statuses_generated,
+                     report.statuses_generated),
+                    (self._opt_statuses_pruned, report.statuses_pruned),
+                    (self._opt_deadends_avoided, report.deadends_avoided),
+                    (self._opt_memo_hits, report.memo_hits)):
+                if work:
+                    counter.inc(work, algorithm=algorithm)
             if recorder is not None:
                 self._retain_planspace(recorder, pattern, algorithm)
             return result
 
         return self.cache.get_or_compute(key, pattern, compute)
-
-    def _want_planspace(self) -> bool:
-        """True when this miss is the n-th of a 1-in-n planspace sample."""
-        if not self.planspace_sample:
-            return False
-        with self._mutex:
-            self._planspace_clock += 1
-            return self._planspace_clock % self.planspace_sample == 0
 
     def _retain_planspace(self, recorder, pattern: QueryPattern,
                           algorithm: str) -> None:

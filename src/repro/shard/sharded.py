@@ -153,13 +153,12 @@ class ShardedDatabase(QueryTarget):
                      ) -> Iterator[MatchTuple]:
         """The shards' packed runs as region rows in document order.
 
-        The one gather→merge→rebuild path of :meth:`execute` and
-        :meth:`stream_execute`.  Lazy end to end and free of per-row
-        Python code: ``map`` looks each merged start label up in the
-        region table and ``zip`` over *width* references to that one
-        iterator cuts the stream into rows, so the first row costs
-        *width* lookups and a consumer that stops early pays for
-        nothing it did not read.
+        The merge→rebuild half of :meth:`stream_execute`.  Lazy end to
+        end and free of per-row Python code: ``map`` looks each merged
+        start label up in the region table and ``zip`` over *width*
+        references to that one iterator cuts the stream into rows, so
+        the first row costs *width* lookups and a consumer that stops
+        early pays for nothing it did not read.
         """
         width = payloads[0]["width"]  # one schema, checked in _gather
         regions = map(self._regions_by_start().__getitem__,
@@ -225,7 +224,8 @@ class ShardedDatabase(QueryTarget):
                 algorithm: str = "",
                 trace_context: TraceContext | None = None
                 ) -> ExecutionResult:
-        """Scatter *plan* to every shard, gather, k-way merge.
+        """Scatter *plan* to every shard, gather, k-way merge:
+        :meth:`stream_execute`, drained at once.
 
         The plan — chosen once against the merged statistics — is
         fanned out verbatim: shards share the global label space, so
@@ -236,29 +236,16 @@ class ShardedDatabase(QueryTarget):
         one distributed trace: a :class:`TraceContext` (fresh, or the
         caller's *trace_context*) rides with the plan to every worker,
         each worker ships its span subtree back serialized, and the
-        subtrees are stitched under coordinator-side
-        scatter/gather/merge spans into a single trace recorded in
-        :attr:`tracer`.  The stitched tree's cost-counter shares sum
+        finishing stream stitches them into the single trace recorded
+        in :attr:`tracer`.  The stitched tree's cost-counter shares sum
         *exactly* to the merged ``ExecutionMetrics`` — counters cross
         the pipe as ints, never re-measured.
         """
-        self._require_open()
-        engine = validate_engine(engine or self.engine)
-        trace = self._trace_for(spans, trace_context)
-        started = time.perf_counter()
-        payloads, phases, node_ids, metrics = self._gather(
-            plan, pattern, engine, trace)
-        merge_started = time.perf_counter()
-        tuples = list(self._merged_rows(payloads))
-        merge_seconds = time.perf_counter() - merge_started
-        metrics.wall_seconds = time.perf_counter() - started
-        span: Span | None = None
-        if trace is not None:
-            span = self._stitch_trace(trace, payloads, phases, metrics,
-                                      len(tuples), merge_seconds)
-            self.tracer.record(span)
-        return ExecutionResult(tuples=tuples, schema=Schema(node_ids),
-                               metrics=metrics, span=span)
+        stream = self.stream_execute(
+            plan, pattern, engine, spans=spans, trace_context=trace_context)
+        tuples = stream.fetchall()  # finishing stitches stream.span
+        return ExecutionResult(tuples, stream.schema, stream.metrics,
+                               stream.span)
 
     def _gather(self, plan: PhysicalPlan, pattern: QueryPattern,
                 engine: str, trace: TraceContext | None
@@ -266,12 +253,10 @@ class ShardedDatabase(QueryTarget):
                            ExecutionMetrics]:
         """Scatter *plan*, gather payloads, sum counters, book totals.
 
-        Shared by :meth:`execute` and :meth:`stream_execute`; returns
-        the payloads, this call's scatter/gather phase seconds, the
-        agreed schema and the metrics.  The metrics carry the summed
-        per-shard counters but no ``wall_seconds`` — the caller owns
-        end-to-end timing (the streamed path keeps the clock running
-        through the merge).
+        Returns the payloads, this call's scatter/gather phase seconds,
+        the agreed schema and the metrics: the summed per-shard
+        counters but no ``wall_seconds`` — the stream owns end-to-end
+        timing (its clock keeps running through the merge).
         """
         payloads, phases = self.workers.scatter_gather(
             plan, pattern, engine, want_span=trace is not None,
@@ -324,9 +309,9 @@ class ShardedDatabase(QueryTarget):
         every shard has answered and the run boundaries (or, on the
         general path, the run heads) have been compared — not after
         the whole result has been rebuilt, which is the latency
-        :meth:`time_to_first` reports.  *cancel* is checked per merged row; traced
-        streams stitch and record their distributed trace when the
-        stream finishes.
+        :meth:`time_to_first` reports.  *cancel* is consulted after
+        each merged row is pulled; traced streams stitch and record
+        their distributed trace when the stream finishes.
         """
         self._require_open()
         engine = validate_engine(engine or self.engine)

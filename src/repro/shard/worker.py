@@ -15,12 +15,11 @@ tuple per message:
   ``("ok", payload)`` or ``("error", type_name, message)``.
   ``trace_context`` is ``None`` or a
   :class:`~repro.obs.spans.TraceContext` dict; when present and
-  sampled, the worker runs the query under its own
-  :class:`~repro.obs.spans.Tracer`, stamps its span subtree with the
-  coordinator's trace id under a per-shard span-id prefix, and ships
-  the subtree back serialized (``span.to_dict()`` — counters ride as
-  exact ints, never as live metric objects) for the coordinator to
-  stitch.
+  sampled, the worker runs the query traced, stamps its span subtree
+  with the coordinator's trace id under a per-shard span-id prefix,
+  and ships the subtree back serialized (``span.to_dict()`` — counters
+  ride as exact ints, never as live metric objects) for the
+  coordinator to stitch.
 * ``("ping",)`` → ``("pong", shard_id)``
 * ``("stop",)`` → ``("bye",)`` and a clean exit
 * ``("exit",)`` → ``os._exit(1)``, no reply — a crash hook for the
@@ -102,7 +101,7 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
     """Entry point of one shard worker process."""
     # imports deferred below the module guard keep spawn startup lean
     from repro.api import Database
-    from repro.obs.spans import TraceContext, Tracer, assign_span_ids
+    from repro.obs.spans import TraceContext, assign_span_ids
     from repro.storage.disk import FileDisk
 
     try:
@@ -111,10 +110,6 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
         _send_error(conn, error)
         conn.close()
         return
-    # the worker's own trace ring: every sampled query this worker
-    # serves is retained locally (diagnosable in-process) in addition
-    # to the subtree shipped back for coordinator-side stitching
-    tracer = Tracer()
     conn.send(("ready", shard_id, len(database.document or ())))
     while True:
         try:
@@ -159,7 +154,6 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
                 trace.trace_id if trace is not None else "",
                 trace.parent_span_id if trace is not None else "",
                 prefix=f"s{shard_id}-")
-            tracer.record(result.span)
             span_payload = result.span.to_dict()
         pack_started = time.perf_counter()
         node_ids = result.schema.node_ids

@@ -22,7 +22,7 @@ or reorder build fresh lists).
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator
 
 from repro.document.node import Region
 
@@ -87,35 +87,6 @@ class RegionBlock:
         if self._rows is not None:
             total += len(self._rows) * (_ROW_BYTES + _LIST_SLOT_BYTES)
         return total
-
-    @classmethod
-    def from_columns(cls, tag: str, starts: "array[int]",
-                     ends: "array[int]",
-                     levels: "array[int]") -> "RegionBlock":
-        """Adopt already-packed columns (the frame decode path)."""
-        return cls(tag, starts, ends, levels)
-
-    @classmethod
-    def from_entries(cls, tag: str,
-                     entries: Sequence[tuple[int, int, int]]
-                     ) -> "RegionBlock":
-        """Build from decoded ``(start, end, level)`` triples."""
-        return cls(tag,
-                   array("I", [entry[0] for entry in entries]),
-                   array("I", [entry[1] for entry in entries]),
-                   array("H", [entry[2] for entry in entries]))
-
-    @classmethod
-    def from_regions(cls, tag: str,
-                     regions: Iterable[Region]) -> "RegionBlock":
-        """Build from already-materialized regions (merged scans)."""
-        region_list = list(regions)
-        block = cls(tag,
-                    array("I", [region.start for region in region_list]),
-                    array("I", [region.end for region in region_list]),
-                    array("H", [region.level for region in region_list]))
-        block._regions = region_list
-        return block
 
     def __len__(self) -> int:
         return len(self.starts)

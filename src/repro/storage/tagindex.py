@@ -225,7 +225,7 @@ class TagIndex:
                 ends.extend(block.ends)
                 levels.extend(block.levels)
             order = sorted(range(len(starts)), key=starts.__getitem__)
-            self._merged_block = RegionBlock.from_columns(
+            self._merged_block = RegionBlock(
                 "*",
                 array("I", map(starts.__getitem__, order)),
                 array("I", map(ends.__getitem__, order)),
@@ -237,7 +237,7 @@ class TagIndex:
         if len(chain) == 1:
             starts, ends, levels = unpack_frame(
                 self.pool.fetch_view(chain[0]))
-            return RegionBlock.from_columns(tag, starts, ends, levels)
+            return RegionBlock(tag, starts, ends, levels)
         starts = array("I")
         ends = array("I")
         levels = array("H")
@@ -247,7 +247,7 @@ class TagIndex:
             starts.extend(page_starts)
             ends.extend(page_ends)
             levels.extend(page_levels)
-        return RegionBlock.from_columns(tag, starts, ends, levels)
+        return RegionBlock(tag, starts, ends, levels)
 
     def drop_caches(self) -> None:
         """Discard every cached decoded block (cold-start simulation).

@@ -129,8 +129,8 @@ class QueryTarget(abc.ABC):
                        ) -> StreamingExecution:
         """Run *plan* incrementally — the serving path.
 
-        *cancel* is checked before every row, so deadlines stop the
-        run mid-stream.  A traced stream exposes its span tree as
+        *cancel* is consulted after each row is pulled, so deadlines
+        stop the run mid-stream.  A traced stream exposes its span tree as
         ``stream.span`` and records it on :attr:`tracer` on finish.
         """
 

@@ -73,10 +73,6 @@ class PaperQuery:
     shape: str
     pattern: QueryPattern
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.pattern.edges)
-
 
 def _mbench_queries() -> list[PaperQuery]:
     q1 = build_shape(

@@ -123,6 +123,43 @@ class TestTraceCommand:
         assert output.startswith("digraph")
 
 
+    @pytest.mark.parametrize("algorithm",
+                             ["DPP", "DPP'", "DPAP-EB", "DPAP-LD"])
+    def test_explain_trace_narrates_the_dpp_family(self, algorithm):
+        code, output = run_cli("explain", "--dataset", "pers", "--nodes",
+                               "300", "--trace", "--algorithm", algorithm,
+                               "//manager//employee/name")
+        assert code == 0
+        assert f"=== {algorithm} search trace" in output
+        assert "generate status0" in output
+        assert "chosen plan" in output
+
+    @pytest.mark.parametrize("algorithm", ["DP", "FP"])
+    def test_explain_trace_names_an_algorithm_without_a_walk(
+            self, algorithm, capsys):
+        code, output = run_cli("explain", "--dataset", "pers", "--nodes",
+                               "300", "--trace", "--algorithm", algorithm,
+                               "//manager//employee/name")
+        assert code == 1 and output == ""
+        assert (f"{algorithm} recorded no search walk"
+                in capsys.readouterr().err)
+
+    def test_explain_trace_does_not_relabel_a_type_error(
+            self, monkeypatch):
+        """At the parent a non-DPP algorithm was detected by catching
+        ``TypeError``, so any real one raised inside ``optimize`` was
+        reported as "does not record a search trace"."""
+        from repro.core.dpp import DPPOptimizer
+
+        def broken(self, context, report):
+            raise TypeError("a real bug")
+
+        monkeypatch.setattr(DPPOptimizer, "_search", broken)
+        with pytest.raises(TypeError, match="a real bug"):
+            run_cli("explain", "--dataset", "pers", "--nodes", "300",
+                    "--trace", "//manager//employee/name")
+
+
 class TestFeedbackLoopCommands:
     def test_log_calibrate_audit_loop(self, tmp_path):
         log_path = tmp_path / "query-log.jsonl"

@@ -497,9 +497,9 @@ class TestZeroOverheadWhenDisabled:
                                 database.document,
                                 factors=database.cost_factors)
         executor = Executor(context, pattern, engine=engine)
-        build = (executor.build_block if engine == "block"
-                 else executor.build)
-        root = build(plan, context.for_run())
+        root = executor.build(plan, context.for_run())
+        assert type(root).__name__.startswith("Block") == (
+            engine == "block")
         stack = [root]
         while stack:
             operator = stack.pop()

@@ -253,6 +253,37 @@ class TestQueryEndpoint:
         ids = [trace["trace_id"] for trace in traces["traces"]]
         assert "req-abc123" in ids
 
+    def test_engine_parameter_picks_the_operators_on_a_single_node(
+            self, server):
+        """At the parent ``engine`` was validated, forwarded and thrown
+        away by ``Database.stream_execute``: both traces below showed
+        the iterator operators."""
+        _, host, port = server
+        bodies = {}
+        for engine, block in (("block", True), ("tuple", False),
+                              ("", False)):  # the default pipelines
+            trace_id = f"engine-{engine or 'default'}"
+            response = run(fetch(
+                host, port, "GET",
+                f"/query?xpath=//employee//name&engine={engine}",
+                headers={"X-Trace-Id": trace_id}))
+            assert response.status == 200
+            bodies[engine] = response.json()["bindings"]
+            traces = run(fetch(host, port, "GET", "/traces")).json()
+            (trace,) = [trace for trace in traces["traces"]
+                        if trace["trace_id"] == trace_id]
+            names = set()
+            stack = [trace]
+            while stack:
+                span = stack.pop()
+                names.add(span["name"])
+                stack.extend(span["children"])
+            assert ("BlockIndexScan" if block else "IndexScan") in names
+            assert all(name.startswith("Block") == block
+                       for name in names), names
+        assert bodies["block"] and bodies["block"] == bodies["tuple"] \
+            == bodies[""]
+
     def test_observability_routes_share_the_socket(self, server):
         instance, host, port = server
         for route in ("/metrics", "/traces", "/slo", "/planspace",

@@ -7,7 +7,8 @@ from repro.core.pattern import Axis
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, SortPlan,
                               StructuralJoinPlan)
 from repro.engine.context import EngineContext
-from repro.engine.executor import Executor
+from repro.engine.executor import ENGINE_NAMES, Executor
+from repro.errors import QueryCancelled
 from repro.workloads import personnel_document
 
 
@@ -81,3 +82,104 @@ class TestTimeToFirst:
                                         results=3)
         assert timing.first_count == 3
         assert timing.first_seconds < timing.total_seconds
+
+
+def executor_for(database, pattern):
+    return Executor(EngineContext(database.index, database.store,
+                                  database.document), pattern)
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+class TestOneRunPath:
+    """``execute`` is ``stream`` drained at once, on either engine."""
+
+    @pytest.mark.parametrize("plan", [fp_plan, blocking_plan])
+    def test_stream_yields_what_execute_returns(self, database, pattern,
+                                                engine, plan):
+        executor = executor_for(database, pattern)
+        result = executor.execute(plan(), engine=engine)
+        stream = executor.stream(plan(), engine=engine)
+        assert stream.schema.node_ids == result.schema.node_ids
+        assert list(stream) == result.tuples  # same rows, same order
+        assert result.tuples
+        assert stream.finished and stream.produced == len(result)
+        assert stream.metrics.counters() == result.metrics.counters()
+        assert stream.metrics.wall_seconds == stream.total_seconds > 0
+
+    def test_traced_shares_sum_to_the_run_totals(self, database, pattern,
+                                                 engine):
+        executor = executor_for(database, pattern)
+        result = executor.execute(blocking_plan(), engine=engine,
+                                  spans=True)
+        stream = executor.stream(blocking_plan(), engine=engine,
+                                 spans=True)
+        assert stream.fetchall() == result.tuples
+        untraced = executor.execute(blocking_plan(), engine=engine)
+        for span, metrics in ((result.span, result.metrics),
+                              (stream.span, stream.metrics)):
+            assert span.name.startswith("Block") == (engine == "block")
+            assert span.output_rows == len(result)
+            for name, total in metrics.counters().items():
+                assert sum(node.metrics.counters()[name]
+                           for node in span.walk()) == total
+            assert metrics.counters() == untraced.metrics.counters()
+
+    def test_cancel_raises_and_finishes_once(self, database, pattern,
+                                             engine):
+        finished = []
+        seen = []
+        stream = executor_for(database, pattern).stream(
+            fp_plan(), engine=engine, cancel=lambda: len(seen) >= 3,
+            on_finish=finished.append)
+        with pytest.raises(QueryCancelled, match="after 3 rows"):
+            for row in stream:
+                seen.append(row)
+        assert stream.cancelled and stream.finished
+        assert stream.produced == 3
+        assert finished == [stream]
+        stream.close()
+        assert finished == [stream]
+
+    def test_fetchall_returns_what_is_left(self, database, pattern,
+                                           engine):
+        executor = executor_for(database, pattern)
+        expected = executor.execute(fp_plan(), engine=engine).tuples
+        stream = executor.stream(fp_plan(), engine=engine)
+        rows = iter(stream)
+        head = [next(rows), next(rows)]
+        assert head + stream.fetchall() == expected
+        assert stream.finished and stream.produced == len(expected)
+        assert stream.fetchall() == []
+        # and a stream nobody started to read is handed over whole
+        whole = executor.stream(fp_plan(), engine=engine)
+        assert whole.fetchall() == expected
+        assert whole.finished and whole.produced == len(expected)
+        assert whole.fetchall() == [] and list(whole) == []
+
+    def test_close_before_the_first_pull_finishes_the_stream(
+            self, database, pattern, engine):
+        """``iter()`` makes a generator that has not started; closing
+        it runs no ``finally``, so ``close`` must finish the stream."""
+        for start in (lambda stream: None, iter):
+            finished = []
+            stream = executor_for(database, pattern).stream(
+                fp_plan(), engine=engine, spans=True,
+                on_finish=finished.append)
+            start(stream)
+            stream.close()
+            assert stream.finished and finished == [stream]
+            assert list(stream) == [] and stream.produced == 0
+
+    def test_a_returned_row_list_is_the_callers(self, database, engine):
+        """A predicate-free scan's rows are the decode cache's list;
+        what ``execute`` hands out must be a copy of it."""
+        pattern = database.compile("//employee")
+        executor = executor_for(database, pattern)
+        first = executor.execute(IndexScanPlan(0), engine=engine)
+        expected = list(first.tuples)
+        assert expected
+        first.tuples.clear()
+        again = executor.execute(IndexScanPlan(0), engine=engine)
+        assert again.tuples == expected
+        assert list(executor.stream(IndexScanPlan(0),
+                                    engine=engine)) == expected

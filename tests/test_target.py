@@ -182,6 +182,56 @@ def test_a_trace_context_forces_a_traced_run(target):
     assert target.tracer.traces()[-1] is stream.span
 
 
+# -- one run path ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_execute_is_the_stream_drained(target, traced):
+    pattern = target.compile(QUERY)
+    plan = target.optimize(pattern).plan
+    before = target.tracer.recorded
+    result = target.execute(plan, pattern, spans=traced)
+    executed = target.tracer.recorded
+    stream = target.stream_execute(plan, pattern, engine=target.engine,
+                                   spans=traced)
+    rows = stream.fetchall()
+    assert rows and stream.finished and stream.fetchall() == []
+    assert rows == result.tuples  # same rows, same order
+    assert stream.schema.node_ids == result.schema.node_ids
+    assert stream.metrics.counters() == result.metrics.counters()
+    assert stream.produced == len(result)
+    if not traced:
+        assert result.span is None and stream.span is None
+        assert target.tracer.recorded == before
+        return
+    assert result.span.name == stream.span.name
+    assert result.span.output_rows == stream.span.output_rows == len(rows)
+    # a fleet records one stitched trace per run; a node's execute only
+    # stamps its span (the layer above retains it), its stream records
+    assert executed == before + target.records_traces_in_execute
+    assert target.tracer.recorded == executed + 1
+    assert target.tracer.traces()[-1] is stream.span
+
+
+@pytest.mark.parametrize("start", [lambda stream: None, iter],
+                         ids=["unread", "iter"])
+def test_closing_an_unpulled_stream_finishes_and_records_it(target,
+                                                            start):
+    """``iter(stream)`` then ``close()`` closes a generator that never
+    started, whose ``finally`` never runs: at the parent the stream
+    stayed unfinished, unrecorded and (on a fleet) unstitched."""
+    pattern = target.compile(QUERY)
+    plan = target.optimize(pattern).plan
+    before = target.tracer.recorded
+    stream = target.stream_execute(plan, pattern, spans=True)
+    start(stream)
+    stream.close()
+    assert stream.finished and stream.produced == 0
+    assert target.tracer.recorded == before + 1
+    assert target.tracer.traces()[-1] is stream.span
+    assert list(stream) == []
+
+
 # -- one way to open it ------------------------------------------------------
 
 

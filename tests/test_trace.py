@@ -5,14 +5,14 @@ import pytest
 from repro.core.dpp import DPPOptimizer
 from repro.core.dpap import DPAPEBOptimizer
 from repro.core.status import Status
-from repro.core.trace import SearchTrace, TraceEvent
+from repro.core.planspace import PlanSpaceRecorder, SearchEvent
 from repro.estimation.estimator import ExactEstimator
 
 
 @pytest.fixture
 def traced_run(small_document, running_example_pattern):
-    trace = SearchTrace()
-    optimizer = DPPOptimizer(trace=trace)
+    trace = PlanSpaceRecorder()
+    optimizer = DPPOptimizer(planspace=trace)
     result = optimizer.optimize(running_example_pattern,
                                 ExactEstimator(small_document))
     return trace, result
@@ -70,13 +70,59 @@ class TestSearchTrace:
 
     def test_dpap_inherits_tracing(self, small_document,
                                    running_example_pattern):
-        trace = SearchTrace()
-        optimizer = DPAPEBOptimizer(expansion_bound=2, trace=trace)
+        trace = PlanSpaceRecorder()
+        optimizer = DPAPEBOptimizer(expansion_bound=2, planspace=trace)
         optimizer.optimize(running_example_pattern,
                            ExactEstimator(small_document))
         assert trace.events_of_kind("expand")
 
     def test_event_str(self):
-        event = TraceEvent("expand", 3, 12.5, "why")
+        event = SearchEvent("expand", 3, 12.5, "why")
         assert "status3" in str(event)
         assert "why" in str(event)
+
+
+class TestOneRecorder:
+    """The walk rides on the plan-space recorder, under its caps."""
+
+    def test_walk_and_plan_space_come_from_one_optimize(self, traced_run):
+        trace, result = traced_run
+        assert trace.winner is result.plan and trace.candidates
+        assert len(trace.events_of_kind("deadend")) \
+            == trace.prunings.get("infeasible", 0)
+        # a "prune" step is a generated status killed off the queue;
+        # candidates cut before generation are counted, not narrated
+        assert len(trace.events_of_kind("prune")) \
+            <= trace.prunings.get("cost-bound", 0)
+
+    def test_events_share_the_candidate_cap(self, monkeypatch,
+                                            small_document,
+                                            running_example_pattern):
+        from repro.core import planspace
+
+        full = PlanSpaceRecorder()
+        DPPOptimizer(planspace=full).optimize(
+            running_example_pattern, ExactEstimator(small_document))
+        monkeypatch.setattr(planspace, "MAX_CANDIDATES", 7)
+        capped = PlanSpaceRecorder()
+        DPPOptimizer(planspace=capped).optimize(
+            running_example_pattern, ExactEstimator(small_document))
+        assert capped.events == full.events[:7]
+        assert capped.events_dropped == len(full.events) - 7
+        assert f"... {len(full.events) - 7} more events" \
+            in capped.narrative()
+        assert len(capped.candidates) == 7
+
+    def test_a_recorder_is_reset_per_optimize(self, small_document,
+                                              running_example_pattern):
+        from repro.core.fp import FPOptimizer
+
+        recorder = PlanSpaceRecorder()
+        estimator = ExactEstimator(small_document)
+        DPPOptimizer(planspace=recorder).optimize(
+            running_example_pattern, estimator)
+        assert recorder.events and recorder.status_count()
+        FPOptimizer(planspace=recorder).optimize(
+            running_example_pattern, estimator)
+        # FP walks no statuses: empty is how callers tell
+        assert recorder.events == [] and recorder.status_count() == 0

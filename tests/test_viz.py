@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.dpp import DPPOptimizer
-from repro.core.trace import SearchTrace
+from repro.core.planspace import PlanSpaceRecorder
 from repro.core.viz import plan_to_dot, trace_to_dot
 from repro.estimation.estimator import ExactEstimator
 
@@ -46,8 +46,8 @@ class TestPlanToDot:
 
 class TestTraceToDot:
     def test_search_graph(self, small_document, running_example_pattern):
-        trace = SearchTrace()
-        DPPOptimizer(trace=trace).optimize(
+        trace = PlanSpaceRecorder()
+        DPPOptimizer(planspace=trace).optimize(
             running_example_pattern, ExactEstimator(small_document))
         dot = trace_to_dot(trace)
         assert dot.startswith("digraph")
