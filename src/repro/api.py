@@ -44,7 +44,7 @@ from repro.estimation.estimator import (CardinalityEstimator,
                                         PositionalEstimator)
 from repro.obs.explain import (ExplainReport, OperatorAnalysis,
                                build_analysis)
-from repro.obs.querylog import QueryLog, build_record
+from repro.obs.querylog import build_record
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.storage.buffer import BufferPool
@@ -92,7 +92,6 @@ class Database(QueryTarget):
                  cost_factors: CostFactors | None = None,
                  histogram_grid: int = 16,
                  engine: str = "block",
-                 query_log: QueryLog | None = None,
                  service_options: dict | None = None) -> None:
         super().__init__(engine, cost_factors, histogram_grid,
                          service_options)
@@ -110,7 +109,6 @@ class Database(QueryTarget):
         self.document: XmlDocument | None = None
         self._estimator: PositionalEstimator | None = None
         self.statistics_epoch = 0
-        self.query_log = query_log
         #: guards the atomic swap of store/index/document/estimator at
         #: commit publication; readers take it only for the instant of
         #: :meth:`read_snapshot`.
@@ -318,85 +316,65 @@ class Database(QueryTarget):
                                        snapshot.document,
                                        factors=self.cost_factors)
 
-    def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                engine: str | None = None,
-                spans: bool = False,
-                algorithm: str = "",
-                trace_context: TraceContext | None = None
-                ) -> ExecutionResult:
-        """Run a physical plan against the stored document.
-
-        *engine* overrides the database default for this run
-        (``"block"`` or ``"tuple"``; see :data:`Database.engine`).
-        A traced run (:meth:`~repro.target.QueryTarget._trace_for`)
-        records a per-operator span tree, returned on
-        :attr:`ExecutionResult.span`; it is stamped but not retained
-        in :attr:`tracer`.
-
-        When a query log is attached every execution appends one
-        record; the log's trace sampling may force spans on so the
-        record carries per-operator estimate-vs-actual detail.
-        *algorithm* only annotates that record (``Database.query`` and
-        the query service pass it through).
-        """
-        snapshot, context = self._engine_context()
-        log = self.query_log
-        trace = self._trace_for(spans, trace_context)
-        if trace is None and log is not None and log.want_span():
-            trace = TraceContext.new()
-        engine = engine or self.engine
-        result = Executor(context, pattern, engine=engine).execute(
-            plan, spans=trace is not None)
-        if result.span is not None:
-            # stamp trace identity once per traced run, so log records
-            # and any retained span tree share a joinable trace id
-            assign_span_ids(result.span, trace.trace_id)
-        if log is not None:
-            log.record(build_record(
-                pattern, plan, result, algorithm=algorithm,
-                engine=engine,
-                statistics_epoch=snapshot.statistics_epoch,
-                factors=self.cost_factors))
-        return result
-
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                        engine: str | None = None,
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
-                       ) -> StreamingExecution:
+                       algorithm: str = "") -> StreamingExecution:
         """Run a plan incrementally, yielding rows as produced.
 
-        The network front-end's serving path.  *engine* defaults to
+        The one run path: :meth:`execute` drains it, the query service
+        and the network front-end stream it.  *engine* defaults to
         :data:`~repro.engine.executor.STREAM_ENGINE` (the tuple
         engine): first results of a pipelined (FP) plan reach the
         caller before the plan drains — the paper's Sec. 3.4
         online-querying property — and *cancel*, consulted after each
         row is pulled, lets a deadline stop the operators mid-stream.
         With ``engine="block"`` the whole block is produced before the
-        first row (and before the first look at *cancel*).  Traced
-        streams record their span tree on :attr:`tracer` when the
-        stream finishes; streamed runs are not appended to the query
-        log, which records only complete executions.
-        """
-        _, context = self._engine_context()
-        trace = self._trace_for(spans, trace_context)
+        first row (and before the first look at *cancel*).
 
-        def record_trace(stream: StreamingExecution) -> None:
-            assign_span_ids(stream.span, trace.trace_id)
-            self.tracer.record(stream.span)
+        A run is traced when the caller asks
+        (:meth:`~repro.target.QueryTarget._trace_for`) or when the
+        attached query log's trace sampling picks it, so its record
+        carries per-operator estimate-vs-actual detail.  What a
+        finished run leaves behind is decided in one place, the finish
+        hook below: a traced run's span tree is stamped with its trace
+        id and recorded on :attr:`tracer`, and a run read to its end
+        appends one record (annotated with *algorithm*) to the query
+        log.  A run cancelled or closed early — a deadline, a
+        ``limit``, a client gone — appends none: its partial counters
+        would poison ``calibrate`` and ``audit``.
+        """
+        snapshot, context = self._engine_context()
+        log = self.query_log
+        trace = self._trace_for(spans, trace_context)
+        if trace is None and log is not None and log.want_span():
+            trace = TraceContext.new()
+        engine = engine or STREAM_ENGINE
+
+        def finish(stream: StreamingExecution) -> None:
+            if trace is not None:
+                # one trace id on the retained tree and the log record
+                assign_span_ids(stream.span, trace.trace_id)
+                self.tracer.record(stream.span)
+            if log is not None and stream.exhausted:
+                log.record(build_record(
+                    pattern, plan, stream, algorithm=algorithm,
+                    engine=engine,
+                    statistics_epoch=snapshot.statistics_epoch,
+                    factors=self.cost_factors))
 
         return Executor(context, pattern).stream(
-            plan, engine=engine or STREAM_ENGINE, cancel=cancel,
-            spans=trace is not None,
-            on_finish=record_trace if trace is not None else None)
+            plan, engine=engine, cancel=cancel,
+            spans=trace is not None, on_finish=finish)
 
     def _explain_analysis(self, report: ExplainReport,
                           pattern: QueryPattern
                           ) -> tuple[OperatorAnalysis, Span]:
-        """Per-operator analysis of the executed plan, under a query
-        span with parse / optimize / execute stages that is recorded
-        on :attr:`tracer`."""
+        """Per-operator analysis of the executed plan, and a query
+        span wrapping the run's own tree (which the run's finish hook
+        already recorded) in parse / optimize / execute stages."""
         execution, optimization = report.execution, report.optimization
         query_span = Span("query", detail=report.query)
         parse_span = Span("parse")
@@ -413,11 +391,10 @@ class Database(QueryTarget):
         query_span.seconds = sum(child.seconds
                                  for child in query_span.children)
         query_span.output_rows = len(execution)
-        # keep the trace id execute() stamped (the query-log record
-        # already carries it); re-stamping the whole tree under it is
-        # idempotent and gives the wrapper stages proper span ids
+        # keep the trace id the run was stamped with (the query-log
+        # record already carries it); re-stamping the whole tree under
+        # it is idempotent and gives the wrapper stages proper span ids
         assign_span_ids(query_span, execution.span.trace_id)
-        self.tracer.record(query_span)
         return (build_analysis(optimization.plan, execution.span,
                                pattern), query_span)
 

@@ -149,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write every result binding as one "
                             "canonical line (sorted, diff-able "
                             "across shard counts and engines)")
-    add_service_flags(query)
 
     explain = commands.add_parser(
         "explain", help="compare the plans all algorithms pick, or "
@@ -297,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
         "log", help="run the paper workload with a persistent query "
                     "log attached, or summarize an existing log")
     add_source(log_cmd, required=False)
-    add_service_flags(log_cmd)
     log_cmd.add_argument("--read", metavar="FILE", default=None,
                          help="summarize an existing query log "
                               "(including rotated segments) instead "
@@ -325,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
         "calibrate", help="fit cost-model factors from traced query "
                           "logs (non-negative least squares)")
     add_source(calibrate, required=False)
-    add_service_flags(calibrate)
     calibrate.add_argument("--log", metavar="FILE", default=None,
                            help="calibrate from a previously written "
                                 "query log instead of serving a "
@@ -415,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--db", metavar="DIR", required=True,
                         help="database directory (pages.db + wal.log)")
     add_source(ingest, with_db=False)
-    add_service_flags(ingest)
     ingest.add_argument("--batches", type=int, default=1, metavar="N",
                         help="append N copies of the source document, "
                              "one transaction each (default 1; 0 = "
@@ -1045,14 +1041,12 @@ def _command_ingest(arguments: argparse.Namespace, out: IO[str]) -> int:
     if arguments.batches < 0:
         raise ReproError("--batches must be >= 0")
     source = _source_document(arguments)
-    options = _service_options(arguments)
     batches = arguments.batches
     if os.path.exists(os.path.join(arguments.db, PAGES_FILE)):
-        database = open_database(arguments.db, service_options=options)
+        database = open_database(arguments.db)
         _report_recovery(database, out)
     else:
-        database = create_database(arguments.db, document=source,
-                                   service_options=options)
+        database = create_database(arguments.db, document=source)
         out.write(f"created {arguments.db} with {len(source)} "
                   f"nodes\n")
         batches -= 1

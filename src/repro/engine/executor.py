@@ -130,11 +130,15 @@ class StreamingExecution:
     the fact; cancellation surfaces as :class:`QueryCancelled` and
     closes the pipeline.  Abandoning the iteration early (or calling
     :meth:`close`) also closes the pipeline and finalizes the metrics,
-    so partial reads never leak open operator state.
+    so partial reads never leak open operator state.  :attr:`exhausted`
+    tells the three endings apart: it is true only for a stream read
+    to the end of its source — not one cancelled, not one closed early
+    — so only then do the counters describe the whole plan.
+    :attr:`engine` names the engine that ran.
     """
 
     def __init__(self, schema: Schema, metrics: ExecutionMetrics,
-                 source: Iterable[MatchTuple], *,
+                 source: Iterable[MatchTuple], *, engine: str,
                  cancel: Callable[[], bool] | None = None,
                  span: Span | None = None,
                  started: float | None = None,
@@ -142,10 +146,12 @@ class StreamingExecution:
                  | None = None) -> None:
         self.schema = schema
         self.metrics = metrics
+        self.engine = engine
         self.span = span
         self.produced = 0
         self.total_seconds = 0.0
         self.cancelled = False
+        self.exhausted = False
         self.finished = False
         self._source = source
         self._cancel = cancel
@@ -183,6 +189,7 @@ class StreamingExecution:
                 self.cancelled = True
                 raise QueryCancelled(
                     f"query cancelled after {self.produced} rows")
+            self.exhausted = True
         finally:
             self._finish()
 
@@ -201,9 +208,16 @@ class StreamingExecution:
             whole = getattr(self._source, "fetchall", None)
             rows = whole() if whole is not None else list(self._source)
             self.produced += len(rows)
+            self.exhausted = True
         finally:
             self._finish()
         return rows
+
+    def result(self) -> ExecutionResult:
+        """The stream drained into an :class:`ExecutionResult`."""
+        tuples = self.fetchall()  # finishing may set (stitch) the span
+        return ExecutionResult(tuples, self.schema, self.metrics,
+                               self.span)
 
     def close(self) -> None:
         """Stop early: close the pipeline and finalize the metrics."""
@@ -328,10 +342,7 @@ class Executor:
         """
         if spans is None:
             spans = self.context.tracing
-        stream = self.stream(plan, engine=engine, spans=spans)
-        return ExecutionResult(tuples=stream.fetchall(),
-                               schema=stream.schema,
-                               metrics=stream.metrics, span=stream.span)
+        return self.stream(plan, engine=engine, spans=spans).result()
 
     def stream(self, plan: PhysicalPlan, *,
                engine: str | None = None,
@@ -387,8 +398,8 @@ class Executor:
         # a block operator is its own row source (block made on first read)
         source = root if engine == "block" else root.run()
         return StreamingExecution(root.schema, metrics, source,
-                                  cancel=cancel, span=span_root,
-                                  on_finish=finalize)
+                                  engine=engine, cancel=cancel,
+                                  span=span_root, on_finish=finalize)
 
     def time_to_first(self, plan: PhysicalPlan,
                       results: int = 1) -> FirstResultTiming:

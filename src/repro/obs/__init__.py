@@ -39,7 +39,7 @@ from repro.obs.explain import (ExplainReport, OperatorAnalysis,
                                build_analysis, q_error)
 from repro.obs.registry import (BucketRecorder, Counter, Gauge,
                                 Histogram, MetricsRegistry,
-                                SampleReservoir, get_global_registry)
+                                SampleReservoir)
 from repro.obs.slo import DEFAULT_OBJECTIVES, SLObjective, SLOTracker
 from repro.obs.spans import (FrozenMetrics, Span, TraceContext, Tracer,
                              assign_span_ids)
@@ -62,7 +62,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "SampleReservoir",
-    "get_global_registry",
     "DEFAULT_OBJECTIVES",
     "SLObjective",
     "SLOTracker",

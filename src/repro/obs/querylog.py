@@ -55,7 +55,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cost import CostFactors
     from repro.core.pattern import QueryPattern
     from repro.core.plans import PhysicalPlan
-    from repro.engine.executor import ExecutionResult
+    from repro.engine.executor import (ExecutionResult,
+                                       StreamingExecution)
 
 __all__ = ["QueryLog", "QueryLogScan", "build_record", "read_query_log",
            "signature_digest"]
@@ -79,14 +80,15 @@ def signature_digest(pattern: "QueryPattern") -> str:
 
 
 def build_record(pattern: "QueryPattern", plan: "PhysicalPlan",
-                 execution: "ExecutionResult", *,
+                 execution: "ExecutionResult | StreamingExecution", *,
                  algorithm: str = "", engine: str = "",
                  statistics_epoch: int = 0,
                  factors: "CostFactors | None" = None,
                  query: str | None = None,
                  timestamp: float | None = None,
                  trace_id: str = "") -> dict[str, object]:
-    """One JSON-able log record for a finished execution.
+    """One JSON-able log record for a finished execution — a buffered
+    result, or a stream read to its end (``rows`` is what it produced).
 
     When the execution was traced (``execution.span`` is set) the
     record carries an ``operators`` list — the plan's operator tree
@@ -112,7 +114,8 @@ def build_record(pattern: "QueryPattern", plan: "PhysicalPlan",
         "estimated_cost": plan.estimated_cost,
         "actual_cost": metrics.simulated_cost(),
         "wall_seconds": metrics.wall_seconds,
-        "rows": len(execution),
+        "rows": (execution.produced if hasattr(execution, "produced")
+                 else len(execution)),
         "statistics_epoch": statistics_epoch,
         "factors": factors.to_dict() if factors is not None else None,
         "counters": metrics.counters(),

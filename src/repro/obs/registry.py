@@ -17,11 +17,9 @@ cache occupancy): callbacks registered with
 :meth:`MetricsRegistry.register_collector` run before every export and
 set gauges from the live objects.
 
-A process-wide default registry (:func:`get_global_registry`) exists
-for single-database processes such as the CLI; the serving layer
-creates one registry per :class:`~repro.service.service.QueryService`
-so concurrent databases in one process (and tests) never share
-counters.
+There is no process-wide registry: the serving layer creates one per
+:class:`~repro.service.service.QueryService`, so concurrent databases
+in one process (and tests) never share counters.
 
 :class:`SampleReservoir` implements Vitter's Algorithm R — a uniform
 sample over an unbounded stream — and backs the query service's
@@ -37,8 +35,7 @@ import threading
 from typing import Callable, Sequence
 
 __all__ = ["BucketRecorder", "Counter", "Gauge", "Histogram",
-           "MetricsRegistry", "SampleReservoir",
-           "get_global_registry"]
+           "MetricsRegistry", "SampleReservoir"]
 
 #: default histogram buckets: latency-flavoured, in seconds.
 DEFAULT_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -398,19 +395,6 @@ class MetricsRegistry:
         with self._lock:
             for metric in self._metrics.values():
                 metric._reset()
-
-
-_GLOBAL_REGISTRY = MetricsRegistry()
-
-
-def get_global_registry() -> MetricsRegistry:
-    """The process-wide default registry.
-
-    Single-database processes (the CLI, notebooks) can hang everything
-    off this one; the serving layer defaults to a per-service registry
-    instead so concurrent databases never share series.
-    """
-    return _GLOBAL_REGISTRY
 
 
 class SampleReservoir:

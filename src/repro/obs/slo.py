@@ -115,19 +115,18 @@ DEFAULT_OBJECTIVES = (
 class _ObjectiveState:
     __slots__ = ("events", "bad", "window")
 
-    def __init__(self, window: int) -> None:
+    def __init__(self) -> None:
         self.events = 0
         self.bad = 0
-        self.window: deque[bool] = deque(maxlen=window)
+        self.window: deque[bool] = deque(maxlen=DEFAULT_WINDOW)
 
 
 class SLOTracker:
     """Evaluate a set of objectives over the live query stream."""
 
     def __init__(self,
-                 objectives: "tuple[SLObjective, ...]" = DEFAULT_OBJECTIVES,
-                 window: int = DEFAULT_WINDOW,
-                 buckets: "tuple[float, ...]" = DEFAULT_BUCKETS) -> None:
+                 objectives: "tuple[SLObjective, ...]" = DEFAULT_OBJECTIVES
+                 ) -> None:
         if not objectives:
             raise ValueError("an SLO tracker needs at least one "
                              "objective")
@@ -135,9 +134,8 @@ class SLOTracker:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate objective names in {names}")
         self.objectives = tuple(objectives)
-        self.buckets = tuple(sorted(float(bound) for bound in buckets))
         self._mutex = threading.Lock()
-        self._states = {objective.name: _ObjectiveState(window)
+        self._states = {objective.name: _ObjectiveState()
                         for objective in objectives}
         #: bucket upper bound (or "+Inf") -> most recent exemplar
         self._exemplars: dict[str, dict] = {}
@@ -163,7 +161,7 @@ class SLOTracker:
                     "value": seconds, "trace_id": trace_id}
 
     def _bucket_of(self, seconds: float) -> str:
-        for bound in self.buckets:
+        for bound in DEFAULT_BUCKETS:
             if seconds <= bound:
                 return repr(bound)
         return "+Inf"

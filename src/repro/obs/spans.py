@@ -296,9 +296,10 @@ def assign_span_ids(root: Span, trace_id: str,
 class Tracer:
     """Thread-safe bounded ring of finished query span trees.
 
-    One tracer per :class:`~repro.api.Database`; every traced query
-    (``Database.explain(..., analyze=True)``) records its root span
-    here, oldest dropped first once *capacity* traces are held.
+    One tracer per query target; every traced run (an
+    ``explain(analyze=True)``, a sampled or ``X-Trace-Id`` request)
+    has its root span recorded here by ``stream_execute``'s finish
+    hook, oldest dropped first once *capacity* traces are held.
     """
 
     def __init__(self, capacity: int = 64) -> None:

@@ -23,7 +23,8 @@ with a JSON object; body keys win)::
     tenant      "anonymous"    admission bucket (or ``X-Tenant``)
 
 Row hand-off, streamed and buffered, single-node and sharded alike: a
-producer thread pulls rows from ``stream_execute``, hands the first
+producer thread pulls rows from ``QueryService.stream`` (the one
+request path, ``service.query``'s too), hands the first
 one over alone (time-to-first-result never waits for a batch), then
 batches that double up to ``BATCH_ROWS``.  One hand-off is one
 cross-thread wake-up; for a streamed response it is also one encode
@@ -658,11 +659,8 @@ class QueryServer:
             try:
                 if handoff.cancelled():
                     return  # the deadline beat the pool to a thread
-                pattern = self.database.compile(params.xpath)
-                optimization = self.service.optimize_cached(
-                    pattern, params.algorithm)
-                stream = self.database.stream_execute(
-                    optimization.plan, pattern, engine=params.engine,
+                _, stream = self.service.stream(
+                    params.xpath, params.algorithm, params.engine,
                     cancel=handoff.cancelled,
                     trace_context=trace_context)
                 delivery.stream = stream
@@ -811,7 +809,7 @@ class QueryServer:
                      else None),
             rows=rows, query=params.xpath,
             algorithm=params.algorithm,
-            engine=params.engine or "")
+            engine=stream.engine if stream is not None else "")
         if delivery.client_gone:
             return False
         summary = {

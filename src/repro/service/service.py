@@ -21,7 +21,7 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.pattern import QueryPattern
 from repro.engine.metrics import ExecutionMetrics
@@ -30,8 +30,10 @@ from repro.obs.slo import DEFAULT_OBJECTIVES, SLObjective, SLOTracker
 from repro.service.cache import PlanCache, cache_key
 from repro.target import QueryResult, QueryTarget
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.explain import ExplainReport
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.optimizer import OptimizationResult
+    from repro.engine.executor import StreamingExecution
+    from repro.obs.spans import TraceContext
 
 #: Capacity of the latency reservoir backing percentile estimation.
 #: Sampling is Algorithm R (uniform over all observations ever made),
@@ -50,6 +52,9 @@ SLOW_QUERY_SECONDS = 0.25
 #: the CLI's ``--slow-log-capacity``; ``0`` disables retention.
 SLOW_LOG_CAPACITY = 32
 
+#: Thread-pool width of a ``query_many`` batch that names none.
+BATCH_WORKERS = 4
+
 
 def percentile(samples: Sequence[float], fraction: float) -> float:
     """Nearest-rank percentile of *samples* (0 when empty)."""
@@ -65,17 +70,12 @@ class QueryService:
     target (a :class:`~repro.api.Database` or a shard fleet)."""
 
     def __init__(self, database: QueryTarget,
-                 cache_capacity: int = 256,
-                 workers: int = 4,
-                 registry: MetricsRegistry | None = None,
                  slow_query_seconds: float = SLOW_QUERY_SECONDS,
                  slow_log_capacity: int = SLOW_LOG_CAPACITY,
                  trace_sample: int = 0,
                  planspace_sample: int = 0,
                  slo_objectives: "tuple[SLObjective, ...] | None"
                  = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be at least 1")
         if slow_log_capacity < 0:
             raise ValueError("slow_log_capacity must be >= 0")
         if trace_sample < 0:
@@ -83,13 +83,12 @@ class QueryService:
         if planspace_sample < 0:
             raise ValueError("planspace_sample must be >= 0")
         self.database = database
-        self.cache = PlanCache(capacity=cache_capacity)
-        self.default_workers = workers
+        self.cache = PlanCache()
         self.slow_query_seconds = slow_query_seconds
         self.slow_log_capacity = slow_log_capacity
-        #: trace every n-th service query (0 disables): sampled runs
-        #: execute with spans on and land in ``database.tracer`` — on a
-        #: sharded database that is a stitched cross-process trace.
+        #: trace every n-th request through :meth:`stream` (0
+        #: disables): sampled runs execute with spans on and land in
+        #: ``database.tracer`` — on a fleet, a stitched cross-process trace.
         self.trace_sample = trace_sample
         #: record the plan space of every n-th plan-cache miss (0
         #: disables): sampled optimizations run with a
@@ -109,10 +108,9 @@ class QueryService:
         self._planspace_ring: deque[dict[str, object]] = deque(maxlen=16)
         self._slow_queries: deque[dict[str, object]] = deque(
             maxlen=slow_log_capacity)
-        #: per-service registry by default so concurrent databases in
-        #: one process (and tests) never share series; pass a shared
-        #: registry (e.g. the global one) to aggregate across services.
-        self.registry = registry or MetricsRegistry()
+        #: one registry per service, so concurrent databases in one
+        #: process (and tests) never share series.
+        self.registry = MetricsRegistry()
         self._queries_total = self.registry.counter(
             "repro_queries_total", "Queries served")
         self._errors_total = self.registry.counter(
@@ -163,16 +161,42 @@ class QueryService:
 
     # -- serving ----------------------------------------------------------
 
+    def stream(self, query: "str | QueryPattern",
+               algorithm: str = "DPP",
+               engine: "str | None" = None, *,
+               cancel: "Callable[[], bool] | None" = None,
+               trace_context: "TraceContext | None" = None,
+               **options: object
+               ) -> "tuple[OptimizationResult, StreamingExecution]":
+        """The one request path: sample, compile, plan, start the run.
+
+        Every request — :meth:`query` and the network front-end alike
+        — enters here, so 1-in-``trace_sample`` tracing counts on one
+        clock however a request arrived.  Returns the (cached)
+        optimization and the unread
+        :meth:`~repro.target.QueryTarget.stream_execute` handle, which
+        receives *engine*, *cancel* and *trace_context* as given;
+        *options* are optimizer arguments and part of the plan-cache
+        key (the plan is engine-independent).  Whoever reads the rows
+        reports the outcome through :meth:`observe_served_query` —
+        only the reader knows its latency and what it delivered.
+        """
+        traced = self._sampled("trace", self.trace_sample)
+        pattern = self.database.compile(query)
+        optimization = self.optimize_cached(pattern, algorithm, **options)
+        return optimization, self.database.stream_execute(
+            optimization.plan, pattern, engine, cancel=cancel,
+            spans=traced, trace_context=trace_context,
+            algorithm=algorithm)
+
     def query(self, query: "str | QueryPattern",
               algorithm: str = "DPP",
               engine: "str | None" = None,
               submitted_at: float | None = None,
               **options: object) -> "QueryResult":
-        """Optimize (through the cache) and execute one query.
+        """One request, buffered: :meth:`stream` on *engine* (default:
+        the target's own), drained and observed.
 
-        ``engine`` picks the execution mode for this run and stays out
-        of *options* (which are optimizer arguments and part of the
-        plan-cache key — the plan is engine-independent).
         ``submitted_at`` (a ``perf_counter`` reading) is passed by the
         batch path so queue wait — submission to execution start — is
         observable separately from execution time.
@@ -181,32 +205,22 @@ class QueryService:
         if submitted_at is not None:
             self._queue_wait_hist.observe(max(0.0,
                                               started - submitted_at))
-        traced = self._sampled("trace", self.trace_sample)
         try:
-            pattern = self.database.compile(query)
-            optimization = self.optimize_cached(pattern, algorithm,
-                                                **options)
-            execution = self.database.execute(optimization.plan, pattern,
-                                              engine=engine,
-                                              spans=traced,
-                                              algorithm=algorithm)
+            optimization, stream = self.stream(
+                query, algorithm, engine or self.database.engine,
+                **options)
+            execution = stream.result()
         except BaseException:
             self.observe_served_query(time.perf_counter() - started,
                                       error=True)
             raise
-        elapsed = time.perf_counter() - started
         span = execution.span
-        # a shard fleet records its stitched trace inside execute(); a
-        # single node only stamps trace ids, so the sampled span is
-        # retained here
-        if (traced and span is not None
-                and not self.database.records_traces_in_execute):
-            self.database.tracer.record(span)
         self.observe_served_query(
-            elapsed, trace_id=span.trace_id if span is not None else "",
+            time.perf_counter() - started,
+            trace_id=span.trace_id if span is not None else "",
             metrics=execution.metrics, rows=len(execution),
             query=query if isinstance(query, str) else repr(query),
-            algorithm=algorithm, engine=engine or "")
+            algorithm=algorithm, engine=stream.engine)
         return QueryResult(optimization=optimization,
                            execution=execution)
 
@@ -221,12 +235,11 @@ class QueryService:
                              engine: str = "") -> None:
         """Fold one finished query into the service totals.
 
-        The one observation path: :meth:`query` reports its own runs
-        here, and so does the network front-end, which streams
-        executions itself (:meth:`query` materializes a
-        ``QueryResult``) — so ``/metrics`` and ``/slo`` stay one
-        coherent surface regardless of how the query entered the
-        process.  *time_to_first* feeds both the
+        The one observation path: whoever read a :meth:`stream` —
+        :meth:`query`, or the network front-end — reports here, so
+        ``/metrics`` and ``/slo`` stay one coherent surface regardless
+        of how the query entered the process.  *engine* is the engine
+        that ran (``stream.engine``).  *time_to_first* feeds both the
         ``repro_time_to_first_seconds`` histogram and the TTFR SLO;
         *error* covers failures **and deadline cancellations** (a
         cancelled request burned its latency budget without an
@@ -256,7 +269,7 @@ class QueryService:
                 self._slow_queries.append({
                     "query": query,
                     "algorithm": algorithm,
-                    "engine": engine or self.database.engine,
+                    "engine": engine,
                     "seconds": seconds,
                     "rows": rows,
                     "trace_id": trace_id,
@@ -282,7 +295,7 @@ class QueryService:
         patterns in the batch are optimized once (misses are
         single-flight in the plan cache).
         """
-        workers = self.default_workers if workers is None else workers
+        workers = BATCH_WORKERS if workers is None else workers
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if workers == 1 or len(queries) <= 1:
@@ -367,20 +380,6 @@ class QueryService:
             raise ValueError("limit must be at least 1")
         with self._mutex:
             return list(self._planspace_ring)[-limit:]
-
-    def explain(self, query: "str | QueryPattern",
-                algorithm: str = "DPP", analyze: bool = False,
-                engine: "str | None" = None,
-                **options: object) -> "ExplainReport":
-        """Passthrough to :meth:`Database.explain`.
-
-        EXPLAIN is a diagnostic: it bypasses the plan cache (the
-        report must show this optimization's search work, not a cached
-        plan's) and does not count toward service query totals.
-        """
-        return self.database.explain(query, algorithm=algorithm,
-                                     analyze=analyze, engine=engine,
-                                     **options)
 
     # -- lifecycle --------------------------------------------------------
 

@@ -34,8 +34,7 @@ from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.document.document import XmlDocument
 from repro.document.node import Region
-from repro.engine.executor import (ExecutionResult, StreamingExecution,
-                                   validate_engine)
+from repro.engine.executor import StreamingExecution, validate_engine
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.tuples import MatchTuple, Schema
 from repro.estimation.estimator import (CardinalityEstimator,
@@ -56,11 +55,6 @@ __all__ = ["ShardedDatabase"]
 
 class ShardedDatabase(QueryTarget):
     """N durable shards behind the one query-target surface."""
-
-    #: every traced execution records its stitched trace into
-    #: :attr:`tracer` directly (the stitch happens here, nowhere else);
-    #: layers above (service trace sampling) must not record again.
-    records_traces_in_execute = True
 
     def __init__(self, document: XmlDocument, shards: int = 2,
                  base_dir: "str | Path | None" = None,
@@ -209,43 +203,12 @@ class ShardedDatabase(QueryTarget):
         """Aggregate epoch: the sum of all per-shard epochs."""
         return sum(self._shard_epochs)
 
-    def shard_epochs(self) -> list[int]:
-        return list(self._shard_epochs)
-
     @property
     def estimator(self) -> CardinalityEstimator:
         """The merged-statistics estimator the coordinator plans with."""
         return self._estimator
 
     # -- execution --------------------------------------------------------
-
-    def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                engine: str | None = None, spans: bool = False,
-                algorithm: str = "",
-                trace_context: TraceContext | None = None
-                ) -> ExecutionResult:
-        """Scatter *plan* to every shard, gather, k-way merge:
-        :meth:`stream_execute`, drained at once.
-
-        The plan — chosen once against the merged statistics — is
-        fanned out verbatim: shards share the global label space, so
-        it is valid everywhere and per-shard optimization would only
-        diverge the fleet.  Returns the merged result in global
-        document order (see the module docstring for the two contract
-        differences from a single node).  A traced execution runs as
-        one distributed trace: a :class:`TraceContext` (fresh, or the
-        caller's *trace_context*) rides with the plan to every worker,
-        each worker ships its span subtree back serialized, and the
-        finishing stream stitches them into the single trace recorded
-        in :attr:`tracer`.  The stitched tree's cost-counter shares sum
-        *exactly* to the merged ``ExecutionMetrics`` — counters cross
-        the pipe as ints, never re-measured.
-        """
-        stream = self.stream_execute(
-            plan, pattern, engine, spans=spans, trace_context=trace_context)
-        tuples = stream.fetchall()  # finishing stitches stream.span
-        return ExecutionResult(tuples, stream.schema, stream.metrics,
-                               stream.span)
 
     def _gather(self, plan: PhysicalPlan, pattern: QueryPattern,
                 engine: str, trace: TraceContext | None
@@ -299,19 +262,34 @@ class ShardedDatabase(QueryTarget):
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
-                       ) -> StreamingExecution:
-        """Scatter-gather, then stream rows out of the merge.
+                       algorithm: str = "") -> StreamingExecution:
+        """Scatter *plan* to every shard, gather, then stream rows out
+        of the k-way merge (:meth:`execute` is this, drained at once).
 
-        Shards execute their plans to completion before shipping rows
-        (the pipe protocol is one payload per shard), so what streams
-        is the coordinator-side merge and region rebuild
+        The plan — chosen once against the merged statistics — is
+        fanned out verbatim: shards share the global label space, so
+        it is valid everywhere and per-shard optimization would only
+        diverge the fleet.  Rows come back in global document order
+        (the module docstring has the two contract differences from a
+        single node).  Shards run their plans to completion before
+        shipping rows (the pipe protocol is one payload per shard), so
+        what streams is the coordinator-side merge and region rebuild
         (:meth:`_merged_rows`, lazy): the first row leaves as soon as
         every shard has answered and the run boundaries (or, on the
         general path, the run heads) have been compared — not after
         the whole result has been rebuilt, which is the latency
         :meth:`time_to_first` reports.  *cancel* is consulted after
-        each merged row is pulled; traced streams stitch and record
-        their distributed trace when the stream finishes.
+        each merged row is pulled; *algorithm* is unused, a fleet
+        keeping no query log.
+
+        A traced run is one distributed trace: a :class:`TraceContext`
+        (fresh, or the caller's *trace_context*) rides with the plan to
+        every worker, each worker ships its span subtree back
+        serialized, and the finish hook stitches them into the single
+        trace it records in :attr:`tracer` — there and nowhere else.
+        The stitched tree's cost-counter shares sum *exactly* to the
+        merged ``ExecutionMetrics`` — counters cross the pipe as ints,
+        never re-measured.
         """
         self._require_open()
         engine = validate_engine(engine or self.engine)
@@ -324,15 +302,15 @@ class ShardedDatabase(QueryTarget):
         def finish(stream: StreamingExecution) -> None:
             metrics.wall_seconds = stream.total_seconds
             if trace is not None:
-                span = self._stitch_trace(
+                stream.span = self._stitch_trace(
                     trace, payloads, phases, metrics, stream.produced,
                     time.perf_counter() - merge_started)
-                stream.span = span
-                self.tracer.record(span)
+                self.tracer.record(stream.span)
 
         return StreamingExecution(
             Schema(node_ids), metrics, self._merged_rows(payloads),
-            cancel=cancel, started=started, on_finish=finish)
+            engine=engine, cancel=cancel, started=started,
+            on_finish=finish)
 
     def _stitch_trace(self, trace: TraceContext, payloads: list[dict],
                       phases: dict[str, float],
@@ -409,7 +387,7 @@ class ShardedDatabase(QueryTarget):
         one fully annotated per-shard plan analysis each —
         estimate-vs-actual drift is visible *per shard*, which is
         exactly where partition skew shows up.  The span is the
-        stitched trace :meth:`execute` already recorded."""
+        stitched trace the run's finish hook already recorded."""
         execution = report.execution
         plan = report.optimization.plan
         shard_analyses: list[OperatorAnalysis] = []
@@ -469,7 +447,7 @@ class ShardedDatabase(QueryTarget):
             totals = [dict(entry) for entry in self._shard_totals]
         snapshot["shards"] = {
             "count": self.shards,
-            "epochs": self.shard_epochs(),
+            "epochs": list(self._shard_epochs),
             "nodes": [assignment.node_count
                       for assignment in self.partition.assignments],
             "label_ranges": [[assignment.label_lo, assignment.label_hi]

@@ -4,9 +4,10 @@ The paper's contribution is plan *choice* — one optimizer run against
 one set of statistics — and nothing about choosing a plan depends on
 where the plan then runs.  :class:`QueryTarget` therefore owns every
 operation that is planning or serving, and a back end supplies only
-what genuinely differs: the statistics, how a plan is executed and
-streamed, what an explain report says about that execution, and its
-own gauges (the abstract members below).
+what genuinely differs: the statistics, how a plan is run (one
+``stream_execute``; ``execute`` is that stream drained), what an
+explain report says about that run, and its own gauges (the abstract
+members below).
 :class:`~repro.api.Database` (one node) and
 :class:`~repro.shard.sharded.ShardedDatabase` (a worker fleet) are the
 two back ends; the query service, the HTTP front-end and the CLI call
@@ -64,11 +65,6 @@ class QueryResult:
 class QueryTarget(abc.ABC):
     """Everything above the execution back end, written once."""
 
-    #: whether a traced :meth:`execute` retains its span tree in
-    #: :attr:`tracer` itself.  Where it does not, a layer that samples
-    #: traces per query (the service) records the span it got back.
-    records_traces_in_execute = False
-
     document: XmlDocument | None
     #: bumped whenever the statistics the optimizer plans with change;
     #: part of every plan-cache key.
@@ -85,7 +81,7 @@ class QueryTarget(abc.ABC):
         self.cost_model = CostModel(self.cost_factors)
         self.histogram_grid = histogram_grid
         #: keyword arguments for the lazily built :class:`QueryService`
-        #: (worker count, slow-query threshold/log bound, …).
+        #: (slow-query threshold/log bound, sampling rates).
         self.service_options = dict(service_options or {})
         #: optional persistent query log (see :meth:`attach_query_log`).
         self.query_log: QueryLog | None = None
@@ -107,31 +103,22 @@ class QueryTarget(abc.ABC):
         """The statistics :meth:`optimize` costs plans against."""
 
     @abc.abstractmethod
-    def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                engine: str | None = None,
-                spans: bool = False,
-                algorithm: str = "",
-                trace_context: TraceContext | None = None
-                ) -> ExecutionResult:
-        """Run *plan* to completion; *engine* overrides the default.
-
-        A traced run (see :meth:`_trace_for`) returns its span tree on
-        :attr:`ExecutionResult.span`.  *algorithm* only annotates
-        query-log records.
-        """
-
-    @abc.abstractmethod
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                        engine: str | None = None,
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
-                       ) -> StreamingExecution:
-        """Run *plan* incrementally — the serving path.
+                       algorithm: str = "") -> StreamingExecution:
+        """Run *plan* incrementally — the one run path of a back end.
 
         *cancel* is consulted after each row is pulled, so deadlines
-        stop the run mid-stream.  A traced stream exposes its span tree as
-        ``stream.span`` and records it on :attr:`tracer` on finish.
+        stop the run mid-stream.  When the stream finishes — drained,
+        cancelled or closed early — the back end's one finish hook
+        leaves behind everything the run owes: a traced run (see
+        :meth:`_trace_for`) is stamped, exposed as ``stream.span`` and
+        recorded on :attr:`tracer`, there and nowhere else; on a single
+        node a run read to its end is appended to the attached query
+        log, which *algorithm* only annotates.
         """
 
     def _explain_extras(self, report: ExplainReport,
@@ -158,8 +145,8 @@ class QueryTarget(abc.ABC):
                    ) -> TraceContext | None:
         """The context a run is traced under, or ``None`` for untraced.
 
-        The one tracing rule of ``execute`` and ``stream_execute`` on
-        every back end: ``spans=True`` asks for a span tree, and a
+        The one tracing rule of ``stream_execute`` on every back end:
+        ``spans=True`` asks for a span tree, and a
         caller-propagated *trace_context* (an ``X-Trace-Id`` request
         header, say) forces one — its trace id names the tree;
         otherwise a traced run mints a fresh id.
@@ -222,6 +209,18 @@ class QueryTarget(abc.ABC):
                                   **options)
         estimator = self.exact_estimator if exact else self.estimator
         return optimizer.optimize(pattern, estimator)
+
+    def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
+                engine: str | None = None,
+                spans: bool = False,
+                algorithm: str = "",
+                trace_context: TraceContext | None = None
+                ) -> ExecutionResult:
+        """Run *plan* to completion: :meth:`stream_execute` on *engine*
+        (default :attr:`engine`), drained at once."""
+        return self.stream_execute(
+            plan, pattern, engine or self.engine, spans=spans,
+            trace_context=trace_context, algorithm=algorithm).result()
 
     def query(self, query: str | QueryPattern,
               algorithm: str = "DPP", engine: str | None = None,
@@ -335,8 +334,9 @@ class QueryTarget(abc.ABC):
     def service(self) -> "QueryService":
         """The (lazily created) plan-caching query service.
 
-        Construction keywords — worker count, slow-query threshold and
-        slow-log bound, registry — come from :attr:`service_options`.
+        Construction keywords — slow-query threshold and slow-log
+        bound, trace and plan-space sampling — come from
+        :attr:`service_options`.
         Plans are cached under :attr:`statistics_epoch`, so any change
         to the statistics makes every cached plan unreachable.
         """
@@ -356,7 +356,7 @@ class QueryTarget(abc.ABC):
         Optimization is amortized through the service's plan cache:
         repeated (isomorphic) patterns are optimized once per
         statistics epoch, including across threads — cache misses are
-        single-flight.  ``workers=None`` uses the service default;
+        single-flight.  ``workers=None`` uses the service default (4);
         ``engine`` overrides the target's execution mode.
         """
         return self.service.query_many(queries, algorithm=algorithm,
@@ -380,8 +380,11 @@ class QueryTarget(abc.ABC):
     def attach_query_log(self, log: QueryLog | None) -> None:
         """Attach (or with ``None`` detach) a persistent query log.
 
-        From the next :meth:`execute` on, every run appends one record
-        (asynchronously in file mode); the log's ``trace_sample``
-        controls how often runs are traced for per-operator detail.
+        From then on every run read to its end — buffered or streamed,
+        direct or served — appends one record (asynchronously in file
+        mode); a run cancelled or closed early (a deadline, a ``limit``,
+        a client gone) appends none, its counters being partial.  The
+        log's ``trace_sample`` controls how often runs are traced for
+        per-operator detail.
         """
         self.query_log = log

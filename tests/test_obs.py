@@ -18,6 +18,7 @@ Covers the PR-3 guarantees:
 
 from __future__ import annotations
 
+import asyncio
 import io
 import json
 
@@ -30,6 +31,7 @@ from repro.engine.metrics import COST_COUNTERS, ExecutionMetrics
 from repro.errors import ReproError
 from repro.obs import (MetricsRegistry, SampleReservoir, Span, Tracer,
                        build_analysis, q_error)
+from repro.server import QueryServer, ServerConfig, fetch
 from repro.workloads import make_rng, random_pattern
 from repro.workloads.personnel import personnel_document
 
@@ -195,7 +197,7 @@ class TestExplainAnalyze:
         assert q_error(0, 5) == 5.0
 
     def test_service_passthrough(self, database):
-        report = database.service.explain(QUERY, analyze=True)
+        report = database.explain(QUERY, analyze=True)
         assert report.analyze
         # diagnostics do not count as served queries
         assert database.service.snapshot()["queries"] == 0
@@ -450,6 +452,25 @@ class TestServiceMetrics:
         service.slow_query_seconds = 3600.0
         service.query(QUERY)
         assert len(service.snapshot()["slow_queries"]) == 1
+        # the entry names the engine that ran: at the parent a served
+        # request naming none was logged as ``block``, the database
+        # default, although it ran STREAM_ENGINE
+        service.slow_query_seconds = 0.0
+        service.query(QUERY, engine="tuple")
+        server = QueryServer(database, ServerConfig(port=0),
+                             out=io.StringIO())
+        host, port = server.start()
+        try:
+            for engine in ("", "&engine=block"):
+                assert asyncio.run(fetch(
+                    host, port, "GET",
+                    f"/query?xpath={QUERY}{engine}")).status == 200
+        finally:
+            server.stop()
+        assert database.engine == "block"
+        assert [entry["engine"]
+                for entry in service.snapshot()["slow_queries"]] \
+            == ["block", "tuple", "tuple", "block"]
 
     def test_export_json_and_bad_format(self):
         database = Database.from_document(

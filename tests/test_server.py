@@ -25,6 +25,8 @@ import time
 import pytest
 
 from repro.api import Database
+from repro.errors import ReproError
+from repro.obs.querylog import QueryLog, read_query_log
 from repro.server import (AdmissionController, QueryServer,
                           ServerConfig, TokenBucket, app, fetch)
 from repro.server.client import HttpClient
@@ -877,6 +879,97 @@ class TestBackPressure:
             client.close()
 
 
+class TestOneRequestPath:
+    """A served request enters through ``QueryService.stream``, as
+    ``service.query`` does.  At the parent the HTTP producer re-spelled
+    compile / plan / run without trace sampling or the query log, so
+    ``serve --trace-sample`` and ``serve --query-log`` did nothing."""
+
+    XPATH = "//employee//name"
+
+    @staticmethod
+    def start(**service_options):
+        database = Database.from_document(
+            personnel_document(target_nodes=2000, seed=42),
+            service_options=service_options)
+        instance = QueryServer(database, ServerConfig(
+            port=0, tenant_rate=0.0), out=io.StringIO())
+        return (instance, *instance.start())
+
+    def serve(self, host, port, stream, extra=""):
+        """One request; the summary it ends with and its status."""
+        path = f"/query?xpath={self.XPATH}{extra}"
+        if not stream:
+            response = run(fetch(host, port, "GET", path))
+            return response.json(), response.status
+        head, chunks = stream_chunks(host, port, path + "&stream=1")
+        if head.status != 200:
+            return json.loads(b"".join(chunks)), head.status
+        return all_lines(chunks)[-1], head.status
+
+    def traced_ids(self, host, port):
+        traces = run(fetch(host, port, "GET", "/traces")).json()
+        return [trace["trace_id"] for trace in traces["traces"]]
+
+    def test_trace_sampling_counts_served_requests(self):
+        instance, host, port = self.start(trace_sample=1)
+        tracer, service = instance.database.tracer, instance.service
+        try:
+            served = [self.serve(host, port, stream)[0]["trace_id"]
+                      for stream in (False, True, False, True)]
+            assert all(served) and len(set(served)) == 4
+            assert tracer.recorded == 4
+            assert self.traced_ids(host, port) == served
+            # one sample clock, however the request entered
+            service.trace_sample = 3
+            for stream in (None, False, True, None, True, False):
+                if stream is None:
+                    service.query(self.XPATH)
+                else:
+                    self.serve(host, port, stream)
+            assert tracer.recorded == 4 + 2
+        finally:
+            instance.stop()
+
+    def test_completed_served_requests_reach_the_query_log(self):
+        instance, host, port = self.start()
+        database = instance.database
+        log = QueryLog(None)
+        database.attach_query_log(log)
+        try:
+            summaries = [self.serve(host, port, stream)[0]
+                         for stream in (False, True)]
+            records = log.records()
+            assert len(records) == 2
+            for record, summary in zip(records, summaries):
+                assert record["rows"] == summary["rows"] > 1
+                assert record["engine"] == "tuple"
+                assert record["algorithm"] == "DPP"
+                assert record["trace_id"] == summary["trace_id"]
+                assert record["operators"]
+            assert self.traced_ids(host, port) \
+                == [record["trace_id"] for record in records]
+            # partial counters would poison calibrate and audit: a run
+            # closed at its limit or cancelled by its deadline (before
+            # or after its head went out) appends nothing
+            for stream in (False, True):
+                summary, status = self.serve(host, port, stream,
+                                             "&limit=1")
+                assert status == 200 and summary["truncated"]
+                summary, status = self.serve(host, port, stream,
+                                             "&timeout_ms=0.01")
+                assert summary["cancelled"]
+            assert len(log.records()) == 2
+            # the same hook serves the in-process paths
+            instance.service.query(self.XPATH)
+            database.query(self.XPATH, engine="tuple")
+            assert [record["engine"] for record in log.records()[2:]] \
+                == [database.engine, "tuple"]
+        finally:
+            instance.stop()
+            database.attach_query_log(None)
+
+
 class TestShardedServing:
     def test_sharded_stream_matches_and_stitches_traces(self):
         from repro.shard.sharded import ShardedDatabase
@@ -903,6 +996,10 @@ class TestShardedServing:
                 assert stitched
                 rendered = json.dumps(stitched[0])
                 assert "ShardScatterGather" in rendered
+                # a fleet executes in its workers: no log to append to
+                with pytest.raises(ReproError, match="single-node"):
+                    database.attach_query_log(QueryLog(None))
+                assert database.query_log is None
             finally:
                 instance.stop()
 
@@ -972,6 +1069,9 @@ class TestServerLifecycle:
         assert "SIGTERM: draining" in out
         assert "drained:" in out
         assert "query log flushed" in out
+        (record,) = read_query_log(log_path).records
+        assert record["query"] == "//employee"
+        assert record["engine"] == "tuple" and record["rows"] > 0
 
 
 class TestShardedTimeToFirst:

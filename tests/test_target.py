@@ -33,9 +33,9 @@ ALGORITHMS = ("DP", "DPP", "DPAP-EB", "DPAP-LD", "FP")
 #: written once, in the base — neither back end may define its own
 BASE_ONLY = ("compile", "warm_statistics", "optimize", "query",
              "query_many", "whatif", "time_to_first", "explain",
-             "service", "exact_estimator")
+             "service", "exact_estimator", "execute")
 #: supplied or extended per back end, under one signature
-PER_BACKEND = ("execute", "stream_execute", "collect_gauges", "stats",
+PER_BACKEND = ("stream_execute", "collect_gauges", "stats",
                "attach_query_log")
 
 SERVICE_KEYS = {"queries", "errors", "latency", "slow_queries",
@@ -206,11 +206,24 @@ def test_execute_is_the_stream_drained(target, traced):
         return
     assert result.span.name == stream.span.name
     assert result.span.output_rows == stream.span.output_rows == len(rows)
-    # a fleet records one stitched trace per run; a node's execute only
-    # stamps its span (the layer above retains it), its stream records
-    assert executed == before + target.records_traces_in_execute
+    # one finish hook per back end: a traced run records exactly one
+    # tree, drained by execute or read as a stream, node or fleet
+    assert executed == before + 1
     assert target.tracer.recorded == executed + 1
     assert target.tracer.traces()[-1] is stream.span
+
+
+def test_a_sampled_service_query_leaves_exactly_one_tree(target):
+    service = target.service
+    service.trace_sample = 1
+    try:
+        for engine in (None, "tuple"):
+            before = target.tracer.recorded
+            result = service.query(QUERY, engine=engine)
+            assert target.tracer.recorded == before + 1
+            assert target.tracer.traces()[-1] is result.execution.span
+    finally:
+        service.trace_sample = 0
 
 
 @pytest.mark.parametrize("start", [lambda stream: None, iter],
