@@ -42,11 +42,9 @@ from repro.engine.executor import (STREAM_ENGINE, ExecutionResult,
                                    Executor, StreamingExecution)
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PositionalEstimator)
-from repro.obs.explain import (ExplainReport, OperatorAnalysis,
-                               build_analysis)
 from repro.obs.querylog import build_record
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Span, TraceContext, assign_span_ids
+from repro.obs.spans import TraceContext, assign_span_ids
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, InMemoryDisk
 from repro.storage.store import ElementStore
@@ -182,26 +180,21 @@ class Database(QueryTarget):
         back and the disk is fsync'd, so a crash immediately after
         ``persist()`` returns loses nothing.
         """
-        from repro.storage.catalog import write_catalog
+        from repro.storage.catalog import catalog_payload, write_catalog
 
         self._require_document()
-        write_catalog(self.pool, self.catalog_payload())
+        write_catalog(self.pool, catalog_payload(self.name, self.store,
+                                                 self.index))
         self.pool.flush()
         self.disk.sync()
 
-    def catalog_payload(self) -> dict:
-        """The directory state the catalog (and the WAL) persists."""
-        payload = {
-            "name": self.name,
-            "store_pages": self.store.page_ids,
-            "index_chains": self.index.chains(),
-            "index_counts": self.index.counts(),
-            "node_count": self.store.node_count,
-        }
-        deleted = self.store.deleted_rids()
-        if deleted:
-            payload["deleted_rids"] = deleted
-        return payload
+    def close(self) -> None:
+        """Close the write-ahead log, write dirty pages back and close
+        the disk (idempotent)."""
+        if self._txn_manager is not None:
+            self._txn_manager.wal.close()
+        self.pool.flush()
+        self.disk.close()
 
     @classmethod
     def open(cls, disk: DiskManager, catalog: dict | None = None,
@@ -335,22 +328,19 @@ class Database(QueryTarget):
         first row (and before the first look at *cancel*).
 
         A run is traced when the caller asks
-        (:meth:`~repro.target.QueryTarget._trace_for`) or when the
-        attached query log's trace sampling picks it, so its record
-        carries per-operator estimate-vs-actual detail.  What a
-        finished run leaves behind is decided in one place, the finish
-        hook below: a traced run's span tree is stamped with its trace
-        id and recorded on :attr:`tracer`, and a run read to its end
-        appends one record (annotated with *algorithm*) to the query
-        log.  A run cancelled or closed early — a deadline, a
-        ``limit``, a client gone — appends none: its partial counters
-        would poison ``calibrate`` and ``audit``.
+        (:meth:`~repro.target.QueryTarget._trace_for`) and only then.
+        What a finished run leaves behind is decided in one place, the
+        finish hook below: a traced run's span tree is stamped with
+        its trace id and recorded on :attr:`tracer`, and a run read to
+        its end appends one record (annotated with *algorithm*, with
+        per-operator estimate-vs-actual detail if it was traced) to
+        the query log.  A run cancelled or closed early — a deadline,
+        a ``limit``, a client gone — appends none: its partial
+        counters would poison ``calibrate`` and ``audit``.
         """
         snapshot, context = self._engine_context()
         log = self.query_log
         trace = self._trace_for(spans, trace_context)
-        if trace is None and log is not None and log.want_span():
-            trace = TraceContext.new()
         engine = engine or STREAM_ENGINE
 
         def finish(stream: StreamingExecution) -> None:
@@ -368,35 +358,6 @@ class Database(QueryTarget):
         return Executor(context, pattern).stream(
             plan, engine=engine, cancel=cancel,
             spans=trace is not None, on_finish=finish)
-
-    def _explain_analysis(self, report: ExplainReport,
-                          pattern: QueryPattern
-                          ) -> tuple[OperatorAnalysis, Span]:
-        """Per-operator analysis of the executed plan, and a query
-        span wrapping the run's own tree (which the run's finish hook
-        already recorded) in parse / optimize / execute stages."""
-        execution, optimization = report.execution, report.optimization
-        query_span = Span("query", detail=report.query)
-        parse_span = Span("parse")
-        parse_span.seconds = report.parse_seconds
-        optimize_span = Span("optimize",
-                             detail=f"optimize[{report.algorithm}]")
-        optimize_span.seconds = optimization.report.optimization_seconds
-        execute_span = Span("execute",
-                            detail=f"execute[{report.engine}]")
-        execute_span.seconds = execution.metrics.wall_seconds
-        execute_span.output_rows = len(execution)
-        execute_span.children.append(execution.span)
-        query_span.children = [parse_span, optimize_span, execute_span]
-        query_span.seconds = sum(child.seconds
-                                 for child in query_span.children)
-        query_span.output_rows = len(execution)
-        # keep the trace id the run was stamped with (the query-log
-        # record already carries it); re-stamping the whole tree under
-        # it is idempotent and gives the wrapper stages proper span ids
-        assign_span_ids(query_span, execution.span.trace_id)
-        return (build_analysis(optimization.plan, execution.span,
-                               pattern), query_span)
 
     # -- cost-model control ------------------------------------------------
 

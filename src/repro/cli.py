@@ -490,33 +490,34 @@ def _open_database(arguments: argparse.Namespace,
 def _open_target(arguments: argparse.Namespace,
                  service_options: dict | None = None
                  ) -> Iterator[QueryTarget]:
-    """The query target the source flags name.
+    """The query target the source flags name, closed again on exit.
 
-    A single-node :class:`Database`, or with ``--shards N`` a shard
-    fleet over the same corpus, stopped again on exit.  The fleet
-    persists its own per-shard page files, so of a ``--db`` source it
-    needs only the document: the source's pages file and write-ahead
-    log are closed as soon as that is extracted.
+    A single-node :class:`Database` (every verb opens its data source
+    here, so a ``--db`` directory's pages file and write-ahead log
+    never outlive the command), or with ``--shards N`` a shard fleet
+    over the same corpus.  The fleet persists its own per-shard page
+    files, so of a ``--db`` source it needs only the document: the
+    source is closed as soon as that is extracted.
     """
-    if arguments.shards < 0:
+    shards = getattr(arguments, "shards", 0)
+    if shards < 0:
         raise ReproError("--shards must be >= 0")
     if service_options is None:
         service_options = _service_options(arguments)
-    if not arguments.shards:
-        yield _open_database(arguments, service_options)
+    if not shards:
+        with _open_database(arguments, service_options) as database:
+            yield database
         return
     from repro.shard.sharded import ShardedDatabase
 
     if arguments.db:
         from repro.txn.db import open_database
 
-        source = open_database(arguments.db)
-        document = source.document
-        source.transactions.wal.close()
-        source.disk.close()
+        with open_database(arguments.db) as source:
+            document = source.document
     else:
         document = _source_document(arguments)
-    with ShardedDatabase(document, shards=arguments.shards,
+    with ShardedDatabase(document, shards=shards,
                          engine=getattr(arguments, "engine", "block"),
                          service_options=service_options) as fleet:
         yield fleet
@@ -719,16 +720,18 @@ def _run_metrics_server(database: Database, port: int,
 
 def _sampling_service_options(arguments: argparse.Namespace) -> dict:
     """Service options of the serving commands: the common flags plus
-    ``--trace-sample`` / ``--planspace-sample``."""
+    ``--trace-sample`` / ``--planspace-sample`` — the service's
+    1-in-K clocks are the only samplers there are."""
+    planspace_sample = getattr(arguments, "planspace_sample", 0)
     if arguments.trace_sample < 0:
         raise ReproError("--trace-sample must be >= 0")
-    if arguments.planspace_sample < 0:
+    if planspace_sample < 0:
         raise ReproError("--planspace-sample must be >= 0")
     options = _service_options(arguments)
     if arguments.trace_sample:
         options["trace_sample"] = arguments.trace_sample
-    if arguments.planspace_sample:
-        options["planspace_sample"] = arguments.planspace_sample
+    if planspace_sample:
+        options["planspace_sample"] = planspace_sample
     return options
 
 
@@ -851,12 +854,10 @@ def _command_log(arguments: argparse.Namespace, out: IO[str]) -> int:
                       f"{record.get('rows', '?')} rows in "
                       f"{record.get('wall_seconds', 0.0):.4f}s\n")
         return 0
-    database = _open_database(arguments)
-    if arguments.trace_sample < 0:
-        raise ReproError("--trace-sample must be >= 0")
-    with QueryLog(arguments.output, max_bytes=arguments.max_bytes,
-                  backups=arguments.backups,
-                  trace_sample=arguments.trace_sample) as log:
+    with _open_target(arguments, _sampling_service_options(arguments)
+                      ) as database, \
+            QueryLog(arguments.output, max_bytes=arguments.max_bytes,
+                     backups=arguments.backups) as log:
         database.attach_query_log(log)
         served = _serve_paper_workload(database, arguments.dataset,
                                        arguments.serve,
@@ -866,7 +867,6 @@ def _command_log(arguments: argparse.Namespace, out: IO[str]) -> int:
                   f"({arguments.algorithm}); logged {log.written} "
                   f"records ({log.dropped} dropped) to "
                   f"{arguments.output}\n")
-    database.attach_query_log(None)
     return 0
 
 
@@ -882,18 +882,17 @@ def _command_calibrate(arguments: argparse.Namespace,
             out.write(f"note: skipped {scan.skipped} malformed "
                       f"line(s)\n")
     else:
-        if not (arguments.xml or arguments.dataset):
+        if not (arguments.xml or arguments.dataset or arguments.db):
             raise ReproError(
                 "calibrate needs --log FILE, or a data source "
-                "(--xml/--dataset) to trace a fresh workload")
-        database = _open_database(arguments)
-        with QueryLog(None, trace_sample=1) as log:
+                "(--xml/--dataset/--db) to trace a fresh workload")
+        with _open_target(arguments, {"trace_sample": 1}) as database, \
+                QueryLog(None) as log:
             database.attach_query_log(log)
             _serve_paper_workload(database, arguments.dataset,
                                   arguments.serve,
                                   algorithm=arguments.algorithm)
             records = list(log.records())
-        database.attach_query_log(None)
     result = calibrate_records(records,
                                holdout_every=arguments.holdout_every)
     out.write(result.render() + "\n")
@@ -906,16 +905,16 @@ def _command_audit(arguments: argparse.Namespace, out: IO[str]) -> int:
     from repro.obs.audit import audit_records
     from repro.obs.querylog import read_query_log
 
-    database = _open_database(arguments)
-    factors = _whatif_factors(
-        database, _parse_kv_floats(arguments.factor, "--factor"))
-    if factors is not None:
-        database.set_cost_factors(factors)
-    scan = read_query_log(arguments.log)
-    report = audit_records(database, scan.records,
-                           algorithm=arguments.algorithm,
-                           registry=database.service.registry,
-                           why=arguments.why)
+    with _open_target(arguments) as database:
+        factors = _whatif_factors(
+            database, _parse_kv_floats(arguments.factor, "--factor"))
+        if factors is not None:
+            database.set_cost_factors(factors)
+        scan = read_query_log(arguments.log)
+        report = audit_records(database, scan.records,
+                               algorithm=arguments.algorithm,
+                               registry=database.service.registry,
+                               why=arguments.why)
     out.write(report.render() + "\n")
     if arguments.json:
         _write_json_payload(report.to_dict(), arguments.json, out)
@@ -958,7 +957,12 @@ def _command_whatif(arguments: argparse.Namespace, out: IO[str]) -> int:
     if bool(arguments.xpath) == bool(arguments.log):
         raise ReproError("whatif needs exactly one of an XPath "
                          "argument or --log FILE")
-    database = _open_database(arguments)
+    with _open_target(arguments) as database:
+        return _run_whatif(database, arguments, out)
+
+
+def _run_whatif(database: QueryTarget, arguments: argparse.Namespace,
+                out: IO[str]) -> int:
     factors = _whatif_factors(
         database, _parse_kv_floats(arguments.factor, "--factor"))
     tag_scale = _parse_kv_floats(arguments.scale, "--scale")
@@ -1007,11 +1011,11 @@ def _command_whatif(arguments: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _command_trace(arguments: argparse.Namespace, out: IO[str]) -> int:
-    database = _open_database(arguments)
-    pattern = database.compile(arguments.xpath)
-    _write_search_trace(database, pattern, "DPP", out,
-                        pattern.describe() + "\n",
-                        limit=arguments.limit, dot=arguments.dot)
+    with _open_target(arguments) as database:
+        pattern = database.compile(arguments.xpath)
+        _write_search_trace(database, pattern, "DPP", out,
+                            pattern.describe() + "\n",
+                            limit=arguments.limit, dot=arguments.dot)
     return 0
 
 
@@ -1050,41 +1054,42 @@ def _command_ingest(arguments: argparse.Namespace, out: IO[str]) -> int:
         out.write(f"created {arguments.db} with {len(source)} "
                   f"nodes\n")
         batches -= 1
-    manager = database.transactions
-    commits = 0
-    for _ in range(batches):
-        txn = manager.begin()
-        txn.append_document(source)
-        result = txn.commit()
-        commits += 1
-        out.write(f"txn {result.txn_id}: +{result.added} nodes, "
-                  f"{result.pages_logged} pages, "
-                  f"{result.wal_bytes} B WAL, "
-                  f"epoch {result.statistics_epoch}\n")
-        if arguments.crash_after and commits >= arguments.crash_after:
-            out.write("simulated crash (kill -9) after commit; "
-                      "no checkpoint, no cleanup\n")
+    with database:
+        manager = database.transactions
+        commits = 0
+        for _ in range(batches):
+            txn = manager.begin()
+            txn.append_document(source)
+            result = txn.commit()
+            commits += 1
+            out.write(f"txn {result.txn_id}: +{result.added} nodes, "
+                      f"{result.pages_logged} pages, "
+                      f"{result.wal_bytes} B WAL, "
+                      f"epoch {result.statistics_epoch}\n")
+            if arguments.crash_after and commits >= arguments.crash_after:
+                out.write("simulated crash (kill -9) after commit; "
+                          "no checkpoint, no cleanup\n")
+                out.flush()
+                os._exit(CRASH_EXIT_CODE)
+            if (arguments.checkpoint_every
+                    and commits % arguments.checkpoint_every == 0):
+                dropped = database.checkpoint()
+                out.write(f"checkpoint: dropped {dropped} WAL bytes\n")
+        if arguments.torn_tail:
+            txn = manager.begin()
+            txn.append_document(source)
+            result = txn.commit()
+            # Tear into the final COMMIT frame: on reopen this transaction
+            # must be discarded as if the crash hit before the fsync.
+            manager.wal.truncate(max(0, manager.wal.size - 7))
+            out.write(f"tore the WAL tail mid-record; txn "
+                      f"{result.txn_id} must vanish on reopen\n")
             out.flush()
             os._exit(CRASH_EXIT_CODE)
-        if (arguments.checkpoint_every
-                and commits % arguments.checkpoint_every == 0):
-            dropped = database.checkpoint()
-            out.write(f"checkpoint: dropped {dropped} WAL bytes\n")
-    if arguments.torn_tail:
-        txn = manager.begin()
-        txn.append_document(source)
-        result = txn.commit()
-        # Tear into the final COMMIT frame: on reopen this transaction
-        # must be discarded as if the crash hit before the fsync.
-        manager.wal.truncate(max(0, manager.wal.size - 7))
-        out.write(f"tore the WAL tail mid-record; txn "
-                  f"{result.txn_id} must vanish on reopen\n")
-        out.flush()
-        os._exit(CRASH_EXIT_CODE)
-    out.write(f"document: {len(database.document)} nodes, "
-              f"{database.disk.page_count} pages, "
-              f"wal {manager.wal.size} bytes, "
-              f"epoch {database.statistics_epoch}\n")
+        out.write(f"document: {len(database.document)} nodes, "
+                  f"{database.disk.page_count} pages, "
+                  f"wal {manager.wal.size} bytes, "
+                  f"epoch {database.statistics_epoch}\n")
     return 0
 
 
@@ -1092,12 +1097,12 @@ def _command_checkpoint(arguments: argparse.Namespace,
                         out: IO[str]) -> int:
     from repro.txn.db import open_database
 
-    database = open_database(arguments.db)
-    _report_recovery(database, out)
-    dropped = database.checkpoint()
-    out.write(f"checkpoint: dropped {dropped} WAL bytes; "
-              f"{database.disk.page_count} pages durable, "
-              f"{len(database.document)} nodes\n")
+    with open_database(arguments.db) as database:
+        _report_recovery(database, out)
+        dropped = database.checkpoint()
+        out.write(f"checkpoint: dropped {dropped} WAL bytes; "
+                  f"{database.disk.page_count} pages durable, "
+                  f"{len(database.document)} nodes\n")
     return 0
 
 

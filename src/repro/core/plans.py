@@ -96,20 +96,34 @@ class PhysicalPlan:
 
     # -- rendering ---------------------------------------------------------------
 
-    def explain(self, pattern: QueryPattern | None = None) -> str:
-        """Multi-line, indented plan rendering."""
-        lines: list[str] = []
-        self._explain(pattern, 0, lines)
-        return "\n".join(lines)
-
-    def _explain(self, pattern: QueryPattern | None, depth: int,
-                 lines: list[str]) -> None:
+    def label(self, pattern: QueryPattern | None = None) -> str:
+        """One-line name of this operator, e.g.
+        ``stack-tree-anc($0:manager // $1:employee)`` — the one
+        spelling :meth:`explain`, span ``detail``, query-log records
+        and the dot export all use, on either engine."""
         raise NotImplementedError
 
-    def _label(self, pattern: QueryPattern | None, node_id: int) -> str:
+    def _node_label(self, pattern: QueryPattern | None,
+                    node_id: int) -> str:
         if pattern is None:
             return f"${node_id}"
         return f"${node_id}:{pattern.node(node_id).label()}"
+
+    def explain(self, pattern: QueryPattern | None = None) -> str:
+        """Multi-line, indented plan rendering."""
+        lines: list[str] = []
+
+        def visit(node: PhysicalPlan, depth: int) -> None:
+            order = (f" order-by=${node.ordered_by}"
+                     if isinstance(node, StructuralJoinPlan) else "")
+            lines.append(f"{'  ' * depth}{node.label(pattern)}{order}"
+                         f" card={node.estimated_cardinality:.1f}"
+                         f" cost={node.estimated_cost:.1f}")
+            for child in node.children():
+                visit(child, depth + 1)
+
+        visit(self, 0)
+        return "\n".join(lines)
 
     def signature(self) -> str:
         """Compact one-line structural identity (tests, dedup)."""
@@ -128,12 +142,8 @@ class IndexScanPlan(PhysicalPlan):
     def pattern_nodes(self) -> frozenset[int]:
         return frozenset((self.node_id,))
 
-    def _explain(self, pattern: QueryPattern | None, depth: int,
-                 lines: list[str]) -> None:
-        lines.append(
-            f"{'  ' * depth}IndexScan({self._label(pattern, self.node_id)})"
-            f" card={self.estimated_cardinality:.1f}"
-            f" cost={self.estimated_cost:.1f}")
+    def label(self, pattern: QueryPattern | None = None) -> str:
+        return f"IndexScan({self._node_label(pattern, self.node_id)})"
 
     def signature(self) -> str:
         return f"scan({self.node_id})"
@@ -185,17 +195,11 @@ class StructuralJoinPlan(PhysicalPlan):
         return (self.ancestor_plan.pattern_nodes()
                 | self.descendant_plan.pattern_nodes())
 
-    def _explain(self, pattern: QueryPattern | None, depth: int,
-                 lines: list[str]) -> None:
-        lines.append(
-            f"{'  ' * depth}{self.algorithm}"
-            f"({self._label(pattern, self.ancestor_node)} {self.axis} "
-            f"{self._label(pattern, self.descendant_node)})"
-            f" order-by=${self.ordered_by}"
-            f" card={self.estimated_cardinality:.1f}"
-            f" cost={self.estimated_cost:.1f}")
-        self.ancestor_plan._explain(pattern, depth + 1, lines)
-        self.descendant_plan._explain(pattern, depth + 1, lines)
+    def label(self, pattern: QueryPattern | None = None) -> str:
+        return (f"{self.algorithm}"
+                f"({self._node_label(pattern, self.ancestor_node)} "
+                f"{self.axis} "
+                f"{self._node_label(pattern, self.descendant_node)})")
 
     def signature(self) -> str:
         return (f"{self.algorithm.value}[{self.ancestor_node}"
@@ -222,13 +226,8 @@ class SortPlan(PhysicalPlan):
     def pattern_nodes(self) -> frozenset[int]:
         return self.child.pattern_nodes()
 
-    def _explain(self, pattern: QueryPattern | None, depth: int,
-                 lines: list[str]) -> None:
-        lines.append(
-            f"{'  ' * depth}Sort(by {self._label(pattern, self.by_node)})"
-            f" card={self.estimated_cardinality:.1f}"
-            f" cost={self.estimated_cost:.1f}")
-        self.child._explain(pattern, depth + 1, lines)
+    def label(self, pattern: QueryPattern | None = None) -> str:
+        return f"Sort(by {self._node_label(pattern, self.by_node)})"
 
     def signature(self) -> str:
         return f"sort[{self.by_node}]({self.child.signature()})"

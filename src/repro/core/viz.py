@@ -13,8 +13,7 @@ The output is plain dot text; render with ``dot -Tsvg``.
 from __future__ import annotations
 
 from repro.core.pattern import QueryPattern
-from repro.core.plans import (IndexScanPlan, PhysicalPlan, SortPlan,
-                              StructuralJoinPlan)
+from repro.core.plans import IndexScanPlan, PhysicalPlan, SortPlan
 from repro.core.planspace import PlanSpaceRecorder
 
 
@@ -31,22 +30,6 @@ def plan_to_dot(plan: PhysicalPlan,
              "  rankdir=BT;"]
     identifiers: dict[int, str] = {}
 
-    def label_of(node: PhysicalPlan) -> str:
-        if isinstance(node, IndexScanPlan):
-            name = f"IndexScan ${node.node_id}"
-            if pattern is not None:
-                name = f"IndexScan {pattern.node(node.node_id).label()}"
-        elif isinstance(node, SortPlan):
-            name = f"Sort by ${node.by_node}"
-        elif isinstance(node, StructuralJoinPlan):
-            name = (f"{node.algorithm.value}\\n"
-                    f"${node.ancestor_node} {node.axis} "
-                    f"${node.descendant_node}")
-        else:  # pragma: no cover - future plan kinds
-            name = type(node).__name__
-        return (f"{name}\\ncard={node.estimated_cardinality:.0f} "
-                f"cost={node.estimated_cost:.0f}")
-
     def visit(node: PhysicalPlan) -> str:
         identifier = identifiers.get(id(node))
         if identifier is not None:
@@ -57,7 +40,10 @@ def plan_to_dot(plan: PhysicalPlan,
                  else "box")
         style = ', style=filled, fillcolor="#ffeeee"' \
             if isinstance(node, SortPlan) else ""
-        lines.append(f'  {identifier} [label="{_escape(label_of(node))}"'
+        label = (f"{node.label(pattern)}\\n"
+                 f"card={node.estimated_cardinality:.0f} "
+                 f"cost={node.estimated_cost:.0f}")
+        lines.append(f'  {identifier} [label="{_escape(label)}"'
                      f", shape={shape}{style}];")
         for child in node.children():
             child_id = visit(child)

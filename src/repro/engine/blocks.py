@@ -231,10 +231,6 @@ class BlockOperator:
         when iteration starts."""
         return iter(self.block().rows)
 
-    def describe(self) -> str:
-        """One-line label for spans and traces (subclasses refine)."""
-        return type(self).__name__
-
     def _produce(self) -> TupleBlock:
         raise NotImplementedError
 
@@ -254,10 +250,6 @@ class BlockIndexScan(BlockOperator):
                          pattern_node.node_id, context.metrics)
         self.pattern_node = pattern_node
         self.context = context
-
-    def describe(self) -> str:
-        return (f"IndexScan(${self.pattern_node.node_id}:"
-                f"{self.pattern_node.label()})")
 
     def _produce(self) -> TupleBlock:
         index = self.context.tag_index
@@ -324,9 +316,6 @@ class BlockSort(BlockOperator):
         self.child = child
         self.by_node = by_node
 
-    def describe(self) -> str:
-        return f"Sort(by ${self.by_node})"
-
     def _produce(self) -> TupleBlock:
         child_block = self.child.block()
         position = self.schema.position(self.by_node)
@@ -350,10 +339,6 @@ class _BlockJoinBase(BlockOperator):
         self.ancestor_node = ancestor_node
         self.descendant_node = descendant_node
         self.axis = axis
-
-    def describe(self) -> str:
-        return (f"{type(self).__name__}(${self.ancestor_node} "
-                f"{self.axis} ${self.descendant_node})")
 
     def _inputs(self) -> tuple[TupleBlock, ColumnGroups,
                                TupleBlock, ColumnGroups]:
@@ -540,10 +525,6 @@ class BlockNestedLoopJoin(BlockOperator):
         self.descendant_position = descendant_input.schema.position(
             descendant_node)
         self.axis = axis
-
-    def describe(self) -> str:
-        return (f"NestedLoopJoin(${self.ancestor_node} "
-                f"{self.axis} ${self.descendant_node})")
 
     def _produce(self) -> TupleBlock:
         self.metrics.join_count += 1

@@ -307,8 +307,11 @@ class Executor:
                    factors=None) -> Span:
         """Attach a span (and private metrics) to every operator.
 
-        Each operator in *root*'s tree — iterator or block — gets its
-        own :class:`~repro.engine.metrics.ExecutionMetrics`, so every
+        Each operator in *root*'s tree — iterator or block — gets a
+        span named after its class and labelled by its plan node
+        (``detail``, engine-independent), carrying the optimizer's
+        estimates, and its own
+        :class:`~repro.engine.metrics.ExecutionMetrics`, so every
         counter increment is attributed to exactly one operator; the
         caller merges the span metrics back into the run totals after
         the run, which keeps per-operator shares summing exactly to
@@ -318,7 +321,8 @@ class Executor:
         factors = factors or self.context.factors
         metrics = ExecutionMetrics(factors=factors)
         root.metrics = metrics
-        span = Span(type(root).__name__, detail=root.describe(),
+        span = Span(type(root).__name__,
+                    detail=plan.label(self.pattern),
                     estimated_cardinality=plan.estimated_cardinality,
                     estimated_cost=plan.estimated_cost,
                     metrics=metrics)

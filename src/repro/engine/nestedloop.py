@@ -45,10 +45,6 @@ class NestedLoopJoin(Operator):
             descendant_node)
         self.axis = axis
 
-    def describe(self) -> str:
-        return (f"NestedLoopJoin(${self.ancestor_node} "
-                f"{self.axis} ${self.descendant_node})")
-
     def _produce(self) -> Iterator[MatchTuple]:
         self.metrics.join_count += 1
         inner = list(self.descendant_input.run())

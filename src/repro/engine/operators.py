@@ -47,10 +47,6 @@ class Operator:
             return stream
         return self._span.wrap(stream)
 
-    def describe(self) -> str:
-        """One-line label for spans and traces (subclasses refine)."""
-        return type(self).__name__
-
     def _produce(self) -> Iterator[MatchTuple]:
         raise NotImplementedError
 

@@ -31,10 +31,6 @@ class IndexScan(Operator):
         self.context = context
         self._reader = None  # per-scan page-batched store access
 
-    def describe(self) -> str:
-        return (f"IndexScan(${self.pattern_node.node_id}:"
-                f"{self.pattern_node.label()})")
-
     def _postings(self):
         index = self.context.tag_index
         if self.pattern_node.is_wildcard:

@@ -24,9 +24,6 @@ class SortOperator(Operator):
         self.child = child
         self.by_node = by_node
 
-    def describe(self) -> str:
-        return f"Sort(by ${self.by_node})"
-
     def _produce(self) -> Iterator[MatchTuple]:
         position = self.schema.position(self.by_node)
         materialized = list(self.child.run())

@@ -46,10 +46,6 @@ class _JoinBase(Operator):
         self.descendant_node = descendant_node
         self.axis = axis
 
-    def describe(self) -> str:
-        return (f"{type(self).__name__}(${self.ancestor_node} "
-                f"{self.axis} ${self.descendant_node})")
-
     def _grouped_inputs(self):
         ancestor_stream = OrderCheckingIterator(
             self.ancestor_input.run(), self.ancestor_input.schema,

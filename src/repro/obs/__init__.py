@@ -3,10 +3,11 @@
 Six pieces, threaded through every layer of the system:
 
 * :mod:`repro.obs.spans` — per-query span trees (pipeline stages plus
-  one span per plan operator in both engines), with exact
-  per-operator shares of the cost-model counters;
-* :mod:`repro.obs.explain` — estimate-vs-actual plan feedback with
-  per-operator Q-errors (``Database.explain(query, analyze=True)``);
+  one span per plan operator in both engines): the one per-operator
+  record, with the optimizer's estimates, exact shares of the
+  cost-model counters and the Q-errors between them;
+* :mod:`repro.obs.explain` — the report that renders such a tree
+  (``Database.explain(query, analyze=True)``);
 * :mod:`repro.obs.registry` — named counters/gauges/histograms with
   Prometheus-text and JSON exporters, interpolated histogram
   quantiles, plus the uniform
@@ -35,14 +36,13 @@ All engine-level instrumentation is zero-cost when disabled: a single
 ``is None`` check per operator per execution, never per tuple.
 """
 
-from repro.obs.explain import (ExplainReport, OperatorAnalysis,
-                               build_analysis, q_error)
+from repro.obs.explain import ExplainReport
 from repro.obs.registry import (BucketRecorder, Counter, Gauge,
                                 Histogram, MetricsRegistry,
                                 SampleReservoir)
 from repro.obs.slo import DEFAULT_OBJECTIVES, SLObjective, SLOTracker
 from repro.obs.spans import (FrozenMetrics, Span, TraceContext, Tracer,
-                             assign_span_ids)
+                             assign_span_ids, q_error)
 from repro.obs.querylog import (QueryLog, QueryLogScan, build_record,
                                 read_query_log, signature_digest)
 from repro.obs.calibrate import (CalibrationResult, FactorFit,
@@ -53,8 +53,6 @@ from repro.obs.audit import AuditReport, QueryAudit, audit_records
 
 __all__ = [
     "ExplainReport",
-    "OperatorAnalysis",
-    "build_analysis",
     "q_error",
     "BucketRecorder",
     "Counter",

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ReproError
-from repro.obs.explain import q_error
+from repro.obs.spans import q_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.api import Database

@@ -2,153 +2,29 @@
 
 The paper's Sec. 2.2.2 cost model prices every plan in abstract cost
 units derived from estimated cardinalities; the engines report the
-same counters *measured*.  This module joins the two per operator: a
-traced execution (:class:`~repro.obs.spans.Span` tree, which mirrors
-the plan tree node for node) is zipped with the plan's optimizer
-annotations into an :class:`OperatorAnalysis` tree carrying, for each
-operator, estimated vs. actual output cardinality and cumulative
-cost, wall time, the operator's exact share of every cost-model
-counter — and the **Q-error** of both estimates.
-
-Q-error (Moerkotte et al., "Preventing Bad Plans by Bounding the
-Impact of Cardinality Estimation Errors", VLDB 2009) is the symmetric
-ratio ``max(est, act) / min(est, act)`` with both sides clamped to at
-least 1 so empty results do not divide by zero.  A Q-error of 1 is a
-perfect estimate; the factor by which it exceeds 1 bounds how far the
-optimizer's cost ranking can drift for that operator.
+same counters *measured*.  A traced execution's
+:class:`~repro.obs.spans.Span` tree already joins the two — every
+operator span carries the optimizer's estimates beside its measured
+rows, wall time and exact share of every cost-model counter, and reads
+off the Q-error of both estimates (:func:`~repro.obs.spans.q_error`) —
+so an :class:`ExplainReport` renders that tree as it is: the operator
+tree of a single node, or a fleet's stitched trace with one such tree
+per shard.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.pattern import QueryPattern
-from repro.core.plans import (IndexScanPlan, PhysicalPlan, SortPlan,
-                              StructuralJoinPlan)
-from repro.errors import PlanError
-from repro.obs.spans import Span
+from repro.obs.spans import Span, q_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.optimizer import OptimizationResult
     from repro.engine.executor import ExecutionResult
     from repro.obs.planspace import PlanSpaceReport
 
-__all__ = ["ExplainReport", "OperatorAnalysis", "build_analysis",
-           "q_error"]
-
-
-def q_error(estimated: float, actual: float) -> float:
-    """Symmetric estimate/actual ratio, both sides clamped to >= 1."""
-    estimated = max(float(estimated), 1.0)
-    actual = max(float(actual), 1.0)
-    return max(estimated, actual) / min(estimated, actual)
-
-
-def _plan_label(plan: PhysicalPlan, pattern: QueryPattern | None) -> str:
-    def label(node_id: int) -> str:
-        if pattern is None:
-            return f"${node_id}"
-        return f"${node_id}:{pattern.node(node_id).label()}"
-
-    if isinstance(plan, IndexScanPlan):
-        return f"IndexScan({label(plan.node_id)})"
-    if isinstance(plan, SortPlan):
-        return f"Sort(by {label(plan.by_node)})"
-    if isinstance(plan, StructuralJoinPlan):
-        return (f"{plan.algorithm}({label(plan.ancestor_node)} "
-                f"{plan.axis} {label(plan.descendant_node)})")
-    raise PlanError(f"unknown plan node type {type(plan).__name__}")
-
-
-@dataclass
-class OperatorAnalysis:
-    """Estimate-vs-actual feedback for one plan operator.
-
-    ``actual_cost`` is cumulative over the subtree (matching the
-    optimizer's cumulative ``estimated_cost``); ``simulated_cost`` is
-    this operator's own share.  ``counters`` is the operator's exact
-    share of each cost-model counter.
-    """
-
-    label: str
-    estimated_rows: float
-    actual_rows: int
-    estimated_cost: float
-    actual_cost: float
-    seconds: float
-    self_seconds: float
-    simulated_cost: float
-    counters: dict[str, float]
-    children: list["OperatorAnalysis"] = field(default_factory=list)
-
-    @property
-    def rows_q_error(self) -> float:
-        return q_error(self.estimated_rows, self.actual_rows)
-
-    @property
-    def cost_q_error(self) -> float:
-        return q_error(self.estimated_cost, self.actual_cost)
-
-    def walk(self):
-        yield self
-        for child in self.children:
-            yield from child.walk()
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "operator": self.label,
-            "estimated_rows": self.estimated_rows,
-            "actual_rows": self.actual_rows,
-            "rows_q_error": self.rows_q_error,
-            "estimated_cost": self.estimated_cost,
-            "actual_cost": self.actual_cost,
-            "cost_q_error": self.cost_q_error,
-            "seconds": self.seconds,
-            "self_seconds": self.self_seconds,
-            "simulated_cost": self.simulated_cost,
-            "counters": dict(self.counters),
-            "children": [child.to_dict() for child in self.children],
-        }
-
-    def _render(self, depth: int, lines: list[str]) -> None:
-        lines.append(
-            f"{'  ' * depth}{self.label}"
-            f" rows={self.estimated_rows:.1f}/{self.actual_rows}"
-            f" (q={self.rows_q_error:.2f})"
-            f" cost={self.estimated_cost:.1f}/{self.actual_cost:.1f}"
-            f" (q={self.cost_q_error:.2f})"
-            f" time={self.self_seconds * 1e3:.2f}ms")
-        for child in self.children:
-            child._render(depth + 1, lines)
-
-
-def build_analysis(plan: PhysicalPlan, span: Span,
-                   pattern: QueryPattern | None = None) -> OperatorAnalysis:
-    """Zip a plan tree with its (shape-identical) span tree."""
-    children_plans = plan.children()
-    if len(children_plans) != len(span.children):
-        raise PlanError(
-            f"span tree does not mirror the plan: {span.name} has "
-            f"{len(span.children)} children, plan node has "
-            f"{len(children_plans)}")
-    children = [build_analysis(child_plan, child_span, pattern)
-                for child_plan, child_span in zip(children_plans,
-                                                  span.children)]
-    own_cost = (span.metrics.simulated_cost()
-                if span.metrics is not None else 0.0)
-    actual_cost = own_cost + sum(child.actual_cost for child in children)
-    return OperatorAnalysis(
-        label=_plan_label(plan, pattern),
-        estimated_rows=plan.estimated_cardinality,
-        actual_rows=span.output_rows,
-        estimated_cost=plan.estimated_cost,
-        actual_cost=actual_cost,
-        seconds=span.seconds,
-        self_seconds=span.exclusive_seconds(),
-        simulated_cost=own_cost,
-        counters=span.counters(),
-        children=children)
+__all__ = ["ExplainReport"]
 
 
 @dataclass
@@ -157,17 +33,15 @@ class ExplainReport:
 
     With ``analyze=False`` only the optimizer's side is present; with
     ``analyze=True`` the plan was executed under tracing and
-    ``execution`` / ``root`` / ``span`` carry the measured side.
+    ``execution`` (whose span tree is :attr:`span`) carries the
+    measured side.
     """
 
     query: str
     algorithm: str
     engine: str
     optimization: "OptimizationResult"
-    analyze: bool = False
     execution: "ExecutionResult | None" = None
-    root: OperatorAnalysis | None = None
-    span: Span | None = None
     parse_seconds: float = 0.0
     #: sharded execution only: shard count plus the merged statistics'
     #: per-shard provenance (which shard contributed which share of
@@ -178,15 +52,22 @@ class ExplainReport:
     plan_space: "PlanSpaceReport | None" = None
 
     @property
+    def analyze(self) -> bool:
+        return self.execution is not None
+
+    @property
     def optimize_seconds(self) -> float:
         return self.optimization.report.optimization_seconds
 
     @property
+    def span(self) -> Span | None:
+        """The analyzed run's span tree — the per-operator record."""
+        return self.execution.span if self.execution is not None else None
+
+    @property
     def trace_id(self) -> str:
         """Join key to ``/traces`` (empty when the run was not traced)."""
-        if self.span is None:
-            return ""
-        return self.span.trace_id or ""
+        return self.span.trace_id if self.span is not None else ""
 
     @property
     def execute_seconds(self) -> float:
@@ -196,17 +77,19 @@ class ExplainReport:
 
     def max_rows_q_error(self) -> float:
         """The worst per-operator cardinality Q-error (1.0 if none)."""
-        if self.root is None:
+        if self.span is None:
             return 1.0
-        return max(node.rows_q_error for node in self.root.walk())
+        return max((span.rows_q_error() for span in self.span.walk()
+                    if span.estimated_cardinality is not None),
+                   default=1.0)
 
     def actual_totals(self) -> dict[str, float]:
         """Sum of per-operator counter shares over the whole plan."""
         totals: dict[str, float] = {}
-        if self.root is None:
+        if self.span is None:
             return totals
-        for node in self.root.walk():
-            for name, value in node.counters.items():
+        for span in self.span.walk():
+            for name, value in span.counters().items():
                 totals[name] = totals.get(name, 0) + value
         return totals
 
@@ -227,16 +110,14 @@ class ExplainReport:
                 lines.append("")
                 lines.append(self.plan_space.render())
             return "\n".join(lines)
-        assert self.root is not None and self.execution is not None
+        assert self.span is not None
         lines.append(
             f"engine={self.engine}  parse {self.parse_seconds * 1e3:.2f} ms"
             f" | optimize {self.optimize_seconds * 1e3:.2f} ms"
             f" | execute {self.execute_seconds * 1e3:.2f} ms")
         lines.append("operator rows=est/act (q=Q-error) "
                      "cost=est/act (q=Q-error) time=self")
-        body: list[str] = []
-        self.root._render(0, body)
-        lines.extend(body)
+        lines.append(self.span.render())
         metrics = self.execution.metrics
         lines.append(
             f"totals: {len(self.execution)} rows, estimated cost "
@@ -267,7 +148,7 @@ class ExplainReport:
             payload["shards"] = self.shards
         if self.plan_space is not None:
             payload["plan_space"] = self.plan_space.to_dict()
-        if self.analyze and self.execution is not None:
+        if self.execution is not None:
             metrics = self.execution.metrics
             payload.update({
                 "execute_seconds": self.execute_seconds,
@@ -277,10 +158,7 @@ class ExplainReport:
                                         metrics.simulated_cost()),
                 "max_rows_q_error": self.max_rows_q_error(),
                 "totals": metrics.counters(),
-                "plan": (self.root.to_dict()
-                         if self.root is not None else None),
-                "spans": (self.span.to_dict()
-                          if self.span is not None else None),
+                "plan": self.span.to_dict(),
             })
         else:
             payload["plan"] = self.optimization.explain()

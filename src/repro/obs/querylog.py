@@ -25,8 +25,10 @@ Design points:
   ``<path>.<backups>`` once it exceeds ``max_bytes``; the oldest
   rotation is deleted, so total disk use is bounded by
   ``(backups + 1) * max_bytes`` (plus one record of slack).
-* **Trace sampling** — ``trace_sample=n`` traces every n-th execution
-  (per-operator detail); ``trace_sample=0`` never forces tracing.
+* **No sampler of its own** — whether a run is traced is decided
+  before it starts (``QueryTarget._trace_for``, fed by the query
+  service's 1-in-``trace_sample`` clock); the log records what it is
+  handed, with per-operator detail whenever that run was traced.
 * **In-memory mode** — ``path=None`` keeps records in a bounded deque:
   no files, no writer thread.  Used by the CLI's self-contained
   ``calibrate``/``audit`` modes and by tests.
@@ -91,14 +93,14 @@ def build_record(pattern: "QueryPattern", plan: "PhysicalPlan",
     result, or a stream read to its end (``rows`` is what it produced).
 
     When the execution was traced (``execution.span`` is set) the
-    record carries an ``operators`` list — the plan's operator tree
-    flattened pre-order, each entry with the optimizer's estimates,
-    the measured rows/seconds, and the operator's exact share of every
-    cost-model counter (the calibration inputs) — plus the trace id,
-    so log analysis (:mod:`repro.obs.audit`) can join a logged plan
-    back to its retained trace.
+    record carries an ``operators`` list — the span tree flattened
+    pre-order, one :meth:`~repro.obs.spans.Span.operator_record` each:
+    the optimizer's estimates, the measured rows/seconds, and the
+    operator's exact share of every cost-model counter (the
+    calibration inputs) — plus the trace id, so log analysis
+    (:mod:`repro.obs.audit`) can join a logged plan back to its
+    retained trace.
     """
-    from repro.obs.explain import build_analysis
     from repro.service.cache import canonical_plan_digest
     from repro.xpath.render import pattern_to_xpath
 
@@ -125,18 +127,8 @@ def build_record(pattern: "QueryPattern", plan: "PhysicalPlan",
     if trace_id:
         record["trace_id"] = trace_id
     if execution.span is not None:
-        analysis = build_analysis(plan, execution.span, pattern)
-        record["operators"] = [{
-            "operator": node.label,
-            "estimated_rows": node.estimated_rows,
-            "actual_rows": node.actual_rows,
-            "estimated_cost": node.estimated_cost,
-            "actual_cost": node.actual_cost,
-            "seconds": node.seconds,
-            "self_seconds": node.self_seconds,
-            "simulated_cost": node.simulated_cost,
-            "counters": dict(node.counters),
-        } for node in analysis.walk()]
+        record["operators"] = [span.operator_record()
+                               for span in execution.span.walk()]
     return record
 
 
@@ -152,20 +144,16 @@ class QueryLog:
 
     def __init__(self, path: "str | os.PathLike[str] | None" = None, *,
                  max_bytes: int = 4 << 20, backups: int = 3,
-                 trace_sample: int = 1, memory_capacity: int = 4096,
+                 memory_capacity: int = 4096,
                  queue_capacity: int = 4096) -> None:
         if max_bytes < 1:
             raise ReproError("query log max_bytes must be at least 1")
         if backups < 1:
             raise ReproError("query log backups must be at least 1")
-        if trace_sample < 0:
-            raise ReproError("query log trace_sample must be >= 0")
         self.path = os.fspath(path) if path is not None else None
         self.max_bytes = max_bytes
         self.backups = backups
-        self.trace_sample = trace_sample
         self._mutex = threading.Lock()
-        self._executions = 0
         self._recorded = 0
         self._dropped = 0
         self._drops_exported = 0
@@ -184,19 +172,6 @@ class QueryLog:
             self._writer.start()
 
     # -- recording -------------------------------------------------------
-
-    def want_span(self) -> bool:
-        """Should the next execution be traced for this log?
-
-        Counts executions and returns True every ``trace_sample``-th
-        one (always with the default ``trace_sample=1``, never with
-        ``0``).
-        """
-        if self.trace_sample == 0:
-            return False
-        with self._mutex:
-            self._executions += 1
-            return self._executions % self.trace_sample == 0
 
     def record(self, record: dict[str, object]) -> None:
         """Append *record* (non-blocking; drops and counts on a full

@@ -15,6 +15,14 @@ Instrumentation is zero-cost when disabled: operators carry a
 ``run()``/``block()`` call — never per tuple — so the untraced hot
 path is unchanged (see DESIGN.md, "Observability").
 
+The span tree is the *only* per-operator record of a run: an operator
+span also echoes the optimizer's estimates for its plan node, and the
+derived reads built on the pair — the **Q-error** of the row and cost
+estimates (:func:`q_error`), cumulative actual cost, the est/act
+render line, the :meth:`Span.operator_record` a query-log record
+keeps — live here, so ``explain --analyze``, the query log, ``/traces``
+and a shard worker's reply all show the same object.
+
 Span trees export as JSON (:meth:`Span.to_dict`) and as an indented
 text tree (:meth:`Span.render`).  A :class:`Tracer` is a thread-safe
 bounded ring of finished query traces.
@@ -37,7 +45,7 @@ import uuid
 from typing import Iterator
 
 __all__ = ["FrozenMetrics", "Span", "TraceContext", "Tracer",
-           "assign_span_ids"]
+           "assign_span_ids", "q_error"]
 
 #: counters exported per operator span (the cost-model counters plus
 #: the sort diagnostics; page/buffer I/O stays run-level — the buffer
@@ -45,6 +53,20 @@ __all__ = ["FrozenMetrics", "Span", "TraceContext", "Tracer",
 SPAN_COUNTERS = ("index_items", "sort_count", "sorted_items",
                  "sort_units", "buffered_results", "stack_tuple_ops",
                  "output_tuples", "join_count")
+
+
+def q_error(estimated: float, actual: float) -> float:
+    """Symmetric estimate/actual ratio, both sides clamped to >= 1.
+
+    Q-error (Moerkotte et al., "Preventing Bad Plans by Bounding the
+    Impact of Cardinality Estimation Errors", VLDB 2009): 1 is a
+    perfect estimate, and the factor by which it exceeds 1 bounds how
+    far the optimizer's cost ranking can drift for that operator.  The
+    clamp keeps empty results from dividing by zero.
+    """
+    estimated = max(float(estimated), 1.0)
+    actual = max(float(actual), 1.0)
+    return max(estimated, actual) / min(estimated, actual)
 
 
 class TraceContext:
@@ -98,9 +120,8 @@ class FrozenMetrics:
     Stands in for the live
     :class:`~repro.engine.metrics.ExecutionMetrics` a worker-side span
     carried: exposes the :data:`SPAN_COUNTERS` as attributes and the
-    recorded ``simulated_cost()``, which is all
-    :func:`repro.obs.explain.build_analysis` and
-    :meth:`Span.counters` need.  Values are frozen at serialization
+    recorded ``simulated_cost()``, which is all :class:`Span`'s
+    counter and cost reads need.  Values are frozen at serialization
     time — exact ints for the counters, so stitched shares still sum
     precisely to the merged run totals.
     """
@@ -122,10 +143,13 @@ class Span:
 
     ``seconds`` is *inclusive* (children run within their parent);
     :meth:`exclusive_seconds` subtracts the children.  For operator
-    spans, ``metrics`` holds the operator's private counters and
-    ``estimated_cardinality`` / ``estimated_cost`` echo the plan
-    annotations the optimizer derived, so estimate-vs-actual drift can
-    be computed per operator (:mod:`repro.obs.explain`).
+    spans, ``detail`` is the plan node's label
+    (:meth:`~repro.core.plans.PhysicalPlan.label`), ``metrics`` holds
+    the operator's private counters and ``estimated_cardinality`` /
+    ``estimated_cost`` echo the plan annotations the optimizer
+    derived, so estimate-vs-actual drift is read off the span itself
+    (:meth:`rows_q_error`, :meth:`cost_q_error`).  A stage span (a
+    shard scatter, a merge) carries neither.
     """
 
     __slots__ = ("name", "detail", "seconds", "output_rows",
@@ -189,6 +213,43 @@ class Span:
         return {name: getattr(self.metrics, name)
                 for name in SPAN_COUNTERS}
 
+    # -- estimate vs. actual ---------------------------------------------
+
+    def simulated_cost(self) -> float:
+        """This span's own share of the run's simulated cost."""
+        if self.metrics is None:
+            return 0.0
+        return self.metrics.simulated_cost()
+
+    def actual_cost(self) -> float:
+        """Simulated cost of the whole subtree — cumulative, like the
+        optimizer's ``estimated_cost`` it is compared with."""
+        return self.simulated_cost() + sum(child.actual_cost()
+                                           for child in self.children)
+
+    def rows_q_error(self) -> float:
+        return q_error(self.estimated_cardinality or 0.0,
+                       self.output_rows)
+
+    def cost_q_error(self) -> float:
+        return q_error(self.estimated_cost or 0.0, self.actual_cost())
+
+    def operator_record(self) -> dict[str, object]:
+        """This operator's entry in a query-log record's ``operators``
+        list; the key names are the on-disk format ``calibrate`` and
+        ``audit`` read back."""
+        return {
+            "operator": self.detail or self.name,
+            "estimated_rows": self.estimated_cardinality,
+            "actual_rows": self.output_rows,
+            "estimated_cost": self.estimated_cost,
+            "actual_cost": self.actual_cost(),
+            "seconds": self.seconds,
+            "self_seconds": self.exclusive_seconds(),
+            "simulated_cost": self.simulated_cost(),
+            "counters": self.counters(),
+        }
+
     # -- export ----------------------------------------------------------
 
     def to_dict(self) -> dict[str, object]:
@@ -208,11 +269,14 @@ class Span:
             payload["parent_span_id"] = self.parent_span_id
         if self.estimated_cardinality is not None:
             payload["estimated_cardinality"] = self.estimated_cardinality
+            payload["rows_q_error"] = self.rows_q_error()
         if self.estimated_cost is not None:
             payload["estimated_cost"] = self.estimated_cost
+            payload["actual_cost"] = self.actual_cost()
+            payload["cost_q_error"] = self.cost_q_error()
         if self.metrics is not None:
             payload["counters"] = self.counters()
-            payload["simulated_cost"] = self.metrics.simulated_cost()
+            payload["simulated_cost"] = self.simulated_cost()
         payload["children"] = [child.to_dict() for child in self.children]
         return payload
 
@@ -246,19 +310,26 @@ class Span:
         return span
 
     def render(self, indent: int = 0) -> str:
-        """Indented text tree of the subtree."""
+        """Indented text tree of the subtree: an operator's line is
+        ``label rows=est/act (q=Q-error) cost=est/act (q=Q-error)
+        time=self``, a stage's its label and inclusive time."""
         lines: list[str] = []
         self._render(indent, lines)
         return "\n".join(lines)
 
     def _render(self, depth: int, lines: list[str]) -> None:
-        label = self.detail or self.name
-        extras = ""
-        if self.metrics is not None:
-            extras = (f" rows={self.output_rows}"
-                      f" cost={self.metrics.simulated_cost():.1f}")
-        lines.append(f"{'  ' * depth}{label}"
-                     f" {self.seconds * 1e3:.2f}ms{extras}")
+        line = f"{'  ' * depth}{self.detail or self.name}"
+        if self.estimated_cardinality is None:
+            line += f" {self.seconds * 1e3:.2f}ms"
+        else:
+            line += (f" rows={self.estimated_cardinality:.1f}"
+                     f"/{self.output_rows}"
+                     f" (q={self.rows_q_error():.2f})"
+                     f" cost={self.estimated_cost:.1f}"
+                     f"/{self.actual_cost():.1f}"
+                     f" (q={self.cost_q_error():.2f})"
+                     f" time={self.exclusive_seconds() * 1e3:.2f}ms")
+        lines.append(line)
         for child in self.children:
             child._render(depth + 1, lines)
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from repro.core.pattern import QueryPattern
 from repro.engine.metrics import ExecutionMetrics
 from repro.obs.registry import MetricsRegistry, SampleReservoir
-from repro.obs.slo import DEFAULT_OBJECTIVES, SLObjective, SLOTracker
+from repro.obs.slo import DEFAULT_OBJECTIVES, SLOTracker
 from repro.service.cache import PlanCache, cache_key
 from repro.target import QueryResult, QueryTarget
 
@@ -73,9 +73,7 @@ class QueryService:
                  slow_query_seconds: float = SLOW_QUERY_SECONDS,
                  slow_log_capacity: int = SLOW_LOG_CAPACITY,
                  trace_sample: int = 0,
-                 planspace_sample: int = 0,
-                 slo_objectives: "tuple[SLObjective, ...] | None"
-                 = None) -> None:
+                 planspace_sample: int = 0) -> None:
         if slow_log_capacity < 0:
             raise ValueError("slow_log_capacity must be >= 0")
         if trace_sample < 0:
@@ -97,7 +95,7 @@ class QueryService:
         #: ``/planspace`` endpoint of ``stats --listen``.
         self.planspace_sample = planspace_sample
         #: declarative objectives evaluated over every served query.
-        self.slo = SLOTracker(slo_objectives or DEFAULT_OBJECTIVES)
+        self.slo = SLOTracker(DEFAULT_OBJECTIVES)
         self._mutex = threading.Lock()
         self._latencies = SampleReservoir(LATENCY_RESERVOIR, seed=0)
         self._engine_totals = ExecutionMetrics(

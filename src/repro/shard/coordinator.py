@@ -186,7 +186,6 @@ class ShardWorkerPool:
     # -- queries ----------------------------------------------------------
 
     def scatter_gather(self, plan, pattern, engine: str,
-                       want_span: bool = False,
                        trace_context: "dict | None" = None
                        ) -> tuple[list[dict], dict[str, float]]:
         """Fan one plan out to every shard; one payload per shard back.
@@ -195,8 +194,8 @@ class ShardWorkerPool:
         one request, one reply per worker, so overlapping queries from
         service threads queue here instead of interleaving messages.
         *trace_context* (a :class:`~repro.obs.spans.TraceContext`
-        dict) rides with the plan so sampled workers trace under the
-        coordinator's trace id.  The call's own ``scatter`` and
+        dict) rides with the plan: a worker handed one runs traced,
+        under the coordinator's trace id.  The call's own ``scatter`` and
         ``gather`` wall seconds come back beside its payloads, so a
         stitched trace can only ever carry the timings of the query it
         belongs to, however many threads share the pool.
@@ -209,7 +208,7 @@ class ShardWorkerPool:
                 for shard_id in range(self.shards):
                     self._send(shard_id,
                                ("query", plan, pattern, engine,
-                                want_span, trace_context))
+                                trace_context))
                 gather_started = time.perf_counter()
                 replies = [self._recv(shard_id)
                            for shard_id in range(self.shards)]

@@ -39,8 +39,7 @@ from repro.engine.metrics import ExecutionMetrics
 from repro.engine.tuples import MatchTuple, Schema
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PositionalEstimator)
-from repro.obs.explain import (ExplainReport, OperatorAnalysis,
-                               build_analysis)
+from repro.obs.explain import ExplainReport
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, assign_span_ids
@@ -190,12 +189,6 @@ class ShardedDatabase(QueryTarget):
         if self._closed:
             raise ShardError("sharded database is closed")
 
-    def __enter__(self) -> "ShardedDatabase":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
     # -- statistics -------------------------------------------------------
 
     @property
@@ -222,7 +215,7 @@ class ShardedDatabase(QueryTarget):
         timing (its clock keeps running through the merge).
         """
         payloads, phases = self.workers.scatter_gather(
-            plan, pattern, engine, want_span=trace is not None,
+            plan, pattern, engine,
             trace_context=trace.to_dict() if trace is not None
             else None)
         node_ids = payloads[0]["node_ids"]
@@ -303,8 +296,8 @@ class ShardedDatabase(QueryTarget):
             metrics.wall_seconds = stream.total_seconds
             if trace is not None:
                 stream.span = self._stitch_trace(
-                    trace, payloads, phases, metrics, stream.produced,
-                    time.perf_counter() - merge_started)
+                    trace, plan, payloads, phases, metrics,
+                    stream.produced, time.perf_counter() - merge_started)
                 self.tracer.record(stream.span)
 
         return StreamingExecution(
@@ -312,15 +305,19 @@ class ShardedDatabase(QueryTarget):
             engine=engine, cancel=cancel, started=started,
             on_finish=finish)
 
-    def _stitch_trace(self, trace: TraceContext, payloads: list[dict],
-                      phases: dict[str, float],
+    def _stitch_trace(self, trace: TraceContext, plan: PhysicalPlan,
+                      payloads: list[dict], phases: dict[str, float],
                       metrics: ExecutionMetrics, merged_rows: int,
                       merge_seconds: float) -> Span:
         """Assemble one distributed trace from the shard payloads.
 
         Structure: ``ShardScatterGather`` → [``scatter``, ``gather`` →
         one ``shard[i]`` wrapper per worker → that worker's rebuilt
-        subtree, ``merge``].  Coordinator spans are stamped under the
+        subtree, ``merge``].  The root and every wrapper carry the
+        *plan*'s estimates — the merged result against the whole
+        estimate, and each shard's rows against it too, which is where
+        partition skew shows — so an explain report renders the tree
+        as it is.  Coordinator spans are stamped under the
         ``c`` prefix *before* the worker subtrees (already stamped
         ``s<shard>-…`` worker-side) are attached, then each subtree
         root is re-parented under its wrapper — so span ids are unique
@@ -334,8 +331,11 @@ class ShardedDatabase(QueryTarget):
         sort-and-pack time and size, which the worker clocks
         separately, ride in the wrapper's detail.
         """
+        estimates = {"estimated_cardinality": plan.estimated_cardinality,
+                     "estimated_cost": plan.estimated_cost}
         root = Span("ShardScatterGather",
-                    detail=f"scatter-gather[{self.shards} shards]")
+                    detail=f"ShardScatterGather[{self.shards}]",
+                    **estimates)
         root.seconds = metrics.wall_seconds
         root.output_rows = merged_rows
         scatter = Span("ShardScatter", detail="scatter")
@@ -351,7 +351,7 @@ class ShardedDatabase(QueryTarget):
                 "Shard",
                 detail=f"shard[{payload['shard_id']}] "
                        f"pack {payload['pack_seconds'] * 1e3:.2f} ms "
-                       f"{payload['reply_bytes']} B")
+                       f"{payload['reply_bytes']} B", **estimates)
             wrapper.seconds = payload["wall_seconds"]
             wrapper.output_rows = payload["row_count"]
             gather.children.append(wrapper)
@@ -379,52 +379,6 @@ class ShardedDatabase(QueryTarget):
                 tags=[node.tag for node in pattern.nodes],
                 grid=self.histogram_grid),
         }
-
-    def _explain_analysis(self, report: ExplainReport,
-                          pattern: QueryPattern
-                          ) -> tuple[OperatorAnalysis, Span]:
-        """A synthetic ``ShardScatterGather`` root whose children are
-        one fully annotated per-shard plan analysis each —
-        estimate-vs-actual drift is visible *per shard*, which is
-        exactly where partition skew shows up.  The span is the
-        stitched trace the run's finish hook already recorded."""
-        execution = report.execution
-        plan = report.optimization.plan
-        shard_analyses: list[OperatorAnalysis] = []
-        for wrapper in self._shard_wrappers(execution.span):
-            children = [build_analysis(plan, child, pattern)
-                        for child in wrapper.children]
-            shard_analyses.append(OperatorAnalysis(
-                label=wrapper.detail,
-                estimated_rows=plan.estimated_cardinality,
-                actual_rows=wrapper.output_rows,
-                estimated_cost=plan.estimated_cost,
-                actual_cost=sum(child.actual_cost
-                                for child in children),
-                seconds=wrapper.seconds,
-                self_seconds=0.0, simulated_cost=0.0, counters={},
-                children=children))
-        root = OperatorAnalysis(
-            label=f"ShardScatterGather[{self.shards}]",
-            estimated_rows=plan.estimated_cardinality,
-            actual_rows=len(execution),
-            estimated_cost=plan.estimated_cost,
-            actual_cost=sum(analysis.actual_cost
-                            for analysis in shard_analyses),
-            seconds=execution.span.seconds,
-            self_seconds=execution.span.exclusive_seconds(),
-            simulated_cost=0.0, counters={},
-            children=shard_analyses)
-        return root, execution.span
-
-    @staticmethod
-    def _shard_wrappers(span: Span) -> list[Span]:
-        """The per-shard wrapper spans of one stitched trace."""
-        for child in span.children:
-            if child.name == "ShardGather":
-                return list(child.children)
-        return [child for child in span.children
-                if child.name == "Shard"]
 
     # -- serving & observability ------------------------------------------
 

@@ -11,11 +11,11 @@ queries never dirty pages, so any number of workers can share one
 persisted shard directory.  The protocol over the pipe is a tagged
 tuple per message:
 
-* ``("query", plan, pattern, engine, want_span, trace_context)`` →
+* ``("query", plan, pattern, engine, trace_context)`` →
   ``("ok", payload)`` or ``("error", type_name, message)``.
   ``trace_context`` is ``None`` or a
-  :class:`~repro.obs.spans.TraceContext` dict; when present and
-  sampled, the worker runs the query traced, stamps its span subtree
+  :class:`~repro.obs.spans.TraceContext` dict; when present, the
+  worker runs the query traced, stamps its span subtree
   with the coordinator's trace id under a per-shard span-id prefix,
   and ships the subtree back serialized (``span.to_dict()`` — counters
   ride as exact ints, never as live metric objects) for the
@@ -44,7 +44,7 @@ sorted run of start labels, never a row object.
   ``reply_bytes`` — the size of ``rows``' buffer.
 * ``counters``, ``page_reads``, ``buffer_hits``, ``buffer_misses``,
   ``span`` — the execution's exact cost-model counters, its I/O
-  diagnostics and (when sampled) its serialized span subtree.
+  diagnostics and (when traced) its serialized span subtree.
 """
 
 from __future__ import annotations
@@ -129,14 +129,13 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
             conn.send(("error", "ShardError",
                        f"unknown request {request[0]!r}"))
             continue
-        _, plan, pattern, engine, want_span, context = request
+        _, plan, pattern, engine, context = request
         trace = (TraceContext.from_dict(context)
                  if context is not None else None)
-        sampled = want_span or (trace is not None and trace.sampled)
         cpu_started = time.process_time()
         try:
             result = database.execute(plan, pattern, engine=engine,
-                                      spans=sampled)
+                                      spans=trace is not None)
         except BaseException as error:  # noqa: BLE001 - stay serving
             _send_error(conn, error)
             continue
@@ -145,15 +144,13 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
         # is what a worker would take with a core of its own
         cpu_seconds = time.process_time() - cpu_started
         span_payload = None
-        if result.span is not None:
+        if trace is not None:
             # stamp under a per-shard prefix so span ids stay unique
             # across the stitched trace; the coordinator re-parents
             # the subtree root under its shard wrapper span
-            assign_span_ids(
-                result.span,
-                trace.trace_id if trace is not None else "",
-                trace.parent_span_id if trace is not None else "",
-                prefix=f"s{shard_id}-")
+            assign_span_ids(result.span, trace.trace_id,
+                            trace.parent_span_id,
+                            prefix=f"s{shard_id}-")
             span_payload = result.span.to_dict()
         pack_started = time.perf_counter()
         node_ids = result.schema.node_ids
@@ -175,6 +172,7 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
             "reply_bytes": len(rows) * rows.itemsize,
             "span": span_payload,
         }))
+    database.close()
     conn.close()
 
 

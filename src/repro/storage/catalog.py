@@ -21,11 +21,15 @@ would free-list them; this one documents the leak instead).
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import Page
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.storage.store import ElementStore
+    from repro.storage.tagindex import TagIndex
 
 CATALOG_PAGE_ID = 0
 _CHUNK_BYTES = 4000
@@ -39,6 +43,24 @@ def reserve_catalog_page(pool: BufferPool) -> None:
     page = pool.new_page()
     pool.unpin(page.page_id, dirty=True)
     pool.flush()
+
+
+def catalog_payload(name: str, store: "ElementStore",
+                    index: "TagIndex") -> dict[str, Any]:
+    """The directory state both the page-0 catalog and a commit's WAL
+    ``CATALOG`` record persist, for one element *store* / tag *index*
+    pair — built here only, so the two copies cannot drift."""
+    payload = {
+        "name": name,
+        "store_pages": store.page_ids,
+        "index_chains": index.chains(),
+        "index_counts": index.counts(),
+        "node_count": store.node_count,
+    }
+    deleted = store.deleted_rids()
+    if deleted:
+        payload["deleted_rids"] = deleted
+    return payload
 
 
 def write_catalog(pool: BufferPool, payload: dict[str, Any]) -> None:

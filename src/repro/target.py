@@ -5,9 +5,9 @@ one set of statistics — and nothing about choosing a plan depends on
 where the plan then runs.  :class:`QueryTarget` therefore owns every
 operation that is planning or serving, and a back end supplies only
 what genuinely differs: the statistics, how a plan is run (one
-``stream_execute``; ``execute`` is that stream drained), what an
-explain report says about that run, and its own gauges (the abstract
-members below).
+``stream_execute``; ``execute`` is that stream drained), its own
+gauges and how it is closed (the abstract members below); what a run
+leaves behind is the same on both — the span tree an explain renders.
 :class:`~repro.api.Database` (one node) and
 :class:`~repro.shard.sharded.ShardedDatabase` (a worker fleet) are the
 two back ends; the query service, the HTTP front-end and the CLI call
@@ -33,10 +33,10 @@ from repro.engine.executor import (ExecutionResult, FirstResultTiming,
                                    validate_engine)
 from repro.estimation.estimator import (CardinalityEstimator,
                                         ExactEstimator)
-from repro.obs.explain import ExplainReport, OperatorAnalysis
+from repro.obs.explain import ExplainReport
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import Span, TraceContext, Tracer
+from repro.obs.spans import TraceContext, Tracer
 from repro.xpath.parser import compile_xpath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -126,17 +126,20 @@ class QueryTarget(abc.ABC):
         """Back-end additions to every explain report (default none)."""
 
     @abc.abstractmethod
-    def _explain_analysis(self, report: ExplainReport,
-                          pattern: QueryPattern
-                          ) -> tuple[OperatorAnalysis, Span]:
-        """The analysed operator tree and the query-level span of an
-        ``explain(analyze=True)`` whose traced execution is already on
-        ``report.execution``."""
-
-    @abc.abstractmethod
     def collect_gauges(self, registry: MetricsRegistry) -> None:
         """Set this back end's gauges on *registry* (the query service
         calls it before every metrics export)."""
+
+    @abc.abstractmethod
+    def close(self) -> None:
+        """Release what the back end holds open — files, worker
+        processes; idempotent, and what leaving a ``with`` block does."""
+
+    def __enter__(self) -> "QueryTarget":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # -- tracing ----------------------------------------------------------------
 
@@ -266,8 +269,9 @@ class QueryTarget(abc.ABC):
         the report carries, for each operator, estimated vs. actual
         output cardinality and cost with their Q-errors, plus the
         operator's exact share of every cost-model counter (the shares
-        sum exactly to the run's :class:`ExecutionMetrics`).  The
-        query-level span tree is recorded on :attr:`tracer`.
+        sum exactly to the run's :class:`ExecutionMetrics`) — all read
+        off the run's span tree (``report.span``), which the run's
+        finish hook also recorded on :attr:`tracer`.
 
         With ``plan_space=True`` the optimization records its search
         space and the report carries a
@@ -285,7 +289,6 @@ class QueryTarget(abc.ABC):
             from repro.core.planspace import PlanSpaceRecorder
 
             recorder = PlanSpaceRecorder()
-            options = dict(options)
             options["planspace"] = recorder
         optimization = self.optimize(pattern, algorithm=algorithm,
                                      **options)
@@ -296,9 +299,6 @@ class QueryTarget(abc.ABC):
         if analyze:
             report.execution = self.execute(optimization.plan, pattern,
                                             engine=engine, spans=True)
-            report.analyze = True
-            report.root, report.span = self._explain_analysis(report,
-                                                              pattern)
         if recorder is not None:
             from repro.obs.planspace import build_plan_space_report
 
@@ -383,8 +383,8 @@ class QueryTarget(abc.ABC):
         From then on every run read to its end — buffered or streamed,
         direct or served — appends one record (asynchronously in file
         mode); a run cancelled or closed early (a deadline, a ``limit``,
-        a client gone) appends none, its counters being partial.  The
-        log's ``trace_sample`` controls how often runs are traced for
-        per-operator detail.
+        a client gone) appends none, its counters being partial.  A
+        record carries per-operator detail when its run was traced
+        (:meth:`_trace_for`); the log itself never asks for a trace.
         """
         self.query_log = log

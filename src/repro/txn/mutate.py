@@ -41,6 +41,7 @@ from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.obs.registry import BucketRecorder
 from repro.obs.spans import Span, TraceContext, assign_span_ids
+from repro.storage.catalog import catalog_payload
 from repro.txn.labels import DEFAULT_GAP, pick_gap, relabel
 from repro.txn.stats import IncrementalStatistics
 from repro.txn.wal import FSYNC_BUCKETS, WriteAheadLog
@@ -517,16 +518,7 @@ class TransactionManager:
             store.store_node(node)
         index = db.index.clone_for_write()
         index.apply_edits(_index_edits(added.values(), removed.values()))
-        payload = {
-            "name": db.name,
-            "store_pages": store.page_ids,
-            "index_chains": index.chains(),
-            "index_counts": index.counts(),
-            "node_count": store.node_count,
-        }
-        deleted = store.deleted_rids()
-        if deleted:
-            payload["deleted_rids"] = deleted
+        payload = catalog_payload(db.name, store, index)
         cow_span.seconds = time.perf_counter() - cow_started
         cow_span.detail = (f"{db.disk.page_count - pages_before} "
                            f"fresh pages")

@@ -181,11 +181,12 @@ def test_calibration_result_apply():
 
 def _logged_database():
     database = Database.from_xml(DOC)
-    log = QueryLog(None, trace_sample=1)
+    log = QueryLog(None)
     database.attach_query_log(log)
+    database.service.trace_sample = 1
     for query in ("//manager//employee/name", "//manager/name",
                   "//manager//employee/name"):
-        database.query(query, algorithm="DPP")
+        database.service.query(query, algorithm="DPP")
     database.attach_query_log(None)
     return database, log.records()
 

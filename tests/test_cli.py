@@ -1,6 +1,9 @@
 """Tests for the command-line interface."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,17 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def run_repro(*argv, python=(sys.executable,)):
+    """``python -m repro`` as a child process (crash drills call
+    ``os._exit``; leak checks need their own interpreter flags)."""
+    env = dict(os.environ)
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env["PYTHONPATH"] = os.path.join(root, "src")
+    return subprocess.run([*python, "-m", "repro", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
 
 
 class TestQueryCommand:
@@ -355,22 +369,9 @@ class TestIngestCommands:
 class TestIngestCrashDrills:
     """The crash flags call os._exit, so they need a subprocess."""
 
-    def run_repro(self, *argv):
-        import os
-        import subprocess
-        import sys
-
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(
-            __file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, env=env, timeout=120)
-
     def test_torn_tail_transaction_vanishes(self, tmp_path):
         db_dir = str(tmp_path / "db")
-        proc = self.run_repro(
+        proc = run_repro(
             "ingest", "--db", db_dir, "--dataset", "pers",
             "--nodes", "200", "--batches", "2", "--torn-tail")
         assert proc.returncode == 17, proc.stderr
@@ -382,10 +383,50 @@ class TestIngestCrashDrills:
 
     def test_crash_after_commit_is_durable(self, tmp_path):
         db_dir = str(tmp_path / "db")
-        proc = self.run_repro(
+        proc = run_repro(
             "ingest", "--db", db_dir, "--dataset", "pers",
             "--nodes", "200", "--batches", "4", "--crash-after", "2")
         assert proc.returncode == 17, proc.stderr
         code, output = run_cli("checkpoint", "--db", db_dir)
         assert code == 0
         assert "2 committed transaction(s) replayed" in output
+
+
+class TestDbVerbsCloseTheirTarget:
+    """Every verb that opens ``--db DIR`` closes its pages file and
+    write-ahead log again: run under ``-W error::ResourceWarning``, a
+    leaked file would be reported on stderr when it is collected."""
+
+    QUERY = "//manager//employee/name"
+
+    @pytest.fixture(scope="class")
+    def durable(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("closing")
+        db_dir, log_path = str(root / "db"), str(root / "log.jsonl")
+        assert run_cli("ingest", "--db", db_dir, "--dataset", "pers",
+                       "--nodes", "200", "--batches", "2")[0] == 0
+        assert run_cli("log", "--db", db_dir, "--serve", "1",
+                       "--output", log_path)[0] == 0
+        return db_dir, log_path
+
+    @pytest.mark.parametrize("verb", [
+        ("query", QUERY),
+        ("query", "--shards", "1", QUERY),
+        ("explain", "--analyze", QUERY),
+        ("stats", "--serve", "1"),
+        ("log", "--serve", "1", "--output", "{log}.again"),
+        ("calibrate", "--serve", "1"),
+        ("audit", "--log", "{log}"),
+        ("whatif", "--factor", "f_io=64", QUERY),
+        ("trace", QUERY),
+        ("ingest", "--dataset", "pers", "--nodes", "200"),
+        ("checkpoint",),
+    ], ids=lambda verb: "-".join(verb[:2]).replace("/", ""))
+    def test_no_file_is_left_open(self, durable, verb):
+        db_dir, log_path = durable
+        command, *rest = (part.format(log=log_path) for part in verb)
+        proc = run_repro(command, "--db", db_dir, *rest,
+                              python=(sys.executable, "-W",
+                                      "error::ResourceWarning"))
+        assert proc.returncode == 0, proc.stderr
+        assert "ResourceWarning" not in proc.stderr, proc.stderr

@@ -21,6 +21,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import re
 
 import pytest
 
@@ -30,10 +31,12 @@ from repro.core.cost import CostFactors
 from repro.engine.metrics import COST_COUNTERS, ExecutionMetrics
 from repro.errors import ReproError
 from repro.obs import (MetricsRegistry, SampleReservoir, Span, Tracer,
-                       build_analysis, q_error)
+                       q_error)
 from repro.server import QueryServer, ServerConfig, fetch
+from repro.shard.sharded import ShardedDatabase
 from repro.workloads import make_rng, random_pattern
 from repro.workloads.personnel import personnel_document
+from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
 from tests.conftest import random_document
 
@@ -70,12 +73,23 @@ class TestSpans:
     def test_to_dict_and_render(self, database):
         report = database.explain(QUERY, analyze=True)
         payload = report.span.to_dict()
-        assert payload["name"] == "query"
-        assert [child["name"] for child in payload["children"]] == \
-            ["parse", "optimize", "execute"]
+        # the report's span is the run's own operator tree
+        assert report.span is report.execution.span
+        assert payload["name"] == "BlockStackTreeDescJoin"
+        assert payload["detail"] == report.optimization.plan.label(
+            database.compile(QUERY))
+        assert len(payload["children"]) == 2
+        assert payload["rows_q_error"] >= 1.0
+        assert payload["cost_q_error"] >= 1.0
         text = report.span.render()
-        assert "execute" in text and "ms" in text
+        assert "IndexScan($0:manager)" in text and "ms" in text
         json.dumps(payload)  # JSON-able all the way down
+
+    def test_stage_spans_render_plainly(self):
+        stage = Span("ShardMerge", detail="merge")
+        stage.seconds = 0.002
+        assert stage.render() == "merge 2.00ms"
+        assert "rows_q_error" not in stage.to_dict()
 
     def test_tracer_ring_drops_oldest(self):
         tracer = Tracer(capacity=2)
@@ -145,32 +159,32 @@ class TestExplainAnalyze:
     def test_plain_explain_has_no_execution(self, database):
         report = database.explain(QUERY)
         assert not report.analyze
-        assert report.execution is None and report.root is None
+        assert report.execution is None and report.span is None
         assert "IndexScan" in report.render()
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_analyze_annotates_every_operator(self, database, engine):
         report = database.explain(QUERY, analyze=True, engine=engine)
-        operators = list(report.root.walk())
+        operators = list(report.span.walk())
         assert len(operators) == 5  # 3 scans + 2 joins
         for node in operators:
-            assert node.rows_q_error >= 1.0
-            assert node.cost_q_error >= 1.0
-            assert node.actual_rows >= 0
+            assert node.rows_q_error() >= 1.0
+            assert node.cost_q_error() >= 1.0
+            assert node.output_rows >= 0
         # scans estimate exactly (cardinalities come from the index)
         leaves = [node for node in operators if not node.children]
-        assert all(node.rows_q_error == 1.0 for node in leaves)
+        assert all(node.rows_q_error() == 1.0 for node in leaves)
         text = report.render()
         assert "q=" in text and "rows=" in text
         assert f"engine={engine}" in text
 
     def test_actual_cost_is_cumulative(self, database):
         report = database.explain(QUERY, analyze=True)
-        root = report.root
-        assert root.actual_cost == pytest.approx(
-            root.simulated_cost
-            + sum(child.actual_cost for child in root.children))
-        assert root.actual_cost == pytest.approx(
+        root = report.span
+        assert root.actual_cost() == pytest.approx(
+            root.simulated_cost()
+            + sum(child.actual_cost() for child in root.children))
+        assert root.actual_cost() == pytest.approx(
             report.execution.metrics.simulated_cost())
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -187,7 +201,9 @@ class TestExplainAnalyze:
         assert payload["rows"] == len(report.execution)
         assert payload["totals"] == report.execution.metrics.counters()
         assert payload["plan"]["children"]
-        assert payload["spans"]["name"] == "query"
+        # the operator tree ships once
+        assert "spans" not in payload
+        assert payload["plan"]["trace_id"] == payload["trace_id"]
 
     def test_q_error_definition(self):
         assert q_error(100, 100) == 1.0
@@ -237,6 +253,109 @@ class TestExplainAnalyzeOracle:
                     oracle.canonical()
             checked += 1
         assert checked == self.CORPUS
+
+
+# -- the span tree is the per-operator record ----------------------------
+
+#: ``operators[*]`` of a query-log record as the parent of PR 19 wrote
+#: it; ``calibrate`` and ``audit`` read these names back from disk
+LOGGED_OPERATOR_KEYS = {"operator", "estimated_rows", "actual_rows",
+                        "estimated_cost", "actual_cost", "seconds",
+                        "self_seconds", "simulated_cost", "counters"}
+
+
+@pytest.fixture(scope="module", params=("pers", "dblp", "mbench"))
+def paper_targets(request):
+    """One data set's paper queries, a single node and a 2-shard
+    fleet over its document (one fleet alive at a time)."""
+    size = ({"entries": 60} if request.param == "dblp"
+            else {"target_nodes": 600})
+    document = dataset_document(request.param, seed=42, **size)
+    queries = [query for query in PAPER_QUERIES.values()
+               if query.dataset == request.param]
+    with ShardedDatabase(document, shards=2) as fleet:
+        yield queries, {"single": Database.from_document(document),
+                        "fleet": fleet}
+
+
+def test_the_eight_paper_queries_are_covered():
+    assert len(PAPER_QUERIES) == 8
+    assert {query.dataset for query in PAPER_QUERIES.values()} \
+        == {"pers", "dblp", "mbench"}
+
+
+@pytest.mark.parametrize("backend", ("single", "fleet"))
+def test_span_tree_is_the_whole_per_operator_record(paper_targets,
+                                                    backend):
+    """Paper queries x engines x back ends: the counter shares read
+    off the span tree sum exactly to the run's metrics, a span's
+    ``operator_record()`` keeps the on-disk key set, and an operator
+    is labelled by its plan node — identically on both engines and
+    inside every shard worker."""
+    queries, targets = paper_targets
+    database = targets[backend]
+    for query in queries:
+        pattern = query.pattern
+        plan = database.optimize(pattern).plan
+        labels = [node.label(pattern) for node in plan.walk()]
+        for engine in ENGINES:
+            execution = database.execute(plan, pattern, engine=engine,
+                                         spans=True)
+            totals = {name: 0.0 for name in COST_COUNTERS}
+            for span in execution.span.walk():
+                for name, value in span.counters().items():
+                    totals[name] += value
+            expected = execution.metrics.counters()
+            if backend == "fleet":
+                # the one float counter: summed shard by shard there,
+                # operator by operator here
+                expected["sort_units"] = pytest.approx(
+                    expected["sort_units"])
+            assert totals == expected, (query.name, engine)
+            trees = ([execution.span] if backend == "single" else
+                     [span.children[0]
+                      for span in execution.span.walk()
+                      if span.name == "Shard"])
+            assert len(trees) == (1 if backend == "single" else 2)
+            for tree in trees:
+                assert [span.detail for span in tree.walk()] == labels
+                for span in tree.walk():
+                    assert set(span.operator_record()) \
+                        == LOGGED_OPERATOR_KEYS
+
+
+def test_fleet_wrappers_carry_the_plans_estimates(paper_targets):
+    """What the synthetic per-shard analysis tree used to add: the
+    root and each ``Shard`` wrapper are stamped with the plan's
+    estimates, so they read a Q-error like any operator; the
+    scatter / gather / merge stages stay plain."""
+    queries, targets = paper_targets
+    report = targets["fleet"].explain(queries[0].pattern, analyze=True)
+    plan = report.optimization.plan
+    stamped = [span for span in report.span.walk()
+               if span.name in ("ShardScatterGather", "Shard")]
+    assert len(stamped) == 3
+    for span in stamped:
+        assert span.estimated_cardinality == plan.estimated_cardinality
+        assert span.estimated_cost == plan.estimated_cost
+        assert span.metrics is None
+    for span in report.span.walk():
+        if span.name in ("ShardScatter", "ShardGather", "ShardMerge"):
+            assert span.estimated_cardinality is None
+    assert report.span.actual_cost() == pytest.approx(
+        report.execution.metrics.simulated_cost())
+    assert report.max_rows_q_error() == max(
+        span.rows_q_error() for span in report.span.walk()
+        if span.estimated_cardinality is not None)
+    text = report.render()
+    # an est/act line for the root, each wrapper, each shard operator
+    assert len(re.findall(r"\(q=\d.*\(q=\d.* time=\d", text)) \
+        == 3 + 2 * len(list(plan.walk()))
+    for stage in ("scatter", "gather", "merge"):
+        assert f"\n  {stage} " in text
+    payload = report.to_dict()
+    assert "spans" not in payload
+    assert payload["plan"]["name"] == "ShardScatterGather"
 
 
 # -- metrics registry ----------------------------------------------------
@@ -569,7 +688,7 @@ class TestCli:
         assert code == 0
         payload = json.loads(target.read_text())
         assert payload["analyze"] is True
-        assert payload["spans"]["children"]
+        assert payload["plan"]["children"]
 
     def test_explain_trace(self):
         code, output = run_cli("explain", "--dataset", "pers",
@@ -607,12 +726,3 @@ class TestCli:
                                "--nodes", "400")
         assert code == 0
         assert "nodes" in output and "tags:" in output
-
-
-def test_build_analysis_rejects_shape_mismatch(database):
-    from repro.errors import PlanError
-
-    pattern = database.compile(QUERY)
-    plan = database.optimize(pattern).plan
-    with pytest.raises(PlanError):
-        build_analysis(plan, Span("lonely"), pattern)

@@ -102,20 +102,6 @@ def test_constructor_validation(tmp_path):
         QueryLog(tmp_path / "l", max_bytes=0)
     with pytest.raises(ReproError):
         QueryLog(tmp_path / "l", backups=0)
-    with pytest.raises(ReproError):
-        QueryLog(tmp_path / "l", trace_sample=-1)
-
-
-# -- trace sampling ---------------------------------------------------------
-
-def test_want_span_sampling():
-    log = QueryLog(None, trace_sample=3)
-    assert [log.want_span() for _ in range(6)] == [
-        False, False, True, False, False, True]
-    always = QueryLog(None, trace_sample=1)
-    assert all(always.want_span() for _ in range(4))
-    never = QueryLog(None, trace_sample=0)
-    assert not any(never.want_span() for _ in range(4))
 
 
 def test_record_is_thread_safe(tmp_path):
@@ -174,18 +160,26 @@ def test_signature_digest_is_renumbering_invariant(database):
 
 
 def test_database_logs_every_execution(database):
-    log = QueryLog(None, trace_sample=2)
+    """Every run is logged; the service's 1-in-K sampler — the only
+    one — decides which records carry per-operator detail."""
+    log = QueryLog(None)
     database.attach_query_log(log)
-    for _ in range(4):
+    database.service.trace_sample = 2
+    try:
+        for _ in range(4):
+            database.service.query("//manager/employee",
+                                   algorithm="DPP")
         database.query("//manager/employee", algorithm="DPP")
+    finally:
+        database.service.trace_sample = 0
     records = log.records()
-    assert len(records) == 4
+    assert len(records) == 5
     assert all(r["algorithm"] == "DPP" for r in records)
     traced = [bool(r.get("operators")) for r in records]
-    assert traced == [False, True, False, True]
+    assert traced == [False, True, False, True, False]
     database.attach_query_log(None)
     database.query("//manager/employee")
-    assert len(log.records()) == 4
+    assert len(log.records()) == 5
 
 
 def test_service_queries_are_logged(database):

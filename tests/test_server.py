@@ -932,7 +932,7 @@ class TestOneRequestPath:
             instance.stop()
 
     def test_completed_served_requests_reach_the_query_log(self):
-        instance, host, port = self.start()
+        instance, host, port = self.start(trace_sample=1)
         database = instance.database
         log = QueryLog(None)
         database.attach_query_log(log)
@@ -968,6 +968,43 @@ class TestOneRequestPath:
         finally:
             instance.stop()
             database.attach_query_log(None)
+
+
+    def test_one_operator_record_in_traces_log_and_explain(self):
+        """A traced served request, three readers, one record: the
+        ``/traces`` entry, the query-log record and ``explain --json``
+        of the same plan name every operator alike and agree on its
+        counters."""
+        instance, host, port = self.start(trace_sample=1)
+        database = instance.database
+        log = QueryLog(None)
+        database.attach_query_log(log)
+        try:
+            self.serve(host, port, stream=False)
+            (trace,) = run(fetch(host, port, "GET",
+                                 "/traces")).json()["traces"]
+            (record,) = log.records()
+            explained = json.loads(json.dumps(database.explain(
+                self.XPATH, analyze=True,
+                engine=record["engine"]).to_dict()))["plan"]
+        finally:
+            instance.stop()
+            database.attach_query_log(None)
+
+        def flatten(node):
+            yield node["detail"], node["counters"]
+            for child in node["children"]:
+                yield from flatten(child)
+
+        served = list(flatten(trace))
+        assert len(served) > 1
+        assert served == list(flatten(explained))
+        assert served == [(entry["operator"], entry["counters"])
+                          for entry in record["operators"]]
+        plan = database.optimize(self.XPATH).plan
+        pattern = database.compile(self.XPATH)
+        assert [label for label, _ in served] \
+            == [node.label(pattern) for node in plan.walk()]
 
 
 class TestShardedServing:
@@ -1039,24 +1076,65 @@ class TestServerLifecycle:
         assert "draining" in text
         assert "drained: " in text
 
-    def test_sigterm_drains_with_exit_zero(self, tmp_path):
-        """The satellite: kill -TERM stops accepting, finishes
-        in-flight work, flushes the query log, exits 0."""
-        log_path = tmp_path / "served.jsonl"
+    @staticmethod
+    def spawn_serve(*flags):
+        """``repro serve`` on a free port, as a child process; the
+        process and the port it announced."""
         env = dict(os.environ)
         env["PYTHONPATH"] = "src"
         env["PYTHONUNBUFFERED"] = "1"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro.cli", "serve",
              "--dataset", "pers", "--nodes", "400", "--port", "0",
-             "--query-log", str(log_path)],
+             *flags],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             env=env, text=True, cwd=os.path.dirname(
                 os.path.dirname(os.path.abspath(__file__))))
+        line = proc.stdout.readline()
+        if "http://" not in line:
+            proc.kill()
+            raise AssertionError((line, proc.communicate()))
+        return proc, int(line.rsplit(":", 1)[1].split()[0])
+
+    @pytest.mark.parametrize("flags", [(), ("--trace-sample", "1")])
+    def test_query_log_leaves_trace_sampling_alone(self, tmp_path,
+                                                   flags):
+        """One sampler: ``--query-log`` alone traces nothing (at the
+        parent the log's own ``trace_sample=1`` traced every request);
+        with ``--trace-sample 1`` every record carries its operators
+        and its trace is in ``/traces``."""
+        log_path = tmp_path / "served.jsonl"
+        proc, port = self.spawn_serve("--query-log", str(log_path),
+                                      *flags)
         try:
-            line = proc.stdout.readline()
-            assert "http://" in line, (line, proc.stderr.read())
-            port = int(line.rsplit(":", 1)[1].split()[0])
+            for stream in ("0", "1", "0"):
+                run(fetch("127.0.0.1", port, "GET",
+                          f"/query?xpath=//employee&stream={stream}"))
+            traces = run(fetch("127.0.0.1", port, "GET",
+                               "/traces")).json()["traces"]
+            proc.send_signal(signal.SIGTERM)
+            proc.communicate(timeout=20)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        records = read_query_log(log_path).records
+        assert len(records) == 3
+        if flags:
+            assert all(record["operators"] for record in records)
+            assert [record["trace_id"] for record in records] \
+                == [trace["trace_id"] for trace in traces]
+        else:
+            assert traces == []
+            assert not any("operators" in record or "trace_id" in record
+                           for record in records)
+
+    def test_sigterm_drains_with_exit_zero(self, tmp_path):
+        """The satellite: kill -TERM stops accepting, finishes
+        in-flight work, flushes the query log, exits 0."""
+        log_path = tmp_path / "served.jsonl"
+        proc, port = self.spawn_serve("--query-log", str(log_path))
+        try:
             run(fetch("127.0.0.1", port, "GET",
                       "/query?xpath=//employee"))
             proc.send_signal(signal.SIGTERM)

@@ -326,7 +326,8 @@ def test_reply_accounting_reads_row_count_not_array_length(sharded):
              in sharded.stats()["shards"]["totals"]]
     assert [b - a for a, b in zip(before, after)] == [
         entry["rows"] for entry in profile]
-    wrappers = ShardedDatabase._shard_wrappers(result.span)
+    wrappers = [span for span in result.span.walk()
+                if span.name == "Shard"]
     assert [wrapper.output_rows for wrapper in wrappers] == [
         entry["rows"] for entry in profile]
     for wrapper, entry in zip(wrappers, profile):

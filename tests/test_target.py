@@ -33,10 +33,11 @@ ALGORITHMS = ("DP", "DPP", "DPAP-EB", "DPAP-LD", "FP")
 #: written once, in the base — neither back end may define its own
 BASE_ONLY = ("compile", "warm_statistics", "optimize", "query",
              "query_many", "whatif", "time_to_first", "explain",
-             "service", "exact_estimator", "execute")
+             "service", "exact_estimator", "execute", "__enter__",
+             "__exit__")
 #: supplied or extended per back end, under one signature
 PER_BACKEND = ("stream_execute", "collect_gauges", "stats",
-               "attach_query_log")
+               "attach_query_log", "close")
 
 SERVICE_KEYS = {"queries", "errors", "latency", "slow_queries",
                 "plan_cache", "engine", "slo", "statistics_epoch"}
@@ -111,11 +112,11 @@ def test_query_and_query_many_agree_with_single_node(target, single):
 
 def test_explain_plan_space_and_analyze(target, single):
     report = target.explain(QUERY, plan_space=True, top_k=2)
-    assert not report.analyze and report.root is None
+    assert not report.analyze and report.span is None
     assert report.plan_space.winner_digest
     before = len(target.tracer.traces())
     report = target.explain(QUERY, analyze=True)
-    assert report.analyze and report.root is not None
+    assert report.analyze and report.span is report.execution.span
     assert report.trace_id and report.span.trace_id == report.trace_id
     assert bindings(report.execution) \
         == bindings(single.query(QUERY).execution)
@@ -252,9 +253,7 @@ def test_open_target_closes_the_source_of_a_sharded_db(
         document, tmp_path, monkeypatch):
     from repro.txn import db as txn_db
 
-    created = create_database(tmp_path / "db", document=document)
-    created.transactions.wal.close()
-    created.disk.close()
+    create_database(tmp_path / "db", document=document).close()
     opened = []
     open_database = txn_db.open_database
 
@@ -275,3 +274,19 @@ def test_open_target_closes_the_source_of_a_sharded_db(
             source.transactions.wal.sync()
         assert bindings(database.query(QUERY).execution)
     assert database.workers.closed
+
+
+def test_open_target_closes_a_single_node_db_on_exit(document, tmp_path):
+    with create_database(tmp_path / "db", document=document) as created:
+        assert bindings(created.query(QUERY).execution)
+    created.close()  # idempotent
+    arguments = cli.build_parser().parse_args(
+        ["audit", "--db", str(tmp_path / "db"), "--log", "unused"])
+    with cli._open_target(arguments) as database:
+        assert isinstance(database, Database)
+        database.disk.sync()  # open while the verb runs
+    for source in (created, database):
+        with pytest.raises(StorageError, match="closed"):
+            source.disk.sync()
+        with pytest.raises(StorageError, match="closed"):
+            source.transactions.wal.sync()

@@ -47,6 +47,10 @@ def walk(span: Span):
         yield from walk(child)
 
 
+def shard_wrappers(span: Span) -> list[Span]:
+    return [node for node in walk(span) if node.name == "Shard"]
+
+
 def subtree_counter_sums(span: Span) -> dict[str, int]:
     totals: dict[str, int] = {}
     for node in walk(span):
@@ -71,7 +75,7 @@ class TestTraceStitching:
                 span = execution.span
                 assert span is not None
                 assert span.name == "ShardScatterGather"
-                wrappers = ShardedDatabase._shard_wrappers(span)
+                wrappers = shard_wrappers(span)
                 assert len(wrappers) == shards
                 stitched: dict[str, int] = {}
                 for wrapper in wrappers:
@@ -112,7 +116,7 @@ class TestTraceStitching:
             # "s<shard>-" prefix from the worker-side stamping
             assert span.span_id.startswith("c")
             assert span.metrics is None
-            for wrapper in ShardedDatabase._shard_wrappers(span):
+            for wrapper in shard_wrappers(span):
                 assert wrapper.metrics is None
                 assert len(wrapper.children) == 1
                 subtree = wrapper.children[0]

@@ -157,3 +157,20 @@ class TestCrashInjection:
         with reopened.transaction() as txn:
             txn.append_document(random_document(99, size=5))
         assert reopened.transactions.metrics.committed == 1
+
+
+def test_logged_catalog_equals_the_checkpointed_catalog(tmp_path):
+    """One ``catalog_payload``: what recovery reads out of the log
+    after the last commit is, key for key, what the next checkpoint's
+    ``persist()`` writes into the page-0 catalog."""
+    from repro.storage.catalog import read_catalog
+
+    workdir = tmp_path / "db"
+    run_workload(workdir)  # appends, inserts and a delete (seed 7)
+    crashed = reopen_with_wal(workdir, tmp_path / "crash",
+                              (workdir / WAL_FILE).read_bytes())
+    logged = crashed.transactions.last_recovery.catalog_payload
+    assert logged["deleted_rids"] and logged["store_pages"]
+    with open_database(workdir) as database:
+        database.checkpoint()
+        assert read_catalog(database.pool) == logged

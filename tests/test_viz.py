@@ -21,7 +21,10 @@ class TestPlanToDot:
         assert dot.rstrip().endswith("}")
         # 6 scans + 5 joins (+ sorts) => at least 11 nodes
         assert dot.count("[label=") >= 11
-        assert "IndexScan manager" in dot
+        # a node is named by the plan's one label, as explain() names it
+        assert "IndexScan($0:manager)" in dot
+        for node in optimized.plan.walk():
+            assert node.label(running_example_pattern) in dot
         assert "->" in dot
 
     def test_sorts_highlighted(self, small_database,
