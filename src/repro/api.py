@@ -38,8 +38,8 @@ from repro.core.random_plans import worst_random_plan
 from repro.document.document import XmlDocument
 from repro.document.parser import parse_xml
 from repro.engine.context import EngineContext
-from repro.engine.executor import (STREAM_ENGINE, ExecutionResult,
-                                   Executor, StreamingExecution)
+from repro.engine.executor import (ExecutionResult, Executor,
+                                   StreamingExecution)
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PositionalEstimator)
 from repro.obs.querylog import build_record
@@ -315,33 +315,28 @@ class Database(QueryTarget):
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
                        algorithm: str = "") -> StreamingExecution:
-        """Run a plan incrementally, yielding rows as produced.
+        """Run a plan on this node — :meth:`QueryTarget.stream_execute`.
 
-        The one run path: :meth:`execute` drains it, the query service
-        and the network front-end stream it.  *engine* defaults to
-        :data:`~repro.engine.executor.STREAM_ENGINE` (the tuple
-        engine): first results of a pipelined (FP) plan reach the
-        caller before the plan drains — the paper's Sec. 3.4
-        online-querying property — and *cancel*, consulted after each
-        row is pulled, lets a deadline stop the operators mid-stream.
-        With ``engine="block"`` the whole block is produced before the
-        first row (and before the first look at *cancel*).
+        *engine* defaults to this database's own (:attr:`engine`, the
+        block engine unless configured otherwise), whose root operator
+        hands out its first row, then bounded blocks, before it
+        finishes; with ``engine="tuple"`` the iterators pipeline from
+        the leaves up, so the first results of a sort-free (FP) plan
+        leave before any input is drained — the paper's Sec. 3.4
+        online-querying property.
 
-        A run is traced when the caller asks
-        (:meth:`~repro.target.QueryTarget._trace_for`) and only then.
-        What a finished run leaves behind is decided in one place, the
-        finish hook below: a traced run's span tree is stamped with
-        its trace id and recorded on :attr:`tracer`, and a run read to
-        its end appends one record (annotated with *algorithm*, with
-        per-operator estimate-vs-actual detail if it was traced) to
-        the query log.  A run cancelled or closed early — a deadline,
-        a ``limit``, a client gone — appends none: its partial
-        counters would poison ``calibrate`` and ``audit``.
+        The finish hook below stamps a traced run's span tree with its
+        trace id and records it on :attr:`tracer`, and appends one
+        record per run read to its end (annotated with *algorithm*,
+        with per-operator estimate-vs-actual detail if it was traced)
+        to the query log.  A run cancelled or closed early — a
+        deadline, a ``limit``, a client gone — appends none: its
+        partial counters would poison ``calibrate`` and ``audit``.
         """
         snapshot, context = self._engine_context()
         log = self.query_log
         trace = self._trace_for(spans, trace_context)
-        engine = engine or STREAM_ENGINE
+        engine = engine or self.engine
 
         def finish(stream: StreamingExecution) -> None:
             if trace is not None:

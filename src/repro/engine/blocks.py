@@ -1,10 +1,13 @@
 """Block-at-a-time execution engine.
 
 Columnar re-implementation of the iterator operators: every operator
-produces its entire output as one :class:`TupleBlock`, built with
-C-speed primitives — ``bisect`` probes over typed ``array`` columns,
-list slices, comprehension cross-products — instead of a Python
-generator frame per tuple.
+hands its parent its entire output as one :class:`TupleBlock`, built
+with C-speed primitives — ``bisect`` probes over typed ``array``
+columns, list slices, comprehension cross-products — instead of a
+Python generator frame per tuple.  Only the *root* operator is read
+incrementally (:meth:`BlockOperator.blocks`): its first row, then
+blocks of up to ``BLOCK_ROWS`` rows, leave before it has finished, so
+a block is also the unit that moves from the engine to the wire.
 
 Two invariants tie this engine to the tuple engine in ``scan.py`` /
 ``stackjoin.py`` / ``sort.py`` / ``nestedloop.py``:
@@ -29,23 +32,18 @@ runs without touching any counter.
 
 Skip-ahead — the optimization the paper inherits from its structural-
 join reference — exploits that grouped columns are sorted by start and
-that regions of one tree either nest or are disjoint:
-
-* the Desc join locates, per descendant group, the live ancestor stack
-  as the *parent chain* of its ``bisect`` predecessor; ancestor runs
-  that ended before the descendant are never visited;
-* the Anc join locates, per ancestor group, its matching descendant
-  groups as one contiguous ``bisect`` window of the descendant start
-  column; descendants outside the window are never visited.
+that regions of one tree either nest or are disjoint; how each join
+uses it is in :class:`BlockStackTreeDescJoin` and
+:class:`BlockStackTreeAncJoin`.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.core.pattern import Axis, PatternNode
@@ -54,6 +52,31 @@ from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import _related
 from repro.engine.tuples import MatchTuple, Schema
+
+
+#: Most rows in one block handed from the root operator to its reader
+#: (so also in one hand-off from a server's producer thread to its
+#: event loop, and in one NDJSON chunk); the first block is one row.
+#: Measured, not guessed: a closed loop of two keep-alive connections
+#: streaming ``//employee//name`` over Pers 20000 (4771 rows) from a
+#: server pinned to one CPU, five interleaved 2 s rounds per setting,
+#: medians -- cap 16: 28 req/s, 64: 37.5, 256: 44, 1024: 41.5, 4096:
+#: 42.5.  The curve is flat from 256 on, and a smaller block is a
+#: tighter bound on memory and on cancel latency.  No ramp from 1 up
+#: to the cap: with rows arriving at C speed it only adds hand-offs.
+BLOCK_ROWS = 256
+
+
+def row_blocks(rows: Iterable[MatchTuple],
+               first: int | None = 1) -> Iterator[list[MatchTuple]]:
+    """Cut any row source into blocks of the engine's sizes: *first*
+    rows (``None``: all of them), then ``BLOCK_ROWS`` at a time,
+    pulling no further ahead.  Every block is a list of its own."""
+    rows = iter(rows)
+    size = first or None
+    while block := list(islice(rows, size)):
+        yield block
+        size = BLOCK_ROWS
 
 
 class ColumnGroups:
@@ -130,9 +153,8 @@ def _group_rows(rows: list[MatchTuple], position: int,
 class TupleBlock:
     """One operator's entire output: schema, rows, grouped views.
 
-    ``shared`` marks row lists borrowed from the decode cache (leaf
-    scans without predicates); anything exposing rows to callers must
-    copy a shared list instead of handing it out.
+    A leaf scan's row list is borrowed from the decode cache; what is
+    handed to callers is cut from it (:func:`row_blocks`), never it.
 
     Leaf blocks may be built with ``rows_factory`` instead of a row
     list: the match tuples materialize on first ``rows`` access, so an
@@ -142,18 +164,16 @@ class TupleBlock:
     row count while rows are unmaterialized.
     """
 
-    __slots__ = ("schema", "shared", "_groups", "_rows",
-                 "_rows_factory", "_length")
+    __slots__ = ("schema", "_groups", "_rows", "_rows_factory",
+                 "_length")
 
     def __init__(self, schema: Schema,
                  rows: list[MatchTuple] | None = None,
-                 shared: bool = False,
                  rows_factory: Callable[[], list[MatchTuple]] | None = None,
                  length: int | None = None) -> None:
         if rows is None and rows_factory is None:
             raise PlanError("TupleBlock needs rows or a rows_factory")
         self.schema = schema
-        self.shared = shared
         self._rows = rows
         self._rows_factory = rows_factory
         self._length = len(rows) if rows is not None else length
@@ -205,34 +225,47 @@ class BlockOperator:
         self._span = None
         self._consumed = False
 
-    def block(self) -> TupleBlock:
-        """Produce the full output block.  May be called once."""
+    def _claim(self) -> None:
         if self._consumed:
             raise PlanError("operator streams are single-use")
         self._consumed = True
-        span = self._span
-        if span is None:
-            return self._produce()
+
+    def block(self) -> TupleBlock:
+        """Produce the full output block.  May be called once."""
+        self._claim()
         started = time.perf_counter()
         block = self._produce()
-        span.seconds += time.perf_counter() - started
-        span.output_rows = len(block)
+        if self._span is not None:
+            self._span.seconds += time.perf_counter() - started
+            self._span.output_rows = len(block)
         return block
 
-    def fetchall(self) -> list[MatchTuple]:
-        """Produce the output block; its rows as a list the caller owns."""
-        block = self.block()
-        # shared row lists belong to the decode cache — hand out a
-        # copy so callers can never corrupt cached postings
-        return list(block.rows) if block.shared else block.rows
-
-    def __iter__(self) -> Iterator[MatchTuple]:
-        """The operator as a row source: the whole block is produced
-        when iteration starts."""
-        return iter(self.block().rows)
+    def blocks(self, first: int | None = 1
+               ) -> Iterator[list[MatchTuple]]:
+        """How the *root* operator is read: its output as row lists
+        the caller owns — *first* rows, then up to ``BLOCK_ROWS`` at a
+        time, each handed out before the rest is produced; with
+        ``first=None`` all at once, with no per-row work.  A traced
+        root's span accumulates across resumptions."""
+        self._claim()
+        span = self._span
+        started = time.perf_counter()
+        for rows in self._emit(first):
+            if span is not None:
+                span.seconds += time.perf_counter() - started
+                span.output_rows += len(rows)
+            if rows:
+                yield rows
+            started = time.perf_counter()
 
     def _produce(self) -> TupleBlock:
         raise NotImplementedError
+
+    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
+        """The output as lists of *bound* rows (``None``: all), then
+        ``BLOCK_ROWS`` at a time.  Scans and sorts cut up their block;
+        a join's emission loop hands its output over as it goes."""
+        return row_blocks(self._produce().rows, bound)
 
 
 class BlockIndexScan(BlockOperator):
@@ -265,7 +298,7 @@ class BlockIndexScan(BlockOperator):
             # consumer (join emission, final result) touches rows
             block = TupleBlock(self.schema,
                                rows_factory=lambda: postings.rows,
-                               shared=True, length=len(postings))
+                               length=len(postings))
             block._groups[node_id] = ColumnGroups(
                 postings.starts, postings.ends, postings.levels,
                 range(len(postings) + 1))
@@ -326,7 +359,13 @@ class BlockSort(BlockOperator):
 
 
 class _BlockJoinBase(BlockOperator):
-    """Shared setup for the two block stack-tree operators."""
+    """Shared setup of the block join operators.
+
+    A join has one emission loop, :meth:`_emit`: given a *bound* it
+    hands its ``out`` list over at group boundaries (:meth:`_cut`) and
+    ends with what is left; given none it yields once, the whole
+    output — the block an inner operator, or a buffered run, asks for.
+    """
 
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
@@ -339,6 +378,23 @@ class _BlockJoinBase(BlockOperator):
         self.ancestor_node = ancestor_node
         self.descendant_node = descendant_node
         self.axis = axis
+
+    def _produce(self) -> TupleBlock:
+        (out,) = self._emit(None)
+        return TupleBlock(self.schema, out)
+
+    def _cut(self, out: list[MatchTuple],
+             bound: int) -> Iterator[list[MatchTuple]]:
+        """Whole blocks off the front of *out* — *bound* rows, then
+        ``BLOCK_ROWS`` at a time — charged to ``output_tuples``; the
+        remainder stays in *out* for the next group."""
+        start = 0
+        while len(out) - start >= bound:
+            yield out[start:start + bound]
+            start += bound
+            bound = BLOCK_ROWS
+        del out[:start]
+        self.metrics.output_tuples += start
 
     def _inputs(self) -> tuple[TupleBlock, ColumnGroups,
                                TupleBlock, ColumnGroups]:
@@ -382,7 +438,7 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
                          ancestor_node, descendant_node, axis,
                          ordered_by=descendant_node)
 
-    def _produce(self) -> TupleBlock:
+    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
         self.metrics.join_count += 1
         anc_block, anc, desc_block, desc = self._inputs()
         out: list[MatchTuple] = []
@@ -435,8 +491,11 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
                         for desc_tuple in d_rows:
                             out_extend(map(add, a_rows,
                                            repeat(desc_tuple)))
-            self.metrics.output_tuples += len(out)
-        return TupleBlock(self.schema, out)
+                if bound and len(out) >= bound:
+                    yield from self._cut(out, bound)
+                    bound = BLOCK_ROWS
+        self.metrics.output_tuples += len(out)
+        yield out
 
 
 class BlockStackTreeAncJoin(_BlockJoinBase):
@@ -458,7 +517,7 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
                          ancestor_node, descendant_node, axis,
                          ordered_by=ancestor_node)
 
-    def _produce(self) -> TupleBlock:
+    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
         self.metrics.join_count += 1
         anc_block, anc, desc_block, desc = self._inputs()
         out: list[MatchTuple] = []
@@ -501,32 +560,30 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
                     # inner, all per-pair work in C
                     for anc_tuple in a_rows:
                         out_extend(map(anc_tuple.__add__, d_rows))
+                    if bound and len(out) >= bound:
+                        yield from self._cut(out, bound)
+                        bound = BLOCK_ROWS
             self.metrics.buffered_results += buffered
-            self.metrics.output_tuples += len(out)
-        return TupleBlock(self.schema, out)
+        self.metrics.output_tuples += len(out)
+        yield out
 
 
-class BlockNestedLoopJoin(BlockOperator):
+class BlockNestedLoopJoin(_BlockJoinBase):
     """Quadratic oracle join, block form (identical probe order)."""
 
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
                  ancestor_node: int, descendant_node: int,
                  axis: Axis) -> None:
-        schema = ancestor_input.schema.concat(descendant_input.schema)
-        super().__init__(schema, ancestor_input.ordered_by,
-                         ancestor_input.metrics)
-        self.ancestor_input = ancestor_input
-        self.descendant_input = descendant_input
-        self.ancestor_node = ancestor_node
-        self.descendant_node = descendant_node
+        super().__init__(ancestor_input, descendant_input,
+                         ancestor_node, descendant_node, axis,
+                         ordered_by=ancestor_input.ordered_by)
         self.ancestor_position = ancestor_input.schema.position(
             ancestor_node)
         self.descendant_position = descendant_input.schema.position(
             descendant_node)
-        self.axis = axis
 
-    def _produce(self) -> TupleBlock:
+    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
         self.metrics.join_count += 1
         inner = self.descendant_input.block().rows
         out: list[MatchTuple] = []
@@ -537,5 +594,8 @@ class BlockNestedLoopJoin(BlockOperator):
             ancestor = anc_tuple[apos]
             out.extend(anc_tuple + desc_tuple for desc_tuple in inner
                        if _related(ancestor, desc_tuple[dpos], axis))
+            if bound and len(out) >= bound:
+                yield from self._cut(out, bound)
+                bound = BLOCK_ROWS
         self.metrics.output_tuples += len(out)
-        return TupleBlock(self.schema, out)
+        yield out

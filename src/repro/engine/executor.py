@@ -22,7 +22,7 @@ from repro.document.node import Region
 from repro.engine.blocks import (BlockIndexScan, BlockNestedLoopJoin,
                                  BlockOperator, BlockSort,
                                  BlockStackTreeAncJoin,
-                                 BlockStackTreeDescJoin)
+                                 BlockStackTreeDescJoin, row_blocks)
 from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import NestedLoopJoin
@@ -33,14 +33,8 @@ from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
 from repro.engine.tuples import MatchTuple, Schema
 from repro.obs.spans import Span
 
-#: the two execution modes; block is the default for a buffered run.
+#: the two execution modes; block is the default of every run.
 ENGINE_NAMES = ("block", "tuple")
-
-#: the engine a stream runs when its caller names none.  First-row
-#: latency is why: the tuple engine's pipeline yields its first row
-#: before the plan drains (Sec. 3.4), the block engine produces its
-#: whole block first.
-STREAM_ENGINE = "tuple"
 
 #: per engine: the scan, the sort and the join operator per algorithm.
 _OPERATORS = {
@@ -119,21 +113,21 @@ class FirstResultTiming:
 class StreamingExecution:
     """One plan execution, read incrementally or drained at once.
 
-    Iterating the handle pulls match tuples out of the row source as
-    they are produced — one by one from the tuple engine's pipeline
-    (the property FP plans buy by being sort-free), all at once from
-    the block engine, whose block is produced before the first row.
-    The handle records :attr:`total_seconds` and :attr:`produced`, and
-    consults the optional *cancel* predicate after each row is pulled
-    (so after the whole block on the block engine): a deadline or
-    disconnect stops the tuple operators mid-stream rather than after
-    the fact; cancellation surfaces as :class:`QueryCancelled` and
-    closes the pipeline.  Abandoning the iteration early (or calling
-    :meth:`close`) also closes the pipeline and finalizes the metrics,
-    so partial reads never leak open operator state.  :attr:`exhausted`
-    tells the three endings apart: it is true only for a stream read
-    to the end of its source — not one cancelled, not one closed early
-    — so only then do the counters describe the whole plan.
+    :meth:`blocks` is the one pull loop: it hands out the run's rows
+    in bounded blocks — the first a single row, so the first result
+    never waits for a block to fill, every later one up to
+    ``BLOCK_ROWS`` — as the block engine's root operator produces them
+    (a tuple pipeline or a fleet's merge is pulled a block at a time).
+    Iterating the handle reads the same blocks row by row.  The handle
+    records :attr:`total_seconds` and :attr:`produced`, the rows handed
+    out so far, and consults the optional *cancel* predicate after each
+    block is pulled: a deadline or disconnect stops the operators
+    mid-stream; cancellation surfaces as :class:`QueryCancelled`.
+    Cancelled, abandoned early or closed (:meth:`close`), the pipeline
+    is closed and the metrics finalized, so partial reads never leak
+    open operator state.  :attr:`exhausted` tells the three endings
+    apart: it is true only for a stream read to the end of its source,
+    so only then do the counters describe the whole plan.
     :attr:`engine` names the engine that ran.
     """
 
@@ -157,12 +151,22 @@ class StreamingExecution:
         self._cancel = cancel
         self._started = started
         self._on_finish = on_finish
-        self._iterator: Iterator[MatchTuple] | None = None
+        self._blocks: Iterator[list[MatchTuple]] | None = None
+        self._rows: Iterator[MatchTuple] | None = None
+
+    def blocks(self, first: int | None = 1
+               ) -> Iterator[list[MatchTuple]]:
+        """The rows not yet read, in blocks the caller owns: *first*
+        rows (``None``: all of them; the call that starts the stream
+        decides), then up to ``BLOCK_ROWS`` at a time."""
+        if self._blocks is None:
+            self._blocks = self._pull(first)
+        return self._blocks
 
     def __iter__(self) -> Iterator[MatchTuple]:
-        if self._iterator is None:
-            self._iterator = self._rows()
-        return self._iterator
+        if self._rows is None:
+            self._rows = self._by_row()
+        return self._rows
 
     def elapsed(self) -> float:
         """Seconds since the stream started (0.0 before the first pull)."""
@@ -172,46 +176,51 @@ class StreamingExecution:
             return self.total_seconds
         return time.perf_counter() - self._started
 
-    def _rows(self) -> Iterator[MatchTuple]:
+    def _check_cancel(self) -> None:
+        if self._cancel is not None and self._cancel():
+            self.cancelled = True
+            raise QueryCancelled(
+                f"query cancelled after {self.produced} rows")
+
+    def _pull(self, first: int | None
+              ) -> Iterator[list[MatchTuple]]:
         if self._started is None:
             self._started = time.perf_counter()
         try:
-            for match in self._source:
-                if self._cancel is not None and self._cancel():
-                    self.cancelled = True
-                    raise QueryCancelled(
-                        f"query cancelled after {self.produced} rows")
-                self.produced += 1
-                yield match
-            if self._cancel is not None and self._cancel():
-                # cancel raced the final row; report it so callers see
-                # a consistent cancelled outcome either way
-                self.cancelled = True
-                raise QueryCancelled(
-                    f"query cancelled after {self.produced} rows")
+            # a source without blocks of its own (the tuple pipeline,
+            # a fleet's lazy merge) is cut to the same sizes
+            own = getattr(self._source, "blocks", None)
+            for block in (own(first) if own is not None
+                          else row_blocks(self._source, first)):
+                self._check_cancel()
+                self.produced += len(block)
+                yield block
+            # cancel may have raced the final block; report it so
+            # callers see a consistent cancelled outcome either way
+            self._check_cancel()
             self.exhausted = True
         finally:
             self._finish()
+
+    def _by_row(self) -> Iterator[MatchTuple]:
+        for block in self.blocks():
+            self.produced -= len(block)  # handed out row by row
+            for match in block:
+                self.produced += 1
+                yield match
 
     def fetchall(self) -> list[MatchTuple]:
         """Every row not yet read, as one list (``[]`` once drained).
 
         The buffered execute: an unread stream nobody can cancel is
-        handed over whole — the block engine's own row list, or one
-        ``list()`` of an iterator source — with no per-row Python work.
+        asked for one unbounded block — the block engine's whole
+        output, or one ``list()`` of an iterator source — so there is
+        no per-row Python work.
         """
-        if self._iterator is not None or self._cancel is not None:
+        if self._blocks is not None or self._cancel is not None:
             return list(self)
-        if self._started is None:
-            self._started = time.perf_counter()
-        try:
-            whole = getattr(self._source, "fetchall", None)
-            rows = whole() if whole is not None else list(self._source)
-            self.produced += len(rows)
-            self.exhausted = True
-        finally:
-            self._finish()
-        return rows
+        whole = list(self.blocks(first=None))
+        return whole[0] if whole else []
 
     def result(self) -> ExecutionResult:
         """The stream drained into an :class:`ExecutionResult`."""
@@ -221,15 +230,16 @@ class StreamingExecution:
 
     def close(self) -> None:
         """Stop early: close the pipeline and finalize the metrics."""
-        if self._iterator is not None:
-            self._iterator.close()
+        for reader in (self._rows, self._blocks):
+            if reader is not None:
+                reader.close()
         # a generator closed before its first pull never ran its
         # ``finally``, so finishing cannot be left to it
         self._finish()
 
     def drain(self) -> int:
         """Consume all remaining rows; returns the final row count."""
-        for _ in self:
+        for _ in (self.blocks() if self._rows is None else self):
             pass
         return self.produced
 
@@ -249,17 +259,15 @@ class StreamingExecution:
 
 def measure_time_to_first(stream: StreamingExecution,
                           results: int = 1) -> FirstResultTiming:
-    """Drain *stream* and report when the *results*-th row arrived."""
-    first_seconds: float | None = None
-    for _ in stream:
-        if first_seconds is None and stream.produced >= results:
-            first_seconds = stream.elapsed()
-    if first_seconds is None:
-        first_seconds = stream.total_seconds
-    return FirstResultTiming(first_seconds=first_seconds,
-                             total_seconds=stream.total_seconds,
-                             first_count=min(stream.produced, results),
-                             total_count=stream.produced)
+    """Drain *stream* and report when its first *results* rows had
+    arrived: they are asked for as its first block."""
+    blocks = stream.blocks(first=results)
+    first_count = len(next(blocks, ()))
+    # fewer rows than asked for: all there are, at the run's end
+    first_seconds = stream.elapsed()
+    stream.drain()
+    return FirstResultTiming(first_seconds, stream.total_seconds,
+                             first_count, stream.produced)
 
 
 class Executor:
@@ -363,13 +371,11 @@ class Executor:
         concurrency they attribute I/O approximately (aggregate totals
         stay exact); the simulated-cost counters are always private.
 
-        *engine* (default: this executor's) picks the row source: the
-        tuple engine's pipeline yields rows as it produces them, the
-        block engine produces its whole block when the first row is
-        asked for.  *cancel* is consulted after each row is pulled
-        (see :class:`StreamingExecution`).  Page/buffer I/O deltas and
-        span finalization happen when the stream finishes (drained,
-        cancelled, or closed early), after which *on_finish* runs.
+        *engine* (default: this executor's) picks the row source, the
+        block engine's root operator or the tuple engine's pipeline;
+        *cancel* is the stream's (see :class:`StreamingExecution`).
+        Page/buffer I/O deltas and span finalization happen when the
+        stream finishes, however it ends; then *on_finish* runs.
         """
         engine = validate_engine(engine or self.engine)
         run = self.context.for_run()
@@ -399,7 +405,7 @@ class Executor:
             if on_finish is not None:
                 on_finish(stream)
 
-        # a block operator is its own row source (block made on first read)
+        # a block operator is its own source (it has ``blocks``)
         source = root if engine == "block" else root.run()
         return StreamingExecution(root.schema, metrics, source,
                                   engine=engine, cancel=cancel,
@@ -408,8 +414,9 @@ class Executor:
     def time_to_first(self, plan: PhysicalPlan,
                       results: int = 1) -> FirstResultTiming:
         """Measure result latency: blocking operators delay the first
-        tuple, pipelined plans deliver it almost immediately.  Runs
-        :data:`STREAM_ENGINE`, whatever this executor's own engine.
+        tuple, pipelined plans deliver it almost immediately.  Runs the
+        tuple engine, whatever this executor's own: Sec. 3.4's
+        experiment is about iterator pipelining.
         """
         return measure_time_to_first(
-            self.stream(plan, engine=STREAM_ENGINE), results=results)
+            self.stream(plan, engine="tuple"), results=results)

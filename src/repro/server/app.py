@@ -2,7 +2,7 @@
 
 One event loop owns connections and deadlines; plan optimization and
 execution run on a thread pool, handing rows back to the loop in
-batches.  ``/query`` is admission-controlled (see
+engine blocks.  ``/query`` is admission-controlled (see
 :mod:`repro.server.admission`); the observability routes
 (``/metrics``, ``/traces``, ``/slo``, ``/planspace``, ``/healthz``)
 are served from the same socket but are never shed — you can always
@@ -13,45 +13,44 @@ with a JSON object; body keys win)::
 
     xpath       required       the query
     algorithm   DPP            one of the paper's optimizers
-    engine      tuple / fleet  execution mode: "tuple" pipelines rows,
-                               "block" produces the whole block before
-                               the first row (a fleet's workers run
-                               its default engine unless told)
+    engine      the target's   "block", or "tuple": the pipelined
+                               iterators, at about half the speed
     stream      0              1/true: chunked NDJSON, rows as produced
     limit       0              stop after N rows (0 = all)
     timeout_ms  config default per-request deadline
     tenant      "anonymous"    admission bucket (or ``X-Tenant``)
 
 Row hand-off, streamed and buffered, single-node and sharded alike: a
-producer thread pulls rows from ``QueryService.stream`` (the one
-request path, ``service.query``'s too), hands the first
-one over alone (time-to-first-result never waits for a batch), then
-batches that double up to ``BATCH_ROWS``.  One hand-off is one
-cross-thread wake-up; for a streamed response it is also one encode
-(in the producer thread) and one chunk, write and drain on the loop,
-for a buffered one an ``extend``.  At most ``HANDOFF_DEPTH``
-hand-offs are outstanding: a producer that far ahead of its client
-blocks, so a slow client costs one worker thread and one admission
-slot — until its deadline — and a bounded number of rows in memory.
+producer thread reads ``QueryService.stream`` (the one request path,
+``service.query``'s too) block by block and hands each block over as
+it is — the engine's first is a single row, so time-to-first-result
+never waits for a block to fill, every later one up to its
+``BLOCK_ROWS``.  One hand-off is one cross-thread wake-up; for a
+streamed response also one encode (in the producer thread) and one
+chunk, write and drain on the loop, for a buffered one an ``extend``.
+At most ``HANDOFF_DEPTH`` are outstanding: a producer that far ahead
+of its client blocks, so a slow client costs one worker thread, one
+admission slot — until its deadline — and a bounded number of rows.
 
-A streamed response is NDJSON in chunks, and a chunk is *not* a row:
-the schema line alone in the first chunk, the first row in the
-second, then batches of ``{"b": [...]}`` lines, the summary line
-alone in the last chunk (so an empty result is exactly two chunks).
+A streamed response is NDJSON in chunks, and a chunk is an engine
+block, not a row: the schema line alone in the first (written together
+with the response head), the first row in the second, the summary line
+alone in the last (so an empty result is two chunks, and two writes).
 
 ``X-Trace-Id`` forces a traced execution joined to the caller's trace
 id — the stitched tree lands in ``/traces`` under that id.  At the
 deadline the response ends with what has been delivered: the consumer
 stops taking hand-offs and hangs up, which wakes a blocked producer
-and makes the executor's cancel predicate (consulted after each row
-is pulled) true, so the operators are closed.  Rows the engine had produced but
-the loop had not yet written (or collected) are *dropped*, not
-flushed, and ``rows`` in the 504 body — or in the terminal NDJSON
-line with ``"cancelled": true`` — counts rows delivered, which for a
-stream is exactly the row lines on the wire.  A client that is not
-taking what it was sent when the deadline fires gets no terminal line
-(it could not be delivered either): its connection is dropped.  The
-error-budget burn shows up in ``/slo`` either way.
+and makes the executor's cancel predicate (consulted after each block
+is pulled) true, so the operators are closed.  Rows the engine had
+produced but the loop had not yet written (or collected) are
+*dropped*, not flushed, and ``rows`` in the 504 body — or in the
+terminal NDJSON line with ``"cancelled": true`` — counts rows
+delivered, which for a stream is exactly the row lines on the wire.
+A client that is not taking what it was sent when the deadline fires
+gets no terminal line (it could not be delivered either): its
+connection is dropped.  The error-budget burn shows up in ``/slo``
+either way.
 
 Shutdown is one path for every entry point (``repro serve``,
 ``stats --listen``, tests): stop accepting, finish in-flight requests
@@ -75,6 +74,7 @@ from repro.errors import (OptimizerError, PatternError, PlanError,
                           QueryCancelled, XPathSyntaxError)
 from repro.engine.executor import (StreamingExecution,
                                    validate_engine)
+from repro.engine.tuples import MatchTuple
 from repro.obs.spans import TraceContext
 from repro.server.admission import AdmissionController, Rejection
 from repro.server.http import (ChunkedWriter, HttpRequest,
@@ -90,23 +90,14 @@ BAD_REQUEST_ERRORS = (XPathSyntaxError, PatternError, PlanError,
 
 _TRUTHY = ("1", "true", "yes", "on")
 
-#: Most rows in one hand-off from a producer thread to the event loop
-#: (and so in one NDJSON chunk); batches double from one row up to
-#: this.  Measured, not guessed: a closed loop of two keep-alive
-#: connections streaming ``//employee//name`` over Pers 20000 (4771
-#: rows) from a server pinned to one CPU, five interleaved 2 s rounds
-#: per setting, medians -- cap 16: 28 req/s, 64: 37.5, 256: 44,
-#: 1024: 41.5, 4096: 42.5.  The curve is flat from 256 on, and a
-#: smaller batch is a tighter bound on memory and on cancel latency.
-BATCH_ROWS = 256
-
 #: Hand-offs a producer may be ahead of what its client has taken
-#: before it blocks; with ``BATCH_ROWS``, the most rows a stalled
-#: client holds in server memory (the transport's own buffer aside).
-#: Same measurement at cap 256 -- depth 2: 39.5 req/s, 4: 44, 8: 42,
-#: 16: 42, and wire TTFR 1.4 / 1.4 / 2.5 / 5.5 ms: a producer that
-#: may run far ahead keeps the interpreter lock while the loop waits
-#: to write the first row.
+#: before it blocks; with the engine's ``BLOCK_ROWS``, the most rows a
+#: stalled client holds in server memory (the transport's own buffer
+#: aside).  Measured like ``BLOCK_ROWS`` (:mod:`repro.engine.blocks`),
+#: at 256 rows a block -- depth 2: 39.5 req/s, 4: 44, 8: 42, 16: 42,
+#: and wire TTFR 1.4 / 1.4 / 2.5 / 5.5 ms: a producer that may run far
+#: ahead keeps the interpreter lock while the loop waits to write the
+#: first row.
 HANDOFF_DEPTH = 4
 
 _HEAD = "head"  # hand-off item: the stream is open, its schema known
@@ -649,11 +640,12 @@ class QueryServer:
         trace_context = (TraceContext(trace_id=params.trace_id)
                          if params.trace_id else None)
 
-        def flush(batch: "list[list[int]]") -> None:
-            # a streamed batch is encoded here, in the producer
+        def flush(block: "list[MatchTuple]") -> None:
+            # a streamed block is encoded here, in the producer
             # thread: the loop only frames and writes it
-            handoff.put((len(batch), ndjson_rows(batch)
-                         if params.stream else batch))
+            labels = [[region.start for region in row] for row in block]
+            handoff.put((len(labels), ndjson_rows(labels)
+                         if params.stream else labels))
 
         def produce() -> None:
             try:
@@ -665,21 +657,18 @@ class QueryServer:
                     trace_context=trace_context)
                 delivery.stream = stream
                 handoff.put(_HEAD)
-                batch: "list[list[int]]" = []
-                size = 1  # the first row travels alone: TTFR
-                for row in stream:
-                    batch.append([region.start for region in row])
-                    last = (params.limit
-                            and stream.produced >= params.limit)
-                    if last or len(batch) >= size:
-                        flush(batch)
-                        batch = []
-                        size = min(size * 2, BATCH_ROWS)
-                        if last:
-                            stream.close()
-                            break
-                if batch:
-                    flush(batch)
+                for block in stream.blocks():
+                    # limit is a slice of the last block; reading on
+                    # until it is *passed* tells a truncated result
+                    # from one that just fits
+                    over = params.limit and stream.produced - params.limit
+                    if over > 0:
+                        del block[len(block) - over:]
+                    if block:
+                        flush(block)
+                    if over > 0:
+                        stream.close()
+                        break
             except QueryCancelled:
                 pass  # the consumer hung up, and knows why
             finally:
@@ -816,8 +805,7 @@ class QueryServer:
             "done": True,
             "cancelled": cancelled,
             "rows": rows,
-            "truncated": bool(not cancelled and params.limit
-                              and rows >= params.limit),
+            "truncated": outcome == "done" and not stream.exhausted,
             "seconds": round(elapsed, 6),
             "time_to_first_seconds": (round(ttfr, 6)
                                       if ttfr is not None else None),

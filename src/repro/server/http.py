@@ -135,19 +135,25 @@ async def read_request(reader: asyncio.StreamReader,
                        version=version)
 
 
+def _head(status: int, content_type: str, framing: str,
+          extra_headers: dict[str, str] | None,
+          keep_alive: bool) -> bytes:
+    """A response's status line and headers; *framing* is the header
+    that says where the body ends."""
+    lines = [f"HTTP/1.1 {status} {REASONS.get(status, 'Unknown')}",
+             f"Content-Type: {content_type}", framing,
+             f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+    lines += [f"{name}: {value}"
+              for name, value in (extra_headers or {}).items()]
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
 def render_response(status: int, body: bytes,
                     content_type: str = "application/json",
                     extra_headers: dict[str, str] | None = None,
                     keep_alive: bool = True) -> bytes:
-    reason = REASONS.get(status, "Unknown")
-    lines = [f"HTTP/1.1 {status} {reason}",
-             f"Content-Type: {content_type}",
-             f"Content-Length: {len(body)}",
-             f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
-    head = "\r\n".join(lines) + "\r\n\r\n"
-    return head.encode("latin-1") + body
+    return _head(status, content_type, f"Content-Length: {len(body)}",
+                 extra_headers, keep_alive) + body
 
 
 def json_response(status: int, payload: object,
@@ -187,19 +193,23 @@ def ndjson_rows(rows: "list[list[int]]") -> bytes:
 class ChunkedWriter:
     """A chunked-transfer response; one per streamed request.
 
-    ``start`` queues the header block, ``send`` writes one chunk per
-    call — however many NDJSON lines the caller put in it — and waits
-    until the client has taken enough for the transport to want more,
-    ``finish`` writes a last chunk together with the terminating zero
-    chunk.  The server checks :attr:`started` to decide whether an
-    error can still become a clean status response or must be
-    reported in-band, and :attr:`stalled` — true while, and after, a
-    wait for the client that did not complete — to decide whether
-    anything further can reach the client at all.
+    ``start`` holds the header block back (a ``StreamWriter.write``
+    on an idle transport is a ``send`` of its own) and the first
+    ``send`` or ``finish`` writes it together with its chunk; ``send``
+    writes one chunk per call — however many NDJSON lines the caller
+    put in it — and waits until the client has taken enough for the
+    transport to want more, ``finish`` writes a last chunk together
+    with the terminating zero chunk.  The server checks
+    :attr:`started` to decide whether an error can still become a
+    clean status response or must be reported in-band, and
+    :attr:`stalled` — true while, and after, a wait for the client
+    that did not complete — to decide whether anything further can
+    reach the client at all.
     """
 
     def __init__(self, writer: asyncio.StreamWriter) -> None:
         self._writer = writer
+        self._head = b""  # held until the first chunk goes out
         self.started = False
         self.finished = False
         self.stalled = False
@@ -208,24 +218,16 @@ class ChunkedWriter:
               content_type: str = "application/x-ndjson",
               extra_headers: dict[str, str] | None = None,
               keep_alive: bool = True) -> None:
-        """Queue the header block; the first ``send`` flushes it."""
-        reason = REASONS.get(status, "Unknown")
-        lines = [f"HTTP/1.1 {status} {reason}",
-                 f"Content-Type: {content_type}",
-                 "Transfer-Encoding: chunked",
-                 f"Connection: "
-                 f"{'keep-alive' if keep_alive else 'close'}"]
-        for name, value in (extra_headers or {}).items():
-            lines.append(f"{name}: {value}")
-        head = "\r\n".join(lines) + "\r\n\r\n"
-        self._writer.write(head.encode("latin-1"))
+        """Hold the header block; the first write carries it."""
+        self._head = _head(status, content_type,
+                           "Transfer-Encoding: chunked", extra_headers,
+                           keep_alive)
         self.started = True
 
     async def send(self, data: bytes) -> None:
         if not data:
             return
-        self._writer.write(b"%x\r\n%b\r\n" % (len(data), data))
-        await self._drain()
+        await self._write(b"%x\r\n%b\r\n" % (len(data), data))
 
     async def finish(self, data: bytes = b"") -> None:
         """The last chunk (if any) and the terminator, in one write."""
@@ -233,10 +235,11 @@ class ChunkedWriter:
             return
         self.finished = True
         last = b"%x\r\n%b\r\n" % (len(data), data) if data else b""
-        self._writer.write(last + b"0\r\n\r\n")
-        await self._drain()
+        await self._write(last + b"0\r\n\r\n")
 
-    async def _drain(self) -> None:
+    async def _write(self, data: bytes) -> None:
+        self._writer.write(self._head + data)
+        self._head = b""
         self.stalled = True
         await self._writer.drain()  # raises if cancelled or reset
         self.stalled = False

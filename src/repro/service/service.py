@@ -192,8 +192,7 @@ class QueryService:
               engine: "str | None" = None,
               submitted_at: float | None = None,
               **options: object) -> "QueryResult":
-        """One request, buffered: :meth:`stream` on *engine* (default:
-        the target's own), drained and observed.
+        """One request, buffered: :meth:`stream`, drained and observed.
 
         ``submitted_at`` (a ``perf_counter`` reading) is passed by the
         batch path so queue wait — submission to execution start — is
@@ -204,9 +203,8 @@ class QueryService:
             self._queue_wait_hist.observe(max(0.0,
                                               started - submitted_at))
         try:
-            optimization, stream = self.stream(
-                query, algorithm, engine or self.database.engine,
-                **options)
+            optimization, stream = self.stream(query, algorithm, engine,
+                                               **options)
             execution = stream.result()
         except BaseException:
             self.observe_served_query(time.perf_counter() - started,

@@ -272,8 +272,8 @@ class ShardedDatabase(QueryTarget):
         general path, the run heads) have been compared — not after
         the whole result has been rebuilt, which is the latency
         :meth:`time_to_first` reports.  *cancel* is consulted after
-        each merged row is pulled; *algorithm* is unused, a fleet
-        keeping no query log.
+        each block of merged rows is pulled; *algorithm* is unused, a
+        fleet keeping no query log.
 
         A traced run is one distributed trace: a :class:`TraceContext`
         (fresh, or the caller's *trace_context*) rides with the plan to

@@ -207,6 +207,9 @@ class BufferPool:
         registry.gauge("repro_buffer_pool_view_misses",
                        "Pool misses served as zero-copy disk views"
                        ).set(stats.view_misses)
+        registry.gauge("repro_buffer_pool_pinned_pages",
+                       "Pages currently pinned (0 between queries)"
+                       ).set(len(self.pinned_pages()))
 
     def pinned_pages(self) -> list[int]:
         """Ids of currently pinned pages (diagnostics / tests)."""

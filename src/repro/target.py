@@ -111,8 +111,9 @@ class QueryTarget(abc.ABC):
                        algorithm: str = "") -> StreamingExecution:
         """Run *plan* incrementally — the one run path of a back end.
 
-        *cancel* is consulted after each row is pulled, so deadlines
-        stop the run mid-stream.  When the stream finishes — drained,
+        *engine* defaults to the target's own :attr:`engine`; *cancel*
+        is consulted after each block is pulled, so deadlines stop the
+        run mid-stream.  When the stream finishes — drained,
         cancelled or closed early — the back end's one finish hook
         leaves behind everything the run owes: a traced run (see
         :meth:`_trace_for`) is stamped, exposed as ``stream.span`` and
@@ -219,10 +220,10 @@ class QueryTarget(abc.ABC):
                 algorithm: str = "",
                 trace_context: TraceContext | None = None
                 ) -> ExecutionResult:
-        """Run *plan* to completion: :meth:`stream_execute` on *engine*
-        (default :attr:`engine`), drained at once."""
+        """Run *plan* to completion: :meth:`stream_execute`, drained at
+        once."""
         return self.stream_execute(
-            plan, pattern, engine or self.engine, spans=spans,
+            plan, pattern, engine, spans=spans,
             trace_context=trace_context, algorithm=algorithm).result()
 
     def query(self, query: str | QueryPattern,
@@ -241,11 +242,12 @@ class QueryTarget(abc.ABC):
                       algorithm: str = "FP", results: int = 1,
                       **options: object) -> FirstResultTiming:
         """Optimize, then measure latency to the first *results* rows
-        of :meth:`stream_execute`.
+        of :meth:`stream_execute` on the tuple engine.
 
         Fully-pipelined plans (``algorithm="FP"``) deliver initial
         results without waiting for any sort to complete — the online-
-        querying scenario of Sec. 3.4.  On a shard fleet the clock
+        querying scenario of Sec. 3.4, an experiment about iterator
+        pipelining, hence ``engine="tuple"``.  On a shard fleet the clock
         starts before the scatter and the first row leaves the merge
         only after every shard has answered, so a fast first shard
         cannot mask a straggler.
@@ -254,7 +256,8 @@ class QueryTarget(abc.ABC):
         optimization = self.optimize(pattern, algorithm=algorithm,
                                      **options)
         return measure_time_to_first(
-            self.stream_execute(optimization.plan, pattern),
+            self.stream_execute(optimization.plan, pattern,
+                                engine="tuple"),
             results=results)
 
     def explain(self, query: str | QueryPattern,

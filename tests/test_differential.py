@@ -28,9 +28,12 @@ from repro.api import Database
 from repro.errors import ReproError
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               StructuralJoinPlan)
+from repro.engine import blocks
+from repro.engine.metrics import COST_COUNTERS
 from repro.engine.nestedloop import naive_pattern_matches
 from repro.workloads import make_rng, random_pattern
 from repro.workloads.personnel import personnel_document
+from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
 from tests.conftest import random_document
 
@@ -164,16 +167,50 @@ def test_nested_loop_plan_covers_pattern(running_example_pattern):
 # -- engine oracle: block vs tuple ---------------------------------------
 
 
+def _check_blocks(database, plan, pattern, engine,
+                  expected) -> list[str]:
+    """One traced run read block by block against *expected*, the
+    tuple engine's buffered run: the blocks concatenate to its rows in
+    order, have the engine's sizes (one row, then at most
+    ``BLOCK_ROWS``), leave identical counters, and the traced
+    per-operator shares still sum exactly to the run totals."""
+    problems: list[str] = []
+    stream = database.stream_execute(plan, pattern, engine, spans=True)
+    read = list(stream.blocks())
+    if [row for block in read for row in block] != expected.tuples:
+        problems.append("blocks() concatenated != the tuple engine's "
+                        "rows in order")
+    sizes = [len(block) for block in read]
+    if sizes and (sizes[0] != 1 or not all(
+            0 < size <= blocks.BLOCK_ROWS for size in sizes)):
+        problems.append(f"block sizes {sizes[:5]}...")
+    if not (stream.exhausted and stream.produced == len(expected)
+            and stream.span.output_rows == len(expected)):
+        problems.append(
+            f"exhausted={stream.exhausted} produced={stream.produced} "
+            f"root span rows={stream.span.output_rows}")
+    totals = stream.metrics.counters()
+    if totals != expected.metrics.counters():
+        problems.append(f"counters {totals} != "
+                        f"{expected.metrics.counters()}")
+    for counter, total in totals.items():
+        if sum(span.metrics.counters()[counter]
+               for span in stream.span.walk()) != total:
+            problems.append(f"span shares of {counter} do not sum to "
+                            f"{total}")
+    return [f"{engine} engine, block by block: {problem}"
+            for problem in problems]
+
+
 def _check_engines(database, pattern) -> list[str]:
     """Exact-sequence cross-check of the two execution engines.
 
     Stricter than the binding oracle above: the block engine promises
     the *identical tuple list* (same order, same duplicates) and the
     identical cost-model counters as the iterator engine, for any
-    plan — see the invariants in :mod:`repro.engine.blocks`.
+    plan — see the invariants in :mod:`repro.engine.blocks` — whether
+    it is drained at once or read block by block.
     """
-    from repro.engine.metrics import COST_COUNTERS
-
     problems: list[str] = []
     plans = [("nested-loop", nested_loop_plan(pattern))]
     try:
@@ -198,6 +235,10 @@ def _check_engines(database, pattern) -> list[str]:
                 problems.append(
                     f"{name}: counter {counter} diverged "
                     f"(tuple {expected}, block {actual})")
+        for engine in ("block", "tuple"):
+            problems += [f"{name}: {problem}" for problem in
+                         _check_blocks(database, plan, pattern, engine,
+                                       tuple_run)]
     return problems
 
 
@@ -219,11 +260,58 @@ def _run_engine_corpus(corpus: int,
     return checked, disagreements
 
 
-def test_engine_differential_quick_corpus():
+def test_engine_differential_quick_corpus(monkeypatch):
+    # results here are small: a cap of 3 puts block boundaries — and
+    # groups that straddle them — into nearly every run
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 3)
     checked, disagreements = _run_engine_corpus(QUICK_CORPUS,
                                                 document_size=48)
     assert checked >= 200
     assert not disagreements, "\n".join(disagreements)
+
+
+@pytest.mark.parametrize("dataset", ("pers", "dblp", "mbench"))
+def test_paper_queries_block_by_block(dataset):
+    """The eight Table-1 queries at the real ``BLOCK_ROWS``."""
+    size = ({"entries": 60} if dataset == "dblp"
+            else {"target_nodes": 600})
+    database = Database.from_document(
+        dataset_document(dataset, seed=42, **size))
+    queries = [query for query in PAPER_QUERIES.values()
+               if query.dataset == dataset]
+    assert queries
+    for query in queries:
+        plan = database.optimize(query.pattern).plan
+        expected = database.execute(plan, query.pattern, engine="tuple")
+        assert database.execute(plan, query.pattern).tuples \
+            == expected.tuples
+        for engine in ("block", "tuple"):
+            assert not _check_blocks(database, plan, query.pattern,
+                                     engine, expected), query.name
+
+
+def test_closing_after_the_first_block_stops_the_root_join():
+    """The count-based TTFR guard: when the first row is handed out
+    the root join has not finished — its traced span has counted fewer
+    rows than the result holds — and closing there finishes the stream
+    once (the finish hook records the traced run), unexhausted."""
+    database = Database.from_document(
+        personnel_document(target_nodes=2000, seed=42))
+    pattern = database.compile("//employee//name")
+    plan = database.optimize(pattern).plan
+    total = len(database.execute(plan, pattern))
+    recorded = database.tracer.recorded
+    stream = database.stream_execute(plan, pattern, spans=True)
+    first = next(stream.blocks())
+    assert stream.engine == "block" and len(first) == 1
+    assert stream.span.name == "BlockStackTreeDescJoin"
+    assert stream.span.output_rows == stream.produced == 1 < total
+    stream.close()
+    stream.close()
+    assert database.tracer.recorded == recorded + 1
+    assert stream.finished and not stream.exhausted
+    assert stream.span.output_rows < total
+    assert list(stream.blocks()) == []
 
 
 @pytest.mark.slow

@@ -571,16 +571,15 @@ class TestServiceMetrics:
         service.slow_query_seconds = 3600.0
         service.query(QUERY)
         assert len(service.snapshot()["slow_queries"]) == 1
-        # the entry names the engine that ran: at the parent a served
-        # request naming none was logged as ``block``, the database
-        # default, although it ran STREAM_ENGINE
+        # the entry names the engine that ran: a served request
+        # naming none runs the database's own, like every other run
         service.slow_query_seconds = 0.0
         service.query(QUERY, engine="tuple")
         server = QueryServer(database, ServerConfig(port=0),
                              out=io.StringIO())
         host, port = server.start()
         try:
-            for engine in ("", "&engine=block"):
+            for engine in ("", "&engine=tuple"):
                 assert asyncio.run(fetch(
                     host, port, "GET",
                     f"/query?xpath={QUERY}{engine}")).status == 200
@@ -589,7 +588,7 @@ class TestServiceMetrics:
         assert database.engine == "block"
         assert [entry["engine"]
                 for entry in service.snapshot()["slow_queries"]] \
-            == ["block", "tuple", "tuple", "block"]
+            == ["block", "tuple", "block", "tuple"]
 
     def test_export_json_and_bad_format(self):
         database = Database.from_document(

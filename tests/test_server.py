@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import io
 import json
+import math
 import os
 import signal
 import socket
@@ -25,12 +26,13 @@ import time
 import pytest
 
 from repro.api import Database
+from repro.engine import blocks
 from repro.errors import ReproError
 from repro.obs.querylog import QueryLog, read_query_log
 from repro.server import (AdmissionController, QueryServer,
                           ServerConfig, TokenBucket, app, fetch)
 from repro.server.client import HttpClient
-from repro.server.http import ndjson_rows
+from repro.server.http import ChunkedWriter, ndjson_rows
 from repro.workloads import personnel_document
 
 
@@ -263,7 +265,7 @@ class TestQueryEndpoint:
         _, host, port = server
         bodies = {}
         for engine, block in (("block", True), ("tuple", False),
-                              ("", False)):  # the default pipelines
+                              ("", True)):  # the default: the target's
             trace_id = f"engine-{engine or 'default'}"
             response = run(fetch(
                 host, port, "GET",
@@ -503,10 +505,10 @@ class TestRowBatches:
 
     def test_wire_contract_chunk_by_chunk(self, server, monkeypatch):
         """Schema alone in the first chunk, the first row alone in
-        the second, batches doubling up to the cap, the summary alone
-        in the last — over a result many caps long."""
+        the second, engine blocks of the cap after it, the summary
+        alone in the last — over a result many caps long."""
         _, host, port = server
-        monkeypatch.setattr(app, "BATCH_ROWS", 16)
+        monkeypatch.setattr(blocks, "BLOCK_ROWS", 16)
         head, chunks = stream_chunks(
             host, port, "/query?xpath=//employee//name&stream=1")
         assert head.status == 200
@@ -519,8 +521,8 @@ class TestRowBatches:
         sizes = [len(lines) for lines in row_chunks]
         total = sum(sizes)
         assert total > 10 * 16, "result must dwarf the cap"
-        assert sizes[:5] == [1, 2, 4, 8, 16]
-        assert set(sizes[5:-1]) == {16}
+        assert sizes[0] == 1
+        assert set(sizes[1:-1]) == {16}, "no ramp: a chunk is a block"
         assert 1 <= sizes[-1] <= 16
         assert parsed[-1][0]["rows"] == total
         assert parsed[-1][0]["truncated"] is False
@@ -536,13 +538,57 @@ class TestRowBatches:
         assert summary["rows"] == 0
         assert summary["time_to_first_seconds"] is None
 
+    def test_response_head_rides_with_the_first_chunk(self):
+        """``StreamWriter.write`` on an idle transport is a ``send``:
+        the head must not cost one of its own.  An empty result is
+        exactly two transport writes — head + schema, summary +
+        terminator — and ``started`` still flips in ``start``."""
+        class RecordingWriter:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, data):
+                self.writes.append(data)
+
+            async def drain(self):
+                pass
+
+        async def drive():
+            writer = RecordingWriter()
+            chunked = ChunkedWriter(writer)
+            chunked.start(200, extra_headers={"X-Trace-Id": "t"})
+            assert chunked.started and writer.writes == []
+            await chunked.send(b'{"schema": [0]}\n')
+            await chunked.finish(b'{"done": true}\n')
+            await chunked.finish(b"ignored")
+            return writer.writes
+
+        head_and_schema, summary_and_end = run(drive())
+        head, _, first_chunk = head_and_schema.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Transfer-Encoding: chunked" in head
+        assert b"X-Trace-Id: t" in head
+        assert first_chunk == b'10\r\n{"schema": [0]}\n\r\n'
+        assert summary_and_end == b'f\r\n{"done": true}\n\r\n0\r\n\r\n'
+
+        async def only_finish():
+            writer = RecordingWriter()
+            chunked = ChunkedWriter(writer)
+            chunked.start(504)
+            await chunked.finish()
+            return writer.writes
+
+        (whole,) = run(only_finish())
+        assert whole.startswith(b"HTTP/1.1 504 ")
+        assert whole.endswith(b"\r\n\r\n0\r\n\r\n")
+
     @pytest.mark.parametrize("limit", [1, 16, 17, 100])
     def test_limit_is_exact_off_a_batch_boundary(self, server,
                                                  monkeypatch, limit):
-        """cap 16: limit 1 ends inside the first hand-off, 17 is
-        cap + 1, 100 ends mid-batch."""
+        """cap 16: limit 1 is the first block, 17 the end of the
+        second (1 + cap), 16 and 100 end mid-block."""
         _, host, port = server
-        monkeypatch.setattr(app, "BATCH_ROWS", 16)
+        monkeypatch.setattr(blocks, "BLOCK_ROWS", 16)
         _, chunks = stream_chunks(
             host, port,
             f"/query?xpath=//employee//name&stream=1&limit={limit}")
@@ -557,6 +603,54 @@ class TestRowBatches:
         assert buffered["truncated"] is True
         assert buffered["bindings"] == [line["b"]
                                         for line in lines[1:-1]]
+
+    @pytest.mark.parametrize("engine", ["", "block", "tuple"])
+    def test_limit_is_exact_across_block_boundaries(self, server,
+                                                    monkeypatch, engine):
+        """``limit`` is a slice of the last block, at the real cap:
+        the whole first block, the first row of the second, its last
+        but one, its last (1 + cap: a block boundary with more to
+        come) — and a limit the result just fits is no truncation."""
+        instance, host, port = server
+        database = instance.database
+        streams = capture_streams(monkeypatch, database)
+        log = QueryLog(None)
+        database.attach_query_log(log)
+        path = f"/query?xpath=//employee//name&engine={engine}"
+
+        def serve(stream, limit):
+            """(row lines on the wire, the summary) of one request."""
+            if not stream:
+                summary = run(fetch(host, port, "GET",
+                                    f"{path}&limit={limit}")).json()
+                return len(summary["bindings"]), summary
+            _, chunks = stream_chunks(
+                host, port, f"{path}&stream=1&limit={limit}")
+            lines = all_lines(chunks)
+            return len(lines) - 2, lines[-1]
+
+        try:
+            total = serve(False, 0)[1]["rows"]
+            assert total > blocks.BLOCK_ROWS + 1
+            assert len(log.records()) == 1
+            for stream in (False, True):
+                for limit in (1, 2, blocks.BLOCK_ROWS,
+                              blocks.BLOCK_ROWS + 1):
+                    delivered, summary = serve(stream, limit)
+                    assert delivered == summary["rows"] == limit
+                    assert summary["truncated"] is True
+                    assert not streams[-1].exhausted
+                    assert streams[-1].finished
+                    assert streams[-1].engine == (engine or "block")
+                for limit in (total, total + 1):
+                    delivered, summary = serve(stream, limit)
+                    assert delivered == summary["rows"] == total
+                    assert summary["truncated"] is False
+                    assert streams[-1].exhausted
+            # only the runs read to their end were logged
+            assert len(log.records()) == 1 + 2 * 2
+        finally:
+            database.attach_query_log(None)
 
     def test_buffered_result_body_is_one_compact_line(self, server):
         _, host, port = server
@@ -581,8 +675,9 @@ class TestRowBatches:
                             "/query?xpath=//employee//name")).json()
         rows_after, batches_after = counters()
         assert rows_after - rows_before == payload["rows"]
-        # 1, 2, 4 ... doubling: far fewer hand-offs than rows
-        assert 1 < batches_after - batches_before <= 12
+        # one hand-off per engine block: the first row, then the cap
+        assert batches_after - batches_before == 1 + math.ceil(
+            (payload["rows"] - 1) / blocks.BLOCK_ROWS)
         metrics = run(fetch(host, port, "GET", "/metrics")).text()
         for family in ("repro_http_rows_total",
                        "repro_http_row_batches_total",
@@ -596,7 +691,7 @@ class TestRowBatches:
         interval: every hand-off races the loop, and every reply must
         still be the whole result, in order."""
         _, host, port = server
-        monkeypatch.setattr(app, "BATCH_ROWS", 4)
+        monkeypatch.setattr(blocks, "BLOCK_ROWS", 4)
         path = "/query?xpath=//employee//name&stream=1"
         expected = run(fetch(host, port, "GET", path)).body
 
@@ -778,7 +873,7 @@ class TestBackPressure:
                                                    monkeypatch):
         instance, host, port = big_server
         total = self.total_rows(host, port)
-        bound = ((app.HANDOFF_DEPTH + 1) * app.BATCH_ROWS
+        bound = ((app.HANDOFF_DEPTH + 1) * blocks.BLOCK_ROWS
                  + self.BUFFERED_ROWS)
         assert total > 1.2 * bound, "result must not fit the buffers"
         streams = capture_streams(monkeypatch, instance.database)
@@ -879,6 +974,109 @@ class TestBackPressure:
             client.close()
 
 
+@pytest.mark.parametrize("engine", ["", "block", "tuple"])
+class TestDrillsPerEngine:
+    """The cancellation drills on every engine a request can name:
+    whichever operators run, a deadline or a hang-up ends the request
+    typed, stops the producer within a block and leaks nothing."""
+
+    XPATH = TestBackPressure.XPATH
+
+    def path(self, engine, extra=""):
+        return f"/query?xpath={self.XPATH}&engine={engine}{extra}"
+
+    @staticmethod
+    def assert_nothing_leaked(instance, host, port):
+        wait_until(lambda: instance.admission.snapshot()
+                   ["inflight"] == 0)
+        metrics = run(fetch(host, port, "GET", "/metrics")).text()
+        assert "repro_http_inflight 0" in metrics
+        assert "repro_buffer_pool_pinned_pages 0" in metrics
+
+    def test_a_deadline_nothing_can_meet(self, big_server, engine):
+        instance, host, port = big_server
+        response = run(fetch(host, port, "GET",
+                             self.path(engine, "&timeout_ms=0.01")))
+        assert response.status == 504
+        assert response.json()["cancelled"] is True
+        assert response.json()["error"] == "deadline exceeded"
+        head, chunks = stream_chunks(
+            host, port, self.path(engine, "&stream=1&timeout_ms=0.01"))
+        if head.status == 504:  # the deadline beat the head
+            summary, delivered = json.loads(b"".join(chunks)), 0
+        else:
+            lines = all_lines(chunks)
+            summary, delivered = lines[-1], len(lines) - 2
+        assert summary["cancelled"] is True
+        assert summary["rows"] == delivered
+        self.assert_nothing_leaked(instance, host, port)
+
+    def test_deadline_mid_stream(self, big_server, monkeypatch, engine):
+        instance, host, port = big_server
+        _, chunks = stream_chunks(host, port,
+                                  self.path(engine, "&stream=1"))
+        full = chunk_lines(chunks[-1])[0]
+        streams = capture_streams(monkeypatch, instance.database)
+        head, chunks = stream_chunks(host, port, self.path(
+            engine, f"&stream=1&timeout_ms={full['seconds'] * 1e3 / 3:g}"))
+        assert head.status == 200, "the stream had started"
+        lines = all_lines(chunks)
+        assert lines[-1]["cancelled"] is True
+        assert lines[-1]["truncated"] is False
+        assert 0 < lines[-1]["rows"] == len(lines) - 2 < full["rows"]
+        (stream,) = streams
+        wait_until(lambda: stream.finished)
+        assert stream.cancelled and not stream.exhausted
+        assert stream.engine == (engine or "block")
+        self.assert_nothing_leaked(instance, host, port)
+
+    def test_stalled_client_is_dropped_at_its_deadline(
+            self, big_server, monkeypatch, engine):
+        instance, host, port = big_server
+        streams = capture_streams(monkeypatch, instance.database)
+        client = StallingClient(host, port)
+        try:
+            client.request(self.path(engine,
+                                     "&stream=1&timeout_ms=1200"))
+            assert client.read_until(b'{"b": ')
+            (stream,) = streams
+            wait_until_stalled(stream)
+            assert not stream.finished
+            wait_until(lambda: stream.finished)
+            assert stream.cancelled, "QueryCancelled in the producer"
+            self.assert_nothing_leaked(instance, host, port)
+            assert not client.read_until(b"\r\n0\r\n\r\n")
+        finally:
+            client.close()
+
+    def test_client_gone_after_the_first_chunk(self, big_server,
+                                               monkeypatch, engine):
+        instance, host, port = big_server
+        total = run(fetch(host, port, "GET",
+                          self.path(engine))).json()["rows"]
+        streams = capture_streams(monkeypatch, instance.database)
+        at_hang_up = []
+        hang_up = app._Handoff.hang_up
+
+        def recording(handoff):
+            at_hang_up.append(streams[-1].produced)
+            hang_up(handoff)
+
+        monkeypatch.setattr(app._Handoff, "hang_up", recording)
+        client = StallingClient(host, port)
+        client.request(self.path(engine, "&stream=1"))
+        assert client.read_until(b'{"b": ')
+        client.close()
+        wait_until(lambda: streams and streams[0].finished)
+        (stream,) = streams
+        assert stream.cancelled, "QueryCancelled in the producer"
+        assert not stream.exhausted and stream.produced < total
+        # the producer may have been inside a pull when the consumer
+        # hung up: that block, and no other, may still be counted
+        assert stream.produced - at_hang_up[0] <= blocks.BLOCK_ROWS
+        self.assert_nothing_leaked(instance, host, port)
+
+
 class TestOneRequestPath:
     """A served request enters through ``QueryService.stream``, as
     ``service.query`` does.  At the parent the HTTP producer re-spelled
@@ -943,7 +1141,7 @@ class TestOneRequestPath:
             assert len(records) == 2
             for record, summary in zip(records, summaries):
                 assert record["rows"] == summary["rows"] > 1
-                assert record["engine"] == "tuple"
+                assert record["engine"] == "block"
                 assert record["algorithm"] == "DPP"
                 assert record["trace_id"] == summary["trace_id"]
                 assert record["operators"]
@@ -1149,7 +1347,7 @@ class TestServerLifecycle:
         assert "query log flushed" in out
         (record,) = read_query_log(log_path).records
         assert record["query"] == "//employee"
-        assert record["engine"] == "tuple" and record["rows"] > 0
+        assert record["engine"] == "block" and record["rows"] > 0
 
 
 class TestShardedTimeToFirst:

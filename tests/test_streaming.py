@@ -6,6 +6,7 @@ from repro.api import Database
 from repro.core.pattern import Axis
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, SortPlan,
                               StructuralJoinPlan)
+from repro.engine.blocks import BLOCK_ROWS
 from repro.engine.context import EngineContext
 from repro.engine.executor import ENGINE_NAMES, Executor
 from repro.errors import QueryCancelled
@@ -126,16 +127,27 @@ class TestOneRunPath:
 
     def test_cancel_raises_and_finishes_once(self, database, pattern,
                                              engine):
+        """*cancel* is consulted once per block pulled — not per row —
+        before the block is handed out."""
         finished = []
         seen = []
+        consulted = []  # rows handed out at each consultation
+
+        def cancel():
+            consulted.append(len(seen))
+            return len(consulted) > 2
+
         stream = executor_for(database, pattern).stream(
-            fp_plan(), engine=engine, cancel=lambda: len(seen) >= 3,
+            fp_plan(), engine=engine, cancel=cancel,
             on_finish=finished.append)
-        with pytest.raises(QueryCancelled, match="after 3 rows"):
+        handed = 1 + BLOCK_ROWS
+        with pytest.raises(QueryCancelled, match=f"after {handed} rows"):
             for row in stream:
                 seen.append(row)
+        assert consulted == [0, 1, handed]
         assert stream.cancelled and stream.finished
-        assert stream.produced == 3
+        assert not stream.exhausted
+        assert stream.produced == len(seen) == handed
         assert finished == [stream]
         stream.close()
         assert finished == [stream]
