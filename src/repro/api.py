@@ -89,10 +89,8 @@ class Database(QueryTarget):
                  buffer_capacity: int = 256,
                  cost_factors: CostFactors | None = None,
                  histogram_grid: int = 16,
-                 engine: str = "block",
                  service_options: dict | None = None) -> None:
-        super().__init__(engine, cost_factors, histogram_grid,
-                         service_options)
+        super().__init__(cost_factors, histogram_grid, service_options)
         self.name = name
         self.disk = disk or InMemoryDisk()
         self.pool = BufferPool(self.disk, capacity=buffer_capacity)
@@ -310,20 +308,18 @@ class Database(QueryTarget):
                                        factors=self.cost_factors)
 
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                       engine: str | None = None,
+                       engine: str = "block",
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
                        algorithm: str = "") -> StreamingExecution:
         """Run a plan on this node — :meth:`QueryTarget.stream_execute`.
 
-        *engine* defaults to this database's own (:attr:`engine`, the
-        block engine unless configured otherwise), whose root operator
-        hands out its first row, then bounded blocks, before it
-        finishes; with ``engine="tuple"`` the iterators pipeline from
-        the leaves up, so the first results of a sort-free (FP) plan
-        leave before any input is drained — the paper's Sec. 3.4
-        online-querying property.
+        The block engine's root operator hands out its first row, then
+        bounded blocks, before it finishes; with ``engine="tuple"`` the
+        reference iterators pipeline from the leaves up, so the first
+        results of a sort-free (FP) plan leave before any input is
+        drained — the paper's Sec. 3.4 online-querying property.
 
         The finish hook below stamps a traced run's span tree with its
         trace id and records it on :attr:`tracer`, and appends one
@@ -336,7 +332,6 @@ class Database(QueryTarget):
         snapshot, context = self._engine_context()
         log = self.query_log
         trace = self._trace_for(spans, trace_context)
-        engine = engine or self.engine
 
         def finish(stream: StreamingExecution) -> None:
             if trace is not None:
@@ -346,7 +341,7 @@ class Database(QueryTarget):
             if log is not None and stream.exhausted:
                 log.record(build_record(
                     pattern, plan, stream, algorithm=algorithm,
-                    engine=engine,
+                    engine=stream.engine,
                     statistics_epoch=snapshot.statistics_epoch,
                     factors=self.cost_factors))
 

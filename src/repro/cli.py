@@ -5,12 +5,11 @@ Commands:
 * ``query``    — run an XPath query against an XML file or a generated
   data set, with algorithm selection, plan explanation and metrics.
 * ``explain``  — show the plans every algorithm picks for a query.
-* ``stats``    — storage and data statistics of a document; with
-  ``--listen PORT`` keep serving /metrics over HTTP.
+* ``stats``    — storage and data statistics of a document.
 * ``serve``    — the async network front-end: HTTP/JSON queries with
   per-tenant admission control, per-request deadlines, and chunked
   streaming of first results, plus the observability routes on the
-  same port (``stats --listen`` serves the same server).
+  same port.
 * ``generate`` — write one of the synthetic benchmark documents as XML.
 * ``bench``    — regenerate a paper table or figure.
 * ``log``      — run the paper workload with a persistent JSONL query
@@ -39,7 +38,7 @@ Examples::
     python -m repro query --dataset pers --nodes 3000 --algorithm FP \
         --explain "//manager/department/name"
     python -m repro explain --dataset dblp "//article/author"
-    python -m repro explain --dataset pers --analyze --engine block \
+    python -m repro explain --dataset pers --analyze \
         "//manager//employee/name"
     python -m repro explain --dataset pers --trace "//manager//name"
     python -m repro stats --dataset pers --serve 5 --format prometheus
@@ -125,13 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(query)
     query.add_argument("xpath")
     query.add_argument("--algorithm", choices=ALGORITHMS, default="DPP")
-    query.add_argument("--engine", choices=("block", "tuple"),
-                       default="block",
-                       help="execution mode: columnar block-at-a-time "
-                            "(default) or tuple-at-a-time iterators")
-    query.add_argument("--holistic", action="store_true",
-                       help="evaluate with one TwigStack instead of "
-                            "binary joins")
     query.add_argument("--explain", action="store_true",
                        help="print the chosen plan")
     query.add_argument("--limit", type=int, default=10,
@@ -148,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--dump-bindings", metavar="FILE", default=None,
                        help="write every result binding as one "
                             "canonical line (sorted, diff-able "
-                            "across shard counts and engines)")
+                            "across shard counts)")
 
     explain = commands.add_parser(
         "explain", help="compare the plans all algorithms pick, or "
@@ -165,9 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="optimizer for --analyze/--trace/--json "
                               "(without those flags every algorithm "
                               "is compared)")
-    explain.add_argument("--engine", choices=("block", "tuple"),
-                         default="block",
-                         help="execution mode for --analyze")
     explain.add_argument("--trace", action="store_true",
                          help="print the optimizer's search trace "
                               "(DPP-family algorithms only)")
@@ -201,28 +190,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="first serve the data set's paper workload "
                             "N times through the query service, so "
                             "the metrics are non-trivial")
-    stats.add_argument("--listen", type=int, default=0, metavar="PORT",
-                       help="after --serve, keep serving /metrics "
-                            "(Prometheus text), /traces (retained "
-                            "trace JSON), /slo (objective compliance "
-                            "JSON), /planspace (sampled plan-space "
-                            "JSON) and /healthz (liveness JSON) over "
-                            "HTTP on 127.0.0.1:PORT until Ctrl-C "
-                            "(exit 2 if the port is taken)")
     stats.add_argument("--shards", type=int, default=0, metavar="N",
                        help="serve against the corpus partitioned "
-                            "across N process-based shards; traced "
-                            "queries record stitched cross-process "
-                            "traces (0 = single node)")
-    stats.add_argument("--trace-sample", type=int, default=0,
-                       metavar="K",
-                       help="trace every K-th served query into the "
-                            "/traces ring (default 0 = never)")
-    stats.add_argument("--planspace-sample", type=int, default=0,
-                       metavar="K",
-                       help="record the plan space of every K-th "
-                            "plan-cache miss into the /planspace "
-                            "ring (default 0 = never)")
+                            "across N process-based shards, for the "
+                            "per-shard series (0 = single node)")
     add_service_flags(stats)
 
     serve = commands.add_parser(
@@ -518,7 +489,6 @@ def _open_target(arguments: argparse.Namespace,
     else:
         document = _source_document(arguments)
     with ShardedDatabase(document, shards=shards,
-                         engine=getattr(arguments, "engine", "block"),
                          service_options=service_options) as fleet:
         yield fleet
 
@@ -550,9 +520,6 @@ def _dump_bindings(execution, target: str, out: IO[str]) -> None:
 def _command_query(arguments: argparse.Namespace, out: IO[str]) -> int:
     if arguments.repeat < 1:
         raise ReproError("--repeat must be at least 1")
-    if arguments.shards and arguments.holistic:
-        raise ReproError("--holistic evaluates single-node only; "
-                         "drop --shards")
     with _open_target(arguments) as database:
         return _run_query(database, arguments, out)
 
@@ -561,15 +528,11 @@ def _run_query(database: QueryTarget, arguments: argparse.Namespace,
                out: IO[str]) -> int:
     suffix = f", {arguments.shards} shards" if arguments.shards else ""
     pattern = database.compile(arguments.xpath)
-    if arguments.holistic:
-        execution = database.holistic_query(pattern)
-        out.write(f"{len(execution)} matches (holistic twig join)\n")
-    elif arguments.repeat > 1 or arguments.workers > 1:
+    if arguments.repeat > 1 or arguments.workers > 1:
         results = database.query_many(
             [pattern] * arguments.repeat,
             algorithm=arguments.algorithm,
-            workers=arguments.workers,
-            engine=arguments.engine)
+            workers=arguments.workers)
         result = results[0]
         execution = result.execution
         out.write(f"{len(execution)} matches "
@@ -579,8 +542,7 @@ def _run_query(database: QueryTarget, arguments: argparse.Namespace,
             out.write(result.explain() + "\n")
         _write_service_stats(database, out)
     else:
-        result = database.query(pattern, algorithm=arguments.algorithm,
-                                engine=arguments.engine)
+        result = database.query(pattern, algorithm=arguments.algorithm)
         execution = result.execution
         report = result.optimization.report
         out.write(f"{len(execution)} matches "
@@ -655,7 +617,6 @@ def _run_explain(database: QueryTarget, arguments: argparse.Namespace,
         report = database.explain(arguments.xpath,
                                   algorithm=arguments.algorithm,
                                   analyze=arguments.analyze,
-                                  engine=arguments.engine,
                                   plan_space=arguments.plan_space,
                                   top_k=arguments.top_k)
         out.write(report.render() + "\n")
@@ -698,26 +659,6 @@ def _serve_paper_workload(database: Database, dataset: str | None,
     return len(queries) * repeats
 
 
-def _run_metrics_server(database: Database, port: int,
-                        out: IO[str]) -> int:
-    """``stats --listen``: the full query server on 127.0.0.1.
-
-    An alias for ``repro serve`` with default admission settings —
-    the same :class:`~repro.server.QueryServer`, so ``/query``,
-    ``/metrics``, ``/traces``, ``/slo``, ``/planspace`` and
-    ``/healthz`` share one port, one signal handler and one drain
-    path.  A taken port is an operator error, not a crash: report it
-    and exit 2 so scripts can tell it from query failures (exit 1);
-    SIGTERM drains and exits 0, Ctrl-C drains and exits 130.
-    """
-    from repro.server import QueryServer, ServerConfig
-
-    server = QueryServer(database,
-                         ServerConfig(host="127.0.0.1", port=port),
-                         out=out)
-    return server.run()
-
-
 def _sampling_service_options(arguments: argparse.Namespace) -> dict:
     """Service options of the serving commands: the common flags plus
     ``--trace-sample`` / ``--planspace-sample`` — the service's
@@ -736,8 +677,7 @@ def _sampling_service_options(arguments: argparse.Namespace) -> dict:
 
 
 def _command_stats(arguments: argparse.Namespace, out: IO[str]) -> int:
-    with _open_target(arguments,
-                      _sampling_service_options(arguments)) as database:
+    with _open_target(arguments) as database:
         return _run_stats(database, arguments, out)
 
 
@@ -746,8 +686,6 @@ def _run_stats(database: QueryTarget, arguments: argparse.Namespace,
     if arguments.serve:
         _serve_paper_workload(database, arguments.dataset,
                               arguments.serve)
-    if arguments.listen:
-        return _run_metrics_server(database, arguments.listen, out)
     if arguments.format != "table":
         out.write(database.service.export_metrics(arguments.format))
         return 0

@@ -49,11 +49,10 @@ _OPERATORS = {
 }
 
 
-def validate_engine(engine: str) -> str:
+def validate_engine(engine: str) -> None:
     if engine not in ENGINE_NAMES:
         raise PlanError(f"unknown engine {engine!r}; expected one of "
                         f"{ENGINE_NAMES}")
-    return engine
 
 
 def _operator_children(operator) -> tuple:
@@ -273,23 +272,23 @@ def measure_time_to_first(stream: StreamingExecution,
 class Executor:
     """Builds and drives operator trees for one engine context.
 
-    *engine* selects the execution mode: ``"block"`` (the default)
-    runs the columnar block-at-a-time operators of
+    A run's *engine* keyword selects the execution mode: ``"block"``
+    (the default) runs the columnar block-at-a-time operators of
     :mod:`repro.engine.blocks`; ``"tuple"`` runs the original
-    Volcano-style iterators.  Both modes produce identical tuple
-    sequences and identical cost-model counters — only wall-clock and
-    the I/O diagnostics differ.
+    Volcano-style iterators, the reference the block engine is checked
+    against.  Both modes produce identical tuple sequences and
+    identical cost-model counters — only wall-clock and the I/O
+    diagnostics differ.
     """
 
-    def __init__(self, context: EngineContext, pattern: QueryPattern,
-                 engine: str = "block") -> None:
+    def __init__(self, context: EngineContext,
+                 pattern: QueryPattern) -> None:
         self.context = context
         self.pattern = pattern
-        self.engine = validate_engine(engine)
 
     def build(self, plan: PhysicalPlan,
               context: EngineContext | None = None,
-              engine: str | None = None) -> Operator | BlockOperator:
+              engine: str = "block") -> Operator | BlockOperator:
         """Translate a plan subtree into *engine*'s operator subtree.
 
         Operators capture *context*'s metrics object; executions pass a
@@ -297,7 +296,6 @@ class Executor:
         concurrent runs never share counters.
         """
         context = context or self.context
-        engine = engine or self.engine
         scan, sort, joins = _OPERATORS[engine]
         if isinstance(plan, IndexScanPlan):
             return scan(self.pattern.node(plan.node_id), context)
@@ -343,7 +341,7 @@ class Executor:
         return span
 
     def execute(self, plan: PhysicalPlan,
-                engine: str | None = None,
+                engine: str = "block",
                 spans: bool | None = None) -> ExecutionResult:
         """Run *plan* to completion: :meth:`stream`, drained at once.
 
@@ -357,7 +355,7 @@ class Executor:
         return self.stream(plan, engine=engine, spans=spans).result()
 
     def stream(self, plan: PhysicalPlan, *,
-               engine: str | None = None,
+               engine: str = "block",
                cancel: Callable[[], bool] | None = None,
                spans: bool = False,
                on_finish: Callable[[StreamingExecution], None]
@@ -371,13 +369,13 @@ class Executor:
         concurrency they attribute I/O approximately (aggregate totals
         stay exact); the simulated-cost counters are always private.
 
-        *engine* (default: this executor's) picks the row source, the
-        block engine's root operator or the tuple engine's pipeline;
+        *engine* picks the row source, the block engine's root
+        operator or the tuple engine's pipeline;
         *cancel* is the stream's (see :class:`StreamingExecution`).
         Page/buffer I/O deltas and span finalization happen when the
         stream finishes, however it ends; then *on_finish* runs.
         """
-        engine = validate_engine(engine or self.engine)
+        validate_engine(engine)
         run = self.context.for_run()
         metrics = run.metrics
         pool = run.tag_index.pool
@@ -415,8 +413,8 @@ class Executor:
                       results: int = 1) -> FirstResultTiming:
         """Measure result latency: blocking operators delay the first
         tuple, pipelined plans deliver it almost immediately.  Runs the
-        tuple engine, whatever this executor's own: Sec. 3.4's
-        experiment is about iterator pipelining.
+        tuple engine: Sec. 3.4's experiment is about iterator
+        pipelining.
         """
         return measure_time_to_first(
             self.stream(plan, engine="tuple"), results=results)

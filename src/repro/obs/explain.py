@@ -39,7 +39,6 @@ class ExplainReport:
 
     query: str
     algorithm: str
-    engine: str
     optimization: "OptimizationResult"
     execution: "ExecutionResult | None" = None
     parse_seconds: float = 0.0
@@ -112,7 +111,7 @@ class ExplainReport:
             return "\n".join(lines)
         assert self.span is not None
         lines.append(
-            f"engine={self.engine}  parse {self.parse_seconds * 1e3:.2f} ms"
+            f"parse {self.parse_seconds * 1e3:.2f} ms"
             f" | optimize {self.optimize_seconds * 1e3:.2f} ms"
             f" | execute {self.execute_seconds * 1e3:.2f} ms")
         lines.append("operator rows=est/act (q=Q-error) "
@@ -137,7 +136,6 @@ class ExplainReport:
         payload: dict[str, object] = {
             "query": self.query,
             "algorithm": self.algorithm,
-            "engine": self.engine,
             "analyze": self.analyze,
             "estimated_cost": self.optimization.estimated_cost,
             "parse_seconds": self.parse_seconds,

@@ -13,12 +13,13 @@ with a JSON object; body keys win)::
 
     xpath       required       the query
     algorithm   DPP            one of the paper's optimizers
-    engine      the target's   "block", or "tuple": the pipelined
-                               iterators, at about half the speed
     stream      0              1/true: chunked NDJSON, rows as produced
     limit       0              stop after N rows (0 = all)
     timeout_ms  config default per-request deadline
     tenant      "anonymous"    admission bucket (or ``X-Tenant``)
+
+Any other key is ignored: a request says what to match, and how it is
+run is the optimizer's choice alone.
 
 Row hand-off, streamed and buffered, single-node and sharded alike: a
 producer thread reads ``QueryService.stream`` (the one request path,
@@ -52,9 +53,9 @@ gets no terminal line (it could not be delivered either): its
 connection is dropped.  The error-budget burn shows up in ``/slo``
 either way.
 
-Shutdown is one path for every entry point (``repro serve``,
-``stats --listen``, tests): stop accepting, finish in-flight requests
-within the drain budget, flush the query log, report.  SIGTERM exits
+Shutdown is one path for every entry point (``repro serve``, tests):
+stop accepting, finish in-flight requests within the drain budget,
+flush the query log, report.  SIGTERM exits
 0, SIGINT exits 130, a taken port exits 2 before serving anything.
 """
 
@@ -72,8 +73,7 @@ from typing import IO, Callable
 
 from repro.errors import (OptimizerError, PatternError, PlanError,
                           QueryCancelled, XPathSyntaxError)
-from repro.engine.executor import (StreamingExecution,
-                                   validate_engine)
+from repro.engine.executor import StreamingExecution
 from repro.engine.tuples import MatchTuple
 from repro.obs.spans import TraceContext
 from repro.server.admission import AdmissionController, Rejection
@@ -130,7 +130,6 @@ class ServerConfig:
 class _QueryParams:
     xpath: str
     algorithm: str
-    engine: "str | None"
     stream: bool
     limit: int
     deadline: float
@@ -214,10 +213,9 @@ class QueryServer:
     HTTP.
 
     Three ways to run it: :meth:`run` blocks the calling thread and
-    owns signals (the CLI path, both ``repro serve`` and
-    ``stats --listen``); :meth:`start` / :meth:`stop` run the loop on
-    a daemon thread (tests, the load harness); or await :meth:`serve`
-    from an existing loop.
+    owns signals (the CLI path, ``repro serve``); :meth:`start` /
+    :meth:`stop` run the loop on a daemon thread (tests, the load
+    harness); or await :meth:`serve` from an existing loop.
     """
 
     def __init__(self, database, config: ServerConfig | None = None,
@@ -567,9 +565,6 @@ class QueryServer:
         if not xpath:
             raise ProtocolError(400, "missing required parameter "
                                      "'xpath'")
-        engine = text("engine") or None
-        if engine is not None:
-            validate_engine(engine)  # PlanError -> 400
         try:
             limit = int(params.get("limit", 0) or 0)
         except (TypeError, ValueError):
@@ -598,8 +593,8 @@ class QueryServer:
         return _QueryParams(
             xpath=xpath,
             algorithm=text("algorithm") or self.config.algorithm,
-            engine=engine, stream=stream, limit=limit,
-            deadline=deadline, tenant=tenant, trace_id=trace_id)
+            stream=stream, limit=limit, deadline=deadline,
+            tenant=tenant, trace_id=trace_id)
 
     async def _handle_query(self, request: HttpRequest,
                             writer: asyncio.StreamWriter,
@@ -652,7 +647,7 @@ class QueryServer:
                 if handoff.cancelled():
                     return  # the deadline beat the pool to a thread
                 _, stream = self.service.stream(
-                    params.xpath, params.algorithm, params.engine,
+                    params.xpath, params.algorithm,
                     cancel=handoff.cancelled,
                     trace_context=trace_context)
                 delivery.stream = stream
@@ -797,8 +792,7 @@ class QueryServer:
                      if outcome == "done" and stream is not None
                      else None),
             rows=rows, query=params.xpath,
-            algorithm=params.algorithm,
-            engine=stream.engine if stream is not None else "")
+            algorithm=params.algorithm)
         if delivery.client_gone:
             return False
         summary = {

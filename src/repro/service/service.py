@@ -92,7 +92,7 @@ class QueryService:
         #: disables): sampled optimizations run with a
         #: :class:`~repro.core.planspace.PlanSpaceRecorder` attached and
         #: the rendered report lands in a bounded ring served by the
-        #: ``/planspace`` endpoint of ``stats --listen``.
+        #: ``/planspace`` endpoint of ``serve``.
         self.planspace_sample = planspace_sample
         #: declarative objectives evaluated over every served query.
         self.slo = SLOTracker(DEFAULT_OBJECTIVES)
@@ -160,8 +160,7 @@ class QueryService:
     # -- serving ----------------------------------------------------------
 
     def stream(self, query: "str | QueryPattern",
-               algorithm: str = "DPP",
-               engine: "str | None" = None, *,
+               algorithm: str = "DPP", *,
                cancel: "Callable[[], bool] | None" = None,
                trace_context: "TraceContext | None" = None,
                **options: object
@@ -173,23 +172,22 @@ class QueryService:
         clock however a request arrived.  Returns the (cached)
         optimization and the unread
         :meth:`~repro.target.QueryTarget.stream_execute` handle, which
-        receives *engine*, *cancel* and *trace_context* as given;
-        *options* are optimizer arguments and part of the plan-cache
-        key (the plan is engine-independent).  Whoever reads the rows
-        reports the outcome through :meth:`observe_served_query` —
-        only the reader knows its latency and what it delivered.
+        receives *cancel* and *trace_context* as given; *options* are
+        optimizer arguments and part of the plan-cache key.  Whoever
+        reads the rows reports the outcome through
+        :meth:`observe_served_query` — only the reader knows its
+        latency and what it delivered.
         """
         traced = self._sampled("trace", self.trace_sample)
         pattern = self.database.compile(query)
         optimization = self.optimize_cached(pattern, algorithm, **options)
         return optimization, self.database.stream_execute(
-            optimization.plan, pattern, engine, cancel=cancel,
+            optimization.plan, pattern, cancel=cancel,
             spans=traced, trace_context=trace_context,
             algorithm=algorithm)
 
     def query(self, query: "str | QueryPattern",
               algorithm: str = "DPP",
-              engine: "str | None" = None,
               submitted_at: float | None = None,
               **options: object) -> "QueryResult":
         """One request, buffered: :meth:`stream`, drained and observed.
@@ -203,7 +201,7 @@ class QueryService:
             self._queue_wait_hist.observe(max(0.0,
                                               started - submitted_at))
         try:
-            optimization, stream = self.stream(query, algorithm, engine,
+            optimization, stream = self.stream(query, algorithm,
                                                **options)
             execution = stream.result()
         except BaseException:
@@ -216,7 +214,7 @@ class QueryService:
             trace_id=span.trace_id if span is not None else "",
             metrics=execution.metrics, rows=len(execution),
             query=query if isinstance(query, str) else repr(query),
-            algorithm=algorithm, engine=stream.engine)
+            algorithm=algorithm)
         return QueryResult(optimization=optimization,
                            execution=execution)
 
@@ -227,20 +225,18 @@ class QueryService:
                              metrics: "ExecutionMetrics | None" = None,
                              rows: int = 0,
                              query: str = "",
-                             algorithm: str = "",
-                             engine: str = "") -> None:
+                             algorithm: str = "") -> None:
         """Fold one finished query into the service totals.
 
         The one observation path: whoever read a :meth:`stream` —
         :meth:`query`, or the network front-end — reports here, so
         ``/metrics`` and ``/slo`` stay one coherent surface regardless
-        of how the query entered the process.  *engine* is the engine
-        that ran (``stream.engine``).  *time_to_first* feeds both the
-        ``repro_time_to_first_seconds`` histogram and the TTFR SLO;
-        *error* covers failures **and deadline cancellations** (a
-        cancelled request burned its latency budget without an
-        answer, so the error budget pays).  *metrics* merges engine
-        counters from completed streams into the aggregate totals.
+        of how the query entered the process.  *time_to_first* feeds
+        both the ``repro_time_to_first_seconds`` histogram and the TTFR
+        SLO; *error* covers failures **and deadline cancellations** (a
+        cancelled request burned its latency budget without an answer,
+        so the error budget pays).  *metrics* merges engine counters
+        from completed streams into the aggregate totals.
         """
         if time_to_first is not None:
             self._ttfr_hist.observe(time_to_first)
@@ -265,7 +261,6 @@ class QueryService:
                 self._slow_queries.append({
                     "query": query,
                     "algorithm": algorithm,
-                    "engine": engine,
                     "seconds": seconds,
                     "rows": rows,
                     "trace_id": trace_id,
@@ -283,7 +278,6 @@ class QueryService:
     def query_many(self, queries: Sequence["str | QueryPattern"],
                    algorithm: str = "DPP",
                    workers: int | None = None,
-                   engine: "str | None" = None,
                    **options: object) -> list["QueryResult"]:
         """Execute a batch of queries, results in input order.
 
@@ -295,14 +289,13 @@ class QueryService:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if workers == 1 or len(queries) <= 1:
-            return [self.query(query, algorithm=algorithm,
-                               engine=engine, **options)
+            return [self.query(query, algorithm=algorithm, **options)
                     for query in queries]
         with ThreadPoolExecutor(
                 max_workers=min(workers, len(queries)),
                 thread_name_prefix="repro-query") as pool:
             futures = [pool.submit(self.query, query,
-                                   algorithm=algorithm, engine=engine,
+                                   algorithm=algorithm,
                                    submitted_at=time.perf_counter(),
                                    **options)
                        for query in queries]
@@ -369,7 +362,7 @@ class QueryService:
     def planspace(self, limit: int = 16) -> list[dict[str, object]]:
         """Last *limit* sampled plan-space reports, newest last.
 
-        Backs the ``/planspace`` endpoint of ``stats --listen``; empty
+        Backs the ``/planspace`` endpoint of ``serve``; empty
         unless the service was built with ``planspace_sample > 0``.
         """
         if limit < 1:
@@ -467,7 +460,7 @@ class QueryService:
     def traces(self, limit: int = 16) -> list[dict[str, object]]:
         """Last *limit* retained traces, newest last, JSON-able.
 
-        Backs the ``/traces`` endpoint of ``stats --listen``: on a
+        Backs the ``/traces`` endpoint of ``serve``: on a
         sharded database each entry is one stitched cross-process
         trace; on a single node, a per-operator span tree.
         """

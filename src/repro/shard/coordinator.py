@@ -90,14 +90,15 @@ class ShardWorkerPool:
     """One coordinator-side handle per shard worker process."""
 
     def __init__(self, pages_paths: list[str],
-                 start_method: str = "spawn",
                  timeout: float = DEFAULT_TIMEOUT) -> None:
         if not pages_paths:
             raise ShardError("a worker pool needs at least one shard")
         self.timeout = timeout
         self._mutex = threading.Lock()
         self._closed = False
-        context = mp.get_context(start_method)
+        # worker_main takes picklable arguments only (see its module):
+        # spawn never inherits the coordinator's threads or locks
+        context = mp.get_context("spawn")
         self._processes: list = []
         self._connections: list = []
         try:

@@ -57,19 +57,15 @@ class ShardedDatabase(QueryTarget):
 
     def __init__(self, document: XmlDocument, shards: int = 2,
                  base_dir: "str | Path | None" = None,
-                 engine: str = "block",
                  cost_factors: CostFactors | None = None,
                  histogram_grid: int = 16,
-                 start_method: str = "spawn",
                  timeout: float = DEFAULT_TIMEOUT,
                  service_options: dict | None = None) -> None:
         if shards < 1:
             raise ShardError(f"shard count must be >= 1, got {shards}")
-        super().__init__(engine, cost_factors, histogram_grid,
-                         service_options)
+        super().__init__(cost_factors, histogram_grid, service_options)
         self.shards = shards
         self.name = f"{document.name}-shards{shards}"
-        self._start_method = start_method
         self._timeout = timeout
         self._owns_dir = base_dir is None
         self._base_dir = (Path(tempfile.mkdtemp(prefix="repro-shards-"))
@@ -118,9 +114,7 @@ class ShardedDatabase(QueryTarget):
         self._exact_estimator = None
         for shard_id in range(self.shards):
             self._shard_epochs[shard_id] += 1
-        self.workers = ShardWorkerPool(paths,
-                                       start_method=self._start_method,
-                                       timeout=self._timeout)
+        self.workers = ShardWorkerPool(paths, timeout=self._timeout)
 
     def _generation_dir(self, generation: int) -> Path:
         return self._base_dir / f"gen{generation:03d}"
@@ -251,7 +245,7 @@ class ShardedDatabase(QueryTarget):
         return payloads, phases, node_ids, metrics
 
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                       engine: str | None = None,
+                       engine: str = "block",
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
@@ -285,7 +279,7 @@ class ShardedDatabase(QueryTarget):
         never re-measured.
         """
         self._require_open()
-        engine = validate_engine(engine or self.engine)
+        validate_engine(engine)  # before the plan leaves the process
         trace = self._trace_for(spans, trace_context)
         started = time.perf_counter()
         payloads, phases, node_ids, metrics = self._gather(

@@ -150,17 +150,15 @@ class InMemoryDisk(DiskManager):
 class FileDisk(DiskManager):
     """Disk manager backed by a single file of fixed-size pages.
 
-    With ``mmap_reads`` (the default) the file is also mapped
-    read-only and :meth:`read_view` serves pages as zero-copy
-    ``memoryview`` slices of the mapping; the map is rebuilt lazily
-    whenever the file has grown past it.  Buffered writes are flushed
-    to the OS before a view is handed out, so a view always reflects
-    every completed :meth:`write_page` (the mapping shares the kernel
-    page cache with the write path).
+    The file is also mapped read-only and :meth:`read_view` serves
+    pages as zero-copy ``memoryview`` slices of the mapping; the map
+    is rebuilt lazily whenever the file has grown past it.  Buffered
+    writes are flushed to the OS before a view is handed out, so a
+    view always reflects every completed :meth:`write_page` (the
+    mapping shares the kernel page cache with the write path).
     """
 
-    def __init__(self, path: str | os.PathLike[str],
-                 mmap_reads: bool = True) -> None:
+    def __init__(self, path: str | os.PathLike[str]) -> None:
         super().__init__()
         self._path = os.fspath(path)
         exists = os.path.exists(self._path)
@@ -172,7 +170,6 @@ class FileDisk(DiskManager):
                 f"{self._path} is not a whole number of pages")
         self._next_page_id = size // PAGE_SIZE
         self._closed = False
-        self._mmap_reads = mmap_reads
         self._map: mmap.mmap | None = None
         self._map_pages = 0
         self._flushed = True
@@ -214,8 +211,6 @@ class FileDisk(DiskManager):
 
     def read_view(self, page_id: int) -> memoryview | None:
         self._check_open()
-        if not self._mmap_reads:
-            return None
         if not 0 <= page_id < self._next_page_id:
             raise StorageError(f"page {page_id} was never allocated")
         if not self._flushed:

@@ -29,8 +29,7 @@ from repro.core.plans import PhysicalPlan
 from repro.document.document import XmlDocument
 from repro.engine.executor import (ExecutionResult, FirstResultTiming,
                                    StreamingExecution,
-                                   measure_time_to_first,
-                                   validate_engine)
+                                   measure_time_to_first)
 from repro.estimation.estimator import (CardinalityEstimator,
                                         ExactEstimator)
 from repro.obs.explain import ExplainReport
@@ -70,13 +69,9 @@ class QueryTarget(abc.ABC):
     #: part of every plan-cache key.
     statistics_epoch: int
 
-    def __init__(self, engine: str, cost_factors: CostFactors | None,
+    def __init__(self, cost_factors: CostFactors | None,
                  histogram_grid: int,
                  service_options: dict | None) -> None:
-        #: default execution mode: "block" (columnar, cached posting
-        #: decode + skip-ahead joins) or "tuple" (Volcano iterators).
-        #: Both produce identical results and cost-model counters.
-        self.engine = validate_engine(engine)
         self.cost_factors = cost_factors or CostFactors()
         self.cost_model = CostModel(self.cost_factors)
         self.histogram_grid = histogram_grid
@@ -104,16 +99,20 @@ class QueryTarget(abc.ABC):
 
     @abc.abstractmethod
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                       engine: str | None = None,
+                       engine: str = "block",
                        cancel: "Callable[[], bool] | None" = None,
                        spans: bool = False,
                        trace_context: TraceContext | None = None,
                        algorithm: str = "") -> StreamingExecution:
         """Run *plan* incrementally — the one run path of a back end.
 
-        *engine* defaults to the target's own :attr:`engine`; *cancel*
-        is consulted after each block is pulled, so deadlines stop the
-        run mid-stream.  When the stream finishes — drained,
+        *engine* names the operators that run the plan: the block
+        engine, or with ``"tuple"`` the reference iterators — a
+        keyword of plan-level calls only (this one and
+        :meth:`execute`), which is where the differential oracles and
+        the Sec. 3.4 experiment say it; no request names an engine.
+        *cancel* is consulted after each block is pulled, so deadlines
+        stop the run mid-stream.  When the stream finishes — drained,
         cancelled or closed early — the back end's one finish hook
         leaves behind everything the run owes: a traced run (see
         :meth:`_trace_for`) is stamped, exposed as ``stream.span`` and
@@ -215,7 +214,7 @@ class QueryTarget(abc.ABC):
         return optimizer.optimize(pattern, estimator)
 
     def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
-                engine: str | None = None,
+                engine: str = "block",
                 spans: bool = False,
                 algorithm: str = "",
                 trace_context: TraceContext | None = None
@@ -227,7 +226,7 @@ class QueryTarget(abc.ABC):
             trace_context=trace_context, algorithm=algorithm).result()
 
     def query(self, query: str | QueryPattern,
-              algorithm: str = "DPP", engine: str | None = None,
+              algorithm: str = "DPP",
               **options: object) -> QueryResult:
         """Optimize then execute in one call (uncached; the service's
         :meth:`query_many` path goes through the plan cache)."""
@@ -235,7 +234,7 @@ class QueryTarget(abc.ABC):
         optimization = self.optimize(pattern, algorithm=algorithm,
                                      **options)
         execution = self.execute(optimization.plan, pattern,
-                                 engine=engine, algorithm=algorithm)
+                                 algorithm=algorithm)
         return QueryResult(optimization=optimization, execution=execution)
 
     def time_to_first(self, query: str | QueryPattern,
@@ -262,7 +261,6 @@ class QueryTarget(abc.ABC):
 
     def explain(self, query: str | QueryPattern,
                 algorithm: str = "DPP", analyze: bool = False,
-                engine: str | None = None,
                 plan_space: bool = False, top_k: int = 3,
                 **options: object) -> ExplainReport:
         """EXPLAIN (ANALYZE): the chosen plan, optionally annotated
@@ -282,7 +280,6 @@ class QueryTarget(abc.ABC):
         cheapest alternative plans with cost deltas, the pruning
         taxonomy, memo size, and why the winner won.
         """
-        engine = validate_engine(engine or self.engine)
         started = time.perf_counter()
         pattern = self.compile(query)
         parse_seconds = time.perf_counter() - started
@@ -296,12 +293,12 @@ class QueryTarget(abc.ABC):
         optimization = self.optimize(pattern, algorithm=algorithm,
                                      **options)
         report = ExplainReport(query=label, algorithm=algorithm,
-                               engine=engine, optimization=optimization,
+                               optimization=optimization,
                                parse_seconds=parse_seconds)
         self._explain_extras(report, pattern)
         if analyze:
             report.execution = self.execute(optimization.plan, pattern,
-                                            engine=engine, spans=True)
+                                            spans=True)
         if recorder is not None:
             from repro.obs.planspace import build_plan_space_report
 
@@ -352,19 +349,16 @@ class QueryTarget(abc.ABC):
     def query_many(self, queries: Sequence[str | QueryPattern],
                    algorithm: str = "DPP",
                    workers: int | None = None,
-                   engine: str | None = None,
                    **options: object) -> list[QueryResult]:
         """Execute a batch of queries concurrently, in input order.
 
         Optimization is amortized through the service's plan cache:
         repeated (isomorphic) patterns are optimized once per
         statistics epoch, including across threads — cache misses are
-        single-flight.  ``workers=None`` uses the service default (4);
-        ``engine`` overrides the target's execution mode.
+        single-flight.  ``workers=None`` uses the service default (4).
         """
         return self.service.query_many(queries, algorithm=algorithm,
-                                       workers=workers, engine=engine,
-                                       **options)
+                                       workers=workers, **options)
 
     def stats(self) -> dict[str, object]:
         """Service-level metrics snapshot; back ends add their own keys.

@@ -8,13 +8,10 @@ additions backing the engine (posting decode cache, batched index
 build, page-batched node reader) get direct coverage.
 """
 
-import io
-
 import pytest
 
 from repro.api import Database
 from repro.engine.metrics import COST_COUNTERS
-from repro.cli import main
 from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
                               SortPlan, StructuralJoinPlan)
@@ -154,11 +151,12 @@ class TestDecodeCache:
         assert len(before) > len(after) == 1
 
     def test_tuple_engine_leaves_cache_cold(self, small_document):
-        database = Database.from_document(small_document,
-                                          engine="tuple")
-        database.query("//manager//employee")
+        database = Database.from_document(small_document)
+        pattern = database.compile("//manager//employee")
+        plan = database.optimize(pattern).plan
+        database.execute(plan, pattern, engine="tuple")
         assert not database.index._blocks
-        database.query("//manager//employee", engine="block")
+        database.execute(plan, pattern)
         assert database.index._blocks
 
 
@@ -216,41 +214,30 @@ def test_node_reader_matches_fetch_node():
 # -- engine selection -----------------------------------------------------
 
 
+def run_on(database, query, engine):
+    """*query*'s chosen plan run on *engine* — the one place an engine
+    is named: a plan-level call."""
+    pattern = database.compile(query)
+    return database.execute(database.optimize(pattern).plan, pattern,
+                            engine=engine)
+
+
 class TestEngineSelection:
-    def test_invalid_engine_rejected(self, small_document):
+    def test_invalid_engine_rejected(self, small_database):
         with pytest.raises(PlanError, match="unknown engine"):
-            Database.from_document(small_document, engine="vector")
-        database = Database.from_document(small_document)
-        with pytest.raises(PlanError, match="unknown engine"):
-            database.query("//manager", engine="vector")
+            run_on(small_database, "//manager", "vector")
 
     def test_per_call_override(self, small_database):
         base = small_database.query("//manager//employee")
         for engine in ("tuple", "block"):
-            result = small_database.query("//manager//employee",
-                                          engine=engine)
-            assert result.execution.tuples == base.execution.tuples
+            result = run_on(small_database, "//manager//employee",
+                            engine)
+            assert result.tuples == base.execution.tuples
 
     def test_query_many_engine(self, small_database):
         queries = ["//manager//employee", "//department/name"]
+        batch = small_database.query_many(queries, workers=2)
         for engine in ("tuple", "block"):
-            batch = small_database.query_many(queries, engine=engine,
-                                              workers=2)
             for query, result in zip(queries, batch):
-                solo = small_database.query(query, engine=engine)
-                assert result.execution.tuples == solo.execution.tuples
-
-    def test_cli_engine_flag(self, tmp_path, personnel_xml):
-        path = tmp_path / "pers.xml"
-        path.write_text(personnel_xml)
-        outputs = {}
-        for engine in ("tuple", "block"):
-            out = io.StringIO()
-            code = main(["query", "--xml", str(path),
-                         "--engine", engine, "--limit", "0",
-                         "//manager//employee/name"], out=out)
-            assert code == 0
-            first_line = out.getvalue().splitlines()[0]
-            outputs[engine] = first_line.split(" matches")[0]
-            assert "matches" in first_line
-        assert outputs["tuple"] == outputs["block"]
+                solo = run_on(small_database, query, engine)
+                assert result.execution.tuples == solo.tuples

@@ -52,13 +52,6 @@ class TestQueryCommand:
         assert "matches" in output
         assert "Ada Adams" in output
 
-    def test_query_holistic(self):
-        code, output = run_cli(
-            "query", "--dataset", "pers", "--nodes", "400",
-            "--holistic", "//manager//employee")
-        assert code == 0
-        assert "holistic" in output
-
     def test_limit_zero_hides_rows(self):
         code, output = run_cli(
             "query", "--dataset", "pers", "--nodes", "400",
@@ -284,8 +277,8 @@ class TestMetricsListener:
             blocker.bind(("127.0.0.1", 0))
             port = blocker.getsockname()[1]
             code, __ = run_cli(
-                "stats", "--dataset", "pers", "--nodes", "400",
-                "--listen", str(port))
+                "serve", "--dataset", "pers", "--nodes", "400",
+                "--port", str(port))
         finally:
             blocker.close()
         assert code == 2
@@ -300,16 +293,18 @@ class TestMetricsListener:
         from repro.server import QueryServer, ServerConfig
 
         arguments = build_parser().parse_args(
-            ["stats", "--dataset", "pers", "--nodes", "400"])
+            ["serve", "--dataset", "pers", "--nodes", "400"])
         database = _open_database(arguments)
-        database.query_many(["//manager/name"])
 
-        # stats --listen is an alias for the query server; drive the
-        # same object it constructs, on its background-thread API
+        # drive the object ``serve`` constructs, on its
+        # background-thread API, and warm it over /query
         out = iolib.StringIO()
         server = QueryServer(database, ServerConfig(port=0), out=out)
         host, port = server.start()
         try:
+            urllib.request.urlopen(
+                f"http://{host}:{port}/query?xpath=//manager/name",
+                timeout=5.0).close()
             with urllib.request.urlopen(
                     f"http://{host}:{port}/metrics",
                     timeout=5.0) as response:

@@ -49,6 +49,17 @@ def database() -> Database:
     return Database.from_document(personnel_document(target_nodes=900))
 
 
+def analyzed(database, query, engine):
+    """``database.explain(query, analyze=True)`` with the analyzed run
+    on *engine*: ``explain`` names none, so the run is spelled where a
+    plan-level caller says it."""
+    report = database.explain(query)
+    report.execution = database.execute(
+        report.optimization.plan, database.compile(query),
+        engine=engine, spans=True)
+    return report
+
+
 # -- span mechanics ------------------------------------------------------
 
 
@@ -164,7 +175,7 @@ class TestExplainAnalyze:
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_analyze_annotates_every_operator(self, database, engine):
-        report = database.explain(QUERY, analyze=True, engine=engine)
+        report = analyzed(database, QUERY, engine)
         operators = list(report.span.walk())
         assert len(operators) == 5  # 3 scans + 2 joins
         for node in operators:
@@ -176,7 +187,10 @@ class TestExplainAnalyze:
         assert all(node.rows_q_error() == 1.0 for node in leaves)
         text = report.render()
         assert "q=" in text and "rows=" in text
-        assert f"engine={engine}" in text
+        # the header names no engine; the spans do
+        assert "engine=" not in text
+        assert all(node.name.startswith("Block") == (engine == "block")
+                   for node in operators)
 
     def test_actual_cost_is_cumulative(self, database):
         report = database.explain(QUERY, analyze=True)
@@ -190,7 +204,7 @@ class TestExplainAnalyze:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_totals_match_execution_metrics_exactly(self, database,
                                                     engine):
-        report = database.explain(QUERY, analyze=True, engine=engine)
+        report = analyzed(database, QUERY, engine)
         assert report.actual_totals() == \
             report.execution.metrics.counters()
 
@@ -244,8 +258,7 @@ class TestExplainAnalyzeOracle:
             plan = database.optimize(pattern).plan
             for engine in ENGINES:
                 oracle = database.execute(plan, pattern, engine=engine)
-                report = database.explain(pattern, analyze=True,
-                                          engine=engine)
+                report = analyzed(database, pattern, engine)
                 assert report.actual_totals() == \
                     oracle.metrics.counters(), \
                     f"engine={engine} pattern={pattern.describe()!r}"
@@ -571,24 +584,20 @@ class TestServiceMetrics:
         service.slow_query_seconds = 3600.0
         service.query(QUERY)
         assert len(service.snapshot()["slow_queries"]) == 1
-        # the entry names the engine that ran: a served request
-        # naming none runs the database's own, like every other run
+        # a request over HTTP lands in the same log, with the same keys
         service.slow_query_seconds = 0.0
-        service.query(QUERY, engine="tuple")
         server = QueryServer(database, ServerConfig(port=0),
                              out=io.StringIO())
         host, port = server.start()
         try:
-            for engine in ("", "&engine=tuple"):
-                assert asyncio.run(fetch(
-                    host, port, "GET",
-                    f"/query?xpath={QUERY}{engine}")).status == 200
+            assert asyncio.run(fetch(
+                host, port, "GET",
+                f"/query?xpath={QUERY}")).status == 200
         finally:
             server.stop()
-        assert database.engine == "block"
-        assert [entry["engine"]
-                for entry in service.snapshot()["slow_queries"]] \
-            == ["block", "tuple", "block", "tuple"]
+        slow = service.snapshot()["slow_queries"]
+        assert len(slow) == 2 and slow[1].keys() == entry.keys() \
+            == {"query", "algorithm", "seconds", "rows", "trace_id"}
 
     def test_export_json_and_bad_format(self):
         database = Database.from_document(
@@ -635,8 +644,8 @@ class TestZeroOverheadWhenDisabled:
         context = EngineContext(database.index, database.store,
                                 database.document,
                                 factors=database.cost_factors)
-        executor = Executor(context, pattern, engine=engine)
-        root = executor.build(plan, context.for_run())
+        executor = Executor(context, pattern)
+        root = executor.build(plan, context.for_run(), engine)
         assert type(root).__name__.startswith("Block") == (
             engine == "block")
         stack = [root]
@@ -672,12 +681,27 @@ class TestCli:
         assert "IndexScan" in output
 
     @pytest.mark.parametrize("engine", ENGINES)
-    def test_explain_analyze_engines(self, engine):
-        code, output = run_cli("explain", "--dataset", "pers",
-                               "--nodes", "400", "--analyze",
-                               "--engine", engine, QUERY)
+    def test_explain_analyze_engines(self, engine, tmp_path):
+        """The tree ``explain --analyze`` ships is what either engine
+        measures: operator for operator, the same plan-node labels and
+        the same counter shares as a plan-level run on *engine*."""
+        target = tmp_path / "report.json"
+        code, _ = run_cli("explain", "--dataset", "pers", "--nodes",
+                          "400", "--analyze", "--json", str(target),
+                          QUERY)
         assert code == 0
-        assert f"engine={engine}" in output
+
+        def flat(node):
+            return [(node["detail"], node["counters"])] + [
+                entry for child in node["children"]
+                for entry in flat(child)]
+
+        database = Database.from_document(
+            dataset_document("pers", seed=42, target_nodes=400))
+        shipped = flat(json.loads(target.read_text())["plan"])
+        assert shipped == flat(
+            analyzed(database, QUERY, engine).span.to_dict())
+        assert len(shipped) == 5
 
     def test_explain_analyze_json(self, tmp_path):
         target = tmp_path / "report.json"

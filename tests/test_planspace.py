@@ -384,7 +384,7 @@ class TestHealthzEndpoint:
         from repro.server import QueryServer, ServerConfig
 
         arguments = build_parser().parse_args(
-            ["stats", "--dataset", "pers", "--nodes", "400",
+            ["serve", "--dataset", "pers", "--nodes", "400",
              "--planspace-sample", "1"])
         database = _open_database(arguments)
         database.service_options.update({"planspace_sample": 1})

@@ -257,37 +257,6 @@ class TestQueryEndpoint:
         ids = [trace["trace_id"] for trace in traces["traces"]]
         assert "req-abc123" in ids
 
-    def test_engine_parameter_picks_the_operators_on_a_single_node(
-            self, server):
-        """At the parent ``engine`` was validated, forwarded and thrown
-        away by ``Database.stream_execute``: both traces below showed
-        the iterator operators."""
-        _, host, port = server
-        bodies = {}
-        for engine, block in (("block", True), ("tuple", False),
-                              ("", True)):  # the default: the target's
-            trace_id = f"engine-{engine or 'default'}"
-            response = run(fetch(
-                host, port, "GET",
-                f"/query?xpath=//employee//name&engine={engine}",
-                headers={"X-Trace-Id": trace_id}))
-            assert response.status == 200
-            bodies[engine] = response.json()["bindings"]
-            traces = run(fetch(host, port, "GET", "/traces")).json()
-            (trace,) = [trace for trace in traces["traces"]
-                        if trace["trace_id"] == trace_id]
-            names = set()
-            stack = [trace]
-            while stack:
-                span = stack.pop()
-                names.add(span["name"])
-                stack.extend(span["children"])
-            assert ("BlockIndexScan" if block else "IndexScan") in names
-            assert all(name.startswith("Block") == block
-                       for name in names), names
-        assert bodies["block"] and bodies["block"] == bodies["tuple"] \
-            == bodies[""]
-
     def test_observability_routes_share_the_socket(self, server):
         instance, host, port = server
         for route in ("/metrics", "/traces", "/slo", "/planspace",
@@ -461,18 +430,38 @@ class TestDeadlines:
             instance.stop()
 
 
-def capture_streams(monkeypatch, database):
-    """Every ``StreamingExecution`` the server opens from here on."""
+def capture_streams(monkeypatch, database, engine=""):
+    """Every ``StreamingExecution`` the server opens from here on —
+    on *engine*, given one: no request can name it, so a drill says it
+    where plan-level callers do, on ``stream_execute``."""
     captured = []
     original = database.stream_execute
 
     def recording(*args, **kwargs):
+        if engine:
+            kwargs["engine"] = engine
         stream = original(*args, **kwargs)
         captured.append(stream)
         return stream
 
     monkeypatch.setattr(database, "stream_execute", recording)
     return captured
+
+
+def hold_producers(monkeypatch, database):
+    """From here on a run's cancel predicate answers only once it is
+    true: its producer, however fast, cannot get past its first block
+    before the consumer has hung up."""
+    original = database.stream_execute
+
+    def held(*args, cancel, **kwargs):
+        def hung_up():
+            wait_until(cancel)
+            return True
+
+        return original(*args, cancel=hung_up, **kwargs)
+
+    monkeypatch.setattr(database, "stream_execute", held)
 
 
 def wait_until(condition, seconds=10.0):
@@ -613,10 +602,10 @@ class TestRowBatches:
         come) — and a limit the result just fits is no truncation."""
         instance, host, port = server
         database = instance.database
-        streams = capture_streams(monkeypatch, database)
+        streams = capture_streams(monkeypatch, database, engine)
         log = QueryLog(None)
         database.attach_query_log(log)
-        path = f"/query?xpath=//employee//name&engine={engine}"
+        path = "/query?xpath=//employee//name"
 
         def serve(stream, limit):
             """(row lines on the wire, the summary) of one request."""
@@ -976,14 +965,19 @@ class TestBackPressure:
 
 @pytest.mark.parametrize("engine", ["", "block", "tuple"])
 class TestDrillsPerEngine:
-    """The cancellation drills on every engine a request can name:
-    whichever operators run, a deadline or a hang-up ends the request
-    typed, stops the producer within a block and leaks nothing."""
+    """The cancellation drills behind either engine (and the run path
+    as served, ``""``): whichever operators feed the hand-off, a
+    deadline or a hang-up ends the request typed, stops the producer
+    within a block and leaks nothing."""
 
     XPATH = TestBackPressure.XPATH
 
-    def path(self, engine, extra=""):
-        return f"/query?xpath={self.XPATH}&engine={engine}{extra}"
+    @pytest.fixture(autouse=True)
+    def pinned(self, big_server, monkeypatch, engine):
+        capture_streams(monkeypatch, big_server[0].database, engine)
+
+    def path(self, extra=""):
+        return f"/query?xpath={self.XPATH}{extra}"
 
     @staticmethod
     def assert_nothing_leaked(instance, host, port):
@@ -993,15 +987,15 @@ class TestDrillsPerEngine:
         assert "repro_http_inflight 0" in metrics
         assert "repro_buffer_pool_pinned_pages 0" in metrics
 
-    def test_a_deadline_nothing_can_meet(self, big_server, engine):
+    def test_a_deadline_nothing_can_meet(self, big_server):
         instance, host, port = big_server
         response = run(fetch(host, port, "GET",
-                             self.path(engine, "&timeout_ms=0.01")))
+                             self.path("&timeout_ms=0.01")))
         assert response.status == 504
         assert response.json()["cancelled"] is True
         assert response.json()["error"] == "deadline exceeded"
         head, chunks = stream_chunks(
-            host, port, self.path(engine, "&stream=1&timeout_ms=0.01"))
+            host, port, self.path("&stream=1&timeout_ms=0.01"))
         if head.status == 504:  # the deadline beat the head
             summary, delivered = json.loads(b"".join(chunks)), 0
         else:
@@ -1013,12 +1007,11 @@ class TestDrillsPerEngine:
 
     def test_deadline_mid_stream(self, big_server, monkeypatch, engine):
         instance, host, port = big_server
-        _, chunks = stream_chunks(host, port,
-                                  self.path(engine, "&stream=1"))
+        _, chunks = stream_chunks(host, port, self.path("&stream=1"))
         full = chunk_lines(chunks[-1])[0]
         streams = capture_streams(monkeypatch, instance.database)
         head, chunks = stream_chunks(host, port, self.path(
-            engine, f"&stream=1&timeout_ms={full['seconds'] * 1e3 / 3:g}"))
+            f"&stream=1&timeout_ms={full['seconds'] * 1e3 / 3:g}"))
         assert head.status == 200, "the stream had started"
         lines = all_lines(chunks)
         assert lines[-1]["cancelled"] is True
@@ -1031,13 +1024,12 @@ class TestDrillsPerEngine:
         self.assert_nothing_leaked(instance, host, port)
 
     def test_stalled_client_is_dropped_at_its_deadline(
-            self, big_server, monkeypatch, engine):
+            self, big_server, monkeypatch):
         instance, host, port = big_server
         streams = capture_streams(monkeypatch, instance.database)
         client = StallingClient(host, port)
         try:
-            client.request(self.path(engine,
-                                     "&stream=1&timeout_ms=1200"))
+            client.request(self.path("&stream=1&timeout_ms=1200"))
             assert client.read_until(b'{"b": ')
             (stream,) = streams
             wait_until_stalled(stream)
@@ -1050,10 +1042,10 @@ class TestDrillsPerEngine:
             client.close()
 
     def test_client_gone_after_the_first_chunk(self, big_server,
-                                               monkeypatch, engine):
+                                               monkeypatch):
         instance, host, port = big_server
         total = run(fetch(host, port, "GET",
-                          self.path(engine))).json()["rows"]
+                          self.path())).json()["rows"]
         streams = capture_streams(monkeypatch, instance.database)
         at_hang_up = []
         hang_up = app._Handoff.hang_up
@@ -1064,7 +1056,7 @@ class TestDrillsPerEngine:
 
         monkeypatch.setattr(app._Handoff, "hang_up", recording)
         client = StallingClient(host, port)
-        client.request(self.path(engine, "&stream=1"))
+        client.request(self.path("&stream=1"))
         assert client.read_until(b'{"b": ')
         client.close()
         wait_until(lambda: streams and streams[0].finished)
@@ -1129,9 +1121,12 @@ class TestOneRequestPath:
         finally:
             instance.stop()
 
-    def test_completed_served_requests_reach_the_query_log(self):
+    def test_completed_served_requests_reach_the_query_log(
+            self, monkeypatch):
+        """A record iff the run was read to its end."""
         instance, host, port = self.start(trace_sample=1)
         database = instance.database
+        streams = capture_streams(monkeypatch, database)
         log = QueryLog(None)
         database.attach_query_log(log)
         try:
@@ -1147,26 +1142,41 @@ class TestOneRequestPath:
                 assert record["operators"]
             assert self.traced_ids(host, port) \
                 == [record["trace_id"] for record in records]
+            # the same hook serves the in-process paths
+            instance.service.query(self.XPATH)
+            pattern = database.compile(self.XPATH)
+            database.execute(database.optimize(pattern).plan, pattern,
+                             engine="tuple")
+            assert [record["engine"] for record in log.records()[2:]] \
+                == ["block", "tuple"]
+            assert all(stream.exhausted for stream in streams)
             # partial counters would poison calibrate and audit: a run
-            # closed at its limit or cancelled by its deadline (before
-            # or after its head went out) appends nothing
+            # closed at its limit or cancelled by its deadline appends
+            # nothing
             for stream in (False, True):
                 summary, status = self.serve(host, port, stream,
                                              "&limit=1")
                 assert status == 200 and summary["truncated"]
+                assert not streams[-1].exhausted
+            # this run could otherwise be read to its end before the
+            # loop notices even a 0.01 ms deadline, and rightly be
+            # logged: hold its producer until the consumer has hung up
+            hold_producers(monkeypatch, database)
+            for stream in (False, True):
+                opened = len(streams)
                 summary, status = self.serve(host, port, stream,
-                                             "&timeout_ms=0.01")
+                                             "&timeout_ms=200")
                 assert summary["cancelled"]
-            assert len(log.records()) == 2
-            # the same hook serves the in-process paths
-            instance.service.query(self.XPATH)
-            database.query(self.XPATH, engine="tuple")
-            assert [record["engine"] for record in log.records()[2:]] \
-                == [database.engine, "tuple"]
+                assert status == (200 if stream else 504)
+                assert len(streams) == opened + 1
+                assert streams[-1].cancelled
+                assert not streams[-1].exhausted
+            assert len(streams) == 8
+            assert len(log.records()) == 4 \
+                == sum(stream.exhausted for stream in streams)
         finally:
             instance.stop()
             database.attach_query_log(None)
-
 
     def test_one_operator_record_in_traces_log_and_explain(self):
         """A traced served request, three readers, one record: the
@@ -1183,8 +1193,7 @@ class TestOneRequestPath:
                                  "/traces")).json()["traces"]
             (record,) = log.records()
             explained = json.loads(json.dumps(database.explain(
-                self.XPATH, analyze=True,
-                engine=record["engine"]).to_dict()))["plan"]
+                self.XPATH, analyze=True).to_dict()))["plan"]
         finally:
             instance.stop()
             database.attach_query_log(None)

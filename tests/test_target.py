@@ -121,7 +121,7 @@ def test_explain_plan_space_and_analyze(target, single):
     assert bindings(report.execution) \
         == bindings(single.query(QUERY).execution)
     assert len(target.tracer.traces()) == before + 1
-    assert {"query", "algorithm", "engine", "analyze", "trace_id",
+    assert {"query", "algorithm", "analyze", "trace_id",
             "rows", "totals"} <= set(report.to_dict())
 
 
@@ -193,8 +193,7 @@ def test_execute_is_the_stream_drained(target, traced):
     before = target.tracer.recorded
     result = target.execute(plan, pattern, spans=traced)
     executed = target.tracer.recorded
-    stream = target.stream_execute(plan, pattern, engine=target.engine,
-                                   spans=traced)
+    stream = target.stream_execute(plan, pattern, spans=traced)
     rows = stream.fetchall()
     assert rows and stream.finished and stream.fetchall() == []
     assert rows == result.tuples  # same rows, same order
@@ -218,13 +217,17 @@ def test_a_sampled_service_query_leaves_exactly_one_tree(target):
     service = target.service
     service.trace_sample = 1
     try:
-        for engine in (None, "tuple"):
-            before = target.tracer.recorded
-            result = service.query(QUERY, engine=engine)
-            assert target.tracer.recorded == before + 1
-            assert target.tracer.traces()[-1] is result.execution.span
+        before = target.tracer.recorded
+        result = service.query(QUERY)
+        assert target.tracer.recorded == before + 1
+        assert target.tracer.traces()[-1] is result.execution.span
     finally:
         service.trace_sample = 0
+    # and so does a traced plan-level run on the reference engine
+    execution = target.execute(result.plan, target.compile(QUERY),
+                               engine="tuple", spans=True)
+    assert target.tracer.recorded == before + 2
+    assert target.tracer.traces()[-1] is execution.span
 
 
 @pytest.mark.parametrize("start", [lambda stream: None, iter],

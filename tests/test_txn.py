@@ -39,8 +39,9 @@ def node_shape(document) -> list[tuple]:
 def query_bindings(database: Database, xpath: str,
                    engine: str = "block") -> set[tuple]:
     pattern = database.compile(xpath)
-    result = database.query(pattern, engine=engine)
-    return canonical_bindings(result.execution.bindings())
+    execution = database.execute(database.optimize(pattern).plan,
+                                 pattern, engine=engine)
+    return canonical_bindings(execution.bindings())
 
 
 class TestWalFraming:
