@@ -159,7 +159,11 @@ def build_parser() -> argparse.ArgumentParser:
                               "is compared)")
     explain.add_argument("--trace", action="store_true",
                          help="print the optimizer's search trace "
-                              "(DPP-family algorithms only)")
+                              "(DPP-family algorithms only; the "
+                              "Example 3.6 narrative)")
+    explain.add_argument("--dot", action="store_true",
+                         help="with --trace: emit the search graph as "
+                              "Graphviz dot instead of the narrative")
     explain.add_argument("--json", metavar="FILE", default=None,
                          help="write the report as JSON, including "
                               "the span tree under --analyze "
@@ -367,15 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also write the result(s) as JSON "
                              "('-' for stdout)")
 
-    trace = commands.add_parser(
-        "trace", help="watch DPP optimize (Example 3.6 narrative)")
-    add_source(trace)
-    trace.add_argument("xpath")
-    trace.add_argument("--dot", action="store_true",
-                       help="emit the search graph as Graphviz dot")
-    trace.add_argument("--limit", type=int, default=60,
-                       help="events to print (narrative mode)")
-
     ingest = commands.add_parser(
         "ingest", help="append documents to a durable database "
                        "directory in WAL-logged transactions (creates "
@@ -572,16 +567,21 @@ def _command_explain(arguments: argparse.Namespace, out: IO[str]) -> int:
     if arguments.shards and arguments.trace:
         raise ReproError("--trace inspects the single-node "
                          "optimizer; drop --shards")
+    if arguments.dot and not arguments.trace:
+        raise ReproError("--dot renders the search walk; add --trace")
     with _open_target(arguments) as database:
         return _run_explain(database, arguments, out)
 
 
+#: search-walk events ``explain --trace`` narrates before eliding.
+TRACE_EVENT_LIMIT = 60
+
+
 def _write_search_trace(database: QueryTarget, pattern, algorithm: str,
-                        out: IO[str], heading: str, limit: int = 60,
-                        dot: bool = False) -> None:
+                        out: IO[str], dot: bool) -> None:
     """Optimize *pattern* with the search walk recorded and print it
-    (``explain --trace`` and ``repro trace``): *heading*, the narrative
-    and the chosen plan — or only the status graph as Graphviz dot."""
+    (``explain --trace``): a heading, the narrative and the chosen
+    plan — or only the status graph as Graphviz dot."""
     from repro.core.planspace import PlanSpaceRecorder
 
     recorder = PlanSpaceRecorder()
@@ -597,7 +597,8 @@ def _write_search_trace(database: QueryTarget, pattern, algorithm: str,
 
         out.write(trace_to_dot(recorder) + "\n")
         return
-    out.write(f"{heading}\n{recorder.narrative(limit=limit)}\n\n")
+    out.write(f"=== {algorithm} search trace\n"
+              f"{recorder.narrative(limit=TRACE_EVENT_LIMIT)}\n\n")
     out.write(f"chosen plan (estimated {result.estimated_cost:,.0f}):\n")
     out.write(result.explain() + "\n")
 
@@ -610,7 +611,7 @@ def _run_explain(database: QueryTarget, arguments: argparse.Namespace,
                        or arguments.plan_space or arguments.shards)
     if arguments.trace:
         _write_search_trace(database, pattern, arguments.algorithm, out,
-                            f"=== {arguments.algorithm} search trace")
+                            arguments.dot)
         if not want_report:
             return 0
     if want_report:
@@ -877,18 +878,12 @@ def _parse_kv_floats(pairs: list[str], flag: str) -> dict[str, float]:
 def _whatif_factors(database: Database,
                     overrides: dict[str, float]):
     """Current cost factors with the --factor overrides applied."""
-    import dataclasses
-
-    from repro.core.cost import COST_FACTOR_NAMES
+    from repro.core.cost import CostFactors
 
     if not overrides:
         return None
-    unknown = set(overrides) - set(COST_FACTOR_NAMES)
-    if unknown:
-        raise ReproError(
-            f"unknown cost factor(s) {', '.join(sorted(unknown))}; "
-            f"expected {', '.join(COST_FACTOR_NAMES)}")
-    return dataclasses.replace(database.cost_factors, **overrides)
+    return CostFactors.from_dict({**database.cost_factors.to_dict(),
+                                  **overrides})
 
 
 def _command_whatif(arguments: argparse.Namespace, out: IO[str]) -> int:
@@ -921,7 +916,7 @@ def _run_whatif(database: QueryTarget, arguments: argparse.Namespace,
         targets = [arguments.xpath]
     results = []
     flips = 0
-    skipped = 0
+    skips: list[str] = []
     for query in targets:
         try:
             result = database.whatif(query,
@@ -930,30 +925,26 @@ def _run_whatif(database: QueryTarget, arguments: argparse.Namespace,
                                      tag_scale=tag_scale,
                                      exact=arguments.exact,
                                      force_plan=arguments.force)
-        except ReproError:
-            skipped += 1
+        except ReproError as exc:
+            # a replayed log may hold queries that no longer compile;
+            # the one query asked for by name fails as itself
+            if not arguments.log:
+                raise
+            skips.append(f"{query}: {exc}")
             continue
         results.append(result)
         flips += result.flipped
         out.write(result.render() + "\n")
-    if len(targets) > 1 or skipped:
+    if len(targets) > 1 or skips:
         out.write(f"what-if: {len(results)} queries, {flips} "
                   f"flip(s)"
-                  + (f", {skipped} skipped" if skipped else "")
+                  + (f", {len(skips)} skipped (first: {skips[0]})"
+                     if skips else "")
                   + "\n")
     if arguments.json:
         payload: object = (results[0].to_dict() if len(results) == 1
                            else [r.to_dict() for r in results])
         _write_json_payload(payload, arguments.json, out)
-    return 0
-
-
-def _command_trace(arguments: argparse.Namespace, out: IO[str]) -> int:
-    with _open_target(arguments) as database:
-        pattern = database.compile(arguments.xpath)
-        _write_search_trace(database, pattern, "DPP", out,
-                            pattern.describe() + "\n",
-                            limit=arguments.limit, dot=arguments.dot)
     return 0
 
 
@@ -1055,7 +1046,6 @@ _COMMANDS = {
     "calibrate": _command_calibrate,
     "audit": _command_audit,
     "whatif": _command_whatif,
-    "trace": _command_trace,
     "ingest": _command_ingest,
     "checkpoint": _command_checkpoint,
 }

@@ -9,7 +9,10 @@ factors:
 * Stack-Tree-Desc join:             ``2 * |A| * f_st``
 
 where ``|A|`` is the cardinality of the ancestor-side input and
-``|AB|`` the cardinality of the join output.  The same factors are
+``|AB|`` the cardinality of the join output.  Each formula is written
+here once; :meth:`CostModel.join` maps a plan's algorithm to its
+formula and :meth:`CostModel.by_family` gives every price its split
+across the four factors.  The same factors are
 reused by :mod:`repro.engine.metrics` to convert measured operation
 counts into *simulated seconds*, so the optimizer's estimates and the
 engine's reports are expressed in one currency.
@@ -18,13 +21,15 @@ engine's reports are expressed in one currency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping
 
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
+from repro.core.plans import JoinAlgorithm
 
 #: the four factors, in the positional order ``CostFactors`` takes
-#: them — shared by the calibrator, which fits them as a vector.
+#: them — shared by the calibrator, which fits them as a vector, and
+#: the key set of every per-family cost split.
 COST_FACTOR_NAMES = ("f_index", "f_sort", "f_io", "f_stack")
 
 
@@ -122,6 +127,33 @@ class CostModel:
         """Stack-Tree-Desc: pure streaming, stack work only."""
         self._check(ancestor_cardinality, "ancestor cardinality")
         return 2.0 * ancestor_cardinality * self.factors.f_stack
+
+    def join(self, algorithm: JoinAlgorithm, ancestor_cardinality: float,
+             output_cardinality: float) -> float:
+        """The price of one structural join by physical *algorithm* —
+        the one place a plan's algorithm meets its formula.  An
+        algorithm Sec. 2.2.2 gives no formula for cannot be priced."""
+        if algorithm is JoinAlgorithm.STACK_TREE_ANC:
+            return self.stack_tree_anc(ancestor_cardinality,
+                                       output_cardinality)
+        if algorithm is JoinAlgorithm.STACK_TREE_DESC:
+            return self.stack_tree_desc(ancestor_cardinality)
+        raise PlanError(f"no Sec. 2.2.2 formula for {algorithm}")
+
+    def by_family(self) -> dict[str, "CostModel"]:
+        """One single-factor model per counter family, keyed in
+        :data:`COST_FACTOR_NAMES` order.
+
+        Every formula above is linear in the factors, so an operation
+        priced under the model that keeps only ``f_k`` is exactly that
+        operation's ``f_k`` term.  The per-family split of any price is
+        therefore the same formula evaluated under each of these
+        models — never a second spelling of it.
+        """
+        none = CostFactors(0.0, 0.0, 0.0, 0.0)
+        return {name: CostModel(replace(
+                    none, **{name: getattr(self.factors, name)}))
+                for name in COST_FACTOR_NAMES}
 
     @staticmethod
     def _check(value: float, what: str) -> None:

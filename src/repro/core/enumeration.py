@@ -10,7 +10,7 @@ move sequence back into a :class:`~repro.core.plans.PhysicalPlan`.
 
 from __future__ import annotations
 
-from repro.errors import OptimizerError
+from repro.errors import OptimizerError, PlanError
 from repro.core.cost import CostModel
 from repro.core.pattern import PatternEdge, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
@@ -257,48 +257,28 @@ def upper_bound_completion(status: Status,
 
 def build_plan(moves: list[Move],
                context: EnumerationContext) -> PhysicalPlan:
-    """Translate a start-to-final move sequence into a physical plan."""
-    pattern = context.pattern
-    cost_model = context.cost_model
-    plans: dict[frozenset[int], PhysicalPlan] = {}
-    for node in pattern.nodes:
-        scan_cost = cost_model.index_access(
-            context.cards.candidates(node.node_id))
-        plans[frozenset((node.node_id,))] = IndexScanPlan(
-            node.node_id,
-            estimated_cardinality=context.cards.node(node.node_id),
-            estimated_cost=scan_cost)
-
+    """Translate a start-to-final move sequence into a physical plan,
+    priced by :func:`estimate_plan_cost`."""
+    plans: dict[frozenset[int], PhysicalPlan] = {
+        frozenset((node.node_id,)): IndexScanPlan(node.node_id)
+        for node in context.pattern.nodes}
     for move in moves:
         ancestor_key = _key_containing(plans, move.edge.parent)
         descendant_key = _key_containing(plans, move.edge.child)
-        ancestor_plan = plans.pop(ancestor_key)
-        descendant_plan = plans.pop(descendant_key)
-        merged_key = ancestor_key | descendant_key
-        merged_card = context.cards.cluster(merged_key)
-        ancestor_card = context.cards.cluster(ancestor_key)
-        if move.algorithm is JoinAlgorithm.STACK_TREE_ANC:
-            join_cost = cost_model.stack_tree_anc(ancestor_card, merged_card)
-        else:
-            join_cost = cost_model.stack_tree_desc(ancestor_card)
         plan: PhysicalPlan = StructuralJoinPlan(
-            ancestor_plan, descendant_plan,
+            plans.pop(ancestor_key), plans.pop(descendant_key),
             move.edge.parent, move.edge.child,
-            move.edge.axis, move.algorithm,
-            estimated_cardinality=merged_card,
-            estimated_cost=(ancestor_plan.estimated_cost
-                            + descendant_plan.estimated_cost + join_cost))
+            move.edge.axis, move.algorithm)
         if move.sort_to is not None:
-            plan = SortPlan(plan, move.sort_to,
-                            estimated_cardinality=merged_card,
-                            estimated_cost=(plan.estimated_cost
-                                            + cost_model.sort(merged_card)))
-        plans[merged_key] = plan
+            plan = SortPlan(plan, move.sort_to)
+        plans[ancestor_key | descendant_key] = plan
 
     if len(plans) != 1:
         raise OptimizerError(
             f"move sequence left {len(plans)} fragments, expected 1")
-    return next(iter(plans.values()))
+    plan = next(iter(plans.values()))
+    estimate_plan_cost(plan, context)
+    return plan
 
 
 def _key_containing(plans: dict[frozenset[int], PhysicalPlan],
@@ -311,33 +291,52 @@ def _key_containing(plans: dict[frozenset[int], PhysicalPlan],
 
 def estimate_plan_cost(plan: PhysicalPlan,
                        context: EnumerationContext) -> float:
-    """Re-derive a plan's cumulative estimated cost (and annotate it).
+    """Price *plan* under *context* and annotate every node with its
+    estimated cardinality and cumulative cost; returns the total.
 
-    Works on any plan shape, including plans with input sorts that the
-    status search never generates (used by the random-plan sampler).
+    This is the one bottom-up pricing walk: the optimizers' winners,
+    random plans (input sorts the status search never generates
+    included) and plans rebuilt from a logged digest all get their
+    ``estimated_cost`` here.
     """
-    cost_model = context.cost_model
+    return _price(plan, context.cards, (context.cost_model,))[0]
+
+
+def plan_cost_by_family(plan: PhysicalPlan, context: EnumerationContext
+                        ) -> tuple[float, dict[str, float]]:
+    """:func:`estimate_plan_cost`'s total together with its split
+    across the four Sec. 2.2.2 counter families — the same walk, run
+    under the cost model and its :meth:`~CostModel.by_family` views at
+    once, so the split sums to the total and shares its annotations."""
+    views = context.cost_model.by_family()
+    total, *shares = _price(plan, context.cards,
+                            (context.cost_model, *views.values()))
+    return total, dict(zip(views, shares))
+
+
+def _price(plan: PhysicalPlan, cards: PatternCardinalities,
+           models: tuple[CostModel, ...]) -> list[float]:
+    """Cumulative cost of *plan* under each of *models*; the
+    annotations written are those of ``models[0]``."""
     if isinstance(plan, IndexScanPlan):
-        plan.estimated_cardinality = context.cards.node(plan.node_id)
-        plan.estimated_cost = cost_model.index_access(
-            context.cards.candidates(plan.node_id))
-        return plan.estimated_cost
-    if isinstance(plan, SortPlan):
-        child_cost = estimate_plan_cost(plan.child, context)
-        plan.estimated_cardinality = plan.child.estimated_cardinality
-        plan.estimated_cost = child_cost + cost_model.sort(
-            plan.estimated_cardinality)
-        return plan.estimated_cost
-    if isinstance(plan, StructuralJoinPlan):
-        ancestor_cost = estimate_plan_cost(plan.ancestor_plan, context)
-        descendant_cost = estimate_plan_cost(plan.descendant_plan, context)
+        cardinality = cards.node(plan.node_id)
+        items = cards.candidates(plan.node_id)
+        totals = [model.index_access(items) for model in models]
+    elif isinstance(plan, SortPlan):
+        below = _price(plan.child, cards, models)
+        cardinality = plan.child.estimated_cardinality
+        totals = [cost + model.sort(cardinality)
+                  for cost, model in zip(below, models)]
+    elif isinstance(plan, StructuralJoinPlan):
+        ancestor = _price(plan.ancestor_plan, cards, models)
+        descendant = _price(plan.descendant_plan, cards, models)
         ancestor_card = plan.ancestor_plan.estimated_cardinality
-        merged_card = context.cards.cluster(plan.pattern_nodes())
-        if plan.algorithm is JoinAlgorithm.STACK_TREE_ANC:
-            join_cost = cost_model.stack_tree_anc(ancestor_card, merged_card)
-        else:
-            join_cost = cost_model.stack_tree_desc(ancestor_card)
-        plan.estimated_cardinality = merged_card
-        plan.estimated_cost = ancestor_cost + descendant_cost + join_cost
-        return plan.estimated_cost
-    raise OptimizerError(f"unknown plan node {type(plan).__name__}")
+        cardinality = cards.cluster(plan.pattern_nodes())
+        totals = [a + d + model.join(plan.algorithm, ancestor_card,
+                                     cardinality)
+                  for a, d, model in zip(ancestor, descendant, models)]
+    else:
+        raise PlanError(f"unknown plan node {type(plan).__name__}")
+    plan.estimated_cardinality = cardinality
+    plan.estimated_cost = totals[0]
+    return totals

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from repro.errors import OptimizerError
-from repro.core.enumeration import EnumerationContext
+from repro.core.enumeration import EnumerationContext, estimate_plan_cost
 from repro.core.optimizer import Optimizer, register
 from repro.core.planspace import PRUNE_DOMINATED
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
@@ -56,11 +56,8 @@ class FPOptimizer(Optimizer):
         def scan_subplan(node_id: int) -> _SubPlan:
             cost = context.cost_model.index_access(
                 context.cards.candidates(node_id))
-            plan = IndexScanPlan(
-                node_id,
-                estimated_cardinality=context.cards.node(node_id),
-                estimated_cost=cost)
-            return _SubPlan(plan, cost, context.cards.node(node_id),
+            return _SubPlan(IndexScanPlan(node_id), cost,
+                            context.cards.node(node_id),
                             frozenset((node_id,)))
 
         def best_ordered(node_id: int, exclude: int | None) -> _SubPlan:
@@ -125,6 +122,7 @@ class FPOptimizer(Optimizer):
         for root in roots:
             candidate = best_ordered(root, None)
             if recorder is not None:
+                estimate_plan_cost(candidate.plan, context)
                 recorder.record_final_plan(candidate.plan, candidate.cost,
                                            note=f"ordered by {root}")
             if best is None or candidate.cost < best.cost:
@@ -134,6 +132,7 @@ class FPOptimizer(Optimizer):
             for key, sub in memo.items():
                 recorder.record_memo_entry(f"fp{key}", sub.cost,
                                            len(sub.nodes) - 1)
+        estimate_plan_cost(best.plan, context)
         return best.plan, best.cost
 
     @staticmethod
@@ -141,34 +140,22 @@ class FPOptimizer(Optimizer):
                   neighbors: list[int], subplans: list[_SubPlan],
                   order: tuple[int, ...], node_id: int,
                   total_cost: float) -> _SubPlan:
-        """Build the plan tree for the winning permutation."""
-        pattern = context.pattern
+        """Build the plan tree for the winning permutation; ``_search``
+        hands the overall winner to the pricing walk."""
         plan = base.plan
         current_nodes = base.nodes
-        running_cost = base.cost
         for index in order:
             sub = subplans[index]
-            merged_nodes = current_nodes | sub.nodes
-            merged_card = context.cards.cluster(merged_nodes)
-            edge = pattern.edge_between(node_id, neighbors[index])
+            edge = context.pattern.edge_between(node_id, neighbors[index])
             assert edge is not None
             if edge.parent == node_id:
-                join_cost = context.cost_model.stack_tree_anc(
-                    context.cards.cluster(current_nodes), merged_card)
                 plan = StructuralJoinPlan(
                     plan, sub.plan, edge.parent, edge.child, edge.axis,
-                    JoinAlgorithm.STACK_TREE_ANC,
-                    estimated_cardinality=merged_card,
-                    estimated_cost=running_cost + sub.cost + join_cost)
+                    JoinAlgorithm.STACK_TREE_ANC)
             else:
-                join_cost = context.cost_model.stack_tree_desc(
-                    sub.cardinality)
                 plan = StructuralJoinPlan(
                     sub.plan, plan, edge.parent, edge.child, edge.axis,
-                    JoinAlgorithm.STACK_TREE_DESC,
-                    estimated_cardinality=merged_card,
-                    estimated_cost=running_cost + sub.cost + join_cost)
-            running_cost += sub.cost + join_cost
-            current_nodes = merged_nodes
+                    JoinAlgorithm.STACK_TREE_DESC)
+            current_nodes = current_nodes | sub.nodes
         return _SubPlan(plan, total_cost,
                         context.cards.cluster(current_nodes), current_nodes)

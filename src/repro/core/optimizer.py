@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.errors import OptimizerError
 from repro.core.cost import CostModel
-from repro.core.enumeration import EnumerationContext
+from repro.core.enumeration import EnumerationContext, estimate_plan_cost
 from repro.core.pattern import QueryPattern
 from repro.core.plans import IndexScanPlan, PhysicalPlan, validate_plan
 from repro.core.stats import OptimizerReport
@@ -57,12 +57,8 @@ class Optimizer:
             recorder.begin(self.name, pattern, context)
         started = time.perf_counter()
         if len(pattern) == 1:
-            node_id = pattern.root
-            plan: PhysicalPlan = IndexScanPlan(
-                node_id,
-                estimated_cardinality=context.cards.node(node_id),
-                estimated_cost=context.start_cost())
-            cost = plan.estimated_cost
+            plan: PhysicalPlan = IndexScanPlan(pattern.root)
+            cost = estimate_plan_cost(plan, context)
             report.plans_considered = 1
             if recorder is not None:
                 recorder.record_final_plan(plan, cost, "single-node scan")

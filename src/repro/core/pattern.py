@@ -6,6 +6,12 @@ edges carry an :class:`Axis` — ``CHILD`` for parent/child edges or
 ``DESCENDANT`` for ancestor/descendant edges (the ``*``-labelled edges
 of the paper).  Patterns are immutable once built; they are the input
 to every optimizer and the schema of every result tuple.
+
+The module also owns the **pattern identity**: the id- and order-
+independent :func:`canonical_signature` the plan cache keys on and the
+query log digests, the :func:`pattern_isomorphism` that carries one
+numbering onto another, and the :func:`canonical_ranks` table the plan
+digest (:func:`repro.core.plans.canonical_plan_digest`) is written in.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping
 
-from repro.errors import PatternError
+from repro.errors import PatternError, PlanError
 from repro.document.node import NodeRecord
 
 
@@ -358,3 +364,76 @@ class PatternBuilder:
 
     def finish(self, order_by: int | None = None) -> QueryPattern:
         return QueryPattern(self._nodes, self._edges, order_by=order_by)
+
+
+# -- canonical pattern identity -----------------------------------------------
+
+def node_signatures(pattern: QueryPattern) -> dict[int, tuple]:
+    """Per-node canonical subtree signatures, computed bottom-up:
+    tag, predicates, whether the node is the ``order_by`` target, and
+    the sorted ``(axis, signature)`` of every child."""
+    signatures: dict[int, tuple] = {}
+    # reversed pre-order visits children before parents
+    for node_id in reversed(list(pattern.walk_preorder())):
+        node = pattern.node(node_id)
+        children = tuple(sorted(
+            (str(edge.axis), signatures[edge.child])
+            for edge in pattern.child_edges(node_id)))
+        predicates = tuple(sorted(str(p) for p in node.predicates))
+        signatures[node_id] = (node.tag, predicates,
+                               node_id == pattern.order_by, children)
+    return signatures
+
+
+def canonical_signature(pattern: QueryPattern) -> tuple:
+    """Order- and id-independent identity of *pattern*.
+
+    Like :func:`repro.xpath.render.pattern_signature` but additionally
+    marks which node is the pattern's ``order_by`` target, since two
+    patterns that differ only in result order need different plans
+    (the final ordering constraint changes which sorts are required).
+    """
+    return node_signatures(pattern)[pattern.root]
+
+
+def canonical_ranks(pattern: QueryPattern) -> dict[int, int]:
+    """node id -> rank of its canonical subtree signature.
+
+    Interchangeable nodes — identical signatures — share a rank, which
+    is exactly the freedom :func:`pattern_isomorphism` has, so anything
+    written in ranks is stable across node renumbering.
+    """
+    signatures = node_signatures(pattern)
+    ranks = {key: rank for rank, key in enumerate(
+        sorted({repr(sig) for sig in signatures.values()}))}
+    return {node_id: ranks[repr(signatures[node_id])]
+            for node_id in signatures}
+
+
+def pattern_isomorphism(source: QueryPattern,
+                        target: QueryPattern) -> dict[int, int]:
+    """A node-id mapping carrying *source* onto *target*.
+
+    Both patterns must have equal canonical signatures.  Children with
+    identical subtree signatures are interchangeable, so any signature-
+    respecting pairing yields a semantically equivalent plan remap.
+    """
+    source_sigs = node_signatures(source)
+    target_sigs = node_signatures(target)
+    if source_sigs[source.root] != target_sigs[target.root]:
+        raise PlanError("patterns are not isomorphic")
+    mapping: dict[int, int] = {}
+    stack = [(source.root, target.root)]
+    while stack:
+        source_id, target_id = stack.pop()
+        mapping[source_id] = target_id
+        source_children = sorted(
+            source.child_edges(source_id),
+            key=lambda e: (str(e.axis), source_sigs[e.child]))
+        target_children = sorted(
+            target.child_edges(target_id),
+            key=lambda e: (str(e.axis), target_sigs[e.child]))
+        for source_edge, target_edge in zip(source_children,
+                                            target_children):
+            stack.append((source_edge.child, target_edge.child))
+    return mapping

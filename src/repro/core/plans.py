@@ -6,15 +6,32 @@ record the estimated cardinality and cumulative estimated cost the
 optimizer derived, the pattern node by which their output is ordered,
 and expose the structural properties the paper's taxonomy uses:
 left-deep vs. bushy, fully pipelined vs. blocking (Fig. 2).
+
+The module is also the only holder of the **plan identity**.
+:meth:`PhysicalPlan.signature` is the one writer of the grammar ::
+
+    plan := "scan(" N ")" | "sort[" N "](" plan ")"
+          | ALGORITHM "[" N AXIS N "](" plan "," plan ")"
+
+with ``N`` a pattern-node id, or — written through
+:func:`~repro.core.pattern.canonical_ranks` — a renumbering-invariant
+rank: the :func:`canonical_plan_digest` the query log stores and
+``audit`` / ``whatif --force`` exchange.  :func:`parse_plan_digest`,
+:func:`plan_digest_diff` and :func:`plan_from_digest` read that
+grammar back; every way they can fail is a
+:class:`~repro.errors.PlanError`.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Iterator
+import re
+from collections import Counter
+from dataclasses import dataclass
+from typing import Iterator, Mapping
 
 from repro.errors import PlanError
-from repro.core.pattern import Axis, QueryPattern
+from repro.core.pattern import Axis, QueryPattern, canonical_ranks
 
 
 class JoinAlgorithm(enum.Enum):
@@ -125,9 +142,15 @@ class PhysicalPlan:
         visit(self, 0)
         return "\n".join(lines)
 
-    def signature(self) -> str:
-        """Compact one-line structural identity (tests, dedup)."""
+    def signature(self, labels: Mapping[int, int] | None = None) -> str:
+        """Compact one-line structural identity in the module's
+        grammar; *labels* replaces every pattern-node id (see
+        :func:`canonical_plan_digest`)."""
         raise NotImplementedError
+
+
+def _written(labels: Mapping[int, int] | None, node_id: int) -> int:
+    return node_id if labels is None else labels[node_id]
 
 
 class IndexScanPlan(PhysicalPlan):
@@ -145,8 +168,8 @@ class IndexScanPlan(PhysicalPlan):
     def label(self, pattern: QueryPattern | None = None) -> str:
         return f"IndexScan({self._node_label(pattern, self.node_id)})"
 
-    def signature(self) -> str:
-        return f"scan({self.node_id})"
+    def signature(self, labels: Mapping[int, int] | None = None) -> str:
+        return f"scan({_written(labels, self.node_id)})"
 
 
 class StructuralJoinPlan(PhysicalPlan):
@@ -201,11 +224,12 @@ class StructuralJoinPlan(PhysicalPlan):
                 f"{self.axis} "
                 f"{self._node_label(pattern, self.descendant_node)})")
 
-    def signature(self) -> str:
-        return (f"{self.algorithm.value}[{self.ancestor_node}"
-                f"{self.axis}{self.descendant_node}]"
-                f"({self.ancestor_plan.signature()},"
-                f"{self.descendant_plan.signature()})")
+    def signature(self, labels: Mapping[int, int] | None = None) -> str:
+        return (f"{self.algorithm.value}"
+                f"[{_written(labels, self.ancestor_node)}{self.axis}"
+                f"{_written(labels, self.descendant_node)}]"
+                f"({self.ancestor_plan.signature(labels)},"
+                f"{self.descendant_plan.signature(labels)})")
 
 
 class SortPlan(PhysicalPlan):
@@ -229,8 +253,9 @@ class SortPlan(PhysicalPlan):
     def label(self, pattern: QueryPattern | None = None) -> str:
         return f"Sort(by {self._node_label(pattern, self.by_node)})"
 
-    def signature(self) -> str:
-        return f"sort[{self.by_node}]({self.child.signature()})"
+    def signature(self, labels: Mapping[int, int] | None = None) -> str:
+        return (f"sort[{_written(labels, self.by_node)}]"
+                f"({self.child.signature(labels)})")
 
 
 def validate_plan(plan: PhysicalPlan, pattern: QueryPattern) -> None:
@@ -263,3 +288,234 @@ def validate_plan(plan: PhysicalPlan, pattern: QueryPattern) -> None:
                 raise PlanError(
                     f"join axis {node.axis} does not match pattern edge "
                     f"axis {edge.axis}")
+
+
+def remap_plan(plan: PhysicalPlan,
+               mapping: Mapping[int, int]) -> PhysicalPlan:
+    """Rewrite *plan* with its pattern-node ids sent through *mapping*
+    (a fresh tree; the annotations ride along)."""
+    if isinstance(plan, IndexScanPlan):
+        return IndexScanPlan(mapping[plan.node_id],
+                             plan.estimated_cardinality,
+                             plan.estimated_cost)
+    if isinstance(plan, SortPlan):
+        return SortPlan(remap_plan(plan.child, mapping),
+                        mapping[plan.by_node],
+                        plan.estimated_cardinality, plan.estimated_cost)
+    if isinstance(plan, StructuralJoinPlan):
+        return StructuralJoinPlan(
+            remap_plan(plan.ancestor_plan, mapping),
+            remap_plan(plan.descendant_plan, mapping),
+            mapping[plan.ancestor_node], mapping[plan.descendant_node],
+            plan.axis, plan.algorithm,
+            plan.estimated_cardinality, plan.estimated_cost)
+    raise PlanError(f"unknown plan node type {type(plan).__name__}")
+
+
+# -- the canonical digest: written, parsed, diffed, rebuilt --------------------
+
+def canonical_plan_digest(plan: PhysicalPlan,
+                          pattern: QueryPattern) -> str:
+    """*plan*'s signature written in canonical node ranks.
+
+    XPath compilation numbers pattern nodes by traversal order, so the
+    same logical plan over two isomorphic patterns prints different
+    ``signature()`` strings; in ranks the digest is stable across
+    renumbering.  The query log stores it so the plan auditor can
+    replay a recompiled query and compare plans without false flips.
+    """
+    return plan.signature(canonical_ranks(pattern))
+
+
+@dataclass(frozen=True, slots=True)
+class DigestNode:
+    """One operator parsed out of a digest: a scan has no children, a
+    sort one, a join two (and an axis and an algorithm)."""
+
+    #: the operator as written, without its inputs: ``scan(2)``,
+    #: ``sort[1]``, ``stack-tree-anc[1//0]``
+    head: str
+    #: scan rank / sort by-rank / join (ancestor, descendant) ranks
+    ranks: tuple[int, ...]
+    axis: str = ""
+    algorithm: JoinAlgorithm | None = None
+    children: tuple["DigestNode", ...] = ()
+
+    def walk(self) -> Iterator["DigestNode"]:
+        """This operator and all below it, pre-order."""
+        yield self
+        for child in self.children:
+            yield from child.walk()
+
+
+_DIGEST_HEAD = re.compile(
+    r"scan\((?P<scan>[0-9]{1,6})\)"
+    r"|sort\[(?P<sort>[0-9]{1,6})\]\("
+    r"|(?P<algorithm>[^()\[\],]*)"
+    r"\[(?P<anc>[0-9]{1,6})(?P<axis>//?)(?P<desc>[0-9]{1,6})\]\(")
+
+#: a digest nests one level per join or sort; no pattern the compiler
+#: accepts comes near this, and it keeps a hostile log line from
+#: exhausting the interpreter's stack.
+_MAX_DIGEST_DEPTH = 200
+
+
+def parse_plan_digest(digest: str) -> DigestNode:
+    """Parse the module grammar back into a tree of operators."""
+    pos = 0
+
+    def fail(expected: str) -> PlanError:
+        return PlanError(f"bad plan digest at offset {pos}: expected "
+                         f"{expected} in {digest!r}")
+
+    def expect(token: str) -> None:
+        nonlocal pos
+        if not digest.startswith(token, pos):
+            raise fail(repr(token))
+        pos += len(token)
+
+    def parse(depth: int) -> DigestNode:
+        nonlocal pos
+        match = _DIGEST_HEAD.match(digest, pos)
+        if match is None or depth > _MAX_DIGEST_DEPTH:
+            raise fail("an operator")
+        pos = match.end()
+        if match["scan"] is not None:
+            return DigestNode(match[0], (int(match["scan"]),))
+        head = match[0][:-1]
+        if match["sort"] is not None:
+            child = parse(depth + 1)
+            expect(")")
+            return DigestNode(head, (int(match["sort"]),),
+                              children=(child,))
+        try:
+            algorithm = JoinAlgorithm(match["algorithm"])
+        except ValueError:
+            raise PlanError(
+                f"unknown join algorithm {match['algorithm']!r} in "
+                f"plan digest {digest!r}") from None
+        ancestor = parse(depth + 1)
+        expect(",")
+        descendant = parse(depth + 1)
+        expect(")")
+        return DigestNode(head, (int(match["anc"]), int(match["desc"])),
+                          match["axis"], algorithm,
+                          (ancestor, descendant))
+
+    tree = parse(0)
+    if pos != len(digest):
+        raise fail("end of digest")
+    return tree
+
+
+def plan_digest_diff(old_digest: str,
+                     new_digest: str) -> dict[str, object]:
+    """Operator-multiset diff between two canonical plan digests.
+
+    Returns ``{"removed": [...], "added": [...], "unchanged": N}`` —
+    the operators only the old plan has, only the new plan has, and
+    the count both share.  An empty removed+added means the plans are
+    structurally identical (possibly different operator order in the
+    digest tree, which the multiset view deliberately ignores).
+    """
+    old_ops = Counter(node.head
+                      for node in parse_plan_digest(old_digest).walk())
+    new_ops = Counter(node.head
+                      for node in parse_plan_digest(new_digest).walk())
+    return {
+        "removed": sorted((old_ops - new_ops).elements()),
+        "added": sorted((new_ops - old_ops).elements()),
+        "unchanged": sum((old_ops & new_ops).values()),
+    }
+
+
+#: complete scan assignments :func:`plan_from_digest` tries before it
+#: gives up on a digest whose ranks are heavily shared.
+_MAX_ASSIGNMENTS = 5000
+
+
+def plan_from_digest(digest: str, pattern: QueryPattern) -> PhysicalPlan:
+    """Rebuild a physical plan for *pattern* from a canonical digest.
+
+    Canonical ranks are mapped back to pattern-node ids; when several
+    nodes share a rank (interchangeable subtrees) the assignment is
+    searched with backtracking until the joins line up with pattern
+    edges — any signature-respecting assignment yields a semantically
+    equivalent plan, which is the same freedom :func:`remap_plan` has.
+    The returned plan carries zeroed cost annotations; price it with
+    :func:`~repro.core.enumeration.estimate_plan_cost`.
+    """
+    tree = parse_plan_digest(digest)
+    labels = canonical_ranks(pattern)
+    pools: dict[int, list[int]] = {}
+    for node_id, rank in sorted(labels.items()):
+        pools.setdefault(rank, []).append(node_id)
+
+    # pre-order, which is the order ``construct`` consumes them in
+    scan_slots = [node for node in tree.walk() if not node.children]
+    if len(scan_slots) != len(pattern):
+        raise PlanError(
+            f"digest binds {len(scan_slots)} scans, pattern has "
+            f"{len(pattern)} nodes")
+
+    assignment: dict[int, int] = {}  # index in scan_slots -> node id
+    used: set[int] = set()
+    attempts = 0
+
+    def ranked(plan: PhysicalPlan, rank: int) -> list[int]:
+        return sorted(node_id for node_id in plan.pattern_nodes()
+                      if labels[node_id] == rank)
+
+    def construct(node: DigestNode, slots: Iterator[int]) -> PhysicalPlan:
+        """Build the plan bottom-up from the current full assignment."""
+        if not node.children:
+            return IndexScanPlan(assignment[next(slots)])
+        if len(node.children) == 1:
+            child = construct(node.children[0], slots)
+            matches = ranked(child, node.ranks[0])
+            if not matches:
+                raise PlanError("sort by a rank its input does not bind")
+            return SortPlan(child, matches[0])
+        ancestor = construct(node.children[0], slots)
+        descendant = construct(node.children[1], slots)
+        assert node.algorithm is not None
+        for anc_id in ranked(ancestor, node.ranks[0]):
+            for desc_id in ranked(descendant, node.ranks[1]):
+                edge = pattern.edge_between(anc_id, desc_id)
+                if (edge is not None
+                        and (edge.parent, edge.child) == (anc_id, desc_id)
+                        and str(edge.axis) == node.axis):
+                    return StructuralJoinPlan(
+                        ancestor, descendant, anc_id, desc_id,
+                        edge.axis, node.algorithm)
+        raise PlanError("join on no pattern edge")
+
+    def assign(index: int) -> PhysicalPlan | None:
+        nonlocal attempts
+        if index == len(scan_slots):
+            attempts += 1
+            try:
+                plan = construct(tree, iter(range(len(scan_slots))))
+                validate_plan(plan, pattern)
+                return plan
+            except PlanError:
+                return None
+        if attempts >= _MAX_ASSIGNMENTS:
+            return None
+        for node_id in pools.get(scan_slots[index].ranks[0], ()):
+            if node_id in used:
+                continue
+            assignment[index] = node_id
+            used.add(node_id)
+            plan = assign(index + 1)
+            used.discard(node_id)
+            if plan is not None:
+                return plan
+        return None
+
+    plan = assign(0)
+    if plan is None:
+        raise PlanError(
+            f"could not reconstruct a valid plan for the pattern from "
+            f"digest {digest!r}")
+    return plan

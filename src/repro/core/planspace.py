@@ -2,7 +2,9 @@
 
 A :class:`PlanSpaceRecorder` captures what an optimizer *saw* while
 choosing a plan: every costed candidate (with its estimated cost split
-across the four Sec. 2.2.2 counter families), every memo-table entry
+across the four Sec. 2.2.2 counter families — read from the cost
+model's own :meth:`~repro.core.cost.CostModel.by_family` views, never
+re-derived here), every memo-table entry
 retained, every pruning with its reason, the alternative final plans
 the search reached and, for the DPP family, the Fig. 3 / Fig. 4 walk
 itself — statuses numbered in generation order, each generation,
@@ -14,8 +16,8 @@ with ``if recorder is not None``, so the off path costs one
 predictable branch per candidate.
 
 The recorder itself is deliberately dependency-light (statuses, plans,
-cost model only); rendering — digests, top-k ranking, "why the winner
-won" — lives in :mod:`repro.obs.planspace`.
+cost model only); ranking and rendering — top-k alternatives, "why the
+winner won" — live in :mod:`repro.obs.planspace`.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
-                              SortPlan, StructuralJoinPlan)
+from repro.core.plans import PhysicalPlan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.cost import CostModel
     from repro.core.enumeration import EnumerationContext
     from repro.core.pattern import QueryPattern
     from repro.core.stats import OptimizerReport
@@ -45,9 +47,6 @@ PRUNE_EXPANSION_BOUND = "expansion-bound"
 
 PRUNE_REASONS = (PRUNE_DOMINATED, PRUNE_COST_BOUND, PRUNE_INFEASIBLE,
                  PRUNE_EXPANSION_BOUND)
-
-#: Cost-family keys, matching :data:`repro.core.cost.COST_FACTOR_NAMES`.
-FAMILIES = ("f_index", "f_sort", "f_io", "f_stack")
 
 #: Recording caps: costed candidates (search events share the bound),
 #: memo-table entries, and detailed pruning samples kept per recorder.
@@ -71,76 +70,6 @@ class SearchEvent:
         note = f"  ({self.detail})" if self.detail else ""
         return f"{self.kind:8s} status{self.status_id} " \
                f"cost={self.cost:.1f}{note}"
-
-
-def move_breakdown(status: "Status", move: "Move",
-                   context: "EnumerationContext") -> dict[str, float]:
-    """Split one move's estimated cost across the four counter families.
-
-    The join component is re-derived from the clusters the move merges
-    (cardinality lookups hit :class:`PatternCardinalities`' cache); the
-    residual is exactly the sort cost the move charged (intermediate
-    re-sorts and the final order-by canonicalization both price as
-    sorts), so the families always sum to ``move.cost``.
-    """
-    edge = move.edge
-    ancestor = status.cluster_of(edge.parent)
-    descendant = status.cluster_of(edge.child)
-    ancestor_card = context.cards.cluster(ancestor.nodes)
-    factors = context.cost_model.factors
-    stack = 2.0 * ancestor_card * factors.f_stack
-    if move.algorithm is JoinAlgorithm.STACK_TREE_ANC:
-        merged_card = context.cards.cluster(ancestor.nodes
-                                            | descendant.nodes)
-        io = 2.0 * merged_card * factors.f_io
-    else:
-        io = 0.0
-    sort = move.cost - io - stack
-    return {"f_index": 0.0, "f_sort": sort if sort > 1e-9 else 0.0,
-            "f_io": io, "f_stack": stack}
-
-
-def plan_cost_breakdown(plan: PhysicalPlan,
-                        factors) -> dict[str, float]:
-    """Split an annotated plan's cumulative cost across the families.
-
-    Works from the plan's own cardinality annotations, so it prices a
-    reconstructed or logged plan the same way the enumerator priced it
-    live.  Join algorithms outside the stack-tree pair (none are ever
-    emitted by the optimizers) fold their residual into ``f_stack``.
-    """
-    import math
-
-    totals = {name: 0.0 for name in FAMILIES}
-
-    def visit(node: PhysicalPlan) -> None:
-        if isinstance(node, IndexScanPlan):
-            totals["f_index"] += node.estimated_cost
-        elif isinstance(node, SortPlan):
-            visit(node.child)
-            items = node.estimated_cardinality
-            if items > 1:
-                totals["f_sort"] += (items * math.log2(items)
-                                     * factors.f_sort)
-        elif isinstance(node, StructuralJoinPlan):
-            visit(node.ancestor_plan)
-            visit(node.descendant_plan)
-            stack = (2.0 * node.ancestor_plan.estimated_cardinality
-                     * factors.f_stack)
-            if node.algorithm is JoinAlgorithm.STACK_TREE_ANC:
-                totals["f_io"] += (2.0 * node.estimated_cardinality
-                                   * factors.f_io)
-                totals["f_stack"] += stack
-            elif node.algorithm is JoinAlgorithm.STACK_TREE_DESC:
-                totals["f_stack"] += stack
-            else:
-                join_cost = (node.estimated_cost
-                             - node.ancestor_plan.estimated_cost
-                             - node.descendant_plan.estimated_cost)
-                totals["f_stack"] += join_cost
-
-    visit(plan)
-    return totals
 
 
 class PlanSpaceRecorder:
@@ -178,6 +107,7 @@ class PlanSpaceRecorder:
         self.events: list[SearchEvent] = []
         self.events_dropped = 0
         self._status_ids: dict["Status", int] = {}
+        self._families: dict[str, "CostModel"] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -187,6 +117,7 @@ class PlanSpaceRecorder:
         self.algorithm = algorithm
         self.pattern = pattern
         self.context = context
+        self._families = context.cost_model.by_family()
 
     def finish(self, plan: PhysicalPlan, cost: float,
                report: "OptimizerReport") -> None:
@@ -200,10 +131,19 @@ class PlanSpaceRecorder:
                          path_cost: float,
                          context: "EnumerationContext") -> None:
         """One costed move out of *status*; ``path_cost`` is the
-        cumulative cost of the path ending in this move."""
+        cumulative cost of the path ending in this move.  Its
+        ``breakdown`` is the move priced again under each
+        :meth:`~repro.core.cost.CostModel.by_family` view — the join
+        by its algorithm, plus the one sort a move with a ``sort_to``
+        charges (an intermediate re-sort or the final order-by
+        canonicalization) — so the families sum to ``move.cost``."""
         if len(self.candidates) >= MAX_CANDIDATES:
             self.candidates_dropped += 1
             return
+        ancestor = status.cluster_of(move.edge.parent).nodes
+        merged = ancestor | status.cluster_of(move.edge.child).nodes
+        ancestor_card = context.cards.cluster(ancestor)
+        merged_card = context.cards.cluster(merged)
         self.candidates.append({
             "kind": "move",
             "status": str(status),
@@ -212,7 +152,11 @@ class PlanSpaceRecorder:
             "sort_to": move.sort_to,
             "move_cost": move.cost,
             "path_cost": path_cost,
-            "breakdown": move_breakdown(status, move, context),
+            "breakdown": {
+                name: view.join(move.algorithm, ancestor_card, merged_card)
+                + (view.sort(merged_card)
+                   if move.sort_to is not None else 0.0)
+                for name, view in self._families.items()},
         })
 
     def record_permutation(self, node_id: int, exclude: int | None,

@@ -28,17 +28,20 @@ Results land in three places:
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
 from repro.errors import ReproError
+from repro.core.enumeration import EnumerationContext
+from repro.core.plans import canonical_plan_digest
+from repro.obs.planspace import PlanComparison, compare_plans
+from repro.obs.registry import percentile
 from repro.obs.spans import q_error
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api import Database
     from repro.obs.registry import MetricsRegistry
+    from repro.target import QueryTarget
 
 __all__ = ["AuditReport", "QueryAudit", "audit_records",
            "qerror_summary"]
@@ -52,20 +55,13 @@ def _operator_kind(label: str) -> str:
     return label.split("(", 1)[0] or label
 
 
-def _percentile(ordered: list[float], fraction: float) -> float:
-    if not ordered:
-        return 0.0
-    rank = max(1, round(fraction * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
-
-
 def qerror_summary(values: Iterable[float]) -> dict[str, float]:
     """count/p50/p95/max summary of a Q-error population."""
     ordered = sorted(values)
     return {
         "count": float(len(ordered)),
-        "p50": _percentile(ordered, 0.50),
-        "p95": _percentile(ordered, 0.95),
+        "p50": percentile(ordered, 0.50),
+        "p95": percentile(ordered, 0.95),
         "max": ordered[-1] if ordered else 0.0,
     }
 
@@ -90,10 +86,23 @@ class QueryAudit:
     #: traced): the join key from a flagged flip to the retained trace
     #: (``/traces``) that shows how the logged plan actually ran.
     trace_id: str = ""
-    #: flip forensics (``audit --why`` only): structural digest diff,
-    #: the logged plan re-priced under current statistics, and the
-    #: per-family cost crossover explaining why the choice moved.
-    why: dict[str, object] | None = None
+    #: flip forensics (``audit --why`` only): the logged digest
+    #: compared with the plan chosen now, under current statistics
+    #: and cost factors.
+    comparison: PlanComparison | None = None
+
+    @property
+    def why(self) -> dict[str, object] | None:
+        """The comparison as JSON; ``logged_cost_now`` and ``regret``
+        are the names this payload has always carried for the
+        comparison's ``old_cost`` and ``margin``."""
+        if self.comparison is None:
+            return None
+        payload = self.comparison.to_dict()
+        if self.comparison.old_cost is not None:
+            payload.update(logged_cost_now=self.comparison.old_cost,
+                           regret=self.comparison.margin)
+        return payload
 
     @property
     def flipped(self) -> bool:
@@ -115,8 +124,8 @@ class QueryAudit:
             "flipped": self.flipped,
             "trace_id": self.trace_id,
         }
-        if self.why is not None:
-            payload["why"] = dict(self.why)
+        if self.comparison is not None:
+            payload["why"] = self.why
         return payload
 
 
@@ -172,8 +181,8 @@ class AuditReport:
                          f"(est {entry.current_estimated_cost:.1f})")
             if entry.trace_id:
                 lines.append(f"    trace:   {entry.trace_id}")
-            if entry.why is not None:
-                lines.extend(_render_why(entry.why))
+            if entry.comparison is not None:
+                lines.append(entry.comparison.render())
         if self.qerror_by_operator:
             lines.append("cardinality q-error by operator type "
                          "(count / p50 / p95 / max):")
@@ -192,9 +201,6 @@ class AuditReport:
                     f"{stats['max']:.2f}")
         return "\n".join(lines)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
     def export_gauges(self, registry: "MetricsRegistry") -> None:
         """Publish the audit outcome as scrapeable gauges."""
         registry.gauge(
@@ -212,73 +218,7 @@ class AuditReport:
             p95.set(stats["p95"], operator=kind)
 
 
-def _render_why(why: dict[str, object]) -> list[str]:
-    """FLIP sublines for one entry's forensics payload."""
-    lines: list[str] = []
-    diff = why.get("diff")
-    if isinstance(diff, dict):
-        removed = ", ".join(str(op) for op in diff.get("removed", []))
-        added = ", ".join(str(op) for op in diff.get("added", []))
-        lines.append(f"    diff:    -[{removed or '-'}] +[{added or '-'}]"
-                     f" ({diff.get('unchanged', 0)} unchanged)")
-    if "logged_cost_now" in why:
-        lines.append(
-            f"    why:     logged plan re-priced under current "
-            f"statistics: {why['logged_cost_now']:.1f} vs chosen "
-            f"{why['current_cost']:.1f} (regret {why['regret']:+.1f})")
-    crossover = why.get("crossover")
-    if isinstance(crossover, dict):
-        parts = ", ".join(f"{name} {delta:+.1f}"
-                          for name, delta in crossover.items()
-                          if abs(float(delta)) > 1e-9)
-        lines.append(f"    crossover: {parts or 'no per-family delta'}")
-    note = why.get("note")
-    if note:
-        lines.append(f"    note:    {note}")
-    return lines
-
-
-def _flip_forensics(database: "Database", pattern,
-                    current_plan, current_cost: float,
-                    logged_digest: str,
-                    current_digest: str) -> dict[str, object]:
-    """Explain one plan flip: structural diff plus cost crossover.
-
-    The logged digest is rebuilt into a physical plan and re-priced
-    under the **current** statistics and cost factors; the gap to the
-    currently chosen plan's cost is the regret the flip avoided, and
-    the per-family breakdown deltas say which Sec. 2.2.2 counter
-    family moved the decision.
-    """
-    from repro.core.cost import CostModel
-    from repro.core.enumeration import (EnumerationContext,
-                                        estimate_plan_cost)
-    from repro.core.planspace import FAMILIES, plan_cost_breakdown
-    from repro.obs.planspace import plan_digest_diff, plan_from_digest
-
-    why: dict[str, object] = {
-        "diff": plan_digest_diff(logged_digest, current_digest),
-        "current_cost": current_cost,
-    }
-    try:
-        logged_plan = plan_from_digest(logged_digest, pattern)
-    except ReproError as exc:
-        why["note"] = f"logged plan could not be reconstructed: {exc}"
-        return why
-    factors = database.cost_factors
-    context = EnumerationContext(pattern, CostModel(factors),
-                                 database.estimator)
-    logged_cost_now = estimate_plan_cost(logged_plan, context)
-    why["logged_cost_now"] = logged_cost_now
-    why["regret"] = logged_cost_now - current_cost
-    logged_break = plan_cost_breakdown(logged_plan, factors)
-    current_break = plan_cost_breakdown(current_plan, factors)
-    why["crossover"] = {name: logged_break[name] - current_break[name]
-                        for name in FAMILIES}
-    return why
-
-
-def audit_records(database: "Database",
+def audit_records(database: "QueryTarget",
                   records: Iterable[dict[str, object]],
                   algorithm: str | None = None,
                   registry: "MetricsRegistry | None" = None,
@@ -292,10 +232,13 @@ def audit_records(database: "Database",
     without one replay under the default DPP.  Queries that no longer
     compile or optimize are counted as skipped, not fatal.
 
-    With ``why=True`` every flipped entry carries forensics: the
-    structural digest diff, the logged plan re-priced under current
-    statistics (via :func:`~repro.obs.planspace.plan_from_digest`),
-    and the per-family cost crossover.
+    With ``why=True`` every flipped entry carries forensics — the
+    logged digest against the plan chosen now
+    (:func:`~repro.obs.planspace.compare_plans`): structural diff, the
+    logged plan re-priced under current statistics, the per-family
+    cost crossover.  A logged digest that is foreign, damaged or
+    unpriceable degrades that entry to a ``note``; the others are
+    still reported.
     """
     report = AuditReport()
     latest: dict[tuple[str, str], dict[str, object]] = {}
@@ -322,8 +265,6 @@ def audit_records(database: "Database",
                 _operator_kind(label), []).append(value)
             for tag in set(_TAG_PATTERN.findall(label)):
                 tag_qerrors.setdefault(tag, []).append(value)
-    from repro.service.cache import canonical_plan_digest
-
     for (query, replay_algorithm), record in latest.items():
         try:
             pattern = database.compile(query)
@@ -346,13 +287,14 @@ def audit_records(database: "Database",
             trace_id=str(record.get("trace_id", "")))
         if why and entry.flipped:
             if entry.logged_digest:
-                entry.why = _flip_forensics(
-                    database, pattern, result.plan,
-                    result.estimated_cost, entry.logged_digest,
-                    entry.current_digest)
+                entry.comparison = compare_plans(
+                    entry.logged_digest, result.plan,
+                    EnumerationContext(pattern, database.cost_model,
+                                       database.estimator))
             else:
-                entry.why = {"note": "record carries no plan digest "
-                                     "to diff against"}
+                entry.comparison = PlanComparison(
+                    "", entry.current_digest, result.estimated_cost,
+                    note="record carries no plan digest to diff against")
         report.entries.append(entry)
     report.entries.sort(key=lambda entry: (entry.algorithm, entry.query))
     report.qerror_by_operator = {

@@ -1,20 +1,28 @@
-"""Plan-space rendering, plan forensics, and what-if analysis.
+"""Plan-space rendering, plan comparison, and what-if analysis.
 
-Three related capabilities over the optimizer's search space:
+Everything here reads the plan algebra :mod:`repro.core` holds — the
+price (:func:`~repro.core.enumeration.plan_cost_by_family`, one walk
+over :class:`~repro.core.cost.CostModel`), the identity
+(:func:`~repro.core.plans.canonical_plan_digest` and its parser) —
+and adds the one thing above it, the **comparison**:
 
+* :func:`compare_plans` sets an old plan (or a logged digest of one)
+  against a new plan under one pricing context and yields a
+  :class:`PlanComparison` — both digests, the structural diff, the old
+  plan re-priced, the new plan's price, the margin between them, the
+  per-family crossover and the family that drove it.  A digest that
+  cannot be parsed, rebuilt or priced degrades to a ``note``.
 * :func:`build_plan_space_report` turns a filled
   :class:`~repro.core.planspace.PlanSpaceRecorder` into a
   :class:`PlanSpaceReport` — top-k alternative plans with
   renumbering-invariant digests and cost deltas, pruning-effectiveness
-  stats, memo size, and a "why the winner won" attribution.
-* Digest forensics: :func:`plan_digest_diff` diffs two canonical plan
-  digests operator by operator, and :func:`plan_from_digest` rebuilds
-  a physical plan from a logged digest, so logged plans can be
-  re-priced under current statistics (the crossover evidence behind
-  ``audit --why``).
+  stats, memo size, and "why the winner won": the runner-up compared
+  with the winner.
 * :func:`run_whatif` re-optimizes a query under hypothetical cost
   factors, scaled statistics, or a forced plan — without mutating the
-  database — and explains any plan flip.
+  database — and returns the baseline winner compared with the
+  hypothetical one.  ``audit --why`` (:mod:`repro.obs.audit`) embeds
+  the same comparison, logged digest against the plan chosen now.
 """
 
 from __future__ import annotations
@@ -24,254 +32,130 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import PlanError, ReproError
 from repro.core.cost import CostFactors, CostModel
-from repro.core.enumeration import EnumerationContext, estimate_plan_cost
-from repro.core.planspace import (FAMILIES, PlanSpaceRecorder,
-                                  plan_cost_breakdown)
-from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
-                              SortPlan, StructuralJoinPlan, validate_plan)
-from repro.core.pattern import QueryPattern
+from repro.core.enumeration import (EnumerationContext, estimate_plan_cost,
+                                    plan_cost_by_family)
+from repro.core.optimizer import get_optimizer
+from repro.core.planspace import PlanSpaceRecorder
+from repro.core.plans import (PhysicalPlan, canonical_plan_digest,
+                              plan_digest_diff, plan_from_digest,
+                              remap_plan)
+from repro.estimation.estimator import ScaledEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api import Database
+    from repro.target import QueryTarget
 
-__all__ = ["PlanAlternative", "PlanSpaceReport", "WhatIfResult",
-           "build_plan_space_report", "plan_digest_diff",
-           "plan_from_digest", "run_whatif"]
+__all__ = ["PlanAlternative", "PlanComparison", "PlanSpaceReport",
+           "WhatIfResult", "build_plan_space_report", "compare_plans",
+           "run_whatif"]
 
 
-# -- digest parsing ---------------------------------------------------------
+# -- the comparison ---------------------------------------------------------
 
 @dataclass
-class _DigestNode:
-    """One operator parsed out of a canonical plan digest."""
+class PlanComparison:
+    """An old plan against a new one under one pricing context."""
 
-    kind: str  # "scan" | "sort" | "join"
-    rank: int = 0           # scan rank, or sort by-rank
-    anc_rank: int = 0
-    desc_rank: int = 0
-    axis: str = ""
-    algorithm: str = ""
-    children: tuple["_DigestNode", ...] = ()
+    old_digest: str
+    new_digest: str
+    new_cost: float
+    #: operator-multiset diff old -> new (:func:`plan_digest_diff`);
+    #: None when the old digest does not parse
+    diff: dict[str, object] | None = None
+    #: the old plan re-priced under the context; None (with a ``note``)
+    #: when it could not be rebuilt or the model has no price for it
+    old_cost: float | None = None
+    #: per-family ``old - new``: positive where the old plan loses
+    crossover: dict[str, float] | None = None
+    note: str = ""
 
+    @property
+    def flipped(self) -> bool:
+        return self.old_digest != self.new_digest
 
-def parse_plan_digest(digest: str) -> _DigestNode:
-    """Parse the :func:`canonical_plan_digest` grammar back to a tree.
-
-    Grammar: ``scan(R)``, ``sort[R](plan)``,
-    ``ALGO[R axis R](plan,plan)`` with axis ``/`` or ``//``.
-    """
-    pos = 0
-
-    def fail(expected: str) -> PlanError:
-        return PlanError(f"bad plan digest at offset {pos}: expected "
-                         f"{expected} in {digest!r}")
-
-    def expect(token: str) -> None:
-        nonlocal pos
-        if not digest.startswith(token, pos):
-            raise fail(token)
-        pos += len(token)
-
-    def read_int() -> int:
-        nonlocal pos
-        start = pos
-        while pos < len(digest) and digest[pos].isdigit():
-            pos += 1
-        if pos == start:
-            raise fail("an integer rank")
-        return int(digest[start:pos])
-
-    def read_axis() -> str:
-        nonlocal pos
-        start = pos
-        while pos < len(digest) and digest[pos] == "/":
-            pos += 1
-        if pos - start not in (1, 2):
-            raise fail("axis / or //")
-        return digest[start:pos]
-
-    def parse() -> _DigestNode:
-        nonlocal pos
-        start = pos
-        while pos < len(digest) and digest[pos] not in "([":
-            pos += 1
-        name = digest[start:pos]
-        if name == "scan":
-            expect("(")
-            rank = read_int()
-            expect(")")
-            return _DigestNode("scan", rank=rank)
-        if name == "sort":
-            expect("[")
-            rank = read_int()
-            expect("]")
-            expect("(")
-            child = parse()
-            expect(")")
-            return _DigestNode("sort", rank=rank, children=(child,))
-        expect("[")
-        anc_rank = read_int()
-        axis = read_axis()
-        desc_rank = read_int()
-        expect("]")
-        expect("(")
-        ancestor = parse()
-        expect(",")
-        descendant = parse()
-        expect(")")
-        return _DigestNode("join", anc_rank=anc_rank, desc_rank=desc_rank,
-                           axis=axis, algorithm=name,
-                           children=(ancestor, descendant))
-
-    tree = parse()
-    if pos != len(digest):
-        raise fail("end of digest")
-    return tree
-
-
-def _digest_operators(node: _DigestNode) -> list[str]:
-    ops: list[str] = []
-    if node.kind == "scan":
-        ops.append(f"scan({node.rank})")
-    elif node.kind == "sort":
-        ops.append(f"sort[{node.rank}]")
-    else:
-        ops.append(f"{node.algorithm}[{node.anc_rank}{node.axis}"
-                   f"{node.desc_rank}]")
-    for child in node.children:
-        ops.extend(_digest_operators(child))
-    return ops
-
-
-def plan_digest_diff(old_digest: str,
-                     new_digest: str) -> dict[str, object]:
-    """Operator-multiset diff between two canonical plan digests.
-
-    Returns ``{"removed": [...], "added": [...], "unchanged": N}`` —
-    the operators only the old plan has, only the new plan has, and
-    the count both share.  An empty removed+added means the plans are
-    structurally identical (possibly different operator order in the
-    digest tree, which the multiset view deliberately ignores).
-    """
-    from collections import Counter
-
-    old_ops = Counter(_digest_operators(parse_plan_digest(old_digest)))
-    new_ops = Counter(_digest_operators(parse_plan_digest(new_digest)))
-    return {
-        "removed": sorted((old_ops - new_ops).elements()),
-        "added": sorted((new_ops - old_ops).elements()),
-        "unchanged": sum((old_ops & new_ops).values()),
-    }
-
-
-# -- digest -> plan reconstruction ------------------------------------------
-
-def _rank_labels(pattern: QueryPattern) -> dict[int, int]:
-    """node id -> canonical rank, exactly as the digest assigns them."""
-    from repro.service.cache import _node_signatures
-
-    signatures = _node_signatures(pattern)
-    ranks = {key: rank for rank, key in enumerate(
-        sorted({repr(sig) for sig in signatures.values()}))}
-    return {node_id: ranks[repr(signatures[node_id])]
-            for node_id in signatures}
-
-
-class _Unsatisfiable(Exception):
-    """Internal: this scan assignment cannot produce a valid plan."""
-
-
-def plan_from_digest(digest: str, pattern: QueryPattern,
-                     max_attempts: int = 5000) -> PhysicalPlan:
-    """Rebuild a physical plan for *pattern* from a canonical digest.
-
-    Canonical ranks are mapped back to pattern-node ids; when several
-    nodes share a rank (interchangeable subtrees) the assignment is
-    searched with backtracking until the joins line up with pattern
-    edges — any signature-respecting assignment yields a semantically
-    equivalent plan, which is the same freedom ``remap_plan`` has.
-    The returned plan carries zeroed cost annotations; price it with
-    :func:`~repro.core.enumeration.estimate_plan_cost`.
-    """
-    tree = parse_plan_digest(digest)
-    labels = _rank_labels(pattern)
-    pools: dict[int, list[int]] = {}
-    for node_id, rank in sorted(labels.items()):
-        pools.setdefault(rank, []).append(node_id)
-
-    scan_slots: list[_DigestNode] = [
-        node for node in _walk_digest(tree) if node.kind == "scan"]
-    if len(scan_slots) != len(pattern):
-        raise PlanError(
-            f"digest binds {len(scan_slots)} scans, pattern has "
-            f"{len(pattern)} nodes")
-
-    assignment: dict[int, int] = {}  # index in scan_slots -> node id
-    used: set[int] = set()
-    attempts = 0
-
-    def construct(node: _DigestNode, slot_iter: "list[int]") -> PhysicalPlan:
-        """Build the plan bottom-up from the current full assignment."""
-        if node.kind == "scan":
-            return IndexScanPlan(assignment[slot_iter.pop(0)])
-        if node.kind == "sort":
-            child = construct(node.children[0], slot_iter)
-            matches = [n for n in child.pattern_nodes()
-                       if labels[n] == node.rank]
-            if not matches:
-                raise _Unsatisfiable
-            return SortPlan(child, min(matches))
-        ancestor = construct(node.children[0], slot_iter)
-        descendant = construct(node.children[1], slot_iter)
-        for anc_id in sorted(n for n in ancestor.pattern_nodes()
-                             if labels[n] == node.anc_rank):
-            for desc_id in sorted(n for n in descendant.pattern_nodes()
-                                  if labels[n] == node.desc_rank):
-                edge = pattern.edge_between(anc_id, desc_id)
-                if (edge is not None
-                        and (edge.parent, edge.child) == (anc_id, desc_id)
-                        and str(edge.axis) == node.axis):
-                    return StructuralJoinPlan(
-                        ancestor, descendant, anc_id, desc_id,
-                        edge.axis, JoinAlgorithm(node.algorithm))
-        raise _Unsatisfiable
-
-    def assign(index: int) -> PhysicalPlan | None:
-        nonlocal attempts
-        if index == len(scan_slots):
-            attempts += 1
-            try:
-                plan = construct(tree, list(range(len(scan_slots))))
-                validate_plan(plan, pattern)
-                return plan
-            except (_Unsatisfiable, PlanError):
-                return None
-        if attempts >= max_attempts:
+    @property
+    def margin(self) -> float | None:
+        """What keeping the old plan would cost over the new one."""
+        if self.old_cost is None:
             return None
-        for node_id in pools.get(scan_slots[index].rank, ()):
-            if node_id in used:
-                continue
-            assignment[index] = node_id
-            used.add(node_id)
-            plan = assign(index + 1)
-            used.discard(node_id)
-            if plan is not None:
-                return plan
-        return None
+        return self.old_cost - self.new_cost
 
-    plan = assign(0)
-    if plan is None:
-        raise PlanError(
-            f"could not reconstruct a valid plan for the pattern from "
-            f"digest {digest!r}")
-    return plan
+    def _crossover_text(self) -> str:
+        return ", ".join(f"{name} {delta:+.1f}"
+                         for name, delta in (self.crossover or {}).items()
+                         if abs(delta) > 1e-9)
+
+    @property
+    def driver(self) -> str:
+        """``mostly on f_io: f_io +120.0, f_sort -8.0`` — the family
+        the old plan loses most on, then every family that moved."""
+        if self.crossover is None:
+            return self.note
+        worst = max(self.crossover, key=lambda name: self.crossover[name])
+        return (f"mostly on {worst}: "
+                f"{self._crossover_text() or 'no per-family difference'}")
+
+    def to_dict(self) -> dict[str, object]:
+        payload: dict[str, object] = {
+            "old_digest": self.old_digest,
+            "new_digest": self.new_digest,
+            "new_cost": self.new_cost,
+        }
+        if self.diff is not None:
+            payload["diff"] = dict(self.diff)
+        if self.old_cost is not None:
+            payload.update(old_cost=self.old_cost, margin=self.margin,
+                           crossover=dict(self.crossover or {}),
+                           driver=self.driver)
+        if self.note:
+            payload["note"] = self.note
+        return payload
+
+    def render(self, indent: str = "    ") -> str:
+        lines = []
+        if self.diff is not None:
+            removed = ", ".join(map(str, self.diff["removed"]))
+            added = ", ".join(map(str, self.diff["added"]))
+            lines.append(f"diff:      -[{removed or '-'}] +[{added or '-'}]"
+                         f" ({self.diff['unchanged']} unchanged)")
+        if self.old_cost is not None:
+            lines.append(f"cost:      old plan re-priced {self.old_cost:.1f}"
+                         f" vs new {self.new_cost:.1f}"
+                         f" (margin {self.margin:+.1f})")
+            lines.append(f"crossover: "
+                         f"{self._crossover_text() or 'no per-family delta'}")
+        if self.note:
+            lines.append(f"note:      {self.note}")
+        return "\n".join(indent + line for line in lines)
 
 
-def _walk_digest(node: _DigestNode):
-    """Pre-order walk matching ``construct``'s slot consumption order."""
-    yield node
-    for child in node.children:
-        yield from _walk_digest(child)
+def compare_plans(old: PhysicalPlan | str, new_plan: PhysicalPlan,
+                  context: EnumerationContext) -> PlanComparison:
+    """Compare *old* — a plan, or a canonical digest of one as the
+    query log stores it — with *new_plan*, both priced under *context*
+    (the one *new_plan* was chosen under, so re-annotating it changes
+    nothing; an old plan object is priced on a copy).
+    """
+    pattern = context.pattern
+    new_cost, new_split = plan_cost_by_family(new_plan, context)
+    comparison = PlanComparison(
+        old_digest=(old if isinstance(old, str)
+                    else canonical_plan_digest(old, pattern)),
+        new_digest=canonical_plan_digest(new_plan, pattern),
+        new_cost=new_cost)
+    try:
+        comparison.diff = plan_digest_diff(comparison.old_digest,
+                                           comparison.new_digest)
+        old_plan = (plan_from_digest(old, pattern)
+                    if isinstance(old, str)
+                    else remap_plan(old, {node_id: node_id for node_id
+                                          in range(len(pattern))}))
+        comparison.old_cost, old_split = plan_cost_by_family(old_plan,
+                                                             context)
+        comparison.crossover = {name: old_split[name] - new_split[name]
+                                for name in new_split}
+    except PlanError as exc:
+        comparison.note = f"old plan could not be re-priced: {exc}"
+    return comparison
 
 
 # -- plan-space report ------------------------------------------------------
@@ -395,17 +279,6 @@ class PlanSpaceReport:
         return "\n".join(lines)
 
 
-def _family_delta_text(winner: Mapping[str, float],
-                       other: Mapping[str, float]) -> tuple[str, str]:
-    """(driving family, 'f_io +120.0, f_sort -8.0' text) vs winner."""
-    deltas = {name: other.get(name, 0.0) - winner.get(name, 0.0)
-              for name in FAMILIES}
-    driver = max(deltas, key=lambda name: deltas[name])
-    parts = [f"{name} {delta:+.1f}" for name, delta in deltas.items()
-             if abs(delta) > 1e-9]
-    return driver, ", ".join(parts) or "no per-family difference"
-
-
 def build_plan_space_report(recorder: PlanSpaceRecorder,
                             query: str = "", top_k: int = 3,
                             include_candidates: bool = False,
@@ -417,39 +290,39 @@ def build_plan_space_report(recorder: PlanSpaceRecorder,
     candidate records into the report (JSON artifacts); the default
     keeps reports small enough for an endpoint ring.
     """
-    from repro.service.cache import canonical_plan_digest
-
     if recorder.winner is None or recorder.pattern is None:
         raise ReproError("recorder has not observed an optimize() call")
     pattern = recorder.pattern
-    assert recorder.context is not None
-    factors = recorder.context.cost_model.factors
-    winner_digest = canonical_plan_digest(recorder.winner, pattern)
+    context = recorder.context
+    assert context is not None
+    winner = recorder.winner
+    winner_digest = canonical_plan_digest(winner, pattern)
 
-    by_digest: dict[str, PlanAlternative] = {}
+    # cheapest recorded instance of every distinct full plan
+    by_digest: dict[str, tuple[PhysicalPlan, float, str]] = {}
     for plan, cost, note in recorder.finals:
         digest = canonical_plan_digest(plan, pattern)
         known = by_digest.get(digest)
-        if known is not None and known.cost <= cost:
-            continue
-        by_digest[digest] = PlanAlternative(
-            digest=digest, cost=cost, delta=cost - recorder.winner_cost,
-            note=note, breakdown=plan_cost_breakdown(plan, factors),
-            sorts=plan.sort_count(),
-            pipelined=plan.is_fully_pipelined)
-    alternatives = sorted(
-        (alt for digest, alt in by_digest.items()
+        if known is None or cost < known[1]:
+            by_digest[digest] = (plan, cost, note)
+    ranked = sorted(
+        ((digest, plan, cost, note)
+         for digest, (plan, cost, note) in by_digest.items()
          if digest != winner_digest),
-        key=lambda alt: alt.cost)[:max(0, top_k)]
+        key=lambda alternative: alternative[2])[:max(0, top_k)]
+    alternatives = [
+        PlanAlternative(
+            digest=digest, cost=cost, delta=cost - recorder.winner_cost,
+            note=note, breakdown=plan_cost_by_family(plan, context)[1],
+            sorts=plan.sort_count(), pipelined=plan.is_fully_pipelined)
+        for digest, plan, cost, note in ranked]
 
-    winner_breakdown = plan_cost_breakdown(recorder.winner, factors)
-    if alternatives:
-        runner = alternatives[0]
-        driver, delta_text = _family_delta_text(winner_breakdown,
-                                                runner.breakdown)
-        why = (f"winner beats the runner-up by {runner.delta:.1f} cost "
-               f"units, mostly on {driver}: {delta_text}")
-        if recorder.winner.is_fully_pipelined and not runner.pipelined:
+    if ranked:
+        runner_up = ranked[0][1]
+        versus = compare_plans(runner_up, winner, context)
+        why = (f"winner beats the runner-up by {versus.margin:.1f} cost "
+               f"units, {versus.driver}")
+        if winner.is_fully_pipelined and not runner_up.is_fully_pipelined:
             why += "; the winner is fully pipelined, the runner-up blocks"
     elif len(by_digest) <= 1:
         why = ("the search reached a single full plan; every other "
@@ -463,9 +336,9 @@ def build_plan_space_report(recorder: PlanSpaceRecorder,
         algorithm=recorder.algorithm or "",
         winner_digest=winner_digest,
         winner_cost=recorder.winner_cost,
-        winner_breakdown=winner_breakdown,
-        winner_sorts=recorder.winner.sort_count(),
-        winner_pipelined=recorder.winner.is_fully_pipelined,
+        winner_breakdown=plan_cost_by_family(winner, context)[1],
+        winner_sorts=winner.sort_count(),
+        winner_pipelined=winner.is_fully_pipelined,
         alternatives=alternatives,
         finals_reached=len(by_digest),
         pruning=dict(recorder.prunings),
@@ -489,26 +362,61 @@ def build_plan_space_report(recorder: PlanSpaceRecorder,
 
 @dataclass
 class WhatIfResult:
-    """Baseline vs. hypothetical optimization of one query."""
+    """Baseline vs. hypothetical optimization of one query: the
+    baseline winner compared with the hypothetical one, both priced
+    under the hypothesis."""
 
     query: str
     algorithm: str
-    baseline_digest: str
     baseline_cost: float
-    hypothetical_digest: str
-    hypothetical_cost: float
-    #: the baseline winner re-priced under the hypothetical conditions
-    #: — together with ``hypothetical_cost`` this is the crossover:
-    #: how much the old choice would now lose by.
-    baseline_cost_under_hypothesis: float
-    flipped: bool
-    crossover: dict[str, float]
-    diff: dict[str, object]
+    #: old = the baseline winner re-priced under the hypothesis, new =
+    #: the plan chosen under it; ``margin`` is how much the old choice
+    #: would now lose by
+    comparison: PlanComparison
     factors: dict[str, float]
     tag_scale: dict[str, float]
-    explanation: str
     forced_digest: str = ""
     forced_cost_under_hypothesis: float = 0.0
+
+    @property
+    def baseline_digest(self) -> str:
+        return self.comparison.old_digest
+
+    @property
+    def hypothetical_digest(self) -> str:
+        return self.comparison.new_digest
+
+    @property
+    def baseline_cost_under_hypothesis(self) -> float:
+        assert self.comparison.old_cost is not None
+        return self.comparison.old_cost
+
+    @property
+    def hypothetical_cost(self) -> float:
+        return self.comparison.new_cost
+
+    @property
+    def flipped(self) -> bool:
+        return self.comparison.flipped
+
+    @property
+    def crossover(self) -> dict[str, float]:
+        return dict(self.comparison.crossover or {})
+
+    @property
+    def diff(self) -> dict[str, object]:
+        return dict(self.comparison.diff or {})
+
+    @property
+    def explanation(self) -> str:
+        if self.flipped:
+            return (f"under the hypothesis the baseline plan is beaten "
+                    f"by {self.comparison.margin:.1f} cost units, "
+                    f"{self.comparison.driver}")
+        return (f"the baseline plan remains the winner; its cost moves "
+                f"{self.baseline_cost:.1f} -> "
+                f"{self.baseline_cost_under_hypothesis:.1f} under the "
+                f"hypothesis")
 
     def to_dict(self) -> dict[str, object]:
         payload = {
@@ -521,8 +429,8 @@ class WhatIfResult:
             "hypothetical": {"digest": self.hypothetical_digest,
                              "cost": self.hypothetical_cost},
             "flipped": self.flipped,
-            "crossover": dict(self.crossover),
-            "diff": dict(self.diff),
+            "crossover": self.crossover,
+            "diff": self.diff,
             "factors": dict(self.factors),
             "tag_scale": dict(self.tag_scale),
             "explanation": self.explanation,
@@ -543,14 +451,8 @@ class WhatIfResult:
             f"(est {self.hypothetical_cost:.1f})",
         ]
         if self.flipped:
-            lines.append(
-                f"  FLIP: baseline plan would now cost "
-                f"{self.baseline_cost_under_hypothesis:.1f}, the new "
-                f"winner {self.hypothetical_cost:.1f} "
-                f"(margin {self.baseline_cost_under_hypothesis - self.hypothetical_cost:+.1f})")
-            if self.diff.get("removed") or self.diff.get("added"):
-                lines.append(f"    -{' '.join(map(str, self.diff.get('removed', [])))}")
-                lines.append(f"    +{' '.join(map(str, self.diff.get('added', [])))}")
+            lines.append("  FLIP under the hypothesis:")
+            lines.append(self.comparison.render())
         else:
             lines.append("  no flip: the baseline plan stays optimal "
                          "under the hypothesis")
@@ -562,7 +464,7 @@ class WhatIfResult:
         return "\n".join(lines)
 
 
-def run_whatif(database: "Database", query: str,
+def run_whatif(database: "QueryTarget", query: str,
                algorithm: str = "DPP",
                factors: CostFactors | None = None,
                tag_scale: Mapping[str, float] | None = None,
@@ -574,17 +476,14 @@ def run_whatif(database: "Database", query: str,
     per-tag cardinality scaling (*tag_scale*, e.g. ``{"item": 10.0}``
     for "what if there were 10x as many items"), ground-truth
     statistics (*exact*), and a *force_plan* canonical digest to price
-    as-if chosen.  Nothing on the database is mutated: the hypothesis
-    lives in a private cost model and estimator wrapper, so the plan
-    cache, statistics epoch, and live cost factors are untouched.
+    as-if chosen (a digest that cannot be rebuilt or priced for this
+    query is a :class:`~repro.errors.PlanError`).  Nothing on the
+    database is mutated: the hypothesis lives in a private cost model
+    and estimator wrapper, so the plan cache, statistics epoch, and
+    live cost factors are untouched.
     """
-    from repro.core.optimizer import get_optimizer
-    from repro.estimation.estimator import ScaledEstimator
-    from repro.service.cache import canonical_plan_digest, remap_plan
-
     pattern = database.compile(query)
     baseline = database.optimize(pattern, algorithm=algorithm)
-    baseline_digest = canonical_plan_digest(baseline.plan, pattern)
 
     hyp_factors = factors if factors is not None else database.cost_factors
     hyp_model = CostModel(hyp_factors)
@@ -592,27 +491,9 @@ def run_whatif(database: "Database", query: str,
     scales = dict(tag_scale or {})
     if scales:
         estimator = ScaledEstimator(estimator, scales)
-    optimizer = get_optimizer(algorithm, cost_model=hyp_model)
-    hypothetical = optimizer.optimize(pattern, estimator)
-    hypothetical_digest = canonical_plan_digest(hypothetical.plan, pattern)
-
+    hypothetical = get_optimizer(algorithm, cost_model=hyp_model) \
+        .optimize(pattern, estimator)
     hyp_context = EnumerationContext(pattern, hyp_model, estimator)
-    # identity remap = deep copy, so re-pricing never touches the
-    # annotations on the baseline result we report
-    replica = remap_plan(baseline.plan,
-                         {node_id: node_id for node_id in range(len(pattern))})
-    baseline_under_hyp = estimate_plan_cost(replica, hyp_context)
-    crossover = {
-        name: (plan_cost_breakdown(replica, hyp_factors)[name]
-               - plan_cost_breakdown(hypothetical.plan, hyp_factors)[name])
-        for name in FAMILIES}
-
-    flipped = hypothetical_digest != baseline_digest
-    diff = (plan_digest_diff(baseline_digest, hypothetical_digest)
-            if flipped else {"removed": [], "added": [],
-                             "unchanged": len(
-                                 _digest_operators(
-                                     parse_plan_digest(baseline_digest)))})
 
     forced_digest = ""
     forced_cost = 0.0
@@ -621,33 +502,13 @@ def run_whatif(database: "Database", query: str,
         forced_cost = estimate_plan_cost(forced, hyp_context)
         forced_digest = canonical_plan_digest(forced, pattern)
 
-    if flipped:
-        driver, delta_text = _family_delta_text(
-            plan_cost_breakdown(hypothetical.plan, hyp_factors),
-            plan_cost_breakdown(replica, hyp_factors))
-        explanation = (
-            f"under the hypothesis the baseline plan is beaten by "
-            f"{baseline_under_hyp - hypothetical.estimated_cost:.1f} "
-            f"cost units, mostly on {driver}: {delta_text}")
-    else:
-        explanation = (
-            f"the baseline plan remains the winner; its cost moves "
-            f"{baseline.estimated_cost:.1f} -> "
-            f"{baseline_under_hyp:.1f} under the hypothesis")
-
     return WhatIfResult(
         query=query if isinstance(query, str) else str(query),
         algorithm=algorithm,
-        baseline_digest=baseline_digest,
         baseline_cost=baseline.estimated_cost,
-        hypothetical_digest=hypothetical_digest,
-        hypothetical_cost=hypothetical.estimated_cost,
-        baseline_cost_under_hypothesis=baseline_under_hyp,
-        flipped=flipped,
-        crossover=crossover,
-        diff=diff,
+        comparison=compare_plans(baseline.plan, hypothetical.plan,
+                                 hyp_context),
         factors=hyp_factors.to_dict(),
         tag_scale=scales,
-        explanation=explanation,
         forced_digest=forced_digest,
         forced_cost_under_hypothesis=forced_cost)

@@ -52,11 +52,11 @@ from hashlib import sha1
 from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
+from repro.core.pattern import QueryPattern, canonical_signature
+from repro.core.plans import PhysicalPlan, canonical_plan_digest
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.cost import CostFactors
-    from repro.core.pattern import QueryPattern
-    from repro.core.plans import PhysicalPlan
     from repro.engine.executor import (ExecutionResult,
                                        StreamingExecution)
 
@@ -67,7 +67,7 @@ __all__ = ["QueryLog", "QueryLogScan", "build_record", "read_query_log",
 _STOP = object()
 
 
-def signature_digest(pattern: "QueryPattern") -> str:
+def signature_digest(pattern: QueryPattern) -> str:
     """Short stable digest of a pattern's canonical signature.
 
     Two patterns share a digest iff they are isomorphic (same tags,
@@ -75,13 +75,11 @@ def signature_digest(pattern: "QueryPattern") -> str:
     the plan cache keys on — so the log can group repeats of one
     logical query across sessions and node renumberings.
     """
-    from repro.service.cache import canonical_signature
-
     return sha1(repr(canonical_signature(pattern))
                 .encode("utf-8")).hexdigest()[:16]
 
 
-def build_record(pattern: "QueryPattern", plan: "PhysicalPlan",
+def build_record(pattern: QueryPattern, plan: PhysicalPlan,
                  execution: "ExecutionResult | StreamingExecution", *,
                  algorithm: str = "", engine: str = "",
                  statistics_epoch: int = 0,
@@ -101,7 +99,6 @@ def build_record(pattern: "QueryPattern", plan: "PhysicalPlan",
     (:mod:`repro.obs.audit`) can join a logged plan back to its
     retained trace.
     """
-    from repro.service.cache import canonical_plan_digest
     from repro.xpath.render import pattern_to_xpath
 
     metrics = execution.metrics

@@ -35,7 +35,7 @@ import threading
 from typing import Callable, Sequence
 
 __all__ = ["BucketRecorder", "Counter", "Gauge", "Histogram",
-           "MetricsRegistry", "SampleReservoir"]
+           "MetricsRegistry", "SampleReservoir", "percentile"]
 
 #: default histogram buckets: latency-flavoured, in seconds.
 DEFAULT_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05,
@@ -439,3 +439,12 @@ class SampleReservoir:
     def clear(self) -> None:
         self._samples.clear()
         self._count = 0
+
+
+def percentile(samples: Sequence[float], fraction: float) -> float:
+    """Nearest-rank percentile of *samples* (0 when empty)."""
+    if not samples:
+        return 0.0
+    ordered = sorted(samples)
+    rank = max(1, round(fraction * len(ordered)))
+    return ordered[min(rank, len(ordered)) - 1]

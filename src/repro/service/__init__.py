@@ -8,18 +8,12 @@ percentiles, cache hit rate, aggregate engine counters) are exposed
 via :meth:`QueryService.snapshot` / :meth:`repro.api.Database.stats`.
 """
 
-from repro.service.cache import (PlanCache, PlanCacheStats, cache_key,
-                                 canonical_signature,
-                                 pattern_isomorphism, remap_plan)
-from repro.service.service import QueryService, percentile
+from repro.service.cache import PlanCache, PlanCacheStats, cache_key
+from repro.service.service import QueryService
 
 __all__ = [
     "PlanCache",
     "PlanCacheStats",
     "QueryService",
     "cache_key",
-    "canonical_signature",
-    "pattern_isomorphism",
-    "percentile",
-    "remap_plan",
 ]

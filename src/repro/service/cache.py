@@ -3,16 +3,20 @@
 The paper's headline result is that DPP finds the DP optimum at a
 fraction of DP's optimization cost; a serving system amortizes that
 cost further by optimizing each distinct pattern *once*.  The cache is
-keyed by a **canonical pattern identity** — an id- and order-
+keyed (:func:`cache_key`) by the **canonical pattern identity**
+(:func:`repro.core.pattern.canonical_signature` — an id- and order-
 independent encoding of tags, predicates, axes, tree shape and the
-result-order node — plus the algorithm, its options, and the
+result-order node) plus the algorithm, its options, and the
 database's statistics epoch, so a cached plan is reused only while the
-statistics it was costed with are still live.
+statistics it was costed with are still live.  This module holds the
+key and the cache and nothing else: the identity lives with the
+pattern, the plan rewrite with the plan classes.
 
 Because the canonical key identifies patterns up to isomorphism, a hit
 may come from a pattern whose nodes are numbered differently (XPath
 compilation numbers nodes by traversal order).  The cache then remaps
-the stored plan through the pattern isomorphism before handing it out,
+the stored plan (:func:`repro.core.plans.remap_plan`) through the
+:func:`~repro.core.pattern.pattern_isomorphism` before handing it out,
 so the plan's node ids always match the requesting pattern.
 
 Concurrency: lookups are **single-flight**.  The first thread to miss
@@ -30,125 +34,10 @@ from dataclasses import dataclass, field
 from typing import Callable, Hashable
 
 from repro.core.optimizer import OptimizationResult
-from repro.core.pattern import QueryPattern
-from repro.core.plans import (IndexScanPlan, PhysicalPlan, SortPlan,
-                              StructuralJoinPlan)
+from repro.core.pattern import (QueryPattern, canonical_signature,
+                                pattern_isomorphism)
+from repro.core.plans import remap_plan
 from repro.errors import PlanError
-
-
-# -- canonical pattern identity -----------------------------------------------
-
-def canonical_signature(pattern: QueryPattern) -> tuple:
-    """Order- and id-independent identity of *pattern*.
-
-    Like :func:`repro.xpath.render.pattern_signature` but additionally
-    marks which node is the pattern's ``order_by`` target, since two
-    patterns that differ only in result order need different plans
-    (the final ordering constraint changes which sorts are required).
-    """
-    signatures = _node_signatures(pattern)
-    return signatures[pattern.root]
-
-
-def _node_signatures(pattern: QueryPattern) -> dict[int, tuple]:
-    """Per-node canonical signatures, computed bottom-up."""
-    signatures: dict[int, tuple] = {}
-    # reversed pre-order visits children before parents
-    for node_id in reversed(list(pattern.walk_preorder())):
-        node = pattern.node(node_id)
-        children = tuple(sorted(
-            (str(edge.axis), signatures[edge.child])
-            for edge in pattern.child_edges(node_id)))
-        predicates = tuple(sorted(str(p) for p in node.predicates))
-        signatures[node_id] = (node.tag, predicates,
-                               node_id == pattern.order_by, children)
-    return signatures
-
-
-def pattern_isomorphism(source: QueryPattern,
-                        target: QueryPattern) -> dict[int, int]:
-    """A node-id mapping carrying *source* onto *target*.
-
-    Both patterns must have equal canonical signatures.  Children with
-    identical subtree signatures are interchangeable, so any signature-
-    respecting pairing yields a semantically equivalent plan remap.
-    """
-    source_sigs = _node_signatures(source)
-    target_sigs = _node_signatures(target)
-    if source_sigs[source.root] != target_sigs[target.root]:
-        raise PlanError("patterns are not isomorphic")
-    mapping: dict[int, int] = {}
-    stack = [(source.root, target.root)]
-    while stack:
-        source_id, target_id = stack.pop()
-        mapping[source_id] = target_id
-        source_children = sorted(
-            source.child_edges(source_id),
-            key=lambda e: (str(e.axis), source_sigs[e.child]))
-        target_children = sorted(
-            target.child_edges(target_id),
-            key=lambda e: (str(e.axis), target_sigs[e.child]))
-        for source_edge, target_edge in zip(source_children,
-                                            target_children):
-            stack.append((source_edge.child, target_edge.child))
-    return mapping
-
-
-def remap_plan(plan: PhysicalPlan,
-               mapping: dict[int, int]) -> PhysicalPlan:
-    """Rewrite *plan* with its pattern-node ids sent through *mapping*."""
-    if isinstance(plan, IndexScanPlan):
-        return IndexScanPlan(mapping[plan.node_id],
-                             plan.estimated_cardinality,
-                             plan.estimated_cost)
-    if isinstance(plan, SortPlan):
-        return SortPlan(remap_plan(plan.child, mapping),
-                        mapping[plan.by_node],
-                        plan.estimated_cardinality, plan.estimated_cost)
-    if isinstance(plan, StructuralJoinPlan):
-        return StructuralJoinPlan(
-            remap_plan(plan.ancestor_plan, mapping),
-            remap_plan(plan.descendant_plan, mapping),
-            mapping[plan.ancestor_node], mapping[plan.descendant_node],
-            plan.axis, plan.algorithm,
-            plan.estimated_cardinality, plan.estimated_cost)
-    raise PlanError(f"unknown plan node type {type(plan).__name__}")
-
-
-def canonical_plan_digest(plan: PhysicalPlan,
-                          pattern: QueryPattern) -> str:
-    """Render *plan* with node ids replaced by canonical node ranks.
-
-    XPath compilation numbers pattern nodes by traversal order, so the
-    same logical plan over two isomorphic patterns prints different
-    ``signature()`` strings.  Here every node id is replaced by the
-    rank of its canonical subtree signature (interchangeable nodes —
-    identical signatures — share a rank, which is exactly the freedom
-    :func:`pattern_isomorphism` has), making the digest stable across
-    renumbering.  The query log stores this digest so the plan auditor
-    can replay a recompiled query and compare plans without false
-    flips.
-    """
-    signatures = _node_signatures(pattern)
-    ranks = {key: rank for rank, key in enumerate(
-        sorted({repr(sig) for sig in signatures.values()}))}
-    labels = {node_id: ranks[repr(signatures[node_id])]
-              for node_id in signatures}
-
-    def render(node: PhysicalPlan) -> str:
-        if isinstance(node, IndexScanPlan):
-            return f"scan({labels[node.node_id]})"
-        if isinstance(node, SortPlan):
-            return f"sort[{labels[node.by_node]}]({render(node.child)})"
-        if isinstance(node, StructuralJoinPlan):
-            return (f"{node.algorithm.value}"
-                    f"[{labels[node.ancestor_node]}{node.axis}"
-                    f"{labels[node.descendant_node]}]"
-                    f"({render(node.ancestor_plan)},"
-                    f"{render(node.descendant_plan)})")
-        raise PlanError(f"unknown plan node type {type(node).__name__}")
-
-    return render(plan)
 
 
 def cache_key(pattern: QueryPattern, algorithm: str,

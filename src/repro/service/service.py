@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.pattern import QueryPattern
 from repro.engine.metrics import ExecutionMetrics
-from repro.obs.registry import MetricsRegistry, SampleReservoir
+from repro.obs.registry import (MetricsRegistry, SampleReservoir,
+                                percentile)
 from repro.obs.slo import DEFAULT_OBJECTIVES, SLOTracker
 from repro.service.cache import PlanCache, cache_key
 from repro.target import QueryResult, QueryTarget
@@ -54,15 +55,6 @@ SLOW_LOG_CAPACITY = 32
 
 #: Thread-pool width of a ``query_many`` batch that names none.
 BATCH_WORKERS = 4
-
-
-def percentile(samples: Sequence[float], fraction: float) -> float:
-    """Nearest-rank percentile of *samples* (0 when empty)."""
-    if not samples:
-        return 0.0
-    ordered = sorted(samples)
-    rank = max(1, round(fraction * len(ordered)))
-    return ordered[min(rank, len(ordered)) - 1]
 
 
 class QueryService:

@@ -33,13 +33,14 @@ from repro.engine.executor import (ExecutionResult, FirstResultTiming,
 from repro.estimation.estimator import (CardinalityEstimator,
                                         ExactEstimator)
 from repro.obs.explain import ExplainReport
+from repro.obs.planspace import (WhatIfResult, build_plan_space_report,
+                                 run_whatif)
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext, Tracer
 from repro.xpath.parser import compile_xpath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.planspace import WhatIfResult
     from repro.service.service import QueryService
 
 
@@ -300,8 +301,6 @@ class QueryTarget(abc.ABC):
             report.execution = self.execute(optimization.plan, pattern,
                                             spans=True)
         if recorder is not None:
-            from repro.obs.planspace import build_plan_space_report
-
             report.plan_space = build_plan_space_report(
                 recorder, query=label, top_k=top_k,
                 trace_id=report.trace_id)
@@ -312,7 +311,7 @@ class QueryTarget(abc.ABC):
                factors: "CostFactors | None" = None,
                tag_scale: "dict[str, float] | None" = None,
                exact: bool = False,
-               force_plan: str | None = None) -> "WhatIfResult":
+               force_plan: str | None = None) -> WhatIfResult:
         """Re-optimize *query* under hypothetical conditions.
 
         Compares the current winner with the plan chosen under any
@@ -322,8 +321,6 @@ class QueryTarget(abc.ABC):
         digest priced as-if chosen.  Nothing is mutated: the plan
         cache, statistics epoch, and live cost factors are untouched.
         """
-        from repro.obs.planspace import run_whatif
-
         return run_whatif(self, query, algorithm=algorithm,
                           factors=factors, tag_scale=tag_scale,
                           exact=exact, force_plan=force_plan)

@@ -116,19 +116,26 @@ class TestOtherCommands:
 
 class TestTraceCommand:
     def test_narrative(self):
-        code, output = run_cli("trace", "--dataset", "pers", "--nodes",
-                               "300", "//manager//employee/name")
+        code, output = run_cli("explain", "--trace", "--dataset", "pers",
+                               "--nodes", "300",
+                               "//manager//employee/name")
         assert code == 0
         assert "generate" in output
         assert "expand" in output
         assert "chosen plan" in output
 
     def test_dot_output(self):
-        code, output = run_cli("trace", "--dataset", "pers", "--nodes",
-                               "300", "--dot", "//manager/employee")
+        code, output = run_cli("explain", "--trace", "--dot",
+                               "--dataset", "pers", "--nodes", "300",
+                               "//manager/employee")
         assert code == 0
         assert output.startswith("digraph")
 
+    def test_dot_without_trace_is_an_error(self, capsys):
+        code, output = run_cli("explain", "--dot", "--dataset", "pers",
+                               "--nodes", "300", "//manager/employee")
+        assert code == 1 and output == ""
+        assert "add --trace" in capsys.readouterr().err
 
     @pytest.mark.parametrize("algorithm",
                              ["DPP", "DPP'", "DPAP-EB", "DPAP-LD"])
@@ -413,7 +420,7 @@ class TestDbVerbsCloseTheirTarget:
         ("calibrate", "--serve", "1"),
         ("audit", "--log", "{log}"),
         ("whatif", "--factor", "f_io=64", QUERY),
-        ("trace", QUERY),
+        ("explain", "--trace", QUERY),
         ("ingest", "--dataset", "pers", "--nodes", "200"),
         ("checkpoint",),
     ], ids=lambda verb: "-".join(verb[:2]).replace("/", ""))

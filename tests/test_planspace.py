@@ -13,17 +13,17 @@ import random
 import pytest
 
 from repro.api import Database
+from repro.core.cost import COST_FACTOR_NAMES as FAMILIES
 from repro.core.cost import CostFactors, CostModel
 from repro.core.enumeration import (EnumerationContext,
-                                    estimate_plan_cost, possible_moves)
-from repro.core.planspace import (FAMILIES, PlanSpaceRecorder,
-                                  plan_cost_breakdown)
+                                    estimate_plan_cost,
+                                    plan_cost_by_family, possible_moves)
+from repro.core.plans import (canonical_plan_digest, parse_plan_digest,
+                              plan_digest_diff, plan_from_digest)
+from repro.core.planspace import PlanSpaceRecorder
 from repro.core.status import Status
 from repro.errors import PlanError
-from repro.obs.planspace import (build_plan_space_report,
-                                 parse_plan_digest, plan_digest_diff,
-                                 plan_from_digest)
-from repro.service.cache import canonical_plan_digest
+from repro.obs.planspace import build_plan_space_report
 from repro.workloads.generators import random_pattern
 
 SMALL_XML = (
@@ -368,8 +368,9 @@ class TestPlanCostBreakdown:
                                                  algorithm):
         pattern = database.compile("//a//b/c")
         result = database.optimize(pattern, algorithm=algorithm)
-        breakdown = plan_cost_breakdown(result.plan,
-                                        database.cost_factors)
+        context = EnumerationContext(pattern, database.cost_model,
+                                     database.estimator)
+        breakdown = plan_cost_by_family(result.plan, context)[1]
         assert set(breakdown) == set(FAMILIES)
         assert sum(breakdown.values()) == pytest.approx(
             result.estimated_cost, rel=1e-6)

@@ -14,11 +14,12 @@ import threading
 import pytest
 
 from repro.api import Database
+from repro.core.pattern import canonical_signature, pattern_isomorphism
+from repro.core.plans import remap_plan
 from repro.engine.context import EngineContext
 from repro.engine.executor import Executor
 from repro.errors import ReproError
-from repro.service import (PlanCache, cache_key, canonical_signature,
-                           pattern_isomorphism, remap_plan)
+from repro.service import PlanCache, cache_key
 from repro.workloads.personnel import personnel_document
 from repro.workloads.queries import PAPER_QUERIES
 from repro.xpath import compile_xpath
@@ -234,7 +235,7 @@ class TestSnapshot:
         assert stats["buffer_pool"]["pinned_pages"] == 0
 
     def test_percentile_helper(self):
-        from repro.service import percentile
+        from repro.obs.registry import percentile
 
         assert percentile([], 0.5) == 0.0
         assert percentile([3.0, 1.0, 2.0], 0.5) == 2.0

@@ -17,11 +17,11 @@ import pytest
 
 from repro import cli
 from repro.api import Database
+from repro.core.plans import canonical_plan_digest
 from repro.errors import ReproError, StorageError
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext
-from repro.service.cache import canonical_plan_digest
 from repro.shard import ShardedDatabase
 from repro.target import QueryTarget
 from repro.txn import create_database
