@@ -551,10 +551,11 @@ def _run_query(database: QueryTarget, arguments: argparse.Namespace,
         _dump_bindings(execution, arguments.dump_bindings, out)
     if arguments.limit:
         document = database.document
-        for binding in execution.bindings()[:arguments.limit]:
+        node_ids = execution.schema.node_ids
+        for row in execution.rows[:arguments.limit]:
             parts = []
-            for node_id in sorted(binding):
-                node = document.node(binding[node_id].start)
+            for node_id, label in sorted(zip(node_ids, row)):
+                node = document.node(label)
                 text = f"={node.text!r}" if node.text else ""
                 parts.append(f"${node_id}<{node.tag}>{text}")
             out.write("  " + " ".join(parts) + "\n")

@@ -9,11 +9,24 @@ incrementally (:meth:`BlockOperator.blocks`): its first row, then
 blocks of up to ``BLOCK_ROWS`` rows, leave before it has finished, so
 a block is also the unit that moves from the engine to the wire.
 
+A row is a :data:`~repro.engine.tuples.LabelRow` — a plain tuple of
+start labels — from the scan to the root, and no operator an optimizer
+picks touches a :class:`~repro.document.node.Region` (the quadratic
+oracle join looks its two up).  What a join needs beyond the label (a
+group's end and level) it reads from the scans' packed posting
+columns, which every :class:`TupleBlock` carries per bound pattern
+node (:attr:`TupleBlock.columns`): scans seed the map, joins union
+their inputs' maps, sorts pass it on.  Rows of ints are what keeps a
+big result cheap: CPython's cyclic collector untracks such a tuple on
+its first visit, where a tuple of ``Region`` objects is walked again
+by every full collection for as long as it lives.
+
 Two invariants tie this engine to the tuple engine in ``scan.py`` /
 ``stackjoin.py`` / ``sort.py`` / ``nestedloop.py``:
 
-* **Result parity** — each block operator emits exactly the tuple
-  sequence its iterator twin yields, in the same order.
+* **Result parity** — each block operator emits exactly the row
+  sequence its iterator twin yields, reduced to labels, in the same
+  order.
 
 * **Metrics parity** — each block operator charges exactly the same
   :class:`~repro.engine.metrics.ExecutionMetrics` counters
@@ -42,16 +55,17 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from itertools import islice, repeat
-from operator import add
+from operator import add, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.core.pattern import Axis, PatternNode
-from repro.document.node import Region
 from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import _related
-from repro.engine.tuples import MatchTuple, Schema
+from repro.engine.tuples import LabelRow, Schema
+from repro.storage.postings import RegionBlock
+from repro.storage.tagindex import TagIndex
 
 
 #: Most rows in one block handed from the root operator to its reader
@@ -67,8 +81,8 @@ from repro.engine.tuples import MatchTuple, Schema
 BLOCK_ROWS = 256
 
 
-def row_blocks(rows: Iterable[MatchTuple],
-               first: int | None = 1) -> Iterator[list[MatchTuple]]:
+def row_blocks(rows: Iterable[LabelRow],
+               first: int | None = 1) -> Iterator[list[LabelRow]]:
     """Cut any row source into blocks of the engine's sizes: *first*
     rows (``None``: all of them), then ``BLOCK_ROWS`` at a time,
     pulling no further ahead.  Every block is a list of its own."""
@@ -118,82 +132,59 @@ class ColumnGroups:
         return self._parents
 
 
-def _group_rows(rows: list[MatchTuple], position: int,
-                label: str) -> ColumnGroups:
+def _group_rows(rows: list[LabelRow], position: int, label: str,
+                column: RegionBlock) -> ColumnGroups:
     """Group a document-ordered row list by one bound column.
 
     The block-engine counterpart of
     :func:`repro.engine.operators.group_by_column` plus the order
     check of ``OrderCheckingIterator``: a decreasing start is a
-    planner bug and raises immediately.
+    planner bug and raises immediately.  A row costs one comparison
+    of its label; each *group's* end and level are read from *column*,
+    the packed postings its labels came from.
     """
     starts: list[int] = []
-    ends: list[int] = []
-    levels: list[int] = []
     bounds: list[int] = []
     last = -1
-    for index, row in enumerate(rows):
-        region = row[position]
-        start = region.start
-        if start == last and bounds:
-            continue
-        if start < last:
-            raise PlanError(
-                f"{label} is not ordered by its declared "
-                f"column (saw start {start} after {last})")
-        starts.append(start)
-        ends.append(region.end)
-        levels.append(region.level)
-        bounds.append(index)
-        last = start
+    for index, start in enumerate(map(itemgetter(position), rows)):
+        if start != last:
+            if start < last:
+                raise PlanError(
+                    f"{label} is not ordered by its declared "
+                    f"column (saw start {start} after {last})")
+            starts.append(start)
+            bounds.append(index)
+            last = start
     bounds.append(len(rows))
-    return ColumnGroups(starts, ends, levels, bounds)
+    found = list(map(column.positions.__getitem__, starts))
+    return ColumnGroups(starts,
+                        list(map(column.ends.__getitem__, found)),
+                        list(map(column.levels.__getitem__, found)),
+                        bounds)
 
 
 class TupleBlock:
-    """One operator's entire output: schema, rows, grouped views.
+    """One operator's entire output: schema, label rows, grouped
+    views, and per bound pattern node the packed postings its labels
+    came from (``columns`` — where a group's end and level are read).
 
-    A leaf scan's row list is borrowed from the decode cache; what is
-    handed to callers is cut from it (:func:`row_blocks`), never it.
-
-    Leaf blocks may be built with ``rows_factory`` instead of a row
-    list: the match tuples materialize on first ``rows`` access, so an
-    operator that only probes the block's pre-set
-    :class:`ColumnGroups` — bisect skip-ahead over packed columns —
-    never creates a Python object per posting.  ``length`` carries the
-    row count while rows are unmaterialized.
+    A leaf scan's row list is borrowed from the decode cache (one
+    tuple of one int per posting, built once per decode epoch — cheap
+    enough that no block defers it); what is handed to callers is cut
+    from it (:func:`row_blocks`), never it.
     """
 
-    __slots__ = ("schema", "_groups", "_rows", "_rows_factory",
-                 "_length")
+    __slots__ = ("schema", "columns", "rows", "_groups")
 
-    def __init__(self, schema: Schema,
-                 rows: list[MatchTuple] | None = None,
-                 rows_factory: Callable[[], list[MatchTuple]] | None = None,
-                 length: int | None = None) -> None:
-        if rows is None and rows_factory is None:
-            raise PlanError("TupleBlock needs rows or a rows_factory")
+    def __init__(self, schema: Schema, columns: dict[int, RegionBlock],
+                 rows: list[LabelRow]) -> None:
         self.schema = schema
-        self._rows = rows
-        self._rows_factory = rows_factory
-        self._length = len(rows) if rows is not None else length
+        self.columns = columns
+        self.rows = rows
         self._groups: dict[int, ColumnGroups] = {}
 
-    @property
-    def rows(self) -> list[MatchTuple]:
-        """The block's match tuples (materialized on first access)."""
-        rows = self._rows
-        if rows is None:
-            assert self._rows_factory is not None
-            rows = self._rows_factory()
-            self._rows = rows
-            self._length = len(rows)
-        return rows
-
     def __len__(self) -> int:
-        if self._length is None:
-            return len(self.rows)
-        return self._length
+        return len(self.rows)
 
     def grouped(self, node_id: int,
                 label: str = "input") -> ColumnGroups:
@@ -201,7 +192,8 @@ class TupleBlock:
         groups = self._groups.get(node_id)
         if groups is None:
             groups = _group_rows(self.rows,
-                                 self.schema.position(node_id), label)
+                                 self.schema.position(node_id), label,
+                                 self.columns[node_id])
             self._groups[node_id] = groups
         return groups
 
@@ -241,7 +233,7 @@ class BlockOperator:
         return block
 
     def blocks(self, first: int | None = 1
-               ) -> Iterator[list[MatchTuple]]:
+               ) -> Iterator[list[LabelRow]]:
         """How the *root* operator is read: its output as row lists
         the caller owns — *first* rows, then up to ``BLOCK_ROWS`` at a
         time, each handed out before the rest is produced; with
@@ -261,11 +253,19 @@ class BlockOperator:
     def _produce(self) -> TupleBlock:
         raise NotImplementedError
 
-    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
+    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
         """The output as lists of *bound* rows (``None``: all), then
         ``BLOCK_ROWS`` at a time.  Scans and sorts cut up their block;
         a join's emission loop hands its output over as it goes."""
         return row_blocks(self._produce().rows, bound)
+
+
+def node_postings(index: TagIndex,
+                  pattern_node: PatternNode) -> RegionBlock:
+    """One pattern node's candidate set, packed (the index caches it)."""
+    if pattern_node.is_wildcard:
+        return index.scan_blocks_all()
+    return index.scan_blocks(pattern_node.tag)
 
 
 class BlockIndexScan(BlockOperator):
@@ -285,45 +285,32 @@ class BlockIndexScan(BlockOperator):
         self.context = context
 
     def _produce(self) -> TupleBlock:
-        index = self.context.tag_index
-        if self.pattern_node.is_wildcard:
-            postings = index.scan_blocks_all()
-        else:
-            postings = index.scan_blocks(self.pattern_node.tag)
+        postings = node_postings(self.context.tag_index,
+                                 self.pattern_node)
         self.metrics.index_items += len(postings)
         node_id = self.pattern_node.node_id
+        columns = {node_id: postings}
         if not self.pattern_node.predicates:
-            # lazy: downstream bisect probes run over the packed
-            # columns alone; match tuples materialize only if a
-            # consumer (join emission, final result) touches rows
-            block = TupleBlock(self.schema,
-                               rows_factory=lambda: postings.rows,
-                               length=len(postings))
+            # downstream bisect probes run over the packed columns
+            block = TupleBlock(self.schema, columns, postings.rows)
             block._groups[node_id] = ColumnGroups(
                 postings.starts, postings.ends, postings.levels,
                 range(len(postings) + 1))
             return block
         matches = self._matcher()
-        rows: list[MatchTuple] = []
+        rows: list[LabelRow] = []
         starts: list[int] = []
         ends: list[int] = []
         levels: list[int] = []
-        # probe the packed start column; the tag's cached Region list
-        # materializes only when the predicate first matches, and is
-        # then reused across executions
-        col_starts = postings.starts
-        regions: Sequence[Region] | None = None
-        for position in range(len(postings)):
-            start = col_starts[position]
+        col_ends = postings.ends
+        col_levels = postings.levels
+        for position, start in enumerate(postings.starts):
             if matches(start):
-                if regions is None:
-                    regions = postings.regions
-                region = regions[position]
-                rows.append((region,))
+                rows.append((start,))
                 starts.append(start)
-                ends.append(region.end)
-                levels.append(region.level)
-        block = TupleBlock(self.schema, rows)
+                ends.append(col_ends[position])
+                levels.append(col_levels[position])
+        block = TupleBlock(self.schema, columns, rows)
         block._groups[node_id] = ColumnGroups(
             starts, ends, levels, range(len(rows) + 1))
         return block
@@ -353,9 +340,8 @@ class BlockSort(BlockOperator):
         child_block = self.child.block()
         position = self.schema.position(self.by_node)
         self.metrics.record_sort(len(child_block))
-        rows = sorted(child_block.rows,
-                      key=lambda match: match[position].start)
-        return TupleBlock(self.schema, rows)
+        rows = sorted(child_block.rows, key=itemgetter(position))
+        return TupleBlock(self.schema, child_block.columns, rows)
 
 
 class _BlockJoinBase(BlockOperator):
@@ -378,13 +364,15 @@ class _BlockJoinBase(BlockOperator):
         self.ancestor_node = ancestor_node
         self.descendant_node = descendant_node
         self.axis = axis
+        #: the inputs' column maps, united (set once they have run)
+        self._columns: dict[int, RegionBlock] = {}
 
     def _produce(self) -> TupleBlock:
         (out,) = self._emit(None)
-        return TupleBlock(self.schema, out)
+        return TupleBlock(self.schema, self._columns, out)
 
-    def _cut(self, out: list[MatchTuple],
-             bound: int) -> Iterator[list[MatchTuple]]:
+    def _cut(self, out: list[LabelRow],
+             bound: int) -> Iterator[list[LabelRow]]:
         """Whole blocks off the front of *out* — *bound* rows, then
         ``BLOCK_ROWS`` at a time — charged to ``output_tuples``; the
         remainder stays in *out* for the next group."""
@@ -396,10 +384,17 @@ class _BlockJoinBase(BlockOperator):
         del out[:start]
         self.metrics.output_tuples += start
 
-    def _inputs(self) -> tuple[TupleBlock, ColumnGroups,
-                               TupleBlock, ColumnGroups]:
+    def _input_blocks(self) -> tuple[TupleBlock, TupleBlock]:
+        """Run both inputs; their column maps, united, are this
+        join's."""
         anc_block = self.ancestor_input.block()
         desc_block = self.descendant_input.block()
+        self._columns = {**anc_block.columns, **desc_block.columns}
+        return anc_block, desc_block
+
+    def _inputs(self) -> tuple[TupleBlock, ColumnGroups,
+                               TupleBlock, ColumnGroups]:
+        anc_block, desc_block = self._input_blocks()
         return (anc_block,
                 anc_block.grouped(self.ancestor_node, "ancestor input"),
                 desc_block,
@@ -438,10 +433,10 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
                          ancestor_node, descendant_node, axis,
                          ordered_by=descendant_node)
 
-    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
+    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
         self.metrics.join_count += 1
         anc_block, anc, desc_block, desc = self._inputs()
-        out: list[MatchTuple] = []
+        out: list[LabelRow] = []
         if len(anc) and len(desc):
             self._charge_pushes(anc, desc)
             parents = anc.parents()
@@ -517,10 +512,10 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
                          ancestor_node, descendant_node, axis,
                          ordered_by=ancestor_node)
 
-    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
+    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
         self.metrics.join_count += 1
         anc_block, anc, desc_block, desc = self._inputs()
-        out: list[MatchTuple] = []
+        out: list[LabelRow] = []
         if len(anc) and len(desc):
             self._charge_pushes(anc, desc)
             child_axis = self.axis is Axis.CHILD
@@ -583,17 +578,24 @@ class BlockNestedLoopJoin(_BlockJoinBase):
         self.descendant_position = descendant_input.schema.position(
             descendant_node)
 
-    def _emit(self, bound: int | None) -> Iterator[list[MatchTuple]]:
+    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
         self.metrics.join_count += 1
-        inner = self.descendant_input.block().rows
-        out: list[MatchTuple] = []
-        apos = self.ancestor_position
+        anc_block, desc_block = self._input_blocks()
+        ancestors = self._columns[self.ancestor_node]
+        descendants = self._columns[self.descendant_node]
         dpos = self.descendant_position
+        inner = [(descendants.regions[
+                      descendants.positions[desc_tuple[dpos]]], desc_tuple)
+                 for desc_tuple in desc_block.rows]
+        out: list[LabelRow] = []
+        apos = self.ancestor_position
         axis = self.axis
-        for anc_tuple in self.ancestor_input.block().rows:
-            ancestor = anc_tuple[apos]
-            out.extend(anc_tuple + desc_tuple for desc_tuple in inner
-                       if _related(ancestor, desc_tuple[dpos], axis))
+        for anc_tuple in anc_block.rows:
+            ancestor = ancestors.regions[
+                ancestors.positions[anc_tuple[apos]]]
+            out.extend(anc_tuple + desc_tuple
+                       for descendant, desc_tuple in inner
+                       if _related(ancestor, descendant, axis))
             if bound and len(out) >= bound:
                 yield from self._cut(out, bound)
                 bound = BLOCK_ROWS

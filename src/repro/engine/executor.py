@@ -4,15 +4,25 @@ The :class:`Executor` walks a :class:`~repro.core.plans.PhysicalPlan`,
 instantiates the matching operators against an
 :class:`~repro.engine.context.EngineContext` and hands back a
 :class:`StreamingExecution`; drained at once it is an
-:class:`ExecutionResult` bundling the match tuples, the output schema,
-the work counters, and wall-clock time.
+:class:`ExecutionResult` bundling the rows, the output schema, the
+work counters, and wall-clock time.
+
+Rows are label rows (:data:`~repro.engine.tuples.LabelRow`) wherever
+they are produced, counted, compared or shipped; ``Region`` rows are a
+view a caller asks for — ``result.tuples``, ``bindings()``, iterating a
+stream — built a block at a time by the one resolver the back end
+hands the stream (:data:`RegionView`; :func:`region_view` is a single
+node's).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from functools import cached_property
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError, QueryCancelled
 from repro.core.pattern import QueryPattern
@@ -22,7 +32,8 @@ from repro.document.node import Region
 from repro.engine.blocks import (BlockIndexScan, BlockNestedLoopJoin,
                                  BlockOperator, BlockSort,
                                  BlockStackTreeAncJoin,
-                                 BlockStackTreeDescJoin, row_blocks)
+                                 BlockStackTreeDescJoin, node_postings,
+                                 row_blocks)
 from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import NestedLoopJoin
@@ -30,8 +41,13 @@ from repro.engine.operators import Operator
 from repro.engine.scan import IndexScan
 from repro.engine.sort import SortOperator
 from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
-from repro.engine.tuples import MatchTuple, Schema
+from repro.engine.tuples import LabelRow, MatchTuple, Schema
 from repro.obs.spans import Span
+from repro.storage.tagindex import TagIndex
+
+#: label rows -> the same rows as ``Region`` tuples; a back end supplies
+#: one per run and it is called only for a caller that asks for regions.
+RegionView = Callable[[Sequence[LabelRow]], list[MatchTuple]]
 
 #: the two execution modes; block is the default of every run.
 ENGINE_NAMES = ("block", "tuple")
@@ -47,6 +63,16 @@ _OPERATORS = {
         JoinAlgorithm.STACK_TREE_DESC: StackTreeDescJoin,
         JoinAlgorithm.NESTED_LOOP: NestedLoopJoin}),
 }
+
+
+def _label_rows(rows: Iterator[MatchTuple]) -> Iterator[LabelRow]:
+    """The reference iterators' region tuples reduced to label rows;
+    closing it closes the pipeline underneath."""
+    try:
+        yield from map(tuple, map(map, repeat(attrgetter("start")),
+                                  rows))
+    finally:
+        rows.close()
 
 
 def validate_engine(engine: str) -> None:
@@ -65,31 +91,62 @@ def _operator_children(operator) -> tuple:
     return ()
 
 
+def region_view(index: TagIndex, pattern: QueryPattern,
+                schema: Schema) -> RegionView:
+    """A single node's :data:`RegionView` for rows of *schema*: each
+    label is resolved in the packed postings of its column's pattern
+    node — the run's own scans' blocks, fetched from *index* on first
+    use, no whole-corpus table — with one dict read and one list read
+    per label, all driven by ``map``.  The ``Region`` objects are the
+    posting blocks' own cached ones."""
+    nodes = [pattern.node(node_id) for node_id in schema.node_ids]
+
+    def view(rows: Sequence[LabelRow]) -> list[MatchTuple]:
+        columns = [node_postings(index, node) for node in nodes]
+        return list(zip(*(
+            map(column.regions.__getitem__,
+                map(column.positions.__getitem__,
+                    map(itemgetter(position), rows)))
+            for position, column in enumerate(columns))))
+
+    return view
+
+
 @dataclass
 class ExecutionResult:
     """Everything one plan execution produced.
 
-    ``span`` is the root of the per-operator span tree when the run
-    was traced (``Executor.execute(..., spans=True)``), else ``None``.
-    The span tree mirrors the plan tree node for node.
+    ``rows`` are the label rows the engine produced, in its order —
+    a list, or on a fleet the gathered runs still packed; ``tuples``
+    and :meth:`bindings` are their ``Region`` view, built on first use
+    through ``regions``, the back end's resolver.  ``span`` is the
+    root of the per-operator span tree when the run was traced
+    (``Executor.execute(..., spans=True)``), else ``None``.  The span
+    tree mirrors the plan tree node for node.
     """
 
-    tuples: list[MatchTuple]
+    rows: Sequence[LabelRow]
     schema: Schema
     metrics: ExecutionMetrics
+    regions: RegionView
     span: Span | None = None
 
     def __len__(self) -> int:
-        return len(self.tuples)
+        return len(self.rows)
+
+    @cached_property
+    def tuples(self) -> list[MatchTuple]:
+        """The rows as ``Region`` tuples (built once, on first use)."""
+        return self.regions(self.rows)
 
     def bindings(self) -> list[dict[int, Region]]:
         """Results as binding dicts (pattern node id -> region)."""
         return [dict(zip(self.schema.node_ids, match))
                 for match in self.tuples]
 
-    def canonical(self) -> set[tuple[int, ...]]:
+    def canonical(self) -> set[LabelRow]:
         """Order-independent identity set (for result comparison)."""
-        return {self.schema.canonical_key(match) for match in self.tuples}
+        return set(map(self.schema.canonical_key, self.rows))
 
 
 @dataclass
@@ -112,12 +169,15 @@ class FirstResultTiming:
 class StreamingExecution:
     """One plan execution, read incrementally or drained at once.
 
-    :meth:`blocks` is the one pull loop: it hands out the run's rows
-    in bounded blocks — the first a single row, so the first result
-    never waits for a block to fill, every later one up to
+    :meth:`blocks` is the one pull loop: it hands out the run's label
+    rows in bounded blocks — the first a single row, so the first
+    result never waits for a block to fill, every later one up to
     ``BLOCK_ROWS`` — as the block engine's root operator produces them
-    (a tuple pipeline or a fleet's merge is pulled a block at a time).
-    Iterating the handle reads the same blocks row by row.  The handle
+    (a tuple pipeline is pulled, and a fleet's packed result cut, a
+    block at a time).  Iterating the handle reads the same blocks row
+    by row as ``Region`` tuples, each block put through *regions*, the
+    back end's :data:`RegionView`; nothing else on a stream builds a
+    ``Region``.  The handle
     records :attr:`total_seconds` and :attr:`produced`, the rows handed
     out so far, and consults the optional *cancel* predicate after each
     block is pulled: a deadline or disconnect stops the operators
@@ -131,7 +191,8 @@ class StreamingExecution:
     """
 
     def __init__(self, schema: Schema, metrics: ExecutionMetrics,
-                 source: Iterable[MatchTuple], *, engine: str,
+                 source: Iterable[LabelRow], *, engine: str,
+                 regions: RegionView,
                  cancel: Callable[[], bool] | None = None,
                  span: Span | None = None,
                  started: float | None = None,
@@ -147,22 +208,28 @@ class StreamingExecution:
         self.exhausted = False
         self.finished = False
         self._source = source
+        self._regions = regions
         self._cancel = cancel
         self._started = started
         self._on_finish = on_finish
-        self._blocks: Iterator[list[MatchTuple]] | None = None
+        self._blocks: Iterator[Sequence[LabelRow]] | None = None
         self._rows: Iterator[MatchTuple] | None = None
+        #: the block a by-row reader is inside, and :attr:`produced`
+        #: as it will stand once that block is handed out entirely
+        self._open: tuple[Sequence[LabelRow], int] = ((), 0)
 
     def blocks(self, first: int | None = 1
-               ) -> Iterator[list[MatchTuple]]:
-        """The rows not yet read, in blocks the caller owns: *first*
-        rows (``None``: all of them; the call that starts the stream
-        decides), then up to ``BLOCK_ROWS`` at a time."""
+               ) -> Iterator[Sequence[LabelRow]]:
+        """The label rows not yet read, in blocks: *first* rows
+        (``None``: all of them, as the one sequence the source holds;
+        the call that starts the stream decides), then up to
+        ``BLOCK_ROWS`` at a time, each a list the caller owns."""
         if self._blocks is None:
             self._blocks = self._pull(first)
         return self._blocks
 
     def __iter__(self) -> Iterator[MatchTuple]:
+        """The rows not yet read, one at a time, as ``Region`` tuples."""
         if self._rows is None:
             self._rows = self._by_row()
         return self._rows
@@ -182,12 +249,12 @@ class StreamingExecution:
                 f"query cancelled after {self.produced} rows")
 
     def _pull(self, first: int | None
-              ) -> Iterator[list[MatchTuple]]:
+              ) -> Iterator[Sequence[LabelRow]]:
         if self._started is None:
             self._started = time.perf_counter()
         try:
-            # a source without blocks of its own (the tuple pipeline,
-            # a fleet's lazy merge) is cut to the same sizes
+            # a source without blocks of its own (the tuple pipeline)
+            # is cut to the same sizes
             own = getattr(self._source, "blocks", None)
             for block in (own(first) if own is not None
                           else row_blocks(self._source, first)):
@@ -203,29 +270,43 @@ class StreamingExecution:
 
     def _by_row(self) -> Iterator[MatchTuple]:
         for block in self.blocks():
+            self._open = block, self.produced
             self.produced -= len(block)  # handed out row by row
-            for match in block:
+            for match in self._regions(block):
                 self.produced += 1
                 yield match
 
-    def fetchall(self) -> list[MatchTuple]:
-        """Every row not yet read, as one list (``[]`` once drained).
+    def _take_open(self) -> Sequence[LabelRow]:
+        """What a by-row reader has left of the block it is inside, as
+        label rows; that reader reads no further."""
+        if self._rows is not None:
+            self._rows.close()
+        block, end = self._open
+        left = block[len(block) - (end - self.produced):]
+        self.produced += len(left)
+        self._open = (), 0
+        return left
+
+    def fetchall(self) -> Sequence[LabelRow]:
+        """Every label row not yet read, as one sequence (empty once
+        drained).
 
         The buffered execute: an unread stream nobody can cancel is
         asked for one unbounded block — the block engine's whole
-        output, or one ``list()`` of an iterator source — so there is
-        no per-row Python work.
+        output, one ``list()`` of an iterator source, a fleet's packed
+        result as it stands — so there is no per-row Python work.
         """
-        if self._blocks is not None or self._cancel is not None:
-            return list(self)
-        whole = list(self.blocks(first=None))
-        return whole[0] if whole else []
+        if self._blocks is None and self._cancel is None:
+            whole = list(self.blocks(first=None))
+            return whole[0] if whole else []
+        return [*self._take_open(),
+                *chain.from_iterable(self.blocks())]
 
     def result(self) -> ExecutionResult:
         """The stream drained into an :class:`ExecutionResult`."""
-        tuples = self.fetchall()  # finishing may set (stitch) the span
-        return ExecutionResult(tuples, self.schema, self.metrics,
-                               self.span)
+        rows = self.fetchall()  # finishing may set (stitch) the span
+        return ExecutionResult(rows, self.schema, self.metrics,
+                               self._regions, self.span)
 
     def close(self) -> None:
         """Stop early: close the pipeline and finalize the metrics."""
@@ -238,7 +319,8 @@ class StreamingExecution:
 
     def drain(self) -> int:
         """Consume all remaining rows; returns the final row count."""
-        for _ in (self.blocks() if self._rows is None else self):
+        self._take_open()
+        for _ in self.blocks():
             pass
         return self.produced
 
@@ -276,9 +358,11 @@ class Executor:
     (the default) runs the columnar block-at-a-time operators of
     :mod:`repro.engine.blocks`; ``"tuple"`` runs the original
     Volcano-style iterators, the reference the block engine is checked
-    against.  Both modes produce identical tuple sequences and
+    against.  Both modes produce identical row sequences and
     identical cost-model counters — only wall-clock and the I/O
-    diagnostics differ.
+    diagnostics differ.  :meth:`stream` is the one place that knows
+    which ran: it reduces the iterators' ``Region`` tuples to label
+    rows, so nothing above it does.
     """
 
     def __init__(self, context: EngineContext,
@@ -403,11 +487,14 @@ class Executor:
             if on_finish is not None:
                 on_finish(stream)
 
-        # a block operator is its own source (it has ``blocks``)
-        source = root if engine == "block" else root.run()
-        return StreamingExecution(root.schema, metrics, source,
-                                  engine=engine, cancel=cancel,
-                                  span=span_root, on_finish=finalize)
+        # a block operator is its own source (it has ``blocks``); the
+        # iterators' region tuples are reduced to label rows here
+        source = root if engine == "block" else _label_rows(root.run())
+        return StreamingExecution(
+            root.schema, metrics, source, engine=engine,
+            regions=region_view(run.tag_index, self.pattern,
+                                root.schema),
+            cancel=cancel, span=span_root, on_finish=finalize)
 
     def time_to_first(self, plan: PhysicalPlan,
                       results: int = 1) -> FirstResultTiming:

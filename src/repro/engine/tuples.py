@@ -1,9 +1,21 @@
-"""Match tuples and operator schemas.
+"""Rows and operator schemas.
 
-A :class:`MatchTuple` binds a subset of pattern nodes to regions of the
-data tree.  Operators agree on a :class:`Schema` — the ordered list of
-pattern-node ids their tuples carry — so a tuple is just a tuple of
-:class:`~repro.document.node.Region` values aligned with the schema.
+Operators agree on a :class:`Schema` — the ordered list of pattern-node
+ids their rows carry — and a row binds each of those pattern nodes to
+one node of the data tree.  It has two forms:
+
+* a :data:`LabelRow`, a plain tuple of start labels — what the block
+  engine joins, what a stream's ``blocks()`` / ``fetchall()`` and a
+  result's ``rows`` hold, what crosses the shard pipe and the wire.  A
+  start label identifies its node, and a tuple of ints is dropped by
+  CPython's cyclic collector on its first visit, so a big result is
+  not re-walked by every full collection.
+* a :data:`MatchTuple`, the same row as
+  :class:`~repro.document.node.Region` values — what the reference
+  iterators (``scan.py`` / ``stackjoin.py`` / ``sort.py``) pass among
+  themselves, and the *view* a caller gets from ``result.tuples``,
+  ``bindings()`` or iterating a stream, built on demand from the
+  labels (:func:`repro.engine.executor.region_view`).
 """
 
 from __future__ import annotations
@@ -13,7 +25,9 @@ from typing import Iterable, Mapping
 from repro.errors import PlanError
 from repro.document.node import Region
 
-#: A match tuple is an aligned tuple of regions; the schema gives meaning.
+#: A row as start labels, aligned with its schema.
+LabelRow = tuple[int, ...]
+#: The same row as regions — the iterators' currency, the callers' view.
 MatchTuple = tuple[Region, ...]
 
 
@@ -63,10 +77,11 @@ class Schema:
         """Dict view of a tuple (for display and tests)."""
         return dict(zip(self.node_ids, match))
 
-    def canonical_key(self, match: MatchTuple) -> tuple[int, ...]:
-        """Order-independent identity of a match (for set comparison)."""
-        return tuple(region.start for _, region in
-                     sorted(zip(self.node_ids, match)))
+    def canonical_key(self, row: LabelRow) -> LabelRow:
+        """Order-independent identity of a row (for set comparison):
+        its labels in pattern-node order."""
+        return tuple(label for _, label in
+                     sorted(zip(self.node_ids, row)))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Schema{self.node_ids}"

@@ -22,13 +22,15 @@ buffered results), so holistic-vs-binary comparisons use one currency.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from repro.errors import PlanError
 from repro.core.pattern import Axis, QueryPattern
 from repro.document.node import Region
 from repro.engine.context import EngineContext
-from repro.engine.executor import ExecutionResult
+from repro.engine.executor import ExecutionResult, region_view
 from repro.engine.scan import IndexScan
-from repro.engine.tuples import MatchTuple, Schema
+from repro.engine.tuples import LabelRow, Schema
 
 #: Sentinel region returned by exhausted cursors (+infinity start).
 _END = Region(2**31 - 2, 2**31 - 2, 0)
@@ -221,13 +223,15 @@ class TwigStackMatcher:
             covered |= incoming_nodes
 
         schema = Schema(tuple(sorted(covered)))
-        tuples: list[MatchTuple] = [
-            tuple(binding[node] for node in schema.node_ids)
+        rows: list[LabelRow] = [
+            tuple(binding[node].start for node in schema.node_ids)
             for binding in combined]
-        tuples.sort(key=lambda match: match[0].start)
-        self.metrics.output_tuples += len(tuples)
-        return ExecutionResult(tuples=tuples, schema=schema,
-                               metrics=self.metrics)
+        rows.sort(key=itemgetter(0))
+        self.metrics.output_tuples += len(rows)
+        return ExecutionResult(
+            rows=rows, schema=schema, metrics=self.metrics,
+            regions=region_view(self.context.tag_index, pattern,
+                                schema))
 
     def _path_nodes(self, leaf: int) -> list[int]:
         """Pattern nodes on the root-to-leaf path of *leaf*."""

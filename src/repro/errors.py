@@ -92,7 +92,9 @@ class TransactionError(ReproError):
 
 class ShardError(ReproError):
     """Sharded-execution failure: bad partitioning arguments, a dead or
-    unresponsive shard worker, or use of a closed coordinator."""
+    unresponsive shard worker, use of a closed coordinator, or a
+    pattern a fleet cannot answer (a twig branching at the replicated
+    document root)."""
 
 
 class QueryCancelled(ReproError):

@@ -74,7 +74,7 @@ from typing import IO, Callable
 from repro.errors import (OptimizerError, PatternError, PlanError,
                           QueryCancelled, XPathSyntaxError)
 from repro.engine.executor import StreamingExecution
-from repro.engine.tuples import MatchTuple
+from repro.engine.tuples import LabelRow
 from repro.obs.spans import TraceContext
 from repro.server.admission import AdmissionController, Rejection
 from repro.server.http import (ChunkedWriter, HttpRequest,
@@ -635,12 +635,11 @@ class QueryServer:
         trace_context = (TraceContext(trace_id=params.trace_id)
                          if params.trace_id else None)
 
-        def flush(block: "list[MatchTuple]") -> None:
+        def flush(block: "list[LabelRow]") -> None:
             # a streamed block is encoded here, in the producer
             # thread: the loop only frames and writes it
-            labels = [[region.start for region in row] for row in block]
-            handoff.put((len(labels), ndjson_rows(labels)
-                         if params.stream else labels))
+            handoff.put((len(block), ndjson_rows(block)
+                         if params.stream else block))
 
         def produce() -> None:
             try:

@@ -174,13 +174,15 @@ def json_line(payload: object) -> bytes:
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-def ndjson_rows(rows: "list[list[int]]") -> bytes:
+def ndjson_rows(rows: "list[tuple[int, ...]] | list[list[int]]"
+                ) -> bytes:
     """The NDJSON lines of a batch of rows, one ``{"b": [...]}`` each.
 
     One encoder call for the whole batch instead of one per row: the
     batch is dumped as a single array of arrays and the separators
     between its elements are rewritten into line breaks.  That is only
-    sound because a row is a flat list of integers, so ``], [`` can
+    sound because a row is a flat tuple (an engine block's label row,
+    as it left the engine) or list of integers, so ``], [`` can
     occur nowhere but between two rows; the bytes are exactly those of
     ``json.dumps({"b": row}) + "\\n"`` per row (tests pin that).
     """

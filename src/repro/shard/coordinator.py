@@ -24,15 +24,19 @@ import multiprocessing as mp
 import threading
 import time
 from array import array
+from collections.abc import Sequence
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator
 
 from repro import errors
 from repro.errors import ReproError, ShardError
+from repro.engine.blocks import row_blocks
+from repro.engine.tuples import LabelRow
 from repro.shard.worker import worker_main
 
-__all__ = ["ShardWorkerPool", "merge_packed_runs", "merge_sorted_runs"]
+__all__ = ["PackedRows", "ShardWorkerPool", "merge_packed_runs",
+           "merge_sorted_runs"]
 
 #: seconds a gather waits for one shard reply before declaring the
 #: worker unresponsive (generous: workers answer in milliseconds).
@@ -43,20 +47,19 @@ def merge_sorted_runs(runs: Iterable[Iterable[tuple[int, ...]]]
                       ) -> Iterator[tuple[int, ...]]:
     """Document-order-preserving k-way merge of shard result streams.
 
-    Each run yields merge keys (start-label tuples, see
-    :func:`~repro.shard.worker.merge_key`) in sorted order; the merged
-    stream is globally sorted and lazy — a key leaves as soon as the
-    heads of the runs have been compared.  Adjacent equal rows are
-    collapsed: the only duplicates shards can produce are bindings
-    touching *only* the replicated document root (every other binding
-    involves a node owned by exactly one shard), and identical rows
-    have identical keys, so they emerge adjacent.
+    Each run yields label rows (start-label tuples) in sorted order;
+    the merged stream is globally sorted and lazy — a row leaves as
+    soon as the heads of the runs have been compared.  Adjacent equal
+    rows are collapsed: the only duplicates shards can produce are
+    bindings touching *only* the replicated document root (every other
+    binding involves a node owned by exactly one shard), and identical
+    rows emerge adjacent.
     """
     return map(itemgetter(0), groupby(heapq.merge(*runs)))
 
 
-def merge_packed_runs(runs: list[array], width: int) -> Iterator[int]:
-    """The shards' packed runs as one row-major stream of start labels.
+def merge_packed_runs(runs: list[array], width: int) -> array:
+    """The shards' packed runs as one row-major array of start labels.
 
     *runs* are the workers' replies (see :mod:`repro.shard.worker`):
     sorted, row-major, *width* labels per row, in shard order.  The
@@ -79,11 +82,53 @@ def merge_packed_runs(runs: list[array], width: int) -> Iterator[int]:
     path.
     """
     runs = [run for run in runs if run]
+    merged = array("q")
     if all(earlier[-width:] < later[:width]
            for earlier, later in zip(runs, runs[1:])):
-        return chain.from_iterable(runs)
-    return chain.from_iterable(merge_sorted_runs(
-        zip(*[iter(run)] * width) for run in runs))
+        for run in runs:
+            merged.extend(run)
+    else:
+        merged.extend(chain.from_iterable(merge_sorted_runs(
+            zip(*[iter(run)] * width) for run in runs)))
+    return merged
+
+
+class PackedRows(Sequence):
+    """A fleet's merged result, still packed: ``labels`` is row-major,
+    *width* labels per row, and a label row — a tuple per row, an int
+    per label — is cut from it only when read; ``len`` reads nothing.
+    Read-only; slices and blocks are lists the caller owns."""
+
+    __slots__ = ("labels", "width")
+
+    def __init__(self, labels: array, width: int) -> None:
+        self.labels = labels
+        self.width = width
+
+    def __len__(self) -> int:
+        return len(self.labels) // self.width
+
+    def __iter__(self) -> Iterator[LabelRow]:
+        return zip(*[iter(self.labels)] * self.width)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[row] for row in range(len(self))[index]]
+        row = range(len(self))[index] * self.width
+        return tuple(self.labels[row:row + self.width])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def blocks(self, first: "int | None" = 1
+               ) -> Iterator[Sequence[LabelRow]]:
+        """What a stream's pull loop reads: lists of the engine's
+        block sizes or, with ``first=None``, this sequence itself."""
+        if first is None:
+            return iter((self,) if self.labels else ())
+        return row_blocks(self, first)
 
 
 class ShardWorkerPool:

@@ -12,6 +12,13 @@ locally against its own index, with the original (global) region
 labels preserved, and shard results are disjoint except for bindings
 that touch only the root.
 
+The invariant is about *pairs*, not twigs.  A pattern whose root binds
+the replicated root and has two or more children may match with its
+branches in different shards (``/r[a][b]``, every ``a`` in shard 0,
+every ``b`` in shard 1), and no shard computes that match:
+:class:`~repro.shard.sharded.ShardedDatabase` refuses such a pattern
+with a typed :class:`~repro.errors.ShardError` rather than answer it.
+
 Each shard receives a contiguous run of the root's child subtrees in
 document order, so a shard owns one closed label range
 ``[label_lo, label_hi]`` and merged shard outputs interleave back into

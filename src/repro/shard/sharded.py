@@ -10,12 +10,27 @@ single-shard database under its own directory, builds the merged
 statistics the coordinator plans against, and starts one worker
 process per shard (:mod:`repro.shard.coordinator`).
 
-The execution contract differs from a single node in exactly two
-documented ways: result tuples arrive in global document order (sorted
-by the merge key — single-node plan output order is plan-dependent),
-and cost-model counters are the *sum* of per-shard work (the
+The execution contract differs from a single node in exactly three
+documented ways: result rows arrive in global document order (label
+rows sort by it — single-node plan output order is plan-dependent);
+cost-model counters are the *sum* of per-shard work (the
 replicated root's postings are scanned once per shard, so counters are
-diagnostics here, not an engine-parity surface).
+diagnostics here, not an engine-parity surface); and **a twig that
+branches at the document root is refused** with a typed
+:class:`~repro.errors.ShardError` before anything is scattered — a
+pattern whose root's node test holds of the replicated document root
+and which has two or more pattern children, when more than one shard
+owns data.  Such a match may take its branches from different shards
+(``/r[a][b]`` with every ``a`` in shard 0 and every ``b`` in shard 1)
+and no shard can see it: the partitioning invariant is about
+structural *pairs*, not twigs (:mod:`repro.shard.partition`).  Two of
+the paper's queries are of this kind (``Q.DBLP.1.b`` / ``2.c``,
+``dblp[article/...][inproceedings/...]``); run them on a single node.
+
+A result's rows stay packed
+(:class:`~repro.shard.coordinator.PackedRows`); the whole-corpus
+region table is built for the first caller that asks for the
+``Region`` view, never for ``blocks()``, ``fetchall()`` or ``len()``.
 """
 
 from __future__ import annotations
@@ -24,8 +39,9 @@ import shutil
 import tempfile
 import threading
 import time
+from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Sequence
 
 from repro.errors import ShardError
 from repro.api import Database
@@ -34,17 +50,18 @@ from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.document.document import XmlDocument
 from repro.document.node import Region
-from repro.engine.executor import StreamingExecution, validate_engine
+from repro.engine.executor import (RegionView, StreamingExecution,
+                                   validate_engine)
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.tuples import MatchTuple, Schema
+from repro.engine.tuples import LabelRow, MatchTuple, Schema
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PositionalEstimator)
 from repro.obs.explain import ExplainReport
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, assign_span_ids
-from repro.shard.coordinator import (DEFAULT_TIMEOUT, ShardWorkerPool,
-                                     merge_packed_runs)
+from repro.shard.coordinator import (DEFAULT_TIMEOUT, PackedRows,
+                                     ShardWorkerPool, merge_packed_runs)
 from repro.shard.partition import ShardPartition, partition_document
 from repro.storage.disk import FileDisk
 from repro.target import QueryTarget
@@ -108,7 +125,8 @@ class ShardedDatabase(QueryTarget):
             paths.append(str(pages_path))
         self.partition = partition
         self.document = document
-        self._region_table: "list[Region | None] | None" = None
+        self._region_table: (
+            "tuple[XmlDocument, list[Region | None]] | None") = None
         self._estimator = PositionalEstimator(
             partition.merged_statistics(grid=self.histogram_grid))
         self._exact_estimator = None
@@ -119,40 +137,50 @@ class ShardedDatabase(QueryTarget):
     def _generation_dir(self, generation: int) -> Path:
         return self._base_dir / f"gen{generation:03d}"
 
-    def _regions_by_start(self) -> "list[Region | None]":
-        """Start label → region, over the whole corpus (lazy, cached).
+    def _regions_by_start(self, document: XmlDocument
+                          ) -> "list[Region | None]":
+        """Start label → region, over the whole of *document* (built
+        for the first caller that asks for regions, then cached).
 
         A list indexed by start label (``None`` at the label gaps the
-        write path leaves): workers ship result rows as start labels,
-        and a list's ``__getitem__`` is the cheapest lookup ``map`` can
-        drive (21.1 → 17.0 ms against a dict over the 360 k labels of
-        ``Q.Pers.3.d``).
+        write path leaves): a list's ``__getitem__`` is the cheapest
+        lookup ``map`` can drive (21.1 → 17.0 ms against a dict over
+        the 360 k labels of ``Q.Pers.3.d``).  Keyed by its document,
+        so a result read after a :meth:`reload` resolves in its own.
         """
-        if self._region_table is None:
+        cached = self._region_table
+        if cached is None or cached[0] is not document:
             table: "list[Region | None]" = (
-                [None] * (self.document.root.end + 1))
-            for node in self.document:
+                [None] * (document.root.end + 1))
+            for node in document:
                 table[node.region.start] = node.region
-            self._region_table = table
-        return self._region_table
+            cached = self._region_table = (document, table)
+        return cached[1]
 
-    def _merged_rows(self, payloads: list[dict]
-                     ) -> Iterator[MatchTuple]:
-        """The shards' packed runs as region rows in document order.
+    def _region_view(self, width: int) -> RegionView:
+        """The fleet's :data:`RegionView`, the one caller of
+        :meth:`_regions_by_start`: ``map`` looks the labels up and
+        ``zip`` over *width* references to that iterator cuts the
+        rows — no Python code per row."""
+        document = self.document
 
-        The merge→rebuild half of :meth:`stream_execute`.  Lazy end to
-        end and free of per-row Python code: ``map`` looks each merged
-        start label up in the region table and ``zip`` over *width*
-        references to that one iterator cuts the stream into rows, so
-        the first row costs *width* lookups and a consumer that stops
-        early pays for nothing it did not read.
-        """
+        def view(rows: Sequence[LabelRow]) -> list[MatchTuple]:
+            lookup = self._regions_by_start(document).__getitem__
+            return list(zip(*[map(lookup, chain.from_iterable(rows))]
+                            * width))
+
+        return view
+
+    def _merged_rows(self, payloads: list[dict]) -> PackedRows:
+        """The merge half of :meth:`stream_execute`: the replies'
+        arrays, taken out of the payloads, concatenated (or, where
+        runs interleave, k-way merged) into one array in global
+        document order and kept packed — label rows are cut from it
+        only as a reader asks, a block at a time from ``blocks()``,
+        never for ``len``."""
         width = payloads[0]["width"]  # one schema, checked in _gather
-        regions = map(self._regions_by_start().__getitem__,
-                      merge_packed_runs(
-                          [payload["rows"] for payload in payloads],
-                          width))
-        return zip(*[regions] * width)
+        return PackedRows(merge_packed_runs(
+            [payload.pop("rows") for payload in payloads], width), width)
 
     def reload(self, document: XmlDocument) -> None:
         """Replace the corpus: re-partition, re-persist, restart workers.
@@ -244,6 +272,22 @@ class ShardedDatabase(QueryTarget):
                 for payload in payloads]
         return payloads, phases, node_ids, metrics
 
+    def _refuse_root_twig(self, pattern: QueryPattern) -> None:
+        """Raise for a pattern the fleet would answer wrongly: its
+        root can bind the replicated document root and branches there,
+        so a match may span shards (the module docstring has why)."""
+        root = pattern.node(pattern.root)
+        branches = len(pattern.children(pattern.root))
+        owners = sum(not assignment.is_empty
+                     for assignment in self.partition.assignments)
+        if (branches >= 2 and owners >= 2
+                and root.matches(self.document.root)):
+            raise ShardError(
+                f"pattern root {root.label()!r} can bind the document "
+                f"root, which every shard replicates, and has "
+                f"{branches} branches: matches spanning shards would "
+                f"be lost; run it on a single node")
+
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                        engine: str = "block",
                        cancel: "Callable[[], bool] | None" = None,
@@ -251,23 +295,25 @@ class ShardedDatabase(QueryTarget):
                        trace_context: TraceContext | None = None,
                        algorithm: str = "") -> StreamingExecution:
         """Scatter *plan* to every shard, gather, then stream rows out
-        of the k-way merge (:meth:`execute` is this, drained at once).
+        of the merged, still packed result (:meth:`execute` is this,
+        drained at once).
 
         The plan — chosen once against the merged statistics — is
         fanned out verbatim: shards share the global label space, so
         it is valid everywhere and per-shard optimization would only
         diverge the fleet.  Rows come back in global document order
-        (the module docstring has the two contract differences from a
-        single node).  Shards run their plans to completion before
+        (the module docstring has the three contract differences from
+        a single node, the refusal of a twig branching at the document
+        root among them).  Shards run their plans to completion before
         shipping rows (the pipe protocol is one payload per shard), so
-        what streams is the coordinator-side merge and region rebuild
-        (:meth:`_merged_rows`, lazy): the first row leaves as soon as
-        every shard has answered and the run boundaries (or, on the
-        general path, the run heads) have been compared — not after
-        the whole result has been rebuilt, which is the latency
-        :meth:`time_to_first` reports.  *cancel* is consulted after
-        each block of merged rows is pulled; *algorithm* is unused, a
-        fleet keeping no query log.
+        what streams is the coordinator's side (:meth:`_merged_rows`):
+        the first row leaves once every shard has answered and the
+        runs are one packed array — a concatenation when run
+        boundaries are strictly ordered, else the k-way merge — which
+        is the latency :meth:`time_to_first` reports; no row is cut
+        from the array, and no region looked up, before a reader asks.
+        *cancel* is consulted after each block of rows is pulled;
+        *algorithm* is unused, a fleet keeping no query log.
 
         A traced run is one distributed trace: a :class:`TraceContext`
         (fresh, or the caller's *trace_context*) rides with the plan to
@@ -280,6 +326,7 @@ class ShardedDatabase(QueryTarget):
         """
         self._require_open()
         validate_engine(engine)  # before the plan leaves the process
+        self._refuse_root_twig(pattern)
         trace = self._trace_for(spans, trace_context)
         started = time.perf_counter()
         payloads, phases, node_ids, metrics = self._gather(
@@ -296,8 +343,8 @@ class ShardedDatabase(QueryTarget):
 
         return StreamingExecution(
             Schema(node_ids), metrics, self._merged_rows(payloads),
-            engine=engine, cancel=cancel, started=started,
-            on_finish=finish)
+            engine=engine, regions=self._region_view(len(node_ids)),
+            cancel=cancel, started=started, on_finish=finish)
 
     def _stitch_trace(self, trace: TraceContext, plan: PhysicalPlan,
                       payloads: list[dict], phases: dict[str, float],

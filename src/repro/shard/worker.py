@@ -29,14 +29,17 @@ The reply to a query is **columnar**: the shard's whole result is one
 sorted run of start labels, never a row object.
 
 * ``rows`` — one ``array('q')``, row-major: row *r*'s label for schema
-  column *c* is ``rows[r * width + c]``.  A row is its
-  :func:`merge_key` (the coordinator owns the full document and
-  rebuilds each region from its start label), and the rows are sorted
-  by that key, so the run is in document order.  ``'q'`` is the one
-  typecode: 8 bytes per label, ``8 * width`` bytes per row on the
-  pipe, wide enough for any label the write path's gapped numbering
-  can hand out.  Pickling an array is a buffer copy out and a buffer
-  copy in; nothing is allocated per row or per label on either side.
+  column *c* is ``rows[r * width + c]``.  The engine's rows *are*
+  label rows — tuples of start labels, global and unique per node, so
+  distinct bindings are distinct tuples and sorting them is sorting
+  by document order — and the reply is those rows sorted and
+  flattened (:func:`pack_sorted_run`): nothing is extracted, no key is
+  built.  ``'q'`` is the one typecode: 8 bytes per label,
+  ``8 * width`` bytes per row on the pipe, wide enough for any label
+  the write path's gapped numbering can hand out.  Pickling an array
+  is a buffer copy out and a buffer copy in; the coordinator keeps the
+  runs packed and never allocates per row or per label it is not
+  asked for.
 * ``row_count``, ``width`` — the shape of ``rows``; ``node_ids`` names
   the ``width`` schema columns.
 * ``wall_seconds`` / ``cpu_seconds`` — the plan's execution alone;
@@ -50,51 +53,33 @@ sorted run of start labels, never a row object.
 from __future__ import annotations
 
 import os
-import struct
-import sys
 import time
 from array import array
-from operator import attrgetter, itemgetter
+from itertools import chain
+from typing import Iterable
 
-from repro.engine.tuples import MatchTuple
+from repro.engine.tuples import LabelRow
 
-__all__ = ["worker_main", "merge_key", "pack_sorted_run"]
-
-_start_of = attrgetter("start")
+__all__ = ["worker_main", "pack_sorted_run"]
 
 
-def merge_key(row: MatchTuple) -> tuple[int, ...]:
-    """Document-order merge key of one match tuple.
+def pack_sorted_run(rows: Iterable[LabelRow]) -> array:
+    """*rows* in document order as one row-major ``array('q')``.
 
-    The tuple of region start labels in schema order.  Start labels
-    are global and unique per node, so distinct bindings always have
-    distinct keys and merging shard runs by key interleaves them into
-    one total document order.
+    The sort is the shard's half of the fleet's document-order
+    contract (a plan's own output order is plan-dependent) and is half
+    of what this costs.  Measured on the 25 712 x 7 shard result of
+    ``Q.Pers.3.d`` (Pers 2000 x2, in process, median of 15, a quiet
+    run of a noisy box): 16.0 ms — 8.2 ms the sort, the rest the
+    flatten — beside an execute of 6.6 ms.  The path this replaced
+    (start labels pulled out of ``Region`` rows column by column, one
+    fixed-width record per row, a ``bytes`` sort, a byte swap) read
+    15.2 ms beside an execute of 7.7 ms in the same session: the reply
+    itself got no cheaper, it lost its own extraction path.  Eliding
+    the sort where the plan's output order already is document order
+    is the next step.
     """
-    return tuple(region.start for region in row)
-
-
-def pack_sorted_run(rows: list[MatchTuple], width: int) -> array:
-    """*rows* as one row-major ``array('q')`` sorted by :func:`merge_key`.
-
-    No per-row Python code runs: the start labels are pulled out
-    column by column (``attrgetter`` over ``itemgetter``) and each row
-    is packed into one fixed-width big-endian record.  Labels are
-    non-negative, so records compare bytewise exactly as their merge
-    keys compare as tuples, and sorting ``bytes`` is a ``memcmp`` per
-    comparison.  Measured on a 25 712 x 7 shard result (Pers 2000 x2,
-    ``Q.Pers.3.d``, best of 7): 11.8 ms, against 19.2 ms for sorting
-    zipped int tuples and flattening them, and 20.6 ms + 4.6 ms pickle
-    for the per-row ``sorted(merge_key(row) for row in rows)``.
-    """
-    columns = [map(_start_of, map(itemgetter(column), rows))
-               for column in range(width)]
-    records = sorted(map(struct.Struct(f">{width}q").pack, *columns))
-    run = array("q")
-    run.frombytes(b"".join(records))
-    if sys.byteorder == "little":
-        run.byteswap()
-    return run
+    return array("q", chain.from_iterable(sorted(rows)))
 
 
 def worker_main(shard_id: int, pages_path: str, conn) -> None:
@@ -154,12 +139,12 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
             span_payload = result.span.to_dict()
         pack_started = time.perf_counter()
         node_ids = result.schema.node_ids
-        rows = pack_sorted_run(result.tuples, len(node_ids))
+        rows = pack_sorted_run(result.rows)
         pack_seconds = time.perf_counter() - pack_started
         conn.send(("ok", {
             "shard_id": shard_id,
             "rows": rows,
-            "row_count": len(result.tuples),
+            "row_count": len(result),
             "width": len(node_ids),
             "node_ids": node_ids,
             "counters": result.metrics.counters(),

@@ -96,6 +96,14 @@ def random_document(seed: int, size: int = 40,
     return builder.finish()
 
 
+def branches_at_root(pattern: QueryPattern, document: XmlDocument) -> bool:
+    """The one kind of pattern a shard fleet refuses: its root can
+    bind the replicated document root and branches there (both DBLP
+    paper queries), so a match may take branches from two shards."""
+    return (len(pattern.children(pattern.root)) >= 2
+            and pattern.node(pattern.root).matches(document.root))
+
+
 def canonical_bindings(bindings: list[dict[int, object]]) -> set[tuple]:
     """Order-independent identity for lists of binding dicts."""
     return {tuple(binding[key].start for key in sorted(binding))

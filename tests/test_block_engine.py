@@ -8,9 +8,15 @@ additions backing the engine (posting decode cache, batched index
 build, page-batched node reader) get direct coverage.
 """
 
+import gc
+from array import array
+
 import pytest
 
 from repro.api import Database
+from repro.engine.blocks import _group_rows
+from repro.engine.context import EngineContext
+from repro.engine.executor import Executor
 from repro.engine.metrics import COST_COUNTERS
 from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
@@ -19,8 +25,10 @@ from repro.document.node import NodeRecord, Region
 from repro.document.parser import parse_xml
 from repro.errors import PlanError, StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import FileDisk, InMemoryDisk
+from repro.storage.postings import RegionBlock
 from repro.storage.tagindex import TagIndex
+from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
 from tests.test_executor import blocking_plan, fully_pipelined_plan
 
@@ -31,9 +39,11 @@ def counters(execution):
 
 
 def assert_engines_agree(database, plan, pattern):
-    """Both engines: identical tuples and cost-model counters."""
+    """Both engines: identical rows, as labels and as regions, and
+    identical cost-model counters."""
     tuple_run = database.execute(plan, pattern, engine="tuple")
     block_run = database.execute(plan, pattern, engine="block")
+    assert tuple_run.rows == block_run.rows
     assert tuple_run.tuples == block_run.tuples
     assert counters(tuple_run) == counters(block_run)
     return block_run
@@ -100,6 +110,128 @@ def test_wildcard_and_predicate_parity(small_database):
         pattern = small_database.compile(xpath)
         plan = small_database.optimize(pattern).plan
         assert_engines_agree(small_database, plan, pattern)
+
+
+# -- label rows -----------------------------------------------------------
+
+
+def test_group_rows_groups_by_label_and_reads_the_packed_column():
+    column = RegionBlock("a", array("I", [1, 4, 9]),
+                         array("I", [8, 6, 9]), array("H", [1, 2, 1]))
+    rows = [(7, 1), (8, 1), (5, 4), (3, 9), (2, 9)]
+    groups = _group_rows(rows, 1, "input", column)
+    assert groups.starts == [1, 4, 9] and groups.bounds == [0, 2, 3, 5]
+    assert groups.ends == [8, 6, 9] and groups.levels == [1, 2, 1]
+    # a subset of the column (a predicate kept 4 only), and no rows
+    kept = _group_rows([(4,)], 0, "input", column)
+    assert (kept.starts, kept.ends, kept.levels, kept.bounds) == (
+        [4], [6], [2], [0, 1])
+    none = _group_rows([], 0, "input", column)
+    assert len(none) == 0 and none.bounds == [0]
+
+
+def test_group_rows_rejects_a_decreasing_join_column():
+    column = RegionBlock("a", array("I", [1, 4, 9]),
+                         array("I", [8, 6, 9]), array("H", [1, 2, 1]))
+    with pytest.raises(PlanError,
+                       match="ancestor input is not ordered by its "
+                             r"declared column \(saw start 4 after 9\)"):
+        _group_rows([(1,), (9,), (4,)], 0, "ancestor input", column)
+    # and through a plan: the inner join's output is ordered by the
+    # manager, the outer one joins it on the employee, unsorted —
+    # (m1, e1), (m1, e2), (m2, e1) has employee labels 3, 5, 3
+    database = Database.from_document(parse_xml(
+        "<r><m><m><e><n/></e></m><e><n/></e></m></r>", name="nested"))
+    pattern = database.compile("//m//e/n")
+    inner = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0, 1,
+                               Axis.DESCENDANT,
+                               JoinAlgorithm.STACK_TREE_ANC)
+    unsorted = StructuralJoinPlan(inner, IndexScanPlan(2), 1, 2,
+                                  Axis.CHILD,
+                                  JoinAlgorithm.STACK_TREE_DESC)
+    for engine in ("block", "tuple"):
+        with pytest.raises(PlanError,
+                           match="saw start 3 after 5"):
+            database.execute(unsorted, pattern, engine=engine)
+
+
+def test_big_result_rows_leave_the_cyclic_collector():
+    """Why label rows are fast, pinned: a tuple of ints is untracked
+    by the collector on its first visit, so a 100 k-row result is not
+    walked again by every full collection.  Wrap a label in any
+    object — a ``Region``, a list — and this fails."""
+    database = Database.from_document(
+        dataset_document("dblp", seed=42, entries=120))
+    result = database.query(PAPER_QUERIES["Q.DBLP.2.c"].pattern)
+    assert len(result) > 1000
+    gc.collect()
+    assert not any(map(gc.is_tracked, result.execution.rows))
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_default_path_allocates_no_region(name):
+    """An un-predicated paper query through ``Database.query`` leaves
+    every posting block it touched without its ``Region`` list, and
+    accounts the label rows it did build; asking for ``tuples``
+    afterwards builds exactly the iterator engine's rows."""
+    query = PAPER_QUERIES[name]
+    size = ({"entries": 60} if query.dataset == "dblp"
+            else {"target_nodes": 600})
+    database = Database.from_document(
+        dataset_document(query.dataset, seed=42, **size))
+    pattern = query.pattern
+    predicated = any(node.predicates for node in pattern.nodes)
+    result = database.query(pattern)
+    touched = list(database.index._blocks.values())
+    assert touched and len(result) > 0
+    if not predicated:
+        assert all(block._regions is None for block in touched)
+        assert not any(entry["materialized"] for entry in database.
+                       index.storage_stats()["per_tag"].values())
+    for block in touched:
+        # each structure is accounted on its own: label rows and the
+        # label-to-position map pin no Region
+        rows, regions, positions = (
+            len(block) if built is not None else 0 for built in
+            (block._rows, block._regions, block._positions))
+        assert block.resident_bytes() == (
+            block.packed_bytes() + rows * 88 + regions * 72
+            + positions * 112)
+    assert any(block._rows is not None for block in touched)
+    reference = database.execute(result.plan, pattern, engine="tuple")
+    _, context = database._engine_context()
+    assert result.execution.tuples == reference.tuples == list(
+        Executor(context, pattern).build(result.plan,
+                                         engine="tuple").run())
+    assert any(block.materialized for block in touched)
+
+
+def test_predicate_scan_without_a_document_reads_the_element_store(
+        tmp_path):
+    """A file-backed database reopened from its pages, run through a
+    context that holds no document: predicates are evaluated by
+    element-store lookups and the labels are the same."""
+    document = dataset_document("mbench", seed=42, target_nodes=600)
+    disk = FileDisk(tmp_path / "pages.db")
+    Database.from_document(document, disk=disk).persist()
+    disk.close()
+    reopened = Database.open(FileDisk(tmp_path / "pages.db"))
+    try:
+        pattern = PAPER_QUERIES["Q.Mbench.1.a"].pattern
+        assert any(node.predicates for node in pattern.nodes)
+        plan = reopened.optimize(pattern).plan
+        expected = reopened.execute(plan, pattern)
+        assert len(expected) > 0
+        for engine in ("block", "tuple"):
+            context = EngineContext(reopened.index, reopened.store,
+                                    document=None)
+            run = Executor(context, pattern).execute(plan, engine=engine)
+            assert run.rows == expected.rows, engine
+            assert run.tuples == expected.tuples, engine
+            assert (run.metrics.counters()
+                    == expected.metrics.counters()), engine
+    finally:
+        reopened.close()
 
 
 # -- decode cache ---------------------------------------------------------

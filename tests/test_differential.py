@@ -25,17 +25,18 @@ from __future__ import annotations
 import pytest
 
 from repro.api import Database
-from repro.errors import ReproError
+from repro.errors import ReproError, ShardError
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               StructuralJoinPlan)
 from repro.engine import blocks
+from repro.engine.executor import Executor
 from repro.engine.metrics import COST_COUNTERS
 from repro.engine.nestedloop import naive_pattern_matches
 from repro.workloads import make_rng, random_pattern
 from repro.workloads.personnel import personnel_document
 from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
-from tests.conftest import random_document
+from tests.conftest import branches_at_root, random_document
 
 QUICK_CORPUS = 220
 SLOW_CORPUS = 600
@@ -167,19 +168,43 @@ def test_nested_loop_plan_covers_pattern(running_example_pattern):
 # -- engine oracle: block vs tuple ---------------------------------------
 
 
+def _iterator_rows(database, plan, pattern) -> list:
+    """The reference: the iterator operators' own ``Region`` rows,
+    pulled straight off the operator tree — no stream, no label
+    reduction, no view in between."""
+    _, context = database._engine_context()
+    return list(Executor(context, pattern).build(
+        plan, engine="tuple").run())
+
+
+def _labels(region_rows) -> list:
+    return [tuple(region.start for region in row)
+            for row in region_rows]
+
+
 def _check_blocks(database, plan, pattern, engine,
                   expected) -> list[str]:
     """One traced run read block by block against *expected*, the
-    tuple engine's buffered run: the blocks concatenate to its rows in
-    order, have the engine's sizes (one row, then at most
+    tuple engine's buffered run: the blocks concatenate to its label
+    rows in order — as do ``fetchall()`` and ``result().rows`` of a
+    fresh stream each — have the engine's sizes (one row, then at most
     ``BLOCK_ROWS``), leave identical counters, and the traced
     per-operator shares still sum exactly to the run totals."""
     problems: list[str] = []
     stream = database.stream_execute(plan, pattern, engine, spans=True)
     read = list(stream.blocks())
-    if [row for block in read for row in block] != expected.tuples:
+    if [row for block in read for row in block] != expected.rows:
         problems.append("blocks() concatenated != the tuple engine's "
                         "rows in order")
+    if any(not isinstance(label, int)
+           for block in read for row in block for label in row):
+        problems.append("blocks() handed out something other than "
+                        "label rows")
+    if not (database.stream_execute(plan, pattern, engine).fetchall()
+            == database.stream_execute(plan, pattern, engine)
+            .result().rows == expected.rows):
+        problems.append("fetchall() / result().rows != blocks() "
+                        "concatenated")
     sizes = [len(block) for block in read]
     if sizes and (sizes[0] != 1 or not all(
             0 < size <= blocks.BLOCK_ROWS for size in sizes)):
@@ -206,7 +231,9 @@ def _check_engines(database, pattern) -> list[str]:
     """Exact-sequence cross-check of the two execution engines.
 
     Stricter than the binding oracle above: the block engine promises
-    the *identical tuple list* (same order, same duplicates) and the
+    the *identical row list* (same order, same duplicates) — its label
+    rows are the iterator operators' ``Region`` rows reduced to start
+    labels, and its ``Region`` view is those rows themselves — and the
     identical cost-model counters as the iterator engine, for any
     plan — see the invariants in :mod:`repro.engine.blocks` — whether
     it is drained at once or read block by block.
@@ -221,13 +248,19 @@ def _check_engines(database, pattern) -> list[str]:
         # the optimizer rejects still exercises the nested-loop pair
         pass
     for name, plan in plans:
+        reference = _iterator_rows(database, plan, pattern)
         tuple_run = database.execute(plan, pattern, engine="tuple")
         block_run = database.execute(plan, pattern, engine="block")
-        if tuple_run.tuples != block_run.tuples:
+        if not (block_run.rows == tuple_run.rows
+                == _labels(reference)):
             problems.append(
                 f"{name}: block engine emitted {len(block_run)} "
-                f"tuples, tuple engine {len(tuple_run)} (or ordering "
+                f"rows, tuple engine {len(reference)} (or ordering "
                 f"differs)")
+        if not (block_run.tuples == tuple_run.tuples == reference):
+            problems.append(
+                f"{name}: the Region view is not the iterator "
+                f"operators' rows")
         for counter in COST_COUNTERS:
             expected = getattr(tuple_run.metrics, counter)
             actual = getattr(block_run.metrics, counter)
@@ -283,8 +316,12 @@ def test_paper_queries_block_by_block(dataset):
     for query in queries:
         plan = database.optimize(query.pattern).plan
         expected = database.execute(plan, query.pattern, engine="tuple")
-        assert database.execute(plan, query.pattern).tuples \
-            == expected.tuples
+        reference = _iterator_rows(database, plan, query.pattern)
+        block_run = database.execute(plan, query.pattern)
+        assert block_run.rows == expected.rows == _labels(reference)
+        assert block_run.tuples == expected.tuples == reference
+        assert (block_run.metrics.counters()
+                == expected.metrics.counters())
         for engine in ("block", "tuple"):
             assert not _check_blocks(database, plan, query.pattern,
                                      engine, expected), query.name
@@ -382,11 +419,12 @@ def test_sharded_differential_binding_and_order_oracle():
     single-subtree-dominant edge cases), shard count in
     ``SHARDED_COUNTS`` and both execution engines, the same physical
     plan runs sharded and single-node: the merged binding sets must be
-    identical, and the merged tuple stream must arrive in global
-    document order (non-decreasing merge keys).
+    identical, and the merged rows must arrive in global document
+    order (non-decreasing label rows) — or the fleet refuses, typed,
+    a pattern that branches at the replicated document root; it never
+    answers with a different binding set.
     """
     from repro.shard import ShardedDatabase
-    from repro.shard.worker import merge_key
 
     rng = make_rng(20030307)
     disagreements: list[str] = []
@@ -404,15 +442,21 @@ def test_sharded_differential_binding_and_order_oracle():
                         case = (f"[doc={document.name} shards={shards}"
                                 f" engine={engine} pattern="
                                 f"{pattern.describe()!r}]")
-                        merged = sharded.execute(plan, pattern,
-                                                 engine=engine)
+                        try:
+                            merged = sharded.execute(plan, pattern,
+                                                     engine=engine)
+                        except ShardError:
+                            if not branches_at_root(pattern, document):
+                                disagreements.append(
+                                    f"{case} refused, but does not "
+                                    f"branch at the document root")
+                            continue
                         if merged.canonical() != reference:
                             disagreements.append(
                                 f"{case} sharded produced "
                                 f"{len(merged.canonical())} bindings,"
                                 f" single node {len(reference)}")
-                        keys = [merge_key(row)
-                                for row in merged.tuples]
+                        keys = list(merged.rows)
                         if keys != sorted(keys):
                             disagreements.append(
                                 f"{case} merged output is not in "

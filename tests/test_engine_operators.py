@@ -43,8 +43,8 @@ class TestSchema:
     def test_canonical_key_order_independent(self):
         left = Schema((0, 1))
         right = Schema((1, 0))
-        match_left = (Region(1, 1, 1), Region(2, 2, 2))
-        match_right = (Region(2, 2, 2), Region(1, 1, 1))
+        match_left = (1, 2)
+        match_right = (2, 1)
         assert left.canonical_key(match_left) == right.canonical_key(
             match_right)
 

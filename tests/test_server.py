@@ -491,6 +491,9 @@ class TestRowBatches:
             reference = "".join(json.dumps({"b": row}) + "\n"
                                 for row in rows).encode()
             assert ndjson_rows(rows) == reference
+            # an engine block — label rows, tuples of ints — encodes
+            # to the same bytes as its list form
+            assert ndjson_rows(list(map(tuple, rows))) == reference
 
     def test_wire_contract_chunk_by_chunk(self, server, monkeypatch):
         """Schema alone in the first chunk, the first row alone in

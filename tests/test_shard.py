@@ -17,23 +17,28 @@ import time
 from array import array
 from itertools import chain
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.api import Database
+from repro.core.pattern import QueryPattern
 from repro.core.plans import IndexScanPlan
 from repro.document.parser import parse_xml
 from repro.errors import PlanError, QueryCancelled, ShardError
 from repro.estimation.estimator import build_tag_statistics
 from repro.shard import (ShardedDatabase, coordinator,
                          partition_document)
-from repro.shard.coordinator import (merge_packed_runs,
+from repro.engine import blocks
+from repro.shard.coordinator import (PackedRows, merge_packed_runs,
                                      merge_sorted_runs)
 from repro.shard.partition import structural_pairs_local
-from repro.shard.worker import merge_key, pack_sorted_run
+from repro.shard.worker import pack_sorted_run
 from repro.workloads import PAPER_QUERIES
 from repro.workloads.personnel import personnel_document
 
-from tests.conftest import canonical_bindings, random_document
+from tests.conftest import (branches_at_root, canonical_bindings,
+                            random_document)
 
 SHARD_COUNTS = (1, 2, 3, 5, 9)
 
@@ -171,7 +176,7 @@ def test_sharded_bindings_match_single_node(sharded, corpus_document,
         sharded.optimize(chain_pattern, algorithm="DPP").plan,
         chain_pattern)
     assert merged.canonical() == reference
-    keys = [merge_key(row) for row in merged.tuples]
+    keys = list(merged.rows)
     assert keys == sorted(keys), "merged output broke document order"
 
 
@@ -208,9 +213,10 @@ def general_merges(monkeypatch):
 
 def test_columnar_path_equals_the_per_row_formula(
         sharded, corpus_document, general_merges):
-    """The packed reply, concatenated and rebuilt at C speed, must be
-    exactly what the per-row path it replaced computed: sort each
-    shard's rows by merge key, k-way merge, one region lookup per
+    """The packed reply, concatenated and kept packed, must be exactly
+    what the per-row formula computes from the reference iterators'
+    ``Region`` rows: reduce each shard's rows to start labels, sort,
+    k-way merge — and, for the ``Region`` view, one region lookup per
     label."""
     regions = {node.region.start: node.region
                for node in corpus_document}
@@ -220,17 +226,19 @@ def test_columnar_path_equals_the_per_row_formula(
     for name in GATHER_QUERIES:
         pattern = PAPER_QUERIES[name].pattern
         plan = sharded.optimize(pattern, algorithm="DPP").plan
-        shard_rows = [database.execute(plan, pattern).tuples
-                      for database in shard_databases]
-        key_runs = [sorted(merge_key(row) for row in rows)
-                    for rows in shard_rows]
-        expected = [tuple(regions[s] for s in key)
-                    for key in merge_sorted_runs(key_runs)]
+        key_runs = [sorted(
+            tuple(region.start for region in row) for row in
+            database.execute(plan, pattern, engine="tuple").tuples)
+            for database in shard_databases]
+        merged = list(merge_sorted_runs(key_runs))
+        expected = [tuple(regions[s] for s in key) for key in merged]
         assert expected, name
-        width = len(pattern.nodes)
-        for rows, keys in zip(shard_rows, key_runs):
-            assert pack_sorted_run(rows, width) == _flat(keys), name
-        assert sharded.execute(plan, pattern).tuples == expected, name
+        for database, keys in zip(shard_databases, key_runs):
+            rows = database.execute(plan, pattern).rows
+            assert pack_sorted_run(rows) == _flat(keys), name
+        result = sharded.execute(plan, pattern)
+        assert list(result.rows) == merged, name
+        assert result.tuples == expected, name
         assert list(sharded.stream_execute(plan, pattern)) == expected
     # label-range partitioning keeps these runs range-disjoint: every
     # merge above was a concatenation
@@ -273,8 +281,7 @@ def test_concatenation_when_runs_are_range_disjoint(
     assert len(sharded.query("//manager//employee").execution) > 0
     # width-1 schema, rows from two shards, empty runs from two more
     result = nested_root_tag.query("//b").execution
-    assert [merge_key(row) for row in result.tuples] == [(2,), (3,),
-                                                         (5,)]
+    assert list(result.rows) == [(2,), (3,), (5,)]
     assert [entry["rows"] for entry
             in nested_root_tag.last_shard_profile] == [2, 1, 0, 0]
     assert not general_merges
@@ -291,7 +298,7 @@ def test_general_merge_is_taken_for_root_bound_rows(
     pattern = nested_root_tag.compile("//a//b")
     plan = nested_root_tag.optimize(pattern).plan
     result = nested_root_tag.execute(plan, pattern)
-    assert [merge_key(row) for row in result.tuples] == [
+    assert list(result.rows) == [
         (0, 2), (0, 3), (0, 5), (1, 2), (1, 3)]
     assert len(general_merges) == 2
     single = Database.from_document(nested_root_tag.document)
@@ -299,6 +306,160 @@ def test_general_merge_is_taken_for_root_bound_rows(
             == single.execute(plan, pattern).canonical())
     assert list(nested_root_tag.stream_execute(plan, pattern)) == (
         result.tuples)
+
+
+# -- the packed fleet result ---------------------------------------------
+
+
+def test_packed_rows_is_a_read_only_sequence_cut_on_read():
+    packed = PackedRows(array("q", range(12)), 3)
+    rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    assert len(packed) == 4 and list(packed) == rows
+    assert packed == rows and packed != rows[:3]
+    assert packed[1] == packed[-3] == rows[1]
+    assert packed[1:3] == rows[1:3] and packed[::-2] == rows[::-2]
+    assert packed[3:1] == [] and packed[:99] == rows
+    with pytest.raises(IndexError):
+        packed[4]
+    # what a stream's pull loop reads: one row, then the block cap
+    assert [len(block) for block in packed.blocks()] == [1, 3]
+    assert list(packed.blocks(first=None)) == [packed]
+    empty = PackedRows(array("q"), 3)
+    assert len(empty) == 0 and list(empty.blocks(first=None)) == []
+    assert not hasattr(packed, "append")
+
+
+def test_fleet_result_stays_packed_until_regions_are_asked_for(
+        sharded, chain_pattern, monkeypatch):
+    """``execute`` + ``len`` builds no region table and no row;
+    ``blocks()`` cuts label rows — one, then at most ``BLOCK_ROWS`` —
+    and only the ``Region`` view reaches ``_regions_by_start``."""
+    plan = sharded.optimize(chain_pattern).plan
+    sharded._region_table = None
+    result = sharded.execute(plan, chain_pattern)
+    assert isinstance(result.rows, PackedRows)
+    total = len(result)
+    assert total > 20 and sharded._region_table is None
+    assert len(result.canonical()) == total
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 8)
+    stream = sharded.stream_execute(plan, chain_pattern)
+    read = list(stream.blocks())
+    assert [len(block) for block in read[:3]] == [1, 8, 8]
+    assert all(0 < len(block) <= 8 for block in read)
+    assert [row for block in read for row in block] == result.rows
+    assert stream.exhausted and stream.produced == total
+    assert sharded.stream_execute(plan, chain_pattern).fetchall() \
+        == result.rows
+    assert sharded._region_table is None
+    # the view: built on demand, equal to a single node's regions
+    single = Database.from_document(sharded.document)
+    assert sorted(result.tuples) == sorted(
+        single.execute(plan, chain_pattern).tuples)
+    assert sharded._region_table is not None
+
+
+def test_fleet_stream_counts_rows_however_it_is_read(
+        sharded, chain_pattern, monkeypatch):
+    """``produced`` is the rows handed out: by block, by row, by a
+    ``limit`` that ends inside a block, or up to a cancel — which is
+    consulted once per block pulled."""
+    monkeypatch.setattr(blocks, "BLOCK_ROWS", 8)
+    plan = sharded.optimize(chain_pattern).plan
+    expected = sharded.execute(plan, chain_pattern)
+    # a limit of 12 ends inside the third block (1 + 8 + 8)
+    stream = sharded.stream_execute(plan, chain_pattern)
+    taken = []
+    for block in stream.blocks():
+        over = stream.produced - 12
+        taken += block[:len(block) - max(over, 0)]
+        if over >= 0:
+            stream.close()
+            break
+    assert taken == expected.rows[:12] and stream.produced == 17
+    assert stream.finished and not stream.exhausted
+    # by row: the Region view, counted row by row
+    stream = sharded.stream_execute(plan, chain_pattern)
+    rows = iter(stream)
+    head = [next(rows) for _ in range(5)]
+    assert head == expected.tuples[:5] and stream.produced == 5
+    assert stream.fetchall() == expected.rows[5:]
+    assert stream.produced == len(expected)
+    # cancel: consulted once per block, before it is handed out
+    consulted = []
+
+    def cancel():
+        consulted.append(stream.produced)
+        return len(consulted) > 2
+
+    stream = sharded.stream_execute(plan, chain_pattern, cancel=cancel)
+    with pytest.raises(QueryCancelled):
+        for _ in stream.blocks():
+            pass
+    assert consulted == [0, 1, 9] and stream.produced == 9
+
+
+# -- twigs that branch at the replicated root ----------------------------
+
+CROSS_SHARD_TWIGS = ("<r><a><x/></a><a><y/></a>"
+                     "<b><x/></b><b><y/></b></r>")
+
+
+@pytest.fixture(scope="module")
+def twig_targets():
+    document = parse_xml(CROSS_SHARD_TWIGS, name="cross-shard-twigs")
+    with ShardedDatabase(document, shards=2) as fleet:
+        yield Database.from_document(document), fleet
+
+
+def test_root_branching_twig_is_refused_not_answered_wrongly(
+        twig_targets):
+    """``/r[a][b]``: every ``a`` lives in shard 0, every ``b`` in
+    shard 1 — a single node finds 4 matches, no shard finds any.  The
+    fleet must say so (typed, before the scatter), not return 0."""
+    single, fleet = twig_targets
+    assert [assignment.is_empty for assignment
+            in fleet.partition.assignments] == [False, False]
+    queries_before = fleet.stats()["shards"]["totals"][0]["queries"]
+    for xpath, matches in (("/r[a][b]", 4), ("//r[.//x][.//y]", 4),
+                           ("//*[a][b]", 4)):
+        assert len(single.query(xpath)) == matches
+        with pytest.raises(ShardError, match="document root"):
+            fleet.query(xpath)
+    assert fleet.stats()["shards"]["totals"][0]["queries"] \
+        == queries_before, "refused after the scatter"
+    # one branch at the root, or branches below it, stay answerable
+    for xpath in ("/r/a", "//r//x", "//a[x]", "/r/a[x]", "//b[x]"):
+        assert sorted(fleet.query(xpath).execution.rows) == sorted(
+            single.query(xpath).execution.rows), xpath
+    # a single shard holds every branch: nothing to refuse
+    with ShardedDatabase(single.document, shards=1) as one:
+        assert len(one.query("/r[a][b]")) == 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(("r", "a", "b", "x", "y", "*")),
+                          st.integers(0, 9),
+                          st.sampled_from(("/", "//"))),
+                min_size=1, max_size=4))
+def test_fleet_equals_single_node_or_refuses_for_root_tag_patterns(
+        twig_targets, grown):
+    """Random patterns whose root carries the corpus root's tag: the
+    fleet's rows are the single node's rows as a multiset, or the
+    typed refusal — never a different count."""
+    single, fleet = twig_targets
+    pattern = QueryPattern.build({
+        "nodes": ["r"] + [tag for tag, _, _ in grown],
+        "edges": [(parent % index, index, axis) for index,
+                  (_, parent, axis) in enumerate(grown, start=1)]})
+    plan = single.optimize(pattern).plan
+    expected = sorted(single.execute(plan, pattern).rows)
+    try:
+        rows = sorted(fleet.execute(plan, pattern).rows)
+    except ShardError as refusal:
+        assert "document root" in str(refusal)
+        assert branches_at_root(pattern, fleet.document)
+    else:
+        assert rows == expected, pattern.describe()
 
 
 def test_empty_result_from_every_shard(nested_root_tag):

@@ -114,7 +114,7 @@ class TestOneRunPath:
                                   spans=True)
         stream = executor.stream(blocking_plan(), engine=engine,
                                  spans=True)
-        assert stream.fetchall() == result.tuples
+        assert stream.fetchall() == result.rows
         untraced = executor.execute(blocking_plan(), engine=engine)
         for span, metrics in ((result.span, result.metrics),
                               (stream.span, stream.metrics)):
@@ -155,13 +155,16 @@ class TestOneRunPath:
     def test_fetchall_returns_what_is_left(self, database, pattern,
                                            engine):
         executor = executor_for(database, pattern)
-        expected = executor.execute(fp_plan(), engine=engine).tuples
+        result = executor.execute(fp_plan(), engine=engine)
+        expected = result.rows
         stream = executor.stream(fp_plan(), engine=engine)
         rows = iter(stream)
-        head = [next(rows), next(rows)]
-        assert head + stream.fetchall() == expected
+        head = [next(rows), next(rows)]  # the view: Region rows,
+        assert head == result.tuples[:2]  # the rest as label rows
+        assert stream.produced == 2
+        assert expected[:2] + stream.fetchall() == expected
         assert stream.finished and stream.produced == len(expected)
-        assert stream.fetchall() == []
+        assert stream.fetchall() == [] and list(rows) == []
         # and a stream nobody started to read is handed over whole
         whole = executor.stream(fp_plan(), engine=engine)
         assert whole.fetchall() == expected

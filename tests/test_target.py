@@ -196,7 +196,8 @@ def test_execute_is_the_stream_drained(target, traced):
     stream = target.stream_execute(plan, pattern, spans=traced)
     rows = stream.fetchall()
     assert rows and stream.finished and stream.fetchall() == []
-    assert rows == result.tuples  # same rows, same order
+    assert rows == result.rows  # same rows, same order
+    assert list(target.stream_execute(plan, pattern)) == result.tuples
     assert stream.schema.node_ids == result.schema.node_ids
     assert stream.metrics.counters() == result.metrics.counters()
     assert stream.produced == len(result)
