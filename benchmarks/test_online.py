@@ -58,10 +58,16 @@ def test_first_result_latency(benchmark, setup):
     by_algorithm = {r["algorithm"]: r for r in rows}
     fp = by_algorithm["FP"]
     assert fp["pipelined"]
-    # FP's first tuple arrives in a small fraction of its full run
+    # FP's first tuple arrives in a small fraction of its full run ...
     assert fp["first_ms"] < 0.6 * fp["total_ms"]
-    # blocking competitors pay most of their runtime before tuple #1
+    # ... and before the first tuple of every plan that has to sort
     blocking = [row for row in rows if not row["pipelined"]]
     assert blocking, "expected at least one blocking plan at this scale"
     for row in blocking:
-        assert row["first_ms"] > 0.4 * row["total_ms"], row["algorithm"]
+        assert fp["first_ms"] < row["first_ms"], row["algorithm"]
+    # the optimum sorts twice: most of its runtime is before tuple #1
+    # (a plan may block on less -- DPAP-LD's sorts one small inner
+    # input -- so the bound is the optimum's, not every blocking plan's)
+    dpp = by_algorithm["DPP"]
+    assert not dpp["pipelined"]
+    assert dpp["first_ms"] > 0.4 * dpp["total_ms"]

@@ -417,6 +417,16 @@ def _service_options(arguments: argparse.Namespace) -> dict:
     return options
 
 
+def _generated_document(arguments: argparse.Namespace):
+    """The synthetic document --dataset / --nodes / --seed name."""
+    kwargs = {"seed": arguments.seed}
+    if arguments.dataset == "dblp":
+        kwargs["entries"] = max(arguments.nodes // 9, 1)
+    else:
+        kwargs["target_nodes"] = arguments.nodes
+    return dataset_document(arguments.dataset, **kwargs)
+
+
 def _source_document(arguments: argparse.Namespace):
     """Build the document named by --xml/--dataset (for ingestion)."""
     if arguments.xml:
@@ -424,12 +434,7 @@ def _source_document(arguments: argparse.Namespace):
 
         with open(arguments.xml, encoding="utf-8") as handle:
             return parse_xml(handle.read(), name=arguments.xml)
-    kwargs = {"seed": arguments.seed}
-    if arguments.dataset == "dblp":
-        kwargs["entries"] = max(arguments.nodes // 9, 1)
-    else:
-        kwargs["target_nodes"] = arguments.nodes
-    return dataset_document(arguments.dataset, **kwargs)
+    return _generated_document(arguments)
 
 
 def _open_database(arguments: argparse.Namespace,
@@ -738,12 +743,7 @@ def _command_serve(arguments: argparse.Namespace, out: IO[str]) -> int:
 
 def _command_generate(arguments: argparse.Namespace,
                       out: IO[str]) -> int:
-    kwargs = {"seed": arguments.seed}
-    if arguments.dataset == "dblp":
-        kwargs["entries"] = max(arguments.nodes // 9, 1)
-    else:
-        kwargs["target_nodes"] = arguments.nodes
-    document = dataset_document(arguments.dataset, **kwargs)
+    document = _generated_document(arguments)
     if arguments.output == "-":
         write_xml(document, out)
     else:

@@ -9,40 +9,15 @@ deliberately unpruned — it is the yardstick DPP is measured against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.errors import OptimizerError
-from repro.core.enumeration import (EnumerationContext, build_plan,
-                                    possible_moves)
+from repro.core.enumeration import (EnumerationContext, MemoEntry,
+                                    build_plan, possible_moves,
+                                    reconstruct_moves)
 from repro.core.optimizer import Optimizer, register
 from repro.core.planspace import PRUNE_DOMINATED
 from repro.core.plans import PhysicalPlan
 from repro.core.stats import OptimizerReport
-from repro.core.status import Move, Status
-
-
-@dataclass
-class _Entry:
-    """Best known way to reach a status."""
-
-    cost: float
-    previous: Status | None
-    move: Move | None
-
-
-def reconstruct_moves(levels: list[dict[Status, _Entry]],
-                      final_status: Status) -> list[Move]:
-    """Walk back-pointers from a final status to the start status."""
-    moves: list[Move] = []
-    status = final_status
-    for level in range(len(levels) - 1, 0, -1):
-        entry = levels[level][status]
-        if entry.move is None or entry.previous is None:
-            raise OptimizerError("broken back-pointer chain")
-        moves.append(entry.move)
-        status = entry.previous
-    moves.reverse()
-    return moves
+from repro.core.status import Status
 
 
 @register
@@ -54,15 +29,16 @@ class DPOptimizer(Optimizer):
     def _search(self, context: EnumerationContext,
                 report: OptimizerReport) -> tuple[PhysicalPlan, float]:
         start = Status.start(context.pattern)
-        levels: list[dict[Status, _Entry]] = [
-            {start: _Entry(context.start_cost(), None, None)}]
+        memo: dict[Status, MemoEntry] = {
+            start: MemoEntry(context.start_cost(), None, None)}
+        frontier = [start]
         report.statuses_generated += 1
         recorder = self.planspace
 
         for _ in context.pattern.edges:
-            current = levels[-1]
-            next_level: dict[Status, _Entry] = {}
-            for status, entry in current.items():
+            next_frontier: list[Status] = []
+            for status in frontier:
+                entry = memo[status]
                 report.statuses_expanded += 1
                 for move in possible_moves(status, context):
                     report.plans_considered += 1
@@ -71,17 +47,14 @@ class DPOptimizer(Optimizer):
                         recorder.record_candidate(status, move, new_cost,
                                                   context)
                         if move.result.is_final():
-                            alt = build_plan(
-                                reconstruct_moves(levels, status) + [move],
-                                context)
-                            recorder.record_final_plan(
-                                alt, alt.estimated_cost,
-                                note=move.describe())
-                    existing = next_level.get(move.result)
+                            recorder.record_final_path(
+                                memo, status, move.describe(), move)
+                    existing = memo.get(move.result)
                     if existing is None:
                         report.statuses_generated += 1
-                        next_level[move.result] = _Entry(new_cost, status,
-                                                         move)
+                        memo[move.result] = MemoEntry(new_cost, status,
+                                                      move)
+                        next_frontier.append(move.result)
                     else:
                         report.memo_hits += 1
                         if new_cost < existing.cost:
@@ -89,27 +62,17 @@ class DPOptimizer(Optimizer):
                                 recorder.record_prune(
                                     move.result, PRUNE_DOMINATED,
                                     existing.cost)
-                            next_level[move.result] = _Entry(new_cost,
-                                                             status, move)
+                            memo[move.result] = MemoEntry(new_cost,
+                                                          status, move)
                         elif recorder is not None:
                             recorder.record_prune(move.result,
                                                   PRUNE_DOMINATED, new_cost)
-            levels.append(next_level)
+            frontier = next_frontier
 
-        finals = {status: entry for status, entry in levels[-1].items()
-                  if status.is_final()}
-        if not finals:
+        if not frontier:
             raise OptimizerError("search reached no final status")
-        best_status = min(finals, key=lambda status: finals[status].cost)
-        moves = reconstruct_moves(levels, best_status)
-        plan = build_plan(moves, context)
+        best_status = min(frontier, key=lambda status: memo[status].cost)
+        plan = build_plan(reconstruct_moves(memo, best_status), context)
         if recorder is not None:
-            for level_index, level in enumerate(levels):
-                for status, entry in level.items():
-                    recorder.record_memo_entry(status, entry.cost,
-                                               level_index)
-            for status in finals:
-                alt = build_plan(reconstruct_moves(levels, status), context)
-                recorder.record_final_plan(alt, alt.estimated_cost,
-                                           note=f"final {status}")
+            recorder.record_memo(memo)
         return plan, plan.estimated_cost

@@ -13,17 +13,25 @@ smaller search:
   pattern node, so every move extends that cluster by one base node
   set.  This mirrors the relational rule of thumb the paper shows to
   be a poor fit for XML.
+
+Neither re-implements any of the search.  DPAP-EB overrides DPP's one
+hook, :meth:`~repro.core.dpp.DPPOptimizer._admission`.  DPAP-LD
+overrides nothing: the left-deep space is the ``left_deep`` switch the
+base class hands to the per-optimize context, where the move set, the
+Lookahead test and ``ubCost`` all read it
+(:mod:`repro.core.enumeration`) — so its Pruning Rule bounds left-deep
+statuses by the cost of a left-deep plan, and what it returns is the
+cheapest one.
 """
 
 from __future__ import annotations
 
-from repro.core.enumeration import (EnumerationContext, edge_eligible,
-                                    left_deep_allows, possible_moves)
+from typing import Callable
+
+from repro.core.enumeration import EnumerationContext
 from repro.core.optimizer import register
 from repro.core.dpp import DPPOptimizer
-from repro.core.plans import PhysicalPlan
 from repro.core.stats import OptimizerReport
-from repro.core.status import Move, Status
 
 
 @register
@@ -41,66 +49,35 @@ class DPAPEBOptimizer(DPPOptimizer):
         super().__init__(cost_model, lookahead=lookahead,
                          planspace=planspace)
         self.expansion_bound = expansion_bound
-        self._limit = 0
-        self._expansions: dict[int, int] = {}
-        self._closed_below = 0
 
-    def _search(self, context: EnumerationContext,
-                report: OptimizerReport) -> tuple[PhysicalPlan, float]:
-        self._limit = (self.expansion_bound
-                       if self.expansion_bound is not None
-                       else len(context.pattern.edges))
-        self._expansions = {}
-        self._closed_below = 0
-        return super()._search(context, report)
+    def _admission(self, context: EnumerationContext
+                   ) -> Callable[[int, OptimizerReport], bool]:
+        limit = (self.expansion_bound if self.expansion_bound is not None
+                 else len(context.pattern.edges))
+        expansions: dict[int, int] = {}
+        closed_below = 0
 
-    def _may_expand(self, status: Status, level: int,
-                    report: OptimizerReport) -> bool:
-        if level < self._closed_below:
-            report.statuses_pruned += 1
-            return False
-        if self._expansions.get(level, 0) >= self._limit:
-            report.statuses_pruned += 1
-            return False
-        return True
+        def admit(level: int, report: OptimizerReport) -> bool:
+            nonlocal closed_below
+            count = expansions.get(level, 0)
+            if level < closed_below or count >= limit:
+                report.statuses_pruned += 1
+                return False
+            expansions[level] = count + 1
+            if count + 1 >= limit:
+                # level is full: creating more statuses here is
+                # pointless, so levels below it are closed for expansion.
+                closed_below = max(closed_below, level)
+            return True
 
-    def _note_expansion(self, status: Status, level: int) -> None:
-        count = self._expansions.get(level, 0) + 1
-        self._expansions[level] = count
-        if count >= self._limit:
-            # level is full: creating more statuses here is pointless,
-            # so levels below it are closed for expansion.
-            self._closed_below = max(self._closed_below, level)
+        return admit
 
 
 @register
 class DPAPLDOptimizer(DPPOptimizer):
-    """DPP restricted to left-deep statuses (one growing node)."""
+    """DPP over the left-deep search space (one growing node): the
+    move set, the Lookahead test and ``ubCost`` all read the context's
+    ``left_deep``, so this class is its name and that switch."""
 
     name = "DPAP-LD"
-
-    def _moves(self, status: Status,
-               context: EnumerationContext) -> list[Move]:
-        return possible_moves(status, context, left_deep=True)
-
-    def _is_deadend(self, status: Status,
-                    context: EnumerationContext) -> bool:
-        """Left-deep doom test.
-
-        In a left-deep status every further join consumes the single
-        growing cluster, whose input ordering can never be changed —
-        so the status is viable iff some remaining edge adjacent to the
-        growing cluster has its growing-side endpoint equal to the
-        cluster's ordering (the other endpoint is a singleton, which is
-        always correctly ordered).
-        """
-        if status.is_final():
-            return False
-        growing = status.growing_nodes()
-        if not growing:
-            return False
-        if len(growing) > 1:
-            return True
-        return not any(
-            edge_eligible(status, edge) and left_deep_allows(status, edge)
-            for edge in context.remaining_edges(status))
+    left_deep = True

@@ -14,24 +14,33 @@ queue is drained until no status cheaper than the best full plan
 remains, and re-discovering a status at lower cost re-queues it (the
 ubCost heuristic is an upper bound, not an admissible lower bound, so
 the first pop of a status is not necessarily its cheapest path).
+
+Which moves exist, which statuses are dead and what ``ubCost`` a
+completion costs are not decided here: all three are read from
+:mod:`repro.core.enumeration` under the context's search space, so the
+bound that prunes is always the cost of a plan this search can build.
+A subclass restricts the search through the class's ``left_deep``
+switch (DPAP-LD) or the one :meth:`~DPPOptimizer._admission` hook
+(DPAP-EB).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from typing import Callable
 
 from repro.errors import OptimizerError
-from repro.core.dp import _Entry
-from repro.core.enumeration import (EnumerationContext, build_plan,
-                                    is_doomed, possible_moves,
+from repro.core.enumeration import (EnumerationContext, MemoEntry,
+                                    build_plan, is_doomed, possible_moves,
+                                    reconstruct_moves,
                                     upper_bound_completion)
 from repro.core.optimizer import Optimizer, register
 from repro.core.planspace import (PRUNE_COST_BOUND, PRUNE_DOMINATED,
                                   PRUNE_EXPANSION_BOUND, PRUNE_INFEASIBLE)
 from repro.core.plans import PhysicalPlan
 from repro.core.stats import OptimizerReport
-from repro.core.status import Move, Status
+from repro.core.status import Status
 
 
 @register
@@ -45,30 +54,13 @@ class DPPOptimizer(Optimizer):
         super().__init__(cost_model, planspace=planspace)
         self.lookahead = lookahead
 
-    # -- hooks for the DPAP subclasses ------------------------------------
-
-    def _may_expand(self, status: Status, level: int,
-                    report: OptimizerReport) -> bool:
-        """Extra expansion gate; DPAP-EB overrides."""
-        return True
-
-    def _note_expansion(self, status: Status, level: int) -> None:
-        """Called when a status is actually expanded; DPAP-EB overrides."""
-
-    def _moves(self, status: Status,
-               context: EnumerationContext) -> list[Move]:
-        """Move generation; DPAP-LD overrides to stay left-deep."""
-        return possible_moves(status, context)
-
-    def _is_deadend(self, status: Status,
-                    context: EnumerationContext) -> bool:
-        """Lookahead test; DPAP-LD overrides to match its move set.
-
-        Uses the strengthened :func:`is_doomed` check (any sound dead-
-        status test preserves exactness, and the stronger test is what
-        makes a per-level expansion bound of 1 always reach a plan).
-        """
-        return is_doomed(status, context)
+    def _admission(self, context: EnumerationContext
+                   ) -> Callable[[int, OptimizerReport], bool]:
+        """The one hook: a fresh ``admit(level, report)`` per search,
+        asked once about each status that is about to be expanded.
+        DPP expands everything the Pruning Rule left alive; DPAP-EB
+        overrides this with its per-level bound."""
+        return lambda level, report: True
 
     # -- search -------------------------------------------------------------
 
@@ -78,12 +70,13 @@ class DPPOptimizer(Optimizer):
         start = Status.start(pattern)
         start_cost = context.start_cost()
 
-        best: dict[Status, _Entry] = {
-            start: _Entry(start_cost, None, None)}
+        best: dict[Status, MemoEntry] = {
+            start: MemoEntry(start_cost, None, None)}
         report.statuses_generated += 1
         recorder = self.planspace
         if recorder is not None:
             recorder.record_event("generate", start, start_cost, "start")
+        admit = self._admission(context)
         tie_breaker = itertools.count()
         start_bound = start_cost + upper_bound_completion(start, context)
         heap: list[tuple[float, int, float, Status]] = []
@@ -110,18 +103,16 @@ class DPPOptimizer(Optimizer):
                 continue  # Pruning Rule: dead
             if status.is_final():
                 continue  # finals are never expanded
-            level = status.level(pattern)
-            if not self._may_expand(status, level, report):
+            if not admit(status.level(pattern), report):
                 if recorder is not None:
                     recorder.record_prune(status, PRUNE_EXPANSION_BOUND,
                                           entry.cost)
                 continue
-            self._note_expansion(status, level)
             report.statuses_expanded += 1
             if recorder is not None:
                 recorder.record_event("expand", status, entry.cost)
 
-            for move in self._moves(status, context):
+            for move in possible_moves(status, context):
                 report.plans_considered += 1
                 new_cost = entry.cost + move.cost
                 if recorder is not None:
@@ -130,18 +121,15 @@ class DPPOptimizer(Optimizer):
                 new_status = move.result
                 if new_status.is_final():
                     if recorder is not None:
-                        alt = build_plan(
-                            self._reconstruct(best, status) + [move],
-                            context)
-                        recorder.record_final_plan(alt, alt.estimated_cost,
-                                                   note=move.describe())
+                        recorder.record_final_path(best, status,
+                                                   move.describe(), move)
                     existing = best.get(new_status)
                     if existing is None or new_cost < existing.cost:
                         if existing is None:
                             report.statuses_generated += 1
                         else:
                             report.memo_hits += 1
-                        best[new_status] = _Entry(new_cost, status, move)
+                        best[new_status] = MemoEntry(new_cost, status, move)
                     else:
                         report.memo_hits += 1
                     if new_cost < min_final_cost:
@@ -158,7 +146,7 @@ class DPPOptimizer(Optimizer):
                         recorder.record_prune(new_status, PRUNE_COST_BOUND,
                                               new_cost)
                     continue
-                if self.lookahead and self._is_deadend(new_status, context):
+                if self.lookahead and is_doomed(new_status, context):
                     report.deadends_avoided += 1
                     if recorder is not None:
                         recorder.record_prune(new_status, PRUNE_INFEASIBLE,
@@ -181,7 +169,7 @@ class DPPOptimizer(Optimizer):
                     else:
                         recorder.record_event("improve", new_status,
                                               new_cost)
-                best[new_status] = _Entry(new_cost, status, move)
+                best[new_status] = MemoEntry(new_cost, status, move)
                 bound = new_cost + upper_bound_completion(new_status,
                                                           context)
                 best_bound = min(best_bound, bound)
@@ -190,37 +178,12 @@ class DPPOptimizer(Optimizer):
 
         if best_final is None:
             raise OptimizerError("search reached no final status")
-        moves = self._reconstruct(best, best_final)
-        plan = build_plan(moves, context)
+        plan = build_plan(reconstruct_moves(best, best_final), context)
         if recorder is not None:
-            for memo_status, memo_entry in best.items():
-                recorder.record_memo_entry(memo_status, memo_entry.cost,
-                                           memo_status.level(pattern))
-            for memo_status in best:
-                if memo_status.is_final():
-                    alt = build_plan(self._reconstruct(best, memo_status),
-                                     context)
-                    recorder.record_final_plan(alt, alt.estimated_cost,
-                                               note=f"final {memo_status}")
+            recorder.record_memo(best)
         # Report the replayed cost of the reconstructed chain: for the
         # exact searches it equals best[best_final].cost; under
         # DPAP-EB's expansion cap a predecessor may have improved after
         # the final status was last refreshed, making the chain
         # genuinely cheaper than the recorded label.
         return plan, plan.estimated_cost
-
-    @staticmethod
-    def _reconstruct(best: dict[Status, _Entry],
-                     final_status: Status) -> list[Move]:
-        moves: list[Move] = []
-        status = final_status
-        while True:
-            entry = best[status]
-            if entry.move is None:
-                break
-            moves.append(entry.move)
-            if entry.previous is None:
-                raise OptimizerError("broken back-pointer chain")
-            status = entry.previous
-        moves.reverse()
-        return moves

@@ -2,13 +2,25 @@
 
 Everything the five optimizers have in common lives here: the
 per-query :class:`EnumerationContext` (pattern + cost model +
-cardinality cache), move generation (``possible_moves``), deadend
-detection (Definition 6 / the Lookahead Rule), the ``ubCost`` upper
-bound used by DPP's priority queue, and the translation of a winning
-move sequence back into a :class:`~repro.core.plans.PhysicalPlan`.
+cardinality cache + which search space is being searched), the memo
+entry and back-pointer walk DP and DPP share, and the translation of a
+winning move sequence back into a
+:class:`~repro.core.plans.PhysicalPlan`.
+
+The search space is one definition read from the context.  Which moves
+exist (``possible_moves``), which statuses can no longer reach a final
+one (``is_doomed``, the Lookahead Rule's test) and what a feasible
+completion costs (``upper_bound_completion``, the ``ubCost`` that
+orders DPP's queue and seeds its Pruning Rule) must agree, or a search
+prunes against plans it can never build: all three take ``(status,
+context)`` and read ``context.left_deep`` — the full space of Sec. 3.1
+when false, Sec. 3.3.2's left-deep restriction when true.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Iterator
 
 from repro.errors import OptimizerError, PlanError
 from repro.core.cost import CostModel
@@ -21,12 +33,16 @@ from repro.estimation.estimator import (CardinalityEstimator,
 
 
 class EnumerationContext:
-    """Per-optimize-call bundle: pattern, cost model, cached estimates."""
+    """Per-optimize-call bundle: pattern, cost model, cached estimates
+    and the search space — every status when ``left_deep`` is false,
+    only those with a single growing cluster when it is true."""
 
     def __init__(self, pattern: QueryPattern, cost_model: CostModel,
-                 estimator: CardinalityEstimator) -> None:
+                 estimator: CardinalityEstimator,
+                 left_deep: bool = False) -> None:
         self.pattern = pattern
         self.cost_model = cost_model
+        self.left_deep = left_deep
         self.cards = PatternCardinalities(pattern, estimator)
         self._depths = self._node_depths()
         self._remaining: dict[Status, tuple[PatternEdge, ...]] = {}
@@ -84,7 +100,8 @@ def is_deadend(status: Status, pattern: QueryPattern) -> bool:
 
 
 def is_doomed(status: Status, context: "EnumerationContext") -> bool:
-    """Stronger lookahead: can *status* still reach the final status?
+    """Stronger lookahead: can *status* still reach the final status
+    inside *context*'s search space?
 
     A move may re-sort its *output* to any node, but never an existing
     cluster's input: once a multi-node cluster is ordered by ``w``, the
@@ -93,24 +110,31 @@ def is_doomed(status: Status, context: "EnumerationContext") -> bool:
     such edge can never participate in another join, so the status is
     unsalvageable even if Definition 6's one-step test passes.
 
+    Under ``left_deep`` every further join consumes the single growing
+    cluster and its other input is a singleton (always correctly
+    ordered), while the merged result may be re-sorted to whatever the
+    next edge needs — so a left-deep status is viable exactly when it
+    has a move.
+
     Used as the Lookahead Rule's test (any sound dead-status test keeps
     DPP exact); :func:`is_deadend` remains the literal Definition 6.
     """
     if status.is_final():
         return False
-    remaining = context.remaining_edges(status)
-    for cluster in status.clusters:
-        if cluster.is_singleton:
-            continue
-        satisfiable = any(
-            (edge.parent in cluster.nodes
-             and edge.parent == cluster.ordered_by)
-            or (edge.child in cluster.nodes
-                and edge.child == cluster.ordered_by)
-            for edge in remaining)
-        if not satisfiable:
-            return True
-    return not any(edge_eligible(status, edge) for edge in remaining)
+    if not context.left_deep:
+        remaining = context.remaining_edges(status)
+        for cluster in status.clusters:
+            if cluster.is_singleton:
+                continue
+            satisfiable = any(
+                (edge.parent in cluster.nodes
+                 and edge.parent == cluster.ordered_by)
+                or (edge.child in cluster.nodes
+                    and edge.child == cluster.ordered_by)
+                for edge in remaining)
+            if not satisfiable:
+                return True
+    return next(_open_edges(status, context), None) is None
 
 
 def left_deep_allows(status: Status, edge: PatternEdge) -> bool:
@@ -124,9 +148,22 @@ def left_deep_allows(status: Status, edge: PatternEdge) -> bool:
     return (edge.parent in cluster.nodes) != (edge.child in cluster.nodes)
 
 
-def possible_moves(status: Status, context: EnumerationContext,
-                   left_deep: bool = False) -> list[Move]:
-    """All moves from *status* (pM(S) of Sec. 3.1.1).
+def _open_edges(status: Status,
+                context: EnumerationContext) -> Iterator[PatternEdge]:
+    """The remaining edges a move may evaluate from *status*: joinable
+    without re-sorting an input and, in the left-deep space, extending
+    the growing cluster.  Move generation and the doom test both read
+    this, so they cannot disagree on which moves exist."""
+    for edge in context.remaining_edges(status):
+        if edge_eligible(status, edge) and (
+                not context.left_deep or left_deep_allows(status, edge)):
+            yield edge
+
+
+def possible_moves(status: Status,
+                   context: EnumerationContext) -> list[Move]:
+    """All moves from *status* in *context*'s search space (pM(S) of
+    Sec. 3.1.1).
 
     For every eligible remaining edge ``(u, v)`` the alternatives are:
 
@@ -142,11 +179,7 @@ def possible_moves(status: Status, context: EnumerationContext,
     pattern = context.pattern
     cost_model = context.cost_model
     moves: list[Move] = []
-    for edge in context.remaining_edges(status):
-        if not edge_eligible(status, edge):
-            continue
-        if left_deep and not left_deep_allows(status, edge):
-            continue
+    for edge in _open_edges(status, context):
         ancestor_cluster = status.cluster_of(edge.parent)
         descendant_cluster = status.cluster_of(edge.child)
         merged_nodes = ancestor_cluster.nodes | descendant_cluster.nodes
@@ -204,8 +237,13 @@ def upper_bound_completion(status: Status,
     Because the completion is achievable, ``Cost + ubCost`` of any
     live status is the cost of a real full plan — DPP seeds its
     pruning threshold from it, which is what confines the search to
-    the paper's "narrow band along the optimal path".  Unsalvageable
-    statuses (see :func:`is_doomed`) get ``inf``.
+    the paper's "narrow band along the optimal path".  Achievable
+    means achievable *in the space being searched*: under
+    ``left_deep``, once a multi-node cluster exists (in *status*, or
+    merged by the completion's own first join) only edges touching it
+    are picked, so the completion is itself a left-deep plan — a
+    bushy bound would let DPAP-LD prune every left-deep status.
+    Unsalvageable statuses (see :func:`is_doomed`) get ``inf``.
     """
     cost_model = context.cost_model
     remaining = list(context.remaining_edges(status))
@@ -228,12 +266,22 @@ def upper_bound_completion(status: Status,
     def joinable(rep: int, endpoint: int) -> bool:
         return reorderable[rep] or ordering[rep] == endpoint
 
+    # left-deep only: the one multi-node cluster every join must extend
+    growing: int | None = None
+    if context.left_deep:
+        multi = [rep for rep, nodes in members.items() if len(nodes) > 1]
+        if len(multi) > 1:
+            return float("inf")
+        growing = multi[0] if multi else None
+
     total = 0.0
     while remaining:
         chosen = None
         for index, edge in enumerate(remaining):
             anc_rep = representative[edge.parent]
             desc_rep = representative[edge.child]
+            if growing is not None and growing not in (anc_rep, desc_rep):
+                continue
             if (joinable(anc_rep, edge.parent)
                     and joinable(desc_rep, edge.child)):
                 chosen = index
@@ -252,7 +300,37 @@ def upper_bound_completion(status: Status,
         members[anc_rep] = merged_nodes
         cardinality[anc_rep] = merged_card
         reorderable[anc_rep] = True
+        if context.left_deep:
+            growing = anc_rep
     return total
+
+
+@dataclass
+class MemoEntry:
+    """Best known way to reach a status: DP's and DPP's memo is one
+    ``dict[Status, MemoEntry]`` (a status's level is a function of the
+    status, so DP needs no table per level)."""
+
+    cost: float
+    previous: Status | None
+    move: Move | None
+
+
+def reconstruct_moves(memo: dict[Status, MemoEntry],
+                      status: Status) -> list[Move]:
+    """Walk *memo*'s back-pointers from *status* to the start status;
+    the moves of its cheapest known path, in evaluation order."""
+    moves: list[Move] = []
+    while True:
+        entry = memo[status]
+        if entry.move is None:
+            break
+        moves.append(entry.move)
+        if entry.previous is None:
+            raise OptimizerError("broken back-pointer chain")
+        status = entry.previous
+    moves.reverse()
+    return moves
 
 
 def build_plan(moves: list[Move],

@@ -39,6 +39,9 @@ class Optimizer:
 
     #: Registry name; subclasses override (e.g. ``"DPP"``).
     name = "base"
+    #: The search space handed to the :class:`EnumerationContext`:
+    #: every status, or (DPAP-LD) only the left-deep ones.
+    left_deep = False
 
     def __init__(self, cost_model: CostModel | None = None,
                  planspace=None) -> None:
@@ -51,7 +54,8 @@ class Optimizer:
                  estimator: CardinalityEstimator) -> OptimizationResult:
         """Select a plan for *pattern* using *estimator*'s statistics."""
         report = OptimizerReport(self.name)
-        context = EnumerationContext(pattern, self.cost_model, estimator)
+        context = EnumerationContext(pattern, self.cost_model, estimator,
+                                     left_deep=self.left_deep)
         recorder = self.planspace
         if recorder is not None:
             recorder.begin(self.name, pattern, context)

@@ -16,8 +16,10 @@ with ``if recorder is not None``, so the off path costs one
 predictable branch per candidate.
 
 The recorder itself is deliberately dependency-light (statuses, plans,
-cost model only); ranking and rendering — top-k alternatives, "why the
-winner won" — live in :mod:`repro.obs.planspace`.
+cost model, and :mod:`repro.core.enumeration`'s memo walk for the
+epilogue DP and DPP share); ranking and rendering — top-k
+alternatives, "why the winner won" — live in
+:mod:`repro.obs.planspace`.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.core.enumeration import build_plan, reconstruct_moves
 from repro.core.plans import PhysicalPlan
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.cost import CostModel
-    from repro.core.enumeration import EnumerationContext
+    from repro.core.enumeration import EnumerationContext, MemoEntry
     from repro.core.pattern import QueryPattern
     from repro.core.stats import OptimizerReport
     from repro.core.status import Move, Status
@@ -213,6 +216,28 @@ class PlanSpaceRecorder:
                           note: str = "") -> None:
         """A complete alternative plan the search reached."""
         self.finals.append((plan, cost, note))
+
+    def record_final_path(self, memo: "dict[Status, MemoEntry]",
+                          status: "Status", note: str,
+                          move: "Move | None" = None) -> None:
+        """The alternative plan a memo search (DP, the DPP family)
+        reached: *memo*'s cheapest path to *status*, then *move* when
+        it is the final move just costed out of that status."""
+        moves = reconstruct_moves(memo, status)
+        if move is not None:
+            moves.append(move)
+        plan = build_plan(moves, self.context)
+        self.record_final_plan(plan, plan.estimated_cost, note)
+
+    def record_memo(self, memo: "dict[Status, MemoEntry]") -> None:
+        """A finished memo search's table: every entry, then every
+        final status rebuilt as an alternative plan."""
+        for status, entry in memo.items():
+            self.record_memo_entry(status, entry.cost,
+                                   status.level(self.pattern))
+        for status in memo:
+            if status.is_final():
+                self.record_final_path(memo, status, f"final {status}")
 
     # -- summaries ---------------------------------------------------------
 

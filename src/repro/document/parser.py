@@ -1,207 +1,60 @@
-"""A small, dependency-free XML parser.
+"""XML text -> region-encoded document, through the standard library.
 
-Supports the subset of XML that the benchmark data sets use: elements,
-attributes (single- or double-quoted), character data, self-closing
-tags, comments, processing instructions, CDATA sections, an optional
-XML declaration / DOCTYPE line, and the five predefined entities.  It
-deliberately omits namespaces and DTD processing — the structural-join
-workloads never need them — and reports errors with line/column
-positions via :class:`repro.errors.XmlParseError`.
+:mod:`xml.parsers.expat` does the scanning and decides well-formedness
+(elements, attributes, character data and CDATA, comments, processing
+instructions, an XML declaration / DOCTYPE, predefined and numeric
+character references); its three content events are exactly the three
+calls a :class:`repro.document.DocumentBuilder` takes, so the output
+is a fully region-encoded :class:`XmlDocument`.  Namespaces are not
+processed (a prefixed name is just a tag).
 
-The parser is event-driven internally and feeds a
-:class:`repro.document.DocumentBuilder`, so the output is a fully
-region-encoded :class:`XmlDocument`.
+What this module adds is the boundary: every failure — expat's, the
+builder's, or a refusal below — is a :class:`repro.errors.XmlParseError`
+carrying ``line`` / ``column``, and a document that *declares* an
+entity is refused outright.  The benchmark data sets declare none, and
+accepting declarations would accept entity-expansion input; with none
+declared, a reference to anything but the five predefined entities has
+nothing to expand to and is refused as well.
 """
 
 from __future__ import annotations
 
-from repro.errors import XmlParseError
+from xml.parsers import expat
+
+from repro.errors import DocumentError, XmlParseError
 from repro.document.builder import DocumentBuilder
 from repro.document.document import XmlDocument
-
-_ENTITIES = {
-    "lt": "<",
-    "gt": ">",
-    "amp": "&",
-    "apos": "'",
-    "quot": '"',
-}
-
-_NAME_START = set(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_:")
-_NAME_CHARS = _NAME_START | set("0123456789-.")
-
-
-class _Scanner:
-    """Cursor over the input text with line/column tracking."""
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self, offset: int = 0) -> str:
-        index = self.pos + offset
-        return self.text[index] if index < len(self.text) else ""
-
-    def advance(self, count: int = 1) -> None:
-        self.pos += count
-
-    def starts_with(self, prefix: str) -> bool:
-        return self.text.startswith(prefix, self.pos)
-
-    def location(self, pos: int | None = None) -> tuple[int, int]:
-        """1-based (line, column) of *pos* (default: current position)."""
-        pos = self.pos if pos is None else pos
-        prefix = self.text[:pos]
-        line = prefix.count("\n") + 1
-        column = pos - (prefix.rfind("\n") + 1) + 1
-        return line, column
-
-    def error(self, message: str, pos: int | None = None) -> XmlParseError:
-        line, column = self.location(pos)
-        return XmlParseError(message, line=line, column=column)
-
-    def skip_whitespace(self) -> None:
-        while not self.eof() and self.peek() in " \t\r\n":
-            self.advance()
-
-    def read_until(self, terminator: str, what: str) -> str:
-        end = self.text.find(terminator, self.pos)
-        if end < 0:
-            raise self.error(f"unterminated {what}")
-        chunk = self.text[self.pos:end]
-        self.pos = end + len(terminator)
-        return chunk
-
-    def read_name(self) -> str:
-        if self.eof() or self.peek() not in _NAME_START:
-            raise self.error("expected an XML name")
-        start = self.pos
-        while not self.eof() and self.peek() in _NAME_CHARS:
-            self.advance()
-        return self.text[start:self.pos]
-
-
-def _decode_entities(scanner: _Scanner, raw: str, base_pos: int) -> str:
-    """Replace ``&name;`` and ``&#NNN;`` references in character data."""
-    if "&" not in raw:
-        return raw
-    parts: list[str] = []
-    index = 0
-    while index < len(raw):
-        amp = raw.find("&", index)
-        if amp < 0:
-            parts.append(raw[index:])
-            break
-        parts.append(raw[index:amp])
-        semi = raw.find(";", amp)
-        if semi < 0:
-            raise scanner.error("unterminated entity reference",
-                                pos=base_pos + amp)
-        name = raw[amp + 1:semi]
-        if name.startswith("#x") or name.startswith("#X"):
-            parts.append(chr(int(name[2:], 16)))
-        elif name.startswith("#"):
-            parts.append(chr(int(name[1:])))
-        elif name in _ENTITIES:
-            parts.append(_ENTITIES[name])
-        else:
-            raise scanner.error(f"unknown entity &{name};",
-                                pos=base_pos + amp)
-        index = semi + 1
-    return "".join(parts)
-
-
-def _parse_attributes(scanner: _Scanner) -> dict[str, str]:
-    attributes: dict[str, str] = {}
-    while True:
-        scanner.skip_whitespace()
-        if scanner.eof() or scanner.peek() in (">", "/", "?"):
-            return attributes
-        name = scanner.read_name()
-        scanner.skip_whitespace()
-        if scanner.peek() != "=":
-            raise scanner.error(f"expected '=' after attribute {name!r}")
-        scanner.advance()
-        scanner.skip_whitespace()
-        quote = scanner.peek()
-        if quote not in ("'", '"'):
-            raise scanner.error("attribute value must be quoted")
-        scanner.advance()
-        value_start = scanner.pos
-        raw = scanner.read_until(quote, "attribute value")
-        if name in attributes:
-            raise scanner.error(f"duplicate attribute {name!r}")
-        attributes[name] = _decode_entities(scanner, raw, value_start)
 
 
 def parse_xml(text: str, name: str = "doc") -> XmlDocument:
     """Parse an XML string into a region-encoded :class:`XmlDocument`."""
-    from repro.errors import DocumentError
-
-    scanner = _Scanner(text)
     builder = DocumentBuilder(name=name)
+    parser = expat.ParserCreate()
+    parser.buffer_text = True
+    parser.StartElementHandler = builder.start_element
+    parser.EndElementHandler = builder.end_element
+    parser.CharacterDataHandler = builder.text
+
+    def here(message: str) -> XmlParseError:
+        return XmlParseError(message, line=parser.CurrentLineNumber,
+                             column=parser.CurrentColumnNumber + 1)
+
+    def refuse_declaration(entity_name: str, *_declaration: object) -> None:
+        raise here(f"entity declarations are not accepted "
+                   f"(<!ENTITY {entity_name} ...>)")
+
+    def refuse_reference(entity_name: str, _is_parameter: int) -> None:
+        raise here(f"unknown entity &{entity_name};")
+
+    parser.EntityDeclHandler = refuse_declaration
+    parser.SkippedEntityHandler = refuse_reference
     try:
-        _parse_into(scanner, builder)
-    except DocumentError as exc:
-        raise scanner.error(str(exc)) from exc
-    try:
+        parser.Parse(text, True)
         return builder.finish()
+    except expat.ExpatError as exc:
+        raise XmlParseError(expat.ErrorString(exc.code), line=exc.lineno,
+                            column=exc.offset + 1) from exc
+    except XmlParseError:
+        raise
     except DocumentError as exc:
-        raise XmlParseError(str(exc)) from exc
-
-
-def _parse_into(scanner: _Scanner, builder: DocumentBuilder) -> None:
-    saw_root = False
-    while not scanner.eof():
-        if scanner.peek() != "<":
-            data_start = scanner.pos
-            end = scanner.text.find("<", scanner.pos)
-            if end < 0:
-                end = len(scanner.text)
-            raw = scanner.text[data_start:end]
-            scanner.pos = end
-            builder.text(_decode_entities(scanner, raw, data_start))
-            continue
-
-        if scanner.starts_with("<!--"):
-            scanner.advance(4)
-            scanner.read_until("-->", "comment")
-        elif scanner.starts_with("<![CDATA["):
-            scanner.advance(9)
-            builder.text(scanner.read_until("]]>", "CDATA section"))
-        elif scanner.starts_with("<!"):
-            scanner.advance(2)
-            scanner.read_until(">", "declaration")
-        elif scanner.starts_with("<?"):
-            scanner.advance(2)
-            scanner.read_until("?>", "processing instruction")
-        elif scanner.starts_with("</"):
-            scanner.advance(2)
-            tag = scanner.read_name()
-            scanner.skip_whitespace()
-            if scanner.peek() != ">":
-                raise scanner.error(f"malformed end tag </{tag}")
-            scanner.advance()
-            builder.end_element(tag)
-        else:
-            scanner.advance()
-            tag_pos = scanner.pos
-            tag = scanner.read_name()
-            attributes = _parse_attributes(scanner)
-            if scanner.starts_with("/>"):
-                scanner.advance(2)
-                builder.start_element(tag, attributes)
-                builder.end_element(tag)
-            elif scanner.peek() == ">":
-                scanner.advance()
-                if saw_root and builder.size == 0:  # pragma: no cover
-                    raise scanner.error("multiple root elements", pos=tag_pos)
-                builder.start_element(tag, attributes)
-            else:
-                raise scanner.error(f"malformed start tag <{tag}",
-                                    pos=tag_pos)
-            saw_root = True
+        raise here(str(exc)) from exc

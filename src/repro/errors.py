@@ -92,9 +92,14 @@ class TransactionError(ReproError):
 
 class ShardError(ReproError):
     """Sharded-execution failure: bad partitioning arguments, a dead or
-    unresponsive shard worker, use of a closed coordinator, or a
-    pattern a fleet cannot answer (a twig branching at the replicated
-    document root)."""
+    unresponsive shard worker, use of a closed coordinator."""
+
+
+class UnshardablePatternError(ShardError):
+    """A pattern a fleet cannot answer (a twig branching at the
+    replicated document root).  The request is at fault, not the
+    fleet: over HTTP it is a 400 where any other :class:`ShardError`
+    is a 500."""
 
 
 class QueryCancelled(ReproError):

@@ -72,7 +72,8 @@ from dataclasses import dataclass, field
 from typing import IO, Callable
 
 from repro.errors import (OptimizerError, PatternError, PlanError,
-                          QueryCancelled, XPathSyntaxError)
+                          QueryCancelled, UnshardablePatternError,
+                          XPathSyntaxError)
 from repro.engine.executor import StreamingExecution
 from repro.engine.tuples import LabelRow
 from repro.obs.spans import TraceContext
@@ -86,7 +87,7 @@ __all__ = ["ServerConfig", "QueryServer"]
 
 #: request errors that are the client's fault
 BAD_REQUEST_ERRORS = (XPathSyntaxError, PatternError, PlanError,
-                      OptimizerError)
+                      OptimizerError, UnshardablePatternError)
 
 _TRUTHY = ("1", "true", "yes", "on")
 

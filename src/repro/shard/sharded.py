@@ -17,8 +17,9 @@ cost-model counters are the *sum* of per-shard work (the
 replicated root's postings are scanned once per shard, so counters are
 diagnostics here, not an engine-parity surface); and **a twig that
 branches at the document root is refused** with a typed
-:class:`~repro.errors.ShardError` before anything is scattered — a
-pattern whose root's node test holds of the replicated document root
+:class:`~repro.errors.UnshardablePatternError` (a ``ShardError``, the
+one kind the HTTP front-end answers 400) before anything is scattered
+— a pattern whose root's node test holds of the replicated document root
 and which has two or more pattern children, when more than one shard
 owns data.  Such a match may take its branches from different shards
 (``/r[a][b]`` with every ``a`` in shard 0 and every ``b`` in shard 1)
@@ -43,7 +44,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.errors import ShardError
+from repro.errors import ShardError, UnshardablePatternError
 from repro.api import Database
 from repro.core.cost import CostFactors
 from repro.core.pattern import QueryPattern
@@ -282,7 +283,7 @@ class ShardedDatabase(QueryTarget):
                      for assignment in self.partition.assignments)
         if (branches >= 2 and owners >= 2
                 and root.matches(self.document.root)):
-            raise ShardError(
+            raise UnshardablePatternError(
                 f"pattern root {root.label()!r} can bind the document "
                 f"root, which every shard replicates, and has "
                 f"{branches} branches: matches spanning shards would "

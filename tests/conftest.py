@@ -11,6 +11,7 @@ from repro.core.pattern import QueryPattern
 from repro.document.builder import DocumentBuilder
 from repro.document.document import XmlDocument
 from repro.document.parser import parse_xml
+from repro.workloads.queries import dataset_document
 
 PERSONNEL_XML = """
 <company>
@@ -94,6 +95,18 @@ def random_document(seed: int, size: int = 40,
         builder.end_element()
         open_depth -= 1
     return builder.finish()
+
+
+@pytest.fixture(scope="module")
+def paper_databases():
+    return {dataset: Database.from_document(dataset_document(dataset))
+            for dataset in ("mbench", "dblp", "pers")}
+
+
+@pytest.fixture(scope="module")
+def random_database():
+    # same tag alphabet as random_pattern, so cardinalities are non-zero
+    return Database.from_document(random_document(7, size=400))
 
 
 def branches_at_root(pattern: QueryPattern, document: XmlDocument) -> bool:

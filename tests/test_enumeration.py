@@ -111,11 +111,13 @@ class TestPossibleMoves:
                 assert move.cost > model.stack_tree_desc(
                     context.cards.cluster(frozenset({0, 1})))
 
-    def test_left_deep_filter(self, context):
+    def test_left_deep_filter(self, context, small_document):
         status = status_of(({0, 1}, 0), ({2}, 2), ({3}, 3), ({4}, 4),
                            ({5}, 5))
         all_moves = possible_moves(status, context)
-        left_deep = possible_moves(status, context, left_deep=True)
+        left_deep = possible_moves(status, EnumerationContext(
+            context.pattern, CostModel(), ExactEstimator(small_document),
+            left_deep=True))
         assert {(m.edge.parent, m.edge.child) for m in left_deep} <= {
             (0, 3), (1, 2)}
         assert any((m.edge.parent, m.edge.child) == (4, 5)

@@ -28,27 +28,14 @@ from repro.core.planspace import PlanSpaceRecorder
 from repro.errors import PlanError
 from repro.obs.audit import audit_records
 from repro.workloads.generators import random_pattern
-from repro.workloads.queries import PAPER_QUERIES, dataset_document
+from repro.workloads.queries import PAPER_QUERIES
 
-from tests.conftest import random_document
 from tests.test_cli import run_cli
 
 ALGORITHMS = ("DP", "DPP", "DPP'", "DPAP-EB", "DPAP-LD", "FP")
 
 BOGUS = "bogus[1//0](scan(1),scan(0))"
 NESTED_LOOP = "nested-loop[1//0](scan(1),scan(0))"
-
-
-@pytest.fixture(scope="module")
-def paper_databases():
-    return {dataset: Database.from_document(dataset_document(dataset))
-            for dataset in ("mbench", "dblp", "pers")}
-
-
-@pytest.fixture(scope="module")
-def random_database():
-    # same tag alphabet as random_pattern, so cardinalities are non-zero
-    return Database.from_document(random_document(7, size=400))
 
 
 def check_algebra(database, pattern, algorithm):

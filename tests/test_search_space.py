@@ -1,0 +1,267 @@
+"""One search space: moves, Lookahead test and ubCost agree.
+
+Sec. 3 defines one search and restrictions of it.  Which moves exist
+(``possible_moves``), which statuses are dead (``is_doomed``) and what
+a feasible completion costs (``upper_bound_completion``) are read from
+the per-optimize :class:`EnumerationContext`; a search whose bound
+comes from a different space than its moves prunes plans it could have
+built — DPAP-LD used to prune *every* left-deep status against a bushy
+bound on the patterns in ``REPRODUCERS`` below, and silently returned
+a dearer plan on ``SILENTLY_DEARER``.
+
+The oracle is the one DPP has always had: exhaustive DP over the same
+move set.  ``LeftDeepDP`` is DP with the left-deep switch on, i.e. the
+exhaustive left-deep optimum.
+"""
+
+import asyncio
+import hashlib
+import io
+import random
+from collections import deque
+from urllib.parse import quote
+
+import pytest
+
+from repro.core.dp import DPOptimizer
+from repro.core.enumeration import (EnumerationContext, is_doomed,
+                                    left_deep_allows, possible_moves,
+                                    upper_bound_completion)
+from repro.core.plans import canonical_plan_digest
+from repro.core.planspace import PlanSpaceRecorder
+from repro.core.status import Status
+from repro.server import QueryServer, ServerConfig, fetch
+from repro.workloads.generators import random_pattern
+from repro.workloads.queries import PAPER_QUERIES
+from repro.xpath.render import pattern_to_xpath
+
+
+class LeftDeepDP(DPOptimizer):
+    """Exhaustive DP over the left-deep space (not registered)."""
+
+    name = "DP-LD"
+    left_deep = True
+
+
+#: (size, seed, exact statistics?) of ``pattern_of`` patterns on which
+#: DPAP-LD raised "search reached no final status" before its bound
+#: was a left-deep one
+REPRODUCERS = [(6, 262, False), (7, 197, False), (8, 103, False),
+               (6, 102, True), (6, 262, True), (7, 102, True),
+               (8, 102, True), (9, 102, True)]
+#: ... and one where it answered, with a plan 18 % dearer than the
+#: left-deep optimum (2116.3 against 1791.2)
+SILENTLY_DEARER = [(6, 184, False)]
+
+#: full DP enumerates every status; 9 nodes costs seconds
+DP_MAX_NODES = 8
+
+
+def pattern_of(size, seed, predicate_chance=0.3):
+    return random_pattern(random.Random(seed), min_nodes=size,
+                          max_nodes=size,
+                          predicate_chance=predicate_chance)
+
+
+def estimator_of(database, exact):
+    return database.exact_estimator if exact else database.estimator
+
+
+def cost(database, pattern, optimizer, exact=False):
+    return optimizer(database.cost_model).optimize(
+        pattern, estimator_of(database, exact))
+
+
+def check_against_oracles(database, pattern, exact=False):
+    result = database.optimize(pattern, algorithm="DPAP-LD", exact=exact)
+    assert result.plan.is_left_deep
+    oracle = cost(database, pattern, LeftDeepDP, exact)
+    assert oracle.plan.is_left_deep
+    assert result.estimated_cost == oracle.estimated_cost
+    if len(pattern) <= DP_MAX_NODES:
+        dp, dpp = (database.optimize(pattern, algorithm=algorithm,
+                                     exact=exact).estimated_cost
+                   for algorithm in ("DP", "DPP"))
+        assert dpp == dp <= result.estimated_cost
+
+
+# -- (a) DPAP-LD == exhaustive left-deep optimum, DPP == DP ----------------
+
+
+@pytest.mark.parametrize("size, seed, exact",
+                         REPRODUCERS + SILENTLY_DEARER)
+def test_reproducers_return_the_left_deep_optimum(random_database, size,
+                                                  seed, exact):
+    check_against_oracles(random_database, pattern_of(size, seed), exact)
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
+def test_paper_queries(paper_databases, name):
+    query = PAPER_QUERIES[name]
+    check_against_oracles(paper_databases[query.dataset], query.pattern)
+
+
+@pytest.mark.parametrize("predicate_chance", [0.0, 0.3])
+@pytest.mark.parametrize("exact", [False, True])
+def test_random_pools(random_database, predicate_chance, exact):
+    for size in (3, 4, 5, 6, 7):
+        for seed in range(16):
+            check_against_oracles(
+                random_database,
+                pattern_of(size, 1000 * size + seed, predicate_chance),
+                exact)
+
+
+# -- (b) every bound is a plan of the space being searched -----------------
+
+
+def contexts(database, pattern, exact=False):
+    return {left_deep: EnumerationContext(
+                pattern, database.cost_model,
+                estimator_of(database, exact), left_deep=left_deep)
+            for left_deep in (False, True)}
+
+
+def reachable(context):
+    """Every status some move sequence of *context*'s space reaches,
+    level by level: ``(status, cheapest cost to reach it, its moves)``."""
+    start = Status.start(context.pattern)
+    cheapest = {start: context.start_cost()}
+    queue = deque([start])
+    while queue:
+        status = queue.popleft()
+        moves = possible_moves(status, context)
+        yield status, cheapest[status], moves
+        for move in moves:
+            reached = cheapest[status] + move.cost
+            if move.result not in cheapest:
+                queue.append(move.result)
+            elif reached >= cheapest[move.result]:
+                continue
+            cheapest[move.result] = reached
+
+
+@pytest.mark.parametrize("size, seed, exact",
+                         REPRODUCERS[:7] + SILENTLY_DEARER)
+def test_cost_plus_ubcost_is_achievable_in_its_own_space(
+        random_database, size, seed, exact):
+    pattern = pattern_of(size, seed)
+    spaces = contexts(random_database, pattern, exact)
+    optimum = {
+        False: cost(random_database, pattern, DPOptimizer, exact),
+        True: cost(random_database, pattern, LeftDeepDP, exact)}
+    for left_deep, context in spaces.items():
+        start_bound = context.start_cost() + upper_bound_completion(
+            Status.start(pattern), context)
+        assert start_bound >= optimum[left_deep].estimated_cost
+        # the Pruning Rule takes the least Cost + ubCost it has seen
+        # for a full-plan cost: no status may promise less than the
+        # space's optimum (up to the order the floats were summed in)
+        for status, reached, _ in reachable(context):
+            assert (reached + upper_bound_completion(status, context)
+                    >= optimum[left_deep].estimated_cost * (1 - 1e-9))
+    # what went wrong: completed with bushy joins, some left-deep
+    # status promises a plan cheaper than any left-deep plan
+    assert min(reached + upper_bound_completion(status, spaces[False])
+               for status, reached, _ in reachable(spaces[True])
+               ) < optimum[True].estimated_cost * (1 - 1e-9)
+
+
+# -- (c) the three definitions agree on every reachable status --------------
+
+
+@pytest.mark.parametrize("left_deep", [False, True])
+def test_moves_doom_test_and_bound_agree(random_database, left_deep):
+    patterns = [PAPER_QUERIES["Q.Pers.3.d"].pattern] + [
+        pattern_of(size, seed) for size, seed in
+        ((4, 1), (5, 2), (6, 3), (6, 262), (7, 197))]
+    for pattern in patterns:
+        context = contexts(random_database, pattern)[left_deep]
+        for status, _, moves in reachable(context):
+            if left_deep:
+                assert all(left_deep_allows(status, move.edge)
+                           for move in moves)
+                assert len(status.growing_nodes()) <= 1
+            if status.is_final():
+                assert not moves and not is_doomed(status, context)
+                continue
+            doomed = is_doomed(status, context)
+            # a live status has a move, and a feasible completion
+            assert doomed or moves
+            assert doomed == (upper_bound_completion(status, context)
+                              == float("inf"))
+            if left_deep:
+                assert doomed == (not moves)
+
+
+# -- (d) DP and DPP record what they recorded before sharing a memo ---------
+
+#: per paper query and algorithm: alternatives recorded, memo size, and
+#: a fingerprint of each list — taken at the commit before DP's
+#: per-level tables and DPP's dict became one memo with one
+#: reconstruction walk and one recorder epilogue
+RECORDED = {
+    ("Q.Mbench.1.a", "DP"): (7, 18, "bf6cab7e0d37686e", "cea6ffe31294177a"),
+    ("Q.Mbench.1.a", "DPP"): (3, 8, "28bdee05b2c8698d", "308e7407db941011"),
+    ("Q.Mbench.2.b", "DP"): (9, 51, "ad56e99caa203ead", "1cec0afc7ea3cee7"),
+    ("Q.Mbench.2.b", "DPP"): (9, 21, "6b97f4fdc300504d", "28d644c84bad6d28"),
+    ("Q.DBLP.1.b", "DP"): (9, 51, "f500270d285ae3dc", "3aa992817fe8aaf0"),
+    ("Q.DBLP.1.b", "DPP"): (9, 21, "a8736381ba635fc2", "dd298bbb6323b2d8"),
+    ("Q.DBLP.2.c", "DP"): (11, 139, "8b125f096655b179", "ee08a7bb2a1ee7a1"),
+    ("Q.DBLP.2.c", "DPP"): (9, 49, "8ffdc7a070536d33", "ed72e1d912feec97"),
+    ("Q.Pers.1.a", "DP"): (7, 18, "26010f81e0e3a936", "b2bbf5b7bfaa3136"),
+    ("Q.Pers.1.a", "DPP"): (3, 8, "05e2c17daf62800c", "0926b1348d9a676b"),
+    ("Q.Pers.2.c", "DP"): (11, 139, "8dccef1acbb73cfa", "caff2cc144433af1"),
+    ("Q.Pers.2.c", "DPP"): (13, 44, "98468a3165565150", "52170949d468f95f"),
+    ("Q.Pers.3.d", "DP"): (13, 344, "5a7cff25e9c9759c", "109be1be2b5c2d6e"),
+    ("Q.Pers.3.d", "DPP"): (9, 99, "5f41e69d8328f1fb", "0750ec8786daf1ec"),
+    ("Q.Pers.4.d", "DP"): (13, 344, "2a41b8fd98d5e603", "2a1fb0728a545f76"),
+    ("Q.Pers.4.d", "DPP"): (7, 98, "1e0390120934d079", "e6073f74df0a52dd"),
+}
+
+
+def fingerprint(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]
+
+
+def recorded(database, query, algorithm):
+    recorder = PlanSpaceRecorder()
+    database.optimize(query.pattern, algorithm=algorithm,
+                      planspace=recorder)
+    finals = [f"{canonical_plan_digest(plan, query.pattern)} "
+              f"{plan_cost:.1f} {note}"
+              for plan, plan_cost, note in recorder.finals]
+    memo = [f"{entry['status']} {entry['cost']:.1f} {entry['level']}"
+            for entry in recorder.memo_entries]
+    return (len(finals), recorder.memo_size, fingerprint(finals),
+            fingerprint(memo))
+
+
+@pytest.mark.parametrize("name, algorithm", sorted(RECORDED))
+def test_recorder_sees_the_same_memo_and_finals(paper_databases, name,
+                                                algorithm):
+    query = PAPER_QUERIES[name]
+    assert recorded(paper_databases[query.dataset], query,
+                    algorithm) == RECORDED[name, algorithm]
+
+
+# -- over HTTP: no plan is a server bug, and there is none now --------------
+
+
+def test_left_deep_request_is_answered_not_blamed_on_the_client(
+        random_database):
+    pattern = pattern_of(8, 103)
+    xpath = pattern_to_xpath(pattern)
+    assert xpath == ("//b[a[c]]//a[.//a[text() >= '2']"
+                     "[.//d[b[text() > '42'][d]]]]")
+    instance = QueryServer(
+        random_database, ServerConfig(port=0, tenant_rate=0.0),
+        out=io.StringIO())
+    host, port = instance.start()
+    try:
+        response = asyncio.run(fetch(
+            host, port, "GET",
+            f"/query?algorithm=DPAP-LD&xpath={quote(xpath)}"))
+    finally:
+        instance.stop()
+    assert response.status == 200, response.json()

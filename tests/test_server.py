@@ -1250,6 +1250,44 @@ class TestShardedServing:
             finally:
                 instance.stop()
 
+    def test_root_twig_refusal_is_a_400_a_dead_worker_a_500(self):
+        from urllib.parse import quote
+
+        from repro.document.parser import parse_xml
+        from repro.shard.sharded import ShardedDatabase
+
+        document = parse_xml("<r><a><x/></a><a><x/></a>"
+                             "<b><y/></b><b><y/></b></r>")
+        with ShardedDatabase(document, shards=2) as database:
+            instance = QueryServer(database, ServerConfig(
+                port=0, tenant_rate=0.0), out=io.StringIO())
+            host, port = instance.start()
+
+            def get(xpath):
+                return run(fetch(host, port, "GET",
+                                 f"/query?xpath={quote(xpath)}"))
+
+            try:
+                # the request asks for what no fleet can answer
+                refused = get("/r[a][b]")
+                assert refused.status == 400, refused.json()
+                assert refused.json()["kind"] == "UnshardablePatternError"
+                assert "document root" in refused.json()["error"]
+                wait_until(lambda: instance.admission.snapshot()
+                           ["inflight"] == 0)
+                assert "repro_http_inflight 0" in run(fetch(
+                    host, port, "GET", "/metrics")).text()
+                answered = get("/r/a")
+                assert answered.status == 200
+                assert answered.json()["rows"] == 2
+                # the fleet failing is still the server's fault
+                database.workers.crash_worker(1)
+                broken = get("/r/a")
+                assert broken.status == 500, broken.json()
+                assert broken.json()["kind"] == "ShardError"
+            finally:
+                instance.stop()
+
 
 class TestServerLifecycle:
     def test_port_in_use_raises_bind_error(self):
