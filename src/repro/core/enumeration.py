@@ -15,19 +15,28 @@ orders DPP's queue and seeds its Pruning Rule) must agree, or a search
 prunes against plans it can never build: all three take ``(status,
 context)`` and read ``context.left_deep`` — the full space of Sec. 3.1
 when false, Sec. 3.3.2's left-deep restriction when true.
+
+All three work on node masks (see :mod:`repro.core.status`): a cluster
+is an int, joining two is ``|``, and a cluster's cardinality is one
+lookup in the context's :class:`PatternCardinalities`.  The doom test
+and ``ubCost`` are pure functions of the status, so the context
+memoises both per status; it lives for one ``optimize()`` call.  The
+order in which ``possible_moves`` emits moves is part of the contract:
+DPP's heap breaks cost ties by emission count and DP keeps the first of
+equally cheap paths, so reordering the moves changes which plan wins a
+tie.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.errors import OptimizerError, PlanError
 from repro.core.cost import CostModel
-from repro.core.pattern import PatternEdge, QueryPattern
+from repro.core.pattern import PatternEdge, QueryPattern, mask_nodes
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               SortPlan, StructuralJoinPlan)
-from repro.core.status import ANY_ORDER, Move, Status, StatusNode
+from repro.core.status import ANY_ORDER, Move, Status
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PatternCardinalities)
 
@@ -35,7 +44,8 @@ from repro.estimation.estimator import (CardinalityEstimator,
 class EnumerationContext:
     """Per-optimize-call bundle: pattern, cost model, cached estimates
     and the search space — every status when ``left_deep`` is false,
-    only those with a single growing cluster when it is true."""
+    only those with a single growing cluster when it is true — plus
+    the per-status memo tables of the search functions below."""
 
     def __init__(self, pattern: QueryPattern, cost_model: CostModel,
                  estimator: CardinalityEstimator,
@@ -44,28 +54,22 @@ class EnumerationContext:
         self.cost_model = cost_model
         self.left_deep = left_deep
         self.cards = PatternCardinalities(pattern, estimator)
-        self._depths = self._node_depths()
-        self._remaining: dict[Status, tuple[PatternEdge, ...]] = {}
+        self._eligible: dict[int, tuple[PatternEdge, ...]] = {}
+        self._doomed: dict[Status, bool] = {}
+        self._bounds: dict[Status, float] = {}
 
-    def remaining_edges(self, status: "Status") -> tuple[PatternEdge, ...]:
-        """Memoized ``status.remaining_edges`` — the hottest query of
-        the whole search, shared by move generation, the lookahead
-        test and the ubCost bound."""
-        cached = self._remaining.get(status)
+    def eligible_edges(self, ordered: int) -> tuple[PatternEdge, ...]:
+        """The edges :func:`edge_eligible` accepts in any status whose
+        ``ordered_nodes`` mask is *ordered*, in ``pattern.edges``
+        order."""
+        cached = self._eligible.get(ordered)
         if cached is None:
-            cached = tuple(status.remaining_edges(self.pattern))
-            self._remaining[status] = cached
+            cached = tuple(
+                edge for edge, ends in zip(self.pattern.edges,
+                                           self.pattern.edge_masks)
+                if ordered & ends == ends)
+            self._eligible[ordered] = cached
         return cached
-
-    def _node_depths(self) -> dict[int, int]:
-        depths = {self.pattern.root: 0}
-        for node_id in self.pattern.walk_preorder():
-            for child in self.pattern.children(node_id):
-                depths[child] = depths[node_id] + 1
-        return depths
-
-    def depth(self, node_id: int) -> int:
-        return self._depths[node_id]
 
     def start_cost(self) -> float:
         """Index-access cost of retrieving every candidate list.
@@ -85,10 +89,12 @@ def edge_eligible(status: Status, edge: PatternEdge) -> bool:
     The stack-tree algorithms need the ancestor-side input ordered by
     the ancestor node and the descendant-side input ordered by the
     descendant node.  Singleton clusters (index scans) are ordered by
-    their own node, so they are always eligible.
+    their own node, so they are always eligible.  No cluster is ordered
+    by two nodes, so an edge whose endpoints are both ``ordered_by``
+    nodes also joins two different clusters.
     """
-    return (status.cluster_of(edge.parent).ordered_by == edge.parent
-            and status.cluster_of(edge.child).ordered_by == edge.child)
+    ends = 1 << edge.parent | 1 << edge.child
+    return status.ordered_nodes & ends == ends
 
 
 def is_deadend(status: Status, pattern: QueryPattern) -> bool:
@@ -106,8 +112,9 @@ def is_doomed(status: Status, context: "EnumerationContext") -> bool:
     A move may re-sort its *output* to any node, but never an existing
     cluster's input: once a multi-node cluster is ordered by ``w``, the
     first join that consumes it must be on a remaining edge whose
-    endpoint inside the cluster is exactly ``w``.  A cluster with no
-    such edge can never participate in another join, so the status is
+    endpoint inside the cluster is exactly ``w`` — some neighbor of
+    ``w`` must lie outside the cluster.  A cluster with no such edge
+    can never participate in another join, so the status is
     unsalvageable even if Definition 6's one-step test passes.
 
     Under ``left_deep`` every further join consumes the single growing
@@ -118,46 +125,64 @@ def is_doomed(status: Status, context: "EnumerationContext") -> bool:
 
     Used as the Lookahead Rule's test (any sound dead-status test keeps
     DPP exact); :func:`is_deadend` remains the literal Definition 6.
+    Memoised per status on *context*.
     """
+    doomed = context._doomed.get(status)
+    if doomed is None:
+        doomed = context._doomed[status] = _is_doomed(status, context)
+    return doomed
+
+
+def _is_doomed(status: Status, context: EnumerationContext) -> bool:
     if status.is_final():
         return False
     if not context.left_deep:
-        remaining = context.remaining_edges(status)
-        for cluster in status.clusters:
-            if cluster.is_singleton:
-                continue
-            satisfiable = any(
-                (edge.parent in cluster.nodes
-                 and edge.parent == cluster.ordered_by)
-                or (edge.child in cluster.nodes
-                    and edge.child == cluster.ordered_by)
-                for edge in remaining)
-            if not satisfiable:
+        adjacency = context.pattern.adjacency
+        for mask, order in status.key:
+            if mask & (mask - 1) and (order == ANY_ORDER
+                                      or not adjacency[order] & ~mask):
                 return True
-    return next(_open_edges(status, context), None) is None
+    return not _open_edges(status, context)
+
+
+def _growing(status: Status) -> int | None:
+    """The left-deep *growing node*: the mask of the one multi-node
+    cluster, 0 before the first join, None when there are several."""
+    growing = 0
+    for mask, _ in status.key:
+        if mask & (mask - 1):
+            if growing:
+                return None
+            growing = mask
+    return growing
+
+
+def _extends(growing: int, edge: PatternEdge) -> bool:
+    """Has *edge* exactly one endpoint in the growing node (any edge
+    does before the first join)?"""
+    return not growing or ((growing >> edge.parent & 1)
+                           != (growing >> edge.child & 1))
 
 
 def left_deep_allows(status: Status, edge: PatternEdge) -> bool:
     """DPAP-LD rule: moves must extend the single *growing node*."""
-    growing = status.growing_nodes()
-    if not growing:
-        return True  # the first join creates the growing node
-    if len(growing) > 1:
-        return False
-    cluster = growing[0]
-    return (edge.parent in cluster.nodes) != (edge.child in cluster.nodes)
+    growing = _growing(status)
+    return growing is not None and _extends(growing, edge)
 
 
 def _open_edges(status: Status,
-                context: EnumerationContext) -> Iterator[PatternEdge]:
+                context: EnumerationContext) -> tuple[PatternEdge, ...]:
     """The remaining edges a move may evaluate from *status*: joinable
     without re-sorting an input and, in the left-deep space, extending
     the growing cluster.  Move generation and the doom test both read
     this, so they cannot disagree on which moves exist."""
-    for edge in context.remaining_edges(status):
-        if edge_eligible(status, edge) and (
-                not context.left_deep or left_deep_allows(status, edge)):
-            yield edge
+    eligible = context.eligible_edges(status.ordered_nodes)
+    if not context.left_deep:
+        return eligible
+    growing = _growing(status)
+    if growing is None:
+        return ()
+    return tuple(edge for edge in eligible if _extends(growing, edge))
 
 
 def possible_moves(status: Status,
@@ -165,60 +190,55 @@ def possible_moves(status: Status,
     """All moves from *status* in *context*'s search space (pM(S) of
     Sec. 3.1.1).
 
-    For every eligible remaining edge ``(u, v)`` the alternatives are:
+    For every eligible remaining edge ``(u, v)``, in ``pattern.edges``
+    order, the alternatives are emitted in this order:
 
     * Stack-Tree-Desc, output ordered by ``v``;
     * Stack-Tree-Anc, output ordered by ``u``;
-    * Stack-Tree-Desc followed by a sort to any other node of the
-      merged cluster (including ``u`` — sometimes cheaper than STA).
+    * Stack-Tree-Desc followed by a sort to each other node of the
+      merged cluster, ascending (including ``u`` — sometimes cheaper
+      than STA).
 
     A move that completes the pattern canonicalizes the final ordering:
     to the query's ``order_by`` (charging a final sort if the native
     order differs), or to ``ANY_ORDER`` when the query is unordered.
     """
-    pattern = context.pattern
+    order_by = context.pattern.order_by
     cost_model = context.cost_model
+    cardinality = context.cards.cluster_cardinality
+    desc, anc = JoinAlgorithm.STACK_TREE_DESC, JoinAlgorithm.STACK_TREE_ANC
+    # every eligible endpoint is its cluster's ordered_by node
+    cluster_by_order = {order: mask for mask, order in status.key}
+    completes = len(status.key) == 2
     moves: list[Move] = []
     for edge in _open_edges(status, context):
-        ancestor_cluster = status.cluster_of(edge.parent)
-        descendant_cluster = status.cluster_of(edge.child)
-        merged_nodes = ancestor_cluster.nodes | descendant_cluster.nodes
-        ancestor_card = context.cards.cluster(ancestor_cluster.nodes)
-        merged_card = context.cards.cluster(merged_nodes)
-        other_clusters = frozenset(
-            cluster for cluster in status.clusters
-            if cluster not in (ancestor_cluster, descendant_cluster))
-        is_final = len(merged_nodes) == len(pattern)
-
-        def emit(algorithm: JoinAlgorithm, native_order: int,
-                 join_cost: float, sort_to: int | None = None) -> None:
-            cost = join_cost
-            order = native_order
-            if sort_to is not None:
-                cost += cost_model.sort(merged_card)
-                order = sort_to
-            if is_final:
-                if pattern.order_by is None:
-                    order = ANY_ORDER
-                    sort_to = None
-                elif order != pattern.order_by:
-                    sort_to = pattern.order_by
-                    cost += cost_model.sort(merged_card)
-                    order = pattern.order_by
-            merged = StatusNode(merged_nodes, order)
-            result = Status(other_clusters | frozenset((merged,)))
-            moves.append(Move(edge=edge, algorithm=algorithm,
-                              sort_to=sort_to, cost=cost, result=result))
-
+        ancestor = cluster_by_order[edge.parent]
+        descendant = cluster_by_order[edge.child]
+        merged = ancestor | descendant
+        ancestor_card = cardinality(ancestor)
+        merged_card = cardinality(merged)
         desc_cost = cost_model.stack_tree_desc(ancestor_card)
         anc_cost = cost_model.stack_tree_anc(ancestor_card, merged_card)
-        emit(JoinAlgorithm.STACK_TREE_DESC, edge.child, desc_cost)
-        emit(JoinAlgorithm.STACK_TREE_ANC, edge.parent, anc_cost)
-        if not is_final:
-            for target in merged_nodes:
-                if target != edge.child:
-                    emit(JoinAlgorithm.STACK_TREE_DESC, edge.child,
-                         desc_cost, sort_to=target)
+        if completes:
+            for algorithm, order, cost in ((desc, edge.child, desc_cost),
+                                           (anc, edge.parent, anc_cost)):
+                sort_to = None
+                if order_by is None:
+                    order = ANY_ORDER
+                elif order != order_by:
+                    sort_to = order = order_by
+                    cost += cost_model.sort(merged_card)
+                (final,) = status.merged(ancestor, descendant, (order,))
+                moves.append(Move(edge, algorithm, sort_to, cost, final))
+            continue
+        targets = [node for node in mask_nodes(merged) if node != edge.child]
+        by_desc, by_anc, *resorted = status.merged(
+            ancestor, descendant, (edge.child, edge.parent, *targets))
+        moves.append(Move(edge, desc, None, desc_cost, by_desc))
+        moves.append(Move(edge, anc, None, anc_cost, by_anc))
+        sort_cost = desc_cost + cost_model.sort(merged_card)
+        for target, result in zip(targets, resorted):
+            moves.append(Move(edge, desc, target, sort_cost, result))
     return moves
 
 
@@ -227,12 +247,13 @@ def upper_bound_completion(status: Status,
     """ubCost (Sec. 3.2): upper-bound cost to reach the final status.
 
     The bound is the cost of one *feasible* completion, built greedily:
-    repeatedly join a remaining edge whose two sides are currently
-    joinable — a side is joinable if it is a singleton, if its fixed
-    ordering matches the edge endpoint, or if it was merged during this
-    completion (every merged result is charged a sort, so its order is
-    freely re-chosen).  Each join is charged Stack-Tree-Desc plus that
-    sort on the estimated cluster cardinalities.
+    repeatedly join the first remaining edge whose two sides are
+    currently joinable — a side is joinable if it is a singleton, if
+    its fixed ordering matches the edge endpoint, or if it was merged
+    during this completion (every merged result is charged a sort, so
+    its order is freely re-chosen).  Each join is charged
+    Stack-Tree-Desc plus that sort on the estimated cluster
+    cardinalities.
 
     Because the completion is achievable, ``Cost + ubCost`` of any
     live status is the cost of a real full plan — DPP seeds its
@@ -244,65 +265,61 @@ def upper_bound_completion(status: Status,
     are picked, so the completion is itself a left-deep plan — a
     bushy bound would let DPAP-LD prune every left-deep status.
     Unsalvageable statuses (see :func:`is_doomed`) get ``inf``.
+    Memoised per status on *context*.
     """
-    cost_model = context.cost_model
-    remaining = list(context.remaining_edges(status))
+    bound = context._bounds.get(status)
+    if bound is None:
+        bound = context._bounds[status] = _greedy_completion(status,
+                                                             context)
+    return bound
+
+
+def _greedy_completion(status: Status,
+                       context: EnumerationContext) -> float:
+    remaining = list(status.remaining_edges(context.pattern))
     if not remaining:
         return 0.0
-    representative: dict[int, int] = {}
-    members: dict[int, frozenset[int]] = {}
-    cardinality: dict[int, float] = {}
-    ordering: dict[int, int] = {}
-    reorderable: dict[int, bool] = {}
-    for cluster in status.clusters:
-        rep = min(cluster.nodes)
-        for node_id in cluster.nodes:
-            representative[node_id] = rep
-        members[rep] = cluster.nodes
-        cardinality[rep] = context.cards.cluster(cluster.nodes)
-        ordering[rep] = cluster.ordered_by
-        reorderable[rep] = False
-
-    def joinable(rep: int, endpoint: int) -> bool:
-        return reorderable[rep] or ordering[rep] == endpoint
+    cost_model = context.cost_model
+    cardinality = context.cards.cluster_cardinality
+    cluster_of: dict[int, int] = {}
+    for mask, _ in status.key:
+        for node_id in mask_nodes(mask):
+            cluster_of[node_id] = mask
+    # endpoints a join may use: a fixed cluster's ordered_by node, and
+    # every node of a cluster this completion merged
+    joinable = status.ordered_nodes
 
     # left-deep only: the one multi-node cluster every join must extend
     growing: int | None = None
     if context.left_deep:
-        multi = [rep for rep, nodes in members.items() if len(nodes) > 1]
-        if len(multi) > 1:
+        growing = _growing(status)
+        if growing is None:
             return float("inf")
-        growing = multi[0] if multi else None
 
     total = 0.0
     while remaining:
-        chosen = None
         for index, edge in enumerate(remaining):
-            anc_rep = representative[edge.parent]
-            desc_rep = representative[edge.child]
-            if growing is not None and growing not in (anc_rep, desc_rep):
+            ends = 1 << edge.parent | 1 << edge.child
+            if growing and not growing & ends:
                 continue
-            if (joinable(anc_rep, edge.parent)
-                    and joinable(desc_rep, edge.child)):
-                chosen = index
+            if joinable & ends == ends:
                 break
-        if chosen is None:
+        else:
             return float("inf")  # doomed status: no feasible completion
-        edge = remaining.pop(chosen)
-        anc_rep = representative[edge.parent]
-        desc_rep = representative[edge.child]
-        merged_nodes = members[anc_rep] | members[desc_rep]
-        merged_card = context.cards.cluster(merged_nodes)
-        total += (cost_model.stack_tree_desc(cardinality[anc_rep])
+        del remaining[index]
+        ancestor = cluster_of[edge.parent]
+        merged = ancestor | cluster_of[edge.child]
+        merged_card = cardinality(merged)
+        total += (cost_model.stack_tree_desc(cardinality(ancestor))
                   + cost_model.sort(merged_card))
-        for node_id in merged_nodes:
-            representative[node_id] = anc_rep
-        members[anc_rep] = merged_nodes
-        cardinality[anc_rep] = merged_card
-        reorderable[anc_rep] = True
+        for node_id in mask_nodes(merged):
+            cluster_of[node_id] = merged
+        joinable |= merged
         if context.left_deep:
-            growing = anc_rep
+            growing = merged
     return total
+
+
 
 
 @dataclass

@@ -7,6 +7,11 @@ edges carry an :class:`Axis` — ``CHILD`` for parent/child edges or
 of the paper).  Patterns are immutable once built; they are the input
 to every optimizer and the schema of every result tuple.
 
+A set of pattern nodes — a cluster, in the optimizer's terms — is a
+*node mask* (:func:`node_mask`); a pattern precomputes the masks of its
+edges and of each node's neighbors, which is all Definition 1's
+connectivity test (:meth:`QueryPattern.is_connected_mask`) reads.
+
 The module also owns the **pattern identity**: the id- and order-
 independent :func:`canonical_signature` the plan cache keys on and the
 query log digests, the :func:`pattern_isomorphism` that carries one
@@ -19,10 +24,31 @@ from __future__ import annotations
 import enum
 import operator
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
 from repro.errors import PatternError, PlanError
 from repro.document.node import NodeRecord
+
+
+def node_mask(node_ids: Iterable[int]) -> int:
+    """The *node mask* of a set of pattern nodes: bit ``i`` set for
+    node ``i``.  Patterns are small, so a cluster of nodes is one int."""
+    mask = 0
+    for node_id in node_ids:
+        mask |= 1 << node_id
+    return mask
+
+
+@lru_cache(maxsize=4096)
+def mask_nodes(mask: int) -> tuple[int, ...]:
+    """The node ids of *mask*, ascending."""
+    nodes = []
+    while mask:
+        low = mask & -mask
+        nodes.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(nodes)
 
 
 class Axis(enum.Enum):
@@ -256,25 +282,36 @@ class QueryPattern:
             result.append(parent.parent)
         return result
 
-    def is_connected_subset(self, node_ids: frozenset[int] | set[int]) -> bool:
-        """Definition 1: is *node_ids* a valid status-node cluster?"""
-        if not node_ids:
-            return False
-        start = next(iter(node_ids))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            current = frontier.pop()
-            for neighbor in self.neighbors(current):
-                if neighbor in node_ids and neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        return len(seen) == len(node_ids)
+    @cached_property
+    def edge_masks(self) -> tuple[int, ...]:
+        """Per edge, in :attr:`edges` order, the node mask of its two
+        endpoints (see :func:`node_mask`)."""
+        return tuple(1 << edge.parent | 1 << edge.child
+                     for edge in self.edges)
 
-    def edges_within(self, node_ids: frozenset[int]) -> list[PatternEdge]:
-        """Pattern edges with both endpoints inside *node_ids*."""
-        return [edge for edge in self.edges
-                if edge.parent in node_ids and edge.child in node_ids]
+    @cached_property
+    def adjacency(self) -> tuple[int, ...]:
+        """Per node id, the node mask of its neighbors."""
+        adjacency = [0] * len(self.nodes)
+        for edge in self.edges:
+            adjacency[edge.parent] |= 1 << edge.child
+            adjacency[edge.child] |= 1 << edge.parent
+        return tuple(adjacency)
+
+    def is_connected_mask(self, mask: int) -> bool:
+        """Definition 1: is the node mask *mask* a valid status-node
+        cluster — non-empty, inside the pattern and connected?"""
+        if mask <= 0 or mask >> len(self.nodes):
+            return False
+        adjacency = self.adjacency
+        reached = frontier = mask & -mask
+        while frontier:
+            grown = 0
+            for node_id in mask_nodes(frontier):
+                grown |= adjacency[node_id]
+            frontier = grown & mask & ~reached
+            reached |= frontier
+        return reached == mask
 
     def subtree_nodes(self, node_id: int) -> frozenset[int]:
         """Node ids of the subtree rooted at *node_id*."""
@@ -388,10 +425,12 @@ def node_signatures(pattern: QueryPattern) -> dict[int, tuple]:
 def canonical_signature(pattern: QueryPattern) -> tuple:
     """Order- and id-independent identity of *pattern*.
 
-    Like :func:`repro.xpath.render.pattern_signature` but additionally
-    marks which node is the pattern's ``order_by`` target, since two
-    patterns that differ only in result order need different plans
-    (the final ordering constraint changes which sorts are required).
+    Two patterns are isomorphic — same tags, predicates, axes and tree
+    shape — and ordered by corresponding nodes iff their signatures
+    compare equal.  The ``order_by`` target is part of the identity,
+    since two patterns that differ only in result order need different
+    plans (the final ordering constraint changes which sorts are
+    required).
     """
     return node_signatures(pattern)[pattern.root]
 

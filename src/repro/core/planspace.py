@@ -143,10 +143,10 @@ class PlanSpaceRecorder:
         if len(self.candidates) >= MAX_CANDIDATES:
             self.candidates_dropped += 1
             return
-        ancestor = status.cluster_of(move.edge.parent).nodes
-        merged = ancestor | status.cluster_of(move.edge.child).nodes
-        ancestor_card = context.cards.cluster(ancestor)
-        merged_card = context.cards.cluster(merged)
+        ancestor = status.mask_of(move.edge.parent)
+        merged = ancestor | status.mask_of(move.edge.child)
+        ancestor_card = context.cards.cluster_cardinality(ancestor)
+        merged_card = context.cards.cluster_cardinality(merged)
         self.candidates.append({
             "kind": "move",
             "status": str(status),

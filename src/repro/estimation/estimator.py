@@ -9,11 +9,13 @@ Two interchangeable estimators implement
   computed from the data (used for calibration, tests, and the
   estimation-error ablation bench).
 
-Both expose the same three queries: candidate-set size of one pattern
-node, result size of one pattern edge, and result size of a connected
-sub-pattern.  Sub-pattern sizes combine per-edge selectivities under
-the textbook attribute-independence assumption — the estimator of the
-paper's reference [17] is likewise built from pairwise statistics.
+Both answer the same two queries: candidate-set size of one pattern
+node and result size of one pattern edge.  The result size of a
+connected sub-pattern is not an estimator's: the per-query
+:class:`PatternCardinalities` combines the node and edge estimates
+under the textbook attribute-independence assumption — the estimator
+of the paper's reference [17] is likewise built from pairwise
+statistics.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from typing import Iterable, Mapping
 from repro.errors import EstimationError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
-from repro.core.pattern import Axis, PatternNode, QueryPattern
+from repro.core.pattern import (Axis, PatternNode, QueryPattern,
+                                mask_nodes, node_mask)
 from repro.estimation.histogram import LevelHistogram, PositionalHistogram
 
 WILDCARD = "*"
@@ -189,30 +192,6 @@ class CardinalityEstimator:
                          child: int) -> float:
         """Estimated result size of the single edge (parent, child)."""
         raise NotImplementedError
-
-    def cluster_cardinality(self, pattern: QueryPattern,
-                            node_ids: frozenset[int]) -> float:
-        """Estimated match count of the connected sub-pattern *node_ids*.
-
-        Default implementation: independence combination of per-edge
-        selectivities, ``prod(|n|) * prod(sel(e))``.
-        """
-        if not node_ids:
-            raise EstimationError("cluster must be non-empty")
-        if not pattern.is_connected_subset(node_ids):
-            raise EstimationError(f"cluster {sorted(node_ids)} is not a "
-                                  "connected sub-pattern")
-        cardinality = 1.0
-        for node_id in node_ids:
-            cardinality *= self.node_cardinality(pattern.node(node_id))
-        for edge in pattern.edges_within(node_ids):
-            parent_size = self.node_cardinality(pattern.node(edge.parent))
-            child_size = self.node_cardinality(pattern.node(edge.child))
-            if parent_size == 0 or child_size == 0:
-                return 0.0
-            pair = self.edge_cardinality(pattern, edge.parent, edge.child)
-            cardinality *= pair / (parent_size * child_size)
-        return cardinality
 
 
 class PositionalEstimator(CardinalityEstimator):
@@ -403,11 +382,15 @@ class ScaledEstimator(CardinalityEstimator):
 
 
 class PatternCardinalities:
-    """Per-query cache of node and cluster cardinalities.
+    """Per-query cardinalities: each node's, cached from the estimator,
+    and each connected sub-pattern's, combined here.
 
     Optimizers instantiate one of these per ``optimize()`` call so that
     repeated lookups during plan enumeration hit a dict instead of
-    re-deriving histogram math.
+    re-deriving histogram math.  A sub-pattern is keyed by its node
+    mask (:func:`~repro.core.pattern.node_mask`), the form the search
+    already holds its clusters in; the pricing walk's frozensets are
+    converted to the same key, so both read one cache.
     """
 
     def __init__(self, pattern: QueryPattern,
@@ -416,7 +399,7 @@ class PatternCardinalities:
         self.estimator = estimator
         self._node_cache: dict[int, float] = {}
         self._candidates_cache: dict[int, float] = {}
-        self._cluster_cache: dict[frozenset[int], float] = {}
+        self._cluster_cache: dict[int, float] = {}
 
     def node(self, node_id: int) -> float:
         cached = self._node_cache.get(node_id)
@@ -434,12 +417,37 @@ class PatternCardinalities:
             self._candidates_cache[node_id] = cached
         return cached
 
-    def cluster(self, node_ids: frozenset[int]) -> float:
-        if len(node_ids) == 1:
-            return self.node(next(iter(node_ids)))
-        cached = self._cluster_cache.get(node_ids)
-        if cached is None:
-            cached = self.estimator.cluster_cardinality(
-                self.pattern, node_ids)
-            self._cluster_cache[node_ids] = cached
-        return cached
+    def cluster(self, node_ids: Iterable[int]) -> float:
+        """:meth:`cluster_cardinality` of the sub-pattern *node_ids*."""
+        return self.cluster_cardinality(node_mask(node_ids))
+
+    def cluster_cardinality(self, mask: int) -> float:
+        """Estimated match count of the connected sub-pattern with node
+        mask *mask*: the independence combination of per-edge
+        selectivities, ``prod(|n|) * prod(sel(e))`` over its nodes and
+        the edges inside it."""
+        cached = self._cluster_cache.get(mask)
+        if cached is not None:
+            return cached
+        pattern = self.pattern
+        if not mask:
+            raise EstimationError("cluster must be non-empty")
+        if not pattern.is_connected_mask(mask):
+            raise EstimationError(f"cluster {list(mask_nodes(mask))} is "
+                                  "not a connected sub-pattern")
+        cardinality = 1.0
+        for node_id in mask_nodes(mask):
+            cardinality *= self.node(node_id)
+        for edge, ends in zip(pattern.edges, pattern.edge_masks):
+            if mask & ends != ends:
+                continue
+            parent_size = self.node(edge.parent)
+            child_size = self.node(edge.child)
+            if parent_size == 0 or child_size == 0:
+                cardinality = 0.0
+                break
+            pair = self.estimator.edge_cardinality(pattern, edge.parent,
+                                                   edge.child)
+            cardinality *= pair / (parent_size * child_size)
+        self._cluster_cache[mask] = cardinality
+        return cardinality

@@ -30,7 +30,7 @@ from repro.xpath.lexer import Token, TokenKind, tokenize
 from repro.xpath.ast import (LocationPath, Step, ValueComparison,
                              PathPredicate)
 from repro.xpath.parser import compile_xpath, parse_xpath
-from repro.xpath.render import pattern_signature, pattern_to_xpath
+from repro.xpath.render import pattern_to_xpath
 
 __all__ = [
     "Token",
@@ -42,6 +42,5 @@ __all__ = [
     "PathPredicate",
     "compile_xpath",
     "parse_xpath",
-    "pattern_signature",
     "pattern_to_xpath",
 ]

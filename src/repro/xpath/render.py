@@ -8,9 +8,10 @@ pattern has one, otherwise the deepest leaf) — and folds every other
 branch into a nested path predicate, exactly mirroring how
 :func:`repro.xpath.compile_xpath` lowers predicates into branches.
 
-``compile_xpath(pattern_to_xpath(p))`` yields a pattern isomorphic to
-``p`` (node ids are renumbered by traversal order; compare with
-:func:`pattern_signature`).
+``compile_xpath(pattern_to_xpath(p), order_by_result=p.order_by is not
+None)`` yields a pattern isomorphic to ``p`` (node ids are renumbered
+by traversal order; compare with
+:func:`repro.core.pattern.canonical_signature`).
 """
 
 from __future__ import annotations
@@ -100,22 +101,3 @@ def _spine(pattern: QueryPattern) -> list[int]:
         edge = pattern.parent_edge(edge.parent)
     path.reverse()
     return path
-
-
-def pattern_signature(pattern: QueryPattern,
-                      node_id: int | None = None) -> tuple:
-    """Order- and id-independent structural identity of a pattern.
-
-    Two patterns are isomorphic (same tags, predicates, axes and tree
-    shape) iff their signatures compare equal — the comparison the
-    render/compile round-trip tests use, since compilation renumbers
-    node ids.
-    """
-    if node_id is None:
-        node_id = pattern.root
-    node = pattern.node(node_id)
-    children = tuple(sorted(
-        (str(edge.axis), pattern_signature(pattern, edge.child))
-        for edge in pattern.child_edges(node_id)))
-    predicates = tuple(sorted(str(p) for p in node.predicates))
-    return (node.tag, predicates, children)

@@ -80,21 +80,23 @@ class TestExactEstimator:
     def test_cluster_cardinality_single_edge_is_exact(self, exact,
                                                       pattern):
         pair = exact.edge_cardinality(pattern, 0, 1)
-        assert exact.cluster_cardinality(
-            pattern, frozenset({0, 1})) == pytest.approx(pair)
+        assert PatternCardinalities(pattern, exact).cluster(
+            frozenset({0, 1})) == pytest.approx(pair)
 
     def test_cluster_requires_connected(self, exact, pattern):
+        cards = PatternCardinalities(pattern, exact)
         with pytest.raises(EstimationError):
-            exact.cluster_cardinality(pattern, frozenset({0, 2}))
+            cards.cluster(frozenset({0, 2}))
         with pytest.raises(EstimationError):
-            exact.cluster_cardinality(pattern, frozenset())
+            cards.cluster(frozenset())
 
     def test_full_cluster_close_to_truth(self, exact, pattern,
                                          small_document):
         from repro.engine.nestedloop import naive_pattern_matches
 
         truth = len(naive_pattern_matches(small_document, pattern))
-        estimate = exact.cluster_cardinality(pattern, frozenset({0, 1, 2}))
+        estimate = PatternCardinalities(pattern, exact).cluster(
+            frozenset({0, 1, 2}))
         # independence combination: right magnitude, not exact
         assert truth / 4 <= estimate <= truth * 4
 

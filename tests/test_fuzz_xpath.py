@@ -2,9 +2,10 @@
 
 Round-trip property: any generated :class:`QueryPattern` rendered to
 XPath (:func:`pattern_to_xpath`) and compiled back
-(:func:`compile_xpath`) yields an isomorphic pattern — compilation
-renumbers node ids, so isomorphism is checked via
-:func:`pattern_signature`.
+(:func:`compile_xpath`, ordered by its result exactly when the original
+has an ``order_by``) yields an isomorphic pattern ordered by the
+corresponding node — compilation renumbers node ids, so isomorphism is
+checked via :func:`canonical_signature`.
 
 Robustness property: no input string, however malformed, may escape
 the front-end as anything but a :class:`ReproError` subclass.  The
@@ -19,10 +20,11 @@ import string
 
 import pytest
 
+from repro.core.pattern import canonical_signature
 from repro.errors import ReproError, XPathSyntaxError
 from repro.workloads import make_rng, random_pattern
 from repro.xpath import compile_xpath
-from repro.xpath.render import pattern_signature, pattern_to_xpath
+from repro.xpath.render import pattern_to_xpath
 
 ROUND_TRIPS = 300
 SOUP_CASES = 400
@@ -61,14 +63,16 @@ def test_round_trip_random_patterns():
         pattern = random_pattern(
             rng, tags=("alpha", "beta", "gamma", "delta"),
             min_nodes=1, max_nodes=6, wildcard_chance=0.15,
-            predicate_chance=0.4, order_by_chance=0.0)
+            predicate_chance=0.4, order_by_chance=0.5)
+        ordered = pattern.order_by is not None
         xpath = pattern_to_xpath(pattern)
-        recompiled = compile_xpath(xpath)
-        assert pattern_signature(recompiled) == \
-            pattern_signature(pattern), xpath
+        recompiled = compile_xpath(xpath, order_by_result=ordered)
+        assert canonical_signature(recompiled) == \
+            canonical_signature(pattern), xpath
         # rendering must be a fixed point once in compiled form
-        assert pattern_signature(compile_xpath(
-            pattern_to_xpath(recompiled))) == pattern_signature(pattern)
+        assert canonical_signature(compile_xpath(
+            pattern_to_xpath(recompiled), order_by_result=ordered)) == \
+            canonical_signature(pattern)
 
 
 @pytest.mark.parametrize("text", MALFORMED, ids=repr)

@@ -4,7 +4,8 @@ import pytest
 
 from repro.errors import PatternError
 from repro.core.pattern import (Axis, PatternBuilder, PatternEdge,
-                                PatternNode, Predicate, QueryPattern)
+                                PatternNode, Predicate, QueryPattern,
+                                mask_nodes, node_mask)
 from repro.document.node import NodeRecord, Region
 
 
@@ -87,19 +88,28 @@ class TestQueryPattern:
         assert pattern.edge_between(2, 5) is None
 
     def test_neighbors(self, running_example_pattern):
-        assert sorted(running_example_pattern.neighbors(0)) == [1, 3]
-        assert sorted(running_example_pattern.neighbors(1)) == [0, 2]
-        assert running_example_pattern.neighbors(5) == [4]
+        pattern = running_example_pattern
+        assert sorted(pattern.neighbors(0)) == [1, 3]
+        assert sorted(pattern.neighbors(1)) == [0, 2]
+        assert pattern.neighbors(5) == [4]
+        for node in pattern.nodes:
+            assert mask_nodes(pattern.adjacency[node.node_id]) == tuple(
+                sorted(pattern.neighbors(node.node_id)))
 
     def test_connected_subsets(self, running_example_pattern):
         pattern = running_example_pattern
-        assert pattern.is_connected_subset({0, 1, 2})
-        assert pattern.is_connected_subset({0})
-        assert not pattern.is_connected_subset({1, 3})
-        assert not pattern.is_connected_subset(set())
+        assert pattern.is_connected_mask(node_mask({0, 1, 2}))
+        assert pattern.is_connected_mask(node_mask({0}))
+        assert not pattern.is_connected_mask(node_mask({1, 3}))
+        assert not pattern.is_connected_mask(node_mask(set()))
+        assert not pattern.is_connected_mask(node_mask({5, 6}))
 
     def test_edges_within(self, running_example_pattern):
-        inner = running_example_pattern.edges_within(frozenset({0, 1, 2}))
+        pattern = running_example_pattern
+        inside = node_mask({0, 1, 2})
+        inner = [edge for edge, ends in zip(pattern.edges,
+                                            pattern.edge_masks)
+                 if inside & ends == ends]
         assert {(edge.parent, edge.child) for edge in inner} == {
             (0, 1), (1, 2)}
 
