@@ -40,8 +40,7 @@ from repro.document.parser import parse_xml
 from repro.engine.context import EngineContext
 from repro.engine.executor import (ExecutionResult, Executor,
                                    StreamingExecution)
-from repro.estimation.estimator import (CardinalityEstimator,
-                                        PositionalEstimator)
+from repro.estimation.estimator import PositionalEstimator
 from repro.obs.querylog import build_record
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext, assign_span_ids
@@ -88,9 +87,8 @@ class Database(QueryTarget):
                  disk: DiskManager | None = None,
                  buffer_capacity: int = 256,
                  cost_factors: CostFactors | None = None,
-                 histogram_grid: int = 16,
                  service_options: dict | None = None) -> None:
-        super().__init__(cost_factors, histogram_grid, service_options)
+        super().__init__(cost_factors, service_options)
         self.name = name
         self.disk = disk or InMemoryDisk()
         self.pool = BufferPool(self.disk, capacity=buffer_capacity)
@@ -103,7 +101,6 @@ class Database(QueryTarget):
         self.store = ElementStore(self.pool)
         self.index = TagIndex(self.pool)
         self.document: XmlDocument | None = None
-        self._estimator: PositionalEstimator | None = None
         self.statistics_epoch = 0
         #: guards the atomic swap of store/index/document/estimator at
         #: commit publication; readers take it only for the instant of
@@ -131,7 +128,7 @@ class Database(QueryTarget):
 
     def load(self, document: XmlDocument) -> None:
         """Ingest *document*: store records, build the tag index and
-        the positional-histogram statistics."""
+        the statistics (:attr:`tag_statistics`)."""
         if self.document is not None:
             raise ReproError(
                 "database already holds a document; create a new "
@@ -141,9 +138,7 @@ class Database(QueryTarget):
         self.document = document
         if self.name == "db":  # adopt the document's name by default
             self.name = document.name
-        self._estimator = PositionalEstimator.from_document(
-            document, grid=self.histogram_grid)
-        self._exact_estimator = None
+        self._load_statistics(document)
         self.statistics_epoch += 1
         if self._service is not None:
             self._service.invalidate()
@@ -161,11 +156,7 @@ class Database(QueryTarget):
         self.store = ElementStore(self.pool)
         self.index = TagIndex(self.pool)
         self.document = None
-        self._estimator = None
-        self._exact_estimator = None
         self.load(document)
-        if self._txn_manager is not None:
-            self._txn_manager.reset_statistics()
 
     # -- persistence -----------------------------------------------------------
 
@@ -225,8 +216,7 @@ class Database(QueryTarget):
                 f"catalog expected {payload['node_count']} nodes, "
                 f"store holds {len(nodes)}")
         database.document = XmlDocument(nodes, name=database.name)
-        database._estimator = PositionalEstimator.from_document(
-            database.document, grid=database.histogram_grid)
+        database._load_statistics(database.document)
         return database
 
     # -- snapshot isolation ---------------------------------------------------
@@ -287,15 +277,6 @@ class Database(QueryTarget):
         """Make all committed work durable in the pages file and reset
         the write-ahead log; returns the log bytes dropped."""
         return self.transactions.checkpoint()
-
-    # -- statistics ----------------------------------------------------------
-
-    @property
-    def estimator(self) -> CardinalityEstimator:
-        """The positional-histogram estimator (paper configuration)."""
-        self._require_document()
-        assert self._estimator is not None
-        return self._estimator
 
     # -- execution -------------------------------------------------------------
 

@@ -1,7 +1,9 @@
-"""Cardinality estimators used by the optimizers.
+"""Statistics and the cardinality estimators used by the optimizers.
 
-Two interchangeable estimators implement
-:class:`CardinalityEstimator`:
+:class:`Statistics` is the one place per-tag statistics come from:
+counts, positional and level histograms, distinct-value counts, built
+by one scan and advanced by commit deltas.  Two interchangeable
+estimators implement :class:`CardinalityEstimator`:
 
 * :class:`PositionalEstimator` — positional + level histograms per tag,
   as in the paper's experiments;
@@ -21,14 +23,15 @@ statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from repro.errors import EstimationError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.core.pattern import (Axis, PatternNode, QueryPattern,
                                 mask_nodes, node_mask)
-from repro.estimation.histogram import LevelHistogram, PositionalHistogram
+from repro.estimation.histogram import (HISTOGRAM_GRID, LevelHistogram,
+                                        PositionalHistogram)
 
 WILDCARD = "*"
 
@@ -56,105 +59,136 @@ class TagStatistics:
             self.levels.clone(), self.distinct_texts,
             dict(self.distinct_attribute_values))
 
-    def merge(self, other: "TagStatistics") -> None:
-        """Fold *other* into this entry (shard-statistics merge).
 
-        Counts and histograms add exactly because per-shard histograms
-        are built over the shared global label space.  Distinct-value
-        counts add under a disjoint-values assumption — shards own
-        disjoint subtrees, so a value repeated across shards is
-        counted once per shard.  That overcounts shared values, which
-        only makes equality predicates look *more* selective; the
-        estimates remain sane for planning.
-        """
-        if other.tag != self.tag:
-            raise EstimationError(
-                f"cannot merge statistics for tag {other.tag!r} into "
-                f"{self.tag!r}")
-        self.count += other.count
-        if other.positions is not None:
-            if self.positions is None:
-                self.positions = other.positions.clone()
-            else:
-                self.positions.merge_from(other.positions)
-        self.levels.merge_from(other.levels)
-        self.distinct_texts += other.distinct_texts
-        for name, distinct in other.distinct_attribute_values.items():
-            self.distinct_attribute_values[name] = (
-                self.distinct_attribute_values.get(name, 0) + distinct)
+class Statistics:
+    """The per-tag statistics the optimizer plans with: one fold.
 
+    One scan in document order builds them; a commit's node delta
+    advances them (:meth:`apply_delta`), copy-on-write per touched tag
+    so that estimators handed out earlier keep reading frozen entries;
+    :meth:`estimator` is what every back end plans with.  The special
+    key ``"*"`` aggregates all nodes, supporting wildcard pattern nodes.
 
-def build_tag_statistics(document: XmlDocument, grid: int = 16,
-                         nodes: Iterable[NodeRecord] | None = None,
-                         space: int | None = None) -> dict[str, TagStatistics]:
-    """Scan *document* once and build statistics for every tag.
+    The histograms' position space is the document's *label* space,
+    ``root.end + 1``, not its node count: for densely labeled documents
+    the two coincide, while gapped region labels (the write path,
+    :mod:`repro.txn`) spread fewer nodes over a larger space.  It stays
+    exactly that: a delta whose labels reach it (a commit that moved
+    the root's end) rebuilds everything from the committed document.
+    So the statistics always equal a fresh scan of their document.
 
-    The special key ``"*"`` aggregates all nodes, supporting wildcard
-    pattern nodes.
-
-    The histogram position space is the document's *label* space
-    (``root.end + 1``), not its node count: for densely labeled
-    documents the two coincide, while gapped region labels (the
-    incremental write path, :mod:`repro.txn`) spread fewer nodes over
-    a larger space.
-
-    *nodes* restricts the scan to a subset of the document's nodes and
-    *space* pins the histogram position space — together they let a
-    shard build statistics over only its assigned subtrees while
-    keeping histogram buckets aligned with every other shard's, so
-    :func:`merge_tag_statistics` can add them cell-for-cell.
+    Distinct-value counts are read off value *multisets*, which a
+    removal can decrement (a plain set cannot survive one).
     """
-    if space is None:
-        space = document.root.end + 1
-    stats: dict[str, TagStatistics] = {}
-    texts: dict[str, set[str]] = {}
-    attributes: dict[str, dict[str, set[str]]] = {}
-    for key in (WILDCARD,):
-        stats[key] = TagStatistics(
-            key, positions=PositionalHistogram(space, grid))
-        texts[key] = set()
-        attributes[key] = {}
-    for node in (document if nodes is None else nodes):
-        for key in (node.tag, WILDCARD):
-            entry = stats.get(key)
+
+    def __init__(self, document: XmlDocument,
+                 grid: int = HISTOGRAM_GRID) -> None:
+        self.grid = grid
+        self._scan(document)
+
+    def _scan(self, document: XmlDocument) -> None:
+        #: label space every histogram covers: ``root.end + 1``
+        self.position_space = document.root.end + 1
+        #: tag -> entry; ``"*"`` first, the others in document order
+        self.entries: dict[str, TagStatistics] = {}
+        # value -> multiplicity, per tag (and per attribute name)
+        self._texts: dict[str, dict[str, int]] = {}
+        self._attributes: dict[str, dict[str, dict[str, int]]] = {}
+        self._new_entry(WILDCARD)
+        for node in document:
+            self._add(node)
+        for tag in self.entries:
+            self._refresh_distinct(tag)
+
+    def apply_delta(self, added: Collection[NodeRecord],
+                    removed: Collection[NodeRecord],
+                    document: XmlDocument) -> None:
+        """Absorb one commit's node delta; *document* is the document
+        the commit published.
+
+        Touched tag entries (and the ``"*"`` aggregate) are cloned
+        before they change, so previously handed-out estimators keep a
+        frozen view; untouched tags share their entries.  A delta that
+        reaches past the position space rebuilds from *document*
+        instead — it moved the root's end, and the space must follow.
+        """
+        if max((node.end for node in added),
+               default=-1) >= self.position_space:
+            self._scan(document)
+            return
+        touched = {node.tag for node in added} | {
+            node.tag for node in removed}
+        if not touched:
+            return
+        touched.add(WILDCARD)
+        for tag in touched:
+            entry = self.entries.get(tag)
+            if entry is not None:
+                self.entries[tag] = entry.clone()
+        for node in removed:
+            for key in (node.tag, WILDCARD):
+                entry = self.entries[key]
+                entry.count -= 1
+                entry.positions.remove(node.region)
+                entry.levels.remove(node.level)
+            self._count_values(node, -1)
+        for node in added:
+            self._add(node)
+        for tag in touched:
+            entry = self.entries.get(tag)
             if entry is None:
-                entry = TagStatistics(
-                    key, positions=PositionalHistogram(space, grid))
-                stats[key] = entry
-                texts[key] = set()
-                attributes[key] = {}
+                continue
+            if entry.count == 0 and tag != WILDCARD:
+                del self.entries[tag]
+            else:
+                self._refresh_distinct(tag)
+
+    def estimator(self) -> "PositionalEstimator":
+        """A fresh estimator over the current statistics: its edge memo
+        starts empty, and it keeps reading the entries it was built
+        over whatever later deltas do."""
+        return PositionalEstimator(self.entries)
+
+    def _new_entry(self, tag: str) -> TagStatistics:
+        entry = self.entries[tag] = TagStatistics(
+            tag, positions=PositionalHistogram(self.position_space,
+                                               self.grid))
+        return entry
+
+    def _add(self, node: NodeRecord) -> None:
+        for key in (node.tag, WILDCARD):
+            entry = self.entries.get(key)
+            if entry is None:
+                entry = self._new_entry(key)
             entry.count += 1
             entry.positions.add(node.region)
             entry.levels.add(node.level)
+        self._count_values(node, +1)
+
+    def _count_values(self, node: NodeRecord, sign: int) -> None:
+        for key in (node.tag, WILDCARD):
             if node.text:
-                texts[key].add(node.text)
-            for name, value in node.attributes.items():
-                attributes[key].setdefault(name, set()).add(value)
-    for key, entry in stats.items():
-        entry.distinct_texts = len(texts[key])
+                _bump(self._texts.setdefault(key, {}), node.text, sign)
+            if node.attributes:
+                per_name = self._attributes.setdefault(key, {})
+                for name, value in node.attributes.items():
+                    _bump(per_name.setdefault(name, {}), value, sign)
+
+    def _refresh_distinct(self, tag: str) -> None:
+        entry = self.entries[tag]
+        entry.distinct_texts = len(self._texts.get(tag, ()))
         entry.distinct_attribute_values = {
-            name: len(values) for name, values in attributes[key].items()}
-    return stats
+            name: len(values)
+            for name, values in self._attributes.get(tag, {}).items()
+            if values}
 
 
-def merge_tag_statistics(
-        parts: Iterable[Mapping[str, TagStatistics]]
-) -> dict[str, TagStatistics]:
-    """Combine per-shard statistics into one global statistics map.
-
-    Every part must have been built over the same position space and
-    grid (see :func:`build_tag_statistics`'s *space* parameter); the
-    merged map is what the coordinator's planner estimates against.
-    """
-    merged: dict[str, TagStatistics] = {}
-    for part in parts:
-        for tag, entry in part.items():
-            existing = merged.get(tag)
-            if existing is None:
-                merged[tag] = entry.clone()
-            else:
-                existing.merge(entry)
-    return merged
+def _bump(multiset: dict[str, int], value: str, sign: int) -> None:
+    count = multiset.get(value, 0) + sign
+    if count:
+        multiset[value] = count
+    else:
+        del multiset[value]
 
 
 def _predicate_selectivity(node: PatternNode,
@@ -207,8 +241,8 @@ class PositionalEstimator(CardinalityEstimator):
 
     @classmethod
     def from_document(cls, document: XmlDocument,
-                      grid: int = 16) -> "PositionalEstimator":
-        return cls(build_tag_statistics(document, grid=grid))
+                      grid: int = HISTOGRAM_GRID) -> "PositionalEstimator":
+        return Statistics(document, grid).estimator()
 
     def _entry(self, tag: str) -> TagStatistics | None:
         return self._stats.get(tag)
@@ -264,7 +298,6 @@ class ExactEstimator(CardinalityEstimator):
 
     def __init__(self, document: XmlDocument) -> None:
         self._document = document
-        self._stats = build_tag_statistics(document, grid=1)
         self._candidate_cache: dict[PatternNode, list[NodeRecord]] = {}
         self._edge_cache: dict[tuple[PatternNode, PatternNode, Axis],
                                int] = {}

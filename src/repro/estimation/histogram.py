@@ -13,14 +13,20 @@ uses for all its experiments.
 A companion :class:`LevelHistogram` records the distribution of node
 depths and is used to refine ancestor/descendant estimates into
 parent/child estimates.
+
+Both are filled by :class:`~repro.estimation.estimator.Statistics`,
+which owns the position space they cover.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from repro.errors import EstimationError
 from repro.document.node import Region
+
+#: grid resolution of every positional histogram the optimizer plans
+#: with (the estimator-level constructors still take ``grid=``, which
+#: the grid ablation sweeps)
+HISTOGRAM_GRID = 16
 
 
 def _overlap_uniform_less(a_low: float, a_high: float,
@@ -56,7 +62,8 @@ def _overlap_uniform_less(a_low: float, a_high: float,
 class PositionalHistogram:
     """2-D (start, end) grid histogram of one tag's regions."""
 
-    def __init__(self, position_space: int, grid: int = 16) -> None:
+    def __init__(self, position_space: int,
+                 grid: int = HISTOGRAM_GRID) -> None:
         if position_space < 1:
             raise EstimationError("position space must be >= 1")
         if grid < 1:
@@ -82,11 +89,10 @@ class PositionalHistogram:
         self.total += 1
 
     def remove(self, region: Region) -> None:
-        """Inverse of :meth:`add` (incremental-maintenance delta).
+        """Inverse of :meth:`add` (a commit's delta).
 
-        The region must have been added to this histogram (or to one
-        whose buckets this one subsumes after :meth:`double_space`);
-        removing an unseen region is a caller bug and raises.
+        The region must have been added to this histogram; removing an
+        unseen region is a caller bug and raises.
         """
         if region.end >= self.position_space:
             raise EstimationError(
@@ -103,31 +109,6 @@ class PositionalHistogram:
             self.cells[key] = count - 1
         self.total -= 1
 
-    def add_all(self, regions: Iterable[Region]) -> None:
-        for region in regions:
-            self.add(region)
-
-    def double_space(self) -> None:
-        """Double the position space, merging bucket pairs exactly.
-
-        The new bucket ``k`` covers exactly old buckets ``2k`` and
-        ``2k + 1``, so the remap is lossless at histogram resolution —
-        this is how incremental ingest extends a tag's statistics when
-        appended labels outgrow the original space without a rebuild.
-        """
-        self.position_space *= 2
-        self._cell_width = self.position_space / self.grid
-        merged: dict[tuple[int, int], int] = {}
-        for (row, col), count in self.cells.items():
-            key = (row // 2, col // 2)
-            merged[key] = merged.get(key, 0) + count
-        self.cells = merged
-
-    def ensure_space(self, position: int) -> None:
-        """Grow the space (by doubling) until *position* fits."""
-        while position >= self.position_space:
-            self.double_space()
-
     def clone(self) -> "PositionalHistogram":
         copy = PositionalHistogram.__new__(PositionalHistogram)
         copy.position_space = self.position_space
@@ -136,23 +117,6 @@ class PositionalHistogram:
         copy.cells = dict(self.cells)
         copy.total = self.total
         return copy
-
-    def merge_from(self, other: "PositionalHistogram") -> None:
-        """Add *other*'s counts cell-for-cell (shard-statistics merge).
-
-        Both histograms must cover the same position space with the
-        same grid — per-shard statistics are built over the *global*
-        label space precisely so their buckets line up exactly.
-        """
-        if (other.position_space != self.position_space
-                or other.grid != self.grid):
-            raise EstimationError(
-                f"cannot merge histograms over different spaces "
-                f"({self.position_space}/{self.grid} vs "
-                f"{other.position_space}/{other.grid})")
-        for key, count in other.cells.items():
-            self.cells[key] = self.cells.get(key, 0) + count
-        self.total += other.total
 
     def _cell_bounds(self, bucket: int) -> tuple[float, float]:
         return bucket * self._cell_width, (bucket + 1) * self._cell_width
@@ -199,7 +163,7 @@ class LevelHistogram:
         self.total += 1
 
     def remove(self, level: int) -> None:
-        """Inverse of :meth:`add` (incremental-maintenance delta)."""
+        """Inverse of :meth:`add` (a commit's delta)."""
         count = self.counts.get(level, 0)
         if count <= 0:
             raise EstimationError(
@@ -210,21 +174,11 @@ class LevelHistogram:
             self.counts[level] = count - 1
         self.total -= 1
 
-    def add_all(self, regions: Iterable[Region]) -> None:
-        for region in regions:
-            self.add(region.level)
-
     def clone(self) -> "LevelHistogram":
         copy = LevelHistogram()
         copy.counts = dict(self.counts)
         copy.total = self.total
         return copy
-
-    def merge_from(self, other: "LevelHistogram") -> None:
-        """Add *other*'s depth counts (shard-statistics merge)."""
-        for level, count in other.counts.items():
-            self.counts[level] = self.counts.get(level, 0) + count
-        self.total += other.total
 
     def probability(self, level: int) -> float:
         if not self.total:

@@ -21,9 +21,9 @@ from repro.errors import EstimationError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.core.pattern import Axis, PatternNode, QueryPattern
-from repro.estimation.estimator import (CardinalityEstimator,
-                                        _predicate_selectivity,
-                                        build_tag_statistics, WILDCARD)
+from repro.estimation.estimator import (WILDCARD, CardinalityEstimator,
+                                        Statistics,
+                                        _predicate_selectivity)
 
 
 class SamplingEstimator(CardinalityEstimator):
@@ -34,7 +34,7 @@ class SamplingEstimator(CardinalityEstimator):
             raise EstimationError("sample size must be >= 1")
         self._document = document
         self.sample_size = sample_size
-        self._stats = build_tag_statistics(document, grid=1)
+        self._stats = Statistics(document, grid=1).entries
         self._edge_cache: dict[tuple[PatternNode, PatternNode, Axis],
                                float] = {}
 

@@ -32,7 +32,6 @@ for a measured constant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -303,9 +302,6 @@ class CalibrationResult:
                 f"default factors"
                 f" -> {'improved' if self.improved else 'NOT improved'}")
         return "\n".join(lines)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def fit_cost_factors(samples: Sequence[TraceSample]) -> CalibrationResult:

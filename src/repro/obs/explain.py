@@ -42,9 +42,9 @@ class ExplainReport:
     optimization: "OptimizationResult"
     execution: "ExecutionResult | None" = None
     parse_seconds: float = 0.0
-    #: sharded execution only: shard count plus the merged statistics'
-    #: per-shard provenance (which shard contributed which share of
-    #: each pattern tag's histogram mass)
+    #: sharded execution only: shard count plus the statistics'
+    #: per-shard provenance (which shard owns which share of each
+    #: pattern tag's nodes)
     shards: "dict[str, object] | None" = None
     #: present when explain ran with ``plan_space=True``: the search
     #: space behind the chosen plan (see :mod:`repro.obs.planspace`)

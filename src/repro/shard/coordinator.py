@@ -4,7 +4,7 @@
 query entry point, :meth:`ShardWorkerPool.scatter_gather`, sends the
 *same* physical plan to every worker and collects one reply per shard
 — the plan-once/fan-out protocol: because shards share the global
-label space and statistics were merged before planning, the
+label space and the plan was costed against the whole document, the
 coordinator's single optimized plan is valid verbatim on every shard.
 
 Failure semantics: a worker that dies (crash, kill, broken pipe) or

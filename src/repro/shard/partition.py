@@ -30,14 +30,14 @@ legal, and exercised by the differential oracle's edge cases.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.errors import ShardError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord
-from repro.estimation.estimator import (TagStatistics,
-                                        build_tag_statistics,
-                                        merge_tag_statistics)
+from repro.estimation.estimator import WILDCARD
 
 __all__ = ["ShardAssignment", "ShardPartition", "partition_document"]
 
@@ -110,61 +110,36 @@ class ShardPartition:
 
     # -- statistics ------------------------------------------------------
 
-    def shard_statistics(self, shard_id: int,
-                         grid: int = 16) -> dict[str, TagStatistics]:
-        """Statistics over the shard's own nodes, in the *global*
-        position space — buckets align across shards, so
-        :func:`merged_statistics` can add them cell-for-cell."""
-        return build_tag_statistics(
-            self.document, grid=grid, nodes=self.shard_nodes(shard_id),
-            space=self.document.root.end + 1)
+    @cached_property
+    def _tag_counts(self) -> list[Counter]:
+        """Per shard: tag -> owned node count, ``"*"`` for them all."""
+        counts = []
+        for shard_id in range(self.shards):
+            tags = Counter({WILDCARD: self.assignments[shard_id].node_count})
+            tags.update(node.tag for node in self.shard_nodes(shard_id))
+            counts.append(tags)
+        return counts
 
-    def merged_statistics(self, grid: int = 16) -> dict[str, TagStatistics]:
-        """Global statistics assembled from the per-shard catalogs.
-
-        The replicated root is contributed exactly once, so merged
-        node counts and histograms equal a direct whole-document scan;
-        only distinct-value counts differ (summed per shard under a
-        disjoint-values assumption, see
-        :meth:`~repro.estimation.estimator.TagStatistics.merge`).
-        """
-        space = self.document.root.end + 1
-        parts = [self.shard_statistics(shard_id, grid=grid)
-                 for shard_id in range(self.shards)]
-        parts.append(build_tag_statistics(
-            self.document, grid=grid, nodes=[self.document.root],
-            space=space))
-        return merge_tag_statistics(parts)
-
-    def statistics_provenance(self, tags: "list[str] | None" = None,
-                              grid: int = 16
+    def statistics_provenance(self, tags: "list[str] | None" = None
                               ) -> dict[str, list[dict]]:
-        """Which shard contributed which histogram mass, per tag.
+        """Which shard owns which share of each tag's nodes.
 
         For every tag (or just *tags*): one entry per contributing
         shard with its node ``count`` and its ``fraction`` of the
-        merged total — the decomposition of
-        :meth:`merged_statistics`' cell-for-cell sums back into shard
-        shares.  The replicated document root's single extra
-        contribution is coordinator-side and excluded here, so
-        fractions describe only shard-owned mass.
+        shards' total.  The replicated document root is
+        coordinator-side and excluded here, so fractions describe only
+        shard-owned mass.
         """
-        wanted = None if tags is None else set(tags)
         provenance: dict[str, list[dict]] = {}
-        for shard_id in range(self.shards):
-            for tag, stats in self.shard_statistics(
-                    shard_id, grid=grid).items():
-                if wanted is not None and tag not in wanted:
-                    continue
-                if stats.count <= 0:
-                    continue
-                provenance.setdefault(tag, []).append(
-                    {"shard_id": shard_id, "count": stats.count})
+        for shard_id, counts in enumerate(self._tag_counts):
+            for tag, count in counts.items():
+                if count and (tags is None or tag in tags):
+                    provenance.setdefault(tag, []).append(
+                        {"shard_id": shard_id, "count": count})
         for contributions in provenance.values():
             total = sum(entry["count"] for entry in contributions)
             for entry in contributions:
-                entry["fraction"] = (entry["count"] / total
-                                     if total else 0.0)
+                entry["fraction"] = entry["count"] / total
         return provenance
 
 

@@ -6,9 +6,11 @@ query service are the base class's, so the CLI, the HTTP front-end and
 the observability stack run on it exactly as on a
 :class:`~repro.api.Database`.  Construction partitions the corpus
 (:mod:`repro.shard.partition`), persists each shard as a durable
-single-shard database under its own directory, builds the merged
-statistics the coordinator plans against, and starts one worker
-process per shard (:mod:`repro.shard.coordinator`).
+single-shard database under its own directory, builds the statistics
+the coordinator plans against from the whole document it holds — one
+scan, exactly as a single node builds them, so a fleet plans exactly
+like one — and starts one worker process per shard
+(:mod:`repro.shard.coordinator`).
 
 The execution contract differs from a single node in exactly three
 documented ways: result rows arrive in global document order (label
@@ -55,8 +57,6 @@ from repro.engine.executor import (RegionView, StreamingExecution,
                                    validate_engine)
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.tuples import LabelRow, MatchTuple, Schema
-from repro.estimation.estimator import (CardinalityEstimator,
-                                        PositionalEstimator)
 from repro.obs.explain import ExplainReport
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
@@ -76,12 +76,11 @@ class ShardedDatabase(QueryTarget):
     def __init__(self, document: XmlDocument, shards: int = 2,
                  base_dir: "str | Path | None" = None,
                  cost_factors: CostFactors | None = None,
-                 histogram_grid: int = 16,
                  timeout: float = DEFAULT_TIMEOUT,
                  service_options: dict | None = None) -> None:
         if shards < 1:
             raise ShardError(f"shard count must be >= 1, got {shards}")
-        super().__init__(cost_factors, histogram_grid, service_options)
+        super().__init__(cost_factors, service_options)
         self.shards = shards
         self.name = f"{document.name}-shards{shards}"
         self._timeout = timeout
@@ -128,9 +127,7 @@ class ShardedDatabase(QueryTarget):
         self.document = document
         self._region_table: (
             "tuple[XmlDocument, list[Region | None]] | None") = None
-        self._estimator = PositionalEstimator(
-            partition.merged_statistics(grid=self.histogram_grid))
-        self._exact_estimator = None
+        self._load_statistics(document)
         for shard_id in range(self.shards):
             self._shard_epochs[shard_id] += 1
         self.workers = ShardWorkerPool(paths, timeout=self._timeout)
@@ -219,11 +216,6 @@ class ShardedDatabase(QueryTarget):
         """Aggregate epoch: the sum of all per-shard epochs."""
         return sum(self._shard_epochs)
 
-    @property
-    def estimator(self) -> CardinalityEstimator:
-        """The merged-statistics estimator the coordinator plans with."""
-        return self._estimator
-
     # -- execution --------------------------------------------------------
 
     def _gather(self, plan: PhysicalPlan, pattern: QueryPattern,
@@ -299,7 +291,8 @@ class ShardedDatabase(QueryTarget):
         of the merged, still packed result (:meth:`execute` is this,
         drained at once).
 
-        The plan — chosen once against the merged statistics — is
+        The plan — chosen once against the whole document's
+        statistics — is
         fanned out verbatim: shards share the global label space, so
         it is valid everywhere and per-shard optimization would only
         diverge the fleet.  Rows come back in global document order
@@ -410,16 +403,14 @@ class ShardedDatabase(QueryTarget):
 
     def _explain_extras(self, report: ExplainReport,
                         pattern: QueryPattern) -> None:
-        """Every report carries the merged statistics' *provenance* —
-        which shard contributed which share of each pattern tag's
-        histogram mass — so a skewed estimate can be traced to the
-        shard that supplied the mass behind it."""
+        """Every report carries the statistics' *provenance* — which
+        shard owns which share of each pattern tag's nodes — so a
+        skewed estimate can be traced to the shard that supplied the
+        mass behind it."""
         report.shards = {
             "count": self.shards,
-            "statistics_provenance": self.partition.
-            statistics_provenance(
-                tags=[node.tag for node in pattern.nodes],
-                grid=self.histogram_grid),
+            "statistics_provenance": self.partition.statistics_provenance(
+                tags=[node.tag for node in pattern.nodes]),
         }
 
     # -- serving & observability ------------------------------------------

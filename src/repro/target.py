@@ -3,8 +3,10 @@
 The paper's contribution is plan *choice* — one optimizer run against
 one set of statistics — and nothing about choosing a plan depends on
 where the plan then runs.  :class:`QueryTarget` therefore owns every
-operation that is planning or serving, and a back end supplies only
-what genuinely differs: the statistics, how a plan is run (one
+operation that is planning or serving, the statistics included (one
+:class:`~repro.estimation.estimator.Statistics` of the whole document,
+on a fleet as on one node, so both plan alike), and a back end
+supplies only what genuinely differs: how a plan is run (one
 ``stream_execute``; ``execute`` is that stream drained), its own
 gauges and how it is closed (the abstract members below); what a run
 leaves behind is the same on both — the span tree an explain renders.
@@ -30,8 +32,8 @@ from repro.document.document import XmlDocument
 from repro.engine.executor import (ExecutionResult, FirstResultTiming,
                                    StreamingExecution,
                                    measure_time_to_first)
-from repro.estimation.estimator import (CardinalityEstimator,
-                                        ExactEstimator)
+from repro.estimation.estimator import (ExactEstimator,
+                                        PositionalEstimator, Statistics)
 from repro.obs.explain import ExplainReport
 from repro.obs.planspace import (WhatIfResult, build_plan_space_report,
                                  run_whatif)
@@ -71,11 +73,9 @@ class QueryTarget(abc.ABC):
     statistics_epoch: int
 
     def __init__(self, cost_factors: CostFactors | None,
-                 histogram_grid: int,
                  service_options: dict | None) -> None:
         self.cost_factors = cost_factors or CostFactors()
         self.cost_model = CostModel(self.cost_factors)
-        self.histogram_grid = histogram_grid
         #: keyword arguments for the lazily built :class:`QueryService`
         #: (slow-query threshold/log bound, sampling rates).
         self.service_options = dict(service_options or {})
@@ -84,6 +84,10 @@ class QueryTarget(abc.ABC):
         #: bounded ring of retained query span trees.
         self.tracer = Tracer()
         self._service: "QueryService | None" = None
+        #: the per-tag statistics of :attr:`document` (not
+        #: :meth:`Database.statistics`, the storage report)
+        self.tag_statistics: Statistics | None = None
+        self._estimator: PositionalEstimator | None = None
         self._exact_estimator: ExactEstimator | None = None
 
     def _require_document(self) -> XmlDocument:
@@ -92,11 +96,6 @@ class QueryTarget(abc.ABC):
         return self.document
 
     # -- what a back end supplies ------------------------------------------
-
-    @property
-    @abc.abstractmethod
-    def estimator(self) -> CardinalityEstimator:
-        """The statistics :meth:`optimize` costs plans against."""
 
     @abc.abstractmethod
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,
@@ -161,6 +160,22 @@ class QueryTarget(abc.ABC):
 
     # -- statistics -------------------------------------------------------------
 
+    def _load_statistics(self, document: XmlDocument) -> None:
+        """Build :attr:`tag_statistics` from *document* with one scan
+        and plan against them from now on."""
+        self.tag_statistics = Statistics(document)
+        self._estimator = self.tag_statistics.estimator()
+        self._exact_estimator = None
+
+    @property
+    def estimator(self) -> PositionalEstimator:
+        """The estimator :meth:`optimize` costs plans against: the
+        positional histograms of :attr:`tag_statistics`, handed out
+        afresh whenever they change (a load, a commit)."""
+        self._require_document()
+        assert self._estimator is not None
+        return self._estimator
+
     @property
     def exact_estimator(self) -> ExactEstimator:
         """Ground-truth estimator (built lazily; used for calibration)."""
@@ -204,9 +219,9 @@ class QueryTarget(abc.ABC):
         With ``exact=True`` the optimizer sees ground-truth pairwise
         cardinalities instead of histogram estimates.
 
-        A query is planned **once**, against :attr:`estimator` —
-        merged statistics on a shard fleet, whose shards share the
-        global label space, so the one plan is valid on every shard.
+        A query is planned **once**, against :attr:`estimator` — on a
+        shard fleet the whole document's statistics, whose shards share
+        the global label space, so the one plan is valid on every shard.
         """
         pattern = self.compile(query)
         optimizer = get_optimizer(algorithm, cost_model=self.cost_model,

@@ -12,8 +12,6 @@ mutable traffic:
 * :mod:`repro.txn.mutate` — the document mutation API
   (``insert_subtree`` / ``delete_subtree`` / ``append_document``) with
   copy-on-write storage maintenance and snapshot-isolated publication.
-* :mod:`repro.txn.stats` — incremental histogram deltas feeding the
-  cardinality estimator without a full statistics rebuild.
 * :mod:`repro.txn.db` — the durable directory layout
   (``pages.db`` + ``wal.log``) behind ``create_database`` /
   ``open_database``.

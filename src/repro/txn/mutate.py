@@ -15,9 +15,10 @@ commit pipeline then
    CATALOG payload, and COMMIT are appended to the write-ahead log,
    which is fsync'd: the commit is durable before publication;
 4. **publishes** — under the database's publish lock the new store,
-   index, document, and a freshly derived estimator are swapped in,
-   the statistics epoch is bumped (invalidating every cached plan),
-   and the incremental statistics absorb the delta.
+   index and document are swapped in, the database's statistics
+   absorb the delta (:meth:`~repro.estimation.estimator.Statistics.
+   apply_delta`), a freshly derived estimator is swapped in, and the
+   statistics epoch is bumped (invalidating every cached plan).
 
 Readers therefore see either the old or the new database, never a mix
 — snapshot isolation at document granularity — and a crash at any
@@ -43,7 +44,6 @@ from repro.obs.registry import BucketRecorder
 from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.storage.catalog import catalog_payload
 from repro.txn.labels import DEFAULT_GAP, pick_gap, relabel
-from repro.txn.stats import IncrementalStatistics
 from repro.txn.wal import FSYNC_BUCKETS, WriteAheadLog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -381,8 +381,8 @@ class Transaction:
 class TransactionManager:
     """Single-writer transaction scope over one :class:`Database`.
 
-    Owns the write-ahead log, the writer mutex, and the incremental
-    statistics; created via :meth:`repro.api.Database.transactions`
+    Owns the write-ahead log and the writer mutex (the statistics a
+    commit advances are the database's own); created via :meth:`repro.api.Database.transactions`
     (in-memory log) or :func:`repro.txn.db.open_database` (durable
     log next to the pages file).
     """
@@ -401,20 +401,9 @@ class TransactionManager:
         self._next_txn_id = next_txn_id
         #: set by :func:`repro.txn.db.open_database` after a redo pass.
         self.last_recovery = None
-        document = db.document
-        if document is None:
+        if db.document is None:
             raise TransactionError(
                 "cannot manage transactions before a document is loaded")
-        self.stats = IncrementalStatistics(document,
-                                           grid=db.histogram_grid)
-
-    def reset_statistics(self) -> None:
-        """Rebuild the incremental statistics from the live document
-        (after :meth:`repro.api.Database.reload` replaced it wholesale)."""
-        document = self.db.document
-        if document is not None:
-            self.stats = IncrementalStatistics(document,
-                                               grid=self.db.histogram_grid)
 
     def collect_gauges(self, registry) -> None:
         """Set the write-path counters, WAL size, commit/fsync
@@ -550,12 +539,17 @@ class TransactionManager:
         # 4. publish atomically: readers see old or new, never a mix.
         publish_span = Span("publish")
         publish_started = time.perf_counter()
+        # readers plan with the published estimator, never with
+        # tag_statistics itself, so the delta (a rescan, if it moved
+        # the root's end) is folded in before the lock is taken
+        db.tag_statistics.apply_delta(added.values(), removed.values(),
+                                      new_document)
+        estimator = db.tag_statistics.estimator()
         with db._publish_lock:
             db.store = store
             db.index = index
             db.document = new_document
-            self.stats.apply_delta(added.values(), removed.values())
-            db._estimator = self.stats.estimator()
+            db._estimator = estimator
             db._exact_estimator = None
             db.statistics_epoch += 1
             if db._service is not None:

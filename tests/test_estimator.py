@@ -7,7 +7,7 @@ from repro.core.pattern import PatternNode, Predicate, QueryPattern
 from repro.estimation.estimator import (ExactEstimator,
                                         PatternCardinalities,
                                         PositionalEstimator,
-                                        build_tag_statistics)
+                                        Statistics)
 
 
 @pytest.fixture
@@ -30,12 +30,12 @@ def pattern():
 
 class TestTagStatistics:
     def test_counts(self, small_document):
-        stats = build_tag_statistics(small_document)
+        stats = Statistics(small_document).entries
         assert stats["manager"].count == 3
         assert stats["*"].count == len(small_document)
 
     def test_distinct_values(self, small_document):
-        stats = build_tag_statistics(small_document)
+        stats = Statistics(small_document).entries
         assert stats["name"].distinct_texts > 1
         assert stats["manager"].distinct_attribute_values["id"] == 3
 

@@ -11,6 +11,12 @@ from repro.estimation.histogram import (LevelHistogram,
                                         _overlap_uniform_less)
 
 
+def filled(histogram, regions):
+    for region in regions:
+        histogram.add(region)
+    return histogram
+
+
 class TestOverlapProbability:
     def test_disjoint_intervals(self):
         assert _overlap_uniform_less(0, 1, 5, 6) == 1.0
@@ -67,10 +73,8 @@ class TestPositionalHistogram:
         space = len(document)
         managers = [n.region for n in document.nodes_with_tag("manager")]
         employees = [n.region for n in document.nodes_with_tag("employee")]
-        anc = PositionalHistogram(space, 16)
-        anc.add_all(managers)
-        desc = PositionalHistogram(space, 16)
-        desc.add_all(employees)
+        anc = filled(PositionalHistogram(space, 16), managers)
+        desc = filled(PositionalHistogram(space, 16), employees)
         truth = count_containment_pairs(managers, employees)
         estimate = anc.estimate_containment_join(desc)
         assert truth > 0
@@ -86,10 +90,8 @@ class TestPositionalHistogram:
         truth = count_containment_pairs(managers, names)
         errors = []
         for grid in (1, 8, 32):
-            anc = PositionalHistogram(space, grid)
-            anc.add_all(managers)
-            desc = PositionalHistogram(space, grid)
-            desc.add_all(names)
+            anc = filled(PositionalHistogram(space, grid), managers)
+            desc = filled(PositionalHistogram(space, grid), names)
             estimate = anc.estimate_containment_join(desc)
             errors.append(abs(estimate - truth) / truth)
         assert errors[-1] <= errors[0]

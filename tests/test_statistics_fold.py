@@ -1,0 +1,197 @@
+"""One statistics fold: live statistics always equal a fresh scan.
+
+A database's statistics are built by one scan and advanced by each
+commit's delta (:class:`~repro.estimation.estimator.Statistics`).  The
+write path is driven here as a state machine — inserts under random
+elements, appends, deletes, aborts, checkpoints, close-and-recover —
+and after every step the live statistics must equal a fresh scan of
+the live document, tag by tag, and the optimizer must choose what a
+database freshly loaded with the same nodes chooses.  A commit that
+moves the root's end used to double the histograms' position space
+instead of following ``root.end + 1``, so a live database planned
+differently from its own recovered copy.
+"""
+
+from __future__ import annotations
+
+import random
+import shutil
+import tempfile
+from pathlib import Path
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule,
+                                 run_state_machine_as_test)
+
+from repro.api import Database
+from repro.document.parser import parse_xml
+from repro.estimation.estimator import Statistics
+from repro.txn import create_database, open_database
+from repro.workloads import (PAPER_QUERIES, personnel_document,
+                             random_pattern)
+
+PERS_TAGS = ("company", "department", "email", "employee", "manager",
+             "name", "phone")
+#: the four Pers paper queries and two seeded random patterns with
+#: value predicates (the distinct counts are what they read)
+PATTERNS = ([query.pattern for query in PAPER_QUERIES.values()
+             if query.dataset == "pers"]
+            + [random_pattern(rng, tags=PERS_TAGS, min_nodes=3,
+                              max_nodes=6, predicate_chance=0.5)
+               for rng in [random.Random(7)] for _ in range(2)])
+
+NAMES = st.sampled_from(["Ada", "Bob", "Cy", "Dee"])
+IDS = st.sampled_from(["x1", "x2", "x3"])
+#: small Pers-shaped fragments; few distinct values, so value
+#: multiplicities rise and fall across inserts and deletes
+FRAGMENTS = st.one_of(
+    st.builds('<employee id="{1}"><name>{0}</name></employee>'.format,
+              NAMES, IDS),
+    st.builds(('<manager id="{1}"><name>{0}</name><department>'
+               '<name>{0} dept</name><employee><name>{0}</name>'
+               '<phone>+1-555</phone></employee></department>'
+               '</manager>').format, NAMES, IDS),
+    st.builds("<name>{0}</name>".format, NAMES),
+)
+
+
+def assert_statistics_equal_fresh_scan(database: Database) -> None:
+    live = database.tag_statistics
+    fresh = Statistics(database.document)
+    assert live.position_space == database.document.root.end + 1
+    assert live.entries.keys() == fresh.entries.keys()
+    for tag, expected in fresh.entries.items():
+        entry = live.entries[tag]
+        assert entry.count == expected.count, tag
+        assert (entry.positions.position_space
+                == expected.positions.position_space), tag
+        assert entry.positions.cells == expected.positions.cells, tag
+        assert entry.levels.counts == expected.levels.counts, tag
+        assert entry.distinct_texts == expected.distinct_texts, tag
+        assert (entry.distinct_attribute_values
+                == expected.distinct_attribute_values), tag
+
+
+def assert_plans_like_a_fresh_load(database: Database) -> None:
+    """DPP on the live database chooses the plan, at the cost, that it
+    chooses on a database freshly loaded with the same nodes.  Costs
+    agree to rounding only: a delta may insert a histogram cell where a
+    scan would have met it earlier, and the join estimate sums cells
+    in insertion order."""
+    fresh = Database.from_document(database.document)
+    for pattern in PATTERNS:
+        live = database.optimize(pattern, "DPP")
+        expected = fresh.optimize(pattern, "DPP")
+        assert live.plan.signature() == expected.plan.signature(), pattern
+        assert live.estimated_cost == pytest.approx(
+            expected.estimated_cost, rel=1e-9), pattern
+
+
+class WritePathMachine(RuleBasedStateMachine):
+    """A file-backed database under random write-path steps."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.directory = Path(tempfile.mkdtemp(prefix="repro-fold-"))
+        self.path = self.directory / "db"
+        self.database = create_database(
+            self.path, document=personnel_document(target_nodes=120,
+                                                   seed=3))
+
+    def teardown(self) -> None:
+        self.database.close()
+        shutil.rmtree(self.directory, ignore_errors=True)
+
+    def _pick(self, data, root: bool) -> int:
+        nodes = self.database.document.nodes[0 if root else 1:]
+        return nodes[data.draw(st.integers(0, len(nodes) - 1))].node_id
+
+    @rule(data=st.data(), fragment=FRAGMENTS)
+    def insert_subtree(self, data, fragment: str) -> None:
+        parent = self._pick(data, root=True)
+        with self.database.transaction() as txn:
+            txn.insert_subtree(parent, parse_xml(fragment))
+
+    @rule(fragment=FRAGMENTS)
+    def append_document(self, fragment: str) -> None:
+        with self.database.transaction() as txn:
+            txn.append_document(parse_xml(fragment))
+
+    @precondition(lambda self: len(self.database.document) > 1)
+    @rule(data=st.data())
+    def delete_subtree(self, data) -> None:
+        victim = self._pick(data, root=False)
+        with self.database.transaction() as txn:
+            txn.delete_subtree(victim)
+
+    @rule(data=st.data(), fragment=FRAGMENTS)
+    def abort(self, data, fragment: str) -> None:
+        epoch = self.database.statistics_epoch
+        txn = self.database.transactions.begin()
+        txn.insert_subtree(self._pick(data, root=True),
+                           parse_xml(fragment))
+        txn.abort()
+        assert self.database.statistics_epoch == epoch
+
+    @rule()
+    def checkpoint(self) -> None:
+        self.database.checkpoint()
+
+    @rule()
+    def reopen(self) -> None:
+        self.database.close()
+        self.database = open_database(self.path)
+
+    @invariant()
+    def statistics_equal_a_fresh_scan(self) -> None:
+        assert_statistics_equal_fresh_scan(self.database)
+
+    @invariant()
+    def plans_equal_a_fresh_load(self) -> None:
+        assert_plans_like_a_fresh_load(self.database)
+
+
+def _run(max_examples: int, steps: int) -> None:
+    run_state_machine_as_test(WritePathMachine, settings=settings(
+        max_examples=max_examples, stateful_step_count=steps,
+        deadline=None, suppress_health_check=[HealthCheck.too_slow]))
+
+
+def test_write_path_keeps_statistics_equal_to_a_fresh_scan():
+    _run(max_examples=10, steps=8)
+
+
+@pytest.mark.slow
+def test_write_path_keeps_statistics_equal_to_a_fresh_scan_wide():
+    _run(max_examples=150, steps=30)
+
+
+def test_root_moving_insert_plans_like_a_fresh_load():
+    """Pers 5000, one 4-node employee inserted under a manager: the
+    dense labels leave no gap, so the insert relabels from the root and
+    ``root.end`` goes 5 000 -> 40 032.  The statistics follow to
+    ``root.end + 1``; they used to double to 80 016, and Q.Pers.2.c
+    then chose a plan simulating 148 136 instead of 49 992."""
+    database = Database.from_document(
+        personnel_document(target_nodes=5000, seed=42))
+    manager = next(node for node in database.document
+                   if node.tag == "manager")
+    with database.transaction() as txn:
+        txn.insert_subtree(manager.node_id, parse_xml(
+            '<employee id="w1"><name>Perf 1</name>'
+            '<phone>+1-555-0001</phone>'
+            '<email>w1@example.com</email></employee>'))
+    assert database.document.root.end == 40032
+    assert database.tag_statistics.position_space == 40033
+    assert_statistics_equal_fresh_scan(database)
+    pattern = PAPER_QUERIES["Q.Pers.2.c"].pattern
+    live = database.optimize(pattern, "DPP")
+    fresh = Database.from_document(database.document).optimize(pattern,
+                                                                "DPP")
+    assert live.plan.signature() == fresh.plan.signature()
+    assert live.estimated_cost == fresh.estimated_cost
+    run = database.execute(live.plan, pattern)
+    assert round(run.metrics.simulated_cost()) == 49992

@@ -33,8 +33,8 @@ ALGORITHMS = ("DP", "DPP", "DPAP-EB", "DPAP-LD", "FP")
 #: written once, in the base — neither back end may define its own
 BASE_ONLY = ("compile", "warm_statistics", "optimize", "query",
              "query_many", "whatif", "time_to_first", "explain",
-             "service", "exact_estimator", "execute", "__enter__",
-             "__exit__")
+             "service", "estimator", "exact_estimator", "execute",
+             "__enter__", "__exit__")
 #: supplied or extended per back end, under one signature
 PER_BACKEND = ("stream_execute", "collect_gauges", "stats",
                "attach_query_log", "close")
