@@ -54,6 +54,14 @@ class PageFormatError(StorageError):
     version, or a header whose lengths do not fit the page)."""
 
 
+class WalFormatError(StorageError):
+    """A committed write-ahead log record is not in this version's
+    format (e.g. a full catalog where a catalog delta belongs).
+
+    Raised by recovery instead of folding the record wrongly; the log
+    must be checkpointed by the version that wrote it."""
+
+
 class PatternError(ReproError):
     """A query pattern is malformed (cycle, disconnected, bad reference)."""
 

@@ -20,6 +20,8 @@ which owns the position space they cover.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.errors import EstimationError
 from repro.document.node import Region
 
@@ -57,6 +59,20 @@ def _overlap_uniform_less(a_low: float, a_high: float,
     if b_high > sure_low:
         total += b_high - sure_low
     return min(max(total / b_width, 0.0), 1.0)
+
+
+@lru_cache(maxsize=64)
+def _factor_tables(grid: int, width: float
+                   ) -> tuple[tuple[tuple[float, ...], ...], ...]:
+    """``(less, keep)`` for one histogram geometry: ``less[a][d]`` is
+    ``P(X < Y)`` for X uniform over bucket *a* and Y over bucket *d*,
+    ``keep[a][d]`` is ``1.0 - less[a][d]``."""
+    bounds = [(bucket * width, (bucket + 1) * width)
+              for bucket in range(grid)]
+    less = tuple(tuple(_overlap_uniform_less(*a_bounds, *d_bounds)
+                       for d_bounds in bounds) for a_bounds in bounds)
+    keep = tuple(tuple(1.0 - value for value in row) for row in less)
+    return less, keep
 
 
 class PositionalHistogram:
@@ -118,33 +134,40 @@ class PositionalHistogram:
         copy.total = self.total
         return copy
 
-    def _cell_bounds(self, bucket: int) -> tuple[float, float]:
-        return bucket * self._cell_width, (bucket + 1) * self._cell_width
-
     def estimate_containment_join(self,
                                   descendants: "PositionalHistogram") -> float:
         """Estimated |{(a, d) : a.start < d.start and d.end <= a.end}|.
 
         Sums the expected pair count over all (ancestor cell,
         descendant cell) combinations under uniform-within-cell spread.
+        Both histograms must share one geometry (position space and
+        grid).  A pair whose descendant cell starts in an earlier row
+        (``P(a.start < d.start) == 0``) or ends in a later column
+        (``P(d.end <= a.end) == 0``) adds exactly ``0.0`` and is
+        skipped; the others read their two factors from the
+        geometry's tables, in cell order, so the sum is bit for bit
+        the full double loop's.
         """
+        if (self.position_space, self.grid) != (
+                descendants.position_space, descendants.grid):
+            raise EstimationError(
+                f"histograms of different geometry: space "
+                f"{self.position_space} grid {self.grid} vs space "
+                f"{descendants.position_space} grid {descendants.grid}")
         if not self.cells or not descendants.cells:
             return 0.0
+        less, keep = _factor_tables(self.grid, self._cell_width)
+        inner = [(d_row, d_col, d_count)
+                 for (d_row, d_col), d_count in descendants.cells.items()]
         expected = 0.0
         for (a_row, a_col), a_count in self.cells.items():
-            a_start_low, a_start_high = self._cell_bounds(a_row)
-            a_end_low, a_end_high = self._cell_bounds(a_col)
-            for (d_row, d_col), d_count in descendants.cells.items():
-                d_start_low, d_start_high = descendants._cell_bounds(d_row)
-                d_end_low, d_end_high = descendants._cell_bounds(d_col)
-                p_start = _overlap_uniform_less(
-                    a_start_low, a_start_high, d_start_low, d_start_high)
-                if p_start == 0.0:
-                    continue
-                # d.end <= a.end  ==  not (a.end < d.end)
-                p_end = 1.0 - _overlap_uniform_less(
-                    a_end_low, a_end_high, d_end_low, d_end_high)
-                expected += a_count * d_count * p_start * p_end
+            p_starts = less[a_row]
+            # d.end <= a.end  ==  not (a.end < d.end)
+            p_ends = keep[a_col]
+            for d_row, d_col, d_count in inner:
+                if d_row >= a_row and d_col <= a_col:
+                    expected += (a_count * d_count * p_starts[d_row]
+                                 * p_ends[d_col])
         return expected
 
     def __len__(self) -> int:

@@ -16,14 +16,20 @@ Layout::
 Re-persisting writes a fresh header into a rewritten page 0 and
 allocates new chunk pages (old ones become garbage — a real system
 would free-list them; this one documents the leak instead).
+
+Only a checkpoint writes the full catalog.  A commit logs a *catalog
+delta* (:func:`catalog_delta`) — what that commit changed of the
+directory — and recovery folds the committed deltas onto the page-0
+catalog in commit order (:func:`fold_catalog`), so a commit's log
+record is as large as its change, not as the database or its history.
 """
 
 from __future__ import annotations
 
 import json
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
-from repro.errors import StorageError
+from repro.errors import StorageError, WalFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.pages import Page
 
@@ -33,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 CATALOG_PAGE_ID = 0
 _CHUNK_BYTES = 4000
+#: the fields of a catalog delta, all of them always present
+_DELTA_KEYS = frozenset({"tags", "store_pages", "deleted_rids",
+                         "node_count"})
 
 
 def reserve_catalog_page(pool: BufferPool) -> None:
@@ -47,9 +56,9 @@ def reserve_catalog_page(pool: BufferPool) -> None:
 
 def catalog_payload(name: str, store: "ElementStore",
                     index: "TagIndex") -> dict[str, Any]:
-    """The directory state both the page-0 catalog and a commit's WAL
-    ``CATALOG`` record persist, for one element *store* / tag *index*
-    pair — built here only, so the two copies cannot drift."""
+    """The full directory state the page-0 catalog persists, for one
+    element *store* / tag *index* pair; :func:`fold_catalog` returns
+    the same shape."""
     payload = {
         "name": name,
         "store_pages": store.page_ids,
@@ -61,6 +70,74 @@ def catalog_payload(name: str, store: "ElementStore",
     if deleted:
         payload["deleted_rids"] = deleted
     return payload
+
+
+def catalog_delta(store: "ElementStore", index: "TagIndex",
+                  tags: Iterable[str], appended_pages: list[int],
+                  tombstones: list[list[int]]) -> dict[str, Any]:
+    """What one commit changed of the directory (its WAL ``CATALOG``
+    record).
+
+    ``tags`` maps each touched tag to its new ``[chain, count]``, or to
+    ``None`` when the commit removed the tag's last posting;
+    ``store_pages`` lists the element-store pages the commit appended,
+    ``deleted_rids`` the record ids it tombstoned, and ``node_count``
+    is the store's new count.  Every field folds idempotently (assign,
+    append-if-absent, union), so replaying a delta over a catalog that
+    already holds it changes nothing.
+    """
+    return {
+        "tags": {tag: ([index.chain(tag), index.count(tag)]
+                       if index.count(tag) else None)
+                 for tag in tags},
+        "store_pages": appended_pages,
+        "deleted_rids": tombstones,
+        "node_count": store.node_count,
+    }
+
+
+def fold_catalog(catalog: dict[str, Any],
+                 deltas: Iterable[dict[str, Any]]) -> dict[str, Any]:
+    """The full catalog after *deltas* (in commit order) on *catalog*.
+
+    Raises :class:`~repro.errors.WalFormatError` on a record that is not
+    a catalog delta — a log written before commits logged deltas holds
+    full catalogs, which this fold would misread.
+    """
+    chains = dict(catalog["index_chains"])
+    counts = dict(catalog["index_counts"])
+    pages = list(catalog["store_pages"])
+    known = set(pages)
+    deleted = {tuple(rid) for rid in catalog.get("deleted_rids", ())}
+    node_count = catalog["node_count"]
+    for delta in deltas:
+        if delta.keys() != _DELTA_KEYS:
+            raise WalFormatError(
+                f"a CATALOG record holds {sorted(delta)}, not a catalog "
+                "delta: checkpoint this log with the version that wrote "
+                "it")
+        for tag, entry in delta["tags"].items():
+            if entry is None:
+                chains.pop(tag, None)
+                counts.pop(tag, None)
+            else:
+                chains[tag], counts[tag] = entry
+        for page_id in delta["store_pages"]:
+            if page_id not in known:
+                known.add(page_id)
+                pages.append(page_id)
+        deleted.update(map(tuple, delta["deleted_rids"]))
+        node_count = delta["node_count"]
+    folded = {
+        "name": catalog["name"],
+        "store_pages": pages,
+        "index_chains": chains,
+        "index_counts": counts,
+        "node_count": node_count,
+    }
+    if deleted:
+        folded["deleted_rids"] = sorted(map(list, deleted))
+    return folded
 
 
 def write_catalog(pool: BufferPool, payload: dict[str, Any]) -> None:

@@ -229,18 +229,25 @@ class ElementStore:
         clone._current_page_id = None
         return clone
 
-    def remove_nodes(self, node_ids: Iterable[int]) -> None:
-        """Tombstone *node_ids*; their page bytes remain as garbage."""
+    def remove_nodes(self, node_ids: Iterable[int]) -> list[list[int]]:
+        """Tombstone *node_ids*; their page bytes remain as garbage.
+
+        Returns the new tombstones as ``[page, slot]`` pairs (a commit's
+        catalog delta), in removal order."""
+        tombstones = []
         for node_id in node_ids:
             rid = self._directory.pop(node_id, None)
             if rid is None:
                 raise StorageError(
                     f"cannot remove node {node_id}: not stored")
             self._deleted_rids.add(rid)
+            tombstones.append([rid.page_id, rid.slot])
             self.node_count -= 1
+        return tombstones
 
     def deleted_rids(self) -> list[list[int]]:
-        """Tombstoned record ids as ``[page, slot]`` pairs (catalog form)."""
+        """Every tombstoned record id as a ``[page, slot]`` pair, sorted
+        (the full catalog a checkpoint writes)."""
         return sorted([rid.page_id, rid.slot]
                       for rid in self._deleted_rids)
 

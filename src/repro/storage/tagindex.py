@@ -269,6 +269,10 @@ class TagIndex:
         return {tag: list(chain)
                 for tag, chain in self._page_chains.items()}
 
+    def chain(self, tag: str) -> list[int]:
+        """One tag's page chain (empty if the tag has no postings)."""
+        return list(self._page_chains.get(tag, ()))
+
     def counts(self) -> dict[str, int]:
         """Per-tag posting counts (persisted in the catalog)."""
         return dict(self._counts)

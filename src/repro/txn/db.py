@@ -9,7 +9,8 @@ process opens to exactly the committed prefix of its history:
   incidentally evicted pages the crash left),
 * committed transactions found in ``wal.log`` are replayed over them
   (physical redo is idempotent, so double-applied pages are harmless),
-* the newest committed CATALOG record supersedes the page-0 catalog,
+* the committed CATALOG records — catalog deltas — are folded onto the
+  page-0 catalog in commit order,
 * a torn log tail and any unfinished transaction are discarded.
 """
 

@@ -11,9 +11,13 @@ commit pipeline then
    and tag index absorb the node delta into *freshly allocated* pages,
    never mutating a page the published database references, so every
    in-flight reader keeps a consistent view;
-3. **logs** — BEGIN, one PAGE record per freshly written page, the new
-   CATALOG payload, and COMMIT are appended to the write-ahead log,
-   which is fsync'd: the commit is durable before publication;
+3. **logs** — BEGIN, one PAGE record per freshly written page, a
+   CATALOG record holding the commit's catalog *delta* (the touched
+   tags' chains and counts, the appended store pages, the new
+   tombstones, the node count — :func:`~repro.storage.catalog.
+   catalog_delta`), and COMMIT are appended to the write-ahead log,
+   which is fsync'd: the commit is durable before publication.  The
+   record is as large as the change, not as the catalog;
 4. **publishes** — under the database's publish lock the new store,
    index and document are swapped in, the database's statistics
    absorb the delta (:meth:`~repro.estimation.estimator.Statistics.
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable
 
@@ -42,7 +47,7 @@ from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.obs.registry import BucketRecorder
 from repro.obs.spans import Span, TraceContext, assign_span_ids
-from repro.storage.catalog import catalog_payload
+from repro.storage.catalog import catalog_delta
 from repro.txn.labels import DEFAULT_GAP, pick_gap, relabel
 from repro.txn.wal import FSYNC_BUCKETS, WriteAheadLog
 
@@ -143,6 +148,9 @@ class Transaction:
         self.txn_id = txn_id
         self._nodes: dict[int, NodeRecord] = {
             node.node_id: node for node in document}
+        # the live node ids (== start labels), kept sorted: a subtree
+        # is one slice of it
+        self._starts: list[int] = list(self._nodes)
         self._root_id = document.root.node_id
         # edit sets relative to the base snapshot: a changed node is
         # its base record in _removed plus its new record in _added.
@@ -166,6 +174,7 @@ class Transaction:
 
     def _take(self, node_id: int) -> NodeRecord:
         node = self._nodes.pop(node_id)
+        del self._starts[bisect_left(self._starts, node_id)]
         if node_id in self._added:
             del self._added[node_id]
         else:
@@ -183,12 +192,18 @@ class Transaction:
         else:
             self._added[node.node_id] = node
         self._nodes[node.node_id] = node
+        insort(self._starts, node.node_id)
 
     def _subtree(self, node: NodeRecord) -> list[NodeRecord]:
         """*node* plus its current descendants, in document order."""
-        return sorted((candidate for candidate in self._nodes.values()
-                       if node.start <= candidate.start <= node.end),
-                      key=lambda candidate: candidate.start)
+        starts = self._starts
+        return [self._nodes[start] for start in
+                starts[bisect_left(starts, node.start):
+                       bisect_right(starts, node.end)]]
+
+    def _document_order(self) -> list[NodeRecord]:
+        """Every live node, in document order."""
+        return [self._nodes[start] for start in self._starts]
 
     # -- mutation API ---------------------------------------------------------
 
@@ -492,9 +507,7 @@ class TransactionManager:
         validate_span = Span(
             "validate", detail=f"+{len(added)} -{len(removed)} nodes")
         validate_started = time.perf_counter()
-        new_document = XmlDocument(
-            sorted(txn._nodes.values(), key=lambda node: node.start),
-            name=db.name)
+        new_document = XmlDocument(txn._document_order(), name=db.name)
         validate_span.seconds = (time.perf_counter()
                                  - validate_started)
         # 2. copy-on-write storage: the delta lands in fresh pages only.
@@ -502,12 +515,15 @@ class TransactionManager:
         cow_started = time.perf_counter()
         pages_before = db.disk.page_count
         store = db.store.clone_for_write()
-        store.remove_nodes(removed)
+        tombstones = store.remove_nodes(removed)
         for node in sorted(added.values(), key=lambda node: node.start):
             store.store_node(node)
         index = db.index.clone_for_write()
-        index.apply_edits(_index_edits(added.values(), removed.values()))
-        payload = catalog_payload(db.name, store, index)
+        edits = _index_edits(added.values(), removed.values())
+        index.apply_edits(edits)
+        delta = catalog_delta(store, index, edits,
+                              store.page_ids[db.store.page_count:],
+                              tombstones)
         cow_span.seconds = time.perf_counter() - cow_started
         cow_span.detail = (f"{db.disk.page_count - pages_before} "
                            f"fresh pages")
@@ -527,7 +543,7 @@ class TransactionManager:
                 db.pool.unpin(page_id)
             self.wal.append_page(txn.txn_id, page_id, image)
             pages_logged += 1
-        self.wal.append_catalog(txn.txn_id, payload)
+        self.wal.append_catalog(txn.txn_id, delta)
         self.wal.append_commit(txn.txn_id)
         wal_bytes = self.wal.size - wal_before
         fsync_seconds = self.wal.stats.sync_seconds - sync_before

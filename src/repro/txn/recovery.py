@@ -8,14 +8,19 @@ recovery needs only physical *redo* — no undo pass:
    CATALOG records under its txn id.
 2. On COMMIT, replay that transaction's page images into the pages
    file (idempotent: rewriting a page with the same image is a no-op)
-   and adopt its CATALOG payload as the current root catalog.
+   and queue its CATALOG record, a catalog *delta*.
 3. A transaction with no COMMIT by end-of-log — including everything
    after a torn frame — never happened: its pages were unreferenced
    scratch space, so discarding the records suffices.
 
-The last adopted CATALOG payload (or, when the log holds none, the
-page-0 catalog written by the previous checkpoint) tells the opener
-which pages hold the element store and posting chains.
+The queued deltas are then folded onto the page-0 catalog written by
+the last checkpoint, in commit order
+(:func:`~repro.storage.catalog.fold_catalog`).  Every delta field is
+idempotent, so a log whose checkpoint already holds some of its
+commits — a crash inside ``checkpoint()``, after the pages file was
+re-anchored and before the log was cut — folds to the same catalog.
+The folded catalog tells the opener which pages hold the element store
+and posting chains.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from dataclasses import dataclass, field
 
 from repro.txn import wal as _wal
 from repro.txn.wal import WalRecord, WriteAheadLog
+from repro.storage.buffer import BufferPool
+from repro.storage.catalog import fold_catalog, read_catalog
 from repro.storage.disk import DiskManager
 from repro.storage.pages import Page
 
@@ -33,8 +40,8 @@ from repro.storage.pages import Page
 class RecoveryResult:
     """Outcome of one redo pass, surfaced via obs metrics and the CLI."""
 
-    #: catalog payload of the last committed transaction, or ``None``
-    #: when the log held no committed CATALOG (use the page-0 catalog).
+    #: the full catalog: page 0's with every committed delta folded in,
+    #: or ``None`` when the log held no committed CATALOG (use page 0's).
     catalog_payload: dict | None = None
     #: txn ids replayed, in commit order.
     committed: list[int] = field(default_factory=list)
@@ -62,12 +69,15 @@ def recover(disk: DiskManager, wal: WriteAheadLog) -> RecoveryResult:
     themselves) and on an empty one (no-op).  A torn tail is cut off
     the log before returning — appends always go to the file end, so
     leaving a partial frame in place would strand every later commit
-    behind it, unreachable to the next replay.
+    behind it, unreachable to the next replay.  A committed CATALOG
+    record that is not a delta raises
+    :class:`~repro.errors.WalFormatError`.
     """
     started = time.perf_counter()
     result = RecoveryResult()
-    # txn id -> buffered (page records, catalog payload)
+    # txn id -> buffered (page records, catalog records)
     in_flight: dict[int, tuple[list[WalRecord], list[WalRecord]]] = {}
+    deltas: list[dict] = []
     for record in wal.replay():
         result.scanned_bytes = record.end_offset
         if record.type == _wal.BEGIN:
@@ -86,8 +96,7 @@ def recover(disk: DiskManager, wal: WriteAheadLog) -> RecoveryResult:
                 disk.write_page(
                     Page(page_id, bytearray(page_record.page_image)))
                 result.replayed_pages += 1
-            if catalogs:
-                result.catalog_payload = catalogs[-1].json_payload()
+            deltas.extend(catalog.json_payload() for catalog in catalogs)
             result.committed.append(record.txn_id)
         # CHECKPOINT records carry no redo work: by the time one is
         # written the pages file is already durable and re-anchored.
@@ -95,6 +104,9 @@ def recover(disk: DiskManager, wal: WriteAheadLog) -> RecoveryResult:
     result.discarded = sorted(in_flight)
     if result.replayed_pages:
         disk.sync()
+    if deltas:
+        result.catalog_payload = fold_catalog(
+            read_catalog(BufferPool(disk, capacity=1)), deltas)
     if result.torn_offset is not None:
         wal.truncate(result.torn_offset)
     result.seconds = time.perf_counter() - started

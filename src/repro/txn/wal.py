@@ -2,13 +2,16 @@
 
 Every frame is ``magic | type | payload-length | crc32(payload) |
 payload``.  A transaction appends BEGIN, one PAGE record per page image
-it produced, optionally a CATALOG record carrying the new root-catalog
-payload, and finally COMMIT — at which point the log is flushed and
-fsync'd, making the commit durable *before* any data page reaches the
-pages file.  Recovery (:mod:`repro.txn.recovery`) replays committed
-transactions forward and discards any torn tail: a frame whose header,
-payload, or checksum is incomplete marks the crash point, and
-everything from there on is ignored and truncated away.
+it produced, a CATALOG record carrying its catalog *delta* (what it
+changed of the root catalog, :func:`repro.storage.catalog.
+catalog_delta` — never the whole catalog), and finally COMMIT — at
+which point the log is flushed and fsync'd, making the commit durable
+*before* any data page reaches the pages file.  Recovery
+(:mod:`repro.txn.recovery`) replays committed transactions forward,
+folding their deltas onto the page-0 catalog, and discards any torn
+tail: a frame whose header, payload, or checksum is incomplete marks
+the crash point, and everything from there on is ignored and
+truncated away.
 
 A CHECKPOINT record is appended after the pages file itself has been
 flushed, fsync'd, and re-anchored (catalog on page 0); the log can then
@@ -215,7 +218,8 @@ class WriteAheadLog:
         return self._append(PAGE, _TXN_PAGE.pack(txn_id, page_id) + image)
 
     def append_catalog(self, txn_id: int, payload: dict) -> int:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        body = json.dumps(payload, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
         return self._append(CATALOG, _TXN.pack(txn_id) + body)
 
     def append_commit(self, txn_id: int, durable: bool = True) -> int:

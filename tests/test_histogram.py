@@ -1,11 +1,15 @@
 """Unit tests for positional and level histograms."""
 
+import itertools
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.errors import EstimationError
 from repro.document.node import Region
 from repro.document.parser import parse_xml
-from repro.estimation.estimator import count_containment_pairs
+from repro.estimation.estimator import Statistics, count_containment_pairs
 from repro.estimation.histogram import (LevelHistogram,
                                         PositionalHistogram,
                                         _overlap_uniform_less)
@@ -15,6 +19,42 @@ def filled(histogram, regions):
     for region in regions:
         histogram.add(region)
     return histogram
+
+
+def reference_containment_join(ancestors: PositionalHistogram,
+                               descendants: PositionalHistogram) -> float:
+    """The join as a literal double loop over every cell pair, each
+    factor computed from the two cells' bounds: what
+    ``estimate_containment_join`` must equal bit for bit."""
+
+    def bounds(histogram, bucket):
+        width = histogram.position_space / histogram.grid
+        return bucket * width, (bucket + 1) * width
+
+    expected = 0.0
+    for (a_row, a_col), a_count in ancestors.cells.items():
+        for (d_row, d_col), d_count in descendants.cells.items():
+            p_start = _overlap_uniform_less(*bounds(ancestors, a_row),
+                                            *bounds(descendants, d_row))
+            p_end = 1.0 - _overlap_uniform_less(
+                *bounds(ancestors, a_col), *bounds(descendants, d_col))
+            expected += a_count * d_count * p_start * p_end
+    return expected
+
+
+@st.composite
+def histogram_pairs(draw):
+    """Two histograms of one geometry over random regions."""
+    space = draw(st.integers(1, 400))
+    grid = draw(st.integers(1, 24))
+
+    def regions():
+        return st.lists(st.integers(0, space - 1).flatmap(
+            lambda start: st.integers(start, space - 1).map(
+                lambda end: Region(start, end, 0))), max_size=40)
+
+    return (filled(PositionalHistogram(space, grid), draw(regions())),
+            filled(PositionalHistogram(space, grid), draw(regions())))
 
 
 class TestOverlapProbability:
@@ -63,6 +103,37 @@ class TestPositionalHistogram:
         left = PositionalHistogram(10, 2)
         right = PositionalHistogram(10, 2)
         assert left.estimate_containment_join(right) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(histogram_pairs())
+    def test_join_equals_the_double_loop_bit_for_bit(self, pair):
+        ancestors, descendants = pair
+        assert (ancestors.estimate_containment_join(descendants).hex()
+                == reference_containment_join(ancestors,
+                                              descendants).hex())
+
+    def test_join_equals_the_double_loop_on_every_pers_tag_pair(self):
+        from repro.workloads import personnel_document
+
+        entries = Statistics(personnel_document(target_nodes=2000,
+                                                seed=42)).entries
+        for ancestor, descendant in itertools.product(entries, repeat=2):
+            left = entries[ancestor].positions
+            right = entries[descendant].positions
+            assert (left.estimate_containment_join(right).hex()
+                    == reference_containment_join(left, right).hex()), (
+                ancestor, descendant)
+
+    def test_join_refuses_mismatched_geometry(self):
+        regions = [Region(0, 9, 0), Region(2, 3, 1)]
+        base = filled(PositionalHistogram(100, 4), regions)
+        for other in (PositionalHistogram(120, 4),
+                      PositionalHistogram(100, 5)):
+            filled(other, regions)
+            with pytest.raises(EstimationError, match="geometry"):
+                base.estimate_containment_join(other)
+            with pytest.raises(EstimationError, match="geometry"):
+                other.estimate_containment_join(base)
 
     def test_estimate_accuracy_on_real_document(self):
         """Histogram estimate should be within ~3x of truth on a

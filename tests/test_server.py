@@ -448,20 +448,32 @@ def capture_streams(monkeypatch, database, engine=""):
     return captured
 
 
-def hold_producers(monkeypatch, database):
+def hold_producers(monkeypatch, database, after_blocks=0):
     """From here on a run's cancel predicate answers only once it is
-    true: its producer, however fast, cannot get past its first block
-    before the consumer has hung up."""
+    true: its producer, however fast, cannot get past block
+    ``after_blocks + 1`` before the consumer has hung up (the first
+    *after_blocks* blocks pass as usual)."""
     original = database.stream_execute
 
     def held(*args, cancel, **kwargs):
+        passed = []
+
         def hung_up():
+            if len(passed) < after_blocks:
+                passed.append(None)
+                return cancel()
             wait_until(cancel)
             return True
 
         return original(*args, cancel=hung_up, **kwargs)
 
     monkeypatch.setattr(database, "stream_execute", held)
+
+
+#: the deadline of the mid-stream drills: far longer than a held
+#: producer needs to put its first block on the wire, and the only
+#: wait such a drill has
+MID_STREAM_DEADLINE_MS = 1000
 
 
 def wait_until(condition, seconds=10.0):
@@ -892,18 +904,20 @@ class TestBackPressure:
         finally:
             client.close()
 
-    def test_deadline_mid_stream_counts_rows_delivered(self,
-                                                       big_server):
+    def test_deadline_mid_stream_counts_rows_delivered(
+            self, big_server, monkeypatch):
         """A deadline landing mid-batch: the terminal line's ``rows``
         is the number of row lines on the wire, not what the engine
-        had produced by then."""
-        _, host, port = big_server
+        had produced by then.  The producer is held after its first
+        block until the deadline fires, so the deadline lands
+        mid-stream however fast the stream runs."""
+        instance, host, port = big_server
         path = f"/query?xpath={self.XPATH}&stream=1"
         _, chunks = stream_chunks(host, port, path)
         full = chunk_lines(chunks[-1])[0]
-        timeout_ms = full["seconds"] * 1e3 / 3.0
+        hold_producers(monkeypatch, instance.database, after_blocks=1)
         head, chunks = stream_chunks(
-            host, port, f"{path}&timeout_ms={timeout_ms:g}")
+            host, port, f"{path}&timeout_ms={MID_STREAM_DEADLINE_MS}")
         assert head.status == 200, "the stream had started"
         lines = all_lines(chunks)
         summary = lines[-1]
@@ -1013,8 +1027,9 @@ class TestDrillsPerEngine:
         _, chunks = stream_chunks(host, port, self.path("&stream=1"))
         full = chunk_lines(chunks[-1])[0]
         streams = capture_streams(monkeypatch, instance.database)
+        hold_producers(monkeypatch, instance.database, after_blocks=1)
         head, chunks = stream_chunks(host, port, self.path(
-            f"&stream=1&timeout_ms={full['seconds'] * 1e3 / 3:g}"))
+            f"&stream=1&timeout_ms={MID_STREAM_DEADLINE_MS}"))
         assert head.status == 200, "the stream had started"
         lines = all_lines(chunks)
         assert lines[-1]["cancelled"] is True

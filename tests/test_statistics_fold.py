@@ -3,8 +3,8 @@
 A database's statistics are built by one scan and advanced by each
 commit's delta (:class:`~repro.estimation.estimator.Statistics`).  The
 write path is driven here as a state machine — inserts under random
-elements, appends, deletes, aborts, checkpoints, close-and-recover —
-and after every step the live statistics must equal a fresh scan of
+elements, appends, deletes, aborts, checkpoints, close-and-recover,
+crashes that cut the log at a record boundary — and after every step the live statistics must equal a fresh scan of
 the live document, tag by tag, and the optimizer must choose what a
 database freshly loaded with the same nodes chooses.  A commit that
 moves the root's end used to double the histograms' position space
@@ -29,7 +29,8 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
 from repro.api import Database
 from repro.document.parser import parse_xml
 from repro.estimation.estimator import Statistics
-from repro.txn import create_database, open_database
+from repro.txn import WriteAheadLog, create_database, open_database
+from repro.txn.db import WAL_FILE
 from repro.workloads import (PAPER_QUERIES, personnel_document,
                              random_pattern)
 
@@ -91,7 +92,12 @@ def assert_plans_like_a_fresh_load(database: Database) -> None:
 
 
 class WritePathMachine(RuleBasedStateMachine):
-    """A file-backed database under random write-path steps."""
+    """A file-backed database under random write-path steps.
+
+    The model is the committed history since the last checkpoint: the
+    log size after each commit and the document it published.  A crash
+    cuts the log at a record boundary, and recovery must come back
+    with exactly the last commit the cut kept."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -100,6 +106,9 @@ class WritePathMachine(RuleBasedStateMachine):
         self.database = create_database(
             self.path, document=personnel_document(target_nodes=120,
                                                    seed=3))
+        self.checkpointed = self.database.document.nodes
+        #: (log size after the commit, the nodes it published)
+        self.committed: list[tuple[int, tuple]] = []
 
     def teardown(self) -> None:
         self.database.close()
@@ -109,23 +118,27 @@ class WritePathMachine(RuleBasedStateMachine):
         nodes = self.database.document.nodes[0 if root else 1:]
         return nodes[data.draw(st.integers(0, len(nodes) - 1))].node_id
 
+    def _write(self, mutate) -> None:
+        with self.database.transaction() as txn:
+            mutate(txn)
+        self.committed.append((self.database.transactions.wal.size,
+                               self.database.document.nodes))
+
     @rule(data=st.data(), fragment=FRAGMENTS)
     def insert_subtree(self, data, fragment: str) -> None:
         parent = self._pick(data, root=True)
-        with self.database.transaction() as txn:
-            txn.insert_subtree(parent, parse_xml(fragment))
+        self._write(lambda txn: txn.insert_subtree(parent,
+                                                   parse_xml(fragment)))
 
     @rule(fragment=FRAGMENTS)
     def append_document(self, fragment: str) -> None:
-        with self.database.transaction() as txn:
-            txn.append_document(parse_xml(fragment))
+        self._write(lambda txn: txn.append_document(parse_xml(fragment)))
 
     @precondition(lambda self: len(self.database.document) > 1)
     @rule(data=st.data())
     def delete_subtree(self, data) -> None:
         victim = self._pick(data, root=False)
-        with self.database.transaction() as txn:
-            txn.delete_subtree(victim)
+        self._write(lambda txn: txn.delete_subtree(victim))
 
     @rule(data=st.data(), fragment=FRAGMENTS)
     def abort(self, data, fragment: str) -> None:
@@ -139,11 +152,32 @@ class WritePathMachine(RuleBasedStateMachine):
     @rule()
     def checkpoint(self) -> None:
         self.database.checkpoint()
+        self.checkpointed = self.database.document.nodes
+        self.committed = []
 
     @rule()
     def reopen(self) -> None:
         self.database.close()
         self.database = open_database(self.path)
+
+    @rule(data=st.data())
+    def crash(self, data) -> None:
+        """Cut the log at a random record boundary and recover: the
+        recovered document is the last commit the cut kept (the
+        invariants then hold its statistics to a fresh scan)."""
+        self.database.close()
+        log = self.path / WAL_FILE
+        image = log.read_bytes()
+        reader = WriteAheadLog(None)
+        reader.restore_bytes(image)
+        cut = data.draw(st.sampled_from(reader.record_boundaries()))
+        log.write_bytes(image[:cut])
+        self.database = open_database(self.path)
+        self.committed = [(size, nodes) for size, nodes in self.committed
+                          if size <= cut]
+        expected = (self.committed[-1][1] if self.committed
+                    else self.checkpointed)
+        assert self.database.document.nodes == expected
 
     @invariant()
     def statistics_equal_a_fresh_scan(self) -> None:

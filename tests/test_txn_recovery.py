@@ -174,3 +174,79 @@ def test_logged_catalog_equals_the_checkpointed_catalog(tmp_path):
     with open_database(workdir) as database:
         database.checkpoint()
         assert read_catalog(database.pool) == logged
+
+
+def test_crash_inside_checkpoint_folds_to_the_checkpointed_catalog(
+        tmp_path, monkeypatch):
+    """``checkpoint()`` made the pages file and its page-0 catalog
+    durable, then died before cutting the log: the old log's deltas,
+    folded over a catalog that already holds them, change nothing."""
+    from repro.storage.catalog import read_catalog
+
+    workdir = tmp_path / "db"
+    oracle, _ = run_workload(workdir)
+    wal_bytes = (workdir / WAL_FILE).read_bytes()
+
+    def crash(self, size=0):
+        raise RuntimeError("killed before the log was cut")
+
+    with open_database(workdir) as database:
+        monkeypatch.setattr(WriteAheadLog, "truncate", crash)
+        with pytest.raises(RuntimeError, match="killed"):
+            database.checkpoint()
+        monkeypatch.undo()
+        checkpointed = read_catalog(database.pool)
+        document = list(database.document.nodes)
+    assert (workdir / WAL_FILE).read_bytes() == wal_bytes
+    reopened = reopen_with_wal(workdir, tmp_path / "crash", wal_bytes)
+    recovery = reopened.transactions.last_recovery
+    assert recovery.committed == list(range(1, TXNS + 1))
+    assert recovery.catalog_payload == checkpointed
+    assert list(reopened.document.nodes) == document
+    assert node_shape(reopened.document) == node_shape(
+        XmlDocument(oracle[TXNS], name="oracle"))
+
+
+def test_a_log_of_full_catalogs_is_refused(tmp_path):
+    """A log whose CATALOG records hold whole catalogs — the format
+    before commits logged deltas — is refused, not folded wrongly."""
+    from repro.errors import WalFormatError
+    from repro.storage.catalog import catalog_payload
+
+    workdir = tmp_path / "db"
+    database = create_database(workdir, document=random_document(3,
+                                                                 size=30))
+    wal = database.transactions.wal
+    wal.append_begin(1)
+    wal.append_catalog(1, catalog_payload(database.name, database.store,
+                                          database.index))
+    wal.append_commit(1)
+    database.close()
+    with pytest.raises(WalFormatError, match="not a catalog delta"):
+        open_database(workdir)
+
+
+def test_the_logged_catalog_does_not_grow_with_history():
+    """A commit logs what it changed: after 60 alternating appends and
+    deletes the last CATALOG record is no larger than twice the first,
+    where whole catalogs grew with every tombstone ever written."""
+    from repro.document.parser import parse_xml
+    from repro.txn.wal import CATALOG
+    from repro.workloads import personnel_document
+
+    database = Database.from_document(
+        personnel_document(target_nodes=2000, seed=42))
+    appended = None
+    for step in range(60):
+        with database.transaction() as txn:
+            if step % 2 == 0:
+                appended = txn.append_document(parse_xml(
+                    f'<employee id="g{step}"><name>Grow {step}</name>'
+                    "</employee>"))
+            else:
+                txn.delete_subtree(appended)
+    sizes = [len(record.payload)
+             for record in database.transactions.wal.replay()
+             if record.type == CATALOG]
+    assert len(sizes) == 60
+    assert sizes[-1] <= 2 * sizes[0], sizes
