@@ -101,7 +101,6 @@ class Database(QueryTarget):
         self.store = ElementStore(self.pool)
         self.index = TagIndex(self.pool)
         self.document: XmlDocument | None = None
-        self.statistics_epoch = 0
         #: guards the atomic swap of store/index/document/estimator at
         #: commit publication; readers take it only for the instant of
         #: :meth:`read_snapshot`.
@@ -138,10 +137,7 @@ class Database(QueryTarget):
         self.document = document
         if self.name == "db":  # adopt the document's name by default
             self.name = document.name
-        self._load_statistics(document)
-        self.statistics_epoch += 1
-        if self._service is not None:
-            self._service.invalidate()
+        self._publish_planning_inputs(self._load_statistics(document))
 
     def reload(self, document: XmlDocument) -> None:
         """Replace the loaded document.
@@ -216,7 +212,9 @@ class Database(QueryTarget):
                 f"catalog expected {payload['node_count']} nodes, "
                 f"store holds {len(nodes)}")
         database.document = XmlDocument(nodes, name=database.name)
-        database._load_statistics(database.document)
+        # nothing was planned yet: plan against the reopened statistics
+        # without publishing (a reopened database is at epoch 0)
+        database._estimator = database._load_statistics(database.document)
         return database
 
     # -- snapshot isolation ---------------------------------------------------
@@ -235,6 +233,19 @@ class Database(QueryTarget):
             assert self._estimator is not None
             return Snapshot(self.document, self.index, self.store,
                             self._estimator, self.statistics_epoch)
+
+    def publish(self, store: ElementStore, index: TagIndex,
+                document: XmlDocument,
+                estimator: PositionalEstimator) -> None:
+        """A commit's publish step: swap in its store, index and
+        document and publish *estimator* as the planning inputs, as one
+        atomic step under the publish lock — a reader sees the old
+        quadruple or the new one, never a mix."""
+        with self._publish_lock:
+            self.store = store
+            self.index = index
+            self.document = document
+            self._publish_planning_inputs(estimator)
 
     # -- transactions ---------------------------------------------------------
 
@@ -338,19 +349,19 @@ class Database(QueryTarget):
         Installs *factors* (typically learned by
         :mod:`repro.obs.calibrate`) on the shared :class:`CostModel`,
         so every subsequent optimization prices plans with them, and
-        bumps the statistics epoch: plans cached under the old factors
-        were costed in a different currency and must never be reused,
-        exactly as after a document reload.  The service's aggregate
-        engine counters are re-expressed so merging runs priced with
-        the new factors keeps working.
+        publishes the change like a document reload: plans cached under
+        the old factors were costed in a different currency and must
+        never be reused.  The service's aggregate engine counters are
+        re-expressed so merging runs priced with the new factors keeps
+        working.
         """
         if factors == self.cost_factors:
             return
         self.cost_factors = factors
         self.cost_model.set_factors(factors)
-        self.statistics_epoch += 1
         if self._service is not None:
             self._service.on_cost_factors_changed(factors)
+        self._publish_planning_inputs(self._estimator)
 
     # -- observability -------------------------------------------------------
 

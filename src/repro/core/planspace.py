@@ -51,11 +51,10 @@ PRUNE_EXPANSION_BOUND = "expansion-bound"
 PRUNE_REASONS = (PRUNE_DOMINATED, PRUNE_COST_BOUND, PRUNE_INFEASIBLE,
                  PRUNE_EXPANSION_BOUND)
 
-#: Recording caps: costed candidates (search events share the bound),
-#: memo-table entries, and detailed pruning samples kept per recorder.
+#: Recording caps: costed candidates (search events share the bound)
+#: and memo-table entries kept per recorder.
 MAX_CANDIDATES = 20000
 MAX_MEMO_ENTRIES = 50000
-MAX_PRUNE_SAMPLES = 50
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,9 +97,8 @@ class PlanSpaceRecorder:
         #: memo-table entries retained by the search (capped)
         self.memo_entries: list[dict[str, object]] = []
         self.memo_dropped = 0
-        #: pruning counts by reason, plus a bounded sample of details
+        #: pruning counts by reason
         self.prunings: dict[str, int] = {}
-        self.prune_samples: list[dict[str, object]] = []
         #: alternative final plans: (plan, cost, note)
         self.finals: list[tuple[PhysicalPlan, float, str]] = []
         self.winner: PhysicalPlan | None = None
@@ -194,9 +192,6 @@ class PlanSpaceRecorder:
         Two prunings are also steps of the search walk: a deadend never
         generated, and a *generated* status killed off the queue."""
         self.prunings[reason] = self.prunings.get(reason, 0) + 1
-        if len(self.prune_samples) < MAX_PRUNE_SAMPLES:
-            self.prune_samples.append({
-                "subject": str(subject), "reason": reason, "cost": cost})
         if reason == PRUNE_INFEASIBLE:
             self.record_event("deadend", subject, cost, "not generated")
         elif generated and reason == PRUNE_COST_BOUND:

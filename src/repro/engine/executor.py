@@ -119,7 +119,9 @@ class ExecutionResult:
     ``rows`` are the label rows the engine produced, in its order —
     a list, or on a fleet the gathered runs still packed; ``tuples``
     and :meth:`bindings` are their ``Region`` view, built on first use
-    through ``regions``, the back end's resolver.  ``span`` is the
+    through ``regions``, the back end's resolver, which is released
+    then: a kept result does not pin its back end (a pre-commit tag
+    index, a fleet's region table) once it has its view.  ``span`` is the
     root of the per-operator span tree when the run was traced
     (``Executor.execute(..., spans=True)``), else ``None``.  The span
     tree mirrors the plan tree node for node.
@@ -128,7 +130,7 @@ class ExecutionResult:
     rows: Sequence[LabelRow]
     schema: Schema
     metrics: ExecutionMetrics
-    regions: RegionView
+    regions: RegionView | None
     span: Span | None = None
 
     def __len__(self) -> int:
@@ -137,7 +139,10 @@ class ExecutionResult:
     @cached_property
     def tuples(self) -> list[MatchTuple]:
         """The rows as ``Region`` tuples (built once, on first use)."""
-        return self.regions(self.rows)
+        assert self.regions is not None
+        tuples = self.regions(self.rows)
+        self.regions = None
+        return tuples
 
     def bindings(self) -> list[dict[int, Region]]:
         """Results as binding dicts (pattern node id -> region)."""
@@ -475,9 +480,10 @@ class Executor:
             if span_root is not None:
                 # traced operators wrote to private counters (their
                 # seconds and output_rows were measured live); fold
-                # them into the run totals so traced and untraced
-                # executions report identical ExecutionMetrics
-                for span in span_root.walk():
+                # them into the run totals, in the order the operators
+                # finish, so traced and untraced executions report
+                # identical ExecutionMetrics
+                for span in span_root.walk_post_order():
                     metrics.merge(span.metrics)
             metrics.page_reads = pool.disk.stats.reads - io_before.reads
             metrics.page_writes = (pool.disk.stats.writes

@@ -87,7 +87,7 @@ class ExplainReport:
         totals: dict[str, float] = {}
         if self.span is None:
             return totals
-        for span in self.span.walk():
+        for span in self.span.walk_post_order():
             for name, value in span.counters().items():
                 totals[name] = totals.get(name, 0) + value
         return totals

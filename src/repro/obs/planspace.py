@@ -27,7 +27,7 @@ and adds the one thing above it, the **comparison**:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import PlanError, ReproError
@@ -204,7 +204,6 @@ class PlanSpaceReport:
     optimization_seconds: float
     why: str
     trace_id: str = ""
-    candidates: list[dict[str, object]] = field(default_factory=list)
 
     @property
     def pruning_effectiveness(self) -> float:
@@ -281,14 +280,11 @@ class PlanSpaceReport:
 
 def build_plan_space_report(recorder: PlanSpaceRecorder,
                             query: str = "", top_k: int = 3,
-                            include_candidates: bool = False,
                             trace_id: str = "") -> PlanSpaceReport:
     """Render a filled recorder into a :class:`PlanSpaceReport`.
 
     *top_k* bounds the alternative plans listed (cheapest first,
-    winner excluded).  ``include_candidates=True`` copies the raw
-    candidate records into the report (JSON artifacts); the default
-    keeps reports small enough for an endpoint ring.
+    winner excluded).
     """
     if recorder.winner is None or recorder.pattern is None:
         raise ReproError("recorder has not observed an optimize() call")
@@ -353,9 +349,7 @@ def build_plan_space_report(recorder: PlanSpaceRecorder,
         optimization_seconds=(report.optimization_seconds
                               if report else 0.0),
         why=why,
-        trace_id=trace_id,
-        candidates=(list(recorder.candidates)
-                    if include_candidates else []))
+        trace_id=trace_id)
 
 
 # -- what-if analysis -------------------------------------------------------

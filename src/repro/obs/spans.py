@@ -201,6 +201,16 @@ class Span:
         for child in self.children:
             yield from child.walk()
 
+    def walk_post_order(self) -> Iterator["Span"]:
+        """All descendants, children first in plan order, then this
+        span: the order an untraced run's operators finish in, hence
+        the one order to sum counter shares in — float shares (the
+        sort terms) summed in it give the untraced total bit for bit,
+        which no other order promises."""
+        for child in self.children:
+            yield from child.walk_post_order()
+        yield self
+
     def exclusive_seconds(self) -> float:
         """Time spent in this span minus its children (>= 0)."""
         return max(0.0, self.seconds

@@ -365,21 +365,17 @@ class QueryService:
     # -- lifecycle --------------------------------------------------------
 
     def invalidate(self) -> int:
-        """Drop cached plans (called on document reload)."""
+        """Drop cached plans (called when the planning inputs change)."""
         return self.cache.invalidate()
 
     def on_cost_factors_changed(self, factors) -> None:
-        """React to a runtime cost-factor swap on the database.
-
-        Cached plans were costed in the old currency — drop them (the
-        epoch bump in ``Database.set_cost_factors`` already makes
-        their keys unreachable; invalidating frees the memory now).
-        The aggregate engine counters are factor-independent
+        """Re-price the aggregate engine counters after a runtime
+        cost-factor swap on the database (which publishes the change,
+        dropping the cached plans).  The counters are factor-independent
         measurements, so they are re-expressed under the new factors
-        rather than reset — merges of future runs would otherwise
-        raise a currency mismatch.
+        rather than reset — merges of future runs would otherwise raise
+        a currency mismatch.
         """
-        self.cache.invalidate()
         with self._mutex:
             self._engine_totals.reprice(factors)
 

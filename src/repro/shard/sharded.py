@@ -88,11 +88,6 @@ class ShardedDatabase(QueryTarget):
         self._base_dir = (Path(tempfile.mkdtemp(prefix="repro-shards-"))
                           if base_dir is None else Path(base_dir))
         self._generation = 0
-        #: one statistics epoch per shard, bumped whenever the shard's
-        #: data (and thus its catalog/statistics) is rebuilt; the
-        #: aggregate — their sum — keys the plan cache, so reloading
-        #: any shard invalidates every cached plan.
-        self._shard_epochs = [0] * shards
         self._shard_totals = [{"queries": 0, "rows": 0, "seconds": 0.0}
                               for _ in range(shards)]
         self._totals_mutex = threading.Lock()
@@ -106,7 +101,9 @@ class ShardedDatabase(QueryTarget):
     # -- construction / lifecycle -----------------------------------------
 
     def _load(self, document: XmlDocument) -> None:
-        """Partition, persist shard directories, start the workers."""
+        """Partition, persist shard directories, start the workers,
+        then publish the whole document's statistics as the planning
+        inputs (one epoch for the fleet, as on a single node)."""
         self._generation += 1
         partition = partition_document(document, self.shards)
         generation_dir = self._generation_dir(self._generation)
@@ -127,10 +124,9 @@ class ShardedDatabase(QueryTarget):
         self.document = document
         self._region_table: (
             "tuple[XmlDocument, list[Region | None]] | None") = None
-        self._load_statistics(document)
-        for shard_id in range(self.shards):
-            self._shard_epochs[shard_id] += 1
+        estimator = self._load_statistics(document)
         self.workers = ShardWorkerPool(paths, timeout=self._timeout)
+        self._publish_planning_inputs(estimator)
 
     def _generation_dir(self, generation: int) -> Path:
         return self._base_dir / f"gen{generation:03d}"
@@ -183,9 +179,9 @@ class ShardedDatabase(QueryTarget):
     def reload(self, document: XmlDocument) -> None:
         """Replace the corpus: re-partition, re-persist, restart workers.
 
-        Every shard's epoch is bumped, so the aggregate
-        :attr:`statistics_epoch` changes and no plan cached against
-        the old statistics can ever serve the new data.
+        The new statistics are published (:meth:`_load`), so
+        :attr:`statistics_epoch` moves and no plan cached against the
+        old statistics can ever serve the new data.
         """
         self._require_open()
         previous_generation = self._generation
@@ -193,8 +189,6 @@ class ShardedDatabase(QueryTarget):
         self._load(document)
         shutil.rmtree(self._generation_dir(previous_generation),
                       ignore_errors=True)
-        if self._service is not None:
-            self._service.invalidate()
 
     def close(self) -> None:
         """Stop the worker fleet and drop owned shard directories."""
@@ -208,13 +202,6 @@ class ShardedDatabase(QueryTarget):
     def _require_open(self) -> None:
         if self._closed:
             raise ShardError("sharded database is closed")
-
-    # -- statistics -------------------------------------------------------
-
-    @property
-    def statistics_epoch(self) -> int:
-        """Aggregate epoch: the sum of all per-shard epochs."""
-        return sum(self._shard_epochs)
 
     # -- execution --------------------------------------------------------
 
@@ -422,19 +409,12 @@ class ShardedDatabase(QueryTarget):
                          "drop --shards")
 
     def stats(self) -> dict[str, object]:
-        """Service snapshot plus the shard fleet's own statistics.
-
-        ``statistics_epoch`` is the aggregate plan-cache epoch and
-        ``shards.epochs`` the per-shard epochs it sums — after any
-        shard reload the aggregate moves, which is what keeps cached
-        plans from outliving the statistics they were costed with.
-        """
+        """Service snapshot plus the shard fleet's own statistics."""
         snapshot = super().stats()
         with self._totals_mutex:
             totals = [dict(entry) for entry in self._shard_totals]
         snapshot["shards"] = {
             "count": self.shards,
-            "epochs": list(self._shard_epochs),
             "nodes": [assignment.node_count
                       for assignment in self.partition.assignments],
             "label_ranges": [[assignment.label_lo, assignment.label_hi]

@@ -16,6 +16,13 @@ every index scan is visible to the I/O counters while a cold decode
 touches the page bytes exactly once (no record lists, no per-entry
 unpack).
 
+An index has two writers and no third: :meth:`TagIndex.index_document`
+packs a fresh index once, tag by tag, and after that every change is a
+transaction's splice (:meth:`TagIndex.apply_edits` on a
+:meth:`~TagIndex.clone_for_write` clone), which repacks the touched
+run of a chain into fresh pages.  Both go through one packer, and no
+page is ever rewritten in place.
+
 Two read paths exist:
 
 * :meth:`TagIndex.scan` — the tuple engine's iterator: decodes one
@@ -32,20 +39,17 @@ Two read paths exist:
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator
+from bisect import bisect_right
+from typing import Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.document.document import XmlDocument
-from repro.document.node import NodeRecord, Region
+from repro.document.node import Region
 from repro.storage.buffer import BufferPool
 from repro.storage.frames import (FrameHeader, pack_frames, peek_header,
                                   unpack_frame)
 from repro.storage.pages import PAGE_SIZE
 from repro.storage.postings import RegionBlock
-
-#: tail frames at or above this fill fraction are left alone on
-#: append — new postings start a fresh page instead of a repack.
-_TAIL_MERGE_FILL = 0.9
 
 
 class TagIndex:
@@ -64,109 +68,43 @@ class TagIndex:
         # per-tag compressed bytes on disk, filled lazily from frame
         # headers and dropped whenever the tag's chain changes.
         self._compressed: dict[str, int] = {}
-        # False on copy-on-write clones: their chains share pages with
-        # the published index, so appends must never repack a tail
-        # page in place.
-        self._mergeable_tail = True
         #: bumped whenever cached decoded blocks are invalidated.
         self.decode_epoch = 0
 
     # -- build --------------------------------------------------------------
 
     def index_document(self, document: XmlDocument) -> None:
-        """Add every element of *document* to the index."""
-        self.add_many(document)
-        self.pool.flush()
+        """Build the index of *document*: each tag's postings, grouped
+        in order of the tag's first appearance, packed once into a
+        fresh chain of frame pages.
 
-    def add(self, node: NodeRecord) -> None:
-        """Append one posting.  Nodes must arrive in document order."""
-        self.add_many((node,))
-
-    def add_many(self, nodes: Iterable[NodeRecord]) -> int:
-        """Append postings in bulk; returns the number added.
-
-        Postings are buffered per tag for the duration of the call and
-        flushed as compressed frames in one pass per touched tag: a
-        document build repacks each tag's tail frame at most once
-        instead of once per posting.  Document order is still enforced
-        per tag — against the tail frame's max-start fence for the
-        first new posting (one header peek, no decode) — and any
-        cached decoded block of a touched tag is invalidated.  A
-        rejected posting aborts the whole call before any page is
-        touched.
+        An index is built once; after that it changes only through
+        :meth:`apply_edits` (a transaction's splice), so building over
+        existing postings is refused.
         """
-        pending: dict[str, tuple[list[int], list[int], list[int]]] = {}
-        last_start: dict[str, int] = {}
-        for node in nodes:
-            tag = node.tag
-            last = last_start.get(tag)
-            if last is None:
-                last = self._tail_fence(tag)
-            if last >= node.start:
-                raise StorageError(
-                    "postings must be added in document order")
-            run = pending.get(tag)
+        if self._page_chains:
+            raise StorageError(
+                "the index is already built; splice further postings "
+                "with apply_edits")
+        columns: dict[str, tuple[list[int], list[int], list[int]]] = {}
+        for node in document:
+            run = columns.get(node.tag)
             if run is None:
-                run = pending[tag] = ([], [], [])
+                run = columns[node.tag] = ([], [], [])
             run[0].append(node.start)
             run[1].append(node.end)
             run[2].append(node.level)
-            last_start[tag] = node.start
-        added = 0
-        for tag, (starts, ends, levels) in pending.items():
-            self._append_tag(tag, starts, ends, levels)
-            self._counts[tag] = self._counts.get(tag, 0) + len(starts)
-            if self._blocks or self._merged_block is not None:
-                self._blocks.pop(tag, None)
-                self._merged_block = None
-            added += len(starts)
-        if added:
-            self.decode_epoch += 1
-        return added
-
-    def _tail_fence(self, tag: str) -> int:
-        """Max start already stored for *tag* (-1 if none)."""
-        chain = self._page_chains.get(tag)
-        if not chain:
-            return -1
-        header = self._header(chain[-1])
-        return header.max_start if header.count else -1
+        for tag, (starts, ends, levels) in columns.items():
+            self._page_chains[tag] = self._pack_entries(starts, ends,
+                                                        levels)
+            self._counts[tag] = len(starts)
+        self._sorted_tags = None
+        self.decode_epoch += 1
+        self.pool.flush()
 
     def _header(self, page_id: int) -> FrameHeader:
         """One page's frame header (fences, count, byte length)."""
         return peek_header(self.pool.fetch_view(page_id))
-
-    def _append_tag(self, tag: str, starts: list[int], ends: list[int],
-                    levels: list[int]) -> None:
-        """Flush one tag's buffered postings into its chain.
-
-        The tail frame is merged and repacked unless it is already
-        nearly full; repacked and overflow frames land in the tail
-        page plus however many fresh pages the packing needs.
-        """
-        chain = self._page_chains.setdefault(tag, [])
-        if not chain:
-            self._sorted_tags = None
-        tail_id = None
-        if chain and self._mergeable_tail:
-            header = self._header(chain[-1])
-            if header.length < PAGE_SIZE * _TAIL_MERGE_FILL:
-                tail_id = chain[-1]
-                old_starts, old_ends, old_levels = unpack_frame(
-                    self.pool.fetch_view(tail_id))
-                old_starts.extend(starts)
-                old_ends.extend(ends)
-                old_levels.extend(levels)
-                starts, ends, levels = old_starts, old_ends, old_levels
-        frames = pack_frames(starts, ends, levels)
-        for index, frame in enumerate(frames):
-            if index == 0 and tail_id is not None:
-                page = self.pool.fetch(tail_id)
-            else:
-                page = self.pool.new_page()
-                chain.append(page.page_id)
-            self._store_frame(page, frame)
-        self._compressed.pop(tag, None)
 
     def _store_frame(self, page, frame: bytes) -> None:
         """Write *frame* at the front of a pinned page and release it."""
@@ -284,9 +222,8 @@ class TagIndex:
 
         Page chains are shared until :meth:`apply_edits` repacks a
         touched run into fresh pages; untouched tags keep their pages
-        *and* their cached decoded blocks.  The clone's tail frames
-        are marked non-mergeable, so a stray :meth:`add_many` can
-        never rewrite a page the published index still references.
+        *and* their cached decoded blocks.  No page is ever written in
+        place, so the published index never sees the clone's edits.
         """
         clone = TagIndex(self.pool)
         clone._page_chains = {tag: list(chain)
@@ -295,7 +232,6 @@ class TagIndex:
         clone._blocks = dict(self._blocks)
         clone._merged_block = self._merged_block
         clone._compressed = dict(self._compressed)
-        clone._mergeable_tail = False
         clone.decode_epoch = self.decode_epoch
         return clone
 
@@ -330,24 +266,13 @@ class TagIndex:
         chain = self._page_chains.get(tag, [])
         if chain:
             fences = self._fences(chain)
-            bounds = [key for key in removed]
-            bounds.extend(entry[0] for entry in added)
-            lo, hi = min(bounds), max(bounds)
-            # first page whose key range may reach lo: the last fence
-            # at or below it (an insert before a page's first key goes
-            # on the preceding page to keep the chain sorted).
-            first = 0
-            for index, fence in enumerate(fences):
-                if fence <= lo:
-                    first = index
-                else:
-                    break
-            last = first
-            for index in range(first + 1, len(fences)):
-                if fences[index] <= hi:
-                    last = index
-                else:
-                    break
+            bounds = [*removed, *(entry[0] for entry in added)]
+            # first page whose key range may reach the lowest key: the
+            # last fence at or below it (an insert before a page's
+            # first key goes on the preceding page to keep the chain
+            # sorted); last: likewise for the highest key
+            first = max(bisect_right(fences, min(bounds)) - 1, 0)
+            last = max(bisect_right(fences, max(bounds)) - 1, first)
             run = chain[first:last + 1]
         else:
             first, last, run = 0, -1, []
@@ -367,7 +292,7 @@ class TagIndex:
             if previous[0] == current[0]:
                 raise StorageError(
                     f"tag {tag!r}: duplicate posting start {current[0]}")
-        fresh = self._pack_entries(merged)
+        fresh = self._pack_entries(*zip(*merged)) if merged else []
         new_chain = chain[:first] + fresh + chain[last + 1:]
         if new_chain:
             self._page_chains[tag] = new_chain
@@ -381,12 +306,11 @@ class TagIndex:
         """Min-start fence of every page in *chain* (header peeks)."""
         return [self._header(page_id).first_start for page_id in chain]
 
-    def _pack_entries(self,
-                      entries: list[tuple[int, int, int]]) -> list[int]:
-        """Write *entries* into freshly allocated frame pages."""
-        starts = array("I", (entry[0] for entry in entries))
-        ends = array("I", (entry[1] for entry in entries))
-        levels = array("H", (entry[2] for entry in entries))
+    def _pack_entries(self, starts: Sequence[int], ends: Sequence[int],
+                      levels: Sequence[int]) -> list[int]:
+        """Write postings, as three parallel columns, into freshly
+        allocated frame pages — the one packer of the build and of
+        every splice."""
         page_ids: list[int] = []
         for frame in pack_frames(starts, ends, levels):
             page = self.pool.new_page()

@@ -68,9 +68,6 @@ class QueryTarget(abc.ABC):
     """Everything above the execution back end, written once."""
 
     document: XmlDocument | None
-    #: bumped whenever the statistics the optimizer plans with change;
-    #: part of every plan-cache key.
-    statistics_epoch: int
 
     def __init__(self, cost_factors: CostFactors | None,
                  service_options: dict | None) -> None:
@@ -89,6 +86,10 @@ class QueryTarget(abc.ABC):
         self.tag_statistics: Statistics | None = None
         self._estimator: PositionalEstimator | None = None
         self._exact_estimator: ExactEstimator | None = None
+        #: bumped by :meth:`_publish_planning_inputs` alone, whenever
+        #: what the optimizer plans with changes; part of every
+        #: plan-cache key.
+        self.statistics_epoch = 0
 
     def _require_document(self) -> XmlDocument:
         if self.document is None:
@@ -160,12 +161,30 @@ class QueryTarget(abc.ABC):
 
     # -- statistics -------------------------------------------------------------
 
-    def _load_statistics(self, document: XmlDocument) -> None:
-        """Build :attr:`tag_statistics` from *document* with one scan
-        and plan against them from now on."""
+    def _load_statistics(self, document: XmlDocument
+                         ) -> PositionalEstimator:
+        """Build :attr:`tag_statistics` from *document* with one scan;
+        returns the estimator to plan against them with."""
         self.tag_statistics = Statistics(document)
-        self._estimator = self.tag_statistics.estimator()
+        return self.tag_statistics.estimator()
+
+    def _publish_planning_inputs(self,
+                                 estimator: PositionalEstimator | None
+                                 ) -> None:
+        """The planning inputs changed: plan against *estimator* from
+        now on, bump :attr:`statistics_epoch` and drop every cached
+        plan.
+
+        The one place either happens — a load or reload, a commit's
+        publish step (:meth:`~repro.api.Database.publish`, under the
+        publish lock), a cost-factor swap.  The exact estimator is
+        rebuilt lazily from the new document.
+        """
+        self._estimator = estimator
         self._exact_estimator = None
+        self.statistics_epoch += 1
+        if self._service is not None:
+            self._service.invalidate()
 
     @property
     def estimator(self) -> PositionalEstimator:

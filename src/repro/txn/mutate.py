@@ -18,16 +18,23 @@ commit pipeline then
    catalog_delta`), and COMMIT are appended to the write-ahead log,
    which is fsync'd: the commit is durable before publication.  The
    record is as large as the change, not as the catalog;
-4. **publishes** — under the database's publish lock the new store,
-   index and document are swapped in, the database's statistics
-   absorb the delta (:meth:`~repro.estimation.estimator.Statistics.
-   apply_delta`), a freshly derived estimator is swapped in, and the
-   statistics epoch is bumped (invalidating every cached plan).
+4. **publishes** — the database's statistics absorb the delta
+   (:meth:`~repro.estimation.estimator.Statistics.apply_delta`), then
+   :meth:`~repro.api.Database.publish` swaps in the new store, index,
+   document and a freshly derived estimator under the publish lock —
+   the one publication of new planning inputs, which bumps the
+   statistics epoch and drops every cached plan.
 
 Readers therefore see either the old or the new database, never a mix
 — snapshot isolation at document granularity — and a crash at any
 point either replays the commit from the log or discards it wholesale
 (:mod:`repro.txn.recovery`).
+
+Labels: an insert takes the parent's tail gap when the subtree fits,
+else the nearest enclosing subtree with room is rebuilt (its live
+descendants, the incoming document spliced in as the parent's last
+child) and relabelled; every gapped label, in every case, comes from
+:func:`repro.txn.labels.relabel`.
 
 Writers are serialized: :meth:`TransactionManager.begin` blocks until
 the previous transaction commits or aborts (a single-writer /
@@ -39,10 +46,11 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import TransactionError
+from repro.document.builder import DocumentBuilder
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.obs.registry import BucketRecorder
@@ -230,33 +238,15 @@ class Transaction:
         """
         self._check_open()
         parent = self._node(parent_id)
-        count = len(document.nodes)
         if parent.node_id == self._root_id:
-            base = parent.end + 1
-            placed = relabel(document.nodes, base, gap,
-                             parent.level + 1, parent.node_id)
-            self._take(parent.node_id)
-            self._put(NodeRecord(
-                node_id=parent.node_id, tag=parent.tag,
-                region=Region(parent.start, base + count * gap - 1,
-                              parent.level),
-                parent_id=parent.parent_id, text=parent.text,
-                attributes=dict(parent.attributes)))
-            for node in placed:
-                self._put(node)
-            return placed[0].node_id
-        subtree = self._subtree(parent)
-        used_end = max((node.end for node in subtree[1:]),
-                       default=parent.start)
-        free_low = used_end + 1
-        capacity = parent.end - free_low + 1
-        fitted_gap = pick_gap(capacity, count) if capacity >= 1 else None
+            return self._place(document.nodes, parent, parent.end + 1,
+                               gap)[0].node_id
+        free_low = max((node.end for node in self._subtree(parent)[1:]),
+                       default=parent.start) + 1
+        fitted_gap = pick_gap(parent.end - free_low + 1, len(document))
         if fitted_gap is not None:
-            placed = relabel(document.nodes, free_low, fitted_gap,
-                             parent.level + 1, parent.node_id)
-            for node in placed:
-                self._put(node)
-            return placed[0].node_id
+            return self._place(document.nodes, parent, free_low,
+                               fitted_gap)[0].node_id
         return self._relabel_and_insert(parent, document)
 
     def delete_subtree(self, node_id: int) -> int:
@@ -276,19 +266,36 @@ class Transaction:
             self._take(victim.node_id)
         return len(doomed)
 
-    # -- local relabel (gap exhaustion) ---------------------------------------
+    # -- placement -------------------------------------------------------------
+
+    def _place(self, nodes: Sequence[NodeRecord], parent: NodeRecord,
+               base: int, gap: int) -> list[NodeRecord]:
+        """Label *nodes* (complete subtrees in document order) from
+        *base* with *gap* under *parent* and add them; under the root,
+        the root's end first grows to cover them (the root's span can
+        always grow — extending it renumbers nobody)."""
+        placed = relabel(nodes, base, gap, parent.level + 1,
+                         parent.node_id)
+        if parent.node_id == self._root_id and placed[-1].end > parent.end:
+            root = self._take(parent.node_id)
+            self._put(replace(root, region=Region(
+                root.start, placed[-1].end, root.level)))
+        for node in placed:
+            self._put(node)
+        return placed
 
     def _relabel_and_insert(self, parent: NodeRecord,
                             document: XmlDocument) -> int:
         """Relabel the nearest enclosing subtree with room, then insert.
 
         Walks up from *parent* to the smallest ancestor whose span can
-        hold its current descendants plus the incoming subtree, and
-        renumbers exactly that ancestor's descendants with fresh gapped
-        labels (the ancestor's own span is untouched unless it is the
-        root, whose end may grow).
+        hold its current descendants plus the incoming subtree, rebuilds
+        that anchor's subtree — its live descendants, with *document*
+        spliced in as *parent*'s last child — and places the rebuilt
+        descendants with fresh gapped labels (the anchor's own span is
+        untouched unless it is the root, whose end may grow).
         """
-        count = len(document.nodes)
+        count = len(document)
         anchor = parent
         while anchor.node_id != self._root_id:
             existing = len(self._subtree(anchor)) - 1
@@ -297,90 +304,32 @@ class Transaction:
                 break
             anchor = self._node(anchor.parent_id)
         self.relabels += 1
-        descendants = self._subtree(anchor)[1:]
-        total = len(descendants) + count
+        if document.nodes[-1].start != count - 1:
+            # splicing reads labels as positions: make them dense
+            document = XmlDocument(relabel(document.nodes, 0, 1, 0, -1))
+        subtree = self._subtree(anchor)
+        builder = DocumentBuilder()
+        open_nodes: list[NodeRecord] = []
+        grafted = 0
+        for node in [*subtree, None]:
+            while open_nodes and (node is None
+                                  or open_nodes[-1].end < node.start):
+                if open_nodes.pop().node_id == parent.node_id:
+                    grafted = builder.size
+                    builder.splice(document)
+                builder.end_element()
+            if node is not None:
+                builder.start_element(node.tag, node.attributes)
+                builder.text(node.text)
+                open_nodes.append(node)
+        descendants = builder.finish().nodes[1:]
+        gap = pick_gap(anchor.end - anchor.start, len(descendants))
         if anchor.node_id == self._root_id:
-            chosen_gap = max(
-                pick_gap(anchor.end - anchor.start, total) or 0,
-                DEFAULT_GAP)
-        else:
-            chosen_gap = pick_gap(anchor.end - anchor.start, total)
-            assert chosen_gap is not None  # guaranteed by the walk-up
-        children: dict[int, list[NodeRecord]] = {}
-        for node in descendants:
-            children.setdefault(node.parent_id, []).append(node)
-        # pre-order walk of the anchor's subtree with the incoming
-        # document grafted after the insertion parent's last child.
-        # items: (record, source, new_level, last_descendant_index)
-        items: list[list] = []
-
-        def place(node: NodeRecord, level: int) -> None:
-            index = len(items)
-            items.append([node, "old", level, 0])
-            for child in children.get(node.node_id, ()):
-                place(child, level + 1)
-            if node.node_id == parent.node_id:
-                place_graft(document.root, level + 1)
-            items[index][3] = len(items) - 1
-
-        def place_graft(node: NodeRecord, level: int) -> None:
-            index = len(items)
-            items.append([node, "new", level, 0])
-            for child in document.children(node):
-                place_graft(child, level + 1)
-            items[index][3] = len(items) - 1
-
-        for top in children.get(anchor.node_id, ()):
-            place(top, anchor.level + 1)
-        if parent.node_id == anchor.node_id:
-            place_graft(document.root, anchor.level + 1)
-        base = anchor.start + 1
-        # new ids keyed per source namespace (labels of the incoming
-        # document overlap the live document's)
-        new_id: dict[tuple[str, int], int] = {
-            (source, node.node_id): base + index * chosen_gap
-            for index, (node, source, _, __) in enumerate(items)}
-        grafted_root_id: int | None = None
-        for victim in descendants:
+            gap = max(gap or 0, DEFAULT_GAP)
+        for victim in subtree[1:]:
             self._take(victim.node_id)
-        if anchor.node_id == self._root_id:
-            new_end = max(anchor.end,
-                          base + total * chosen_gap - 1)
-            if new_end != anchor.end:
-                root = self._take(anchor.node_id)
-                self._put(NodeRecord(
-                    node_id=root.node_id, tag=root.tag,
-                    region=Region(root.start, new_end, root.level),
-                    parent_id=root.parent_id, text=root.text,
-                    attributes=dict(root.attributes)))
-        for index, (node, source, level, last) in enumerate(items):
-            start = base + index * chosen_gap
-            end = base + last * chosen_gap + chosen_gap - 1
-            if source == "old":
-                old_parent = node.parent_id
-                parent_key = ("old", old_parent)
-            else:
-                old_parent = node.parent_id
-                parent_key = ("new", old_parent)
-            mapped_parent = new_id.get(parent_key)
-            if mapped_parent is None:
-                # tops hang off the anchor; the grafted document's own
-                # root hangs off the insertion parent.
-                if source == "new" and node.parent_id < 0 \
-                        and parent.node_id != anchor.node_id:
-                    mapped_parent = new_id[("old", parent.node_id)]
-                else:
-                    mapped_parent = anchor.node_id
-            record = NodeRecord(
-                node_id=start, tag=node.tag,
-                region=Region(start, end, level),
-                parent_id=mapped_parent, text=node.text,
-                attributes=dict(node.attributes))
-            self._put(record)
-            if source == "new" and node.parent_id < 0:
-                grafted_root_id = start
-        assert grafted_root_id is not None
-        return grafted_root_id
+        return self._place(descendants, anchor, anchor.start + 1,
+                           gap)[grafted - 1].node_id
 
     # -- terminal states ------------------------------------------------------
 
@@ -560,16 +509,8 @@ class TransactionManager:
         # the root's end) is folded in before the lock is taken
         db.tag_statistics.apply_delta(added.values(), removed.values(),
                                       new_document)
-        estimator = db.tag_statistics.estimator()
-        with db._publish_lock:
-            db.store = store
-            db.index = index
-            db.document = new_document
-            db._estimator = estimator
-            db._exact_estimator = None
-            db.statistics_epoch += 1
-            if db._service is not None:
-                db._service.invalidate()
+        db.publish(store, index, new_document,
+                   db.tag_statistics.estimator())
         publish_span.seconds = time.perf_counter() - publish_started
         publish_span.detail = f"epoch {db.statistics_epoch}"
         seconds = time.perf_counter() - started

@@ -21,7 +21,6 @@ from repro.engine.metrics import COST_COUNTERS
 from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
                               SortPlan, StructuralJoinPlan)
-from repro.document.node import NodeRecord, Region
 from repro.document.parser import parse_xml
 from repro.errors import PlanError, StorageError
 from repro.storage.buffer import BufferPool
@@ -259,18 +258,22 @@ class TestDecodeCache:
         assert list(merged.starts) == sorted(merged.starts)
 
     def test_mutation_invalidates(self, index, small_document):
+        """A splice drops the touched tag's decoded block and the
+        merged block, and only those."""
         index.index_document(small_document)
         stale = index.scan_blocks("manager")
+        untouched = index.scan_blocks("employee")
+        merged = index.scan_blocks_all()
         epoch = index.decode_epoch
         last = max(node.start for node in small_document)
-        index.add(NodeRecord(last + 1, "manager",
-                             Region(last + 1, last + 2, 1),
-                             parent_id=0))
+        index.apply_edits({"manager": (set(), [(last + 1, last + 2, 1)])})
         assert index.decode_epoch == epoch + 1
         fresh = index.scan_blocks("manager")
         assert fresh is not stale
         assert len(fresh) == len(stale) + 1
-        assert index.scan_blocks_all() is not None
+        assert index.scan_blocks("employee") is untouched
+        assert index.scan_blocks_all() is not merged
+        assert len(index.scan_blocks_all()) == len(merged) + 1
 
     def test_reload_discards_cache(self, small_document):
         database = Database.from_document(small_document)
@@ -296,26 +299,29 @@ class TestDecodeCache:
 
 
 class TestAddMany:
-    def _records(self, document):
-        return [node for node in document]
+    """Postings added after the build: an index is packed once, then
+    only spliced."""
 
     def test_matches_add_loop(self, small_document):
-        one = TagIndex(BufferPool(InMemoryDisk(), capacity=16))
-        many = TagIndex(BufferPool(InMemoryDisk(), capacity=16))
-        for node in self._records(small_document):
-            one.add(node)
-        added = many.add_many(self._records(small_document))
-        assert added == len(small_document)
-        assert one.counts() == many.counts()
-        for tag in one.tags():
-            assert one.regions(tag) == many.regions(tag)
+        """One splice per posting, in any order, reads back exactly as
+        the one-shot build."""
+        built = TagIndex(BufferPool(InMemoryDisk(), capacity=16))
+        spliced = TagIndex(BufferPool(InMemoryDisk(), capacity=16))
+        built.index_document(small_document)
+        for node in reversed(small_document.nodes):
+            spliced.apply_edits({node.tag: (set(), [
+                (node.start, node.end, node.level)])})
+        assert built.counts() == spliced.counts()
+        assert built.tags() == spliced.tags()
+        for tag in built.tags():
+            assert built.regions(tag) == spliced.regions(tag)
 
-    def test_out_of_order_rejected(self, index):
-        with pytest.raises(StorageError, match="document order"):
-            index.add_many([
-                NodeRecord(5, "a", Region(5, 6, 1), parent_id=0),
-                NodeRecord(3, "a", Region(3, 4, 1), parent_id=0),
-            ])
+    def test_duplicate_start_rejected(self, index, small_document):
+        index.index_document(small_document)
+        manager = small_document.nodes_with_tag("manager")[0]
+        with pytest.raises(StorageError, match="duplicate posting"):
+            index.apply_edits({"manager": (set(), [
+                (manager.start, manager.end, manager.level)])})
 
     def test_tags_stay_sorted_after_new_tag(self, index,
                                             small_document):
@@ -323,9 +329,7 @@ class TestAddMany:
         listed = index.tags()
         assert listed == sorted(listed)
         last = max(node.start for node in small_document)
-        index.add(NodeRecord(last + 1, "aaa",
-                             Region(last + 1, last + 2, 1),
-                             parent_id=0))
+        index.apply_edits({"aaa": (set(), [(last + 1, last + 2, 1)])})
         assert "aaa" in index.tags()
         assert index.tags() == sorted(index.tags())
 

@@ -220,7 +220,7 @@ def _check_blocks(database, plan, pattern, engine,
                         f"{expected.metrics.counters()}")
     for counter, total in totals.items():
         if sum(span.metrics.counters()[counter]
-               for span in stream.span.walk()) != total:
+               for span in stream.span.walk_post_order()) != total:
             problems.append(f"span shares of {counter} do not sum to "
                             f"{total}")
     return [f"{engine} engine, block by block: {problem}"
@@ -349,6 +349,31 @@ def test_closing_after_the_first_block_stops_the_root_join():
     assert stream.finished and not stream.exhausted
     assert stream.span.output_rows < total
     assert list(stream.blocks()) == []
+
+
+def test_traced_run_sums_sort_terms_in_the_untraced_order():
+    """Regression from the slow corpus: three sorts whose float
+    ``sort_units`` shares, folded into a traced run's totals pre-order,
+    read 389.42483375047664 against the untraced run's
+    389.4248337504767.  The fold — and any check that sums span
+    shares — goes post-order, the order operators finish in."""
+    from repro.core.pattern import QueryPattern
+
+    database = Database.from_document(random_document(3, size=90))
+    pattern = QueryPattern.build({
+        "nodes": ["a", "d", "b", "*"],
+        "edges": [(0, 1, "//"), (0, 2, "/"), (0, 3, "//")],
+        "order_by": 0})
+    plan = database.optimize(pattern, algorithm="DPP").plan
+    assert plan.sort_count() >= 3
+    for engine in ("block", "tuple"):
+        untraced = database.execute(plan, pattern, engine=engine)
+        traced = database.execute(plan, pattern, engine=engine,
+                                  spans=True)
+        assert traced.metrics.counters() == untraced.metrics.counters()
+        assert sum(span.metrics.sort_units
+                   for span in traced.span.walk_post_order()
+                   ) == untraced.metrics.sort_units
 
 
 @pytest.mark.slow

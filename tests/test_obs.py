@@ -142,7 +142,7 @@ class TestTracedExecutionParity:
         traced = database.execute(plan, pattern, engine=engine,
                                   spans=True)
         totals = {name: 0.0 for name in COST_COUNTERS}
-        for span in traced.span.walk():
+        for span in traced.span.walk_post_order():
             for name, value in span.counters().items():
                 totals[name] += value
         assert totals == traced.metrics.counters()
@@ -320,7 +320,7 @@ def test_span_tree_is_the_whole_per_operator_record(paper_targets,
             execution = database.execute(plan, pattern, engine=engine,
                                          spans=True)
             totals = {name: 0.0 for name in COST_COUNTERS}
-            for span in execution.span.walk():
+            for span in execution.span.walk_post_order():
                 for name, value in span.counters().items():
                     totals[name] += value
             expected = execution.metrics.counters()

@@ -4,9 +4,12 @@ A database's statistics are built by one scan and advanced by each
 commit's delta (:class:`~repro.estimation.estimator.Statistics`).  The
 write path is driven here as a state machine — inserts under random
 elements, appends, deletes, aborts, checkpoints, close-and-recover,
-crashes that cut the log at a record boundary — and after every step the live statistics must equal a fresh scan of
-the live document, tag by tag, and the optimizer must choose what a
-database freshly loaded with the same nodes chooses.  A commit that
+crashes that cut the log at a record boundary, snapshots held across
+later commits — and after every step the live statistics must equal a
+fresh scan of the live document, tag by tag, the optimizer must choose
+what a database freshly loaded with the same nodes chooses, and every
+held snapshot must still plan and answer exactly as when it was taken.
+A commit that
 moves the root's end used to double the histograms' position space
 instead of following ``root.end + 1``, so a live database planned
 differently from its own recovered copy.
@@ -26,8 +29,11 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule,
                                  run_state_machine_as_test)
 
-from repro.api import Database
+from repro.api import Database, Snapshot
+from repro.core.optimizer import get_optimizer
 from repro.document.parser import parse_xml
+from repro.engine.context import EngineContext
+from repro.engine.executor import Executor
 from repro.estimation.estimator import Statistics
 from repro.txn import WriteAheadLog, create_database, open_database
 from repro.txn.db import WAL_FILE
@@ -91,13 +97,34 @@ def assert_plans_like_a_fresh_load(database: Database) -> None:
             expected.estimated_cost, rel=1e-9), pattern
 
 
+#: held snapshots re-checked after every step (the oldest is let go)
+MAX_HELD = 3
+
+
+def snapshot_answers(snapshot: Snapshot) -> list[tuple]:
+    """What *snapshot* answers, pattern by pattern: the DPP plan
+    signature and cost under its estimator, and the canonical result
+    set of running that plan over its index, store and document."""
+    answers = []
+    for pattern in PATTERNS:
+        chosen = get_optimizer("DPP").optimize(pattern, snapshot.estimator)
+        context = EngineContext(snapshot.index, snapshot.store,
+                                snapshot.document)
+        run = Executor(context, pattern).execute(chosen.plan)
+        answers.append((chosen.plan.signature(), chosen.estimated_cost,
+                        run.canonical()))
+    return answers
+
+
 class WritePathMachine(RuleBasedStateMachine):
     """A file-backed database under random write-path steps.
 
     The model is the committed history since the last checkpoint: the
     log size after each commit and the document it published.  A crash
     cuts the log at a record boundary, and recovery must come back
-    with exactly the last commit the cut kept."""
+    with exactly the last commit the cut kept.  Held snapshots are
+    kept with what they answered when taken and the epoch their
+    document was published under; closing the database lets them go."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -109,6 +136,15 @@ class WritePathMachine(RuleBasedStateMachine):
         self.checkpointed = self.database.document.nodes
         #: (log size after the commit, the nodes it published)
         self.committed: list[tuple[int, tuple]] = []
+        #: (snapshot, its answers when taken)
+        self.held: list[tuple[Snapshot, list[tuple]]] = []
+        #: id of each published document -> the epoch reported then
+        self.published: dict[int, int] = {}
+        self._published()
+
+    def _published(self) -> None:
+        self.published[id(self.database.document)] = (
+            self.database.statistics_epoch)
 
     def teardown(self) -> None:
         self.database.close()
@@ -123,6 +159,7 @@ class WritePathMachine(RuleBasedStateMachine):
             mutate(txn)
         self.committed.append((self.database.transactions.wal.size,
                                self.database.document.nodes))
+        self._published()
 
     @rule(data=st.data(), fragment=FRAGMENTS)
     def insert_subtree(self, data, fragment: str) -> None:
@@ -156,9 +193,21 @@ class WritePathMachine(RuleBasedStateMachine):
         self.committed = []
 
     @rule()
+    def hold_snapshot(self) -> None:
+        snapshot = self.database.read_snapshot()
+        self.held.append((snapshot, snapshot_answers(snapshot)))
+        del self.held[:-MAX_HELD]
+
+    def _reopen(self) -> None:
+        self.database = open_database(self.path)
+        self.held = []
+        self.published = {}
+        self._published()
+
+    @rule()
     def reopen(self) -> None:
         self.database.close()
-        self.database = open_database(self.path)
+        self._reopen()
 
     @rule(data=st.data())
     def crash(self, data) -> None:
@@ -172,7 +221,7 @@ class WritePathMachine(RuleBasedStateMachine):
         reader.restore_bytes(image)
         cut = data.draw(st.sampled_from(reader.record_boundaries()))
         log.write_bytes(image[:cut])
-        self.database = open_database(self.path)
+        self._reopen()
         self.committed = [(size, nodes) for size, nodes in self.committed
                           if size <= cut]
         expected = (self.committed[-1][1] if self.committed
@@ -186,6 +235,13 @@ class WritePathMachine(RuleBasedStateMachine):
     @invariant()
     def plans_equal_a_fresh_load(self) -> None:
         assert_plans_like_a_fresh_load(self.database)
+
+    @invariant()
+    def held_snapshots_answer_as_when_taken(self) -> None:
+        for snapshot, answers in self.held:
+            assert snapshot.statistics_epoch == self.published[
+                id(snapshot.document)]
+            assert snapshot_answers(snapshot) == answers
 
 
 def _run(max_examples: int, steps: int) -> None:

@@ -122,7 +122,7 @@ class TestOneRunPath:
             assert span.output_rows == len(result)
             for name, total in metrics.counters().items():
                 assert sum(node.metrics.counters()[name]
-                           for node in span.walk()) == total
+                           for node in span.walk_post_order()) == total
             assert metrics.counters() == untraced.metrics.counters()
 
     def test_cancel_raises_and_finishes_once(self, database, pattern,

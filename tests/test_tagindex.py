@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import StorageError
-from repro.document.node import NodeRecord, Region
 from repro.document.parser import parse_xml
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
@@ -38,10 +37,15 @@ class TestTagIndex:
             node = by_start[region.start]
             assert region == node.region
 
-    def test_out_of_order_add_rejected(self, index):
-        index.add(NodeRecord(5, "a", Region(5, 6, 1), parent_id=0))
-        with pytest.raises(StorageError, match="document order"):
-            index.add(NodeRecord(3, "a", Region(3, 4, 1), parent_id=0))
+    def test_index_document_refuses_a_built_index(self, index,
+                                                  small_document):
+        """An index is packed once; later postings are spliced."""
+        index.index_document(small_document)
+        pages = index.page_count()
+        with pytest.raises(StorageError, match="already built"):
+            index.index_document(small_document)
+        assert index.page_count() == pages
+        assert index.count("manager") == 3
 
     def test_tags_listing(self, index, small_document):
         index.index_document(small_document)

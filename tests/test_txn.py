@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import threading
+import weakref
 
 import pytest
 
@@ -265,6 +267,20 @@ class TestSnapshotIsolation:
         txn.abort()
         assert done.wait(5.0)
         thread.join(5.0)
+
+    def test_kept_result_stops_pinning_the_old_index(self):
+        """A result whose ``Region`` view is built keeps its rows and
+        regions, but not the tag index it resolved them in: after a
+        commit swaps the index out, the old one is collectable."""
+        database = fresh_database()
+        result = database.query("//manager//employee/name").execution
+        regions = result.tuples
+        old_index = weakref.ref(database.index)
+        with database.transaction() as txn:
+            txn.append_document(parse_xml(WIDGETS_XML))
+        gc.collect()
+        assert old_index() is None
+        assert result.tuples is regions and len(regions) == len(result)
 
     def test_new_tag_becomes_estimable_without_reload(self):
         database = fresh_database()
