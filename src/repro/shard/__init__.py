@@ -7,8 +7,9 @@ region-label ranges so that every structural join is shard-local
 :class:`~repro.api.Database` served by its own worker process
 (:mod:`repro.shard.worker`), a coordinator plans once against merged
 statistics and fans the identical plan out to every shard
-(:mod:`repro.shard.coordinator`), and the per-shard result streams are
-merged back into document order (:class:`repro.shard.sharded.ShardedDatabase`).
+(:mod:`repro.shard.coordinator`), and the per-shard results, each in
+the plan's order, are merged back into the single node's rows in the
+single node's order (:class:`repro.shard.sharded.ShardedDatabase`).
 """
 
 from repro.shard.partition import ShardAssignment, ShardPartition, \

@@ -19,15 +19,15 @@ shard replies are drained, keeping the pipes in lockstep.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing as mp
 import threading
 import time
 from array import array
 from collections.abc import Sequence
+from heapq import merge
 from itertools import chain, groupby
 from operator import eq, itemgetter
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro import errors
 from repro.errors import ReproError, ShardError
@@ -35,61 +35,54 @@ from repro.engine.blocks import row_blocks
 from repro.engine.tuples import LabelRow
 from repro.shard.worker import worker_main
 
-__all__ = ["PackedRows", "ShardWorkerPool", "merge_packed_runs",
-           "merge_sorted_runs"]
+__all__ = ["PackedRows", "ShardWorkerPool", "merge_packed_runs"]
 
 #: seconds a gather waits for one shard reply before declaring the
 #: worker unresponsive (generous: workers answer in milliseconds).
 DEFAULT_TIMEOUT = 60.0
 
 
-def merge_sorted_runs(runs: Iterable[Iterable[tuple[int, ...]]]
-                      ) -> Iterator[tuple[int, ...]]:
-    """Document-order-preserving k-way merge of shard result streams.
-
-    Each run yields label rows (start-label tuples) in sorted order;
-    the merged stream is globally sorted and lazy — a row leaves as
-    soon as the heads of the runs have been compared.  Adjacent equal
-    rows are collapsed: the only duplicates shards can produce are
-    bindings touching *only* the replicated document root (every other
-    binding involves a node owned by exactly one shard), and identical
-    rows emerge adjacent.
-    """
-    return map(itemgetter(0), groupby(heapq.merge(*runs)))
-
-
-def merge_packed_runs(runs: list[array], width: int) -> array:
-    """The shards' packed runs as one row-major array of start labels.
+def merge_packed_runs(runs: list[array], width: int, key: int) -> array:
+    """The shards' packed runs as one row-major array of start labels:
+    exactly the rows a single node returns for the same plan, in the
+    same order.
 
     *runs* are the workers' replies (see :mod:`repro.shard.worker`):
-    sorted, row-major, *width* labels per row, in shard order.  The
-    result has the contract of :func:`merge_sorted_runs` — global
-    document order, root-only duplicates collapsed — flattened.
+    row-major, *width* labels per row, in shard order, each in the
+    order the plan produced it — non-decreasing on column *key*, the
+    plan's ``ordered_by`` node, which the worker has checked.  So the
+    merge is by that one column:
 
-    When every non-empty run's last key is strictly below the next
-    run's first key, the concatenation of the runs *is* that merge:
-    each run is sorted and free of duplicates (a shard's bindings are
-    distinct), so strictly ordered boundaries leave nothing to
-    interleave and nothing to collapse.  The check is two *width*-long
-    array slices compared lexicographically per boundary, and it is
-    sound whatever the partitioning; label-range partitioning is why
-    it almost always holds — shard *i* owns a closed label range below
-    shard *i + 1*'s, and a row binds, besides the replicated root,
-    only nodes its shard owns.  Keys that tie or cross a boundary
-    (root-only rows, which every shard emits; a pattern node bound to
-    the root in one shard's rows and to an owned node in an earlier
-    shard's) go through :func:`merge_sorted_runs`, the one general
-    path.
+    * **Concatenate** when every non-empty run's last key is ``<=`` the
+      next run's first key — one integer comparison per boundary, and
+      one buffer copy per run.  Label-range partitioning is why this
+      is the rule: shard *i* owns a closed label range below shard
+      *i + 1*'s, and a row binds, besides the replicated root, only
+      nodes its shard owns, so keys can only tie across a boundary
+      when the key column is bound to the root — and tied rows stay in
+      shard order, which is label order on every other column.  The
+      one duplicate a fleet can produce, a row that binds *only* the
+      root (every shard emits it, e.g. ``//company``), then sits on
+      both sides of a boundary: the later copy is dropped.
+    * **Otherwise** (a key column that binds the root in a later
+      shard's rows but an owned node in an earlier one's: the root's
+      tag recurring below it) the runs, re-cut into rows, go through a
+      ``heapq.merge`` keyed on the column — stable, so ties keep shard
+      order — with adjacent duplicates collapsed: only root-only rows
+      can duplicate, and identical rows tie, so they emerge adjacent.
     """
     runs = [run for run in runs if run]
     merged = array("q")
-    if all(earlier[-width:] < later[:width]
+    if all(earlier[key - width] <= later[key]
            for earlier, later in zip(runs, runs[1:])):
         for run in runs:
-            merged.extend(run)
+            merged.extend(run[width:] if merged[-width:] == run[:width]
+                          else run)
     else:
-        merged.extend(chain.from_iterable(merge_sorted_runs(
-            zip(*[iter(run)] * width) for run in runs)))
+        rows = merge(*[zip(*[iter(run)] * width) for run in runs],
+                     key=itemgetter(key))
+        merged.extend(chain.from_iterable(
+            map(itemgetter(0), groupby(rows))))
     return merged
 
 

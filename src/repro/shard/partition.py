@@ -21,11 +21,14 @@ with a typed :class:`~repro.errors.ShardError` rather than answer it.
 
 Each shard receives a contiguous run of the root's child subtrees in
 document order, so a shard owns one closed label range
-``[label_lo, label_hi]`` and merged shard outputs interleave back into
-document order with a k-way merge.  Assignment is greedy: subtrees are
-dealt to the current shard until it reaches its fair share of the
-remaining node count.  Shards past the last subtree stay empty —
-legal, and exercised by the differential oracle's edge cases.
+``[label_lo, label_hi]`` and shard outputs, each in its plan's order,
+concatenate back into the single node's order — or, where the root
+binds a plan's order column, merge on that column
+(:func:`~repro.shard.coordinator.merge_packed_runs`).  Assignment is
+greedy: subtrees are dealt to the current shard until it reaches its
+fair share of the remaining node count.  Shards past the last subtree
+stay empty — legal, and exercised by the differential oracle's edge
+cases.
 """
 
 from __future__ import annotations

@@ -12,20 +12,22 @@ scan, exactly as a single node builds them, so a fleet plans exactly
 like one — and starts one worker process per shard
 (:mod:`repro.shard.coordinator`).
 
-The execution contract differs from a single node in exactly three
-documented ways: result rows arrive in global document order (label
-rows sort by it — single-node plan output order is plan-dependent);
-cost-model counters are the *sum* of per-shard work (the
-replicated root's postings are scanned once per shard, so counters are
-diagnostics here, not an engine-parity surface); and **a twig that
-branches at the document root is refused** with a typed
+A fleet returns exactly the rows a single node returns for the same
+plan, in the same order: each worker ships its rows in the order the
+plan produced them, and the coordinator merges the runs by the plan's
+``ordered_by`` column (:func:`~repro.shard.coordinator.merge_packed_runs`).
+The execution contract differs from a single node in exactly two
+documented ways: cost-model counters are the *sum* of per-shard work
+(the replicated root's postings are scanned once per shard, so
+counters are diagnostics here, not an engine-parity surface); and **a
+twig that branches at the document root is refused** with a typed
 :class:`~repro.errors.UnshardablePatternError` (a ``ShardError``, the
 one kind the HTTP front-end answers 400) before anything is scattered
-— a pattern whose root's node test holds of the replicated document root
-and which has two or more pattern children, when more than one shard
-owns data.  Such a match may take its branches from different shards
-(``/r[a][b]`` with every ``a`` in shard 0 and every ``b`` in shard 1)
-and no shard can see it: the partitioning invariant is about
+— a pattern whose root's node test holds of the replicated document
+root and which has two or more pattern children, when more than one
+shard owns data.  Such a match may take its branches from different
+shards (``/r[a][b]`` with every ``a`` in shard 0 and every ``b`` in
+shard 1) and no shard can see it: the partitioning invariant is about
 structural *pairs*, not twigs (:mod:`repro.shard.partition`).  Two of
 the paper's queries are of this kind (``Q.DBLP.1.b`` / ``2.c``,
 ``dblp[article/...][inproceedings/...]``); run them on a single node.
@@ -165,16 +167,17 @@ class ShardedDatabase(QueryTarget):
 
         return view
 
-    def _merged_rows(self, payloads: list[dict]) -> PackedRows:
+    def _merged_rows(self, payloads: list[dict], key: int) -> PackedRows:
         """The merge half of :meth:`stream_execute`: the replies'
         arrays, taken out of the payloads, concatenated (or, where
-        runs interleave, k-way merged) into one array in global
-        document order and kept packed — label rows are cut from it
-        only as a reader asks, a block at a time from ``blocks()``,
-        never for ``len``."""
+        runs interleave on the plan's order column *key*, k-way
+        merged) into one array in the single node's row order and kept
+        packed — label rows are cut from it only as a reader asks, a
+        block at a time from ``blocks()``, never for ``len``."""
         width = payloads[0]["width"]  # one schema, checked in _gather
         return PackedRows(merge_packed_runs(
-            [payload.pop("rows") for payload in payloads], width), width)
+            [payload.pop("rows") for payload in payloads], width, key),
+            width)
 
     def reload(self, document: XmlDocument) -> None:
         """Replace the corpus: re-partition, re-persist, restart workers.
@@ -282,17 +285,19 @@ class ShardedDatabase(QueryTarget):
         statistics — is
         fanned out verbatim: shards share the global label space, so
         it is valid everywhere and per-shard optimization would only
-        diverge the fleet.  Rows come back in global document order
-        (the module docstring has the three contract differences from
-        a single node, the refusal of a twig branching at the document
-        root among them).  Shards run their plans to completion before
-        shipping rows (the pipe protocol is one payload per shard), so
-        what streams is the coordinator's side (:meth:`_merged_rows`):
-        the first row leaves once every shard has answered and the
-        runs are one packed array — a concatenation when run
-        boundaries are strictly ordered, else the k-way merge — which
-        is the latency :meth:`time_to_first` reports; no row is cut
-        from the array, and no region looked up, before a reader asks.
+        diverge the fleet.  Rows come back exactly as a single node
+        returns them for *plan*, in the same order (the module
+        docstring has the two contract differences from a single node,
+        the refusal of a twig branching at the document root among
+        them).  Shards run their plans to completion before shipping
+        rows (the pipe protocol is one payload per shard), so what
+        streams is the coordinator's side (:meth:`_merged_rows`): the
+        first row leaves once every shard has answered and the runs
+        are one packed array — merged on the plan's ``ordered_by``
+        column, a concatenation when run boundaries are ordered on it,
+        else the k-way merge — which is the latency
+        :meth:`time_to_first` reports; no row is cut from the array,
+        and no region looked up, before a reader asks.
         *cancel* is consulted after each block of rows is pulled;
         *algorithm* is unused, a fleet keeping no query log.
 
@@ -313,6 +318,7 @@ class ShardedDatabase(QueryTarget):
         payloads, phases, node_ids, metrics = self._gather(
             plan, pattern, engine, trace)
         merge_started = time.perf_counter()
+        schema = Schema(node_ids)
 
         def finish(stream: StreamingExecution) -> None:
             metrics.wall_seconds = stream.total_seconds
@@ -323,7 +329,8 @@ class ShardedDatabase(QueryTarget):
                 self.tracer.record(stream.span)
 
         return StreamingExecution(
-            Schema(node_ids), metrics, self._merged_rows(payloads),
+            schema, metrics, self._merged_rows(
+                payloads, schema.position(plan.ordered_by)),
             engine=engine, regions=self._region_view(len(node_ids)),
             cancel=cancel, started=started, on_finish=finish)
 
@@ -349,9 +356,9 @@ class ShardedDatabase(QueryTarget):
         shares, which sum to the merged totals by construction.
         *phases* are the scatter/gather seconds :meth:`_gather`
         returned with these very payloads.  A ``Shard`` wrapper's
-        seconds are its worker's execution alone; the reply's
-        sort-and-pack time and size, which the worker clocks
-        separately, ride in the wrapper's detail.
+        seconds are its worker's execution alone; the reply's pack
+        time and size, which the worker clocks separately, ride in the
+        wrapper's detail.
         """
         estimates = {"estimated_cardinality": plan.estimated_cardinality,
                      "estimated_cost": plan.estimated_cost}

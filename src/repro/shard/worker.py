@@ -26,24 +26,27 @@ tuple per message:
   coordinator fault tests
 
 The reply to a query is **columnar**: the shard's whole result is one
-sorted run of start labels, never a row object.
+run of start labels in the order the plan produced them, never a row
+object.
 
 * ``rows`` — one ``array('q')``, row-major: row *r*'s label for schema
   column *c* is ``rows[r * width + c]``.  The engine's rows *are*
-  label rows — tuples of start labels, global and unique per node, so
-  distinct bindings are distinct tuples and sorting them is sorting
-  by document order — and the reply is those rows sorted and
-  flattened (:func:`pack_sorted_run`): nothing is extracted, no key is
-  built.  ``'q'`` is the one typecode: 8 bytes per label,
-  ``8 * width`` bytes per row on the pipe, wide enough for any label
-  the write path's gapped numbering can hand out.  Pickling an array
-  is a buffer copy out and a buffer copy in; the coordinator keeps the
-  runs packed and never allocates per row or per label it is not
-  asked for.
+  label rows — tuples of start labels, global and unique per node —
+  and the reply is those rows flattened as they come
+  (:func:`pack_run`): nothing is extracted, no key is built and
+  nothing is re-ordered, because a plan's output is already in
+  document order on its ``ordered_by`` node (Sec. 3.1.1), which is
+  the one order the coordinator merges by.  ``'q'`` is the one
+  typecode: 8 bytes per label, ``8 * width`` bytes per row on the
+  pipe, wide enough for any label the write path's gapped numbering
+  can hand out.  Pickling an array is a buffer copy out and a buffer
+  copy in; the coordinator keeps the runs packed and never allocates
+  per row or per label it is not asked for.
 * ``row_count``, ``width`` — the shape of ``rows``; ``node_ids`` names
   the ``width`` schema columns.
 * ``wall_seconds`` / ``cpu_seconds`` — the plan's execution alone;
-  ``pack_seconds`` — the sort-and-pack of the reply that follows it;
+  ``pack_seconds`` — the pack and order check of the reply that
+  follows it;
   ``reply_bytes`` — the size of ``rows``' buffer.
 * ``counters``, ``page_reads``, ``buffer_hits``, ``buffer_misses``,
   ``span`` — the execution's exact cost-model counters, its I/O
@@ -56,30 +59,42 @@ import os
 import time
 from array import array
 from itertools import chain
-from typing import Iterable
+from struct import pack
+from typing import Sequence
 
 from repro.engine.tuples import LabelRow
+from repro.errors import PlanError
 
-__all__ = ["worker_main", "pack_sorted_run"]
+__all__ = ["worker_main", "pack_run"]
 
 
-def pack_sorted_run(rows: Iterable[LabelRow]) -> array:
-    """*rows* in document order as one row-major ``array('q')``.
+def pack_run(rows: Sequence[LabelRow], width: int, key: int) -> array:
+    """*rows*, in the order the plan produced them, as one row-major
+    ``array('q')``; :class:`PlanError` unless they are non-decreasing
+    on column *key*, the plan's ``ordered_by`` node.
 
-    The sort is the shard's half of the fleet's document-order
-    contract (a plan's own output order is plan-dependent) and is half
-    of what this costs.  Measured on the 25 712 x 7 shard result of
-    ``Q.Pers.3.d`` (Pers 2000 x2, in process, median of 15, a quiet
-    run of a noisy box): 16.0 ms — 8.2 ms the sort, the rest the
-    flatten — beside an execute of 6.6 ms.  The path this replaced
-    (start labels pulled out of ``Region`` rows column by column, one
-    fixed-width record per row, a ``bytes`` sort, a byte swap) read
-    15.2 ms beside an execute of 7.7 ms in the same session: the reply
-    itself got no cheaper, it lost its own extraction path.  Eliding
-    the sort where the plan's output order already is document order
-    is the next step.
+    The flatten is one C pass: ``struct.pack`` over the unpacked
+    labels, the bytes handed to the array as they are.  The check reads
+    the key column back out of the packed run with a strided slice and
+    compares it with its own ``sorted`` copy — on ordered keys a
+    single run detection of n - 1 integer comparisons, the cheapest
+    pass over the column measured — so a mis-ordered plan fails here,
+    on the worker, in parallel with the other shards, and the
+    coordinator's merge never re-checks.  Measured on the 25 712 x 7
+    shard result of ``Q.Pers.3.d`` (Pers 2000 x2, in process, median
+    of 25 on a 2-vCPU box): 4.7 ms for the pack and the check
+    together (the check alone about 0.7 ms), where sorting the rows by
+    the full label tuple and flattening them through
+    ``array("q", chain.from_iterable(...))`` took 19.9 ms — beside an
+    execute of 7.7 ms in the same session.
     """
-    return array("q", chain.from_iterable(sorted(rows)))
+    run = array("q", pack(f"{len(rows) * width}q",
+                          *chain.from_iterable(rows)))
+    keys = run[key::width].tolist()
+    if keys != sorted(keys):
+        raise PlanError(
+            f"plan output is out of order on its key column {key}")
+    return run
 
 
 def worker_main(shard_id: int, pages_path: str, conn) -> None:
@@ -121,13 +136,19 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
         try:
             result = database.execute(plan, pattern, engine=engine,
                                       spans=trace is not None)
-        except BaseException as error:  # noqa: BLE001 - stay serving
+            # CPU time alongside wall time: when workers outnumber
+            # cores they time-slice, wall inflates with contention,
+            # and CPU time is what a worker would take with a core of
+            # its own
+            cpu_seconds = time.process_time() - cpu_started
+            pack_started = time.perf_counter()
+            node_ids = result.schema.node_ids
+            rows = pack_run(result.rows, len(node_ids),
+                            result.schema.position(plan.ordered_by))
+            pack_seconds = time.perf_counter() - pack_started
+        except Exception as error:  # noqa: BLE001 - stay serving
             _send_error(conn, error)
             continue
-        # CPU time alongside wall time: when workers outnumber cores
-        # they time-slice, wall inflates with contention, and CPU time
-        # is what a worker would take with a core of its own
-        cpu_seconds = time.process_time() - cpu_started
         span_payload = None
         if trace is not None:
             # stamp under a per-shard prefix so span ids stay unique
@@ -137,10 +158,6 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
                             trace.parent_span_id,
                             prefix=f"s{shard_id}-")
             span_payload = result.span.to_dict()
-        pack_started = time.perf_counter()
-        node_ids = result.schema.node_ids
-        rows = pack_sorted_run(result.rows)
-        pack_seconds = time.perf_counter() - pack_started
         conn.send(("ok", {
             "shard_id": shard_id,
             "rows": rows,

@@ -387,7 +387,7 @@ def test_engine_differential_slow_corpus():
 # -- shard oracle: scatter-gather vs single node --------------------------
 
 
-SHARDED_COUNTS = (1, 2, 4)
+SHARDED_COUNTS = (1, 2, 3, 4)
 
 
 def _dominant_document():
@@ -443,11 +443,10 @@ def test_sharded_differential_binding_and_order_oracle():
     For every document (including the empty-shard and the
     single-subtree-dominant edge cases), shard count in
     ``SHARDED_COUNTS`` and both execution engines, the same physical
-    plan runs sharded and single-node: the merged binding sets must be
-    identical, and the merged rows must arrive in global document
-    order (non-decreasing label rows) — or the fleet refuses, typed,
-    a pattern that branches at the replicated document root; it never
-    answers with a different binding set.
+    plan runs sharded and single-node: the merged rows must be the
+    single node's rows, row for row in the single node's order — or
+    the fleet refuses, typed, a pattern that branches at the
+    replicated document root; it never answers with different rows.
     """
     from repro.shard import ShardedDatabase
 
@@ -455,14 +454,16 @@ def test_sharded_differential_binding_and_order_oracle():
     disagreements: list[str] = []
     for document in _sharded_documents():
         single = Database.from_document(document)
-        patterns = [_pattern_for(document, rng) for _ in range(5)]
+        # the Pers paper queries are the ones whose single-node order
+        # is not the lexicographic order of their label rows
+        patterns = [_pattern_for(document, rng) for _ in range(5)] + [
+            query.pattern for name, query in PAPER_QUERIES.items()
+            if name.startswith("Q.Pers")]
         for shards in SHARDED_COUNTS:
             with ShardedDatabase(document, shards=shards) as sharded:
                 for pattern in patterns:
                     plan = sharded.optimize(pattern,
                                             algorithm="DPP").plan
-                    reference = single.execute(plan,
-                                               pattern).canonical()
                     for engine in ("block", "tuple"):
                         case = (f"[doc={document.name} shards={shards}"
                                 f" engine={engine} pattern="
@@ -476,14 +477,11 @@ def test_sharded_differential_binding_and_order_oracle():
                                     f"{case} refused, but does not "
                                     f"branch at the document root")
                             continue
-                        if merged.canonical() != reference:
+                        reference = single.execute(plan, pattern,
+                                                   engine=engine).rows
+                        if list(merged.rows) != list(reference):
                             disagreements.append(
                                 f"{case} sharded produced "
-                                f"{len(merged.canonical())} bindings,"
-                                f" single node {len(reference)}")
-                        keys = list(merged.rows)
-                        if keys != sorted(keys):
-                            disagreements.append(
-                                f"{case} merged output is not in "
-                                f"document order")
+                                f"{len(merged)} rows, single node "
+                                f"{len(reference)}, or another order")
     assert not disagreements, "\n".join(disagreements)

@@ -23,17 +23,16 @@ import pytest
 from hypothesis import given, settings
 
 from repro.api import Database
-from repro.core.pattern import QueryPattern
-from repro.core.plans import IndexScanPlan
+from repro.core.pattern import Axis, QueryPattern
+from repro.core.plans import IndexScanPlan, JoinAlgorithm, StructuralJoinPlan
 from repro.document.parser import parse_xml
 from repro.errors import PlanError, QueryCancelled, ShardError
 from repro.shard import (ShardedDatabase, coordinator,
                          partition_document)
 from repro.engine import blocks
-from repro.shard.coordinator import (PackedRows, merge_packed_runs,
-                                     merge_sorted_runs)
+from repro.shard.coordinator import PackedRows, merge_packed_runs
 from repro.shard.partition import structural_pairs_local
-from repro.shard.worker import pack_sorted_run
+from repro.shard.worker import pack_run
 from repro.workloads import PAPER_QUERIES, dblp_document, random_pattern
 from repro.workloads.personnel import personnel_document
 
@@ -192,15 +191,17 @@ def sharded(corpus_document):
 
 def test_sharded_bindings_match_single_node(sharded, corpus_document,
                                             chain_pattern):
+    """A fleet returns a single node's rows for the same plan, in the
+    single node's order — whatever order the plan produces."""
     single = Database.from_document(corpus_document)
-    plan = single.optimize(chain_pattern, algorithm="DPP").plan
-    reference = single.execute(plan, chain_pattern).canonical()
-    merged = sharded.execute(
-        sharded.optimize(chain_pattern, algorithm="DPP").plan,
-        chain_pattern)
-    assert merged.canonical() == reference
-    keys = list(merged.rows)
-    assert keys == sorted(keys), "merged output broke document order"
+    for algorithm in FLEET_ALGORITHMS:
+        plan = sharded.optimize(chain_pattern, algorithm=algorithm).plan
+        for engine in ("block", "tuple"):
+            merged = sharded.execute(plan, chain_pattern, engine=engine)
+            reference = single.execute(plan, chain_pattern, engine=engine)
+            assert len(reference) > 20
+            assert list(merged.rows) == list(reference.rows), (
+                algorithm, engine)
 
 
 def test_sharded_root_only_bindings_deduplicate(sharded):
@@ -225,12 +226,13 @@ def _flat(keys) -> array:
 def general_merges(monkeypatch):
     """Counts the calls that reach the general ``heapq.merge`` path."""
     calls = []
+    merge = coordinator.merge
 
-    def counting(runs):
+    def counting(*runs, key=None):
         calls.append(1)
-        return merge_sorted_runs(runs)
+        return merge(*runs, key=key)
 
-    monkeypatch.setattr(coordinator, "merge_sorted_runs", counting)
+    monkeypatch.setattr(coordinator, "merge", counting)
     return calls
 
 
@@ -238,27 +240,29 @@ def test_columnar_path_equals_the_per_row_formula(
         sharded, corpus_document, general_merges):
     """The packed reply, concatenated and kept packed, must be exactly
     what the per-row formula computes from the reference iterators'
-    ``Region`` rows: reduce each shard's rows to start labels, sort,
-    k-way merge — and, for the ``Region`` view, one region lookup per
+    ``Region`` rows: reduce each shard's rows to start labels in the
+    plan's order — no sort — and the merged result is the single
+    node's rows; for the ``Region`` view, one region lookup per
     label."""
     regions = {node.region.start: node.region
                for node in corpus_document}
+    single = Database.from_document(corpus_document)
     shard_databases = [
         Database.from_document(sharded.partition.shard_document(shard))
         for shard in range(sharded.shards)]
     for name in GATHER_QUERIES:
         pattern = PAPER_QUERIES[name].pattern
         plan = sharded.optimize(pattern, algorithm="DPP").plan
-        key_runs = [sorted(
-            tuple(region.start for region in row) for row in
-            database.execute(plan, pattern, engine="tuple").tuples)
-            for database in shard_databases]
-        merged = list(merge_sorted_runs(key_runs))
-        expected = [tuple(regions[s] for s in key) for key in merged]
+        width = len(pattern.nodes)
+        for database in shard_databases:
+            result = database.execute(plan, pattern)
+            key = result.schema.position(plan.ordered_by)
+            keys = [tuple(region.start for region in row) for row in
+                    database.execute(plan, pattern, engine="tuple").tuples]
+            assert pack_run(result.rows, width, key) == _flat(keys), name
+        merged = single.execute(plan, pattern).rows
+        expected = [tuple(regions[s] for s in row) for row in merged]
         assert expected, name
-        for database, keys in zip(shard_databases, key_runs):
-            rows = database.execute(plan, pattern).rows
-            assert pack_sorted_run(rows) == _flat(keys), name
         result = sharded.execute(plan, pattern)
         assert list(result.rows) == merged, name
         assert result.tuples == expected, name
@@ -268,25 +272,35 @@ def test_columnar_path_equals_the_per_row_formula(
     assert not general_merges
 
 
-def test_merge_packed_runs_concatenates_or_merges():
-    def merged(runs, width):
+def test_merge_packed_runs_concatenates_or_merges(general_merges):
+    def merged(runs, width, key=0):
         return list(merge_packed_runs([_flat(run) for run in runs],
-                                      width))
+                                      width, key))
 
-    # strictly ordered boundaries, an empty run in the middle
+    # ordered boundaries, an empty run in the middle
     assert merged([[(1, 2), (1, 3)], [], [(4, 5)]], 2) == [
         1, 2, 1, 3, 4, 5]
-    # the first column ties across the boundary (a root-bound column);
-    # the second decides, still strictly
-    assert merged([[(0, 2), (0, 3)], [(0, 7)]], 2) == [0, 2, 0, 3, 0, 7]
-    # equal boundary keys: root-only rows collapse to one
+    # the key column ties across the boundary (a root-bound column):
+    # shard order stands, whatever the other columns hold
+    assert merged([[(0, 7), (0, 3)], [(0, 2)]], 2) == [0, 7, 0, 3, 0, 2]
+    # equal boundary rows: root-only rows collapse to one
     assert merged([[(0,)], [(0,)], [(0,)]], 1) == [0]
-    # a later shard's run starts below an earlier one's end
-    assert merged([[(0, 2), (1, 2)], [(0, 4)]], 2) == [0, 2, 0, 4, 1, 2]
+    # ordered on the second column, not the first
+    assert merged([[(5, 2), (1, 3)], [(0, 4)]], 2, key=1) == [
+        5, 2, 1, 3, 0, 4]
     # width 1, nothing at all, one run only
     assert merged([[(3,), (5,)], [(8,)]], 1) == [3, 5, 8]
     assert merged([[], []], 3) == []
     assert merged([[], [(6, 7, 8)]], 3) == [6, 7, 8]
+    assert not general_merges
+    # a later shard's run starts below an earlier one's end: merged on
+    # the key, ties in shard order, the root-only duplicate collapsed
+    assert merged([[(0, 2), (0, 3), (1, 2)], [(0, 4)]], 2) == [
+        0, 2, 0, 3, 0, 4, 1, 2]
+    assert merged([[(0,), (1,)], [(0,)], [(0,)]], 1) == [0, 1]
+    assert merged([[(4, 1), (2, 3)], [(7, 2)]], 2, key=1) == [
+        4, 1, 7, 2, 2, 3]
+    assert len(general_merges) == 3
 
 
 @pytest.fixture(scope="module")
@@ -312,23 +326,36 @@ def test_concatenation_when_runs_are_range_disjoint(
 
 def test_general_merge_is_taken_for_root_bound_rows(
         sharded, nested_root_tag, general_merges):
-    # every shard answers a root-only pattern with the same one row
+    # every shard answers a root-only pattern with the same one row,
+    # which the concatenation keeps once
     assert len(sharded.query("//company").execution) == 1
-    assert len(general_merges) == 1
-    # ``//a//b``: shard 0 binds ``a`` to the root and to the node it
-    # owns, shard 1 only to the root — whose label sorts below
-    # shard 0's last key, so the runs interleave
+    assert not general_merges
+    single = Database.from_document(nested_root_tag.document)
+    # ``//a//b`` ordered by ``a``: shard 0 binds ``a`` to the root and
+    # to the node it owns, shard 1 only to the root — whose label sorts
+    # below shard 0's last key, so the runs interleave
     pattern = nested_root_tag.compile("//a//b")
-    plan = nested_root_tag.optimize(pattern).plan
+    plan = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0, 1,
+                              Axis.DESCENDANT,
+                              JoinAlgorithm.STACK_TREE_ANC)
     result = nested_root_tag.execute(plan, pattern)
     assert list(result.rows) == [
         (0, 2), (0, 3), (0, 5), (1, 2), (1, 3)]
+    assert len(general_merges) == 1
+    assert result.rows == single.execute(plan, pattern).rows
+    # the optimizer's plan orders by ``b``: the single node's order,
+    # and a concatenation
+    plan = nested_root_tag.optimize(pattern).plan
+    result = nested_root_tag.execute(plan, pattern)
+    assert list(result.rows) == [
+        (0, 2), (1, 2), (0, 3), (1, 3), (0, 5)]
+    assert result.rows == single.execute(plan, pattern).rows
+    assert len(general_merges) == 1
+    # ``//a``: the root from every shard, the nested ``a`` from shard 0
+    # only — merged, the root kept once
+    assert list(nested_root_tag.query("//a").execution.rows) == [
+        (0,), (1,)]
     assert len(general_merges) == 2
-    single = Database.from_document(nested_root_tag.document)
-    assert (result.canonical()
-            == single.execute(plan, pattern).canonical())
-    assert list(nested_root_tag.stream_execute(plan, pattern)) == (
-        result.tuples)
 
 
 # -- the packed fleet result ---------------------------------------------
@@ -376,8 +403,7 @@ def test_fleet_result_stays_packed_until_regions_are_asked_for(
     assert sharded._region_table is None
     # the view: built on demand, equal to a single node's regions
     single = Database.from_document(sharded.document)
-    assert sorted(result.tuples) == sorted(
-        single.execute(plan, chain_pattern).tuples)
+    assert result.tuples == single.execute(plan, chain_pattern).tuples
     assert sharded._region_table is not None
 
 
@@ -467,17 +493,17 @@ def test_root_branching_twig_is_refused_not_answered_wrongly(
 def test_fleet_equals_single_node_or_refuses_for_root_tag_patterns(
         twig_targets, grown):
     """Random patterns whose root carries the corpus root's tag: the
-    fleet's rows are the single node's rows as a multiset, or the
-    typed refusal — never a different count."""
+    fleet's rows are the single node's rows in the single node's
+    order, or the typed refusal — never a different answer."""
     single, fleet = twig_targets
     pattern = QueryPattern.build({
         "nodes": ["r"] + [tag for tag, _, _ in grown],
         "edges": [(parent % index, index, axis) for index,
                   (_, parent, axis) in enumerate(grown, start=1)]})
     plan = single.optimize(pattern).plan
-    expected = sorted(single.execute(plan, pattern).rows)
+    expected = single.execute(plan, pattern).rows
     try:
-        rows = sorted(fleet.execute(plan, pattern).rows)
+        rows = list(fleet.execute(plan, pattern).rows)
     except ShardError as refusal:
         assert "document root" in str(refusal)
         assert branches_at_root(pattern, fleet.document)
@@ -632,6 +658,28 @@ def test_worker_query_error_keeps_fleet_alive(sharded, chain_pattern):
     # neither error kills the fleet: workers keep serving
     assert not sharded.workers.closed
     assert all(sharded.workers.alive())
+    assert len(sharded.query("//manager//employee").execution) > 0
+
+
+def test_misordered_reply_is_a_typed_error_and_the_fleet_serves_on(
+        sharded, corpus_document):
+    """A worker ships its rows in plan order and checks, while it
+    packs, that they are in order on the plan's ``ordered_by`` column;
+    a plan whose root claims the wrong one is a ``PlanError`` from the
+    worker, and the next request is answered."""
+    plan = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0, 1,
+                              Axis.DESCENDANT,
+                              JoinAlgorithm.STACK_TREE_DESC)
+    pattern = QueryPattern.build({"nodes": ["manager", "employee"],
+                                  "edges": [(0, 1, "//")]})
+    managers = [row[0] for row in Database.from_document(
+        corpus_document).execute(plan, pattern).rows]
+    assert managers != sorted(managers), "nested managers needed"
+    plan.ordered_by = 0  # ordered by the employee, claims the manager
+    with pytest.raises(PlanError, match="out of order on its key "
+                                        "column 0"):
+        sharded.execute(plan, pattern)
+    assert not sharded.workers.closed and all(sharded.workers.alive())
     assert len(sharded.query("//manager//employee").execution) > 0
 
 
