@@ -41,7 +41,6 @@ from repro.engine.context import EngineContext
 from repro.engine.executor import (ExecutionResult, Executor,
                                    StreamingExecution)
 from repro.estimation.estimator import PositionalEstimator
-from repro.obs.querylog import build_record
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext, assign_span_ids
 from repro.storage.buffer import BufferPool
@@ -314,28 +313,19 @@ class Database(QueryTarget):
         drained — the paper's Sec. 3.4 online-querying property.
 
         The finish hook below stamps a traced run's span tree with its
-        trace id and records it on :attr:`tracer`, and appends one
-        record per run read to its end (annotated with *algorithm*,
-        with per-operator estimate-vs-actual detail if it was traced)
-        to the query log.  A run cancelled or closed early — a
-        deadline, a ``limit``, a client gone — appends none: its
-        partial counters would poison ``calibrate`` and ``audit``.
+        trace id, then runs the shared finish step
+        (:meth:`~repro.target.QueryTarget._finish_run`) under the
+        snapshot's statistics epoch.
         """
         snapshot, context = self._engine_context()
-        log = self.query_log
         trace = self._trace_for(spans, trace_context)
 
         def finish(stream: StreamingExecution) -> None:
             if trace is not None:
                 # one trace id on the retained tree and the log record
                 assign_span_ids(stream.span, trace.trace_id)
-                self.tracer.record(stream.span)
-            if log is not None and stream.exhausted:
-                log.record(build_record(
-                    pattern, plan, stream, algorithm=algorithm,
-                    engine=stream.engine,
-                    statistics_epoch=snapshot.statistics_epoch,
-                    factors=self.cost_factors))
+            self._finish_run(stream, pattern, plan, algorithm,
+                             snapshot.statistics_epoch)
 
         return Executor(context, pattern).stream(
             plan, engine=engine, cancel=cancel,
@@ -387,14 +377,12 @@ class Database(QueryTarget):
         return snapshot
 
     def collect_gauges(self, registry: MetricsRegistry) -> None:
-        """Buffer-pool, posting-storage, write-path and query-log-drop
-        series, each set by the component that owns the numbers."""
+        """Buffer-pool, posting-storage and write-path series, each set
+        by the component that owns the numbers."""
         self.pool.collect_gauges(registry)
         self.index.collect_gauges(registry)
         if self._txn_manager is not None:
             self._txn_manager.collect_gauges(registry)
-        if self.query_log is not None:
-            self.query_log.collect_gauges(registry)
 
     def holistic_query(self,
                        query: str | QueryPattern) -> ExecutionResult:

@@ -110,16 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="target size for generated data sets")
         sub.add_argument("--seed", type=int, default=42)
 
-    def add_service_flags(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--slow-query-seconds", type=float,
-                         default=None, metavar="SECONDS",
-                         help="slow-query threshold for the service "
-                              "(default 0.25 s)")
-        sub.add_argument("--slow-log-capacity", type=int, default=None,
-                         metavar="N",
-                         help="bound on the retained slow-query log "
-                              "(default 32; 0 disables retention)")
-
     query = commands.add_parser("query", help="run an XPath query")
     add_source(query)
     query.add_argument("xpath")
@@ -198,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve against the corpus partitioned "
                             "across N process-based shards, for the "
                             "per-shard series (0 = single node)")
-    add_service_flags(stats)
 
     serve = commands.add_parser(
         "serve", help="serve queries over HTTP/JSON with admission "
@@ -249,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="K",
                        help="record the plan space of every K-th "
                             "plan-cache miss into /planspace")
-    add_service_flags(serve)
 
     generate = commands.add_parser(
         "generate", help="write a synthetic data set as XML")
@@ -403,20 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _service_options(arguments: argparse.Namespace) -> dict:
-    """Query-service options from the optional CLI service flags."""
-    options: dict = {}
-    slow_seconds = getattr(arguments, "slow_query_seconds", None)
-    if slow_seconds is not None:
-        options["slow_query_seconds"] = slow_seconds
-    slow_capacity = getattr(arguments, "slow_log_capacity", None)
-    if slow_capacity is not None:
-        if slow_capacity < 0:
-            raise ReproError("--slow-log-capacity must be >= 0")
-        options["slow_log_capacity"] = slow_capacity
-    return options
-
-
 def _generated_document(arguments: argparse.Namespace):
     """The synthetic document --dataset / --nodes / --seed name."""
     kwargs = {"seed": arguments.seed}
@@ -439,22 +413,21 @@ def _source_document(arguments: argparse.Namespace):
 
 def _open_database(arguments: argparse.Namespace,
                    service_options: dict | None = None) -> Database:
-    options = (_service_options(arguments) if service_options is None
-               else service_options)
     if getattr(arguments, "db", None):
         from repro.txn.db import open_database
 
-        return open_database(arguments.db, service_options=options)
+        return open_database(arguments.db,
+                             service_options=service_options)
     if arguments.xml:
         with open(arguments.xml, encoding="utf-8") as handle:
             return Database.from_xml(handle.read(), name=arguments.xml,
-                                     service_options=options)
+                                     service_options=service_options)
     if not arguments.dataset:
         raise ReproError(
             "a data source is required: pass --xml FILE, "
             "--dataset NAME, or --db DIR")
     return Database.from_document(_source_document(arguments),
-                                  service_options=options)
+                                  service_options=service_options)
 
 
 @contextmanager
@@ -473,8 +446,6 @@ def _open_target(arguments: argparse.Namespace,
     shards = getattr(arguments, "shards", 0)
     if shards < 0:
         raise ReproError("--shards must be >= 0")
-    if service_options is None:
-        service_options = _service_options(arguments)
     if not shards:
         with _open_database(arguments, service_options) as database:
             yield database
@@ -667,15 +638,15 @@ def _serve_paper_workload(database: Database, dataset: str | None,
 
 
 def _sampling_service_options(arguments: argparse.Namespace) -> dict:
-    """Service options of the serving commands: the common flags plus
-    ``--trace-sample`` / ``--planspace-sample`` — the service's
-    1-in-K clocks are the only samplers there are."""
+    """Service options of the serving commands: ``--trace-sample`` /
+    ``--planspace-sample`` — the service's 1-in-K clocks are the only
+    samplers there are."""
     planspace_sample = getattr(arguments, "planspace_sample", 0)
     if arguments.trace_sample < 0:
         raise ReproError("--trace-sample must be >= 0")
     if planspace_sample < 0:
         raise ReproError("--planspace-sample must be >= 0")
-    options = _service_options(arguments)
+    options: dict = {}
     if arguments.trace_sample:
         options["trace_sample"] = arguments.trace_sample
     if planspace_sample:

@@ -228,7 +228,15 @@ class StreamingExecution:
         """The label rows not yet read, in blocks: *first* rows
         (``None``: all of them, as the one sequence the source holds;
         the call that starts the stream decides), then up to
-        ``BLOCK_ROWS`` at a time, each a list the caller owns."""
+        ``BLOCK_ROWS`` at a time, each a list the caller owns.  What a
+        by-row reader left of the block it is inside comes first."""
+        blocks = self._source_blocks(first)
+        left = self._take_open()
+        return chain((left,), blocks) if left else blocks
+
+    def _source_blocks(self, first: int | None
+                       ) -> Iterator[Sequence[LabelRow]]:
+        """The one pull loop every reader shares."""
         if self._blocks is None:
             self._blocks = self._pull(first)
         return self._blocks
@@ -255,6 +263,8 @@ class StreamingExecution:
 
     def _pull(self, first: int | None
               ) -> Iterator[Sequence[LabelRow]]:
+        if self.finished:  # closed before its first pull: it stays so
+            return
         if self._started is None:
             self._started = time.perf_counter()
         try:
@@ -274,7 +284,7 @@ class StreamingExecution:
             self._finish()
 
     def _by_row(self) -> Iterator[MatchTuple]:
-        for block in self.blocks():
+        for block in self._source_blocks(1):
             self._open = block, self.produced
             self.produced -= len(block)  # handed out row by row
             for match in self._regions(block):
@@ -283,9 +293,11 @@ class StreamingExecution:
 
     def _take_open(self) -> Sequence[LabelRow]:
         """What a by-row reader has left of the block it is inside, as
-        label rows; that reader reads no further."""
+        label rows; that reader reads no further (iterating again
+        starts a new one at the next unread block)."""
         if self._rows is not None:
             self._rows.close()
+            self._rows = None
         block, end = self._open
         left = block[len(block) - (end - self.produced):]
         self.produced += len(left)
@@ -305,7 +317,7 @@ class StreamingExecution:
             whole = list(self.blocks(first=None))
             return whole[0] if whole else []
         return [*self._take_open(),
-                *chain.from_iterable(self.blocks())]
+                *chain.from_iterable(self._source_blocks(1))]
 
     def result(self) -> ExecutionResult:
         """The stream drained into an :class:`ExecutionResult`."""
@@ -325,7 +337,7 @@ class StreamingExecution:
     def drain(self) -> int:
         """Consume all remaining rows; returns the final row count."""
         self._take_open()
-        for _ in self.blocks():
+        for _ in self._source_blocks(1):
             pass
         return self.produced
 
@@ -338,7 +350,8 @@ class StreamingExecution:
         close = getattr(self._source, "close", None)
         if close is not None:
             close()
-        self._source = ()  # a finished stream has no rows left
+        self._source = ()  # a finished stream has no rows left,
+        self._open = (), 0  # not even in a by-row reader's block
         if self._on_finish is not None:
             self._on_finish(self)
 

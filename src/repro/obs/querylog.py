@@ -1,12 +1,14 @@
 """Persistent query log: one JSONL record per executed query.
 
 PR 3's spans and EXPLAIN ANALYZE die with the process; the query log
-makes them durable.  Every execution that runs through a
-:class:`~repro.api.Database` with a log attached appends one
-structured record — pattern signature, algorithm, engine, plan
-digest, run-level counters, wall time and statistics epoch, plus
-per-operator estimated-vs-actual cardinalities and exact cost-counter
-shares whenever the run was traced.  Those records are the raw
+makes them durable.  Every execution read to its end on a query
+target with a log attached — a :class:`~repro.api.Database` or a shard
+fleet, whose coordinator writes the record — appends one structured
+record (``QueryTarget._finish_run`` is the one writer): pattern
+signature, algorithm, engine, plan digest, run-level counters, wall
+time and statistics epoch, plus per-operator estimated-vs-actual
+cardinalities and exact cost-counter shares whenever the run was
+traced.  Those records are the raw
 material for the two consumers that close the feedback loop:
 
 * :mod:`repro.obs.calibrate` fits :class:`~repro.core.cost.CostFactors`
@@ -16,22 +18,25 @@ material for the two consumers that close the feedback loop:
 
 Design points:
 
-* **Asynchronous writes** — :meth:`QueryLog.record` enqueues; a daemon
-  writer thread serialises and appends, so logging never sits on the
-  query hot path.  A full queue drops the record instead of blocking
-  a query — warned once, counted always (``QueryLog.dropped`` and the
+* **Asynchronous writes** — :meth:`QueryLog.record` enqueues (at most
+  :data:`QUEUE_CAPACITY` records wait); a daemon writer thread
+  serialises and appends, so logging never sits on the query hot path.
+  A full queue drops the record instead of blocking a query — warned
+  once, counted always (``QueryLog.dropped`` and the
   ``repro_querylog_dropped_total`` counter).
 * **Size-bounded** — the active file rotates to ``<path>.1`` …
   ``<path>.<backups>`` once it exceeds ``max_bytes``; the oldest
   rotation is deleted, so total disk use is bounded by
-  ``(backups + 1) * max_bytes`` (plus one record of slack).
+  ``(backups + 1) * max_bytes`` (plus one record of slack).  The
+  reader takes every rotation there is, however many were kept.
 * **No sampler of its own** — whether a run is traced is decided
   before it starts (``QueryTarget._trace_for``, fed by the query
   service's 1-in-``trace_sample`` clock); the log records what it is
   handed, with per-operator detail whenever that run was traced.
-* **In-memory mode** — ``path=None`` keeps records in a bounded deque:
-  no files, no writer thread.  Used by the CLI's self-contained
-  ``calibrate``/``audit`` modes and by tests.
+* **In-memory mode** — ``path=None`` keeps the newest
+  :data:`MEMORY_CAPACITY` records in a deque: no files, no writer
+  thread.  Used by the CLI's self-contained ``calibrate`` mode and by
+  tests.
 
 The reader (:func:`read_query_log`) tolerates torn or corrupt lines —
 malformed lines are skipped and counted, never fatal — because a
@@ -66,6 +71,12 @@ __all__ = ["QueryLog", "QueryLogScan", "build_record", "read_query_log",
 #: sentinel shutting the writer thread down.
 _STOP = object()
 
+#: records an in-memory log keeps (newest win).
+MEMORY_CAPACITY = 4096
+
+#: records a file log's writer queue holds before it drops.
+QUEUE_CAPACITY = 4096
+
 
 def signature_digest(pattern: QueryPattern) -> str:
     """Short stable digest of a pattern's canonical signature.
@@ -91,13 +102,14 @@ def build_record(pattern: QueryPattern, plan: PhysicalPlan,
     result, or a stream read to its end (``rows`` is what it produced).
 
     When the execution was traced (``execution.span`` is set) the
-    record carries an ``operators`` list — the span tree flattened
-    pre-order, one :meth:`~repro.obs.spans.Span.operator_record` each:
-    the optimizer's estimates, the measured rows/seconds, and the
-    operator's exact share of every cost-model counter (the
-    calibration inputs) — plus the trace id, so log analysis
-    (:mod:`repro.obs.audit`) can join a logged plan back to its
-    retained trace.
+    record carries an ``operators`` list — the tree's operator spans
+    flattened pre-order, one
+    :meth:`~repro.obs.spans.Span.operator_record` each: the optimizer's
+    estimates, the measured rows/seconds, and the operator's exact
+    share of every cost-model counter (the calibration inputs); a
+    fleet's stage spans carry no counters and are left out — plus the
+    trace id, so log analysis (:mod:`repro.obs.audit`) can join a
+    logged plan back to its retained trace.
     """
     from repro.xpath.render import pattern_to_xpath
 
@@ -125,7 +137,8 @@ def build_record(pattern: QueryPattern, plan: PhysicalPlan,
         record["trace_id"] = trace_id
     if execution.span is not None:
         record["operators"] = [span.operator_record()
-                               for span in execution.span.walk()]
+                               for span in execution.span.walk()
+                               if span.metrics is not None]
     return record
 
 
@@ -140,9 +153,7 @@ class QueryLog:
     """
 
     def __init__(self, path: "str | os.PathLike[str] | None" = None, *,
-                 max_bytes: int = 4 << 20, backups: int = 3,
-                 memory_capacity: int = 4096,
-                 queue_capacity: int = 4096) -> None:
+                 max_bytes: int = 4 << 20, backups: int = 3) -> None:
         if max_bytes < 1:
             raise ReproError("query log max_bytes must be at least 1")
         if backups < 1:
@@ -161,9 +172,9 @@ class QueryLog:
         self._writer: threading.Thread | None = None
         self._handle = None
         if self.path is None:
-            self._memory = deque(maxlen=memory_capacity)
+            self._memory = deque(maxlen=MEMORY_CAPACITY)
         else:
-            self._queue = queue.Queue(maxsize=queue_capacity)
+            self._queue = queue.Queue(maxsize=QUEUE_CAPACITY)
             self._writer = threading.Thread(
                 target=self._drain, name="repro-querylog", daemon=True)
             self._writer.start()
@@ -337,25 +348,23 @@ class QueryLogScan:
         return len(self.records)
 
 
-def read_query_log(path: "str | os.PathLike[str]",
-                   include_rotated: bool = True,
-                   backups: int = 16) -> QueryLogScan:
+def read_query_log(path: "str | os.PathLike[str]") -> QueryLogScan:
     """Read a JSONL query log back, oldest record first.
 
-    Rotated generations (``path.N`` … ``path.1``) are read before the
-    active file so the stream is chronological.  Lines that are not
+    Rotated generations — every contiguous ``path.1``, ``path.2``, …
+    that exists, however many backups the writer kept — are read
+    oldest first, before the active file, so the stream is
+    chronological.  Lines that are not
     valid JSON objects are skipped and counted on
     :attr:`QueryLogScan.skipped` — a crash mid-append must not make
     the whole log unreadable.
     """
     path = os.fspath(path)
-    candidates: list[str] = []
-    if include_rotated:
-        candidates.extend(f"{path}.{index}"
-                          for index in range(backups, 0, -1))
-    candidates.append(path)
+    candidates = [path]
+    while os.path.exists(f"{path}.{len(candidates)}"):
+        candidates.append(f"{path}.{len(candidates)}")
     scan = QueryLogScan()
-    for name in candidates:
+    for name in reversed(candidates):
         if not os.path.exists(name):
             continue
         scan.files.append(name)

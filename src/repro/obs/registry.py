@@ -91,9 +91,6 @@ class _Metric:
     def _data(self) -> dict[str, object]:
         raise NotImplementedError
 
-    def _reset(self) -> None:
-        self._series.clear()
-
 
 class Counter(_Metric):
     """Monotonically increasing count."""
@@ -389,12 +386,6 @@ class MetricsRegistry:
             return {name: {"type": metric.kind, "help": metric.help,
                            **metric._data()}
                     for name, metric in sorted(self._metrics.items())}
-
-    def reset(self) -> None:
-        """Zero every series (families and collectors stay registered)."""
-        with self._lock:
-            for metric in self._metrics.values():
-                metric._reset()
 
 
 class SampleReservoir:

@@ -14,11 +14,13 @@ per objective:
   budget is burning down.  Reported both lifetime and over a bounded
   recent window (the early-warning signal — a long healthy history
   must not mask a current incident);
-* **exemplars** — per latency bucket, the most recent (value,
-  trace id) observed in that bucket.  The Prometheus *text* format
-  cannot carry exemplars, so they are surfaced through the ``/slo``
-  JSON endpoint instead: from a slow bucket straight to a stitched
-  trace of a query that landed in it.
+* **exemplars** — per latency bucket, the most recent traced query
+  observed in that bucket: the very entry the query service keeps for
+  a slow query (query, algorithm, seconds, rows, trace id), so an
+  exemplar names its query.  The Prometheus *text* format cannot
+  carry exemplars, so they are surfaced through the ``/slo`` JSON
+  endpoint instead: from a slow bucket straight to a stitched trace
+  of a query that landed in it.
 
 The tracker is registry-agnostic; :meth:`SLOTracker.collect` sets the
 gauge families (``repro_slo_target`` / ``repro_slo_compliance_ratio``
@@ -144,8 +146,14 @@ class SLOTracker:
 
     def observe_query(self, seconds: float,
                       time_to_first: "float | None" = None,
-                      error: bool = False, trace_id: str = "") -> None:
-        """Fold one finished query into every applicable objective."""
+                      error: bool = False,
+                      entry: "dict | None" = None) -> None:
+        """Fold one finished query into every applicable objective.
+
+        *entry* is the query's one record (``query``, ``algorithm``,
+        ``seconds``, ``rows``, ``trace_id``); a successful query with a
+        trace id becomes its latency bucket's exemplar.
+        """
         with self._mutex:
             for objective in self.objectives:
                 good = objective.is_good(seconds, time_to_first, error)
@@ -156,9 +164,8 @@ class SLOTracker:
                 if not good:
                     state.bad += 1
                 state.window.append(good)
-            if trace_id and not error:
-                self._exemplars[self._bucket_of(seconds)] = {
-                    "value": seconds, "trace_id": trace_id}
+            if entry is not None and entry["trace_id"] and not error:
+                self._exemplars[self._bucket_of(seconds)] = entry
 
     def _bucket_of(self, seconds: float) -> str:
         for bound in DEFAULT_BUCKETS:
@@ -202,8 +209,9 @@ class SLOTracker:
                         recent_bad, len(recent),
                         objective.error_budget),
                 })
-            exemplars = [{"bucket_le": bucket, **exemplar}
-                         for bucket, exemplar
+            exemplars = [{"bucket_le": bucket, "value": entry["seconds"],
+                          **entry}
+                         for bucket, entry
                          in sorted(self._exemplars.items())]
         return {"objectives": objectives, "exemplars": exemplars}
 

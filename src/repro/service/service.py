@@ -7,11 +7,17 @@ and keeps service-level observability — latency percentiles, cache
 hit rate, and aggregate engine counters merged from each execution's
 private :class:`~repro.engine.metrics.ExecutionMetrics`.
 
+A finished query is observed once (:meth:`QueryService.
+observe_served_query`): the registry's counters are the only tally of
+queries and errors, and one entry per query — query, algorithm,
+seconds, rows, trace id — is both what the slow-query log keeps and
+the SLO exemplar of its latency bucket.
+
 Thread-safety contract: the storage layer's buffer pool serializes
 frame operations internally; each execution builds its operator tree
-against a run-scoped engine context; the only shared mutable service
-state (latency reservoir, totals, counters) is guarded by one lock
-taken outside the hot operator loops.
+against a run-scoped engine context; the service's own mutable state
+(latency reservoir, engine totals, slow-query log) is guarded by one
+lock taken outside the hot operator loops, the registry by its own.
 """
 
 from __future__ import annotations
@@ -42,15 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: :class:`~repro.obs.registry.SampleReservoir`.
 LATENCY_RESERVOIR = 8192
 
-#: Default slow-query threshold (seconds); queries at or above it land
-#: in the slow-query log.  Override per service with the
-#: ``slow_query_seconds`` constructor argument or the CLI's
-#: ``--slow-query-seconds``.
+#: Slow-query threshold (seconds): queries at or above it land in the
+#: slow-query log and count on ``repro_slow_queries_total``.
 SLOW_QUERY_SECONDS = 0.25
 
-#: Default bound on the slow-query log (newest entries win).  Override
-#: per service with the ``slow_log_capacity`` constructor argument or
-#: the CLI's ``--slow-log-capacity``; ``0`` disables retention.
+#: Bound on the slow-query log (newest entries win).
 SLOW_LOG_CAPACITY = 32
 
 #: Thread-pool width of a ``query_many`` batch that names none.
@@ -62,20 +64,14 @@ class QueryService:
     target (a :class:`~repro.api.Database` or a shard fleet)."""
 
     def __init__(self, database: QueryTarget,
-                 slow_query_seconds: float = SLOW_QUERY_SECONDS,
-                 slow_log_capacity: int = SLOW_LOG_CAPACITY,
                  trace_sample: int = 0,
                  planspace_sample: int = 0) -> None:
-        if slow_log_capacity < 0:
-            raise ValueError("slow_log_capacity must be >= 0")
         if trace_sample < 0:
             raise ValueError("trace_sample must be >= 0")
         if planspace_sample < 0:
             raise ValueError("planspace_sample must be >= 0")
         self.database = database
         self.cache = PlanCache()
-        self.slow_query_seconds = slow_query_seconds
-        self.slow_log_capacity = slow_log_capacity
         #: trace every n-th request through :meth:`stream` (0
         #: disables): sampled runs execute with spans on and land in
         #: ``database.tracer`` — on a fleet, a stitched cross-process trace.
@@ -92,12 +88,10 @@ class QueryService:
         self._latencies = SampleReservoir(LATENCY_RESERVOIR, seed=0)
         self._engine_totals = ExecutionMetrics(
             factors=database.cost_factors)
-        self._queries = 0
-        self._errors = 0
         self._sample_clocks = {"trace": 0, "planspace": 0}
         self._planspace_ring: deque[dict[str, object]] = deque(maxlen=16)
         self._slow_queries: deque[dict[str, object]] = deque(
-            maxlen=slow_log_capacity)
+            maxlen=SLOW_LOG_CAPACITY)
         #: one registry per service, so concurrent databases in one
         #: process (and tests) never share series.
         self.registry = MetricsRegistry()
@@ -119,9 +113,9 @@ class QueryService:
         self._optimize_hist = self.registry.histogram(
             "repro_optimize_seconds",
             "Optimizer time per plan-cache miss, labelled by algorithm")
-        # the families below are only fed by single-node back ends (in
-        # ``database.collect_gauges``) but registered for every target,
-        # so their # TYPE lines appear in every scrape
+        # the families below are fed only when there is a query log or
+        # a write path (:meth:`_collect`) but registered for every
+        # target, so their # TYPE lines appear in every scrape
         self.registry.counter(
             "repro_querylog_dropped_total",
             "Query-log records lost to a full queue or write errors")
@@ -228,35 +222,30 @@ class QueryService:
         SLO; *error* covers failures **and deadline cancellations** (a
         cancelled request burned its latency budget without an answer,
         so the error budget pays).  *metrics* merges engine counters
-        from completed streams into the aggregate totals.
+        from completed streams into the aggregate totals.  The query's
+        one entry is its SLO exemplar and, when it took
+        :data:`SLOW_QUERY_SECONDS` or longer, its slow-query log entry.
         """
+        entry = {"query": query, "algorithm": algorithm,
+                 "seconds": seconds, "rows": rows, "trace_id": trace_id}
         if time_to_first is not None:
             self._ttfr_hist.observe(time_to_first)
         self.slo.observe_query(seconds, time_to_first=time_to_first,
-                               error=error, trace_id=trace_id)
+                               error=error, entry=entry)
         if error:
-            with self._mutex:
-                self._errors += 1
             self._errors_total.inc()
             return
         self._queries_total.inc()
         self._latency_hist.observe(seconds)
-        slow = seconds >= self.slow_query_seconds
+        slow = seconds >= SLOW_QUERY_SECONDS
         if slow:
             self._slow_total.inc()
         with self._mutex:
-            self._queries += 1
             self._latencies.add(seconds)
             if metrics is not None:
                 self._engine_totals.merge(metrics)
             if slow:
-                self._slow_queries.append({
-                    "query": query,
-                    "algorithm": algorithm,
-                    "seconds": seconds,
-                    "rows": rows,
-                    "trace_id": trace_id,
-                })
+                self._slow_queries.append(entry)
 
     def _sampled(self, what: str, every: int) -> bool:
         """True when this call is the n-th of a 1-in-*every* sample of
@@ -379,24 +368,14 @@ class QueryService:
         with self._mutex:
             self._engine_totals.reprice(factors)
 
-    def reset_stats(self) -> None:
-        """Zero the latency reservoir, aggregate counters, slow-query
-        log and every registry series."""
-        with self._mutex:
-            self._latencies.clear()
-            self._engine_totals = ExecutionMetrics(
-                factors=self.database.cost_factors)
-            self._queries = 0
-            self._errors = 0
-            self._slow_queries.clear()
-        self.registry.reset()
-
     # -- observability ----------------------------------------------------
 
     def snapshot(self) -> dict[str, object]:
         """Point-in-time service metrics.
 
-        ``latency`` percentiles are in seconds over a uniform
+        ``queries`` and ``errors`` read the registry's
+        ``repro_queries_total`` / ``repro_query_errors_total``
+        counters.  ``latency`` percentiles are in seconds over a uniform
         :data:`LATENCY_RESERVOIR`-sized sample of every query ever
         served (``observed`` counts the full population); ``engine``
         aggregates the per-execution cost-model counters of every
@@ -420,11 +399,9 @@ class QueryService:
                 "simulated_cost": totals.simulated_cost(),
                 "wall_seconds": totals.wall_seconds,
             }
-            queries = self._queries
-            errors = self._errors
         return {
-            "queries": queries,
-            "errors": errors,
+            "queries": int(self._queries_total.value()),
+            "errors": int(self._errors_total.value()),
             "latency": {
                 "p50_seconds": percentile(samples, 0.50),
                 "p95_seconds": percentile(samples, 0.95),
@@ -461,9 +438,10 @@ class QueryService:
         """Registry collector: gauges from live pull-style sources.
 
         Runs before every export, so scrape output always reflects the
-        current plan cache, engine totals and the database's own
-        gauges (:meth:`~repro.target.QueryTarget.collect_gauges`)
-        without any instrumentation on their hot paths.
+        current plan cache, engine totals, the database's own gauges
+        (:meth:`~repro.target.QueryTarget.collect_gauges`) and its
+        query log's drops without any instrumentation on their hot
+        paths.
         """
         registry = self.registry
         cache_stats = self.cache.stats
@@ -488,6 +466,8 @@ class QueryService:
                 "Aggregate simulated cost over all queries served"
             ).set(self._engine_totals.simulated_cost())
         self.database.collect_gauges(registry)
+        if self.database.query_log is not None:
+            self.database.query_log.collect_gauges(registry)
         self.slo.collect(registry)
 
     def export_metrics(self, fmt: str = "prometheus") -> str:

@@ -60,7 +60,6 @@ from repro.engine.executor import (RegionView, StreamingExecution,
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.tuples import LabelRow, MatchTuple, Schema
 from repro.obs.explain import ExplainReport
-from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.shard.coordinator import (DEFAULT_TIMEOUT, PackedRows,
@@ -298,14 +297,16 @@ class ShardedDatabase(QueryTarget):
         else the k-way merge — which is the latency
         :meth:`time_to_first` reports; no row is cut from the array,
         and no region looked up, before a reader asks.
-        *cancel* is consulted after each block of rows is pulled;
-        *algorithm* is unused, a fleet keeping no query log.
+        *cancel* is consulted after each block of rows is pulled.
 
         A traced run is one distributed trace: a :class:`TraceContext`
         (fresh, or the caller's *trace_context*) rides with the plan to
-        every worker, each worker ships its span subtree back
-        serialized, and the finish hook stitches them into the single
-        trace it records in :attr:`tracer` — there and nowhere else.
+        every worker, and each worker ships its span subtree back
+        serialized.  The finish hook sets the run's wall time, stitches
+        the subtrees into the single trace and then runs the shared
+        finish step (:meth:`~repro.target.QueryTarget._finish_run`),
+        which retains the trace and, with a query log attached, appends
+        a record of a run read to its end, as on a single node.
         The stitched tree's cost-counter shares sum *exactly* to the
         merged ``ExecutionMetrics`` — counters cross the pipe as ints,
         never re-measured.
@@ -314,6 +315,7 @@ class ShardedDatabase(QueryTarget):
         validate_engine(engine)  # before the plan leaves the process
         self._refuse_root_twig(pattern)
         trace = self._trace_for(spans, trace_context)
+        epoch = self.statistics_epoch
         started = time.perf_counter()
         payloads, phases, node_ids, metrics = self._gather(
             plan, pattern, engine, trace)
@@ -326,7 +328,7 @@ class ShardedDatabase(QueryTarget):
                 stream.span = self._stitch_trace(
                     trace, plan, payloads, phases, metrics,
                     stream.produced, time.perf_counter() - merge_started)
-                self.tracer.record(stream.span)
+            self._finish_run(stream, pattern, plan, algorithm, epoch)
 
         return StreamingExecution(
             schema, metrics, self._merged_rows(
@@ -408,12 +410,6 @@ class ShardedDatabase(QueryTarget):
         }
 
     # -- serving & observability ------------------------------------------
-
-    def attach_query_log(self, log: QueryLog | None) -> None:
-        """Not supported: log records are written by the process that
-        executes, and a fleet executes in its workers."""
-        raise ShardError("--query-log is single-node only; "
-                         "drop --shards")
 
     def stats(self) -> dict[str, object]:
         """Service snapshot plus the shard fleet's own statistics."""

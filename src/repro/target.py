@@ -8,8 +8,10 @@ operation that is planning or serving, the statistics included (one
 on a fleet as on one node, so both plan alike), and a back end
 supplies only what genuinely differs: how a plan is run (one
 ``stream_execute``; ``execute`` is that stream drained), its own
-gauges and how it is closed (the abstract members below); what a run
-leaves behind is the same on both — the span tree an explain renders.
+gauges and how it is closed (the abstract members below).  What a run
+leaves behind is the same on both and recorded here, once
+(:meth:`QueryTarget._finish_run`): the span tree an explain renders,
+retained on the tracer, and the record the query log keeps.
 :class:`~repro.api.Database` (one node) and
 :class:`~repro.shard.sharded.ShardedDatabase` (a worker fleet) are the
 two back ends; the query service, the HTTP front-end and the CLI call
@@ -37,9 +39,9 @@ from repro.estimation.estimator import (ExactEstimator,
 from repro.obs.explain import ExplainReport
 from repro.obs.planspace import (WhatIfResult, build_plan_space_report,
                                  run_whatif)
-from repro.obs.querylog import QueryLog
+from repro.obs.querylog import QueryLog, build_record
 from repro.obs.registry import MetricsRegistry
-from repro.obs.spans import TraceContext, Tracer
+from repro.obs.spans import Span, TraceContext, Tracer
 from repro.xpath.parser import compile_xpath
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -74,7 +76,7 @@ class QueryTarget(abc.ABC):
         self.cost_factors = cost_factors or CostFactors()
         self.cost_model = CostModel(self.cost_factors)
         #: keyword arguments for the lazily built :class:`QueryService`
-        #: (slow-query threshold/log bound, sampling rates).
+        #: (its trace and plan-space sampling rates).
         self.service_options = dict(service_options or {})
         #: optional persistent query log (see :meth:`attach_query_log`).
         self.query_log: QueryLog | None = None
@@ -114,12 +116,11 @@ class QueryTarget(abc.ABC):
         the Sec. 3.4 experiment say it; no request names an engine.
         *cancel* is consulted after each block is pulled, so deadlines
         stop the run mid-stream.  When the stream finishes — drained,
-        cancelled or closed early — the back end's one finish hook
-        leaves behind everything the run owes: a traced run (see
-        :meth:`_trace_for`) is stamped, exposed as ``stream.span`` and
-        recorded on :attr:`tracer`, there and nowhere else; on a single
-        node a run read to its end is appended to the attached query
-        log, which *algorithm* only annotates.
+        cancelled or closed early — the back end's finish hook stamps
+        a traced run's span tree (see :meth:`_trace_for`), exposes it
+        as ``stream.span`` and hands the stream to :meth:`_finish_run`,
+        which leaves behind everything the run owes; *algorithm* only
+        annotates the log record.
         """
 
     def _explain_extras(self, report: ExplainReport,
@@ -158,6 +159,36 @@ class QueryTarget(abc.ABC):
         if spans or trace_context is not None:
             return trace_context or TraceContext.new()
         return None
+
+    def _retain_trace(self, span: Span) -> None:
+        """Keep a finished, stamped span tree on :attr:`tracer`: a
+        query run's (from :meth:`_finish_run`), a commit's or a
+        checkpoint's (from the write path) — the one place a trace is
+        retained."""
+        self.tracer.record(span)
+
+    def _finish_run(self, stream: StreamingExecution,
+                    pattern: QueryPattern, plan: PhysicalPlan,
+                    algorithm: str, statistics_epoch: int) -> None:
+        """The one finish step of :meth:`stream_execute`, on both back
+        ends, run exactly once per stream however it ends.
+
+        A traced run's tree (``stream.span``, stamped by then) is
+        retained on :attr:`tracer`; with a query log attached, a run
+        read to its end appends one record — on a fleet as on a single
+        node, the coordinator holding everything a record needs.  A
+        run cancelled or closed early — a deadline, a ``limit``, a
+        client gone — appends none: its partial counters would poison
+        ``calibrate`` and ``audit``.
+        """
+        if stream.span is not None:
+            self._retain_trace(stream.span)
+        log = self.query_log
+        if log is not None and stream.exhausted:
+            log.record(build_record(
+                pattern, plan, stream, algorithm=algorithm,
+                engine=stream.engine, statistics_epoch=statistics_epoch,
+                factors=self.cost_factors))
 
     # -- statistics -------------------------------------------------------------
 
@@ -365,9 +396,8 @@ class QueryTarget(abc.ABC):
     def service(self) -> "QueryService":
         """The (lazily created) plan-caching query service.
 
-        Construction keywords — slow-query threshold and slow-log
-        bound, trace and plan-space sampling — come from
-        :attr:`service_options`.
+        Its construction keywords — the trace and plan-space sampling
+        rates — come from :attr:`service_options`.
         Plans are cached under :attr:`statistics_epoch`, so any change
         to the statistics makes every cached plan unreachable.
         """
@@ -409,9 +439,10 @@ class QueryTarget(abc.ABC):
         """Attach (or with ``None`` detach) a persistent query log.
 
         From then on every run read to its end — buffered or streamed,
-        direct or served — appends one record (asynchronously in file
-        mode); a run cancelled or closed early (a deadline, a ``limit``,
-        a client gone) appends none, its counters being partial.  A
+        direct or served, on a single node or a fleet — appends one
+        record (asynchronously in file mode; :meth:`_finish_run`); a
+        run cancelled or closed early (a deadline, a ``limit``, a
+        client gone) appends none, its counters being partial.  A
         record carries per-operator detail when its run was traced
         (:meth:`_trace_for`); the log itself never asks for a trace.
         """

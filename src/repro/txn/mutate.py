@@ -522,7 +522,7 @@ class TransactionManager:
         # gives commits joinable trace ids in /traces and the audit log
         assign_span_ids(span, TraceContext.new().trace_id,
                         prefix=f"t{txn.txn_id}-")
-        db.tracer.record(span)
+        db._retain_trace(span)
         self.metrics.committed += 1
         self.metrics.nodes_added += len(added)
         self.metrics.nodes_removed += len(removed)
@@ -572,7 +572,7 @@ class TransactionManager:
             span.seconds = seconds
             assign_span_ids(span, TraceContext.new().trace_id,
                             prefix="ckpt-")
-            self.db.tracer.record(span)
+            self.db._retain_trace(span)
             return dropped
 
     def close(self) -> None:

@@ -252,29 +252,6 @@ class TestFeedbackLoopCommands:
         assert "error:" in capsys.readouterr().err
 
 
-class TestServiceFlags:
-    def test_slow_log_flags_reach_the_service(self):
-        from repro.cli import _open_database, build_parser
-
-        arguments = build_parser().parse_args(
-            ["stats", "--dataset", "pers", "--nodes", "400",
-             "--slow-query-seconds", "0.0", "--slow-log-capacity", "2"])
-        database = _open_database(arguments)
-        service = database.service
-        assert service.slow_query_seconds == 0.0
-        assert service.slow_log_capacity == 2
-        database.query_many(["//manager/name"] * 5)
-        # threshold 0 marks everything slow; capacity bounds retention
-        assert len(service.snapshot()["slow_queries"]) == 2
-
-    def test_negative_slow_log_capacity_is_clean_error(self, capsys):
-        code, __ = run_cli(
-            "stats", "--dataset", "pers", "--nodes", "400",
-            "--slow-log-capacity", "-1")
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-
 class TestMetricsListener:
     def test_listen_port_in_use_exits_2(self, capsys):
         import socket

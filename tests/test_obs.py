@@ -477,12 +477,6 @@ class TestRegistry:
         assert parse_prometheus(registry.to_prometheus())["live"] == 42
         assert registry.to_dict()["live"]["series"][0]["value"] == 42
 
-    def test_reset_keeps_families(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(5)
-        registry.reset()
-        assert registry.counter("c").value() == 0
-
 
 # -- latency reservoir (satellite: replaces drop-oldest) ------------------
 
@@ -579,11 +573,15 @@ class TestServiceMetrics:
         assert series["repro_queue_wait_seconds_count"] == 5
         assert series["repro_buffer_pool_hit_rate"] <= 1.0
 
-    def test_slow_query_log(self):
+    def test_slow_query_log(self, monkeypatch):
+        from repro.service import service as service_module
+
         database = Database.from_document(
-            personnel_document(target_nodes=300))
+            personnel_document(target_nodes=300),
+            service_options={"trace_sample": 1})
         service = database.service
-        service.slow_query_seconds = 0.0  # everything is slow now
+        # everything is slow now
+        monkeypatch.setattr(service_module, "SLOW_QUERY_SECONDS", 0.0)
         service.query(QUERY)
         snapshot = service.snapshot()
         assert len(snapshot["slow_queries"]) == 1
@@ -592,11 +590,16 @@ class TestServiceMetrics:
         assert entry["seconds"] > 0
         assert service.registry.counter(
             "repro_slow_queries_total").value() == 1
-        service.slow_query_seconds = 3600.0
+        # one entry per query: the slow-query log's is its exemplar too
+        (exemplar,) = snapshot["slo"]["exemplars"]
+        assert {"bucket_le", "value", "trace_id"} <= exemplar.keys()
+        assert exemplar["value"] == entry["seconds"]
+        assert {key: exemplar[key] for key in entry} == entry
+        monkeypatch.setattr(service_module, "SLOW_QUERY_SECONDS", 3600.0)
         service.query(QUERY)
         assert len(service.snapshot()["slow_queries"]) == 1
         # a request over HTTP lands in the same log, with the same keys
-        service.slow_query_seconds = 0.0
+        monkeypatch.setattr(service_module, "SLOW_QUERY_SECONDS", 0.0)
         server = QueryServer(database, ServerConfig(port=0),
                              out=io.StringIO())
         host, port = server.start()
@@ -619,19 +622,6 @@ class TestServiceMetrics:
         with pytest.raises(ValueError):
             database.service.export_metrics("xml")
 
-    def test_reset_stats_clears_registry_and_log(self):
-        database = Database.from_document(
-            personnel_document(target_nodes=300))
-        database.service.slow_query_seconds = 0.0
-        database.service.query(QUERY)
-        database.service.reset_stats()
-        snapshot = database.service.snapshot()
-        assert snapshot["queries"] == 0
-        assert snapshot["slow_queries"] == []
-        assert snapshot["latency"]["observed"] == 0
-        assert database.service.registry.counter(
-            "repro_queries_total").value() == 0
-
     def test_errors_counted(self):
         database = Database.from_document(
             personnel_document(target_nodes=300))
@@ -639,6 +629,29 @@ class TestServiceMetrics:
             database.service.query("//manager[")
         assert database.service.registry.counter(
             "repro_query_errors_total").value() == 1
+
+    def test_snapshot_tallies_are_the_registry_counters(self):
+        """``queries`` and ``errors`` are read off the two counters —
+        there is no second tally to drift from them."""
+        database = Database.from_document(
+            personnel_document(target_nodes=300))
+        service = database.service
+        for query in (QUERY, "//manager[", QUERY, "///((", QUERY):
+            try:
+                service.query(query)
+            except ReproError:
+                pass
+        snapshot = service.snapshot()
+        registry = service.registry
+        assert snapshot["queries"] == 3 == registry.counter(
+            "repro_queries_total").value()
+        assert snapshot["errors"] == 2 == registry.counter(
+            "repro_query_errors_total").value()
+        assert snapshot["latency"]["observed"] == 3
+        by_name = {entry["name"]: entry
+                   for entry in snapshot["slo"]["objectives"]}
+        assert by_name["query_errors"]["events"] == 5
+        assert by_name["query_errors"]["bad"] == 2
 
 
 # -- zero-overhead guarantee ---------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.api import Database
 from repro.errors import ReproError
+from repro.obs import querylog
 from repro.obs.querylog import (QueryLog, build_record, read_query_log,
                                 signature_digest)
 
@@ -81,8 +82,22 @@ def test_malformed_lines_are_skipped_and_counted(tmp_path):
     assert scan.skipped == 2
 
 
-def test_memory_mode_needs_no_files():
-    with QueryLog(None, memory_capacity=3) as log:
+def test_reader_takes_every_rotation_the_writer_kept(tmp_path):
+    """At the parent the reader probed ``path.16`` … ``path.1`` only, so
+    a log kept with more backups lost its oldest segments on read."""
+    path = tmp_path / "log.jsonl"
+    with QueryLog(path, max_bytes=1, backups=20) as log:
+        for i in range(30):
+            log.record({"n": i})
+        records = log.records()
+    assert [r["n"] for r in records] == list(range(10, 30))
+    scan = read_query_log(path)
+    assert len(scan.files) == 20 and scan.records == records
+
+
+def test_memory_mode_needs_no_files(monkeypatch):
+    monkeypatch.setattr(querylog, "MEMORY_CAPACITY", 3)
+    with QueryLog(None) as log:
         for record in _sample_records(5):
             log.record(record)
         kept = log.records()
@@ -106,7 +121,7 @@ def test_constructor_validation(tmp_path):
 
 def test_record_is_thread_safe(tmp_path):
     path = tmp_path / "log.jsonl"
-    with QueryLog(path, queue_capacity=4096) as log:
+    with QueryLog(path) as log:
         def hammer(base):
             for i in range(50):
                 log.record({"n": base + i})

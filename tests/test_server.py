@@ -27,7 +27,6 @@ import pytest
 
 from repro.api import Database
 from repro.engine import blocks
-from repro.errors import ReproError
 from repro.obs.querylog import QueryLog, read_query_log
 from repro.server import (AdmissionController, QueryServer,
                           ServerConfig, TokenBucket, app, fetch)
@@ -1243,6 +1242,8 @@ class TestShardedServing:
             instance = QueryServer(database, ServerConfig(
                 port=0, tenant_rate=0.0), out=io.StringIO())
             host, port = instance.start()
+            log = QueryLog(None)
+            database.attach_query_log(log)
             try:
                 response = run(fetch(
                     host, port, "GET",
@@ -1258,12 +1259,17 @@ class TestShardedServing:
                 assert stitched
                 rendered = json.dumps(stitched[0])
                 assert "ShardScatterGather" in rendered
-                # a fleet executes in its workers: no log to append to
-                with pytest.raises(ReproError, match="single-node"):
-                    database.attach_query_log(QueryLog(None))
-                assert database.query_log is None
+                # the coordinator logs the served run as a node would,
+                # with the shards' operators and no coordinator stage
+                (record,) = log.records()
+                assert record["rows"] == len(expected)
+                assert record["trace_id"] == "shard-req-1"
+                assert record["operators"] and not any(
+                    entry["operator"].startswith("Shard")
+                    for entry in record["operators"])
             finally:
                 instance.stop()
+                database.attach_query_log(None)
 
     def test_root_twig_refusal_is_a_400_a_dead_worker_a_500(self):
         from urllib.parse import quote

@@ -18,13 +18,14 @@ import pytest
 from repro import cli
 from repro.api import Database
 from repro.core.plans import canonical_plan_digest
-from repro.errors import ReproError, StorageError
+from repro.errors import StorageError
 from repro.obs.querylog import QueryLog
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext
 from repro.shard import ShardedDatabase
 from repro.target import QueryTarget
 from repro.txn import create_database
+from repro.workloads import PAPER_QUERIES
 from repro.workloads.personnel import personnel_document
 
 QUERY = "//manager//employee/name"
@@ -34,10 +35,16 @@ ALGORITHMS = ("DP", "DPP", "DPAP-EB", "DPAP-LD", "FP")
 BASE_ONLY = ("compile", "warm_statistics", "optimize", "query",
              "query_many", "whatif", "time_to_first", "explain",
              "service", "estimator", "exact_estimator", "execute",
+             "attach_query_log", "_finish_run", "_retain_trace",
              "__enter__", "__exit__")
 #: supplied or extended per back end, under one signature
-PER_BACKEND = ("stream_execute", "collect_gauges", "stats",
-               "attach_query_log", "close")
+PER_BACKEND = ("stream_execute", "collect_gauges", "stats", "close")
+
+#: what a fleet's log record shares with a single node's for one plan
+#: (timing, measured cost and the per-shard operators differ)
+RECORD_PARITY_KEYS = ("query", "signature", "algorithm", "engine", "plan",
+                      "plan_digest", "estimated_cost", "rows",
+                      "statistics_epoch")
 
 SERVICE_KEYS = {"queries", "errors", "latency", "slow_queries",
                 "plan_cache", "engine", "slo", "statistics_epoch"}
@@ -151,18 +158,45 @@ def test_collect_gauges_exports_each_backends_series(single, fleet):
         assert family in database.service.export_metrics("prometheus")
 
 
-def test_query_log_attaches_to_a_node_and_is_refused_by_a_fleet(
-        single, fleet):
+def logged(target, plan, pattern, spans=False) -> dict:
+    """The one record *target* logs for a drained run of *plan*."""
     with QueryLog(None) as log:
-        single.attach_query_log(log)
+        target.attach_query_log(log)
         try:
-            single.query(QUERY)
-            assert len(log.records()) == 1
+            target.execute(plan, pattern, spans=spans, algorithm="DPP")
         finally:
-            single.attach_query_log(None)
-        with pytest.raises(ReproError, match="single-node only"):
-            fleet.attach_query_log(log)
-    assert fleet.query_log is None
+            target.attach_query_log(None)
+        (record,) = log.records()
+    return record
+
+
+def test_a_fleet_logs_the_single_nodes_record():
+    """One finish step on both back ends: a fleet's record of a plan is
+    a single node's, but for timing, measured cost and operators — and
+    its operators are the shards' operator spans, no coordinator
+    stage among them."""
+    document = personnel_document(target_nodes=2000, seed=42)
+    single = Database.from_document(document)
+    with ShardedDatabase(document, shards=2) as fleet:
+        for name in ("Q.Pers.1.a", "Q.Pers.2.c", "Q.Pers.3.d",
+                     "Q.Pers.4.d"):
+            pattern = PAPER_QUERIES[name].pattern
+            plan = single.optimize(pattern).plan
+            expected = logged(single, plan, pattern)
+            record = logged(fleet, plan, pattern)
+            assert expected["rows"] > 0, name
+            assert {key: record[key] for key in RECORD_PARITY_KEYS} \
+                == {key: expected[key] for key in RECORD_PARITY_KEYS}, name
+            assert "operators" not in record
+            single_operators = [
+                entry["operator"] for entry in
+                logged(single, plan, pattern, spans=True)["operators"]]
+            assert len(single_operators) == len(list(plan.walk()))
+            traced = logged(fleet, plan, pattern, spans=True)
+            assert sorted(entry["operator"]
+                          for entry in traced["operators"]) \
+                == sorted(single_operators * 2), name
+            assert traced["trace_id"] == fleet.tracer.traces()[-1].trace_id
 
 
 # -- the tracing rule ------------------------------------------------------

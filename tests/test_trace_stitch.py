@@ -296,12 +296,25 @@ class TestSLOTracker:
 
     def test_exemplars_link_buckets_to_traces(self):
         tracker = SLOTracker(DEFAULT_OBJECTIVES)
-        tracker.observe_query(0.003, trace_id="abc123")
-        tracker.observe_query(0.004, trace_id="def456")
-        tracker.observe_query(30.0, trace_id="slow789")
-        tracker.observe_query(0.2, trace_id="err000", error=True)
+
+        def observe(seconds, trace_id, error=False):
+            tracker.observe_query(seconds, error=error, entry={
+                "query": "//a", "algorithm": "DPP", "seconds": seconds,
+                "rows": 1, "trace_id": trace_id})
+
+        observe(0.003, "abc123")
+        observe(0.004, "def456")
+        observe(30.0, "slow789")
+        observe(0.2, "err000", error=True)
+        observe(0.2, "")  # untraced: nothing to link to
+        snapshot = tracker.snapshot()["exemplars"]
         exemplars = {entry["bucket_le"]: entry["trace_id"]
-                     for entry in tracker.snapshot()["exemplars"]}
+                     for entry in snapshot}
+        # an exemplar is the query's entry, so it names its query
+        assert all(entry["query"] == "//a"
+                   and entry["value"] == entry["seconds"]
+                   for entry in snapshot)
+        assert len(snapshot) == 2
         # same bucket: the most recent exemplar wins; errors never
         # become exemplars (their trace would not show a good query)
         assert "def456" in exemplars.values()
