@@ -22,6 +22,11 @@ bound that prunes is always the cost of a plan this search can build.
 A subclass restricts the search through the class's ``left_deep``
 switch (DPAP-LD) or the one :meth:`~DPPOptimizer._admission` hook
 (DPAP-EB).
+
+Statuses are integer codes and moves plain tuples, as in DP: the queue
+holds ``(Cost + ubCost, tie-breaker, Cost, code)``, the memo ``code ->
+(cost, previous code, move)``, and a newly generated status is tested
+for finality, doom and ``ubCost`` on its code alone.
 """
 
 from __future__ import annotations
@@ -31,8 +36,8 @@ import itertools
 from typing import Callable
 
 from repro.errors import OptimizerError
-from repro.core.enumeration import (EnumerationContext, MemoEntry,
-                                    build_plan, is_doomed, possible_moves,
+from repro.core.enumeration import (EnumerationContext, Memo, build_plan,
+                                    is_doomed, possible_moves,
                                     reconstruct_moves,
                                     upper_bound_completion)
 from repro.core.optimizer import Optimizer, register
@@ -40,7 +45,7 @@ from repro.core.planspace import (PRUNE_COST_BOUND, PRUNE_DOMINATED,
                                   PRUNE_EXPANSION_BOUND, PRUNE_INFEASIBLE)
 from repro.core.plans import PhysicalPlan
 from repro.core.stats import OptimizerReport
-from repro.core.status import Status
+from repro.core.status import describe_move
 
 
 @register
@@ -66,12 +71,13 @@ class DPPOptimizer(Optimizer):
 
     def _search(self, context: EnumerationContext,
                 report: OptimizerReport) -> tuple[PhysicalPlan, float]:
-        pattern = context.pattern
-        start = Status.start(pattern)
+        start = context.start_code
         start_cost = context.start_cost()
+        finals = context.final_codes
+        size = context.size
+        lookahead = self.lookahead
 
-        best: dict[Status, MemoEntry] = {
-            start: MemoEntry(start_cost, None, None)}
+        best: Memo = {start: (start_cost, None, None)}
         report.statuses_generated += 1
         recorder = self.planspace
         if recorder is not None:
@@ -79,7 +85,7 @@ class DPPOptimizer(Optimizer):
         admit = self._admission(context)
         tie_breaker = itertools.count()
         start_bound = start_cost + upper_bound_completion(start, context)
-        heap: list[tuple[float, int, float, Status]] = []
+        heap: list[tuple[float, int, float, int]] = []
         heapq.heappush(heap, (start_bound, next(tie_breaker), start_cost,
                               start))
 
@@ -88,48 +94,50 @@ class DPPOptimizer(Optimizer):
         # Cost + ubCost is the cost of a real completion, so it bounds
         # the optimum and seeds the Pruning Rule from the first push.
         best_bound = start_bound
-        best_final: Status | None = None
+        best_final: int | None = None
 
         while heap:
             _, _, queued_cost, status = heapq.heappop(heap)
-            entry = best[status]
-            if queued_cost > entry.cost:
+            cost = best[status][0]
+            if queued_cost > cost:
                 continue  # stale queue entry; a cheaper path superseded it
-            if entry.cost > min(min_final_cost, best_bound):
+            if cost > min(min_final_cost, best_bound):
                 report.statuses_pruned += 1
                 if recorder is not None:
                     recorder.record_prune(status, PRUNE_COST_BOUND,
-                                          entry.cost, generated=True)
+                                          cost, generated=True)
                 continue  # Pruning Rule: dead
-            if status.is_final():
+            if status in finals:
                 continue  # finals are never expanded
-            if not admit(status.level(pattern), report):
+            if not admit(size - len(context.decoded(status)[0]), report):
                 if recorder is not None:
                     recorder.record_prune(status, PRUNE_EXPANSION_BOUND,
-                                          entry.cost)
+                                          cost)
                 continue
             report.statuses_expanded += 1
             if recorder is not None:
-                recorder.record_event("expand", status, entry.cost)
+                recorder.record_event("expand", status, cost)
 
-            for move in possible_moves(status, context):
-                report.plans_considered += 1
-                new_cost = entry.cost + move.cost
+            moves = possible_moves(status, context)
+            report.plans_considered += len(moves)
+            for move in moves:
+                new_cost = cost + move[3]
                 if recorder is not None:
                     recorder.record_candidate(status, move, new_cost,
                                               context)
-                new_status = move.result
-                if new_status.is_final():
+                new_status = move[4]
+                if new_status in finals:
                     if recorder is not None:
                         recorder.record_final_path(best, status,
-                                                   move.describe(), move)
+                                                   describe_move(move),
+                                                   move)
                     existing = best.get(new_status)
-                    if existing is None or new_cost < existing.cost:
+                    if existing is None or new_cost < existing[0]:
                         if existing is None:
                             report.statuses_generated += 1
                         else:
                             report.memo_hits += 1
-                        best[new_status] = MemoEntry(new_cost, status, move)
+                        best[new_status] = (new_cost, status, move)
                     else:
                         report.memo_hits += 1
                     if new_cost < min_final_cost:
@@ -138,7 +146,7 @@ class DPPOptimizer(Optimizer):
                         if recorder is not None:
                             recorder.record_event("final", new_status,
                                                   new_cost,
-                                                  move.describe())
+                                                  describe_move(move))
                     continue
                 if new_cost > min(min_final_cost, best_bound):
                     report.statuses_pruned += 1
@@ -146,7 +154,8 @@ class DPPOptimizer(Optimizer):
                         recorder.record_prune(new_status, PRUNE_COST_BOUND,
                                               new_cost)
                     continue
-                if self.lookahead and is_doomed(new_status, context):
+                context.derive(new_status, status, move[0])
+                if lookahead and is_doomed(new_status, context):
                     report.deadends_avoided += 1
                     if recorder is not None:
                         recorder.record_prune(new_status, PRUNE_INFEASIBLE,
@@ -155,21 +164,21 @@ class DPPOptimizer(Optimizer):
                 existing = best.get(new_status)
                 if existing is not None:
                     report.memo_hits += 1
-                    if new_cost >= existing.cost:
+                    if new_cost >= existing[0]:
                         if recorder is not None:
                             recorder.record_prune(new_status,
                                                   PRUNE_DOMINATED, new_cost)
                         continue
-                if existing is None:
+                else:
                     report.statuses_generated += 1
                 if recorder is not None:
                     if existing is None:
                         recorder.record_event("generate", new_status,
-                                              new_cost, move.describe())
+                                              new_cost, describe_move(move))
                     else:
                         recorder.record_event("improve", new_status,
                                               new_cost)
-                best[new_status] = MemoEntry(new_cost, status, move)
+                best[new_status] = (new_cost, status, move)
                 bound = new_cost + upper_bound_completion(new_status,
                                                           context)
                 best_bound = min(best_bound, bound)

@@ -2,9 +2,9 @@
 
 Everything the five optimizers have in common lives here: the
 per-query :class:`EnumerationContext` (pattern + cost model +
-cardinality cache + which search space is being searched), the memo
-entry and back-pointer walk DP and DPP share, and the translation of a
-winning move sequence back into a
+cardinality cache + which search space is being searched + the status
+code's layout), the back-pointer walk DP and DPP share, and the
+translation of a winning move sequence back into a
 :class:`~repro.core.plans.PhysicalPlan`.
 
 The search space is one definition read from the context.  Which moves
@@ -12,40 +12,53 @@ exist (``possible_moves``), which statuses can no longer reach a final
 one (``is_doomed``, the Lookahead Rule's test) and what a feasible
 completion costs (``upper_bound_completion``, the ``ubCost`` that
 orders DPP's queue and seeds its Pruning Rule) must agree, or a search
-prunes against plans it can never build: all three take ``(status,
+prunes against plans it can never build: all three take ``(code,
 context)`` and read ``context.left_deep`` — the full space of Sec. 3.1
 when false, Sec. 3.3.2's left-deep restriction when true.
 
-All three work on node masks (see :mod:`repro.core.status`): a cluster
-is an int, joining two is ``|``, and a cluster's cardinality is one
-lookup in the context's :class:`PatternCardinalities`.  The doom test
-and ``ubCost`` are pure functions of the status, so the context
-memoises both per status; it lives for one ``optimize()`` call.  The
-order in which ``possible_moves`` emits moves is part of the contract:
-DPP's heap breaks cost ties by emission count and DP keeps the first of
-equally cheap paths, so reordering the moves changes which plan wins a
-tie.
+All three work on status codes (see :mod:`repro.core.status`): a
+status is one int, a move is the plain tuple ``(edge, algorithm,
+sort_to, cost, result code)`` and its result is one masked write of
+the merged cluster's fields.  The context caches, for one
+``optimize()`` call, every status's decoded clusters (decoded once),
+the field masks of every merged cluster, the four prices of every
+``(ancestor, descendant)`` pair — made by the same cost-model calls,
+in the same order, as before codes, so every float is the same — and
+the doom test and ``ubCost`` per code.  The order in which
+``possible_moves`` emits moves is part of the contract: DPP's heap
+breaks cost ties by emission count and DP keeps the first of equally
+cheap paths, so reordering the moves changes which plan wins a tie.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from repro.errors import OptimizerError, PlanError
 from repro.core.cost import CostModel
 from repro.core.pattern import PatternEdge, QueryPattern, mask_nodes
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               SortPlan, StructuralJoinPlan)
-from repro.core.status import ANY_ORDER, Move, Status
+from repro.core.status import Status, decode, start_code
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PatternCardinalities)
+
+#: a move as the search holds it: ``(edge, algorithm, sort_to, cost,
+#: result code)``
+MoveTuple = tuple[PatternEdge, JoinAlgorithm, "int | None", float, int]
+#: a decoded status: field value -> cluster node mask, the
+#: ``ordered_nodes`` mask, the edges a move may evaluate
+Decoded = tuple[dict[int, int], int, tuple[PatternEdge, ...]]
+#: DP's and DPP's memo: code -> ``(cost, previous code, move)``, the
+#: cheapest known way to reach a status (the start's is ``(cost, None,
+#: None)``)
+Memo = dict[int, tuple[float, "int | None", "MoveTuple | None"]]
 
 
 class EnumerationContext:
     """Per-optimize-call bundle: pattern, cost model, cached estimates
     and the search space — every status when ``left_deep`` is false,
     only those with a single growing cluster when it is true — plus
-    the per-status memo tables of the search functions below."""
+    the status code's layout and the per-code caches of the search
+    functions below."""
 
     def __init__(self, pattern: QueryPattern, cost_model: CostModel,
                  estimator: CardinalityEstimator,
@@ -54,9 +67,84 @@ class EnumerationContext:
         self.cost_model = cost_model
         self.left_deep = left_deep
         self.cards = PatternCardinalities(pattern, estimator)
+        #: node count; also the field value of ``ANY_ORDER``
+        self.size = size = len(pattern)
+        self._width = size.bit_length()
+        self._ones: dict[int, int] = {}
+        self.start_code = start_code(size)
+        whole = self.ones((1 << size) - 1)
+        #: the codes of the final statuses: every field equal
+        self.final_codes = frozenset(whole * value
+                                     for value in range(size + 1))
         self._eligible: dict[int, tuple[PatternEdge, ...]] = {}
-        self._doomed: dict[Status, bool] = {}
-        self._bounds: dict[Status, float] = {}
+        self._decoded: dict[int, Decoded] = {}
+        self._prices: dict[int, tuple[float, float, float, float]] = {}
+        self._doomed: dict[int, bool] = {}
+        self._bounds: dict[int, float] = {}
+
+    def ones(self, mask: int) -> int:
+        """The code with a 1 in the field of every node of *mask*: the
+        merged cluster of a join ordered by ``o`` is ``ones * o``, and
+        its fields are ``ones * (2**b - 1)`` (cached per mask)."""
+        ones = self._ones.get(mask)
+        if ones is None:
+            width = self._width
+            ones = self._ones[mask] = sum(1 << width * node
+                                          for node in mask_nodes(mask))
+        return ones
+
+    def decoded(self, code: int) -> Decoded:
+        """The clusters of *code* (field value to node mask, see
+        :func:`~repro.core.status.decode`), its ``ordered_nodes`` mask
+        and the edges a move may evaluate from it; decoded once per
+        code, or derived by :meth:`derive`."""
+        cached = self._decoded.get(code)
+        if cached is None:
+            clusters = decode(code, self.size)
+            ordered = 0
+            for value in clusters:
+                if value != self.size:
+                    ordered |= 1 << value
+            cached = self._decoded[code] = (
+                clusters, ordered, _open_edges(clusters, ordered, self))
+        return cached
+
+    def derive(self, code: int, parent: int, edge: PatternEdge) -> None:
+        """Cache the clusters of *code*, reached from the decoded status
+        *parent* by a join on *edge*, from *parent*'s: the two joined
+        clusters give way to the merged one, ordered by its field in
+        *code* — instead of a decode, for a status that may never be
+        expanded (DPP's doom test and ``ubCost``)."""
+        if code in self._decoded:
+            return
+        clusters, ordered, _ = self._decoded[parent]
+        clusters = clusters.copy()
+        merged = clusters.pop(edge.parent) | clusters.pop(edge.child)
+        order = code >> self._width * edge.parent & (1 << self._width) - 1
+        clusters[order] = merged
+        ordered &= ~(1 << edge.parent | 1 << edge.child)
+        if order != self.size:
+            ordered |= 1 << order
+        self._decoded[code] = (clusters, ordered,
+                               _open_edges(clusters, ordered, self))
+
+    def prices(self, ancestor: int, descendant: int
+               ) -> tuple[float, float, float, float]:
+        """Joining cluster *ancestor* to cluster *descendant* (node
+        masks): Stack-Tree-Desc, Stack-Tree-Anc, Stack-Tree-Desc plus a
+        sort of the output, and that sort alone (cached per pair)."""
+        key = ancestor << self.size | descendant
+        cached = self._prices.get(key)
+        if cached is None:
+            cost_model = self.cost_model
+            cardinality = self.cards.cluster_cardinality
+            ancestor_card = cardinality(ancestor)
+            merged_card = cardinality(ancestor | descendant)
+            desc = cost_model.stack_tree_desc(ancestor_card)
+            anc = cost_model.stack_tree_anc(ancestor_card, merged_card)
+            sort = cost_model.sort(merged_card)
+            cached = self._prices[key] = (desc, anc, desc + sort, sort)
+        return cached
 
     def eligible_edges(self, ordered: int) -> tuple[PatternEdge, ...]:
         """The edges :func:`edge_eligible` accepts in any status whose
@@ -105,9 +193,9 @@ def is_deadend(status: Status, pattern: QueryPattern) -> bool:
                    for edge in status.remaining_edges(pattern))
 
 
-def is_doomed(status: Status, context: "EnumerationContext") -> bool:
-    """Stronger lookahead: can *status* still reach the final status
-    inside *context*'s search space?
+def is_doomed(code: int, context: EnumerationContext) -> bool:
+    """Stronger lookahead: can the status *code* still reach the final
+    status inside *context*'s search space?
 
     A move may re-sort its *output* to any node, but never an existing
     cluster's input: once a multi-node cluster is ordered by ``w``, the
@@ -125,31 +213,34 @@ def is_doomed(status: Status, context: "EnumerationContext") -> bool:
 
     Used as the Lookahead Rule's test (any sound dead-status test keeps
     DPP exact); :func:`is_deadend` remains the literal Definition 6.
-    Memoised per status on *context*.
+    Memoised per code on *context*.
     """
-    doomed = context._doomed.get(status)
+    doomed = context._doomed.get(code)
     if doomed is None:
-        doomed = context._doomed[status] = _is_doomed(status, context)
+        doomed = context._doomed[code] = _is_doomed(code, context)
     return doomed
 
 
-def _is_doomed(status: Status, context: EnumerationContext) -> bool:
-    if status.is_final():
+def _is_doomed(code: int, context: EnumerationContext) -> bool:
+    if code in context.final_codes:
         return False
+    clusters, _, edges = context.decoded(code)
     if not context.left_deep:
         adjacency = context.pattern.adjacency
-        for mask, order in status.key:
-            if mask & (mask - 1) and (order == ANY_ORDER
+        unordered = context.size
+        for order, mask in clusters.items():
+            if mask & (mask - 1) and (order == unordered
                                       or not adjacency[order] & ~mask):
                 return True
-    return not _open_edges(status, context)
+    return not edges
 
 
-def _growing(status: Status) -> int | None:
-    """The left-deep *growing node*: the mask of the one multi-node
-    cluster, 0 before the first join, None when there are several."""
+def _growing(masks) -> int | None:
+    """The left-deep *growing node* among the cluster *masks*: the one
+    multi-node cluster, 0 before the first join, None when there are
+    several."""
     growing = 0
-    for mask, _ in status.key:
+    for mask in masks:
         if mask & (mask - 1):
             if growing:
                 return None
@@ -166,29 +257,30 @@ def _extends(growing: int, edge: PatternEdge) -> bool:
 
 def left_deep_allows(status: Status, edge: PatternEdge) -> bool:
     """DPAP-LD rule: moves must extend the single *growing node*."""
-    growing = _growing(status)
+    growing = _growing(mask for mask, _ in status.key)
     return growing is not None and _extends(growing, edge)
 
 
-def _open_edges(status: Status,
+def _open_edges(clusters: dict[int, int], ordered: int,
                 context: EnumerationContext) -> tuple[PatternEdge, ...]:
-    """The remaining edges a move may evaluate from *status*: joinable
-    without re-sorting an input and, in the left-deep space, extending
-    the growing cluster.  Move generation and the doom test both read
+    """The remaining edges a move may evaluate from a status with
+    *clusters* and ``ordered_nodes`` mask *ordered*: joinable without
+    re-sorting an input and, in the left-deep space, extending the
+    growing cluster.  Move generation and the doom test both read
     this, so they cannot disagree on which moves exist."""
-    eligible = context.eligible_edges(status.ordered_nodes)
+    eligible = context.eligible_edges(ordered)
     if not context.left_deep:
         return eligible
-    growing = _growing(status)
+    growing = _growing(clusters.values())
     if growing is None:
         return ()
     return tuple(edge for edge in eligible if _extends(growing, edge))
 
 
-def possible_moves(status: Status,
-                   context: EnumerationContext) -> list[Move]:
-    """All moves from *status* in *context*'s search space (pM(S) of
-    Sec. 3.1.1).
+def possible_moves(code: int,
+                   context: EnumerationContext) -> list[MoveTuple]:
+    """All moves from the status *code* in *context*'s search space
+    (pM(S) of Sec. 3.1.1).
 
     For every eligible remaining edge ``(u, v)``, in ``pattern.edges``
     order, the alternatives are emitted in this order:
@@ -204,47 +296,56 @@ def possible_moves(status: Status,
     order differs), or to ``ANY_ORDER`` when the query is unordered.
     """
     order_by = context.pattern.order_by
-    cost_model = context.cost_model
-    cardinality = context.cards.cluster_cardinality
+    # every eligible endpoint is its cluster's ordered_by node, i.e.
+    # its field value
+    clusters, _, edges = context.decoded(code)
+    completes = len(clusters) == 2
     desc, anc = JoinAlgorithm.STACK_TREE_DESC, JoinAlgorithm.STACK_TREE_ANC
-    # every eligible endpoint is its cluster's ordered_by node
-    cluster_by_order = {order: mask for mask, order in status.key}
-    completes = len(status.key) == 2
-    moves: list[Move] = []
-    for edge in _open_edges(status, context):
-        ancestor = cluster_by_order[edge.parent]
-        descendant = cluster_by_order[edge.child]
+    size = context.size
+    prices, price = context._prices, context.prices
+    all_ones, ones_of = context._ones, context.ones
+    field = (1 << context._width) - 1
+    moves: list[MoveTuple] = []
+    for edge in edges:
+        parent, child = edge.parent, edge.child
+        ancestor = clusters[parent]
+        descendant = clusters[child]
+        desc_cost, anc_cost, sort_cost, sort = (
+            prices.get(ancestor << size | descendant)
+            or price(ancestor, descendant))
         merged = ancestor | descendant
-        ancestor_card = cardinality(ancestor)
-        merged_card = cardinality(merged)
-        desc_cost = cost_model.stack_tree_desc(ancestor_card)
-        anc_cost = cost_model.stack_tree_anc(ancestor_card, merged_card)
+        ones = all_ones.get(merged) or ones_of(merged)
         if completes:
-            for algorithm, order, cost in ((desc, edge.child, desc_cost),
-                                           (anc, edge.parent, anc_cost)):
-                sort_to = None
-                if order_by is None:
-                    order = ANY_ORDER
-                elif order != order_by:
-                    sort_to = order = order_by
-                    cost += cost_model.sort(merged_card)
-                (final,) = status.merged(ancestor, descendant, (order,))
-                moves.append(Move(edge, algorithm, sort_to, cost, final))
+            if order_by is None:
+                final = ones * size
+                moves.append((edge, desc, None, desc_cost, final))
+                moves.append((edge, anc, None, anc_cost, final))
+            else:
+                final = ones * order_by
+                if child == order_by:
+                    moves.append((edge, desc, None, desc_cost, final))
+                else:
+                    moves.append((edge, desc, order_by, sort_cost, final))
+                if parent == order_by:
+                    moves.append((edge, anc, None, anc_cost, final))
+                else:
+                    moves.append((edge, anc, order_by, anc_cost + sort,
+                                  final))
             continue
-        targets = [node for node in mask_nodes(merged) if node != edge.child]
-        by_desc, by_anc, *resorted = status.merged(
-            ancestor, descendant, (edge.child, edge.parent, *targets))
-        moves.append(Move(edge, desc, None, desc_cost, by_desc))
-        moves.append(Move(edge, anc, None, anc_cost, by_anc))
-        sort_cost = desc_cost + cost_model.sort(merged_card)
-        for target, result in zip(targets, resorted):
-            moves.append(Move(edge, desc, target, sort_cost, result))
+        rest = code & ~(ones * field)
+        moves.append((edge, desc, None, desc_cost, rest | ones * child))
+        moves.append((edge, anc, None, anc_cost, rest | ones * parent))
+        for target in mask_nodes(merged):
+            if target != child:
+                moves.append((edge, desc, target, sort_cost,
+                              rest | ones * target))
     return moves
 
 
-def upper_bound_completion(status: Status,
+def upper_bound_completion(code: int,
                            context: EnumerationContext) -> float:
-    """ubCost (Sec. 3.2): upper-bound cost to reach the final status.
+    """ubCost (Sec. 3.2): upper-bound cost to reach the final status
+    from the status *code*.
 
     The bound is the cost of one *feasible* completion, built greedily:
     repeatedly join the first remaining edge whose two sides are
@@ -253,53 +354,55 @@ def upper_bound_completion(status: Status,
     during this completion (every merged result is charged a sort, so
     its order is freely re-chosen).  Each join is charged
     Stack-Tree-Desc plus that sort on the estimated cluster
-    cardinalities.
+    cardinalities, summed left to right.
 
     Because the completion is achievable, ``Cost + ubCost`` of any
     live status is the cost of a real full plan — DPP seeds its
     pruning threshold from it, which is what confines the search to
     the paper's "narrow band along the optimal path".  Achievable
     means achievable *in the space being searched*: under
-    ``left_deep``, once a multi-node cluster exists (in *status*, or
+    ``left_deep``, once a multi-node cluster exists (in the status, or
     merged by the completion's own first join) only edges touching it
     are picked, so the completion is itself a left-deep plan — a
     bushy bound would let DPAP-LD prune every left-deep status.
     Unsalvageable statuses (see :func:`is_doomed`) get ``inf``.
-    Memoised per status on *context*.
+    Memoised per code on *context*.
     """
-    bound = context._bounds.get(status)
+    bound = context._bounds.get(code)
     if bound is None:
-        bound = context._bounds[status] = _greedy_completion(status,
-                                                             context)
+        bound = context._bounds[code] = _greedy_completion(code, context)
     return bound
 
 
-def _greedy_completion(status: Status,
-                       context: EnumerationContext) -> float:
-    remaining = list(status.remaining_edges(context.pattern))
-    if not remaining:
+def _greedy_completion(code: int, context: EnumerationContext) -> float:
+    clusters, joinable, _ = context.decoded(code)
+    if len(clusters) == 1:
         return 0.0
-    cost_model = context.cost_model
-    cardinality = context.cards.cluster_cardinality
-    cluster_of: dict[int, int] = {}
-    for mask, _ in status.key:
+    # endpoints a join may use: a fixed cluster's ordered_by node
+    # (``joinable`` starts as the ordered nodes), and every node of a
+    # cluster this completion merged
+    cluster_of = [0] * context.size
+    for mask in clusters.values():
         for node_id in mask_nodes(mask):
             cluster_of[node_id] = mask
-    # endpoints a join may use: a fixed cluster's ordered_by node, and
-    # every node of a cluster this completion merged
-    joinable = status.ordered_nodes
+    remaining = [(edge.parent, edge.child, ends)
+                 for edge, ends in zip(context.pattern.edges,
+                                       context.pattern.edge_masks)
+                 if cluster_of[edge.parent] != cluster_of[edge.child]]
 
     # left-deep only: the one multi-node cluster every join must extend
+    left_deep = context.left_deep
     growing: int | None = None
-    if context.left_deep:
-        growing = _growing(status)
+    if left_deep:
+        growing = _growing(clusters.values())
         if growing is None:
             return float("inf")
 
+    size = context.size
+    prices, price = context._prices, context.prices
     total = 0.0
     while remaining:
-        for index, edge in enumerate(remaining):
-            ends = 1 << edge.parent | 1 << edge.child
+        for index, (parent, child, ends) in enumerate(remaining):
             if growing and not growing & ends:
                 continue
             if joinable & ends == ends:
@@ -307,65 +410,51 @@ def _greedy_completion(status: Status,
         else:
             return float("inf")  # doomed status: no feasible completion
         del remaining[index]
-        ancestor = cluster_of[edge.parent]
-        merged = ancestor | cluster_of[edge.child]
-        merged_card = cardinality(merged)
-        total += (cost_model.stack_tree_desc(cardinality(ancestor))
-                  + cost_model.sort(merged_card))
+        ancestor = cluster_of[parent]
+        descendant = cluster_of[child]
+        total += (prices.get(ancestor << size | descendant)
+                  or price(ancestor, descendant))[2]
+        merged = ancestor | descendant
         for node_id in mask_nodes(merged):
             cluster_of[node_id] = merged
         joinable |= merged
-        if context.left_deep:
+        if left_deep:
             growing = merged
     return total
 
 
-
-
-@dataclass
-class MemoEntry:
-    """Best known way to reach a status: DP's and DPP's memo is one
-    ``dict[Status, MemoEntry]`` (a status's level is a function of the
-    status, so DP needs no table per level)."""
-
-    cost: float
-    previous: Status | None
-    move: Move | None
-
-
-def reconstruct_moves(memo: dict[Status, MemoEntry],
-                      status: Status) -> list[Move]:
-    """Walk *memo*'s back-pointers from *status* to the start status;
-    the moves of its cheapest known path, in evaluation order."""
-    moves: list[Move] = []
+def reconstruct_moves(memo: Memo, code: int) -> list[MoveTuple]:
+    """Walk *memo*'s back-pointers from the status *code* to the start
+    status; the moves of its cheapest known path, in evaluation
+    order."""
+    moves: list[MoveTuple] = []
     while True:
-        entry = memo[status]
-        if entry.move is None:
+        _, previous, move = memo[code]
+        if move is None:
             break
-        moves.append(entry.move)
-        if entry.previous is None:
+        moves.append(move)
+        if previous is None:
             raise OptimizerError("broken back-pointer chain")
-        status = entry.previous
+        code = previous
     moves.reverse()
     return moves
 
 
-def build_plan(moves: list[Move],
+def build_plan(moves: list[MoveTuple],
                context: EnumerationContext) -> PhysicalPlan:
     """Translate a start-to-final move sequence into a physical plan,
     priced by :func:`estimate_plan_cost`."""
     plans: dict[frozenset[int], PhysicalPlan] = {
         frozenset((node.node_id,)): IndexScanPlan(node.node_id)
         for node in context.pattern.nodes}
-    for move in moves:
-        ancestor_key = _key_containing(plans, move.edge.parent)
-        descendant_key = _key_containing(plans, move.edge.child)
+    for edge, algorithm, sort_to, _, _ in moves:
+        ancestor_key = _key_containing(plans, edge.parent)
+        descendant_key = _key_containing(plans, edge.child)
         plan: PhysicalPlan = StructuralJoinPlan(
             plans.pop(ancestor_key), plans.pop(descendant_key),
-            move.edge.parent, move.edge.child,
-            move.edge.axis, move.algorithm)
-        if move.sort_to is not None:
-            plan = SortPlan(plan, move.sort_to)
+            edge.parent, edge.child, edge.axis, algorithm)
+        if sort_to is not None:
+            plan = SortPlan(plan, sort_to)
         plans[ancestor_key | descendant_key] = plan
 
     if len(plans) != 1:

@@ -15,11 +15,14 @@ hoist ``recorder = self.planspace`` to a local and guard every call
 with ``if recorder is not None``, so the off path costs one
 predictable branch per candidate.
 
-The recorder itself is deliberately dependency-light (statuses, plans,
-cost model, and :mod:`repro.core.enumeration`'s memo walk for the
-epilogue DP and DPP share); ranking and rendering — top-k
-alternatives, "why the winner won" — live in
-:mod:`repro.obs.planspace`.
+The searches hand the recorder status codes and move tuples (see
+:mod:`repro.core.enumeration`); the recorder reads them through
+:class:`~repro.core.status.Status` views, built here and only here, so
+a search without a recorder never builds one.  The recorder itself is
+deliberately dependency-light (statuses, plans, cost model, and
+:mod:`repro.core.enumeration`'s memo walk for the epilogue DP and DPP
+share); ranking and rendering — top-k alternatives, "why the winner
+won" — live in :mod:`repro.obs.planspace`.
 """
 
 from __future__ import annotations
@@ -29,13 +32,13 @@ from typing import TYPE_CHECKING
 
 from repro.core.enumeration import build_plan, reconstruct_moves
 from repro.core.plans import PhysicalPlan
+from repro.core.status import Status, describe_move
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.core.cost import CostModel
-    from repro.core.enumeration import EnumerationContext, MemoEntry
+    from repro.core.enumeration import EnumerationContext, Memo, MoveTuple
     from repro.core.pattern import QueryPattern
     from repro.core.stats import OptimizerReport
-    from repro.core.status import Move, Status
 
 #: Pruning taxonomy (DESIGN.md §11).  ``dominated-by-cost`` is dynamic
 #: programming's own rule (same status reached cheaper another way);
@@ -128,35 +131,36 @@ class PlanSpaceRecorder:
 
     # -- recording hooks (optimizers call these behind is-None guards) -----
 
-    def record_candidate(self, status: "Status", move: "Move",
+    def record_candidate(self, code: int, move: "MoveTuple",
                          path_cost: float,
                          context: "EnumerationContext") -> None:
-        """One costed move out of *status*; ``path_cost`` is the
+        """One costed move out of the status *code*; ``path_cost`` is the
         cumulative cost of the path ending in this move.  Its
         ``breakdown`` is the move priced again under each
         :meth:`~repro.core.cost.CostModel.by_family` view — the join
         by its algorithm, plus the one sort a move with a ``sort_to``
         charges (an intermediate re-sort or the final order-by
-        canonicalization) — so the families sum to ``move.cost``."""
+        canonicalization) — so the families sum to the move's cost."""
         if len(self.candidates) >= MAX_CANDIDATES:
             self.candidates_dropped += 1
             return
-        ancestor = status.mask_of(move.edge.parent)
-        merged = ancestor | status.mask_of(move.edge.child)
+        edge, algorithm, sort_to, cost, _ = move
+        status = Status.from_code(code, context.pattern)
+        ancestor = status.mask_of(edge.parent)
+        merged = ancestor | status.mask_of(edge.child)
         ancestor_card = context.cards.cluster_cardinality(ancestor)
         merged_card = context.cards.cluster_cardinality(merged)
         self.candidates.append({
             "kind": "move",
             "status": str(status),
-            "move": move.describe(),
-            "algorithm": move.algorithm.value,
-            "sort_to": move.sort_to,
-            "move_cost": move.cost,
+            "move": describe_move(move),
+            "algorithm": algorithm.value,
+            "sort_to": sort_to,
+            "move_cost": cost,
             "path_cost": path_cost,
             "breakdown": {
-                name: view.join(move.algorithm, ancestor_card, merged_card)
-                + (view.sort(merged_card)
-                   if move.sort_to is not None else 0.0)
+                name: view.join(algorithm, ancestor_card, merged_card)
+                + (view.sort(merged_card) if sort_to is not None else 0.0)
                 for name, view in self._families.items()},
         })
 
@@ -186,24 +190,27 @@ class PlanSpaceRecorder:
         self.memo_entries.append({
             "status": str(status), "cost": cost, "level": level})
 
-    def record_prune(self, subject: object, reason: str,
+    def record_prune(self, code: int, reason: str,
                      cost: float, generated: bool = False) -> None:
-        """A candidate/status discarded for *reason* (see taxonomy).
-        Two prunings are also steps of the search walk: a deadend never
-        generated, and a *generated* status killed off the queue."""
+        """A candidate/status (code) discarded for *reason* (see
+        taxonomy).  Two prunings are also steps of the search walk: a
+        deadend never generated, and a *generated* status killed off
+        the queue."""
         self.prunings[reason] = self.prunings.get(reason, 0) + 1
         if reason == PRUNE_INFEASIBLE:
-            self.record_event("deadend", subject, cost, "not generated")
+            self.record_event("deadend", code, cost, "not generated")
         elif generated and reason == PRUNE_COST_BOUND:
-            self.record_event("prune", subject, cost,
+            self.record_event("prune", code, cost,
                               "cost exceeds best known plan")
 
-    def record_event(self, kind: str, status: "Status", cost: float,
+    def record_event(self, kind: str, code: int, cost: float,
                      detail: str = "") -> None:
-        """One step of the search walk (see :class:`SearchEvent`)."""
+        """One step of the search walk, about the status *code* (see
+        :class:`SearchEvent`)."""
         if len(self.events) >= MAX_CANDIDATES:
             self.events_dropped += 1
             return
+        status = Status.from_code(code, self.pattern)
         self.events.append(SearchEvent(kind, self.status_id(status),
                                        cost, detail, status))
 
@@ -212,27 +219,28 @@ class PlanSpaceRecorder:
         """A complete alternative plan the search reached."""
         self.finals.append((plan, cost, note))
 
-    def record_final_path(self, memo: "dict[Status, MemoEntry]",
-                          status: "Status", note: str,
-                          move: "Move | None" = None) -> None:
+    def record_final_path(self, memo: "Memo", code: int, note: str,
+                          move: "MoveTuple | None" = None) -> None:
         """The alternative plan a memo search (DP, the DPP family)
-        reached: *memo*'s cheapest path to *status*, then *move* when
-        it is the final move just costed out of that status."""
-        moves = reconstruct_moves(memo, status)
+        reached: *memo*'s cheapest path to the status *code*, then
+        *move* when it is the final move just costed out of it."""
+        moves = reconstruct_moves(memo, code)
         if move is not None:
             moves.append(move)
         plan = build_plan(moves, self.context)
         self.record_final_plan(plan, plan.estimated_cost, note)
 
-    def record_memo(self, memo: "dict[Status, MemoEntry]") -> None:
+    def record_memo(self, memo: "Memo") -> None:
         """A finished memo search's table: every entry, then every
         final status rebuilt as an alternative plan."""
-        for status, entry in memo.items():
-            self.record_memo_entry(status, entry.cost,
-                                   status.level(self.pattern))
-        for status in memo:
+        views = {code: Status.from_code(code, self.pattern)
+                 for code in memo}
+        for code, (cost, _, _) in memo.items():
+            self.record_memo_entry(views[code], cost,
+                                   views[code].level(self.pattern))
+        for code, status in views.items():
             if status.is_final():
-                self.record_final_path(memo, status, f"final {status}")
+                self.record_final_path(memo, code, f"final {status}")
 
     # -- summaries ---------------------------------------------------------
 

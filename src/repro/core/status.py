@@ -17,17 +17,22 @@ to the query's ``order_by`` node, or to the ``ANY_ORDER`` sentinel when
 the query does not constrain result order — the paper's "we don't care
 about the ordering any more" (Example 3.6).
 
-The search builds hundreds of thousands of statuses per second, so a
-status is integers: each cluster is a ``(node mask, ordered_by)`` pair
-(:func:`~repro.core.pattern.node_mask`) and a status is the sorted
-tuple of its pairs, :attr:`Status.key`, hashed once at construction.
-:class:`StatusNode` — a frozenset of node ids and an ordering — is the
-view the accessors hand out; nothing on the search path builds one.
+On the search path a status is one int, its *code*: one ``b``-bit
+field per pattern node, ``b = len(pattern).bit_length()``, holding the
+``ordered_by`` node of that node's cluster (``len(pattern)`` for
+``ANY_ORDER``).  Every cluster is ordered by a node of its own, so two
+nodes share a cluster exactly when their fields are equal, and a join
+is one masked write of the merged cluster's fields
+(:class:`~repro.core.enumeration.EnumerationContext`).  :class:`Status`
+is the view: the sorted ``(node mask, ordered_by)`` pairs
+(:func:`~repro.core.pattern.node_mask`), read through
+:class:`StatusNode` frozensets.  :meth:`Status.from_code` and
+:attr:`Status.code` convert; tests, ``explain`` and the plan-space
+recorder read views, the search never builds one.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -38,6 +43,26 @@ from repro.core.plans import JoinAlgorithm
 
 #: Sentinel ordering of a final status when the query has no order-by.
 ANY_ORDER = -1
+
+
+def start_code(size: int) -> int:
+    """The code of the start status S0 of a *size*-node pattern: node
+    ``i``'s field holds ``i``."""
+    width = size.bit_length()
+    return sum(node << width * node for node in range(size))
+
+
+def decode(code: int, size: int) -> dict[int, int]:
+    """The clusters of *code*: field value (``ordered_by``, or *size*
+    for ``ANY_ORDER``) to node mask, in the order of each cluster's
+    lowest node."""
+    width = size.bit_length()
+    field = (1 << width) - 1
+    clusters: dict[int, int] = {}
+    for node in range(size):
+        value = code >> width * node & field
+        clusters[value] = clusters.get(value, 0) | 1 << node
+    return clusters
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,11 +104,11 @@ def _view(mask: int, order: int) -> StatusNode:
 class Status:
     """A partition of the pattern into ordered clusters (Definition 2).
 
-    Built from :class:`StatusNode` clusters, from another status by a
-    join (:meth:`merged`) or, valid by construction, from the pattern
-    (:meth:`start`).  The first two check what Definitions 1-2 require
-    of the pairs: a cluster is non-empty, is ordered by one of its own
-    nodes (or ``ANY_ORDER``), and shares no node with another cluster.
+    The view of a status code (:meth:`from_code`, :attr:`code`), or
+    built from :class:`StatusNode` clusters — checked for what
+    Definitions 1-2 require of the pairs: a cluster is non-empty, is
+    ordered by one of its own nodes (or ``ANY_ORDER``), and shares no
+    node with another cluster.
     """
 
     __slots__ = ("key", "_hash")
@@ -107,35 +132,36 @@ class Status:
         self._hash = hash(self.key)
 
     @classmethod
-    def _sealed(cls, key: tuple[tuple[int, int], ...]) -> "Status":
-        status = object.__new__(cls)
-        status.key = key
-        status._hash = hash(key)
-        return status
+    def from_code(cls, code: int, pattern: QueryPattern) -> "Status":
+        """The view of the status with code *code* over *pattern*."""
+        size = len(pattern)
+        return cls(_view(mask, ANY_ORDER if value == size else value)
+                   for value, mask in decode(code, size).items())
 
     @classmethod
     def start(cls, pattern: QueryPattern) -> "Status":
         """The start status S0: every node in its own cluster."""
-        return cls._sealed(tuple((1 << node.node_id, node.node_id)
-                                 for node in pattern.nodes))
+        return cls.from_code(start_code(len(pattern)), pattern)
 
-    def merged(self, ancestor: int, descendant: int,
-               orders: Iterable[int]) -> list["Status"]:
-        """The statuses a join of this status' clusters *ancestor* and
-        *descendant* (node masks) reaches: one per ordering in *orders*
-        of the merged cluster, every other cluster unchanged."""
-        others = tuple(pair for pair in self.key
-                       if pair[0] != ancestor and pair[0] != descendant)
-        if len(others) != len(self.key) - 2:
-            raise OptimizerError("a join merges two clusters of its status")
-        merged = ancestor | descendant
-        split = bisect_left(others, (merged,))
-        head, tail = others[:split], others[split:]
-        statuses = []
-        for order in orders:
-            _check_order(merged, order)
-            statuses.append(self._sealed(head + ((merged, order),) + tail))
-        return statuses
+    @property
+    def code(self) -> int:
+        """This status as the search holds it (see the module
+        docstring).  Only one cluster may be unordered: the fields of
+        two would be equal, i.e. one cluster."""
+        size = sum(mask.bit_count() for mask, _ in self.key)
+        width = size.bit_length()
+        code = 0
+        unordered = 0
+        for mask, order in self.key:
+            if order == ANY_ORDER:
+                unordered += 1
+                order = size
+            for node in mask_nodes(mask):
+                code |= order << width * node
+        if unordered > 1:
+            raise OptimizerError("a status code holds one unordered "
+                                 "cluster at most")
+        return code
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Status):
@@ -200,15 +226,26 @@ class Status:
         return " ".join(sorted(str(cluster) for cluster in self.clusters))
 
 
+def describe_move(move: tuple) -> str:
+    """One line naming a move's join, its algorithm, optional sort and
+    cost: *move* starts ``(edge, algorithm, sort_to, cost, ...)``."""
+    edge, algorithm, sort_to, cost = move[:4]
+    sort_note = f" + sort by {sort_to}" if sort_to is not None else ""
+    return (f"join {edge.parent}{edge.axis}{edge.child} "
+            f"via {algorithm}{sort_note} (cost {cost:.1f})")
+
+
 @dataclass(frozen=True, slots=True)
 class Move:
-    """One evaluation step (Definition 4).
+    """One evaluation step (Definition 4), as a view.
 
     Joins the clusters containing ``edge.parent`` (ancestor side) and
     ``edge.child`` (descendant side) with ``algorithm``, optionally
     followed by a sort that leaves the merged result ordered by
     ``sort_to``.  ``cost`` is the estimated cost of the join plus the
-    optional sort; ``result`` is the status reached.
+    optional sort; ``result`` is the status reached.  The search holds
+    a move as the plain tuple ``(edge, algorithm, sort_to, cost,
+    result code)``.
     """
 
     edge: PatternEdge
@@ -223,7 +260,5 @@ class Move:
         return self.result.cluster_of(self.edge.parent).ordered_by
 
     def describe(self) -> str:
-        sort_note = (f" + sort by {self.sort_to}"
-                     if self.sort_to is not None else "")
-        return (f"join {self.edge.parent}{self.edge.axis}{self.edge.child} "
-                f"via {self.algorithm}{sort_note} (cost {self.cost:.1f})")
+        return describe_move((self.edge, self.algorithm, self.sort_to,
+                              self.cost))

@@ -9,7 +9,7 @@ from repro.core.enumeration import (EnumerationContext, build_plan,
                                     upper_bound_completion)
 from repro.core.pattern import QueryPattern
 from repro.core.plans import JoinAlgorithm, SortPlan, validate_plan
-from repro.core.status import ANY_ORDER, Status, StatusNode
+from repro.core.status import ANY_ORDER, Move, Status, StatusNode
 from repro.estimation.estimator import ExactEstimator
 
 
@@ -30,6 +30,12 @@ def status_of(*clusters):
         StatusNode(frozenset(nodes), order) for nodes, order in clusters))
 
 
+def moves_of(status, context):
+    """:func:`possible_moves` of a status view, as move views."""
+    return [Move(*move[:4], Status.from_code(move[4], context.pattern))
+            for move in possible_moves(status.code, context)]
+
+
 class TestEligibility:
     def test_singletons_always_eligible(self, running_example_pattern):
         start = Status.start(running_example_pattern)
@@ -48,12 +54,12 @@ class TestEligibility:
 
 class TestPossibleMoves:
     def test_start_moves_cover_all_edges(self, context):
-        moves = possible_moves(Status.start(context.pattern), context)
+        moves = moves_of(Status.start(context.pattern), context)
         edges = {(move.edge.parent, move.edge.child) for move in moves}
         assert edges == {(0, 1), (1, 2), (0, 3), (3, 4), (4, 5)}
 
     def test_move_alternatives_per_edge(self, context):
-        moves = possible_moves(Status.start(context.pattern), context)
+        moves = moves_of(Status.start(context.pattern), context)
         on_01 = [move for move in moves
                  if (move.edge.parent, move.edge.child) == (0, 1)]
         # STD (order 1), STA (order 0), STD+sort->0: merged has 2 nodes
@@ -64,7 +70,7 @@ class TestPossibleMoves:
         assert (JoinAlgorithm.STACK_TREE_DESC, 0) in algorithms
 
     def test_costs_follow_cost_model(self, context):
-        moves = possible_moves(Status.start(context.pattern), context)
+        moves = moves_of(Status.start(context.pattern), context)
         model = context.cost_model
         anc_card = context.cards.node(0)
         merged = context.cards.cluster(frozenset({0, 1}))
@@ -84,7 +90,7 @@ class TestPossibleMoves:
     def test_final_move_canonicalizes_order(self, chain_context):
         # status one move away from final
         status = status_of(({0, 1}, 1), ({2}, 2))
-        moves = possible_moves(status, chain_context)
+        moves = moves_of(status, chain_context)
         assert moves, "edge (1,2) should be eligible"
         for move in moves:
             assert move.result.is_final()
@@ -100,7 +106,7 @@ class TestPossibleMoves:
         context = EnumerationContext(pattern, CostModel(),
                                      ExactEstimator(small_document))
         status = status_of(({0, 1}, 1), ({2}, 2))
-        moves = possible_moves(status, context)
+        moves = moves_of(status, context)
         model = context.cost_model
         for move in moves:
             (cluster,) = move.result.clusters
@@ -114,8 +120,8 @@ class TestPossibleMoves:
     def test_left_deep_filter(self, context, small_document):
         status = status_of(({0, 1}, 0), ({2}, 2), ({3}, 3), ({4}, 4),
                            ({5}, 5))
-        all_moves = possible_moves(status, context)
-        left_deep = possible_moves(status, EnumerationContext(
+        all_moves = moves_of(status, context)
+        left_deep = moves_of(status, EnumerationContext(
             context.pattern, CostModel(), ExactEstimator(small_document),
             left_deep=True))
         assert {(m.edge.parent, m.edge.child) for m in left_deep} <= {
@@ -130,14 +136,14 @@ class TestDeadends:
     def test_start_never_deadend(self, context):
         start = Status.start(context.pattern)
         assert not is_deadend(start, context.pattern)
-        assert not is_doomed(start, context)
+        assert not is_doomed(start.code, context)
 
     def test_definition6_deadend(self, chain_context):
         # {1,2} ordered by 2; edge (0,1) needs order by 1 -> no moves
         status = status_of(({1, 2}, 2), ({0}, 0))
         assert is_deadend(status, chain_context.pattern)
-        assert is_doomed(status, chain_context)
-        assert possible_moves(status, chain_context) == []
+        assert is_doomed(status.code, chain_context)
+        assert possible_moves(status.code, chain_context) == []
 
     def test_doomed_but_not_deadend(self, context):
         # Q.Pers-style trap: {0,3} ordered by 3 can never serve edges
@@ -147,22 +153,22 @@ class TestDeadends:
                            ({5}, 5))
         # adjust: pattern edges are (0,1),(1,2),(0,3),(3,4),(4,5);
         # cluster {0,3} ordered by 3 can still serve (3,4).
-        assert not is_doomed(status, context)
+        assert not is_doomed(status.code, context)
         status2 = status_of(({3, 4}, 4), ({0}, 0), ({1}, 1), ({2}, 2),
                             ({5}, 5))
         # {3,4} ordered by 4 serves (4,5) -> fine
-        assert not is_doomed(status2, context)
+        assert not is_doomed(status2.code, context)
         status3 = status_of(({3, 4, 5}, 5), ({0}, 0), ({1}, 1), ({2}, 2))
         # {3,4,5} ordered by 5 has only remaining adjacent edge (0,3)
         # which needs order by 3 -> doomed, though (0,1) is joinable.
-        assert is_doomed(status3, context)
+        assert is_doomed(status3.code, context)
         assert not is_deadend(status3, context.pattern)
 
     def test_final_not_deadend(self, context):
         final = Status(frozenset({StatusNode(frozenset(range(6)),
                                              ANY_ORDER)}))
         assert not is_deadend(final, context.pattern)
-        assert not is_doomed(final, context)
+        assert not is_doomed(final.code, context)
 
 
 class TestLeftDeepAllows:
@@ -184,11 +190,11 @@ class TestUpperBound:
     def test_final_status_zero(self, context):
         final = Status(frozenset({StatusNode(frozenset(range(6)),
                                              ANY_ORDER)}))
-        assert upper_bound_completion(final, context) == 0.0
+        assert upper_bound_completion(final.code, context) == 0.0
 
     def test_positive_for_start(self, context):
         start = Status.start(context.pattern)
-        assert upper_bound_completion(start, context) > 0.0
+        assert upper_bound_completion(start.code, context) > 0.0
 
     def test_upper_bounds_optimal_completion(self, context,
                                              small_document):
@@ -198,14 +204,14 @@ class TestUpperBound:
 
         start = Status.start(context.pattern)
         bound = (context.start_cost()
-                 + upper_bound_completion(start, context))
+                 + upper_bound_completion(start.code, context))
         result = DPOptimizer().optimize(context.pattern,
                                         ExactEstimator(small_document))
         assert bound >= result.estimated_cost
 
     def test_doomed_status_unbounded(self, chain_context):
         status = status_of(({1, 2}, 2), ({0}, 0))
-        assert upper_bound_completion(status, chain_context) == float(
+        assert upper_bound_completion(status.code, chain_context) == float(
             "inf")
 
 
@@ -213,12 +219,11 @@ class TestBuildPlan:
     def test_plan_from_moves(self, chain_context):
         start = Status.start(chain_context.pattern)
         first = next(
-            move for move in possible_moves(start, chain_context)
-            if (move.edge.parent, move.edge.child) == (0, 1)
-            and move.algorithm is JoinAlgorithm.STACK_TREE_DESC
-            and move.sort_to is None)
-        second = next(
-            move for move in possible_moves(first.result, chain_context))
+            move for move in possible_moves(start.code, chain_context)
+            if (move[0].parent, move[0].child) == (0, 1)
+            and move[1] is JoinAlgorithm.STACK_TREE_DESC
+            and move[2] is None)
+        second = possible_moves(first[4], chain_context)[0]
         plan = build_plan([first, second], chain_context)
         validate_plan(plan, chain_context.pattern)
         assert plan.join_count() == 2
@@ -226,12 +231,10 @@ class TestBuildPlan:
     def test_plan_with_sort_move(self, chain_context):
         start = Status.start(chain_context.pattern)
         sorted_move = next(
-            move for move in possible_moves(start, chain_context)
-            if (move.edge.parent, move.edge.child) == (1, 2)
-            and move.sort_to == 1)
-        follow = next(
-            move for move in possible_moves(sorted_move.result,
-                                            chain_context))
+            move for move in possible_moves(start.code, chain_context)
+            if (move[0].parent, move[0].child) == (1, 2)
+            and move[2] == 1)
+        follow = possible_moves(sorted_move[4], chain_context)[0]
         plan = build_plan([sorted_move, follow], chain_context)
         validate_plan(plan, chain_context.pattern)
         assert plan.sort_count() == 1

@@ -21,7 +21,6 @@ from repro.core.enumeration import (EnumerationContext,
 from repro.core.plans import (canonical_plan_digest, parse_plan_digest,
                               plan_digest_diff, plan_from_digest)
 from repro.core.planspace import PlanSpaceRecorder
-from repro.core.status import Status
 from repro.errors import PlanError
 from repro.obs.planspace import build_plan_space_report
 from repro.workloads.generators import random_pattern
@@ -46,14 +45,14 @@ def exhaustive_minimum(context: EnumerationContext) -> float:
     """Min final cost by brute-force DFS over every move sequence."""
     best = [float("inf")]
 
-    def dfs(status: Status, cost: float) -> None:
-        if status.is_final():
+    def dfs(code: int, cost: float) -> None:
+        if code in context.final_codes:
             best[0] = min(best[0], cost)
             return
-        for move in possible_moves(status, context):
-            dfs(move.result, cost + move.cost)
+        for move in possible_moves(code, context):
+            dfs(move[4], cost + move[3])
 
-    dfs(Status.start(context.pattern), context.start_cost())
+    dfs(context.start_code, context.start_cost())
     return best[0]
 
 

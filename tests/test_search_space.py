@@ -124,8 +124,9 @@ def contexts(database, pattern, exact=False):
 
 def reachable(context):
     """Every status some move sequence of *context*'s space reaches,
-    level by level: ``(status, cheapest cost to reach it, its moves)``."""
-    start = Status.start(context.pattern)
+    level by level: ``(status code, cheapest cost to reach it, its
+    moves)``."""
+    start = context.start_code
     cheapest = {start: context.start_cost()}
     queue = deque([start])
     while queue:
@@ -133,12 +134,13 @@ def reachable(context):
         moves = possible_moves(status, context)
         yield status, cheapest[status], moves
         for move in moves:
-            reached = cheapest[status] + move.cost
-            if move.result not in cheapest:
-                queue.append(move.result)
-            elif reached >= cheapest[move.result]:
+            reached = cheapest[status] + move[3]
+            result = move[4]
+            if result not in cheapest:
+                queue.append(result)
+            elif reached >= cheapest[result]:
                 continue
-            cheapest[move.result] = reached
+            cheapest[result] = reached
 
 
 @pytest.mark.parametrize("size, seed, exact",
@@ -152,7 +154,7 @@ def test_cost_plus_ubcost_is_achievable_in_its_own_space(
         True: cost(random_database, pattern, LeftDeepDP, exact)}
     for left_deep, context in spaces.items():
         start_bound = context.start_cost() + upper_bound_completion(
-            Status.start(pattern), context)
+            context.start_code, context)
         assert start_bound >= optimum[left_deep].estimated_cost
         # the Pruning Rule takes the least Cost + ubCost it has seen
         # for a full-plan cost: no status may promise less than the
@@ -177,18 +179,19 @@ def test_moves_doom_test_and_bound_agree(random_database, left_deep):
         ((4, 1), (5, 2), (6, 3), (6, 262), (7, 197))]
     for pattern in patterns:
         context = contexts(random_database, pattern)[left_deep]
-        for status, _, moves in reachable(context):
+        for code, _, moves in reachable(context):
+            status = Status.from_code(code, pattern)
             if left_deep:
-                assert all(left_deep_allows(status, move.edge)
+                assert all(left_deep_allows(status, move[0])
                            for move in moves)
                 assert len(status.growing_nodes()) <= 1
             if status.is_final():
-                assert not moves and not is_doomed(status, context)
+                assert not moves and not is_doomed(code, context)
                 continue
-            doomed = is_doomed(status, context)
+            doomed = is_doomed(code, context)
             # a live status has a move, and a feasible completion
             assert doomed or moves
-            assert doomed == (upper_bound_completion(status, context)
+            assert doomed == (upper_bound_completion(code, context)
                               == float("inf"))
             if left_deep:
                 assert doomed == (not moves)
