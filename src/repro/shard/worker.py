@@ -11,8 +11,21 @@ queries never dirty pages, so any number of workers can share one
 persisted shard directory.  The protocol over the pipe is a tagged
 tuple per message:
 
-* ``("query", plan, pattern, engine, trace_context)`` →
-  ``("ok", payload)`` or ``("error", type_name, message)``.
+* ``("query", plan, pattern, engine, trace_context, first)`` — run
+  *plan* and reply, in one of two shapes:
+
+  * ``first=None`` (what ``execute`` sends): the plan runs to its end
+    and the reply is one ``("ok", payload)`` carrying the whole run.
+  * ``first=n`` (what every stream reader sends): the worker reads
+    its stream by ``blocks(n)`` and sends ``("head", rows)`` — the
+    root's first block, packed — the moment the root emits it (an
+    empty array when the shard has no row), then ``("ok", payload)``
+    carrying the rest of the run.  Between root blocks it polls the
+    pipe: a ``("cancel",)`` stops the run at that block boundary, and
+    the payload then holds the rows and counters up to there.
+
+  Either way a failure is ``("error", type_name, message)`` in place
+  of the reply still owed (the head, or the payload).
   ``trace_context`` is ``None`` or a
   :class:`~repro.obs.spans.TraceContext` dict; when present, the
   worker runs the query traced, stamps its span subtree
@@ -20,34 +33,39 @@ tuple per message:
   and ships the subtree back serialized (``span.to_dict()`` — counters
   ride as exact ints, never as live metric objects) for the
   coordinator to stitch.
+* ``("cancel",)`` while idle → no reply: it was meant for a run whose
+  payload had already left.
 * ``("ping",)`` → ``("pong", shard_id)``
 * ``("stop",)`` → ``("bye",)`` and a clean exit
 * ``("exit",)`` → ``os._exit(1)``, no reply — a crash hook for the
   coordinator fault tests
 
-The reply to a query is **columnar**: the shard's whole result is one
-run of start labels in the order the plan produced them, never a row
-object.
+The reply to a query is **columnar**: the shard's result is one run
+of start labels in the order the plan produced them, never a row
+object — cut in two for a stream, the head and the rest.
 
 * ``rows`` — one ``array('q')``, row-major: row *r*'s label for schema
   column *c* is ``rows[r * width + c]``.  The engine's rows *are*
   label rows — tuples of start labels, global and unique per node —
   and the reply is those rows flattened as they come
-  (:func:`pack_run`): nothing is extracted, no key is built and
-  nothing is re-ordered, because a plan's output is already in
-  document order on its ``ordered_by`` node (Sec. 3.1.1), which is
-  the one order the coordinator merges by.  ``'q'`` is the one
-  typecode: 8 bytes per label, ``8 * width`` bytes per row on the
-  pipe, wide enough for any label the write path's gapped numbering
-  can hand out.  Pickling an array is a buffer copy out and a buffer
-  copy in; the coordinator keeps the runs packed and never allocates
-  per row or per label it is not asked for.
-* ``row_count``, ``width`` — the shape of ``rows``; ``node_ids`` names
-  the ``width`` schema columns.
-* ``wall_seconds`` / ``cpu_seconds`` — the plan's execution alone;
-  ``pack_seconds`` — the pack and order check of the reply that
-  follows it;
-  ``reply_bytes`` — the size of ``rows``' buffer.
+  (:func:`pack_run`, a block at a time on a stream): nothing is
+  extracted, no key is built and nothing is re-ordered, because a
+  plan's output is already in document order on its ``ordered_by``
+  node (Sec. 3.1.1), which is the one order the coordinator merges
+  by.  ``'q'`` is the one typecode: 8 bytes per label, ``8 * width``
+  bytes per row on the pipe, wide enough for any label the write
+  path's gapped numbering can hand out.  Pickling an array is a
+  buffer copy out and a buffer copy in; the coordinator keeps the
+  runs packed and never allocates per row or per label it is not
+  asked for.  On a stream, ``rows`` is the run after the head.
+* ``row_count``, ``width`` — the shape of the whole run, head
+  included; ``node_ids`` names the ``width`` schema columns.
+* ``wall_seconds`` / ``cpu_seconds`` — the plan's execution (on a
+  stream the wall clock leaves out the packing done between its
+  blocks, the CPU clock does not); ``pack_seconds`` — the pack and
+  order check of the reply; ``head_seconds`` — from receiving the
+  request to sending the first reply (the head, or the one payload);
+  ``reply_bytes`` — the size of the run's packed labels.
 * ``counters``, ``page_reads``, ``buffer_hits``, ``buffer_misses``,
   ``span`` — the execution's exact cost-model counters, its I/O
   diagnostics and (when traced) its serialized span subtree.
@@ -64,14 +82,19 @@ from typing import Sequence
 
 from repro.engine.tuples import LabelRow
 from repro.errors import PlanError
+from repro.obs.spans import TraceContext, assign_span_ids
 
 __all__ = ["worker_main", "pack_run"]
 
 
-def pack_run(rows: Sequence[LabelRow], width: int, key: int) -> array:
+def pack_run(rows: Sequence[LabelRow], width: int, key: int,
+             after: "int | None" = None) -> array:
     """*rows*, in the order the plan produced them, as one row-major
     ``array('q')``; :class:`PlanError` unless they are non-decreasing
-    on column *key*, the plan's ``ordered_by`` node.
+    on column *key*, the plan's ``ordered_by`` node, and — when they
+    continue a run whose last key is *after* — start at or above it,
+    so that a run packed a block at a time is checked across every
+    block boundary too.
 
     The flatten is one C pass: ``struct.pack`` over the unpacked
     labels, the bytes handed to the array as they are.  The check reads
@@ -91,6 +114,8 @@ def pack_run(rows: Sequence[LabelRow], width: int, key: int) -> array:
     run = array("q", pack(f"{len(rows) * width}q",
                           *chain.from_iterable(rows)))
     keys = run[key::width].tolist()
+    if after is not None:
+        keys.insert(0, after)
     if keys != sorted(keys):
         raise PlanError(
             f"plan output is out of order on its key column {key}")
@@ -101,7 +126,6 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
     """Entry point of one shard worker process."""
     # imports deferred below the module guard keep spawn startup lean
     from repro.api import Database
-    from repro.obs.spans import TraceContext, assign_span_ids
     from repro.storage.disk import FileDisk
 
     try:
@@ -111,11 +135,16 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
         conn.close()
         return
     conn.send(("ready", shard_id, len(database.document or ())))
+    #: a message that arrived while a run was polling for a cancel
+    pending = None
     while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            break  # coordinator went away
+        if pending is None:
+            try:
+                request = conn.recv()
+            except (EOFError, OSError):
+                break  # coordinator went away
+        else:
+            request, pending = pending, None
         kind = request[0]
         if kind == "stop":
             conn.send(("bye",))
@@ -125,57 +154,104 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
             continue
         if kind == "exit":
             os._exit(1)
+        if kind == "cancel":
+            continue  # its run's payload has left already
         if kind != "query":
             conn.send(("error", "ShardError",
                        f"unknown request {request[0]!r}"))
             continue
-        _, plan, pattern, engine, context = request
-        trace = (TraceContext.from_dict(context)
-                 if context is not None else None)
-        cpu_started = time.process_time()
         try:
-            result = database.execute(plan, pattern, engine=engine,
-                                      spans=trace is not None)
-            # CPU time alongside wall time: when workers outnumber
-            # cores they time-slice, wall inflates with contention,
-            # and CPU time is what a worker would take with a core of
-            # its own
-            cpu_seconds = time.process_time() - cpu_started
-            pack_started = time.perf_counter()
-            node_ids = result.schema.node_ids
-            rows = pack_run(result.rows, len(node_ids),
-                            result.schema.position(plan.ordered_by))
-            pack_seconds = time.perf_counter() - pack_started
+            pending = _answer(database, shard_id, conn, *request[1:])
         except Exception as error:  # noqa: BLE001 - stay serving
             _send_error(conn, error)
-            continue
-        span_payload = None
-        if trace is not None:
-            # stamp under a per-shard prefix so span ids stay unique
-            # across the stitched trace; the coordinator re-parents
-            # the subtree root under its shard wrapper span
-            assign_span_ids(result.span, trace.trace_id,
-                            trace.parent_span_id,
-                            prefix=f"s{shard_id}-")
-            span_payload = result.span.to_dict()
-        conn.send(("ok", {
-            "shard_id": shard_id,
-            "rows": rows,
-            "row_count": len(result),
-            "width": len(node_ids),
-            "node_ids": node_ids,
-            "counters": result.metrics.counters(),
-            "page_reads": result.metrics.page_reads,
-            "buffer_hits": result.metrics.buffer_hits,
-            "buffer_misses": result.metrics.buffer_misses,
-            "wall_seconds": result.metrics.wall_seconds,
-            "cpu_seconds": cpu_seconds,
-            "pack_seconds": pack_seconds,
-            "reply_bytes": len(rows) * rows.itemsize,
-            "span": span_payload,
-        }))
     database.close()
     conn.close()
+
+
+def _answer(database, shard_id: int, conn, plan, pattern, engine: str,
+            context: "dict | None", first: "int | None"
+            ) -> "tuple | None":
+    """Run one query and send its replies (see the module docstring).
+
+    Returns the message, other than a cancel, that arrived while the
+    run polled between blocks (the request loop handles it next), or
+    ``None``.
+    """
+    received = time.perf_counter()
+    trace = (TraceContext.from_dict(context)
+             if context is not None else None)
+    cpu_started = time.process_time()
+    stream = database.stream_execute(plan, pattern, engine=engine,
+                                     spans=trace is not None)
+    width = len(stream.schema)
+    key = stream.schema.position(plan.ordered_by)
+    head, interrupt = array("q"), None
+    try:
+        if first is None:
+            rows = stream.fetchall()
+            # CPU time alongside wall time: when workers outnumber
+            # cores they time-slice, wall inflates with contention, and
+            # CPU time is what a worker would take with a core of its
+            # own
+            cpu_seconds = time.process_time() - cpu_started
+            pack_started = time.perf_counter()
+            run = pack_run(rows, width, key)
+            pack_seconds = time.perf_counter() - pack_started
+        else:
+            blocks = stream.blocks(first)
+            pack_started = time.perf_counter()
+            head = pack_run(next(blocks, ()), width, key)
+            pack_seconds = time.perf_counter() - pack_started
+            head_seconds = time.perf_counter() - received
+            conn.send(("head", head))
+            run = array("q")
+            after = head[key - width] if head else None
+            for block in blocks:
+                pack_started = time.perf_counter()
+                run += pack_run(block, width, key, after)
+                after = run[key - width]
+                pack_seconds += time.perf_counter() - pack_started
+                if conn.poll(0):
+                    message = conn.recv()
+                    if message[0] != "cancel":
+                        interrupt = message
+                    break
+    finally:
+        stream.close()  # stops a run cut short; a no-op once read
+    wall_seconds = stream.metrics.wall_seconds
+    if first is not None:
+        # the stream's clock ran on through the packing between blocks
+        cpu_seconds = time.process_time() - cpu_started
+        wall_seconds -= pack_seconds
+    span_payload = None
+    if trace is not None:
+        # stamp under a per-shard prefix so span ids stay unique
+        # across the stitched trace; the coordinator re-parents the
+        # subtree root under its shard wrapper span
+        assign_span_ids(stream.span, trace.trace_id,
+                        trace.parent_span_id, prefix=f"s{shard_id}-")
+        span_payload = stream.span.to_dict()
+    metrics = stream.metrics
+    if first is None:
+        head_seconds = time.perf_counter() - received
+    conn.send(("ok", {
+        "shard_id": shard_id,
+        "rows": run,
+        "row_count": (len(head) + len(run)) // width,
+        "width": width,
+        "node_ids": stream.schema.node_ids,
+        "counters": metrics.counters(),
+        "page_reads": metrics.page_reads,
+        "buffer_hits": metrics.buffer_hits,
+        "buffer_misses": metrics.buffer_misses,
+        "wall_seconds": wall_seconds,
+        "cpu_seconds": cpu_seconds,
+        "pack_seconds": pack_seconds,
+        "head_seconds": head_seconds,
+        "reply_bytes": (len(head) + len(run)) * run.itemsize,
+        "span": span_payload,
+    }))
+    return interrupt
 
 
 def _send_error(conn, error: BaseException) -> None:

@@ -313,9 +313,10 @@ class QueryTarget(abc.ABC):
         results without waiting for any sort to complete — the online-
         querying scenario of Sec. 3.4, an experiment about iterator
         pipelining, hence ``engine="tuple"``.  On a shard fleet the clock
-        starts before the scatter and the first row leaves the merge
-        only after every shard has answered, so a fast first shard
-        cannot mask a straggler.
+        starts before the scatter and the first rows leave the merge
+        once every shard has sent its own first *results* rows — each
+        worker's head, ahead of the rest of its run — so a fast first
+        shard cannot mask a straggler.
         """
         pattern = self.compile(query)
         optimization = self.optimize(pattern, algorithm=algorithm,

@@ -26,8 +26,10 @@ import pytest
 
 from repro.api import Database
 from repro.errors import ReproError, ShardError
+from repro.core.pattern import QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               StructuralJoinPlan)
+from repro.document.parser import parse_xml
 from repro.engine import blocks
 from repro.engine.executor import Executor
 from repro.engine.metrics import COST_COUNTERS
@@ -430,26 +432,66 @@ def _sparse_document():
     return builder.finish()
 
 
+def _nested_root_tag_documents():
+    """A root whose tag recurs below it, on more shards than subtrees:
+    a key column bound to the root in one shard's rows and to an owned
+    node in another's interleaves the runs, so the merge is the
+    general k-way one.  In the second tree the root's last child is a
+    ``b`` of its own, so ``a/b`` ordered by ``a`` starts with a row of
+    the last shard."""
+    return [parse_xml("<a><a><b/><b/></a><c><b/></c></a>",
+                      name="nested-root-tag"),
+            parse_xml("<a><a><b/><b/></a><c><b/></c><b/></a>",
+                      name="nested-root-tag-child")]
+
+
 def _sharded_documents():
     return [personnel_document(target_nodes=240),
             random_document(7, size=60),
             _dominant_document(),
-            _sparse_document()]
+            _sparse_document(),
+            *_nested_root_tag_documents()]
 
 
-def test_sharded_differential_binding_and_order_oracle():
+def _root_tag_patterns(document):
+    """Patterns rooted at the document root's tag: the root alone —
+    every shard binds the replicated root, so the fleet must collapse
+    the duplicates, a row that binds only the root — and the root over
+    its last child's tag, ordered by the root node, whose key column
+    binds the root in some shards' rows only."""
+    root = document.root
+    last_child = document.children(root)[-1]
+    return [QueryPattern.build({"nodes": [root.tag], "edges": []}),
+            QueryPattern.build({"nodes": [root.tag, last_child.tag],
+                                "edges": [(0, 1, "/")], "order_by": 0})]
+
+
+def test_sharded_differential_binding_and_order_oracle(monkeypatch):
     """Scatter-gather must be observationally equivalent to one node.
 
-    For every document (including the empty-shard and the
-    single-subtree-dominant edge cases), shard count in
-    ``SHARDED_COUNTS`` and both execution engines, the same physical
-    plan runs sharded and single-node: the merged rows must be the
-    single node's rows, row for row in the single node's order — or
+    For every document (including the empty-shard, the
+    single-subtree-dominant and the nested-root-tag edge cases), shard
+    count in ``SHARDED_COUNTS`` and both execution engines, the same
+    physical plan runs sharded and single-node: the merged rows must be
+    the single node's rows, row for row in the single node's order — or
     the fleet refuses, typed, a pattern that branches at the
     replicated document root; it never answers with different rows.
+    Each case is also read as a stream, block by block: its first
+    block is exactly one row (none for an empty result), and its
+    blocks, concatenated, are those same rows in that same order —
+    through the concatenation and through the general merge, root-only
+    duplicates included.
     """
-    from repro.shard import ShardedDatabase
+    from repro.shard import ShardedDatabase, coordinator
 
+    general_merges = []
+    merge = coordinator.merge
+
+    def counting(*runs, key=None):
+        general_merges.append(1)
+        return merge(*runs, key=key)
+
+    monkeypatch.setattr(coordinator, "merge", counting)
     rng = make_rng(20030307)
     disagreements: list[str] = []
     for document in _sharded_documents():
@@ -458,7 +500,7 @@ def test_sharded_differential_binding_and_order_oracle():
         # is not the lexicographic order of their label rows
         patterns = [_pattern_for(document, rng) for _ in range(5)] + [
             query.pattern for name, query in PAPER_QUERIES.items()
-            if name.startswith("Q.Pers")]
+            if name.startswith("Q.Pers")] + _root_tag_patterns(document)
         for shards in SHARDED_COUNTS:
             with ShardedDatabase(document, shards=shards) as sharded:
                 for pattern in patterns:
@@ -484,4 +526,18 @@ def test_sharded_differential_binding_and_order_oracle():
                                 f"{case} sharded produced "
                                 f"{len(merged)} rows, single node "
                                 f"{len(reference)}, or another order")
+                        streamed = list(sharded.stream_execute(
+                            plan, pattern, engine=engine).blocks())
+                        if ([len(block) for block in streamed[:1]]
+                                != [1] * bool(reference)):
+                            disagreements.append(
+                                f"{case} streamed a first block of "
+                                f"{len(streamed[0]) if streamed else 0}"
+                                f" rows")
+                        if ([row for block in streamed for row in block]
+                                != list(reference)):
+                            disagreements.append(
+                                f"{case} streamed other rows than the "
+                                f"single node, or in another order")
     assert not disagreements, "\n".join(disagreements)
+    assert general_merges, "no case reached the general merge"
