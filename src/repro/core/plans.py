@@ -73,6 +73,13 @@ class PhysicalPlan:
         """Pattern-node ids bound by this plan's output tuples."""
         raise NotImplementedError
 
+    def output_nodes(self) -> tuple[int, ...]:
+        """The same ids in column order — the layout of this plan's
+        rows on either engine and on a shard fleet: a scan's node, a
+        sort's child's columns, a join's ancestor columns then its
+        descendant's."""
+        raise NotImplementedError
+
     def walk(self) -> Iterator["PhysicalPlan"]:
         """This node and all descendants, pre-order."""
         yield self
@@ -165,6 +172,9 @@ class IndexScanPlan(PhysicalPlan):
     def pattern_nodes(self) -> frozenset[int]:
         return frozenset((self.node_id,))
 
+    def output_nodes(self) -> tuple[int, ...]:
+        return (self.node_id,)
+
     def label(self, pattern: QueryPattern | None = None) -> str:
         return f"IndexScan({self._node_label(pattern, self.node_id)})"
 
@@ -218,6 +228,10 @@ class StructuralJoinPlan(PhysicalPlan):
         return (self.ancestor_plan.pattern_nodes()
                 | self.descendant_plan.pattern_nodes())
 
+    def output_nodes(self) -> tuple[int, ...]:
+        return (self.ancestor_plan.output_nodes()
+                + self.descendant_plan.output_nodes())
+
     def label(self, pattern: QueryPattern | None = None) -> str:
         return (f"{self.algorithm}"
                 f"({self._node_label(pattern, self.ancestor_node)} "
@@ -249,6 +263,9 @@ class SortPlan(PhysicalPlan):
 
     def pattern_nodes(self) -> frozenset[int]:
         return self.child.pattern_nodes()
+
+    def output_nodes(self) -> tuple[int, ...]:
+        return self.child.output_nodes()
 
     def label(self, pattern: QueryPattern | None = None) -> str:
         return f"Sort(by {self._node_label(pattern, self.by_node)})"

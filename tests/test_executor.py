@@ -8,7 +8,7 @@ from repro.core.pattern import Axis
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               SortPlan, StructuralJoinPlan)
 from repro.engine.context import EngineContext
-from repro.engine.executor import Executor
+from repro.engine.executor import Executor, _operator_children
 from repro.engine.nestedloop import naive_pattern_matches
 
 
@@ -114,6 +114,26 @@ class TestExecution:
 
         with pytest.raises(PlanError, match="unknown plan node"):
             executor.build(Strange(0))
+
+    @pytest.mark.parametrize("engine", ["block", "tuple"])
+    def test_operators_lay_rows_out_as_the_plan_says(self, setup, engine):
+        """``PhysicalPlan.output_nodes`` is the column layout a shard
+        fleet reads before any worker has answered: every operator
+        either engine builds lays its rows out so."""
+        executor, __ = setup
+        departments = StructuralJoinPlan(
+            IndexScanPlan(3), IndexScanPlan(4), 3, 4, Axis.CHILD,
+            JoinAlgorithm.STACK_TREE_DESC)      # ordered by 4
+        nested = StructuralJoinPlan(
+            IndexScanPlan(0), SortPlan(departments, 3), 0, 3,
+            Axis.DESCENDANT, JoinAlgorithm.NESTED_LOOP)
+        for plan in (fully_pipelined_plan(), blocking_plan(), nested):
+            pairs = [(executor.build(plan, engine=engine), plan)]
+            while pairs:
+                operator, node = pairs.pop()
+                assert operator.schema.node_ids == node.output_nodes()
+                pairs.extend(zip(_operator_children(operator),
+                                 node.children(), strict=True))
 
     def test_buffer_statistics_collected(self, setup):
         executor, __ = setup
