@@ -6,10 +6,11 @@ physical plan to every worker and hands back a :class:`GatherTicket`
 that collects that query's replies — the plan-once/fan-out protocol:
 because shards share the global label space and the plan was costed
 against the whole document, the coordinator's single optimized plan
-is valid verbatim on every shard.  A ticket asked for its ``heads()``
-has each shard's first block as soon as every worker has sent one
-(a streamed query's), and its ``payloads()`` once every worker has
-finished (:mod:`repro.shard.worker` has the protocol).
+is valid verbatim on every shard.  Every worker answers a query the
+same way, a head then its rest (:mod:`repro.shard.worker` has the
+protocol): a ticket hands over every shard's head as soon as every
+worker has sent one (``heads()``), and every terminal payload once
+every worker has finished (``payloads()``).
 
 The pipes stay in lockstep without a query holding the pool between
 its head and its rest: before the pool sends anything new (a query, a
@@ -43,7 +44,6 @@ from typing import Iterator
 
 from repro import errors
 from repro.errors import ReproError, ShardError
-from repro.engine.blocks import row_blocks
 from repro.engine.tuples import LabelRow
 from repro.shard.worker import worker_main
 
@@ -103,7 +103,7 @@ class PackedRows(Sequence):
     """A fleet's merged result, still packed: ``labels`` is row-major,
     *width* labels per row, and a label row — a tuple per row, an int
     per label — is cut from it only when read; ``len`` reads nothing.
-    Read-only; slices and blocks are lists the caller owns."""
+    Read-only; slices are lists the caller owns."""
 
     __slots__ = ("labels", "width")
 
@@ -128,24 +128,16 @@ class PackedRows(Sequence):
             return NotImplemented
         return len(self) == len(other) and all(map(eq, self, other))
 
-    def blocks(self, first: "int | None" = 1
-               ) -> Iterator[Sequence[LabelRow]]:
-        """What a stream's pull loop reads: lists of the engine's
-        block sizes or, with ``first=None``, this sequence itself."""
-        if first is None:
-            return iter((self,) if self.labels else ())
-        return row_blocks(self, first)
-
 
 class GatherTicket:
     """One scattered query's replies, received for it by its pool.
 
-    :meth:`heads` waits for every shard's first block (a streamed
-    query's), :meth:`payloads` for every shard's terminal payload;
-    either raises a worker's error under its own type.  The pool may
-    receive a reply before the reader asks — when it must send
-    something new — and then stores it here, so a ticket read late
-    reads what was stored.  :attr:`phases` are this query's own
+    :meth:`heads` waits for every shard's head and hands them over —
+    the ticket keeps none — and :meth:`payloads` for every shard's
+    terminal payload; either raises a worker's error under its own
+    type.  The pool may receive a reply before the reader asks — when
+    it must send something new — and then stores it here, so a ticket
+    read late reads what was stored.  :attr:`phases` are this query's own
     ``scatter`` seconds and the ``gather`` seconds spent receiving its
     replies, whoever received them.  *on_payloads* is called once,
     with every shard's payload, by whichever thread receives the last
@@ -153,14 +145,14 @@ class GatherTicket:
     on the pool) — never for a query that failed.
     """
 
-    def __init__(self, pool: "ShardWorkerPool", first: "int | None",
+    def __init__(self, pool: "ShardWorkerPool",
                  on_payloads: "Callable[[list[dict]], None] | None"
                  = None) -> None:
-        self.first = first
         self.phases = {"scatter": 0.0, "gather": 0.0}
         self._pool = pool
         self._on_payloads = on_payloads
-        self._heads: list[array | None] = [None] * pool.shards
+        #: the heads received, until :meth:`heads` hands them over
+        self._heads: list[array | None] | None = [None] * pool.shards
         self._replies: list[tuple | None] = [None] * pool.shards
         #: the reader wants the rest of the run no more
         self._cancel = False
@@ -175,8 +167,8 @@ class GatherTicket:
         return None
 
     def heads(self) -> list[array]:
-        """Every shard's first block, packed (empty for a shard with no
-        row), once every worker has sent one."""
+        """Every shard's head, packed (empty for a shard with no row),
+        once every worker has sent one; asked for once."""
         self._wait(self._has_head)
         if self.failure is not None:
             # the query has failed: stop the others, take what they
@@ -184,7 +176,8 @@ class GatherTicket:
             self._cancel = True
             self._wait(self._has_reply)
             self._raise_failure()
-        return list(self._heads)
+        heads, self._heads = self._heads, None
+        return heads
 
     def payloads(self) -> list[dict]:
         """Every shard's terminal payload, in shard order."""
@@ -211,7 +204,7 @@ class GatherTicket:
                 pass  # the pool is closed: what arrived is all there is
 
     def _has_head(self, shard_id: int) -> bool:
-        return (self._heads[shard_id] is not None
+        return (self._heads is None or self._heads[shard_id] is not None
                 or self._replies[shard_id] is not None)
 
     def _has_reply(self, shard_id: int) -> bool:
@@ -223,13 +216,15 @@ class GatherTicket:
                 self._pool._collect(self, done)
 
     def _store(self, shard_id: int, reply: tuple) -> None:
+        """File one reply: a head, then an ``ok``, or an ``error`` in
+        place of either; anything else is a :class:`ShardError`."""
         kind = reply[0]
-        if (kind == "head" and self.first is not None
-                and self._heads[shard_id] is None
-                and self._replies[shard_id] is None):
-            self._heads[shard_id] = reply[1]
-        elif kind in ("ok", "error") and self._replies[shard_id] is None:
-            self._replies[shard_id] = reply
+        turn = "ok" if self._has_head(shard_id) else "head"
+        if self._replies[shard_id] is None and kind in (turn, "error"):
+            if kind == "head":
+                self._heads[shard_id] = reply[1]
+            else:
+                self._replies[shard_id] = reply
         else:
             raise ShardError(
                 f"shard {shard_id} sent {kind!r} out of turn")
@@ -407,8 +402,8 @@ class ShardWorkerPool:
         returned ticket (*on_payloads* is its hook for them, see
         :class:`GatherTicket`).
 
-        *first* is the worker's reply shape: ``None`` for one payload
-        per shard, ``n`` for a head of the first *n* rows ahead of it.
+        Each worker sends a head of its first *first* rows (``None``:
+        all of them) ahead of the rest.
         *trace_context* (a :class:`~repro.obs.spans.TraceContext`
         dict) rides with the plan: a worker handed one runs traced,
         under the coordinator's trace id.  Service threads share the
@@ -417,7 +412,7 @@ class ShardWorkerPool:
         trace can only ever carry the timings of the query it belongs
         to, however many threads share the pool.
         """
-        ticket = GatherTicket(self, first, on_payloads)
+        ticket = GatherTicket(self, on_payloads)
         with self._serving():
             self._settle()
             started = time.perf_counter()

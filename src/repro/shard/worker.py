@@ -12,20 +12,16 @@ persisted shard directory.  The protocol over the pipe is a tagged
 tuple per message:
 
 * ``("query", plan, pattern, engine, trace_context, first)`` — run
-  *plan* and reply, in one of two shapes:
-
-  * ``first=None`` (what ``execute`` sends): the plan runs to its end
-    and the reply is one ``("ok", payload)`` carrying the whole run.
-  * ``first=n`` (what every stream reader sends): the worker reads
-    its stream by ``blocks(n)`` and sends ``("head", rows)`` — the
-    root's first block, packed — the moment the root emits it (an
-    empty array when the shard has no row), then ``("ok", payload)``
-    carrying the rest of the run.  Between root blocks it polls the
-    pipe: a ``("cancel",)`` stops the run at that block boundary, and
-    the payload then holds the rows and counters up to there.
-
-  Either way a failure is ``("error", type_name, message)`` in place
-  of the reply still owed (the head, or the payload).
+  *plan* and send two replies: ``("head", rows)``, the root's first
+  block of *first* rows, packed, the moment the root emits it (an
+  empty array when the shard has no row), then ``("ok", payload)``
+  carrying the rest of the run.  *first* only sizes the head:
+  ``None`` (what ``execute`` sends) makes the head the shard's whole
+  run and the rest empty.  Between root blocks the worker polls the
+  pipe: a ``("cancel",)`` stops the run at that block boundary, and
+  the payload then holds the rows and counters up to there.  A
+  failure is ``("error", type_name, message)`` in place of the reply
+  still owed (the head, or the payload).
   ``trace_context`` is ``None`` or a
   :class:`~repro.obs.spans.TraceContext` dict; when present, the
   worker runs the query traced, stamps its span subtree
@@ -42,30 +38,29 @@ tuple per message:
 
 The reply to a query is **columnar**: the shard's result is one run
 of start labels in the order the plan produced them, never a row
-object — cut in two for a stream, the head and the rest.
+object — cut in two, the head and the rest.
 
 * ``rows`` — one ``array('q')``, row-major: row *r*'s label for schema
   column *c* is ``rows[r * width + c]``.  The engine's rows *are*
   label rows — tuples of start labels, global and unique per node —
-  and the reply is those rows flattened as they come
-  (:func:`pack_run`, a block at a time on a stream): nothing is
-  extracted, no key is built and nothing is re-ordered, because a
-  plan's output is already in document order on its ``ordered_by``
-  node (Sec. 3.1.1), which is the one order the coordinator merges
-  by.  ``'q'`` is the one typecode: 8 bytes per label, ``8 * width``
-  bytes per row on the pipe, wide enough for any label the write
-  path's gapped numbering can hand out.  Pickling an array is a
-  buffer copy out and a buffer copy in; the coordinator keeps the
-  runs packed and never allocates per row or per label it is not
-  asked for.  On a stream, ``rows`` is the run after the head.
+  and the reply is those rows flattened a block at a time as they
+  come (:func:`pack_run`): nothing is extracted, no key is built and
+  nothing is re-ordered, because a plan's output is already in
+  document order on its ``ordered_by`` node (Sec. 3.1.1), which is
+  the one order the coordinator merges by.  ``'q'`` is the one
+  typecode: 8 bytes per label, ``8 * width`` bytes per row on the
+  pipe, wide enough for any label the write path's gapped numbering
+  can hand out.  Pickling an array is a buffer copy out and a buffer
+  copy in; the coordinator keeps the runs packed and never allocates
+  per row or per label it is not asked for.  The payload's ``rows``
+  is the run after the head.
 * ``row_count``, ``width`` — the shape of the whole run, head
   included; ``node_ids`` names the ``width`` schema columns.
-* ``wall_seconds`` / ``cpu_seconds`` — the plan's execution (on a
-  stream the wall clock leaves out the packing done between its
-  blocks, the CPU clock does not); ``pack_seconds`` — the pack and
-  order check of the reply; ``head_seconds`` — from receiving the
-  request to sending the first reply (the head, or the one payload);
-  ``reply_bytes`` — the size of the run's packed labels.
+* ``wall_seconds`` — the plan's execution: the stream's clock less
+  the packing and the head's send; ``cpu_seconds`` — the whole
+  answer's CPU time; ``pack_seconds`` — the pack and order check of
+  the run; ``head_seconds`` — from receiving the request to sending
+  the head; ``reply_bytes`` — the size of the run's packed labels.
 * ``counters``, ``page_reads``, ``buffer_hits``, ``buffer_misses``,
   ``span`` — the execution's exact cost-model counters, its I/O
   diagnostics and (when traced) its serialized span subtree.
@@ -171,7 +166,8 @@ def worker_main(shard_id: int, pages_path: str, conn) -> None:
 def _answer(database, shard_id: int, conn, plan, pattern, engine: str,
             context: "dict | None", first: "int | None"
             ) -> "tuple | None":
-    """Run one query and send its replies (see the module docstring).
+    """Run one query and send its two replies (see the module
+    docstring).
 
     Returns the message, other than a cancel, that arrived while the
     run polled between blocks (the request loop handles it next), or
@@ -180,49 +176,44 @@ def _answer(database, shard_id: int, conn, plan, pattern, engine: str,
     received = time.perf_counter()
     trace = (TraceContext.from_dict(context)
              if context is not None else None)
+    # CPU time alongside wall time: when workers outnumber cores they
+    # time-slice, wall inflates with contention, and CPU time is what
+    # a worker would take with a core of its own
     cpu_started = time.process_time()
     stream = database.stream_execute(plan, pattern, engine=engine,
                                      spans=trace is not None)
     width = len(stream.schema)
     key = stream.schema.position(plan.ordered_by)
-    head, interrupt = array("q"), None
+    interrupt = None
     try:
-        if first is None:
-            rows = stream.fetchall()
-            # CPU time alongside wall time: when workers outnumber
-            # cores they time-slice, wall inflates with contention, and
-            # CPU time is what a worker would take with a core of its
-            # own
-            cpu_seconds = time.process_time() - cpu_started
+        blocks = stream.blocks(first)
+        # held to the end of the answer: freeing the whole run of an
+        # unbounded head belongs after the last send, not before it
+        rows = next(blocks, ())
+        pack_started = time.perf_counter()
+        head = pack_run(rows, width, key)
+        sent = time.perf_counter()
+        pack_seconds = sent - pack_started
+        head_seconds = sent - received
+        conn.send(("head", head))
+        # a head the size of the whole run waits on the pipe for the
+        # coordinator to read it: that is not the shard's execution
+        send_seconds = time.perf_counter() - sent
+        run = array("q")
+        after = head[key - width] if head else None
+        for block in blocks:
             pack_started = time.perf_counter()
-            run = pack_run(rows, width, key)
-            pack_seconds = time.perf_counter() - pack_started
-        else:
-            blocks = stream.blocks(first)
-            pack_started = time.perf_counter()
-            head = pack_run(next(blocks, ()), width, key)
-            pack_seconds = time.perf_counter() - pack_started
-            head_seconds = time.perf_counter() - received
-            conn.send(("head", head))
-            run = array("q")
-            after = head[key - width] if head else None
-            for block in blocks:
-                pack_started = time.perf_counter()
-                run += pack_run(block, width, key, after)
-                after = run[key - width]
-                pack_seconds += time.perf_counter() - pack_started
-                if conn.poll(0):
-                    message = conn.recv()
-                    if message[0] != "cancel":
-                        interrupt = message
-                    break
+            run += pack_run(block, width, key, after)
+            after = run[key - width]
+            pack_seconds += time.perf_counter() - pack_started
+            if conn.poll(0):
+                message = conn.recv()
+                if message[0] != "cancel":
+                    interrupt = message
+                break
     finally:
         stream.close()  # stops a run cut short; a no-op once read
-    wall_seconds = stream.metrics.wall_seconds
-    if first is not None:
-        # the stream's clock ran on through the packing between blocks
-        cpu_seconds = time.process_time() - cpu_started
-        wall_seconds -= pack_seconds
+    cpu_seconds = time.process_time() - cpu_started
     span_payload = None
     if trace is not None:
         # stamp under a per-shard prefix so span ids stay unique
@@ -232,8 +223,6 @@ def _answer(database, shard_id: int, conn, plan, pattern, engine: str,
                         trace.parent_span_id, prefix=f"s{shard_id}-")
         span_payload = stream.span.to_dict()
     metrics = stream.metrics
-    if first is None:
-        head_seconds = time.perf_counter() - received
     conn.send(("ok", {
         "shard_id": shard_id,
         "rows": run,
@@ -244,7 +233,9 @@ def _answer(database, shard_id: int, conn, plan, pattern, engine: str,
         "page_reads": metrics.page_reads,
         "buffer_hits": metrics.buffer_hits,
         "buffer_misses": metrics.buffer_misses,
-        "wall_seconds": wall_seconds,
+        # the stream's clock ran on through the packing and the head's
+        # send; the CPU clock covers the whole answer
+        "wall_seconds": metrics.wall_seconds - pack_seconds - send_seconds,
         "cpu_seconds": cpu_seconds,
         "pack_seconds": pack_seconds,
         "head_seconds": head_seconds,
