@@ -25,8 +25,11 @@ switch (DPAP-LD) or the one :meth:`~DPPOptimizer._admission` hook
 
 Statuses are integer codes and moves plain tuples, as in DP: the queue
 holds ``(Cost + ubCost, tie-breaker, Cost, code)``, the memo ``code ->
-(cost, previous code, move)``, and a newly generated status is tested
-for finality, doom and ``ubCost`` on its code alone.
+(cost, previous code, move)``.  A candidate is looked up in the memo
+first: only a status not tabled yet is judged — its clusters derived
+from its parent's, its doom verdict and ``ubCost`` built with them,
+once per code (:meth:`~repro.core.enumeration.EnumerationContext.judge`)
+— since a tabled one passed the Lookahead test when it was tabled.
 """
 
 from __future__ import annotations
@@ -37,8 +40,7 @@ from typing import Callable
 
 from repro.errors import OptimizerError
 from repro.core.enumeration import (EnumerationContext, Memo, build_plan,
-                                    is_doomed, possible_moves,
-                                    reconstruct_moves,
+                                    possible_moves, reconstruct_moves,
                                     upper_bound_completion)
 from repro.core.optimizer import Optimizer, register
 from repro.core.planspace import (PRUNE_COST_BOUND, PRUNE_DOMINATED,
@@ -76,6 +78,7 @@ class DPPOptimizer(Optimizer):
         finals = context.final_codes
         size = context.size
         lookahead = self.lookahead
+        records, judge = context.records, context.judge
 
         best: Memo = {start: (start_cost, None, None)}
         report.statuses_generated += 1
@@ -94,6 +97,9 @@ class DPPOptimizer(Optimizer):
         # Cost + ubCost is the cost of a real completion, so it bounds
         # the optimum and seeds the Pruning Rule from the first push.
         best_bound = start_bound
+        # the Pruning Rule's threshold: the lesser of the two, moved
+        # whenever either falls
+        threshold = start_bound
         best_final: int | None = None
 
         while heap:
@@ -101,7 +107,7 @@ class DPPOptimizer(Optimizer):
             cost = best[status][0]
             if queued_cost > cost:
                 continue  # stale queue entry; a cheaper path superseded it
-            if cost > min(min_final_cost, best_bound):
+            if cost > threshold:
                 report.statuses_pruned += 1
                 if recorder is not None:
                     recorder.record_prune(status, PRUNE_COST_BOUND,
@@ -109,7 +115,7 @@ class DPPOptimizer(Optimizer):
                 continue  # Pruning Rule: dead
             if status in finals:
                 continue  # finals are never expanded
-            if not admit(size - len(context.decoded(status)[0]), report):
+            if not admit(size - len(records[status][0]), report):
                 if recorder is not None:
                     recorder.record_prune(status, PRUNE_EXPANSION_BOUND,
                                           cost)
@@ -142,46 +148,56 @@ class DPPOptimizer(Optimizer):
                         report.memo_hits += 1
                     if new_cost < min_final_cost:
                         min_final_cost = new_cost
+                        if new_cost < threshold:
+                            threshold = new_cost
                         best_final = new_status
                         if recorder is not None:
                             recorder.record_event("final", new_status,
                                                   new_cost,
                                                   describe_move(move))
                     continue
-                if new_cost > min(min_final_cost, best_bound):
+                if new_cost > threshold:
                     report.statuses_pruned += 1
                     if recorder is not None:
                         recorder.record_prune(new_status, PRUNE_COST_BOUND,
                                               new_cost)
                     continue
-                context.derive(new_status, status, move[0])
-                if lookahead and is_doomed(new_status, context):
-                    report.deadends_avoided += 1
-                    if recorder is not None:
-                        recorder.record_prune(new_status, PRUNE_INFEASIBLE,
-                                              new_cost)
-                    continue
                 existing = best.get(new_status)
-                if existing is not None:
+                if existing is None:
+                    # only an untabled status is judged: a tabled one
+                    # passed the Lookahead test when it was tabled.  A
+                    # code recorded here was judged (a doomed one comes
+                    # back), since this search never derives one
+                    record = (records.get(new_status)
+                              or judge(new_status, status, move[0]))
+                    if lookahead and record[3]:
+                        report.deadends_avoided += 1
+                        if recorder is not None:
+                            recorder.record_prune(new_status,
+                                                  PRUNE_INFEASIBLE,
+                                                  new_cost)
+                        continue
+                    report.statuses_generated += 1
+                    if recorder is not None:
+                        recorder.record_event("generate", new_status,
+                                              new_cost, describe_move(move))
+                else:
                     report.memo_hits += 1
                     if new_cost >= existing[0]:
                         if recorder is not None:
                             recorder.record_prune(new_status,
                                                   PRUNE_DOMINATED, new_cost)
                         continue
-                else:
-                    report.statuses_generated += 1
-                if recorder is not None:
-                    if existing is None:
-                        recorder.record_event("generate", new_status,
-                                              new_cost, describe_move(move))
-                    else:
+                    if recorder is not None:
                         recorder.record_event("improve", new_status,
                                               new_cost)
+                    record = records[new_status]
                 best[new_status] = (new_cost, status, move)
-                bound = new_cost + upper_bound_completion(new_status,
-                                                          context)
-                best_bound = min(best_bound, bound)
+                bound = new_cost + record[4]
+                if bound < best_bound:
+                    best_bound = bound
+                    if bound < threshold:
+                        threshold = bound
                 heapq.heappush(heap, (bound, next(tie_breaker), new_cost,
                                       new_status))
 

@@ -19,12 +19,13 @@ when false, Sec. 3.3.2's left-deep restriction when true.
 All three work on status codes (see :mod:`repro.core.status`): a
 status is one int, a move is the plain tuple ``(edge, algorithm,
 sort_to, cost, result code)`` and its result is one masked write of
-the merged cluster's fields.  The context caches, for one
-``optimize()`` call, every status's decoded clusters (decoded once),
-the field masks of every merged cluster, the four prices of every
-``(ancestor, descendant)`` pair — made by the same cost-model calls,
-in the same order, as before codes, so every float is the same — and
-the doom test and ``ubCost`` per code.  The order in which
+the merged cluster's fields.  The context holds, for one
+``optimize()`` call, one record per status code — its clusters,
+derived from its parent's (or decoded once), and, once asked, its doom
+verdict and ``ubCost``, built together — the field masks of every
+merged cluster and the four prices of every ``(ancestor,
+descendant)`` pair — made by the same cost-model calls, in the same
+order, as before codes, so every float is the same.  The order in which
 ``possible_moves`` emits moves is part of the contract: DPP's heap
 breaks cost ties by emission count and DP keeps the first of equally
 cheap paths, so reordering the moves changes which plan wins a tie.
@@ -37,16 +38,19 @@ from repro.core.cost import CostModel
 from repro.core.pattern import PatternEdge, QueryPattern, mask_nodes
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               SortPlan, StructuralJoinPlan)
-from repro.core.status import Status, decode, start_code
+from repro.core.status import decode, start_code
 from repro.estimation.estimator import (CardinalityEstimator,
                                         PatternCardinalities)
 
 #: a move as the search holds it: ``(edge, algorithm, sort_to, cost,
 #: result code)``
 MoveTuple = tuple[PatternEdge, JoinAlgorithm, "int | None", float, int]
-#: a decoded status: field value -> cluster node mask, the
-#: ``ordered_nodes`` mask, the edges a move may evaluate
-Decoded = tuple[dict[int, int], int, tuple[PatternEdge, ...]]
+#: a status's record: field value -> cluster node mask, the
+#: ``ordered_nodes`` mask, the edges a move may evaluate, whether the
+#: status is doomed and its ubCost (the last two ``None`` until
+#: :meth:`EnumerationContext.record` is asked for them)
+Record = tuple[dict[int, int], int, tuple[PatternEdge, ...], "bool | None",
+               "float | None"]
 #: DP's and DPP's memo: code -> ``(cost, previous code, move)``, the
 #: cheapest known way to reach a status (the start's is ``(cost, None,
 #: None)``)
@@ -57,8 +61,7 @@ class EnumerationContext:
     """Per-optimize-call bundle: pattern, cost model, cached estimates
     and the search space — every status when ``left_deep`` is false,
     only those with a single growing cluster when it is true — plus
-    the status code's layout and the per-code caches of the search
-    functions below."""
+    the status code's layout and one record per status code."""
 
     def __init__(self, pattern: QueryPattern, cost_model: CostModel,
                  estimator: CardinalityEstimator,
@@ -76,11 +79,14 @@ class EnumerationContext:
         #: the codes of the final statuses: every field equal
         self.final_codes = frozenset(whole * value
                                      for value in range(size + 1))
-        self._eligible: dict[int, tuple[PatternEdge, ...]] = {}
-        self._decoded: dict[int, Decoded] = {}
+        #: ``(parent, child, endpoint mask)`` per edge, in
+        #: ``pattern.edges`` order
+        self.edge_ends = tuple(
+            (edge.parent, edge.child, ends)
+            for edge, ends in zip(pattern.edges, pattern.edge_masks))
+        #: status code -> its record (see :meth:`record`)
+        self.records: dict[int, Record] = {}
         self._prices: dict[int, tuple[float, float, float, float]] = {}
-        self._doomed: dict[int, bool] = {}
-        self._bounds: dict[int, float] = {}
 
     def ones(self, mask: int) -> int:
         """The code with a 1 in the field of every node of *mask*: the
@@ -93,31 +99,67 @@ class EnumerationContext:
                                           for node in mask_nodes(mask))
         return ones
 
-    def decoded(self, code: int) -> Decoded:
-        """The clusters of *code* (field value to node mask, see
-        :func:`~repro.core.status.decode`), its ``ordered_nodes`` mask
-        and the edges a move may evaluate from it; decoded once per
-        code, or derived by :meth:`derive`."""
-        cached = self._decoded.get(code)
-        if cached is None:
+    def record(self, code: int) -> Record:
+        """The whole record of *code*: its clusters (field value to node
+        mask, see :func:`~repro.core.status.decode`), its
+        ``ordered_nodes`` mask, the edges a move may evaluate from it,
+        its doom verdict and its ubCost — decoded once (or derived by
+        :meth:`derive`), judged once."""
+        record = self.records.get(code)
+        if record is not None and record[3] is not None:
+            return record
+        if record is None:
             clusters = decode(code, self.size)
             ordered = 0
             for value in clusters:
                 if value != self.size:
                     ordered |= 1 << value
-            cached = self._decoded[code] = (
-                clusters, ordered, _open_edges(clusters, ordered, self))
-        return cached
+            edges = _open_edges(ordered, _growing(clusters.values())
+                                if self.left_deep else 0, self)
+        else:
+            clusters, ordered, edges = record[:3]
+        record = self.records[code] = self._judged(
+            clusters, ordered, edges, _is_doomed(clusters, edges, self))
+        return record
 
     def derive(self, code: int, parent: int, edge: PatternEdge) -> None:
-        """Cache the clusters of *code*, reached from the decoded status
-        *parent* by a join on *edge*, from *parent*'s: the two joined
-        clusters give way to the merged one, ordered by its field in
-        *code* — instead of a decode, for a status that may never be
-        expanded (DPP's doom test and ``ubCost``)."""
-        if code in self._decoded:
-            return
-        clusters, ordered, _ = self._decoded[parent]
+        """Record the clusters of *code*, reached from the recorded
+        status *parent* by a join on *edge*, unless *code* is recorded
+        already — and nothing else: DP never asks for a verdict."""
+        if code not in self.records:
+            self.records[code] = (*self._merged(code, parent, edge),
+                                   None, None)
+
+    def judge(self, code: int, parent: int, edge: PatternEdge) -> Record:
+        """Record the status *code*, not recorded yet, reached from the
+        judged status *parent* by one of its moves, a join on *edge*:
+        its clusters from *parent*'s, then its doom verdict and ubCost
+        from those — once, when DPP first generates it."""
+        clusters, ordered, edges = self._merged(code, parent, edge)
+        if len(clusters) == 1:
+            doomed = False
+        elif self.left_deep:
+            doomed = not edges
+        elif self.records[parent][3] is False:
+            # the live parent's other clusters are still live: only the
+            # merged one, ordered by a node, can doom the status
+            order = code >> self._width * edge.parent & (1 << self._width) - 1
+            doomed = not edges or not (self.pattern.adjacency[order]
+                                       & ~clusters[order])
+        else:
+            doomed = _is_doomed(clusters, edges, self)
+        record = self.records[code] = self._judged(clusters, ordered,
+                                                    edges, doomed)
+        return record
+
+    def _merged(self, code: int, parent: int, edge: PatternEdge
+                ) -> tuple[dict[int, int], int, tuple[PatternEdge, ...]]:
+        """*parent*'s clusters with the two joined ones giving way to
+        the merged one, ordered by its field in *code*, and the edges
+        open from there — instead of a decode.  The join is one of
+        *parent*'s moves, so in the left-deep space the merged cluster
+        is the growing one."""
+        clusters, ordered = self.records[parent][:2]
         clusters = clusters.copy()
         merged = clusters.pop(edge.parent) | clusters.pop(edge.child)
         order = code >> self._width * edge.parent & (1 << self._width) - 1
@@ -125,8 +167,16 @@ class EnumerationContext:
         ordered &= ~(1 << edge.parent | 1 << edge.child)
         if order != self.size:
             ordered |= 1 << order
-        self._decoded[code] = (clusters, ordered,
-                               _open_edges(clusters, ordered, self))
+        return clusters, ordered, _open_edges(
+            ordered, merged if self.left_deep else 0, self)
+
+    def _judged(self, clusters: dict[int, int], ordered: int,
+                edges: tuple[PatternEdge, ...], doomed: bool) -> Record:
+        # a doomed status has no feasible completion: the greedy one
+        # would come back ``inf`` too
+        return (clusters, ordered, edges, doomed,
+                float("inf") if doomed
+                else _greedy_completion(clusters, ordered, self))
 
     def prices(self, ancestor: int, descendant: int
                ) -> tuple[float, float, float, float]:
@@ -146,19 +196,6 @@ class EnumerationContext:
             cached = self._prices[key] = (desc, anc, desc + sort, sort)
         return cached
 
-    def eligible_edges(self, ordered: int) -> tuple[PatternEdge, ...]:
-        """The edges :func:`edge_eligible` accepts in any status whose
-        ``ordered_nodes`` mask is *ordered*, in ``pattern.edges``
-        order."""
-        cached = self._eligible.get(ordered)
-        if cached is None:
-            cached = tuple(
-                edge for edge, ends in zip(self.pattern.edges,
-                                           self.pattern.edge_masks)
-                if ordered & ends == ends)
-            self._eligible[ordered] = cached
-        return cached
-
     def start_cost(self) -> float:
         """Index-access cost of retrieving every candidate list.
 
@@ -171,28 +208,6 @@ class EnumerationContext:
             for node in self.pattern.nodes)
 
 
-def edge_eligible(status: Status, edge: PatternEdge) -> bool:
-    """Can *edge* be joined without re-sorting either input?
-
-    The stack-tree algorithms need the ancestor-side input ordered by
-    the ancestor node and the descendant-side input ordered by the
-    descendant node.  Singleton clusters (index scans) are ordered by
-    their own node, so they are always eligible.  No cluster is ordered
-    by two nodes, so an edge whose endpoints are both ``ordered_by``
-    nodes also joins two different clusters.
-    """
-    ends = 1 << edge.parent | 1 << edge.child
-    return status.ordered_nodes & ends == ends
-
-
-def is_deadend(status: Status, pattern: QueryPattern) -> bool:
-    """Definition 6: a non-final status with no possible moves."""
-    if status.is_final():
-        return False
-    return not any(edge_eligible(status, edge)
-                   for edge in status.remaining_edges(pattern))
-
-
 def is_doomed(code: int, context: EnumerationContext) -> bool:
     """Stronger lookahead: can the status *code* still reach the final
     status inside *context*'s search space?
@@ -203,7 +218,8 @@ def is_doomed(code: int, context: EnumerationContext) -> bool:
     endpoint inside the cluster is exactly ``w`` — some neighbor of
     ``w`` must lie outside the cluster.  A cluster with no such edge
     can never participate in another join, so the status is
-    unsalvageable even if Definition 6's one-step test passes.
+    unsalvageable even if Definition 6's one-step test (a non-final
+    status with no move) passes.
 
     Under ``left_deep`` every further join consumes the single growing
     cluster and its other input is a singleton (always correctly
@@ -212,19 +228,15 @@ def is_doomed(code: int, context: EnumerationContext) -> bool:
     has a move.
 
     Used as the Lookahead Rule's test (any sound dead-status test keeps
-    DPP exact); :func:`is_deadend` remains the literal Definition 6.
-    Memoised per code on *context*.
+    DPP exact).  Part of *code*'s record on *context*.
     """
-    doomed = context._doomed.get(code)
-    if doomed is None:
-        doomed = context._doomed[code] = _is_doomed(code, context)
-    return doomed
+    return context.record(code)[3]
 
 
-def _is_doomed(code: int, context: EnumerationContext) -> bool:
-    if code in context.final_codes:
-        return False
-    clusters, _, edges = context.decoded(code)
+def _is_doomed(clusters: dict[int, int], edges: tuple[PatternEdge, ...],
+               context: EnumerationContext) -> bool:
+    if len(clusters) == 1:
+        return False  # final
     if not context.left_deep:
         adjacency = context.pattern.adjacency
         unordered = context.size
@@ -248,33 +260,23 @@ def _growing(masks) -> int | None:
     return growing
 
 
-def _extends(growing: int, edge: PatternEdge) -> bool:
-    """Has *edge* exactly one endpoint in the growing node (any edge
-    does before the first join)?"""
-    return not growing or ((growing >> edge.parent & 1)
-                           != (growing >> edge.child & 1))
-
-
-def left_deep_allows(status: Status, edge: PatternEdge) -> bool:
-    """DPAP-LD rule: moves must extend the single *growing node*."""
-    growing = _growing(mask for mask, _ in status.key)
-    return growing is not None and _extends(growing, edge)
-
-
-def _open_edges(clusters: dict[int, int], ordered: int,
+def _open_edges(ordered: int, growing: int | None,
                 context: EnumerationContext) -> tuple[PatternEdge, ...]:
     """The remaining edges a move may evaluate from a status with
-    *clusters* and ``ordered_nodes`` mask *ordered*: joinable without
-    re-sorting an input and, in the left-deep space, extending the
-    growing cluster.  Move generation and the doom test both read
-    this, so they cannot disagree on which moves exist."""
-    eligible = context.eligible_edges(ordered)
-    if not context.left_deep:
-        return eligible
-    growing = _growing(clusters.values())
+    ``ordered_nodes`` mask *ordered*: joinable without re-sorting an
+    input — both endpoints ordered — and with exactly one endpoint in
+    the cluster *growing* when that is not 0 (the left-deep space's
+    growing cluster; 0 before its first join and in the full space,
+    None when there are several).  Move generation and the doom test
+    both read this, so they cannot disagree on which moves exist."""
     if growing is None:
         return ()
-    return tuple(edge for edge in eligible if _extends(growing, edge))
+    eligible = context.pattern.edges_within(ordered)
+    if not growing:
+        return eligible
+    return tuple(edge for edge in eligible
+                 if (growing >> edge.parent & 1)
+                 != (growing >> edge.child & 1))
 
 
 def possible_moves(code: int,
@@ -298,7 +300,8 @@ def possible_moves(code: int,
     order_by = context.pattern.order_by
     # every eligible endpoint is its cluster's ordered_by node, i.e.
     # its field value
-    clusters, _, edges = context.decoded(code)
+    record = context.records.get(code) or context.record(code)
+    clusters, edges = record[0], record[2]
     completes = len(clusters) == 2
     desc, anc = JoinAlgorithm.STACK_TREE_DESC, JoinAlgorithm.STACK_TREE_ANC
     size = context.size
@@ -366,16 +369,13 @@ def upper_bound_completion(code: int,
     are picked, so the completion is itself a left-deep plan — a
     bushy bound would let DPAP-LD prune every left-deep status.
     Unsalvageable statuses (see :func:`is_doomed`) get ``inf``.
-    Memoised per code on *context*.
+    Part of *code*'s record on *context*.
     """
-    bound = context._bounds.get(code)
-    if bound is None:
-        bound = context._bounds[code] = _greedy_completion(code, context)
-    return bound
+    return context.record(code)[4]
 
 
-def _greedy_completion(code: int, context: EnumerationContext) -> float:
-    clusters, joinable, _ = context.decoded(code)
+def _greedy_completion(clusters: dict[int, int], joinable: int,
+                       context: EnumerationContext) -> float:
     if len(clusters) == 1:
         return 0.0
     # endpoints a join may use: a fixed cluster's ordered_by node
@@ -385,10 +385,8 @@ def _greedy_completion(code: int, context: EnumerationContext) -> float:
     for mask in clusters.values():
         for node_id in mask_nodes(mask):
             cluster_of[node_id] = mask
-    remaining = [(edge.parent, edge.child, ends)
-                 for edge, ends in zip(context.pattern.edges,
-                                       context.pattern.edge_masks)
-                 if cluster_of[edge.parent] != cluster_of[edge.child]]
+    remaining = [triple for triple in context.edge_ends
+                 if cluster_of[triple[0]] != cluster_of[triple[1]]]
 
     # left-deep only: the one multi-node cluster every join must extend
     left_deep = context.left_deep

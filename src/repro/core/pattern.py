@@ -41,14 +41,25 @@ def node_mask(node_ids: Iterable[int]) -> int:
 
 
 @lru_cache(maxsize=4096)
-def mask_nodes(mask: int) -> tuple[int, ...]:
-    """The node ids of *mask*, ascending."""
+def _nodes_of(mask: int) -> tuple[int, ...]:
     nodes = []
     while mask:
         low = mask & -mask
         nodes.append(low.bit_length() - 1)
         mask ^= low
     return tuple(nodes)
+
+
+#: masks below this are read from a table: patterns of up to ten nodes
+_TABLED = 1 << 10
+_MASK_NODES = tuple(_nodes_of.__wrapped__(mask) for mask in range(_TABLED))
+
+
+def mask_nodes(mask: int) -> tuple[int, ...]:
+    """The node ids of *mask*, ascending."""
+    if mask < _TABLED:
+        return _MASK_NODES[mask]
+    return _nodes_of(mask)
 
 
 class Axis(enum.Enum):
@@ -180,6 +191,7 @@ class QueryPattern:
         self._validate()
         self._edge_by_pair = {(edge.parent, edge.child): edge
                               for edge in self.edges}
+        self._within: dict[int, tuple[PatternEdge, ...]] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -297,6 +309,16 @@ class QueryPattern:
             adjacency[edge.parent] |= 1 << edge.child
             adjacency[edge.child] |= 1 << edge.parent
         return tuple(adjacency)
+
+    def edges_within(self, mask: int) -> tuple[PatternEdge, ...]:
+        """The edges with both endpoints in the node mask *mask*, in
+        :attr:`edges` order (cached per mask)."""
+        within = self._within.get(mask)
+        if within is None:
+            within = self._within[mask] = tuple(
+                edge for edge, ends in zip(self.edges, self.edge_masks)
+                if mask & ends == ends)
+        return within
 
     def is_connected_mask(self, mask: int) -> bool:
         """Definition 1: is the node mask *mask* a valid status-node

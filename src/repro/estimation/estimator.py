@@ -423,7 +423,9 @@ class PatternCardinalities:
     re-deriving histogram math.  A sub-pattern is keyed by its node
     mask (:func:`~repro.core.pattern.node_mask`), the form the search
     already holds its clusters in; the pricing walk's frozensets are
-    converted to the same key, so both read one cache.
+    converted to the same key, so both read one cache.  Its estimate
+    multiplies per-node cardinalities and per-edge factors that are
+    read from the estimator once per instance.
     """
 
     def __init__(self, pattern: QueryPattern,
@@ -433,6 +435,8 @@ class PatternCardinalities:
         self._node_cache: dict[int, float] = {}
         self._candidates_cache: dict[int, float] = {}
         self._cluster_cache: dict[int, float] = {}
+        self._sizes: list[float] = []
+        self._factors: tuple[tuple[int, float | None], ...] | None = None
 
     def node(self, node_id: int) -> float:
         cached = self._node_cache.get(node_id)
@@ -458,29 +462,50 @@ class PatternCardinalities:
         """Estimated match count of the connected sub-pattern with node
         mask *mask*: the independence combination of per-edge
         selectivities, ``prod(|n|) * prod(sel(e))`` over its nodes and
-        the edges inside it."""
+        the edges inside it — 0 once an edge inside it has an endpoint
+        without candidates."""
         cached = self._cluster_cache.get(mask)
         if cached is not None:
             return cached
-        pattern = self.pattern
         if not mask:
             raise EstimationError("cluster must be non-empty")
-        if not pattern.is_connected_mask(mask):
+        if not self.pattern.is_connected_mask(mask):
             raise EstimationError(f"cluster {list(mask_nodes(mask))} is "
                                   "not a connected sub-pattern")
+        factors = self._factors
+        if factors is None:
+            factors = self._edge_factors()
+        sizes = self._sizes
         cardinality = 1.0
         for node_id in mask_nodes(mask):
-            cardinality *= self.node(node_id)
-        for edge, ends in zip(pattern.edges, pattern.edge_masks):
+            cardinality *= sizes[node_id]
+        for ends, factor in factors:
             if mask & ends != ends:
                 continue
-            parent_size = self.node(edge.parent)
-            child_size = self.node(edge.child)
-            if parent_size == 0 or child_size == 0:
+            if factor is None:
                 cardinality = 0.0
                 break
-            pair = self.estimator.edge_cardinality(pattern, edge.parent,
-                                                   edge.child)
-            cardinality *= pair / (parent_size * child_size)
+            cardinality *= factor
         self._cluster_cache[mask] = cardinality
         return cardinality
+
+    def _edge_factors(self) -> tuple[tuple[int, float | None], ...]:
+        """Per edge, in ``pattern.edges`` order, its endpoint mask and
+        its selectivity ``pair / (parent_size * child_size)`` — None
+        when an endpoint has no candidates; the node cardinalities go
+        to ``_sizes``."""
+        pattern = self.pattern
+        sizes = self._sizes = [self.node(node_id)
+                               for node_id in range(len(pattern))]
+        factors = []
+        for edge, ends in zip(pattern.edges, pattern.edge_masks):
+            parent_size = sizes[edge.parent]
+            child_size = sizes[edge.child]
+            if parent_size == 0 or child_size == 0:
+                factors.append((ends, None))
+                continue
+            pair = self.estimator.edge_cardinality(pattern, edge.parent,
+                                                   edge.child)
+            factors.append((ends, pair / (parent_size * child_size)))
+        self._factors = tuple(factors)
+        return self._factors

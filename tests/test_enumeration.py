@@ -4,8 +4,7 @@ import pytest
 
 from repro.core.cost import CostModel
 from repro.core.enumeration import (EnumerationContext, build_plan,
-                                    edge_eligible, is_deadend, is_doomed,
-                                    left_deep_allows, possible_moves,
+                                    is_doomed, possible_moves,
                                     upper_bound_completion)
 from repro.core.pattern import QueryPattern
 from repro.core.plans import JoinAlgorithm, SortPlan, validate_plan
@@ -23,6 +22,44 @@ def context(small_document, running_example_pattern):
 def chain_context(small_document, chain_pattern):
     return EnumerationContext(chain_pattern, CostModel(),
                               ExactEstimator(small_document))
+
+
+# -- the literal rules of Sec. 3, on status views: the oracles the
+# search's code-level move set and Lookahead test are checked against
+
+
+def edge_eligible(status, edge):
+    """Can *edge* be joined without re-sorting either input?
+
+    The stack-tree algorithms need the ancestor-side input ordered by
+    the ancestor node and the descendant-side input ordered by the
+    descendant node.  Singleton clusters (index scans) are ordered by
+    their own node, so they are always eligible.  No cluster is ordered
+    by two nodes, so an edge whose endpoints are both ``ordered_by``
+    nodes also joins two different clusters.
+    """
+    ends = 1 << edge.parent | 1 << edge.child
+    return status.ordered_nodes & ends == ends
+
+
+def is_deadend(status, pattern):
+    """Definition 6: a non-final status with no possible moves."""
+    if status.is_final():
+        return False
+    return not any(edge_eligible(status, edge)
+                   for edge in status.remaining_edges(pattern))
+
+
+def left_deep_allows(status, edge):
+    """DPAP-LD rule: moves must extend the single *growing node* — the
+    one multi-node cluster; any edge before the first join."""
+    growing = [mask for mask, _ in status.key if mask & (mask - 1)]
+    if not growing:
+        return True
+    if len(growing) > 1:
+        return False
+    (mask,) = growing
+    return (mask >> edge.parent & 1) != (mask >> edge.child & 1)
 
 
 def status_of(*clusters):

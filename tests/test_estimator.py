@@ -1,13 +1,18 @@
 """Unit tests for the cardinality estimators."""
 
+import random
+
 import pytest
 
 from repro.errors import EstimationError
-from repro.core.pattern import PatternNode, Predicate, QueryPattern
+from repro.core.pattern import (PatternNode, Predicate, QueryPattern,
+                                mask_nodes)
 from repro.estimation.estimator import (ExactEstimator,
                                         PatternCardinalities,
                                         PositionalEstimator,
                                         Statistics)
+from repro.workloads import random_pattern
+from tests.conftest import random_document
 
 
 @pytest.fixture
@@ -156,6 +161,69 @@ class TestPatternCardinalities:
         cards = PatternCardinalities(filtered_pattern, exact)
         assert cards.candidates(0) == small_document.tag_count("name")
         assert cards.node(0) == 1
+
+
+def reference_cardinality(pattern, estimator, mask):
+    """The sub-pattern formula spelled out: every node's cardinality,
+    then every edge inside *mask*, in pattern order, each read from
+    the estimator where it is used — 0 at the first such edge with an
+    endpoint without candidates."""
+    cardinality = 1.0
+    for node_id in mask_nodes(mask):
+        cardinality *= estimator.node_cardinality(pattern.node(node_id))
+    for edge in pattern.edges:
+        if not (mask >> edge.parent & 1 and mask >> edge.child & 1):
+            continue
+        parent_size = estimator.node_cardinality(pattern.node(edge.parent))
+        child_size = estimator.node_cardinality(pattern.node(edge.child))
+        if parent_size == 0 or child_size == 0:
+            cardinality = 0.0
+            break
+        pair = estimator.edge_cardinality(pattern, edge.parent, edge.child)
+        cardinality *= pair / (parent_size * child_size)
+    return cardinality
+
+
+#: a tag the document does not have, inside the twig: every cluster
+#: of two or more nodes with node 2 takes the 0.0 branch
+MISSING_TAG = QueryPattern.build({
+    "nodes": ["a", "b", "nothing", "c", "d"],
+    "edges": [(0, 1, "//"), (1, 2, "/"), (2, 3, "//"), (0, 4, "/")],
+})
+
+
+class TestClusterFactors:
+    """``cluster_cardinality`` multiplies factors cached once per
+    instance; every float must be the one the formula gives."""
+
+    @pytest.mark.parametrize("kind", ["positional", "exact"])
+    def test_every_connected_mask_matches_the_formula(self, kind):
+        document = random_document(3, size=300)
+        estimator = (PositionalEstimator.from_document(document)
+                     if kind == "positional"
+                     else ExactEstimator(document))
+        patterns = [random_pattern(random.Random(seed), min_nodes=size,
+                                   max_nodes=size, predicate_chance=0.3)
+                    for size in (2, 4, 6, 8) for seed in range(4)]
+        zeros = 0
+        for pattern in patterns + [MISSING_TAG]:
+            cards = PatternCardinalities(pattern, estimator)
+            for mask in range(1, 1 << len(pattern)):
+                if not pattern.is_connected_mask(mask):
+                    with pytest.raises(EstimationError,
+                                       match="not a connected"):
+                        cards.cluster_cardinality(mask)
+                    continue
+                expected = repr(reference_cardinality(pattern, estimator,
+                                                      mask))
+                assert repr(cards.cluster_cardinality(mask)) == expected
+                # ... and again from the cache
+                assert repr(cards.cluster_cardinality(mask)) == expected
+                if (pattern is MISSING_TAG and mask & (mask - 1)
+                        and mask >> 2 & 1):
+                    assert expected == "0.0"
+                    zeros += 1
+        assert zeros
 
 
 class TestSamplingEstimator:

@@ -24,16 +24,20 @@ from urllib.parse import quote
 import pytest
 
 from repro.core.dp import DPOptimizer
-from repro.core.enumeration import (EnumerationContext, is_doomed,
-                                    left_deep_allows, possible_moves,
+from repro.core.dpap import DPAPLDOptimizer
+from repro.core.dpp import DPPOptimizer
+from repro.core.enumeration import (EnumerationContext, _greedy_completion,
+                                    _growing, _is_doomed, _open_edges,
+                                    is_doomed, possible_moves,
                                     upper_bound_completion)
 from repro.core.plans import canonical_plan_digest
-from repro.core.planspace import PlanSpaceRecorder
-from repro.core.status import Status
+from repro.core.planspace import PRUNE_DOMINATED, PlanSpaceRecorder
+from repro.core.status import Status, decode
 from repro.server import QueryServer, ServerConfig, fetch
 from repro.workloads.generators import random_pattern
 from repro.workloads.queries import PAPER_QUERIES
 from repro.xpath.render import pattern_to_xpath
+from tests.test_enumeration import left_deep_allows
 
 
 class LeftDeepDP(DPOptimizer):
@@ -197,7 +201,78 @@ def test_moves_doom_test_and_bound_agree(random_database, left_deep):
                 assert doomed == (not moves)
 
 
-# -- (d) DP and DPP record what they recorded before sharing a memo ---------
+# -- (d) one record per status: what DPP judged once is what a fresh --------
+# -- context decodes, tests and bounds from scratch ---------------------------
+
+
+class TabledRecorder(PlanSpaceRecorder):
+    """Keeps the codes of DPP's memo and of its memo hits."""
+
+    def _reset(self):
+        super()._reset()
+        self.tabled = {}
+        self.hits = []
+
+    def record_prune(self, code, reason, cost, generated=False):
+        if reason == PRUNE_DOMINATED:
+            self.hits.append(code)
+        super().record_prune(code, reason, cost, generated)
+
+    def record_event(self, kind, code, cost, detail=""):
+        if kind == "improve":
+            self.hits.append(code)
+        super().record_event(kind, code, cost, detail)
+
+    def record_memo(self, memo):
+        self.tabled = dict(memo)
+        super().record_memo(memo)
+
+
+def from_scratch(code, context):
+    """*code*'s record as a fresh context of the same space builds it:
+    decoded, tested and bounded with no parent to derive from."""
+    fresh = EnumerationContext(context.pattern, context.cost_model,
+                               context.cards.estimator,
+                               left_deep=context.left_deep)
+    clusters = decode(code, fresh.size)
+    ordered = 0
+    for value in clusters:
+        if value != fresh.size:
+            ordered |= 1 << value
+    edges = _open_edges(ordered, _growing(clusters.values())
+                        if fresh.left_deep else 0, fresh)
+    return (clusters, ordered, edges, _is_doomed(clusters, edges, fresh),
+            repr(_greedy_completion(clusters, ordered, fresh)))
+
+
+@pytest.mark.parametrize("lookahead", [True, False])
+@pytest.mark.parametrize("optimizer", [DPPOptimizer, DPAPLDOptimizer])
+def test_every_tabled_status_was_judged_as_from_scratch(
+        random_database, optimizer, lookahead):
+    doomed_tabled = 0
+    for size in (4, 5, 6, 7, 8):
+        for seed in range(6):
+            recorder = TabledRecorder()
+            optimizer(random_database.cost_model, lookahead=lookahead,
+                      planspace=recorder).optimize(
+                pattern_of(size, 500 * size + seed),
+                random_database.estimator)
+            context = recorder.context
+            assert recorder.tabled
+            for code in recorder.tabled:
+                *record, bound = context.record(code)
+                assert (*record, repr(bound)) == from_scratch(code,
+                                                              context)
+                doomed_tabled += record[3]
+            if lookahead:
+                assert not any(context.record(code)[3]
+                               for code in recorder.hits)
+    # without the Lookahead Rule doomed statuses are tabled, and their
+    # ubCost is the greedy completion's ``inf``
+    assert (doomed_tabled > 0) == (not lookahead)
+
+
+# -- (e) DP and DPP record what they recorded before sharing a memo ---------
 
 #: per paper query and algorithm: alternatives recorded, memo size, and
 #: a fingerprint of each list — taken at the commit before DP's

@@ -21,12 +21,14 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
 from repro.api import Database
 from repro.engine import blocks
+from repro.engine.executor import StreamingExecution
 from repro.obs.querylog import QueryLog, read_query_log
 from repro.server import (AdmissionController, QueryServer,
                           ServerConfig, TokenBucket, app, fetch)
@@ -447,6 +449,37 @@ def capture_streams(monkeypatch, database, engine=""):
     return captured
 
 
+#: notified whenever a drill's waits may be over: a producer pulled a
+#: block, a stream finished, a consumer hung up, a slot was released
+PROGRESS = threading.Condition()
+
+
+def _notify_progress():
+    with PROGRESS:
+        PROGRESS.notify_all()
+
+
+@pytest.fixture(autouse=True)
+def progress_events(monkeypatch):
+    """Every change a drill waits for notifies :data:`PROGRESS`, so
+    the waits below sleep on it instead of polling."""
+    def after(cls, name):
+        original = getattr(cls, name)
+
+        def notifying(self, *args, **kwargs):
+            try:
+                return original(self, *args, **kwargs)
+            finally:
+                _notify_progress()
+
+        monkeypatch.setattr(cls, name, notifying)
+
+    after(StreamingExecution, "_check_cancel")  # once per block
+    after(StreamingExecution, "_finish")
+    after(app._Handoff, "hang_up")
+    after(AdmissionController, "release")
+
+
 def hold_producers(monkeypatch, database, after_blocks=0):
     """From here on a run's cancel predicate answers only once it is
     true: its producer, however fast, cannot get past block
@@ -476,22 +509,25 @@ MID_STREAM_DEADLINE_MS = 1000
 
 
 def wait_until(condition, seconds=10.0):
-    deadline = time.monotonic() + seconds
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.02)
+    """Block until *condition* holds, asking it again at each
+    :data:`PROGRESS` notification."""
+    with PROGRESS:
+        assert PROGRESS.wait_for(condition, seconds), \
+            "condition never held"
 
 
 def wait_until_stalled(stream, quiet=0.4):
     """Block until ``stream.produced`` has not moved for *quiet*
-    seconds; returns where it stopped."""
-    produced, since = stream.produced, time.monotonic()
-    deadline = since + 10.0
-    while time.monotonic() - since < quiet:
-        assert time.monotonic() < deadline, "producer never stalled"
-        time.sleep(0.02)
-        if stream.produced != produced:
-            produced, since = stream.produced, time.monotonic()
+    seconds, looking again at each :data:`PROGRESS` notification;
+    returns where it stopped."""
+    deadline = time.monotonic() + 10.0
+    with PROGRESS:
+        produced, since = stream.produced, time.monotonic()
+        while (left := since + quiet - time.monotonic()) > 0:
+            assert time.monotonic() < deadline, "producer never stalled"
+            PROGRESS.wait(left)
+            if stream.produced != produced:
+                produced, since = stream.produced, time.monotonic()
     return produced
 
 

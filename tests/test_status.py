@@ -425,11 +425,11 @@ class TestStatusCodes:
                         in moves] == expected
                 # a child's clusters derived from its parent's are its
                 # decoded clusters
-                derived.decoded(code)
+                derived.record(code)
                 for move in moves:
                     derived.derive(move[4], code, move[0])
-                    assert derived.decoded(move[4]) == \
-                        context.decoded(move[4])
+                    assert derived.record(move[4]) == \
+                        context.record(move[4])
                 assert is_doomed(code, context) == _reference_doomed(
                     reference, context, expected)
                 assert repr(upper_bound_completion(code, context)) == \
