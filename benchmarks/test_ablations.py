@@ -11,6 +11,7 @@ import pytest
 
 from benchmarks.conftest import publish
 from repro.api import Database
+from repro.bench.harness import paper_estimator, plan_cell
 from repro.bench.tables import render_table
 from repro.core.cost import CostFactors
 from repro.estimation.estimator import (ExactEstimator,
@@ -26,9 +27,9 @@ class TestLookaheadAblation:
     @pytest.mark.parametrize("variant", ["DPP", "DPP'"])
     def test_lookahead(self, benchmark, pers_db, variant):
         query = paper_query(QUERY)
-        pers_db.warm_statistics(query.pattern)
-        result = benchmark(pers_db.optimize, query.pattern,
-                           algorithm=variant)
+        estimator = paper_estimator(pers_db)
+        result = benchmark(plan_cell, pers_db, query.pattern, variant,
+                           estimator)
         benchmark.extra_info["statuses_generated"] = (
             result.report.statuses_generated)
         benchmark.extra_info["deadends_avoided"] = (
@@ -38,8 +39,8 @@ class TestLookaheadAblation:
         query = paper_query(QUERY)
 
         def run():
-            with_rule = pers_db.optimize(query.pattern, algorithm="DPP")
-            without = pers_db.optimize(query.pattern, algorithm="DPP'")
+            with_rule = plan_cell(pers_db, query.pattern, "DPP")
+            without = plan_cell(pers_db, query.pattern, "DPP'")
             return with_rule.report, without.report
 
         with_rule, without = benchmark.pedantic(run, rounds=1,
@@ -54,7 +55,6 @@ class TestEstimatorAblation:
         histograms vs a systematic sampler vs exact pairwise
         statistics — both the estimate's accuracy and the quality of
         the plan DPP picks with it."""
-        from repro.core.dpp import DPPOptimizer
         from repro.estimation.sampling import SamplingEstimator
 
         query = paper_query(QUERY)
@@ -66,15 +66,14 @@ class TestEstimatorAblation:
             exact = database.exact_estimator
             truth = exact.edge_cardinality(query.pattern, 0, 1)
             estimators = [
-                ("positional", database.estimator),
+                ("positional", paper_estimator(database)),
                 ("sampling", SamplingEstimator(database.document)),
                 ("exact", exact),
             ]
             rows = []
             for name, estimator in estimators:
-                optimization = DPPOptimizer(
-                    cost_model=database.cost_model).optimize(
-                        query.pattern, estimator)
+                optimization = plan_cell(database, query.pattern,
+                                         estimator=estimator)
                 execution = database.execute(optimization.plan,
                                              query.pattern)
                 estimate = estimator.edge_cardinality(query.pattern,
@@ -139,8 +138,7 @@ class TestCostFactorSensitivity:
                 factors = CostFactors(f_io=f_io)
                 database = Database.from_document(base,
                                                   cost_factors=factors)
-                optimization = database.optimize(query.pattern,
-                                                 algorithm="DPP")
+                optimization = plan_cell(database, query.pattern)
                 rows.append({
                     "f_io": f_io,
                     "fully_pipelined": (
@@ -166,8 +164,8 @@ class TestFoldedLookahead:
         query = paper_query(QUERY)
 
         def run():
-            dp = pers_db.optimize(query.pattern, algorithm="DP")
-            dpp = pers_db.optimize(query.pattern, algorithm="DPP")
+            dp = plan_cell(pers_db, query.pattern, "DP")
+            dpp = plan_cell(pers_db, query.pattern, "DPP")
             return dp.report, dpp.report
 
         dp, dpp = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -10,6 +10,7 @@ good order — and both pay very different buffering costs.
 import pytest
 
 from benchmarks.conftest import database_for, publish
+from repro.bench.harness import plan_cell
 from repro.bench.tables import render_table
 from repro.workloads.queries import PAPER_QUERIES, paper_query
 
@@ -33,15 +34,15 @@ def test_holistic_vs_binary_summary(benchmark, setup):
         for query_name in QUERIES:
             query = paper_query(query_name)
             database = database_for(query.dataset, setup)
-            binary = database.query(query.pattern, algorithm="DPP")
+            binary = database.execute(
+                plan_cell(database, query.pattern).plan, query.pattern)
             holistic = database.holistic_query(query.pattern)
-            assert (holistic.canonical()
-                    == binary.execution.canonical())
+            assert holistic.canonical() == binary.canonical()
             rows.append({
                 "query": query_name,
-                "binary_sim": binary.execution.metrics.simulated_cost(),
+                "binary_sim": binary.metrics.simulated_cost(),
                 "holistic_sim": holistic.metrics.simulated_cost(),
-                "binary_ms": binary.execution.metrics.wall_seconds * 1e3,
+                "binary_ms": binary.metrics.wall_seconds * 1e3,
                 "holistic_ms": holistic.metrics.wall_seconds * 1e3,
                 "matches": len(holistic),
             })

@@ -10,7 +10,7 @@ first tuple, on folded data where the difference is macroscopic.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.bench.harness import dataset_database
+from repro.bench.harness import dataset_database, plan_cell
 from repro.bench.tables import render_table
 from repro.engine.context import EngineContext
 from repro.engine.executor import Executor
@@ -30,8 +30,8 @@ def test_first_result_latency(benchmark, setup):
         query = paper_query(QUERY)
         rows = []
         for algorithm in ("DPP", "DPAP-LD", "FP"):
-            optimization = database.optimize(query.pattern,
-                                             algorithm=algorithm)
+            optimization = plan_cell(database, query.pattern,
+                                     algorithm)
             executor = Executor(
                 EngineContext(database.index, database.store,
                               database.document,

@@ -13,6 +13,7 @@ import pytest
 
 from benchmarks.conftest import database_for, publish
 from repro.bench.experiments import ALGORITHMS, table1
+from repro.bench.harness import paper_estimator, plan_cell
 from repro.workloads.queries import PAPER_QUERIES, paper_query
 
 QUERIES = sorted(PAPER_QUERIES)
@@ -23,13 +24,13 @@ QUERIES = sorted(PAPER_QUERIES)
 def test_optimize(benchmark, setup, query_name, algorithm):
     query = paper_query(query_name)
     database = database_for(query.dataset, setup)
-    database.warm_statistics(query.pattern)
+    estimator = paper_estimator(database)
     options = {}
     if algorithm == "DPAP-EB":
         options["expansion_bound"] = len(query.pattern.edges)
 
-    result = benchmark(database.optimize, query.pattern,
-                       algorithm=algorithm, **options)
+    result = benchmark(plan_cell, database, query.pattern, algorithm,
+                       estimator, **options)
     benchmark.extra_info["estimated_cost"] = result.estimated_cost
     benchmark.extra_info["plans_considered"] = (
         result.report.plans_considered)

@@ -9,6 +9,7 @@ import pytest
 
 from benchmarks.conftest import publish
 from repro.bench.experiments import TABLE2_ALGORITHMS, table2
+from repro.bench.harness import paper_estimator, plan_cell
 from repro.workloads.queries import paper_query
 
 QUERY = "Q.Pers.3.d"
@@ -17,12 +18,12 @@ QUERY = "Q.Pers.3.d"
 @pytest.mark.parametrize("algorithm", TABLE2_ALGORITHMS)
 def test_optimize_variants(benchmark, pers_db, algorithm):
     query = paper_query(QUERY)
-    pers_db.warm_statistics(query.pattern)
+    estimator = paper_estimator(pers_db)
     options = {}
     if algorithm == "DPAP-EB":
         options["expansion_bound"] = len(query.pattern.edges)
-    result = benchmark(pers_db.optimize, query.pattern,
-                       algorithm=algorithm, **options)
+    result = benchmark(plan_cell, pers_db, query.pattern, algorithm,
+                       estimator, **options)
     benchmark.extra_info["plans"] = (
         result.report.alternatives_considered)
     benchmark.extra_info["moves_costed"] = result.report.plans_considered

@@ -10,7 +10,7 @@ import pytest
 
 from benchmarks.conftest import FOLDINGS, publish
 from repro.bench.experiments import table3
-from repro.bench.harness import dataset_database, run_cell
+from repro.bench.harness import dataset_database, plan_cell
 from repro.workloads.queries import paper_query
 
 QUERY = "Q.Pers.3.d"
@@ -21,7 +21,7 @@ QUERY = "Q.Pers.3.d"
 def test_evaluate_plan(benchmark, setup, algorithm, folding):
     database = dataset_database("pers", setup, folding=folding)
     query = paper_query(QUERY)
-    optimization = database.optimize(query.pattern, algorithm=algorithm)
+    optimization = plan_cell(database, query.pattern, algorithm)
 
     execution = benchmark.pedantic(
         database.execute, args=(optimization.plan, query.pattern),

@@ -9,7 +9,7 @@ tables.
 """
 
 from repro.bench.harness import (CellResult, ExperimentSetup, eval_bad_plan,
-                                 run_cell)
+                                 paper_estimator, plan_cell, run_cell)
 from repro.bench.tables import render_table
 from repro.bench.experiments import (figure7, figure8, table1, table2,
                                      table3)
@@ -18,6 +18,8 @@ __all__ = [
     "CellResult",
     "ExperimentSetup",
     "eval_bad_plan",
+    "paper_estimator",
+    "plan_cell",
     "run_cell",
     "render_table",
     "table1",

@@ -6,6 +6,11 @@ time, evaluation wall time, evaluation *simulated cost* (operation
 counts weighted by the cost factors — the currency in which the
 paper's shape claims are checked), result size, and the optimizer's
 work counters.
+
+Every plan a paper table reports is chosen by :func:`plan_cell`,
+against :func:`paper_estimator` — the per-tag histograms of the
+paper's estimator [17], not the label-path summary the database plans
+its own queries with — so the tables stay the paper's experiment.
 """
 
 from __future__ import annotations
@@ -16,10 +21,13 @@ from functools import lru_cache
 
 from repro.api import Database
 from repro.core.cost import CostFactors
-from repro.core.optimizer import OptimizationResult
+from repro.core.optimizer import OptimizationResult, get_optimizer
+from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.core.random_plans import worst_random_plan
 from repro.document.document import XmlDocument
+from repro.estimation.estimator import (CardinalityEstimator,
+                                        PositionalEstimator)
 from repro.workloads.dblp import dblp_document
 from repro.workloads.folding import fold_document
 from repro.workloads.mbench import mbench_document
@@ -92,12 +100,34 @@ def dataset_database(dataset: str, setup: ExperimentSetup,
     return Database.from_document(document)
 
 
+def paper_estimator(database: Database) -> PositionalEstimator:
+    """The paper's estimator over *database*'s current statistics:
+    positional and level histograms per tag, clusters combined under
+    independence."""
+    return PositionalEstimator(database.tag_statistics.entries)
+
+
+def plan_cell(database: Database, pattern: QueryPattern,
+              algorithm: str = "DPP",
+              estimator: CardinalityEstimator | None = None,
+              **options: object) -> OptimizationResult:
+    """Choose a plan for *pattern* as the experiments do: with
+    *algorithm* under *database*'s cost model, against *estimator*
+    (default: a fresh :func:`paper_estimator`), warmed first, so the
+    optimizer's reported time excludes the statistics derivation."""
+    if estimator is None:
+        estimator = paper_estimator(database)
+    estimator.warm(pattern)
+    optimizer = get_optimizer(algorithm, cost_model=database.cost_model,
+                              **options)
+    return optimizer.optimize(pattern, estimator)
+
+
 def run_cell(database: Database, query: PaperQuery, algorithm: str,
              **options: object) -> CellResult:
     """Optimize + execute one cell and collect every measurement."""
-    database.warm_statistics(query.pattern)
-    optimization: OptimizationResult = database.optimize(
-        query.pattern, algorithm=algorithm, **options)
+    optimization = plan_cell(database, query.pattern, algorithm,
+                             **options)
     execution = database.execute(optimization.plan, query.pattern)
     return CellResult(
         query=query.name,
@@ -121,8 +151,8 @@ def eval_bad_plan(database: Database, query: PaperQuery,
     """Execute the worst of *samples* random plans (Table 1 yardstick)."""
     started = time.perf_counter()
     plan, estimated = worst_random_plan(
-        query.pattern, database.estimator, samples=samples, seed=seed,
-        cost_model=database.cost_model)
+        query.pattern, paper_estimator(database), samples=samples,
+        seed=seed, cost_model=database.cost_model)
     opt_seconds = time.perf_counter() - started
     execution = database.execute(plan, query.pattern)
     return CellResult(

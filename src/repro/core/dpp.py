@@ -40,7 +40,8 @@ from typing import Callable
 
 from repro.errors import OptimizerError
 from repro.core.enumeration import (EnumerationContext, Memo, build_plan,
-                                    possible_moves, reconstruct_moves,
+                                    completed_cost, possible_moves,
+                                    reconstruct_moves,
                                     upper_bound_completion)
 from repro.core.optimizer import Optimizer, register
 from repro.core.planspace import (PRUNE_COST_BOUND, PRUNE_DOMINATED,
@@ -97,9 +98,11 @@ class DPPOptimizer(Optimizer):
         # Cost + ubCost is the cost of a real completion, so it bounds
         # the optimum and seeds the Pruning Rule from the first push.
         best_bound = start_bound
-        # the Pruning Rule's threshold: the lesser of the two, moved
-        # whenever either falls
-        threshold = start_bound
+        # the Pruning Rule's threshold: the lesser of the best final's
+        # cost and the best bound — the bound as the search would add
+        # it up along its path (``completed_cost``), so an ulp of
+        # summation order never prunes the optimum
+        threshold = completed_cost(start, start_cost, context)
         best_final: int | None = None
 
         while heap:
@@ -196,8 +199,10 @@ class DPPOptimizer(Optimizer):
                 bound = new_cost + record[4]
                 if bound < best_bound:
                     best_bound = bound
-                    if bound < threshold:
-                        threshold = bound
+                    completed = completed_cost(new_status, new_cost,
+                                               context)
+                    if completed < threshold:
+                        threshold = completed
                 heapq.heappush(heap, (bound, next(tie_breaker), new_cost,
                                       new_status))
 

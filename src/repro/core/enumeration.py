@@ -374,10 +374,26 @@ def upper_bound_completion(code: int,
     return context.record(code)[4]
 
 
+def completed_cost(code: int, cost: float,
+                   context: EnumerationContext) -> float:
+    """The cost of a full plan that reaches the status *code* at *cost*
+    and then takes :func:`upper_bound_completion`'s joins, added to
+    *cost* one join at a time — the order the search itself adds move
+    costs in.  Each of those joins is a move whose cost is at most the
+    one charged here, and float addition is monotone, so the search
+    reaches a final status along it at no more than this: a Pruning
+    Rule threshold read from here never prunes the search's optimum,
+    where ``cost + ubCost`` (summed in another order) may undercut it
+    by an ulp."""
+    record = context.record(code)
+    return _greedy_completion(record[0], record[1], context, cost)
+
+
 def _greedy_completion(clusters: dict[int, int], joinable: int,
-                       context: EnumerationContext) -> float:
+                       context: EnumerationContext,
+                       total: float = 0.0) -> float:
     if len(clusters) == 1:
-        return 0.0
+        return total
     # endpoints a join may use: a fixed cluster's ordered_by node
     # (``joinable`` starts as the ordered nodes), and every node of a
     # cluster this completion merged
@@ -398,7 +414,6 @@ def _greedy_completion(clusters: dict[int, int], joinable: int,
 
     size = context.size
     prices, price = context._prices, context.prices
-    total = 0.0
     while remaining:
         for index, (parent, child, ends) in enumerate(remaining):
             if growing and not growing & ends:

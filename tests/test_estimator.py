@@ -193,13 +193,15 @@ MISSING_TAG = QueryPattern.build({
 
 
 class TestClusterFactors:
-    """``cluster_cardinality`` multiplies factors cached once per
-    instance; every float must be the one the formula gives."""
+    """Without a label-path summary ``cluster_cardinality`` multiplies
+    factors cached once per instance; every float must be the one the
+    formula gives.  The positional case is the paper's estimator: the
+    histograms alone."""
 
     @pytest.mark.parametrize("kind", ["positional", "exact"])
     def test_every_connected_mask_matches_the_formula(self, kind):
         document = random_document(3, size=300)
-        estimator = (PositionalEstimator.from_document(document)
+        estimator = (PositionalEstimator(Statistics(document).entries)
                      if kind == "positional"
                      else ExactEstimator(document))
         patterns = [random_pattern(random.Random(seed), min_nodes=size,

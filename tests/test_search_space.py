@@ -28,11 +28,13 @@ from repro.core.dpap import DPAPLDOptimizer
 from repro.core.dpp import DPPOptimizer
 from repro.core.enumeration import (EnumerationContext, _greedy_completion,
                                     _growing, _is_doomed, _open_edges,
-                                    is_doomed, possible_moves,
-                                    upper_bound_completion)
+                                    completed_cost, is_doomed,
+                                    possible_moves, upper_bound_completion)
+from repro.core.optimizer import get_optimizer
 from repro.core.plans import canonical_plan_digest
 from repro.core.planspace import PRUNE_DOMINATED, PlanSpaceRecorder
 from repro.core.status import Status, decode
+from repro.estimation.estimator import PositionalEstimator
 from repro.server import QueryServer, ServerConfig, fetch
 from repro.workloads.generators import random_pattern
 from repro.workloads.queries import PAPER_QUERIES
@@ -49,7 +51,8 @@ class LeftDeepDP(DPOptimizer):
 
 #: (size, seed, exact statistics?) of ``pattern_of`` patterns on which
 #: DPAP-LD raised "search reached no final status" before its bound
-#: was a left-deep one
+#: was a left-deep one — found under the paper's histograms, which the
+#: inexact ones keep planning with (:func:`reproducer_estimator`)
 REPRODUCERS = [(6, 262, False), (7, 197, False), (8, 103, False),
                (6, 102, True), (6, 262, True), (7, 102, True),
                (8, 102, True), (9, 102, True)]
@@ -71,21 +74,28 @@ def estimator_of(database, exact):
     return database.exact_estimator if exact else database.estimator
 
 
-def cost(database, pattern, optimizer, exact=False):
-    return optimizer(database.cost_model).optimize(
-        pattern, estimator_of(database, exact))
+def reproducer_estimator(database, exact):
+    """What a reproducer was found under: exact pairwise counts, or the
+    paper's per-tag histograms without the label-path summary."""
+    if exact:
+        return database.exact_estimator
+    return PositionalEstimator(database.tag_statistics.entries)
 
 
-def check_against_oracles(database, pattern, exact=False):
-    result = database.optimize(pattern, algorithm="DPAP-LD", exact=exact)
+def cost(database, pattern, optimizer, estimator):
+    return optimizer(database.cost_model).optimize(pattern, estimator)
+
+
+def check_against_oracles(database, pattern, estimator):
+    result = cost(database, pattern, DPAPLDOptimizer, estimator)
     assert result.plan.is_left_deep
-    oracle = cost(database, pattern, LeftDeepDP, exact)
+    oracle = cost(database, pattern, LeftDeepDP, estimator)
     assert oracle.plan.is_left_deep
     assert result.estimated_cost == oracle.estimated_cost
     if len(pattern) <= DP_MAX_NODES:
-        dp, dpp = (database.optimize(pattern, algorithm=algorithm,
-                                     exact=exact).estimated_cost
-                   for algorithm in ("DP", "DPP"))
+        dp, dpp = (cost(database, pattern, optimizer,
+                        estimator).estimated_cost
+                   for optimizer in (DPOptimizer, DPPOptimizer))
         assert dpp == dp <= result.estimated_cost
 
 
@@ -96,33 +106,63 @@ def check_against_oracles(database, pattern, exact=False):
                          REPRODUCERS + SILENTLY_DEARER)
 def test_reproducers_return_the_left_deep_optimum(random_database, size,
                                                   seed, exact):
-    check_against_oracles(random_database, pattern_of(size, seed), exact)
+    check_against_oracles(random_database, pattern_of(size, seed),
+                          reproducer_estimator(random_database, exact))
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
 def test_paper_queries(paper_databases, name):
     query = PAPER_QUERIES[name]
-    check_against_oracles(paper_databases[query.dataset], query.pattern)
+    database = paper_databases[query.dataset]
+    check_against_oracles(database, query.pattern, database.estimator)
+
+
+def random_pool(predicate_chance):
+    return [pattern_of(size, 1000 * size + seed, predicate_chance)
+            for size in (3, 4, 5, 6, 7) for seed in range(16)]
 
 
 @pytest.mark.parametrize("predicate_chance", [0.0, 0.3])
 @pytest.mark.parametrize("exact", [False, True])
 def test_random_pools(random_database, predicate_chance, exact):
-    for size in (3, 4, 5, 6, 7):
-        for seed in range(16):
-            check_against_oracles(
-                random_database,
-                pattern_of(size, 1000 * size + seed, predicate_chance),
-                exact)
+    for pattern in random_pool(predicate_chance):
+        check_against_oracles(random_database, pattern,
+                              estimator_of(random_database, exact))
+
+
+#: a pool pattern, ``//d[d][.//a[@aFour = 'Ada']]/a[@id >= 'beta']/a``,
+#: on which DPP, DPP', DPAP-EB and DPAP-LD raised "search reached no
+#: final status" under the label-path summary: the Pruning Rule's
+#: threshold was a bound summed as ``677.0 + 14.666666666666666``
+#: (691.6666666666666), every route's last status cost
+#: ``690.3333333333334 + 1.3333333333333333`` (691.6666666666667) and
+#: was pruned, and the whole pattern estimates 0, so its last join
+#: costs 0
+ULP_REPRODUCER = (5, 5013)
+
+
+def test_threshold_is_summed_as_the_search_sums(random_database):
+    pattern = pattern_of(*ULP_REPRODUCER)
+    estimator = random_database.estimator
+    assert estimator.summary is not None
+    dp = cost(random_database, pattern, DPOptimizer, estimator)
+    assert dp.estimated_cost == 691.6666666666666
+    left_deep = cost(random_database, pattern, LeftDeepDP, estimator)
+    for name in ("DPP", "DPP'", "DPAP-EB", "DPAP-LD"):
+        result = get_optimizer(
+            name, cost_model=random_database.cost_model).optimize(
+                pattern, estimator)
+        optimum = left_deep if name == "DPAP-LD" else dp
+        assert result.estimated_cost == optimum.estimated_cost, name
 
 
 # -- (b) every bound is a plan of the space being searched -----------------
 
 
-def contexts(database, pattern, exact=False):
+def contexts(database, pattern, estimator):
     return {left_deep: EnumerationContext(
-                pattern, database.cost_model,
-                estimator_of(database, exact), left_deep=left_deep)
+                pattern, database.cost_model, estimator,
+                left_deep=left_deep)
             for left_deep in (False, True)}
 
 
@@ -152,10 +192,11 @@ def reachable(context):
 def test_cost_plus_ubcost_is_achievable_in_its_own_space(
         random_database, size, seed, exact):
     pattern = pattern_of(size, seed)
-    spaces = contexts(random_database, pattern, exact)
+    estimator = reproducer_estimator(random_database, exact)
+    spaces = contexts(random_database, pattern, estimator)
     optimum = {
-        False: cost(random_database, pattern, DPOptimizer, exact),
-        True: cost(random_database, pattern, LeftDeepDP, exact)}
+        False: cost(random_database, pattern, DPOptimizer, estimator),
+        True: cost(random_database, pattern, LeftDeepDP, estimator)}
     for left_deep, context in spaces.items():
         start_bound = context.start_cost() + upper_bound_completion(
             context.start_code, context)
@@ -173,6 +214,28 @@ def test_cost_plus_ubcost_is_achievable_in_its_own_space(
                ) < optimum[True].estimated_cost * (1 - 1e-9)
 
 
+@pytest.mark.parametrize("predicate_chance", [0.0, 0.3])
+def test_every_threshold_is_reachable_in_the_search_arithmetic(
+        random_database, predicate_chance):
+    """Under the label-path summary, on the random pools: from every
+    reachable status, at its cheapest cost, the greedy completion
+    summed the way the search sums (``completed_cost``) is no cheaper
+    than the space's optimum in the same arithmetic — the cheapest
+    final status :func:`reachable` reaches — with no tolerance, so a
+    Pruning Rule threshold read from it never prunes the optimum;
+    ``Cost + ubCost`` keeps its bound up to summation order."""
+    for pattern in random_pool(predicate_chance):
+        for context in contexts(random_database, pattern,
+                                random_database.estimator).values():
+            statuses = list(reachable(context))
+            optimum = min(reached for status, reached, _ in statuses
+                          if status in context.final_codes)
+            for status, reached, _ in statuses:
+                assert completed_cost(status, reached, context) >= optimum
+                assert (reached + upper_bound_completion(status, context)
+                        >= optimum * (1 - 1e-9))
+
+
 # -- (c) the three definitions agree on every reachable status --------------
 
 
@@ -182,7 +245,8 @@ def test_moves_doom_test_and_bound_agree(random_database, left_deep):
         pattern_of(size, seed) for size, seed in
         ((4, 1), (5, 2), (6, 3), (6, 262), (7, 197))]
     for pattern in patterns:
-        context = contexts(random_database, pattern)[left_deep]
+        context = contexts(random_database, pattern,
+                           random_database.estimator)[left_deep]
         for code, _, moves in reachable(context):
             status = Status.from_code(code, pattern)
             if left_deep:
@@ -303,9 +367,12 @@ def fingerprint(lines):
 
 
 def recorded(database, query, algorithm):
+    """What the recorder kept of a search under the paper's histograms,
+    which the fingerprints were taken under."""
     recorder = PlanSpaceRecorder()
-    database.optimize(query.pattern, algorithm=algorithm,
-                      planspace=recorder)
+    get_optimizer(algorithm, cost_model=database.cost_model,
+                  planspace=recorder).optimize(
+        query.pattern, PositionalEstimator(database.tag_statistics.entries))
     finals = [f"{canonical_plan_digest(plan, query.pattern)} "
               f"{plan_cost:.1f} {note}"
               for plan, plan_cost, note in recorder.finals]

@@ -154,6 +154,9 @@ def _assert_fleet_plans_like_a_single_node(dataset: str, shards: int,
                        predicate_chance=0.5) for _ in range(draws)]
     single = Database.from_document(document)
     with ShardedDatabase(document, shards=shards) as fleet:
+        # both plan on the whole document's label paths
+        assert (fleet.estimator.summary.labels()
+                == single.estimator.summary.labels())
         for pattern in patterns:
             for algorithm in FLEET_ALGORITHMS:
                 expected = single.optimize(pattern, algorithm)
