@@ -3,7 +3,7 @@
 
 Shows the front-to-back flow a user of the library sees: generate a
 shallow/wide bibliography, pose XPath queries with attribute and text
-predicates, and inspect how the positional-histogram estimator sized
+predicates, and inspect how the label-path summary estimator sized
 the intermediate results against what actually came out.
 
 Run:  python examples/bibliography_search.py
@@ -52,7 +52,7 @@ def main() -> None:
     approx = database.estimator.edge_cardinality(pattern, 0, 1)
     exact = database.exact_estimator.edge_cardinality(pattern, 0, 1)
     print(f"estimator check on article/author: "
-          f"positional={approx:.1f} exact={exact:.0f}")
+          f"summary={approx:.1f} exact={exact:.0f}")
 
 
 if __name__ == "__main__":

@@ -2,8 +2,8 @@
 
 A from-scratch reproduction of Wu, Patel & Jagadish (ICDE 2003): a
 native-XML-database substrate (region-encoded documents, paged storage,
-tag indexes, stack-tree structural joins, positional-histogram
-cardinality estimation) plus the paper's contribution — five
+tag indexes, stack-tree structural joins, cardinality estimation on
+a label-path summary and on the paper's positional histograms) plus the paper's contribution — five
 cost-based structural join order selection algorithms (DP, DPP,
 DPAP-EB, DPAP-LD, FP).
 

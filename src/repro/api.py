@@ -40,7 +40,7 @@ from repro.document.parser import parse_xml
 from repro.engine.context import EngineContext
 from repro.engine.executor import (ExecutionResult, Executor,
                                    StreamingExecution)
-from repro.estimation.estimator import PositionalEstimator
+from repro.estimation.estimator import SummaryEstimator
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import TraceContext, assign_span_ids
 from repro.storage.buffer import BufferPool
@@ -70,7 +70,7 @@ class Snapshot:
     document: XmlDocument
     index: TagIndex
     store: ElementStore
-    estimator: PositionalEstimator
+    estimator: SummaryEstimator
     statistics_epoch: int
 
 
@@ -235,7 +235,7 @@ class Database(QueryTarget):
 
     def publish(self, store: ElementStore, index: TagIndex,
                 document: XmlDocument,
-                estimator: PositionalEstimator) -> None:
+                estimator: SummaryEstimator) -> None:
         """A commit's publish step: swap in its store, index and
         document and publish *estimator* as the planning inputs, as one
         atomic step under the publish lock — a reader sees the old

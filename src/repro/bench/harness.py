@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
+from weakref import WeakKeyDictionary
 
 from repro.api import Database
 from repro.core.cost import CostFactors
@@ -100,11 +101,22 @@ def dataset_database(dataset: str, setup: ExperimentSetup,
     return Database.from_document(document)
 
 
+#: the paper's estimator of each document, built once
+_PAPER_ESTIMATORS: WeakKeyDictionary[XmlDocument, PositionalEstimator] = (
+    WeakKeyDictionary())
+
+
 def paper_estimator(database: Database) -> PositionalEstimator:
-    """The paper's estimator over *database*'s current statistics:
-    positional and level histograms per tag, clusters combined under
-    independence."""
-    return PositionalEstimator(database.tag_statistics.entries)
+    """The paper's estimator over *database*'s document: positional
+    and level histograms per tag, clusters combined under
+    independence.  Built once per document, so every cell planned on
+    one database shares it (and its edge memo)."""
+    document = database.document
+    estimator = _PAPER_ESTIMATORS.get(document)
+    if estimator is None:
+        estimator = _PAPER_ESTIMATORS[document] = (
+            PositionalEstimator.from_document(document))
+    return estimator
 
 
 def plan_cell(database: Database, pattern: QueryPattern,
@@ -113,7 +125,7 @@ def plan_cell(database: Database, pattern: QueryPattern,
               **options: object) -> OptimizationResult:
     """Choose a plan for *pattern* as the experiments do: with
     *algorithm* under *database*'s cost model, against *estimator*
-    (default: a fresh :func:`paper_estimator`), warmed first, so the
+    (default: :func:`paper_estimator`), warmed first, so the
     optimizer's reported time excludes the statistics derivation."""
     if estimator is None:
         estimator = paper_estimator(database)

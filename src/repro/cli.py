@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "by K; repeatable")
     whatif.add_argument("--exact", action="store_true",
                         help="estimate with exact cardinalities "
-                             "instead of histograms")
+                             "instead of the path summary")
     whatif.add_argument("--force", metavar="DIGEST", default=None,
                         help="also price this canonical plan digest "
                              "as-if chosen (single query only)")

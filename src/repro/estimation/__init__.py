@@ -1,11 +1,17 @@
 """Cardinality estimation for structural joins.
 
-The paper's optimizer obtains intermediate-result size estimates from
-*positional histograms* (Wu, Patel, Jagadish — EDBT 2002).  This
-package reimplements that technique
-(:class:`~repro.estimation.histogram.PositionalHistogram`), keeps one
-set of them per document
-(:class:`~repro.estimation.estimator.Statistics`) and wraps it in the
+Every database keeps one :class:`~repro.estimation.estimator.Statistics`
+per document — per-tag counts, distinct-value counts and the
+label-path summary, built by one scan and advanced by commit deltas —
+and plans on the
+:class:`~repro.estimation.estimator.SummaryEstimator` it hands out.
+The paper's optimizer obtained its estimates from *positional
+histograms* (Wu, Patel, Jagadish — EDBT 2002); this package
+reimplements them
+(:class:`~repro.estimation.histogram.PositionalHistogram`) as
+:class:`~repro.estimation.estimator.PositionalEstimator`, built from a
+document for the experiments that reproduce the paper.  All of them
+implement the
 :class:`~repro.estimation.estimator.CardinalityEstimator` interface
 the optimizers consume.  An exact estimator is provided for
 calibration and for tests that need ground truth.
@@ -16,6 +22,7 @@ from repro.estimation.estimator import (CardinalityEstimator,
                                         ExactEstimator,
                                         PositionalEstimator,
                                         Statistics,
+                                        SummaryEstimator,
                                         TagStatistics)
 from repro.estimation.sampling import SamplingEstimator
 
@@ -27,5 +34,6 @@ __all__ = [
     "PositionalEstimator",
     "SamplingEstimator",
     "Statistics",
+    "SummaryEstimator",
     "TagStatistics",
 ]

@@ -1,21 +1,24 @@
 """Statistics and the cardinality estimators used by the optimizers.
 
 :class:`Statistics` is the one place planning statistics come from:
-per-tag counts, positional and level histograms and distinct-value
-counts, and the document's label-path summary (:class:`PathSummary`),
-all built by one scan and advanced by commit deltas.  Estimators
-implement :class:`CardinalityEstimator`:
+per-tag counts and distinct-value counts, and the document's
+label-path summary (:class:`PathSummary`), all built by one scan and
+advanced by commit deltas.  Estimators implement
+:class:`CardinalityEstimator`:
 
-* :class:`PositionalEstimator` — positional + level histograms per tag,
-  as in the paper's experiments, plus the label-path summary when
-  :meth:`Statistics.estimator` hands it out;
+* :class:`SummaryEstimator` — what :meth:`Statistics.estimator` hands
+  out and every back end plans with: the per-tag counts and the
+  label-path summary;
+* :class:`PositionalEstimator` — the paper's estimator [17]: positional
+  + level histograms per tag, built from a document in one scan and
+  never changed, for the experiments that reproduce the paper;
 * :class:`ExactEstimator` — exact pairwise structural-join counts
   computed from the data (used for calibration, tests, and the
   estimation-error ablation bench).
 
 Every estimator answers the candidate-set size of one pattern node and
 the result size of one pattern edge.  The result size of a connected
-sub-pattern is the per-query :class:`PatternCardinalities`': with a
+sub-pattern is the per-query :class:`PatternCardinalities`': with the
 label-path summary it embeds the cluster in the summary's paths —
 exact for predicate-free chains, and 0 exactly when no path embeds the
 cluster; without one (the paper's estimator [17], the exact and the
@@ -31,8 +34,8 @@ from typing import Collection, Iterable, Mapping
 from repro.errors import EstimationError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
-from repro.core.pattern import (Axis, PatternNode, QueryPattern,
-                                mask_nodes, node_mask)
+from repro.core.pattern import (Axis, PatternEdge, PatternNode,
+                                QueryPattern, mask_nodes, node_mask)
 from repro.estimation.histogram import (HISTOGRAM_GRID, LevelHistogram,
                                         PositionalHistogram)
 
@@ -200,22 +203,17 @@ class PathSummary:
 
 @dataclass
 class TagStatistics:
-    """Per-tag summary: counts, histograms, distinct-value counts."""
+    """Per-tag summary: node count and distinct-value counts."""
 
     tag: str
     count: int = 0
-    positions: PositionalHistogram | None = None
-    levels: LevelHistogram = field(default_factory=LevelHistogram)
     distinct_texts: int = 0
     distinct_attribute_values: dict[str, int] = field(default_factory=dict)
 
     def clone(self) -> "TagStatistics":
         """Deep-enough copy for copy-on-write statistics deltas."""
-        return TagStatistics(
-            self.tag, self.count,
-            self.positions.clone() if self.positions else None,
-            self.levels.clone(), self.distinct_texts,
-            dict(self.distinct_attribute_values))
+        return TagStatistics(self.tag, self.count, self.distinct_texts,
+                             dict(self.distinct_attribute_values))
 
 
 class Statistics:
@@ -229,37 +227,27 @@ class Statistics:
     The special key ``"*"`` aggregates all nodes, supporting wildcard
     pattern nodes.
 
-    The histograms' position space is the document's *label* space,
-    ``root.end + 1``, not its node count: for densely labeled documents
-    the two coincide, while gapped region labels (the write path,
-    :mod:`repro.txn`) spread fewer nodes over a larger space.  It stays
-    exactly that: a delta whose labels reach it (a commit that moved
-    the root's end) rebuilds everything from the committed document.
-    So the statistics always equal a fresh scan of their document.
+    No statistic depends on the label space (``root.end``), so every
+    commit, one that relabels from the root included, is folded in as
+    its delta, and the statistics always equal a fresh scan of their
+    document.
 
     Distinct-value counts are read off value *multisets*, which a
     removal can decrement (a plain set cannot survive one).
     """
 
-    def __init__(self, document: XmlDocument,
-                 grid: int = HISTOGRAM_GRID) -> None:
-        self.grid = grid
-        self._scan(document)
-
-    def _scan(self, document: XmlDocument) -> None:
-        #: label space every histogram covers: ``root.end + 1``
-        self.position_space = document.root.end + 1
+    def __init__(self, document: XmlDocument) -> None:
         #: tag -> entry; ``"*"`` first, the others in document order
-        self.entries: dict[str, TagStatistics] = {}
+        self.entries: dict[str, TagStatistics] = {
+            WILDCARD: TagStatistics(WILDCARD)}
         # value -> multiplicity, per tag (and per attribute name)
         self._texts: dict[str, dict[str, int]] = {}
         self._attributes: dict[str, dict[str, dict[str, int]]] = {}
-        self._new_entry(WILDCARD)
         #: the label paths: replaced, never changed, by a delta
         self.summary = summary = PathSummary()
         ids, counts = summary._ids, summary.counts
         # (end, path) of the open ancestors of the current node
-        open_paths: list[tuple[int, int]] = [(self.position_space,
+        open_paths: list[tuple[int, int]] = [(document.root.end + 1,
                                               NO_PATH)]
         for node in document:
             self._add(node)
@@ -282,15 +270,10 @@ class Statistics:
         the commit published.
 
         Touched tag entries (and the ``"*"`` aggregate) are cloned
-        before they change, so previously handed-out estimators keep a
-        frozen view; untouched tags share their entries.  A delta that
-        reaches past the position space rebuilds from *document*
-        instead — it moved the root's end, and the space must follow.
+        before they change and the summary is replaced by its advanced
+        copy, so previously handed-out estimators keep a frozen view;
+        untouched tags share their entries.
         """
-        if max((node.end for node in added),
-               default=-1) >= self.position_space:
-            self._scan(document)
-            return
         touched = {node.tag for node in added} | {
             node.tag for node in removed}
         if not touched:
@@ -303,10 +286,7 @@ class Statistics:
                 self.entries[tag] = entry.clone()
         for node in removed:
             for key in (node.tag, WILDCARD):
-                entry = self.entries[key]
-                entry.count -= 1
-                entry.positions.remove(node.region)
-                entry.levels.remove(node.level)
+                self.entries[key].count -= 1
             self._count_values(node, -1)
         for node in added:
             self._add(node)
@@ -319,27 +299,17 @@ class Statistics:
             else:
                 self._refresh_distinct(tag)
 
-    def estimator(self) -> "PositionalEstimator":
-        """A fresh estimator over the current statistics, label-path
-        summary included: its edge memo starts empty, and it keeps
-        reading the entries and the summary it was built over whatever
-        later deltas do."""
-        return PositionalEstimator(self.entries, self.summary)
-
-    def _new_entry(self, tag: str) -> TagStatistics:
-        entry = self.entries[tag] = TagStatistics(
-            tag, positions=PositionalHistogram(self.position_space,
-                                               self.grid))
-        return entry
+    def estimator(self) -> "SummaryEstimator":
+        """An estimator over the current entries and label-path
+        summary, which it keeps reading whatever later deltas do."""
+        return SummaryEstimator(self.entries, self.summary)
 
     def _add(self, node: NodeRecord) -> None:
         for key in (node.tag, WILDCARD):
             entry = self.entries.get(key)
             if entry is None:
-                entry = self._new_entry(key)
+                entry = self.entries[key] = TagStatistics(key)
             entry.count += 1
-            entry.positions.add(node.region)
-            entry.levels.add(node.level)
         self._count_values(node, +1)
 
     def _count_values(self, node: NodeRecord, sign: int) -> None:
@@ -423,14 +393,64 @@ class CardinalityEstimator:
                               pattern.node(edge.child).tag, edge.axis)
 
 
-class PositionalEstimator(CardinalityEstimator):
-    """Histogram-backed estimator; without a *summary*, the paper's
-    configuration."""
+def _checked_edge(pattern: QueryPattern, parent: int,
+                  child: int) -> PatternEdge:
+    """The edge (*parent*, *child*) of *pattern*; raises if it is not
+    one."""
+    edge = pattern.edge_between(parent, child)
+    if edge is None or (edge.parent, edge.child) != (parent, child):
+        raise EstimationError(
+            f"({parent}, {child}) is not an edge of the pattern")
+    return edge
+
+
+class TagCountEstimator(CardinalityEstimator):
+    """Node estimates read off per-tag entries: a tag's node count,
+    times its predicates' selectivity."""
+
+    def __init__(self, stats: Mapping[str, TagStatistics]) -> None:
+        self._stats = dict(stats)
+
+    def node_candidates(self, node: PatternNode) -> float:
+        entry = self._stats.get(WILDCARD if node.is_wildcard else node.tag)
+        return float(entry.count) if entry else 0.0
+
+    def node_cardinality(self, node: PatternNode) -> float:
+        candidates = self.node_candidates(node)
+        if candidates == 0.0:
+            return 0.0
+        return candidates * _predicate_selectivity(node, self._stats)
+
+
+class SummaryEstimator(TagCountEstimator):
+    """The estimator every back end plans with
+    (:meth:`Statistics.estimator`): per-tag entries and the label-path
+    summary, which prices every cluster."""
 
     def __init__(self, stats: Mapping[str, TagStatistics],
-                 summary: PathSummary | None = None) -> None:
-        self._stats = dict(stats)
+                 summary: PathSummary) -> None:
+        super().__init__(stats)
         self.summary = summary
+
+    def edge_cardinality(self, pattern: QueryPattern, parent: int,
+                         child: int) -> float:
+        """The summary's estimate of the two-node cluster."""
+        _checked_edge(pattern, parent, child)
+        return PatternCardinalities(pattern, self).cluster_cardinality(
+            1 << parent | 1 << child)
+
+
+class PositionalEstimator(TagCountEstimator):
+    """The paper's estimator [17]: per tag (and ``"*"``) a positional
+    and a level histogram, built by :meth:`from_document` and never
+    changed; clusters combine its edges under independence."""
+
+    def __init__(self, stats: Mapping[str, TagStatistics],
+                 positions: Mapping[str, PositionalHistogram],
+                 levels: Mapping[str, LevelHistogram]) -> None:
+        super().__init__(stats)
+        self._positions = positions
+        self._levels = levels
         # Pairwise histogram joins are the expensive part of estimation;
         # they depend only on (node tests, axis), so memoize across
         # queries the way a real system caches derived statistics.
@@ -440,45 +460,45 @@ class PositionalEstimator(CardinalityEstimator):
     @classmethod
     def from_document(cls, document: XmlDocument,
                       grid: int = HISTOGRAM_GRID) -> "PositionalEstimator":
-        return Statistics(document, grid).estimator()
-
-    def _entry(self, tag: str) -> TagStatistics | None:
-        return self._stats.get(tag)
-
-    def node_candidates(self, node: PatternNode) -> float:
-        entry = self._entry(WILDCARD if node.is_wildcard else node.tag)
-        return float(entry.count) if entry else 0.0
-
-    def node_cardinality(self, node: PatternNode) -> float:
-        candidates = self.node_candidates(node)
-        if candidates == 0.0:
-            return 0.0
-        return candidates * _predicate_selectivity(node, self._stats)
+        """The paper's estimator over *document*: the per-tag entries of
+        its statistics, and histograms over its label space
+        ``root.end + 1`` filled in one scan in document order — the
+        order a join estimate sums cells in, so an estimate depends on
+        the document alone."""
+        space = document.root.end + 1
+        positions: dict[str, PositionalHistogram] = {}
+        levels: dict[str, LevelHistogram] = {}
+        for node in document:
+            for key in (node.tag, WILDCARD):
+                histogram = positions.get(key)
+                if histogram is None:
+                    histogram = positions[key] = PositionalHistogram(
+                        space, grid)
+                    levels[key] = LevelHistogram()
+                histogram.add(node.region)
+                levels[key].add(node.level)
+        return cls(Statistics(document).entries, positions, levels)
 
     def edge_cardinality(self, pattern: QueryPattern, parent: int,
                          child: int) -> float:
-        edge = pattern.edge_between(parent, child)
-        if edge is None or (edge.parent, edge.child) != (parent, child):
-            raise EstimationError(
-                f"({parent}, {child}) is not an edge of the pattern")
+        edge = _checked_edge(pattern, parent, child)
         parent_node = pattern.node(parent)
         child_node = pattern.node(child)
         key = (parent_node, child_node, edge.axis)
         cached = self._edge_cache.get(key)
         if cached is not None:
             return cached
-        parent_entry = self._entry(
-            WILDCARD if parent_node.is_wildcard else parent_node.tag)
-        child_entry = self._entry(
-            WILDCARD if child_node.is_wildcard else child_node.tag)
-        if parent_entry is None or child_entry is None:
+        parent_tag = WILDCARD if parent_node.is_wildcard else parent_node.tag
+        child_tag = WILDCARD if child_node.is_wildcard else child_node.tag
+        ancestors = self._positions.get(parent_tag)
+        descendants = self._positions.get(child_tag)
+        if ancestors is None or descendants is None:
             estimate = 0.0
         else:
-            estimate = parent_entry.positions.estimate_containment_join(
-                child_entry.positions)
+            estimate = ancestors.estimate_containment_join(descendants)
             if edge.axis is Axis.CHILD:
-                estimate *= parent_entry.levels.parent_child_fraction(
-                    child_entry.levels)
+                estimate *= self._levels[parent_tag].parent_child_fraction(
+                    self._levels[child_tag])
             estimate *= _predicate_selectivity(parent_node, self._stats)
             estimate *= _predicate_selectivity(child_node, self._stats)
         self._edge_cache[key] = estimate
@@ -522,10 +542,7 @@ class ExactEstimator(CardinalityEstimator):
 
     def edge_cardinality(self, pattern: QueryPattern, parent: int,
                          child: int) -> float:
-        edge = pattern.edge_between(parent, child)
-        if edge is None or (edge.parent, edge.child) != (parent, child):
-            raise EstimationError(
-                f"({parent}, {child}) is not an edge of the pattern")
+        edge = _checked_edge(pattern, parent, child)
         parent_node = pattern.node(parent)
         child_node = pattern.node(child)
         key = (parent_node, child_node, edge.axis)

@@ -14,8 +14,11 @@ A companion :class:`LevelHistogram` records the distribution of node
 depths and is used to refine ancestor/descendant estimates into
 parent/child estimates.
 
-Both are filled by :class:`~repro.estimation.estimator.Statistics`,
-which owns the position space they cover.
+Both belong to the paper's estimator alone:
+:meth:`~repro.estimation.estimator.PositionalEstimator.from_document`
+fills one of each per tag in one scan of a document, over its label
+space ``root.end + 1``, and nothing changes them afterwards.  The
+database plans its own queries on the label-path summary instead.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from functools import lru_cache
 from repro.errors import EstimationError
 from repro.document.node import Region
 
-#: grid resolution of every positional histogram the optimizer plans
-#: with (the estimator-level constructors still take ``grid=``, which
-#: the grid ablation sweeps)
+#: grid resolution of the paper's estimator's positional histograms;
+#: the grid ablation is the one caller of ``from_document(grid=)``
 HISTOGRAM_GRID = 16
 
 
@@ -104,36 +106,6 @@ class PositionalHistogram:
         self.cells[key] = self.cells.get(key, 0) + 1
         self.total += 1
 
-    def remove(self, region: Region) -> None:
-        """Inverse of :meth:`add` (a commit's delta).
-
-        The region must have been added to this histogram; removing an
-        unseen region is a caller bug and raises.
-        """
-        if region.end >= self.position_space:
-            raise EstimationError(
-                f"region end {region.end} outside position space "
-                f"{self.position_space}")
-        key = (self._bucket(region.start), self._bucket(region.end))
-        count = self.cells.get(key, 0)
-        if count <= 0:
-            raise EstimationError(
-                f"cannot remove region {region} from empty cell {key}")
-        if count == 1:
-            del self.cells[key]
-        else:
-            self.cells[key] = count - 1
-        self.total -= 1
-
-    def clone(self) -> "PositionalHistogram":
-        copy = PositionalHistogram.__new__(PositionalHistogram)
-        copy.position_space = self.position_space
-        copy.grid = self.grid
-        copy._cell_width = self._cell_width
-        copy.cells = dict(self.cells)
-        copy.total = self.total
-        return copy
-
     def estimate_containment_join(self,
                                   descendants: "PositionalHistogram") -> float:
         """Estimated |{(a, d) : a.start < d.start and d.end <= a.end}|.
@@ -184,24 +156,6 @@ class LevelHistogram:
     def add(self, level: int) -> None:
         self.counts[level] = self.counts.get(level, 0) + 1
         self.total += 1
-
-    def remove(self, level: int) -> None:
-        """Inverse of :meth:`add` (a commit's delta)."""
-        count = self.counts.get(level, 0)
-        if count <= 0:
-            raise EstimationError(
-                f"cannot remove unseen level {level}")
-        if count == 1:
-            del self.counts[level]
-        else:
-            self.counts[level] = count - 1
-        self.total -= 1
-
-    def clone(self) -> "LevelHistogram":
-        copy = LevelHistogram()
-        copy.counts = dict(self.counts)
-        copy.total = self.total
-        return copy
 
     def probability(self, level: int) -> float:
         if not self.total:

@@ -21,20 +21,20 @@ from repro.errors import EstimationError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.core.pattern import Axis, PatternNode, QueryPattern
-from repro.estimation.estimator import (WILDCARD, CardinalityEstimator,
-                                        Statistics,
+from repro.estimation.estimator import (Statistics, TagCountEstimator,
+                                        _checked_edge,
                                         _predicate_selectivity)
 
 
-class SamplingEstimator(CardinalityEstimator):
+class SamplingEstimator(TagCountEstimator):
     """Estimates edge cardinalities from a systematic candidate sample."""
 
     def __init__(self, document: XmlDocument, sample_size: int = 64) -> None:
         if sample_size < 1:
             raise EstimationError("sample size must be >= 1")
+        super().__init__(Statistics(document).entries)
         self._document = document
         self.sample_size = sample_size
-        self._stats = Statistics(document, grid=1).entries
         self._edge_cache: dict[tuple[PatternNode, PatternNode, Axis],
                                float] = {}
 
@@ -45,24 +45,11 @@ class SamplingEstimator(CardinalityEstimator):
             return list(self._document.nodes)
         return self._document.nodes_with_tag(node.tag)
 
-    def node_candidates(self, node: PatternNode) -> float:
-        entry = self._stats.get(WILDCARD if node.is_wildcard else node.tag)
-        return float(entry.count) if entry else 0.0
-
-    def node_cardinality(self, node: PatternNode) -> float:
-        candidates = self.node_candidates(node)
-        if candidates == 0.0:
-            return 0.0
-        return candidates * _predicate_selectivity(node, self._stats)
-
     # -- edge-level ------------------------------------------------------------
 
     def edge_cardinality(self, pattern: QueryPattern, parent: int,
                          child: int) -> float:
-        edge = pattern.edge_between(parent, child)
-        if edge is None or (edge.parent, edge.child) != (parent, child):
-            raise EstimationError(
-                f"({parent}, {child}) is not an edge of the pattern")
+        edge = _checked_edge(pattern, parent, child)
         parent_node = pattern.node(parent)
         child_node = pattern.node(child)
         key = (parent_node, child_node, edge.axis)

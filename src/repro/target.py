@@ -34,8 +34,8 @@ from repro.document.document import XmlDocument
 from repro.engine.executor import (ExecutionResult, FirstResultTiming,
                                    StreamingExecution,
                                    measure_time_to_first)
-from repro.estimation.estimator import (ExactEstimator,
-                                        PositionalEstimator, Statistics)
+from repro.estimation.estimator import (ExactEstimator, Statistics,
+                                        SummaryEstimator)
 from repro.obs.explain import ExplainReport
 from repro.obs.planspace import (WhatIfResult, build_plan_space_report,
                                  run_whatif)
@@ -86,7 +86,7 @@ class QueryTarget(abc.ABC):
         #: the per-tag statistics of :attr:`document` (not
         #: :meth:`Database.statistics`, the storage report)
         self.tag_statistics: Statistics | None = None
-        self._estimator: PositionalEstimator | None = None
+        self._estimator: SummaryEstimator | None = None
         self._exact_estimator: ExactEstimator | None = None
         #: bumped by :meth:`_publish_planning_inputs` alone, whenever
         #: what the optimizer plans with changes; part of every
@@ -193,14 +193,14 @@ class QueryTarget(abc.ABC):
     # -- statistics -------------------------------------------------------------
 
     def _load_statistics(self, document: XmlDocument
-                         ) -> PositionalEstimator:
+                         ) -> SummaryEstimator:
         """Build :attr:`tag_statistics` from *document* with one scan;
         returns the estimator to plan against them with."""
         self.tag_statistics = Statistics(document)
         return self.tag_statistics.estimator()
 
     def _publish_planning_inputs(self,
-                                 estimator: PositionalEstimator | None
+                                 estimator: SummaryEstimator | None
                                  ) -> None:
         """The planning inputs changed: plan against *estimator* from
         now on, bump :attr:`statistics_epoch` and drop every cached
@@ -218,10 +218,11 @@ class QueryTarget(abc.ABC):
             self._service.invalidate()
 
     @property
-    def estimator(self) -> PositionalEstimator:
+    def estimator(self) -> SummaryEstimator:
         """The estimator :meth:`optimize` costs plans against: the
-        positional histograms of :attr:`tag_statistics`, handed out
-        afresh whenever they change (a load, a commit)."""
+        per-tag counts and the label-path summary of
+        :attr:`tag_statistics`, handed out afresh whenever they change
+        (a load, a commit)."""
         self._require_document()
         assert self._estimator is not None
         return self._estimator
@@ -238,8 +239,8 @@ class QueryTarget(abc.ABC):
         """Precompute the statistics a pattern's optimization needs.
 
         What the estimator derives for it — the label-path summary's
-        steps, or pairwise histogram estimates — is memoized inside the
-        estimator (:meth:`~repro.estimation.estimator.CardinalityEstimator.warm`);
+        steps — is memoized inside the summary
+        (:meth:`~repro.estimation.estimator.CardinalityEstimator.warm`);
         benchmark harnesses call this before timing optimizers so that
         whichever algorithm runs first is not charged the one-time
         statistics derivation.
@@ -264,7 +265,7 @@ class QueryTarget(abc.ABC):
         ``DPAP-EB``, ``DPAP-LD`` or ``FP``.  Extra options are passed
         to the optimizer (e.g. ``expansion_bound`` for DPAP-EB).
         With ``exact=True`` the optimizer sees ground-truth pairwise
-        cardinalities instead of histogram estimates.
+        cardinalities instead of the label-path summary's estimates.
 
         A query is planned **once**, against :attr:`estimator` — on a
         shard fleet the whole document's statistics, whose shards share

@@ -505,8 +505,8 @@ class TransactionManager:
         publish_span = Span("publish")
         publish_started = time.perf_counter()
         # readers plan with the published estimator, never with
-        # tag_statistics itself, so the delta (a rescan, if it moved
-        # the root's end) is folded in before the lock is taken
+        # tag_statistics itself, so the delta is folded in before the
+        # lock is taken
         db.tag_statistics.apply_delta(added.values(), removed.values(),
                                       new_document)
         db.publish(store, index, new_document,

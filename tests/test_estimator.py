@@ -1,5 +1,6 @@
 """Unit tests for the cardinality estimators."""
 
+import itertools
 import random
 
 import pytest
@@ -10,7 +11,8 @@ from repro.core.pattern import (PatternNode, Predicate, QueryPattern,
 from repro.estimation.estimator import (ExactEstimator,
                                         PatternCardinalities,
                                         PositionalEstimator,
-                                        Statistics)
+                                        Statistics,
+                                        count_containment_pairs)
 from repro.workloads import random_pattern
 from tests.conftest import random_document
 
@@ -196,12 +198,32 @@ class TestClusterFactors:
     """Without a label-path summary ``cluster_cardinality`` multiplies
     factors cached once per instance; every float must be the one the
     formula gives.  The positional case is the paper's estimator: the
-    histograms alone."""
+    histograms alone.  The summary case is the estimator a database
+    plans with, whose clusters are not that product: its single edge
+    is the summary's two-node cluster, which on every predicate-free
+    ``/`` and ``//`` edge between two of the document's tags (``*``
+    included) is the true pair count, up to the rounding of the
+    summary's ``count(t) / count(s)`` steps."""
 
-    @pytest.mark.parametrize("kind", ["positional", "exact"])
+    @pytest.mark.parametrize("kind", ["positional", "exact", "summary"])
     def test_every_connected_mask_matches_the_formula(self, kind):
         document = random_document(3, size=300)
-        estimator = (PositionalEstimator(Statistics(document).entries)
+        if kind == "summary":
+            estimator = Statistics(document).estimator()
+            regions = {tag: [node.region for node in (
+                document if tag == "*" else document.nodes_with_tag(tag))]
+                for tag in document.tags() + ["*"]}
+            for (parent, child), axis in itertools.product(
+                    itertools.product(regions, repeat=2), ("/", "//")):
+                pattern = QueryPattern.build({
+                    "nodes": [parent, child], "edges": [(0, 1, axis)]})
+                truth = count_containment_pairs(
+                    regions[parent], regions[child],
+                    parent_child=axis == "/")
+                assert estimator.edge_cardinality(pattern, 0, 1) == \
+                    pytest.approx(truth, rel=1e-9, abs=1e-9), pattern
+            return
+        estimator = (PositionalEstimator.from_document(document)
                      if kind == "positional"
                      else ExactEstimator(document))
         patterns = [random_pattern(random.Random(seed), min_nodes=size,

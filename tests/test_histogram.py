@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from repro.errors import EstimationError
 from repro.document.node import Region
 from repro.document.parser import parse_xml
-from repro.estimation.estimator import Statistics, count_containment_pairs
+from repro.estimation.estimator import (PositionalEstimator,
+                                        count_containment_pairs)
 from repro.estimation.histogram import (LevelHistogram,
                                         PositionalHistogram,
                                         _overlap_uniform_less)
@@ -115,11 +116,11 @@ class TestPositionalHistogram:
     def test_join_equals_the_double_loop_on_every_pers_tag_pair(self):
         from repro.workloads import personnel_document
 
-        entries = Statistics(personnel_document(target_nodes=2000,
-                                                seed=42)).entries
-        for ancestor, descendant in itertools.product(entries, repeat=2):
-            left = entries[ancestor].positions
-            right = entries[descendant].positions
+        positions = PositionalEstimator.from_document(personnel_document(
+            target_nodes=2000, seed=42))._positions
+        for ancestor, descendant in itertools.product(positions, repeat=2):
+            left = positions[ancestor]
+            right = positions[descendant]
             assert (left.estimate_containment_join(right).hex()
                     == reference_containment_join(left, right).hex()), (
                 ancestor, descendant)

@@ -79,7 +79,7 @@ def reproducer_estimator(database, exact):
     paper's per-tag histograms without the label-path summary."""
     if exact:
         return database.exact_estimator
-    return PositionalEstimator(database.tag_statistics.entries)
+    return PositionalEstimator.from_document(database.document)
 
 
 def cost(database, pattern, optimizer, estimator):
@@ -372,7 +372,7 @@ def recorded(database, query, algorithm):
     recorder = PlanSpaceRecorder()
     get_optimizer(algorithm, cost_model=database.cost_model,
                   planspace=recorder).optimize(
-        query.pattern, PositionalEstimator(database.tag_statistics.entries))
+        query.pattern, PositionalEstimator.from_document(database.document))
     finals = [f"{canonical_plan_digest(plan, query.pattern)} "
               f"{plan_cost:.1f} {note}"
               for plan, plan_cost, note in recorder.finals]
