@@ -1,7 +1,8 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 * Lookahead Rule on/off (DPP vs DPP') — search size and time;
-* estimator quality (positional histograms vs exact) — plan quality;
+* estimator quality (positional histograms vs sampling vs true
+  counts) — plan quality;
 * histogram grid resolution — estimate accuracy vs statistics cost;
 * cost-factor sensitivity — where the blocking/pipelined crossover
   moves as ``f_io`` changes.
@@ -10,6 +11,7 @@
 import pytest
 
 from benchmarks.conftest import publish
+from benchmarks.sampling import SamplingEstimator
 from repro.api import Database
 from repro.bench.harness import paper_estimator, plan_cell
 from repro.bench.tables import render_table
@@ -52,18 +54,16 @@ class TestLookaheadAblation:
 class TestEstimatorAblation:
     def test_estimator_quality(self, benchmark, setup):
         """Three-way estimator comparison: the paper's positional
-        histograms vs a systematic sampler vs exact pairwise
-        statistics — both the estimate's accuracy and the quality of
-        the plan DPP picks with it."""
-        from repro.estimation.sampling import SamplingEstimator
-
+        histograms vs a systematic sampler vs the true count of every
+        cluster — both the estimate's accuracy and the quality of the
+        plan DPP picks with it."""
         query = paper_query(QUERY)
 
         def run():
             database = Database.from_document(
                 personnel_document(target_nodes=setup.pers_nodes,
                                    seed=setup.seed))
-            exact = database.exact_estimator
+            exact = ExactEstimator(database.document)
             truth = exact.edge_cardinality(query.pattern, 0, 1)
             estimators = [
                 ("positional", paper_estimator(database)),
@@ -98,7 +98,7 @@ class TestEstimatorAblation:
         # exact statistics estimate the pair size perfectly
         assert by_name["exact"]["edge_error"] == pytest.approx(0.0)
         # histogram-driven plans must stay within a reasonable factor
-        # of plans chosen with perfect pairwise statistics
+        # of plans chosen on true counts
         assert by_name["positional"]["eval_sim"] <= \
             3 * by_name["exact"]["eval_sim"]
 

@@ -5,12 +5,13 @@ Attaches a PlanSpaceRecorder to the DPP optimizer and prints the
 optimization process for a 4-node pattern: which statuses get
 generated (numbered in generation order, as in Fig. 4), which are
 expanded by the Cost+ubCost priority, which deadends the Lookahead
-Rule refuses to create, and where pruning kills the rest.
+Rule refuses to create, and where pruning kills the rest.  Every
+cluster is priced at its true count in the document.
 
 Run:  python examples/search_trace.py
 """
 
-from repro import Database, DPPOptimizer, QueryPattern
+from repro import DPPOptimizer, QueryPattern
 from repro.core.planspace import PlanSpaceRecorder
 from repro.estimation.estimator import ExactEstimator
 from repro.workloads import personnel_document
@@ -18,7 +19,6 @@ from repro.workloads import personnel_document
 
 def main() -> None:
     document = personnel_document(target_nodes=800)
-    database = Database.from_document(document)
 
     # a 4-node pattern like the paper's Fig. 4 walk-through
     pattern = QueryPattern.build({

@@ -350,8 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scale one tag's cardinality statistics "
                              "by K; repeatable")
     whatif.add_argument("--exact", action="store_true",
-                        help="estimate with exact cardinalities "
-                             "instead of the path summary")
+                        help="price every cluster at its true count "
+                             "in the document instead of the path "
+                             "summary's estimate")
     whatif.add_argument("--force", metavar="DIGEST", default=None,
                         help="also price this canonical plan digest "
                              "as-if chosen (single query only)")

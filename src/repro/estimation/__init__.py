@@ -13,8 +13,9 @@ reimplements them
 document for the experiments that reproduce the paper.  All of them
 implement the
 :class:`~repro.estimation.estimator.CardinalityEstimator` interface
-the optimizers consume.  An exact estimator is provided for
-calibration and for tests that need ground truth.
+the optimizers consume.  :class:`~repro.estimation.estimator.ExactEstimator`
+counts every connected sub-pattern's true matches in the document:
+``whatif --exact`` and the tests plan with it.
 """
 
 from repro.estimation.histogram import PositionalHistogram, LevelHistogram
@@ -24,7 +25,6 @@ from repro.estimation.estimator import (CardinalityEstimator,
                                         Statistics,
                                         SummaryEstimator,
                                         TagStatistics)
-from repro.estimation.sampling import SamplingEstimator
 
 __all__ = [
     "PositionalHistogram",
@@ -32,7 +32,6 @@ __all__ = [
     "CardinalityEstimator",
     "ExactEstimator",
     "PositionalEstimator",
-    "SamplingEstimator",
     "Statistics",
     "SummaryEstimator",
     "TagStatistics",

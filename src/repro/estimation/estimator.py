@@ -12,22 +12,25 @@ advanced by commit deltas.  Estimators implement
 * :class:`PositionalEstimator` — the paper's estimator [17]: positional
   + level histograms per tag, built from a document in one scan and
   never changed, for the experiments that reproduce the paper;
-* :class:`ExactEstimator` — exact pairwise structural-join counts
-  computed from the data (used for calibration, tests, and the
-  estimation-error ablation bench).
+* :class:`ExactEstimator` — the true match count of every connected
+  sub-pattern, counted in the document (``whatif --exact``, tests and
+  the estimation-error ablation bench).
 
 Every estimator answers the candidate-set size of one pattern node and
 the result size of one pattern edge.  The result size of a connected
-sub-pattern is the per-query :class:`PatternCardinalities`': with the
-label-path summary it embeds the cluster in the summary's paths —
-exact for predicate-free chains, and 0 exactly when no path embeds the
-cluster; without one (the paper's estimator [17], the exact and the
-sampling estimators) it combines the node and edge estimates under the
-textbook attribute-independence assumption.
+sub-pattern is the per-query :class:`PatternCardinalities`', which asks
+its estimator once for a cluster counter
+(:meth:`CardinalityEstimator.cluster_counter`): the summary embeds the
+cluster in its paths — exact for predicate-free chains, and 0 exactly
+when no path embeds the cluster — and the exact estimator counts it;
+without a counter (the paper's estimator [17]) a cluster combines the
+node and edge estimates under the textbook attribute-independence
+assumption.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Mapping
 
@@ -361,10 +364,6 @@ def _predicate_selectivity(node: PatternNode,
 class CardinalityEstimator:
     """Interface consumed by the optimizers."""
 
-    #: the label paths :class:`PatternCardinalities` embeds clusters
-    #: in; None: clusters are the per-edge independence product
-    summary: PathSummary | None = None
-
     def node_candidates(self, node: PatternNode) -> float:
         """Index postings retrieved for *node* (before predicates)."""
         raise NotImplementedError
@@ -373,24 +372,32 @@ class CardinalityEstimator:
         """Candidate-set size of *node* after its predicates."""
         raise NotImplementedError
 
+    def cluster_counter(self, cards: "PatternCardinalities"
+                        ) -> "_ClusterCounter | None":
+        """The counter of *cards*' connected clusters, asked for once
+        per query; None: a cluster is the per-edge independence
+        product."""
+        return None
+
     def edge_cardinality(self, pattern: QueryPattern, parent: int,
                          child: int) -> float:
-        """Estimated result size of the single edge (parent, child)."""
-        raise NotImplementedError
+        """Estimated result size of the single edge (parent, child):
+        the two-node cluster of :meth:`cluster_counter`'s counter.  An
+        estimator without a counter prices its edges itself."""
+        _checked_edge(pattern, parent, child)
+        return PatternCardinalities(pattern, self).cluster_cardinality(
+            1 << parent | 1 << child)
 
     def warm(self, pattern: QueryPattern) -> None:
         """Derive what planning *pattern* reads from this estimator and
-        keeps: its nodes' estimates and, per edge, the pair estimate —
-        or, with a label-path summary, the summary's steps instead."""
+        keeps: its nodes' estimates and what its cluster counter reads
+        (the summary's steps, the candidate lists) or, without one, per
+        edge the pair estimate."""
         for node in pattern.nodes:
             self.node_cardinality(node)
-        summary = self.summary
-        for edge in pattern.edges:
-            if summary is None:
+        if PatternCardinalities(pattern, self).counter is None:
+            for edge in pattern.edges:
                 self.edge_cardinality(pattern, edge.parent, edge.child)
-            else:
-                summary.steps(pattern.node(edge.parent).tag,
-                              pattern.node(edge.child).tag, edge.axis)
 
 
 def _checked_edge(pattern: QueryPattern, parent: int,
@@ -432,12 +439,9 @@ class SummaryEstimator(TagCountEstimator):
         super().__init__(stats)
         self.summary = summary
 
-    def edge_cardinality(self, pattern: QueryPattern, parent: int,
-                         child: int) -> float:
-        """The summary's estimate of the two-node cluster."""
-        _checked_edge(pattern, parent, child)
-        return PatternCardinalities(pattern, self).cluster_cardinality(
-            1 << parent | 1 << child)
+    def cluster_counter(self, cards: "PatternCardinalities"
+                        ) -> "_Embedding":
+        return _Embedding(cards, self.summary)
 
 
 class PositionalEstimator(TagCountEstimator):
@@ -506,28 +510,25 @@ class PositionalEstimator(TagCountEstimator):
 
 
 class ExactEstimator(CardinalityEstimator):
-    """Ground-truth pairwise estimator computed from the document.
-
-    Node candidate sets (with predicates applied) and single-edge join
-    sizes are exact; multi-edge sub-patterns still combine edges under
-    independence, which keeps optimization costs polynomial and mirrors
-    what a production estimator can know.
-    """
+    """The true match count of every connected sub-pattern, counted in
+    *document*: each node's candidates are the nodes its test and
+    predicates accept, and :class:`_Counts` counts each cluster's
+    matches over them.  A node's candidates are kept across queries;
+    cluster counts are kept per query."""
 
     def __init__(self, document: XmlDocument) -> None:
         self._document = document
-        self._candidate_cache: dict[PatternNode, list[NodeRecord]] = {}
-        self._edge_cache: dict[tuple[PatternNode, PatternNode, Axis],
-                               int] = {}
+        self._candidate_cache: dict[PatternNode, list[Region]] = {}
 
-    def _candidates(self, node: PatternNode) -> list[NodeRecord]:
+    def _candidates(self, node: PatternNode) -> list[Region]:
+        """The regions of *node*'s candidates, in start order."""
         cached = self._candidate_cache.get(node)
         if cached is None:
             if node.is_wildcard:
                 pool: Iterable[NodeRecord] = self._document
             else:
                 pool = self._document.nodes_with_tag(node.tag)
-            cached = [candidate for candidate in pool
+            cached = [candidate.region for candidate in pool
                       if node.matches(candidate)]
             self._candidate_cache[node] = cached
         return cached
@@ -540,52 +541,9 @@ class ExactEstimator(CardinalityEstimator):
     def node_cardinality(self, node: PatternNode) -> float:
         return float(len(self._candidates(node)))
 
-    def edge_cardinality(self, pattern: QueryPattern, parent: int,
-                         child: int) -> float:
-        edge = _checked_edge(pattern, parent, child)
-        parent_node = pattern.node(parent)
-        child_node = pattern.node(child)
-        key = (parent_node, child_node, edge.axis)
-        cached = self._edge_cache.get(key)
-        if cached is None:
-            cached = count_containment_pairs(
-                [c.region for c in self._candidates(parent_node)],
-                [c.region for c in self._candidates(child_node)],
-                parent_child=edge.axis is Axis.CHILD)
-            self._edge_cache[key] = cached
-        return float(cached)
-
-
-def count_containment_pairs(ancestors: list[Region],
-                            descendants: list[Region],
-                            parent_child: bool = False) -> int:
-    """Exact count of (a, d) containment pairs between two region lists.
-
-    Both lists must be in document order (sorted by start).  Runs the
-    counting variant of the stack-tree merge: linear in input size plus
-    output count bookkeeping.
-    """
-    count = 0
-    stack: list[Region] = []
-    a_index = 0
-    for descendant in descendants:
-        while a_index < len(ancestors) and (
-                ancestors[a_index].start < descendant.start):
-            candidate = ancestors[a_index]
-            while stack and stack[-1].end < candidate.start:
-                stack.pop()
-            stack.append(candidate)
-            a_index += 1
-        while stack and stack[-1].end < descendant.start:
-            stack.pop()
-        if parent_child:
-            count += sum(1 for region in stack
-                         if region.end >= descendant.end
-                         and region.level + 1 == descendant.level)
-        else:
-            count += sum(1 for region in stack
-                         if region.end >= descendant.end)
-    return count
+    def cluster_counter(self, cards: "PatternCardinalities") -> "_Counts":
+        return _Counts(cards, [self._candidates(node)
+                               for node in cards.pattern.nodes])
 
 
 class ScaledEstimator(CardinalityEstimator):
@@ -595,19 +553,19 @@ class ScaledEstimator(CardinalityEstimator):
     cardinalities by a per-tag factor (``{"item": 10.0}`` models "ten
     times as many items"); edge results scale by both endpoints'
     factors, which leaves per-edge *selectivities* unchanged — the
-    hypothesis grows the data, not the structural correlation; on the
-    base's label-path summary a cluster scales by the factor of each of
-    its nodes, since a node's weight there is its (scaled) cardinality
-    over the base's path counts.  The base estimator is never
-    modified, so a what-if analysis can price plans against
-    hypothetical statistics without touching the database's statistics
-    epoch (:func:`repro.obs.planspace.run_whatif`).
+    hypothesis grows the data, not the structural correlation.  The
+    base's cluster counter counts for it, and there a cluster scales
+    by the factor of each of its nodes, since a node weighs its
+    (scaled) cardinality over its base candidates: the summary's path
+    counts, or the exact estimator's candidates.  The base estimator
+    is never modified, so a what-if analysis can price plans against
+    hypothetical statistics without touching the database's
+    statistics epoch (:func:`repro.obs.planspace.run_whatif`).
     """
 
     def __init__(self, base: CardinalityEstimator,
                  tag_scale: Mapping[str, float]) -> None:
         self._base = base
-        self.summary = base.summary
         self._scale = {tag: float(factor)
                        for tag, factor in tag_scale.items()}
         for tag, factor in self._scale.items():
@@ -632,6 +590,10 @@ class ScaledEstimator(CardinalityEstimator):
                 * self._factor(pattern.node(parent))
                 * self._factor(pattern.node(child)))
 
+    def cluster_counter(self, cards: "PatternCardinalities"
+                        ) -> "_ClusterCounter | None":
+        return self._base.cluster_counter(cards)
+
 
 class PatternCardinalities:
     """Per-query cardinalities: each node's, cached from the estimator,
@@ -644,18 +606,11 @@ class PatternCardinalities:
     already holds its clusters in; the pricing walk's frozensets are
     converted to the same key, so both read one cache.
 
-    With the estimator's label-path summary a cluster rooted at ``r``
-    is ``sum_s count(s) * m(r, s)`` over the paths ``s`` that match
-    ``r``, where ``m(n, s) = w(n) * prod_c sum_t count(t) / count(s) *
-    m(c, t)`` over the cluster's edges ``n -> c`` and the paths ``t``
-    matching ``c`` below ``s`` — its children for a ``/`` edge, its
-    descendants for a ``//`` edge — and ``w(n)`` is ``n``'s
-    cardinality over the count of its paths: its predicate
-    selectivity.  Each node's paths and weight and each edge's
-    transitions are prepared once per instance, and each connected
-    mask's ``m`` vector over its root's paths is kept, so a cluster
-    costs one step from its sub-clusters'.  A single node is its
-    cardinality.  Without a summary a cluster multiplies per-node
+    A single node is its cardinality.  A cluster of two or more nodes
+    is counted by the cluster counter the estimator is asked for once,
+    here (:meth:`CardinalityEstimator.cluster_counter`): the label-path
+    summary's embedding (:class:`_Embedding`), the true count
+    (:class:`_Counts`), or none — then a cluster multiplies per-node
     cardinalities and per-edge factors read from the estimator once
     per instance: the independence combination.
     """
@@ -669,7 +624,8 @@ class PatternCardinalities:
         self._cluster_cache: dict[int, float] = {}
         self._sizes: list[float] = []
         self._factors: tuple[tuple[int, float | None], ...] | None = None
-        self._embedding: _Embedding | None = None
+        #: the estimator's cluster counter; None: the per-edge product
+        self.counter = estimator.cluster_counter(self)
 
     def node(self, node_id: int) -> float:
         cached = self._node_cache.get(node_id)
@@ -693,10 +649,10 @@ class PatternCardinalities:
 
     def cluster_cardinality(self, mask: int) -> float:
         """Estimated match count of the connected sub-pattern with node
-        mask *mask*: its embedding in the label-path summary, or
-        without one ``prod(|n|) * prod(sel(e))`` over its nodes and the
-        edges inside it — 0 once an edge inside it has an endpoint
-        without candidates."""
+        mask *mask*: the cluster counter's, or without one
+        ``prod(|n|) * prod(sel(e))`` over its nodes and the edges
+        inside it — 0 once an edge inside it has an endpoint without
+        candidates."""
         cached = self._cluster_cache.get(mask)
         if cached is not None:
             return cached
@@ -707,14 +663,10 @@ class PatternCardinalities:
                                   "not a connected sub-pattern")
         if not mask & (mask - 1):
             cardinality = self.node(mask.bit_length() - 1)
-        elif self.estimator.summary is not None:
-            embedding = self._embedding
-            if embedding is None:
-                embedding = self._embedding = _Embedding(
-                    self, self.estimator.summary)
-            cardinality = embedding.cardinality(mask)
-        else:
+        elif self.counter is None:
             cardinality = self._product(mask)
+        else:
+            cardinality = self.counter.cardinality(mask)
         self._cluster_cache[mask] = cardinality
         return cardinality
 
@@ -756,26 +708,22 @@ class PatternCardinalities:
         return self._factors
 
 
-class _Embedding:
-    """One pattern's clusters embedded in a label-path summary (see
-    :class:`PatternCardinalities`).  Per node: its paths' counts, its
-    weight and, for a non-root node, the rows of its parent edge —
-    per parent path ``s``, ``(t index, count(t) / count(s))`` over its
-    own paths ``t`` under ``s``.  Per connected mask: ``m(root, s)``
-    over the root's paths, and for a mask hanging off a parent node
-    its reach ``sum_t count(t) / count(s) * m(child, t)`` per parent
-    path, the factor it contributes to every mask that contains it."""
+class _ClusterCounter:
+    """What an estimator hands :class:`PatternCardinalities` to count
+    one pattern's clusters (:meth:`CardinalityEstimator.cluster_counter`):
+    :meth:`cardinality` of a connected mask of two or more nodes, one
+    step from its sub-clusters'.  Built here: each node's weight, its
+    cardinality over its entry of *sizes*, the nodes the counter
+    counts it over — the selectivity of the predicates the counter
+    does not apply, times a what-if's factor — and the pattern's tree:
+    per node its parent's bit, and per child edge the child with its
+    subtree's mask, in ``pattern.edges`` order."""
 
     def __init__(self, cards: PatternCardinalities,
-                 summary: PathSummary) -> None:
+                 sizes: list[int]) -> None:
+        self._weights = [cards.node(node_id) / size if size else 0.0
+                         for node_id, size in enumerate(sizes)]
         pattern = cards.pattern
-        tags = [node.tag for node in pattern.nodes]
-        self._counts = [summary.matching_counts(tag) for tag in tags]
-        self._weights = []
-        for node_id, counts in enumerate(self._counts):
-            total = sum(counts)
-            self._weights.append(cards.node(node_id) / total if total
-                                 else 0.0)
         size = len(pattern)
         parent_of = [-1] * size
         for edge in pattern.edges:
@@ -793,21 +741,53 @@ class _Embedding:
         #: per node, ``(child, the child's subtree mask)`` per child
         self._children: list[list[tuple[int, int]]] = [
             [] for _ in range(size)]
-        #: per non-root node, the summary's steps from its parent
-        self._rows: list[tuple] = [()] * size
         for edge in pattern.edges:
-            parent, child = edge.parent, edge.child
-            self._children[parent].append((child, below[child]))
-            self._rows[child] = summary.steps(tags[parent], tags[child],
-                                              edge.axis)
+            self._children[edge.parent].append((edge.child,
+                                                below[edge.child]))
+
+    def _root(self, mask: int) -> int:
+        """The node of connected *mask* whose parent is outside it."""
+        parent_bit = self._parent_bit
+        return next(root for root in mask_nodes(mask)
+                    if not mask & parent_bit[root])
+
+    def cardinality(self, mask: int) -> float:
+        raise NotImplementedError
+
+
+class _Embedding(_ClusterCounter):
+    """One pattern's clusters embedded in a label-path summary.
+
+    A cluster rooted at ``r`` is ``sum_s count(s) * m(r, s)`` over the
+    paths ``s`` that match ``r``, where ``m(n, s) = w(n) * prod_c
+    sum_t count(t) / count(s) * m(c, t)`` over the cluster's edges
+    ``n -> c`` and the paths ``t`` matching ``c`` below ``s`` — its
+    children for a ``/`` edge, its descendants for a ``//`` edge — and
+    ``w(n)`` is ``n``'s cardinality over the count of its paths: its
+    predicate selectivity.  Per node: its paths' counts, its weight
+    and, for a non-root node, the rows of its parent edge — per parent
+    path ``s``, ``(t index, count(t) / count(s))`` over its own paths
+    ``t`` under ``s``.  Per connected mask: ``m(root, s)`` over the
+    root's paths, and for a mask hanging off a parent node its reach
+    ``sum_t count(t) / count(s) * m(child, t)`` per parent path, the
+    factor it contributes to every mask that contains it."""
+
+    def __init__(self, cards: PatternCardinalities,
+                 summary: PathSummary) -> None:
+        pattern = cards.pattern
+        tags = [node.tag for node in pattern.nodes]
+        self._counts = [summary.matching_counts(tag) for tag in tags]
+        super().__init__(cards, [sum(counts) for counts in self._counts])
+        #: per non-root node, the summary's steps from its parent
+        self._rows: list[tuple] = [()] * len(pattern)
+        for edge in pattern.edges:
+            self._rows[edge.child] = summary.steps(
+                tags[edge.parent], tags[edge.child], edge.axis)
         self._vectors: dict[int, list[float]] = {}
         self._reaches: dict[int, list[float]] = {}
 
     def cardinality(self, mask: int) -> float:
-        parent_bit = self._parent_bit
-        for root in mask_nodes(mask):
-            if not mask & parent_bit[root]:
-                break
+        root = self._root(mask)
         total = 0.0
         for count, value in zip(self._counts[root],
                                 self._vector(root, mask)):
@@ -842,5 +822,77 @@ class _Embedding:
             for j, fraction in row:
                 total += fraction * inner[j]
             reach.append(total)
+        self._reaches[inside] = reach
+        return reach
+
+
+class _Counts(_ClusterCounter):
+    """One pattern's clusters counted in a document
+    (:class:`ExactEstimator`), bottom-up.
+
+    Per connected mask, per candidate of its root in start order, the
+    matches of the mask that bind it: the product of the reaches of the
+    masks hanging off the root.  A mask's reach is, per candidate of
+    its root's parent, the summed matches of the mask's candidates
+    inside the parent candidate's region — one ``bisect`` window over
+    prefix sums, per level for a ``/`` edge; a descendant ``d`` of
+    ``a`` has ``a.start < d.start <= a.end``.  A cluster's count is
+    then weighed by each of its nodes' weight: 1, or a what-if's
+    factor (:class:`ScaledEstimator`).
+    """
+
+    def __init__(self, cards: PatternCardinalities,
+                 candidates: list[list[Region]]) -> None:
+        super().__init__(cards, [len(regions) for regions in candidates])
+        self._candidates = candidates
+        #: per non-root node, its parent and whether their edge is ``/``
+        self._edges = [(-1, False)] * len(candidates)
+        for edge in cards.pattern.edges:
+            self._edges[edge.child] = (edge.parent,
+                                       edge.axis is Axis.CHILD)
+        self._matches: dict[int, list[int]] = {}
+        self._reaches: dict[int, list[int]] = {}
+
+    def cardinality(self, mask: int) -> float:
+        total = float(sum(self._per_candidate(self._root(mask), mask)))
+        for node_id in mask_nodes(mask):
+            total *= self._weights[node_id]
+        return total
+
+    def _per_candidate(self, node_id: int, mask: int) -> list[int]:
+        """Per candidate of *node_id*, in start order, the matches of
+        the cluster *mask* (rooted at *node_id*) that bind it."""
+        matches = self._matches.get(mask)
+        if matches is None:
+            matches = [1] * len(self._candidates[node_id])
+            for child, below in self._children[node_id]:
+                inside = mask & below
+                if inside:
+                    reach = (self._reaches.get(inside)
+                             or self._reach(child, inside))
+                    matches = [count * factor
+                               for count, factor in zip(matches, reach)]
+            self._matches[mask] = matches
+        return matches
+
+    def _reach(self, child: int, inside: int) -> list[int]:
+        parent, levelled = self._edges[child]
+        # per level (one group for a // edge): starts, prefix sums
+        groups: dict[int | None, tuple[list[int], list[int]]] = {}
+        for region, count in zip(self._candidates[child],
+                                 self._per_candidate(child, inside)):
+            starts, prefix = groups.setdefault(
+                region.level if levelled else None, ([], [0]))
+            starts.append(region.start)
+            prefix.append(prefix[-1] + count)
+        reach = []
+        for region in self._candidates[parent]:
+            group = groups.get(region.level + 1 if levelled else None)
+            if group is None:
+                reach.append(0)
+                continue
+            starts, prefix = group
+            reach.append(prefix[bisect_right(starts, region.end)]
+                         - prefix[bisect_right(starts, region.start)])
         self._reaches[inside] = reach
         return reach

@@ -39,7 +39,7 @@ from repro.core.planspace import PlanSpaceRecorder
 from repro.core.plans import (PhysicalPlan, canonical_plan_digest,
                               plan_digest_diff, plan_from_digest,
                               remap_plan)
-from repro.estimation.estimator import ScaledEstimator
+from repro.estimation.estimator import ExactEstimator, ScaledEstimator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.target import QueryTarget
@@ -468,8 +468,10 @@ def run_whatif(database: "QueryTarget", query: str,
 
     The hypothesis is any combination of replacement cost *factors*,
     per-tag cardinality scaling (*tag_scale*, e.g. ``{"item": 10.0}``
-    for "what if there were 10x as many items"), ground-truth
-    statistics (*exact*), and a *force_plan* canonical digest to price
+    for "what if there were 10x as many items"), every cluster's true
+    count in the document (*exact*: an
+    :class:`~repro.estimation.estimator.ExactEstimator` built for this
+    call), and a *force_plan* canonical digest to price
     as-if chosen (a digest that cannot be rebuilt or priced for this
     query is a :class:`~repro.errors.PlanError`).  Nothing on the
     database is mutated: the hypothesis lives in a private cost model
@@ -481,7 +483,8 @@ def run_whatif(database: "QueryTarget", query: str,
 
     hyp_factors = factors if factors is not None else database.cost_factors
     hyp_model = CostModel(hyp_factors)
-    estimator = database.exact_estimator if exact else database.estimator
+    estimator = (ExactEstimator(database.document) if exact
+                 else database.estimator)
     scales = dict(tag_scale or {})
     if scales:
         estimator = ScaledEstimator(estimator, scales)

@@ -34,8 +34,7 @@ from repro.document.document import XmlDocument
 from repro.engine.executor import (ExecutionResult, FirstResultTiming,
                                    StreamingExecution,
                                    measure_time_to_first)
-from repro.estimation.estimator import (ExactEstimator, Statistics,
-                                        SummaryEstimator)
+from repro.estimation.estimator import Statistics, SummaryEstimator
 from repro.obs.explain import ExplainReport
 from repro.obs.planspace import (WhatIfResult, build_plan_space_report,
                                  run_whatif)
@@ -87,7 +86,6 @@ class QueryTarget(abc.ABC):
         #: :meth:`Database.statistics`, the storage report)
         self.tag_statistics: Statistics | None = None
         self._estimator: SummaryEstimator | None = None
-        self._exact_estimator: ExactEstimator | None = None
         #: bumped by :meth:`_publish_planning_inputs` alone, whenever
         #: what the optimizer plans with changes; part of every
         #: plan-cache key.
@@ -208,11 +206,9 @@ class QueryTarget(abc.ABC):
 
         The one place either happens — a load or reload, a commit's
         publish step (:meth:`~repro.api.Database.publish`, under the
-        publish lock), a cost-factor swap.  The exact estimator is
-        rebuilt lazily from the new document.
+        publish lock), a cost-factor swap.
         """
         self._estimator = estimator
-        self._exact_estimator = None
         self.statistics_epoch += 1
         if self._service is not None:
             self._service.invalidate()
@@ -226,14 +222,6 @@ class QueryTarget(abc.ABC):
         self._require_document()
         assert self._estimator is not None
         return self._estimator
-
-    @property
-    def exact_estimator(self) -> ExactEstimator:
-        """Ground-truth estimator (built lazily; used for calibration)."""
-        if self._exact_estimator is None:
-            self._exact_estimator = ExactEstimator(
-                self._require_document())
-        return self._exact_estimator
 
     def warm_statistics(self, query: str | QueryPattern) -> None:
         """Precompute the statistics a pattern's optimization needs.
@@ -257,15 +245,12 @@ class QueryTarget(abc.ABC):
 
     def optimize(self, query: str | QueryPattern,
                  algorithm: str = "DPP",
-                 exact: bool = False,
                  **options: object) -> OptimizationResult:
         """Choose a plan with one of the five paper algorithms.
 
         *algorithm* is a paper name: ``DP``, ``DPP``, ``DPP'``,
         ``DPAP-EB``, ``DPAP-LD`` or ``FP``.  Extra options are passed
         to the optimizer (e.g. ``expansion_bound`` for DPAP-EB).
-        With ``exact=True`` the optimizer sees ground-truth pairwise
-        cardinalities instead of the label-path summary's estimates.
 
         A query is planned **once**, against :attr:`estimator` — on a
         shard fleet the whole document's statistics, whose shards share
@@ -274,8 +259,7 @@ class QueryTarget(abc.ABC):
         pattern = self.compile(query)
         optimizer = get_optimizer(algorithm, cost_model=self.cost_model,
                                   **options)
-        estimator = self.exact_estimator if exact else self.estimator
-        return optimizer.optimize(pattern, estimator)
+        return optimizer.optimize(pattern, self.estimator)
 
     def execute(self, plan: PhysicalPlan, pattern: QueryPattern,
                 engine: str = "block",
@@ -380,8 +364,8 @@ class QueryTarget(abc.ABC):
 
         Compares the current winner with the plan chosen under any
         combination of replacement cost *factors*, per-tag cardinality
-        scaling (``tag_scale={"item": 10.0}``), ground-truth
-        statistics (``exact=True``), or a *force_plan* canonical
+        scaling (``tag_scale={"item": 10.0}``), every cluster's true
+        count (``exact=True``), or a *force_plan* canonical
         digest priced as-if chosen.  Nothing is mutated: the plan
         cache, statistics epoch, and live cost factors are untouched.
         """

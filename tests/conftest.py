@@ -11,6 +11,7 @@ from repro.core.pattern import QueryPattern
 from repro.document.builder import DocumentBuilder
 from repro.document.document import XmlDocument
 from repro.document.parser import parse_xml
+from repro.estimation.estimator import ExactEstimator
 from repro.workloads.queries import dataset_document
 
 PERSONNEL_XML = """
@@ -101,6 +102,14 @@ def random_document(seed: int, size: int = 40,
 def paper_databases():
     return {dataset: Database.from_document(dataset_document(dataset))
             for dataset in ("mbench", "dblp", "pers")}
+
+
+def pair_count(document: XmlDocument, ancestor: str, descendant: str,
+               axis: str = "//") -> float:
+    """The true size of the edge *ancestor* *axis* *descendant*."""
+    pattern = QueryPattern.build({"nodes": [ancestor, descendant],
+                                  "edges": [(0, 1, axis)]})
+    return ExactEstimator(document).edge_cardinality(pattern, 0, 1)
 
 
 @pytest.fixture(scope="module")

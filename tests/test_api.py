@@ -4,8 +4,9 @@ import pytest
 
 from repro.api import Database
 from repro.errors import ReproError
-from repro.core import QueryPattern
+from repro.core import QueryPattern, get_optimizer
 from repro.core.cost import CostFactors
+from repro.estimation.estimator import ExactEstimator
 from repro.storage.disk import FileDisk
 
 
@@ -59,10 +60,16 @@ class TestQueries:
         assert len(canonicals) == 1
 
     def test_exact_estimator_option(self, small_database, chain_pattern):
+        """``optimize`` plans on the database's estimator and takes no
+        ``exact`` option; the true counts are an estimator of their
+        own, which an optimizer is handed directly."""
         approx = small_database.optimize(chain_pattern)
-        exact = small_database.optimize(chain_pattern, exact=True)
+        exact = get_optimizer("DPP").optimize(
+            chain_pattern, ExactEstimator(small_database.document))
         # both must be valid; costs differ because statistics differ
         assert approx.plan is not exact.plan
+        with pytest.raises(TypeError):
+            small_database.optimize(chain_pattern, exact=True)
 
     def test_optimizer_options_forwarded(self, small_database,
                                          running_example_pattern):

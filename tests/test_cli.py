@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 import os
 import subprocess
 import sys
@@ -102,6 +103,30 @@ class TestOtherCommands:
         assert code == 0
         assert "Table 2" in output
         assert "DPP'" in output
+
+    def test_whatif_exact_plans_on_true_counts(self, tmp_path):
+        """``whatif --exact``'s hypothetical plan is DPP's on the true
+        counts — on a query (Q.Pers.3.d) where it is not the summary's
+        plan, so the what-if flips."""
+        from repro import ExactEstimator, compile_xpath, get_optimizer
+        from repro.core.plans import canonical_plan_digest
+        from repro.workloads.queries import dataset_document
+
+        xpath = ("//manager[.//department[employee]][.//manager[name]]"
+                 "//employee/name")
+        path = tmp_path / "whatif.json"
+        code, output = run_cli("whatif", "--dataset", "pers", "--nodes",
+                               "1000", "--exact", "--json", str(path),
+                               xpath)
+        assert code == 0
+        assert "FLIP under the hypothesis" in output
+        payload = json.loads(path.read_text())
+        pattern = compile_xpath(xpath)
+        plan = get_optimizer("DPP").optimize(pattern, ExactEstimator(
+            dataset_document("pers", target_nodes=1000, seed=42))).plan
+        expected = canonical_plan_digest(plan, pattern)
+        assert payload["hypothetical"]["digest"] == expected
+        assert payload["baseline"]["digest"] != expected
 
     def test_bad_xpath_is_clean_error(self, capsys):
         code, __ = run_cli("query", "--dataset", "pers", "--nodes",

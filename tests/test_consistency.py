@@ -4,8 +4,8 @@ The optimizers annotate plans incrementally during search;
 ``estimate_plan_cost`` re-derives cost bottom-up from the same cost
 model and statistics.  The two must agree exactly — any drift would
 mean the search is optimizing a different objective than it reports.
-Also checks that the engine's measured cardinalities line up with the
-plan's estimated ones when the estimator is exact.
+Also checks that the engine's measured cardinalities equal the plan's
+estimated ones when the estimator counts every cluster exactly.
 """
 
 import pytest
@@ -54,30 +54,29 @@ def test_reported_cost_matches_replayed_cost(database, algorithm, spec):
 @pytest.mark.parametrize("spec", PATTERNS,
                          ids=[f"p{i}" for i in range(len(PATTERNS))])
 def test_exact_estimates_match_measured_cardinalities(database, spec):
-    """With exact pairwise statistics, every single-edge join's
-    estimated cardinality equals the engine's measured output."""
+    """With true counts, every join of every algorithm's plan — the
+    connected sub-pattern it builds — estimates the row count the
+    engine produces for it."""
     pattern = QueryPattern.build(spec)
-    result = database.optimize(pattern, algorithm="DPP", exact=True)
-    execution = database.execute(result.plan, pattern)
-    # find single-edge joins (both inputs are scans) and check them
-    for node in result.plan.walk():
-        if isinstance(node, StructuralJoinPlan) and len(
-                node.pattern_nodes()) == 2:
-            sub_execution = database.execute(node, QueryPattern.build({
-                "nodes": spec["nodes"],
-                "edges": spec["edges"],
-            }))
-            assert len(sub_execution) == pytest.approx(
-                node.estimated_cardinality)
-    assert len(execution) > 0
+    estimator = ExactEstimator(database.document)
+    for algorithm in ALGORITHMS:
+        result = get_optimizer(algorithm).optimize(pattern, estimator)
+        joins = [node for node in result.plan.walk()
+                 if isinstance(node, StructuralJoinPlan)]
+        assert len(joins) == len(pattern.edges)
+        for node in joins:
+            assert len(database.execute(node, pattern)) == \
+                node.estimated_cardinality, (algorithm, node)
+        assert len(database.execute(result.plan, pattern)) > 0
 
 
 def test_simulated_cost_tracks_estimates_loosely(database):
     """Measured engine work should land within an order of magnitude
-    of the optimizer's estimate when statistics are exact (the
-    residual gap is the independence assumption)."""
+    of the optimizer's estimate when every cluster is priced at its
+    true count."""
     pattern = QueryPattern.build(PATTERNS[2])
-    result = database.optimize(pattern, algorithm="DPP", exact=True)
+    result = get_optimizer("DPP").optimize(
+        pattern, ExactEstimator(database.document))
     execution = database.execute(result.plan, pattern)
     measured = execution.metrics.simulated_cost()
     estimated = result.estimated_cost

@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import Database
 from repro.errors import PlanError
+from repro.core.optimizer import get_optimizer
 from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
                               StructuralJoinPlan)
@@ -14,6 +15,7 @@ from repro.engine.executor import Executor
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.operators import Operator
 from repro.engine.tuples import Schema
+from repro.estimation.estimator import ExactEstimator
 
 
 class TestOperatorContract:
@@ -107,8 +109,9 @@ class TestDegenerateShapes:
             "edges": [(0, 1, "/"), (0, 2, "/"), (0, 3, "/"),
                       (0, 4, "/")],
         })
-        fp = database.optimize(pattern, algorithm="FP", exact=True)
-        dp = database.optimize(pattern, algorithm="DP", exact=True)
+        exact = ExactEstimator(database.document)
+        fp = get_optimizer("FP").optimize(pattern, exact)
+        dp = get_optimizer("DP").optimize(pattern, exact)
         assert fp.report.plans_considered >= 24  # at least 4! orders
         execution = database.execute(fp.plan, pattern)
         assert len(execution) == 4  # 2 a's x 2 b's x 1 c x 1 d

@@ -9,11 +9,11 @@ from hypothesis import given, settings
 from repro.errors import EstimationError
 from repro.document.node import Region
 from repro.document.parser import parse_xml
-from repro.estimation.estimator import (PositionalEstimator,
-                                        count_containment_pairs)
+from repro.estimation.estimator import PositionalEstimator
 from repro.estimation.histogram import (LevelHistogram,
                                         PositionalHistogram,
                                         _overlap_uniform_less)
+from tests.conftest import pair_count
 
 
 def filled(histogram, regions):
@@ -147,7 +147,7 @@ class TestPositionalHistogram:
         employees = [n.region for n in document.nodes_with_tag("employee")]
         anc = filled(PositionalHistogram(space, 16), managers)
         desc = filled(PositionalHistogram(space, 16), employees)
-        truth = count_containment_pairs(managers, employees)
+        truth = pair_count(document, "manager", "employee")
         estimate = anc.estimate_containment_join(desc)
         assert truth > 0
         assert truth / 3 <= estimate <= truth * 3
@@ -159,7 +159,7 @@ class TestPositionalHistogram:
         space = len(document)
         managers = [n.region for n in document.nodes_with_tag("manager")]
         names = [n.region for n in document.nodes_with_tag("name")]
-        truth = count_containment_pairs(managers, names)
+        truth = pair_count(document, "manager", "name")
         errors = []
         for grid in (1, 8, 32):
             anc = filled(PositionalHistogram(space, grid), managers)
@@ -198,18 +198,18 @@ class TestLevelHistogram:
 
 
 class TestCountContainmentPairs:
+    """The exact estimator's pair counts, which the tests above take
+    for the truth."""
+
     def test_simple_nesting(self):
         document = parse_xml("<a><b><a><b/></a></b></a>")
-        a_regions = [n.region for n in document.nodes_with_tag("a")]
-        b_regions = [n.region for n in document.nodes_with_tag("b")]
-        assert count_containment_pairs(a_regions, b_regions) == 3
-        assert count_containment_pairs(
-            a_regions, b_regions, parent_child=True) == 2
+        assert pair_count(document, "a", "b") == 3
+        assert pair_count(document, "a", "b", "/") == 2
 
     def test_self_join(self):
         document = parse_xml("<a><a><a/></a></a>")
-        regions = [n.region for n in document.nodes_with_tag("a")]
-        assert count_containment_pairs(regions, regions) == 3
+        assert pair_count(document, "a", "a") == 3
+        assert pair_count(document, "a", "a", "/") == 2
 
     def test_matches_bruteforce(self, small_document):
         tags = small_document.tags()
@@ -221,8 +221,9 @@ class TestCountContainmentPairs:
                          small_document.nodes_with_tag(desc_tag)]
                 brute = sum(1 for a in ancs for d in descs
                             if a.contains(d))
-                assert count_containment_pairs(ancs, descs) == brute
+                assert pair_count(small_document, anc_tag,
+                                  desc_tag) == brute
                 brute_pc = sum(1 for a in ancs for d in descs
                                if a.is_parent_of(d))
-                assert count_containment_pairs(
-                    ancs, descs, parent_child=True) == brute_pc
+                assert pair_count(small_document, anc_tag, desc_tag,
+                                  "/") == brute_pc

@@ -17,7 +17,8 @@ Three pools:
   the Pers tags, the ladder's five algorithms, DP up to 8 nodes — so
   the per-algorithm sums are the ladder's ``core.plans_considered.*``;
 * seeded 6-8-node random patterns with predicates on a random
-  document, under the database's estimator and exact statistics.
+  document, under the database's estimator and under
+  :class:`~repro.estimation.estimator.ExactEstimator`'s true counts.
 
 Every pool but the exact one plans on the label-path summary; the
 ``histogram`` pool keeps the name it had when the database's estimator
@@ -38,6 +39,8 @@ from pathlib import Path
 import pytest
 
 from repro.api import Database
+from repro.core.optimizer import get_optimizer
+from repro.estimation.estimator import ExactEstimator
 from repro.workloads import personnel_document, random_pattern
 from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
@@ -58,8 +61,9 @@ RANDOM_SIZES = (6, 7, 8)
 RANDOM_SEEDS = range(12)
 
 
-def _pin(database, pattern, algorithm, exact=False) -> list:
-    result = database.optimize(pattern, algorithm=algorithm, exact=exact)
+def _pin(database, pattern, algorithm, estimator=None) -> list:
+    result = get_optimizer(algorithm, cost_model=database.cost_model
+                           ).optimize(pattern, estimator or database.estimator)
     report = result.report
     return [repr(result.estimated_cost), report.plans_considered,
             report.statuses_generated, report.statuses_expanded,
@@ -95,6 +99,7 @@ def random_cells(exact: bool) -> dict[str, list]:
 
     database = Database.from_document(random_document(7, size=400))
     statistics = "exact" if exact else "histogram"
+    estimator = ExactEstimator(database.document) if exact else None
     cells = {}
     for size in RANDOM_SIZES:
         for seed in RANDOM_SEEDS:
@@ -102,7 +107,7 @@ def random_cells(exact: bool) -> dict[str, list]:
                                      max_nodes=size, predicate_chance=0.3)
             for algorithm in ALL_ALGORITHMS:
                 cells[f"random{size}.{seed}/{statistics}/{algorithm}"] = (
-                    _pin(database, pattern, algorithm, exact))
+                    _pin(database, pattern, algorithm, estimator))
     return cells
 
 

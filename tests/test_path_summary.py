@@ -1,35 +1,26 @@
 """The label-path summary held to true counts.
 
-:class:`TrueCardinalities` counts the matches of every connected
-sub-pattern exactly, bottom-up: per pattern node, per candidate in
-start order, the product over its child edges inside the cluster of
-the summed counts of the child's candidates inside the candidate's
-region — each sum one ``bisect`` window over prefix sums (per level
-for a ``/`` edge).  A descendant ``d`` of ``a`` has ``a.start < d.start
-<= a.end``, so the window's upper end is ``bisect_right(starts,
-a.end)``.  It is checked against :func:`naive_pattern_matches`, with
-and without predicates; then the summary the database plans with is
-held to it: equal on every connected cluster of a predicate-free
-chain, 0 only where the true count is 0, its q-error on a seeded
-random corpus pinned, and the DPP plans it picks for the paper's
-eight queries within 5 % of the simulated cost of the plans DPP picks
-under true counts.
+:class:`~repro.estimation.estimator.ExactEstimator` counts the matches
+of every connected sub-pattern exactly; it is checked against
+:func:`naive_pattern_matches`, with and without predicates.  Then the
+summary the database plans with is held to it: equal on every
+connected cluster of a predicate-free chain, 0 only where the true
+count is 0, its q-error on a seeded random corpus pinned, and the DPP
+plans it picks for the paper's eight queries within 5 % of the
+simulated cost of the plans DPP picks under true counts.
 """
 
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 
 import pytest
 
 from repro.api import Database
-from repro.core import enumeration
 from repro.core.optimizer import get_optimizer
 from repro.core.pattern import (Axis, PatternEdge, PatternNode,
                                 QueryPattern, mask_nodes)
 from repro.engine.nestedloop import naive_pattern_matches
-from repro.errors import EstimationError
 from repro.estimation.estimator import (ExactEstimator,
                                         PatternCardinalities,
                                         ScaledEstimator, Statistics)
@@ -40,71 +31,8 @@ from tests.conftest import random_document
 from tests.test_search_space import random_pool
 
 
-class TrueCardinalities(PatternCardinalities):
-    """Exact match counts of the connected sub-patterns of *pattern* in
-    *document*; a drop-in for :class:`PatternCardinalities`, node and
-    candidate counts included."""
-
-    def __init__(self, pattern: QueryPattern, document) -> None:
-        super().__init__(pattern, ExactEstimator(document))
-        self._regions = []
-        for node in pattern.nodes:
-            pool = (document.nodes if node.is_wildcard
-                    else document.nodes_with_tag(node.tag))
-            self._regions.append([candidate.region for candidate in pool
-                                  if node.matches(candidate)])
-        self._below = [1 << node_id for node_id in range(len(pattern))]
-        for node_id in reversed(list(pattern.walk_preorder())):
-            for child in pattern.children(node_id):
-                self._below[node_id] |= self._below[child]
-        self._matches: dict[int, list[int]] = {}
-
-    def cluster_cardinality(self, mask: int) -> float:
-        cached = self._cluster_cache.get(mask)
-        if cached is None:
-            if not mask or not self.pattern.is_connected_mask(mask):
-                raise EstimationError(f"{mask} is not a connected cluster")
-            root = next(node_id for node_id in mask_nodes(mask)
-                        if self.pattern.parent_edge(node_id) is None
-                        or not mask >> self.pattern.parent_edge(
-                            node_id).parent & 1)
-            cached = self._cluster_cache[mask] = float(
-                sum(self._per_candidate(root, mask)))
-        return cached
-
-    def _per_candidate(self, node_id: int, mask: int) -> list[int]:
-        """Per candidate of *node_id*, in start order, the matches of
-        the cluster *mask* (rooted at *node_id*) that bind it."""
-        matches = self._matches.get(mask)
-        if matches is not None:
-            return matches
-        regions = self._regions[node_id]
-        matches = [1] * len(regions)
-        for edge in self.pattern.child_edges(node_id):
-            inside = mask & self._below[edge.child]
-            if not inside:
-                continue
-            child = edge.axis is Axis.CHILD
-            # per level (one group for a // edge): starts, prefix sums
-            groups: dict[int | None, tuple[list[int], list[int]]] = {}
-            for region, count in zip(self._regions[edge.child],
-                                     self._per_candidate(edge.child,
-                                                         inside)):
-                starts, prefix = groups.setdefault(
-                    region.level if child else None, ([], [0]))
-                starts.append(region.start)
-                prefix.append(prefix[-1] + count)
-            for index, region in enumerate(regions):
-                group = groups.get(region.level + 1 if child else None)
-                if group is None:
-                    matches[index] = 0
-                    continue
-                starts, prefix = group
-                matches[index] *= (prefix[bisect_right(starts, region.end)]
-                                   - prefix[bisect_right(starts,
-                                                         region.start)])
-        self._matches[mask] = matches
-        return matches
+def true_counts(pattern: QueryPattern, document) -> PatternCardinalities:
+    return PatternCardinalities(pattern, ExactEstimator(document))
 
 
 def sub_pattern(pattern: QueryPattern, mask: int) -> QueryPattern:
@@ -142,7 +70,7 @@ def test_true_counts_equal_naive_matches(predicate_chance):
             pattern = random_pattern(rng, tags=tags, min_nodes=2,
                                      max_nodes=4, wildcard_chance=0.1,
                                      predicate_chance=predicate_chance)
-            cards = TrueCardinalities(pattern, document)
+            cards = true_counts(pattern, document)
             for mask in connected_masks(pattern):
                 expected = len(naive_pattern_matches(
                     document, sub_pattern(pattern, mask)))
@@ -180,7 +108,7 @@ def test_summary_is_exact_on_predicate_free_chains():
             for _ in range(4):
                 pattern = chain(rng, length)
                 estimate = PatternCardinalities(pattern, estimator)
-                truth = TrueCardinalities(pattern, document)
+                truth = true_counts(pattern, document)
                 for mask in connected_masks(pattern):
                     assert estimate.cluster_cardinality(mask) == \
                         pytest.approx(truth.cluster_cardinality(mask),
@@ -198,7 +126,7 @@ def test_summary_zero_means_no_match(random_database, predicate_chance):
     zeros = 0
     for pattern in random_pool(predicate_chance):
         estimate = PatternCardinalities(pattern, random_database.estimator)
-        truth = TrueCardinalities(pattern, document)
+        truth = true_counts(pattern, document)
         for mask in connected_masks(pattern):
             if estimate.cluster_cardinality(mask) == 0.0:
                 zeros += 1
@@ -208,23 +136,27 @@ def test_summary_zero_means_no_match(random_database, predicate_chance):
 
 
 def test_what_if_scales_a_cluster_by_each_nodes_factor():
-    """``ScaledEstimator`` on the summary: every cluster is the base's
-    estimate times the factor of each of its nodes."""
+    """``ScaledEstimator`` on the summary and on the true counts:
+    every cluster is the base's estimate times the factor of each of
+    its nodes."""
     document = personnel_document(target_nodes=300, seed=3)
-    base = Statistics(document).estimator()
     factors = {"employee": 3.0, "name": 0.5, "manager": 0.0}
-    scaled = ScaledEstimator(base, factors)
-    for query in PAPER_QUERIES.values():
-        if query.dataset != "pers":
-            continue
-        plain = PatternCardinalities(query.pattern, base)
-        what_if = PatternCardinalities(query.pattern, scaled)
-        for mask in connected_masks(query.pattern):
-            scale = 1.0
-            for node_id in mask_nodes(mask):
-                scale *= factors.get(query.pattern.node(node_id).tag, 1.0)
-            assert what_if.cluster_cardinality(mask) == pytest.approx(
-                plain.cluster_cardinality(mask) * scale, rel=1e-12)
+    for base in (Statistics(document).estimator(),
+                 ExactEstimator(document)):
+        scaled = ScaledEstimator(base, factors)
+        for query in PAPER_QUERIES.values():
+            if query.dataset != "pers":
+                continue
+            plain = PatternCardinalities(query.pattern, base)
+            what_if = PatternCardinalities(query.pattern, scaled)
+            for mask in connected_masks(query.pattern):
+                scale = 1.0
+                for node_id in mask_nodes(mask):
+                    scale *= factors.get(
+                        query.pattern.node(node_id).tag, 1.0)
+                assert what_if.cluster_cardinality(mask) == \
+                    pytest.approx(plain.cluster_cardinality(mask) * scale,
+                                  rel=1e-12), (base, mask)
 
 
 #: 48 random patterns of 4-6 nodes over the Pers tags (seed 42) on Pers
@@ -243,7 +175,7 @@ def test_summary_q_error_on_a_seeded_corpus():
     for _ in range(48):
         pattern = random_pattern(rng, tags=tags, min_nodes=4, max_nodes=6)
         estimate = PatternCardinalities(pattern, estimator)
-        truth = TrueCardinalities(pattern, document)
+        truth = true_counts(pattern, document)
         for mask in connected_masks(pattern):
             if not mask & (mask - 1):
                 continue
@@ -268,14 +200,14 @@ def test_summary_q_error_on_a_seeded_corpus():
 
 
 @pytest.mark.parametrize("folding", [1, 2])
-def test_dpp_plans_cost_within_five_percent_of_true_count_plans(
-        monkeypatch, folding):
+def test_dpp_plans_cost_within_five_percent_of_true_count_plans(folding):
     """The eight paper queries on ``inproc_twig``'s corpora (seed 42),
     folded: the measured ``simulated_cost()`` of the plans DPP picks on
     the summary, summed, is at most 1.05x that of the plans DPP picks
-    when every cluster is priced at its true count.  (x1: 174 030.91
-    against 172 251.82; x2: 373 435.82 against 372 383.70 — and
-    251 584.48 and 737 597.04 on the paper's histograms.)"""
+    on :class:`ExactEstimator`, which prices every cluster at its true
+    count.  (x1: 174 030.91 against 172 251.82; x2: 373 435.82 against
+    372 383.70 — and 251 584.48 and 737 597.04 on the paper's
+    histograms.)"""
     corpora = {
         "pers": personnel_document(target_nodes=2000, seed=42),
         "dblp": dblp_document(entries=400, seed=42),
@@ -283,27 +215,18 @@ def test_dpp_plans_cost_within_five_percent_of_true_count_plans(
     databases = {
         dataset: Database.from_document(fold_document(document, folding))
         for dataset, document in corpora.items()}
+    exact = {dataset: ExactEstimator(database.document)
+             for dataset, database in databases.items()}
 
     def measured(database, pattern, plan):
         return database.execute(plan, pattern).metrics.simulated_cost()
-
-    def under_true_counts(database, pattern):
-        monkeypatch.setattr(
-            enumeration, "PatternCardinalities",
-            lambda pattern, estimator: TrueCardinalities(
-                pattern, database.document))
-        try:
-            return get_optimizer(
-                "DPP", cost_model=database.cost_model).optimize(
-                    pattern, database.estimator).plan
-        finally:
-            monkeypatch.undo()
 
     summary = floor = 0.0
     for query in PAPER_QUERIES.values():
         database = databases[query.dataset]
         summary += measured(database, query.pattern,
                             database.optimize(query.pattern, "DPP").plan)
-        floor += measured(database, query.pattern,
-                          under_true_counts(database, query.pattern))
+        floor += measured(database, query.pattern, get_optimizer(
+            "DPP", cost_model=database.cost_model).optimize(
+                query.pattern, exact[query.dataset]).plan)
     assert summary <= 1.05 * floor, (summary, floor)

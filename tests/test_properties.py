@@ -24,8 +24,8 @@ from repro.document.builder import DocumentBuilder
 from repro.document.parser import parse_xml
 from repro.document.serialize import serialize
 from repro.engine.nestedloop import naive_pattern_matches
-from repro.estimation.estimator import (ExactEstimator,
-                                        count_containment_pairs)
+from repro.estimation.estimator import ExactEstimator
+from tests.conftest import pair_count
 
 TAGS = ("a", "b", "c")
 
@@ -116,7 +116,7 @@ class TestJoinProperties:
         ancs = [n.region for n in document.nodes_with_tag("a")]
         descs = [n.region for n in document.nodes_with_tag("b")]
         brute = sum(1 for a in ancs for d in descs if a.contains(d))
-        assert count_containment_pairs(ancs, descs) == brute
+        assert pair_count(document, "a", "b") == brute
 
     @given(tree_documents(), st.sampled_from(TAGS),
            st.sampled_from(TAGS), st.booleans())
@@ -155,8 +155,8 @@ class TestOptimizerProperties:
     def test_optimized_plans_are_correct(self, document, pattern,
                                          algorithm):
         database = Database.from_document(document)
-        result = database.optimize(pattern, algorithm=algorithm,
-                                   exact=True)
+        result = get_optimizer(algorithm).optimize(
+            pattern, ExactEstimator(document))
         validate_plan(result.plan, pattern)
         execution = database.execute(result.plan, pattern)
         assert execution.canonical() == oracle_keys(document, pattern)

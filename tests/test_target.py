@@ -34,7 +34,7 @@ ALGORITHMS = ("DP", "DPP", "DPAP-EB", "DPAP-LD", "FP")
 #: written once, in the base — neither back end may define its own
 BASE_ONLY = ("compile", "warm_statistics", "optimize", "query",
              "query_many", "whatif", "time_to_first", "explain",
-             "service", "estimator", "exact_estimator", "execute",
+             "service", "estimator", "execute",
              "attach_query_log", "_finish_run", "_retain_trace",
              "__enter__", "__exit__")
 #: supplied or extended per back end, under one signature

@@ -99,15 +99,11 @@ class TestFolding:
                 tag)
 
     def test_join_results_scale_linearly(self, small_document):
-        from repro.estimation.estimator import count_containment_pairs
+        from tests.conftest import pair_count
 
-        base = count_containment_pairs(
-            [n.region for n in small_document.nodes_with_tag("manager")],
-            [n.region for n in small_document.nodes_with_tag("employee")])
-        folded = fold_document(small_document, 3)
-        scaled = count_containment_pairs(
-            [n.region for n in folded.nodes_with_tag("manager")],
-            [n.region for n in folded.nodes_with_tag("employee")])
+        base, scaled = (pair_count(document, "manager", "employee")
+                        for document in (small_document,
+                                         fold_document(small_document, 3)))
         assert scaled == 3 * base
 
     def test_invalid_factor(self, small_document):
