@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.harness import ExperimentSetup, dataset_database
+from benchmarks.harness import ExperimentSetup, dataset_database
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 

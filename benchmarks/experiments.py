@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.harness import (CellResult, ExperimentSetup,
-                                 dataset_database, eval_bad_plan, run_cell)
-from repro.bench.tables import render_table
+from benchmarks.harness import (CellResult, ExperimentSetup,
+                                dataset_database, eval_bad_plan, run_cell)
+from benchmarks.tables import render_table
 from repro.workloads.queries import PAPER_QUERIES, paper_query
 
 #: Table 1 / Table 2 algorithm columns, in the paper's order.
@@ -195,7 +195,7 @@ def _te_sweep(name: str, setup: ExperimentSetup, query_name: str,
                      "eval_sim": cell.eval_simulated,
                      "eval_ms": cell.eval_seconds * 1e3,
                      "plans": cell.plans_considered})
-    from repro.bench.plots import render_stacked_bars
+    from benchmarks.plots import render_stacked_bars
 
     text = render_table(
         f"{name}: T_e sweep for {query_name}, folding x{folding}",

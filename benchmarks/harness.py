@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from weakref import WeakKeyDictionary
 
+from benchmarks.histogram import PositionalEstimator
 from repro.api import Database
 from repro.core.cost import CostFactors
 from repro.core.optimizer import OptimizationResult, get_optimizer
@@ -27,8 +28,7 @@ from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.core.random_plans import worst_random_plan
 from repro.document.document import XmlDocument
-from repro.estimation.estimator import (CardinalityEstimator,
-                                        PositionalEstimator)
+from repro.estimation.estimator import CardinalityEstimator
 from repro.workloads.dblp import dblp_document
 from repro.workloads.folding import fold_document
 from repro.workloads.mbench import mbench_document

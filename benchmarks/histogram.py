@@ -1,4 +1,5 @@
-"""Positional histograms for structural-join size estimation.
+"""The paper's estimator [17]: positional histograms for
+structural-join size estimation.
 
 A :class:`PositionalHistogram` for tag ``T`` is a 2-D grid over the
 ``(start, end)`` plane of the document's position space.  Each element
@@ -14,19 +15,25 @@ A companion :class:`LevelHistogram` records the distribution of node
 depths and is used to refine ancestor/descendant estimates into
 parent/child estimates.
 
-Both belong to the paper's estimator alone:
-:meth:`~repro.estimation.estimator.PositionalEstimator.from_document`
-fills one of each per tag in one scan of a document, over its label
-space ``root.end + 1``, and nothing changes them afterwards.  The
-database plans its own queries on the label-path summary instead.
+:meth:`PositionalEstimator.from_document` fills one of each per tag in
+one scan of a document, over its label space ``root.end + 1``, and
+nothing changes them afterwards.  It plans the experiments that
+reproduce the paper; the database plans its own queries on the
+label-path summary instead.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Mapping
 
-from repro.errors import EstimationError
+from repro.core.pattern import Axis, PatternNode
+from repro.document.document import XmlDocument
 from repro.document.node import Region
+from repro.errors import EstimationError
+from repro.estimation.estimator import WILDCARD, Statistics, TagStatistics
+
+from benchmarks.pairwise import PairwiseEstimator
 
 #: grid resolution of the paper's estimator's positional histograms;
 #: the grid ablation is the one caller of ``from_document(grid=)``
@@ -184,3 +191,52 @@ class LevelHistogram:
         if deeper == 0.0:
             return 0.0
         return adjacent / deeper
+
+
+class PositionalEstimator(PairwiseEstimator):
+    """The paper's estimator [17]: per tag (and ``"*"``) a positional
+    and a level histogram, built by :meth:`from_document` and never
+    changed; clusters combine its edges under independence."""
+
+    def __init__(self, stats: Mapping[str, TagStatistics],
+                 positions: Mapping[str, PositionalHistogram],
+                 levels: Mapping[str, LevelHistogram]) -> None:
+        super().__init__(stats)
+        self._positions = positions
+        self._levels = levels
+
+    @classmethod
+    def from_document(cls, document: XmlDocument,
+                      grid: int = HISTOGRAM_GRID) -> "PositionalEstimator":
+        """The paper's estimator over *document*: the per-tag entries of
+        its statistics, and histograms over its label space
+        ``root.end + 1`` filled in one scan in document order — the
+        order a join estimate sums cells in, so an estimate depends on
+        the document alone."""
+        space = document.root.end + 1
+        positions: dict[str, PositionalHistogram] = {}
+        levels: dict[str, LevelHistogram] = {}
+        for node in document:
+            for key in (node.tag, WILDCARD):
+                histogram = positions.get(key)
+                if histogram is None:
+                    histogram = positions[key] = PositionalHistogram(
+                        space, grid)
+                    levels[key] = LevelHistogram()
+                histogram.add(node.region)
+                levels[key].add(node.level)
+        return cls(Statistics(document).entries, positions, levels)
+
+    def _pair(self, parent: PatternNode, child: PatternNode,
+              axis: Axis) -> float:
+        parent_tag = WILDCARD if parent.is_wildcard else parent.tag
+        child_tag = WILDCARD if child.is_wildcard else child.tag
+        ancestors = self._positions.get(parent_tag)
+        descendants = self._positions.get(child_tag)
+        if ancestors is None or descendants is None:
+            return 0.0
+        estimate = ancestors.estimate_containment_join(descendants)
+        if axis is Axis.CHILD:
+            estimate *= self._levels[parent_tag].parent_child_fraction(
+                self._levels[child_tag])
+        return estimate

@@ -1,4 +1,3 @@
-#!/usr/bin/env python3
 """Reproduce every table and figure of the paper's Sec. 4 in one run.
 
 Prints Table 1, Table 2, Table 3, Figure 7 and Figure 8 in the paper's
@@ -6,15 +5,17 @@ layout.  ``--full`` uses the larger folding ramp (slower, closer to the
 paper's x1/x10/x100/x500); ``--quick`` shrinks the data sets for a fast
 smoke run.
 
-Run:  python examples/reproduce_paper.py [--quick | --full]
+Run from the repository root::
+
+    PYTHONPATH=src python -m benchmarks.reproduce_paper [--quick | --full]
 """
 
 import argparse
 import time
 
-from repro.bench.experiments import (figure7, figure8, table1, table2,
-                                     table3)
-from repro.bench.harness import ExperimentSetup
+from benchmarks.experiments import (figure7, figure8, table1, table2,
+                                    table3)
+from benchmarks.harness import ExperimentSetup
 
 
 def main() -> None:

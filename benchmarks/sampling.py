@@ -20,14 +20,15 @@ from bisect import bisect_right
 from repro.errors import EstimationError
 from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
-from repro.core.pattern import Axis, PatternNode, QueryPattern
-from repro.estimation.estimator import (Statistics, TagCountEstimator,
-                                        _checked_edge,
-                                        _predicate_selectivity)
+from repro.core.pattern import Axis, PatternNode
+from repro.estimation.estimator import Statistics
+
+from benchmarks.pairwise import PairwiseEstimator
 
 
-class SamplingEstimator(TagCountEstimator):
-    """Estimates edge cardinalities from a systematic candidate sample."""
+class SamplingEstimator(PairwiseEstimator):
+    """Estimates edge cardinalities from a systematic candidate sample;
+    clusters combine them under independence."""
 
     def __init__(self, document: XmlDocument, sample_size: int = 64) -> None:
         if sample_size < 1:
@@ -35,32 +36,17 @@ class SamplingEstimator(TagCountEstimator):
         super().__init__(Statistics(document).entries)
         self._document = document
         self.sample_size = sample_size
-        self._edge_cache: dict[tuple[PatternNode, PatternNode, Axis],
-                               float] = {}
-
-    # -- node-level ---------------------------------------------------------
 
     def _tag_nodes(self, node: PatternNode) -> list[NodeRecord]:
         if node.is_wildcard:
             return list(self._document.nodes)
         return self._document.nodes_with_tag(node.tag)
 
-    # -- edge-level ------------------------------------------------------------
-
-    def edge_cardinality(self, pattern: QueryPattern, parent: int,
-                         child: int) -> float:
-        edge = _checked_edge(pattern, parent, child)
-        parent_node = pattern.node(parent)
-        child_node = pattern.node(child)
-        key = (parent_node, child_node, edge.axis)
-        cached = self._edge_cache.get(key)
-        if cached is not None:
-            return cached
-
-        ancestors = self._tag_nodes(parent_node)
-        descendants = self._tag_nodes(child_node)
+    def _pair(self, parent: PatternNode, child: PatternNode,
+              axis: Axis) -> float:
+        ancestors = self._tag_nodes(parent)
+        descendants = self._tag_nodes(child)
         if not ancestors or not descendants:
-            self._edge_cache[key] = 0.0
             return 0.0
         starts = [node.start for node in descendants]
         step = max(len(ancestors) // self.sample_size, 1)
@@ -68,13 +54,8 @@ class SamplingEstimator(TagCountEstimator):
         matched = 0
         for ancestor in sample:
             matched += self._count_matches(ancestor.region, descendants,
-                                           starts, edge.axis)
-        estimate = matched / len(sample) * len(ancestors)
-        estimate *= _predicate_selectivity(parent_node, self._stats)
-        estimate *= _predicate_selectivity(child_node, self._stats)
-        self._edge_cache[key] = estimate
-        return estimate
-
+                                           starts, axis)
+        return matched / len(sample) * len(ancestors)
     @staticmethod
     def _count_matches(ancestor: Region, descendants: list[NodeRecord],
                        starts: list[int], axis: Axis) -> int:

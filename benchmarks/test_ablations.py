@@ -11,13 +11,13 @@
 import pytest
 
 from benchmarks.conftest import publish
+from benchmarks.harness import paper_estimator, plan_cell
+from benchmarks.histogram import PositionalEstimator
 from benchmarks.sampling import SamplingEstimator
+from benchmarks.tables import render_table
 from repro.api import Database
-from repro.bench.harness import paper_estimator, plan_cell
-from repro.bench.tables import render_table
 from repro.core.cost import CostFactors
-from repro.estimation.estimator import (ExactEstimator,
-                                        PositionalEstimator)
+from repro.estimation.estimator import ExactEstimator
 from repro.workloads.folding import fold_document
 from repro.workloads.personnel import personnel_document
 from repro.workloads.queries import paper_query

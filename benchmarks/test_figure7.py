@@ -9,7 +9,7 @@ advice for expensive queries.
 import pytest
 
 from benchmarks.conftest import FIGURE7_FOLDING, publish
-from repro.bench.experiments import figure7
+from benchmarks.experiments import figure7
 
 
 def test_figure7_summary(benchmark, setup):

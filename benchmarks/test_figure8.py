@@ -8,7 +8,7 @@ curve is "U"-shaped in total evaluation time.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.bench.experiments import figure8
+from benchmarks.experiments import figure8
 
 
 def test_figure8_summary(benchmark, setup):

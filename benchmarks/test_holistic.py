@@ -10,8 +10,8 @@ good order — and both pay very different buffering costs.
 import pytest
 
 from benchmarks.conftest import database_for, publish
-from repro.bench.harness import plan_cell
-from repro.bench.tables import render_table
+from benchmarks.harness import plan_cell
+from benchmarks.tables import render_table
 from repro.workloads.queries import PAPER_QUERIES, paper_query
 
 QUERIES = ("Q.Pers.1.a", "Q.Pers.2.c", "Q.Pers.3.d", "Q.Mbench.1.a",

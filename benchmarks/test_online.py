@@ -10,8 +10,8 @@ first tuple, on folded data where the difference is macroscopic.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.bench.harness import dataset_database, plan_cell
-from repro.bench.tables import render_table
+from benchmarks.harness import dataset_database, plan_cell
+from benchmarks.tables import render_table
 from repro.engine.context import EngineContext
 from repro.engine.executor import Executor
 from repro.workloads.queries import paper_query

@@ -12,8 +12,8 @@ Two layers:
 import pytest
 
 from benchmarks.conftest import database_for, publish
-from repro.bench.experiments import ALGORITHMS, table1
-from repro.bench.harness import paper_estimator, plan_cell
+from benchmarks.experiments import ALGORITHMS, table1
+from benchmarks.harness import paper_estimator, plan_cell
 from repro.workloads.queries import PAPER_QUERIES, paper_query
 
 QUERIES = sorted(PAPER_QUERIES)

@@ -8,8 +8,8 @@ rendered Table 2 and asserts the paper's ordering of the search sizes.
 import pytest
 
 from benchmarks.conftest import publish
-from repro.bench.experiments import TABLE2_ALGORITHMS, table2
-from repro.bench.harness import paper_estimator, plan_cell
+from benchmarks.experiments import TABLE2_ALGORITHMS, table2
+from benchmarks.harness import paper_estimator, plan_cell
 from repro.workloads.queries import paper_query
 
 QUERY = "Q.Pers.3.d"

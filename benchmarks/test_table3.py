@@ -9,8 +9,8 @@ optimal plan turns fully-pipelined at scale, and DPAP-LD's gap widens.
 import pytest
 
 from benchmarks.conftest import FOLDINGS, publish
-from repro.bench.experiments import table3
-from repro.bench.harness import dataset_database, plan_cell
+from benchmarks.experiments import table3
+from benchmarks.harness import dataset_database, plan_cell
 from repro.workloads.queries import paper_query
 
 QUERY = "Q.Pers.3.d"

@@ -3,9 +3,11 @@
 A from-scratch reproduction of Wu, Patel & Jagadish (ICDE 2003): a
 native-XML-database substrate (region-encoded documents, paged storage,
 tag indexes, stack-tree structural joins, cardinality estimation on
-a label-path summary and on the paper's positional histograms) plus the paper's contribution — five
-cost-based structural join order selection algorithms (DP, DPP,
-DPAP-EB, DPAP-LD, FP).
+a label-path summary) plus the paper's contribution — five cost-based
+structural join order selection algorithms (DP, DPP, DPAP-EB,
+DPAP-LD, FP).  The paper's own estimator (positional histograms) and
+the drivers of its tables live in ``benchmarks/``: ``pytest
+benchmarks`` regenerates the tables.
 
 Quick start::
 
@@ -27,7 +29,7 @@ from repro.core.pattern import PatternBuilder
 from repro.document import DocumentBuilder, XmlDocument, parse_xml, serialize
 from repro.engine import ExecutionResult
 from repro.errors import ReproError
-from repro.estimation import ExactEstimator, PositionalEstimator
+from repro.estimation import ExactEstimator
 from repro.service import PlanCache, QueryService
 from repro.xpath import compile_xpath
 
@@ -59,7 +61,6 @@ __all__ = [
     "ExecutionResult",
     "ReproError",
     "ExactEstimator",
-    "PositionalEstimator",
     "PlanCache",
     "QueryService",
     "compile_xpath",

@@ -11,7 +11,6 @@ Commands:
   streaming of first results, plus the observability routes on the
   same port.
 * ``generate`` — write one of the synthetic benchmark documents as XML.
-* ``bench``    — regenerate a paper table or figure.
 * ``log``      — run the paper workload with a persistent JSONL query
   log attached (or ``--read`` an existing log back).
 * ``calibrate``— fit cost-model factors from a traced query log.
@@ -32,6 +31,10 @@ Query-serving commands accept ``--db DIR`` in place of
 ``--xml``/``--dataset`` to run against a durable database directory
 (crash-recovered on open).
 
+The paper's tables and figures are not a command: ``PYTHONPATH=src
+python -m pytest benchmarks`` regenerates them, with the paper's
+estimator, which lives in ``benchmarks/`` too.
+
 Examples::
 
     python -m repro query --xml pers.xml "//manager//employee/name"
@@ -43,7 +46,6 @@ Examples::
     python -m repro explain --dataset pers --trace "//manager//name"
     python -m repro stats --dataset pers --serve 5 --format prometheus
     python -m repro generate mbench --nodes 2000 --output mbench.xml
-    python -m repro bench table2
     python -m repro log --dataset mbench --serve 3 \
         --output query-log.jsonl
     python -m repro calibrate --log query-log.jsonl --json calib.json
@@ -67,24 +69,12 @@ from contextlib import contextmanager
 from typing import IO, Iterator, Sequence
 
 from repro.api import Database
-from repro.bench.experiments import (figure7, figure8, table1, table2,
-                                     table3)
-from repro.bench.harness import ExperimentSetup
 from repro.document.serialize import write_xml
 from repro.errors import ReproError
 from repro.target import QueryTarget
 from repro.workloads.queries import dataset_document
 
 ALGORITHMS = ("DP", "DPP", "DPP'", "DPAP-EB", "DPAP-LD", "FP")
-
-BENCH_DRIVERS = {
-    "table1": lambda setup: table1(setup),
-    "table2": lambda setup: table2(setup),
-    "table3": lambda setup: table3(setup),
-    "figure7": lambda setup: figure7(setup),
-    "figure8": lambda setup: figure8(setup),
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -246,14 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=42)
     generate.add_argument("--output", metavar="FILE", default="-",
                           help="output path ('-' for stdout)")
-
-    bench = commands.add_parser(
-        "bench", help="regenerate a paper table or figure (speed "
-                      "measurements live in perf/, see perf/README.md)")
-    bench.add_argument("artifact", choices=sorted(BENCH_DRIVERS))
-    bench.add_argument("--pers-nodes", type=int, default=2000)
-    bench.add_argument("--seed", type=int, default=42,
-                       help="data-set generation seed (default 42)")
 
     log_cmd = commands.add_parser(
         "log", help="run the paper workload with a persistent query "
@@ -726,14 +708,6 @@ def _command_generate(arguments: argparse.Namespace,
     return 0
 
 
-def _command_bench(arguments: argparse.Namespace, out: IO[str]) -> int:
-    setup = ExperimentSetup(pers_nodes=arguments.pers_nodes,
-                            seed=arguments.seed)
-    output = BENCH_DRIVERS[arguments.artifact](setup)
-    out.write(output.text + "\n")
-    return 0
-
-
 def _write_json_payload(payload: object, target: str,
                         out: IO[str]) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -1014,7 +988,6 @@ _COMMANDS = {
     "stats": _command_stats,
     "serve": _command_serve,
     "generate": _command_generate,
-    "bench": _command_bench,
     "log": _command_log,
     "calibrate": _command_calibrate,
     "audit": _command_audit,

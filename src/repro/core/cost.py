@@ -58,8 +58,10 @@ class CostFactors:
 
     def __post_init__(self) -> None:
         for name in COST_FACTOR_NAMES:
-            if getattr(self, name) < 0:
-                raise OptimizerError(f"cost factor {name} must be >= 0")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise OptimizerError(f"cost factor {name} must be finite "
+                                     f"and >= 0, got {value}")
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         """The factors in :data:`COST_FACTOR_NAMES` order."""

@@ -9,29 +9,30 @@ advanced by commit deltas.  Estimators implement
 * :class:`SummaryEstimator` — what :meth:`Statistics.estimator` hands
   out and every back end plans with: the per-tag counts and the
   label-path summary;
-* :class:`PositionalEstimator` — the paper's estimator [17]: positional
-  + level histograms per tag, built from a document in one scan and
-  never changed, for the experiments that reproduce the paper;
 * :class:`ExactEstimator` — the true match count of every connected
   sub-pattern, counted in the document (``whatif --exact``, tests and
-  the estimation-error ablation bench).
+  the estimation-error ablation bench);
+* :class:`ScaledEstimator` — a what-if over either.
+
+The paper's estimator [17] (positional histograms) and a sampling
+estimator live with the experiments, in ``benchmarks/``.
 
 Every estimator answers the candidate-set size of one pattern node and
 the result size of one pattern edge.  The result size of a connected
 sub-pattern is the per-query :class:`PatternCardinalities`', which asks
-its estimator once for a cluster counter
+its estimator once for a :class:`ClusterCounter`
 (:meth:`CardinalityEstimator.cluster_counter`): the summary embeds the
 cluster in its paths — exact for predicate-free chains, and 0 exactly
 when no path embeds the cluster — and the exact estimator counts it;
-without a counter (the paper's estimator [17]) a cluster combines the
-node and edge estimates under the textbook attribute-independence
-assumption.
+an estimator that prices edges one at a time hands out the textbook
+attribute-independence product of its node and edge estimates.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import isfinite
 from typing import Collection, Iterable, Mapping
 
 from repro.errors import EstimationError
@@ -39,8 +40,6 @@ from repro.document.document import XmlDocument
 from repro.document.node import NodeRecord, Region
 from repro.core.pattern import (Axis, PatternEdge, PatternNode,
                                 QueryPattern, mask_nodes, node_mask)
-from repro.estimation.histogram import (HISTOGRAM_GRID, LevelHistogram,
-                                        PositionalHistogram)
 
 WILDCARD = "*"
 
@@ -373,17 +372,16 @@ class CardinalityEstimator:
         raise NotImplementedError
 
     def cluster_counter(self, cards: "PatternCardinalities"
-                        ) -> "_ClusterCounter | None":
+                        ) -> "ClusterCounter":
         """The counter of *cards*' connected clusters, asked for once
-        per query; None: a cluster is the per-edge independence
-        product."""
-        return None
+        per query."""
+        raise NotImplementedError
 
     def edge_cardinality(self, pattern: QueryPattern, parent: int,
                          child: int) -> float:
         """Estimated result size of the single edge (parent, child):
         the two-node cluster of :meth:`cluster_counter`'s counter.  An
-        estimator without a counter prices its edges itself."""
+        estimator that prices its edges itself overrides this."""
         _checked_edge(pattern, parent, child)
         return PatternCardinalities(pattern, self).cluster_cardinality(
             1 << parent | 1 << child)
@@ -391,13 +389,11 @@ class CardinalityEstimator:
     def warm(self, pattern: QueryPattern) -> None:
         """Derive what planning *pattern* reads from this estimator and
         keeps: its nodes' estimates and what its cluster counter reads
-        (the summary's steps, the candidate lists) or, without one, per
-        edge the pair estimate."""
+        (the summary's steps, the candidate lists, the pair
+        estimates)."""
         for node in pattern.nodes:
             self.node_cardinality(node)
-        if PatternCardinalities(pattern, self).counter is None:
-            for edge in pattern.edges:
-                self.edge_cardinality(pattern, edge.parent, edge.child)
+        PatternCardinalities(pattern, self)
 
 
 def _checked_edge(pattern: QueryPattern, parent: int,
@@ -442,71 +438,6 @@ class SummaryEstimator(TagCountEstimator):
     def cluster_counter(self, cards: "PatternCardinalities"
                         ) -> "_Embedding":
         return _Embedding(cards, self.summary)
-
-
-class PositionalEstimator(TagCountEstimator):
-    """The paper's estimator [17]: per tag (and ``"*"``) a positional
-    and a level histogram, built by :meth:`from_document` and never
-    changed; clusters combine its edges under independence."""
-
-    def __init__(self, stats: Mapping[str, TagStatistics],
-                 positions: Mapping[str, PositionalHistogram],
-                 levels: Mapping[str, LevelHistogram]) -> None:
-        super().__init__(stats)
-        self._positions = positions
-        self._levels = levels
-        # Pairwise histogram joins are the expensive part of estimation;
-        # they depend only on (node tests, axis), so memoize across
-        # queries the way a real system caches derived statistics.
-        self._edge_cache: dict[tuple[PatternNode, PatternNode, Axis],
-                               float] = {}
-
-    @classmethod
-    def from_document(cls, document: XmlDocument,
-                      grid: int = HISTOGRAM_GRID) -> "PositionalEstimator":
-        """The paper's estimator over *document*: the per-tag entries of
-        its statistics, and histograms over its label space
-        ``root.end + 1`` filled in one scan in document order — the
-        order a join estimate sums cells in, so an estimate depends on
-        the document alone."""
-        space = document.root.end + 1
-        positions: dict[str, PositionalHistogram] = {}
-        levels: dict[str, LevelHistogram] = {}
-        for node in document:
-            for key in (node.tag, WILDCARD):
-                histogram = positions.get(key)
-                if histogram is None:
-                    histogram = positions[key] = PositionalHistogram(
-                        space, grid)
-                    levels[key] = LevelHistogram()
-                histogram.add(node.region)
-                levels[key].add(node.level)
-        return cls(Statistics(document).entries, positions, levels)
-
-    def edge_cardinality(self, pattern: QueryPattern, parent: int,
-                         child: int) -> float:
-        edge = _checked_edge(pattern, parent, child)
-        parent_node = pattern.node(parent)
-        child_node = pattern.node(child)
-        key = (parent_node, child_node, edge.axis)
-        cached = self._edge_cache.get(key)
-        if cached is not None:
-            return cached
-        parent_tag = WILDCARD if parent_node.is_wildcard else parent_node.tag
-        child_tag = WILDCARD if child_node.is_wildcard else child_node.tag
-        ancestors = self._positions.get(parent_tag)
-        descendants = self._positions.get(child_tag)
-        if ancestors is None or descendants is None:
-            estimate = 0.0
-        else:
-            estimate = ancestors.estimate_containment_join(descendants)
-            if edge.axis is Axis.CHILD:
-                estimate *= self._levels[parent_tag].parent_child_fraction(
-                    self._levels[child_tag])
-            estimate *= _predicate_selectivity(parent_node, self._stats)
-            estimate *= _predicate_selectivity(child_node, self._stats)
-        self._edge_cache[key] = estimate
-        return estimate
 
 
 class ExactEstimator(CardinalityEstimator):
@@ -557,7 +488,8 @@ class ScaledEstimator(CardinalityEstimator):
     base's cluster counter counts for it, and there a cluster scales
     by the factor of each of its nodes, since a node weighs its
     (scaled) cardinality over its base candidates: the summary's path
-    counts, or the exact estimator's candidates.  The base estimator
+    counts, or the exact estimator's candidates; an independence
+    product reads the scaled node and edge estimates.  The base estimator
     is never modified, so a what-if analysis can price plans against
     hypothetical statistics without touching the database's
     statistics epoch (:func:`repro.obs.planspace.run_whatif`).
@@ -569,9 +501,9 @@ class ScaledEstimator(CardinalityEstimator):
         self._scale = {tag: float(factor)
                        for tag, factor in tag_scale.items()}
         for tag, factor in self._scale.items():
-            if factor < 0:
-                raise EstimationError(
-                    f"tag scale for {tag!r} must be >= 0, got {factor}")
+            if not (isfinite(factor) and factor >= 0):
+                raise EstimationError(f"tag scale for {tag!r} must be "
+                                      f"finite and >= 0, got {factor}")
 
     def _factor(self, node: PatternNode) -> float:
         if node.tag == WILDCARD:
@@ -591,7 +523,7 @@ class ScaledEstimator(CardinalityEstimator):
                 * self._factor(pattern.node(child)))
 
     def cluster_counter(self, cards: "PatternCardinalities"
-                        ) -> "_ClusterCounter | None":
+                        ) -> "ClusterCounter":
         return self._base.cluster_counter(cards)
 
 
@@ -610,9 +542,8 @@ class PatternCardinalities:
     is counted by the cluster counter the estimator is asked for once,
     here (:meth:`CardinalityEstimator.cluster_counter`): the label-path
     summary's embedding (:class:`_Embedding`), the true count
-    (:class:`_Counts`), or none — then a cluster multiplies per-node
-    cardinalities and per-edge factors read from the estimator once
-    per instance: the independence combination.
+    (:class:`_Counts`), or a pairwise estimator's independence
+    product.
     """
 
     def __init__(self, pattern: QueryPattern,
@@ -622,9 +553,7 @@ class PatternCardinalities:
         self._node_cache: dict[int, float] = {}
         self._candidates_cache: dict[int, float] = {}
         self._cluster_cache: dict[int, float] = {}
-        self._sizes: list[float] = []
-        self._factors: tuple[tuple[int, float | None], ...] | None = None
-        #: the estimator's cluster counter; None: the per-edge product
+        #: the estimator's cluster counter
         self.counter = estimator.cluster_counter(self)
 
     def node(self, node_id: int) -> float:
@@ -649,10 +578,7 @@ class PatternCardinalities:
 
     def cluster_cardinality(self, mask: int) -> float:
         """Estimated match count of the connected sub-pattern with node
-        mask *mask*: the cluster counter's, or without one
-        ``prod(|n|) * prod(sel(e))`` over its nodes and the edges
-        inside it — 0 once an edge inside it has an endpoint without
-        candidates."""
+        mask *mask*: a node's cardinality, or the cluster counter's."""
         cached = self._cluster_cache.get(mask)
         if cached is not None:
             return cached
@@ -663,61 +589,30 @@ class PatternCardinalities:
                                   "not a connected sub-pattern")
         if not mask & (mask - 1):
             cardinality = self.node(mask.bit_length() - 1)
-        elif self.counter is None:
-            cardinality = self._product(mask)
         else:
             cardinality = self.counter.cardinality(mask)
         self._cluster_cache[mask] = cardinality
         return cardinality
 
-    def _product(self, mask: int) -> float:
-        factors = self._factors
-        if factors is None:
-            factors = self._edge_factors()
-        sizes = self._sizes
-        cardinality = 1.0
-        for node_id in mask_nodes(mask):
-            cardinality *= sizes[node_id]
-        for ends, factor in factors:
-            if mask & ends != ends:
-                continue
-            if factor is None:
-                return 0.0
-            cardinality *= factor
-        return cardinality
 
-    def _edge_factors(self) -> tuple[tuple[int, float | None], ...]:
-        """Per edge, in ``pattern.edges`` order, its endpoint mask and
-        its selectivity ``pair / (parent_size * child_size)`` — None
-        when an endpoint has no candidates; the node cardinalities go
-        to ``_sizes``."""
-        pattern = self.pattern
-        sizes = self._sizes = [self.node(node_id)
-                               for node_id in range(len(pattern))]
-        factors = []
-        for edge, ends in zip(pattern.edges, pattern.edge_masks):
-            parent_size = sizes[edge.parent]
-            child_size = sizes[edge.child]
-            if parent_size == 0 or child_size == 0:
-                factors.append((ends, None))
-                continue
-            pair = self.estimator.edge_cardinality(pattern, edge.parent,
-                                                   edge.child)
-            factors.append((ends, pair / (parent_size * child_size)))
-        self._factors = tuple(factors)
-        return self._factors
-
-
-class _ClusterCounter:
+class ClusterCounter:
     """What an estimator hands :class:`PatternCardinalities` to count
     one pattern's clusters (:meth:`CardinalityEstimator.cluster_counter`):
-    :meth:`cardinality` of a connected mask of two or more nodes, one
-    step from its sub-clusters'.  Built here: each node's weight, its
-    cardinality over its entry of *sizes*, the nodes the counter
-    counts it over — the selectivity of the predicates the counter
-    does not apply, times a what-if's factor — and the pattern's tree:
-    per node its parent's bit, and per child edge the child with its
-    subtree's mask, in ``pattern.edges`` order."""
+    :meth:`cardinality` of a connected mask of two or more nodes."""
+
+    def cardinality(self, mask: int) -> float:
+        raise NotImplementedError
+
+
+class _TreeCounter(ClusterCounter):
+    """A counter that walks the pattern's tree: :meth:`cardinality` of
+    a connected mask is one step from its sub-clusters'.  Built here:
+    each node's weight, its cardinality over its entry of *sizes*, the
+    nodes the counter counts it over — the selectivity of the
+    predicates the counter does not apply, times a what-if's factor —
+    and the pattern's tree: per node its parent's bit, and per child
+    edge the child with its subtree's mask, in ``pattern.edges``
+    order."""
 
     def __init__(self, cards: PatternCardinalities,
                  sizes: list[int]) -> None:
@@ -751,11 +646,8 @@ class _ClusterCounter:
         return next(root for root in mask_nodes(mask)
                     if not mask & parent_bit[root])
 
-    def cardinality(self, mask: int) -> float:
-        raise NotImplementedError
 
-
-class _Embedding(_ClusterCounter):
+class _Embedding(_TreeCounter):
     """One pattern's clusters embedded in a label-path summary.
 
     A cluster rooted at ``r`` is ``sum_s count(s) * m(r, s)`` over the
@@ -826,7 +718,7 @@ class _Embedding(_ClusterCounter):
         return reach
 
 
-class _Counts(_ClusterCounter):
+class _Counts(_TreeCounter):
     """One pattern's clusters counted in a document
     (:class:`ExactEstimator`), bottom-up.
 

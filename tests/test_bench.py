@@ -7,10 +7,10 @@ the paper's headline shape properties at small scale.
 
 import pytest
 
-from repro.bench.experiments import (ALGORITHMS, TABLE2_ALGORITHMS,
-                                     figure8, table1, table2, table3)
-from repro.bench.harness import ExperimentSetup
-from repro.bench.tables import render_table
+from benchmarks.experiments import (ALGORITHMS, TABLE2_ALGORITHMS,
+                                    figure8, table1, table2, table3)
+from benchmarks.harness import ExperimentSetup
+from benchmarks.tables import render_table
 
 
 @pytest.fixture(scope="module")

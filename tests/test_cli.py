@@ -98,11 +98,28 @@ class TestOtherCommands:
                                "//manager/name")
         assert code == 0
 
-    def test_bench_table2(self):
-        code, output = run_cli("bench", "table2", "--pers-nodes", "400")
-        assert code == 0
-        assert "Table 2" in output
-        assert "DPP'" in output
+    def test_bench_is_not_a_command(self, capsys):
+        """The paper's tables are regenerated by ``pytest benchmarks``,
+        not by the CLI: ``bench`` is an unknown command."""
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("bench", "table2")
+        assert exit_info.value.code == 2
+        error = capsys.readouterr().err
+        assert "invalid choice" in error and "bench" in error
+
+    @pytest.mark.parametrize("flag, assignment, named", [
+        ("--scale", "employee=nan", "tag scale for 'employee'"),
+        ("--scale", "employee=inf", "tag scale for 'employee'"),
+        ("--factor", "f_index=nan", "cost factor f_index"),
+        ("--factor", "f_io=inf", "cost factor f_io"),
+    ])
+    def test_whatif_rejects_non_finite_inputs(self, capsys, flag,
+                                               assignment, named):
+        code, __ = run_cli("whatif", "--dataset", "pers", "--nodes", "300",
+                           flag, assignment, "//manager//employee/name")
+        assert code == 1
+        assert f"{named} must be finite and >= 0" in \
+            capsys.readouterr().err
 
     def test_whatif_exact_plans_on_true_counts(self, tmp_path):
         """``whatif --exact``'s hypothetical plan is DPP's on the true

@@ -66,6 +66,15 @@ class TestFactors:
         with pytest.raises(OptimizerError):
             CostFactors(f_io=-1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_factor_rejected(self, value):
+        with pytest.raises(OptimizerError, match="f_sort must be finite"):
+            CostFactors(f_sort=value)
+        # a calibration file or log goes through the same check
+        with pytest.raises(OptimizerError, match="f_sort must be finite"):
+            CostFactors.from_dict({"f_sort": value})
+
     def test_factors_scale_costs(self):
         cheap = CostModel(CostFactors(f_io=1.0))
         expensive = CostModel(CostFactors(f_io=10.0))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from benchmarks.histogram import PositionalEstimator
 from benchmarks.sampling import SamplingEstimator
 from repro.core.dpp import DPPOptimizer
 from repro.errors import EstimationError
@@ -12,8 +13,7 @@ from repro.core.pattern import (PatternNode, Predicate, QueryPattern,
                                 mask_nodes)
 from repro.estimation.estimator import (ExactEstimator,
                                         PatternCardinalities,
-                                        PositionalEstimator,
-                                        Statistics)
+                                        ScaledEstimator, Statistics)
 from repro.workloads import personnel_document, random_pattern
 from tests.conftest import random_document
 
@@ -165,6 +165,19 @@ class TestPatternCardinalities:
         assert cards.node(0) == 1
 
 
+class TestScaledEstimator:
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf"),
+                                        float("-inf"), -1.0])
+    def test_rejects_a_non_finite_or_negative_scale(self, exact, factor):
+        with pytest.raises(EstimationError,
+                           match="tag scale for 'employee' must be finite"):
+            ScaledEstimator(exact, {"manager": 2.0, "employee": factor})
+
+    def test_accepts_zero(self, exact):
+        scaled = ScaledEstimator(exact, {"manager": 0.0})
+        assert scaled.node_cardinality(PatternNode(0, "manager")) == 0.0
+
+
 def reference_cardinality(pattern, estimator, mask):
     """The sub-pattern formula spelled out: every node's cardinality,
     then every edge inside *mask*, in pattern order, each read from
@@ -195,10 +208,9 @@ MISSING_TAG = QueryPattern.build({
 
 
 class TestClusterFactors:
-    """Without a cluster counter ``cluster_cardinality`` multiplies
-    factors cached once per instance; every float must be the one the
-    formula gives.  The positional case is the paper's estimator: the
-    histograms alone.  The summary case is the estimator a database
+    """A pairwise estimator's counter multiplies factors read once per
+    query; every float must be the one the formula gives.  The
+    positional case is the paper's estimator: the histograms alone.  The summary case is the estimator a database
     plans with, whose clusters are not that product: its single edge
     is the summary's two-node cluster, which on every predicate-free
     ``/`` and ``//`` edge between two of the document's tags (``*``

@@ -66,7 +66,14 @@ def test_search_trace(capsys):
 
 @pytest.mark.slow
 def test_reproduce_paper_quick(capsys):
-    output = run_example("reproduce_paper.py", ["--quick"], capsys)
+    """``python -m benchmarks.reproduce_paper --quick``, in process."""
+    old_argv = sys.argv
+    sys.argv = ["reproduce_paper", "--quick"]
+    try:
+        runpy.run_module("benchmarks.reproduce_paper", run_name="__main__")
+    finally:
+        sys.argv = old_argv
+    output = capsys.readouterr().out
     for artifact in ("Table 1", "Table 2", "Table 3", "Figure 7",
                      "Figure 8"):
         assert artifact in output

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from repro.errors import EstimationError
 from repro.document.node import Region
 from repro.document.parser import parse_xml
-from repro.estimation.estimator import PositionalEstimator
-from repro.estimation.histogram import (LevelHistogram,
-                                        PositionalHistogram,
-                                        _overlap_uniform_less)
+from benchmarks.histogram import (LevelHistogram, PositionalEstimator,
+                                  PositionalHistogram,
+                                  _overlap_uniform_less)
 from tests.conftest import pair_count
 
 

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from benchmarks.histogram import PositionalEstimator
 from repro.api import Database
 from repro.core.optimizer import get_optimizer
 from repro.core.pattern import (Axis, PatternEdge, PatternNode,
@@ -136,13 +137,15 @@ def test_summary_zero_means_no_match(random_database, predicate_chance):
 
 
 def test_what_if_scales_a_cluster_by_each_nodes_factor():
-    """``ScaledEstimator`` on the summary and on the true counts:
-    every cluster is the base's estimate times the factor of each of
-    its nodes."""
+    """``ScaledEstimator`` on the summary, on the true counts and on
+    the paper's estimator (whose independence product reads the scaled
+    node and edge estimates): every cluster is the base's estimate
+    times the factor of each of its nodes."""
     document = personnel_document(target_nodes=300, seed=3)
     factors = {"employee": 3.0, "name": 0.5, "manager": 0.0}
     for base in (Statistics(document).estimator(),
-                 ExactEstimator(document)):
+                 ExactEstimator(document),
+                 PositionalEstimator.from_document(document)):
         scaled = ScaledEstimator(base, factors)
         for query in PAPER_QUERIES.values():
             if query.dataset != "pers":

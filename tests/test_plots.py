@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.plots import render_stacked_bars
+from benchmarks.plots import render_stacked_bars
 
 
 class TestStackedBars:
@@ -53,8 +53,8 @@ class TestStackedBars:
         assert small_bar == 10
 
     def test_figure_output_includes_chart(self):
-        from repro.bench.experiments import figure8
-        from repro.bench.harness import ExperimentSetup
+        from benchmarks.experiments import figure8
+        from benchmarks.harness import ExperimentSetup
 
         output = figure8(ExperimentSetup(pers_nodes=300,
                                          bad_plan_samples=5))

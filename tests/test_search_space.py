@@ -23,6 +23,7 @@ from urllib.parse import quote
 
 import pytest
 
+from benchmarks.histogram import PositionalEstimator
 from repro.core.dp import DPOptimizer
 from repro.core.dpap import DPAPLDOptimizer
 from repro.core.dpp import DPPOptimizer
@@ -34,7 +35,7 @@ from repro.core.optimizer import get_optimizer
 from repro.core.plans import canonical_plan_digest
 from repro.core.planspace import PRUNE_DOMINATED, PlanSpaceRecorder
 from repro.core.status import Status, decode
-from repro.estimation.estimator import ExactEstimator, PositionalEstimator
+from repro.estimation.estimator import ExactEstimator
 from repro.server import QueryServer, ServerConfig, fetch
 from repro.workloads.generators import random_pattern
 from repro.workloads.queries import PAPER_QUERIES

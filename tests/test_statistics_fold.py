@@ -29,12 +29,13 @@ from hypothesis.stateful import (RuleBasedStateMachine, invariant,
                                  precondition, rule,
                                  run_state_machine_as_test)
 
+from benchmarks.histogram import PositionalEstimator
 from repro.api import Database, Snapshot
 from repro.core.optimizer import get_optimizer
 from repro.document.parser import parse_xml
 from repro.engine.context import EngineContext
 from repro.engine.executor import Executor
-from repro.estimation.estimator import PositionalEstimator, Statistics
+from repro.estimation.estimator import Statistics
 from repro.txn import WriteAheadLog, create_database, open_database
 from repro.txn.db import WAL_FILE
 from repro.workloads import (PAPER_QUERIES, personnel_document,
