@@ -50,8 +50,8 @@ from __future__ import annotations
 import struct
 import sys
 from array import array
-from itertools import accumulate
-from operator import add
+from itertools import accumulate, islice
+from operator import add, sub
 from typing import Iterator, NamedTuple, Sequence
 
 from repro.errors import PageFormatError, StorageError
@@ -67,6 +67,7 @@ HEADER_BYTES = _HEADER.size  # 24
 FRAME_CAPACITY = PAGE_SIZE
 
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
+_U32 = 2 ** 32 - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -108,43 +109,66 @@ def frame_bytes(count: int, delta_width: int, extent_width: int,
             + count * (extent_width + level_width))
 
 
-def pack_frame(starts: Sequence[int], ends: Sequence[int],
-               levels: Sequence[int], lo: int = 0,
-               hi: int | None = None) -> bytes:
-    """Encode postings ``[lo:hi)`` of three parallel columns.
+def _widths(first: int, last: int, deltas: Sequence[int],
+            extents: Sequence[int],
+            levels: Sequence[int]) -> tuple[int, int, int]:
+    """Range-check one frame's columns and pick their byte widths.
 
-    Starts must be strictly increasing; levels must fit 16 bits and
-    ends must not precede their starts (both raise
-    :class:`StorageError`, never encode garbage).
+    Every check is one C-speed ``min`` or ``max`` over a column slice;
+    a bad posting raises :class:`StorageError`, never encodes garbage.
     """
-    if hi is None:
-        hi = len(starts)
-    count = hi - lo
-    if count == 0:
-        return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, 0, 0, 0, 0,
-                            HEADER_BYTES, 1, 1, 1, 0)
-    first = starts[lo]
-    last = starts[hi - 1]
-    deltas = [starts[i] - starts[i - 1] for i in range(lo + 1, hi)]
-    if first < 0 or any(delta <= 0 for delta in deltas):
+    if first < 0 or (deltas and min(deltas) <= 0):
         raise StorageError(
             "posting starts must be strictly increasing non-negative")
-    extents = [ends[i] - starts[i] for i in range(lo, hi)]
-    if any(extent < 0 for extent in extents):
+    if min(extents) < 0:
         raise StorageError("posting end precedes its start")
-    level_slice = list(levels[lo:hi])
-    if any(level < 0 for level in level_slice):
+    if min(levels) < 0:
         raise StorageError("negative posting level")
-    delta_width = _width(max(deltas, default=0), (1, 2, 4))
-    extent_width = _width(max(extents), (1, 2, 4))
-    level_width = _width(max(level_slice), (1, 2))
+    if last > _U32:
+        raise StorageError(
+            f"posting start {last} does not fit the 32-bit start fence")
+    return (_width(max(deltas, default=0), (1, 2, 4)),
+            _width(max(extents), (1, 2, 4)),
+            _width(max(levels), (1, 2)))
+
+
+def _encode(first: int, last: int, deltas: Sequence[int],
+            extents: Sequence[int], levels: Sequence[int],
+            widths: tuple[int, int, int]) -> bytes:
+    delta_width, extent_width, level_width = widths
+    count = len(extents)
     header = _HEADER.pack(
         FRAME_MAGIC, FRAME_VERSION, 0, count, first, last,
         frame_bytes(count, delta_width, extent_width, level_width),
         delta_width, extent_width, level_width, 0)
     return b"".join((header, _column(deltas, delta_width),
                      _column(extents, extent_width),
-                     _column(level_slice, level_width)))
+                     _column(levels, level_width)))
+
+
+def _delta_column(starts: Sequence[int]) -> list[int]:
+    """``start[i] - start[i-1]`` for every posting after the first."""
+    return list(map(sub, islice(starts, 1, None), starts))
+
+
+def pack_frame(starts: Sequence[int], ends: Sequence[int],
+               levels: Sequence[int], lo: int = 0,
+               hi: int | None = None) -> bytes:
+    """Encode postings ``[lo:hi)`` of three parallel columns.
+
+    Starts must be strictly increasing and fit 32 bits; levels must fit
+    16 bits and ends must not precede their starts (each raises
+    :class:`StorageError`, never encodes garbage).
+    """
+    if hi is None:
+        hi = len(starts)
+    if hi - lo == 0:
+        return _HEADER.pack(FRAME_MAGIC, FRAME_VERSION, 0, 0, 0, 0,
+                            HEADER_BYTES, 1, 1, 1, 0)
+    window = starts[lo:hi]
+    columns = (window[0], window[-1], _delta_column(window),
+               list(map(sub, ends[lo:hi], window)), levels[lo:hi])
+    return _encode(*columns, _widths(*columns))
 
 
 def peek_header(buffer: bytes | bytearray | memoryview) -> FrameHeader:
@@ -230,7 +254,9 @@ def pack_frames(starts: Sequence[int], ends: Sequence[int],
     Each frame takes the longest prefix of the remaining postings
     whose encoding fits *capacity*; widths are recomputed per frame,
     so a chunk of small deltas is never forced wide by a distant
-    outlier.
+    outlier.  Each frame's widest window gets its delta and extent
+    columns once; a narrower try cuts them to its length, each try is
+    range-checked and sized, and only the window that fits is encoded.
     """
     total = len(starts)
     frames: list[bytes] = []
@@ -239,20 +265,27 @@ def pack_frames(starts: Sequence[int], ends: Sequence[int],
         # optimistic upper bound at the narrowest widths, then shrink
         # until the actual encoding fits
         hi = min(total, lo + (capacity - HEADER_BYTES) // 3 + 1)
-        while hi > lo + 1:
-            frame = pack_frame(starts, ends, levels, lo, hi)
-            if len(frame) <= capacity:
+        window = starts[lo:hi]
+        deltas = _delta_column(window)
+        extents = list(map(sub, ends[lo:hi], window))
+        while True:
+            count = hi - lo
+            # hi only falls, so the columns are cut in place
+            del deltas[count - 1:], extents[count:]
+            columns = (window[0], window[count - 1], deltas, extents,
+                       levels[lo:hi])
+            widths = _widths(*columns)
+            size = frame_bytes(count, *widths)
+            if size <= capacity or count == 1:
                 break
             # overshoot ratio tells how far to cut in one step
-            keep = (capacity - HEADER_BYTES) * (hi - lo) \
-                // max(len(frame) - HEADER_BYTES, 1)
+            keep = (capacity - HEADER_BYTES) * count \
+                // max(size - HEADER_BYTES, 1)
             hi = max(lo + 1, min(hi - 1, lo + keep))
-        else:
-            frame = pack_frame(starts, ends, levels, lo, hi)
-        if len(frame) > capacity:
+        if size > capacity:
             raise StorageError(
                 f"single posting does not fit a {capacity}-byte frame")
-        frames.append(frame)
+        frames.append(_encode(*columns, widths))
         lo = hi
     return frames
 

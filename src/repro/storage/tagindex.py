@@ -39,7 +39,9 @@ Two read paths exist:
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from itertools import compress, islice
+from operator import lt, not_
 from typing import Iterator, Sequence
 
 from repro.errors import StorageError
@@ -276,23 +278,38 @@ class TagIndex:
             run = chain[first:last + 1]
         else:
             first, last, run = 0, -1, []
-        entries: list[tuple[int, int, int]] = []
+        # the run as three columns; every whole-column step is C speed
+        starts: list[int] = []
+        ends: list[int] = []
+        levels: list[int] = []
         for page_id in run:
-            starts, ends, levels = unpack_frame(
+            page_starts, page_ends, page_levels = unpack_frame(
                 self.pool.fetch_view(page_id))
-            entries.extend(zip(starts, ends, levels))
-        kept = [entry for entry in entries if entry[0] not in removed]
-        if len(entries) - len(kept) != len(removed):
-            found = {entry[0] for entry in entries} & removed
-            raise StorageError(
-                f"tag {tag!r}: {len(removed) - len(found)} posting(s) "
-                "to remove not found in the spliced run")
-        merged = sorted(kept + added)
-        for previous, current in zip(merged, merged[1:]):
-            if previous[0] == current[0]:
+            starts.extend(page_starts)
+            ends.extend(page_ends)
+            levels.extend(page_levels)
+        if removed:
+            keep = list(map(not_, map(removed.__contains__, starts)))
+            if len(starts) - sum(keep) != len(removed):
+                found = removed.intersection(starts)
                 raise StorageError(
-                    f"tag {tag!r}: duplicate posting start {current[0]}")
-        fresh = self._pack_entries(*zip(*merged)) if merged else []
+                    f"tag {tag!r}: {len(removed) - len(found)} "
+                    "posting(s) to remove not found in the spliced run")
+            starts = list(compress(starts, keep))
+            ends = list(compress(ends, keep))
+            levels = list(compress(levels, keep))
+        for start, end, level in added:
+            at = bisect_left(starts, start)
+            starts.insert(at, start)
+            ends.insert(at, end)
+            levels.insert(at, level)
+        if not all(map(lt, starts, islice(starts, 1, None))):
+            duplicate = next(start for start, following
+                             in zip(starts, islice(starts, 1, None))
+                             if start == following)
+            raise StorageError(
+                f"tag {tag!r}: duplicate posting start {duplicate}")
+        fresh = self._pack_entries(starts, ends, levels) if starts else []
         new_chain = chain[:first] + fresh + chain[last + 1:]
         if new_chain:
             self._page_chains[tag] = new_chain

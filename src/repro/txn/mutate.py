@@ -5,8 +5,11 @@ A :class:`Transaction` edits a private working copy of the node table
 shared state is touched until :meth:`TransactionManager.commit`.  The
 commit pipeline then
 
-1. **validates** — builds the new :class:`XmlDocument` (which checks
-   every region-nesting invariant) before anything reaches storage;
+1. **validates** — derives the new :class:`XmlDocument` from the
+   published one and the delta
+   (:meth:`~repro.document.document.XmlDocument.derive`, which checks
+   every region-nesting invariant the delta can break) before anything
+   reaches storage;
 2. **prepares copy-on-write storage** — clones of the element store
    and tag index absorb the node delta into *freshly allocated* pages,
    never mutating a page the published database references, so every
@@ -154,6 +157,8 @@ class Transaction:
                  document: XmlDocument) -> None:
         self._manager = manager
         self.txn_id = txn_id
+        #: the published document this transaction's edits apply to
+        self._base = document
         self._nodes: dict[int, NodeRecord] = {
             node.node_id: node for node in document}
         # the live node ids (== start labels), kept sorted: a subtree
@@ -208,10 +213,6 @@ class Transaction:
         return [self._nodes[start] for start in
                 starts[bisect_left(starts, node.start):
                        bisect_right(starts, node.end)]]
-
-    def _document_order(self) -> list[NodeRecord]:
-        """Every live node, in document order."""
-        return [self._nodes[start] for start in self._starts]
 
     # -- mutation API ---------------------------------------------------------
 
@@ -451,12 +452,13 @@ class TransactionManager:
                                 statistics_epoch=db.statistics_epoch,
                                 seconds=time.perf_counter() - started)
         span = Span("commit", detail=f"txn {txn.txn_id}")
-        # 1. validate: XmlDocument enforces every labelling invariant
-        # before a single byte reaches storage or the log.
+        # 1. validate: the derived document checks every labelling
+        # invariant the delta can break before a single byte reaches
+        # storage or the log.
         validate_span = Span(
             "validate", detail=f"+{len(added)} -{len(removed)} nodes")
         validate_started = time.perf_counter()
-        new_document = XmlDocument(txn._document_order(), name=db.name)
+        new_document = txn._base.derive(added, removed, name=db.name)
         validate_span.seconds = (time.perf_counter()
                                  - validate_started)
         # 2. copy-on-write storage: the delta lands in fresh pages only.

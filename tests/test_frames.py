@@ -7,11 +7,16 @@ decode is exact.  The format guard tests pin the *typed* failure
 mode: bytes that are not a current-version frame (old slotted pages,
 zeroed pages, truncated buffers, future versions) must raise
 :class:`~repro.errors.PageFormatError`, never decode garbage.
+
+The packer computes its columns and range checks with whole-slice
+``map`` / ``min`` / ``max``; a per-entry reference encoder kept here
+holds it to byte-identical frames and to failing on the same inputs.
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 
 import hypothesis.strategies as st
@@ -27,6 +32,126 @@ from repro.storage.pages import PAGE_SIZE, Page
 
 U32 = 2 ** 32 - 1
 U16 = 2 ** 16 - 1
+
+
+# -- the per-entry reference encoder --------------------------------------
+
+_REFERENCE_HEADER = struct.Struct("<HBBIIIIBBBB")
+
+
+def _reference_width(largest, allowed):
+    for width in allowed:
+        if largest < (1 << (8 * width)):
+            return width
+    raise StorageError(f"column value {largest} exceeds the widest width")
+
+
+def _reference_column(values, width):
+    column = array({1: "B", 2: "H", 4: "I"}[width], values)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return column.tobytes()
+
+
+def reference_pack_frame(starts, ends, levels, lo=0, hi=None):
+    """The packer as it was written first: one Python step per entry."""
+    if hi is None:
+        hi = len(starts)
+    count = hi - lo
+    if count == 0:
+        return _REFERENCE_HEADER.pack(FRAME_MAGIC, FRAME_VERSION, 0, 0, 0,
+                                      0, HEADER_BYTES, 1, 1, 1, 0)
+    first = starts[lo]
+    last = starts[hi - 1]
+    deltas = [starts[i] - starts[i - 1] for i in range(lo + 1, hi)]
+    if first < 0 or any(delta <= 0 for delta in deltas):
+        raise StorageError("starts")
+    extents = [ends[i] - starts[i] for i in range(lo, hi)]
+    if any(extent < 0 for extent in extents):
+        raise StorageError("extents")
+    level_slice = list(levels[lo:hi])
+    if any(level < 0 for level in level_slice):
+        raise StorageError("levels")
+    delta_width = _reference_width(max(deltas, default=0), (1, 2, 4))
+    extent_width = _reference_width(max(extents), (1, 2, 4))
+    level_width = _reference_width(max(level_slice), (1, 2))
+    header = _REFERENCE_HEADER.pack(
+        FRAME_MAGIC, FRAME_VERSION, 0, count, first, last,
+        frame_bytes(count, delta_width, extent_width, level_width),
+        delta_width, extent_width, level_width, 0)
+    return b"".join((header, _reference_column(deltas, delta_width),
+                     _reference_column(extents, extent_width),
+                     _reference_column(level_slice, level_width)))
+
+
+def reference_pack_frames(starts, ends, levels, capacity=PAGE_SIZE):
+    total = len(starts)
+    frames = []
+    lo = 0
+    while lo < total:
+        hi = min(total, lo + (capacity - HEADER_BYTES) // 3 + 1)
+        while hi > lo + 1:
+            frame = reference_pack_frame(starts, ends, levels, lo, hi)
+            if len(frame) <= capacity:
+                break
+            keep = (capacity - HEADER_BYTES) * (hi - lo) \
+                // max(len(frame) - HEADER_BYTES, 1)
+            hi = max(lo + 1, min(hi - 1, lo + keep))
+        else:
+            frame = reference_pack_frame(starts, ends, levels, lo, hi)
+        if len(frame) > capacity:
+            raise StorageError("single posting does not fit")
+        frames.append(frame)
+        lo = hi
+    return frames
+
+
+def _outcome(encode, *args, **kwargs):
+    """What an encoder returns, or ``"error"`` when it refuses.
+
+    The reference refuses a start past 32 bits with ``struct.error``
+    from its header; the packer under test types that refusal as a
+    :class:`StorageError` (and only that: any other exception escapes).
+    """
+    try:
+        return encode(*args, **kwargs)
+    except StorageError:
+        return "error"
+    except struct.error:
+        if encode in (reference_pack_frame, reference_pack_frames):
+            return "error"
+        raise
+
+
+#: values either side of every width boundary, plus ordinary ones
+EDGES = (0, 1, 2, 254, 255, 256, 257, 65_534, 65_535, 65_536, 65_537,
+         2 ** 24, U32 - 1, U32)
+
+
+@st.composite
+def edge_columns(draw, max_count=60):
+    """Parallel columns whose deltas, extents and levels straddle the
+    1/2/4-byte width edges, and are sometimes invalid: a zero or
+    negative delta, an end before its start, a negative or 17-bit
+    level, a start past 32 bits."""
+    count = draw(st.integers(min_value=0, max_value=max_count))
+    valid = draw(st.booleans())
+    delta = st.sampled_from(EDGES[1:12]) | st.integers(1, 1000)
+    extent = st.sampled_from(EDGES[:12]) | st.integers(0, 1000)
+    level = st.sampled_from((0, 1, 254, 255, 256, 65_534, 65_535))
+    if not valid:
+        delta = delta | st.sampled_from((0, -1, -256))
+        extent = extent | st.just(-1)
+        level = level | st.sampled_from((-1, 65_536))
+    first = draw(st.sampled_from((0, 1, 255, 65_536, U32 - 300, U32))
+                 | st.integers(0, 10_000))
+    starts = [first]
+    for _ in range(count - 1):
+        starts.append(starts[-1] + draw(delta))
+    starts = starts[:count]
+    ends = [start + draw(extent) for start in starts]
+    levels = [draw(level) for _ in starts]
+    return starts, ends, levels
 
 
 @st.composite
@@ -143,6 +268,55 @@ class TestFrameRoundtrip:
         assert len(frame) == frame_bytes(
             header.count, header.delta_width, header.extent_width,
             header.level_width) == header.length
+
+
+class TestReferenceEncoder:
+    """The column packer against the per-entry reference encoder."""
+
+    @given(edge_columns(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_pack_frame_matches_the_reference(self, columns, data):
+        starts, ends, levels = columns
+        lo = data.draw(st.integers(0, len(starts)))
+        hi = data.draw(st.integers(lo, len(starts)))
+        for window in ((), (lo, hi)):
+            assert _outcome(pack_frame, starts, ends, levels, *window) \
+                == _outcome(reference_pack_frame, starts, ends, levels,
+                            *window)
+
+    @given(edge_columns(max_count=400),
+           st.sampled_from((HEADER_BYTES, HEADER_BYTES + 3, 40, 256, 1024,
+                            PAGE_SIZE)))
+    @settings(max_examples=200, deadline=None)
+    def test_pack_frames_matches_the_reference(self, columns, capacity):
+        starts, ends, levels = columns
+        assert _outcome(pack_frames, starts, ends, levels,
+                        capacity=capacity) \
+            == _outcome(reference_pack_frames, starts, ends, levels,
+                        capacity=capacity)
+
+    @pytest.mark.parametrize("largest", [255, 256, 65_535, 65_536])
+    def test_width_edges_and_single_postings(self, largest):
+        for starts, ends, levels in (
+                ([7], [7 + largest], [min(largest, U16)]),
+                ([0, largest], [0, largest], [0, 0]),
+                ([1, 1 + largest, 2 + largest],
+                 [1 + largest, 1 + largest, 2 + 2 * largest],
+                 [min(largest, U16), 1, 2])):
+            assert pack_frame(starts, ends, levels) \
+                == reference_pack_frame(starts, ends, levels)
+            assert pack_frames(starts, ends, levels, capacity=64) \
+                == reference_pack_frames(starts, ends, levels,
+                                         capacity=64)
+
+    def test_column_inputs_match_lists(self):
+        """The splice hands the packer lists; a load hands it lists
+        too, and decoded pages are arrays: all encode alike."""
+        starts, ends, levels = [3, 9, 300], [8, 9, 70_000], [1, 2, 3]
+        expected = reference_pack_frames(starts, ends, levels)
+        assert pack_frames(array("I", starts), array("I", ends),
+                           array("H", levels)) == expected
+        assert pack_frames(starts, ends, levels) == expected
 
 
 class TestFrameValidation:

@@ -5,7 +5,8 @@ commit's delta (:class:`~repro.estimation.estimator.Statistics`).  The
 write path is driven here as a state machine — inserts under random
 elements, appends, deletes, aborts, checkpoints, close-and-recover,
 crashes that cut the log at a record boundary, snapshots held across
-later commits — and after every step the live statistics must equal a
+later commits — and after every step the published document must equal
+a full rebuild of its nodes, the live statistics must equal a
 fresh scan of the live document, tag by tag and label path by label
 path, the optimizer must choose what a database freshly loaded with
 the same nodes chooses, and every held snapshot must still plan and
@@ -40,6 +41,7 @@ from repro.txn import WriteAheadLog, create_database, open_database
 from repro.txn.db import WAL_FILE
 from repro.workloads import (PAPER_QUERIES, personnel_document,
                              random_pattern)
+from tests.test_document import assert_rebuilds_alike
 
 PERS_TAGS = ("company", "department", "email", "employee", "manager",
              "name", "phone")
@@ -214,6 +216,12 @@ class WritePathMachine(RuleBasedStateMachine):
         expected = (self.committed[-1][1] if self.committed
                     else self.checkpointed)
         assert self.database.document.nodes == expected
+
+    @invariant()
+    def published_document_equals_a_full_rebuild(self) -> None:
+        """Each commit derives its document from the last one; it must
+        be the document a full rebuild of its nodes gives."""
+        assert_rebuilds_alike(self.database.document)
 
     @invariant()
     def statistics_equal_a_fresh_scan(self) -> None:

@@ -11,6 +11,7 @@ import pytest
 
 from repro.api import Database
 from repro.document.document import XmlDocument
+from repro.document.node import Region
 from repro.document.parser import parse_xml
 from repro.errors import StorageError, TransactionError
 from repro.storage.pages import PAGE_SIZE
@@ -18,7 +19,9 @@ from repro.txn.db import create_database, open_database
 from repro.txn.labels import pick_gap, relabel
 from repro.txn.wal import (BEGIN, CATALOG, CHECKPOINT, COMMIT, PAGE,
                            WriteAheadLog)
+from repro.workloads import personnel_document
 from tests.conftest import PERSONNEL_XML, canonical_bindings
+from tests.test_document import assert_rebuilds_alike
 
 WIDGETS_XML = "<catalog><widget><name>gizmo</name></widget></catalog>"
 
@@ -221,6 +224,32 @@ class TestMutations:
             pass
         assert database.statistics_epoch == epoch
         assert database.transactions.metrics.empty_commits == 1
+
+
+def test_commit_validates_in_the_size_of_its_delta(monkeypatch):
+    """A 4-node append to Pers 5 000 relabels nothing: its delta is the
+    four nodes plus the root, whose end grows.  The commit derives its
+    document from the published one, so it checks nesting once per
+    node the delta touches, not once per node of the document."""
+    database = Database.from_document(
+        personnel_document(target_nodes=5000, seed=42))
+    calls = []
+    is_parent_of = Region.is_parent_of
+
+    def counting(self, other):
+        calls.append(other)
+        return is_parent_of(self, other)
+
+    txn = database.transactions.begin()
+    txn.append_document(parse_xml(
+        "<employee><name>Ada</name><phone>+1-555</phone>"
+        "<email>ada@example.com</email></employee>"))
+    monkeypatch.setattr(Region, "is_parent_of", counting)
+    result = txn.commit()
+    monkeypatch.undo()
+    assert (txn.relabels, result.added, result.removed) == (0, 5, 1)
+    assert 1 <= len(calls) <= result.added + result.removed
+    assert_rebuilds_alike(database.document)
 
 
 class TestSnapshotIsolation:
