@@ -17,8 +17,7 @@ from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
 
 
 def engine(database):
-    return EngineContext(database.index, database.store,
-                         database.document)
+    return EngineContext(database.index, database.document)
 
 
 def drain(operator):

@@ -33,8 +33,7 @@ def test_first_result_latency(benchmark, setup):
             optimization = plan_cell(database, query.pattern,
                                      algorithm)
             executor = Executor(
-                EngineContext(database.index, database.store,
-                              database.document,
+                EngineContext(database.index, database.document,
                               factors=database.cost_factors),
                 query.pattern)
             timing = executor.time_to_first(optimization.plan)

@@ -28,9 +28,10 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.errors import ReproError
+from repro.errors import ReproError, StorageError
 from repro.core.cost import CostFactors
 from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
@@ -59,17 +60,17 @@ __all__ = ["Database", "QueryResult", "Snapshot"]
 class Snapshot:
     """A consistent read view captured under the publish lock.
 
-    Commits publish a fresh store/index/document/estimator quadruple
-    atomically (:mod:`repro.txn.mutate`); a snapshot pins one such
-    quadruple, so a query planned and executed against it never sees a
-    half-published database.  The objects themselves are never mutated
-    after publication (copy-on-write), so holding a snapshot costs
-    nothing and blocks nobody.
+    Commits publish a fresh index/document/estimator triple atomically
+    (:mod:`repro.txn.mutate`); a snapshot pins one such triple, so a
+    query planned and executed against it never sees a half-published
+    database.  The objects themselves are never mutated after
+    publication (copy-on-write), so holding a snapshot costs nothing
+    and blocks nobody.  No query reads the element store, so a
+    snapshot does not hold it.
     """
 
     document: XmlDocument
     index: TagIndex
-    store: ElementStore
     estimator: SummaryEstimator
     statistics_epoch: int
 
@@ -186,31 +187,39 @@ class Database(QueryTarget):
         """Reopen a persisted database from its pages.
 
         The catalog on page 0 locates the element-store chain and the
-        tag-index chains; the node table and statistics are rebuilt
-        with one scan — no XML source required.  Crash recovery passes
-        an explicit *catalog* payload (recovered from the write-ahead
-        log) that supersedes the — possibly stale — page-0 copy.
+        tag-index chains.  The index holds exactly the live node ids, so
+        the node table is, per id the index holds, the last record the
+        store's chain has (a later record of an id supersedes the
+        earlier ones); the statistics are rebuilt with one scan — no
+        XML source required.  Crash recovery passes an explicit
+        *catalog* payload (recovered from the write-ahead log) that
+        supersedes the — possibly stale — page-0 copy.
         """
         from repro.storage.catalog import read_catalog
 
         database = cls(disk=disk, **kwargs)  # type: ignore[arg-type]
-        payload = catalog if catalog is not None \
-            else read_catalog(database.pool)
+        pool = database.pool
+        payload = catalog if catalog is not None else read_catalog(pool)
         database.name = payload["name"]
-        database.store = ElementStore.attach(
-            database.pool, payload["store_pages"],
-            deleted=payload.get("deleted_rids", ()))
+        database.store = ElementStore.attach(pool, payload["store_pages"])
         database.index = TagIndex.attach(
-            database.pool,
-            payload["index_chains"], payload["index_counts"])
-        # insertion order is document order only until the first
-        # subtree mutation; sort by start to restore it
-        nodes = sorted(database.store.scan(), key=lambda node: node.start)
-        if len(nodes) != payload["node_count"]:
+            pool, payload["index_chains"], payload["index_counts"])
+        live = database.index.node_ids()
+        # the store's chain is in write order: the last record wins
+        records = {node.node_id: node for node in database.store.scan()
+                   if node.node_id in live}
+        if len(records) != len(live):
+            missing = sorted(live.difference(records))
+            raise StorageError(
+                f"the tag index holds {len(missing)} node id(s) no "
+                f"stored record has, first {missing[0]}")
+        if len(records) != payload["node_count"]:
             raise ReproError(
                 f"catalog expected {payload['node_count']} nodes, "
-                f"store holds {len(nodes)}")
-        database.document = XmlDocument(nodes, name=database.name)
+                f"the tag index holds {len(records)}")
+        database.document = XmlDocument(sorted(records.values(),
+                                               key=attrgetter("start")),
+                                        name=database.name)
         # nothing was planned yet: plan against the reopened statistics
         # without publishing (a reopened database is at epoch 0)
         database._estimator = database._load_statistics(database.document)
@@ -230,8 +239,8 @@ class Database(QueryTarget):
             self._require_document()
             assert self.document is not None
             assert self._estimator is not None
-            return Snapshot(self.document, self.index, self.store,
-                            self._estimator, self.statistics_epoch)
+            return Snapshot(self.document, self.index, self._estimator,
+                            self.statistics_epoch)
 
     def publish(self, store: ElementStore, index: TagIndex,
                 document: XmlDocument,
@@ -294,8 +303,7 @@ class Database(QueryTarget):
         """Pin a snapshot and build the engine context one run reads
         through (every execution path starts here)."""
         snapshot = self.read_snapshot()
-        return snapshot, EngineContext(snapshot.index, snapshot.store,
-                                       snapshot.document,
+        return snapshot, EngineContext(snapshot.index, snapshot.document,
                                        factors=self.cost_factors)
 
     def stream_execute(self, plan: PhysicalPlan, pattern: QueryPattern,

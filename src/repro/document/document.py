@@ -139,7 +139,7 @@ class XmlDocument:
         root_id = starts[0]
         for record in added.values():
             if record.node_id != root_id:
-                _check_parent(record, document._get(record.parent_id))
+                _check_parent(record, document.get(record.parent_id))
         for old in gone:
             new = added.get(old.node_id)
             if (new is not None and new.level == old.level
@@ -147,9 +147,9 @@ class XmlDocument:
                 continue
             for child_id in self._children.get(old.node_id, ()):
                 if child_id not in removed:
-                    child = document._get(child_id)
+                    child = document.get(child_id)
                     _check_parent(child,
-                                  document._get(child.parent_id))
+                                  document.get(child.parent_id))
         document._by_tag = by_tag = dict(self._by_tag)
         document._children = children = dict(self._children)
         tags: set[str] = set()
@@ -189,12 +189,13 @@ class XmlDocument:
 
     def node(self, node_id: int) -> NodeRecord:
         """Return the node with the given id (== start position)."""
-        node = self._get(node_id)
+        node = self.get(node_id)
         if node is None:
             raise DocumentError(f"no node with id {node_id}")
         return node
 
-    def _get(self, node_id: int) -> NodeRecord | None:
+    def get(self, node_id: int) -> NodeRecord | None:
+        """The node with the given id, or ``None`` if there is none."""
         index = bisect_left(self._starts, node_id)
         if index == len(self._starts) or self._starts[index] != node_id:
             return None

@@ -317,14 +317,7 @@ class BlockIndexScan(BlockOperator):
 
     def _matcher(self) -> Callable[[int], bool]:
         pattern_node = self.pattern_node
-        context = self.context
-        if context.document is not None:
-            lookup = context.document.node
-        elif context.element_store is not None:
-            lookup = context.element_store.reader().node
-        else:
-            raise PlanError(
-                "predicate evaluation needs a document or element store")
+        lookup = self.context.document.node
         return lambda start: pattern_node.matches(lookup(start))
 
 

@@ -444,16 +444,14 @@ class Executor:
 
     def execute(self, plan: PhysicalPlan,
                 engine: str = "block",
-                spans: bool | None = None) -> ExecutionResult:
+                spans: bool = False) -> ExecutionResult:
         """Run *plan* to completion: :meth:`stream`, drained at once.
 
-        *spans* enables per-operator tracing for this run (defaults to
-        the context's ``tracing`` flag); the resulting span tree is
-        returned on :attr:`ExecutionResult.span` and its per-operator
-        counter shares sum exactly to the result's metrics.
+        *spans* enables per-operator tracing for this run; the
+        resulting span tree is returned on :attr:`ExecutionResult.span`
+        and its per-operator counter shares sum exactly to the result's
+        metrics.
         """
-        if spans is None:
-            spans = self.context.tracing
         return self.stream(plan, engine=engine, spans=spans).result()
 
     def stream(self, plan: PhysicalPlan, *,

@@ -4,8 +4,8 @@ Retrieves the candidate set of one pattern node from the tag index (in
 document order), applies the node's value predicates, and emits
 single-binding tuples.  Retrieval is charged per posting
 (``index_items``), matching the paper's ``f_I * n`` index-access cost;
-predicate evaluation fetches element payloads through the element
-store's buffer pool when no in-memory document is available.
+a value predicate reads the element's text or attributes from the
+context's document.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 import heapq
 from typing import Iterator
 
-from repro.errors import PlanError
 from repro.core.pattern import PatternNode
 from repro.engine.context import EngineContext
 from repro.engine.operators import Operator
@@ -29,7 +28,6 @@ class IndexScan(Operator):
                          pattern_node.node_id, context.metrics)
         self.pattern_node = pattern_node
         self.context = context
-        self._reader = None  # per-scan page-batched store access
 
     def _postings(self):
         index = self.context.tag_index
@@ -40,20 +38,10 @@ class IndexScan(Operator):
 
     def _produce(self) -> Iterator[MatchTuple]:
         needs_payload = bool(self.pattern_node.predicates)
+        matches = self.pattern_node.matches
+        node = self.context.document.node
         for region in self._postings():
             self.metrics.index_items += 1
-            if needs_payload and not self._payload_matches(region):
+            if needs_payload and not matches(node(region.start)):
                 continue
             yield (region,)
-
-    def _payload_matches(self, region) -> bool:
-        if self.context.document is not None:
-            node = self.context.document.node(region.start)
-        elif self.context.element_store is not None:
-            if self._reader is None:
-                self._reader = self.context.element_store.reader()
-            node = self._reader.node(region.start)
-        else:
-            raise PlanError(
-                "predicate evaluation needs a document or element store")
-        return self.pattern_node.matches(node)

@@ -15,7 +15,7 @@ structural engine:
   pattern node, the building block of aggregation.
 
 Costs: the hash join performs one pass over each input plus one
-element-store/document lookup per tuple for the join key; lookups are
+document lookup per tuple for the join key; lookups are
 charged as index items so the simulated cost stays in the paper's
 currency.
 """

@@ -73,45 +73,38 @@ class TraceContext:
     """Identity of one distributed trace, propagated across processes.
 
     ``trace_id`` names the whole trace; ``parent_span_id`` is the
-    coordinator-side span the receiver's subtree hangs under;
-    ``sampled`` carries the sampling decision (an unsampled context
-    still propagates the ids so logs can be joined to the trace).
+    coordinator-side span the receiver's subtree hangs under.
     Serializes to a plain dict — the shard pipe protocol and any
     future network front-end ship it as data, never as live objects.
     """
 
-    __slots__ = ("trace_id", "parent_span_id", "sampled")
+    __slots__ = ("trace_id", "parent_span_id")
 
-    def __init__(self, trace_id: str, parent_span_id: str = "",
-                 sampled: bool = True) -> None:
+    def __init__(self, trace_id: str, parent_span_id: str = "") -> None:
         self.trace_id = trace_id
         self.parent_span_id = parent_span_id
-        self.sampled = sampled
 
     @classmethod
-    def new(cls, sampled: bool = True) -> "TraceContext":
+    def new(cls) -> "TraceContext":
         """Fresh 16-hex-digit trace id (random, collision-safe)."""
-        return cls(trace_id=uuid.uuid4().hex[:16], sampled=sampled)
+        return cls(trace_id=uuid.uuid4().hex[:16])
 
     def child(self, parent_span_id: str) -> "TraceContext":
         """The context a downstream worker runs under."""
-        return TraceContext(self.trace_id, parent_span_id, self.sampled)
+        return TraceContext(self.trace_id, parent_span_id)
 
     def to_dict(self) -> dict[str, object]:
         return {"trace_id": self.trace_id,
-                "parent_span_id": self.parent_span_id,
-                "sampled": self.sampled}
+                "parent_span_id": self.parent_span_id}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TraceContext":
         return cls(trace_id=str(payload.get("trace_id", "")),
-                   parent_span_id=str(payload.get("parent_span_id", "")),
-                   sampled=bool(payload.get("sampled", True)))
+                   parent_span_id=str(payload.get("parent_span_id", "")))
 
     def __repr__(self) -> str:
         return (f"TraceContext({self.trace_id!r}, "
-                f"parent={self.parent_span_id!r}, "
-                f"sampled={self.sampled})")
+                f"parent={self.parent_span_id!r})")
 
 
 class FrozenMetrics:

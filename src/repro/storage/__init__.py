@@ -14,7 +14,7 @@ from repro.storage.disk import DiskManager, InMemoryDisk, FileDisk, IOStats
 from repro.storage.pages import Page, PAGE_SIZE
 from repro.storage.buffer import BufferPool
 from repro.storage.postings import RegionBlock
-from repro.storage.store import ElementStore, NodeReader, StoredNode
+from repro.storage.store import ElementStore
 from repro.storage.tagindex import TagIndex
 from repro.storage.catalog import (CATALOG_PAGE_ID, read_catalog,
                                    reserve_catalog_page, write_catalog)
@@ -28,9 +28,7 @@ __all__ = [
     "PAGE_SIZE",
     "BufferPool",
     "ElementStore",
-    "NodeReader",
     "RegionBlock",
-    "StoredNode",
     "TagIndex",
     "CATALOG_PAGE_ID",
     "read_catalog",

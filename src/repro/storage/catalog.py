@@ -40,8 +40,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 CATALOG_PAGE_ID = 0
 _CHUNK_BYTES = 4000
 #: the fields of a catalog delta, all of them always present
-_DELTA_KEYS = frozenset({"tags", "store_pages", "deleted_rids",
-                         "node_count"})
+_DELTA_KEYS = frozenset({"tags", "store_pages", "node_count"})
+#: the store's tombstones, which catalogs and deltas written before the
+#: tag index decided liveness also carry; readers ignore them
+_RETIRED_KEYS = frozenset({"deleted_rids"})
 
 
 def reserve_catalog_page(pool: BufferPool) -> None:
@@ -54,45 +56,43 @@ def reserve_catalog_page(pool: BufferPool) -> None:
     pool.flush()
 
 
+def _node_count(index: "TagIndex") -> int:
+    """Live nodes: every node has exactly one posting, under its tag."""
+    return sum(index.counts().values())
+
+
 def catalog_payload(name: str, store: "ElementStore",
                     index: "TagIndex") -> dict[str, Any]:
     """The full directory state the page-0 catalog persists, for one
     element *store* / tag *index* pair; :func:`fold_catalog` returns
     the same shape."""
-    payload = {
+    return {
         "name": name,
         "store_pages": store.page_ids,
         "index_chains": index.chains(),
         "index_counts": index.counts(),
-        "node_count": store.node_count,
+        "node_count": _node_count(index),
     }
-    deleted = store.deleted_rids()
-    if deleted:
-        payload["deleted_rids"] = deleted
-    return payload
 
 
-def catalog_delta(store: "ElementStore", index: "TagIndex",
-                  tags: Iterable[str], appended_pages: list[int],
-                  tombstones: list[list[int]]) -> dict[str, Any]:
+def catalog_delta(index: "TagIndex", tags: Iterable[str],
+                  appended_pages: list[int]) -> dict[str, Any]:
     """What one commit changed of the directory (its WAL ``CATALOG``
     record).
 
     ``tags`` maps each touched tag to its new ``[chain, count]``, or to
     ``None`` when the commit removed the tag's last posting;
     ``store_pages`` lists the element-store pages the commit appended,
-    ``deleted_rids`` the record ids it tombstoned, and ``node_count``
-    is the store's new count.  Every field folds idempotently (assign,
-    append-if-absent, union), so replaying a delta over a catalog that
-    already holds it changes nothing.
+    and ``node_count`` is the new live node count.  Every field folds
+    idempotently (assign, append-if-absent), so replaying a delta over
+    a catalog that already holds it changes nothing.
     """
     return {
         "tags": {tag: ([index.chain(tag), index.count(tag)]
                        if index.count(tag) else None)
                  for tag in tags},
         "store_pages": appended_pages,
-        "deleted_rids": tombstones,
-        "node_count": store.node_count,
+        "node_count": _node_count(index),
     }
 
 
@@ -102,16 +102,16 @@ def fold_catalog(catalog: dict[str, Any],
 
     Raises :class:`~repro.errors.WalFormatError` on a record that is not
     a catalog delta — a log written before commits logged deltas holds
-    full catalogs, which this fold would misread.
+    full catalogs, which this fold would misread.  A retired key
+    (:data:`_RETIRED_KEYS`) is dropped wherever it appears.
     """
     chains = dict(catalog["index_chains"])
     counts = dict(catalog["index_counts"])
     pages = list(catalog["store_pages"])
     known = set(pages)
-    deleted = {tuple(rid) for rid in catalog.get("deleted_rids", ())}
     node_count = catalog["node_count"]
     for delta in deltas:
-        if delta.keys() != _DELTA_KEYS:
+        if delta.keys() - _RETIRED_KEYS != _DELTA_KEYS:
             raise WalFormatError(
                 f"a CATALOG record holds {sorted(delta)}, not a catalog "
                 "delta: checkpoint this log with the version that wrote "
@@ -126,18 +126,14 @@ def fold_catalog(catalog: dict[str, Any],
             if page_id not in known:
                 known.add(page_id)
                 pages.append(page_id)
-        deleted.update(map(tuple, delta["deleted_rids"]))
         node_count = delta["node_count"]
-    folded = {
+    return {
         "name": catalog["name"],
         "store_pages": pages,
         "index_chains": chains,
         "index_counts": counts,
         "node_count": node_count,
     }
-    if deleted:
-        folded["deleted_rids"] = sorted(map(list, deleted))
-    return folded
 
 
 def write_catalog(pool: BufferPool, payload: dict[str, Any]) -> None:

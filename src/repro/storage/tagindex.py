@@ -3,9 +3,11 @@
 This is the access method behind the paper's "index access" operation
 (cost ``f_I * n`` for retrieving *n* items, Sec. 2.2.2).  Each posting
 entry carries the full region encoding ``(start, end, level)``, so a
-structural join can run off index output alone; the element store is
-consulted only when a value predicate needs the element's text or
-attributes.
+structural join can run off index output alone; a value predicate
+reads the element's text or attributes from the document.  The index
+holds a posting for exactly the live node ids, so it is also what
+says which of the element store's records are live
+(:meth:`repro.api.Database.open`).
 
 Posting lists are stored as **compressed columnar frames** (one frame
 per page, delta-encoded and byte-packed — see
@@ -199,6 +201,15 @@ class TagIndex:
         self._blocks.clear()
         self._merged_block = None
         self.decode_epoch += 1
+
+    def node_ids(self) -> set[int]:
+        """Every indexed node id (== start label): the live ids.  Read
+        off each chain page's start column; fills no decode cache."""
+        ids: set[int] = set()
+        for chain in self._page_chains.values():
+            for page_id in chain:
+                ids.update(unpack_frame(self.pool.fetch_view(page_id))[0])
+        return ids
 
     def regions(self, tag: str) -> list[Region]:
         """The full posting list of *tag* as a list."""

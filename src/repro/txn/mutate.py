@@ -1,9 +1,10 @@
 """Mutation API: WAL-backed transactions with snapshot-isolated commits.
 
-A :class:`Transaction` edits a private working copy of the node table
-(``insert_subtree`` / ``delete_subtree`` / ``append_document``); no
-shared state is touched until :meth:`TransactionManager.commit`.  The
-commit pipeline then
+A :class:`Transaction` records its edits (``insert_subtree`` /
+``delete_subtree`` / ``append_document``) over the published document
+as two dicts, the records it added and the base records it removed;
+no shared state is touched until :meth:`TransactionManager.commit`.
+The commit pipeline then
 
 1. **validates** — derives the new :class:`XmlDocument` from the
    published one and the delta
@@ -11,16 +12,18 @@ commit pipeline then
    every region-nesting invariant the delta can break) before anything
    reaches storage;
 2. **prepares copy-on-write storage** — clones of the element store
-   and tag index absorb the node delta into *freshly allocated* pages,
+   and tag index absorb the node delta into *freshly allocated* pages
+   (the store appends the added records; the index's splice removes
+   and adds postings, and so decides which stored records are live),
    never mutating a page the published database references, so every
    in-flight reader keeps a consistent view;
 3. **logs** — BEGIN, one PAGE record per freshly written page, a
    CATALOG record holding the commit's catalog *delta* (the touched
-   tags' chains and counts, the appended store pages, the new
-   tombstones, the node count — :func:`~repro.storage.catalog.
-   catalog_delta`), and COMMIT are appended to the write-ahead log,
-   which is fsync'd: the commit is durable before publication.  The
-   record is as large as the change, not as the catalog;
+   tags' chains and counts, the appended store pages, the node count
+   — :func:`~repro.storage.catalog.catalog_delta`), and COMMIT are
+   appended to the write-ahead log, which is fsync'd: the commit is
+   durable before publication.  The record is as large as the change,
+   not as the catalog;
 4. **publishes** — the database's statistics absorb the delta
    (:meth:`~repro.estimation.estimator.Statistics.apply_delta`), then
    :meth:`~repro.api.Database.publish` swaps in the new store, index,
@@ -48,8 +51,8 @@ from __future__ import annotations
 
 import threading
 import time
-from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.errors import TransactionError
@@ -69,6 +72,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: multi-megabyte bulk loads.
 COMMIT_BYTE_BUCKETS = (512.0, 4096.0, 16384.0, 65536.0, 262144.0,
                        1048576.0, 4194304.0, 16777216.0)
+
+_start = attrgetter("start")
 
 
 def write_path_histograms(registry) -> tuple:
@@ -146,11 +151,12 @@ class CommitResult:
 
 
 class Transaction:
-    """One writer's private view of the document, plus its edit sets.
+    """One writer's private edits, recorded over the published document.
 
-    All mutation happens in memory on the working node table; storage,
-    the log, and the published database are only touched at commit.
-    Aborting a transaction is therefore free.
+    The transaction reads through an overlay: ``_added`` first, then
+    the base document unless the id is in ``_removed``.  Storage, the
+    log, and the published database are only touched at commit, and
+    nothing is copied at begin, so aborting a transaction is free.
     """
 
     def __init__(self, manager: "TransactionManager", txn_id: int,
@@ -159,11 +165,6 @@ class Transaction:
         self.txn_id = txn_id
         #: the published document this transaction's edits apply to
         self._base = document
-        self._nodes: dict[int, NodeRecord] = {
-            node.node_id: node for node in document}
-        # the live node ids (== start labels), kept sorted: a subtree
-        # is one slice of it
-        self._starts: list[int] = list(self._nodes)
         self._root_id = document.root.node_id
         # edit sets relative to the base snapshot: a changed node is
         # its base record in _removed plus its new record in _added.
@@ -179,24 +180,28 @@ class Transaction:
             raise TransactionError(
                 f"transaction {self.txn_id} is {self.status}")
 
+    def _get(self, node_id: int) -> NodeRecord | None:
+        """The live record of *node_id* through the overlay, if any."""
+        node = self._added.get(node_id)
+        if node is None and node_id not in self._removed:
+            node = self._base.get(node_id)
+        return node
+
     def _node(self, node_id: int) -> NodeRecord:
-        node = self._nodes.get(node_id)
+        node = self._get(node_id)
         if node is None:
             raise TransactionError(f"no node with id {node_id}")
         return node
 
     def _take(self, node_id: int) -> NodeRecord:
-        node = self._nodes.pop(node_id)
-        del self._starts[bisect_left(self._starts, node_id)]
-        if node_id in self._added:
-            del self._added[node_id]
-        else:
+        node = self._added.pop(node_id, None)
+        if node is None:
             # untouched so far, hence still the base snapshot's record
-            self._removed[node_id] = node
+            node = self._removed[node_id] = self._node(node_id)
         return node
 
     def _put(self, node: NodeRecord) -> None:
-        if node.node_id in self._nodes:
+        if self._get(node.node_id) is not None:
             raise TransactionError(
                 f"label collision on node id {node.node_id}")
         base = self._removed.get(node.node_id)
@@ -204,15 +209,17 @@ class Transaction:
             del self._removed[node.node_id]  # change cancelled out
         else:
             self._added[node.node_id] = node
-        self._nodes[node.node_id] = node
-        insort(self._starts, node.node_id)
 
     def _subtree(self, node: NodeRecord) -> list[NodeRecord]:
         """*node* plus its current descendants, in document order."""
-        starts = self._starts
-        return [self._nodes[start] for start in
-                starts[bisect_left(starts, node.start):
-                       bisect_right(starts, node.end)]]
+        removed = self._removed
+        start, end = node.start, node.end
+        nodes = [base for base in self._base.subtree(node)
+                 if base.node_id not in removed]
+        nodes.extend(added for added in self._added.values()
+                     if start <= added.start <= end)
+        nodes.sort(key=_start)
+        return nodes
 
     # -- mutation API ---------------------------------------------------------
 
@@ -466,15 +473,13 @@ class TransactionManager:
         cow_started = time.perf_counter()
         pages_before = db.disk.page_count
         store = db.store.clone_for_write()
-        tombstones = store.remove_nodes(removed)
-        for node in sorted(added.values(), key=lambda node: node.start):
+        for node in sorted(added.values(), key=_start):
             store.store_node(node)
         index = db.index.clone_for_write()
         edits = _index_edits(added.values(), removed.values())
         index.apply_edits(edits)
-        delta = catalog_delta(store, index, edits,
-                              store.page_ids[db.store.page_count:],
-                              tombstones)
+        delta = catalog_delta(index, edits,
+                              store.page_ids[db.store.page_count:])
         cow_span.seconds = time.perf_counter() - cow_started
         cow_span.detail = (f"{db.disk.page_count - pages_before} "
                            f"fresh pages")
@@ -563,7 +568,7 @@ class TransactionManager:
             self.wal.truncate(0)
             self.wal.append_checkpoint({
                 "pages": self.db.disk.page_count,
-                "node_count": self.db.store.node_count,
+                "node_count": len(self.db.document),
                 "statistics_epoch": self.db.statistics_epoch,
             })
             seconds = time.perf_counter() - started

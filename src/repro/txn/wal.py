@@ -222,11 +222,10 @@ class WriteAheadLog:
                           separators=(",", ":")).encode("utf-8")
         return self._append(CATALOG, _TXN.pack(txn_id) + body)
 
-    def append_commit(self, txn_id: int, durable: bool = True) -> int:
-        """Append COMMIT and (by default) fsync — the durability point."""
+    def append_commit(self, txn_id: int) -> int:
+        """Append COMMIT and fsync — the durability point."""
         offset = self._append(COMMIT, _TXN.pack(txn_id))
-        if durable:
-            self.sync()
+        self.sync()
         self.stats.commits += 1
         return offset
 

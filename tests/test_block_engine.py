@@ -5,7 +5,7 @@ The randomized cross-check of whole plans lives in
 hand-written edge cases (empty inputs, fully nested runs, disjoint
 runs — the shapes the skip-ahead logic jumps over), and the storage
 additions backing the engine (posting decode cache, batched index
-build, page-batched node reader) get direct coverage.
+build) get direct coverage.
 """
 
 import gc
@@ -15,7 +15,6 @@ import pytest
 
 from repro.api import Database
 from repro.engine.blocks import _group_rows
-from repro.engine.context import EngineContext
 from repro.engine.executor import Executor
 from repro.engine.metrics import COST_COUNTERS
 from repro.core.pattern import Axis, QueryPattern
@@ -24,7 +23,7 @@ from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
 from repro.document.parser import parse_xml
 from repro.errors import PlanError, StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import FileDisk, InMemoryDisk
+from repro.storage.disk import InMemoryDisk
 from repro.storage.postings import RegionBlock
 from repro.storage.tagindex import TagIndex
 from repro.workloads.queries import PAPER_QUERIES, dataset_document
@@ -205,34 +204,6 @@ def test_default_path_allocates_no_region(name):
     assert any(block.materialized for block in touched)
 
 
-def test_predicate_scan_without_a_document_reads_the_element_store(
-        tmp_path):
-    """A file-backed database reopened from its pages, run through a
-    context that holds no document: predicates are evaluated by
-    element-store lookups and the labels are the same."""
-    document = dataset_document("mbench", seed=42, target_nodes=600)
-    disk = FileDisk(tmp_path / "pages.db")
-    Database.from_document(document, disk=disk).persist()
-    disk.close()
-    reopened = Database.open(FileDisk(tmp_path / "pages.db"))
-    try:
-        pattern = PAPER_QUERIES["Q.Mbench.1.a"].pattern
-        assert any(node.predicates for node in pattern.nodes)
-        plan = reopened.optimize(pattern).plan
-        expected = reopened.execute(plan, pattern)
-        assert len(expected) > 0
-        for engine in ("block", "tuple"):
-            context = EngineContext(reopened.index, reopened.store,
-                                    document=None)
-            run = Executor(context, pattern).execute(plan, engine=engine)
-            assert run.rows == expected.rows, engine
-            assert run.tuples == expected.tuples, engine
-            assert (run.metrics.counters()
-                    == expected.metrics.counters()), engine
-    finally:
-        reopened.close()
-
-
 # -- decode cache ---------------------------------------------------------
 
 
@@ -332,19 +303,6 @@ class TestAddMany:
         index.apply_edits({"aaa": (set(), [(last + 1, last + 2, 1)])})
         assert "aaa" in index.tags()
         assert index.tags() == sorted(index.tags())
-
-
-# -- page-batched node reader ---------------------------------------------
-
-
-def test_node_reader_matches_fetch_node():
-    document = parse_xml(
-        "<r>" + "<n a='1'/>" * 700 + "</r>", name="wide")
-    database = Database.from_document(document)
-    reader = database.store.reader()
-    for node in document:
-        assert reader.node(node.start) == database.store.fetch_node(
-            node.start)
 
 
 # -- engine selection -----------------------------------------------------

@@ -39,8 +39,7 @@ class TestNestedLoopPlanExecution:
         plan = StructuralJoinPlan(
             IndexScanPlan(0), IndexScanPlan(1), 0, 1, Axis.DESCENDANT,
             JoinAlgorithm.NESTED_LOOP)
-        context = EngineContext(database.index, database.store,
-                                small_document)
+        context = EngineContext(database.index, small_document)
         result = Executor(context, pattern).execute(plan)
         reference = database.query(pattern)
         assert result.canonical() == reference.execution.canonical()

@@ -82,7 +82,7 @@ class TestGroupByColumn:
 @pytest.fixture
 def engine(small_document):
     database = Database.from_document(small_document)
-    return EngineContext(database.index, database.store, small_document)
+    return EngineContext(database.index, small_document)
 
 
 class TestIndexScan:
@@ -110,17 +110,6 @@ class TestIndexScan:
     def test_predicate_filtering(self, engine):
         node = PatternNode(0, "name", (
             Predicate(kind="text", op="=", value="Ada Adams"),))
-        rows = list(IndexScan(node, engine).run())
-        assert len(rows) == 1
-
-    def test_attribute_predicate_via_store(self, small_document):
-        """Without an in-memory document, predicates read the element
-        store through the buffer pool."""
-        database = Database.from_document(small_document)
-        engine = EngineContext(database.index, database.store,
-                               document=None)
-        node = PatternNode(0, "manager", (
-            Predicate(kind="attribute", op="=", value="m2", name="id"),))
         rows = list(IndexScan(node, engine).run())
         assert len(rows) == 1
 

@@ -15,8 +15,7 @@ from repro.engine.nestedloop import naive_pattern_matches
 @pytest.fixture
 def setup(small_document, running_example_pattern):
     database = Database.from_document(small_document)
-    context = EngineContext(database.index, database.store,
-                            small_document)
+    context = EngineContext(database.index, small_document)
     return Executor(context, running_example_pattern), small_document
 
 

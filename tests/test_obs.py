@@ -665,8 +665,7 @@ class TestZeroOverheadWhenDisabled:
 
         pattern = database.compile(QUERY)
         plan = database.optimize(pattern).plan
-        context = EngineContext(database.index, database.store,
-                                database.document,
+        context = EngineContext(database.index, database.document,
                                 factors=database.cost_factors)
         executor = Executor(context, pattern)
         root = executor.build(plan, context.for_run(), engine)
@@ -677,14 +676,6 @@ class TestZeroOverheadWhenDisabled:
             operator = stack.pop()
             assert operator._span is None
             stack.extend(_operator_children(operator))
-
-    def test_context_tracing_flag_propagates(self, database):
-        from repro.engine.context import EngineContext
-
-        context = EngineContext(database.index, database.store,
-                                database.document, tracing=True)
-        assert context.for_run().tracing is True
-        assert EngineContext(database.index).for_run().tracing is False
 
 
 # -- CLI surfaces --------------------------------------------------------

@@ -131,7 +131,7 @@ class TestJoinProperties:
                                             StackTreeDescJoin)
 
         database = Database.from_document(document)
-        engine = EngineContext(database.index, database.store, document)
+        engine = EngineContext(database.index, document)
         join_class = StackTreeAncJoin if use_anc else StackTreeDescJoin
         join = join_class(
             IndexScan(PatternNode(0, anc_tag), engine),

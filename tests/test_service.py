@@ -249,8 +249,7 @@ class TestMetricsIsolation:
     def test_execute_does_not_mutate_shared_context(self, database):
         pattern = compile_xpath(REPEATED)
         plan = database.optimize(pattern).plan
-        context = EngineContext(database.index, database.store,
-                                database.document)
+        context = EngineContext(database.index, database.document)
         shared_metrics = context.metrics
         executor = Executor(context, pattern)
         result = executor.execute(plan)
@@ -262,8 +261,7 @@ class TestMetricsIsolation:
     def test_concurrent_executions_have_private_counters(self, database):
         pattern = compile_xpath(REPEATED)
         plan = database.optimize(pattern).plan
-        context = EngineContext(database.index, database.store,
-                                database.document)
+        context = EngineContext(database.index, database.document)
         reference = Executor(context, pattern).execute(plan)
         results: list = [None] * 8
         barrier = threading.Barrier(len(results))

@@ -17,7 +17,7 @@ from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
 
 def engine_for(document):
     database = Database.from_document(document)
-    return EngineContext(database.index, database.store, document)
+    return EngineContext(database.index, document)
 
 
 def oracle_pairs(document, anc_tag, desc_tag, axis):

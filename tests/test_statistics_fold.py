@@ -97,8 +97,7 @@ def snapshot_answers(snapshot: Snapshot) -> list[tuple]:
     answers = []
     for pattern in PATTERNS:
         chosen = get_optimizer("DPP").optimize(pattern, snapshot.estimator)
-        context = EngineContext(snapshot.index, snapshot.store,
-                                snapshot.document)
+        context = EngineContext(snapshot.index, snapshot.document)
         run = Executor(context, pattern).execute(chosen.plan)
         answers.append((chosen.plan.signature(), chosen.estimated_cost,
                         run.canonical()))

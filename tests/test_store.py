@@ -45,23 +45,8 @@ class TestEncoding:
 
 
 class TestElementStore:
-    def test_store_and_fetch(self, store):
-        node = sample_node(5, parent_id=0)
-        store.store_node(node)
-        assert store.fetch_node(5) == node
-
-    def test_duplicate_rejected(self, store):
-        store.store_node(sample_node(1, parent_id=0))
-        with pytest.raises(StorageError, match="already stored"):
-            store.store_node(sample_node(1, parent_id=0))
-
-    def test_missing_node_rejected(self, store):
-        with pytest.raises(StorageError, match="not stored"):
-            store.fetch_node(9)
-
     def test_store_document_and_scan(self, store, small_document):
         store.store_document(small_document)
-        assert store.node_count == len(small_document)
         scanned = list(store.scan())
         assert scanned == list(small_document.nodes)
 
@@ -72,11 +57,3 @@ class TestElementStore:
         store.store_document(document)
         assert store.page_count > 1
         assert list(store.scan()) == list(document.nodes)
-
-    def test_fetch_goes_through_buffer_pool(self, small_document):
-        pool = BufferPool(InMemoryDisk(), capacity=8)
-        store = ElementStore(pool)
-        store.store_document(small_document)
-        accesses_before = pool.stats.accesses
-        store.fetch_node(0)
-        assert pool.stats.accesses == accesses_before + 1

@@ -45,8 +45,7 @@ def blocking_plan():
 class TestTimeToFirst:
     def test_counts_and_ordering(self, database, pattern):
         executor = Executor(
-            EngineContext(database.index, database.store,
-                          database.document), pattern)
+            EngineContext(database.index, database.document), pattern)
         timing = executor.time_to_first(fp_plan(), results=5)
         assert timing.first_count == 5
         assert timing.total_count > 5
@@ -58,8 +57,7 @@ class TestTimeToFirst:
         stand when the first row is out, against the drained run's, on
         the iterator engine ``time_to_first`` runs."""
         executor = Executor(
-            EngineContext(database.index, database.store,
-                          database.document), pattern)
+            EngineContext(database.index, database.document), pattern)
         def at_first_row(plan):
             stream = executor.stream(plan, engine="tuple")
             assert len(next(stream.blocks())) == 1
@@ -81,8 +79,7 @@ class TestTimeToFirst:
     def test_fewer_results_than_requested(self, database):
         sparse = database.compile("//department/phone")
         executor = Executor(
-            EngineContext(database.index, database.store,
-                          database.document), sparse)
+            EngineContext(database.index, database.document), sparse)
         plan = StructuralJoinPlan(
             IndexScanPlan(0), IndexScanPlan(1), 0, 1, Axis.CHILD,
             JoinAlgorithm.STACK_TREE_DESC)
@@ -97,8 +94,7 @@ class TestTimeToFirst:
 
 
 def executor_for(database, pattern):
-    return Executor(EngineContext(database.index, database.store,
-                                  database.document), pattern)
+    return Executor(EngineContext(database.index, database.document), pattern)
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)

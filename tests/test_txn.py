@@ -252,6 +252,23 @@ def test_commit_validates_in_the_size_of_its_delta(monkeypatch):
     assert_rebuilds_alike(database.document)
 
 
+def test_begin_touches_no_node(monkeypatch):
+    """A transaction records its edits over the published document, so
+    beginning one on Pers 5 000 walks no node table."""
+    database = Database.from_document(
+        personnel_document(target_nodes=5000, seed=42))
+    manager = database.transactions
+
+    def refuse(self):
+        raise AssertionError("begin walked the node table")
+
+    monkeypatch.setattr(XmlDocument, "__iter__", refuse)
+    txn = manager.begin()
+    monkeypatch.undo()
+    assert txn.status == "open"
+    txn.abort()
+
+
 class TestSnapshotIsolation:
     def test_old_snapshot_survives_commit(self):
         database = fresh_database()
@@ -261,9 +278,11 @@ class TestSnapshotIsolation:
         assert len(snapshot.document) < len(database.document)
         fresh = database.read_snapshot()
         assert fresh.statistics_epoch == snapshot.statistics_epoch + 1
-        # the old snapshot's store still resolves every old node
-        assert {node.tag for node in snapshot.store.scan()} == {
-            node.tag for node in snapshot.document.nodes}
+        # the old snapshot's index still holds exactly the old nodes
+        index = snapshot.index
+        assert sorted(region.start for tag in index.tags()
+                      for region in index.scan(tag)) == [
+            node.start for node in snapshot.document]
 
     def test_commit_invalidates_plan_cache(self):
         database = fresh_database()

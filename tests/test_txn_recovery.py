@@ -170,7 +170,7 @@ def test_logged_catalog_equals_the_checkpointed_catalog(tmp_path):
     crashed = reopen_with_wal(workdir, tmp_path / "crash",
                               (workdir / WAL_FILE).read_bytes())
     logged = crashed.transactions.last_recovery.catalog_payload
-    assert logged["deleted_rids"] and logged["store_pages"]
+    assert logged["store_pages"]
     with open_database(workdir) as database:
         database.checkpoint()
         assert read_catalog(database.pool) == logged
@@ -250,3 +250,124 @@ def test_the_logged_catalog_does_not_grow_with_history():
              if record.type == CATALOG]
     assert len(sizes) == 60
     assert sizes[-1] <= 2 * sizes[0], sizes
+
+
+# -- the tag index decides which stored record is live ---------------------
+
+REUSE_XML = ("<r><p><a>x</a><c><d>1</d><d>2</d><d>3</d></c></p><q/></r>")
+
+
+@pytest.mark.parametrize("checkpointed", [False, True],
+                         ids=["recovered", "checkpointed"])
+def test_a_reused_node_id_opens_to_its_last_record(tmp_path,
+                                                   checkpointed):
+    """A deleted subtree's root label goes to a node inserted later, so
+    the store holds two records of one id: the reopened document is the
+    live one, whether the log is replayed or was checkpointed away."""
+    from repro.document.parser import parse_xml
+
+    workdir = tmp_path / "db"
+    database = create_database(workdir, xml=REUSE_XML)
+    parent = database.document.nodes[1]
+    victim = database.document.children(parent)[-1]
+    assert (parent.tag, victim.tag) == ("p", "c")
+    with database.transaction() as txn:
+        txn.delete_subtree(victim.node_id)
+    with database.transaction() as txn:
+        reused = txn.insert_subtree(parent.node_id,
+                                    parse_xml("<e>new</e>"))
+    assert reused == victim.node_id
+    live = list(database.document.nodes)
+    assert database.document.node(reused).tag == "e"
+    if checkpointed:
+        database.checkpoint()
+    database.close()
+    with open_database(workdir) as reopened:
+        recovery = reopened.transactions.last_recovery
+        assert recovery.committed == ([] if checkpointed else [1, 2])
+        assert list(reopened.document.nodes) == live
+
+
+def test_an_indexed_id_without_a_stored_record_is_refused():
+    """The index names the live ids; if the store's chain, as the
+    catalog gives it, holds no record for one of them, ``open`` refuses
+    the database instead of building a document without it."""
+    from repro.errors import StorageError
+    from repro.storage.catalog import read_catalog
+    from repro.workloads import personnel_document
+
+    database = Database.from_document(
+        personnel_document(target_nodes=500, seed=42))
+    database.persist()
+    catalog = read_catalog(database.pool)
+    assert len(catalog["store_pages"]) > 1
+    catalog["store_pages"] = catalog["store_pages"][:-1]
+    with pytest.raises(StorageError, match="no stored record has"):
+        Database.open(database.disk, catalog=catalog)
+
+
+def test_a_database_written_with_tombstones_opens_to_its_document(
+        tmp_path, monkeypatch):
+    """Catalogs and deltas written while the store kept tombstones carry
+    a ``deleted_rids`` key, on page 0 and in the log; a reader ignores
+    it and opens the same document."""
+    from repro.document.parser import parse_xml
+    from repro.storage import catalog
+    from repro.storage.catalog import read_catalog
+    from repro.txn import mutate
+    from repro.txn.wal import CATALOG
+
+    tombstones = [[1, 0], [1, 3]]
+    payload, delta = catalog.catalog_payload, mutate.catalog_delta
+    monkeypatch.setattr(catalog, "catalog_payload", lambda *args: {
+        **payload(*args), "deleted_rids": tombstones})
+    monkeypatch.setattr(mutate, "catalog_delta", lambda *args: {
+        **delta(*args), "deleted_rids": tombstones})
+    workdir = tmp_path / "db"
+    database = create_database(workdir, document=random_document(5,
+                                                                 size=40))
+    victims = [node for node in database.document.nodes
+               if node.level == 1]
+    with database.transaction() as txn:
+        txn.delete_subtree(victims[0].node_id)
+    database.checkpoint()
+    with database.transaction() as txn:
+        txn.delete_subtree(victims[-1].node_id)
+    with database.transaction() as txn:
+        txn.append_document(parse_xml("<a><b>late</b></a>"))
+    live = list(database.document.nodes)
+    assert read_catalog(database.pool)["deleted_rids"] == tombstones
+    logged = [record.json_payload()
+              for record in database.transactions.wal.replay()
+              if record.type == CATALOG]
+    assert len(logged) == 2
+    assert all(entry["deleted_rids"] == tombstones for entry in logged)
+    database.close()
+    monkeypatch.undo()
+    with open_database(workdir) as reopened:
+        assert reopened.transactions.last_recovery.committed == [2, 3]
+        assert "deleted_rids" not in (
+            reopened.transactions.last_recovery.catalog_payload)
+        assert list(reopened.document.nodes) == live
+
+
+def test_the_fold_drops_only_the_retired_key():
+    """``fold_catalog`` ignores ``deleted_rids`` and refuses a record
+    with any other key a delta does not have."""
+    from repro.errors import WalFormatError
+    from repro.storage.catalog import fold_catalog
+
+    base = {"name": "db", "store_pages": [1], "index_chains": {"a": [2]},
+            "index_counts": {"a": 1}, "node_count": 1,
+            "deleted_rids": [[1, 0]]}
+    delta = {"tags": {"b": [[4], 1]}, "store_pages": [3],
+             "node_count": 2}
+    folded = fold_catalog(base, [delta])
+    assert folded == fold_catalog(base, [{**delta,
+                                          "deleted_rids": [[3, 1]]}])
+    assert folded == {"name": "db", "store_pages": [1, 3],
+                      "index_chains": {"a": [2], "b": [4]},
+                      "index_counts": {"a": 1, "b": 1},
+                      "node_count": 2}
+    with pytest.raises(WalFormatError, match="not a catalog delta"):
+        fold_catalog(base, [{**delta, "tombstones": []}])
