@@ -3,12 +3,15 @@
 Not a paper artifact, but the foundation the tables stand on: index
 scan throughput, Stack-Tree-Desc vs. Stack-Tree-Anc vs. the quadratic
 nested-loop baseline, and sort cost.  pytest-benchmark gives stable
-per-operator timings here.
+per-operator timings here.  The block engine's Stack-Tree-Desc is
+timed on the four shapes its join tells apart: non-nesting and
+nesting ancestors, each on the CHILD and the DESCENDANT axis.
 """
 
 import pytest
 
 from repro.core.pattern import Axis, PatternNode
+from repro.engine.blocks import BlockIndexScan, BlockStackTreeDescJoin
 from repro.engine.context import EngineContext
 from repro.engine.nestedloop import NestedLoopJoin
 from repro.engine.scan import IndexScan
@@ -84,6 +87,29 @@ class TestJoins:
             return drain(join)
 
         count = benchmark(run)
+        benchmark.extra_info["output_tuples"] = count
+
+
+class TestBlockStackTreeDesc:
+    @pytest.mark.parametrize("ancestor,descendant,axis", [
+        ("employee", "name", Axis.CHILD),        # non-nesting
+        ("employee", "name", Axis.DESCENDANT),   # non-nesting
+        ("manager", "employee", Axis.CHILD),     # nesting
+        ("manager", "employee", Axis.DESCENDANT),  # nesting: chain walk
+    ])
+    def test_join(self, benchmark, pers_db, ancestor, descendant, axis):
+        def joined(scan, join):
+            ctx = engine(pers_db)
+            return join(scan(PatternNode(0, ancestor), ctx),
+                        scan(PatternNode(1, descendant), ctx),
+                        0, 1, axis)
+
+        def run():
+            join = joined(BlockIndexScan, BlockStackTreeDescJoin)
+            return len(join.block())
+
+        count = benchmark(run)
+        assert count == drain(joined(IndexScan, StackTreeDescJoin)) > 0
         benchmark.extra_info["output_tuples"] = count
 
 

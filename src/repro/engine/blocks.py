@@ -48,14 +48,26 @@ join reference — exploits that grouped columns are sorted by start and
 that regions of one tree either nest or are disjoint; how each join
 uses it is in :class:`BlockStackTreeDescJoin` and
 :class:`BlockStackTreeAncJoin`.
+
+Stack-Tree-Desc, the join every DPP plan of the paper's and the
+served queries uses, runs without a Python frame per descendant group
+wherever a group has at most one partner ancestor group: on the CHILD
+axis always, on the DESCENDANT axis when no ancestor group encloses
+another.  There every group's partner is found, and every output row
+built, by C-level passes over the packed columns — ``bisect`` under
+``map``, ``compress`` over the end and level tests, ``tuple.__add__``
+under ``map`` — so its cost is the paper's: linear in its inputs and
+its output, with no interpreter loop per group.  Only the DESCENDANT
+axis over nesting ancestors keeps a per-group chain walk, because a
+group there joins every enclosing ancestor, a chain of any length.
 """
 
 from __future__ import annotations
 
 import time
 from bisect import bisect_left, bisect_right
-from itertools import islice, repeat
-from operator import add, itemgetter
+from itertools import accumulate, chain, compress, count, islice, repeat
+from operator import add, and_, eq, ge, itemgetter, lt, mul, ne, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError
@@ -139,23 +151,25 @@ def _group_rows(rows: list[LabelRow], position: int, label: str,
     The block-engine counterpart of
     :func:`repro.engine.operators.group_by_column` plus the order
     check of ``OrderCheckingIterator``: a decreasing start is a
-    planner bug and raises immediately.  A row costs one comparison
-    of its label; each *group's* end and level are read from *column*,
-    the packed postings its labels came from.
+    planner bug and raises, naming the first decreasing pair.  Every
+    step is a C-level pass over the row list — the labels read by
+    ``itemgetter``, the order checked and the group starts found by
+    comparing the label list with itself shifted by one — so no
+    Python frame runs per row; each *group's* end and level are read
+    from *column*, the packed postings its labels came from.
     """
-    starts: list[int] = []
-    bounds: list[int] = []
-    last = -1
-    for index, start in enumerate(map(itemgetter(position), rows)):
-        if start != last:
-            if start < last:
-                raise PlanError(
-                    f"{label} is not ordered by its declared "
-                    f"column (saw start {start} after {last})")
-            starts.append(start)
-            bounds.append(index)
-            last = start
-    bounds.append(len(rows))
+    keys = list(map(itemgetter(position), rows))
+    decrease = next(compress(count(1), map(lt, islice(keys, 1, None),
+                                           keys)), None)
+    if decrease is not None:
+        raise PlanError(
+            f"{label} is not ordered by its declared column (saw "
+            f"start {keys[decrease]} after {keys[decrease - 1]})")
+    bounds = [0, *compress(range(1, len(keys)),
+                           map(ne, keys, islice(keys, 1, None)))
+              ] if keys else []
+    starts = list(map(keys.__getitem__, bounds))
+    bounds.append(len(keys))
     found = list(map(column.positions.__getitem__, starts))
     return ColumnGroups(starts,
                         list(map(column.ends.__getitem__, found)),
@@ -407,15 +421,81 @@ class _BlockJoinBase(BlockOperator):
         self.metrics.stack_tuple_ops += anc.bounds[pushed]
 
 
+def _spans(groups: ColumnGroups, rows: list[LabelRow]
+           ) -> tuple[Sequence[int], Sequence[int]] | None:
+    """Each group's first row and end row, read once per join, or
+    ``None`` when every group is one row (group *i* is row *i*)."""
+    if len(rows) == len(groups):
+        return None
+    return groups.bounds, groups.bounds[1:]
+
+
+def _row_counts(spans: tuple[Sequence[int], Sequence[int]] | None,
+                kept: list[int]) -> Iterator[int]:
+    """The number of rows of each group in *kept*."""
+    if spans is None:
+        return repeat(1, len(kept))
+    lows, highs = spans
+    return map(sub, map(highs.__getitem__, kept),
+               map(lows.__getitem__, kept))
+
+
+def _partner_rows(anc_rows: list[LabelRow],
+                  anc_spans: tuple[Sequence[int], Sequence[int]] | None,
+                  partners: list[int], desc_rows: list[LabelRow],
+                  desc_spans: tuple[Sequence[int], Sequence[int]] | None,
+                  groups: list[int]) -> Iterator[LabelRow]:
+    """The output of descendant *groups* joined with their *partners*
+    in emission order — descendant tuple outer, ancestor tuple inner —
+    as C-level maps: no Python frame per group or per row."""
+    if anc_spans is None:
+        heads = map(anc_rows.__getitem__, partners)
+    else:
+        lows, highs = anc_spans
+        heads = map(anc_rows.__getitem__,
+                    map(slice, map(lows.__getitem__, partners),
+                        map(highs.__getitem__, partners)))
+    if desc_spans is None:
+        tails = map(desc_rows.__getitem__, groups)
+    else:
+        lows, highs = desc_spans
+        lows = list(map(lows.__getitem__, groups))
+        highs = list(map(highs.__getitem__, groups))
+        tails = chain.from_iterable(
+            map(desc_rows.__getitem__, map(slice, lows, highs)))
+        # every row of a descendant group meets the group's partner
+        heads = chain.from_iterable(
+            map(repeat, heads, map(sub, highs, lows)))
+    if anc_spans is None:
+        return map(add, heads, tails)
+    return chain.from_iterable(
+        map(map, repeat(add), heads, map(repeat, tails)))
+
+
 class BlockStackTreeDescJoin(_BlockJoinBase):
     """Structural join, output ordered by the descendant binding.
 
     Per descendant group, the tuple engine's live stack is exactly the
-    chain of ancestor groups enclosing the descendant's start: the
-    ``bisect`` predecessor of the start, climbed through
-    :meth:`ColumnGroups.parents` past groups that ended too early,
-    then out to the chain's root.  Consecutive descendants under the
-    same innermost ancestor reuse the chain.
+    chain of ancestor groups enclosing the descendant's start, and the
+    group joins every entry of it that passes the axis test.  Where a
+    descendant group can have at most one such *partner*, the join
+    finds every group's partner, and builds every output row, in
+    C-level passes over the packed columns (:meth:`_partners`,
+    :func:`_partner_rows`) — no Python frame per group or per row:
+
+    * on the CHILD axis, always: the partner can only be the
+      descendant's parent node, the innermost enclosing ancestor group,
+      kept if its level is one less.  That is the predecessor unless
+      the predecessor closed before the descendant, which only nesting
+      ancestors allow; only those descendants climb, in Python;
+    * on the DESCENDANT axis when no ancestor group encloses another
+      (one pass over the ancestor column tells): the chain is at most
+      the predecessor, the group that starts last before the
+      descendant.
+
+    The DESCENDANT axis over nesting ancestors (``manager//…`` in
+    Pers) keeps the chain walk (:meth:`_walk_chains`): there a
+    descendant joins every enclosing group, a chain of any length.
     """
 
     def __init__(self, ancestor_input: BlockOperator,
@@ -432,58 +512,147 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
         out: list[LabelRow] = []
         if len(anc) and len(desc):
             self._charge_pushes(anc, desc)
-            parents = anc.parents()
-            child_axis = self.axis is Axis.CHILD
-            anc_rows = anc_block.rows
-            desc_rows = desc_block.rows
-            anc_starts = anc.starts
-            anc_ends = anc.ends
-            anc_levels = anc.levels
-            anc_bounds = anc.bounds
-            desc_bounds = desc.bounds
-            out_extend = out.extend
-            cached_top = -2
-            chain: list[int] = []
-            for group in range(len(desc)):
-                d_start = desc.starts[group]
-                top = bisect_left(anc_starts, d_start) - 1
-                while top >= 0 and anc_ends[top] < d_start:
-                    top = parents[top]
-                if top < 0:
-                    continue
-                if top != cached_top:
-                    chain = []
-                    node = top
-                    while node >= 0:
-                        chain.append(node)
-                        node = parents[node]
-                    chain.reverse()  # stack bottom (outermost) first
-                    cached_top = top
-                d_end = desc.ends[group]
-                d_level = desc.levels[group]
-                d_rows = desc_rows[desc_bounds[group]:
-                                   desc_bounds[group + 1]]
-                for entry in chain:
-                    if anc_ends[entry] < d_end:
-                        continue
-                    if child_axis and anc_levels[entry] + 1 != d_level:
-                        continue
-                    a_rows = anc_rows[anc_bounds[entry]:
-                                      anc_bounds[entry + 1]]
-                    # emission order: descendant tuple outer, ancestor
-                    # inner — the maps below keep all per-pair work in
-                    # C (no Python frame per output tuple)
-                    if len(a_rows) == 1:
-                        out_extend(map(a_rows[0].__add__, d_rows))
-                    else:
-                        for desc_tuple in d_rows:
-                            out_extend(map(add, a_rows,
-                                           repeat(desc_tuple)))
-                if bound and len(out) >= bound:
-                    yield from self._cut(out, bound)
-                    bound = BLOCK_ROWS
+            nesting = not all(map(lt, anc.ends,
+                                  islice(anc.starts, 1, None)))
+            if nesting and self.axis is Axis.DESCENDANT:
+                yield from self._walk_chains(anc_block.rows, anc,
+                                             desc_block.rows, desc,
+                                             out, bound)
+            else:
+                yield from self._join_partners(anc_block.rows, anc,
+                                               desc_block.rows, desc,
+                                               nesting, out, bound)
         self.metrics.output_tuples += len(out)
         yield out
+
+    def _partners(self, anc: ColumnGroups, desc: ColumnGroups,
+                  nesting: bool) -> tuple[list[int], list[int]]:
+        """The descendant groups that have a partner, and each one's
+        partner ancestor group, both in descendant order."""
+        # the predecessor: the last ancestor group that starts before
+        # the descendant (bisect over a list: an array boxes an int
+        # per probe); -1 (none) reads the trailing sentinels, which
+        # fail the end test and the level test
+        found = list(map(sub, map(bisect_left, repeat(list(anc.starts)),
+                                  desc.starts), repeat(1)))
+        ends = [*anc.ends, -1]
+        if nesting:
+            # CHILD axis: a predecessor that closed before the
+            # descendant is not its parent; climb from it to the
+            # innermost group enclosing the descendant
+            desc_starts = desc.starts
+            climbing = [group for group in compress(
+                            range(len(found)),
+                            map(lt, map(ends.__getitem__, found),
+                                desc_starts))
+                        if found[group] >= 0]
+            parents = anc.parents() if climbing else None
+            for group in climbing:
+                top = found[group]
+                start = desc_starts[group]
+                while top >= 0 and ends[top] < start:
+                    top = parents[top]
+                found[group] = top
+        keep = map(ge, map(ends.__getitem__, found), desc.ends)
+        if self.axis is Axis.CHILD:
+            levels = [*anc.levels, -2]
+            keep = map(and_, keep,
+                       map(eq, map(levels.__getitem__, found),
+                           map(sub, desc.levels, repeat(1))))
+        kept = list(keep)
+        return (list(compress(range(len(found)), kept)),
+                list(compress(found, kept)))
+
+    def _join_partners(self, anc_rows: list[LabelRow],
+                       anc: ColumnGroups, desc_rows: list[LabelRow],
+                       desc: ColumnGroups, nesting: bool,
+                       out: list[LabelRow], bound: int | None
+                       ) -> Iterator[list[LabelRow]]:
+        """Join every descendant group with its one partner.  Given a
+        *bound*, rows are built a slice of groups at a time, each
+        slice cut where the output passes what the next block needs:
+        the group sizes give that count before any row is built, so
+        the first block leaves before the rest is joined."""
+        groups, partners = self._partners(anc, desc, nesting)
+        total = len(groups)
+        anc_spans = _spans(anc, anc_rows)
+        desc_spans = _spans(desc, desc_rows)
+        if anc_spans is None and desc_spans is None:
+            cumulative: Sequence[int] = range(1, total + 1)
+        else:
+            cumulative = list(accumulate(map(
+                mul, _row_counts(anc_spans, partners),
+                _row_counts(desc_spans, groups))))
+        done = 0
+        while done < total:
+            stop = total
+            if bound:
+                needed = bound - len(out)
+                if done:
+                    needed += cumulative[done - 1]
+                stop = min(bisect_left(cumulative, needed, done) + 1,
+                           total)
+            out.extend(_partner_rows(anc_rows, anc_spans,
+                                     partners[done:stop], desc_rows,
+                                     desc_spans, groups[done:stop]))
+            done = stop
+            if bound and len(out) >= bound:
+                yield from self._cut(out, bound)
+                bound = BLOCK_ROWS
+
+    def _walk_chains(self, anc_rows: list[LabelRow], anc: ColumnGroups,
+                     desc_rows: list[LabelRow], desc: ColumnGroups,
+                     out: list[LabelRow], bound: int | None
+                     ) -> Iterator[list[LabelRow]]:
+        """The DESCENDANT axis over nesting ancestors: per descendant
+        group, the enclosing chain — the ``bisect`` predecessor of its
+        start, climbed through :meth:`ColumnGroups.parents` past
+        groups that ended too early, then out to the chain's root —
+        joined entry by entry.  Consecutive descendants under the same
+        innermost ancestor reuse the chain."""
+        parents = anc.parents()
+        anc_starts = anc.starts
+        anc_ends = anc.ends
+        anc_bounds = anc.bounds
+        desc_bounds = desc.bounds
+        out_extend = out.extend
+        cached_top = -2
+        enclosing: list[int] = []
+        for group in range(len(desc)):
+            d_start = desc.starts[group]
+            top = bisect_left(anc_starts, d_start) - 1
+            while top >= 0 and anc_ends[top] < d_start:
+                top = parents[top]
+            if top < 0:
+                continue
+            if top != cached_top:
+                enclosing = []
+                node = top
+                while node >= 0:
+                    enclosing.append(node)
+                    node = parents[node]
+                enclosing.reverse()  # stack bottom (outermost) first
+                cached_top = top
+            d_end = desc.ends[group]
+            d_rows = desc_rows[desc_bounds[group]:
+                               desc_bounds[group + 1]]
+            for entry in enclosing:
+                if anc_ends[entry] < d_end:
+                    continue
+                a_rows = anc_rows[anc_bounds[entry]:
+                                  anc_bounds[entry + 1]]
+                # emission order: descendant tuple outer, ancestor
+                # inner — the maps below keep all per-pair work in
+                # C (no Python frame per output tuple)
+                if len(a_rows) == 1:
+                    out_extend(map(a_rows[0].__add__, d_rows))
+                else:
+                    for desc_tuple in d_rows:
+                        out_extend(map(add, a_rows,
+                                       repeat(desc_tuple)))
+            if bound and len(out) >= bound:
+                yield from self._cut(out, bound)
+                bound = BLOCK_ROWS
 
 
 class BlockStackTreeAncJoin(_BlockJoinBase):

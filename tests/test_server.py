@@ -643,6 +643,23 @@ class TestRowBatches:
         assert buffered["bindings"] == [line["b"]
                                         for line in lines[1:-1]]
 
+    def test_a_limited_page_builds_one_row_past_it(self, server,
+                                                  monkeypatch):
+        """``limit=20`` asks the engine for 21 rows as its first
+        block — the page and the row that says it is truncated — not
+        one row and then a whole ``BLOCK_ROWS`` block (257 rows)."""
+        instance, host, port = server
+        streams = capture_streams(monkeypatch, instance.database)
+        _, chunks = stream_chunks(
+            host, port, "/query?xpath=//employee&stream=1&limit=20")
+        lines = all_lines(chunks)
+        assert len(lines) - 2 == 20 and lines[-1]["truncated"] is True
+        total = run(fetch(host, port, "GET",
+                          "/query?xpath=//employee")).json()["rows"]
+        assert total == 478
+        assert streams[0].produced == 21
+        assert streams[0].finished and not streams[0].exhausted
+
     @pytest.mark.parametrize("engine", ["", "block", "tuple"])
     def test_limit_is_exact_across_block_boundaries(self, server,
                                                     monkeypatch, engine):
