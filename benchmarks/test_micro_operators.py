@@ -3,15 +3,18 @@
 Not a paper artifact, but the foundation the tables stand on: index
 scan throughput, Stack-Tree-Desc vs. Stack-Tree-Anc vs. the quadratic
 nested-loop baseline, and sort cost.  pytest-benchmark gives stable
-per-operator timings here.  The block engine's Stack-Tree-Desc is
-timed on the four shapes its join tells apart: non-nesting and
-nesting ancestors, each on the CHILD and the DESCENDANT axis.
+per-operator timings here.  The block engine's two Stack-Tree joins
+are timed on the four shapes Stack-Tree-Desc tells apart (non-nesting
+and nesting ancestors, each on the CHILD and the DESCENDANT axis) and
+on Mbench's ``eNest//eNest`` self-join, each asserting its tuple
+twin's row count.
 """
 
 import pytest
 
 from repro.core.pattern import Axis, PatternNode
-from repro.engine.blocks import BlockIndexScan, BlockStackTreeDescJoin
+from repro.engine.blocks import (BlockIndexScan, BlockStackTreeAncJoin,
+                                 BlockStackTreeDescJoin)
 from repro.engine.context import EngineContext
 from repro.engine.nestedloop import NestedLoopJoin
 from repro.engine.scan import IndexScan
@@ -90,26 +93,43 @@ class TestJoins:
         benchmark.extra_info["output_tuples"] = count
 
 
-class TestBlockStackTreeDesc:
+#: each block Stack-Tree join and the tuple join whose row count it
+#: must match
+TWINS = {BlockStackTreeDescJoin: StackTreeDescJoin,
+         BlockStackTreeAncJoin: StackTreeAncJoin}
+
+
+def scan_join(database, scan, join, ancestor, descendant, axis):
+    ctx = engine(database)
+    return join(scan(PatternNode(0, ancestor), ctx),
+                scan(PatternNode(1, descendant), ctx), 0, 1, axis)
+
+
+@pytest.mark.parametrize("join", list(TWINS), ids=["desc", "anc"])
+class TestBlockStackTreeJoins:
     @pytest.mark.parametrize("ancestor,descendant,axis", [
         ("employee", "name", Axis.CHILD),        # non-nesting
         ("employee", "name", Axis.DESCENDANT),   # non-nesting
         ("manager", "employee", Axis.CHILD),     # nesting
-        ("manager", "employee", Axis.DESCENDANT),  # nesting: chain walk
+        ("manager", "employee", Axis.DESCENDANT),  # nesting: windows
     ])
-    def test_join(self, benchmark, pers_db, ancestor, descendant, axis):
-        def joined(scan, join):
-            ctx = engine(pers_db)
-            return join(scan(PatternNode(0, ancestor), ctx),
-                        scan(PatternNode(1, descendant), ctx),
-                        0, 1, axis)
+    def test_join(self, benchmark, pers_db, join, ancestor, descendant,
+                  axis):
+        self.check(benchmark, pers_db, join, ancestor, descendant, axis)
 
+    def test_self_join_enest(self, benchmark, mbench_db, join):
+        self.check(benchmark, mbench_db, join, "eNest", "eNest",
+                   Axis.DESCENDANT)
+
+    @staticmethod
+    def check(benchmark, database, join, ancestor, descendant, axis):
         def run():
-            join = joined(BlockIndexScan, BlockStackTreeDescJoin)
-            return len(join.block())
+            return len(scan_join(database, BlockIndexScan, join,
+                                 ancestor, descendant, axis).block())
 
         count = benchmark(run)
-        assert count == drain(joined(IndexScan, StackTreeDescJoin)) > 0
+        assert count == drain(scan_join(database, IndexScan, TWINS[join],
+                                        ancestor, descendant, axis)) > 0
         benchmark.extra_info["output_tuples"] = count
 
 

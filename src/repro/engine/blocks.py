@@ -49,17 +49,18 @@ that regions of one tree either nest or are disjoint; how each join
 uses it is in :class:`BlockStackTreeDescJoin` and
 :class:`BlockStackTreeAncJoin`.
 
-Stack-Tree-Desc, the join every DPP plan of the paper's and the
-served queries uses, runs without a Python frame per descendant group
-wherever a group has at most one partner ancestor group: on the CHILD
-axis always, on the DESCENDANT axis when no ancestor group encloses
-another.  There every group's partner is found, and every output row
-built, by C-level passes over the packed columns — ``bisect`` under
-``map``, ``compress`` over the end and level tests, ``tuple.__add__``
-under ``map`` — so its cost is the paper's: linear in its inputs and
-its output, with no interpreter loop per group.  Only the DESCENDANT
-axis over nesting ancestors keeps a per-group chain walk, because a
-group there joins every enclosing ancestor, a chain of any length.
+Both Stack-Tree joins are two steps over the packed columns: find the
+joining (ancestor group, descendant group) pairs as int lists, then
+build their rows in one emission loop they share
+(:meth:`_BlockJoinBase._emit`).  Every step is a C-level pass —
+``bisect`` under ``map``, ``range`` windows, ``compress`` over the end
+and level tests, ``tuple.__add__`` under ``map`` — so a join's cost is
+the paper's, linear in its inputs and its output, with no interpreter
+loop per group.  The one exception is Stack-Tree-Desc's CHILD-axis
+climb over nesting ancestors, which runs in Python for the descendants
+whose predecessor closed before them.  The two joins find the same
+pairs and differ only in their order and in which side's tuple varies
+slowest.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class ColumnGroups:
     ``bounds[i]:bounds[i + 1]`` is group *i*'s row range (``bounds``
     therefore also gives cumulative row counts).  :meth:`parents`
     lazily computes, per group, the index of the nearest enclosing
-    group to its left, or -1.
+    group to its left, or -1: what Stack-Tree-Desc's CHILD-axis climb
+    walks.
     """
 
     __slots__ = ("starts", "ends", "levels", "bounds", "_parents")
@@ -352,13 +354,23 @@ class BlockSort(BlockOperator):
 
 
 class _BlockJoinBase(BlockOperator):
-    """Shared setup of the block join operators.
+    """Shared setup of the block join operators, and the Stack-Tree
+    joins' one emission loop.
 
-    A join has one emission loop, :meth:`_emit`: given a *bound* it
-    hands its ``out`` list over at group boundaries (:meth:`_cut`) and
-    ends with what is left; given none it yields once, the whole
-    output — the block an inner operator, or a buffered run, asks for.
+    A Stack-Tree join is two steps.  :meth:`_pairs` finds the joining
+    (ancestor group, descendant group) pairs as two int lists, in the
+    join's output order; :meth:`_emit` builds their rows slice by
+    slice (:func:`_pair_rows`) and, given a *bound*, hands its ``out``
+    list over as blocks (:meth:`_cut`) and ends with what is left;
+    given none it yields once, the whole output — the block an inner
+    operator, or a buffered run, asks for.  The two joins differ only
+    in their pair order and in which side's tuple varies slowest
+    (:attr:`ancestor_outer`).
     """
+
+    #: Stack-Tree-Anc: ancestor tuple outer, and its output is what
+    #: the tuple engine buffers; Stack-Tree-Desc: descendant outer
+    ancestor_outer = False
 
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
@@ -399,15 +411,6 @@ class _BlockJoinBase(BlockOperator):
         self._columns = {**anc_block.columns, **desc_block.columns}
         return anc_block, desc_block
 
-    def _inputs(self) -> tuple[TupleBlock, ColumnGroups,
-                               TupleBlock, ColumnGroups]:
-        anc_block, desc_block = self._input_blocks()
-        return (anc_block,
-                anc_block.grouped(self.ancestor_node, "ancestor input"),
-                desc_block,
-                desc_block.grouped(self.descendant_node,
-                                   "descendant input"))
-
     def _charge_pushes(self, anc: ColumnGroups,
                        desc: ColumnGroups) -> None:
         """Bulk ``stack_tuple_ops`` charge.
@@ -419,6 +422,86 @@ class _BlockJoinBase(BlockOperator):
         """
         pushed = bisect_left(anc.starts, desc.starts[-1])
         self.metrics.stack_tuple_ops += anc.bounds[pushed]
+
+    def _pairs(self, anc: ColumnGroups, desc: ColumnGroups
+               ) -> tuple[list[int], list[int]]:
+        """The joining pairs: ancestor groups and descendant groups,
+        pair by pair in output order."""
+        raise NotImplementedError
+
+    def _windows(self, anc: ColumnGroups, desc: ColumnGroups
+                 ) -> tuple[list[int], list[int]]:
+        """Every joining pair, ancestor-major: the tuple engine's
+        stack condition.  The descendant groups that start in
+        ``(a.start, a.end]`` are one ``bisect`` window per ancestor
+        group *a*, listed by ``range``; the end test (and on the CHILD
+        axis the level test) filters them."""
+        # bisect and index lists: an array boxes an int per probe
+        starts = list(desc.starts)
+        lows = list(map(bisect_right, repeat(starts), anc.starts))
+        highs = list(map(bisect_right, repeat(starts), anc.ends))
+        sizes = list(map(sub, highs, lows))
+        partners = list(chain.from_iterable(map(repeat, range(len(anc)),
+                                                sizes)))
+        groups = list(chain.from_iterable(map(range, lows, highs)))
+        keep = map(ge, chain.from_iterable(map(repeat, anc.ends, sizes)),
+                   map(list(desc.ends).__getitem__, groups))
+        if self.axis is Axis.CHILD:
+            parent_levels = list(map(sub, desc.levels, repeat(1)))
+            keep = map(and_, keep, map(
+                eq, chain.from_iterable(map(repeat, anc.levels, sizes)),
+                map(parent_levels.__getitem__, groups)))
+        kept = list(keep)
+        return (list(compress(partners, kept)),
+                list(compress(groups, kept)))
+
+    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
+        """Build the rows of :meth:`_pairs` a slice of pairs at a time.
+        Given a *bound*, each slice is cut where the output passes
+        what the next block needs: the group sizes give that count
+        before any row is built, so the first block leaves before the
+        rest is joined."""
+        self.metrics.join_count += 1
+        anc_block, desc_block = self._input_blocks()
+        anc = anc_block.grouped(self.ancestor_node, "ancestor input")
+        desc = desc_block.grouped(self.descendant_node,
+                                  "descendant input")
+        out: list[LabelRow] = []
+        if len(anc) and len(desc):
+            self._charge_pushes(anc, desc)
+            partners, groups = self._pairs(anc, desc)
+            anc_rows = anc_block.rows
+            desc_rows = desc_block.rows
+            anc_spans = _spans(anc, anc_rows)
+            desc_spans = _spans(desc, desc_rows)
+            total = len(groups)
+            if anc_spans is None and desc_spans is None:
+                cumulative: Sequence[int] = range(1, total + 1)
+            else:
+                cumulative = list(accumulate(map(
+                    mul, _row_counts(anc_spans, partners),
+                    _row_counts(desc_spans, groups))))
+            done = 0
+            while done < total:
+                stop = total
+                if bound:
+                    needed = bound - len(out)
+                    if done:
+                        needed += cumulative[done - 1]
+                    stop = min(bisect_left(cumulative, needed, done) + 1,
+                               total)
+                out.extend(_pair_rows(anc_rows, anc_spans,
+                                      partners[done:stop], desc_rows,
+                                      desc_spans, groups[done:stop],
+                                      self.ancestor_outer))
+                done = stop
+                if bound and len(out) >= bound:
+                    yield from self._cut(out, bound)
+                    bound = BLOCK_ROWS
+            if self.ancestor_outer and total:
+                self.metrics.buffered_results += cumulative[-1]
+        self.metrics.output_tuples += len(out)
+        yield out
 
 
 def _spans(groups: ColumnGroups, rows: list[LabelRow]
@@ -440,36 +523,49 @@ def _row_counts(spans: tuple[Sequence[int], Sequence[int]] | None,
                map(lows.__getitem__, kept))
 
 
-def _partner_rows(anc_rows: list[LabelRow],
-                  anc_spans: tuple[Sequence[int], Sequence[int]] | None,
-                  partners: list[int], desc_rows: list[LabelRow],
-                  desc_spans: tuple[Sequence[int], Sequence[int]] | None,
-                  groups: list[int]) -> Iterator[LabelRow]:
-    """The output of descendant *groups* joined with their *partners*
-    in emission order — descendant tuple outer, ancestor tuple inner —
-    as C-level maps: no Python frame per group or per row."""
-    if anc_spans is None:
-        heads = map(anc_rows.__getitem__, partners)
+def _pair_rows(anc_rows: list[LabelRow],
+               anc_spans: tuple[Sequence[int], Sequence[int]] | None,
+               partners: list[int], desc_rows: list[LabelRow],
+               desc_spans: tuple[Sequence[int], Sequence[int]] | None,
+               groups: list[int], ancestor_outer: bool
+               ) -> Iterator[LabelRow]:
+    """The rows of the pairs (*partners*[i], *groups*[i]) in emission
+    order — per pair, the outer side's tuple varies slowest: the
+    ancestor's if *ancestor_outer*, else the descendant's — as C-level
+    maps: no Python frame per pair or per row.  A row is always the
+    ancestor tuple plus the descendant tuple."""
+    outer_side = (anc_rows, anc_spans, partners)
+    inner_side = (desc_rows, desc_spans, groups)
+    if not ancestor_outer:
+        outer_side, inner_side = inner_side, outer_side
+    rows, spans, kept = inner_side
+    if spans is None:
+        inner = map(rows.__getitem__, kept)
     else:
-        lows, highs = anc_spans
-        heads = map(anc_rows.__getitem__,
-                    map(slice, map(lows.__getitem__, partners),
-                        map(highs.__getitem__, partners)))
-    if desc_spans is None:
-        tails = map(desc_rows.__getitem__, groups)
+        lows, highs = spans
+        inner = map(rows.__getitem__,
+                    map(slice, map(lows.__getitem__, kept),
+                        map(highs.__getitem__, kept)))
+    rows, spans, kept = outer_side
+    if spans is None:
+        outer = map(rows.__getitem__, kept)
     else:
-        lows, highs = desc_spans
-        lows = list(map(lows.__getitem__, groups))
-        highs = list(map(highs.__getitem__, groups))
-        tails = chain.from_iterable(
-            map(desc_rows.__getitem__, map(slice, lows, highs)))
-        # every row of a descendant group meets the group's partner
-        heads = chain.from_iterable(
-            map(repeat, heads, map(sub, highs, lows)))
-    if anc_spans is None:
-        return map(add, heads, tails)
-    return chain.from_iterable(
-        map(map, repeat(add), heads, map(repeat, tails)))
+        lows, highs = spans
+        lows = list(map(lows.__getitem__, kept))
+        highs = list(map(highs.__getitem__, kept))
+        outer = chain.from_iterable(
+            map(rows.__getitem__, map(slice, lows, highs)))
+        # every row of an outer group meets the pair's inner group
+        inner = chain.from_iterable(
+            map(repeat, inner, map(sub, highs, lows)))
+    grouped = inner_side[1] is not None
+    if grouped:
+        # each outer tuple meets every tuple of the inner group
+        outer = map(repeat, outer)
+    pairs = (outer, inner) if ancestor_outer else (inner, outer)
+    if grouped:
+        return chain.from_iterable(map(map, repeat(add), *pairs))
+    return map(add, *pairs)
 
 
 class BlockStackTreeDescJoin(_BlockJoinBase):
@@ -477,11 +573,10 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
 
     Per descendant group, the tuple engine's live stack is exactly the
     chain of ancestor groups enclosing the descendant's start, and the
-    group joins every entry of it that passes the axis test.  Where a
-    descendant group can have at most one such *partner*, the join
-    finds every group's partner, and builds every output row, in
-    C-level passes over the packed columns (:meth:`_partners`,
-    :func:`_partner_rows`) — no Python frame per group or per row:
+    group joins every entry of it that passes the axis test, outermost
+    first.  Where a descendant group can have at most one such
+    *partner*, :meth:`_partners` finds every group's partner in C-level
+    passes over the packed columns:
 
     * on the CHILD axis, always: the partner can only be the
       descendant's parent node, the innermost enclosing ancestor group,
@@ -493,9 +588,10 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
       the predecessor, the group that starts last before the
       descendant.
 
-    The DESCENDANT axis over nesting ancestors (``manager//…`` in
-    Pers) keeps the chain walk (:meth:`_walk_chains`): there a
-    descendant joins every enclosing group, a chain of any length.
+    On the DESCENDANT axis over nesting ancestors (``manager//…`` in
+    Pers) a descendant joins every enclosing group, a chain of any
+    length: the pairs are Stack-Tree-Anc's windows (:meth:`_windows`),
+    put in descendant order by a stable sort of their indexes.
     """
 
     def __init__(self, ancestor_input: BlockOperator,
@@ -506,29 +602,23 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
                          ancestor_node, descendant_node, axis,
                          ordered_by=descendant_node)
 
-    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
-        self.metrics.join_count += 1
-        anc_block, anc, desc_block, desc = self._inputs()
-        out: list[LabelRow] = []
-        if len(anc) and len(desc):
-            self._charge_pushes(anc, desc)
-            nesting = not all(map(lt, anc.ends,
-                                  islice(anc.starts, 1, None)))
-            if nesting and self.axis is Axis.DESCENDANT:
-                yield from self._walk_chains(anc_block.rows, anc,
-                                             desc_block.rows, desc,
-                                             out, bound)
-            else:
-                yield from self._join_partners(anc_block.rows, anc,
-                                               desc_block.rows, desc,
-                                               nesting, out, bound)
-        self.metrics.output_tuples += len(out)
-        yield out
+    def _pairs(self, anc: ColumnGroups, desc: ColumnGroups
+               ) -> tuple[list[int], list[int]]:
+        nesting = not all(map(lt, anc.ends, islice(anc.starts, 1, None)))
+        if not nesting or self.axis is Axis.CHILD:
+            return self._partners(anc, desc, nesting)
+        partners, groups = self._windows(anc, desc)
+        # descendant-major, outermost ancestor first (the tuple
+        # engine's stack order): a stable sort of the pair indexes by
+        # descendant group keeps each group's partners in window order
+        order = sorted(range(len(groups)), key=groups.__getitem__)
+        return (list(map(partners.__getitem__, order)),
+                list(map(groups.__getitem__, order)))
 
     def _partners(self, anc: ColumnGroups, desc: ColumnGroups,
                   nesting: bool) -> tuple[list[int], list[int]]:
-        """The descendant groups that have a partner, and each one's
-        partner ancestor group, both in descendant order."""
+        """The partner ancestor group of every descendant group that
+        has one, and those descendant groups, in descendant order."""
         # the predecessor: the last ancestor group that starts before
         # the descendant (bisect over a list: an array boxes an int
         # per probe); -1 (none) reads the trailing sentinels, which
@@ -560,99 +650,8 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
                        map(eq, map(levels.__getitem__, found),
                            map(sub, desc.levels, repeat(1))))
         kept = list(keep)
-        return (list(compress(range(len(found)), kept)),
-                list(compress(found, kept)))
-
-    def _join_partners(self, anc_rows: list[LabelRow],
-                       anc: ColumnGroups, desc_rows: list[LabelRow],
-                       desc: ColumnGroups, nesting: bool,
-                       out: list[LabelRow], bound: int | None
-                       ) -> Iterator[list[LabelRow]]:
-        """Join every descendant group with its one partner.  Given a
-        *bound*, rows are built a slice of groups at a time, each
-        slice cut where the output passes what the next block needs:
-        the group sizes give that count before any row is built, so
-        the first block leaves before the rest is joined."""
-        groups, partners = self._partners(anc, desc, nesting)
-        total = len(groups)
-        anc_spans = _spans(anc, anc_rows)
-        desc_spans = _spans(desc, desc_rows)
-        if anc_spans is None and desc_spans is None:
-            cumulative: Sequence[int] = range(1, total + 1)
-        else:
-            cumulative = list(accumulate(map(
-                mul, _row_counts(anc_spans, partners),
-                _row_counts(desc_spans, groups))))
-        done = 0
-        while done < total:
-            stop = total
-            if bound:
-                needed = bound - len(out)
-                if done:
-                    needed += cumulative[done - 1]
-                stop = min(bisect_left(cumulative, needed, done) + 1,
-                           total)
-            out.extend(_partner_rows(anc_rows, anc_spans,
-                                     partners[done:stop], desc_rows,
-                                     desc_spans, groups[done:stop]))
-            done = stop
-            if bound and len(out) >= bound:
-                yield from self._cut(out, bound)
-                bound = BLOCK_ROWS
-
-    def _walk_chains(self, anc_rows: list[LabelRow], anc: ColumnGroups,
-                     desc_rows: list[LabelRow], desc: ColumnGroups,
-                     out: list[LabelRow], bound: int | None
-                     ) -> Iterator[list[LabelRow]]:
-        """The DESCENDANT axis over nesting ancestors: per descendant
-        group, the enclosing chain — the ``bisect`` predecessor of its
-        start, climbed through :meth:`ColumnGroups.parents` past
-        groups that ended too early, then out to the chain's root —
-        joined entry by entry.  Consecutive descendants under the same
-        innermost ancestor reuse the chain."""
-        parents = anc.parents()
-        anc_starts = anc.starts
-        anc_ends = anc.ends
-        anc_bounds = anc.bounds
-        desc_bounds = desc.bounds
-        out_extend = out.extend
-        cached_top = -2
-        enclosing: list[int] = []
-        for group in range(len(desc)):
-            d_start = desc.starts[group]
-            top = bisect_left(anc_starts, d_start) - 1
-            while top >= 0 and anc_ends[top] < d_start:
-                top = parents[top]
-            if top < 0:
-                continue
-            if top != cached_top:
-                enclosing = []
-                node = top
-                while node >= 0:
-                    enclosing.append(node)
-                    node = parents[node]
-                enclosing.reverse()  # stack bottom (outermost) first
-                cached_top = top
-            d_end = desc.ends[group]
-            d_rows = desc_rows[desc_bounds[group]:
-                               desc_bounds[group + 1]]
-            for entry in enclosing:
-                if anc_ends[entry] < d_end:
-                    continue
-                a_rows = anc_rows[anc_bounds[entry]:
-                                  anc_bounds[entry + 1]]
-                # emission order: descendant tuple outer, ancestor
-                # inner — the maps below keep all per-pair work in
-                # C (no Python frame per output tuple)
-                if len(a_rows) == 1:
-                    out_extend(map(a_rows[0].__add__, d_rows))
-                else:
-                    for desc_tuple in d_rows:
-                        out_extend(map(add, a_rows,
-                                       repeat(desc_tuple)))
-            if bound and len(out) >= bound:
-                yield from self._cut(out, bound)
-                bound = BLOCK_ROWS
+        return (list(compress(found, kept)),
+                list(compress(range(len(found)), kept)))
 
 
 class BlockStackTreeAncJoin(_BlockJoinBase):
@@ -661,10 +660,12 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
     The tuple engine buffers results in self/inherit lists and emits
     them as ancestors pop; the net effect is preorder by ancestor
     group, each group's own pairs before those of the groups nested
-    inside it.  Iterating ancestor groups in start order reproduces
-    that order directly, and each group's matching descendant groups
-    are one contiguous ``bisect`` window of the descendant column.
+    inside it — exactly the order in which :meth:`_windows` lists the
+    pairs — and every output row is buffered once
+    (``buffered_results``).
     """
+
+    ancestor_outer = True
 
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
@@ -674,55 +675,9 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
                          ancestor_node, descendant_node, axis,
                          ordered_by=ancestor_node)
 
-    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
-        self.metrics.join_count += 1
-        anc_block, anc, desc_block, desc = self._inputs()
-        out: list[LabelRow] = []
-        if len(anc) and len(desc):
-            self._charge_pushes(anc, desc)
-            child_axis = self.axis is Axis.CHILD
-            anc_rows = anc_block.rows
-            desc_rows = desc_block.rows
-            desc_starts = desc.starts
-            desc_ends = desc.ends
-            desc_levels = desc.levels
-            desc_bounds = desc.bounds
-            group_count = len(desc)
-            buffered = 0
-            out_extend = out.extend
-            # Only pushed groups (start before the last descendant's
-            # start) can hold matches; later groups have no descendant
-            # strictly after their start.
-            pushed = bisect_left(anc.starts, desc_starts[-1])
-            for group in range(pushed):
-                a_start = anc.starts[group]
-                a_end = anc.ends[group]
-                window = bisect_right(desc_starts, a_start)
-                if window >= group_count or desc_starts[window] > a_end:
-                    continue
-                stop = bisect_right(desc_starts, a_end, window)
-                a_rows = anc_rows[anc.bounds[group]:
-                                  anc.bounds[group + 1]]
-                a_len = len(a_rows)
-                a_level = anc.levels[group]
-                for inner in range(window, stop):
-                    if desc_ends[inner] > a_end:
-                        continue
-                    if child_axis and a_level + 1 != desc_levels[inner]:
-                        continue
-                    d_rows = desc_rows[desc_bounds[inner]:
-                                       desc_bounds[inner + 1]]
-                    buffered += a_len * len(d_rows)
-                    # emission order: ancestor tuple outer, descendant
-                    # inner, all per-pair work in C
-                    for anc_tuple in a_rows:
-                        out_extend(map(anc_tuple.__add__, d_rows))
-                    if bound and len(out) >= bound:
-                        yield from self._cut(out, bound)
-                        bound = BLOCK_ROWS
-            self.metrics.buffered_results += buffered
-        self.metrics.output_tuples += len(out)
-        yield out
+    def _pairs(self, anc: ColumnGroups, desc: ColumnGroups
+               ) -> tuple[list[int], list[int]]:
+        return self._windows(anc, desc)
 
 
 class BlockNestedLoopJoin(_BlockJoinBase):

@@ -3,10 +3,11 @@
 The randomized cross-check of whole plans lives in
 ``test_differential.py``; here the block operators are pinned down on
 hand-written edge cases (empty inputs, fully nested runs, disjoint
-runs — the shapes the skip-ahead logic jumps over), Stack-Tree-Desc's
-partner passes and chain walk by a property over nesting and
-non-nesting trees, and the storage additions backing the engine
-(posting decode cache, batched index build) get direct coverage.
+runs — the shapes the skip-ahead logic jumps over), both Stack-Tree
+joins' pair finders and their one emission loop by a property over
+nesting and non-nesting trees, and the storage additions backing the
+engine (posting decode cache, batched index build) get direct
+coverage.
 """
 
 import gc
@@ -31,7 +32,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.postings import RegionBlock
 from repro.storage.tagindex import TagIndex
-from repro.workloads import dblp_document, fold_document
+from repro.workloads import dblp_document, fold_document, mbench_document
 from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
 from tests.test_executor import blocking_plan, fully_pipelined_plan
@@ -64,8 +65,9 @@ def pair_plan(algorithm: JoinAlgorithm, axis: Axis):
 
 
 #: edge-case document shapes for the skip-ahead paths: runs the join
-#: must jump over (disjoint, before, after), fully nested chains the
-#: Desc join's parent-chain climb walks, and repeated starts.
+#: must jump over (disjoint, before, after), fully nested chains (the
+#: windows every enclosing ancestor joins through, and Stack-Tree-Desc's
+#: CHILD-axis climb), and repeated starts.
 EDGE_DOCUMENTS = {
     "absent-desc": "<r><a/><a><a/></a></r>",
     "absent-anc": "<r><b/><b><b/></b></r>",
@@ -116,7 +118,7 @@ def test_wildcard_and_predicate_parity(small_database):
         assert_engines_agree(small_database, plan, pattern)
 
 
-# -- Stack-Tree-Desc: partner passes and chain walk ------------------------
+# -- Stack-Tree joins: pair finders and the one emission loop -------------
 
 #: the property's tag alphabet; which of them may recur under
 #: themselves is drawn per document
@@ -158,11 +160,12 @@ def nesting_documents(draw, max_nodes):
 
 
 @st.composite
-def desc_join_plans(draw):
+def stack_tree_plans(draw):
     """A 2–4 node pattern over :data:`TAGS` with ``/`` and ``//``
-    edges, and a plan of Stack-Tree-Desc joins in a drawn edge order,
-    with a sort wherever an input is not ordered by its join node —
-    so inner results reach later joins as multi-row groups."""
+    edges, and a plan of Stack-Tree joins — each drawn Desc or Anc —
+    in a drawn edge order, with a sort wherever an input is not
+    ordered by its join node — so inner results reach later joins as
+    multi-row groups."""
     size = draw(st.integers(min_value=2, max_value=4))
     nodes = [draw(st.sampled_from(TAGS)) for _ in range(size)]
     edges = [(draw(st.integers(min_value=0, max_value=child - 1)), child,
@@ -180,11 +183,13 @@ def desc_join_plans(draw):
             anc_plan = SortPlan(anc_plan, edge.parent)
         if desc_order != edge.child:
             desc_plan = SortPlan(desc_plan, edge.child)
+        algorithm = draw(st.sampled_from((JoinAlgorithm.STACK_TREE_DESC,
+                                          JoinAlgorithm.STACK_TREE_ANC)))
         fragments[anc_key | desc_key] = (
             StructuralJoinPlan(anc_plan, desc_plan, edge.parent,
-                               edge.child, edge.axis,
-                               JoinAlgorithm.STACK_TREE_DESC),
-            edge.child)
+                               edge.child, edge.axis, algorithm),
+            edge.parent if algorithm is JoinAlgorithm.STACK_TREE_ANC
+            else edge.child)
     (plan, _), = fragments.values()
     return pattern, plan
 
@@ -199,7 +204,7 @@ def block_sizes(total, first, cap):
     return sizes
 
 
-def check_desc_join_parity(document, pattern_and_plan):
+def check_join_parity(document, pattern_and_plan):
     """Block engine == tuple engine in rows, row order and counters,
     and every bounded read is the same rows in exactly the contract's
     block sizes — at the real cap and at a cap of 3, which cuts
@@ -219,46 +224,54 @@ def check_desc_join_parity(document, pattern_and_plan):
                     len(reference), first, cap)
 
 
-@given(nesting_documents(max_nodes=40), desc_join_plans())
+@given(nesting_documents(max_nodes=40), stack_tree_plans())
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_desc_join_parity_property(document, pattern_and_plan):
-    check_desc_join_parity(document, pattern_and_plan)
+def test_join_parity_property(document, pattern_and_plan):
+    check_join_parity(document, pattern_and_plan)
 
 
 @pytest.mark.slow
-@given(nesting_documents(max_nodes=160), desc_join_plans())
+@given(nesting_documents(max_nodes=160), stack_tree_plans())
 @settings(max_examples=600, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-def test_desc_join_parity_property_wide(document, pattern_and_plan):
-    check_desc_join_parity(document, pattern_and_plan)
+def test_join_parity_property_wide(document, pattern_and_plan):
+    check_join_parity(document, pattern_and_plan)
 
 
 def test_first_block_leaves_before_the_rest_is_joined(monkeypatch):
-    """A root Stack-Tree-Desc over ~21 k rows with non-nesting
-    ancestors: pulling its first row joins one slice of one group,
-    and the rest is joined slice by slice as blocks are read."""
-    database = Database.from_document(
+    """Three roots of over 20 k rows each: a Stack-Tree-Desc over
+    non-nesting ancestors (one partner per descendant group), one over
+    nesting ancestors (windows, put in descendant order) and a
+    Stack-Tree-Anc.  Pulling the first row joins one slice of one
+    pair, and the rest is joined slice by slice as blocks are read."""
+    dblp = Database.from_document(
         fold_document(dblp_document(entries=400, seed=7), 12))
-    pattern = database.compile("//article//*")
-    plan = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0, 1,
-                              Axis.DESCENDANT,
-                              JoinAlgorithm.STACK_TREE_DESC)
+    mbench = Database.from_document(
+        fold_document(mbench_document(target_nodes=3000, seed=42), 8))
     slices = []
-    partner_rows = blocks._partner_rows
+    pair_rows = blocks._pair_rows
 
     def counted(*args):
-        slices.append(len(args[-1]))  # descendant groups joined
-        return partner_rows(*args)
+        slices.append(len(args[2]))  # pairs joined
+        return pair_rows(*args)
 
-    monkeypatch.setattr(blocks, "_partner_rows", counted)
-    read = database.stream_execute(plan, pattern).blocks()
-    assert len(next(read)) == 1
-    assert slices == [1]
-    rest = list(map(len, read))
-    assert 1 + sum(rest) >= 20_000
-    # one row per group here, so each slice is exactly one block
-    assert slices == [1, *rest]
+    monkeypatch.setattr(blocks, "_pair_rows", counted)
+    for database, query, algorithm in (
+            (dblp, "//article//*", JoinAlgorithm.STACK_TREE_DESC),
+            (mbench, "//eNest//eNest", JoinAlgorithm.STACK_TREE_DESC),
+            (mbench, "//eNest//eNest", JoinAlgorithm.STACK_TREE_ANC)):
+        pattern = database.compile(query)
+        plan = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0,
+                                  1, Axis.DESCENDANT, algorithm)
+        slices.clear()
+        read = database.stream_execute(plan, pattern).blocks()
+        assert len(next(read)) == 1
+        assert slices == [1]
+        rest = list(map(len, read))
+        assert 1 + sum(rest) >= 20_000
+        # one row per pair here, so each slice is exactly one block
+        assert slices == [1, *rest]
 
 
 # -- label rows -----------------------------------------------------------
