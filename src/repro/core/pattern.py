@@ -310,6 +310,12 @@ class QueryPattern:
             adjacency[edge.child] |= 1 << edge.parent
         return tuple(adjacency)
 
+    @cached_property
+    def signature(self) -> tuple:
+        """:func:`canonical_signature`, computed once: a pattern does
+        not change after it is built."""
+        return node_signatures(self)[self._root]
+
     def edges_within(self, mask: int) -> tuple[PatternEdge, ...]:
         """The edges with both endpoints in the node mask *mask*, in
         :attr:`edges` order (cached per mask)."""
@@ -454,7 +460,7 @@ def canonical_signature(pattern: QueryPattern) -> tuple:
     plans (the final ordering constraint changes which sorts are
     required).
     """
-    return node_signatures(pattern)[pattern.root]
+    return pattern.signature
 
 
 def canonical_ranks(pattern: QueryPattern) -> dict[int, int]:

@@ -434,8 +434,9 @@ class _BlockJoinBase(BlockOperator):
         """Every joining pair, ancestor-major: the tuple engine's
         stack condition.  The descendant groups that start in
         ``(a.start, a.end]`` are one ``bisect`` window per ancestor
-        group *a*, listed by ``range``; the end test (and on the CHILD
-        axis the level test) filters them."""
+        group *a*, listed by ``range``.  Regions nest, so each of them
+        is inside *a*: no end test is needed, and on the CHILD axis
+        the level test filters them."""
         # bisect and index lists: an array boxes an int per probe
         starts = list(desc.starts)
         lows = list(map(bisect_right, repeat(starts), anc.starts))
@@ -444,14 +445,12 @@ class _BlockJoinBase(BlockOperator):
         partners = list(chain.from_iterable(map(repeat, range(len(anc)),
                                                 sizes)))
         groups = list(chain.from_iterable(map(range, lows, highs)))
-        keep = map(ge, chain.from_iterable(map(repeat, anc.ends, sizes)),
-                   map(list(desc.ends).__getitem__, groups))
-        if self.axis is Axis.CHILD:
-            parent_levels = list(map(sub, desc.levels, repeat(1)))
-            keep = map(and_, keep, map(
-                eq, chain.from_iterable(map(repeat, anc.levels, sizes)),
-                map(parent_levels.__getitem__, groups)))
-        kept = list(keep)
+        if self.axis is Axis.DESCENDANT:
+            return partners, groups
+        parent_levels = list(map(sub, desc.levels, repeat(1)))
+        kept = list(map(
+            eq, chain.from_iterable(map(repeat, anc.levels, sizes)),
+            map(parent_levels.__getitem__, groups)))
         return (list(compress(partners, kept)),
                 list(compress(groups, kept)))
 

@@ -29,6 +29,13 @@ never waits for a block to fill, every later one up to its
 ``BLOCK_ROWS``.  One hand-off is one cross-thread wake-up; for a
 streamed response also one encode (in the producer thread) and one
 chunk, write and drain on the loop, for a buffered one an ``extend``.
+The producer's end, and its error, ride on its last block: a full
+block leaves at once, a shorter one is held until the next pull says
+the stream ended with it.  A streamed response of k blocks is k + 1
+hand-offs (its head has one of its own; one more when the result ends
+exactly on a full block), a buffered one k.  The pool job is
+``executor.submit``-ted and the loop waits for it only when it hung up
+before the last hand-off.
 A request with a ``limit`` asks for its page plus one row as its first
 block: that row tells a truncated result from one that just fits, and
 the engine builds no rows past it.
@@ -47,7 +54,8 @@ id — the stitched tree lands in ``/traces`` under that id.  At the
 deadline the response ends with what has been delivered: the consumer
 stops taking hand-offs and hangs up, which wakes a blocked producer
 and makes the executor's cancel predicate (consulted after each block
-is pulled) true, so the operators are closed.  Rows the engine had
+is pulled) true, so the operators are closed; the loop then waits
+for the producer to have closed its stream.  Rows the engine had
 produced but the loop had not yet written (or collected) are
 *dropped*, not flushed, and ``rows`` in the 504 body — or in the
 terminal NDJSON line with ``"cancelled": true`` — counts rows
@@ -57,9 +65,12 @@ gets no terminal line (it could not be delivered either): its
 connection is dropped.  The error-budget burn shows up in ``/slo``
 either way.
 
-Shutdown is one path for every entry point (``repro serve``, tests):
-stop accepting, finish in-flight requests within the drain budget,
-flush the query log, report.  SIGTERM exits
+A connection reads its next request in its own task, under a
+keep-alive timer; the drain cancels the connections that are idle,
+waiting for a request.  Shutdown is one path for every entry point
+(``repro serve``, tests): stop accepting, close idle connections,
+finish in-flight requests within the drain budget, flush the query
+log, report.  SIGTERM exits
 0, SIGINT exits 130, a taken port exits 2 before serving anything.
 """
 
@@ -73,11 +84,12 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Callable
+from typing import IO, Callable, Sequence
 
 from repro.errors import (OptimizerError, PatternError, PlanError,
                           QueryCancelled, UnshardablePatternError,
                           XPathSyntaxError)
+from repro.engine import blocks as engine_blocks
 from repro.engine.executor import StreamingExecution
 from repro.engine.tuples import LabelRow
 from repro.obs.spans import TraceContext
@@ -106,7 +118,6 @@ _TRUTHY = ("1", "true", "yes", "on")
 HANDOFF_DEPTH = 4
 
 _HEAD = "head"  # hand-off item: the stream is open, its schema known
-_END = "end"  # hand-off item: the producer is done (or has failed)
 
 
 @dataclass
@@ -145,12 +156,16 @@ class _QueryParams:
 class _Handoff:
     """The bounded channel from one producer thread to the event loop.
 
-    The producer :meth:`put`\\ s items and blocks while
-    ``HANDOFF_DEPTH`` of them are outstanding; the consumer coroutine
-    :meth:`get`\\ s one, deals with it — for a streamed response that
-    includes waiting for the client — and only then calls
-    :meth:`taken`, so a client slower than the engine throttles the
-    engine.  :meth:`hang_up` is the consumer saying it will take no
+    An item is :data:`_HEAD` (streamed responses only) or ``(rows,
+    payload, last)``: a block's row count, its NDJSON bytes (streamed)
+    or rows (buffered), and whether it is the producer's last
+    hand-off.  Each :meth:`put` is one cross-thread wake-up.  The
+    producer :meth:`put`\\ s items and blocks while ``HANDOFF_DEPTH``
+    of them are outstanding; the consumer coroutine :meth:`get`\\ s
+    one, deals with it — for a streamed response that includes
+    waiting for the client — and only then calls :meth:`taken`, so a
+    client slower than the engine throttles the engine.
+    :meth:`hang_up` is the consumer saying it will take no
     more: it wakes a blocked producer, turns every later ``put`` into
     a no-op and makes :meth:`cancelled` — the executor's cancel
     predicate — true, so the producer's next pull raises
@@ -206,10 +221,12 @@ class _Delivery:
     """How far one ``/query`` response has got, as the loop sees it."""
 
     chunked: "ChunkedWriter | None"  # None: a buffered response
-    stream: "StreamingExecution | None" = None  # set before _HEAD
+    stream: "StreamingExecution | None" = None  # set before a hand-off
+    error: "Exception | None" = None  # set before the last hand-off
     bindings: "list[list[int]]" = field(default_factory=list)
     rows: int = 0  # delivered: written to the client, or collected
     ttfr: "float | None" = None
+    ended: bool = False  # the loop took the producer's last hand-off
     client_gone: bool = False
 
 
@@ -241,6 +258,8 @@ class QueryServer:
         self._server: asyncio.base_events.Server | None = None
         self._shutdown: asyncio.Event | None = None
         self._connections: "set[asyncio.Task]" = set()
+        #: connections waiting for their next request
+        self._idle: "set[asyncio.Task]" = set()
         self._draining = False
         self._started_monotonic = time.monotonic()
         self._requests_inflight = 0
@@ -395,10 +414,11 @@ class QueryServer:
         """Stop accepting, finish in-flight work, flush the query log."""
         assert self._server is not None
         self._server.close()
-        await self._server.wait_closed()
-        # connection handlers observe the shutdown event: idle
-        # keep-alive connections close immediately, busy ones finish
+        # idle keep-alive connections close at once; busy ones finish
         # their current request within the drain budget
+        for task in self._idle:
+            task.cancel()
+        await self._server.wait_closed()
         pending = [task for task in self._connections
                    if not task.done()]
         if pending:
@@ -433,7 +453,7 @@ class QueryServer:
         self._connections.add(task)
         try:
             while True:
-                request = await self._next_request(reader)
+                request = await self._next_request(reader, task)
                 if request is None:
                     break
                 keep = await self._dispatch(request, writer)
@@ -462,26 +482,28 @@ class QueryServer:
             except (ConnectionError, OSError):
                 pass
 
-    async def _next_request(self, reader: asyncio.StreamReader
-                            ) -> HttpRequest | None:
-        """One request, or ``None`` on idle timeout / drain / EOF."""
-        assert self._shutdown is not None
+    async def _next_request(self, reader: asyncio.StreamReader,
+                            task: asyncio.Task) -> HttpRequest | None:
+        """One request, or ``None`` on idle timeout / drain / EOF.
+
+        The connection's own task reads it.  While it waits the
+        connection is idle, and an idle connection is cancelled by
+        the keep-alive timer or by the drain: either means close.
+        """
         if self._draining:
             return None
-        read = asyncio.ensure_future(
-            read_request(reader, self.config.max_body_bytes))
-        drain = asyncio.ensure_future(self._shutdown.wait())
-        done, _ = await asyncio.wait(
-            {read, drain}, timeout=self.config.keep_alive_seconds,
-            return_when=asyncio.FIRST_COMPLETED)
-        if read in done:
-            drain.cancel()
-            return read.result()
-        # idle timeout or drain: abandon the (empty) read
-        read.cancel()
-        drain.cancel()
-        await asyncio.gather(read, drain, return_exceptions=True)
-        return None
+        assert self._loop is not None
+        timer = self._loop.call_later(self.config.keep_alive_seconds,
+                                      task.cancel)
+        self._idle.add(task)
+        try:
+            return await read_request(reader,
+                                      self.config.max_body_bytes)
+        except asyncio.CancelledError:
+            return None
+        finally:
+            self._idle.discard(task)
+            timer.cancel()
 
     async def _dispatch(self, request: HttpRequest,
                         writer: asyncio.StreamWriter) -> bool:
@@ -640,13 +662,18 @@ class QueryServer:
         trace_context = (TraceContext(trace_id=params.trace_id)
                          if params.trace_id else None)
 
-        def flush(block: "list[LabelRow]") -> None:
+        def flush(block: "Sequence[LabelRow]", last: bool = False
+                  ) -> None:
             # a streamed block is encoded here, in the producer
             # thread: the loop only frames and writes it
             handoff.put((len(block), ndjson_rows(block)
-                         if params.stream else block))
+                         if params.stream else block, last))
 
         def produce() -> None:
+            # the end, and an error, ride on the last hand-off: a
+            # block shorter than asked for is held until the next
+            # pull says whether the stream ended with it
+            held: "Sequence[LabelRow]" = ()
             try:
                 if handoff.cancelled():
                     return  # the deadline beat the pool to a thread
@@ -655,30 +682,38 @@ class QueryServer:
                     cancel=handoff.cancelled,
                     trace_context=trace_context)
                 delivery.stream = stream
-                handoff.put(_HEAD)
+                if params.stream:
+                    handoff.put(_HEAD)
                 # a limited request's first block: its page and one row
-                first = params.limit + 1 if params.limit else 1
-                for block in stream.blocks(first):
+                size = params.limit + 1 if params.limit else 1
+                for block in stream.blocks(size):
+                    if held:
+                        flush(held)
+                        held = ()
                     # limit is a slice of the last block; reading on
                     # until it is *passed* tells a truncated result
                     # from one that just fits
                     over = params.limit and stream.produced - params.limit
                     if over > 0:
                         del block[len(block) - over:]
-                    if block:
-                        flush(block)
-                    if over > 0:
                         stream.close()
+                        held = block
                         break
+                    if len(block) < size:
+                        held = block
+                    else:
+                        flush(block)
+                    size = engine_blocks.BLOCK_ROWS
             except QueryCancelled:
                 pass  # the consumer hung up, and knows why
+            except Exception as exc:
+                delivery.error = exc
             finally:
-                handoff.put(_END)
+                flush(held, last=True)
 
         assert self._executor is not None
-        future = loop.run_in_executor(self._executor, produce)
+        job = self._executor.submit(produce)
         timed_out = False
-        error: "Exception | None" = None
         try:
             # the one per-request watchdog: whatever the consumer is
             # waiting for at the deadline -- a pool thread, the
@@ -696,10 +731,11 @@ class QueryServer:
             # deadline, disconnect, server drain or a normal end: the
             # producer never outlives its request
             handoff.hang_up()
-        try:
-            await asyncio.shield(future)
-        except Exception as exc:
-            error = exc
+        if not delivery.ended:
+            # hung up before the last hand-off: the producer may still
+            # hold the stream; it closes it at its next pull
+            await asyncio.wrap_future(job)
+        error = delivery.error
         if delivery.client_gone:
             # nothing more can reach this client; drop what the
             # transport still buffers for it instead of waiting
@@ -715,28 +751,30 @@ class QueryServer:
                        params: _QueryParams, keep: bool,
                        started: float) -> None:
         """Write (or collect) what the producer hands off, one batch
-        per iteration, until end-of-stream or the client is gone."""
+        per iteration, until its last hand-off or the client is
+        gone."""
         chunked = delivery.chunked
         try:
             while True:
                 item = await handoff.get()
-                if item is _END:
-                    return
                 if item is _HEAD:
-                    if chunked is not None:
-                        await self._start_stream(chunked, delivery,
-                                                 params, keep)
+                    await self._start_stream(chunked, delivery, params,
+                                             keep)
                 else:
-                    count, rows = item
-                    if delivery.ttfr is None:
-                        delivery.ttfr = time.perf_counter() - started
-                    if chunked is not None:
-                        await chunked.send(rows)
-                    else:
-                        delivery.bindings += rows
-                    delivery.rows += count
-                    self._http_rows.inc(count)
-                    self._http_batches.inc()
+                    count, rows, last = item
+                    if count:
+                        if delivery.ttfr is None:
+                            delivery.ttfr = time.perf_counter() - started
+                        if chunked is not None:
+                            await chunked.send(rows)
+                        else:
+                            delivery.bindings += rows
+                        delivery.rows += count
+                        self._http_rows.inc(count)
+                        self._http_batches.inc()
+                    if last:
+                        delivery.ended = True
+                        return
                 handoff.taken()
         except (ConnectionError, OSError):
             delivery.client_gone = True

@@ -89,6 +89,10 @@ class QueryService:
         self._engine_totals = ExecutionMetrics(
             factors=database.cost_factors)
         self._sample_clocks = {"trace": 0, "planspace": 0}
+        #: query text -> its compiled pattern, so a repeated text skips
+        #: the XPath front-end and its plan-cache hit finds the very
+        #: pattern the plan was made for
+        self._compiled: dict[str, QueryPattern] = {}
         self._planspace_ring: deque[dict[str, object]] = deque(maxlen=16)
         self._slow_queries: deque[dict[str, object]] = deque(
             maxlen=SLOW_LOG_CAPACITY)
@@ -155,7 +159,12 @@ class QueryService:
 
         Every request — :meth:`query` and the network front-end alike
         — enters here, so 1-in-``trace_sample`` tracing counts on one
-        clock however a request arrived.  Returns the (cached)
+        clock however a request arrived.  A query text is compiled
+        once: its pattern is kept in a map that holds at most the plan
+        cache's capacity of texts, oldest out first, so a repeated
+        text costs a dict probe here and its plan-cache hit hands out
+        the cached plan as it is (the entry was made for this very
+        pattern).  Returns the (cached)
         optimization and the unread
         :meth:`~repro.target.QueryTarget.stream_execute` handle, which
         receives *cancel* and *trace_context* as given; *options* are
@@ -165,12 +174,23 @@ class QueryService:
         latency and what it delivered.
         """
         traced = self._sampled("trace", self.trace_sample)
-        pattern = self.database.compile(query)
+        pattern = (self._compiled.get(query) or self._compile(query)
+                   if isinstance(query, str) else query)
         optimization = self.optimize_cached(pattern, algorithm, **options)
         return optimization, self.database.stream_execute(
             optimization.plan, pattern, cancel=cancel,
             spans=traced, trace_context=trace_context,
             algorithm=algorithm)
+
+    def _compile(self, query: str) -> QueryPattern:
+        """Compile *query* and remember its pattern, the oldest text
+        making room once the plan cache's capacity of them is held."""
+        pattern = self.database.compile(query)
+        with self._mutex:
+            if len(self._compiled) >= self.cache.capacity:
+                del self._compiled[next(iter(self._compiled))]
+            self._compiled[query] = pattern
+        return pattern
 
     def query(self, query: "str | QueryPattern",
               algorithm: str = "DPP",

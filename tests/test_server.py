@@ -363,7 +363,8 @@ class TestAdmissionOverHttp:
 
 
 class TestDeadlines:
-    def test_deadline_cancels_mid_stream_and_releases_slot(self):
+    def test_deadline_cancels_mid_stream_and_releases_slot(
+            self, monkeypatch):
         database = Database.from_document(
             personnel_document(target_nodes=4000, seed=42))
         instance = QueryServer(database, ServerConfig(
@@ -371,19 +372,19 @@ class TestDeadlines:
             tenant_rate=0.0), out=io.StringIO())
         host, port = instance.start()
         try:
-            # measure an uncancelled baseline, then set a deadline
-            # well inside it so cancellation strikes mid-execution
             baseline = run(fetch(
                 host, port, "GET", "/query?xpath=//employee//name"))
             assert baseline.status == 200
-            seconds = baseline.json()["seconds"]
-            deadline_ms = max(0.05, seconds * 1e3 / 20.0)
+            # the producer is held after its first block until the
+            # consumer hangs up, so cancellation strikes mid-execution
+            # however fast the run is
+            hold_producers(monkeypatch, database, after_blocks=1)
 
             slo_before = run(fetch(host, port, "GET", "/slo")).json()
             response = run(fetch(
                 host, port, "GET",
                 f"/query?xpath=//employee//name"
-                f"&timeout_ms={deadline_ms:g}"))
+                f"&timeout_ms={MID_STREAM_DEADLINE_MS}"))
             assert response.status == 504
             payload = response.json()
             assert payload["cancelled"] is True
@@ -769,6 +770,150 @@ class TestRowBatches:
         assert all(reply.status == 200 for reply in replies)
         assert all(rows(reply.body) == rows(expected)
                    for reply in replies)
+
+
+def count_handoffs(monkeypatch):
+    """Every item a producer hands to the loop from here on."""
+    items = []
+    put = app._Handoff.put
+
+    def counting(handoff, item):
+        items.append(item)
+        put(handoff, item)
+
+    monkeypatch.setattr(app._Handoff, "put", counting)
+    return items
+
+
+def watch_pool_jobs(monkeypatch, instance):
+    """The pool jobs the loop waits for from here on: waiting on a
+    ``concurrent.futures.Future`` from a loop registers a callback."""
+    awaited = []
+    submit = instance._executor.submit
+
+    def watched(*args, **kwargs):
+        job = submit(*args, **kwargs)
+        add_done_callback = job.add_done_callback
+
+        def recording(callback):
+            awaited.append(job)
+            add_done_callback(callback)
+
+        job.add_done_callback = recording
+        return job
+
+    monkeypatch.setattr(instance._executor, "submit", watched)
+    return awaited
+
+
+def fail_after_first_block(monkeypatch, database):
+    """From here on a run raises once its first block is out."""
+    original = database.stream_execute
+
+    def failing(*args, cancel, **kwargs):
+        pulls = []
+
+        def check():
+            pulls.append(None)
+            if len(pulls) > 1:
+                raise RuntimeError("the run failed after its head")
+            return cancel()
+
+        return original(*args, cancel=check, **kwargs)
+
+    monkeypatch.setattr(database, "stream_execute", failing)
+
+
+class TestHandoffWakeUps:
+    """A streamed response of k blocks is k + 1 hand-offs, each one
+    cross-thread wake-up: the head, then the blocks, the end riding on
+    the last.  A hand-off of its own for the end and a loop that
+    awaits the pool job's future would make it k + 3."""
+
+    PATH = "/query?xpath=//employee//name"
+
+    def blocks_of(self, rows):
+        return 1 + math.ceil((rows - 1) / blocks.BLOCK_ROWS)
+
+    def test_k_blocks_are_k_plus_one_hand_offs(self, server,
+                                               monkeypatch):
+        instance, host, port = server
+        total = run(fetch(host, port, "GET", self.PATH)).json()["rows"]
+        assert (total - 1) % blocks.BLOCK_ROWS, "the last block is short"
+        items = count_handoffs(monkeypatch)
+        _, chunks = stream_chunks(host, port, self.PATH + "&stream=1")
+        k = self.blocks_of(total)
+        assert k > 1 and len(chunks) == k + 2
+        assert len(items) == k + 1
+        assert items[0] is app._HEAD
+        assert [item[2] for item in items[1:]] == [False] * (k - 1) + [True]
+        assert sum(item[0] for item in items[1:]) == total
+        # a buffered response has no head to hand over
+        del items[:]
+        assert run(fetch(host, port, "GET",
+                         self.PATH)).json()["rows"] == total
+        assert len(items) == k and items[-1][2] is True
+
+    def test_an_empty_result_is_two_hand_offs(self, server,
+                                              monkeypatch):
+        _, host, port = server
+        items = count_handoffs(monkeypatch)
+        _, chunks = stream_chunks(host, port,
+                                  "/query?xpath=//employee//os&stream=1")
+        assert len(chunks) == 2
+        assert items == [app._HEAD, (0, b"", True)]
+
+    def test_a_result_ending_on_a_block_boundary_hands_the_end_alone(
+            self, server, monkeypatch):
+        """A full block may not be the last, so it leaves at once;
+        when it was, the end follows it alone: k + 2."""
+        _, host, port = server
+        total = run(fetch(host, port, "GET", self.PATH)).json()["rows"]
+        monkeypatch.setattr(blocks, "BLOCK_ROWS", total - 1)
+        items = count_handoffs(monkeypatch)
+        lines = all_lines(stream_chunks(host, port,
+                                        self.PATH + "&stream=1")[1])
+        assert lines[-1]["rows"] == total == len(lines) - 2
+        assert [item[:1] + item[2:] for item in items[1:]] \
+            == [(1, False), (total - 1, False), (0, True)]
+
+    def test_a_normal_finish_never_waits_for_the_pool_job(
+            self, server, monkeypatch):
+        instance, host, port = server
+        awaited = watch_pool_jobs(monkeypatch, instance)
+        for extra in ("&stream=1", "", "&stream=1&limit=5", "&limit=5"):
+            response = run(fetch(host, port, "GET", self.PATH + extra))
+            assert response.status == 200
+        run(fetch(host, port, "GET", "/query?xpath=///(("))
+        assert awaited == []
+        # a consumer that hung up before the last hand-off waits for
+        # its producer to close the stream
+        hold_producers(monkeypatch, instance.database, after_blocks=1)
+        response = run(fetch(
+            host, port, "GET",
+            f"{self.PATH}&timeout_ms={MID_STREAM_DEADLINE_MS}"))
+        assert response.status == 504
+        (job,) = awaited
+        assert job.done()
+
+    def test_an_error_after_the_head_still_ends_the_response(
+            self, server, monkeypatch):
+        instance, host, port = server
+        errors = instance.service.snapshot()["errors"]
+        fail_after_first_block(monkeypatch, instance.database)
+        head, chunks = stream_chunks(host, port, self.PATH + "&stream=1")
+        assert head.status == 200
+        lines = all_lines(chunks)
+        assert lines[-1] == {"done": True, "rows": 1,
+                             "error": "the run failed after its head",
+                             "seconds": lines[-1]["seconds"]}
+        assert len(lines) == 3 and set(lines[1]) == {"b"}
+        buffered = run(fetch(host, port, "GET", self.PATH))
+        assert buffered.status == 500
+        assert buffered.json() == {"error": "the run failed after its head",
+                                   "kind": "RuntimeError"}
+        assert instance.service.snapshot()["errors"] == errors + 2
+        wait_until(lambda: instance.admission.snapshot()["inflight"] == 0)
 
 
 def served_rows(host, port, xpath, limit=0):
@@ -1397,6 +1542,60 @@ class TestServerLifecycle:
         assert "serving /query" in text
         assert "draining" in text
         assert "drained: " in text
+
+    @staticmethod
+    def idle_connection(host, port):
+        """A raw keep-alive connection that has been served once."""
+        client = socket.create_connection((host, port), timeout=15.0)
+        client.sendall(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+        received = b""
+        while b"\r\n\r\n" not in received:
+            received += client.recv(65536)
+        head, _, body = received.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"Connection: keep-alive" in head
+        length = int(head.split(b"Content-Length: ")[1].split(b"\r\n")[0])
+        while len(body) < length:
+            body += client.recv(65536)
+        return client
+
+    def test_drain_closes_an_idle_connection_at_once(self):
+        database = Database.from_document(
+            personnel_document(target_nodes=200, seed=42))
+        instance = QueryServer(database, ServerConfig(
+            port=0, drain_seconds=10.0), out=io.StringIO())
+        host, port = instance.start()
+        client = self.idle_connection(host, port)
+        try:
+            began = time.monotonic()
+            instance.stop()
+            # not the drain budget: nothing was in flight
+            assert time.monotonic() - began < 5.0
+            assert not instance._thread.is_alive()
+            assert client.recv(1) == b""
+            assert instance.exit_code == 0
+        finally:
+            client.close()
+
+    def test_an_idle_connection_closes_after_keep_alive(self):
+        database = Database.from_document(
+            personnel_document(target_nodes=200, seed=42))
+        instance = QueryServer(database, ServerConfig(
+            port=0, keep_alive_seconds=0.3), out=io.StringIO())
+        host, port = instance.start()
+        try:
+            client = self.idle_connection(host, port)
+            began = time.monotonic()
+            try:
+                assert client.recv(1) == b""
+            finally:
+                client.close()
+            assert 0.2 < time.monotonic() - began < 10.0
+            # the server stays up
+            assert run(fetch(host, port, "GET", "/healthz")).status == 200
+        finally:
+            instance.stop()
+        assert instance.exit_code == 0
 
     @staticmethod
     def spawn_serve(*flags):

@@ -142,6 +142,71 @@ class TestCanonicalIdentity:
         assert original == replayed
 
 
+class TestCompiledTexts:
+    """``QueryService.stream`` compiles a query text once: a repeated
+    text is the pattern its cached plan was made for."""
+
+    def test_the_same_text_is_the_same_pattern(self, database):
+        service = database.service
+        first = service.query(REPEATED)
+        again = service.query(REPEATED)
+        assert again.optimization.pattern is first.optimization.pattern
+        assert again.optimization.plan is first.optimization.plan
+        assert again.execution.rows == first.execution.rows
+        assert database.stats()["plan_cache"]["hits"] == 1
+
+    def test_the_map_holds_at_most_the_plan_cache_capacity(self,
+                                                          database):
+        service = database.service
+        service.cache = PlanCache(capacity=3)
+        texts = [f"//employee[@id != 'u{index}']/name"
+                 for index in range(8)]
+        for text in texts:
+            service.query(text)
+            assert len(service._compiled) <= 3
+        assert list(service._compiled) == texts[-3:]
+        # an evicted text compiles again, the oldest text making room
+        hot = service._compiled[texts[-1]]
+        service.query(texts[0])
+        assert list(service._compiled) == [*texts[-2:], texts[0]]
+        assert service.query(texts[-1]).optimization.pattern is hot
+
+    def test_an_isomorphic_text_hits_through_the_remap(self, database):
+        service = database.service
+        left = "//manager[./employee/name][./department/name]"
+        right = "//manager[./department/name][./employee/name]"
+        first = service.query(left)
+        second = service.query(right)
+        stats = database.stats()["plan_cache"]
+        assert stats["misses"] == 1 and stats["hits"] == 1
+        assert second.optimization.pattern is not \
+            first.optimization.pattern
+        # the plan was remapped onto the second text's node ids
+        assert second.optimization.plan is not first.optimization.plan
+        assert second.optimization.plan.pattern_nodes() == frozenset(
+            range(len(second.optimization.pattern)))
+        assert sorted(map(sorted, second.execution.rows)) \
+            == sorted(map(sorted, first.execution.rows))
+        assert len(second.execution) > 0
+
+    def test_a_pattern_computes_its_signature_once(self, monkeypatch):
+        from repro.core import pattern as pattern_module
+
+        calls = []
+        original = pattern_module.node_signatures
+
+        def counting(pattern):
+            calls.append(pattern)
+            return original(pattern)
+
+        monkeypatch.setattr(pattern_module, "node_signatures", counting)
+        pattern = compile_xpath(REPEATED)
+        key = cache_key(pattern, "DPP", {}, 1)
+        assert cache_key(pattern, "DPP", {}, 1) == key
+        assert canonical_signature(pattern) == key[0]
+        assert calls == [pattern]
+
+
 # -- concurrency stress -----------------------------------------------------
 
 
