@@ -9,17 +9,24 @@ incrementally (:meth:`BlockOperator.blocks`): its first row, then
 blocks of up to ``BLOCK_ROWS`` rows, leave before it has finished, so
 a block is also the unit that moves from the engine to the wire.
 
-A row is a :data:`~repro.engine.tuples.LabelRow` — a plain tuple of
-start labels — from the scan to the root, and no operator an optimizer
-picks touches a :class:`~repro.document.node.Region` (the quadratic
-oracle join looks its two up).  What a join needs beyond the label (a
-group's end and level) it reads from the scans' packed posting
-columns, which every :class:`TupleBlock` carries per bound pattern
-node (:attr:`TupleBlock.columns`): scans seed the map, joins union
-their inputs' maps, sorts pass it on.  Rows of ints are what keeps a
-big result cheap: CPython's cyclic collector untracks such a tuple on
-its first visit, where a tuple of ``Region`` objects is walked again
-by every full collection for as long as it lives.
+A row is one Python int from the scan to the root: its start labels
+packed ``LABEL_BITS`` apart, the first schema column highest
+(:func:`~repro.engine.tuples.row_shift`), so int order is the labels'
+tuple order.  A scan's rows are its packed start column as it is; a
+join shifts its ancestor input past the descendant's columns once,
+and then a row of its output is one ``add`` of two row ints; grouping
+and sorting read one column with a shift-and-mask pass.  No operator
+an optimizer picks touches a :class:`~repro.document.node.Region`
+(the quadratic oracle join looks its two up).  What a join needs
+beyond the label (a group's end and level) it reads from the scans'
+packed posting columns, which every :class:`TupleBlock` carries per
+bound pattern node (:attr:`TupleBlock.columns`): scans seed the map,
+joins union their inputs' maps, sorts pass it on.  An int is no
+container, so a big intermediate or result gives CPython's cyclic
+collector nothing to count or walk.  The root hands its reader
+:class:`~repro.engine.tuples.PackedRows`: each bounded block flattened
+to one label array as it leaves, a whole unbounded output kept as its
+int list until somebody reads it.
 
 Two invariants tie this engine to the tuple engine in ``scan.py`` /
 ``stackjoin.py`` / ``sort.py`` / ``nestedloop.py``:
@@ -53,13 +60,13 @@ Both Stack-Tree joins are two steps over the packed columns: find the
 joining (ancestor group, descendant group) pairs as int lists, then
 build their rows in one emission loop they share
 (:meth:`_BlockJoinBase._emit`).  Every step is a C-level pass —
-``bisect`` under ``map``, ``range`` windows, ``compress`` over the end
-and level tests, ``tuple.__add__`` under ``map`` — so a join's cost is
+``bisect`` under ``map``, ``range`` windows, ``compress`` over the
+level test, ``int.__add__`` under ``map`` — so a join's cost is
 the paper's, linear in its inputs and its output, with no interpreter
 loop per group.  The one exception is Stack-Tree-Desc's CHILD-axis
 climb over nesting ancestors, which runs in Python for the descendants
 whose predecessor closed before them.  The two joins find the same
-pairs and differ only in their order and in which side's tuple varies
+pairs and differ only in their order and in which side's row varies
 slowest.
 """
 
@@ -68,7 +75,7 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, eq, ge, itemgetter, lt, mul, ne, sub
+from operator import add, and_, eq, ge, lshift, lt, mul, ne, rshift, sub
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError
@@ -76,7 +83,8 @@ from repro.core.pattern import Axis, PatternNode
 from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import _related
-from repro.engine.tuples import LabelRow, Schema
+from repro.engine.tuples import (LABEL_BITS, LABEL_MASK, PackedRows,
+                                 Schema, flatten, row_shift)
 from repro.storage.postings import RegionBlock
 from repro.storage.tagindex import TagIndex
 
@@ -94,16 +102,18 @@ from repro.storage.tagindex import TagIndex
 BLOCK_ROWS = 256
 
 
-def row_blocks(rows: Iterable[LabelRow],
-               first: int | None = 1) -> Iterator[list[LabelRow]]:
-    """Cut any row source into blocks of the engine's sizes: *first*
-    rows (``None``: all of them), then ``BLOCK_ROWS`` at a time,
-    pulling no further ahead.  Every block is a list of its own."""
-    rows = iter(rows)
-    size = first or None
-    while block := list(islice(rows, size)):
-        yield block
-        size = BLOCK_ROWS
+def _column_labels(rows: Sequence[int], width: int,
+                   position: int) -> list[int]:
+    """Column *position* of *width*-column row ints: one shift-and-mask
+    pass, each step a ``map`` (the first column needs no mask, the
+    last no shift)."""
+    shift = row_shift(width, position)
+    labels: Iterable[int] = rows
+    if shift:
+        labels = map(rshift, labels, repeat(shift))
+    if position:
+        labels = map(and_, labels, repeat(LABEL_MASK))
+    return list(labels)
 
 
 class ColumnGroups:
@@ -146,21 +156,22 @@ class ColumnGroups:
         return self._parents
 
 
-def _group_rows(rows: list[LabelRow], position: int, label: str,
-                column: RegionBlock) -> ColumnGroups:
-    """Group a document-ordered row list by one bound column.
+def _group_rows(rows: Sequence[int], width: int, position: int,
+                label: str, column: RegionBlock) -> ColumnGroups:
+    """Group a document-ordered list of *width*-column row ints by
+    the column at *position*.
 
     The block-engine counterpart of
     :func:`repro.engine.operators.group_by_column` plus the order
     check of ``OrderCheckingIterator``: a decreasing start is a
     planner bug and raises, naming the first decreasing pair.  Every
-    step is a C-level pass over the row list — the labels read by
-    ``itemgetter``, the order checked and the group starts found by
-    comparing the label list with itself shifted by one — so no
+    step is a C-level pass over the row list — the labels read by a
+    shift-and-mask pass, the order checked and the group starts found
+    by comparing the label list with itself shifted by one — so no
     Python frame runs per row; each *group's* end and level are read
     from *column*, the packed postings its labels came from.
     """
-    keys = list(map(itemgetter(position), rows))
+    keys = _column_labels(rows, width, position)
     decrease = next(compress(count(1), map(lt, islice(keys, 1, None),
                                            keys)), None)
     if decrease is not None:
@@ -180,20 +191,20 @@ def _group_rows(rows: list[LabelRow], position: int, label: str,
 
 
 class TupleBlock:
-    """One operator's entire output: schema, label rows, grouped
-    views, and per bound pattern node the packed postings its labels
-    came from (``columns`` — where a group's end and level are read).
+    """One operator's entire output: schema, row ints, grouped views,
+    and per bound pattern node the packed postings its labels came
+    from (``columns`` — where a group's end and level are read).
 
-    A leaf scan's row list is borrowed from the decode cache (one
-    tuple of one int per posting, built once per decode epoch — cheap
-    enough that no block defers it); what is handed to callers is cut
-    from it (:func:`row_blocks`), never it.
+    An unpredicated leaf scan's rows are the decode cache's packed
+    start column itself (a one-column row int is its label); nothing
+    writes to a block's rows, and what is handed to callers is copied
+    from them, never them.
     """
 
     __slots__ = ("schema", "columns", "rows", "_groups")
 
     def __init__(self, schema: Schema, columns: dict[int, RegionBlock],
-                 rows: list[LabelRow]) -> None:
+                 rows: Sequence[int]) -> None:
         self.schema = schema
         self.columns = columns
         self.rows = rows
@@ -207,7 +218,7 @@ class TupleBlock:
         """The grouped view of column *node_id* (cached per block)."""
         groups = self._groups.get(node_id)
         if groups is None:
-            groups = _group_rows(self.rows,
+            groups = _group_rows(self.rows, len(self.schema),
                                  self.schema.position(node_id), label,
                                  self.columns[node_id])
             self._groups[node_id] = groups
@@ -248,17 +259,21 @@ class BlockOperator:
             self._span.output_rows = len(block)
         return block
 
-    def blocks(self, first: int | None = 1
-               ) -> Iterator[list[LabelRow]]:
-        """How the *root* operator is read: its output as row lists
-        the caller owns — *first* rows, then up to ``BLOCK_ROWS`` at a
-        time, each handed out before the rest is produced; with
-        ``first=None`` all at once, with no per-row work.  A traced
-        root's span accumulates across resumptions."""
+    def blocks(self, first: int | None = 1) -> Iterator[PackedRows]:
+        """How the *root* operator is read: its output as
+        :class:`PackedRows` — *first* rows, then up to ``BLOCK_ROWS``
+        at a time, each flattened and handed out before the rest is
+        produced; with ``first=None`` all at once, kept as row ints
+        until read.  A traced root's span accumulates across
+        resumptions."""
         self._claim()
         span = self._span
+        width = len(self.schema)
         started = time.perf_counter()
         for rows in self._emit(first):
+            if rows:
+                rows = (PackedRows(flatten(rows, width), width) if first
+                        else PackedRows.of_ints(rows, width))
             if span is not None:
                 span.seconds += time.perf_counter() - started
                 span.output_rows += len(rows)
@@ -269,11 +284,20 @@ class BlockOperator:
     def _produce(self) -> TupleBlock:
         raise NotImplementedError
 
-    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
-        """The output as lists of *bound* rows (``None``: all), then
-        ``BLOCK_ROWS`` at a time.  Scans and sorts cut up their block;
-        a join's emission loop hands its output over as it goes."""
-        return row_blocks(self._produce().rows, bound)
+    def _emit(self, bound: int | None) -> Iterator[Sequence[int]]:
+        """The output's row ints, *bound* rows (``None``: all), then
+        ``BLOCK_ROWS`` at a time.  Scans and sorts cut up their block
+        (read-only slices); a join's emission loop hands its output
+        over as it goes."""
+        rows = self._produce().rows
+        if not bound:
+            yield rows
+            return
+        start = 0
+        while start < len(rows):
+            yield rows[start:start + bound]
+            start += bound
+            bound = BLOCK_ROWS
 
 
 def node_postings(index: TagIndex,
@@ -307,14 +331,14 @@ class BlockIndexScan(BlockOperator):
         node_id = self.pattern_node.node_id
         columns = {node_id: postings}
         if not self.pattern_node.predicates:
-            # downstream bisect probes run over the packed columns
-            block = TupleBlock(self.schema, columns, postings.rows)
+            # a one-column row int is its label: the rows are the
+            # packed start column, which the bisect probes run over
+            block = TupleBlock(self.schema, columns, postings.starts)
             block._groups[node_id] = ColumnGroups(
                 postings.starts, postings.ends, postings.levels,
                 range(len(postings) + 1))
             return block
         matches = self._matcher()
-        rows: list[LabelRow] = []
         starts: list[int] = []
         ends: list[int] = []
         levels: list[int] = []
@@ -322,13 +346,12 @@ class BlockIndexScan(BlockOperator):
         col_levels = postings.levels
         for position, start in enumerate(postings.starts):
             if matches(start):
-                rows.append((start,))
                 starts.append(start)
                 ends.append(col_ends[position])
                 levels.append(col_levels[position])
-        block = TupleBlock(self.schema, columns, rows)
+        block = TupleBlock(self.schema, columns, starts)
         block._groups[node_id] = ColumnGroups(
-            starts, ends, levels, range(len(rows) + 1))
+            starts, ends, levels, range(len(starts) + 1))
         return block
 
     def _matcher(self) -> Callable[[int], bool]:
@@ -346,11 +369,17 @@ class BlockSort(BlockOperator):
         self.by_node = by_node
 
     def _produce(self) -> TupleBlock:
+        """A stable sort of the row indexes by the key column's labels
+        (a stable sort of the row ints would order ties by the other
+        columns, which the tuple engine's sort keeps as they came)."""
         child_block = self.child.block()
-        position = self.schema.position(self.by_node)
-        self.metrics.record_sort(len(child_block))
-        rows = sorted(child_block.rows, key=itemgetter(position))
-        return TupleBlock(self.schema, child_block.columns, rows)
+        rows = child_block.rows
+        self.metrics.record_sort(len(rows))
+        keys = _column_labels(rows, len(self.schema),
+                              self.schema.position(self.by_node))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return TupleBlock(self.schema, child_block.columns,
+                          list(map(rows.__getitem__, order)))
 
 
 class _BlockJoinBase(BlockOperator):
@@ -364,11 +393,11 @@ class _BlockJoinBase(BlockOperator):
     list over as blocks (:meth:`_cut`) and ends with what is left;
     given none it yields once, the whole output — the block an inner
     operator, or a buffered run, asks for.  The two joins differ only
-    in their pair order and in which side's tuple varies slowest
+    in their pair order and in which side's row varies slowest
     (:attr:`ancestor_outer`).
     """
 
-    #: Stack-Tree-Anc: ancestor tuple outer, and its output is what
+    #: Stack-Tree-Anc: ancestor row outer, and its output is what
     #: the tuple engine buffers; Stack-Tree-Desc: descendant outer
     ancestor_outer = False
 
@@ -390,8 +419,7 @@ class _BlockJoinBase(BlockOperator):
         (out,) = self._emit(None)
         return TupleBlock(self.schema, self._columns, out)
 
-    def _cut(self, out: list[LabelRow],
-             bound: int) -> Iterator[list[LabelRow]]:
+    def _cut(self, out: list[int], bound: int) -> Iterator[list[int]]:
         """Whole blocks off the front of *out* — *bound* rows, then
         ``BLOCK_ROWS`` at a time — charged to ``output_tuples``; the
         remainder stays in *out* for the next group."""
@@ -410,6 +438,12 @@ class _BlockJoinBase(BlockOperator):
         desc_block = self.descendant_input.block()
         self._columns = {**anc_block.columns, **desc_block.columns}
         return anc_block, desc_block
+
+    def _shifted(self, anc_block: TupleBlock) -> list[int]:
+        """The ancestor input's row ints shifted past the descendant's
+        columns, once per join: an output row is then one ``add``."""
+        shift = LABEL_BITS * len(self.descendant_input.schema)
+        return list(map(lshift, anc_block.rows, repeat(shift)))
 
     def _charge_pushes(self, anc: ColumnGroups,
                        desc: ColumnGroups) -> None:
@@ -454,7 +488,7 @@ class _BlockJoinBase(BlockOperator):
         return (list(compress(partners, kept)),
                 list(compress(groups, kept)))
 
-    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
+    def _emit(self, bound: int | None) -> Iterator[list[int]]:
         """Build the rows of :meth:`_pairs` a slice of pairs at a time.
         Given a *bound*, each slice is cut where the output passes
         what the next block needs: the group sizes give that count
@@ -465,11 +499,11 @@ class _BlockJoinBase(BlockOperator):
         anc = anc_block.grouped(self.ancestor_node, "ancestor input")
         desc = desc_block.grouped(self.descendant_node,
                                   "descendant input")
-        out: list[LabelRow] = []
+        out: list[int] = []
         if len(anc) and len(desc):
             self._charge_pushes(anc, desc)
             partners, groups = self._pairs(anc, desc)
-            anc_rows = anc_block.rows
+            anc_rows = self._shifted(anc_block)
             desc_rows = desc_block.rows
             anc_spans = _spans(anc, anc_rows)
             desc_spans = _spans(desc, desc_rows)
@@ -503,7 +537,7 @@ class _BlockJoinBase(BlockOperator):
         yield out
 
 
-def _spans(groups: ColumnGroups, rows: list[LabelRow]
+def _spans(groups: ColumnGroups, rows: Sequence[int]
            ) -> tuple[Sequence[int], Sequence[int]] | None:
     """Each group's first row and end row, read once per join, or
     ``None`` when every group is one row (group *i* is row *i*)."""
@@ -522,17 +556,17 @@ def _row_counts(spans: tuple[Sequence[int], Sequence[int]] | None,
                map(lows.__getitem__, kept))
 
 
-def _pair_rows(anc_rows: list[LabelRow],
+def _pair_rows(anc_rows: Sequence[int],
                anc_spans: tuple[Sequence[int], Sequence[int]] | None,
-               partners: list[int], desc_rows: list[LabelRow],
+               partners: list[int], desc_rows: Sequence[int],
                desc_spans: tuple[Sequence[int], Sequence[int]] | None,
                groups: list[int], ancestor_outer: bool
-               ) -> Iterator[LabelRow]:
+               ) -> Iterator[int]:
     """The rows of the pairs (*partners*[i], *groups*[i]) in emission
-    order — per pair, the outer side's tuple varies slowest: the
+    order — per pair, the outer side's row varies slowest: the
     ancestor's if *ancestor_outer*, else the descendant's — as C-level
     maps: no Python frame per pair or per row.  A row is always the
-    ancestor tuple plus the descendant tuple."""
+    (shifted) ancestor row plus the descendant row."""
     outer_side = (anc_rows, anc_spans, partners)
     inner_side = (desc_rows, desc_spans, groups)
     if not ancestor_outer:
@@ -559,7 +593,7 @@ def _pair_rows(anc_rows: list[LabelRow],
             map(repeat, inner, map(sub, highs, lows)))
     grouped = inner_side[1] is not None
     if grouped:
-        # each outer tuple meets every tuple of the inner group
+        # each outer row meets every row of the inner group
         outer = map(repeat, outer)
     pairs = (outer, inner) if ancestor_outer else (inner, outer)
     if grouped:
@@ -689,28 +723,25 @@ class BlockNestedLoopJoin(_BlockJoinBase):
         super().__init__(ancestor_input, descendant_input,
                          ancestor_node, descendant_node, axis,
                          ordered_by=ancestor_input.ordered_by)
-        self.ancestor_position = ancestor_input.schema.position(
-            ancestor_node)
-        self.descendant_position = descendant_input.schema.position(
-            descendant_node)
 
-    def _emit(self, bound: int | None) -> Iterator[list[LabelRow]]:
+    def _emit(self, bound: int | None) -> Iterator[list[int]]:
         self.metrics.join_count += 1
         anc_block, desc_block = self._input_blocks()
         ancestors = self._columns[self.ancestor_node]
         descendants = self._columns[self.descendant_node]
-        dpos = self.descendant_position
-        inner = [(descendants.regions[
-                      descendants.positions[desc_tuple[dpos]]], desc_tuple)
-                 for desc_tuple in desc_block.rows]
-        out: list[LabelRow] = []
-        apos = self.ancestor_position
+        anc_labels, desc_labels = (
+            _column_labels(block.rows, len(block.schema),
+                           block.schema.position(node))
+            for block, node in ((anc_block, self.ancestor_node),
+                                (desc_block, self.descendant_node)))
+        inner = [(descendants.regions[descendants.positions[label]], row)
+                 for label, row in zip(desc_labels, desc_block.rows)]
+        out: list[int] = []
         axis = self.axis
-        for anc_tuple in anc_block.rows:
-            ancestor = ancestors.regions[
-                ancestors.positions[anc_tuple[apos]]]
-            out.extend(anc_tuple + desc_tuple
-                       for descendant, desc_tuple in inner
+        for label, anc_row in zip(anc_labels, self._shifted(anc_block)):
+            ancestor = ancestors.regions[ancestors.positions[label]]
+            out.extend(anc_row + desc_row
+                       for descendant, desc_row in inner
                        if _related(ancestor, descendant, axis))
             if bound and len(out) >= bound:
                 yield from self._cut(out, bound)

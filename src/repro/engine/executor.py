@@ -7,12 +7,13 @@ instantiates the matching operators against an
 :class:`ExecutionResult` bundling the rows, the output schema, the
 work counters, and wall-clock time.
 
-Rows are label rows (:data:`~repro.engine.tuples.LabelRow`) wherever
-they are produced, counted, compared or shipped; ``Region`` rows are a
-view a caller asks for — ``result.tuples``, ``bindings()``, iterating a
-stream — built a block at a time by the one resolver the back end
-hands the stream (:data:`RegionView`; :func:`region_view` is a single
-node's).
+Rows leave every engine and every back end as
+:class:`~repro.engine.tuples.PackedRows` — a block's or a result's
+labels in one array — wherever they are counted, compared or shipped;
+``Region`` rows are a view a caller asks for — ``result.tuples``,
+``bindings()``, iterating a stream — built a block at a time by the
+one resolver the back end hands the stream (:data:`RegionView`;
+:func:`region_view` is a single node's).
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
-from operator import attrgetter, itemgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import PlanError, QueryCancelled
@@ -29,11 +30,11 @@ from repro.core.pattern import QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               SortPlan, StructuralJoinPlan)
 from repro.document.node import Region
+from repro.engine import blocks as engine_blocks
 from repro.engine.blocks import (BlockIndexScan, BlockNestedLoopJoin,
                                  BlockOperator, BlockSort,
                                  BlockStackTreeAncJoin,
-                                 BlockStackTreeDescJoin, node_postings,
-                                 row_blocks)
+                                 BlockStackTreeDescJoin, node_postings)
 from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import NestedLoopJoin
@@ -41,13 +42,14 @@ from repro.engine.operators import Operator
 from repro.engine.scan import IndexScan
 from repro.engine.sort import SortOperator
 from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
-from repro.engine.tuples import LabelRow, MatchTuple, Schema
+from repro.engine.tuples import LabelRow, MatchTuple, PackedRows, Schema
 from repro.obs.spans import Span
 from repro.storage.tagindex import TagIndex
 
-#: label rows -> the same rows as ``Region`` tuples; a back end supplies
-#: one per run and it is called only for a caller that asks for regions.
-RegionView = Callable[[Sequence[LabelRow]], list[MatchTuple]]
+#: packed rows -> the same rows as ``Region`` tuples; a back end
+#: supplies one per run and it is called only for a caller that asks
+#: for regions.
+RegionView = Callable[[PackedRows], list[MatchTuple]]
 
 #: the two execution modes; block is the default of every run.
 ENGINE_NAMES = ("block", "tuple")
@@ -75,6 +77,18 @@ def _label_rows(rows: Iterator[MatchTuple]) -> Iterator[LabelRow]:
         rows.close()
 
 
+def _packed_blocks(rows: Iterator[LabelRow], width: int,
+                   first: int | None) -> Iterator[PackedRows]:
+    """A source without blocks of its own (the tuple pipeline) cut to
+    the block engine's sizes — *first* rows (``None``: all of them),
+    then ``BLOCK_ROWS`` at a time, pulling no further ahead — and
+    packed."""
+    size = first or None
+    while block := list(islice(rows, size)):
+        yield PackedRows.of_tuples(block, width)
+        size = engine_blocks.BLOCK_ROWS
+
+
 def validate_engine(engine: str) -> None:
     if engine not in ENGINE_NAMES:
         raise PlanError(f"unknown engine {engine!r}; expected one of "
@@ -94,19 +108,22 @@ def _operator_children(operator) -> tuple:
 def region_view(index: TagIndex, pattern: QueryPattern,
                 schema: Schema) -> RegionView:
     """A single node's :data:`RegionView` for rows of *schema*: each
-    label is resolved in the packed postings of its column's pattern
-    node — the run's own scans' blocks, fetched from *index* on first
-    use, no whole-corpus table — with one dict read and one list read
-    per label, all driven by ``map``.  The ``Region`` objects are the
-    posting blocks' own cached ones."""
+    column is a strided slice of the packed labels, resolved in the
+    packed postings of its pattern node — the run's own scans'
+    blocks, fetched from *index* on first use, no whole-corpus table —
+    with one dict read and one list read per label, all driven by
+    ``map``.  The ``Region`` objects are the posting blocks' own
+    cached ones."""
     nodes = [pattern.node(node_id) for node_id in schema.node_ids]
+    width = len(nodes)
 
-    def view(rows: Sequence[LabelRow]) -> list[MatchTuple]:
+    def view(rows: PackedRows) -> list[MatchTuple]:
+        labels = rows.labels
         columns = [node_postings(index, node) for node in nodes]
         return list(zip(*(
             map(column.regions.__getitem__,
                 map(column.positions.__getitem__,
-                    map(itemgetter(position), rows)))
+                    labels[position::width]))
             for position, column in enumerate(columns))))
 
     return view
@@ -116,8 +133,9 @@ def region_view(index: TagIndex, pattern: QueryPattern,
 class ExecutionResult:
     """Everything one plan execution produced.
 
-    ``rows`` are the label rows the engine produced, in its order —
-    a list, or on a fleet the gathered runs still packed; ``tuples``
+    ``rows`` are the rows the engine produced, in its order, packed
+    (:class:`~repro.engine.tuples.PackedRows`: a single node's stay
+    row ints until first read, so ``len`` reads nothing); ``tuples``
     and :meth:`bindings` are their ``Region`` view, built on first use
     through ``regions``, the back end's resolver, which is released
     then: a kept result does not pin its back end (a pre-commit tag
@@ -127,7 +145,7 @@ class ExecutionResult:
     tree mirrors the plan tree node for node.
     """
 
-    rows: Sequence[LabelRow]
+    rows: PackedRows
     schema: Schema
     metrics: ExecutionMetrics
     regions: RegionView | None
@@ -174,14 +192,15 @@ class FirstResultTiming:
 class StreamingExecution:
     """One plan execution, read incrementally or drained at once.
 
-    :meth:`blocks` is the one pull loop: it hands out the run's label
-    rows in bounded blocks — the first a single row, so the first
-    result never waits for a block to fill, every later one up to
-    ``BLOCK_ROWS`` — as the block engine's root operator produces them
-    (a tuple pipeline is pulled, and a fleet's packed result cut, a
-    block at a time).  Iterating the handle reads the same blocks row
-    by row as ``Region`` tuples, each block put through *regions*, the
-    back end's :data:`RegionView`; nothing else on a stream builds a
+    :meth:`blocks` is the one pull loop: it hands out the run's rows in
+    bounded blocks of :class:`~repro.engine.tuples.PackedRows` — the
+    first a single row, so the first result never waits for a block to
+    fill, every later one up to ``BLOCK_ROWS`` — as the block engine's
+    root operator produces them (a tuple pipeline is pulled and
+    packed, and a fleet's packed result sliced, a block at a time).
+    Iterating the handle reads the same blocks row by row as
+    ``Region`` tuples, each block put through *regions*, the back
+    end's :data:`RegionView`; nothing else on a stream builds a
     ``Region``.  The handle
     records :attr:`total_seconds` and :attr:`produced`, the rows handed
     out so far, and consults the optional *cancel* predicate after each
@@ -217,25 +236,24 @@ class StreamingExecution:
         self._cancel = cancel
         self._started = started
         self._on_finish = on_finish
-        self._blocks: Iterator[Sequence[LabelRow]] | None = None
+        self._blocks: Iterator[PackedRows] | None = None
         self._rows: Iterator[MatchTuple] | None = None
         #: the block a by-row reader is inside, and :attr:`produced`
         #: as it will stand once that block is handed out entirely
         self._open: tuple[Sequence[LabelRow], int] = ((), 0)
 
-    def blocks(self, first: int | None = 1
-               ) -> Iterator[Sequence[LabelRow]]:
-        """The label rows not yet read, in blocks: *first* rows
-        (``None``: all of them, as the one sequence the source holds;
-        the call that starts the stream decides), then up to
-        ``BLOCK_ROWS`` at a time, each a list the caller owns.  What a
-        by-row reader left of the block it is inside comes first."""
+    def blocks(self, first: int | None = 1) -> Iterator[PackedRows]:
+        """The rows not yet read, in blocks: *first* rows (``None``:
+        all of them, as the one block the source holds; the call that
+        starts the stream decides), then up to ``BLOCK_ROWS`` at a
+        time, each :class:`PackedRows`.  What a by-row reader left of
+        the block it is inside comes first."""
         blocks = self._source_blocks(first)
         left = self._take_open()
         return chain((left,), blocks) if left else blocks
 
     def _source_blocks(self, first: int | None
-                       ) -> Iterator[Sequence[LabelRow]]:
+                       ) -> Iterator[PackedRows]:
         """The one pull loop every reader shares."""
         if self._blocks is None:
             self._blocks = self._pull(first)
@@ -261,18 +279,16 @@ class StreamingExecution:
             raise QueryCancelled(
                 f"query cancelled after {self.produced} rows")
 
-    def _pull(self, first: int | None
-              ) -> Iterator[Sequence[LabelRow]]:
+    def _pull(self, first: int | None) -> Iterator[PackedRows]:
         if self.finished:  # closed before its first pull: it stays so
             return
         if self._started is None:
             self._started = time.perf_counter()
         try:
-            # a source without blocks of its own (the tuple pipeline)
-            # is cut to the same sizes
             own = getattr(self._source, "blocks", None)
-            for block in (own(first) if own is not None
-                          else row_blocks(self._source, first)):
+            for block in (own(first) if own is not None else
+                          _packed_blocks(iter(self._source),
+                                         len(self.schema), first)):
                 self._check_cancel()
                 self.produced += len(block)
                 yield block
@@ -292,9 +308,9 @@ class StreamingExecution:
                 yield match
 
     def _take_open(self) -> Sequence[LabelRow]:
-        """What a by-row reader has left of the block it is inside, as
-        label rows; that reader reads no further (iterating again
-        starts a new one at the next unread block)."""
+        """What a by-row reader has left of the block it is inside
+        (packed, or ``()``); that reader reads no further (iterating
+        again starts a new one at the next unread block)."""
         if self._rows is not None:
             self._rows.close()
             self._rows = None
@@ -304,20 +320,22 @@ class StreamingExecution:
         self._open = (), 0
         return left
 
-    def fetchall(self) -> Sequence[LabelRow]:
-        """Every label row not yet read, as one sequence (empty once
-        drained).
+    def fetchall(self) -> PackedRows:
+        """Every row not yet read, as one :class:`PackedRows` (empty
+        once drained).
 
         The buffered execute: an unread stream nobody can cancel is
         asked for one unbounded block — the block engine's whole
-        output, one ``list()`` of an iterator source, a fleet's packed
-        result as it stands — so there is no per-row Python work.
+        output, its row ints not yet flattened; an iterator source,
+        packed once; a fleet's packed result as it stands — so there
+        is no per-row Python work.
         """
+        width = len(self.schema)
         if self._blocks is None and self._cancel is None:
             whole = list(self.blocks(first=None))
-            return whole[0] if whole else []
-        return [*self._take_open(),
-                *chain.from_iterable(self._source_blocks(1))]
+            return whole[0] if whole else PackedRows.join((), width)
+        return PackedRows.join(
+            chain((self._take_open(),), self._source_blocks(1)), width)
 
     def result(self) -> ExecutionResult:
         """The stream drained into an :class:`ExecutionResult`."""

@@ -2,14 +2,21 @@
 
 Operators agree on a :class:`Schema` — the ordered list of pattern-node
 ids their rows carry — and a row binds each of those pattern nodes to
-one node of the data tree.  It has two forms:
+one node of the data tree by its start label, which identifies the
+node.  A row has three forms, and which one a piece of code sees is
+decided by where it sits:
 
-* a :data:`LabelRow`, a plain tuple of start labels — what the block
-  engine joins, what a stream's ``blocks()`` / ``fetchall()`` and a
-  result's ``rows`` hold, what crosses the shard pipe and the wire.  A
-  start label identifies its node, and a tuple of ints is dropped by
-  CPython's cyclic collector on its first visit, so a big result is
-  not re-walked by every full collection.
+* inside the block engine, a **row int**: the row's labels packed
+  ``LABEL_BITS`` apart, the first schema column in the highest bits
+  (:func:`row_shift`), so int order is the order of the labels read
+  as a tuple.  A join's output row is its ancestor row shifted past
+  the descendant's columns plus its descendant row; an int is no
+  container, so the cyclic collector never sees one.
+* above the engine, :class:`PackedRows` — what a stream's
+  ``blocks()`` / ``fetchall()`` and a result's ``rows`` are, what the
+  shard pipe and the wire encoders read: the labels flattened
+  row-major into one typed ``array``.  Reading it row by row gives a
+  :data:`LabelRow`, a plain tuple of start labels, built on demand.
 * a :data:`MatchTuple`, the same row as
   :class:`~repro.document.node.Region` values — what the reference
   iterators (``scan.py`` / ``stackjoin.py`` / ``sort.py``) pass among
@@ -20,15 +27,139 @@ one node of the data tree.  It has two forms:
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+import sys
+from array import array
+from collections.abc import Sequence
+from itertools import chain, repeat
+from operator import eq
+from typing import Iterable, Iterator, Mapping
 
 from repro.errors import PlanError
 from repro.document.node import Region
+from repro.storage.frames import LABEL_BITS
 
-#: A row as start labels, aligned with its schema.
+#: A row as a tuple of start labels, aligned with its schema: what
+#: reading :class:`PackedRows` row by row hands out, built on demand.
 LabelRow = tuple[int, ...]
 #: The same row as regions — the iterators' currency, the callers' view.
 MatchTuple = tuple[Region, ...]
+
+#: one label's bits in a row int
+LABEL_MASK = (1 << LABEL_BITS) - 1
+#: the ``array`` typecode of the engine's flattened labels: uint32, as
+#: the posting columns' starts are
+_LABEL_TYPECODE = "I"
+_LITTLE_ENDIAN = sys.byteorder == "little"
+
+
+def row_shift(width: int, position: int) -> int:
+    """Where column *position* of a *width*-column row int starts."""
+    return LABEL_BITS * (width - 1 - position)
+
+
+def flatten(rows: Sequence[int], width: int) -> array:
+    """Row ints as their labels, row-major, in one typed ``array``:
+    each row is ``int.to_bytes`` big-endian (first column first) under
+    ``map``, the bytes are joined once and read by one ``frombytes``.
+    A one-column row int is its label already."""
+    if width == 1:
+        return array(_LABEL_TYPECODE, rows)
+    labels = array(_LABEL_TYPECODE)
+    labels.frombytes(b"".join(map(int.to_bytes, rows,
+                                  repeat(LABEL_BITS // 8 * width),
+                                  repeat("big"))))
+    if _LITTLE_ENDIAN:
+        labels.byteswap()
+    return labels
+
+
+class PackedRows(Sequence):
+    """Rows of *width* labels, packed: what every reader above the
+    engine is handed, from a node or a fleet.
+
+    ``labels`` is row-major — row *r*'s label for schema column *c* is
+    ``labels[r * width + c]`` — and a :data:`LabelRow` is cut from it
+    only when a row is read.  Built from the engine's row ints
+    (:meth:`of_ints`), the rows stay ints until ``labels`` is first
+    read, so ``len`` reads nothing and a result nobody reads is never
+    flattened.  Read-only; a slice is a ``PackedRows`` of its own.
+    """
+
+    __slots__ = ("width", "_labels", "_ints")
+
+    def __init__(self, labels: array, width: int) -> None:
+        self.width = width
+        self._labels: array | None = labels
+        self._ints: Sequence[int] | None = None
+
+    @classmethod
+    def of_ints(cls, rows: Sequence[int], width: int) -> "PackedRows":
+        """The block engine's row ints, flattened on first read."""
+        packed = cls(None, width)
+        packed._ints = rows
+        return packed
+
+    @classmethod
+    def of_tuples(cls, rows: Iterable[LabelRow],
+                  width: int) -> "PackedRows":
+        """Label rows (tuples) packed."""
+        return cls(array(_LABEL_TYPECODE, chain.from_iterable(rows)),
+                   width)
+
+    @classmethod
+    def join(cls, parts: Iterable["PackedRows"],
+             width: int) -> "PackedRows":
+        """Consecutive runs of one source's rows as one."""
+        labels = None
+        for part in parts:
+            if not part:
+                continue
+            if labels is None:
+                labels = array(part.labels.typecode)
+            labels.extend(part.labels)
+        return cls(array(_LABEL_TYPECODE) if labels is None else labels,
+                   width)
+
+    @property
+    def labels(self) -> array:
+        """The flattened labels (flattened now, if still row ints)."""
+        if self._labels is None:
+            self._labels = flatten(self._ints, self.width)
+            self._ints = None
+        return self._labels
+
+    def __len__(self) -> int:
+        if self._ints is not None:
+            return len(self._ints)
+        return len(self._labels) // self.width
+
+    def __iter__(self) -> Iterator[LabelRow]:
+        return zip(*[iter(self.labels)] * self.width)
+
+    def __getitem__(self, index):
+        width = self.width
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return PackedRows.of_tuples(
+                    map(self.__getitem__, range(start, stop, step)),
+                    width)
+            if self._ints is not None:
+                return PackedRows.of_ints(self._ints[start:stop], width)
+            return PackedRows(self._labels[start * width:stop * width],
+                              width)
+        row = range(len(self))[index] * width
+        return tuple(self.labels[row:row + width])
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PackedRows) and other.width == self.width:
+            return self.labels == other.labels
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return f"PackedRows({list(self)!r}, width={self.width})"
 
 
 class Schema:

@@ -30,7 +30,7 @@ from repro.document.node import Region
 from repro.engine.context import EngineContext
 from repro.engine.executor import ExecutionResult, region_view
 from repro.engine.scan import IndexScan
-from repro.engine.tuples import LabelRow, Schema
+from repro.engine.tuples import LabelRow, PackedRows, Schema
 
 #: Sentinel region returned by exhausted cursors (+infinity start).
 _END = Region(2**31 - 2, 2**31 - 2, 0)
@@ -229,7 +229,8 @@ class TwigStackMatcher:
         rows.sort(key=itemgetter(0))
         self.metrics.output_tuples += len(rows)
         return ExecutionResult(
-            rows=rows, schema=schema, metrics=self.metrics,
+            rows=PackedRows.of_tuples(rows, len(schema)), schema=schema,
+            metrics=self.metrics,
             regions=region_view(self.context.tag_index, pattern,
                                 schema))
 

@@ -26,9 +26,10 @@ producer thread reads ``QueryService.stream`` (the one request path,
 ``service.query``'s too) block by block and hands each block over as
 it is — the engine's first is a single row, so time-to-first-result
 never waits for a block to fill, every later one up to its
-``BLOCK_ROWS``.  One hand-off is one cross-thread wake-up; for a
-streamed response also one encode (in the producer thread) and one
-chunk, write and drain on the loop, for a buffered one an ``extend``.
+``BLOCK_ROWS``.  One hand-off is one cross-thread wake-up and one
+encode of the block's packed labels in the producer thread; for a
+streamed response also one chunk, write and drain on the loop, for a
+buffered one an ``append`` (the body splices the pieces in once).
 The producer's end, and its error, ride on its last block: a full
 block leaves at once, a shorter one is held until the next pull says
 the stream ended with it.  A streamed response of k blocks is k + 1
@@ -50,9 +51,11 @@ line alone in the last (so an empty result is two chunks, and two
 writes).
 
 ``X-Trace-Id`` forces a traced execution joined to the caller's trace
-id — the stitched tree lands in ``/traces`` under that id.  At the
-deadline the response ends with what has been delivered: the consumer
-stops taking hand-offs and hangs up, which wakes a blocked producer
+id — the stitched tree lands in ``/traces`` under that id.  The
+deadline is a timer that cancels the connection's own task (no task
+is made per request).  At the deadline the response ends with what
+has been delivered: the consumer stops taking hand-offs and hangs
+up, which wakes a blocked producer
 and makes the executor's cancel predicate (consulted after each block
 is pulled) true, so the operators are closed; the loop then waits
 for the producer to have closed its stream.  Rows the engine had
@@ -84,20 +87,21 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import IO, Callable, Sequence
+from typing import IO, Callable
 
 from repro.errors import (OptimizerError, PatternError, PlanError,
                           QueryCancelled, UnshardablePatternError,
                           XPathSyntaxError)
 from repro.engine import blocks as engine_blocks
 from repro.engine.executor import StreamingExecution
-from repro.engine.tuples import LabelRow
+from repro.engine.tuples import PackedRows
 from repro.obs.spans import TraceContext
 from repro.server.admission import AdmissionController, Rejection
 from repro.server.http import (ChunkedWriter, HttpRequest,
                                ProtocolError, json_line,
-                               json_response, ndjson_rows,
-                               read_request, render_response)
+                               json_response, json_result, json_rows,
+                               ndjson_rows, read_request,
+                               render_response)
 
 __all__ = ["ServerConfig", "QueryServer"]
 
@@ -223,7 +227,7 @@ class _Delivery:
     chunked: "ChunkedWriter | None"  # None: a buffered response
     stream: "StreamingExecution | None" = None  # set before a hand-off
     error: "Exception | None" = None  # set before the last hand-off
-    bindings: "list[list[int]]" = field(default_factory=list)
+    bindings: "list[bytes]" = field(default_factory=list)  # encoded
     rows: int = 0  # delivered: written to the client, or collected
     ttfr: "float | None" = None
     ended: bool = False  # the loop took the producer's last hand-off
@@ -662,18 +666,18 @@ class QueryServer:
         trace_context = (TraceContext(trace_id=params.trace_id)
                          if params.trace_id else None)
 
-        def flush(block: "Sequence[LabelRow]", last: bool = False
+        def flush(block: "PackedRows | tuple", last: bool = False
                   ) -> None:
-            # a streamed block is encoded here, in the producer
-            # thread: the loop only frames and writes it
-            handoff.put((len(block), ndjson_rows(block)
-                         if params.stream else block, last))
+            # a block is encoded here, in the producer thread: the
+            # loop only frames and writes it, or collects it
+            handoff.put((len(block), (ndjson_rows if params.stream
+                                      else json_rows)(block), last))
 
         def produce() -> None:
             # the end, and an error, ride on the last hand-off: a
             # block shorter than asked for is held until the next
             # pull says whether the stream ended with it
-            held: "Sequence[LabelRow]" = ()
+            held: "PackedRows | tuple" = ()
             try:
                 if handoff.cancelled():
                     return  # the deadline beat the pool to a thread
@@ -695,7 +699,7 @@ class QueryServer:
                     # from one that just fits
                     over = params.limit and stream.produced - params.limit
                     if over > 0:
-                        del block[len(block) - over:]
+                        block = block[:len(block) - over]
                         stream.close()
                         held = block
                         break
@@ -713,21 +717,33 @@ class QueryServer:
 
         assert self._executor is not None
         job = self._executor.submit(produce)
+        # the one per-request watchdog: whatever the consumer is
+        # waiting for at the deadline -- a pool thread, the producer,
+        # the client -- it stops waiting.  A timer cancels this task;
+        # the flag tells that cancel from the drain's
+        task = asyncio.current_task()
+        assert task is not None
         timed_out = False
-        try:
-            # the one per-request watchdog: whatever the consumer is
-            # waiting for at the deadline -- a pool thread, the
-            # producer, the client -- it stops waiting
-            await asyncio.wait_for(
-                self._deliver(handoff, delivery, params, keep, started),
-                params.deadline)
-        except asyncio.TimeoutError:
+
+        def expire() -> None:
+            nonlocal timed_out
             timed_out = True
+            task.cancel()
+
+        timer = loop.call_later(params.deadline, expire)
+        try:
+            await self._deliver(handoff, delivery, params, keep, started)
+        except asyncio.CancelledError:
+            if not timed_out:
+                raise
+            if sys.version_info >= (3, 11):
+                task.uncancel()
             if delivery.chunked is not None and delivery.chunked.stalled:
                 # the deadline found the client not taking what it had
                 # been sent: a terminal line could not reach it either
                 delivery.client_gone = True
         finally:
+            timer.cancel()
             # deadline, disconnect, server drain or a normal end: the
             # producer never outlives its request
             handoff.hang_up()
@@ -768,7 +784,7 @@ class QueryServer:
                         if chunked is not None:
                             await chunked.send(rows)
                         else:
-                            delivery.bindings += rows
+                            delivery.bindings.append(rows)
                         delivery.rows += count
                         self._http_rows.inc(count)
                         self._http_batches.inc()
@@ -866,8 +882,8 @@ class QueryServer:
         summary["query"] = params.xpath
         summary["algorithm"] = params.algorithm
         summary["schema"] = list(stream.schema.node_ids)
-        summary["bindings"] = delivery.bindings
-        writer.write(render_response(200, json_line(summary),
+        writer.write(render_response(200, json_result(summary,
+                                                      delivery.bindings),
                                      extra_headers=headers,
                                      keep_alive=keep))
         await writer.drain()

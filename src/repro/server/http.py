@@ -16,9 +16,12 @@ import json
 from dataclasses import dataclass, field
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.engine.tuples import PackedRows
+
 __all__ = ["HttpRequest", "ProtocolError", "read_request",
            "render_response", "json_response", "json_line",
-           "ndjson_rows", "ChunkedWriter", "REASONS"]
+           "json_result", "json_rows", "ndjson_rows", "ChunkedWriter",
+           "REASONS"]
 
 REASONS = {
     200: "OK",
@@ -169,27 +172,46 @@ def json_response(status: int, payload: object,
 
 
 def json_line(payload: object) -> bytes:
-    """One JSON object on one line: an NDJSON schema or summary line,
-    or a buffered query result body."""
+    """One JSON object on one line: an NDJSON schema or summary line
+    (a buffered query result body is :func:`json_result`)."""
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 
-def ndjson_rows(rows: "list[tuple[int, ...]] | list[list[int]]"
-                ) -> bytes:
-    """The NDJSON lines of a batch of rows, one ``{"b": [...]}`` each.
+def _row_lines(rows: PackedRows, before: str, after: str) -> str:
+    """Every row of a packed block as ``before`` + its labels as a JSON
+    array + ``after``: one ``%`` format of that line, repeated once per
+    row, over the block's labels — no row object is built."""
+    line = before + "[" + ", ".join(["%d"] * rows.width) + "]" + after
+    return (line * len(rows)) % tuple(rows.labels)
 
-    One encoder call for the whole batch instead of one per row: the
-    batch is dumped as a single array of arrays and the separators
-    between its elements are rewritten into line breaks.  That is only
-    sound because a row is a flat tuple (an engine block's label row,
-    as it left the engine) or list of integers, so ``], [`` can
-    occur nowhere but between two rows; the bytes are exactly those of
-    ``json.dumps({"b": row}) + "\\n"`` per row (tests pin that).
-    """
+
+def ndjson_rows(rows: PackedRows) -> bytes:
+    """The NDJSON lines of a block of packed rows, one ``{"b": [...]}``
+    each: exactly the bytes of ``json.dumps({"b": list(row)}) + "\\n"``
+    per row (tests pin that)."""
     if not rows:
         return b""
-    body = json.dumps(rows)[1:-1].replace("], [", ']}\n{"b": [')
-    return ('{"b": ' + body + "}\n").encode("ascii")
+    return _row_lines(rows, '{"b": ', "}\n").encode("ascii")
+
+
+def json_rows(rows: PackedRows) -> bytes:
+    """A block of packed rows as JSON arrays, each followed by
+    ``", "``: a piece of a buffered body's ``bindings``
+    (:func:`json_result`)."""
+    if not rows:
+        return b""
+    return _row_lines(rows, "", ", ").encode("ascii")
+
+
+def json_result(payload: dict, rows: "list[bytes]") -> bytes:
+    """:func:`json_line` of *payload* with ``bindings`` the rows that
+    :func:`json_rows` encoded, spliced in: the bytes of dumping them as
+    lists of ints.  The splice is sound because JSON escapes every
+    quote inside a string, so ``"bindings": []`` occurs once, as the
+    key."""
+    body = json_line({**payload, "bindings": []})
+    return body.replace(b'"bindings": []', b'"bindings": ['
+                        + b"".join(rows)[:-2] + b"]", 1)
 
 
 class ChunkedWriter:

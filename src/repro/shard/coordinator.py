@@ -47,17 +47,13 @@ from collections.abc import Callable, Sequence
 from heapq import merge
 from itertools import chain, groupby
 from multiprocessing.connection import wait
-from operator import eq, itemgetter
+from operator import itemgetter
 from queue import SimpleQueue
-from typing import Iterator
-
 from repro import errors
 from repro.errors import ReproError, ShardError
-from repro.engine.tuples import LabelRow
 from repro.shard.worker import worker_main
 
-__all__ = ["GatherTicket", "PackedRows", "ShardWorkerPool",
-           "merge_packed_runs"]
+__all__ = ["GatherTicket", "ShardWorkerPool", "merge_packed_runs"]
 
 #: seconds one wait on the pool may take before the workers are
 #: declared unresponsive (generous: workers answer in milliseconds).
@@ -106,36 +102,6 @@ def merge_packed_runs(runs: list[array], width: int, key: int) -> array:
         merged.extend(chain.from_iterable(
             map(itemgetter(0), groupby(rows))))
     return merged
-
-
-class PackedRows(Sequence):
-    """A fleet's merged result, still packed: ``labels`` is row-major,
-    *width* labels per row, and a label row — a tuple per row, an int
-    per label — is cut from it only when read; ``len`` reads nothing.
-    Read-only; slices are lists the caller owns."""
-
-    __slots__ = ("labels", "width")
-
-    def __init__(self, labels: array, width: int) -> None:
-        self.labels = labels
-        self.width = width
-
-    def __len__(self) -> int:
-        return len(self.labels) // self.width
-
-    def __iter__(self) -> Iterator[LabelRow]:
-        return zip(*[iter(self.labels)] * self.width)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[row] for row in range(len(self))[index]]
-        row = range(len(self))[index] * self.width
-        return tuple(self.labels[row:row + self.width])
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
 
 
 class GatherTicket:

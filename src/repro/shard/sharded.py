@@ -44,7 +44,8 @@ worker-side failure surfaces at the first pull, not at
 cumulative per-shard totals, which the pool's I/O thread — the one
 owner of the worker pipes — books a run into as its payloads land,
 whether or not its stream is read.  A result's rows stay packed
-(:class:`~repro.shard.coordinator.PackedRows`); the whole-corpus
+(:class:`~repro.engine.tuples.PackedRows`), and every block a reader
+is handed is a slice of them; the whole-corpus
 region table is built for the first caller that asks for the
 ``Region`` view, never for ``blocks()``, ``fetchall()`` or ``len()``.
 """
@@ -57,9 +58,8 @@ import threading
 import time
 from collections import deque
 from functools import partial
-from itertools import chain, islice
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from repro.errors import ShardError, UnshardablePatternError
 from repro.api import Database
@@ -69,17 +69,15 @@ from repro.core.plans import PhysicalPlan
 from repro.document.document import XmlDocument
 from repro.document.node import Region
 from repro.engine import blocks as engine_blocks
-from repro.engine.blocks import row_blocks
 from repro.engine.executor import (RegionView, StreamingExecution,
                                    validate_engine)
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.tuples import LabelRow, MatchTuple, Schema
+from repro.engine.tuples import MatchTuple, PackedRows, Schema
 from repro.obs.explain import ExplainReport
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, assign_span_ids
 from repro.shard.coordinator import (DEFAULT_TIMEOUT, GatherTicket,
-                                     PackedRows, ShardWorkerPool,
-                                     merge_packed_runs)
+                                     ShardWorkerPool, merge_packed_runs)
 from repro.shard.partition import ShardPartition, partition_document
 from repro.storage.disk import FileDisk
 from repro.target import QueryTarget
@@ -171,15 +169,14 @@ class ShardedDatabase(QueryTarget):
 
     def _region_view(self, width: int) -> RegionView:
         """The fleet's :data:`RegionView`, the one caller of
-        :meth:`_regions_by_start`: ``map`` looks the labels up and
-        ``zip`` over *width* references to that iterator cuts the
+        :meth:`_regions_by_start`: ``map`` looks the packed labels up
+        and ``zip`` over *width* references to that iterator cuts the
         rows — no Python code per row."""
         document = self.document
 
-        def view(rows: Sequence[LabelRow]) -> list[MatchTuple]:
+        def view(rows: PackedRows) -> list[MatchTuple]:
             lookup = self._regions_by_start(document).__getitem__
-            return list(zip(*[map(lookup, chain.from_iterable(rows))]
-                            * width))
+            return list(zip(*[map(lookup, rows.labels)] * width))
 
         return view
 
@@ -460,7 +457,7 @@ class _FleetRun:
     each run's first k rows.  When some shard's rest is non-empty,
     each head grows by its rest once every shard has finished and the
     runs are merged again, that merge's prefix checked against the
-    rows already handed out; what is left is cut into blocks.  The
+    rows already handed out; what is left is sliced into blocks.  The
     payloads are booked when they land, on the pool's I/O thread,
     whether or not anyone reads them.
     """
@@ -483,7 +480,7 @@ class _FleetRun:
         #: the head's cut
         self.merge_seconds = 0.0
 
-    def blocks(self, first: int | None) -> Iterator[Sequence[LabelRow]]:
+    def blocks(self, first: int | None) -> Iterator[PackedRows]:
         width, key = self._width, self._key
         self._ticket = ticket = self._pool.scatter(
             *self._request, first=first, on_payloads=self._book)
@@ -513,9 +510,9 @@ class _FleetRun:
                     "streamed from the shards' heads")
             self.merge_seconds += time.perf_counter() - started
         del runs  # a reader of the rest holds the merged rows alone
-        if len(head) < len(rows):
-            yield from row_blocks(islice(rows, len(head), None),
-                                  engine_blocks.BLOCK_ROWS)
+        for start in range(len(head), len(rows),
+                           engine_blocks.BLOCK_ROWS):
+            yield rows[start:start + engine_blocks.BLOCK_ROWS]
 
     def settle(self, cancel: bool) -> list[dict] | None:
         """The finish hook's half: the run's payloads (see

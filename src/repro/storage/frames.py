@@ -67,7 +67,10 @@ HEADER_BYTES = _HEADER.size  # 24
 FRAME_CAPACITY = PAGE_SIZE
 
 _TYPECODES = {1: "B", 2: "H", 4: "I"}
-_U32 = 2 ** 32 - 1
+#: bits of a start label: the start fence is a uint32, and the block
+#: engine packs one label into this many bits of a row int
+LABEL_BITS = 32
+_U32 = (1 << LABEL_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
 
@@ -126,7 +129,8 @@ def _widths(first: int, last: int, deltas: Sequence[int],
         raise StorageError("negative posting level")
     if last > _U32:
         raise StorageError(
-            f"posting start {last} does not fit the 32-bit start fence")
+            f"posting start {last} does not fit the {LABEL_BITS}-bit start "
+            "fence")
     return (_width(max(deltas, default=0), (1, 2, 4)),
             _width(max(extents), (1, 2, 4)),
             _width(max(levels), (1, 2)))

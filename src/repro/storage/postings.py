@@ -5,20 +5,20 @@ form — parallel C-typed ``array`` columns of start/end/level that
 ``bisect`` can search without touching a Python object per probe.
 
 Blocks are **lazy**: only the packed columns are materialized at
-decode time (10 bytes per posting).  The single-binding label rows the
-block engine emits — ``(start,)``, a tuple of one int — the
-label-to-position map a join's grouping and the ``Region`` view
-resolve labels through, and the :class:`~repro.document.node.Region`
-objects of that view are three separate structures, each built on
-first access and cached: operators that only probe the packed columns
-(bisect skip-ahead, fence checks, merges) build none, and a query
-nobody asks for ``Region`` objects never allocates one.
+decode time (10 bytes per posting), and the block engine's rows of a
+scan are its start column as it is.  The label-to-position map a
+join's grouping and the ``Region`` view resolve labels through, and
+the :class:`~repro.document.node.Region` objects of that view, are
+two separate structures, each built on first access and cached:
+operators that only probe the packed columns (bisect skip-ahead, fence
+checks, merges) build neither, and a query nobody asks for ``Region``
+objects never allocates one.
 
 Blocks are built once per decode-cache epoch by
 :meth:`~repro.storage.tagindex.TagIndex.scan_blocks` and then shared
 across executions, so they are immutable by contract: consumers must
-never mutate ``regions`` or ``rows`` in place (operators that filter
-or reorder build fresh lists).
+never mutate the columns or ``regions`` in place (operators that
+filter or reorder build fresh lists).
 """
 
 from __future__ import annotations
@@ -31,11 +31,9 @@ from repro.document.node import Region
 
 #: rough per-object heap costs used for resident-byte accounting
 #: (measured on CPython 3.11: a slotted frozen Region with its three
-#: ints; a 1-tuple, 48 B, with its int label, 32 B; plus the list slot
-#: that references each; a dict entry, ~48 B at a dict's usual load,
-#: with its two ints).
+#: ints, plus the list slot that references it; a dict entry, ~48 B at
+#: a dict's usual load, with its two ints).
 _REGION_BYTES = 64
-_ROW_BYTES = 80
 _LIST_SLOT_BYTES = 8
 _POSITION_BYTES = 112
 
@@ -43,7 +41,7 @@ _POSITION_BYTES = 112
 class RegionBlock:
     """One posting list in columnar form (parallel start/end/level)."""
 
-    __slots__ = ("tag", "starts", "ends", "levels", "_regions", "_rows",
+    __slots__ = ("tag", "starts", "ends", "levels", "_regions",
                  "_positions")
 
     def __init__(self, tag: str, starts: "array[int]",
@@ -53,7 +51,6 @@ class RegionBlock:
         self.ends = ends
         self.levels = levels
         self._regions: list[Region] | None = None
-        self._rows: list[tuple[int]] | None = None
         self._positions: dict[int, int] | None = None
 
     @property
@@ -82,19 +79,8 @@ class RegionBlock:
         return positions
 
     @property
-    def rows(self) -> list[tuple[int]]:
-        """Single-binding label rows, ready for the block engine."""
-        rows = self._rows
-        if rows is None:
-            # zip(iterable) yields 1-tuples at C speed
-            rows = list(zip(self.starts))
-            self._rows = rows
-        return rows
-
-    @property
     def materialized(self) -> bool:
-        """Whether the ``Region`` objects have been built (label rows
-        are accounted in :meth:`resident_bytes`, not here)."""
+        """Whether the ``Region`` objects have been built."""
         return self._regions is not None
 
     def packed_bytes(self) -> int:
@@ -108,8 +94,6 @@ class RegionBlock:
         if self._regions is not None:
             total += len(self._regions) * (_REGION_BYTES
                                            + _LIST_SLOT_BYTES)
-        if self._rows is not None:
-            total += len(self._rows) * (_ROW_BYTES + _LIST_SLOT_BYTES)
         if self._positions is not None:
             total += len(self._positions) * _POSITION_BYTES
         return total

@@ -32,10 +32,11 @@ Two read paths exist:
 * :meth:`TagIndex.scan_blocks` — the block engine's columnar path:
   bulk-decodes each page of a chain exactly once into a *lazy*
   :class:`~repro.storage.postings.RegionBlock` (packed columns only;
-  Region objects and match rows materialize on demand) and caches the
-  block until the index mutates.  ``decode_epoch`` counts those
-  invalidations; :meth:`~repro.api.Database.reload` discards the whole
-  index, so stale blocks can never serve a reloaded document.
+  Region objects and the label-to-position map materialize on demand)
+  and caches the block until the index mutates.  ``decode_epoch``
+  counts those invalidations; :meth:`~repro.api.Database.reload`
+  discards the whole index, so stale blocks can never serve a
+  reloaded document.
 """
 
 from __future__ import annotations
@@ -398,7 +399,8 @@ class TagIndex:
         ``per_tag`` maps each tag to its posting count, page count,
         compressed bytes on disk, and the decoded block's resident
         bytes (0 while the tag's block is not cached; grows when a
-        consumer materializes Region objects or match rows).
+        consumer materializes Region objects or the label-to-position
+        map).
         """
         per_tag = {}
         for tag in self.tags():

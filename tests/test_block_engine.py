@@ -21,6 +21,7 @@ from repro.api import Database
 from repro.document.builder import DocumentBuilder
 from repro.engine import blocks
 from repro.engine.blocks import _group_rows
+from repro.engine.tuples import PackedRows, row_shift
 from repro.engine.executor import Executor
 from repro.engine.metrics import COST_COUNTERS
 from repro.core.pattern import Axis, QueryPattern
@@ -32,7 +33,8 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.postings import RegionBlock
 from repro.storage.tagindex import TagIndex
-from repro.workloads import dblp_document, fold_document, mbench_document
+from repro.workloads import (dblp_document, fold_document,
+                             mbench_document, personnel_document)
 from repro.workloads.queries import PAPER_QUERIES, dataset_document
 
 from tests.test_executor import blocking_plan, fully_pipelined_plan
@@ -118,6 +120,22 @@ def test_wildcard_and_predicate_parity(small_database):
         assert_engines_agree(small_database, plan, pattern)
 
 
+@pytest.mark.parametrize("xpath", [
+    "//manager[department/name]//manager[department/name]//employee/name",
+    "//*[name]//manager[department/name]//employee[name][*]",
+    "//*[name]//manager[name][department/name]//employee[name][*]"])
+def test_wide_rows_parity(xpath):
+    """Eight and nine columns: row ints of 256 bits and more, whose
+    middle columns are read by a shift and a mask."""
+    database = Database.from_document(
+        personnel_document(target_nodes=600, seed=42))
+    pattern = database.compile(xpath)
+    assert len(pattern.nodes) >= 8
+    for algorithm in ("DPP", "FP"):
+        plan = database.optimize(pattern, algorithm).plan
+        assert len(assert_engines_agree(database, plan, pattern)) > 0
+
+
 # -- Stack-Tree joins: pair finders and the one emission loop -------------
 
 #: the property's tag alphabet; which of them may recur under
@@ -162,15 +180,22 @@ def nesting_documents(draw, max_nodes):
 @st.composite
 def stack_tree_plans(draw):
     """A 2–4 node pattern over :data:`TAGS` with ``/`` and ``//``
-    edges, and a plan of Stack-Tree joins — each drawn Desc or Anc —
-    in a drawn edge order, with a sort wherever an input is not
+    edges — or an 8-node path, row ints of 256 bits, ``/`` but for
+    one drawn ``//`` edge (so its output stays near linear in the
+    document) — and a plan of Stack-Tree joins — each drawn Desc or
+    Anc — in a drawn edge order, with a sort wherever an input is not
     ordered by its join node — so inner results reach later joins as
     multi-row groups."""
-    size = draw(st.integers(min_value=2, max_value=4))
+    size = draw(st.sampled_from((2, 3, 4, 8)))
     nodes = [draw(st.sampled_from(TAGS)) for _ in range(size)]
-    edges = [(draw(st.integers(min_value=0, max_value=child - 1)), child,
-              draw(st.sampled_from(("/", "//"))))
-             for child in range(1, size)]
+    if size == 8:
+        loose = draw(st.integers(min_value=1, max_value=size - 1))
+        edges = [(child - 1, child, "//" if child == loose else "/")
+                 for child in range(1, size)]
+    else:
+        edges = [(draw(st.integers(min_value=0, max_value=child - 1)),
+                  child, draw(st.sampled_from(("/", "//"))))
+                 for child in range(1, size)]
     pattern = QueryPattern.build({"nodes": nodes, "edges": edges})
     fragments = {frozenset((node,)): (IndexScanPlan(node), node)
                  for node in range(size)}
@@ -274,22 +299,61 @@ def test_first_block_leaves_before_the_rest_is_joined(monkeypatch):
         assert slices == [1, *rest]
 
 
-# -- label rows -----------------------------------------------------------
+# -- row ints -------------------------------------------------------------
+
+
+def row_ints(rows):
+    """Label tuples as the block engine's row ints."""
+    return [sum(label << row_shift(len(row), position)
+                for position, label in enumerate(row)) for row in rows]
 
 
 def test_group_rows_groups_by_label_and_reads_the_packed_column():
     column = RegionBlock("a", array("I", [1, 4, 9]),
                          array("I", [8, 6, 9]), array("H", [1, 2, 1]))
-    rows = [(7, 1), (8, 1), (5, 4), (3, 9), (2, 9)]
-    groups = _group_rows(rows, 1, "input", column)
+    rows = row_ints([(7, 1), (8, 1), (5, 4), (3, 9), (2, 9)])
+    groups = _group_rows(rows, 2, 1, "input", column)
     assert groups.starts == [1, 4, 9] and groups.bounds == [0, 2, 3, 5]
     assert groups.ends == [8, 6, 9] and groups.levels == [1, 2, 1]
+    # the first column of the same rows is out of order
+    with pytest.raises(PlanError, match="saw start 5 after 8"):
+        _group_rows(rows, 2, 0, "input", column)
+    # a middle column, read by a shift and a mask
+    middle = row_ints([(2**32 - 1, 1, 0), (0, 4, 2**32 - 1)])
+    assert _group_rows(middle, 3, 1, "input", column).starts == [1, 4]
     # a subset of the column (a predicate kept 4 only), and no rows
-    kept = _group_rows([(4,)], 0, "input", column)
+    kept = _group_rows([4], 1, 0, "input", column)
     assert (kept.starts, kept.ends, kept.levels, kept.bounds) == (
         [4], [6], [2], [0, 1])
-    none = _group_rows([], 0, "input", column)
+    none = _group_rows([], 1, 0, "input", column)
     assert len(none) == 0 and none.bounds == [0]
+
+
+def test_packed_rows_stay_row_ints_until_read():
+    """``len`` and slices of the engine's packed output read no label;
+    the first read flattens once, and every form — row ints, a node's
+    uint32 labels, a fleet's int64 labels — is equal row for row."""
+    rows = [(0, 2**32 - 1, 7), (1, 2, 3), (2**32 - 1, 0, 5), (4, 4, 4)]
+    lazy = PackedRows.of_ints(row_ints(rows), 3)
+    assert len(lazy) == 4 and lazy._labels is None
+    head = lazy[:2]
+    assert isinstance(head, PackedRows) and head._labels is None
+    assert list(head) == rows[:2] and head._labels is not None
+    assert lazy._labels is None
+    fleet = PackedRows(array("q", [label for row in rows
+                                   for label in row]), 3)
+    assert lazy == fleet == rows and lazy != rows[:3]
+    assert lazy.labels.typecode == "I" and lazy._ints is None
+    assert lazy[1] == lazy[-3] == rows[1]
+    assert lazy[1:3] == rows[1:3] and lazy[::-2] == rows[::-2]
+    assert lazy[3:1] == [] and lazy[:99] == rows
+    assert PackedRows.join((lazy[:1], (), lazy[1:]), 3) == rows
+    assert PackedRows.join((fleet[:3], fleet[3:]), 3) == rows
+    with pytest.raises(IndexError):
+        lazy[4]
+    empty = PackedRows.join((), 3)
+    assert len(empty) == 0 and list(empty) == []
+    assert not hasattr(lazy, "append")
 
 
 def test_group_rows_rejects_a_decreasing_join_column():
@@ -298,7 +362,7 @@ def test_group_rows_rejects_a_decreasing_join_column():
     with pytest.raises(PlanError,
                        match="ancestor input is not ordered by its "
                              r"declared column \(saw start 4 after 9\)"):
-        _group_rows([(1,), (9,), (4,)], 0, "ancestor input", column)
+        _group_rows([1, 9, 4], 1, 0, "ancestor input", column)
     # and through a plan: the inner join's output is ordered by the
     # manager, the outer one joins it on the employee, unsorted —
     # (m1, e1), (m1, e2), (m2, e1) has employee labels 3, 5, 3
@@ -318,23 +382,49 @@ def test_group_rows_rejects_a_decreasing_join_column():
 
 
 def test_big_result_rows_leave_the_cyclic_collector():
-    """Why label rows are fast, pinned: a tuple of ints is untracked
-    by the collector on its first visit, so a 100 k-row result is not
-    walked again by every full collection.  Wrap a label in any
-    object — a ``Region``, a list — and this fails."""
+    """Why packed rows are fast, pinned: a big result is row ints,
+    then one label array once read, never an object per row the
+    collector tracks — a result of label tuples made one per row, and
+    each counted towards the next generation-0 collection.  Wrap a
+    row in any container and this fails."""
     database = Database.from_document(
         dataset_document("dblp", seed=42, entries=120))
-    result = database.query(PAPER_QUERIES["Q.DBLP.2.c"].pattern)
-    assert len(result) > 1000
+    pattern = PAPER_QUERIES["Q.DBLP.2.c"].pattern
+    database.query(pattern)  # statistics, postings and plan warm
+    enabled = gc.isenabled()
     gc.collect()
-    assert not any(map(gc.is_tracked, result.execution.rows))
+    gc.disable()  # every object made stays tracked until counted
+    try:
+        before = len(gc.get_objects())
+        result = database.query(pattern)
+        assert len(result) > 1000
+        assert len(gc.get_objects()) - before < 200
+        assert len(result.execution.rows.labels) == 6 * len(result)
+        assert len(gc.get_objects()) - before < 200
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_count_only_reader_builds_no_row_object():
+    """``len`` of a 131 068-row result reads nothing: the rows stay
+    row ints, so the run leaves the collector nothing to count.
+    Measured on this query: 168-169 generation-0 collections a run
+    when each row was a tuple of labels, 0 with row ints."""
+    database = Database.from_document(fold_document(
+        dblp_document(entries=400, seed=42), 2))
+    pattern = PAPER_QUERIES["Q.DBLP.1.b"].pattern
+    database.query(pattern)  # statistics, postings and plan warm
+    before = gc.get_stats()[0]["collections"]
+    assert len(database.query(pattern)) == 131_068
+    assert gc.get_stats()[0]["collections"] - before <= 10
 
 
 @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
 def test_default_path_allocates_no_region(name):
     """An un-predicated paper query through ``Database.query`` leaves
     every posting block it touched without its ``Region`` list, and
-    accounts the label rows it did build; asking for ``tuples``
+    accounts what it did build; asking for ``tuples``
     afterwards builds exactly the iterator engine's rows."""
     query = PAPER_QUERIES[name]
     size = ({"entries": 60} if query.dataset == "dblp"
@@ -351,15 +441,13 @@ def test_default_path_allocates_no_region(name):
         assert not any(entry["materialized"] for entry in database.
                        index.storage_stats()["per_tag"].values())
     for block in touched:
-        # each structure is accounted on its own: label rows and the
-        # label-to-position map pin no Region
-        rows, regions, positions = (
+        # each structure is accounted on its own: the label-to-position
+        # map pins no Region
+        regions, positions = (
             len(block) if built is not None else 0 for built in
-            (block._rows, block._regions, block._positions))
+            (block._regions, block._positions))
         assert block.resident_bytes() == (
-            block.packed_bytes() + rows * 88 + regions * 72
-            + positions * 112)
-    assert any(block._rows is not None for block in touched)
+            block.packed_bytes() + regions * 72 + positions * 112)
     reference = database.execute(result.plan, pattern, engine="tuple")
     _, context = database._engine_context()
     assert result.execution.tuples == reference.tuples == list(

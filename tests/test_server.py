@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import asyncio
 import io
+from array import array
+from itertools import chain
 import json
 import math
 import os
@@ -33,7 +35,9 @@ from repro.obs.querylog import QueryLog, read_query_log
 from repro.server import (AdmissionController, QueryServer,
                           ServerConfig, TokenBucket, app, fetch)
 from repro.server.client import HttpClient
-from repro.server.http import ChunkedWriter, ndjson_rows
+from repro.engine.tuples import PackedRows, flatten, row_shift
+from repro.server.http import (ChunkedWriter, json_line, json_result,
+                               json_rows, ndjson_rows)
 from repro.workloads import personnel_document
 
 
@@ -431,6 +435,48 @@ class TestDeadlines:
         finally:
             instance.stop()
 
+    def test_a_deadline_makes_no_task_per_request(self, server):
+        """A request on a kept-alive connection is read, timed and
+        answered in the connection's own task: its deadline is a
+        timer, not an ``asyncio.wait_for`` (which makes a task of its
+        own on Python < 3.12).  Counted through the loop's task
+        factory, every task the loop makes for any reason."""
+        instance, host, port = server
+        loop = instance._loop
+        made = []
+
+        def counting(loop, coro, **kwargs):
+            made.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        def install(factory):
+            done = threading.Event()
+            loop.call_soon_threadsafe(
+                lambda: (loop.set_task_factory(factory), done.set()))
+            assert done.wait(5.0)
+
+        async def drive():
+            client = HttpClient(host, port)
+            try:
+                response = await client.request(
+                    "GET", "/query?xpath=//employee//name")
+                assert response.status == 200
+                del made[:]  # the connection's own task is made once
+                for extra in ("", "&stream=1", "&limit=3",
+                              "&timeout_ms=20000") * 2:
+                    response = await client.request(
+                        "GET", "/query?xpath=//employee//name" + extra)
+                    assert response.status == 200
+            finally:
+                await client.close()
+
+        install(counting)
+        try:
+            run(drive())
+        finally:
+            install(None)
+        assert made == []
+
 
 def capture_streams(monkeypatch, database, engine=""):
     """Every ``StreamingExecution`` the server opens from here on —
@@ -534,14 +580,36 @@ def wait_until_stalled(stream, quiet=0.4):
 
 class TestRowBatches:
     def test_batch_encoder_matches_the_per_row_reference(self):
-        for rows in ([], [[7]], [[1, 2], [30, 40]],
-                     [[i, i * 7, i * 11] for i in range(300)], [[]]):
-            reference = "".join(json.dumps({"b": row}) + "\n"
-                                for row in rows).encode()
-            assert ndjson_rows(rows) == reference
-            # an engine block — label rows, tuples of ints — encodes
-            # to the same bytes as its list form
-            assert ndjson_rows(list(map(tuple, rows))) == reference
+        """A packed block's NDJSON is ``json.dumps({"b": list(row)})``
+        per row at every width, on a node's blocks (row ints, flattened
+        to uint32 labels) and a fleet's (the pipe's int64 labels), at
+        both ends of the label range, and on a block a limit cut; a
+        buffered body's ``bindings`` spliced from the same blocks is
+        ``json_line`` of them as lists, whatever its strings hold."""
+        edges = [0, 2**32 - 1, 1, 4096, 2**31]
+        for width in range(1, 10):
+            rows = [tuple(edges[(row + column) % len(edges)]
+                          for column in range(width))
+                    for row in range(300)]
+            ints = [sum(label << row_shift(width, column)
+                        for column, label in enumerate(row))
+                    for row in rows]
+            node = PackedRows.of_ints(ints, width)
+            flat = PackedRows(flatten(ints, width), width)
+            fleet = PackedRows(array("q", chain.from_iterable(rows)),
+                               width)
+            for cut in (len(rows), len(rows) - 7, 1, 0):
+                reference = "".join(json.dumps({"b": list(row)}) + "\n"
+                                    for row in rows[:cut]).encode()
+                for block in (node, flat, fleet):
+                    assert ndjson_rows(block[:cut]) == reference, width
+                summary = {"query": "//a[@b='\"bindings\": []']",
+                           "rows": cut, "schema": list(range(width))}
+                assert json_result(summary, [
+                    json_rows(node[:cut // 2]), json_rows(node[:0]),
+                    json_rows(fleet[cut // 2:cut])]) == json_line(
+                        {**summary, "bindings": [list(row)
+                                                 for row in rows[:cut]]})
 
     def test_wire_contract_chunk_by_chunk(self, server, monkeypatch):
         """Schema alone in the first chunk, the first row alone in

@@ -37,7 +37,8 @@ from repro.obs.registry import MetricsRegistry
 from repro.shard import (ShardedDatabase, coordinator,
                          partition_document)
 from repro.engine import blocks
-from repro.shard.coordinator import PackedRows, merge_packed_runs
+from repro.engine.tuples import PackedRows
+from repro.shard.coordinator import merge_packed_runs
 from repro.shard.partition import structural_pairs_local
 from repro.shard.worker import pack_run
 from repro.workloads import PAPER_QUERIES, dblp_document, random_pattern
@@ -263,13 +264,12 @@ def test_columnar_path_equals_the_per_row_formula(
     for name in GATHER_QUERIES:
         pattern = PAPER_QUERIES[name].pattern
         plan = sharded.optimize(pattern, algorithm="DPP").plan
-        width = len(pattern.nodes)
         for database in shard_databases:
             result = database.execute(plan, pattern)
             key = result.schema.position(plan.ordered_by)
             keys = [tuple(region.start for region in row) for row in
                     database.execute(plan, pattern, engine="tuple").tuples]
-            assert pack_run(result.rows, width, key) == _flat(keys), name
+            assert pack_run(result.rows, key) == _flat(keys), name
         merged = single.execute(plan, pattern).rows
         expected = [tuple(regions[s] for s in row) for row in merged]
         assert expected, name
@@ -735,12 +735,20 @@ def test_misordered_reply_is_a_typed_error_and_the_fleet_serves_on(
 
 
 def test_pack_run_checks_the_order_across_block_boundaries():
-    assert list(pack_run([(3, 1), (4, 1)], 2, 0, after=3)) == [3, 1, 4, 1]
-    assert list(pack_run([], 2, 0, after=9)) == []
+    def packed(*rows):
+        return PackedRows.of_tuples(rows, 2)
+
+    assert list(pack_run(packed((3, 1), (4, 1)), 0, after=3)) == [
+        3, 1, 4, 1]
+    assert list(pack_run(packed(), 0, after=9)) == []
     with pytest.raises(PlanError, match="key column 0"):
-        pack_run([(3, 1), (4, 1)], 2, 0, after=4)
+        pack_run(packed((3, 1), (4, 1)), 0, after=4)
     with pytest.raises(PlanError, match="key column 1"):
-        pack_run([(0, 5), (1, 7)], 2, 1, after=6)
+        pack_run(packed((0, 5), (1, 7)), 1, after=6)
+    # the pipe's form: 8 bytes a label, whatever the label
+    run = pack_run(packed((0, 2**32 - 1), (2**32 - 1, 0)), 0)
+    assert run.typecode == "q" and run.itemsize == 8
+    assert list(run) == [0, 2**32 - 1, 2**32 - 1, 0]
 
 
 # -- lockstep drills: a stream's head and rest share the pipes ----------

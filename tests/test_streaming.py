@@ -169,7 +169,7 @@ class TestOneRunPath:
         head = [next(rows), next(rows)]  # the view: Region rows,
         assert head == result.tuples[:2]  # the rest as label rows
         assert stream.produced == 2
-        assert expected[:2] + stream.fetchall() == expected
+        assert [*expected[:2], *stream.fetchall()] == list(expected)
         assert stream.finished and stream.produced == len(expected)
         assert stream.fetchall() == [] and list(rows) == []
         # and a stream nobody started to read is handed over whole
