@@ -15,7 +15,9 @@ decided by where it sits:
 * above the engine, :class:`PackedRows` — what a stream's
   ``blocks()`` / ``fetchall()`` and a result's ``rows`` are, what the
   shard pipe and the wire encoders read: the labels flattened
-  row-major into one typed ``array``.  Reading it row by row gives a
+  row-major into one ``array`` of the posting columns' own label
+  typecode (:data:`~repro.storage.frames.LABEL_TYPECODE`), on a node
+  and on a fleet alike.  Reading it row by row gives a
   :data:`LabelRow`, a plain tuple of start labels, built on demand.
 * a :data:`MatchTuple`, the same row as
   :class:`~repro.document.node.Region` values — what the reference
@@ -36,7 +38,7 @@ from typing import Iterable, Iterator, Mapping
 
 from repro.errors import PlanError
 from repro.document.node import Region
-from repro.storage.frames import LABEL_BITS
+from repro.storage.frames import LABEL_BITS, LABEL_TYPECODE
 
 #: A row as a tuple of start labels, aligned with its schema: what
 #: reading :class:`PackedRows` row by row hands out, built on demand.
@@ -46,9 +48,6 @@ MatchTuple = tuple[Region, ...]
 
 #: one label's bits in a row int
 LABEL_MASK = (1 << LABEL_BITS) - 1
-#: the ``array`` typecode of the engine's flattened labels: uint32, as
-#: the posting columns' starts are
-_LABEL_TYPECODE = "I"
 _LITTLE_ENDIAN = sys.byteorder == "little"
 
 
@@ -63,8 +62,8 @@ def flatten(rows: Sequence[int], width: int) -> array:
     ``map``, the bytes are joined once and read by one ``frombytes``.
     A one-column row int is its label already."""
     if width == 1:
-        return array(_LABEL_TYPECODE, rows)
-    labels = array(_LABEL_TYPECODE)
+        return array(LABEL_TYPECODE, rows)
+    labels = array(LABEL_TYPECODE)
     labels.frombytes(b"".join(map(int.to_bytes, rows,
                                   repeat(LABEL_BITS // 8 * width),
                                   repeat("big"))))
@@ -103,22 +102,18 @@ class PackedRows(Sequence):
     def of_tuples(cls, rows: Iterable[LabelRow],
                   width: int) -> "PackedRows":
         """Label rows (tuples) packed."""
-        return cls(array(_LABEL_TYPECODE, chain.from_iterable(rows)),
+        return cls(array(LABEL_TYPECODE, chain.from_iterable(rows)),
                    width)
 
     @classmethod
     def join(cls, parts: Iterable["PackedRows"],
              width: int) -> "PackedRows":
         """Consecutive runs of one source's rows as one."""
-        labels = None
+        labels = array(LABEL_TYPECODE)
         for part in parts:
-            if not part:
-                continue
-            if labels is None:
-                labels = array(part.labels.typecode)
-            labels.extend(part.labels)
-        return cls(array(_LABEL_TYPECODE) if labels is None else labels,
-                   width)
+            if part:
+                labels.extend(part.labels)
+        return cls(labels, width)
 
     @property
     def labels(self) -> array:

@@ -52,6 +52,7 @@ from queue import SimpleQueue
 from repro import errors
 from repro.errors import ReproError, ShardError
 from repro.shard.worker import worker_main
+from repro.storage.frames import LABEL_TYPECODE
 
 __all__ = ["GatherTicket", "ShardWorkerPool", "merge_packed_runs"]
 
@@ -63,10 +64,12 @@ DEFAULT_TIMEOUT = 60.0
 def merge_packed_runs(runs: list[array], width: int, key: int) -> array:
     """The shards' packed runs as one row-major array of start labels:
     exactly the rows a single node returns for the same plan, in the
-    same order.
+    same order and in the same form, a
+    :data:`~repro.storage.frames.LABEL_TYPECODE` array.
 
     *runs* are the workers' replies (see :mod:`repro.shard.worker`):
-    row-major, *width* labels per row, in shard order, each in the
+    label arrays of that one typecode, row-major, *width* labels per
+    row, in shard order, each in the
     order the plan produced it — non-decreasing on column *key*, the
     plan's ``ordered_by`` node, which the worker has checked.  So the
     merge is by that one column:
@@ -90,7 +93,7 @@ def merge_packed_runs(runs: list[array], width: int, key: int) -> array:
       can duplicate, and identical rows tie, so they emerge adjacent.
     """
     runs = [run for run in runs if run]
-    merged = array("q")
+    merged = array(LABEL_TYPECODE)
     if all(earlier[key - width] <= later[key]
            for earlier, later in zip(runs, runs[1:])):
         for run in runs:

@@ -194,20 +194,3 @@ def partition_document(document: XmlDocument,
         raise ShardError("partitioner failed to place every subtree")
     return ShardPartition(document, assignments)
 
-
-def structural_pairs_local(partition: ShardPartition) -> bool:
-    """Verify the partitioning invariant (test helper, O(n^2) worst).
-
-    True iff every (ancestor, descendant) pair not involving the root
-    lives in one shard.
-    """
-    document = partition.document
-    root_id = document.root.node_id
-    for node in document:
-        if node.node_id == root_id:
-            continue
-        shard = partition.shard_of(node.node_id)
-        for descendant in document.descendants(node):
-            if partition.shard_of(descendant.node_id) != shard:
-                return False
-    return True

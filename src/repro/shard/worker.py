@@ -40,21 +40,19 @@ The reply to a query is **columnar**: the shard's result is one run
 of start labels in the order the plan produced them, never a row
 object — cut in two, the head and the rest.
 
-* ``rows`` — one ``array('q')``, row-major: row *r*'s label for schema
+* ``rows`` — one label array, row-major: row *r*'s label for schema
   column *c* is ``rows[r * width + c]``.  The engine hands its rows
   over packed — start labels, global and unique per node, row-major
-  in one uint32 array per block — and the reply is those labels
-  widened to the pipe's int64 a block at a time as they come
-  (:func:`pack_run`): nothing is extracted, no key is built and
-  nothing is re-ordered, because a plan's output is already in
-  document order on its ``ordered_by`` node (Sec. 3.1.1), which is
-  the one order the coordinator merges by.  ``'q'`` is the one
-  typecode: 8 bytes per label, ``8 * width`` bytes per row on the
-  pipe, wide enough for any label the write path's gapped numbering
-  can hand out.  Pickling an array is a buffer copy out and a buffer
-  copy in; the coordinator keeps the runs packed and never allocates
-  per row or per label it is not asked for.  The payload's ``rows``
-  is the run after the head.
+  in one :data:`~repro.storage.frames.LABEL_TYPECODE` array per
+  block, 4 bytes a label — and the reply is those arrays as they
+  come, each checked for order (:func:`pack_run`): nothing is copied
+  into another form and nothing is re-ordered, because a plan's
+  output is already in document order on its ``ordered_by`` node
+  (Sec. 3.1.1), which is the one order the coordinator merges by.
+  Pickling an array is a buffer copy out and a buffer copy in; the
+  coordinator keeps the runs packed and never allocates per row or
+  per label it is not asked for.  The payload's ``rows`` is the run
+  after the head.
 * ``row_count``, ``width`` — the shape of the whole run, head
   included; ``node_ids`` names the ``width`` schema columns.
 * ``wall_seconds`` — the plan's execution: the stream's clock less
@@ -70,56 +68,44 @@ object — cut in two, the head and the rest.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from array import array
 
 from repro.engine.tuples import PackedRows
 from repro.errors import PlanError
 from repro.obs.spans import TraceContext, assign_span_ids
+from repro.storage.frames import LABEL_TYPECODE
 
 __all__ = ["worker_main", "pack_run"]
-
-#: where a label's four bytes sit among its int64's eight, counted in
-#: four-byte halves
-_LOW_HALF = 0 if sys.byteorder == "little" else 1
 
 
 def pack_run(rows: "PackedRows | tuple", key: int,
              after: "int | None" = None) -> array:
-    """A block's labels, in the order the plan produced them, as the
-    pipe's row-major ``array('q')``; :class:`PlanError` unless they
-    are non-decreasing on column *key*, the plan's ``ordered_by``
-    node, and — when they continue a run whose last key is *after* —
-    start at or above it, so that a run packed a block at a time is
-    checked across every block boundary too.
+    """A block's labels, in the order the plan produced them: the
+    engine's own row-major label array, handed on as it is;
+    :class:`PlanError` unless they are non-decreasing on column *key*,
+    the plan's ``ordered_by`` node, and — when they continue a run
+    whose last key is *after* — start at or above it, so that a run
+    packed a block at a time is checked across every block boundary
+    too.
 
-    The widening is one C pass: a zeroed int64 array whose low halves,
-    seen as uint32 through a ``memoryview``, take the labels in one
-    strided slice assignment.  The check reads the key column back out
-    of the run with a strided slice and compares it with its own
-    ``sorted`` copy — on ordered keys a single run detection of n - 1
-    integer comparisons, the cheapest pass over the column measured —
-    so a mis-ordered plan fails here, on the worker, in parallel with
-    the other shards, and the coordinator's merge never re-checks.
-    Measured on 180 000 labels (the 25 712 x 7 shard result of
-    ``Q.Pers.3.d``): 2.7 ms for the widening, where ``array("q",
-    labels)`` takes 10.9 ms and the ``struct.pack`` flatten of the
-    same rows as tuples, which this replaces, 5.6 ms.
+    The check reads the key column out of the labels with a strided
+    slice and compares it with its own ``sorted`` copy — on ordered
+    keys a single run detection of n - 1 integer comparisons, the
+    cheapest pass over the column measured — so a mis-ordered plan
+    fails here, on the worker, in parallel with the other shards, and
+    the coordinator's merge never re-checks.
     """
     if not rows:
-        return array("q")
+        return array(LABEL_TYPECODE)
     labels = rows.labels
-    run = array("q", bytes(8 * len(labels)))
-    memoryview(run).cast("B").cast(labels.typecode)[_LOW_HALF::2] = labels
-    width = rows.width
-    keys = run[key::width].tolist()
+    keys = labels[key::rows.width].tolist()
     if after is not None:
         keys.insert(0, after)
     if keys != sorted(keys):
         raise PlanError(
             f"plan output is out of order on its key column {key}")
-    return run
+    return labels
 
 
 def worker_main(shard_id: int, pages_path: str, conn) -> None:
@@ -204,7 +190,7 @@ def _answer(database, shard_id: int, conn, plan, pattern, engine: str,
         # a head the size of the whole run waits on the pipe for the
         # coordinator to read it: that is not the shard's execution
         send_seconds = time.perf_counter() - sent
-        run = array("q")
+        run = array(LABEL_TYPECODE)
         after = head[key - width] if head else None
         for block in blocks:
             pack_started = time.perf_counter()

@@ -70,6 +70,11 @@ _TYPECODES = {1: "B", 2: "H", 4: "I"}
 #: bits of a start label: the start fence is a uint32, and the block
 #: engine packs one label into this many bits of a row int
 LABEL_BITS = 32
+#: the ``array`` typecode of every label array — a decoded frame's
+#: starts and ends, the engine's flattened rows, the shard pipe's runs
+LABEL_TYPECODE = "I"
+#: the ``array`` typecode of a decoded frame's levels
+LEVEL_TYPECODE = "H"
 _U32 = (1 << LABEL_BITS) - 1
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -227,8 +232,9 @@ def unpack_frame(buffer: bytes | bytearray | memoryview
                  ) -> tuple[array, array, array]:
     """Decode one frame into ``(starts, ends, levels)`` arrays.
 
-    ``starts``/``ends`` come back as uint32 arrays and ``levels`` as
-    uint16 — the exact column types :class:`~repro.storage.postings.
+    ``starts``/``ends`` come back as :data:`LABEL_TYPECODE` (uint32)
+    arrays and ``levels`` as :data:`LEVEL_TYPECODE` (uint16) — the
+    exact column types :class:`~repro.storage.postings.
     RegionBlock` bisects over.  The whole decode is bulk C: three
     ``frombytes``, one ``accumulate``, one ``map(add)``.
     """
@@ -236,17 +242,19 @@ def unpack_frame(buffer: bytes | bytearray | memoryview
     view = memoryview(buffer)
     count = header.count
     if count == 0:
-        return array("I"), array("I"), array("H")
+        return (array(LABEL_TYPECODE), array(LABEL_TYPECODE),
+                array(LEVEL_TYPECODE))
     offset = HEADER_BYTES
     deltas = _decode_column(view, offset, count - 1, header.delta_width)
     offset += (count - 1) * header.delta_width
     extents = _decode_column(view, offset, count, header.extent_width)
     offset += count * header.extent_width
     levels = _decode_column(view, offset, count, header.level_width)
-    starts = array("I", accumulate(deltas, initial=header.first_start))
-    ends = array("I", map(add, starts, extents))
-    if header.level_width != 2:
-        levels = array("H", levels)
+    starts = array(LABEL_TYPECODE,
+                   accumulate(deltas, initial=header.first_start))
+    ends = array(LABEL_TYPECODE, map(add, starts, extents))
+    if levels.typecode != LEVEL_TYPECODE:
+        levels = array(LEVEL_TYPECODE, levels)
     return starts, ends, levels
 
 

@@ -45,16 +45,29 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import compress, islice
 from operator import lt, not_
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import StorageError
 from repro.document.document import XmlDocument
 from repro.document.node import Region
 from repro.storage.buffer import BufferPool
-from repro.storage.frames import (FrameHeader, pack_frames, peek_header,
+from repro.storage.frames import (LABEL_TYPECODE, LEVEL_TYPECODE,
+                                  FrameHeader, pack_frames, peek_header,
                                   unpack_frame)
 from repro.storage.pages import PAGE_SIZE
 from repro.storage.postings import RegionBlock
+
+
+def _concat_columns(parts: Iterable[Sequence[array]]
+                    ) -> tuple[array, array, array]:
+    """Decoded ``(starts, ends, levels)`` columns, one part after
+    another, as one set of columns."""
+    columns = (array(LABEL_TYPECODE), array(LABEL_TYPECODE),
+               array(LEVEL_TYPECODE))
+    for part in parts:
+        for column, values in zip(columns, part):
+            column.extend(values)
+    return columns
 
 
 class TagIndex:
@@ -159,38 +172,24 @@ class TagIndex:
         per-tag blocks.
         """
         if self._merged_block is None:
-            starts = array("I")
-            ends = array("I")
-            levels = array("H")
-            for tag in self.tags():
-                block = self.scan_blocks(tag)
-                starts.extend(block.starts)
-                ends.extend(block.ends)
-                levels.extend(block.levels)
-            order = sorted(range(len(starts)), key=starts.__getitem__)
-            self._merged_block = RegionBlock(
-                "*",
-                array("I", map(starts.__getitem__, order)),
-                array("I", map(ends.__getitem__, order)),
-                array("H", map(levels.__getitem__, order)))
+            columns = _concat_columns(
+                (block.starts, block.ends, block.levels)
+                for block in map(self.scan_blocks, self.tags()))
+            order = sorted(range(len(columns[0])),
+                           key=columns[0].__getitem__)
+            self._merged_block = RegionBlock("*", *(
+                array(column.typecode, map(column.__getitem__, order))
+                for column in columns))
         return self._merged_block
 
     def _decode_chain(self, tag: str) -> RegionBlock:
         chain = self._page_chains.get(tag, ())
         if len(chain) == 1:
-            starts, ends, levels = unpack_frame(
-                self.pool.fetch_view(chain[0]))
-            return RegionBlock(tag, starts, ends, levels)
-        starts = array("I")
-        ends = array("I")
-        levels = array("H")
-        for page_id in chain:
-            page_starts, page_ends, page_levels = unpack_frame(
-                self.pool.fetch_view(page_id))
-            starts.extend(page_starts)
-            ends.extend(page_ends)
-            levels.extend(page_levels)
-        return RegionBlock(tag, starts, ends, levels)
+            return RegionBlock(tag, *unpack_frame(
+                self.pool.fetch_view(chain[0])))
+        return RegionBlock(tag, *_concat_columns(
+            unpack_frame(self.pool.fetch_view(page_id))
+            for page_id in chain))
 
     def drop_caches(self) -> None:
         """Discard every cached decoded block (cold-start simulation).

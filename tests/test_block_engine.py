@@ -31,6 +31,7 @@ from repro.document.parser import parse_xml
 from repro.errors import PlanError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
+from repro.storage.frames import LABEL_TYPECODE
 from repro.storage.postings import RegionBlock
 from repro.storage.tagindex import TagIndex
 from repro.workloads import (dblp_document, fold_document,
@@ -331,8 +332,9 @@ def test_group_rows_groups_by_label_and_reads_the_packed_column():
 
 def test_packed_rows_stay_row_ints_until_read():
     """``len`` and slices of the engine's packed output read no label;
-    the first read flattens once, and every form — row ints, a node's
-    uint32 labels, a fleet's int64 labels — is equal row for row."""
+    the first read flattens once, and both forms — row ints, and the
+    label array a node and a fleet alike hand out — are equal row for
+    row."""
     rows = [(0, 2**32 - 1, 7), (1, 2, 3), (2**32 - 1, 0, 5), (4, 4, 4)]
     lazy = PackedRows.of_ints(row_ints(rows), 3)
     assert len(lazy) == 4 and lazy._labels is None
@@ -340,10 +342,10 @@ def test_packed_rows_stay_row_ints_until_read():
     assert isinstance(head, PackedRows) and head._labels is None
     assert list(head) == rows[:2] and head._labels is not None
     assert lazy._labels is None
-    fleet = PackedRows(array("q", [label for row in rows
-                                   for label in row]), 3)
+    fleet = PackedRows(array(LABEL_TYPECODE, [label for row in rows
+                                              for label in row]), 3)
     assert lazy == fleet == rows and lazy != rows[:3]
-    assert lazy.labels.typecode == "I" and lazy._ints is None
+    assert lazy.labels.typecode == LABEL_TYPECODE and lazy._ints is None
     assert lazy[1] == lazy[-3] == rows[1]
     assert lazy[1:3] == rows[1:3] and lazy[::-2] == rows[::-2]
     assert lazy[3:1] == [] and lazy[:99] == rows

@@ -25,9 +25,10 @@ from hypothesis import given, settings
 
 from repro.errors import PageFormatError, StorageError
 from repro.storage.frames import (FRAME_MAGIC, FRAME_VERSION,
-                                  HEADER_BYTES, frame_bytes, iter_chunks,
-                                  pack_frame, pack_frames, peek_header,
-                                  unpack_frame)
+                                  HEADER_BYTES, LABEL_BITS,
+                                  LABEL_TYPECODE, LEVEL_TYPECODE,
+                                  frame_bytes, iter_chunks, pack_frame,
+                                  pack_frames, peek_header, unpack_frame)
 from repro.storage.pages import PAGE_SIZE, Page
 
 U32 = 2 ** 32 - 1
@@ -259,7 +260,17 @@ class TestFrameRoundtrip:
         assert peek_header(frame).count == 0
         starts, ends, levels = unpack_frame(frame)
         assert (len(starts), len(ends), len(levels)) == (0, 0, 0)
+        assert (starts.typecode, ends.typecode, levels.typecode) == (
+            LABEL_TYPECODE, LABEL_TYPECODE, LEVEL_TYPECODE)
         assert pack_frames([], [], []) == []
+
+    def test_a_label_array_item_is_exactly_a_label(self):
+        """Every label array — decoded starts, the engine's rows, the
+        shard pipe's runs — has this typecode: its item is exactly as
+        wide as the start fence, so no label is widened or cut."""
+        assert array(LABEL_TYPECODE).itemsize * 8 == LABEL_BITS
+        assert list(array(LABEL_TYPECODE, [0, U32])) == [0, U32]
+        assert array(LEVEL_TYPECODE).itemsize == 2
 
     def test_frame_bytes_matches_encoding(self):
         starts, ends, levels = [1, 5, 300], [2, 6, 300], [1, 2, 3]

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import asyncio
 import io
-from array import array
-from itertools import chain
 import json
 import math
 import os
@@ -581,11 +579,12 @@ def wait_until_stalled(stream, quiet=0.4):
 class TestRowBatches:
     def test_batch_encoder_matches_the_per_row_reference(self):
         """A packed block's NDJSON is ``json.dumps({"b": list(row)})``
-        per row at every width, on a node's blocks (row ints, flattened
-        to uint32 labels) and a fleet's (the pipe's int64 labels), at
-        both ends of the label range, and on a block a limit cut; a
-        buffered body's ``bindings`` spliced from the same blocks is
-        ``json_line`` of them as lists, whatever its strings hold."""
+        per row at every width, on a node's blocks (row ints, and the
+        label array they flatten to) and a fleet's (the same label
+        array, packed from label rows), at both ends of the label
+        range, and on a block a limit cut; a buffered body's
+        ``bindings`` spliced from the same blocks is ``json_line`` of
+        them as lists, whatever its strings hold."""
         edges = [0, 2**32 - 1, 1, 4096, 2**31]
         for width in range(1, 10):
             rows = [tuple(edges[(row + column) % len(edges)]
@@ -596,8 +595,7 @@ class TestRowBatches:
                     for row in rows]
             node = PackedRows.of_ints(ints, width)
             flat = PackedRows(flatten(ints, width), width)
-            fleet = PackedRows(array("q", chain.from_iterable(rows)),
-                               width)
+            fleet = PackedRows.of_tuples(rows, width)
             for cut in (len(rows), len(rows) - 7, 1, 0):
                 reference = "".join(json.dumps({"b": list(row)}) + "\n"
                                     for row in rows[:cut]).encode()

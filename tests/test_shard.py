@@ -17,6 +17,7 @@ import os
 import random
 import re
 import signal
+import socket
 import sys
 import threading
 import time
@@ -39,8 +40,8 @@ from repro.shard import (ShardedDatabase, coordinator,
 from repro.engine import blocks
 from repro.engine.tuples import PackedRows
 from repro.shard.coordinator import merge_packed_runs
-from repro.shard.partition import structural_pairs_local
 from repro.shard.worker import pack_run
+from repro.storage.frames import LABEL_TYPECODE
 from repro.workloads import PAPER_QUERIES, dblp_document, random_pattern
 from repro.workloads.personnel import personnel_document
 
@@ -57,6 +58,22 @@ def _property_documents():
 
 
 # -- partitioner properties (pure, no worker processes) ------------------
+
+
+def structural_pairs_local(partition) -> bool:
+    """The partitioning invariant, checked pair by pair (O(n^2) worst):
+    True iff every (ancestor, descendant) pair not involving the root
+    lives in one shard."""
+    document = partition.document
+    root_id = document.root.node_id
+    for node in document:
+        if node.node_id == root_id:
+            continue
+        shard = partition.shard_of(node.node_id)
+        for descendant in document.descendants(node):
+            if partition.shard_of(descendant.node_id) != shard:
+                return False
+    return True
 
 
 def test_partition_disjoint_union_and_colocation():
@@ -203,7 +220,9 @@ def sharded(corpus_document):
 def test_sharded_bindings_match_single_node(sharded, corpus_document,
                                             chain_pattern):
     """A fleet returns a single node's rows for the same plan, in the
-    single node's order — whatever order the plan produces."""
+    single node's order — whatever order the plan produces — and in
+    the single node's form: the pipe carries the engine's own label
+    arrays, so the packed labels are equal, typecode included."""
     single = Database.from_document(corpus_document)
     for algorithm in FLEET_ALGORITHMS:
         plan = sharded.optimize(chain_pattern, algorithm=algorithm).plan
@@ -213,6 +232,10 @@ def test_sharded_bindings_match_single_node(sharded, corpus_document,
             assert len(reference) > 20
             assert list(merged.rows) == list(reference.rows), (
                 algorithm, engine)
+            labels = merged.rows.labels
+            assert labels.typecode == reference.rows.labels.typecode
+            assert labels.typecode == LABEL_TYPECODE
+            assert labels == reference.rows.labels, (algorithm, engine)
 
 
 def test_sharded_root_only_bindings_deduplicate(sharded):
@@ -230,7 +253,7 @@ GATHER_QUERIES = ("Q.Pers.1.a", "Q.Pers.2.c", "Q.Pers.3.d", "Q.Pers.4.d")
 
 
 def _flat(keys) -> array:
-    return array("q", chain.from_iterable(keys))
+    return array(LABEL_TYPECODE, chain.from_iterable(keys))
 
 
 @pytest.fixture
@@ -284,8 +307,9 @@ def test_columnar_path_equals_the_per_row_formula(
 
 def test_merge_packed_runs_concatenates_or_merges(general_merges):
     def merged(runs, width, key=0):
-        return list(merge_packed_runs([_flat(run) for run in runs],
-                                      width, key))
+        run = merge_packed_runs([_flat(run) for run in runs], width, key)
+        assert run.typecode == LABEL_TYPECODE and run.itemsize == 4
+        return list(run)
 
     # ordered boundaries, an empty run in the middle
     assert merged([[(1, 2), (1, 3)], [], [(4, 5)]], 2) == [
@@ -302,6 +326,9 @@ def test_merge_packed_runs_concatenates_or_merges(general_merges):
     assert merged([[(3,), (5,)], [(8,)]], 1) == [3, 5, 8]
     assert merged([[], []], 3) == []
     assert merged([[], [(6, 7, 8)]], 3) == [6, 7, 8]
+    # both ends of the label range, kept exactly
+    assert merged([[(0, 2**32 - 1)], [(2**32 - 1, 0)]], 2) == [
+        0, 2**32 - 1, 2**32 - 1, 0]
     assert not general_merges
     # a later shard's run starts below an earlier one's end: merged on
     # the key, ties in shard order, the root-only duplicate collapsed
@@ -310,7 +337,9 @@ def test_merge_packed_runs_concatenates_or_merges(general_merges):
     assert merged([[(0,), (1,)], [(0,)], [(0,)]], 1) == [0, 1]
     assert merged([[(4, 1), (2, 3)], [(7, 2)]], 2, key=1) == [
         4, 1, 7, 2, 2, 3]
-    assert len(general_merges) == 3
+    assert merged([[(0, 2**32 - 1)], [(2**32 - 1, 0)]], 2, key=1) == [
+        2**32 - 1, 0, 0, 2**32 - 1]
+    assert len(general_merges) == 4
 
 
 @pytest.fixture(scope="module")
@@ -378,8 +407,10 @@ def test_general_merge_is_taken_for_root_bound_rows(
 
 
 def test_packed_rows_is_a_read_only_sequence_cut_on_read():
-    packed = PackedRows(array("q", range(12)), 3)
-    rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
+    rows = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 2**32 - 1)]
+    packed = PackedRows(_flat(rows), 3)
+    assert packed.labels.typecode == LABEL_TYPECODE
+    assert packed.labels.itemsize == 4
     assert len(packed) == 4 and list(packed) == rows
     assert packed == rows and packed != rows[:3]
     assert packed[1] == packed[-3] == rows[1]
@@ -387,7 +418,7 @@ def test_packed_rows_is_a_read_only_sequence_cut_on_read():
     assert packed[3:1] == [] and packed[:99] == rows
     with pytest.raises(IndexError):
         packed[4]
-    empty = PackedRows(array("q"), 3)
+    empty = PackedRows(array(LABEL_TYPECODE), 3)
     assert len(empty) == 0
     assert not hasattr(packed, "append")
 
@@ -560,7 +591,8 @@ def test_reply_accounting_reads_row_count_not_array_length(sharded,
             rf"cpu (\S+) ms (\d+) B", wrapper.detail)
         assert fields is not None, wrapper.detail
         head, pack, cpu, size = fields.groups()
-        assert int(size) == wrapper.output_rows * width * 8
+        # the engine's labels, 4 bytes each, as the pipe carries them
+        assert int(size) == wrapper.output_rows * width * 4
         assert 0.0 < float(head) < 60e3 and float(pack) >= 0.0
         assert float(cpu) > 0.0
 
@@ -745,9 +777,12 @@ def test_pack_run_checks_the_order_across_block_boundaries():
         pack_run(packed((3, 1), (4, 1)), 0, after=4)
     with pytest.raises(PlanError, match="key column 1"):
         pack_run(packed((0, 5), (1, 7)), 1, after=6)
-    # the pipe's form: 8 bytes a label, whatever the label
-    run = pack_run(packed((0, 2**32 - 1), (2**32 - 1, 0)), 0)
-    assert run.typecode == "q" and run.itemsize == 8
+    # the pipe's form is the engine's: 4 bytes a label, whatever the
+    # label, the block's own array handed on
+    block = packed((0, 2**32 - 1), (2**32 - 1, 0))
+    run = pack_run(block, 0)
+    assert run.typecode == LABEL_TYPECODE and run.itemsize == 4
+    assert run is block.labels
     assert list(run) == [0, 2**32 - 1, 2**32 - 1, 0]
 
 
@@ -1077,18 +1112,44 @@ def test_drill_stream_cancelled_after_its_first_block():
     """A stream cancelled once its first block is in — its predicate
     holds when that block is pulled, or it is closed after handing the
     block out — tells the workers to stop: their payloads ship fewer
-    rows than the run holds, and the next query is right."""
+    rows than the run holds, and the next query is right.
+
+    While a stream is drilled, each worker is held (``SIGSTOP``) as its
+    head is filed and let go (``SIGCONT``) once the coordinator's next
+    message — the cancel — is on its pipe, so the cancel arrives
+    mid-run however fast the workers are."""
     document = personnel_document(target_nodes=2000, seed=42)
     pattern = PAPER_QUERIES["Q.Pers.3.d"].pattern
     with ShardedDatabase(document, shards=2) as fleet:
         plan = fleet.optimize(pattern).plan
         rows = list(fleet.execute(plan, pattern).rows)
+        pool = fleet.workers
+        receive, send = pool._recv, pool._send
+        holding = threading.Event()
+        held: set[int] = set()
+
+        def signal_worker(shard_id: int, number: int) -> None:
+            os.kill(pool._processes[shard_id].pid, number)
+
+        def holding_recv(shard_id):
+            reply = receive(shard_id)
+            if reply[0] == "head" and holding.is_set():
+                signal_worker(shard_id, signal.SIGSTOP)
+                held.add(shard_id)
+            return reply
+
+        def releasing_send(shard_id, message):
+            send(shard_id, message)
+            if shard_id in held:
+                held.discard(shard_id)
+                signal_worker(shard_id, signal.SIGCONT)
 
         def shipped() -> int:
             return sum(_totals(fleet, "rows"))
 
         def drill():
             before = shipped()
+            holding.set()
             stream = fleet.stream_execute(plan, pattern,
                                           cancel=lambda: True)
             with pytest.raises(QueryCancelled):
@@ -1100,9 +1161,16 @@ def test_drill_stream_cancelled_after_its_first_block():
             assert next(stream.blocks()) == rows[:1]
             stream.close()
             assert 1 <= shipped() - before < len(rows)
+            holding.clear()
             assert list(fleet.execute(plan, pattern).rows) == rows
 
-        _within(60, drill)
+        pool._recv, pool._send = holding_recv, releasing_send
+        try:
+            _within(60, drill)
+        finally:
+            holding.clear()
+            for shard_id in list(held):
+                signal_worker(shard_id, signal.SIGCONT)
 
 
 def test_drill_worker_killed_while_a_stream_waits_for_its_rest():
@@ -1110,11 +1178,20 @@ def test_drill_worker_killed_while_a_stream_waits_for_its_rest():
     holds — and the stream's reader waits in ``payloads()``: the reader
     gets a ``ShardError`` well inside the pool's timeout, the pool is
     closed, and no worker process is left."""
-    document = personnel_document(target_nodes=2000, seed=42)
+    document = personnel_document(target_nodes=4000, seed=42)
     pattern = PAPER_QUERIES["Q.Pers.3.d"].pattern
     with ShardedDatabase(document, shards=2) as fleet:
         plan = fleet.optimize(pattern).plan
         pool = fleet.workers
+        # the premise: every shard's rest is well over what its pipe
+        # buffers, so the victim is still sending it when it is killed
+        fleet.execute(plan, pattern)
+        with socket.socket(fileno=os.dup(
+                pool._connections[0].fileno())) as end:
+            buffered = end.getsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF)
+        rest_bytes = (min(_totals(fleet, "rows")) * len(pattern.nodes)
+                      * array(LABEL_TYPECODE).itemsize)
+        assert rest_bytes > 2 * buffered
         receive, scatter = pool._recv, pool.scatter
         received = [0] * pool.shards
         victim: list[int] = []
