@@ -4,10 +4,11 @@ Not a paper artifact, but the foundation the tables stand on: index
 scan throughput, Stack-Tree-Desc vs. Stack-Tree-Anc vs. the quadratic
 nested-loop baseline, and sort cost.  pytest-benchmark gives stable
 per-operator timings here.  The block engine's two Stack-Tree joins
-are timed on the four shapes Stack-Tree-Desc tells apart (non-nesting
-and nesting ancestors, each on the CHILD and the DESCENDANT axis) and
-on Mbench's ``eNest//eNest`` self-join, each asserting its tuple
-twin's row count.
+are timed on non-nesting and nesting ancestors, each on the CHILD and
+the DESCENDANT axis (Pers ``manager/name`` and Mbench's ``eNest/eNest``
+join nesting ancestors with a whole posting of descendants), and on
+Mbench's ``eNest//eNest`` self-join, each asserting its tuple twin's
+row count.
 """
 
 import pytest
@@ -101,8 +102,10 @@ TWINS = {BlockStackTreeDescJoin: StackTreeDescJoin,
 
 def scan_join(database, scan, join, ancestor, descendant, axis):
     ctx = engine(database)
-    return join(scan(PatternNode(0, ancestor), ctx),
-                scan(PatternNode(1, descendant), ctx), 0, 1, axis)
+    args = (scan(PatternNode(0, ancestor), ctx),
+            scan(PatternNode(1, descendant), ctx), 0, 1, axis)
+    # a block join gets the run's context, as a block scan does
+    return join(*args, ctx) if join in TWINS else join(*args)
 
 
 @pytest.mark.parametrize("join", list(TWINS), ids=["desc", "anc"])
@@ -111,6 +114,7 @@ class TestBlockStackTreeJoins:
         ("employee", "name", Axis.CHILD),        # non-nesting
         ("employee", "name", Axis.DESCENDANT),   # non-nesting
         ("manager", "employee", Axis.CHILD),     # nesting
+        ("manager", "name", Axis.CHILD),         # nesting, whole posting
         ("manager", "employee", Axis.DESCENDANT),  # nesting: windows
     ])
     def test_join(self, benchmark, pers_db, join, ancestor, descendant,
@@ -120,6 +124,10 @@ class TestBlockStackTreeJoins:
     def test_self_join_enest(self, benchmark, mbench_db, join):
         self.check(benchmark, mbench_db, join, "eNest", "eNest",
                    Axis.DESCENDANT)
+
+    def test_child_self_join_enest(self, benchmark, mbench_db, join):
+        self.check(benchmark, mbench_db, join, "eNest", "eNest",
+                   Axis.CHILD)
 
     @staticmethod
     def check(benchmark, database, join, ancestor, descendant, axis):

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
 from itertools import chain, islice
-from operator import attrgetter, lt
+from operator import attrgetter, eq, lt
 from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
-from repro.errors import DocumentError
+from repro.errors import DocumentError, PostingMismatchError
 from repro.document.node import NodeRecord
 
 _node_id = attrgetter("node_id")
+_parent_id = attrgetter("parent_id")
 _UNSORTED = "node table must be sorted by start position"
 _DUPLICATE = "start positions must be unique"
 
@@ -71,6 +72,9 @@ class XmlDocument:
                 self._children.setdefault(node.parent_id, []).append(
                     node.node_id)
         self._starts = [node.start for node in self._nodes]
+        self._columns: dict[str, tuple[Sequence[int],
+                                       Sequence[NodeRecord],
+                                       list[int]]] = {}
 
     def _validate(self) -> None:
         if not self._nodes:
@@ -150,6 +154,7 @@ class XmlDocument:
                     child = document.get(child_id)
                     _check_parent(child,
                                   document.get(child.parent_id))
+        document._columns = {}
         document._by_tag = by_tag = dict(self._by_tag)
         document._children = children = dict(self._children)
         tags: set[str] = set()
@@ -211,6 +216,37 @@ class XmlDocument:
 
     def tag_count(self, tag: str) -> int:
         return len(self._by_tag.get(tag, ()))
+
+    def tag_column(self, tag: str, starts: Sequence[int]
+                   ) -> tuple[Sequence[NodeRecord], list[int]]:
+        """The nodes with *tag* (``"*"``: every node) and their
+        parents' labels (-1 for the root), aligned with *starts*, the
+        tag's posting column: position *i* of each list is posting
+        *i*'s node and its parent's start.  Read-only, like the
+        posting.
+
+        A posting lists its tag's nodes in document order, as this
+        document does, so the alignment is a check, not a sort: the
+        first time a start column meets this document's list it must
+        have the same length and the same start at every position
+        (one C pass), else :class:`PostingMismatchError`.  The lists
+        are cached on the document, which is immutable, and not on
+        the posting: a posting's decoded block outlives a commit that
+        leaves its tag alone, while a commit that relabels nodes
+        publishes a new document.
+        """
+        entry = self._columns.get(tag)
+        if entry is None or entry[0] is not starts:
+            nodes = self._nodes if tag == "*" else self._by_tag.get(tag, [])
+            if len(nodes) != len(starts) or not all(
+                    map(eq, map(_node_id, nodes), starts)):
+                raise PostingMismatchError(
+                    f"document {self.name!r} holds {len(nodes)} "
+                    f"{tag!r} nodes that are not the {len(starts)} "
+                    f"postings of its index")
+            entry = self._columns[tag] = (
+                starts, nodes, list(map(_parent_id, nodes)))
+        return entry[1], entry[2]
 
     # -- navigation -----------------------------------------------------
 

@@ -21,9 +21,11 @@ an optimizer picks touches a :class:`~repro.document.node.Region`
 beyond the label (a group's end and level) it reads from the scans'
 packed posting columns, which every :class:`TupleBlock` carries per
 bound pattern node (:attr:`TupleBlock.columns`): scans seed the map,
-joins union their inputs' maps, sorts pass it on.  An int is no
-container, so a big intermediate or result gives CPython's cyclic
-collector nothing to count or walk.  The root hands its reader
+joins union their inputs' maps, sorts pass it on.  A node's parent
+label and a predicate's node come from the document, in lists aligned
+with the same posting columns.  An int is no container, so a big
+intermediate or result gives CPython's cyclic collector nothing to
+count or walk.  The root hands its reader
 :class:`~repro.engine.tuples.PackedRows`: each bounded block flattened
 to one label array as it leaves, a whole unbounded output kept as its
 int list until somebody reads it.
@@ -60,14 +62,12 @@ Both Stack-Tree joins are two steps over the packed columns: find the
 joining (ancestor group, descendant group) pairs as int lists, then
 build their rows in one emission loop they share
 (:meth:`_BlockJoinBase._emit`).  Every step is a C-level pass —
-``bisect`` under ``map``, ``range`` windows, ``compress`` over the
-level test, ``int.__add__`` under ``map`` — so a join's cost is
-the paper's, linear in its inputs and its output, with no interpreter
-loop per group.  The one exception is Stack-Tree-Desc's CHILD-axis
-climb over nesting ancestors, which runs in Python for the descendants
-whose predecessor closed before them.  The two joins find the same
-pairs and differ only in their order and in which side's row varies
-slowest.
+``bisect`` under ``map``, a dict probe per parent label, ``range``
+windows, ``compress`` over the level test, ``int.__add__`` under
+``map`` — so a join's cost is the paper's, linear in its inputs and
+its output, with no interpreter loop per group.  The two joins find
+the same pairs and differ only in their order and in which side's row
+varies slowest.
 """
 
 from __future__ import annotations
@@ -75,8 +75,9 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, chain, compress, count, islice, repeat
-from operator import add, and_, eq, ge, lshift, lt, mul, ne, rshift, sub
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import (add, and_, eq, ge, is_not, lshift, lt, mul, ne,
+                      rshift, sub)
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import PlanError
 from repro.core.pattern import Axis, PatternNode
@@ -122,13 +123,10 @@ class ColumnGroups:
     ``starts``/``ends``/``levels`` hold one entry per *group* — a run
     of adjacent rows binding the same region — and
     ``bounds[i]:bounds[i + 1]`` is group *i*'s row range (``bounds``
-    therefore also gives cumulative row counts).  :meth:`parents`
-    lazily computes, per group, the index of the nearest enclosing
-    group to its left, or -1: what Stack-Tree-Desc's CHILD-axis climb
-    walks.
+    therefore also gives cumulative row counts).
     """
 
-    __slots__ = ("starts", "ends", "levels", "bounds", "_parents")
+    __slots__ = ("starts", "ends", "levels", "bounds")
 
     def __init__(self, starts: Sequence[int], ends: Sequence[int],
                  levels: Sequence[int], bounds: Sequence[int]) -> None:
@@ -136,24 +134,9 @@ class ColumnGroups:
         self.ends = ends
         self.levels = levels
         self.bounds = bounds
-        self._parents: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.starts)
-
-    def parents(self) -> list[int]:
-        """Nearest-enclosing-group index per group (-1 at top level)."""
-        if self._parents is None:
-            parents: list[int] = []
-            stack: list[int] = []
-            ends = self.ends
-            for index, start in enumerate(self.starts):
-                while stack and ends[stack[-1]] < start:
-                    stack.pop()
-                parents.append(stack[-1] if stack else -1)
-                stack.append(index)
-            self._parents = parents
-        return self._parents
 
 
 def _group_rows(rows: Sequence[int], width: int, position: int,
@@ -338,26 +321,19 @@ class BlockIndexScan(BlockOperator):
                 postings.starts, postings.ends, postings.levels,
                 range(len(postings) + 1))
             return block
-        matches = self._matcher()
-        starts: list[int] = []
-        ends: list[int] = []
-        levels: list[int] = []
-        col_ends = postings.ends
-        col_levels = postings.levels
-        for position, start in enumerate(postings.starts):
-            if matches(start):
-                starts.append(start)
-                ends.append(col_ends[position])
-                levels.append(col_levels[position])
+        # the document's nodes of the tag, aligned with the posting:
+        # the predicate reads node i for posting i, no lookup per label
+        nodes, _ = self.context.document.tag_column(postings.tag,
+                                                    postings.starts)
+        kept = list(map(self.pattern_node.matches, nodes))
+        starts, ends, levels = (
+            list(compress(column, kept))
+            for column in (postings.starts, postings.ends,
+                           postings.levels))
         block = TupleBlock(self.schema, columns, starts)
         block._groups[node_id] = ColumnGroups(
             starts, ends, levels, range(len(starts) + 1))
         return block
-
-    def _matcher(self) -> Callable[[int], bool]:
-        pattern_node = self.pattern_node
-        lookup = self.context.document.node
-        return lambda start: pattern_node.matches(lookup(start))
 
 
 class BlockSort(BlockOperator):
@@ -404,7 +380,8 @@ class _BlockJoinBase(BlockOperator):
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
                  ancestor_node: int, descendant_node: int,
-                 axis: Axis, ordered_by: int) -> None:
+                 axis: Axis, context: EngineContext,
+                 ordered_by: int) -> None:
         schema = ancestor_input.schema.concat(descendant_input.schema)
         super().__init__(schema, ordered_by, ancestor_input.metrics)
         self.ancestor_input = ancestor_input
@@ -412,6 +389,9 @@ class _BlockJoinBase(BlockOperator):
         self.ancestor_node = ancestor_node
         self.descendant_node = descendant_node
         self.axis = axis
+        #: the run's context, as a scan gets it: Stack-Tree-Desc reads
+        #: its document's parent labels on the CHILD axis
+        self.context = context
         #: the inputs' column maps, united (set once they have run)
         self._columns: dict[int, RegionBlock] = {}
 
@@ -607,39 +587,39 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
     Per descendant group, the tuple engine's live stack is exactly the
     chain of ancestor groups enclosing the descendant's start, and the
     group joins every entry of it that passes the axis test, outermost
-    first.  Where a descendant group can have at most one such
-    *partner*, :meth:`_partners` finds every group's partner in C-level
-    passes over the packed columns:
+    first.  Three pair finders, each a few C-level passes:
 
-    * on the CHILD axis, always: the partner can only be the
-      descendant's parent node, the innermost enclosing ancestor group,
-      kept if its level is one less.  That is the predecessor unless
-      the predecessor closed before the descendant, which only nesting
-      ancestors allow; only those descendants climb, in Python;
+    * on the CHILD axis the one partner can only be the descendant's
+      parent node.  The document keeps each node's parent label
+      (:meth:`~repro.document.document.XmlDocument.tag_column`), so
+      :meth:`_children` looks every descendant group's parent up among
+      the ancestor groups' starts: one dict probe per group, whether
+      or not the ancestors nest;
     * on the DESCENDANT axis when no ancestor group encloses another
       (one pass over the ancestor column tells): the chain is at most
       the predecessor, the group that starts last before the
-      descendant.
-
-    On the DESCENDANT axis over nesting ancestors (``manager//…`` in
-    Pers) a descendant joins every enclosing group, a chain of any
-    length: the pairs are Stack-Tree-Anc's windows (:meth:`_windows`),
-    put in descendant order by a stable sort of their indexes.
+      descendant (:meth:`_partners`);
+    * on the DESCENDANT axis over nesting ancestors (``manager//…`` in
+      Pers) a descendant joins every enclosing group, a chain of any
+      length: the pairs are Stack-Tree-Anc's windows
+      (:meth:`_windows`), put in descendant order by a stable sort of
+      their indexes.
     """
 
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
                  ancestor_node: int, descendant_node: int,
-                 axis: Axis) -> None:
+                 axis: Axis, context: EngineContext) -> None:
         super().__init__(ancestor_input, descendant_input,
-                         ancestor_node, descendant_node, axis,
+                         ancestor_node, descendant_node, axis, context,
                          ordered_by=descendant_node)
 
     def _pairs(self, anc: ColumnGroups, desc: ColumnGroups
                ) -> tuple[list[int], list[int]]:
-        nesting = not all(map(lt, anc.ends, islice(anc.starts, 1, None)))
-        if not nesting or self.axis is Axis.CHILD:
-            return self._partners(anc, desc, nesting)
+        if self.axis is Axis.CHILD:
+            return self._children(anc, desc)
+        if all(map(lt, anc.ends, islice(anc.starts, 1, None))):
+            return self._partners(anc, desc)
         partners, groups = self._windows(anc, desc)
         # descendant-major, outermost ancestor first (the tuple
         # engine's stack order): a stable sort of the pair indexes by
@@ -648,41 +628,45 @@ class BlockStackTreeDescJoin(_BlockJoinBase):
         return (list(map(partners.__getitem__, order)),
                 list(map(groups.__getitem__, order)))
 
-    def _partners(self, anc: ColumnGroups, desc: ColumnGroups,
-                  nesting: bool) -> tuple[list[int], list[int]]:
-        """The partner ancestor group of every descendant group that
-        has one, and those descendant groups, in descendant order."""
+    def _children(self, anc: ColumnGroups, desc: ColumnGroups
+                  ) -> tuple[list[int], list[int]]:
+        """CHILD axis: the ancestor group that is each descendant
+        group's parent node, where there is one, and those descendant
+        groups, in descendant order.  An equality lookup of the parent
+        label, so no end test, no level test and no nesting case: the
+        parent nests its child one level up in every document."""
+        column = self._columns[self.descendant_node]
+        _, parents = self.context.document.tag_column(column.tag,
+                                                      column.starts)
+        if len(desc) != len(column):
+            # a predicated or join-fed input: its groups are a subset
+            # of the postings, found by label
+            parents = list(map(parents.__getitem__, map(
+                column.positions.__getitem__, desc.starts)))
+        # a full ancestor scan's groups are its postings, whose cached
+        # label-to-position map is then the index
+        ancestors = self._columns[self.ancestor_node]
+        index = (ancestors.positions if len(anc) == len(ancestors)
+                 else dict(zip(anc.starts, count())))
+        found = list(map(index.get, parents))
+        kept = list(map(is_not, found, repeat(None)))
+        return (list(compress(found, kept)),
+                list(compress(range(len(found)), kept)))
+
+    def _partners(self, anc: ColumnGroups, desc: ColumnGroups
+                  ) -> tuple[list[int], list[int]]:
+        """DESCENDANT axis over non-nesting ancestors: the partner
+        ancestor group of every descendant group that has one, and
+        those descendant groups, in descendant order.  The partner is
+        the predecessor if it ends no earlier than the descendant."""
         # the predecessor: the last ancestor group that starts before
         # the descendant (bisect over a list: an array boxes an int
-        # per probe); -1 (none) reads the trailing sentinels, which
-        # fail the end test and the level test
+        # per probe); -1 (none) reads the trailing sentinel, which
+        # fails the end test
         found = list(map(sub, map(bisect_left, repeat(list(anc.starts)),
                                   desc.starts), repeat(1)))
         ends = [*anc.ends, -1]
-        if nesting:
-            # CHILD axis: a predecessor that closed before the
-            # descendant is not its parent; climb from it to the
-            # innermost group enclosing the descendant
-            desc_starts = desc.starts
-            climbing = [group for group in compress(
-                            range(len(found)),
-                            map(lt, map(ends.__getitem__, found),
-                                desc_starts))
-                        if found[group] >= 0]
-            parents = anc.parents() if climbing else None
-            for group in climbing:
-                top = found[group]
-                start = desc_starts[group]
-                while top >= 0 and ends[top] < start:
-                    top = parents[top]
-                found[group] = top
-        keep = map(ge, map(ends.__getitem__, found), desc.ends)
-        if self.axis is Axis.CHILD:
-            levels = [*anc.levels, -2]
-            keep = map(and_, keep,
-                       map(eq, map(levels.__getitem__, found),
-                           map(sub, desc.levels, repeat(1))))
-        kept = list(keep)
+        kept = list(map(ge, map(ends.__getitem__, found), desc.ends))
         return (list(compress(found, kept)),
                 list(compress(range(len(found)), kept)))
 
@@ -695,7 +679,10 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
     group, each group's own pairs before those of the groups nested
     inside it — exactly the order in which :meth:`_windows` lists the
     pairs — and every output row is buffered once
-    (``buffered_results``).
+    (``buffered_results``).  The CHILD axis keeps the windows (and
+    their level test) too: Stack-Tree-Desc's parent lookup lists the
+    pairs in descendant order, and over nesting ancestors putting them
+    ancestor-major would take a sort.
     """
 
     ancestor_outer = True
@@ -703,9 +690,9 @@ class BlockStackTreeAncJoin(_BlockJoinBase):
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
                  ancestor_node: int, descendant_node: int,
-                 axis: Axis) -> None:
+                 axis: Axis, context: EngineContext) -> None:
         super().__init__(ancestor_input, descendant_input,
-                         ancestor_node, descendant_node, axis,
+                         ancestor_node, descendant_node, axis, context,
                          ordered_by=ancestor_node)
 
     def _pairs(self, anc: ColumnGroups, desc: ColumnGroups
@@ -719,9 +706,9 @@ class BlockNestedLoopJoin(_BlockJoinBase):
     def __init__(self, ancestor_input: BlockOperator,
                  descendant_input: BlockOperator,
                  ancestor_node: int, descendant_node: int,
-                 axis: Axis) -> None:
+                 axis: Axis, context: EngineContext) -> None:
         super().__init__(ancestor_input, descendant_input,
-                         ancestor_node, descendant_node, axis,
+                         ancestor_node, descendant_node, axis, context,
                          ordered_by=ancestor_input.ordered_by)
 
     def _emit(self, bound: int | None) -> Iterator[list[int]]:

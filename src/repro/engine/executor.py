@@ -423,10 +423,13 @@ class Executor:
             return sort(self.build(plan.child, context, engine),
                         plan.by_node)
         if isinstance(plan, StructuralJoinPlan):
-            return joins[plan.algorithm](
-                self.build(plan.ancestor_plan, context, engine),
-                self.build(plan.descendant_plan, context, engine),
-                plan.ancestor_node, plan.descendant_node, plan.axis)
+            args = (self.build(plan.ancestor_plan, context, engine),
+                    self.build(plan.descendant_plan, context, engine),
+                    plan.ancestor_node, plan.descendant_node, plan.axis)
+            if engine == "block":
+                # a block join gets the run's context, as a scan does
+                args += (context,)
+            return joins[plan.algorithm](*args)
         raise PlanError(f"unknown plan node type {type(plan).__name__}")
 
     def instrument(self, root, plan: PhysicalPlan,

@@ -16,6 +16,16 @@ class DocumentError(ReproError):
     """A document is malformed or an operation on it is invalid."""
 
 
+class PostingMismatchError(DocumentError):
+    """A document's nodes of one tag are not the tag index's posting
+    list for that tag (another length, or another start at some
+    position).
+
+    Raised instead of reading a node or a parent label off the wrong
+    posting: a query over such a pair would pair or filter silently
+    wrong."""
+
+
 class XmlParseError(DocumentError):
     """Raised by the XML parser on malformed input.
 

@@ -5,9 +5,11 @@ The randomized cross-check of whole plans lives in
 hand-written edge cases (empty inputs, fully nested runs, disjoint
 runs — the shapes the skip-ahead logic jumps over), both Stack-Tree
 joins' pair finders and their one emission loop by a property over
-nesting and non-nesting trees, and the storage additions backing the
-engine (posting decode cache, batched index build) get direct
-coverage.
+nesting and non-nesting trees, Stack-Tree-Desc's CHILD-axis parent
+lookup on every input it tells apart (and on a document that is not
+the index's, and across a relabelling commit), and the storage
+additions backing the engine (posting decode cache, batched index
+build) get direct coverage.
 """
 
 import gc
@@ -21,6 +23,8 @@ from repro.api import Database
 from repro.document.builder import DocumentBuilder
 from repro.engine import blocks
 from repro.engine.blocks import _group_rows
+from repro.engine.context import EngineContext
+from repro.engine.nestedloop import naive_pattern_matches
 from repro.engine.tuples import PackedRows, row_shift
 from repro.engine.executor import Executor
 from repro.engine.metrics import COST_COUNTERS
@@ -28,7 +32,7 @@ from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm,
                               SortPlan, StructuralJoinPlan)
 from repro.document.parser import parse_xml
-from repro.errors import PlanError, StorageError
+from repro.errors import PlanError, PostingMismatchError, StorageError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.frames import LABEL_TYPECODE
@@ -37,7 +41,9 @@ from repro.storage.tagindex import TagIndex
 from repro.workloads import (dblp_document, fold_document,
                              mbench_document, personnel_document)
 from repro.workloads.queries import PAPER_QUERIES, dataset_document
+from repro.xpath.parser import compile_xpath
 
+from tests.conftest import canonical_bindings
 from tests.test_executor import blocking_plan, fully_pipelined_plan
 
 
@@ -69,8 +75,8 @@ def pair_plan(algorithm: JoinAlgorithm, axis: Axis):
 
 #: edge-case document shapes for the skip-ahead paths: runs the join
 #: must jump over (disjoint, before, after), fully nested chains (the
-#: windows every enclosing ancestor joins through, and Stack-Tree-Desc's
-#: CHILD-axis climb), and repeated starts.
+#: windows every enclosing ancestor joins through, and a CHILD-axis
+#: parent several closed groups back), and repeated starts.
 EDGE_DOCUMENTS = {
     "absent-desc": "<r><a/><a><a/></a></r>",
     "absent-anc": "<r><b/><b><b/></b></r>",
@@ -266,11 +272,12 @@ def test_join_parity_property_wide(document, pattern_and_plan):
 
 
 def test_first_block_leaves_before_the_rest_is_joined(monkeypatch):
-    """Three roots of over 20 k rows each: a Stack-Tree-Desc over
+    """Four roots of over 20 k rows each: a Stack-Tree-Desc over
     non-nesting ancestors (one partner per descendant group), one over
-    nesting ancestors (windows, put in descendant order) and a
-    Stack-Tree-Anc.  Pulling the first row joins one slice of one
-    pair, and the rest is joined slice by slice as blocks are read."""
+    nesting ancestors (windows, put in descendant order), one on the
+    CHILD axis (the parent-label lookup) and a Stack-Tree-Anc.
+    Pulling the first row joins one slice of one pair, and the rest is
+    joined slice by slice as blocks are read."""
     dblp = Database.from_document(
         fold_document(dblp_document(entries=400, seed=7), 12))
     mbench = Database.from_document(
@@ -286,10 +293,11 @@ def test_first_block_leaves_before_the_rest_is_joined(monkeypatch):
     for database, query, algorithm in (
             (dblp, "//article//*", JoinAlgorithm.STACK_TREE_DESC),
             (mbench, "//eNest//eNest", JoinAlgorithm.STACK_TREE_DESC),
+            (dblp, "//*/*", JoinAlgorithm.STACK_TREE_DESC),
             (mbench, "//eNest//eNest", JoinAlgorithm.STACK_TREE_ANC)):
         pattern = database.compile(query)
         plan = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0,
-                                  1, Axis.DESCENDANT, algorithm)
+                                  1, pattern.edges[0].axis, algorithm)
         slices.clear()
         read = database.stream_execute(plan, pattern).blocks()
         assert len(next(read)) == 1
@@ -298,6 +306,136 @@ def test_first_block_leaves_before_the_rest_is_joined(monkeypatch):
         assert 1 + sum(rest) >= 20_000
         # one row per pair here, so each slice is exactly one block
         assert slices == [1, *rest]
+
+
+# -- Stack-Tree-Desc on the CHILD axis: the parent-label lookup ---------
+
+#: nesting managers: m3 closes inside m2, and m1's own ``name`` comes
+#: after both closed, so the manager that starts last before it is not
+#: its parent
+CHILD_XML = """
+<company>
+  <manager id="m1">
+    <manager id="m2"><name>Inner</name>
+      <employee id="e1"><name>Bo</name></employee>
+      <manager id="m3"><employee id="e2"><name>Cy</name></employee></manager>
+    </manager>
+    <name>Outer</name>
+    <employee id="e3"><name>Di</name><phone>1</phone></employee>
+    <department id="d1"><name>Sales</name>
+      <employee id="e4"><name>Ed</name></employee>
+    </department>
+  </manager>
+  <employee id="e5"><name>Flo</name></employee>
+  <manager id="m4"><name>Gus</name></manager>
+</company>
+"""
+
+CHILD_DOCUMENTS = {
+    "small": lambda: parse_xml(CHILD_XML, name="child"),
+    "pers": lambda: personnel_document(target_nodes=600, seed=42),
+    "mbench": lambda: fold_document(
+        mbench_document(target_nodes=600, seed=42), 2),
+}
+
+
+def child_join(ancestor, descendant, parent, child,
+               algorithm=JoinAlgorithm.STACK_TREE_DESC):
+    return StructuralJoinPlan(ancestor, descendant, parent, child,
+                              Axis.CHILD, algorithm)
+
+
+SCANS = child_join(IndexScanPlan(0), IndexScanPlan(1), 0, 1)
+#: a join's output as the descendant input (ordered by employee) and
+#: as the ancestor input (ordered by manager)
+JOIN_FED = child_join(IndexScanPlan(0), child_join(
+    IndexScanPlan(1), IndexScanPlan(2), 1, 2,
+    JoinAlgorithm.STACK_TREE_ANC), 0, 1)
+JOIN_FED_ANCESTORS = child_join(child_join(
+    IndexScanPlan(0), IndexScanPlan(1), 0, 1,
+    JoinAlgorithm.STACK_TREE_ANC), IndexScanPlan(2), 0, 2)
+
+#: (document, xpath, plan): every descendant input the CHILD join
+#: tells apart (a full scan, a predicated scan, a join's output, a
+#: wildcard scan) over nesting and non-nesting ancestors
+CHILD_CASES = [
+    ("small", "//manager/manager", SCANS),
+    ("small", "//manager/name", SCANS),
+    ("small", "//employee/name", SCANS),
+    ("pers", "//manager/name", SCANS),
+    ("pers", "//employee/name", SCANS),
+    ("mbench", "//eNest/eNest", SCANS),
+    ("small", "//manager/employee[@id != 'e2']", SCANS),
+    ("pers", "//manager/employee[@id != 'e2']", SCANS),
+    ("mbench", "//eNest/eNest[@aFour = '1']", SCANS),
+    ("small", "//manager/*", SCANS),
+    ("pers", "//manager/*", SCANS),
+    ("small", "//*/name", SCANS),
+    ("small", "//manager/employee/name", JOIN_FED),
+    ("pers", "//manager/employee/name", JOIN_FED),
+    ("mbench", "//eNest/eNest/eNest", JOIN_FED),
+    ("small", "//manager[name]/employee", JOIN_FED_ANCESTORS),
+    ("pers", "//manager[name]/employee", JOIN_FED_ANCESTORS),
+]
+
+
+@pytest.mark.parametrize("dataset,xpath,plan", CHILD_CASES,
+                         ids=[f"{dataset}:{xpath}"
+                              for dataset, xpath, _ in CHILD_CASES])
+def test_child_axis_parity(dataset, xpath, plan):
+    """Rows, row order, counters and every bounded read's block sizes
+    are the tuple engine's, and the rows are the brute-force
+    matches."""
+    document = CHILD_DOCUMENTS[dataset]()
+    pattern = compile_xpath(xpath)
+    check_join_parity(document, (pattern, plan))
+    result = Database.from_document(document).execute(plan, pattern)
+    assert canonical_bindings(result.bindings()) == canonical_bindings(
+        naive_pattern_matches(document, pattern))
+
+
+@pytest.mark.parametrize("other", [
+    # an employee and a name short
+    CHILD_XML.replace('<employee id="e5"><name>Flo</name></employee>', ""),
+    CHILD_XML.replace("<company>", "<company><x/>"),  # every label + 1
+], ids=["shorter", "shifted"])
+def test_a_document_that_is_not_the_index_raises(other):
+    """A context whose document does not list a tag's nodes as the
+    index posts them raises the typed error from the CHILD join and
+    from a predicated scan, and yields no row."""
+    database = Database.from_document(parse_xml(CHILD_XML))
+    context = EngineContext(database.index, parse_xml(other))
+    for xpath, plan in (("//manager/name", SCANS),
+                        ("//manager/employee[@id != 'e2']", SCANS)):
+        pattern = compile_xpath(xpath)
+        stream = Executor(context, pattern).stream(plan)
+        with pytest.raises(PostingMismatchError):
+            next(stream.blocks())
+
+
+def test_a_relabelling_commit_pairs_by_the_new_documents_parents():
+    """An insert under a manager relabels the manager's subtree; the
+    CHILD join on the new snapshot reads the new document's parent
+    labels, not the list the old document cached."""
+    database = Database.from_document(parse_xml(CHILD_XML, name="child"))
+    pattern = compile_xpath("//manager/name")
+    database.execute(SCANS, pattern)
+    old = database.document
+    old_names = database.index.scan_blocks("name")
+    _, old_parents = old.tag_column("name", old_names.starts)
+    m2 = next(node.node_id for node in old.nodes
+              if node.attributes.get("id") == "m2")
+    with database.transaction() as txn:
+        txn.insert_subtree(m2, parse_xml("<name>New</name>"))
+    new = database.document
+    names = database.index.scan_blocks("name")
+    assert new is not old
+    assert not set(old_names.starts) <= set(names.starts)  # relabelled
+    result = assert_engines_agree(database, SCANS, pattern)
+    assert canonical_bindings(result.bindings()) == canonical_bindings(
+        naive_pattern_matches(new, pattern))
+    _, parents = new.tag_column("name", names.starts)
+    assert parents is not old_parents and parents != old_parents
 
 
 # -- row ints -------------------------------------------------------------
