@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -88,16 +88,19 @@ class Predicate:
     """A value predicate on a pattern node.
 
     ``kind`` is ``"text"`` (compare the element's character data) or
-    ``"attribute"`` (compare the named attribute).  Comparisons are
-    string comparisons unless both sides parse as numbers, in which
-    case they compare numerically — matching how the workload data
-    encodes values.
+    ``"attribute"`` (compare the named attribute).  ``contains`` is a
+    substring test.  The other comparisons are string comparisons
+    unless both sides parse as numbers, in which case they compare
+    numerically — matching how the workload data encodes values.  The
+    constant is parsed once, at construction.
     """
 
     kind: str
     op: str
     value: str
     name: str = ""
+    #: ``value`` as a number, or ``None`` (no number, or ``contains``)
+    _number: float | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("text", "attribute"):
@@ -106,6 +109,13 @@ class Predicate:
             raise PatternError(f"unknown predicate operator {self.op!r}")
         if self.kind == "attribute" and not self.name:
             raise PatternError("attribute predicates need an attribute name")
+        number = None
+        if self.op != "contains":
+            try:
+                number = float(self.value)
+            except ValueError:
+                pass
+        object.__setattr__(self, "_number", number)
 
     def matches(self, node: NodeRecord) -> bool:
         """Evaluate this predicate against a data node."""
@@ -116,10 +126,12 @@ class Predicate:
             if actual is None:
                 return False
         compare = _OPERATORS[self.op]
-        try:
-            return compare(float(actual), float(self.value))
-        except ValueError:
-            return compare(actual, self.value)
+        if self._number is not None:
+            try:
+                return compare(float(actual), self._number)
+            except ValueError:
+                pass
+        return compare(actual, self.value)
 
     def __str__(self) -> str:
         subject = "text()" if self.kind == "text" else f"@{self.name}"

@@ -17,15 +17,15 @@ join shifts its ancestor input past the descendant's columns once,
 and then a row of its output is one ``add`` of two row ints; grouping
 and sorting read one column with a shift-and-mask pass.  No operator
 an optimizer picks touches a :class:`~repro.document.node.Region`
-(the quadratic oracle join looks its two up).  What a join needs
-beyond the label (a group's end and level) it reads from the scans'
-packed posting columns, which every :class:`TupleBlock` carries per
-bound pattern node (:attr:`TupleBlock.columns`): scans seed the map,
-joins union their inputs' maps, sorts pass it on.  A node's parent
-label and a predicate's node come from the document, in lists aligned
-with the same posting columns.  An int is no container, so a big
-intermediate or result gives CPython's cyclic collector nothing to
-count or walk.  The root hands its reader
+(the quadratic oracle join looks its two up in the document).  What
+a join needs beyond the label (a group's end and level) it reads from
+the scans' packed posting columns, which every :class:`TupleBlock`
+carries per bound pattern node (:attr:`TupleBlock.columns`): scans
+seed the map, joins union their inputs' maps, sorts pass it on.  A
+node's parent label and a predicate's node come from the document, in
+lists aligned with the same posting columns.  An int is no container,
+so a big intermediate or result gives CPython's cyclic collector
+nothing to count or walk.  The root hands its reader
 :class:`~repro.engine.tuples.PackedRows`: each bounded block flattened
 to one label array as it leaves, a whole unbounded output kept as its
 int list until somebody reads it.
@@ -87,7 +87,6 @@ from repro.engine.nestedloop import _related
 from repro.engine.tuples import (LABEL_BITS, LABEL_MASK, PackedRows,
                                  Schema, flatten, row_shift)
 from repro.storage.postings import RegionBlock
-from repro.storage.tagindex import TagIndex
 
 
 #: Most rows in one block handed from the root operator to its reader
@@ -283,14 +282,6 @@ class BlockOperator:
             bound = BLOCK_ROWS
 
 
-def node_postings(index: TagIndex,
-                  pattern_node: PatternNode) -> RegionBlock:
-    """One pattern node's candidate set, packed (the index caches it)."""
-    if pattern_node.is_wildcard:
-        return index.scan_blocks_all()
-    return index.scan_blocks(pattern_node.tag)
-
-
 class BlockIndexScan(BlockOperator):
     """Leaf: one pattern node's candidate set as a single block.
 
@@ -308,8 +299,9 @@ class BlockIndexScan(BlockOperator):
         self.context = context
 
     def _produce(self) -> TupleBlock:
-        postings = node_postings(self.context.tag_index,
-                                 self.pattern_node)
+        index = self.context.tag_index
+        postings = (index.scan_blocks_all() if self.pattern_node.is_wildcard
+                    else index.scan_blocks(self.pattern_node.tag))
         self.metrics.index_items += len(postings)
         node_id = self.pattern_node.node_id
         columns = {node_id: postings}
@@ -390,7 +382,8 @@ class _BlockJoinBase(BlockOperator):
         self.descendant_node = descendant_node
         self.axis = axis
         #: the run's context, as a scan gets it: Stack-Tree-Desc reads
-        #: its document's parent labels on the CHILD axis
+        #: its document's parent labels on the CHILD axis, the nested
+        #: loop its regions
         self.context = context
         #: the inputs' column maps, united (set once they have run)
         self._columns: dict[int, RegionBlock] = {}
@@ -714,19 +707,17 @@ class BlockNestedLoopJoin(_BlockJoinBase):
     def _emit(self, bound: int | None) -> Iterator[list[int]]:
         self.metrics.join_count += 1
         anc_block, desc_block = self._input_blocks()
-        ancestors = self._columns[self.ancestor_node]
-        descendants = self._columns[self.descendant_node]
-        anc_labels, desc_labels = (
-            _column_labels(block.rows, len(block.schema),
-                           block.schema.position(node))
+        anc_regions, desc_regions = (
+            self.context.document.regions(_column_labels(
+                block.rows, len(block.schema),
+                block.schema.position(node)))
             for block, node in ((anc_block, self.ancestor_node),
                                 (desc_block, self.descendant_node)))
-        inner = [(descendants.regions[descendants.positions[label]], row)
-                 for label, row in zip(desc_labels, desc_block.rows)]
+        inner = list(zip(desc_regions, desc_block.rows))
         out: list[int] = []
         axis = self.axis
-        for label, anc_row in zip(anc_labels, self._shifted(anc_block)):
-            ancestor = ancestors.regions[ancestors.positions[label]]
+        for ancestor, anc_row in zip(anc_regions,
+                                     self._shifted(anc_block)):
             out.extend(anc_row + desc_row
                        for descendant, desc_row in inner
                        if _related(ancestor, descendant, axis))

@@ -11,9 +11,10 @@ Rows leave every engine and every back end as
 :class:`~repro.engine.tuples.PackedRows` — a block's or a result's
 labels in one array — wherever they are counted, compared or shipped;
 ``Region`` rows are a view a caller asks for — ``result.tuples``,
-``bindings()``, iterating a stream — built a block at a time by the
-one resolver the back end hands the stream (:data:`RegionView`;
-:func:`region_view` is a single node's).
+``bindings()``, iterating a stream — built a block at a time by
+:func:`region_view`, the one :data:`RegionView`: a back end hands its
+stream the view over the document its rows' labels are from, and the
+document resolves each label.
 """
 
 from __future__ import annotations
@@ -29,12 +30,13 @@ from repro.errors import PlanError, QueryCancelled
 from repro.core.pattern import QueryPattern
 from repro.core.plans import (IndexScanPlan, JoinAlgorithm, PhysicalPlan,
                               SortPlan, StructuralJoinPlan)
+from repro.document.document import XmlDocument
 from repro.document.node import Region
 from repro.engine import blocks as engine_blocks
 from repro.engine.blocks import (BlockIndexScan, BlockNestedLoopJoin,
                                  BlockOperator, BlockSort,
                                  BlockStackTreeAncJoin,
-                                 BlockStackTreeDescJoin, node_postings)
+                                 BlockStackTreeDescJoin)
 from repro.engine.context import EngineContext
 from repro.engine.metrics import ExecutionMetrics
 from repro.engine.nestedloop import NestedLoopJoin
@@ -44,10 +46,9 @@ from repro.engine.sort import SortOperator
 from repro.engine.stackjoin import StackTreeAncJoin, StackTreeDescJoin
 from repro.engine.tuples import LabelRow, MatchTuple, PackedRows, Schema
 from repro.obs.spans import Span
-from repro.storage.tagindex import TagIndex
 
-#: packed rows -> the same rows as ``Region`` tuples; a back end
-#: supplies one per run and it is called only for a caller that asks
+#: packed rows -> the same rows as ``Region`` tuples; every run gets
+#: one from :func:`region_view`, called only for a caller that asks
 #: for regions.
 RegionView = Callable[[PackedRows], list[MatchTuple]]
 
@@ -105,26 +106,15 @@ def _operator_children(operator) -> tuple:
     return ()
 
 
-def region_view(index: TagIndex, pattern: QueryPattern,
-                schema: Schema) -> RegionView:
-    """A single node's :data:`RegionView` for rows of *schema*: each
-    column is a strided slice of the packed labels, resolved in the
-    packed postings of its pattern node — the run's own scans'
-    blocks, fetched from *index* on first use, no whole-corpus table —
-    with one dict read and one list read per label, all driven by
-    ``map``.  The ``Region`` objects are the posting blocks' own
-    cached ones."""
-    nodes = [pattern.node(node_id) for node_id in schema.node_ids]
-    width = len(nodes)
+def region_view(document: XmlDocument, width: int) -> RegionView:
+    """The :data:`RegionView` of every back end, for rows *width*
+    labels wide: *document* (a node's run snapshot, a fleet's corpus)
+    resolves the packed labels
+    (:meth:`~repro.document.document.XmlDocument.regions`), and ``zip``
+    over *width* references to one iterator cuts the rows."""
 
     def view(rows: PackedRows) -> list[MatchTuple]:
-        labels = rows.labels
-        columns = [node_postings(index, node) for node in nodes]
-        return list(zip(*(
-            map(column.regions.__getitem__,
-                map(column.positions.__getitem__,
-                    labels[position::width]))
-            for position, column in enumerate(columns))))
+        return list(zip(*[iter(document.regions(rows.labels))] * width))
 
     return view
 
@@ -137,12 +127,12 @@ class ExecutionResult:
     (:class:`~repro.engine.tuples.PackedRows`: a single node's stay
     row ints until first read, so ``len`` reads nothing); ``tuples``
     and :meth:`bindings` are their ``Region`` view, built on first use
-    through ``regions``, the back end's resolver, which is released
-    then: a kept result does not pin its back end (a pre-commit tag
-    index, a fleet's region table) once it has its view.  ``span`` is the
-    root of the per-operator span tree when the run was traced
-    (``Executor.execute(..., spans=True)``), else ``None``.  The span
-    tree mirrors the plan tree node for node.
+    through ``regions`` (:func:`region_view`), which is released then.
+    Until that, a kept result pins the document its labels resolve in
+    — its run's snapshot, a fleet's corpus — and nothing else of its
+    back end.  ``span`` is the root of the per-operator span tree when
+    the run was traced (``Executor.execute(..., spans=True)``), else
+    ``None``.  The span tree mirrors the plan tree node for node.
     """
 
     rows: PackedRows
@@ -199,8 +189,8 @@ class StreamingExecution:
     root operator produces them (a tuple pipeline is pulled and
     packed, and a fleet's packed result sliced, a block at a time).
     Iterating the handle reads the same blocks row by row as
-    ``Region`` tuples, each block put through *regions*, the back
-    end's :data:`RegionView`; nothing else on a stream builds a
+    ``Region`` tuples, each block put through *regions*, the run's
+    :func:`region_view`; nothing else on a stream reads a
     ``Region``.  The handle
     records :attr:`total_seconds` and :attr:`produced`, the rows handed
     out so far, and consults the optional *cancel* predicate after each
@@ -530,8 +520,7 @@ class Executor:
         source = root if engine == "block" else _label_rows(root.run())
         return StreamingExecution(
             root.schema, metrics, source, engine=engine,
-            regions=region_view(run.tag_index, self.pattern,
-                                root.schema),
+            regions=region_view(run.document, len(root.schema)),
             cancel=cancel, span=span_root, on_finish=finalize)
 
     def time_to_first(self, plan: PhysicalPlan,

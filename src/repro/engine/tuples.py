@@ -24,7 +24,8 @@ decided by where it sits:
   iterators (``scan.py`` / ``stackjoin.py`` / ``sort.py``) pass among
   themselves, and the *view* a caller gets from ``result.tuples``,
   ``bindings()`` or iterating a stream, built on demand from the
-  labels (:func:`repro.engine.executor.region_view`).
+  labels by the document they are from, on every back end
+  (:func:`repro.engine.executor.region_view`).
 """
 
 from __future__ import annotations

@@ -231,8 +231,7 @@ class TwigStackMatcher:
         return ExecutionResult(
             rows=PackedRows.of_tuples(rows, len(schema)), schema=schema,
             metrics=self.metrics,
-            regions=region_view(self.context.tag_index, pattern,
-                                schema))
+            regions=region_view(self.context.document, len(schema)))
 
     def _path_nodes(self, leaf: int) -> list[int]:
         """Pattern nodes on the root-to-leaf path of *leaf*."""

@@ -19,11 +19,12 @@ class DocumentError(ReproError):
 class PostingMismatchError(DocumentError):
     """A document's nodes of one tag are not the tag index's posting
     list for that tag (another length, or another start at some
-    position).
+    position), or a row's label is no node of the document its view
+    resolves it in.
 
-    Raised instead of reading a node or a parent label off the wrong
-    posting: a query over such a pair would pair or filter silently
-    wrong."""
+    Raised instead of reading a node, a parent label or a region off
+    the wrong document: a query over such a pair would pair, filter or
+    answer silently wrong."""
 
 
 class XmlParseError(DocumentError):

@@ -610,8 +610,11 @@ class QueryServer:
                 deadline = float(deadline_ms) / 1000.0
             except (TypeError, ValueError):
                 raise ProtocolError(400, "timeout_ms must be a number")
-            if deadline <= 0:
-                raise ProtocolError(400, "timeout_ms must be > 0")
+            # NaN passes a "<= 0" test, and a timer set to it fires
+            # at once: a 504 the client never asked for
+            if not math.isfinite(deadline) or deadline <= 0:
+                raise ProtocolError(400, "timeout_ms must be a finite "
+                                         "number > 0")
         deadline = min(deadline, self.config.max_deadline_seconds)
         tenant = (text("tenant")
                   or request.headers.get("x-tenant", "")

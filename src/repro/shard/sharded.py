@@ -45,9 +45,11 @@ cumulative per-shard totals, which the pool's I/O thread — the one
 owner of the worker pipes — books a run into as its payloads land,
 whether or not its stream is read.  A result's rows stay packed
 (:class:`~repro.engine.tuples.PackedRows`), and every block a reader
-is handed is a slice of them; the whole-corpus
-region table is built for the first caller that asks for the
-``Region`` view, never for ``blocks()``, ``fetchall()`` or ``len()``.
+is handed is a slice of them.  Their ``Region`` view is a single
+node's (:func:`~repro.engine.executor.region_view`) over the whole
+corpus the coordinator holds, whose label table is built for the
+first caller that asks for regions, never for ``blocks()``,
+``fetchall()`` or ``len()``.
 """
 
 from __future__ import annotations
@@ -67,12 +69,11 @@ from repro.core.cost import CostFactors
 from repro.core.pattern import QueryPattern
 from repro.core.plans import PhysicalPlan
 from repro.document.document import XmlDocument
-from repro.document.node import Region
 from repro.engine import blocks as engine_blocks
-from repro.engine.executor import (RegionView, StreamingExecution,
+from repro.engine.executor import (StreamingExecution, region_view,
                                    validate_engine)
 from repro.engine.metrics import ExecutionMetrics
-from repro.engine.tuples import MatchTuple, PackedRows, Schema
+from repro.engine.tuples import PackedRows, Schema
 from repro.obs.explain import ExplainReport
 from repro.obs.registry import MetricsRegistry
 from repro.obs.spans import Span, TraceContext, assign_span_ids
@@ -138,47 +139,12 @@ class ShardedDatabase(QueryTarget):
             paths.append(str(pages_path))
         self.partition = partition
         self.document = document
-        self._region_table: (
-            "tuple[XmlDocument, list[Region | None]] | None") = None
         estimator = self._load_statistics(document)
         self.workers = ShardWorkerPool(paths, timeout=self._timeout)
         self._publish_planning_inputs(estimator)
 
     def _generation_dir(self, generation: int) -> Path:
         return self._base_dir / f"gen{generation:03d}"
-
-    def _regions_by_start(self, document: XmlDocument
-                          ) -> "list[Region | None]":
-        """Start label → region, over the whole of *document* (built
-        for the first caller that asks for regions, then cached).
-
-        A list indexed by start label (``None`` at the label gaps the
-        write path leaves): a list's ``__getitem__`` is the cheapest
-        lookup ``map`` can drive (21.1 → 17.0 ms against a dict over
-        the 360 k labels of ``Q.Pers.3.d``).  Keyed by its document,
-        so a result read after a :meth:`reload` resolves in its own.
-        """
-        cached = self._region_table
-        if cached is None or cached[0] is not document:
-            table: "list[Region | None]" = (
-                [None] * (document.root.end + 1))
-            for node in document:
-                table[node.region.start] = node.region
-            cached = self._region_table = (document, table)
-        return cached[1]
-
-    def _region_view(self, width: int) -> RegionView:
-        """The fleet's :data:`RegionView`, the one caller of
-        :meth:`_regions_by_start`: ``map`` looks the packed labels up
-        and ``zip`` over *width* references to that iterator cuts the
-        rows — no Python code per row."""
-        document = self.document
-
-        def view(rows: PackedRows) -> list[MatchTuple]:
-            lookup = self._regions_by_start(document).__getitem__
-            return list(zip(*[map(lookup, rows.labels)] * width))
-
-        return view
 
     def reload(self, document: XmlDocument) -> None:
         """Replace the corpus: re-partition, re-persist, restart workers.
@@ -317,7 +283,7 @@ class ShardedDatabase(QueryTarget):
 
         return StreamingExecution(
             schema, metrics, run, engine=engine,
-            regions=self._region_view(len(schema)),
+            regions=region_view(self.document, len(schema)),
             cancel=cancel, started=started, on_finish=finish)
 
     def _stitch_trace(self, trace: TraceContext, plan: PhysicalPlan,

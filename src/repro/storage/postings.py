@@ -4,45 +4,36 @@ A :class:`RegionBlock` holds one full posting list in struct-of-arrays
 form — parallel C-typed ``array`` columns of start/end/level that
 ``bisect`` can search without touching a Python object per probe.
 
-Blocks are **lazy**: only the packed columns are materialized at
-decode time (10 bytes per posting), and the block engine's rows of a
-scan are its start column as it is.  The label-to-position map a
-join's grouping and the ``Region`` view resolve labels through, and
-the :class:`~repro.document.node.Region` objects of that view, are
-two separate structures, each built on first access and cached:
-operators that only probe the packed columns (bisect skip-ahead, fence
-checks, merges) build neither, and a query nobody asks for ``Region``
-objects never allocates one.
+A block holds its packed columns (10 bytes per posting) and, built
+on first access and cached, the label-to-position map a join's
+grouping resolves labels through; the block engine's rows of a scan
+are its start column as it is.  A block holds no
+:class:`~repro.document.node.Region`: a result's ``Region`` view
+reads the document's own
+(:meth:`~repro.document.document.XmlDocument.regions`).
 
 Blocks are built once per decode-cache epoch by
 :meth:`~repro.storage.tagindex.TagIndex.scan_blocks` and then shared
 across executions, so they are immutable by contract: consumers must
-never mutate the columns or ``regions`` in place (operators that
-filter or reorder build fresh lists).
+never mutate the columns in place (operators that filter or reorder
+build fresh lists).
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import count
-from typing import Iterator
 
-from repro.document.node import Region
-
-#: rough per-object heap costs used for resident-byte accounting
-#: (measured on CPython 3.11: a slotted frozen Region with its three
-#: ints, plus the list slot that references it; a dict entry, ~48 B at
-#: a dict's usual load, with its two ints).
-_REGION_BYTES = 64
-_LIST_SLOT_BYTES = 8
+#: rough heap cost of one label-to-position entry, for resident-byte
+#: accounting (measured on CPython 3.11: a dict entry, ~48 B at a
+#: dict's usual load, with its two ints).
 _POSITION_BYTES = 112
 
 
 class RegionBlock:
     """One posting list in columnar form (parallel start/end/level)."""
 
-    __slots__ = ("tag", "starts", "ends", "levels", "_regions",
-                 "_positions")
+    __slots__ = ("tag", "starts", "ends", "levels", "_positions")
 
     def __init__(self, tag: str, starts: "array[int]",
                  ends: "array[int]", levels: "array[int]") -> None:
@@ -50,18 +41,7 @@ class RegionBlock:
         self.starts = starts
         self.ends = ends
         self.levels = levels
-        self._regions: list[Region] | None = None
         self._positions: dict[int, int] | None = None
-
-    @property
-    def regions(self) -> list[Region]:
-        """Materialized :class:`Region` objects (built on first use)."""
-        regions = self._regions
-        if regions is None:
-            regions = list(map(Region, self.starts, self.ends,
-                               self.levels))
-            self._regions = regions
-        return regions
 
     @property
     def positions(self) -> dict[int, int]:
@@ -78,11 +58,6 @@ class RegionBlock:
             self._positions = positions
         return positions
 
-    @property
-    def materialized(self) -> bool:
-        """Whether the ``Region`` objects have been built."""
-        return self._regions is not None
-
     def packed_bytes(self) -> int:
         """Heap bytes held by the packed columns alone."""
         return sum(column.itemsize * len(column)
@@ -91,9 +66,6 @@ class RegionBlock:
     def resident_bytes(self) -> int:
         """Estimated heap bytes this block currently keeps alive."""
         total = self.packed_bytes()
-        if self._regions is not None:
-            total += len(self._regions) * (_REGION_BYTES
-                                           + _LIST_SLOT_BYTES)
         if self._positions is not None:
             total += len(self._positions) * _POSITION_BYTES
         return total
@@ -101,9 +73,5 @@ class RegionBlock:
     def __len__(self) -> int:
         return len(self.starts)
 
-    def __iter__(self) -> Iterator[Region]:
-        return iter(self.regions)
-
     def __repr__(self) -> str:  # pragma: no cover - diagnostics only
-        return (f"RegionBlock({self.tag!r}, {len(self.starts)} postings"
-                f"{', packed' if not self.materialized else ''})")
+        return f"RegionBlock({self.tag!r}, {len(self.starts)} postings)"

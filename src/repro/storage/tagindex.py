@@ -31,8 +31,8 @@ Two read paths exist:
   page at a time and yields a :class:`Region` per entry.
 * :meth:`TagIndex.scan_blocks` — the block engine's columnar path:
   bulk-decodes each page of a chain exactly once into a *lazy*
-  :class:`~repro.storage.postings.RegionBlock` (packed columns only;
-  Region objects and the label-to-position map materialize on demand)
+  :class:`~repro.storage.postings.RegionBlock` (packed columns; the
+  label-to-position map is built on demand, and no Region ever is)
   and caches the block until the index mutates.  ``decode_epoch``
   counts those invalidations; :meth:`~repro.api.Database.reload`
   discards the whole index, so stale blocks can never serve a
@@ -398,8 +398,7 @@ class TagIndex:
         ``per_tag`` maps each tag to its posting count, page count,
         compressed bytes on disk, and the decoded block's resident
         bytes (0 while the tag's block is not cached; grows when a
-        consumer materializes Region objects or the label-to-position
-        map).
+        join builds the label-to-position map).
         """
         per_tag = {}
         for tag in self.tags():
@@ -410,8 +409,6 @@ class TagIndex:
                 "compressed_bytes": self.compressed_bytes(tag),
                 "decoded_bytes": (block.resident_bytes()
                                   if block is not None else 0),
-                "materialized": (block.materialized
-                                 if block is not None else False),
             }
         return {
             "per_tag": per_tag,

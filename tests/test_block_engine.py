@@ -21,6 +21,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.api import Database
 from repro.document.builder import DocumentBuilder
+from repro.document.node import Region
 from repro.engine import blocks
 from repro.engine.blocks import _group_rows
 from repro.engine.context import EngineContext
@@ -438,6 +439,68 @@ def test_a_relabelling_commit_pairs_by_the_new_documents_parents():
     assert parents is not old_parents and parents != old_parents
 
 
+def region_rows(bindings):
+    """Bindings as their ``Region`` rows (ends and levels included),
+    in one order."""
+    return sorted(tuple(binding[key] for key in sorted(binding))
+                  for binding in bindings)
+
+
+def test_a_kept_result_resolves_in_its_own_snapshot():
+    """A relabelling commit (gapped labels) publishes a new document.
+    A result kept from before it resolves its labels in the old
+    document, a run after it in the new one: each view is its own
+    document's matches, with that document's own ``Region`` objects."""
+    database = Database.from_document(parse_xml(CHILD_XML, name="child"))
+    pattern = compile_xpath("//manager/name")
+    before = database.execute(SCANS, pattern)
+    old = database.document
+    old.regions([old.root.start])  # the old document's table is built
+    m2 = next(node.node_id for node in old.nodes
+              if node.attributes.get("id") == "m2")
+    with database.transaction() as txn:
+        txn.insert_subtree(m2, parse_xml("<name>New</name>"))
+    new = database.document
+    after = database.execute(SCANS, pattern)
+    assert new.root.end + 1 > len(new)  # gapped
+    assert not set(before.rows) & set(after.rows)  # relabelled
+    assert new._region_table is None  # derive() starts its own
+    for result, document in ((after, new), (before, old)):
+        assert region_rows(result.bindings()) == region_rows(
+            naive_pattern_matches(document, pattern))
+        assert all(region is document.node(region.start).region
+                   for row in result.tuples for region in row)
+
+
+def test_a_view_over_a_document_that_is_not_the_index_raises():
+    """A label the view's document holds no node at raises the typed
+    error and never puts ``None`` into a row: past the document's
+    last label (a shorter document), and in a gap of its labels (the
+    index before a relabelling commit, the document after it).  The
+    join is DESCENDANT-only, so the run itself reads no document."""
+    pattern = compile_xpath("//manager//name")
+    database = Database.from_document(parse_xml(CHILD_XML, name="child"))
+    shorter = parse_xml(CHILD_XML.replace(
+        '<employee id="e5"><name>Flo</name></employee>', ""))
+    old_index = database.index
+    m2 = next(node.node_id for node in database.document.nodes
+              if node.attributes.get("id") == "m2")
+    with database.transaction() as txn:
+        txn.insert_subtree(m2, parse_xml("<name>New</name>"))
+    plan = StructuralJoinPlan(IndexScanPlan(0), IndexScanPlan(1), 0, 1,
+                              Axis.DESCENDANT,
+                              JoinAlgorithm.STACK_TREE_DESC)
+    for index, document in ((old_index, shorter),
+                            (old_index, database.document)):
+        context = EngineContext(index, document)
+        result = Executor(context, pattern).stream(plan).result()
+        assert len(result) > 0
+        with pytest.raises(PostingMismatchError, match="no node at label"):
+            result.tuples
+        with pytest.raises(PostingMismatchError):
+            list(Executor(context, pattern).stream(plan))
+
+
 # -- row ints -------------------------------------------------------------
 
 
@@ -562,38 +625,43 @@ def test_a_count_only_reader_builds_no_row_object():
 
 @pytest.mark.parametrize("name", sorted(PAPER_QUERIES))
 def test_default_path_allocates_no_region(name):
-    """An un-predicated paper query through ``Database.query`` leaves
-    every posting block it touched without its ``Region`` list, and
-    accounts what it did build; asking for ``tuples``
-    afterwards builds exactly the iterator engine's rows."""
+    """A paper query through ``Database.query`` leaves the document's
+    label table unbuilt, and no posting block it touched holds a
+    ``Region``: a block's accounting is its packed columns and its
+    label-to-position map.  Asking for ``tuples`` afterwards builds
+    the table on the run's document and hands out that document's own
+    ``Region`` objects, exactly the iterator engine's rows."""
     query = PAPER_QUERIES[name]
     size = ({"entries": 60} if query.dataset == "dblp"
             else {"target_nodes": 600})
     database = Database.from_document(
         dataset_document(query.dataset, seed=42, **size))
     pattern = query.pattern
-    predicated = any(node.predicates for node in pattern.nodes)
+    document = database.document
     result = database.query(pattern)
     touched = list(database.index._blocks.values())
     assert touched and len(result) > 0
-    if not predicated:
-        assert all(block._regions is None for block in touched)
-        assert not any(entry["materialized"] for entry in database.
-                       index.storage_stats()["per_tag"].values())
+    assert document._region_table is None
     for block in touched:
-        # each structure is accounted on its own: the label-to-position
-        # map pins no Region
-        regions, positions = (
-            len(block) if built is not None else 0 for built in
-            (block._regions, block._positions))
+        assert not any(isinstance(held, (list, Region))
+                       for held in gc.get_referents(block))
+        positions = len(block) if block._positions is not None else 0
         assert block.resident_bytes() == (
-            block.packed_bytes() + regions * 72 + positions * 112)
+            block.packed_bytes() + positions * 112)
+    assert "materialized" not in next(iter(
+        database.index.storage_stats()["per_tag"].values()))
     reference = database.execute(result.plan, pattern, engine="tuple")
     _, context = database._engine_context()
     assert result.execution.tuples == reference.tuples == list(
         Executor(context, pattern).build(result.plan,
                                          engine="tuple").run())
-    assert any(block.materialized for block in touched)
+    assert document._region_table is not None
+    first = result.execution.tuples[0]
+    assert all(region is document.node(region.start).region
+               for region in first)
+    for block in touched:
+        assert not any(isinstance(held, (list, Region))
+                       for held in gc.get_referents(block))
 
 
 # -- decode cache ---------------------------------------------------------
@@ -610,8 +678,9 @@ class TestDecodeCache:
         first = index.scan_blocks("manager")
         assert index.scan_blocks("manager") is first
         assert index.scan_blocks_all() is index.scan_blocks_all()
-        assert [r.start for r in first.regions] == [
+        assert list(first.starts) == [
             r.start for r in index.scan("manager")]
+        assert not hasattr(first, "regions")
 
     def test_merged_block_is_document_ordered(self, index,
                                               small_document):

@@ -6,7 +6,12 @@ from repro.errors import PatternError
 from repro.core.pattern import (Axis, PatternBuilder, PatternEdge,
                                 PatternNode, Predicate, QueryPattern,
                                 mask_nodes, node_mask)
+from repro.api import Database
 from repro.document.node import NodeRecord, Region
+from repro.engine.nestedloop import naive_pattern_matches
+from repro.workloads import dblp_document
+
+from tests.conftest import canonical_bindings
 
 
 def node_with(tag="item", text="", attributes=None):
@@ -32,6 +37,14 @@ class TestPredicate:
                               name="year")
         assert predicate.matches(node_with(attributes={"year": "2001"}))
         assert not predicate.matches(node_with(attributes={"year": "99"}))
+        # the constant is parsed once; a value that is no number
+        # compares as a string
+        less = Predicate(kind="text", op="<", value="10")
+        assert less.matches(node_with(text="9"))  # 9 < 10, not "9" < "10"
+        assert not less.matches(node_with(text="abc"))  # "abc" > "10"
+        assert less == Predicate(kind="text", op="<", value="10")
+        assert repr(less) == (
+            "Predicate(kind='text', op='<', value='10', name='')")
 
     def test_string_comparison_fallback(self):
         predicate = Predicate(kind="text", op="<", value="m")
@@ -41,6 +54,16 @@ class TestPredicate:
     def test_contains(self):
         predicate = Predicate(kind="text", op="contains", value="dam")
         assert predicate.matches(node_with(text="Ada Adams"))
+        # a substring test even when both sides parse as numbers
+        year = Predicate(kind="text", op="contains", value="19")
+        assert year.matches(node_with(text="1997"))
+        assert year.matches(node_with(text="2019"))
+        assert not year.matches(node_with(text="2003"))
+        assert not year.matches(node_with(text="1.9"))
+        attribute = Predicate(kind="attribute", op="contains",
+                              value="2", name="id")
+        assert attribute.matches(node_with(attributes={"id": "12"}))
+        assert not attribute.matches(node_with(attributes={"id": "u3"}))
 
     def test_invalid_kind_and_op(self):
         with pytest.raises(PatternError):
@@ -178,3 +201,23 @@ class TestPatternBuilder:
                                               value="x"))
         pattern = builder.finish()
         assert len(pattern.node(0).predicates) == 1
+
+
+@pytest.mark.parametrize("xpath", [
+    "//year[contains(., '19')]",
+    "//inproceedings[year[contains(., '19')]]/title",
+    "//article[year[contains(text(), '0')]]//author",
+])
+def test_contains_on_numeric_values_runs_on_both_engines(xpath):
+    """``contains`` over values that parse as numbers (DBLP years) is a
+    substring test on both engines, and their rows are the
+    brute-force matches."""
+    database = Database.from_document(dblp_document(entries=60, seed=42))
+    pattern = database.compile(xpath)
+    plan = database.optimize(pattern).plan
+    expected = canonical_bindings(naive_pattern_matches(
+        database.document, pattern))
+    assert expected
+    for engine in ("block", "tuple"):
+        result = database.execute(plan, pattern, engine=engine)
+        assert canonical_bindings(result.bindings()) == expected

@@ -242,6 +242,33 @@ class TestQueryEndpoint:
         response = run(fetch(host, port, "GET", "/query"))
         assert response.status == 400
 
+    def test_a_deadline_that_is_no_finite_positive_number_is_refused(
+            self, server):
+        """NaN is no deadline: it passes a ``<= 0`` test, and a timer
+        set to it fires at once.  Neither it nor an infinite or
+        non-positive deadline runs a query; each is a 400 that burns
+        no error budget."""
+        _, host, port = server
+
+        def errors():
+            snapshot = run(fetch(host, port, "GET", "/slo")).json()
+            return {entry["name"]: entry["bad"]
+                    for entry in snapshot["objectives"]}["query_errors"]
+
+        before = errors()
+        for value in ("nan", "NaN", "inf", "-inf", "0", "-5"):
+            for path, headers in (
+                    (f"/query?xpath=//employee&timeout_ms={value}", None),
+                    ("/query?xpath=//employee", {"X-Deadline-Ms": value})):
+                response = run(fetch(host, port, "GET", path,
+                                     headers=headers))
+                assert response.status == 400, (value, response.json())
+                assert "timeout_ms" in response.json()["error"]
+        assert errors() == before
+        ok = run(fetch(host, port, "GET",
+                       "/query?xpath=//employee&limit=1&timeout_ms=5000"))
+        assert ok.status == 200
+
     def test_unknown_route_is_404_and_method_checked(self, server):
         _, host, port = server
         assert run(fetch(host, port, "GET", "/nope")).status == 404

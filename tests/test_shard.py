@@ -33,7 +33,8 @@ from repro.api import Database
 from repro.core.pattern import Axis, QueryPattern
 from repro.core.plans import IndexScanPlan, JoinAlgorithm, StructuralJoinPlan
 from repro.document.parser import parse_xml
-from repro.errors import PlanError, QueryCancelled, ShardError
+from repro.errors import (PlanError, QueryCancelled, ShardError,
+                          UnshardablePatternError)
 from repro.obs.registry import MetricsRegistry
 from repro.shard import (ShardedDatabase, coordinator,
                          partition_document)
@@ -43,6 +44,7 @@ from repro.shard.coordinator import merge_packed_runs
 from repro.shard.worker import pack_run
 from repro.storage.frames import LABEL_TYPECODE
 from repro.workloads import PAPER_QUERIES, dblp_document, random_pattern
+from repro.workloads.queries import dataset_document
 from repro.workloads.personnel import personnel_document
 
 from tests.conftest import (branches_at_root, canonical_bindings,
@@ -427,13 +429,15 @@ def test_fleet_result_stays_packed_until_regions_are_asked_for(
         sharded, chain_pattern, monkeypatch):
     """``execute`` + ``len`` builds no region table and no row;
     ``blocks()`` cuts label rows — one, then at most ``BLOCK_ROWS`` —
-    and only the ``Region`` view reaches ``_regions_by_start``."""
+    and only the ``Region`` view builds the coordinator's document's
+    label table, the one a single node's view reads too."""
     plan = sharded.optimize(chain_pattern).plan
-    sharded._region_table = None
+    document = sharded.document
+    document._region_table = None  # the module's fleet is shared
     result = sharded.execute(plan, chain_pattern)
     assert isinstance(result.rows, PackedRows)
     total = len(result)
-    assert total > 20 and sharded._region_table is None
+    assert total > 20 and document._region_table is None
     assert len(result.canonical()) == total
     monkeypatch.setattr(blocks, "BLOCK_ROWS", 8)
     stream = sharded.stream_execute(plan, chain_pattern)
@@ -444,11 +448,58 @@ def test_fleet_result_stays_packed_until_regions_are_asked_for(
     assert stream.exhausted and stream.produced == total
     assert sharded.stream_execute(plan, chain_pattern).fetchall() \
         == result.rows
-    assert sharded._region_table is None
+    assert document._region_table is None
     # the view: built on demand, equal to a single node's regions
-    single = Database.from_document(sharded.document)
+    single = Database.from_document(document)
     assert result.tuples == single.execute(plan, chain_pattern).tuples
-    assert sharded._region_table is not None
+    assert document._region_table is not None
+    assert all(region is document.node(region.start).region
+               for region in result.tuples[0])
+
+
+@pytest.mark.parametrize("dataset", ["dblp", "mbench", "pers"])
+def test_every_back_end_views_the_paper_queries_alike(dataset):
+    """On the paper queries, ``result.tuples``, ``bindings()`` and an
+    iterated stream are one ``Region`` row list on a node's block and
+    tuple engines and on a 2- and a 4-shard fleet, and it is the
+    regions the tag index posts for the rows' labels (the view reads
+    the document, so the index is an independent check).  A fleet
+    refuses the DBLP queries, which branch at the replicated root."""
+    size = ({"entries": 60} if dataset == "dblp"
+            else {"target_nodes": 600})
+    document = dataset_document(dataset, seed=42, **size)
+    node = Database.from_document(document)
+    posted = {region.start: region for tag in node.index.tags()
+              for region in node.index.scan(tag)}
+    runs = []
+    for name, query in sorted(PAPER_QUERIES.items()):
+        if query.dataset != dataset:
+            continue
+        pattern = query.pattern
+        plan = node.optimize(pattern).plan
+        expected = [tuple(map(posted.__getitem__, row))
+                    for row in node.execute(plan, pattern).rows]
+        assert expected, name
+        runs.append((pattern, plan, expected))
+        for engine in ("block", "tuple"):
+            result = node.execute(plan, pattern, engine=engine)
+            assert result.tuples == expected, (name, engine)
+            assert result.bindings() == [
+                dict(zip(result.schema.node_ids, row))
+                for row in expected]
+            assert list(node.stream_execute(plan, pattern,
+                                            engine=engine)) == expected
+    for shards in (2, 4):
+        with ShardedDatabase(document, shards=shards) as fleet:
+            for pattern, plan, expected in runs:
+                if dataset == "dblp":
+                    assert branches_at_root(pattern, document)
+                    with pytest.raises(UnshardablePatternError):
+                        fleet.execute(plan, pattern)
+                    continue
+                assert fleet.execute(plan, pattern).tuples == expected
+                assert list(fleet.stream_execute(plan, pattern)) \
+                    == expected
 
 
 def test_fleet_stream_counts_rows_however_it_is_read(
